@@ -45,7 +45,8 @@ use optrep_core::obs::{CounterSink, CounterSnapshot, SessionTotals};
 use optrep_core::sync::SyncOptions;
 use optrep_core::{wire, Causality, Result, RotatingVector, SiteId, Srv};
 use optrep_replication::mux::{
-    run_contact, run_contact_faulty, BatchPullClient, BatchPullServer, ContactReport,
+    pull_contact, run_contact, BatchPullClient, BatchPullServer, ContactReport, Faulted,
+    InProcessLink,
 };
 use optrep_replication::planner::{
     self, decide, DigestVector, PlanConfig, ShardAction, ShardDigest, ShardPlan,
@@ -449,83 +450,6 @@ impl KvStore {
             opts: SyncOptions::default(),
             drive: CleanDrive,
         }
-    }
-
-    /// Anti-entropy pull with an explicit resolver.
-    ///
-    /// # Errors
-    ///
-    /// Propagates protocol errors; on error no key is modified.
-    #[deprecated(note = "use `store.sync(&src).with_resolver(&resolver).run()`")]
-    pub fn sync_from<R: Resolver>(
-        &mut self,
-        other: &KvStore,
-        resolver: &R,
-    ) -> Result<KvSyncReport> {
-        self.sync(other).with_resolver(resolver).run()
-    }
-
-    /// Anti-entropy pull with explicit transfer options.
-    ///
-    /// # Errors
-    ///
-    /// Propagates protocol errors; on error no key is modified.
-    #[deprecated(note = "use `store.sync(&src).with_resolver(&resolver).with_opts(opts).run()`")]
-    pub fn sync_from_opts<R: Resolver>(
-        &mut self,
-        other: &KvStore,
-        resolver: &R,
-        opts: SyncOptions,
-    ) -> Result<KvSyncReport> {
-        self.sync(other)
-            .with_resolver(resolver)
-            .with_opts(opts)
-            .run()
-    }
-
-    /// Anti-entropy pull with the contact driven by `run`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from `run` and staging; on error no key is
-    /// modified.
-    #[deprecated(note = "use `store.sync(&src).with_resolver(&resolver).via_fn(run).run()`")]
-    pub fn sync_from_via<R, F>(
-        &mut self,
-        other: &KvStore,
-        resolver: &R,
-        run: F,
-    ) -> Result<KvSyncReport>
-    where
-        R: Resolver,
-        F: FnOnce(&mut BatchPullClient, &mut BatchPullServer) -> Result<ContactReport>,
-    {
-        self.sync(other).with_resolver(resolver).via_fn(run).run()
-    }
-
-    /// The shared pull body behind [`SyncRequest::run`].
-    ///
-    /// Application is transactional in both directions:
-    ///
-    /// * If `run` fails (link death, stall, decode error) **nothing**
-    ///   happened: no key, no metadata, no counter moved. A clean
-    ///   follow-up sync picks up exactly where this one left off.
-    /// * If `run` completes, every outcome is decoded and validated into
-    ///   a staging list *before* the first key is touched, so a corrupt
-    ///   payload mid-batch also leaves the store byte-identical.
-    fn sync_impl<F>(
-        &mut self,
-        other: &KvStore,
-        resolver: &dyn Resolver,
-        run: F,
-    ) -> Result<KvSyncReport>
-    where
-        F: FnOnce(&mut BatchPullClient, &mut BatchPullServer) -> Result<ContactReport>,
-    {
-        let mut client = self.client_endpoint();
-        let mut server = other.server_endpoint();
-        let contact = run(&mut client, &mut server)?;
-        self.apply_contact(resolver, client, &contact)
     }
 
     /// Monotone write counter: bumped on every [`put`](Self::put) /
@@ -1185,14 +1109,14 @@ impl Drive for CleanDrive {
 }
 
 /// A seeded faulty link drives the contact with injected frame loss
-/// and truncation ([`optrep_replication::mux::run_contact_faulty`]).
+/// and truncation ([`optrep_replication::mux::Faulted`]).
 impl Drive for &mut FaultyLink {
     fn drive(
         self,
         client: &mut BatchPullClient,
         server: &mut BatchPullServer,
     ) -> Result<ContactReport> {
-        run_contact_faulty(client, server, self)
+        pull_contact(client, &mut Faulted::new(InProcessLink::new(server), self))
     }
 }
 
@@ -1283,21 +1207,24 @@ impl<'a, D: Drive> SyncRequest<'a, D> {
         self.via(FnDrive(run))
     }
 
-    /// Executes the pull.
+    /// Executes the pull. Application is transactional in both
+    /// directions:
+    ///
+    /// * If the drive fails (link death, stall, decode error) **nothing**
+    ///   happened: no key, no metadata, no counter moved. A clean
+    ///   follow-up sync picks up exactly where this one left off.
+    /// * If it completes, every outcome is decoded and validated into a
+    ///   staging list *before* the first key is touched, so a corrupt
+    ///   payload mid-batch also leaves the store byte-identical.
     ///
     /// # Errors
     ///
-    /// Propagates transport, protocol and staging errors; on error no
-    /// key, no metadata and no counter of the destination store moved.
+    /// Propagates transport, protocol and staging errors.
     pub fn run(self) -> Result<KvSyncReport> {
-        let SyncRequest {
-            store,
-            src,
-            resolver,
-            opts: _,
-            drive,
-        } = self;
-        store.sync_impl(src, resolver, |client, server| drive.drive(client, server))
+        let mut client = self.store.client_endpoint();
+        let mut server = self.src.server_endpoint();
+        let contact = self.drive.drive(&mut client, &mut server)?;
+        self.store.apply_contact(self.resolver, client, &contact)
     }
 }
 

@@ -7,7 +7,7 @@
 //! the first contact dials and handshakes, every later contact checks the
 //! same connection out of the pool, runs over it, and checks it back in.
 //! The mux layer's FIN-*marker* exchange delimits contacts on the shared
-//! socket (see `replication::mux::run_contact_pipelined`), so no socket
+//! socket (see `replication::mux::pull_contact`), so no socket
 //! teardown is needed between contacts. The sync planner's digest/plan
 //! turn (`replication::planner`) rides the same discipline — one extra
 //! marker-delimited turn at the head of a contact — so planned pulls

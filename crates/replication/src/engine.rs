@@ -9,13 +9,12 @@
 //! [`std::thread`] worker pool, with each [`Site`] behind its own lock —
 //! a sharded `Vec<Mutex<Site>>`, no global cluster lock.
 //!
-//! One [`ContactOptions`] value configures everything the four historical
-//! `gossip_round_*` entry points hard-coded: the transport
+//! One [`ContactOptions`] value configures a round: the transport
 //! ([`Transport::Direct`] per-object sessions, [`Transport::Mux`] framed
-//! multi-object contacts, [`Transport::Stream`] the same frames chunked
-//! over the threaded byte-stream links of `optrep-net`), an optional
-//! [`FaultPlan`], the [`RetryPolicy`], the worker count, and a simulated
-//! per-round-trip link latency.
+//! multi-object contacts in-process, [`Transport::Tcp`] the same
+//! contacts over loopback sockets), an optional [`FaultPlan`], the
+//! [`RetryPolicy`], the worker count, and a simulated per-round-trip
+//! link latency.
 //!
 //! Engine contacts are always *full* (unplanned) contacts: every hosted
 //! object runs its session. The shard-digest planning turn that makes
@@ -64,20 +63,15 @@ use crate::gossip::{
     PeerHealth, RetryPolicy, RoundReport,
 };
 use crate::meta::ReplicaMeta;
-use crate::mux::{
-    run_contact, run_contact_faulty, run_contact_pipelined, serve_contact_pipelined,
-    BatchPullServer, ContactReport, CtrlMsg, MuxMsg,
-};
+use crate::mux::{pull_contact, serve_contact, BatchPullServer, Faulted, InProcessLink};
 use crate::object::ObjectId;
 use crate::payload::{ReplicaPayload, WirePayload};
-use crate::protocol::SessionMsg;
 use crate::reconcile::Reconciler;
 use crate::session::sync_replica;
 use crate::site::Site;
 use optrep_core::obs::{self, CounterSink};
-use optrep_core::sync::{Endpoint, Framed, SyncOptions};
+use optrep_core::sync::SyncOptions;
 use optrep_core::{obs_emit, Error, Result, SiteId, Srv};
-use optrep_net::mem::run_pair_stream;
 use optrep_net::{mix_seed, ConnectOptions, FaultPlan, FaultStats, FaultyLink, TcpLink};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -94,18 +88,9 @@ pub enum Transport {
     /// injection (there is no wire to inject into).
     Direct,
     /// One framed multi-object contact driven in lockstep in-process
-    /// (the `contact`/`gossip_round_mux` path). SRV metadata only; this
-    /// is the transport fault plans inject into.
+    /// (the `contact` path). SRV metadata only; this is the transport
+    /// fault plans inject into.
     Mux,
-    /// The same framed contact chunked over the threaded byte-stream
-    /// links of `optrep-net` (`run_pair_stream`). Endpoints really run
-    /// on their own OS threads; frame interleaving (and hence the
-    /// speculative-element byte count) depends on scheduling, so byte
-    /// totals are not run-to-run deterministic — outcomes still are.
-    Stream {
-        /// Stream chunk size in bytes (must be non-zero).
-        chunk: usize,
-    },
     /// The framed contact over a real loopback TCP connection
     /// ([`optrep_net::TcpLink`]): the source endpoint is served from a
     /// listener thread while the destination dials and pulls. Runs the
@@ -117,9 +102,7 @@ pub enum Transport {
 
 /// Everything one gossip round needs to know about how to run its
 /// contacts: transport, fault plan, retry discipline, parallelism and
-/// simulated link latency. Replaces the `gossip_round` /
-/// `gossip_round_mux` / `gossip_round_resilient` / `gossip_round_faulty`
-/// parameter sprawl.
+/// simulated link latency.
 #[non_exhaustive]
 #[derive(Debug, Clone)]
 #[must_use = "ContactOptions does nothing until passed to round_with/converge_with"]
@@ -176,12 +159,6 @@ impl ContactOptions {
     /// in-process (SRV metadata only).
     pub fn mux() -> Self {
         Self::new(Transport::Mux)
-    }
-
-    /// The framed contact chunked over real threaded byte-stream links
-    /// (SRV metadata only). `chunk` must be non-zero.
-    pub fn stream(chunk: usize) -> Self {
-        Self::new(Transport::Stream { chunk })
     }
 
     /// The framed contact over a real loopback TCP connection (SRV
@@ -248,7 +225,7 @@ pub enum Attempt {
 /// Implemented for every scheme in the crate: BRV/CRV and the full-vector
 /// baseline support [`Transport::Direct`] only (per-object sessions),
 /// while [`Srv`] additionally drives the framed mux transport — with
-/// optional fault injection — and the chunked byte-stream transport,
+/// optional fault injection — in-process and over loopback TCP,
 /// because only SRV metadata embeds in the batched `SYNCS` engine
 /// ([`crate::protocol::supports_session`]).
 pub trait ContactScheme<P: ReplicaPayload>: ReplicaMeta + Sized {
@@ -358,15 +335,13 @@ impl<P: WirePayload> ContactScheme<P> for Srv {
                 drive_direct(opts, dst_site, src_site, reconciler, sync_opts, stats)
             }
             Transport::Mux => drive_mux(env, opts, dst_site, src_site, reconciler, stats),
-            Transport::Stream { chunk } => {
-                drive_stream(env, opts, dst_site, src_site, reconciler, stats, chunk)
-            }
             Transport::Tcp => drive_tcp(env, opts, dst_site, src_site, reconciler, stats),
         }
     }
 }
 
-/// One framed lockstep contact, optionally over a fault-injected link.
+/// One framed lockstep contact in-process, under the fault plan's
+/// weather when there is one.
 fn drive_mux<P: WirePayload>(
     env: &ContactEnv,
     opts: &ContactOptions,
@@ -376,140 +351,39 @@ fn drive_mux<P: WirePayload>(
     stats: &CounterSink,
 ) -> Result<Attempt> {
     let (mut client, mut server) = make_endpoints(dst_site, src_site);
-    match opts.fault {
-        None => {
-            let report = run_contact(&mut client, &mut server)?;
+    let mut faults = opts
+        .fault
+        .map(|plan| FaultyLink::new(plan.reseeded(env.salt)));
+    #[cfg(debug_assertions)]
+    let digest_before = faults.is_some().then(|| digest_site(dst_site));
+    let mut link = InProcessLink::new(&mut server);
+    let pulled = match faults.as_mut() {
+        Some(faults) => pull_contact(&mut client, &mut Faulted::new(link, faults)),
+        None => pull_contact(&mut client, &mut link),
+    };
+    let fault = faults.map(|link| link.stats()).unwrap_or_default();
+    match pulled {
+        Ok(report) => {
             apply_contact_site(dst_site, env.dst, reconciler, stats, client, &report)?;
             Ok(Attempt::Committed {
                 round_trips: report.round_trips,
-                fault: FaultStats::default(),
+                fault,
             })
         }
-        Some(plan) => {
+        // With no weather on the link only our own wire format can
+        // fail, and that is fatal.
+        Err(error) if opts.fault.is_none() => Err(error),
+        Err(error) => {
             #[cfg(debug_assertions)]
-            let digest_before = digest_site(dst_site);
-            let mut link = FaultyLink::new(plan.reseeded(env.salt));
-            match run_contact_faulty(&mut client, &mut server, &mut link) {
-                Ok(report) => {
-                    apply_contact_site(dst_site, env.dst, reconciler, stats, client, &report)?;
-                    Ok(Attempt::Committed {
-                        round_trips: report.round_trips,
-                        fault: link.stats(),
-                    })
-                }
-                Err(error) => {
-                    #[cfg(debug_assertions)]
-                    debug_assert_eq!(
-                        digest_site(dst_site),
-                        digest_before,
-                        "aborted contact mutated {}",
-                        env.dst
-                    );
-                    Ok(Attempt::Aborted {
-                        error,
-                        fault: link.stats(),
-                    })
-                }
-            }
+            debug_assert_eq!(
+                Some(digest_site(dst_site)),
+                digest_before,
+                "aborted contact mutated {}",
+                env.dst
+            );
+            Ok(Attempt::Aborted { error, fault })
         }
     }
-}
-
-/// Wraps a mux endpoint so every outgoing frame is accounted into a
-/// shared [`ContactReport`] while [`run_pair_stream`] drives the pair on
-/// real threads. The client side also counts blocking round trips the
-/// way [`run_contact`] does: one for the `BatchHello` exchange, one more
-/// iff any stream requested a payload.
-struct Metered<E> {
-    inner: E,
-    client: bool,
-    meter: Arc<Mutex<StreamMeter>>,
-}
-
-#[derive(Default)]
-struct StreamMeter {
-    report: ContactReport,
-    payload_requested: bool,
-}
-
-impl<E: Endpoint<Msg = Framed<MuxMsg>>> Endpoint for Metered<E> {
-    type Msg = Framed<MuxMsg>;
-
-    fn poll_send(&mut self) -> Option<Framed<MuxMsg>> {
-        let framed = self.inner.poll_send()?;
-        let mut meter = self.meter.lock().unwrap_or_else(|e| e.into_inner());
-        meter.report.account(&framed);
-        if self.client {
-            match framed.msg {
-                MuxMsg::Ctrl(CtrlMsg::BatchHello { .. }) => meter.report.round_trips += 1,
-                MuxMsg::Session(SessionMsg::PayloadRequest) => meter.payload_requested = true,
-                _ => {}
-            }
-        }
-        Some(framed)
-    }
-
-    fn on_receive(&mut self, msg: Framed<MuxMsg>) -> Result<()> {
-        self.inner.on_receive(msg)
-    }
-
-    fn is_done(&self) -> bool {
-        self.inner.is_done()
-    }
-}
-
-/// One framed contact chunked over the threaded byte-stream links.
-///
-/// No obs contact scope is opened: the endpoints run on `optrep-net`'s
-/// link threads where the caller's sinks are not installed, and emitting
-/// a `ContactEnd` without its `FrameTx`s would break the byte-conservation
-/// invariant. Costs still land in `stats` via the metered report.
-fn drive_stream<P: WirePayload>(
-    env: &ContactEnv,
-    opts: &ContactOptions,
-    dst_site: &mut Site<Srv, P>,
-    src_site: &Site<Srv, P>,
-    reconciler: &dyn Reconciler<P>,
-    stats: &CounterSink,
-    chunk: usize,
-) -> Result<Attempt> {
-    if opts.fault.is_some() {
-        return Err(Error::UnexpectedMessage {
-            protocol: "engine",
-            message: "fault plans inject into the in-process framed driver; \
-                      use Transport::Mux for fault injection"
-                .to_string(),
-        });
-    }
-    let (client, server) = make_endpoints(dst_site, src_site);
-    let meter = Arc::new(Mutex::new(StreamMeter::default()));
-    let a = Metered {
-        inner: client,
-        client: true,
-        meter: Arc::clone(&meter),
-    };
-    let b = Metered {
-        inner: server,
-        client: false,
-        meter: Arc::clone(&meter),
-    };
-    let (a, _b, _link) = run_pair_stream(a, b, chunk)?;
-    let meter = Arc::try_unwrap(meter)
-        .map(|m| m.into_inner().unwrap_or_else(|e| e.into_inner()))
-        .unwrap_or_else(|arc| {
-            let m = arc.lock().unwrap_or_else(|e| e.into_inner());
-            StreamMeter {
-                report: m.report,
-                payload_requested: m.payload_requested,
-            }
-        });
-    let mut report = meter.report;
-    report.round_trips += u64::from(meter.payload_requested);
-    apply_contact_site(dst_site, env.dst, reconciler, stats, a.inner, &report)?;
-    Ok(Attempt::Committed {
-        round_trips: report.round_trips,
-        fault: FaultStats::default(),
-    })
 }
 
 /// One contact's work order for a [`TcpLane`]'s serving thread: a fresh
@@ -522,7 +396,7 @@ struct TcpLaneJob {
 
 /// A persistent loopback TCP connection for one ordered `(dst, src)`
 /// pair: the pulling side's [`TcpLink`] plus a serving thread holding
-/// the accepted end, running one pipelined contact per [`TcpLaneJob`].
+/// the accepted end, serving one contact per [`TcpLaneJob`].
 ///
 /// Lanes live in a process-wide registry ([`tcp_lanes`]) keyed by the
 /// pair's site indices and are checked out for the duration of a
@@ -573,9 +447,7 @@ impl TcpLane {
                 return;
             };
             while let Ok(mut job) = jobs_rx.recv() {
-                let served = obs::with_all(job.sinks, || {
-                    serve_contact_pipelined(&mut job.server, &mut link)
-                });
+                let served = obs::with_all(job.sinks, || serve_contact(&mut job.server, &mut link));
                 let broken = served.is_err();
                 if done_tx.send(served).is_err() || broken {
                     return;
@@ -663,7 +535,7 @@ fn drive_tcp<P: WirePayload>(
         .map_err(|_| Error::PeerFailed {
             protocol: "tcp contact",
         })
-        .and_then(|()| run_contact_pipelined(&mut client, &mut lane.link));
+        .and_then(|()| pull_contact(&mut client, &mut lane.link));
     match pulled {
         Ok(report) => {
             // The pull completing implies the server answered the final
@@ -1019,9 +891,7 @@ where
     /// Runs engine rounds until the cluster is consistent (for
     /// `opts.object` when set, over every hosted object otherwise), up to
     /// `max_rounds`. Returns `(rounds_taken, per-round reports)`;
-    /// `rounds_taken` is `None` if the budget ran out. This is the one
-    /// convergence loop behind the deprecated `converge` /
-    /// `converge_mux` / `converge_faulty` trio.
+    /// `rounds_taken` is `None` if the budget ran out.
     ///
     /// # Errors
     ///
@@ -1189,27 +1059,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_transport_converges_with_byte_accounting() {
-        let mut cluster = seeded_cluster(4, 3);
-        let mut rng = StdRng::seed_from_u64(7);
-        let opts = ContactOptions::stream(16);
-        // Convergence (all hosted replicas equal) can precede full
-        // replication, so keep gossiping until every site hosts everything.
-        for _ in 0..50 {
-            if cluster.fully_replicated() {
-                break;
-            }
-            cluster.round_with(&mut rng, &opts).unwrap();
-        }
-        assert!(cluster.fully_replicated());
-        let stats = cluster.stats();
-        assert!(stats.contacts > 0);
-        assert!(stats.round_trips > 0);
-        assert!(stats.payload_bytes > 0);
-        assert!(stats.framing_bytes > 0);
-    }
-
-    #[test]
     fn direct_only_schemes_reject_framed_transports() {
         let mut cluster: Cluster<Brv, TokenSet, UnionReconciler> = Cluster::new(3, UnionReconciler);
         cluster
@@ -1248,10 +1097,27 @@ mod tests {
         assert_eq!(report.retries, 2 * u64::from(policy.max_attempts - 1));
         assert!(cluster.quarantined(SiteId::new(0)));
         assert!(cluster.quarantined(SiteId::new(1)));
-        // Next round: every candidate quarantined, so both sites skip.
+        // Next round: every candidate quarantined, so both sites skip
+        // and no further aborts pile up.
         let report = cluster.round_with(&mut rng, &opts).unwrap();
         assert_eq!(report.skipped, 2);
         assert_eq!(report.aborted, 0);
+        // backoff_base = 1: the quarantine lapses after `capped_backoff`
+        // rounds, the sources are retried, fail again, and the
+        // quarantine doubles.
+        assert_eq!(capped_backoff(policy, 1), 1);
+        let report = cluster.round_with(&mut rng, &opts).unwrap();
+        assert_eq!(report.skipped, 0, "the quarantine lapsed");
+        assert_eq!(report.aborted, 2 * u64::from(policy.max_attempts));
+        assert_eq!(capped_backoff(policy, 2), 2);
+        for _ in 0..2 {
+            assert!(cluster.quarantined(SiteId::new(0)));
+            assert!(cluster.quarantined(SiteId::new(1)));
+            let report = cluster.round_with(&mut rng, &opts).unwrap();
+            assert_eq!(report.skipped, 2, "second failure sits out two rounds");
+        }
+        let report = cluster.round_with(&mut rng, &opts).unwrap();
+        assert_eq!(report.skipped, 0);
     }
 
     #[test]

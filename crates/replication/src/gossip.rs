@@ -8,7 +8,8 @@
 
 use crate::meta::ReplicaMeta;
 use crate::mux::{
-    run_contact, run_contact_faulty, BatchPullClient, BatchPullServer, ContactReport,
+    pull_contact, run_contact, BatchPullClient, BatchPullServer, ContactReport, Faulted,
+    InProcessLink,
 };
 use crate::object::ObjectId;
 use crate::payload::{ReplicaPayload, WirePayload};
@@ -16,12 +17,10 @@ use crate::reconcile::Reconciler;
 use crate::session::{sync_replica, Outcome, SessionReport};
 use crate::site::{Site, StateReplica};
 use bytes::{Bytes, BytesMut};
-use optrep_core::obs::{self, CounterSink, CounterSnapshot, SessionTotals};
+use optrep_core::obs::{CounterSink, CounterSnapshot, SessionTotals};
 use optrep_core::sync::SyncOptions;
-use optrep_core::{obs_emit, wire, Causality, Error, Result, SiteId, Srv};
-use optrep_net::{mix_seed, FaultStats, FaultyLink};
-use rand::seq::SliceRandom;
-use rand::Rng;
+use optrep_core::{wire, Causality, Error, Result, SiteId, Srv};
+use optrep_net::{FaultStats, FaultyLink};
 
 /// Point-in-time view of a cluster's aggregated costs and outcomes.
 ///
@@ -121,8 +120,7 @@ pub struct RoundReport {
 }
 
 /// The coordinates of one contact attempt, passed to
-/// [`crate::engine::ContactScheme::drive_contact`] by the engine (and historically to
-/// the contact runner of [`Cluster::gossip_round_resilient`]).
+/// [`crate::engine::ContactScheme::drive_contact`] by the engine.
 #[derive(Debug, Clone, Copy)]
 pub struct ContactEnv {
     /// Gossip round number (1-based, monotonic across the cluster).
@@ -151,8 +149,8 @@ pub struct Cluster<M, P, R> {
 }
 
 /// Routes one session's costs and outcome into a [`CounterSink`] — the
-/// single absorption path shared by [`Cluster::sync`] and
-/// `KvStore::sync_from`.
+/// single absorption path shared by [`Cluster::sync`] and the engine's
+/// direct transport.
 pub(crate) fn absorb_session(sink: &CounterSink, report: &SessionReport) {
     sink.absorb(&report.totals());
     match report.outcome {
@@ -567,7 +565,8 @@ where
         link: &mut FaultyLink,
     ) -> Result<ContactReport> {
         let (mut client, mut server) = self.endpoints(dst, src);
-        let report = run_contact_faulty(&mut client, &mut server, link)?;
+        let mut faulted = Faulted::new(InProcessLink::new(&mut server), link);
+        let report = pull_contact(&mut client, &mut faulted)?;
         self.apply_contact(dst, client, &report)?;
         Ok(report)
     }
@@ -611,103 +610,6 @@ where
     #[must_use]
     pub fn site_digest(&self, site: SiteId) -> Vec<u8> {
         digest_site(&self.sites[site.index() as usize])
-    }
-
-    /// One mux gossip round that survives contact failures. Each site
-    /// pulls from one uniformly random **non-quarantined** peer; `run`
-    /// drives the actual contact (typically [`run_contact_faulty`] over a
-    /// re-seeded link). An aborted contact is retried up to
-    /// `policy.max_attempts` times with a capped-exponential backoff —
-    /// each retry emits [`obs::SyncEvent::Retry`] — and once retries are
-    /// exhausted the *source* peer is quarantined for
-    /// `min(base << (failures-1), cap)` rounds. A successful contact
-    /// resets the source's failure history.
-    ///
-    /// An aborted attempt commits nothing: `dst`'s replicas are asserted
-    /// (in debug builds) to be byte-identical to their pre-attempt state.
-    ///
-    /// Unlike the engine path, the closure decides the transport per
-    /// attempt, which [`crate::engine::ContactOptions`] cannot express — so this method
-    /// keeps its sequential body instead of forwarding. Prefer
-    /// [`round_with`](Self::round_with) unless you need a custom runner.
-    ///
-    /// # Errors
-    ///
-    /// Link faults are absorbed into the report; only local staging
-    /// errors (protocol violations on a *completed* contact) propagate.
-    #[deprecated(
-        note = "use `round_with(rng, &ContactOptions::mux().with_fault(..).with_retry(policy))`; \
-                only custom per-attempt runners still need this method"
-    )]
-    pub fn gossip_round_resilient<G, F>(
-        &mut self,
-        rng: &mut G,
-        policy: RetryPolicy,
-        mut run: F,
-    ) -> Result<RoundReport>
-    where
-        G: Rng,
-        F: FnMut(ContactEnv, &mut BatchPullClient, &mut BatchPullServer) -> Result<ContactReport>,
-    {
-        self.rounds += 1;
-        obs_emit!(obs::SyncEvent::GossipRound { round: self.rounds });
-        let n = self.sites.len() as u32;
-        let mut order: Vec<u32> = (0..n).collect();
-        order.shuffle(rng);
-        let mut report = RoundReport::default();
-        for dst in order {
-            let candidates: Vec<u32> = (0..n)
-                .filter(|&s| s != dst && !self.quarantined(SiteId::new(s)))
-                .collect();
-            let Some(&src) = candidates.choose(rng) else {
-                report.skipped += 1;
-                continue;
-            };
-            let (dst, src) = (SiteId::new(dst), SiteId::new(src));
-            let digest_before = self.site_digest(dst);
-            for attempt in 1..=u64::from(policy.max_attempts.max(1)) {
-                let env = ContactEnv {
-                    round: self.rounds,
-                    dst,
-                    src,
-                    attempt,
-                    salt: mix_seed(self.rounds, (u64::from(dst.index()) << 16) | attempt),
-                };
-                let (mut client, mut server) = self.endpoints(dst, src);
-                match run(env, &mut client, &mut server) {
-                    Ok(contact_report) => {
-                        self.apply_contact(dst, client, &contact_report)?;
-                        self.health[src.index() as usize] = PeerHealth::default();
-                        report.contacts += 1;
-                        break;
-                    }
-                    Err(_) => {
-                        report.aborted += 1;
-                        debug_assert_eq!(
-                            self.site_digest(dst),
-                            digest_before,
-                            "aborted contact mutated {dst}"
-                        );
-                        if attempt < u64::from(policy.max_attempts.max(1)) {
-                            let backoff = capped_backoff(policy, attempt);
-                            report.retries += 1;
-                            obs_emit!(obs::SyncEvent::Retry {
-                                dst: dst.index(),
-                                src: src.index(),
-                                attempt,
-                                backoff,
-                            });
-                        } else {
-                            let health = &mut self.health[src.index() as usize];
-                            health.failures += 1;
-                            health.quarantined_until =
-                                self.rounds + capped_backoff(policy, u64::from(health.failures));
-                        }
-                    }
-                }
-            }
-        }
-        Ok(report)
     }
 }
 
@@ -958,54 +860,6 @@ mod tests {
             "10% drop over {} contacts should abort at least one",
             contacts
         );
-    }
-
-    /// The closure-based resilient round cannot be expressed through
-    /// `ContactOptions` (the runner picks the link per attempt), so it
-    /// stays deprecated-but-working for custom runners.
-    #[test]
-    #[allow(deprecated)]
-    fn exhausted_retries_quarantine_the_source() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut cluster: Cluster<Srv, TokenSet, UnionReconciler> = Cluster::new(2, UnionReconciler);
-        cluster
-            .site_mut(SiteId::new(0))
-            .create_object(obj(), TokenSet::singleton("init"));
-        let policy = RetryPolicy::default();
-        // Contacts serving from site 0 always die; the reverse direction
-        // is clean.
-        let run = |env: ContactEnv, c: &mut BatchPullClient, s: &mut BatchPullServer| {
-            let mut link = if env.src == SiteId::new(0) {
-                FaultyLink::new(FaultPlan::disconnect_at(5))
-            } else {
-                FaultyLink::clean()
-            };
-            run_contact_faulty(c, s, &mut link)
-        };
-        let report = cluster
-            .gossip_round_resilient(&mut rng, policy, run)
-            .unwrap();
-        assert_eq!(report.contacts, 1, "site 0 still pulls from site 1");
-        assert_eq!(report.aborted, u64::from(policy.max_attempts));
-        assert_eq!(report.retries, u64::from(policy.max_attempts) - 1);
-        assert!(cluster.quarantined(SiteId::new(0)));
-        assert!(!cluster.quarantined(SiteId::new(1)));
-
-        // While quarantined, site 1 has no usable source: skipped, and no
-        // further aborts pile up.
-        let report = cluster
-            .gossip_round_resilient(&mut rng, policy, run)
-            .unwrap();
-        assert_eq!(report.skipped, 1);
-        assert_eq!(report.aborted, 0);
-
-        // backoff_base = 1: the quarantine lapses after one round and the
-        // peer is retried (and fails again, doubling the quarantine).
-        let report = cluster
-            .gossip_round_resilient(&mut rng, policy, run)
-            .unwrap();
-        assert_eq!(report.aborted, u64::from(policy.max_attempts));
-        assert!(cluster.quarantined(SiteId::new(0)));
     }
 
     #[test]

@@ -37,10 +37,9 @@ pub use engine::{Attempt, ContactOptions, ContactScheme, Transport};
 pub use gossip::{Cluster, ClusterSnapshot, ClusterStats, ContactEnv, RetryPolicy, RoundReport};
 pub use meta::ReplicaMeta;
 pub use mux::{
-    classify, reason_label, run_contact, run_contact_faulty, run_contact_link,
-    run_contact_pipelined, serve_contact_link, serve_contact_pipelined, serve_frame,
-    BatchPullClient, BatchPullServer, ContactReport, CtrlMsg, FrameBytes, MuxMsg, ServeStep,
-    StreamResult, CONTROL_STREAM,
+    classify, pull_contact, reason_label, run_contact, serve_contact, serve_frame, BatchPullClient,
+    BatchPullServer, ContactReport, CtrlMsg, Faulted, FrameBytes, InProcessLink, MuxMsg, Puller,
+    ServeStep, StreamResult, CONTROL_STREAM,
 };
 pub use object::ObjectId;
 pub use oplog::OpReplica;
@@ -48,8 +47,8 @@ pub use planner::{
     decide, exchange_plan, DigestVector, PlanConfig, PlanOutcome, ShardAction, ShardDigest,
     ShardPlan,
 };
-// Re-exported so callers of `run_contact_faulty` / `gossip_round_faulty`
-// can name the fault types without depending on `optrep-net` directly.
+// Re-exported so callers of `Faulted` / `ContactOptions::with_fault` can
+// name the fault types without depending on `optrep-net` directly.
 pub use optrep_net::{mix_seed, FaultPlan, FaultStats, FaultyLink, TransmitOutcome};
 pub use payload::{ReplicaPayload, TokenSet, WirePayload};
 pub use protocol::{apply_pull, PullClient, PullOutcome, PullServer, SessionMsg};

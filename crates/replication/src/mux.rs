@@ -33,7 +33,6 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use optrep_core::error::{Error, Result, WireError};
 use optrep_core::obs::{self, SessionTotals};
 use optrep_core::sync::{Endpoint, Framed, ProtocolMsg, WireMsg};
-use optrep_core::wire::FrameDecoder;
 use optrep_core::{obs_emit, wire, SiteId, Srv};
 use optrep_net::{FaultyLink, FrameLink, TransmitOutcome};
 use std::collections::{BTreeMap, VecDeque};
@@ -708,6 +707,8 @@ pub struct BatchPullServer {
     /// Live streams not yet session-done, so `is_done` is O(1).
     unfinished: usize,
     seen_hello: bool,
+    /// The contact completed ([`serve_frame`] answered the client's FIN).
+    closed: bool,
     cancelled: std::collections::BTreeSet<u64>,
     outbox: VecDeque<Framed<MuxMsg>>,
 }
@@ -729,6 +730,7 @@ impl BatchPullServer {
             done_streams: std::collections::BTreeSet::new(),
             unfinished: 0,
             seen_hello: false,
+            closed: false,
             cancelled: std::collections::BTreeSet::new(),
             outbox: VecDeque::new(),
         }
@@ -1065,7 +1067,8 @@ pub fn classify(framed: &Framed<MuxMsg>) -> FrameBytes {
 }
 
 impl ContactReport {
-    pub(crate) fn account(&mut self, framed: &Framed<MuxMsg>) {
+    /// Adds one frame to the four byte planes; returns its split.
+    fn account(&mut self, framed: &Framed<MuxMsg>) -> FrameBytes {
         let bytes = classify(framed);
         self.total_bytes += bytes.total();
         self.frames += 1;
@@ -1073,6 +1076,7 @@ impl ContactReport {
         self.meta_bytes += bytes.meta;
         self.framing_bytes += bytes.framing;
         self.payload_bytes += bytes.payload;
+        bytes
     }
 
     /// The contact's wire costs as one absorbed counter delta
@@ -1084,60 +1088,6 @@ impl ContactReport {
             framing_bytes: self.framing_bytes,
             payload_bytes: self.payload_bytes,
             ..SessionTotals::default()
-        }
-    }
-}
-
-/// Drives one batched contact to completion in lockstep (zero-latency
-/// regime): the client flushes a whole burst, then the server answers one
-/// frame at a time so `Done` cancellations land before speculative
-/// elements flood the wire — the same regime the single-object session
-/// tests use, which keeps per-object `Δ`/`Γ`/`γ` identical to the
-/// single-object path.
-///
-/// # Errors
-///
-/// Returns [`Error::Incomplete`] if both endpoints stall before
-/// completion.
-pub fn run_contact(
-    client: &mut BatchPullClient,
-    server: &mut BatchPullServer,
-) -> Result<ContactReport> {
-    let scope = obs::contact_scope(client.streams.len() as u64);
-    let mut report = ContactReport::default();
-    // Round trips are the blocking dependency depth, not the burst count:
-    // the streams run concurrently, so however the lockstep loop trickles
-    // their `PayloadRequest`s out, they all overlap into one extra
-    // exchange after the batched comparison.
-    let mut payload_requested = false;
-    loop {
-        let mut progress = false;
-        while let Some(framed) = client.poll_send() {
-            report.account(&framed);
-            emit_frame_tx(scope.id(), &framed, true);
-            match framed.msg {
-                MuxMsg::Ctrl(CtrlMsg::BatchHello { .. }) => report.round_trips += 1,
-                MuxMsg::Session(SessionMsg::PayloadRequest) => payload_requested = true,
-                _ => {}
-            }
-            server.on_receive(framed)?;
-            progress = true;
-        }
-        if let Some(framed) = server.poll_send() {
-            report.account(&framed);
-            emit_frame_tx(scope.id(), &framed, false);
-            client.on_receive(framed)?;
-            progress = true;
-        }
-        if client.is_done() && server.is_done() {
-            report.round_trips += u64::from(payload_requested);
-            scope.close(report.round_trips, report.totals());
-            return Ok(report);
-        }
-        if !progress {
-            return Err(Error::Incomplete {
-                protocol: "mux contact",
-            });
         }
     }
 }
@@ -1154,177 +1104,27 @@ pub fn reason_label(e: &Error) -> &'static str {
     }
 }
 
-/// Drives one batched contact over a fault-injected link, in the same
-/// lockstep regime as [`run_contact`]: every encoded frame is offered to
-/// the [`FaultyLink`], which may deliver it, drop it, truncate it
-/// mid-write, or kill the connection. Delivered bytes pass through a
-/// real [`FrameDecoder`] per direction, exactly as a socket-facing
-/// deployment would reassemble them.
-///
-/// On any link death, decode failure, or stall the contact aborts: a
-/// [`obs::SyncEvent::SessionAborted`] is emitted for the whole contact
-/// (stream 0) and the error is returned. The endpoints' *staged* state
-/// is abandoned by the caller — transactional application is the
-/// caller's discipline (see `gossip` and `KvStore::sync_from`) — so an
-/// aborted contact leaves replica metadata untouched.
-///
-/// # Errors
-///
-/// [`Error::ConnectionLost`] on a hard cut or a detected sequence gap
-/// (bytes delivered after a dropped frame — the receiver refuses to
-/// reassemble past a hole), [`Error::Incomplete`] on a stall (silent
-/// death or a dropped frame starving both endpoints), or the first
-/// decode/protocol error.
-pub fn run_contact_faulty(
-    client: &mut BatchPullClient,
-    server: &mut BatchPullServer,
-    link: &mut FaultyLink,
-) -> Result<ContactReport> {
-    let scope = obs::contact_scope(client.streams.len() as u64);
-    match drive_faulty(client, server, link, scope.id()) {
-        Ok(report) => {
-            scope.close(report.round_trips, report.totals());
-            Ok(report)
-        }
-        Err(e) => {
-            scope.abort(reason_label(&e));
-            Err(e)
-        }
-    }
-}
-
-/// The loop body of [`run_contact_faulty`], without the contact scope
-/// (the caller closes or aborts it based on the result).
-fn drive_faulty(
-    client: &mut BatchPullClient,
-    server: &mut BatchPullServer,
-    link: &mut FaultyLink,
-    contact: u64,
-) -> Result<ContactReport> {
-    /// One direction of the link: a reassembly decoder plus the
-    /// receiver's loss detector. The mux rides a *reliable ordered*
-    /// transport (§2.1); a dropped frame is a sequence gap, and a real
-    /// stack tears the connection down the moment bytes arrive past the
-    /// hole. Modelling that here is what keeps loss from silently
-    /// corrupting per-stream outcomes: SYNCS ships fire-and-forget
-    /// element frames, so a swallowed frame would otherwise let both
-    /// endpoints "complete" while disagreeing on what was said.
-    struct Direction {
-        decoder: FrameDecoder,
-        gap: bool,
-    }
-
-    /// Offers one frame to the link and decodes whatever arrives.
-    fn transmit(
-        link: &mut FaultyLink,
-        dir: &mut Direction,
-        framed: &Framed<MuxMsg>,
-    ) -> Result<Vec<Framed<MuxMsg>>> {
-        match link.transmit(&framed.to_bytes()) {
-            TransmitOutcome::Delivered(bytes) => {
-                if dir.gap {
-                    // Bytes past a hole: the receiver detects the gap
-                    // and kills the connection rather than reassemble a
-                    // stream with a frame missing.
-                    return Err(Error::ConnectionLost {
-                        after_bytes: link.stats().bytes_delivered,
-                    });
-                }
-                dir.decoder.push(&bytes);
-                let mut out = Vec::new();
-                while let Some(frame) = dir.decoder.next_frame()? {
-                    let mut payload = frame.payload;
-                    let msg = MuxMsg::decode(&mut payload)?;
-                    if !payload.is_empty() {
-                        // A frame is exactly one message.
-                        return Err(Error::from(WireError::UnexpectedEof));
-                    }
-                    out.push(Framed::new(frame.stream, msg));
-                }
-                Ok(out)
-            }
-            TransmitOutcome::Dropped => {
-                dir.gap = true;
-                Ok(Vec::new())
-            }
-            TransmitOutcome::Died { stalled: true, .. } => Err(Error::Incomplete {
-                protocol: "mux contact",
-            }),
-            TransmitOutcome::Died { prefix, .. } => {
-                // The truncated prefix reaches the peer's decoder but can
-                // never complete (links die for good); report the cut.
-                dir.decoder.push(&prefix);
-                Err(Error::ConnectionLost {
-                    after_bytes: link.stats().bytes_delivered,
-                })
-            }
-        }
-    }
-
-    let mut report = ContactReport::default();
-    let mut payload_requested = false;
-    let mut to_server = Direction {
-        decoder: FrameDecoder::new(),
-        gap: false,
-    };
-    let mut to_client = Direction {
-        decoder: FrameDecoder::new(),
-        gap: false,
-    };
-    loop {
-        let mut progress = false;
-        while let Some(framed) = client.poll_send() {
-            report.account(&framed);
-            emit_frame_tx(contact, &framed, true);
-            match framed.msg {
-                MuxMsg::Ctrl(CtrlMsg::BatchHello { .. }) => report.round_trips += 1,
-                MuxMsg::Session(SessionMsg::PayloadRequest) => payload_requested = true,
-                _ => {}
-            }
-            progress = true;
-            for delivered in transmit(link, &mut to_server, &framed)? {
-                server.on_receive(delivered)?;
-            }
-        }
-        if let Some(framed) = server.poll_send() {
-            report.account(&framed);
-            emit_frame_tx(contact, &framed, false);
-            progress = true;
-            for delivered in transmit(link, &mut to_client, &framed)? {
-                client.on_receive(delivered)?;
-            }
-        }
-        if client.is_done() && server.is_done() {
-            report.round_trips += u64::from(payload_requested);
-            return Ok(report);
-        }
-        if !progress {
-            // Both endpoints starved: a dropped frame broke the exchange.
-            return Err(Error::Incomplete {
-                protocol: "mux contact",
-            });
-        }
-    }
-}
-
-/// Stream identifier reserved for link-layer turn markers on duplex
-/// transports ([`run_contact_link`]/[`serve_contact_link`]). Never a
-/// protocol stream: markers are consumed at the link layer and are not
-/// accounted in the [`ContactReport`] (they are transport overhead, like
-/// TCP headers — [`optrep_net::TcpLink`]'s own byte counters see them).
+/// Stream identifier reserved for link-layer turn markers. Never a
+/// protocol stream: markers are consumed by the two step machines
+/// ([`Puller`], [`serve_frame`]) and are not accounted in the
+/// [`ContactReport`] (they are transport overhead, like TCP headers —
+/// [`optrep_net::TcpLink`]'s own byte counters see them).
 pub const TURN_STREAM: u64 = u64::MAX;
 
-/// Encodes a turn marker (`[]` = your turn, `[1]` = FIN: no more frames
+/// Appends a turn marker (`[]` = your turn, `[1]` = FIN: no more frames
 /// from this side, drain and close).
-pub(crate) fn marker_bytes(fin: bool) -> BytesMut {
-    let mut buf = BytesMut::with_capacity(wire::MAX_VARINT_LEN + 2);
-    wire::put_frame(&mut buf, TURN_STREAM, if fin { &[1] } else { &[] });
-    buf
+pub(crate) fn put_marker(out: &mut BytesMut, fin: bool) {
+    wire::put_frame(out, TURN_STREAM, if fin { &[1] } else { &[] });
 }
 
-/// `true` if a [`TURN_STREAM`] marker is a FIN.
-pub(crate) fn marker_is_fin(frame: &wire::Frame) -> bool {
-    frame.payload.first() == Some(&1)
+/// Reads a [`TURN_STREAM`] marker: `true` for FIN, `false` for a turn.
+/// Any other payload is not a marker either side ever writes.
+pub(crate) fn marker_fin(frame: &wire::Frame) -> Result<bool> {
+    match &frame.payload[..] {
+        [] => Ok(false),
+        [1] => Ok(true),
+        _ => Err(Error::Wire(WireError::InvalidPayload)),
+    }
 }
 
 /// Decodes a received frame's payload as exactly one mux message.
@@ -1338,69 +1138,196 @@ fn decode_frame_msg(frame: wire::Frame) -> Result<Framed<MuxMsg>> {
     Ok(Framed::new(frame.stream, msg))
 }
 
-/// Drives the pulling half of a batched contact over a real duplex link
-/// (e.g. [`optrep_net::TcpLink`]), with the far half served by
-/// [`serve_contact_link`].
+/// The contact starved: the side holding the turn has nothing to say
+/// and the other side still expects traffic.
+const STALLED: Error = Error::Incomplete {
+    protocol: "mux contact",
+};
+
+/// Where a [`Puller`] is in its contact.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PullPhase {
+    /// Trading bursts for single answers, turn by turn.
+    Exchanging,
+    /// The client completed and FIN'd; absorbing the server's tail.
+    Draining,
+    /// The report was handed out; nothing more is accepted.
+    Finished,
+}
+
+/// The pulling half of a contact as a push-style step machine — the
+/// counterpart of [`serve_frame`], and the only place a contact is
+/// priced.
 ///
-/// The exchange runs the exact lockstep regime of [`run_contact`],
-/// half-duplex: the client flushes a whole burst and passes the turn
-/// with a [`TURN_STREAM`] marker; the server answers *one* frame and
-/// passes the turn back. When the client completes it sends a FIN
-/// marker and drains the server's remaining frames until the server's
-/// FIN. Because both endpoints are deterministic state machines, the
-/// accounted frame sequence — and therefore the whole
-/// [`ContactReport`] — is byte-identical to [`run_contact`] over the
-/// same endpoints; turn markers are link overhead and are not
-/// accounted.
+/// The exchange is half-duplex lockstep: the client flushes a whole
+/// burst and passes the turn with a [`TURN_STREAM`] marker; the server
+/// answers *one* frame and passes the turn back, so `Done`
+/// cancellations land before speculative elements flood the wire and
+/// per-object `Δ`/`Γ`/`γ` stay identical to the single-object path.
+/// When the client completes it sends a FIN marker and absorbs the
+/// server's remaining frames until the server's FIN.
 ///
-/// The puller owns the contact's observability: it opens the
-/// [`obs`] contact scope and emits [`obs::SyncEvent::FrameTx`] for
-/// *both* directions (as the in-memory runner does), so a single
-/// daemon's trace satisfies `tables --check-jsonl` conservation. The
-/// serving side emits nothing (see [`serve_contact_link`]).
+/// The machine does no I/O. [`open`](Self::open) and
+/// [`on_frame`](Self::on_frame) append what the puller has to say to a
+/// byte buffer — a burst always ends in its marker, so flushing the
+/// buffer in one write keeps a burst one syscall — and every frame in
+/// either direction passes through [`tally`](Self::tally). The serving
+/// side emits nothing, so the puller's trace alone satisfies
+/// per-contact byte conservation (`tables --check-jsonl`).
+#[derive(Debug)]
+pub struct Puller<'a> {
+    client: &'a mut BatchPullClient,
+    contact: u64,
+    report: ContactReport,
+    /// Round trips are the blocking dependency depth, not the burst
+    /// count: the streams run concurrently, so however the lockstep
+    /// trickles their `PayloadRequest`s out, they all overlap into one
+    /// extra exchange after the batched comparison.
+    payload_requested: bool,
+    /// A frame moved, in either direction, since the last burst began.
+    moved: bool,
+    phase: PullPhase,
+}
+
+impl<'a> Puller<'a> {
+    /// Starts the contact: writes the opening burst (`BatchHello` plus
+    /// its marker) to `out`. `contact` is the obs contact id stamped on
+    /// every frame event (0 when nothing listens).
+    pub fn open(client: &'a mut BatchPullClient, contact: u64, out: &mut BytesMut) -> Self {
+        let mut puller = Puller {
+            client,
+            contact,
+            report: ContactReport::default(),
+            payload_requested: false,
+            moved: false,
+            phase: PullPhase::Exchanging,
+        };
+        puller.burst(out);
+        puller
+    }
+
+    /// Prices one frame: byte planes, the frame event, and the §3.1
+    /// round-trip rule — one trip for the batched comparison, one more
+    /// iff any stream asks for a state transfer.
+    fn tally(&mut self, framed: &Framed<MuxMsg>, from_client: bool) {
+        let bytes = self.report.account(framed);
+        obs_emit!(obs::SyncEvent::FrameTx {
+            contact: self.contact,
+            stream: framed.stream,
+            client: from_client,
+            compare: bytes.compare,
+            meta: bytes.meta,
+            framing: bytes.framing,
+            payload: bytes.payload,
+        });
+        match framed.msg {
+            MuxMsg::Ctrl(CtrlMsg::BatchHello { .. }) => self.report.round_trips += 1,
+            MuxMsg::Session(SessionMsg::PayloadRequest) => self.payload_requested = true,
+            _ => {}
+        }
+    }
+
+    /// Drains everything the client has to say into `out` and appends
+    /// the marker: FIN once the client is done, a turn otherwise.
+    fn burst(&mut self, out: &mut BytesMut) {
+        self.moved = false;
+        while let Some(framed) = self.client.poll_send() {
+            self.tally(&framed, true);
+            framed.encode(out);
+            self.moved = true;
+        }
+        let fin = self.client.is_done();
+        if fin {
+            // Completion is permanent: late frames for finished streams
+            // are tolerated, never answered.
+            self.phase = PullPhase::Draining;
+        }
+        put_marker(out, fin);
+    }
+
+    /// Advances the contact by one received frame, appending the next
+    /// burst to `out` when the frame hands the turn back. Yields the
+    /// report on the server's FIN.
+    ///
+    /// # Errors
+    ///
+    /// Decode errors and protocol violations; [`Error::Incomplete`] if
+    /// a whole exchange moved no frame in either direction, or the
+    /// server FINs while the client still expects traffic. Any error
+    /// poisons the connection.
+    pub fn on_frame(
+        &mut self,
+        frame: wire::Frame,
+        out: &mut BytesMut,
+    ) -> Result<Option<ContactReport>> {
+        if self.phase == PullPhase::Finished {
+            return Err(Error::UnexpectedMessage {
+                protocol: "mux",
+                message: "frame after the contact ended".into(),
+            });
+        }
+        if frame.stream != TURN_STREAM {
+            let framed = decode_frame_msg(frame)?;
+            self.tally(&framed, false);
+            self.moved = true;
+            self.client.on_receive(framed)?;
+            return Ok(None);
+        }
+        match (self.phase, marker_fin(&frame)?) {
+            (PullPhase::Draining, true) => {
+                self.phase = PullPhase::Finished;
+                self.report.round_trips += u64::from(self.payload_requested);
+                Ok(Some(self.report))
+            }
+            (PullPhase::Draining, false) => Ok(None),
+            (_, true) => Err(STALLED),
+            (_, false) if !self.moved => Err(STALLED),
+            (_, false) => {
+                self.burst(out);
+                Ok(None)
+            }
+        }
+    }
+}
+
+/// Drives the pulling half of one contact over `link` — the one
+/// blocking pump around [`Puller`]; every transport is a [`FrameLink`]
+/// handed to it. The far half is [`serve_contact`], or a daemon's
+/// reactor feeding [`serve_frame`].
+///
+/// The link stays open on success: both endpoints finish at a clean
+/// frame boundary (each has consumed the other's FIN *marker*), so the
+/// next contact can be pipelined over the same connection with no
+/// dial, handshake, or teardown. A caller done with the connection
+/// calls [`FrameLink::fin`] itself.
 ///
 /// # Errors
 ///
 /// Any transport error ([`Error::ConnectionLost`] on a cut,
-/// [`Error::Incomplete`] on a timeout), decode error, or protocol
-/// violation aborts the contact: the link is FIN'd so the peer
-/// unblocks, a [`obs::SyncEvent::SessionAborted`] is emitted for the
-/// contact, and the error is returned. Staged state is abandoned by
-/// the caller, leaving replica metadata untouched.
-pub fn run_contact_link<L: FrameLink>(
+/// [`Error::Incomplete`] on a timeout or a starved exchange), decode
+/// error, or protocol violation aborts the contact: the link is FIN'd
+/// so the peer unblocks — a failed contact poisons the connection and
+/// the caller must discard it — and a
+/// [`obs::SyncEvent::SessionAborted`] is emitted for the whole contact
+/// (stream 0). Staged state is abandoned by the caller, leaving replica
+/// metadata untouched.
+pub fn pull_contact<L: FrameLink>(
     client: &mut BatchPullClient,
     link: &mut L,
-) -> Result<ContactReport> {
-    run_link_contact(client, link, true)
-}
-
-/// Drives one pulling contact over a link that stays open afterwards.
-///
-/// Identical to [`run_contact_link`] except that the socket is **not**
-/// FIN'd on success: both endpoints finish at a clean frame boundary
-/// (each has consumed the other's FIN *marker*), so the next contact can
-/// be pipelined over the same connection with no dial, handshake, or
-/// teardown. On error the link is FIN'd as usual — a failed contact
-/// poisons the connection and the caller must discard it.
-///
-/// # Errors
-///
-/// As [`run_contact_link`].
-pub fn run_contact_pipelined<L: FrameLink>(
-    client: &mut BatchPullClient,
-    link: &mut L,
-) -> Result<ContactReport> {
-    run_link_contact(client, link, false)
-}
-
-/// Shared body of [`run_contact_link`] / [`run_contact_pipelined`].
-fn run_link_contact<L: FrameLink>(
-    client: &mut BatchPullClient,
-    link: &mut L,
-    fin_on_done: bool,
 ) -> Result<ContactReport> {
     let scope = obs::contact_scope(client.streams.len() as u64);
-    match drive_link(client, link, scope.id(), fin_on_done) {
+    let mut out = BytesMut::new();
+    let mut puller = Puller::open(client, scope.id(), &mut out);
+    let mut pump = || loop {
+        if !out.is_empty() {
+            link.send_bytes(&out)?;
+            out.clear();
+        }
+        if let Some(report) = puller.on_frame(link.recv_frame()?, &mut out)? {
+            return Ok(report);
+        }
+    };
+    match pump() {
         Ok(report) => {
             scope.close(report.round_trips, report.totals());
             Ok(report)
@@ -1413,139 +1340,37 @@ fn run_link_contact<L: FrameLink>(
     }
 }
 
-/// The loop body of [`run_contact_link`], without the contact scope.
+/// Drives one contact to completion in-process (zero-latency regime):
+/// [`pull_contact`] over an [`InProcessLink`] to `server`.
 ///
-/// Each client burst — every queued frame plus the trailing turn or FIN
-/// marker — is flushed in a *single* [`FrameLink::send_bytes`] call: the
-/// byte sequence on the wire is unchanged (the peer's decoder reassembles
-/// frames identically) but a burst costs one syscall instead of one per
-/// frame, which matters once hundreds of contacts pipeline over
-/// persistent connections.
-fn drive_link<L: FrameLink>(
+/// # Errors
+///
+/// As [`pull_contact`].
+pub fn run_contact(
     client: &mut BatchPullClient,
-    link: &mut L,
-    contact: u64,
-    fin_on_done: bool,
+    server: &mut BatchPullServer,
 ) -> Result<ContactReport> {
-    let mut report = ContactReport::default();
-    let mut payload_requested = false;
-    let mut burst = BytesMut::new();
-    loop {
-        let mut progress = false;
-        burst.clear();
-        while let Some(framed) = client.poll_send() {
-            report.account(&framed);
-            emit_frame_tx(contact, &framed, true);
-            match framed.msg {
-                MuxMsg::Ctrl(CtrlMsg::BatchHello { .. }) => report.round_trips += 1,
-                MuxMsg::Session(SessionMsg::PayloadRequest) => payload_requested = true,
-                _ => {}
-            }
-            burst.extend_from_slice(&framed.to_bytes());
-            progress = true;
-        }
-        if client.is_done() {
-            // Nothing more to say: FIN, then drain the server's tail
-            // (completion is permanent — late frames for finished
-            // streams are tolerated, never answered).
-            burst.extend_from_slice(&marker_bytes(true));
-            link.send_bytes(&burst)?;
-            loop {
-                let frame = link.recv_frame()?;
-                if frame.stream == TURN_STREAM {
-                    if marker_is_fin(&frame) {
-                        break;
-                    }
-                    continue;
-                }
-                let framed = decode_frame_msg(frame)?;
-                report.account(&framed);
-                emit_frame_tx(contact, &framed, false);
-                client.on_receive(framed)?;
-            }
-            report.round_trips += u64::from(payload_requested);
-            if fin_on_done {
-                link.fin();
-            }
-            return Ok(report);
-        }
-        burst.extend_from_slice(&marker_bytes(false));
-        link.send_bytes(&burst)?;
-        loop {
-            let frame = link.recv_frame()?;
-            if frame.stream == TURN_STREAM {
-                if marker_is_fin(&frame) {
-                    // The server is out of frames but we still expect
-                    // traffic: the exchange starved.
-                    return Err(Error::Incomplete {
-                        protocol: "tcp contact",
-                    });
-                }
-                break;
-            }
-            let framed = decode_frame_msg(frame)?;
-            report.account(&framed);
-            emit_frame_tx(contact, &framed, false);
-            client.on_receive(framed)?;
-            progress = true;
-        }
-        if !progress {
-            return Err(Error::Incomplete {
-                protocol: "tcp contact",
-            });
-        }
-    }
+    pull_contact(client, &mut InProcessLink::new(server))
 }
 
-/// Serves the far half of a [`run_contact_link`] contact.
-///
-/// Mirrors [`run_contact`]'s server discipline: absorb the client's
-/// whole burst (everything up to the turn marker), answer exactly one
-/// frame, pass the turn back. On the client's FIN the server drains
-/// its entire outbox, confirms completion, and answers with its own
-/// FIN.
+/// Serves the far half of one [`pull_contact`]: a thin blocking pump
+/// around [`serve_frame`], which holds the actual turn discipline.
+/// The link stays open on success, so a persistent connection serves
+/// the next contact with a fresh [`BatchPullServer`].
 ///
 /// The serving side opens **no** obs contact scope and emits no frame
-/// events — the puller accounts both directions, exactly as the
-/// in-memory runner does, so per-contact byte conservation holds in
-/// the puller's trace. A serving daemon's own trace still carries the
-/// per-session element/skip events its `PullServer`s emit.
+/// events — the puller accounts both directions. A serving daemon's own
+/// trace still carries the per-session element/skip events its
+/// `PullServer`s emit.
 ///
 /// # Errors
 ///
-/// Transport and decode errors as [`run_contact_link`];
+/// Transport and decode errors as [`pull_contact`];
 /// [`Error::Incomplete`] if the client FINs while streams are still
 /// open. On any error the link is FIN'd so the peer unblocks.
-pub fn serve_contact_link<L: FrameLink>(server: &mut BatchPullServer, link: &mut L) -> Result<()> {
-    serve_link(server, link, true).inspect_err(|_| link.fin())
-}
-
-/// Serves one contact over a link that stays open afterwards — the
-/// serving half of [`run_contact_pipelined`]. The FIN *marker* exchange
-/// still delimits the contact, but the socket is left usable so the peer
-/// can open the next contact immediately. On error the link is FIN'd
-/// (the connection is poisoned either way).
-///
-/// # Errors
-///
-/// As [`serve_contact_link`].
-pub fn serve_contact_pipelined<L: FrameLink>(
-    server: &mut BatchPullServer,
-    link: &mut L,
-) -> Result<()> {
-    serve_link(server, link, false).inspect_err(|_| link.fin())
-}
-
-/// The loop body of [`serve_contact_link`]: a thin blocking pump around
-/// [`serve_frame`], which holds the actual turn discipline. Event-driven
-/// callers (the daemon's reactor) feed [`serve_frame`] directly instead.
-fn serve_link<L: FrameLink>(
-    server: &mut BatchPullServer,
-    link: &mut L,
-    fin_on_done: bool,
-) -> Result<()> {
+pub fn serve_contact<L: FrameLink>(server: &mut BatchPullServer, link: &mut L) -> Result<()> {
     let mut out = BytesMut::new();
-    loop {
+    let mut serve = || loop {
         let frame = link.recv_frame()?;
         out.clear();
         let step = serve_frame(server, frame, &mut out)?;
@@ -1553,12 +1378,10 @@ fn serve_link<L: FrameLink>(
             link.send_bytes(&out)?;
         }
         if step == ServeStep::Done {
-            if fin_on_done {
-                link.fin();
-            }
             return Ok(());
         }
-    }
+    };
+    serve().inspect_err(|_| link.fin())
 }
 
 /// What a [`serve_frame`] call concluded about the contact.
@@ -1576,66 +1399,235 @@ pub enum ServeStep {
 /// Advances the serving half of a contact by one received frame,
 /// appending any response bytes to `out`.
 ///
-/// This is [`serve_contact_link`]'s turn discipline factored into a
-/// push-style step so both the blocking pump and the daemon's
-/// readiness-driven event loop share one state machine: absorb burst
-/// frames silently; on a turn marker answer exactly *one* frame plus a
-/// turn marker; on the client's FIN marker drain the whole outbox,
-/// confirm completion, and append the server's FIN marker.
+/// This is the server's turn discipline as a push-style step, so the
+/// blocking pump ([`serve_contact`]), the in-process link and the
+/// daemon's readiness-driven event loop share one state machine: absorb
+/// burst frames silently; on a turn marker answer exactly *one* frame
+/// plus a turn marker; on the client's FIN marker drain the whole
+/// outbox, confirm completion, and append the server's FIN marker.
 ///
 /// # Errors
 ///
-/// Decode errors and protocol violations as [`serve_contact_link`];
-/// [`Error::Incomplete`] if the client FINs while streams are still
-/// open. The caller must treat any error as poisoning the connection.
+/// Decode errors and protocol violations; [`Error::Incomplete`] if the
+/// client passes the turn before opening, or FINs while streams are
+/// still open; a protocol error for any frame after the contact ended.
+/// The caller must treat any error as poisoning the connection.
 pub fn serve_frame(
     server: &mut BatchPullServer,
     frame: wire::Frame,
     out: &mut BytesMut,
 ) -> Result<ServeStep> {
+    if server.closed {
+        return Err(Error::UnexpectedMessage {
+            protocol: "mux",
+            message: "frame after the contact ended".into(),
+        });
+    }
     if frame.stream != TURN_STREAM {
         server.on_receive(decode_frame_msg(frame)?)?;
         return Ok(ServeStep::Continue);
     }
-    if marker_is_fin(&frame) {
+    let fin = marker_fin(&frame)?;
+    if !server.seen_hello {
+        // Nothing was opened, so there is nothing to answer and no
+        // honest puller passes the turn: starved before it began.
+        return Err(STALLED);
+    }
+    if fin {
         while let Some(framed) = server.poll_send() {
-            out.extend_from_slice(&framed.to_bytes());
+            framed.encode(out);
         }
         if !server.is_done() {
             // The client walked away from open streams. Cut the
             // connection instead of FIN-ing clean — the puller must
             // see an aborted contact, not a completed one.
-            return Err(Error::Incomplete {
-                protocol: "tcp contact",
-            });
+            return Err(STALLED);
         }
-        out.extend_from_slice(&marker_bytes(true));
+        server.closed = true;
+        put_marker(out, true);
         return Ok(ServeStep::Done);
     }
     if let Some(framed) = server.poll_send() {
-        out.extend_from_slice(&framed.to_bytes());
+        framed.encode(out);
     }
-    out.extend_from_slice(&marker_bytes(false));
+    put_marker(out, false);
     Ok(ServeStep::Continue)
 }
 
-/// Emits one [`obs::SyncEvent::FrameTx`] with the frame's classified bytes.
-fn emit_frame_tx(contact: u64, framed: &Framed<MuxMsg>, client: bool) {
-    // Classification walks the frame; skip it entirely when no sink listens.
-    if !obs::enabled() {
-        let _ = (contact, framed, client);
-        return;
+/// The in-process transport: a [`FrameLink`] whose far end is a
+/// [`BatchPullServer`] stepped by [`serve_frame`] on the caller's own
+/// thread. Every frame still crosses the real codec — what the puller
+/// writes is parsed back into frames, what the server writes likewise —
+/// so an in-memory contact exercises the same bytes a socket carries.
+///
+/// It behaves like a socket whose peer cuts the connection on an error:
+/// what the server wrote before failing is still readable, and the
+/// failure surfaces on the read that finds the buffer dry (or on the
+/// write itself when nothing is buffered). A read with nothing buffered
+/// and no failure pending would block forever, so it reports a stall.
+#[derive(Debug)]
+pub struct InProcessLink<'a> {
+    server: &'a mut BatchPullServer,
+    /// Bytes the server has written and the puller has not yet read,
+    /// oldest in `inbox`.
+    inbox: Bytes,
+    out: BytesMut,
+    cut: Option<Error>,
+}
+
+impl<'a> InProcessLink<'a> {
+    /// A link to `server`.
+    pub fn new(server: &'a mut BatchPullServer) -> Self {
+        InProcessLink {
+            server,
+            inbox: Bytes::new(),
+            out: BytesMut::new(),
+            cut: None,
+        }
     }
-    let bytes = classify(framed);
-    obs_emit!(obs::SyncEvent::FrameTx {
-        contact,
-        stream: framed.stream,
-        client,
-        compare: bytes.compare,
-        meta: bytes.meta,
-        framing: bytes.framing,
-        payload: bytes.payload,
-    });
+}
+
+impl FrameLink for InProcessLink<'_> {
+    fn send_bytes(&mut self, bytes: &[u8]) -> Result<()> {
+        let mut burst = Bytes::copy_from_slice(bytes);
+        while burst.has_remaining() {
+            let frame = wire::get_frame(&mut burst)?;
+            if let Err(e) = serve_frame(self.server, frame, &mut self.out) {
+                if self.inbox.is_empty() && self.out.is_empty() {
+                    return Err(e);
+                }
+                self.cut = Some(e);
+                break;
+            }
+        }
+        Ok(())
+    }
+
+    fn recv_frame(&mut self) -> Result<wire::Frame> {
+        if self.inbox.is_empty() {
+            self.inbox = self.out.split().freeze();
+        }
+        if self.inbox.is_empty() {
+            return Err(self.cut.take().unwrap_or(STALLED));
+        }
+        Ok(wire::get_frame(&mut self.inbox)?)
+    }
+
+    fn fin(&mut self) {}
+}
+
+/// Fault injection as a decorator: a [`FrameLink`] that offers every
+/// frame crossing `inner`, in either direction, to a [`FaultyLink`],
+/// which may deliver it, drop it, truncate it mid-write, or kill the
+/// connection.
+///
+/// The mux rides a *reliable ordered* transport (§2.1); a dropped frame
+/// is a sequence gap, and a real stack tears the connection down the
+/// moment bytes arrive past the hole. Modelling that per direction is
+/// what keeps loss from silently corrupting per-stream outcomes: SYNCS
+/// ships fire-and-forget element frames, so a swallowed frame would
+/// otherwise let both endpoints "complete" while disagreeing on what
+/// was said. Turn markers are link overhead and bypass the fault plan,
+/// so a plan's decision stream is consumed by protocol frames only.
+///
+/// A [`pull_contact`] over a faulted link fails with
+/// [`Error::ConnectionLost`] on a hard cut or a detected gap and with
+/// [`Error::Incomplete`] on a stall (silent death, or a dropped frame
+/// starving both endpoints). The endpoints' *staged* state is abandoned
+/// by the caller — transactional application is the caller's
+/// discipline (see `gossip` and `KvStore::sync`) — so an aborted
+/// contact leaves replica metadata untouched.
+#[derive(Debug)]
+pub struct Faulted<'a, L> {
+    inner: L,
+    faults: &'a mut FaultyLink,
+    /// A frame towards the server / the puller was dropped: the next
+    /// delivered one in that direction arrives past a hole.
+    gap_out: bool,
+    gap_in: bool,
+    scratch: BytesMut,
+}
+
+impl<'a, L: FrameLink> Faulted<'a, L> {
+    /// Puts `inner` under `faults`' weather.
+    pub fn new(inner: L, faults: &'a mut FaultyLink) -> Self {
+        Faulted {
+            inner,
+            faults,
+            gap_out: false,
+            gap_in: false,
+            scratch: BytesMut::new(),
+        }
+    }
+
+    /// Offers one encoded frame to the fault plan. `Ok(true)` means it
+    /// arrived; `Ok(false)` that it vanished, leaving a gap in `gap`.
+    fn transmit(faults: &mut FaultyLink, gap: &mut bool, frame: &[u8]) -> Result<bool> {
+        match faults.transmit(frame) {
+            // Bytes past a hole: the receiver detects the gap and kills
+            // the connection rather than reassemble a stream with a
+            // frame missing. A truncated prefix can never complete
+            // either (links die for good); report the cut.
+            TransmitOutcome::Delivered(_) if *gap => Err(Error::ConnectionLost {
+                after_bytes: faults.stats().bytes_delivered,
+            }),
+            TransmitOutcome::Delivered(_) => Ok(true),
+            TransmitOutcome::Dropped => {
+                *gap = true;
+                Ok(false)
+            }
+            TransmitOutcome::Died { stalled: true, .. } => Err(STALLED),
+            TransmitOutcome::Died { .. } => Err(Error::ConnectionLost {
+                after_bytes: faults.stats().bytes_delivered,
+            }),
+        }
+    }
+}
+
+impl<L: FrameLink> FrameLink for Faulted<'_, L> {
+    fn send_bytes(&mut self, bytes: &[u8]) -> Result<()> {
+        let mut rest = Bytes::copy_from_slice(bytes);
+        while rest.has_remaining() {
+            let at = bytes.len() - rest.remaining();
+            let marker = wire::get_frame(&mut rest)?.stream == TURN_STREAM;
+            let frame = &bytes[at..bytes.len() - rest.remaining()];
+            if marker || Self::transmit(self.faults, &mut self.gap_out, frame)? {
+                self.inner.send_bytes(frame)?;
+            }
+        }
+        Ok(())
+    }
+
+    fn recv_frame(&mut self) -> Result<wire::Frame> {
+        // A dropped answer voids the turn that carried it. Surfacing the
+        // empty turn would have an idle puller report a stall; handing
+        // the turn straight back lets the server's next frame arrive
+        // past the hole, so the loss is detected as the gap it is.
+        let mut voided = false;
+        loop {
+            let frame = self.inner.recv_frame()?;
+            if frame.stream == TURN_STREAM {
+                if voided && !marker_fin(&frame)? {
+                    voided = false;
+                    self.scratch.clear();
+                    put_marker(&mut self.scratch, false);
+                    self.inner.send_bytes(&self.scratch)?;
+                    continue;
+                }
+                return Ok(frame);
+            }
+            self.scratch.clear();
+            wire::put_frame(&mut self.scratch, frame.stream, &frame.payload);
+            if Self::transmit(self.faults, &mut self.gap_in, &self.scratch)? {
+                return Ok(frame);
+            }
+            voided = true;
+        }
+    }
+
+    fn fin(&mut self) {
+        self.inner.fin();
+    }
 }
 
 #[cfg(test)]
@@ -2071,13 +2063,22 @@ mod tests {
         );
     }
 
+    /// One in-process contact under `link`'s weather.
+    fn run_faulted(
+        client: &mut BatchPullClient,
+        server: &mut BatchPullServer,
+        link: &mut FaultyLink,
+    ) -> Result<ContactReport> {
+        pull_contact(client, &mut Faulted::new(InProcessLink::new(server), link))
+    }
+
     #[test]
     fn faulty_contact_with_clean_plan_matches_run_contact() {
         let (mut c1, mut s1) = dirty_pair(4);
         let (mut c2, mut s2) = dirty_pair(4);
         let reference = run_contact(&mut c1, &mut s1).unwrap();
         let mut link = FaultyLink::clean();
-        let report = run_contact_faulty(&mut c2, &mut s2, &mut link).unwrap();
+        let report = run_faulted(&mut c2, &mut s2, &mut link).unwrap();
         assert_eq!(report, reference, "a clean link must be transparent");
         let (r1, r2) = (c1.finish(), c2.finish());
         assert_eq!(r1.len(), r2.len());
@@ -2095,7 +2096,7 @@ mod tests {
     fn disconnected_contact_aborts_with_connection_lost() {
         let (mut client, mut server) = dirty_pair(4);
         let mut link = FaultyLink::new(FaultPlan::disconnect_at(40));
-        let err = run_contact_faulty(&mut client, &mut server, &mut link).unwrap_err();
+        let err = run_faulted(&mut client, &mut server, &mut link).unwrap_err();
         assert!(
             matches!(err, Error::ConnectionLost { after_bytes: 40 }),
             "got {err:?}"
@@ -2108,7 +2109,7 @@ mod tests {
         let (mut client, mut server) = dirty_pair(2);
         // 100% drop: the BatchHello vanishes and nobody can ever answer.
         let mut link = FaultyLink::new(FaultPlan::dropping(11, 1000));
-        let err = run_contact_faulty(&mut client, &mut server, &mut link).unwrap_err();
+        let err = run_faulted(&mut client, &mut server, &mut link).unwrap_err();
         assert!(matches!(err, Error::Incomplete { .. }), "got {err:?}");
     }
 
@@ -2120,7 +2121,7 @@ mod tests {
             ..FaultPlan::clean()
         };
         let mut link = FaultyLink::new(plan);
-        let err = run_contact_faulty(&mut client, &mut server, &mut link).unwrap_err();
+        let err = run_faulted(&mut client, &mut server, &mut link).unwrap_err();
         assert!(matches!(err, Error::Incomplete { .. }), "got {err:?}");
     }
 
@@ -2149,144 +2150,5 @@ mod tests {
             }),
             "protocol_error"
         );
-    }
-
-    /// An in-memory duplex [`FrameLink`]: each half owns a sender to the
-    /// peer and a receiver for its own inbox, so the link drivers can be
-    /// exercised under real thread interleaving without sockets.
-    struct ChannelLink {
-        tx: Option<std::sync::mpsc::Sender<Vec<u8>>>,
-        rx: std::sync::mpsc::Receiver<Vec<u8>>,
-        decoder: FrameDecoder,
-    }
-
-    fn channel_pair() -> (ChannelLink, ChannelLink) {
-        let (atx, arx) = std::sync::mpsc::channel();
-        let (btx, brx) = std::sync::mpsc::channel();
-        let a = ChannelLink {
-            tx: Some(atx),
-            rx: brx,
-            decoder: FrameDecoder::new(),
-        };
-        let b = ChannelLink {
-            tx: Some(btx),
-            rx: arx,
-            decoder: FrameDecoder::new(),
-        };
-        (a, b)
-    }
-
-    impl FrameLink for ChannelLink {
-        fn send_bytes(&mut self, bytes: &[u8]) -> Result<()> {
-            self.tx
-                .as_ref()
-                .and_then(|tx| tx.send(bytes.to_vec()).ok())
-                .ok_or(Error::ConnectionLost { after_bytes: 0 })
-        }
-
-        fn recv_frame(&mut self) -> Result<wire::Frame> {
-            loop {
-                if let Some(frame) = self.decoder.next_frame()? {
-                    return Ok(frame);
-                }
-                match self.rx.recv() {
-                    Ok(bytes) => self.decoder.push(&bytes),
-                    Err(_) => return Err(Error::ConnectionLost { after_bytes: 0 }),
-                }
-            }
-        }
-
-        fn fin(&mut self) {
-            self.tx = None;
-        }
-    }
-
-    #[test]
-    fn link_contact_matches_run_contact_byte_for_byte() {
-        let (mut c1, mut s1) = dirty_pair(5);
-        let reference = run_contact(&mut c1, &mut s1).unwrap();
-        let reference_results = c1.finish();
-
-        let (mut c2, mut s2) = dirty_pair(5);
-        let (mut client_link, mut server_link) = channel_pair();
-        let serve = std::thread::spawn(move || {
-            let r = serve_contact_link(&mut s2, &mut server_link);
-            (r, s2)
-        });
-        let report = run_contact_link(&mut c2, &mut client_link).unwrap();
-        let (served, _s2) = serve.join().expect("server thread");
-        served.unwrap();
-
-        assert_eq!(report, reference, "link transport must not change costs");
-        let results = c2.finish();
-        assert_eq!(results.len(), reference_results.len());
-        for (got, want) in results.iter().zip(&reference_results) {
-            assert_eq!(got.name, want.name);
-            let (got, want) = (
-                got.outcome.as_ref().unwrap(),
-                want.outcome.as_ref().unwrap(),
-            );
-            assert_eq!(got.relation, want.relation);
-            assert_eq!(got.payload, want.payload);
-            assert_eq!(
-                got.vector.to_version_vector(),
-                want.vector.to_version_vector()
-            );
-        }
-    }
-
-    #[test]
-    fn link_contact_identical_pair_is_compare_only() {
-        // All objects equal: the whole contact is one Hello/ServerFirst
-        // exchange over the link, with zero payload bytes.
-        let objects: Vec<(Bytes, Srv)> = (0..4).map(|i| (name(i), vec_with(&[1, 2]))).collect();
-        let (mut c1, mut s1) = (
-            BatchPullClient::new(objects.clone()),
-            BatchPullServer::new(
-                objects
-                    .iter()
-                    .map(|(n, v)| (n.clone(), v.clone(), Bytes::new())),
-            ),
-        );
-        let reference = run_contact(&mut c1, &mut s1).unwrap();
-
-        let mut c2 = BatchPullClient::new(objects.clone());
-        let mut s2 = BatchPullServer::new(
-            objects
-                .iter()
-                .map(|(n, v)| (n.clone(), v.clone(), Bytes::new())),
-        );
-        let (mut client_link, mut server_link) = channel_pair();
-        let serve = std::thread::spawn(move || serve_contact_link(&mut s2, &mut server_link));
-        let report = run_contact_link(&mut c2, &mut client_link).unwrap();
-        serve.join().expect("server thread").unwrap();
-        assert_eq!(report, reference);
-        assert_eq!(report.payload_bytes, 0);
-        assert_eq!(report.round_trips, 1);
-    }
-
-    #[test]
-    fn link_contact_peer_death_aborts_cleanly() {
-        // The server vanishes after the handshake; the client must get a
-        // connection error, not hang or report success.
-        let (mut c2, mut s2) = dirty_pair(3);
-        let (mut client_link, mut server_link) = channel_pair();
-        let serve = std::thread::spawn(move || {
-            // Absorb the first burst, answer nothing, die.
-            loop {
-                match server_link.recv_frame() {
-                    Ok(frame) if frame.stream == TURN_STREAM => break,
-                    Ok(frame) => {
-                        let framed = decode_frame_msg(frame).unwrap();
-                        s2.on_receive(framed).unwrap();
-                    }
-                    Err(_) => break,
-                }
-            }
-            drop(server_link);
-        });
-        let err = run_contact_link(&mut c2, &mut client_link).unwrap_err();
-        serve.join().expect("server thread");
-        assert!(matches!(err, Error::ConnectionLost { .. }), "{err:?}");
     }
 }

@@ -42,7 +42,7 @@
 //! such a shard simply stays dirty and reconciles incrementally on the
 //! next contact.
 
-use crate::mux::{marker_bytes, marker_is_fin, ContactReport, CONTROL_STREAM, TURN_STREAM};
+use crate::mux::{marker_fin, put_marker, ContactReport, CONTROL_STREAM, TURN_STREAM};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use optrep_core::error::WireError;
 use optrep_core::{wire, Error, Result};
@@ -336,13 +336,13 @@ pub fn is_marker(frame: &wire::Frame) -> bool {
 
 /// `true` if `frame` is a FIN turn marker.
 pub fn is_fin_marker(frame: &wire::Frame) -> bool {
-    frame.stream == TURN_STREAM && marker_is_fin(frame)
+    frame.stream == TURN_STREAM && matches!(marker_fin(frame), Ok(true))
 }
 
 /// Appends a (non-FIN) turn marker: the server's planner reply is the
 /// plan frame plus this marker, handing the turn back for `BatchHello`.
 pub fn append_turn(out: &mut BytesMut) {
-    out.extend_from_slice(&marker_bytes(false));
+    put_marker(out, false);
 }
 
 /// Runs the client half of the planner phase over `link`: sends the
@@ -370,13 +370,13 @@ pub fn exchange_plan<L: FrameLink>(link: &mut L, digests: &DigestVector) -> Resu
 fn exchange_plan_inner<L: FrameLink>(link: &mut L, digests: &DigestVector) -> Result<PlanOutcome> {
     let mut burst = digest_vector_frame(digests);
     let mut digest_bytes = burst.len() as u64;
-    burst.extend_from_slice(&marker_bytes(false));
+    put_marker(&mut burst, false);
     link.send_bytes(&burst)?;
     let mut plan: Option<ShardPlan> = None;
     loop {
         let frame = link.recv_frame()?;
         if frame.stream == TURN_STREAM {
-            if marker_is_fin(&frame) {
+            if marker_fin(&frame)? {
                 return Err(Error::Incomplete {
                     protocol: "sync planner",
                 });
@@ -402,9 +402,7 @@ fn exchange_plan_inner<L: FrameLink>(link: &mut L, digests: &DigestVector) -> Re
 /// The framed length of a received frame (header varints + payload),
 /// for symmetric accounting with the sender's encoded frame.
 fn framed_len(frame: &wire::Frame) -> u64 {
-    let mut scratch = BytesMut::new();
-    wire::put_frame(&mut scratch, frame.stream, &frame.payload);
-    scratch.len() as u64
+    wire::Frame::encoded_len(frame.stream, frame.payload.len()) as u64
 }
 
 /// Folds a plan's shape into a [`ContactReport`]'s planner fields.
@@ -478,6 +476,19 @@ mod tests {
         for cut in 0..full.len() {
             let mut buf = full.slice(0..cut);
             assert!(ShardPlan::decode(&mut buf).is_err(), "cut {cut}");
+        }
+    }
+
+    #[test]
+    fn framed_len_matches_the_encoder() {
+        for stream in [CONTROL_STREAM, 1, u64::MAX] {
+            for len in [0usize, 127, 128, 16_383, 16_384] {
+                let payload = Bytes::from(vec![0x5a; len]);
+                let mut encoded = BytesMut::new();
+                wire::put_frame(&mut encoded, stream, &payload);
+                let frame = wire::Frame { stream, payload };
+                assert_eq!(framed_len(&frame), encoded.len() as u64, "{stream} / {len}");
+            }
         }
     }
 

@@ -1,0 +1,610 @@
+//! One contact loop, many links: every transport must price and finish a
+//! contact identically, the bytes on the wire are pinned, every cut
+//! aborts cleanly, and hostile frame sequences fail the two step
+//! machines instead of wedging them.
+//!
+//! Deliberately free of `rand`/`proptest`: every fixture is built from a
+//! local splitmix64, so the file compiles wherever the workspace does.
+
+use bytes::{Bytes, BytesMut};
+use optrep_core::sync::{Framed, ReceiverStats, WireMsg};
+use optrep_core::wire::{self, FrameDecoder};
+use optrep_core::{Causality, Error, Result, RotatingVector, SiteId, Srv};
+use optrep_kv::KvStore;
+use optrep_net::{ConnectOptions, FaultPlan, FaultyLink, FrameLink, TcpLink};
+use optrep_replication::mux::{StreamOpen, TURN_STREAM};
+use optrep_replication::{
+    pull_contact, reason_label, run_contact, serve_contact, serve_frame, BatchPullClient,
+    BatchPullServer, ContactReport, CtrlMsg, Faulted, InProcessLink, MuxMsg, Puller, ServeStep,
+    CONTROL_STREAM,
+};
+use std::sync::mpsc;
+
+// ---------------------------------------------------------------------
+// Fixture: seeded endpoint pairs, built without `rand`.
+
+type ClientObjects = Vec<(Bytes, Srv)>;
+type ServerObjects = Vec<(Bytes, Srv, Bytes)>;
+
+/// One contact's starting state: what the puller tracks and what the
+/// server holds. Every transport builds fresh endpoints from it.
+struct Case {
+    name: &'static str,
+    client: ClientObjects,
+    server: ServerObjects,
+}
+
+impl Case {
+    fn endpoints(&self) -> (BatchPullClient, BatchPullServer) {
+        (
+            BatchPullClient::new(self.client.clone()),
+            BatchPullServer::new(self.server.clone()),
+        )
+    }
+}
+
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+fn updated(mut vector: Srv, sites: &[u32]) -> Srv {
+    for &site in sites {
+        RotatingVector::record_update(&mut vector, SiteId::new(site));
+    }
+    vector
+}
+
+fn empty_case() -> Case {
+    Case {
+        name: "empty",
+        client: Vec::new(),
+        server: Vec::new(),
+    }
+}
+
+/// One shared object the server has moved ahead on.
+fn one_object_case() -> Case {
+    let base = updated(Srv::new(), &[1, 2]);
+    Case {
+        name: "one object",
+        client: vec![(Bytes::from_static(b"k"), base.clone())],
+        server: vec![(
+            Bytes::from_static(b"k"),
+            updated(base, &[3]),
+            Bytes::from_static(b"newer"),
+        )],
+    }
+}
+
+/// 64 objects cycling through every per-stream outcome: equal vectors,
+/// creations (server-only), fast-forwards, concurrent vectors, objects
+/// only the puller tracks, and a puller that is ahead. Payload lengths
+/// straddle the one-, two- and three-byte varint boundaries.
+fn many_objects_case() -> Case {
+    let mut rng = 0x0C0F_FEE5_EED5_u64;
+    let (mut client, mut server) = (Vec::new(), Vec::new());
+    for i in 0..64usize {
+        let name = Bytes::from(format!("obj{i:02}").into_bytes());
+        let history: Vec<u32> = (0..1 + splitmix64(&mut rng) % 6)
+            .map(|_| (splitmix64(&mut rng) % 8) as u32)
+            .collect();
+        let base = updated(Srv::new(), &history);
+        let len = match i {
+            7 => 127,
+            8 => 128,
+            9 => 17_000,
+            _ => (splitmix64(&mut rng) % 300) as usize,
+        };
+        let payload = Bytes::from(vec![b'a' + (i % 26) as u8; len]);
+        let extra: Vec<u32> = (0..1 + splitmix64(&mut rng) % 3)
+            .map(|_| 10 + (splitmix64(&mut rng) % 4) as u32)
+            .collect();
+        match i % 6 {
+            0 => {
+                client.push((name.clone(), base.clone()));
+                server.push((name, base, payload));
+            }
+            1 => server.push((name, updated(base, &extra), payload)),
+            2 => {
+                client.push((name.clone(), base.clone()));
+                server.push((name, updated(base, &extra), payload));
+            }
+            3 => {
+                client.push((name.clone(), updated(base.clone(), &[20, 21])));
+                server.push((name, updated(base, &extra), payload));
+            }
+            4 => client.push((name, base)),
+            _ => {
+                client.push((name.clone(), updated(base.clone(), &extra)));
+                server.push((name, base, payload));
+            }
+        }
+    }
+    Case {
+        name: "64 objects",
+        client,
+        server,
+    }
+}
+
+/// An in-memory duplex [`FrameLink`]: each half owns a sender to the
+/// peer and a receiver for its own inbox, so the pumps run under real
+/// thread interleaving without sockets. Every write is folded — length
+/// first, so burst boundaries count — into the half's FNV-1a transcript.
+struct ChannelLink {
+    tx: Option<mpsc::Sender<Vec<u8>>>,
+    rx: mpsc::Receiver<Vec<u8>>,
+    decoder: FrameDecoder,
+    transcript: u64,
+}
+
+fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+fn channel_pair() -> (ChannelLink, ChannelLink) {
+    let (atx, arx) = mpsc::channel();
+    let (btx, brx) = mpsc::channel();
+    let half = |tx, rx| ChannelLink {
+        tx: Some(tx),
+        rx,
+        decoder: FrameDecoder::new(),
+        transcript: 0xcbf2_9ce4_8422_2325,
+    };
+    (half(atx, brx), half(btx, arx))
+}
+
+impl FrameLink for ChannelLink {
+    fn send_bytes(&mut self, bytes: &[u8]) -> Result<()> {
+        self.transcript = fnv1a(self.transcript, &(bytes.len() as u64).to_le_bytes());
+        self.transcript = fnv1a(self.transcript, bytes);
+        self.tx
+            .as_ref()
+            .and_then(|tx| tx.send(bytes.to_vec()).ok())
+            .ok_or(Error::ConnectionLost { after_bytes: 0 })
+    }
+
+    fn recv_frame(&mut self) -> Result<wire::Frame> {
+        loop {
+            if let Some(frame) = self.decoder.next_frame()? {
+                return Ok(frame);
+            }
+            match self.rx.recv() {
+                Ok(bytes) => self.decoder.push(&bytes),
+                Err(_) => return Err(Error::ConnectionLost { after_bytes: 0 }),
+            }
+        }
+    }
+
+    fn fin(&mut self) {
+        self.tx = None;
+    }
+}
+
+// ---------------------------------------------------------------------
+// (a) Every transport agrees.
+
+/// What one transport made of a case: the report, the per-stream
+/// outcomes, and — with `obs` — the puller's `FrameTx` sequence.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    report: ContactReport,
+    outcomes: Vec<Finished>,
+    frames: Vec<(u64, bool, u64, u64, u64, u64)>,
+}
+
+/// One stream's `finish()` result, the vector as its order-preserving
+/// snapshot: `(stream, name, discovered, aborted, outcome)`.
+type Finished = (
+    u64,
+    Bytes,
+    bool,
+    bool,
+    Option<(Causality, Option<Bytes>, Bytes, ReceiverStats)>,
+);
+
+/// Runs `pull` on this thread under a ring sink and collects what it
+/// produced. Serving threads install no sink, so the ring sees exactly
+/// the puller's events on every transport.
+fn observe(
+    case: &Case,
+    pull: impl FnOnce(&mut BatchPullClient, BatchPullServer) -> Result<ContactReport>,
+) -> Observed {
+    let (mut client, server) = case.endpoints();
+    #[cfg(feature = "obs")]
+    let (report, frames) = {
+        use optrep_core::obs::{self, RingSink, SyncEvent};
+        let ring = std::sync::Arc::new(RingSink::new(1 << 16));
+        let report = obs::with(ring.clone(), || pull(&mut client, server));
+        let frames = ring
+            .events()
+            .into_iter()
+            .filter_map(|ev| match ev {
+                SyncEvent::FrameTx {
+                    stream,
+                    client,
+                    compare,
+                    meta,
+                    framing,
+                    payload,
+                    ..
+                } => Some((stream, client, compare, meta, framing, payload)),
+                _ => None,
+            })
+            .collect();
+        (report, frames)
+    };
+    #[cfg(not(feature = "obs"))]
+    let (report, frames) = (pull(&mut client, server), Vec::new());
+    let report = report.unwrap_or_else(|e| panic!("{}: {e}", case.name));
+    Observed {
+        report,
+        outcomes: client
+            .finish()
+            .into_iter()
+            .map(|r| {
+                let outcome = r
+                    .outcome
+                    .map(|o| (o.relation, o.payload, o.vector.encode_snapshot(), o.stats));
+                (r.stream, r.name, r.discovered, r.aborted, outcome)
+            })
+            .collect(),
+        frames,
+    }
+}
+
+fn over_channel(
+    client: &mut BatchPullClient,
+    mut server: BatchPullServer,
+) -> Result<ContactReport> {
+    let (mut near, mut far) = channel_pair();
+    let serving = std::thread::spawn(move || serve_contact(&mut server, &mut far));
+    let report = pull_contact(client, &mut near);
+    serving.join().expect("server thread")?;
+    report
+}
+
+fn over_tcp(client: &mut BatchPullClient, mut server: BatchPullServer) -> Result<ContactReport> {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("bound address");
+    let opts = ConnectOptions::new();
+    let serving = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("accept");
+        let mut link = TcpLink::from_stream(stream, &opts)?;
+        serve_contact(&mut server, &mut link)
+    });
+    let mut link = TcpLink::connect(addr, &opts)?;
+    let report = pull_contact(client, &mut link);
+    link.fin();
+    serving.join().expect("server thread")?;
+    report
+}
+
+#[test]
+fn every_transport_prices_and_finishes_a_contact_identically() {
+    for case in [empty_case(), one_object_case(), many_objects_case()] {
+        let reference = observe(&case, |c, mut s| run_contact(c, &mut s));
+        if cfg!(feature = "obs") {
+            assert_eq!(
+                reference.frames.len() as u64,
+                reference.report.frames,
+                "{}: one FrameTx per accounted frame",
+                case.name
+            );
+        }
+        let channel = observe(&case, over_channel);
+        assert_eq!(channel, reference, "{}: channel pair", case.name);
+        let tcp = observe(&case, over_tcp);
+        assert_eq!(tcp, reference, "{}: loopback tcp", case.name);
+        let mut weather = FaultyLink::clean();
+        let faulted = observe(&case, |c, mut s| {
+            pull_contact(
+                c,
+                &mut Faulted::new(InProcessLink::new(&mut s), &mut weather),
+            )
+        });
+        assert_eq!(faulted, reference, "{}: clean fault plan", case.name);
+        assert_eq!(weather.stats().frames_delivered, reference.report.frames);
+        assert_eq!(
+            weather.stats().bytes_delivered,
+            reference.report.total_bytes
+        );
+    }
+}
+
+/// All objects equal: the whole contact is one Hello/ServerFirst
+/// exchange, zero payload bytes, one blocking round trip — on a link as
+/// in-process.
+#[test]
+fn identical_pair_is_compare_only_over_a_link() {
+    let objects: ClientObjects = (0..4u32)
+        .map(|i| {
+            (
+                Bytes::from(vec![b'o', i as u8]),
+                updated(Srv::new(), &[1, 2]),
+            )
+        })
+        .collect();
+    let case = Case {
+        name: "identical",
+        server: objects
+            .iter()
+            .map(|(n, v)| (n.clone(), v.clone(), Bytes::new()))
+            .collect(),
+        client: objects,
+    };
+    let report = observe(&case, over_channel).report;
+    assert_eq!(report.payload_bytes, 0);
+    assert_eq!(report.round_trips, 1);
+}
+
+/// The server vanishes after the opening burst; the puller must get a
+/// connection error, not hang or report success.
+#[test]
+fn peer_death_mid_contact_aborts_the_pull() {
+    let (mut client, _) = one_object_case().endpoints();
+    let (mut near, mut far) = channel_pair();
+    let dying = std::thread::spawn(move || {
+        while matches!(far.recv_frame(), Ok(frame) if frame.stream != TURN_STREAM) {}
+    });
+    let err = pull_contact(&mut client, &mut near).unwrap_err();
+    dying.join().expect("server thread");
+    assert!(matches!(err, Error::ConnectionLost { .. }), "{err:?}");
+}
+
+// ---------------------------------------------------------------------
+// (b) The bytes on the wire are pinned.
+
+/// FNV-1a over every write of each half (lengths included) for the
+/// 64-object case, computed at the commit *before* the contact drivers
+/// were collapsed into one pump. Same frames, same burst boundaries,
+/// same markers — or this moves.
+const PINNED_PULLER_TRANSCRIPT: u64 = 0xf3c0_fea1_f029_4fd7;
+const PINNED_SERVER_TRANSCRIPT: u64 = 0x4d4c_7e6e_10bd_c141;
+
+#[test]
+fn wire_transcript_is_pinned() {
+    let (mut client, mut server) = many_objects_case().endpoints();
+    let (mut near, mut far) = channel_pair();
+    let serving = std::thread::spawn(move || {
+        serve_contact(&mut server, &mut far).expect("serve");
+        far.transcript
+    });
+    let report = pull_contact(&mut client, &mut near).expect("pull");
+    assert_eq!(
+        serving.join().expect("server thread"),
+        PINNED_SERVER_TRANSCRIPT
+    );
+    assert_eq!(near.transcript, PINNED_PULLER_TRANSCRIPT);
+    assert_eq!((report.frames, report.total_bytes), (206, 23_762));
+    assert_eq!(report.round_trips, 2);
+}
+
+// ---------------------------------------------------------------------
+// (c) Every cut aborts cleanly.
+
+/// One in-process pull of `case` over a link that dies `k` bytes in.
+fn cut_pull(case: &Case, k: u64) -> Result<ContactReport> {
+    let (mut client, mut server) = case.endpoints();
+    let mut cut = FaultyLink::new(FaultPlan::disconnect_at(k));
+    pull_contact(
+        &mut client,
+        &mut Faulted::new(InProcessLink::new(&mut server), &mut cut),
+    )
+}
+
+#[test]
+fn a_cut_at_every_byte_aborts_without_a_trace() {
+    let case = one_object_case();
+    let mut weather = FaultyLink::clean();
+    let (mut client, mut server) = case.endpoints();
+    pull_contact(
+        &mut client,
+        &mut Faulted::new(InProcessLink::new(&mut server), &mut weather),
+    )
+    .expect("clean plan is transparent");
+    let total = weather.stats().bytes_delivered;
+    assert!(total > 0);
+
+    let (mut dst, mut src) = (KvStore::new(SiteId::new(0)), KvStore::new(SiteId::new(1)));
+    src.put("k", "v1");
+    dst.sync(&src).run().expect("bootstrap");
+    src.put("k", "v2");
+    src.put("fresh", "new");
+    dst.put("mine", "local");
+    let mut clean = FaultyLink::clean();
+    dst.clone()
+        .sync(&src)
+        .via(&mut clean)
+        .run()
+        .expect("clean kv pull");
+    let kv_total = clean.stats().bytes_delivered;
+
+    // A budget of exactly `total` bytes is never exceeded, so the last
+    // cut that can abort the contact is one byte short of it.
+    for k in 0..total.max(kv_total) {
+        if k < total {
+            #[cfg(feature = "obs")]
+            let err = {
+                use optrep_core::obs::{self, RingSink, SyncEvent};
+                let ring = std::sync::Arc::new(RingSink::new(1 << 12));
+                let err =
+                    obs::with(ring.clone(), || cut_pull(&case, k)).expect_err("cut must abort");
+                let events = ring.events();
+                let aborts = events
+                    .iter()
+                    .filter(|ev| matches!(ev, SyncEvent::SessionAborted { .. }))
+                    .count();
+                let ends = events
+                    .iter()
+                    .filter(|ev| matches!(ev, SyncEvent::ContactEnd { .. }))
+                    .count();
+                assert_eq!((aborts, ends), (1, 0), "cut at {k}/{total}");
+                err
+            };
+            #[cfg(not(feature = "obs"))]
+            let err = cut_pull(&case, k).expect_err("cut must abort");
+            assert!(
+                matches!(reason_label(&err), "connection_lost" | "stalled"),
+                "cut at {k}/{total}: {err:?}"
+            );
+        }
+        if k < kv_total {
+            let before = (dst.replica_digest(), dst.generation());
+            let mut cut = FaultyLink::new(FaultPlan::disconnect_at(k));
+            dst.sync(&src)
+                .via(&mut cut)
+                .run()
+                .expect_err("cut must abort the kv pull");
+            assert_eq!(
+                (dst.replica_digest(), dst.generation()),
+                before,
+                "cut at {k}/{kv_total} moved the store"
+            );
+        }
+    }
+    let mut exact = FaultyLink::new(FaultPlan::disconnect_at(kv_total));
+    dst.sync(&src).via(&mut exact).run().expect("uncut contact");
+    assert_eq!(dst.get("k"), Some(&b"v2"[..]));
+}
+
+// ---------------------------------------------------------------------
+// (d) Hostile sequences fail the step machines; nothing panics or loops.
+
+fn frame(stream: u64, payload: &[u8]) -> wire::Frame {
+    wire::Frame {
+        stream,
+        payload: Bytes::copy_from_slice(payload),
+    }
+}
+
+fn turn() -> wire::Frame {
+    frame(TURN_STREAM, &[])
+}
+
+fn fin() -> wire::Frame {
+    frame(TURN_STREAM, &[1])
+}
+
+fn msg_frame(stream: u64, msg: MuxMsg) -> wire::Frame {
+    frame(stream, &msg.to_bytes())
+}
+
+/// A `BatchHello` opening one stream on the server's only object.
+fn hello() -> wire::Frame {
+    msg_frame(
+        CONTROL_STREAM,
+        MuxMsg::Ctrl(CtrlMsg::BatchHello {
+            discover: false,
+            opens: vec![StreamOpen {
+                stream: 1,
+                name: Bytes::from_static(b"k"),
+                first: None,
+            }],
+        }),
+    )
+}
+
+/// A planner frame (tag `0x35`, outside the mux tag space).
+fn planner_frame() -> wire::Frame {
+    frame(CONTROL_STREAM, &[0x35, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0])
+}
+
+/// Feeds `frames` to a fresh server over the one-object case and
+/// returns the first error; panics if the whole sequence is accepted.
+fn serve_until_error(frames: Vec<wire::Frame>) -> Error {
+    let (_, mut server) = one_object_case().endpoints();
+    let mut out = BytesMut::new();
+    for frame in frames {
+        if let Err(e) = serve_frame(&mut server, frame, &mut out) {
+            return e;
+        }
+    }
+    panic!("the server accepted a hostile sequence");
+}
+
+#[test]
+fn hostile_sequences_fail_the_serving_step() {
+    serve_until_error(vec![turn()]);
+    serve_until_error(vec![fin(), fin()]);
+    serve_until_error(vec![hello(), fin()]);
+    serve_until_error(vec![hello(), turn(), planner_frame()]);
+    serve_until_error(vec![hello(), frame(TURN_STREAM, b"junk")]);
+    // A completed (empty) contact accepts nothing more.
+    let empty_hello = msg_frame(
+        CONTROL_STREAM,
+        MuxMsg::Ctrl(CtrlMsg::BatchHello {
+            discover: false,
+            opens: Vec::new(),
+        }),
+    );
+    let (_, mut server) = empty_case().endpoints();
+    let mut out = BytesMut::new();
+    assert_eq!(
+        serve_frame(&mut server, empty_hello, &mut out).unwrap(),
+        ServeStep::Continue
+    );
+    assert_eq!(
+        serve_frame(&mut server, fin(), &mut out).unwrap(),
+        ServeStep::Done
+    );
+    serve_frame(&mut server, fin(), &mut out).expect_err("second FIN");
+    serve_frame(&mut server, turn(), &mut out).expect_err("turn after FIN");
+}
+
+/// Feeds `frames` to a fresh puller over the one-object case; returns
+/// the first error. The machine may write bursts meanwhile — they go
+/// nowhere.
+fn pull_until_error(frames: Vec<wire::Frame>) -> Error {
+    let (mut client, _) = one_object_case().endpoints();
+    let mut out = BytesMut::new();
+    let mut puller = Puller::open(&mut client, 0, &mut out);
+    for frame in frames {
+        match puller.on_frame(frame, &mut out) {
+            Ok(None) => {}
+            Ok(Some(report)) => panic!("hostile sequence completed: {report:?}"),
+            Err(e) => return e,
+        }
+    }
+    panic!("the puller accepted a hostile sequence");
+}
+
+#[test]
+fn hostile_sequences_fail_the_pulling_step() {
+    // The turn keeps coming back with no BatchServerFirst: the first
+    // empty exchange still moved the hello, the second moved nothing.
+    let err = pull_until_error(vec![turn(), turn()]);
+    assert_eq!(reason_label(&err), "stalled");
+    // The server FINs while the puller still expects frames.
+    let err = pull_until_error(vec![fin()]);
+    assert_eq!(reason_label(&err), "stalled");
+    pull_until_error(vec![fin(), fin()]);
+    pull_until_error(vec![planner_frame()]);
+    pull_until_error(vec![frame(TURN_STREAM, b"junk")]);
+    pull_until_error(vec![hello()]);
+    // A finished puller accepts nothing more.
+    let (mut client, _) = empty_case().endpoints();
+    let mut out = BytesMut::new();
+    let mut puller = Puller::open(&mut client, 0, &mut out);
+    let answer = Framed::new(
+        CONTROL_STREAM,
+        MuxMsg::Ctrl(CtrlMsg::BatchServerFirst {
+            answers: Vec::new(),
+            offers: Vec::new(),
+        }),
+    );
+    assert!(puller
+        .on_frame(msg_frame(answer.stream, answer.msg), &mut out)
+        .unwrap()
+        .is_none());
+    assert!(puller.on_frame(turn(), &mut out).unwrap().is_none());
+    assert!(puller.on_frame(fin(), &mut out).unwrap().is_some());
+    puller.on_frame(fin(), &mut out).expect_err("second FIN");
+}

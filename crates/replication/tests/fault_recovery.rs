@@ -11,8 +11,8 @@ use bytes::BytesMut;
 use optrep_core::{wire, Error, Result, SiteId, Srv};
 use optrep_net::{ConnectOptions, FaultPlan, FaultyLink, TcpLink};
 use optrep_replication::{
-    run_contact_link, BatchPullClient, Cluster, ContactOptions, ContactReport, ObjectId,
-    RetryPolicy, TokenSet, UnionReconciler,
+    pull_contact, BatchPullClient, Cluster, ContactOptions, ContactReport, ObjectId, RetryPolicy,
+    TokenSet, UnionReconciler,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -262,7 +262,8 @@ fn tcp_pull(
             Some(Duration::from_millis(200)),
         );
     let mut link = TcpLink::connect(addr, &opts)?;
-    run_contact_link(&mut client, &mut link)
+    // One-shot connection: close it behind a completed contact.
+    pull_contact(&mut client, &mut link).inspect(|_| link.fin())
 }
 
 fn digests(cluster: &Cluster<Srv, TokenSet, UnionReconciler>) -> (Vec<u8>, Vec<u8>) {

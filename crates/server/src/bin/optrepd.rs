@@ -55,12 +55,11 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
-/// SIGINT/SIGTERM latch (unix): the handler only flips an atomic; the
+/// SIGINT/SIGTERM latch: the handler only flips an atomic; the
 /// main thread polls it and runs the actual shutdown outside signal
 /// context. Installed with `signal(2)` bound directly — the same
 /// no-libc-crate FFI discipline `optrep_net::reactor` uses for
 /// `poll(2)`.
-#[cfg(unix)]
 mod signals {
     use std::ffi::c_int;
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -242,22 +241,17 @@ fn run_traced(config: NodeConfig) {
         println!("optrepd site {} listening on {}", node.site(), node.addr());
         use std::io::Write as _;
         let _ = std::io::stdout().flush();
-        // Unix: watch for SIGINT/SIGTERM and shut down gracefully —
-        // final checkpoint, WAL fsync, pooled connections FINned — then
+        // Watch for SIGINT/SIGTERM and shut down gracefully — final
+        // checkpoint, WAL fsync, pooled connections FINned — then
         // return so the obs scope below flushes its sinks on the way
-        // out. Elsewhere: block until killed, as before.
-        #[cfg(unix)]
-        {
-            signals::install();
-            while !signals::requested() {
-                std::thread::sleep(Duration::from_millis(50));
-            }
-            println!("optrepd site {} shutting down", node.site());
-            let _ = std::io::stdout().flush();
-            node.stop();
+        // out.
+        signals::install();
+        while !signals::requested() {
+            std::thread::sleep(Duration::from_millis(50));
         }
-        #[cfg(not(unix))]
-        node.wait();
+        println!("optrepd site {} shutting down", node.site());
+        let _ = std::io::stdout().flush();
+        node.stop();
     };
     let trace_path = env_path("OPTREP_OBS_JSONL");
     let flight_path = env_path("OPTREP_FLIGHT_JSONL");

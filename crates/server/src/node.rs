@@ -16,7 +16,7 @@
 //!   [`server_endpoint`](KvStore::server_endpoint) snapshot taken at
 //!   its first frame.
 //!
-//! On unix, all connections are multiplexed onto **one event thread**:
+//! All connections are multiplexed onto **one event thread**:
 //! a `poll(2)` loop (see `optrep_net::reactor`) drives per-connection
 //! state machines (`Handshake → Verbs | Serve → Closing`), so the
 //! daemon's thread count is fixed — event loop, optional gossip thread,
@@ -26,8 +26,7 @@
 //! for in-memory work, never across socket I/O); the `sync` verb, which
 //! performs a network pull, runs on the executor so it cannot stall the
 //! loop. Accept errors back off exponentially up to a cap instead of
-//! hot-looping. Non-unix builds keep a thread-per-connection fallback
-//! with the same wire behavior.
+//! hot-looping.
 //!
 //! Outbound pulls ([`Node::sync_with`], the `sync` verb, and the
 //! periodic gossip thread) draw persistent connections from a
@@ -42,6 +41,9 @@
 //! A connection that dies mid-contact therefore aborts before anything
 //! is staged, leaving the store byte-identical.
 
+#[cfg(not(unix))]
+compile_error!("optrepd's core is the poll(2) reactor; unix only");
+
 use crate::persist::{DurabilityConfig, Persist, ReplayReport};
 use crate::proto::{Request, Response, StatusInfo};
 use optrep_core::obs::metrics::{
@@ -54,14 +56,14 @@ use optrep_kv::{JoinResolver, KvStore, KvSyncReport};
 use optrep_net::{ConnPool, ConnectOptions, PoolMetrics};
 use optrep_replication::planner::{self, PlanConfig};
 use optrep_replication::{
-    run_contact_pipelined, serve_frame, BatchPullServer, RetryPolicy, ServeStep, CONTROL_STREAM,
+    pull_contact, serve_frame, BatchPullServer, RetryPolicy, ServeStep, CONTROL_STREAM,
 };
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// Shutdown-poll slice for gossip sleeps (and the non-unix accept poll).
+/// Shutdown-poll slice for gossip sleeps.
 const ACCEPT_POLL: Duration = Duration::from_millis(10);
 
 /// First backoff after a transient accept error; doubles per
@@ -177,7 +179,6 @@ impl NodeConfig {
 
 /// A finished blocking verb on its way back from the executor to the
 /// event loop, addressed by connection id.
-#[cfg(unix)]
 struct VerbDone {
     conn: u64,
     stream: u64,
@@ -230,7 +231,6 @@ struct NodeMetrics {
     /// Planner-phase wire bytes (digest vectors + plans, both
     /// directions; excluded from the contact byte planes).
     planner_digest_bytes_total: Arc<Counter>,
-    #[cfg(unix)]
     reactor: optrep_net::reactor::ReactorMetrics,
 }
 
@@ -259,7 +259,6 @@ impl NodeMetrics {
                 .counter("optrep_planner_shards_incremental_total"),
             planner_shards_snapshot_total: registry.counter("optrep_planner_shards_snapshot_total"),
             planner_digest_bytes_total: registry.counter("optrep_planner_digest_bytes_total"),
-            #[cfg(unix)]
             reactor: optrep_net::reactor::ReactorMetrics::register(registry, "optrep_reactor"),
         }
     }
@@ -313,10 +312,8 @@ struct Shared {
     sinks: Vec<Arc<dyn Sink>>,
     /// Wakes the event loop from other threads: executor completions
     /// and [`Node::stop`].
-    #[cfg(unix)]
     waker: optrep_net::reactor::Waker,
     /// Finished executor verbs awaiting delivery by the event loop.
-    #[cfg(unix)]
     completions: Mutex<Vec<VerbDone>>,
 }
 
@@ -382,7 +379,6 @@ impl Shared {
         }
     }
 
-    #[cfg(unix)]
     fn completions(&self) -> MutexGuard<'_, Vec<VerbDone>> {
         match self.completions.lock() {
             Ok(guard) => guard,
@@ -440,7 +436,6 @@ impl Node {
                 protocol: "daemon",
                 message: format!("cannot poll listener: {e}"),
             })?;
-        #[cfg(unix)]
         let waker = optrep_net::reactor::Waker::new().map_err(|e| Error::UnexpectedMessage {
             protocol: "daemon",
             message: format!("cannot create event waker: {e}"),
@@ -488,20 +483,12 @@ impl Node {
             metrics_events: config.metrics_events,
             metrics,
             sinks,
-            #[cfg(unix)]
             waker,
-            #[cfg(unix)]
             completions: Mutex::new(Vec::new()),
         });
-        #[cfg(unix)]
         let core = {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || event::event_loop(&shared, &listener))
-        };
-        #[cfg(not(unix))]
-        let core = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || threaded::accept_loop(&shared, &listener))
         };
         let gossip = config.gossip_interval.map(|interval| {
             let shared = Arc::clone(&shared);
@@ -627,7 +614,6 @@ impl Node {
     /// empty log: the next boot replays nothing.
     pub fn stop(mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
-        #[cfg(unix)]
         self.shared.waker.wake();
         self.join_threads();
         checkpoint_now(&self.shared);
@@ -650,7 +636,7 @@ impl Node {
     }
 }
 
-/// The readiness-driven connection core (unix).
+/// The readiness-driven connection core.
 ///
 /// One thread owns the listener and every accepted connection. Each
 /// connection is a small state machine fed whole frames by a
@@ -659,7 +645,6 @@ impl Node {
 /// interest only while a buffer is nonempty. The loop never blocks on
 /// any single connection, and it never sleeps to poll a condition —
 /// every wait is a `poll(2)` with a deadline.
-#[cfg(unix)]
 mod event {
     use super::*;
     use bytes::BytesMut;
@@ -1100,185 +1085,6 @@ mod event {
     }
 }
 
-/// Thread-per-connection fallback for non-unix targets: same wire
-/// behavior (including persistent `Peer` connections and capped accept
-/// backoff), one handler thread per accepted socket.
-#[cfg(not(unix))]
-mod threaded {
-    use super::*;
-    use bytes::BytesMut;
-    use optrep_net::TcpLink;
-    use std::net::TcpStream;
-
-    pub(super) fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
-        let mut accept_errors: u32 = 0;
-        loop {
-            if shared.stopping() {
-                return;
-            }
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    accept_errors = 0;
-                    let shared = Arc::clone(shared);
-                    std::thread::spawn(move || {
-                        obs::with_all(shared.sinks.clone(), || handle_connection(&shared, stream));
-                    });
-                }
-                Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-                // Transient accept errors (aborted handshake, fd
-                // pressure): back off exponentially up to the cap so a
-                // persistent condition doesn't spin the loop.
-                Err(_) => {
-                    let factor = 1u32 << accept_errors.min(16);
-                    accept_errors = accept_errors.saturating_add(1);
-                    std::thread::sleep(
-                        ACCEPT_BACKOFF_BASE
-                            .saturating_mul(factor)
-                            .min(ACCEPT_BACKOFF_CAP),
-                    );
-                }
-            }
-        }
-    }
-
-    /// Reads the handshake and dispatches one connection. All errors
-    /// are terminal for the connection only: the peer sees a FIN or
-    /// reset and takes its own abort path.
-    fn handle_connection(shared: &Shared, stream: TcpStream) {
-        let Ok(mut link) = TcpLink::from_stream(stream, &shared.connect) else {
-            return;
-        };
-        let Ok(frame) = link.recv_frame() else {
-            return;
-        };
-        if frame.stream != CONTROL_STREAM {
-            return;
-        }
-        let mut payload = frame.payload;
-        let Ok(handshake) = Handshake::decode(&mut payload) else {
-            return;
-        };
-        match handshake.intent {
-            Intent::Pull => serve_pull(shared, &mut link),
-            Intent::Peer => serve_peer(shared, &mut link),
-            Intent::Verbs => serve_verbs(shared, &mut link),
-        }
-    }
-
-    /// Serves one anti-entropy pull. The endpoint is taken lazily at
-    /// the first contact frame so a one-shot pull can open with a
-    /// planner phase.
-    fn serve_pull(shared: &Shared, link: &mut TcpLink) {
-        let mut server: Option<BatchPullServer> = None;
-        let mut out = BytesMut::new();
-        let _ = serve_frames(shared, link, &mut server, &mut out, true);
-    }
-
-    /// Serves pipelined contacts on a persistent peer connection: a
-    /// fresh store snapshot per contact, the socket kept open between
-    /// them. An idle read timeout between contacts is not an error.
-    fn serve_peer(shared: &Shared, link: &mut TcpLink) {
-        let mut server: Option<BatchPullServer> = None;
-        let mut out = BytesMut::new();
-        loop {
-            match serve_frames(shared, link, &mut server, &mut out, false) {
-                Ok(()) if !shared.stopping() => continue,
-                _ => return,
-            }
-        }
-    }
-
-    /// Pumps frames through [`serve_frame`] until one contact
-    /// completes. `server = None` means between contacts; the snapshot
-    /// is taken at the first frame.
-    fn serve_frames(
-        shared: &Shared,
-        link: &mut TcpLink,
-        server: &mut Option<BatchPullServer>,
-        out: &mut BytesMut,
-        fin_on_done: bool,
-    ) -> Result<()> {
-        let mut pending_plan: Option<BytesMut> = None;
-        loop {
-            let frame = match link.recv_frame() {
-                Ok(frame) => frame,
-                // Idle between contacts: the read deadline is just the
-                // shutdown poll. Mid-contact it is a real stall.
-                Err(Error::Incomplete { .. })
-                    if server.is_none() && pending_plan.is_none() && !shared.stopping() =>
-                {
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            // Planner phase (see the event-mod twin): plan + restricted
-            // endpoint from one store view, reply on the turn marker.
-            if server.is_none() && pending_plan.is_none() && planner::is_plan_open(&frame) {
-                let mut payload = frame.payload;
-                let digests = planner::DigestVector::decode(&mut payload).map_err(|e| {
-                    link.fin();
-                    Error::Wire(e)
-                })?;
-                let (plan, endpoint) = shared.store().plan_contact(&digests, &shared.plan_config);
-                pending_plan = Some(planner::plan_frame(&plan));
-                *server = Some(endpoint);
-                continue;
-            }
-            if let Some(reply) = pending_plan.take() {
-                if !planner::is_marker(&frame) || planner::is_fin_marker(&frame) {
-                    link.fin();
-                    return Err(Error::UnexpectedMessage {
-                        protocol: "sync planner",
-                        message: "expected the puller's turn marker after its digests".into(),
-                    });
-                }
-                out.clear();
-                out.extend_from_slice(&reply);
-                planner::append_turn(out);
-                link.send_bytes(out)?;
-                continue;
-            }
-            let endpoint = server.get_or_insert_with(|| shared.store().server_endpoint());
-            out.clear();
-            let step = serve_frame(endpoint, frame, out).inspect_err(|_| link.fin())?;
-            if !out.is_empty() {
-                link.send_bytes(out)?;
-            }
-            if matches!(step, ServeStep::Done) {
-                *server = None;
-                if fin_on_done {
-                    link.fin();
-                }
-                return Ok(());
-            }
-        }
-    }
-
-    /// Serves one verb session: one request frame in, one response
-    /// frame out, until the client disconnects.
-    fn serve_verbs(shared: &Shared, link: &mut TcpLink) {
-        loop {
-            let frame = match link.recv_frame() {
-                Ok(frame) => frame,
-                // A read deadline on an idle session is not an error;
-                // it is the shutdown poll.
-                Err(Error::Incomplete { .. }) if !shared.stopping() => continue,
-                Err(_) => return,
-            };
-            let mut payload = frame.payload;
-            let response = match Request::decode(&mut payload) {
-                Ok(request) => handle_request(shared, request),
-                Err(e) => Response::Err(format!("bad request: {e}")),
-            };
-            if link.send_frame(frame.stream, &response.encode()).is_err() {
-                return;
-            }
-        }
-    }
-}
-
 /// Refreshes the point-in-time gauges a scrape reports: store shape,
 /// pool liveness, uptime. Counters and histograms are always current;
 /// only gauges are sampled lazily, at snapshot time.
@@ -1398,8 +1204,8 @@ fn dispatch_request(shared: &Shared, request: Request) -> Response {
 /// connection to it.
 ///
 /// The pool hands back the peer's long-lived socket (dialing and
-/// handshaking only if there is none yet); the contact runs pipelined —
-/// no FIN, the connection stays checked in for the next pull. The
+/// handshaking only if there is none yet); the contact leaves the
+/// socket open, so the connection stays checked in for the next pull. The
 /// client endpoint is snapshotted *inside* the pooled closure so a
 /// stale-connection rerun gets fresh metadata. Before committing, the
 /// store's write generation is compared with the snapshot's: if a local
@@ -1427,7 +1233,7 @@ fn pull_from(shared: &Shared, peer: SocketAddr) -> Result<KvSyncReport> {
                     store.client_endpoint_for(&plan.incremental, plan.count as usize),
                 )
             };
-            let mut report = run_contact_pipelined(&mut client, link)?;
+            let mut report = pull_contact(&mut client, link)?;
             planner::account_plan(&mut report, &plan, outcome.digest_bytes);
             Ok((generation, client, report, plan))
         })?;
