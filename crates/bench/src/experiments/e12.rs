@@ -26,7 +26,8 @@
 //!
 //! The headline number is the tcp/mem wall-clock premium — under 2× at
 //! 256 daemons now that dial, thread-spawn and teardown are off the
-//! per-contact path (e11 paid 3.4–8× with one connection per contact).
+//! per-contact path (the retired E11 paid 3.4–8× with one connection
+//! per contact).
 //!
 //! Release runs drive 256 daemons; debug/test runs scale down to 64
 //! (CI's `tables e12` job) without changing what is asserted.
@@ -82,7 +83,7 @@ fn mirror_pull(mirrors: &mut [KvStore], dst: usize, src: usize) -> KvSyncReport 
         .sync_planned(
             src_store,
             &optrep_kv::JoinResolver,
-            &optrep_replication::PlanConfig::from_env(),
+            &optrep_replication::PlanConfig::default(),
         )
         .expect("in-memory planned sync");
     report

@@ -96,7 +96,7 @@ fn contact_bytes(report: &KvSyncReport) -> usize {
 }
 
 fn run_row(base: &BasePair, mirror: &BasePair, dirty_keys: usize) -> Row {
-    let config = PlanConfig::from_env();
+    let config = PlanConfig::default();
 
     let mut src = base.src.clone();
     dirty(&mut src, dirty_keys);

@@ -6,7 +6,6 @@
 pub mod ablation;
 pub mod e1;
 pub mod e10;
-pub mod e11;
 pub mod e12;
 pub mod e13;
 pub mod e14;
@@ -29,7 +28,7 @@ use crate::table::Table;
 /// All experiment ids, in document order.
 pub const ALL: &[&str] = &[
     "t1", "t2", "f1", "f2", "f3", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10",
-    "e11", "e12", "e13", "e14", "e15", "a1", "a2", "obs",
+    "e12", "e13", "e14", "e15", "a1", "a2", "obs",
 ];
 
 /// Runs one experiment by id, returning its tables.
@@ -54,7 +53,6 @@ pub fn run(id: &str) -> Vec<Table> {
         "e8" => e8::run(),
         "e9" => e9::run(),
         "e10" => e10::run(),
-        "e11" => e11::run(),
         "e12" => e12::run(),
         "e13" => e13::run(),
         "e14" => e14::run(),

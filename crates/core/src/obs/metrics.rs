@@ -22,17 +22,17 @@
 //! * [`MetricsSink`] — an event [`Sink`](super::Sink) folding the
 //!   existing [`SyncEvent`](super::SyncEvent) stream into families:
 //!   contact latency / round trips / bytes histograms, Δ/Γ/skip
-//!   counters, conflict and abort and retry counters. Like
-//!   [`CounterSink`](super::CounterSink) it consumes close-time events,
-//!   so its totals are *exactly* the counter totals — asserted by bench
-//!   e13.
+//!   counters, conflict and abort and retry counters. Its counters are
+//!   a [`CounterSink`](super::CounterSink) registered under the family
+//!   names, so its totals are *exactly* the counter totals — asserted
+//!   against an independent witness by bench e13.
 //!
 //! Everything here compiles with or without the `obs` feature: only
 //! event *dispatch* is feature-gated, and a daemon built without it
 //! still serves its directly updated gauges (store shape, pool, reactor,
 //! worker) through the `Metrics` verb.
 
-use super::{Sink, SyncEvent};
+use super::{CounterSink, Sink, SyncEvent};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -500,28 +500,21 @@ impl MetricsRegistry {
 /// [`SyncEvent`](super::SyncEvent) stream into named counters and
 /// histograms.
 ///
-/// Like [`CounterSink`](super::CounterSink) it consumes only close-time
-/// events (`SessionClose`, `ContactEnd`) plus the abort/retry stream, so
-/// an installed `MetricsSink` costs nothing per element and its totals
-/// are exactly the `CounterSink` totals (bench e13 asserts the
-/// equality). Contact latency is measured sink-side — `record` runs at
-/// emission time, so the `ContactBegin`→`ContactEnd` wall-clock interval
-/// is the contact's service time on its driving thread.
+/// The counters *are* a [`CounterSink`] whose handles are registered
+/// under the `optrep_*_total` names, and every event goes through its
+/// `record` — one fold of the close-time events (`SessionClose`,
+/// `ContactEnd`), so the registry's totals cannot drift from any other
+/// `CounterSink`'s (bench e13 asserts the equality against an
+/// independent witness). This sink adds only what that fold lacks: the
+/// abort and retry counters, five histograms, and contact latency,
+/// measured sink-side — `record` runs at emission time, so the
+/// `ContactBegin`→`ContactEnd` wall-clock interval is the contact's
+/// service time on its driving thread. An installed `MetricsSink` costs
+/// nothing per element.
 pub struct MetricsSink {
-    contacts: Arc<Counter>,
-    sessions: Arc<Counter>,
+    counters: CounterSink,
     aborts: Arc<Counter>,
     retries: Arc<Counter>,
-    conflicts: Arc<Counter>,
-    reconciliations: Arc<Counter>,
-    fast_forwards: Arc<Counter>,
-    compare_bytes: Arc<Counter>,
-    meta_bytes: Arc<Counter>,
-    framing_bytes: Arc<Counter>,
-    payload_bytes: Arc<Counter>,
-    delta: Arc<Counter>,
-    gamma: Arc<Counter>,
-    skips: Arc<Counter>,
     contact_micros: Arc<Histogram>,
     contact_round_trips: Arc<Histogram>,
     contact_wire_bytes: Arc<Histogram>,
@@ -534,21 +527,33 @@ pub struct MetricsSink {
 impl MetricsSink {
     /// Registers the sink's families in `registry` and returns the sink.
     pub fn new(registry: &MetricsRegistry) -> MetricsSink {
+        // Registration order is exposition order; it predates the
+        // shared fold, hence the locals.
+        let contacts = registry.counter("optrep_contacts_total");
+        let sessions = registry.counter("optrep_sessions_total");
+        let aborts = registry.counter("optrep_session_aborts_total");
+        let retries = registry.counter("optrep_retries_total");
         MetricsSink {
-            contacts: registry.counter("optrep_contacts_total"),
-            sessions: registry.counter("optrep_sessions_total"),
-            aborts: registry.counter("optrep_session_aborts_total"),
-            retries: registry.counter("optrep_retries_total"),
-            conflicts: registry.counter("optrep_conflicts_total"),
-            reconciliations: registry.counter("optrep_reconciliations_total"),
-            fast_forwards: registry.counter("optrep_fast_forwards_total"),
-            compare_bytes: registry.counter("optrep_compare_bytes_total"),
-            meta_bytes: registry.counter("optrep_meta_bytes_total"),
-            framing_bytes: registry.counter("optrep_framing_bytes_total"),
-            payload_bytes: registry.counter("optrep_payload_bytes_total"),
-            delta: registry.counter("optrep_delta_total"),
-            gamma: registry.counter("optrep_gamma_total"),
-            skips: registry.counter("optrep_skips_total"),
+            counters: CounterSink {
+                contacts,
+                sessions,
+                conflicts: registry.counter("optrep_conflicts_total"),
+                reconciliations: registry.counter("optrep_reconciliations_total"),
+                fast_forwards: registry.counter("optrep_fast_forwards_total"),
+                compare_bytes: registry.counter("optrep_compare_bytes_total"),
+                meta_bytes: registry.counter("optrep_meta_bytes_total"),
+                framing_bytes: registry.counter("optrep_framing_bytes_total"),
+                payload_bytes: registry.counter("optrep_payload_bytes_total"),
+                delta_total: registry.counter("optrep_delta_total"),
+                gamma_total: registry.counter("optrep_gamma_total"),
+                skips_total: registry.counter("optrep_skips_total"),
+                // Counted, but not families of their own: the round-trip
+                // histogram's sum and the Δ + Γ counters carry them.
+                meta_elements: Arc::default(),
+                round_trips: Arc::default(),
+            },
+            aborts,
+            retries,
             contact_micros: registry.histogram("optrep_contact_micros"),
             contact_round_trips: registry.histogram("optrep_contact_round_trips"),
             contact_wire_bytes: registry.histogram("optrep_contact_wire_bytes"),
@@ -567,6 +572,7 @@ impl MetricsSink {
 
 impl Sink for MetricsSink {
     fn record(&self, event: &SyncEvent) {
+        self.counters.record(event);
         match event {
             SyncEvent::ContactBegin { contact, .. } => {
                 self.inflight().insert(*contact, Instant::now());
@@ -576,37 +582,16 @@ impl Sink for MetricsSink {
                 round_trips,
                 totals,
             } => {
-                self.contacts.inc();
                 self.contact_round_trips.record(*round_trips);
                 self.contact_wire_bytes.record(totals.wire_bytes());
-                self.compare_bytes.add(totals.compare_bytes);
-                self.meta_bytes.add(totals.meta_bytes);
-                self.framing_bytes.add(totals.framing_bytes);
-                self.payload_bytes.add(totals.payload_bytes);
                 if let Some(started) = self.inflight().remove(contact) {
                     self.contact_micros
                         .record(started.elapsed().as_micros() as u64);
                 }
             }
-            SyncEvent::SessionClose {
-                totals, outcome, ..
-            } => {
-                self.sessions.inc();
-                self.delta.add(totals.delta);
-                self.gamma.add(totals.gamma);
-                self.skips.add(totals.skips);
+            SyncEvent::SessionClose { totals, .. } => {
                 self.session_delta.record(totals.delta);
                 self.session_gamma.record(totals.gamma);
-                self.compare_bytes.add(totals.compare_bytes);
-                self.meta_bytes.add(totals.meta_bytes);
-                self.framing_bytes.add(totals.framing_bytes);
-                self.payload_bytes.add(totals.payload_bytes);
-                match *outcome {
-                    "fast_forwarded" => self.fast_forwards.inc(),
-                    "reconciled" => self.reconciliations.inc(),
-                    "conflict_excluded" => self.conflicts.inc(),
-                    _ => {}
-                }
             }
             SyncEvent::SessionAborted {
                 contact, stream, ..

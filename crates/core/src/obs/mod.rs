@@ -22,7 +22,7 @@
 
 use crate::causality::Causality;
 use crate::sync::ReceiverStats;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 pub mod metrics;
 pub use metrics::{
@@ -477,7 +477,9 @@ macro_rules! obs_emit {
 }
 
 /// Lock-free counter aggregation: the single source of truth behind
-/// `ClusterStats` and `KvStore` statistics.
+/// `ClusterStats`, `KvStore` statistics, and — through
+/// [`metrics::MetricsSink`], which holds one registered under the
+/// daemon's `optrep_*_total` names — the metrics registry.
 ///
 /// Counters are absorbed either directly (the stats path, available
 /// with or without the `obs` feature) or as an event [`Sink`] consuming
@@ -486,20 +488,20 @@ macro_rules! obs_emit {
 /// cannot drift.
 #[derive(Debug, Default)]
 pub struct CounterSink {
-    sessions: AtomicU64,
-    compare_bytes: AtomicU64,
-    meta_bytes: AtomicU64,
-    payload_bytes: AtomicU64,
-    framing_bytes: AtomicU64,
-    meta_elements: AtomicU64,
-    delta_total: AtomicU64,
-    gamma_total: AtomicU64,
-    skips_total: AtomicU64,
-    fast_forwards: AtomicU64,
-    reconciliations: AtomicU64,
-    conflicts: AtomicU64,
-    contacts: AtomicU64,
-    round_trips: AtomicU64,
+    sessions: Arc<Counter>,
+    compare_bytes: Arc<Counter>,
+    meta_bytes: Arc<Counter>,
+    payload_bytes: Arc<Counter>,
+    framing_bytes: Arc<Counter>,
+    meta_elements: Arc<Counter>,
+    delta_total: Arc<Counter>,
+    gamma_total: Arc<Counter>,
+    skips_total: Arc<Counter>,
+    fast_forwards: Arc<Counter>,
+    reconciliations: Arc<Counter>,
+    conflicts: Arc<Counter>,
+    contacts: Arc<Counter>,
+    round_trips: Arc<Counter>,
 }
 
 impl CounterSink {
@@ -510,63 +512,61 @@ impl CounterSink {
 
     /// Adds a totals value to the counters.
     pub fn absorb(&self, t: &SessionTotals) {
-        self.sessions.fetch_add(t.sessions, Ordering::Relaxed);
-        self.compare_bytes
-            .fetch_add(t.compare_bytes, Ordering::Relaxed);
-        self.meta_bytes.fetch_add(t.meta_bytes, Ordering::Relaxed);
-        self.payload_bytes
-            .fetch_add(t.payload_bytes, Ordering::Relaxed);
-        self.framing_bytes
-            .fetch_add(t.framing_bytes, Ordering::Relaxed);
-        self.meta_elements
-            .fetch_add(t.meta_elements, Ordering::Relaxed);
-        self.delta_total.fetch_add(t.delta, Ordering::Relaxed);
-        self.gamma_total.fetch_add(t.gamma, Ordering::Relaxed);
-        self.skips_total.fetch_add(t.skips, Ordering::Relaxed);
+        self.sessions.add(t.sessions);
+        self.compare_bytes.add(t.compare_bytes);
+        self.meta_bytes.add(t.meta_bytes);
+        self.payload_bytes.add(t.payload_bytes);
+        self.framing_bytes.add(t.framing_bytes);
+        self.meta_elements.add(t.meta_elements);
+        self.delta_total.add(t.delta);
+        self.gamma_total.add(t.gamma);
+        self.skips_total.add(t.skips);
     }
 
     /// Records a fast-forward session outcome.
     pub fn record_fast_forward(&self) {
-        self.fast_forwards.fetch_add(1, Ordering::Relaxed);
+        self.fast_forwards.inc();
     }
 
     /// Records a reconciliation outcome.
     pub fn record_reconciliation(&self) {
-        self.reconciliations.fetch_add(1, Ordering::Relaxed);
+        self.reconciliations.inc();
     }
 
     /// Records a conflict excluded from reconciliation.
     pub fn record_conflict(&self) {
-        self.conflicts.fetch_add(1, Ordering::Relaxed);
+        self.conflicts.inc();
     }
 
     /// Records one completed contact and its blocking round trips.
     pub fn record_contact(&self, round_trips: u64) {
-        self.contacts.fetch_add(1, Ordering::Relaxed);
-        self.round_trips.fetch_add(round_trips, Ordering::Relaxed);
+        self.contacts.inc();
+        self.round_trips.add(round_trips);
     }
 
     /// A point-in-time copy of every counter.
     pub fn snapshot(&self) -> CounterSnapshot {
         CounterSnapshot {
-            sessions: self.sessions.load(Ordering::Relaxed),
-            compare_bytes: self.compare_bytes.load(Ordering::Relaxed),
-            meta_bytes: self.meta_bytes.load(Ordering::Relaxed),
-            payload_bytes: self.payload_bytes.load(Ordering::Relaxed),
-            framing_bytes: self.framing_bytes.load(Ordering::Relaxed),
-            meta_elements: self.meta_elements.load(Ordering::Relaxed),
-            delta_total: self.delta_total.load(Ordering::Relaxed),
-            gamma_total: self.gamma_total.load(Ordering::Relaxed),
-            skips_total: self.skips_total.load(Ordering::Relaxed),
-            fast_forwards: self.fast_forwards.load(Ordering::Relaxed),
-            reconciliations: self.reconciliations.load(Ordering::Relaxed),
-            conflicts: self.conflicts.load(Ordering::Relaxed),
-            contacts: self.contacts.load(Ordering::Relaxed),
-            round_trips: self.round_trips.load(Ordering::Relaxed),
+            sessions: self.sessions.get(),
+            compare_bytes: self.compare_bytes.get(),
+            meta_bytes: self.meta_bytes.get(),
+            payload_bytes: self.payload_bytes.get(),
+            framing_bytes: self.framing_bytes.get(),
+            meta_elements: self.meta_elements.get(),
+            delta_total: self.delta_total.get(),
+            gamma_total: self.gamma_total.get(),
+            skips_total: self.skips_total.get(),
+            fast_forwards: self.fast_forwards.get(),
+            reconciliations: self.reconciliations.get(),
+            conflicts: self.conflicts.get(),
+            contacts: self.contacts.get(),
+            round_trips: self.round_trips.get(),
         }
     }
 }
 
+/// A clone starts from the original's values and counts on its own:
+/// the counters are copied, never shared.
 impl Clone for CounterSink {
     fn clone(&self) -> Self {
         let s = self.snapshot();
@@ -582,12 +582,11 @@ impl Clone for CounterSink {
             gamma: s.gamma_total,
             skips: s.skips_total,
         });
-        sink.fast_forwards.store(s.fast_forwards, Ordering::Relaxed);
-        sink.reconciliations
-            .store(s.reconciliations, Ordering::Relaxed);
-        sink.conflicts.store(s.conflicts, Ordering::Relaxed);
-        sink.contacts.store(s.contacts, Ordering::Relaxed);
-        sink.round_trips.store(s.round_trips, Ordering::Relaxed);
+        sink.fast_forwards.add(s.fast_forwards);
+        sink.reconciliations.add(s.reconciliations);
+        sink.conflicts.add(s.conflicts);
+        sink.contacts.add(s.contacts);
+        sink.round_trips.add(s.round_trips);
         sink
     }
 }

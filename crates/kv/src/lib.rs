@@ -32,24 +32,20 @@
 //! # Ok::<(), optrep_core::Error>(())
 //! ```
 //!
-//! One [`SyncRequest`] builder configures every variant of a pull —
-//! resolver, transfer options, and the transport that drives the
-//! contact (clean in-process by default, a seeded
-//! [`FaultyLink`] via
-//! [`SyncRequest::via`], or an arbitrary closure via
-//! [`SyncRequest::via_fn`]).
+//! One [`SyncRequest`] builder configures a pull: the resolver, and
+//! optionally a seeded [`FaultyLink`] over the in-process link
+//! ([`SyncRequest::via`]).
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use optrep_core::error::WireError;
 use optrep_core::obs::{CounterSink, CounterSnapshot, SessionTotals};
-use optrep_core::sync::SyncOptions;
 use optrep_core::{wire, Causality, Result, RotatingVector, SiteId, Srv};
 use optrep_replication::mux::{
-    pull_contact, run_contact, BatchPullClient, BatchPullServer, ContactReport, Faulted,
+    pull_contact, pull_planned, BatchPullClient, BatchPullServer, ContactReport, Faulted,
     InProcessLink,
 };
 use optrep_replication::planner::{
-    self, decide, DigestVector, PlanConfig, ShardAction, ShardDigest, ShardPlan,
+    decide, DigestVector, PlanConfig, ShardAction, ShardDigest, ShardPlan, MAX_PLAN_SHARDS,
 };
 use optrep_replication::FaultyLink;
 use std::collections::BTreeMap;
@@ -60,9 +56,8 @@ use std::collections::BTreeMap;
 /// store.
 pub const DEFAULT_SHARDS: usize = 16;
 
-/// Upper bound on the physical shard count (mirrors the planner's
-/// [`planner::MAX_PLAN_SHARDS`] wire cap).
-pub const MAX_SHARDS: usize = 1 << 20;
+/// Upper bound on the physical shard count: the planner's wire cap.
+pub const MAX_SHARDS: usize = MAX_PLAN_SHARDS as usize;
 
 /// The shard count `KvStore::new` uses: `OPTREP_KV_SHARDS` when set
 /// and parseable, else [`DEFAULT_SHARDS`].
@@ -311,14 +306,32 @@ impl KvStore {
         self.shards.iter().flat_map(|shard| shard.entries.iter())
     }
 
-    /// Every tracked entry, sorted by key — the deterministic order
-    /// snapshots, endpoints, and restricted endpoints present, so wire
-    /// images and stream-id assignment are independent of the local
-    /// shard layout.
+    /// The tracked entries whose key `keep` admits, sorted by key — the
+    /// deterministic order snapshots, endpoints, and restricted
+    /// endpoints present, so wire images and stream-id assignment are
+    /// independent of the local shard layout.
+    fn sorted_entries(&self, keep: impl Fn(&str) -> bool) -> Vec<(&String, &Entry)> {
+        let mut kept: Vec<(&String, &Entry)> =
+            self.iter_entries().filter(|(key, _)| keep(key)).collect();
+        kept.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        kept
+    }
+
+    /// Every tracked entry, sorted by key.
     fn entries_sorted(&self) -> Vec<(&String, &Entry)> {
-        let mut all: Vec<(&String, &Entry)> = self.iter_entries().collect();
-        all.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        all
+        self.sorted_entries(|_| true)
+    }
+
+    /// The tracked entries of the given plan shards at plan-shard count
+    /// `count`, sorted by key.
+    fn entries_in(&self, shards: &[u64], count: usize) -> Vec<(&String, &Entry)> {
+        let mut wanted = vec![false; count];
+        for &shard in shards {
+            if (shard as usize) < count {
+                wanted[shard as usize] = true;
+            }
+        }
+        self.sorted_entries(|key| wanted[shard_index(key, count)])
     }
 
     /// Inserts or replaces one entry, maintaining the shard digest.
@@ -447,8 +460,7 @@ impl KvStore {
             store: self,
             src,
             resolver: &JoinResolver,
-            opts: SyncOptions::default(),
-            drive: CleanDrive,
+            faults: None,
         }
     }
 
@@ -470,35 +482,14 @@ impl KvStore {
     /// over any transport (in-process lockstep, a `TcpLink`, …), then
     /// commit with [`apply_contact`](Self::apply_contact).
     pub fn client_endpoint(&self) -> BatchPullClient {
-        BatchPullClient::new(
-            self.entries_sorted()
-                .into_iter()
-                .map(|(key, entry)| (Bytes::from(key.clone().into_bytes()), entry.meta.clone())),
-        )
+        pulling(self.entries_sorted())
     }
 
     /// The serving half of an anti-entropy contact: metadata plus the
     /// encoded value for every tracked key, ready to answer any puller.
     /// The serving store is never modified by a contact.
     pub fn server_endpoint(&self) -> BatchPullServer {
-        BatchPullServer::new(self.entries_sorted().into_iter().map(|(key, entry)| {
-            (
-                Bytes::from(key.clone().into_bytes()),
-                entry.meta.clone(),
-                encode_value(&entry.value),
-            )
-        }))
-    }
-
-    /// Marks which plan-shard indices are wanted, as a dense bitmap.
-    fn shard_mask(shards: &[u64], count: usize) -> Vec<bool> {
-        let mut mask = vec![false; count];
-        for &shard in shards {
-            if (shard as usize) < count {
-                mask[shard as usize] = true;
-            }
-        }
-        mask
+        serving(self.entries_sorted())
     }
 
     /// [`client_endpoint`](Self::client_endpoint) restricted to the
@@ -507,13 +498,7 @@ impl KvStore {
     /// sorted order, so stream-id assignment (and therefore the whole
     /// framed exchange) is independent of the local shard layout.
     pub fn client_endpoint_for(&self, shards: &[u64], count: usize) -> BatchPullClient {
-        let mask = Self::shard_mask(shards, count);
-        BatchPullClient::new(
-            self.entries_sorted()
-                .into_iter()
-                .filter(|(key, _)| mask[shard_index(key, count)])
-                .map(|(key, entry)| (Bytes::from(key.clone().into_bytes()), entry.meta.clone())),
-        )
+        pulling(self.entries_in(shards, count))
     }
 
     /// [`server_endpoint`](Self::server_endpoint) restricted to the
@@ -522,19 +507,7 @@ impl KvStore {
     /// keys inside the planned shards, so clean shards cost zero
     /// object rounds.
     pub fn server_endpoint_for(&self, shards: &[u64], count: usize) -> BatchPullServer {
-        let mask = Self::shard_mask(shards, count);
-        BatchPullServer::new(
-            self.entries_sorted()
-                .into_iter()
-                .filter(|(key, _)| mask[shard_index(key, count)])
-                .map(|(key, entry)| {
-                    (
-                        Bytes::from(key.clone().into_bytes()),
-                        entry.meta.clone(),
-                        encode_value(&entry.value),
-                    )
-                }),
-        )
+        serving(self.entries_in(shards, count))
     }
 
     /// This store's per-shard digests at its physical shard count —
@@ -587,26 +560,7 @@ impl KvStore {
     /// [`encode_snapshot`](Self::encode_snapshot), without the site
     /// header — shard snapshots cross sites, so they carry no site id).
     pub fn encode_shard_snapshot(&self, shard: u64, count: usize) -> Bytes {
-        let entries: Vec<(&String, &Entry)> = self
-            .entries_sorted()
-            .into_iter()
-            .filter(|(key, _)| shard_index(key, count) == shard as usize)
-            .collect();
-        let mut buf = BytesMut::new();
-        wire::put_varint(&mut buf, entries.len() as u64);
-        for (key, entry) in entries {
-            wire::put_bytes(&mut buf, key.as_bytes());
-            let meta = entry.meta.encode_snapshot();
-            wire::put_bytes(&mut buf, &meta);
-            match &entry.value {
-                Some(v) => {
-                    buf.put_u8(1);
-                    wire::put_bytes(&mut buf, v);
-                }
-                None => buf.put_u8(0),
-            }
-        }
-        buf.freeze()
+        encode_shard_image(&self.entries_in(&[shard], count))
     }
 
     /// The serving half of the planner phase: folds this store's
@@ -628,25 +582,61 @@ impl KvStore {
             incremental: Vec::new(),
             snapshots: Vec::new(),
         };
+        let mut images: BTreeMap<usize, Vec<(&String, &Entry)>> = BTreeMap::new();
         for (shard, action) in actions.iter().enumerate() {
             match action {
                 ShardAction::Skip => {}
                 ShardAction::Incremental => plan.incremental.push(shard as u64),
-                ShardAction::Snapshot => plan.snapshots.push((
-                    shard as u64,
-                    self.encode_shard_snapshot(shard as u64, count),
-                )),
+                ShardAction::Snapshot => {
+                    images.insert(shard, Vec::new());
+                }
             }
         }
-        let endpoint = self.server_endpoint_for(&plan.incremental, count);
-        (plan, endpoint)
+        // One sorted walk over the shards the plan touches feeds every
+        // blob and the endpoint: bucketing keeps key order, so each
+        // image is what `encode_shard_snapshot` would sort out of the
+        // whole store for that shard alone.
+        let touched = |key: &str| actions[shard_index(key, count)] != ShardAction::Skip;
+        let mut incremental = Vec::new();
+        for (key, entry) in self.sorted_entries(touched) {
+            match images.get_mut(&shard_index(key, count)) {
+                Some(image) => image.push((key, entry)),
+                None => incremental.push((key, entry)),
+            }
+        }
+        plan.snapshots = images
+            .iter()
+            .map(|(&shard, image)| (shard as u64, encode_shard_image(image)))
+            .collect();
+        (plan, serving(incremental))
+    }
+
+    /// The serving side's answer to the first frame of a contact, as a
+    /// [`Serving`](optrep_replication::mux::Serving) source wants it:
+    /// [`plan_contact`](Self::plan_contact) for a puller that opened
+    /// with its digest vector, the full
+    /// [`server_endpoint`](Self::server_endpoint) for one that did not.
+    pub fn open_contact(
+        &self,
+        digests: Option<&DigestVector>,
+        config: &PlanConfig,
+    ) -> (Option<ShardPlan>, BatchPullServer) {
+        match digests {
+            Some(digests) => {
+                let (plan, endpoint) = self.plan_contact(digests, config);
+                (Some(plan), endpoint)
+            }
+            None => (None, self.server_endpoint()),
+        }
     }
 
     /// A *planned* in-process pull from `src`: the full planner path —
     /// digest exchange, per-shard [`decide`], restricted contact over
     /// the incremental shards, snapshot bulk-load of the rest — in one
-    /// call. This is the reference the TCP planner phase is tested
-    /// against, and what the benches mirror.
+    /// call: [`pull_planned`] over an in-process link whose far end is
+    /// `src`, so both planner frames cross the codec like every other
+    /// frame. The daemon's pull is the same three steps over a socket;
+    /// this is what it is tested against, and what the benches mirror.
     ///
     /// Returns the sync report and the contact report (planner counters
     /// filled in, planner bytes excluded from the four byte planes).
@@ -661,12 +651,11 @@ impl KvStore {
         config: &PlanConfig,
     ) -> Result<(KvSyncReport, ContactReport)> {
         let digests = self.shard_digest_vector();
-        let (plan, mut server) = src.plan_contact(&digests, config);
-        let digest_bytes = planner::digest_vector_frame(&digests).len() as u64
-            + planner::plan_frame(&plan).len() as u64;
-        let mut client = self.client_endpoint_for(&plan.incremental, plan.count as usize);
-        let mut contact = run_contact(&mut client, &mut server)?;
-        planner::account_plan(&mut contact, &plan, digest_bytes);
+        let mut far = |digests: Option<&DigestVector>| src.open_contact(digests, config);
+        let (client, plan, contact) =
+            pull_planned(&mut InProcessLink::serving(&mut far), &digests, |plan| {
+                self.client_endpoint_for(&plan.incremental, plan.count as usize)
+            })?;
         let (report, _) = self.apply_planned_tracked(resolver, client, &contact, &plan)?;
         Ok((report, contact))
     }
@@ -696,34 +685,19 @@ impl KvStore {
         client: BatchPullClient,
         contact: &ContactReport,
     ) -> Result<KvSyncReport> {
-        self.apply_contact_tracked(resolver, client, contact)
-            .map(|(report, _)| report)
+        let staged = Self::stage_contact(client)?;
+        Ok(self.commit_staged(resolver, staged, Vec::new(), contact).0)
     }
 
-    /// [`apply_contact`](Self::apply_contact), additionally returning
-    /// the keys the commit actually changed (created, fast-forwarded or
-    /// reconciled — clean keys are not listed). A daemon logging
-    /// committed mutations captures each changed key's post-state
+    /// [`apply_contact`](Self::apply_contact) for a *planned* contact:
+    /// commits the restricted contact's outcomes **and** the plan's
+    /// whole-shard snapshot blobs as one transaction, and carries the
+    /// planner counters into the report. Also returns the keys the
+    /// commit actually changed (created, fast-forwarded or reconciled —
+    /// clean keys are not listed): a daemon logging committed mutations
+    /// captures each changed key's post-state
     /// ([`encode_entry`](Self::encode_entry)) under the same lock as the
     /// commit, so one contact becomes one atomic log record.
-    ///
-    /// # Errors / Panics
-    ///
-    /// As [`apply_contact`](Self::apply_contact).
-    pub fn apply_contact_tracked(
-        &mut self,
-        resolver: &dyn Resolver,
-        client: BatchPullClient,
-        contact: &ContactReport,
-    ) -> Result<(KvSyncReport, Vec<String>)> {
-        let staged = Self::stage_contact(client)?;
-        Ok(self.commit_staged(resolver, staged, Vec::new(), contact))
-    }
-
-    /// [`apply_contact_tracked`](Self::apply_contact_tracked) for a
-    /// *planned* contact: commits the restricted contact's outcomes
-    /// **and** the plan's whole-shard snapshot blobs as one
-    /// transaction, and carries the planner counters into the report.
     ///
     /// Snapshot entries are decoded and validated before the first key
     /// is touched — each key must hash into its blob's claimed shard at
@@ -1076,98 +1050,28 @@ impl KvStore {
     }
 }
 
-/// Drives the framed contact of one [`SyncRequest`] — the transport
-/// seam. Implementations run the lockstep exchange between the two
-/// batch-pull endpoints and report the byte-accurate costs.
-pub trait Drive {
-    /// Runs the contact to completion (or failure).
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport and protocol errors; the store stays
-    /// untouched when this fails.
-    fn drive(
-        self,
-        client: &mut BatchPullClient,
-        server: &mut BatchPullServer,
-    ) -> Result<ContactReport>;
-}
-
-/// The default transport: a clean in-process lockstep contact
-/// ([`optrep_replication::mux::run_contact`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CleanDrive;
-
-impl Drive for CleanDrive {
-    fn drive(
-        self,
-        client: &mut BatchPullClient,
-        server: &mut BatchPullServer,
-    ) -> Result<ContactReport> {
-        run_contact(client, server)
-    }
-}
-
-/// A seeded faulty link drives the contact with injected frame loss
-/// and truncation ([`optrep_replication::mux::Faulted`]).
-impl Drive for &mut FaultyLink {
-    fn drive(
-        self,
-        client: &mut BatchPullClient,
-        server: &mut BatchPullServer,
-    ) -> Result<ContactReport> {
-        pull_contact(client, &mut Faulted::new(InProcessLink::new(server), self))
-    }
-}
-
-/// Adapter letting any closure over the two endpoints act as a
-/// [`Drive`] — the hook for tests that cut the link mid-contact or
-/// custom transports. Built by [`SyncRequest::via_fn`].
-pub struct FnDrive<F>(F);
-
-impl<F> std::fmt::Debug for FnDrive<F> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FnDrive").finish_non_exhaustive()
-    }
-}
-
-impl<F> Drive for FnDrive<F>
-where
-    F: FnOnce(&mut BatchPullClient, &mut BatchPullServer) -> Result<ContactReport>,
-{
-    fn drive(
-        self,
-        client: &mut BatchPullClient,
-        server: &mut BatchPullServer,
-    ) -> Result<ContactReport> {
-        (self.0)(client, server)
-    }
-}
-
 /// A configured anti-entropy pull, built by [`KvStore::sync`]. Chain
-/// the `with_*`/`via*` builders, then [`run()`](Self::run) executes the
-/// contact; dropping the request without running it does nothing.
+/// the builders, then [`run()`](Self::run) executes the contact;
+/// dropping the request without running it does nothing.
 #[must_use = "a sync request does nothing until `run()`"]
-pub struct SyncRequest<'a, D = CleanDrive> {
+pub struct SyncRequest<'a> {
     store: &'a mut KvStore,
     src: &'a KvStore,
     resolver: &'a dyn Resolver,
-    opts: SyncOptions,
-    drive: D,
+    faults: Option<&'a mut FaultyLink>,
 }
 
-impl<D: std::fmt::Debug> std::fmt::Debug for SyncRequest<'_, D> {
+impl std::fmt::Debug for SyncRequest<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SyncRequest")
             .field("dst", &self.store.site)
             .field("src", &self.src.site)
-            .field("opts", &self.opts)
-            .field("drive", &self.drive)
+            .field("faults", &self.faults)
             .finish_non_exhaustive()
     }
 }
 
-impl<'a, D: Drive> SyncRequest<'a, D> {
+impl<'a> SyncRequest<'a> {
     /// Resolves concurrent writes with `resolver` instead of the default
     /// [`JoinResolver`].
     pub fn with_resolver(mut self, resolver: &'a dyn Resolver) -> Self {
@@ -1175,44 +1079,20 @@ impl<'a, D: Drive> SyncRequest<'a, D> {
         self
     }
 
-    /// Sets explicit transfer options. The contact engine always
-    /// pipelines (§3.1); the options are kept for signature stability
-    /// and future latency-aware transports.
-    pub fn with_opts(mut self, opts: SyncOptions) -> Self {
-        self.opts = opts;
+    /// Puts the in-process link under `faults`' weather — injected
+    /// frame loss, truncation and cuts
+    /// ([`optrep_replication::mux::Faulted`]).
+    pub fn via(mut self, faults: &'a mut FaultyLink) -> Self {
+        self.faults = Some(faults);
         self
-    }
-
-    /// Drives the contact over `drive` instead of the clean in-process
-    /// transport — e.g. a seeded
-    /// [`FaultyLink`] for fault
-    /// injection.
-    pub fn via<D2: Drive>(self, drive: D2) -> SyncRequest<'a, D2> {
-        SyncRequest {
-            store: self.store,
-            src: self.src,
-            resolver: self.resolver,
-            opts: self.opts,
-            drive,
-        }
-    }
-
-    /// Drives the contact with an arbitrary closure over the two
-    /// batch-pull endpoints — the hook for tests that kill the link
-    /// mid-contact and for custom transports.
-    pub fn via_fn<F>(self, run: F) -> SyncRequest<'a, FnDrive<F>>
-    where
-        F: FnOnce(&mut BatchPullClient, &mut BatchPullServer) -> Result<ContactReport>,
-    {
-        self.via(FnDrive(run))
     }
 
     /// Executes the pull. Application is transactional in both
     /// directions:
     ///
-    /// * If the drive fails (link death, stall, decode error) **nothing**
-    ///   happened: no key, no metadata, no counter moved. A clean
-    ///   follow-up sync picks up exactly where this one left off.
+    /// * If the contact fails (link death, stall, decode error)
+    ///   **nothing** happened: no key, no metadata, no counter moved. A
+    ///   clean follow-up sync picks up exactly where this one left off.
     /// * If it completes, every outcome is decoded and validated into a
     ///   staging list *before* the first key is touched, so a corrupt
     ///   payload mid-batch also leaves the store byte-identical.
@@ -1223,9 +1103,55 @@ impl<'a, D: Drive> SyncRequest<'a, D> {
     pub fn run(self) -> Result<KvSyncReport> {
         let mut client = self.store.client_endpoint();
         let mut server = self.src.server_endpoint();
-        let contact = self.drive.drive(&mut client, &mut server)?;
+        let mut link = InProcessLink::new(&mut server);
+        let contact = match self.faults {
+            Some(faults) => pull_contact(&mut client, &mut Faulted::new(link, faults)),
+            None => pull_contact(&mut client, &mut link),
+        }?;
         self.store.apply_contact(self.resolver, client, &contact)
     }
+}
+
+/// A pulling endpoint over `entries`: one stream per key, carrying its
+/// current metadata.
+fn pulling(entries: Vec<(&String, &Entry)>) -> BatchPullClient {
+    BatchPullClient::new(
+        entries
+            .into_iter()
+            .map(|(key, entry)| (Bytes::from(key.clone().into_bytes()), entry.meta.clone())),
+    )
+}
+
+/// A serving endpoint over `entries`: metadata plus the encoded value
+/// per key.
+fn serving(entries: Vec<(&String, &Entry)>) -> BatchPullServer {
+    BatchPullServer::new(entries.into_iter().map(|(key, entry)| {
+        (
+            Bytes::from(key.clone().into_bytes()),
+            entry.meta.clone(),
+            encode_value(&entry.value),
+        )
+    }))
+}
+
+/// One shard's snapshot image over its (sorted) `entries`: the layout
+/// [`KvStore::encode_shard_snapshot`] documents.
+fn encode_shard_image(entries: &[(&String, &Entry)]) -> Bytes {
+    let mut buf = BytesMut::new();
+    wire::put_varint(&mut buf, entries.len() as u64);
+    for (key, entry) in entries {
+        wire::put_bytes(&mut buf, key.as_bytes());
+        let meta = entry.meta.encode_snapshot();
+        wire::put_bytes(&mut buf, &meta);
+        match &entry.value {
+            Some(v) => {
+                buf.put_u8(1);
+                wire::put_bytes(&mut buf, v);
+            }
+            None => buf.put_u8(0),
+        }
+    }
+    buf.freeze()
 }
 
 /// Wire form of a [`Value`]: `[0]` is a tombstone, `[1, bytes…]` a value —
@@ -1256,6 +1182,7 @@ fn decode_value(mut buf: Bytes) -> std::result::Result<Value, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use optrep_replication::mux::run_contact;
 
     fn s(i: u32) -> SiteId {
         SiteId::new(i)
@@ -1434,21 +1361,15 @@ mod tests {
         let snapshot = b.encode_snapshot();
         let stats = b.stats();
 
-        // The contact dies partway through: endpoints exchange some
-        // frames, then the link cuts. Nothing may be applied.
-        let err = b
-            .sync(&a)
-            .via_fn(|client, server| {
-                let hello = optrep_core::sync::Endpoint::poll_send(client).unwrap();
-                optrep_core::sync::Endpoint::on_receive(server, hello)?;
-                Err(optrep_core::Error::ConnectionLost { after_bytes: 17 })
-            })
-            .run()
-            .unwrap_err();
+        // The contact dies partway through: the hello crosses, then the
+        // link cuts inside the server's answer. Nothing may be applied.
+        let mut cut = FaultyLink::new(optrep_replication::FaultPlan::disconnect_at(40));
+        let err = b.sync(&a).via(&mut cut).run().unwrap_err();
         assert!(matches!(
             err,
-            optrep_core::Error::ConnectionLost { after_bytes: 17 }
+            optrep_core::Error::ConnectionLost { after_bytes: 40 }
         ));
+        assert!(cut.stats().frames_delivered >= 1, "the hello crossed");
         assert_eq!(b.encode_snapshot(), snapshot, "store must be untouched");
         assert_eq!(b.stats(), stats, "no costs recorded for an aborted sync");
 
@@ -1554,7 +1475,7 @@ mod tests {
     }
 
     #[test]
-    fn apply_contact_tracked_names_exactly_the_changed_keys() {
+    fn apply_planned_tracked_names_exactly_the_changed_keys() {
         let mut a = KvStore::new(s(0));
         let mut b = KvStore::new(s(1));
         a.put("both", "base");
@@ -1565,8 +1486,9 @@ mod tests {
         let mut client = b.client_endpoint();
         let mut server = a.server_endpoint();
         let contact = run_contact(&mut client, &mut server).unwrap();
+        let unplanned = ShardPlan::default();
         let (report, mut changed) = b
-            .apply_contact_tracked(&JoinResolver, client, &contact)
+            .apply_planned_tracked(&JoinResolver, client, &contact, &unplanned)
             .unwrap();
         changed.sort();
         assert_eq!(changed, vec!["both".to_string(), "created".to_string()]);
@@ -1578,7 +1500,7 @@ mod tests {
         let contact = run_contact(&mut client, &mut server).unwrap();
         let before = b.generation();
         let (_, changed) = b
-            .apply_contact_tracked(&JoinResolver, client, &contact)
+            .apply_planned_tracked(&JoinResolver, client, &contact, &unplanned)
             .unwrap();
         assert!(changed.is_empty());
         assert_eq!(b.generation(), before);
@@ -1723,6 +1645,34 @@ mod tests {
         // Tombstones survive the bulk load.
         assert_eq!(dst.get("key-11"), None);
         assert!(dst.meta("key-11").is_some());
+    }
+
+    #[test]
+    fn one_walk_plan_matches_the_per_shard_builders() {
+        let mut src = KvStore::with_shards(s(0), 8);
+        for i in 0..120 {
+            src.put(format!("key-{i}"), format!("v{i}"));
+        }
+        src.delete("key-17");
+        // Plan counts below, equal to and above the physical count; a
+        // puller holding one stale key has incremental shards too.
+        for count in [2usize, 8, 32] {
+            let mut dst = KvStore::with_shards(s(1), count);
+            dst.put("key-3", "stale");
+            let digests = dst.shard_digest_vector();
+            let (plan, endpoint) = src.plan_contact(&digests, &PlanConfig::default());
+            assert_eq!(plan.incremental.len(), 1, "{count} shards");
+            assert!(!plan.snapshots.is_empty(), "{count} shards");
+            for (shard, blob) in &plan.snapshots {
+                assert_eq!(
+                    *blob,
+                    src.encode_shard_snapshot(*shard, count),
+                    "shard {shard} of {count}"
+                );
+            }
+            let reference = src.server_endpoint_for(&plan.incremental, count);
+            assert_eq!(format!("{endpoint:?}"), format!("{reference:?}"));
+        }
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //!
 //! One [`ContactOptions`] value configures a round: the transport
 //! ([`Transport::Direct`] per-object sessions, [`Transport::Mux`] framed
-//! multi-object contacts in-process, [`Transport::Tcp`] the same
-//! contacts over loopback sockets), an optional [`FaultPlan`], the
+//! multi-object contacts), an optional [`FaultPlan`], the
 //! [`RetryPolicy`], the worker count, and a simulated per-round-trip
-//! link latency.
+//! link latency. The cluster simulator stays in-process; real sockets
+//! are the daemon's job (`optrep-server`, bench `e12`).
 //!
 //! Engine contacts are always *full* (unplanned) contacts: every hosted
 //! object runs its session. The shard-digest planning turn that makes
@@ -63,7 +63,7 @@ use crate::gossip::{
     PeerHealth, RetryPolicy, RoundReport,
 };
 use crate::meta::ReplicaMeta;
-use crate::mux::{pull_contact, serve_contact, BatchPullServer, Faulted, InProcessLink};
+use crate::mux::{pull_contact, Faulted, InProcessLink};
 use crate::object::ObjectId;
 use crate::payload::{ReplicaPayload, WirePayload};
 use crate::reconcile::Reconciler;
@@ -72,11 +72,11 @@ use crate::site::Site;
 use optrep_core::obs::{self, CounterSink};
 use optrep_core::sync::SyncOptions;
 use optrep_core::{obs_emit, Error, Result, SiteId, Srv};
-use optrep_net::{mix_seed, ConnectOptions, FaultPlan, FaultStats, FaultyLink, TcpLink};
+use optrep_net::{mix_seed, FaultPlan, FaultStats, FaultyLink};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// How the bytes of one contact travel between the paired sites.
@@ -91,13 +91,6 @@ pub enum Transport {
     /// (the `contact` path). SRV metadata only; this is the transport
     /// fault plans inject into.
     Mux,
-    /// The framed contact over a real loopback TCP connection
-    /// ([`optrep_net::TcpLink`]): the source endpoint is served from a
-    /// listener thread while the destination dials and pulls. Runs the
-    /// same half-duplex lockstep as [`Transport::Mux`], so byte totals
-    /// *are* deterministic and identical to the in-process contact —
-    /// only wall-clock differs. SRV metadata only.
-    Tcp,
 }
 
 /// Everything one gossip round needs to know about how to run its
@@ -161,12 +154,6 @@ impl ContactOptions {
         Self::new(Transport::Mux)
     }
 
-    /// The framed contact over a real loopback TCP connection (SRV
-    /// metadata only); byte-identical to [`Self::mux`].
-    pub fn tcp() -> Self {
-        Self::new(Transport::Tcp)
-    }
-
     /// Restricts the round to `object` ([`Transport::Direct`] only).
     pub fn with_object(mut self, object: ObjectId) -> Self {
         self.object = Some(object);
@@ -225,8 +212,8 @@ pub enum Attempt {
 /// Implemented for every scheme in the crate: BRV/CRV and the full-vector
 /// baseline support [`Transport::Direct`] only (per-object sessions),
 /// while [`Srv`] additionally drives the framed mux transport — with
-/// optional fault injection — in-process and over loopback TCP,
-/// because only SRV metadata embeds in the batched `SYNCS` engine
+/// optional fault injection — because only SRV metadata embeds in the
+/// batched `SYNCS` engine
 /// ([`crate::protocol::supports_session`]).
 pub trait ContactScheme<P: ReplicaPayload>: ReplicaMeta + Sized {
     /// Runs one contact attempt pulling `src_site` into `dst_site` and
@@ -335,7 +322,6 @@ impl<P: WirePayload> ContactScheme<P> for Srv {
                 drive_direct(opts, dst_site, src_site, reconciler, sync_opts, stats)
             }
             Transport::Mux => drive_mux(env, opts, dst_site, src_site, reconciler, stats),
-            Transport::Tcp => drive_tcp(env, opts, dst_site, src_site, reconciler, stats),
         }
     }
 }
@@ -382,198 +368,6 @@ fn drive_mux<P: WirePayload>(
                 env.dst
             );
             Ok(Attempt::Aborted { error, fault })
-        }
-    }
-}
-
-/// One contact's work order for a [`TcpLane`]'s serving thread: a fresh
-/// source-side endpoint snapshot plus the caller's obs sinks (shared
-/// `Arc`s, re-installed per contact, as the wave workers do).
-struct TcpLaneJob {
-    server: BatchPullServer,
-    sinks: Vec<Arc<dyn obs::Sink>>,
-}
-
-/// A persistent loopback TCP connection for one ordered `(dst, src)`
-/// pair: the pulling side's [`TcpLink`] plus a serving thread holding
-/// the accepted end, serving one contact per [`TcpLaneJob`].
-///
-/// Lanes live in a process-wide registry ([`tcp_lanes`]) keyed by the
-/// pair's site indices and are checked out for the duration of a
-/// contact — the same persistent-connection regime the daemon's
-/// `ConnPool` runs, so repeated gossip rounds over the same pairing
-/// reuse one socket pair instead of binding a listener and dialing per
-/// contact. Between contacts the serving thread blocks on its job
-/// channel, not the socket, so idle lanes never time out. A lane whose
-/// contact fails is simply dropped: the serving thread errors out of
-/// the broken exchange and exits, and the engine's existing retry
-/// machinery opens a fresh lane on the next attempt.
-struct TcpLane {
-    link: TcpLink,
-    jobs: std::sync::mpsc::Sender<TcpLaneJob>,
-    done: std::sync::mpsc::Receiver<Result<()>>,
-}
-
-impl TcpLane {
-    /// Binds an ephemeral loopback listener, spawns the serving thread,
-    /// and dials it.
-    ///
-    /// # Errors
-    ///
-    /// Bind/addr failures are environmental (no loopback?) and surface
-    /// as [`Error::UnexpectedMessage`]; dial failures surface as link
-    /// weather ([`Error::ConnectionLost`]) for the caller to abort on.
-    fn open(opts: &ConnectOptions) -> Result<TcpLane> {
-        let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).map_err(|e| {
-            Error::UnexpectedMessage {
-                protocol: "engine",
-                message: format!("cannot bind loopback listener: {e}"),
-            }
-        })?;
-        let addr = listener
-            .local_addr()
-            .map_err(|e| Error::UnexpectedMessage {
-                protocol: "engine",
-                message: format!("loopback listener has no address: {e}"),
-            })?;
-        let (jobs, jobs_rx) = std::sync::mpsc::channel::<TcpLaneJob>();
-        let (done_tx, done) = std::sync::mpsc::channel::<Result<()>>();
-        let conn_opts = *opts;
-        std::thread::spawn(move || {
-            let Ok((stream, _)) = listener.accept() else {
-                return;
-            };
-            let Ok(mut link) = TcpLink::from_stream(stream, &conn_opts) else {
-                return;
-            };
-            while let Ok(mut job) = jobs_rx.recv() {
-                let served = obs::with_all(job.sinks, || serve_contact(&mut job.server, &mut link));
-                let broken = served.is_err();
-                if done_tx.send(served).is_err() || broken {
-                    return;
-                }
-            }
-        });
-        let link = TcpLink::connect(addr, opts)?;
-        Ok(TcpLane { link, jobs, done })
-    }
-}
-
-/// The process-wide lane registry. Lanes hold only sockets and threads
-/// — never replica state (each contact ships a fresh endpoint snapshot)
-/// — so reuse across clusters or tests that happen to share site
-/// indices is harmless.
-fn tcp_lanes() -> &'static Mutex<std::collections::HashMap<(u32, u32), TcpLane>> {
-    static LANES: std::sync::OnceLock<Mutex<std::collections::HashMap<(u32, u32), TcpLane>>> =
-        std::sync::OnceLock::new();
-    LANES.get_or_init(|| Mutex::new(std::collections::HashMap::new()))
-}
-
-/// One framed lockstep contact over the pair's persistent loopback TCP
-/// connection ([`TcpLane`]).
-///
-/// Both halves are the same deterministic state machines the in-process
-/// runner drives in the same lockstep regime, so the committed
-/// [`ContactReport`] is byte-identical to [`Transport::Mux`] — `e11`
-/// and `e12` measure exactly this overhead-without-byte-drift property.
-/// The contact scope and both directions' frame events are emitted by
-/// the pulling side; server-side session events reach the caller's
-/// aggregators through the sinks shipped with the job.
-///
-/// A link failure (dial failure after retries, timeout, dropped
-/// connection) surfaces as [`Attempt::Aborted`] with the destination
-/// site untouched — same contract as the fault-injected path — and
-/// tears down the lane so the retry dials fresh.
-fn drive_tcp<P: WirePayload>(
-    env: &ContactEnv,
-    opts: &ContactOptions,
-    dst_site: &mut Site<Srv, P>,
-    src_site: &Site<Srv, P>,
-    reconciler: &dyn Reconciler<P>,
-    stats: &CounterSink,
-) -> Result<Attempt> {
-    if opts.fault.is_some() {
-        return Err(Error::UnexpectedMessage {
-            protocol: "engine",
-            message: "fault plans inject into the in-process framed driver; \
-                      use Transport::Mux for fault injection"
-                .to_string(),
-        });
-    }
-    let (mut client, server) = make_endpoints(dst_site, src_site);
-    let key = (env.dst.index(), env.src.index());
-    // Check the pair's lane out of the registry (same-wave contacts are
-    // site-disjoint, so nothing else holds it); open one on first use.
-    let checked_out = {
-        let mut map = match tcp_lanes().lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        map.remove(&key)
-    };
-    let mut lane = match checked_out {
-        Some(lane) => lane,
-        None => match TcpLane::open(&ConnectOptions::new()) {
-            Ok(lane) => lane,
-            Err(e @ Error::UnexpectedMessage { .. }) => return Err(e),
-            Err(error) => {
-                return Ok(Attempt::Aborted {
-                    error,
-                    fault: FaultStats::default(),
-                })
-            }
-        },
-    };
-    #[cfg(debug_assertions)]
-    let digest_before = digest_site(dst_site);
-    let pulled = lane
-        .jobs
-        .send(TcpLaneJob {
-            server,
-            sinks: obs::installed(),
-        })
-        .map_err(|_| Error::PeerFailed {
-            protocol: "tcp contact",
-        })
-        .and_then(|()| pull_contact(&mut client, &mut lane.link));
-    match pulled {
-        Ok(report) => {
-            // The pull completing implies the server answered the final
-            // marker, so this recv is immediate.
-            let served = lane.done.recv().map_err(|_| Error::PeerFailed {
-                protocol: "tcp contact",
-            });
-            debug_assert!(
-                matches!(served, Ok(Ok(()))),
-                "client completed but server failed: {served:?}"
-            );
-            if matches!(served, Ok(Ok(()))) {
-                let mut map = match tcp_lanes().lock() {
-                    Ok(guard) => guard,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-                map.insert(key, lane);
-            }
-            apply_contact_site(dst_site, env.dst, reconciler, stats, client, &report)?;
-            Ok(Attempt::Committed {
-                round_trips: report.round_trips,
-                fault: FaultStats::default(),
-            })
-        }
-        Err(error) => {
-            // Dropping the lane closes our end; the serving thread
-            // errors out of the broken contact and exits.
-            #[cfg(debug_assertions)]
-            debug_assert_eq!(
-                digest_site(dst_site),
-                digest_before,
-                "aborted contact mutated {}",
-                env.dst
-            );
-            Ok(Attempt::Aborted {
-                error,
-                fault: FaultStats::default(),
-            })
         }
     }
 }
@@ -998,29 +792,6 @@ mod tests {
                 "byte counters must not depend on the worker count"
             );
         }
-    }
-
-    #[test]
-    fn tcp_transport_is_byte_identical_to_mux() {
-        let mut in_process = seeded_cluster(6, 4);
-        let mut over_tcp = in_process.clone();
-        let mut rng_a = StdRng::seed_from_u64(0x7C9);
-        let mut rng_b = StdRng::seed_from_u64(0x7C9);
-        let (rounds_a, reports_a) = in_process
-            .converge_with(&mut rng_a, &ContactOptions::mux(), 100)
-            .unwrap();
-        let (rounds_b, reports_b) = over_tcp
-            .converge_with(&mut rng_b, &ContactOptions::tcp(), 100)
-            .unwrap();
-        assert!(rounds_a.is_some(), "mux cluster converged");
-        assert_eq!(rounds_a, rounds_b);
-        assert_eq!(reports_a, reports_b, "per-round reports must match");
-        assert_eq!(all_digests(&in_process), all_digests(&over_tcp));
-        assert_eq!(
-            in_process.stats().counters,
-            over_tcp.stats().counters,
-            "real sockets must not change a single accounted byte"
-        );
     }
 
     #[test]

@@ -26,6 +26,7 @@
 //! trips instead of `Ω(n)`, with per-object `Δ`/`Γ`/`γ` accounting
 //! identical to the single-object path.
 
+use crate::planner::{digest_vector_frame, plan_frame, DigestVector, ShardPlan, TAG_SHARD_DIGESTS};
 use crate::protocol::{
     get_opt_elem, opt_elem_len, put_opt_elem, PullClient, PullOutcome, PullServer, SessionMsg,
 };
@@ -975,7 +976,10 @@ pub struct ContactReport {
     /// request a state transfer — the streams progress concurrently, so
     /// their `PayloadRequest`s overlap into a single extra round trip.
     /// Fire-and-forget frames (`BatchDone`, `SKIP`, speculative `SYNCS`
-    /// elements) add none.
+    /// elements) add none. A planned pull's digest/plan turn blocks too
+    /// but is **not** counted here: the field has priced the object
+    /// exchange alone since the planner landed, and counting the turn
+    /// is a behaviour change for its own issue.
     pub round_trips: u64,
     /// Comparison bytes: the per-stream first elements, verdict flags and
     /// coalesced `Done`s carried by the control stream (Algorithm 1's
@@ -1005,7 +1009,11 @@ pub struct ContactReport {
     /// Shards transferred as whole-shard snapshots.
     pub shards_snapshot: u64,
     /// Bytes of the planner exchange (digest-vector frame + plan frame,
-    /// snapshot blobs included; turn markers excluded).
+    /// snapshot blobs included; turn markers excluded) — the fifth
+    /// plane, priced by [`Puller`]'s planning state. The two planner
+    /// frames emit no `FrameTx` event: the obs contact scope opens with
+    /// the object exchange, and widening it is a behaviour change for
+    /// its own issue.
     pub digest_bytes: u64,
 }
 
@@ -1144,9 +1152,23 @@ const STALLED: Error = Error::Incomplete {
     protocol: "mux contact",
 };
 
+/// A violation of the planning turn's frame discipline, either side.
+fn planning_violation(message: String) -> Error {
+    Error::UnexpectedMessage {
+        protocol: "sync planner",
+        message,
+    }
+}
+
 /// Where a [`Puller`] is in its contact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PullPhase {
+    /// A planned contact's first state: the digest vector is out; one
+    /// [`ShardPlan`] frame at its shard count, then the server's turn
+    /// marker, is due back.
+    Planning { shards: u64 },
+    /// The plan is in; [`Puller::exchange`] starts the exchange.
+    Planned,
     /// Trading bursts for single answers, turn by turn.
     Exchanging,
     /// The client completed and FIN'd; absorbing the server's tail.
@@ -1156,8 +1178,13 @@ enum PullPhase {
 }
 
 /// The pulling half of a contact as a push-style step machine — the
-/// counterpart of [`serve_frame`], and the only place a contact is
-/// priced.
+/// counterpart of [`Serving`], and the only place a contact is priced.
+///
+/// A *planned* contact ([`open_planned`](Self::open_planned)) starts
+/// one turn earlier: the puller sends its [`DigestVector`], the server
+/// answers one [`ShardPlan`] ([`take_plan`](Self::take_plan)), and the
+/// caller continues with a client restricted to the plan's incremental
+/// shards ([`exchange`](Self::exchange)).
 ///
 /// The exchange is half-duplex lockstep: the client flushes a whole
 /// burst and passes the turn with a [`TURN_STREAM`] marker; the server
@@ -1167,16 +1194,20 @@ enum PullPhase {
 /// When the client completes it sends a FIN marker and absorbs the
 /// server's remaining frames until the server's FIN.
 ///
-/// The machine does no I/O. [`open`](Self::open) and
-/// [`on_frame`](Self::on_frame) append what the puller has to say to a
-/// byte buffer — a burst always ends in its marker, so flushing the
-/// buffer in one write keeps a burst one syscall — and every frame in
-/// either direction passes through [`tally`](Self::tally). The serving
-/// side emits nothing, so the puller's trace alone satisfies
-/// per-contact byte conservation (`tables --check-jsonl`).
+/// The machine does no I/O. The `open*` constructors,
+/// [`exchange`](Self::exchange) and [`on_frame`](Self::on_frame) append
+/// what the puller has to say to a byte buffer — a burst always ends in
+/// its marker, so flushing the buffer in one write keeps a burst one
+/// syscall — and every frame of the exchange, in either direction,
+/// passes through [`tally`](Self::tally). The serving side emits
+/// nothing, so the puller's trace alone satisfies per-contact byte
+/// conservation (`tables --check-jsonl`).
 #[derive(Debug)]
 pub struct Puller<'a> {
-    client: &'a mut BatchPullClient,
+    /// `None` while a planned contact plans.
+    client: Option<&'a mut BatchPullClient>,
+    /// The server's plan, until [`take_plan`](Self::take_plan).
+    plan: Option<ShardPlan>,
     contact: u64,
     report: ContactReport,
     /// Round trips are the blocking dependency depth, not the burst
@@ -1190,20 +1221,63 @@ pub struct Puller<'a> {
 }
 
 impl<'a> Puller<'a> {
-    /// Starts the contact: writes the opening burst (`BatchHello` plus
-    /// its marker) to `out`. `contact` is the obs contact id stamped on
-    /// every frame event (0 when nothing listens).
-    pub fn open(client: &'a mut BatchPullClient, contact: u64, out: &mut BytesMut) -> Self {
-        let mut puller = Puller {
-            client,
-            contact,
+    fn in_phase(phase: PullPhase) -> Self {
+        Puller {
+            client: None,
+            plan: None,
+            contact: 0,
             report: ContactReport::default(),
             payload_requested: false,
             moved: false,
-            phase: PullPhase::Exchanging,
-        };
-        puller.burst(out);
+            phase,
+        }
+    }
+
+    /// Starts an unplanned contact: writes the opening burst
+    /// (`BatchHello` plus its marker) to `out`. `contact` is the obs
+    /// contact id stamped on every frame event (0 when nothing listens).
+    pub fn open(client: &'a mut BatchPullClient, contact: u64, out: &mut BytesMut) -> Self {
+        let mut puller = Self::in_phase(PullPhase::Planned);
+        puller.exchange(client, contact, out);
         puller
+    }
+
+    /// Starts a planned contact: writes the digest-vector frame plus a
+    /// turn marker to `out` as one burst and waits for the plan.
+    pub fn open_planned(digests: &DigestVector, out: &mut BytesMut) -> Self {
+        let mut puller = Self::in_phase(PullPhase::Planning {
+            shards: digests.shards.len() as u64,
+        });
+        let frame = digest_vector_frame(digests);
+        puller.report.digest_bytes = frame.len() as u64;
+        out.extend_from_slice(&frame);
+        put_marker(out, false);
+        puller
+    }
+
+    /// The server's plan, handed out once, when the planning turn has
+    /// completed.
+    pub fn take_plan(&mut self) -> Option<ShardPlan> {
+        self.plan.take_if(|_| self.phase == PullPhase::Planned)
+    }
+
+    /// Begins the object exchange of a planned contact with the
+    /// restricted `client`: writes `BatchHello` plus its marker to
+    /// `out`. `contact` as for [`open`](Self::open).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the planning turn has just completed.
+    pub fn exchange(&mut self, client: &'a mut BatchPullClient, contact: u64, out: &mut BytesMut) {
+        assert_eq!(self.phase, PullPhase::Planned, "no plan to exchange under");
+        self.client = Some(client);
+        self.contact = contact;
+        self.phase = PullPhase::Exchanging;
+        self.burst(out);
+    }
+
+    fn client(&mut self) -> &mut BatchPullClient {
+        self.client.as_deref_mut().expect("the exchange has begun")
     }
 
     /// Prices one frame: byte planes, the frame event, and the §3.1
@@ -1231,12 +1305,12 @@ impl<'a> Puller<'a> {
     /// the marker: FIN once the client is done, a turn otherwise.
     fn burst(&mut self, out: &mut BytesMut) {
         self.moved = false;
-        while let Some(framed) = self.client.poll_send() {
+        while let Some(framed) = self.client().poll_send() {
             self.tally(&framed, true);
             framed.encode(out);
             self.moved = true;
         }
-        let fin = self.client.is_done();
+        let fin = self.client().is_done();
         if fin {
             // Completion is permanent: late frames for finished streams
             // are tolerated, never answered.
@@ -1245,32 +1319,79 @@ impl<'a> Puller<'a> {
         put_marker(out, fin);
     }
 
+    /// The planning state's step: prices and keeps the one plan frame,
+    /// and leaves the state on the server's turn marker.
+    fn on_planning_frame(&mut self, frame: wire::Frame, shards: u64) -> Result<()> {
+        if frame.stream == TURN_STREAM {
+            if marker_fin(&frame)? || self.plan.is_none() {
+                // The server FIN'd, or passed the turn empty-handed.
+                return Err(Error::Incomplete {
+                    protocol: "sync planner",
+                });
+            }
+            self.phase = PullPhase::Planned;
+            return Ok(());
+        }
+        if self.plan.is_some() || frame.stream != CONTROL_STREAM {
+            return Err(planning_violation(format!(
+                "unexpected frame on stream {}",
+                frame.stream
+            )));
+        }
+        self.report.digest_bytes +=
+            wire::Frame::encoded_len(frame.stream, frame.payload.len()) as u64;
+        let mut payload = frame.payload;
+        let plan = ShardPlan::decode(&mut payload)?;
+        if plan.count != shards {
+            // Both restricted endpoints are cut at the plan's count:
+            // any other than the digests' is a different shard map.
+            return Err(planning_violation(format!(
+                "plan at {} shards answers {shards} digests",
+                plan.count
+            )));
+        }
+        self.report.shards_total = plan.count;
+        self.report.shards_skipped = plan.skipped();
+        self.report.shards_incremental = plan.incremental.len() as u64;
+        self.report.shards_snapshot = plan.snapshots.len() as u64;
+        self.plan = Some(plan);
+        Ok(())
+    }
+
     /// Advances the contact by one received frame, appending the next
     /// burst to `out` when the frame hands the turn back. Yields the
     /// report on the server's FIN.
     ///
     /// # Errors
     ///
-    /// Decode errors and protocol violations; [`Error::Incomplete`] if
-    /// a whole exchange moved no frame in either direction, or the
-    /// server FINs while the client still expects traffic. Any error
-    /// poisons the connection.
+    /// Decode errors and protocol violations — in the planning state
+    /// anything but one plan frame (at the digest vector's shard count,
+    /// on the control stream) followed by a turn marker;
+    /// [`Error::Incomplete`] if a whole exchange moved no frame in
+    /// either direction, or the server FINs while the client still
+    /// expects traffic. Any error poisons the connection.
     pub fn on_frame(
         &mut self,
         frame: wire::Frame,
         out: &mut BytesMut,
     ) -> Result<Option<ContactReport>> {
-        if self.phase == PullPhase::Finished {
-            return Err(Error::UnexpectedMessage {
-                protocol: "mux",
-                message: "frame after the contact ended".into(),
-            });
+        match self.phase {
+            PullPhase::Planning { shards } => {
+                return self.on_planning_frame(frame, shards).map(|()| None)
+            }
+            PullPhase::Planned | PullPhase::Finished => {
+                return Err(Error::UnexpectedMessage {
+                    protocol: "mux",
+                    message: "frame outside the exchange".into(),
+                });
+            }
+            PullPhase::Exchanging | PullPhase::Draining => {}
         }
         if frame.stream != TURN_STREAM {
             let framed = decode_frame_msg(frame)?;
             self.tally(&framed, false);
             self.moved = true;
-            self.client.on_receive(framed)?;
+            self.client().on_receive(framed)?;
             return Ok(None);
         }
         match (self.phase, marker_fin(&frame)?) {
@@ -1290,10 +1411,50 @@ impl<'a> Puller<'a> {
     }
 }
 
-/// Drives the pulling half of one contact over `link` — the one
+/// One turn of the blocking pump around [`Puller`]: flushes what the
+/// machine wrote, then feeds it the next frame off `link`.
+fn pump<L: FrameLink>(
+    puller: &mut Puller<'_>,
+    link: &mut L,
+    out: &mut BytesMut,
+) -> Result<Option<ContactReport>> {
+    if !out.is_empty() {
+        link.send_bytes(out)?;
+        out.clear();
+    }
+    puller.on_frame(link.recv_frame()?, out)
+}
+
+/// Pumps the object exchange to its report, closing `scope` with it —
+/// or, on any error, FINs the link and aborts the scope.
+fn pump_exchange<L: FrameLink>(
+    puller: &mut Puller<'_>,
+    link: &mut L,
+    out: &mut BytesMut,
+    scope: obs::ContactScope,
+) -> Result<ContactReport> {
+    let mut exchange = || loop {
+        if let Some(report) = pump(puller, link, out)? {
+            return Ok(report);
+        }
+    };
+    match exchange() {
+        Ok(report) => {
+            scope.close(report.round_trips, report.totals());
+            Ok(report)
+        }
+        Err(e) => {
+            link.fin();
+            scope.abort(reason_label(&e));
+            Err(e)
+        }
+    }
+}
+
+/// Drives the pulling half of one unplanned contact over `link` — the
 /// blocking pump around [`Puller`]; every transport is a [`FrameLink`]
-/// handed to it. The far half is [`serve_contact`], or a daemon's
-/// reactor feeding [`serve_frame`].
+/// handed to it. The far half is [`serve_contact`] / [`serve_from`], or
+/// a daemon's reactor feeding [`Serving`].
 ///
 /// The link stays open on success: both endpoints finish at a clean
 /// frame boundary (each has consumed the other's FIN *marker*), so the
@@ -1318,26 +1479,50 @@ pub fn pull_contact<L: FrameLink>(
     let scope = obs::contact_scope(client.streams.len() as u64);
     let mut out = BytesMut::new();
     let mut puller = Puller::open(client, scope.id(), &mut out);
-    let mut pump = || loop {
-        if !out.is_empty() {
-            link.send_bytes(&out)?;
-            out.clear();
+    pump_exchange(&mut puller, link, &mut out, scope)
+}
+
+/// Drives one *planned* pull over `link`, the digest/plan turn
+/// included: sends `digests`, takes the server's [`ShardPlan`], asks
+/// `endpoint` for the client restricted to the plan's incremental
+/// shards (a daemon takes its store lock in there), and runs the object
+/// exchange exactly as [`pull_contact`] does. Returns the finished
+/// client, the plan, and the report with the planner fields
+/// ([`ContactReport::digest_bytes`], `shards_*`) filled in — what
+/// `KvStore::apply_planned_tracked` commits.
+///
+/// The obs contact scope opens when the exchange begins, with the
+/// restricted client's stream count; the planning turn emits nothing.
+///
+/// # Errors
+///
+/// As [`pull_contact`]; a failure during the planning turn (no plan
+/// before the turn comes back, more than one frame, a FIN, a plan at
+/// the wrong shard count) FINs the link the same way, before any obs
+/// scope exists.
+pub fn pull_planned<L: FrameLink>(
+    link: &mut L,
+    digests: &DigestVector,
+    endpoint: impl FnOnce(&ShardPlan) -> BatchPullClient,
+) -> Result<(BatchPullClient, ShardPlan, ContactReport)> {
+    // Declared ahead of the machine that borrows it for the exchange.
+    let mut client;
+    let mut out = BytesMut::new();
+    let mut puller = Puller::open_planned(digests, &mut out);
+    let plan = loop {
+        if let Err(e) = pump(&mut puller, link, &mut out) {
+            link.fin();
+            return Err(e);
         }
-        if let Some(report) = puller.on_frame(link.recv_frame()?, &mut out)? {
-            return Ok(report);
+        if let Some(plan) = puller.take_plan() {
+            break plan;
         }
     };
-    match pump() {
-        Ok(report) => {
-            scope.close(report.round_trips, report.totals());
-            Ok(report)
-        }
-        Err(e) => {
-            link.fin();
-            scope.abort(reason_label(&e));
-            Err(e)
-        }
-    }
+    client = endpoint(&plan);
+    let scope = obs::contact_scope(client.streams.len() as u64);
+    puller.exchange(&mut client, scope.id(), &mut out);
+    let report = pump_exchange(&mut puller, link, &mut out, scope)?;
+    Ok((client, plan, report))
 }
 
 /// Drives one contact to completion in-process (zero-latency regime):
@@ -1353,10 +1538,33 @@ pub fn run_contact(
     pull_contact(client, &mut InProcessLink::new(server))
 }
 
-/// Serves the far half of one [`pull_contact`]: a thin blocking pump
-/// around [`serve_frame`], which holds the actual turn discipline.
-/// The link stays open on success, so a persistent connection serves
-/// the next contact with a fresh [`BatchPullServer`].
+/// The blocking pump around a serving step (`serve_frame` on one
+/// endpoint, or a [`Serving`] with its source): one frame in, whatever
+/// the step wrote out as one write, until the contact is done. On any
+/// error the link is FIN'd so the peer unblocks.
+fn serve_steps<L: FrameLink>(
+    link: &mut L,
+    mut step: impl FnMut(wire::Frame, &mut BytesMut) -> Result<ServeStep>,
+) -> Result<()> {
+    let mut out = BytesMut::new();
+    let mut serve = || loop {
+        let frame = link.recv_frame()?;
+        out.clear();
+        let step = step(frame, &mut out)?;
+        if !out.is_empty() {
+            link.send_bytes(&out)?;
+        }
+        if step == ServeStep::Done {
+            return Ok(());
+        }
+    };
+    serve().inspect_err(|_| link.fin())
+}
+
+/// Serves the far half of one [`pull_contact`] from a fixed endpoint:
+/// a thin blocking pump around [`serve_frame`], which holds the actual
+/// turn discipline. The link stays open on success, so a persistent
+/// connection serves the next contact with a fresh [`BatchPullServer`].
 ///
 /// The serving side opens **no** obs contact scope and emits no frame
 /// events — the puller accounts both directions. A serving daemon's own
@@ -1369,19 +1577,21 @@ pub fn run_contact(
 /// [`Error::Incomplete`] if the client FINs while streams are still
 /// open. On any error the link is FIN'd so the peer unblocks.
 pub fn serve_contact<L: FrameLink>(server: &mut BatchPullServer, link: &mut L) -> Result<()> {
-    let mut out = BytesMut::new();
-    let mut serve = || loop {
-        let frame = link.recv_frame()?;
-        out.clear();
-        let step = serve_frame(server, frame, &mut out)?;
-        if !out.is_empty() {
-            link.send_bytes(&out)?;
-        }
-        if step == ServeStep::Done {
-            return Ok(());
-        }
-    };
-    serve().inspect_err(|_| link.fin())
+    serve_steps(link, |frame, out| serve_frame(server, frame, out))
+}
+
+/// Serves the far half of one contact — planned ([`pull_planned`]) or
+/// not ([`pull_contact`]), the puller's first frame decides — with the
+/// endpoint taken from `source` at that first frame: the same pump as
+/// [`serve_contact`] around a [`Serving`].
+///
+/// # Errors
+///
+/// As [`serve_contact`], plus the planning turn's violations (see
+/// [`Serving::on_frame`]).
+pub fn serve_from<L: FrameLink>(source: &mut ContactSource<'_>, link: &mut L) -> Result<()> {
+    let mut serving = Serving::default();
+    serve_steps(link, |frame, out| serving.on_frame(frame, source, out))
 }
 
 /// What a [`serve_frame`] call concluded about the contact.
@@ -1454,11 +1664,99 @@ pub fn serve_frame(
     Ok(ServeStep::Continue)
 }
 
-/// The in-process transport: a [`FrameLink`] whose far end is a
-/// [`BatchPullServer`] stepped by [`serve_frame`] on the caller's own
-/// thread. Every frame still crosses the real codec — what the puller
-/// writes is parsed back into frames, what the server writes likewise —
-/// so an in-memory contact exercises the same bytes a socket carries.
+/// Where a [`Serving`] gets a contact's endpoint, asked once, at the
+/// contact's first frame: given the puller's digest vector it returns
+/// the plan and the endpoint restricted to it (a store builds both from
+/// one consistent view — `KvStore::open_contact`); given `None`, no
+/// plan and the full endpoint.
+pub type ContactSource<'a> =
+    dyn FnMut(Option<&DigestVector>) -> (Option<ShardPlan>, BatchPullServer) + 'a;
+
+/// The serving half of a connection, one frame at a time: the state in
+/// front of [`serve_frame`] that decides, at the *first frame of each
+/// contact*, which endpoint the contact runs against — the mirror of
+/// [`Puller`]'s planning state.
+///
+/// A [`DigestVector`] opens a planned contact: the source is asked for
+/// the plan and the endpoint restricted to it (from one consistent view
+/// of its store), the encoded plan is parked until the puller's turn
+/// marker hands the link over, and the object exchange then runs on the
+/// restricted endpoint. Any other first frame asks the source for the
+/// full endpoint and is an ordinary [`serve_frame`] step. Between
+/// contacts the machine holds nothing, so one `Serving` serves a
+/// persistent connection's contacts back to back.
+#[derive(Debug, Default)]
+pub struct Serving {
+    /// The open contact's endpoint. Boxed: a batch server carries
+    /// per-stream state and would otherwise dominate every idle
+    /// connection's state.
+    server: Option<Box<BatchPullServer>>,
+    /// A planned contact's plan frame, until the puller passes the turn.
+    parked: Option<BytesMut>,
+}
+
+impl Serving {
+    /// Advances the connection by one received frame, appending any
+    /// response bytes to `out`. `source` is called at most once, at the
+    /// first frame of a contact.
+    ///
+    /// # Errors
+    ///
+    /// As [`serve_frame`]; in the planning turn, a malformed digest
+    /// vector, a source that cannot plan, and anything but a plain turn
+    /// marker (a FIN, a second frame) after the digest vector. The
+    /// caller must treat any error as poisoning the connection.
+    pub fn on_frame(
+        &mut self,
+        frame: wire::Frame,
+        source: &mut ContactSource<'_>,
+        out: &mut BytesMut,
+    ) -> Result<ServeStep> {
+        if let Some(reply) = self.parked.take() {
+            // Anything but a clean turn hand-off aborts the planned
+            // contact before it starts.
+            if frame.stream != TURN_STREAM || marker_fin(&frame)? {
+                return Err(planning_violation(format!(
+                    "stream {} frame in the planning turn",
+                    frame.stream
+                )));
+            }
+            out.extend_from_slice(&reply);
+            put_marker(out, false);
+            return Ok(ServeStep::Continue);
+        }
+        let server = match &mut self.server {
+            Some(server) => server,
+            None if frame.stream == CONTROL_STREAM
+                && frame.payload.first() == Some(&TAG_SHARD_DIGESTS) =>
+            {
+                let mut payload = frame.payload;
+                let digests = DigestVector::decode(&mut payload)?;
+                let (Some(plan), server) = source(Some(&digests)) else {
+                    return Err(planning_violation(
+                        "this endpoint serves unplanned contacts only".into(),
+                    ));
+                };
+                self.parked = Some(plan_frame(&plan));
+                self.server = Some(Box::new(server));
+                return Ok(ServeStep::Continue);
+            }
+            None => self.server.insert(Box::new(source(None).1)),
+        };
+        let step = serve_frame(server, frame, out)?;
+        if step == ServeStep::Done {
+            self.server = None;
+        }
+        Ok(step)
+    }
+}
+
+/// The in-process transport: a [`FrameLink`] whose far end is a serving
+/// step — [`serve_frame`] on a [`BatchPullServer`], or a [`Serving`]
+/// with its source — run on the caller's own thread. Every frame still
+/// crosses the real codec — what the puller writes is parsed back into
+/// frames, what the server writes likewise — so an in-memory contact
+/// exercises the same bytes a socket carries.
 ///
 /// It behaves like a socket whose peer cuts the connection on an error:
 /// what the server wrote before failing is still readable, and the
@@ -1467,7 +1765,7 @@ pub fn serve_frame(
 /// and no failure pending would block forever, so it reports a stall.
 #[derive(Debug)]
 pub struct InProcessLink<'a> {
-    server: &'a mut BatchPullServer,
+    far: FarEnd<'a>,
     /// Bytes the server has written and the puller has not yet read,
     /// oldest in `inbox`.
     inbox: Bytes,
@@ -1475,15 +1773,40 @@ pub struct InProcessLink<'a> {
     cut: Option<Error>,
 }
 
+/// What steps on the far side of an [`InProcessLink`].
+enum FarEnd<'a> {
+    Endpoint(&'a mut BatchPullServer),
+    Source(Serving, &'a mut ContactSource<'a>),
+}
+
+impl std::fmt::Debug for FarEnd<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FarEnd::Endpoint(server) => server.fmt(f),
+            FarEnd::Source(serving, _) => serving.fmt(f),
+        }
+    }
+}
+
 impl<'a> InProcessLink<'a> {
-    /// A link to `server`.
-    pub fn new(server: &'a mut BatchPullServer) -> Self {
+    fn to(far: FarEnd<'a>) -> Self {
         InProcessLink {
-            server,
+            far,
             inbox: Bytes::new(),
             out: BytesMut::new(),
             cut: None,
         }
+    }
+
+    /// A link to `server`, serving one unplanned contact.
+    pub fn new(server: &'a mut BatchPullServer) -> Self {
+        Self::to(FarEnd::Endpoint(server))
+    }
+
+    /// A link to a [`Serving`] fed from `source`: serves planned and
+    /// unplanned contacts, any number of them.
+    pub fn serving(source: &'a mut ContactSource<'a>) -> Self {
+        Self::to(FarEnd::Source(Serving::default(), source))
     }
 }
 
@@ -1492,7 +1815,11 @@ impl FrameLink for InProcessLink<'_> {
         let mut burst = Bytes::copy_from_slice(bytes);
         while burst.has_remaining() {
             let frame = wire::get_frame(&mut burst)?;
-            if let Err(e) = serve_frame(self.server, frame, &mut self.out) {
+            let step = match &mut self.far {
+                FarEnd::Endpoint(server) => serve_frame(server, frame, &mut self.out),
+                FarEnd::Source(serving, source) => serving.on_frame(frame, source, &mut self.out),
+            };
+            if let Err(e) = step {
                 if self.inbox.is_empty() && self.out.is_empty() {
                     return Err(e);
                 }

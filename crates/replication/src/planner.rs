@@ -27,6 +27,12 @@
 //! with `BatchHello`) serves the classic unplanned full contact, so the
 //! phase is strictly opt-in per contact.
 //!
+//! This module holds the two frames and the policy ([`decide`]). *How
+//! the turn runs* is the first state of the two contact machines:
+//! [`Puller`](crate::mux::Puller)'s planning state and
+//! [`Serving`](crate::mux::Serving), pumped by
+//! [`pull_planned`](crate::mux::pull_planned).
+//!
 //! Planner traffic is accounted in
 //! [`ContactReport::digest_bytes`](crate::mux::ContactReport) — not in
 //! the four per-plane byte counters — so existing byte-conservation
@@ -42,11 +48,10 @@
 //! such a shard simply stays dirty and reconciles incrementally on the
 //! next contact.
 
-use crate::mux::{marker_fin, put_marker, ContactReport, CONTROL_STREAM, TURN_STREAM};
+use crate::mux::CONTROL_STREAM;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use optrep_core::error::WireError;
-use optrep_core::{wire, Error, Result};
-use optrep_net::FrameLink;
+use optrep_core::wire;
 
 /// Wire tag of a [`DigestVector`] (puller → server).
 pub const TAG_SHARD_DIGESTS: u8 = 0x35;
@@ -128,7 +133,8 @@ impl DigestVector {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardPlan {
     /// The shard count the plan (and the restricted endpoints on both
-    /// sides) is expressed at — echoes the digest vector's.
+    /// sides) is expressed at — echoes the digest vector's (the puller
+    /// rejects a plan at any other count).
     pub count: u64,
     /// Shards to sync incrementally over per-object streams.
     pub incremental: Vec<u64>,
@@ -251,20 +257,6 @@ impl Default for PlanConfig {
     }
 }
 
-impl PlanConfig {
-    /// Reads `OPTREP_PLAN_SNAPSHOT_THRESHOLD` (a float; values `> 1.0`
-    /// disable snapshot transfer), falling back to the default.
-    pub fn from_env() -> Self {
-        let mut config = PlanConfig::default();
-        if let Ok(raw) = std::env::var("OPTREP_PLAN_SNAPSHOT_THRESHOLD") {
-            if let Ok(threshold) = raw.trim().parse::<f64>() {
-                config.snapshot_threshold = threshold;
-            }
-        }
-        config
-    }
-}
-
 /// Decides per shard. `client` and `server` are the two sides' digests
 /// at the same shard count (the client's); the slices must be equal
 /// length.
@@ -298,15 +290,6 @@ pub fn decide(
         .collect()
 }
 
-/// The result of a client-side planner exchange.
-#[derive(Debug, Clone)]
-pub struct PlanOutcome {
-    /// The server's plan.
-    pub plan: ShardPlan,
-    /// Framed bytes of the two planner messages (markers excluded).
-    pub digest_bytes: u64,
-}
-
 /// Encodes a [`DigestVector`] as a control-stream frame (no marker).
 pub fn digest_vector_frame(digests: &DigestVector) -> BytesMut {
     let mut buf = BytesMut::new();
@@ -319,100 +302,6 @@ pub fn plan_frame(plan: &ShardPlan) -> BytesMut {
     let mut buf = BytesMut::new();
     wire::put_frame(&mut buf, CONTROL_STREAM, &plan.encode());
     buf
-}
-
-/// `true` if `frame` opens a planned contact: a control-stream frame
-/// whose payload is a [`DigestVector`]. A serving daemon tests this on
-/// the first frame of a contact; anything else (a `BatchHello`) starts
-/// a classic unplanned contact.
-pub fn is_plan_open(frame: &wire::Frame) -> bool {
-    frame.stream == CONTROL_STREAM && frame.payload.first() == Some(&TAG_SHARD_DIGESTS)
-}
-
-/// `true` if `frame` is a link-layer turn marker (FIN or not).
-pub fn is_marker(frame: &wire::Frame) -> bool {
-    frame.stream == TURN_STREAM
-}
-
-/// `true` if `frame` is a FIN turn marker.
-pub fn is_fin_marker(frame: &wire::Frame) -> bool {
-    frame.stream == TURN_STREAM && matches!(marker_fin(frame), Ok(true))
-}
-
-/// Appends a (non-FIN) turn marker: the server's planner reply is the
-/// plan frame plus this marker, handing the turn back for `BatchHello`.
-pub fn append_turn(out: &mut BytesMut) {
-    put_marker(out, false);
-}
-
-/// Runs the client half of the planner phase over `link`: sends the
-/// digest vector plus a turn marker as one burst, then receives exactly
-/// one [`ShardPlan`] frame followed by the server's turn marker. The
-/// ordinary (restricted) contact is driven over the same link
-/// immediately after.
-///
-/// # Errors
-///
-/// Transport errors, decode errors, and protocol violations (no plan
-/// before the turn comes back, more than one frame, a FIN) abort the
-/// phase; the link is FIN'd so the peer unblocks, and the caller must
-/// discard the connection exactly as for a failed contact.
-pub fn exchange_plan<L: FrameLink>(link: &mut L, digests: &DigestVector) -> Result<PlanOutcome> {
-    match exchange_plan_inner(link, digests) {
-        Ok(outcome) => Ok(outcome),
-        Err(e) => {
-            link.fin();
-            Err(e)
-        }
-    }
-}
-
-fn exchange_plan_inner<L: FrameLink>(link: &mut L, digests: &DigestVector) -> Result<PlanOutcome> {
-    let mut burst = digest_vector_frame(digests);
-    let mut digest_bytes = burst.len() as u64;
-    put_marker(&mut burst, false);
-    link.send_bytes(&burst)?;
-    let mut plan: Option<ShardPlan> = None;
-    loop {
-        let frame = link.recv_frame()?;
-        if frame.stream == TURN_STREAM {
-            if marker_fin(&frame)? {
-                return Err(Error::Incomplete {
-                    protocol: "sync planner",
-                });
-            }
-            break;
-        }
-        if plan.is_some() || frame.stream != CONTROL_STREAM {
-            return Err(Error::UnexpectedMessage {
-                protocol: "sync planner",
-                message: format!("unexpected frame on stream {}", frame.stream),
-            });
-        }
-        digest_bytes += framed_len(&frame);
-        let mut payload = frame.payload;
-        plan = Some(ShardPlan::decode(&mut payload)?);
-    }
-    let plan = plan.ok_or(Error::Incomplete {
-        protocol: "sync planner",
-    })?;
-    Ok(PlanOutcome { plan, digest_bytes })
-}
-
-/// The framed length of a received frame (header varints + payload),
-/// for symmetric accounting with the sender's encoded frame.
-fn framed_len(frame: &wire::Frame) -> u64 {
-    wire::Frame::encoded_len(frame.stream, frame.payload.len()) as u64
-}
-
-/// Folds a plan's shape into a [`ContactReport`]'s planner fields.
-/// `digest_bytes` is the planner-phase wire cost (both frames).
-pub fn account_plan(report: &mut ContactReport, plan: &ShardPlan, digest_bytes: u64) {
-    report.shards_total = plan.count;
-    report.shards_skipped = plan.skipped();
-    report.shards_incremental = plan.incremental.len() as u64;
-    report.shards_snapshot = plan.snapshots.len() as u64;
-    report.digest_bytes = digest_bytes;
 }
 
 #[cfg(test)]
@@ -476,19 +365,6 @@ mod tests {
         for cut in 0..full.len() {
             let mut buf = full.slice(0..cut);
             assert!(ShardPlan::decode(&mut buf).is_err(), "cut {cut}");
-        }
-    }
-
-    #[test]
-    fn framed_len_matches_the_encoder() {
-        for stream in [CONTROL_STREAM, 1, u64::MAX] {
-            for len in [0usize, 127, 128, 16_383, 16_384] {
-                let payload = Bytes::from(vec![0x5a; len]);
-                let mut encoded = BytesMut::new();
-                wire::put_frame(&mut encoded, stream, &payload);
-                let frame = wire::Frame { stream, payload };
-                assert_eq!(framed_len(&frame), encoded.len() as u64, "{stream} / {len}");
-            }
         }
     }
 

@@ -1,7 +1,7 @@
 //! One contact loop, many links: every transport must price and finish a
-//! contact identically, the bytes on the wire are pinned, every cut
-//! aborts cleanly, and hostile frame sequences fail the two step
-//! machines instead of wedging them.
+//! contact identically — planned or not — the bytes on the wire are
+//! pinned, every cut aborts cleanly, and hostile frame sequences fail
+//! the two step machines instead of wedging them.
 //!
 //! Deliberately free of `rand`/`proptest`: every fixture is built from a
 //! local splitmix64, so the file compiles wherever the workspace does.
@@ -10,13 +10,14 @@ use bytes::{Bytes, BytesMut};
 use optrep_core::sync::{Framed, ReceiverStats, WireMsg};
 use optrep_core::wire::{self, FrameDecoder};
 use optrep_core::{Causality, Error, Result, RotatingVector, SiteId, Srv};
-use optrep_kv::KvStore;
+use optrep_kv::{JoinResolver, KvStore, KvSyncReport};
 use optrep_net::{ConnectOptions, FaultPlan, FaultyLink, FrameLink, TcpLink};
 use optrep_replication::mux::{StreamOpen, TURN_STREAM};
+use optrep_replication::planner::{digest_vector_frame, plan_frame};
 use optrep_replication::{
-    pull_contact, reason_label, run_contact, serve_contact, serve_frame, BatchPullClient,
-    BatchPullServer, ContactReport, CtrlMsg, Faulted, InProcessLink, MuxMsg, Puller, ServeStep,
-    CONTROL_STREAM,
+    pull_contact, pull_planned, reason_label, run_contact, serve_contact, serve_frame, serve_from,
+    BatchPullClient, BatchPullServer, ContactReport, CtrlMsg, DigestVector, Faulted, InProcessLink,
+    MuxMsg, PlanConfig, Puller, ServeStep, Serving, ShardPlan, CONTROL_STREAM,
 };
 use std::sync::mpsc;
 
@@ -142,6 +143,8 @@ struct ChannelLink {
     transcript: u64,
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
@@ -156,7 +159,7 @@ fn channel_pair() -> (ChannelLink, ChannelLink) {
         tx: Some(tx),
         rx,
         decoder: FrameDecoder::new(),
-        transcript: 0xcbf2_9ce4_8422_2325,
+        transcript: FNV_OFFSET,
     };
     (half(atx, brx), half(btx, arx))
 }
@@ -186,6 +189,90 @@ impl FrameLink for ChannelLink {
     fn fin(&mut self) {
         self.tx = None;
     }
+}
+
+/// A key's shard at `count` shards — the store's own placement (FNV-1a
+/// of the key bytes, masked), recomputed here so the fixture can aim
+/// keys at shards.
+fn shard_at(key: &str, count: u64) -> u64 {
+    fnv1a(FNV_OFFSET, key.as_bytes()) & (count - 1)
+}
+
+/// A puller at 4 shards and a source at 16, arranged so the plan (at
+/// the puller's count) has every verdict: shard 0 converged (skip),
+/// shard 1 behind with creations, a tombstone and a puller-only key,
+/// shard 2 with concurrent writes (both incremental), shard 3 never
+/// populated on the puller (snapshot, tombstone included).
+fn planned_stores() -> (KvStore, KvStore) {
+    let mut rng = 0x0000_91A4_4ED5_EED5_u64;
+    let mut value = |tag: &str| {
+        let len = (splitmix64(&mut rng) % 200) as usize;
+        format!("{tag}:{}", "x".repeat(len))
+    };
+    let keys: Vec<String> = (0..96).map(|i| format!("key-{i:03}")).collect();
+    let in_shard = |shard: u64| keys.iter().filter(move |key| shard_at(key, 4) == shard);
+    let mut src = KvStore::with_shards(SiteId::new(1), 16);
+    let mut dst = KvStore::with_shards(SiteId::new(0), 4);
+    for key in keys.iter().filter(|key| shard_at(key, 4) != 3) {
+        src.put(key.clone(), value("base"));
+    }
+    dst.sync(&src).run().expect("bootstrap");
+    for (i, key) in in_shard(1).enumerate().take(6) {
+        match i % 3 {
+            0 => src.put(key.clone(), value("ahead")),
+            1 => src.delete(key.clone()),
+            _ => {}
+        }
+    }
+    let fresh = (0..).map(|i| format!("fresh-{i}"));
+    for key in fresh.filter(|key| shard_at(key, 4) == 1).take(2) {
+        src.put(key, value("created"));
+    }
+    let mine = (0..).map(|i| format!("mine-{i}"));
+    for key in mine.filter(|key| shard_at(key, 4) == 1).take(1) {
+        dst.put(key, value("local"));
+    }
+    for key in in_shard(2).take(3) {
+        src.put(key.clone(), value("theirs"));
+        dst.put(key.clone(), value("ours"));
+    }
+    for (i, key) in in_shard(3).enumerate() {
+        src.put(key.clone(), value("cold"));
+        if i == 1 {
+            src.delete(key.clone());
+        }
+    }
+    (dst, src)
+}
+
+/// One planned pull of `dst` from whatever serves the far end of
+/// `link` — the three steps `pull_from` and `KvStore::sync_planned`
+/// are: digests, the planned-pull pump, the planned commit.
+fn planned_pull<L: FrameLink>(
+    dst: &mut KvStore,
+    link: &mut L,
+) -> Result<(ContactReport, KvSyncReport)> {
+    let digests = dst.shard_digest_vector();
+    let (client, plan, contact) = pull_planned(link, &digests, |plan| {
+        dst.client_endpoint_for(&plan.incremental, plan.count as usize)
+    })?;
+    let (synced, _) = dst.apply_planned_tracked(&JoinResolver, client, &contact, &plan)?;
+    Ok((contact, synced))
+}
+
+/// `src` as a serving step's source, planning at the default policy.
+fn source_of(
+    src: &KvStore,
+) -> impl FnMut(Option<&DigestVector>) -> (Option<ShardPlan>, BatchPullServer) + '_ {
+    |digests| src.open_contact(digests, &PlanConfig::default())
+}
+
+/// Serves one contact, planned or not, out of `src` on its own thread.
+fn serving_thread<L: FrameLink + Send + 'static>(
+    src: KvStore,
+    mut far: L,
+) -> std::thread::JoinHandle<Result<L>> {
+    std::thread::spawn(move || serve_from(&mut source_of(&src), &mut far).map(|()| far))
 }
 
 // ---------------------------------------------------------------------
@@ -345,6 +432,75 @@ fn identical_pair_is_compare_only_over_a_link() {
     assert_eq!(report.round_trips, 1);
 }
 
+/// A planned pull — clean, dirty and never-populated shards, 4 against
+/// 16 shards — is the same contact over every link, ends where the
+/// in-memory reference does, and where an unplanned pull would.
+#[test]
+fn every_transport_runs_a_planned_pull_identically() {
+    let (dst, src) = planned_stores();
+    let config = PlanConfig::default();
+    let mut unplanned = dst.clone();
+    unplanned.sync(&src).run().expect("unplanned pull");
+
+    let mut reference = dst.clone();
+    let (synced, contact) = reference
+        .sync_planned(&src, &JoinResolver, &config)
+        .expect("reference");
+    assert_eq!(reference.replica_digest(), unplanned.replica_digest());
+    assert!(reference.consistent_with(&unplanned));
+    let shards = (
+        contact.shards_skipped,
+        contact.shards_incremental,
+        contact.shards_snapshot,
+    );
+    assert_eq!((contact.shards_total, shards), (4, (1, 2, 1)));
+
+    let mut source = source_of(&src);
+    let mut in_process = dst.clone();
+    let pulled = planned_pull(&mut in_process, &mut InProcessLink::serving(&mut source));
+    assert_eq!(pulled.expect("in-process"), (contact, synced));
+    assert_eq!(in_process.replica_digest(), reference.replica_digest());
+
+    let mut weather = FaultyLink::clean();
+    let mut faulted = dst.clone();
+    let pulled = planned_pull(
+        &mut faulted,
+        &mut Faulted::new(InProcessLink::serving(&mut source), &mut weather),
+    );
+    assert_eq!(pulled.expect("clean fault plan"), (contact, synced));
+    assert_eq!(faulted.replica_digest(), reference.replica_digest());
+    // The weather saw the two planner frames beside the exchange's.
+    assert_eq!(weather.stats().frames_delivered, contact.frames + 2);
+    assert_eq!(
+        weather.stats().bytes_delivered,
+        contact.total_bytes + contact.digest_bytes
+    );
+
+    let (mut near, far) = channel_pair();
+    let serving = serving_thread(src.clone(), far);
+    let mut channel = dst.clone();
+    let pulled = planned_pull(&mut channel, &mut near);
+    serving.join().expect("server thread").expect("serve");
+    assert_eq!(pulled.expect("channel pair"), (contact, synced));
+    assert_eq!(channel.replica_digest(), reference.replica_digest());
+
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("bound address");
+    let opts = ConnectOptions::new();
+    let accepting = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("accept");
+        TcpLink::from_stream(stream, &opts).expect("accepted link")
+    });
+    let mut link = TcpLink::connect(addr, &opts).expect("dial");
+    let serving = serving_thread(src.clone(), accepting.join().expect("accept thread"));
+    let mut tcp = dst.clone();
+    let pulled = planned_pull(&mut tcp, &mut link);
+    link.fin();
+    serving.join().expect("server thread").expect("serve");
+    assert_eq!(pulled.expect("loopback tcp"), (contact, synced));
+    assert_eq!(tcp.replica_digest(), reference.replica_digest());
+}
+
 /// The server vanishes after the opening burst; the puller must get a
 /// connection error, not hang or report success.
 #[test]
@@ -385,6 +541,51 @@ fn wire_transcript_is_pinned() {
     assert_eq!(near.transcript, PINNED_PULLER_TRANSCRIPT);
     assert_eq!((report.frames, report.total_bytes), (206, 23_762));
     assert_eq!(report.round_trips, 2);
+}
+
+/// The same two hashes for the planned pull of [`planned_stores`],
+/// computed at the commit *before* the digest/plan turn moved into the
+/// contact machines — there the puller ran the planner's blocking
+/// exchange function, then `pull_contact`, and the server wrote
+/// `plan_frame` plus a turn marker as one write before `serve_contact`.
+const PINNED_PLANNED_PULLER_TRANSCRIPT: u64 = 0x07ca_32dd_8664_fee6;
+const PINNED_PLANNED_SERVER_TRANSCRIPT: u64 = 0x6f2a_515e_3cd6_aaea;
+
+#[test]
+fn planned_wire_transcript_is_pinned_and_priced_by_the_old_arithmetic() {
+    let (mut dst, src) = planned_stores();
+    // The oracle: the plan computed directly, the planner bytes as the
+    // sum of the two encoded frames — how `sync_planned` priced the
+    // turn before it crossed the codec, and how `crates/perf`'s mirror
+    // still does.
+    let digests = dst.shard_digest_vector();
+    let (plan, _) = src.plan_contact(&digests, &PlanConfig::default());
+    let oracle = (digest_vector_frame(&digests).len() + plan_frame(&plan).len()) as u64;
+
+    let (mut near, far) = channel_pair();
+    let serving = serving_thread(src, far);
+    let (report, synced) = planned_pull(&mut dst, &mut near).expect("pull");
+    let far = serving.join().expect("server thread").expect("serve");
+    assert_eq!(far.transcript, PINNED_PLANNED_SERVER_TRANSCRIPT);
+    assert_eq!(near.transcript, PINNED_PLANNED_PULLER_TRANSCRIPT);
+
+    assert_eq!(report.digest_bytes, oracle);
+    assert_eq!(report.digest_bytes, 2604);
+    assert_eq!(report.shards_total, plan.count);
+    assert_eq!(report.shards_skipped, plan.skipped());
+    assert_eq!(report.shards_incremental, plan.incremental.len() as u64);
+    assert_eq!(report.shards_snapshot, plan.snapshots.len() as u64);
+    // The planning turn is in neither the frame count, the four planes
+    // nor the round trips.
+    assert_eq!((report.frames, report.total_bytes), (39, 1589));
+    assert_eq!(report.round_trips, 2);
+    let created_ff_reconciled = (
+        synced.keys_created,
+        synced.keys_fast_forwarded,
+        synced.keys_reconciled,
+    );
+    assert_eq!(created_ff_reconciled, (26, 4, 3));
+    assert_eq!(synced.digest_bytes as u64, oracle);
 }
 
 // ---------------------------------------------------------------------
@@ -473,6 +674,44 @@ fn a_cut_at_every_byte_aborts_without_a_trace() {
     let mut exact = FaultyLink::new(FaultPlan::disconnect_at(kv_total));
     dst.sync(&src).via(&mut exact).run().expect("uncut contact");
     assert_eq!(dst.get("k"), Some(&b"v2"[..]));
+}
+
+/// The planning turn is part of the contact: a cut anywhere in a
+/// planned pull — digest vector, plan, exchange — aborts it with the
+/// destination untouched, and a clean retry converges.
+#[test]
+fn a_cut_at_every_byte_of_a_planned_pull_leaves_the_store_alone() {
+    let (mut dst, src) = planned_stores();
+    let mut source = source_of(&src);
+    let mut pull_under = |dst: &mut KvStore, weather: &mut FaultyLink| {
+        planned_pull(
+            dst,
+            &mut Faulted::new(InProcessLink::serving(&mut source), weather),
+        )
+    };
+    let mut clean = FaultyLink::clean();
+    let mut reference = dst.clone();
+    let (contact, _) = pull_under(&mut reference, &mut clean).expect("clean plan");
+    let total = clean.stats().bytes_delivered;
+    assert_eq!(total, contact.total_bytes + contact.digest_bytes);
+
+    let before = (dst.replica_digest(), dst.generation());
+    for k in 0..total {
+        let mut cut = FaultyLink::new(FaultPlan::disconnect_at(k));
+        let err = pull_under(&mut dst, &mut cut).expect_err("cut must abort");
+        assert!(
+            matches!(reason_label(&err), "connection_lost" | "stalled"),
+            "cut at {k}/{total}: {err:?}"
+        );
+        assert_eq!(
+            (dst.replica_digest(), dst.generation()),
+            before,
+            "cut at {k}/{total} moved the store"
+        );
+    }
+    let mut exact = FaultyLink::new(FaultPlan::disconnect_at(total));
+    pull_under(&mut dst, &mut exact).expect("the retry is not cut");
+    assert_eq!(dst.replica_digest(), reference.replica_digest());
 }
 
 // ---------------------------------------------------------------------
@@ -607,4 +846,135 @@ fn hostile_sequences_fail_the_pulling_step() {
     assert!(puller.on_frame(turn(), &mut out).unwrap().is_none());
     assert!(puller.on_frame(fin(), &mut out).unwrap().is_some());
     puller.on_frame(fin(), &mut out).expect_err("second FIN");
+}
+
+/// The four-shard digest vector of an empty puller, and its frame.
+fn empty_digests() -> DigestVector {
+    KvStore::with_shards(SiteId::new(0), 4).shard_digest_vector()
+}
+
+fn digests_frame() -> wire::Frame {
+    frame(CONTROL_STREAM, &empty_digests().encode())
+}
+
+/// Feeds `frames` to a fresh [`Serving`] over a one-key store and
+/// returns the first error; panics if the whole sequence is accepted.
+fn serving_until_error(frames: Vec<wire::Frame>) -> Error {
+    let mut src = KvStore::with_shards(SiteId::new(1), 4);
+    src.put("k", "v");
+    let mut source = source_of(&src);
+    let mut serving = Serving::default();
+    let mut out = BytesMut::new();
+    for frame in frames {
+        if let Err(e) = serving.on_frame(frame, &mut source, &mut out) {
+            return e;
+        }
+    }
+    panic!("the serving step accepted a hostile sequence");
+}
+
+#[test]
+fn hostile_planner_sequences_fail_the_serving_step() {
+    // The digest vector only opens a contact; it never follows a hello.
+    serving_until_error(vec![hello(), digests_frame()]);
+    serving_until_error(vec![hello(), turn(), digests_frame()]);
+    // After it, only the puller's plain turn marker is acceptable.
+    serving_until_error(vec![digests_frame(), digests_frame()]);
+    serving_until_error(vec![digests_frame(), fin()]);
+    serving_until_error(vec![digests_frame(), hello()]);
+    serving_until_error(vec![digests_frame(), frame(TURN_STREAM, b"junk")]);
+    // A truncated vector, and one on a non-control stream (there it is
+    // just an undecodable session frame).
+    serving_until_error(vec![frame(CONTROL_STREAM, &[0x35, 4, 0])]);
+    serving_until_error(vec![frame(3, &digests_frame().payload)]);
+    // A source that hands out no plan cannot serve a planned contact.
+    let mut serving = Serving::default();
+    let mut unplanned = |_: Option<&DigestVector>| (None, BatchPullServer::new(Vec::new()));
+    serving
+        .on_frame(digests_frame(), &mut unplanned, &mut BytesMut::new())
+        .expect_err("no plan to answer with");
+    // The honest sequence, for contrast: plan parked, then released
+    // with the turn, then an ordinary (empty) exchange — twice over one
+    // `Serving`, as on a persistent connection.
+    let src = KvStore::with_shards(SiteId::new(1), 4);
+    let mut source = source_of(&src);
+    let mut serving = Serving::default();
+    let empty_hello = msg_frame(
+        CONTROL_STREAM,
+        MuxMsg::Ctrl(CtrlMsg::BatchHello {
+            discover: true,
+            opens: Vec::new(),
+        }),
+    );
+    for _ in 0..2 {
+        let mut out = BytesMut::new();
+        let mut step = |frame| serving.on_frame(frame, &mut source, &mut out);
+        assert_eq!(step(digests_frame()).unwrap(), ServeStep::Continue);
+        assert_eq!(step(turn()).unwrap(), ServeStep::Continue);
+        assert_eq!(step(empty_hello.clone()).unwrap(), ServeStep::Continue);
+        assert_eq!(step(turn()).unwrap(), ServeStep::Continue);
+        assert_eq!(step(fin()).unwrap(), ServeStep::Done);
+    }
+}
+
+/// Feeds `frames` to a puller that opened with a four-shard digest
+/// vector; returns the first error.
+fn plan_until_error(frames: Vec<wire::Frame>) -> Error {
+    let mut out = BytesMut::new();
+    let mut puller = Puller::open_planned(&empty_digests(), &mut out);
+    for frame in frames {
+        match puller.on_frame(frame, &mut out) {
+            Ok(None) => {}
+            Ok(Some(report)) => panic!("hostile sequence completed: {report:?}"),
+            Err(e) => return e,
+        }
+    }
+    panic!("the puller accepted a hostile planning sequence");
+}
+
+#[test]
+fn hostile_planner_sequences_fail_the_pulling_step() {
+    let plan_at = |count: u64| {
+        let plan = ShardPlan {
+            count,
+            incremental: vec![1],
+            snapshots: Vec::new(),
+        };
+        frame(CONTROL_STREAM, &plan.encode())
+    };
+    // The turn comes back — or the server FINs — with no plan.
+    assert_eq!(reason_label(&plan_until_error(vec![turn()])), "stalled");
+    assert_eq!(reason_label(&plan_until_error(vec![fin()])), "stalled");
+    assert_eq!(
+        reason_label(&plan_until_error(vec![plan_at(4), fin()])),
+        "stalled"
+    );
+    // More than the one plan frame, or a plan off the control stream.
+    plan_until_error(vec![plan_at(4), plan_at(4)]);
+    plan_until_error(vec![frame(3, &plan_at(4).payload)]);
+    // A plan that does not echo the digest vector's shard count.
+    plan_until_error(vec![plan_at(8)]);
+    plan_until_error(vec![plan_at(2)]);
+    // Anything that is not a plan, a malformed marker, and a frame
+    // after the turn completed but before the exchange began.
+    plan_until_error(vec![hello()]);
+    plan_until_error(vec![digests_frame()]);
+    plan_until_error(vec![frame(TURN_STREAM, b"junk")]);
+    plan_until_error(vec![plan_at(4), turn(), turn()]);
+
+    // The honest turn hands the plan out exactly once.
+    let mut out = BytesMut::new();
+    let mut puller = Puller::open_planned(&empty_digests(), &mut out);
+    assert!(puller.take_plan().is_none());
+    assert!(puller.on_frame(plan_at(4), &mut out).unwrap().is_none());
+    assert!(
+        puller.take_plan().is_none(),
+        "the turn is still the server's"
+    );
+    assert!(puller.on_frame(turn(), &mut out).unwrap().is_none());
+    assert_eq!(
+        puller.take_plan().map(|plan| plan.incremental),
+        Some(vec![1])
+    );
+    assert!(puller.take_plan().is_none());
 }

@@ -54,9 +54,8 @@ use optrep_core::wire::{Handshake, Intent};
 use optrep_core::{Error, Result, SiteId};
 use optrep_kv::{JoinResolver, KvStore, KvSyncReport};
 use optrep_net::{ConnPool, ConnectOptions, PoolMetrics};
-use optrep_replication::planner::{self, PlanConfig};
 use optrep_replication::{
-    pull_contact, serve_frame, BatchPullServer, RetryPolicy, ServeStep, CONTROL_STREAM,
+    pull_planned, PlanConfig, RetryPolicy, ServeStep, Serving, CONTROL_STREAM,
 };
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -281,10 +280,6 @@ struct Shared {
     /// What boot recovery found (durable nodes only).
     replay: Option<ReplayReport>,
     resolver: JoinResolver,
-    /// The sync planner's policy (snapshot threshold), read from the
-    /// environment at start; used both when this daemon pulls and when
-    /// it answers a peer's planner phase.
-    plan_config: PlanConfig,
     peers: Vec<SocketAddr>,
     retry: RetryPolicy,
     connect: ConnectOptions,
@@ -379,6 +374,22 @@ impl Shared {
         }
     }
 
+    /// Applies one local write and logs its post-state under a single
+    /// store guard: log order is commit order, and the caller
+    /// acknowledges only once the record is down.
+    ///
+    /// # Errors
+    ///
+    /// As [`Shared::wal_append`].
+    fn write(&self, key: String, value: Option<bytes::Bytes>) -> Result<()> {
+        let mut store = self.store();
+        match value {
+            Some(value) => store.put(key.clone(), value),
+            None => store.delete(key.clone()),
+        }
+        self.wal_append(&store, std::slice::from_ref(&key))
+    }
+
     fn completions(&self) -> MutexGuard<'_, Vec<VerbDone>> {
         match self.completions.lock() {
             Ok(guard) => guard,
@@ -471,7 +482,6 @@ impl Node {
             durability: config.durability,
             replay,
             resolver: JoinResolver,
-            plan_config: PlanConfig::from_env(),
             peers: config.peers,
             retry: config.retry,
             connect: config.connect,
@@ -539,10 +549,7 @@ impl Node {
     /// The WAL append/fsync failure on a durable node (never errs on a
     /// memory-only one).
     pub fn put(&self, key: impl Into<String>, value: impl Into<bytes::Bytes>) -> Result<()> {
-        let key = key.into();
-        let mut store = self.shared.store();
-        store.put(key.clone(), value);
-        self.shared.wal_append(&store, std::slice::from_ref(&key))
+        self.shared.write(key.into(), Some(value.into()))
     }
 
     /// Deletes `key` through the full verb path, durably on a durable
@@ -552,10 +559,7 @@ impl Node {
     ///
     /// The WAL append/fsync failure on a durable node.
     pub fn delete(&self, key: impl Into<String>) -> Result<()> {
-        let key = key.into();
-        let mut store = self.shared.store();
-        store.delete(key.clone());
-        self.shared.wal_append(&store, std::slice::from_ref(&key))
+        self.shared.write(key.into(), None)
     }
 
     /// What boot recovery found in the data dir (`None` on a
@@ -671,20 +675,12 @@ mod event {
         Handshake,
         /// A verb session; each request frame yields one response frame.
         Verbs,
-        /// Serving anti-entropy contacts as the pulled-from side.
-        /// `server` is `None` between contacts; a fresh store snapshot
-        /// is taken at the first frame of each contact. A contact that
-        /// opens with a shard-digest vector (the planner phase) builds
-        /// the plan and a *restricted* endpoint under one lock, parks
-        /// the encoded plan reply in `pending_plan`, and releases it
-        /// when the puller's turn marker arrives.
-        Serve {
-            // Boxed: a batch server carries per-stream state and would
-            // otherwise dominate every idle connection's ConnState.
-            server: Option<Box<BatchPullServer>>,
-            pending_plan: Option<BytesMut>,
-            persistent: bool,
-        },
+        /// Serving anti-entropy contacts as the pulled-from side: every
+        /// frame goes to the serving step, which takes a fresh endpoint
+        /// from the store at the first frame of each contact — planned
+        /// and restricted if the puller opened with its shard digests,
+        /// full otherwise (both built under one store lock).
+        Serve { serving: Serving, persistent: bool },
         /// Done; close once the write buffer drains.
         Closing,
     }
@@ -951,13 +947,11 @@ mod event {
                             // one-shot pull can open with a planner
                             // phase too.
                             Intent::Pull => ConnState::Serve {
-                                server: None,
-                                pending_plan: None,
+                                serving: Serving::default(),
                                 persistent: false,
                             },
                             Intent::Peer => ConnState::Serve {
-                                server: None,
-                                pending_plan: None,
+                                serving: Serving::default(),
                                 persistent: true,
                             },
                         };
@@ -998,49 +992,18 @@ mod event {
                 }
             }
             ConnState::Serve {
-                server,
-                pending_plan,
+                serving,
                 persistent,
             } => {
-                // Planner phase: a contact opening with a shard-digest
-                // vector gets a plan and a restricted endpoint from one
-                // consistent store view. The plan reply is parked until
-                // the puller's turn marker hands us the link.
-                if server.is_none() && pending_plan.is_none() && planner::is_plan_open(&frame) {
-                    let mut payload = frame.payload;
-                    match planner::DigestVector::decode(&mut payload) {
-                        Ok(digests) => {
-                            let (plan, endpoint) =
-                                shared.store().plan_contact(&digests, &shared.plan_config);
-                            *pending_plan = Some(planner::plan_frame(&plan));
-                            *server = Some(Box::new(endpoint));
-                        }
-                        Err(_) => conn.dead = true,
-                    }
-                    return;
-                }
-                if let Some(reply) = pending_plan.take() {
-                    if planner::is_marker(&frame) && !planner::is_fin_marker(&frame) {
-                        conn.out.extend_from_slice(&reply);
-                        planner::append_turn(&mut conn.out);
-                    } else {
-                        // Anything but a clean turn hand-off aborts the
-                        // planned contact before it starts.
-                        conn.dead = true;
-                    }
-                    return;
-                }
-                let endpoint =
-                    server.get_or_insert_with(|| Box::new(shared.store().server_endpoint()));
-                match serve_frame(endpoint, frame, &mut conn.out) {
+                let step = serving.on_frame(
+                    frame,
+                    &mut |digests| shared.store().open_contact(digests, &PlanConfig::default()),
+                    &mut conn.out,
+                );
+                match step {
                     Ok(ServeStep::Continue) => {}
-                    Ok(ServeStep::Done) => {
-                        if *persistent {
-                            *server = None;
-                        } else {
-                            conn.state = ConnState::Closing;
-                        }
-                    }
+                    Ok(ServeStep::Done) if *persistent => {}
+                    Ok(ServeStep::Done) => conn.state = ConnState::Closing,
                     Err(_) => conn.dead = true,
                 }
             }
@@ -1121,30 +1084,22 @@ fn handle_request(shared: &Shared, request: Request) -> Response {
     response
 }
 
+/// The acknowledgement of a logged write.
+fn written(logged: Result<()>) -> Response {
+    match logged {
+        Ok(()) => Response::Ok,
+        Err(e) => Response::Err(format!("{e}")),
+    }
+}
+
 fn dispatch_request(shared: &Shared, request: Request) -> Response {
     match request {
         Request::Get { key } => {
             let store = shared.store();
             Response::Value(store.get(&key).map(bytes::Bytes::copy_from_slice))
         }
-        Request::Put { key, value } => {
-            // The guard spans mutate + WAL append: log order is commit
-            // order, and the ack only goes out once the record is down.
-            let mut store = shared.store();
-            store.put(key.clone(), value);
-            match shared.wal_append(&store, std::slice::from_ref(&key)) {
-                Ok(()) => Response::Ok,
-                Err(e) => Response::Err(format!("{e}")),
-            }
-        }
-        Request::Delete { key } => {
-            let mut store = shared.store();
-            store.delete(key.clone());
-            match shared.wal_append(&store, std::slice::from_ref(&key)) {
-                Ok(()) => Response::Ok,
-                Err(e) => Response::Err(format!("{e}")),
-            }
-        }
+        Request::Put { key, value } => written(shared.write(key, Some(value))),
+        Request::Delete { key } => written(shared.write(key, None)),
         Request::Status => {
             let (keys, tracked, generation) = {
                 let store = shared.store();
@@ -1215,27 +1170,21 @@ fn dispatch_request(shared: &Shared, request: Request) -> Response {
 /// [`APPLY_RACE_RETRIES`].
 fn pull_from(shared: &Shared, peer: SocketAddr) -> Result<KvSyncReport> {
     for _ in 0..APPLY_RACE_RETRIES {
-        // Planner phase first: ship this store's shard digests, get back
-        // the peer's per-shard plan, then run the contact restricted to
-        // the incremental shards. The digest vector is snapshotted under
+        // A planned pull: ship this store's shard digests, get back the
+        // peer's per-shard plan, run the contact restricted to the
+        // incremental shards. The digest vector is snapshotted under
         // its own (brief) lock; a write landing between it and the
-        // endpoint snapshot below only makes a shard look dirtier than
+        // endpoint snapshot only makes a shard look dirtier than
         // planned, never cleaner — and the commit's generation check
         // still guards the endpoint snapshot itself.
-        let (generation, client, report, plan) = shared.pool.with_conn(peer, |link| {
+        let mut generation = 0;
+        let (client, plan, report) = shared.pool.with_conn(peer, |link| {
             let digests = shared.store().shard_digest_vector();
-            let outcome = planner::exchange_plan(link, &digests)?;
-            let plan = outcome.plan;
-            let (generation, mut client) = {
+            pull_planned(link, &digests, |plan| {
                 let store = shared.store();
-                (
-                    store.generation(),
-                    store.client_endpoint_for(&plan.incremental, plan.count as usize),
-                )
-            };
-            let mut report = pull_contact(&mut client, link)?;
-            planner::account_plan(&mut report, &plan, outcome.digest_bytes);
-            Ok((generation, client, report, plan))
+                generation = store.generation();
+                store.client_endpoint_for(&plan.incremental, plan.count as usize)
+            })
         })?;
         // Commit: generation re-check, transactional apply, and WAL
         // append all under ONE store guard. A local write that raced

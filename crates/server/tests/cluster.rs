@@ -159,7 +159,7 @@ fn tcp_pull_report_matches_in_memory_sync() {
         .sync_planned(
             &mem_src,
             &optrep_kv::JoinResolver,
-            &optrep_replication::PlanConfig::from_env(),
+            &optrep_replication::PlanConfig::default(),
         )
         .expect("in-memory planned sync");
 
