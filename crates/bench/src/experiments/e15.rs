@@ -9,10 +9,14 @@
 //! shard map.
 //!
 //! Per row, from the same converged base pair, the source dirties a
-//! fraction of the keys and the puller syncs three ways:
+//! fraction of the keys and the puller syncs four ways:
 //!
-//! * **planned, sharded** — the measured path: digest exchange, clean
-//!   shards skipped, dirty shards walked incrementally.
+//! * **refined** — the path a daemon runs: digest exchange, clean
+//!   shards skipped, and where the plan offers the dirty shards'
+//!   child digests, only the children that differ walked.
+//! * **planned, sharded** — the same pull by a puller that ignores the
+//!   children and walks the dirty shards whole: PR 10's path, and the
+//!   column the ≥ 10× bar was set on.
 //! * **unplanned** — the seed path at identical state: every key
 //!   examined, no digest phase. This is the baseline the speedup
 //!   columns compare against.
@@ -26,11 +30,13 @@
 //! 10× cheaper than the all-shards path in both wall-clock and bytes
 //! moved. Debug/test runs scale to 100k objects over 256 shards
 //! (the CI `tables e15` job) without changing the identity asserts.
+//! At either scale the run fails if the refined pull of any row moves
+//! more bytes than the planned one: a count, not a timing.
 
 use crate::table::{ratio, Table};
 use optrep_core::SiteId;
 use optrep_kv::{JoinResolver, KvStore, KvSyncReport};
-use optrep_replication::PlanConfig;
+use optrep_replication::{pull_planned, DigestVector, InProcessLink, PlanConfig};
 use std::time::{Duration, Instant};
 
 #[cfg(not(debug_assertions))]
@@ -83,6 +89,8 @@ fn dirty(src: &mut KvStore, count: usize) {
 
 struct Row {
     dirty_keys: usize,
+    refined: KvSyncReport,
+    refined_elapsed: Duration,
     planned: KvSyncReport,
     planned_elapsed: Duration,
     full: KvSyncReport,
@@ -95,34 +103,65 @@ fn contact_bytes(report: &KvSyncReport) -> usize {
     report.meta_bytes + report.value_bytes + report.digest_bytes
 }
 
+/// A planned pull by a puller that ignores the plan's child digests:
+/// `sync_planned` with the endpoint over the incremental shards whole.
+fn sync_planned_flat(dst: &mut KvStore, src: &KvStore, config: &PlanConfig) -> KvSyncReport {
+    let digests = dst.shard_digest_vector();
+    let mut far = |digests: Option<&DigestVector>| src.open_contact(digests, config);
+    let (client, plan, contact) =
+        pull_planned(&mut InProcessLink::serving(&mut far), &digests, |plan| {
+            dst.client_endpoint_for(&plan.incremental, plan.count as usize)
+        })
+        .expect("planned pull");
+    let (report, _) = dst
+        .apply_planned_tracked(&JoinResolver, client, &contact, &plan)
+        .expect("planned commit");
+    report
+}
+
 fn run_row(base: &BasePair, mirror: &BasePair, dirty_keys: usize) -> Row {
     let config = PlanConfig::default();
 
     let mut src = base.src.clone();
     dirty(&mut src, dirty_keys);
+    let mut refined_dst = base.dst.clone();
     let mut planned_dst = base.dst.clone();
     let mut full_dst = base.dst.clone();
 
     let start = Instant::now();
-    let (planned, _) = planned_dst
+    let (refined, _) = refined_dst
         .sync_planned(&src, &JoinResolver, &config)
-        .expect("planned pull");
+        .expect("refined pull");
+    let refined_elapsed = start.elapsed();
+
+    let start = Instant::now();
+    let planned = sync_planned_flat(&mut planned_dst, &src, &config);
     let planned_elapsed = start.elapsed();
 
     let start = Instant::now();
     let full = full_dst.sync(&src).run().expect("unplanned pull");
     let full_elapsed = start.elapsed();
 
-    // Identity: the planned pull commits exactly the state the seed
+    // Identity: both planned pulls commit exactly the state the seed
     // path commits, and the incremental digest fold stays exact.
+    for (name, dst) in [("refined", &refined_dst), ("planned", &planned_dst)] {
+        assert!(
+            dst.consistent_with(&full_dst),
+            "{name} and unplanned pulls committed different state"
+        );
+        assert_eq!(dst.replica_digest(), full_dst.replica_digest(), "{name}");
+        assert_eq!(dst.replica_digest(), dst.replica_digest_full(), "{name}");
+    }
+    // Same plan, same verdicts; the children only ever remove keys
+    // from the walk, and must never cost more than they save.
+    assert_eq!(refined.shards_skipped, planned.shards_skipped);
+    assert_eq!(planned.shards_refined, 0);
+    assert!(refined.keys_examined <= planned.keys_examined);
     assert!(
-        planned_dst.consistent_with(&full_dst),
-        "planned and unplanned pulls committed different state"
-    );
-    assert_eq!(planned_dst.replica_digest(), full_dst.replica_digest());
-    assert_eq!(
-        planned_dst.replica_digest(),
-        planned_dst.replica_digest_full()
+        contact_bytes(&refined) <= contact_bytes(&planned),
+        "the refined pull moved {} bytes, the planned one {}",
+        contact_bytes(&refined),
+        contact_bytes(&planned)
     );
 
     // Identity across shard counts: the same schedule against the
@@ -154,6 +193,8 @@ fn run_row(base: &BasePair, mirror: &BasePair, dirty_keys: usize) -> Row {
 
     Row {
         dirty_keys,
+        refined,
+        refined_elapsed,
         planned,
         planned_elapsed,
         full,
@@ -164,13 +205,16 @@ fn run_row(base: &BasePair, mirror: &BasePair, dirty_keys: usize) -> Row {
 /// Runs the experiment.
 pub fn run() -> Vec<Table> {
     let mut t = Table::new(
-        "E15: planned (sharded) vs unplanned contact at mostly-converged state",
+        "E15: refined vs planned (sharded) vs unplanned contact at mostly-converged state",
         &[
             "objects",
             "shards",
             "dirty keys",
             "dirty shards",
             "skipped",
+            "refined",
+            "refined ms",
+            "refined KiB",
             "plan ms",
             "plan KiB",
             "full ms",
@@ -193,6 +237,9 @@ pub fn run() -> Vec<Table> {
             row.dirty_keys.to_string(),
             (row.planned.shards_total - row.planned.shards_skipped).to_string(),
             row.planned.shards_skipped.to_string(),
+            row.refined.shards_refined.to_string(),
+            format!("{:.1}", row.refined_elapsed.as_secs_f64() * 1e3),
+            format!("{:.1}", contact_bytes(&row.refined) as f64 / 1024.0),
             format!("{:.1}", row.planned_elapsed.as_secs_f64() * 1e3),
             format!("{:.1}", plan_bytes as f64 / 1024.0),
             format!("{:.1}", row.full_elapsed.as_secs_f64() * 1e3),
@@ -234,7 +281,9 @@ pub fn run() -> Vec<Table> {
     }
     let _ = headline;
 
-    t.note("planned state == unplanned state, digest-identical to a 1-shard mirror (asserted)");
+    t.note("refined state == planned state == unplanned state, digest-identical to a 1-shard mirror (asserted)");
+    t.note("refined bytes <= planned bytes on every row (asserted, debug and release)");
+    t.note("ratio cols: unplanned over planned (the PR 10 path), as before");
     t.note("dirty shards <= dirty keys, skipped + dirty == total (asserted)");
     t.note("KiB cols count metadata + values + (planned) the digest/plan exchange");
     #[cfg(not(debug_assertions))]

@@ -42,10 +42,11 @@ use optrep_core::obs::{CounterSink, CounterSnapshot, SessionTotals};
 use optrep_core::{wire, Causality, Result, RotatingVector, SiteId, Srv};
 use optrep_replication::mux::{
     pull_contact, pull_planned, BatchPullClient, BatchPullServer, ContactReport, Faulted,
-    InProcessLink,
+    InProcessLink, Restricted,
 };
 use optrep_replication::planner::{
-    decide, DigestVector, PlanConfig, ShardAction, ShardDigest, ShardPlan, MAX_PLAN_SHARDS,
+    decide, nothing_to_pull, placement, shard_of, ChildDigests, DigestVector, PlanConfig,
+    ShardAction, ShardDigest, ShardPlan, ShardScope, MAX_PLAN_SHARDS,
 };
 use optrep_replication::FaultyLink;
 use std::collections::BTreeMap;
@@ -128,24 +129,10 @@ struct Shard {
     digest: u64,
 }
 
-/// FNV-1a over `bytes`.
-fn fnv64(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(PRIME);
-    }
-    hash
-}
-
 /// A key's shard index in a map of `count` shards (`count` a power of
-/// two). Keyed on the key bytes only, so the placement is identical on
-/// every site and at every shard count that shares low index bits —
-/// folding a 256-shard map to 16 shards is a pure index mask.
+/// two): the planner's placement, which both sides of a contact share.
 fn shard_index(key: &str, count: usize) -> usize {
-    (fnv64(key.as_bytes()) & (count as u64 - 1)) as usize
+    shard_of(key.as_bytes(), count as u64) as usize
 }
 
 /// The content hash of one entry, the unit the per-shard digests sum:
@@ -218,8 +205,11 @@ pub struct KvSyncReport {
     pub shards_incremental: usize,
     /// Shards applied as whole snapshots.
     pub shards_snapshot: usize,
-    /// Planner-phase wire bytes (digest vector + plan, blobs included).
+    /// Planner-phase wire bytes (digest vector, plan with its blobs and
+    /// child digests, scope).
     pub digest_bytes: usize,
+    /// Incremental shards narrowed to their differing children.
+    pub shards_refined: usize,
 }
 
 /// A replicated key-value store: one [`Srv`] per key, anti-entropy
@@ -306,32 +296,90 @@ impl KvStore {
         self.shards.iter().flat_map(|shard| shard.entries.iter())
     }
 
-    /// The tracked entries whose key `keep` admits, sorted by key — the
-    /// deterministic order snapshots, endpoints, and restricted
-    /// endpoints present, so wire images and stream-id assignment are
-    /// independent of the local shard layout.
-    fn sorted_entries(&self, keep: impl Fn(&str) -> bool) -> Vec<(&String, &Entry)> {
-        let mut kept: Vec<(&String, &Entry)> =
-            self.iter_entries().filter(|(key, _)| keep(key)).collect();
-        kept.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        kept
-    }
-
-    /// Every tracked entry, sorted by key.
+    /// Every tracked entry, sorted by key — the deterministic order
+    /// snapshots and endpoints present, so wire images and stream-id
+    /// assignment are independent of the local shard layout.
     fn entries_sorted(&self) -> Vec<(&String, &Entry)> {
-        self.sorted_entries(|_| true)
+        let mut all: Vec<(&String, &Entry)> = self.iter_entries().collect();
+        all.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        all
     }
 
-    /// The tracked entries of the given plan shards at plan-shard count
-    /// `count`, sorted by key.
-    fn entries_in(&self, shards: &[u64], count: usize) -> Vec<(&String, &Entry)> {
+    /// Calls `visit` on every tracked entry of the given plan shards at
+    /// plan-shard count `count`, touching only the physical shards they
+    /// live in: plan shard `s` is the physical shards `i ≡ s (mod
+    /// count)` when the plan is no finer than the store, and a slice of
+    /// physical shard `s mod physical` when it is.
+    fn visit_shards<'a>(
+        &'a self,
+        shards: &[u64],
+        count: usize,
+        mut visit: impl FnMut(&'a String, &'a Entry),
+    ) {
+        let physical = self.shards.len();
         let mut wanted = vec![false; count];
         for &shard in shards {
             if (shard as usize) < count {
                 wanted[shard as usize] = true;
             }
         }
-        self.sorted_entries(|key| wanted[shard_index(key, count)])
+        if count <= physical {
+            for (index, shard) in self.shards.iter().enumerate() {
+                if wanted[index & (count - 1)] {
+                    shard.entries.iter().for_each(|(k, e)| visit(k, e));
+                }
+            }
+            return;
+        }
+        let mut holds_wanted = vec![false; physical];
+        for (shard, _) in wanted.iter().enumerate().filter(|(_, &w)| w) {
+            holds_wanted[shard & (physical - 1)] = true;
+        }
+        for (index, shard) in self.shards.iter().enumerate() {
+            if holds_wanted[index] {
+                for (key, entry) in &shard.entries {
+                    if wanted[shard_index(key, count)] {
+                        visit(key, entry);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The tracked entries of the given plan shards at plan-shard count
+    /// `count` that `keep` admits, sorted by key. Visits and sorts only
+    /// what the plan names, never the rest of the store.
+    fn entries_in(
+        &self,
+        shards: &[u64],
+        count: usize,
+        keep: impl Fn(&str) -> bool,
+    ) -> Vec<(&String, &Entry)> {
+        let mut kept = Vec::new();
+        self.visit_shards(shards, count, |key, entry| {
+            if keep(key) {
+                kept.push((key, entry));
+            }
+        });
+        kept.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        kept
+    }
+
+    /// The digests of the `fanout` children of each of `parents` (plan
+    /// shards at `count`, strictly increasing), one vector per parent:
+    /// child `j` of shard `s` is shard `s + j·count` at `count ·
+    /// fanout`. Hashes the entries of those shards only.
+    fn child_digests(&self, parents: &[u64], count: u64, fanout: u64) -> Vec<Vec<ShardDigest>> {
+        let mut children = vec![vec![ShardDigest::default(); fanout as usize]; parents.len()];
+        self.visit_shards(parents, count as usize, |key, entry| {
+            let hash = placement(key.as_bytes());
+            if let Ok(slot) = parents.binary_search(&(hash & (count - 1))) {
+                let child = &mut children[slot][((hash / count) & (fanout - 1)) as usize];
+                child.digest = child.digest.wrapping_add(entry_hash(key, entry));
+                child.entries += 1;
+            }
+        });
+        children
     }
 
     /// Inserts or replaces one entry, maintaining the shard digest.
@@ -411,12 +459,14 @@ impl KvStore {
 
     /// Number of live keys.
     pub fn len(&self) -> usize {
-        self.keys().count()
+        self.iter_entries()
+            .filter(|(_, e)| e.value.is_some())
+            .count()
     }
 
-    /// `true` iff the store has no live keys.
+    /// `true` iff the store has no live keys. Stops at the first one.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        !self.iter_entries().any(|(_, e)| e.value.is_some())
     }
 
     /// Total entries including tombstones (the replication footprint).
@@ -498,7 +548,46 @@ impl KvStore {
     /// sorted order, so stream-id assignment (and therefore the whole
     /// framed exchange) is independent of the local shard layout.
     pub fn client_endpoint_for(&self, shards: &[u64], count: usize) -> BatchPullClient {
-        pulling(self.entries_in(shards, count))
+        pulling(self.entries_in(shards, count, |_| true))
+    }
+
+    /// The pulling half of a planned contact, cut as finely as `plan`
+    /// allows. Where the plan offers child digests, this store's
+    /// children of the same shards are compared with them and the
+    /// endpoint keeps, of those shards, only the keys of children that
+    /// differ — the [`ShardScope`] returned with it tells the server
+    /// which, so both sides cut alike; every other incremental shard is
+    /// presented whole. For a plan that refines nothing this is
+    /// [`client_endpoint_for`](Self::client_endpoint_for) over its
+    /// incremental shards. Call it under the guard that snapshots the
+    /// [`generation`](Self::generation): children and endpoint are one
+    /// view of the store.
+    pub fn client_endpoint_refined(&self, plan: &ShardPlan) -> Restricted {
+        let count = plan.count as usize;
+        let Some(theirs) = &plan.children else {
+            return self.client_endpoint_for(&plan.incremental, count).into();
+        };
+        let offer = theirs.offer(plan.count);
+        let ours = self.child_digests(&offer.parents, offer.count, offer.fanout);
+        let mut differing = Vec::new();
+        for ((shard, theirs), ours) in theirs.parents.iter().zip(&ours) {
+            for (j, (ours, theirs)) in ours.iter().zip(theirs).enumerate() {
+                if !nothing_to_pull(ours, theirs) {
+                    differing.push(shard + j as u64 * offer.count);
+                }
+            }
+        }
+        differing.sort_unstable();
+        let scope = ShardScope {
+            count: offer.count * offer.fanout,
+            children: differing,
+        };
+        let keep = |key: &str| offer.admits(&scope, key.as_bytes());
+        let client = pulling(self.entries_in(&plan.incremental, count, keep));
+        Restricted {
+            client,
+            scope: Some(scope),
+        }
     }
 
     /// [`server_endpoint`](Self::server_endpoint) restricted to the
@@ -507,7 +596,7 @@ impl KvStore {
     /// keys inside the planned shards, so clean shards cost zero
     /// object rounds.
     pub fn server_endpoint_for(&self, shards: &[u64], count: usize) -> BatchPullServer {
-        serving(self.entries_in(shards, count))
+        serving(self.entries_in(shards, count, |_| true))
     }
 
     /// This store's per-shard digests at its physical shard count —
@@ -560,15 +649,20 @@ impl KvStore {
     /// [`encode_snapshot`](Self::encode_snapshot), without the site
     /// header — shard snapshots cross sites, so they carry no site id).
     pub fn encode_shard_snapshot(&self, shard: u64, count: usize) -> Bytes {
-        encode_shard_image(&self.entries_in(&[shard], count))
+        encode_shard_image(&self.entries_in(&[shard], count, |_| true))
     }
 
     /// The serving half of the planner phase: folds this store's
     /// digests to the puller's shard count, [`decide`]s per shard,
-    /// encodes snapshot blobs for the bulk-load shards, and builds the
-    /// restricted serving endpoint for the incremental ones — all from
-    /// one consistent view of the store, so the plan and the endpoint
-    /// can never disagree (call under one lock in a daemon).
+    /// encodes snapshot blobs for the bulk-load shards, digests the
+    /// children of the shards `decide` priced as worth narrowing, and
+    /// builds the restricted serving endpoint for the incremental ones
+    /// — all from one consistent view of the store, so the plan and the
+    /// endpoint can never disagree (call under one lock in a daemon).
+    /// The endpoint covers the incremental shards whole: a puller that
+    /// ignores the plan's children pulls against it as it stands, and a
+    /// [`Serving`](optrep_replication::mux::Serving) narrows it when
+    /// the puller's scope arrives.
     pub fn plan_contact(
         &self,
         digests: &DigestVector,
@@ -576,39 +670,44 @@ impl KvStore {
     ) -> (ShardPlan, BatchPullServer) {
         let count = digests.shards.len().clamp(1, MAX_SHARDS);
         let ours = self.shard_digests_at(count);
-        let actions = decide(&digests.shards[..count], &ours, config);
+        let decision = decide(&digests.shards[..count], &ours, config);
         let mut plan = ShardPlan {
             count: count as u64,
-            incremental: Vec::new(),
-            snapshots: Vec::new(),
+            ..ShardPlan::default()
         };
-        let mut images: BTreeMap<usize, Vec<(&String, &Entry)>> = BTreeMap::new();
-        for (shard, action) in actions.iter().enumerate() {
+        let mut bulk = Vec::new();
+        for (shard, action) in decision.actions.iter().enumerate() {
             match action {
                 ShardAction::Skip => {}
                 ShardAction::Incremental => plan.incremental.push(shard as u64),
-                ShardAction::Snapshot => {
-                    images.insert(shard, Vec::new());
-                }
+                ShardAction::Snapshot => bulk.push(shard as u64),
             }
         }
-        // One sorted walk over the shards the plan touches feeds every
-        // blob and the endpoint: bucketing keeps key order, so each
-        // image is what `encode_shard_snapshot` would sort out of the
-        // whole store for that shard alone.
-        let touched = |key: &str| actions[shard_index(key, count)] != ShardAction::Skip;
-        let mut incremental = Vec::new();
-        for (key, entry) in self.sorted_entries(touched) {
-            match images.get_mut(&shard_index(key, count)) {
-                Some(image) => image.push((key, entry)),
-                None => incremental.push((key, entry)),
-            }
+        // Each walk sorts the shards it names and nothing else; within
+        // a walk, bucketing keeps key order, so each image is what
+        // `encode_shard_snapshot` would sort out for that shard alone.
+        let mut images: BTreeMap<u64, Vec<(&String, &Entry)>> =
+            bulk.iter().map(|&shard| (shard, Vec::new())).collect();
+        for (key, entry) in self.entries_in(&bulk, count, |_| true) {
+            let shard = shard_index(key, count) as u64;
+            images
+                .get_mut(&shard)
+                .expect("a bulk shard")
+                .push((key, entry));
         }
         plan.snapshots = images
             .iter()
-            .map(|(&shard, image)| (shard as u64, encode_shard_image(image)))
+            .map(|(&shard, image)| (shard, encode_shard_image(image)))
             .collect();
-        (plan, serving(incremental))
+        if !decision.refined.is_empty() {
+            let children = self.child_digests(&decision.refined, plan.count, decision.fanout);
+            plan.children = Some(ChildDigests {
+                fanout: decision.fanout,
+                parents: decision.refined.into_iter().zip(children).collect(),
+            });
+        }
+        let endpoint = serving(self.entries_in(&plan.incremental, count, |_| true));
+        (plan, endpoint)
     }
 
     /// The serving side's answer to the first frame of a contact, as a
@@ -654,7 +753,7 @@ impl KvStore {
         let mut far = |digests: Option<&DigestVector>| src.open_contact(digests, config);
         let (client, plan, contact) =
             pull_planned(&mut InProcessLink::serving(&mut far), &digests, |plan| {
-                self.client_endpoint_for(&plan.incremental, plan.count as usize)
+                self.client_endpoint_refined(plan)
             })?;
         let (report, _) = self.apply_planned_tracked(resolver, client, &contact, &plan)?;
         Ok((report, contact))
@@ -825,6 +924,7 @@ impl KvStore {
             shards_incremental: contact.shards_incremental as usize,
             shards_snapshot: contact.shards_snapshot as usize,
             digest_bytes: contact.digest_bytes as usize,
+            shards_refined: contact.shards_refined as usize,
             ..KvSyncReport::default()
         };
         let site = self.site;
@@ -938,7 +1038,8 @@ impl KvStore {
         let mut feed = [0u8; 16];
         feed[..8].copy_from_slice(&count.to_le_bytes());
         feed[8..].copy_from_slice(&sum.to_le_bytes());
-        fnv64(&feed)
+        // `placement` is FNV-1a, the one the shard map uses.
+        placement(&feed)
     }
 
     /// Serializes the whole store into a durable snapshot.
@@ -1673,6 +1774,123 @@ mod tests {
             let reference = src.server_endpoint_for(&plan.incremental, count);
             assert_eq!(format!("{endpoint:?}"), format!("{reference:?}"));
         }
+    }
+
+    #[test]
+    fn shard_walks_visit_exactly_what_a_whole_store_filter_keeps() {
+        for physical in [1usize, 8, 64] {
+            let mut store = KvStore::with_shards(s(0), physical);
+            for i in 0..300 {
+                store.put(format!("key-{i}"), format!("v{i}"));
+            }
+            store.delete("key-42");
+            for count in [1usize, 4, 8, 32, 256] {
+                // Every other shard, plus one index past the map.
+                let shards: Vec<u64> = (0..count as u64).step_by(2).chain([count as u64]).collect();
+                let named = |key: &str| shards.contains(&(shard_index(key, count) as u64));
+                let mut filtered = store.entries_sorted();
+                filtered.retain(|(key, _)| named(key));
+                let walked = store.entries_in(&shards, count, |_| true);
+                assert_eq!(walked, filtered, "{count} over {physical}");
+
+                // Children: the digests at count * F, regrouped by parent.
+                let fanout = 4usize;
+                let parents: Vec<u64> = (0..count as u64).step_by(2).collect();
+                let finer = store.shard_digests_at(count * fanout);
+                let children = store.child_digests(&parents, count as u64, fanout as u64);
+                for (parent, digests) in parents.iter().zip(&children) {
+                    for (j, child) in digests.iter().enumerate() {
+                        assert_eq!(*child, finer[*parent as usize + j * count]);
+                    }
+                }
+            }
+        }
+    }
+
+    /// One planned pull by a puller that ignores the plan's children and
+    /// walks its incremental shards whole.
+    fn flat_planned_pull(dst: &mut KvStore, src: &KvStore) -> (KvSyncReport, ContactReport) {
+        let config = PlanConfig::default();
+        let digests = dst.shard_digest_vector();
+        let mut far = |digests: Option<&DigestVector>| src.open_contact(digests, &config);
+        let (client, plan, contact) =
+            pull_planned(&mut InProcessLink::serving(&mut far), &digests, |plan| {
+                dst.client_endpoint_for(&plan.incremental, plan.count as usize)
+            })
+            .unwrap();
+        let (report, _) = dst
+            .apply_planned_tracked(&JoinResolver, client, &contact, &plan)
+            .unwrap();
+        (report, contact)
+    }
+
+    /// A converged pair at 64 shards holding `keys` keys of 32-byte
+    /// values, and then one key rewritten at the source in each of the
+    /// first `dirty_shards` shards.
+    fn pair_with_dirty_shards(keys: usize, dirty_shards: usize) -> (KvStore, KvStore) {
+        let mut src = KvStore::with_shards(s(1), 64);
+        for i in 0..keys {
+            src.put(format!("key-{i:05}"), vec![b'v'; 32]);
+        }
+        let mut dst = KvStore::with_shards(s(0), 64);
+        dst.sync(&src).run().unwrap();
+        for shard in 0..dirty_shards {
+            let key = (0..keys)
+                .map(|i| format!("key-{i:05}"))
+                .find(|key| shard_index(key, 64) == shard)
+                .expect("every shard holds a key");
+            src.put(key, vec![b'w'; 32]);
+        }
+        (dst, src)
+    }
+
+    #[test]
+    fn a_sparse_pull_moves_half_the_bytes_once_cut_at_the_children() {
+        // 195 keys a shard, one dirty key in each of four shards.
+        let (dst, src) = pair_with_dirty_shards(64 * 195, 4);
+        let bytes = |r: &KvSyncReport| r.meta_bytes + r.value_bytes + r.digest_bytes;
+        let mut flat_dst = dst.clone();
+        let (flat, _) = flat_planned_pull(&mut flat_dst, &src);
+        let mut refined_dst = dst;
+        let (refined, _) = refined_dst
+            .sync_planned(&src, &JoinResolver, &PlanConfig::default())
+            .unwrap();
+        assert_eq!((flat.keys_fast_forwarded, flat.shards_refined), (4, 0));
+        assert_eq!(
+            (refined.keys_fast_forwarded, refined.shards_refined),
+            (4, 4)
+        );
+        assert_eq!(
+            refined_dst.replica_digest_full(),
+            flat_dst.replica_digest_full()
+        );
+        assert_eq!(refined_dst.replica_digest(), src.replica_digest());
+        // Per changed key: the digest vector is most of what is left.
+        assert!(
+            bytes(&refined) * 2 <= bytes(&flat),
+            "refined {} B, flat {} B for 4 keys",
+            bytes(&refined),
+            bytes(&flat)
+        );
+        assert!(refined.keys_examined * 8 < flat.keys_examined);
+    }
+
+    #[test]
+    fn a_dense_pull_is_offered_no_children_and_runs_as_it_always_did() {
+        // 40 keys a shard, every shard dirty.
+        let (dst, src) = pair_with_dirty_shards(64 * 40, 64);
+        let digests = dst.shard_digest_vector();
+        let (plan, _) = src.plan_contact(&digests, &PlanConfig::default());
+        assert_eq!(plan.incremental.len(), 64);
+        assert_eq!(plan.children, None);
+        let mut flat_dst = dst.clone();
+        let flat = flat_planned_pull(&mut flat_dst, &src);
+        let mut planned_dst = dst;
+        let planned = planned_dst
+            .sync_planned(&src, &JoinResolver, &PlanConfig::default())
+            .unwrap();
+        assert_eq!(planned, flat, "same frames, same bytes, same verdicts");
+        assert_eq!(planned_dst.replica_digest(), src.replica_digest());
     }
 
     #[test]

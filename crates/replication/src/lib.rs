@@ -39,11 +39,15 @@ pub use meta::ReplicaMeta;
 pub use mux::{
     classify, pull_contact, pull_planned, reason_label, run_contact, serve_contact, serve_frame,
     serve_from, BatchPullClient, BatchPullServer, ContactReport, ContactSource, CtrlMsg, Faulted,
-    FrameBytes, InProcessLink, MuxMsg, Puller, ServeStep, Serving, StreamResult, CONTROL_STREAM,
+    FrameBytes, InProcessLink, MuxMsg, Puller, Restricted, ServeStep, Serving, StreamResult,
+    CONTROL_STREAM,
 };
 pub use object::ObjectId;
 pub use oplog::OpReplica;
-pub use planner::{decide, DigestVector, PlanConfig, ShardAction, ShardDigest, ShardPlan};
+pub use planner::{
+    decide, ChildDigests, Decision, DigestVector, Offer, PlanConfig, ShardAction, ShardDigest,
+    ShardPlan, ShardScope,
+};
 // Re-exported so callers of `Faulted` / `ContactOptions::with_fault` can
 // name the fault types without depending on `optrep-net` directly.
 pub use optrep_net::{mix_seed, FaultPlan, FaultStats, FaultyLink, TransmitOutcome};

@@ -26,7 +26,10 @@
 //! trips instead of `Ω(n)`, with per-object `Δ`/`Γ`/`γ` accounting
 //! identical to the single-object path.
 
-use crate::planner::{digest_vector_frame, plan_frame, DigestVector, ShardPlan, TAG_SHARD_DIGESTS};
+use crate::planner::{
+    digest_vector_frame, plan_frame, scope_frame, DigestVector, Offer, ShardPlan, ShardScope,
+    TAG_SHARD_DIGESTS, TAG_SHARD_SCOPE,
+};
 use crate::protocol::{
     get_opt_elem, opt_elem_len, put_opt_elem, PullClient, PullOutcome, PullServer, SessionMsg,
 };
@@ -1008,12 +1011,17 @@ pub struct ContactReport {
     pub shards_incremental: u64,
     /// Shards transferred as whole-shard snapshots.
     pub shards_snapshot: u64,
+    /// Incremental shards narrowed to their dirty children: the plan
+    /// offered their child digests and the puller answered with a
+    /// [`ShardScope`]. Zero when the plan refined nothing or the puller
+    /// walked the shards whole.
+    pub shards_refined: u64,
     /// Bytes of the planner exchange (digest-vector frame + plan frame,
-    /// snapshot blobs included; turn markers excluded) — the fifth
-    /// plane, priced by [`Puller`]'s planning state. The two planner
-    /// frames emit no `FrameTx` event: the obs contact scope opens with
-    /// the object exchange, and widening it is a behaviour change for
-    /// its own issue.
+    /// snapshot blobs and child digests included, + the scope frame;
+    /// turn markers excluded) — the fifth plane, priced by [`Puller`].
+    /// The planner frames emit no `FrameTx` event: the obs contact
+    /// scope opens with the object exchange, and widening it is a
+    /// behaviour change for its own issue.
     pub digest_bytes: u64,
 }
 
@@ -1184,7 +1192,10 @@ enum PullPhase {
 /// one turn earlier: the puller sends its [`DigestVector`], the server
 /// answers one [`ShardPlan`] ([`take_plan`](Self::take_plan)), and the
 /// caller continues with a client restricted to the plan's incremental
-/// shards ([`exchange`](Self::exchange)).
+/// shards ([`exchange`](Self::exchange)) — or, where the plan offered
+/// child digests and the caller compared them, to the children that
+/// differ, named to the server by a [`ShardScope`] frame that leads
+/// the opening burst.
 ///
 /// The exchange is half-duplex lockstep: the client flushes a whole
 /// burst and passes the turn with a [`TURN_STREAM`] marker; the server
@@ -1208,6 +1219,8 @@ pub struct Puller<'a> {
     client: Option<&'a mut BatchPullClient>,
     /// The server's plan, until [`take_plan`](Self::take_plan).
     plan: Option<ShardPlan>,
+    /// Shards whose children the plan offered.
+    offered: u64,
     contact: u64,
     report: ContactReport,
     /// Round trips are the blocking dependency depth, not the burst
@@ -1225,6 +1238,7 @@ impl<'a> Puller<'a> {
         Puller {
             client: None,
             plan: None,
+            offered: 0,
             contact: 0,
             report: ContactReport::default(),
             payload_requested: false,
@@ -1238,7 +1252,7 @@ impl<'a> Puller<'a> {
     /// contact id stamped on every frame event (0 when nothing listens).
     pub fn open(client: &'a mut BatchPullClient, contact: u64, out: &mut BytesMut) -> Self {
         let mut puller = Self::in_phase(PullPhase::Planned);
-        puller.exchange(client, contact, out);
+        puller.exchange(client, None, contact, out);
         puller
     }
 
@@ -1262,14 +1276,32 @@ impl<'a> Puller<'a> {
     }
 
     /// Begins the object exchange of a planned contact with the
-    /// restricted `client`: writes `BatchHello` plus its marker to
-    /// `out`. `contact` as for [`open`](Self::open).
+    /// restricted `client`: writes `scope` (if the caller narrowed the
+    /// plan's refined shards to it — `client` must be cut the same
+    /// way), `BatchHello` and its marker to `out` as one burst. The
+    /// scope frame is planner traffic: priced into
+    /// [`ContactReport::digest_bytes`], not into the four planes.
+    /// `contact` as for [`open`](Self::open).
     ///
     /// # Panics
     ///
-    /// Panics unless the planning turn has just completed.
-    pub fn exchange(&mut self, client: &'a mut BatchPullClient, contact: u64, out: &mut BytesMut) {
+    /// Panics unless the planning turn has just completed, or if a
+    /// scope answers a plan that offered no children.
+    pub fn exchange(
+        &mut self,
+        client: &'a mut BatchPullClient,
+        scope: Option<&ShardScope>,
+        contact: u64,
+        out: &mut BytesMut,
+    ) {
         assert_eq!(self.phase, PullPhase::Planned, "no plan to exchange under");
+        if let Some(scope) = scope {
+            assert!(self.offered > 0, "a scope for a plan that refined nothing");
+            let frame = scope_frame(scope);
+            self.report.digest_bytes += frame.len() as u64;
+            self.report.shards_refined = self.offered;
+            out.extend_from_slice(&frame);
+        }
         self.client = Some(client);
         self.contact = contact;
         self.phase = PullPhase::Exchanging;
@@ -1354,6 +1386,7 @@ impl<'a> Puller<'a> {
         self.report.shards_skipped = plan.skipped();
         self.report.shards_incremental = plan.incremental.len() as u64;
         self.report.shards_snapshot = plan.snapshots.len() as u64;
+        self.offered = plan.children.as_ref().map_or(0, |c| c.parents.len() as u64);
         self.plan = Some(plan);
         Ok(())
     }
@@ -1482,14 +1515,37 @@ pub fn pull_contact<L: FrameLink>(
     pump_exchange(&mut puller, link, &mut out, scope)
 }
 
+/// The pulling endpoint of a planned contact, as [`pull_planned`]'s
+/// caller builds it from the plan.
+#[derive(Debug)]
+pub struct Restricted {
+    /// The client over the keys the contact will exchange.
+    pub client: BatchPullClient,
+    /// The children of the plan's refined shards that differ, when the
+    /// caller compared them and cut `client` at them; `None` for a
+    /// client over the whole incremental shards.
+    pub scope: Option<ShardScope>,
+}
+
+impl From<BatchPullClient> for Restricted {
+    /// A client over the plan's incremental shards, whole.
+    fn from(client: BatchPullClient) -> Self {
+        Restricted {
+            client,
+            scope: None,
+        }
+    }
+}
+
 /// Drives one *planned* pull over `link`, the digest/plan turn
 /// included: sends `digests`, takes the server's [`ShardPlan`], asks
-/// `endpoint` for the client restricted to the plan's incremental
-/// shards (a daemon takes its store lock in there), and runs the object
-/// exchange exactly as [`pull_contact`] does. Returns the finished
-/// client, the plan, and the report with the planner fields
-/// ([`ContactReport::digest_bytes`], `shards_*`) filled in — what
-/// `KvStore::apply_planned_tracked` commits.
+/// `endpoint` for the client restricted to it (a daemon takes its store
+/// lock in there) — a [`Restricted`] cut at the plan's child digests,
+/// or a plain [`BatchPullClient`] over the incremental shards — and
+/// runs the object exchange exactly as [`pull_contact`] does. Returns
+/// the finished client, the plan, and the report with the planner
+/// fields ([`ContactReport::digest_bytes`], `shards_*`) filled in —
+/// what `KvStore::apply_planned_tracked` commits.
 ///
 /// The obs contact scope opens when the exchange begins, with the
 /// restricted client's stream count; the planning turn emits nothing.
@@ -1500,10 +1556,10 @@ pub fn pull_contact<L: FrameLink>(
 /// before the turn comes back, more than one frame, a FIN, a plan at
 /// the wrong shard count) FINs the link the same way, before any obs
 /// scope exists.
-pub fn pull_planned<L: FrameLink>(
+pub fn pull_planned<L: FrameLink, E: Into<Restricted>>(
     link: &mut L,
     digests: &DigestVector,
-    endpoint: impl FnOnce(&ShardPlan) -> BatchPullClient,
+    endpoint: impl FnOnce(&ShardPlan) -> E,
 ) -> Result<(BatchPullClient, ShardPlan, ContactReport)> {
     // Declared ahead of the machine that borrows it for the exchange.
     let mut client;
@@ -1518,9 +1574,10 @@ pub fn pull_planned<L: FrameLink>(
             break plan;
         }
     };
-    client = endpoint(&plan);
+    let restricted = endpoint(&plan).into();
+    client = restricted.client;
     let scope = obs::contact_scope(client.streams.len() as u64);
-    puller.exchange(&mut client, scope.id(), &mut out);
+    puller.exchange(&mut client, restricted.scope.as_ref(), scope.id(), &mut out);
     let report = pump_exchange(&mut puller, link, &mut out, scope)?;
     Ok((client, plan, report))
 }
@@ -1681,7 +1738,9 @@ pub type ContactSource<'a> =
 /// the plan and the endpoint restricted to it (from one consistent view
 /// of its store), the encoded plan is parked until the puller's turn
 /// marker hands the link over, and the object exchange then runs on the
-/// restricted endpoint. Any other first frame asks the source for the
+/// restricted endpoint — narrowed first, if the plan offered child
+/// digests and the puller's burst opens with a [`ShardScope`], to the
+/// children it lists. Any other first frame asks the source for the
 /// full endpoint and is an ordinary [`serve_frame`] step. Between
 /// contacts the machine holds nothing, so one `Serving` serves a
 /// persistent connection's contacts back to back.
@@ -1693,6 +1752,11 @@ pub struct Serving {
     server: Option<Box<BatchPullServer>>,
     /// A planned contact's plan frame, until the puller passes the turn.
     parked: Option<BytesMut>,
+    /// What the plan offered to narrow, from the plan until the first
+    /// frame of the puller's burst: a scope there is taken, anything
+    /// else forfeits the offer — so a contact takes at most one scope,
+    /// and only ahead of its `BatchHello`.
+    offer: Option<Offer>,
 }
 
 impl Serving {
@@ -1704,8 +1768,10 @@ impl Serving {
     ///
     /// As [`serve_frame`]; in the planning turn, a malformed digest
     /// vector, a source that cannot plan, and anything but a plain turn
-    /// marker (a FIN, a second frame) after the digest vector. The
-    /// caller must treat any error as poisoning the connection.
+    /// marker (a FIN, a second frame) after the digest vector; a scope
+    /// that does not answer the plan's offer (and, as an undecodable
+    /// frame, any scope where none is due). The caller must treat any
+    /// error as poisoning the connection.
     pub fn on_frame(
         &mut self,
         frame: wire::Frame,
@@ -1738,11 +1804,22 @@ impl Serving {
                     ));
                 };
                 self.parked = Some(plan_frame(&plan));
+                self.offer = plan.offer();
                 self.server = Some(Box::new(server));
                 return Ok(ServeStep::Continue);
             }
             None => self.server.insert(Box::new(source(None).1)),
         };
+        if let Some(offer) = self.offer.take() {
+            if frame.stream == CONTROL_STREAM && frame.payload.first() == Some(&TAG_SHARD_SCOPE) {
+                let mut payload = frame.payload;
+                let scope = ShardScope::decode(&mut payload, &offer)?;
+                // The endpoint was built when the plan was, from the
+                // same view of the store; the contact has not opened.
+                server.objects.retain(|name, _| offer.admits(&scope, name));
+                return Ok(ServeStep::Continue);
+            }
+        }
         let step = serve_frame(server, frame, out)?;
         if step == ServeStep::Done {
             self.server = None;

@@ -18,6 +18,17 @@
 //!    zero object rounds; a second immediate pull of an unchanged store
 //!    is two frames total, whatever the object count.
 //!
+//! **One more level.** A dirty shard with a few hundred entries still
+//! pays the O(1) COMPARE for every clean neighbour of its one dirty
+//! key. Where [`decide`] prices it as worth the bytes, the plan frame
+//! carries each such shard's **children** — the same `(digest,
+//! entries)` pairs at `count · F` ([`ChildDigests`]) — and the puller,
+//! having compared them with its own, puts one [`ShardScope`] frame
+//! (the child indices that differ) in front of its `BatchHello`, in
+//! the same burst. Both endpoints are then cut at the children. No
+//! turn is added; a plan that refines nothing, and a puller that sends
+//! no scope, are byte for byte the contact described above.
+//!
 //! The planner frames reuse the mux control stream (tag space `0x35+`,
 //! disjoint from [`CtrlMsg`](crate::mux::CtrlMsg)'s `0x31..=0x34`) and
 //! the link layer's turn-marker discipline, so the phase pipelines over
@@ -55,8 +66,15 @@ use optrep_core::wire;
 
 /// Wire tag of a [`DigestVector`] (puller → server).
 pub const TAG_SHARD_DIGESTS: u8 = 0x35;
-/// Wire tag of a [`ShardPlan`] (server → puller).
+/// Wire tag of a [`ShardPlan`] that refines nothing (server → puller).
 pub const TAG_SHARD_PLAN: u8 = 0x36;
+/// Wire tag of a [`ShardScope`] (puller → server).
+pub const TAG_SHARD_SCOPE: u8 = 0x37;
+/// Wire tag of a [`ShardPlan`] whose frame ends in a [`ChildDigests`]
+/// tail. A tag of its own keeps the codec strict — the tail is
+/// mandatory under it, so no prefix of a refined plan is a valid plan —
+/// while an unrefined plan stays byte-identical to what it always was.
+pub const TAG_SHARD_PLAN_REFINED: u8 = 0x38;
 
 /// Hard cap on the shard count any peer may claim: bounds the
 /// allocation a hostile digest vector or plan can force.
@@ -128,6 +146,154 @@ impl DigestVector {
     }
 }
 
+/// The placement hash of a key: FNV-1a over its bytes. It is part of
+/// the protocol, not a store detail: two digest vectors only compare
+/// because both sides place a key by the same hash, and the children of
+/// shard `s` at `count` shards are the shards `s + j·count` of the same
+/// hash masked `F` times wider.
+pub fn placement(key: &[u8]) -> u64 {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    key.iter()
+        .fold(OFFSET, |hash, &b| (hash ^ u64::from(b)).wrapping_mul(PRIME))
+}
+
+/// A key's shard in a map of `count` shards (`count` a power of two).
+/// Identical on every site and at every shard count that shares low
+/// index bits — folding a 256-shard map to 16 shards is an index mask.
+pub fn shard_of(key: &[u8], count: u64) -> u64 {
+    placement(key) & (count - 1)
+}
+
+/// `true` when a shard (or child) needs no object rounds: the server
+/// holds nothing there, or the content is provably identical.
+pub fn nothing_to_pull(ours: &ShardDigest, theirs: &ShardDigest) -> bool {
+    theirs.entries == 0 || ours == theirs
+}
+
+/// The second level of a [`ShardPlan`]: the server's digests of the
+/// children of some of the plan's incremental shards, at
+/// `count · fanout`. Child `j` of shard `s` is index `s + j·count`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ChildDigests {
+    /// Children per refined shard `F`: a power of two, at least 2,
+    /// with `count · F ≤` [`MAX_PLAN_SHARDS`].
+    pub fanout: u64,
+    /// `(shard, its F children in order of j)`, shards strictly
+    /// increasing and each one of the plan's incremental shards.
+    pub parents: Vec<(u64, Vec<ShardDigest>)>,
+}
+
+impl ChildDigests {
+    /// These children as an offer of a plan at `count` shards.
+    pub fn offer(&self, count: u64) -> Offer {
+        Offer {
+            count,
+            fanout: self.fanout,
+            parents: self.parents.iter().map(|(shard, _)| *shard).collect(),
+        }
+    }
+}
+
+/// What a plan offered to narrow, without the digests: the part of a
+/// [`ShardPlan`] a [`ShardScope`] is checked against and, with the
+/// scope, what decides whether a key is still in the contact.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Offer {
+    /// The plan's shard count.
+    pub count: u64,
+    /// Children per refined shard.
+    pub fanout: u64,
+    /// The refined shards, strictly increasing.
+    pub parents: Vec<u64>,
+}
+
+impl Offer {
+    /// Whether `key` — a key of one of the plan's incremental shards —
+    /// stays in the contact once the puller answered `scope`: every
+    /// key of an unrefined shard does, a key of a refined shard only
+    /// if its child is listed. Both endpoints cut themselves with this
+    /// one predicate, so they agree on the key set.
+    pub fn admits(&self, scope: &ShardScope, key: &[u8]) -> bool {
+        let hash = placement(key);
+        self.parents
+            .binary_search(&(hash & (self.count - 1)))
+            .is_err()
+            || scope
+                .children
+                .binary_search(&(hash & (scope.count - 1)))
+                .is_ok()
+    }
+}
+
+/// The puller's answer to a plan's [`ChildDigests`]: which children
+/// differ from its own. Sent in front of the `BatchHello`, in the same
+/// burst; the server narrows its endpoint to them.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ShardScope {
+    /// The shard count the indices are expressed at: the plan's
+    /// `count · fanout`.
+    pub count: u64,
+    /// The children to sync, strictly increasing, each under a shard
+    /// the plan refined.
+    pub children: Vec<u64>,
+}
+
+impl ShardScope {
+    /// Encodes the message (tag, child shard count, then the indices).
+    pub fn encode(&self) -> Bytes {
+        let mut buf = BytesMut::with_capacity(8 + self.children.len() * 3);
+        buf.put_u8(TAG_SHARD_SCOPE);
+        wire::put_varint(&mut buf, self.count);
+        wire::put_varint(&mut buf, self.children.len() as u64);
+        for &child in &self.children {
+            wire::put_varint(&mut buf, child);
+        }
+        buf.freeze()
+    }
+
+    /// Decodes a [`ShardScope`] answering `offer`, rejecting
+    /// truncation, trailing bytes, a shard count other than the one
+    /// offered, more indices than were offered (checked before
+    /// anything is allocated), indices out of order or out of range,
+    /// and children of a shard the plan did not refine.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError`] on any malformed input.
+    pub fn decode(buf: &mut Bytes, offer: &Offer) -> std::result::Result<ShardScope, WireError> {
+        if !buf.has_remaining() {
+            return Err(WireError::UnexpectedEof);
+        }
+        if buf.get_u8() != TAG_SHARD_SCOPE {
+            return Err(WireError::InvalidPayload);
+        }
+        let count = wire::get_varint(buf)?;
+        if count != offer.count * offer.fanout {
+            return Err(WireError::InvalidPayload);
+        }
+        let n = wire::get_varint(buf)?;
+        // An index is at least one byte, so the payload bounds `n` too.
+        if n > offer.parents.len() as u64 * offer.fanout || n > buf.remaining() as u64 {
+            return Err(WireError::InvalidPayload);
+        }
+        let mut children = Vec::with_capacity(n as usize);
+        for _ in 0..n {
+            let child = wire::get_varint(buf)?;
+            let in_order = children.last().is_none_or(|&last| last < child);
+            let offered = offer.parents.binary_search(&(child & (offer.count - 1)));
+            if !in_order || child >= count || offered.is_err() {
+                return Err(WireError::InvalidPayload);
+            }
+            children.push(child);
+        }
+        if buf.has_remaining() {
+            return Err(WireError::InvalidPayload);
+        }
+        Ok(ShardScope { count, children })
+    }
+}
+
 /// The server's answer: how each of the puller's shards will be
 /// brought up to date. Shards in neither list are skipped.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -142,6 +308,11 @@ pub struct ShardPlan {
     /// the blob is the server's shard image
     /// (`KvStore::encode_shard_snapshot` format).
     pub snapshots: Vec<(u64, Bytes)>,
+    /// The children of the incremental shards [`decide`] priced as
+    /// worth narrowing; `None` when nothing is refined. A puller may
+    /// ignore them: without a [`ShardScope`] the contact runs over the
+    /// whole incremental shards.
+    pub children: Option<ChildDigests>,
 }
 
 impl ShardPlan {
@@ -153,10 +324,21 @@ impl ShardPlan {
             .saturating_sub(self.snapshots.len() as u64)
     }
 
-    /// Encodes the message.
+    /// What the plan offers to narrow, if anything.
+    pub fn offer(&self) -> Option<Offer> {
+        self.children
+            .as_ref()
+            .map(|children| children.offer(self.count))
+    }
+
+    /// Encodes the message. The children, when present, are a tail
+    /// after the unrefined encoding, under their own tag.
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::new();
-        buf.put_u8(TAG_SHARD_PLAN);
+        buf.put_u8(match self.children {
+            Some(_) => TAG_SHARD_PLAN_REFINED,
+            None => TAG_SHARD_PLAN,
+        });
         wire::put_varint(&mut buf, self.count);
         wire::put_varint(&mut buf, self.incremental.len() as u64);
         for &shard in &self.incremental {
@@ -167,13 +349,29 @@ impl ShardPlan {
             wire::put_varint(&mut buf, *shard);
             wire::put_bytes(&mut buf, blob);
         }
+        if let Some(children) = &self.children {
+            wire::put_varint(&mut buf, u64::from(children.fanout.trailing_zeros()));
+            wire::put_varint(&mut buf, children.parents.len() as u64);
+            for (shard, digests) in &children.parents {
+                wire::put_varint(&mut buf, *shard);
+                for child in digests {
+                    wire::put_varint(&mut buf, child.entries);
+                    buf.put_u64(child.digest);
+                }
+            }
+        }
         buf.freeze()
     }
 
     /// Decodes a [`ShardPlan`], rejecting truncation, trailing bytes,
     /// out-of-range or unsorted-duplicate shard indices, and shard
     /// counts that are zero, non-power-of-two, or past
-    /// [`MAX_PLAN_SHARDS`].
+    /// [`MAX_PLAN_SHARDS`]; under [`TAG_SHARD_PLAN_REFINED`] also a
+    /// missing children tail, a fan-out below 2 or with `count · F`
+    /// past [`MAX_PLAN_SHARDS`], and refined shards that are not a
+    /// strictly increasing selection of the incremental ones. Every
+    /// length is checked against what was already decoded, or against
+    /// the bytes that are left, before it sizes an allocation.
     ///
     /// # Errors
     ///
@@ -182,9 +380,11 @@ impl ShardPlan {
         if !buf.has_remaining() {
             return Err(WireError::UnexpectedEof);
         }
-        if buf.get_u8() != TAG_SHARD_PLAN {
-            return Err(WireError::InvalidPayload);
-        }
+        let refined = match buf.get_u8() {
+            TAG_SHARD_PLAN => false,
+            TAG_SHARD_PLAN_REFINED => true,
+            _ => return Err(WireError::InvalidPayload),
+        };
         let count = wire::get_varint(buf)?;
         if count == 0 || !count.is_power_of_two() || count > MAX_PLAN_SHARDS {
             return Err(WireError::InvalidPayload);
@@ -214,6 +414,11 @@ impl ShardPlan {
             let blob = wire::get_bytes(buf)?;
             snapshots.push((shard, blob));
         }
+        let children = if refined {
+            Some(Self::decode_children(buf, count, &incremental)?)
+        } else {
+            None
+        };
         if buf.has_remaining() {
             return Err(WireError::InvalidPayload);
         }
@@ -221,7 +426,54 @@ impl ShardPlan {
             count,
             incremental,
             snapshots,
+            children,
         })
+    }
+
+    /// The children tail of a refined plan at `count` shards.
+    fn decode_children(
+        buf: &mut Bytes,
+        count: u64,
+        incremental: &[u64],
+    ) -> std::result::Result<ChildDigests, WireError> {
+        /// A child is a one-byte-or-more entry count and 8 digest bytes.
+        const MIN_CHILD_BYTES: u64 = 9;
+        let log2 = wire::get_varint(buf)?;
+        if log2 == 0 || log2 > 20 || count << log2 > MAX_PLAN_SHARDS {
+            return Err(WireError::InvalidPayload);
+        }
+        let fanout = 1u64 << log2;
+        let n = wire::get_varint(buf)?;
+        if n == 0 || n > incremental.len() as u64 {
+            return Err(WireError::InvalidPayload);
+        }
+        let mut parents: Vec<(u64, Vec<ShardDigest>)> = Vec::with_capacity(n as usize);
+        // Refined shards are a selection of the incremental ones in
+        // their order, so one pass over the latter finds them all.
+        let mut candidates = incremental.iter();
+        for _ in 0..n {
+            let shard = wire::get_varint(buf)?;
+            let in_order = parents.last().is_none_or(|(last, _)| *last < shard);
+            if !in_order || !candidates.any(|&listed| listed == shard) {
+                return Err(WireError::InvalidPayload);
+            }
+            if (buf.remaining() as u64) < fanout * MIN_CHILD_BYTES {
+                return Err(WireError::UnexpectedEof);
+            }
+            let mut digests = Vec::with_capacity(fanout as usize);
+            for _ in 0..fanout {
+                let entries = wire::get_varint(buf)?;
+                if buf.remaining() < 8 {
+                    return Err(WireError::UnexpectedEof);
+                }
+                digests.push(ShardDigest {
+                    digest: buf.get_u64(),
+                    entries,
+                });
+            }
+            parents.push((shard, digests));
+        }
+        Ok(ChildDigests { fanout, parents })
     }
 }
 
@@ -257,26 +509,66 @@ impl Default for PlanConfig {
     }
 }
 
-/// Decides per shard. `client` and `server` are the two sides' digests
-/// at the same shard count (the client's); the slices must be equal
-/// length.
+/// What [`decide`] concluded about a digest exchange.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Decision {
+    /// One action per shard.
+    pub actions: Vec<ShardAction>,
+    /// The incremental shards whose children are worth offering,
+    /// increasing; empty when the pricing declines.
+    pub refined: Vec<u64>,
+    /// The fan-out every refined shard is offered at. Meaningful only
+    /// when `refined` is not empty.
+    pub fanout: u64,
+}
+
+/// COMPARE bytes one clean key costs a contact that walks its shard:
+/// its first element in the `BatchHello` (3 B), the server's first
+/// element and verdict flags (4 B), its slot in the `BatchDone` (1 B).
+const COMPARE_BYTES_PER_KEY: f64 = 8.0;
+/// Plan-frame bytes one offered child costs: an 8-byte digest and a
+/// one-byte entry count.
+const CHILD_BYTES: f64 = 9.0;
+/// Plan-frame bytes one refined shard costs beside its children (its
+/// index), and scope-frame bytes one listed child costs.
+const INDEX_BYTES: f64 = 3.0;
+
+/// Decides per shard, and prices one more level. `client` and `server`
+/// are the two sides' digests at the same shard count (the client's);
+/// the slices must be equal length.
+///
+/// **The pricing.** Offering a shard's `F` children costs their bytes
+/// in the plan frame; it saves the COMPARE bytes of every key in a
+/// child that turns out clean. How many turn out clean depends on how
+/// many keys of the shard are dirty, which no digest says — so it is
+/// estimated from the one thing the exchange does show, the share `p`
+/// of shards that differ: if dirty keys fall on shards independently,
+/// a shard is hit by `λ = −ln(1 − p)` of them on average and a shard
+/// that was hit holds `d = λ ∕ p`. Two choices keep the estimate on the
+/// safe side: `p` is taken one standard error worse than observed,
+/// `(dirty + √dirty) ∕ count` — so a few clean shards in a dirty map,
+/// or a map too small to say anything, are never read as sparsity —
+/// and each dirty key is charged a whole child (`d` of the `F` children
+/// stay in the contact). A shard is offered iff
+/// `8 B · entries · (1 − d∕F)  >  9 B · F + 3 B · (1 + d)`.
+///
+/// `F` is the power of two at or above `√(entries · 8 B ∕ 9 B)` for the
+/// mean entry count of the incremental shards — the fan-out that
+/// minimises `9F + 8·entries∕F`, children plus the one child still
+/// walked when a single key is dirty (16 at 195 entries) — capped so
+/// `count · F ≤` [`MAX_PLAN_SHARDS`].
 ///
 /// # Panics
 ///
 /// Panics if the slices differ in length (a caller bug — the server
 /// folds to the client's count before deciding).
-pub fn decide(
-    client: &[ShardDigest],
-    server: &[ShardDigest],
-    config: &PlanConfig,
-) -> Vec<ShardAction> {
+pub fn decide(client: &[ShardDigest], server: &[ShardDigest], config: &PlanConfig) -> Decision {
     assert_eq!(client.len(), server.len(), "digest vectors must align");
-    client
+    let actions: Vec<ShardAction> = client
         .iter()
         .zip(server)
         .map(|(ours, theirs)| {
-            if theirs.entries == 0 || ours == theirs {
-                // Nothing to pull, or provably identical content.
+            if nothing_to_pull(ours, theirs) {
                 return ShardAction::Skip;
             }
             // The only sound bulk transfer is into a never-populated
@@ -287,7 +579,45 @@ pub fn decide(
             }
             ShardAction::Incremental
         })
-        .collect()
+        .collect();
+
+    let mut decision = Decision {
+        actions,
+        refined: Vec::new(),
+        fanout: 0,
+    };
+    let count = client.len() as u64;
+    // The keys a flat walk of shard `s` compares: the puller names its
+    // own, the server offers what it holds beyond them.
+    let walked = |shard: usize| client[shard].entries.max(server[shard].entries) as f64;
+    let incremental: Vec<usize> = (0..client.len())
+        .filter(|&shard| decision.actions[shard] == ShardAction::Incremental)
+        .collect();
+    let dirty = decision
+        .actions
+        .iter()
+        .filter(|&&action| action != ShardAction::Skip)
+        .count() as u64;
+    let share = (dirty as f64 + (dirty as f64).sqrt()) / count as f64;
+    if incremental.is_empty() || share >= 1.0 {
+        return decision;
+    }
+    let per_dirty_shard = -(1.0 - share).ln() / share;
+    let mean = incremental.iter().map(|&s| walked(s)).sum::<f64>() / incremental.len() as f64;
+    let ideal = (mean * COMPARE_BYTES_PER_KEY / CHILD_BYTES).sqrt().ceil() as u64;
+    let fanout = ideal.next_power_of_two().min(MAX_PLAN_SHARDS / count);
+    if fanout < 2 {
+        return decision;
+    }
+    let cost = CHILD_BYTES * fanout as f64 + INDEX_BYTES * (1.0 + per_dirty_shard);
+    let clean_share = 1.0 - per_dirty_shard / fanout as f64;
+    decision.refined = incremental
+        .into_iter()
+        .filter(|&shard| COMPARE_BYTES_PER_KEY * walked(shard) * clean_share > cost)
+        .map(|shard| shard as u64)
+        .collect();
+    decision.fanout = fanout;
+    decision
 }
 
 /// Encodes a [`DigestVector`] as a control-stream frame (no marker).
@@ -301,6 +631,13 @@ pub fn digest_vector_frame(digests: &DigestVector) -> BytesMut {
 pub fn plan_frame(plan: &ShardPlan) -> BytesMut {
     let mut buf = BytesMut::new();
     wire::put_frame(&mut buf, CONTROL_STREAM, &plan.encode());
+    buf
+}
+
+/// Encodes a [`ShardScope`] as a control-stream frame (no marker).
+pub fn scope_frame(scope: &ShardScope) -> BytesMut {
+    let mut buf = BytesMut::new();
+    wire::put_frame(&mut buf, CONTROL_STREAM, &scope.encode());
     buf
 }
 
@@ -336,6 +673,7 @@ mod tests {
             count: 4,
             incremental: vec![0, 3],
             snapshots: vec![(2, Bytes::from_static(b"\x00blob"))],
+            children: None,
         }
     }
 
@@ -389,6 +727,323 @@ mod tests {
         assert!(ShardPlan::decode(&mut bytes).is_err());
     }
 
+    /// `sample_plan` with the children of shard 3 offered at F = 2.
+    fn refined_plan() -> ShardPlan {
+        let child = |digest, entries| ShardDigest { digest, entries };
+        ShardPlan {
+            children: Some(ChildDigests {
+                fanout: 2,
+                parents: vec![(3, vec![child(7, 1), child(u64::MAX, 300)])],
+            }),
+            ..sample_plan()
+        }
+    }
+
+    fn splitmix64(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A seeded refined plan and a scope answering it.
+    fn random_refined(seed: u64) -> (ShardPlan, ShardScope) {
+        let mut rng = seed;
+        let count = 1u64 << (splitmix64(&mut rng) % 7);
+        let fanout = 2u64 << (splitmix64(&mut rng) % 4);
+        let incremental: Vec<u64> = (0..count)
+            .filter(|_| splitmix64(&mut rng) & 1 == 0)
+            .chain([count - 1])
+            .collect::<std::collections::BTreeSet<u64>>()
+            .into_iter()
+            .collect();
+        let mut parents: Vec<(u64, Vec<ShardDigest>)> = incremental
+            .iter()
+            .filter(|_| splitmix64(&mut rng) & 1 == 0)
+            .map(|&shard| (shard, Vec::new()))
+            .collect();
+        if parents.is_empty() {
+            parents.push((incremental[0], Vec::new()));
+        }
+        let mut children = Vec::new();
+        for (shard, digests) in &mut parents {
+            for j in 0..fanout {
+                digests.push(ShardDigest {
+                    digest: splitmix64(&mut rng),
+                    entries: splitmix64(&mut rng) % 40_000,
+                });
+                if splitmix64(&mut rng) % 3 < 1 {
+                    children.push(*shard + j * count);
+                }
+            }
+        }
+        children.sort_unstable();
+        let plan = ShardPlan {
+            count,
+            incremental,
+            snapshots: Vec::new(),
+            children: Some(ChildDigests { fanout, parents }),
+        };
+        let scope = ShardScope {
+            count: count * fanout,
+            children,
+        };
+        (plan, scope)
+    }
+
+    #[test]
+    fn an_unrefined_plan_encodes_as_it_always_did() {
+        assert_eq!(
+            &sample_plan().encode()[..],
+            b"\x36\x04\x02\x00\x03\x01\x02\x05\x00blob"
+        );
+        let refined = refined_plan().encode();
+        assert_eq!(refined[0], TAG_SHARD_PLAN_REFINED);
+        assert_eq!(refined[1..13], sample_plan().encode()[1..]);
+    }
+
+    #[test]
+    fn refined_plans_roundtrip_and_reject_every_prefix() {
+        let plans = (0..64)
+            .map(|seed| random_refined(seed).0)
+            .chain([refined_plan()]);
+        for plan in plans {
+            let full = plan.encode();
+            let mut buf = full.clone();
+            assert_eq!(ShardPlan::decode(&mut buf).unwrap(), plan);
+            for cut in 0..full.len() {
+                let mut buf = full.slice(0..cut);
+                assert!(
+                    ShardPlan::decode(&mut buf).is_err(),
+                    "cut {cut} of {plan:?}"
+                );
+            }
+            let mut padded = BytesMut::from(&full[..]);
+            padded.put_u8(0);
+            assert!(
+                ShardPlan::decode(&mut padded.freeze()).is_err(),
+                "trailing byte"
+            );
+        }
+    }
+
+    #[test]
+    fn scopes_roundtrip_and_reject_every_prefix() {
+        for seed in 0..64 {
+            let (plan, scope) = random_refined(seed);
+            let offer = plan.offer().unwrap();
+            let full = scope.encode();
+            let mut buf = full.clone();
+            assert_eq!(ShardScope::decode(&mut buf, &offer).unwrap(), scope);
+            for cut in 0..full.len() {
+                let mut buf = full.slice(0..cut);
+                assert!(
+                    ShardScope::decode(&mut buf, &offer).is_err(),
+                    "cut {cut} of {scope:?}"
+                );
+            }
+            let mut padded = BytesMut::from(&full[..]);
+            padded.put_u8(0);
+            assert!(ShardScope::decode(&mut padded.freeze(), &offer).is_err());
+        }
+    }
+
+    /// The body of a refined plan at 4 shards, incremental `[0, 3]`,
+    /// with `tail` for its children.
+    fn plan_with_tail(tail: &[u64], digests: usize) -> Bytes {
+        let mut buf = BytesMut::new();
+        buf.put_u8(TAG_SHARD_PLAN_REFINED);
+        for v in [4, 2, 0, 3, 0] {
+            wire::put_varint(&mut buf, v);
+        }
+        for &v in tail {
+            wire::put_varint(&mut buf, v);
+        }
+        for _ in 0..digests {
+            buf.put_u8(1);
+            buf.put_u64(9);
+        }
+        buf.freeze()
+    }
+
+    #[test]
+    fn hostile_children_rejected() {
+        // The honest shape first: F = 2, one parent, two children.
+        ShardPlan::decode(&mut plan_with_tail(&[1, 1, 3], 2)).expect("well-formed");
+        let hostile: [(&str, &[u64], usize); 9] = [
+            ("no tail under the refined tag", &[], 0),
+            ("a fan-out of one", &[0, 1, 3], 1),
+            ("count * F past the cap", &[19, 1, 3], 0),
+            ("a shift that would overflow", &[64, 1, 3], 0),
+            ("no parents", &[1, 0], 0),
+            ("more parents than incremental shards", &[1, 3, 0], 2),
+            ("a parent the plan skips", &[1, 1, 1], 2),
+            ("a parent out of range", &[1, 1, 4], 2),
+            ("fewer digests than the fan-out", &[1, 1, 3], 1),
+        ];
+        for (what, tail, digests) in hostile {
+            assert!(
+                ShardPlan::decode(&mut plan_with_tail(tail, digests)).is_err(),
+                "{what}"
+            );
+        }
+        // Parents out of order, and one listed twice.
+        for parents in [[3u64, 0], [3, 3]] {
+            let mut buf = BytesMut::from(&plan_with_tail(&[1, 2, parents[0]], 2)[..]);
+            wire::put_varint(&mut buf, parents[1]);
+            for _ in 0..2 {
+                buf.put_u8(1);
+                buf.put_u64(9);
+            }
+            assert!(ShardPlan::decode(&mut buf.freeze()).is_err(), "{parents:?}");
+        }
+        // A huge fan-out over a short payload fails on the length
+        // check, before the digests are allocated.
+        let mut buf = BytesMut::new();
+        buf.put_u8(TAG_SHARD_PLAN_REFINED);
+        for v in [1, 1, 0, 0, 20, 1, 0] {
+            wire::put_varint(&mut buf, v);
+        }
+        assert_eq!(
+            ShardPlan::decode(&mut buf.freeze()),
+            Err(WireError::UnexpectedEof)
+        );
+        // The children tail under the unrefined tag is trailing bytes.
+        let mut relabelled = BytesMut::from(&refined_plan().encode()[..]);
+        relabelled[0] = TAG_SHARD_PLAN;
+        assert!(ShardPlan::decode(&mut relabelled.freeze()).is_err());
+    }
+
+    #[test]
+    fn hostile_scopes_rejected() {
+        // Offered: shards 1 and 2 of 4, at F = 4 — children 1, 5, 9, 13
+        // and 2, 6, 10, 14 of 16.
+        let offer = Offer {
+            count: 4,
+            fanout: 4,
+            parents: vec![1, 2],
+        };
+        let scope = |count: u64, children: &[u64]| {
+            ShardScope {
+                count,
+                children: children.to_vec(),
+            }
+            .encode()
+        };
+        ShardScope::decode(&mut scope(16, &[1, 2, 13, 14]), &offer).expect("well-formed");
+        ShardScope::decode(&mut scope(16, &[]), &offer).expect("nothing differs");
+        let hostile = [
+            ("at the plan's count, not the children's", scope(4, &[1])),
+            ("at another fan-out", scope(32, &[1])),
+            ("a child of a skipped shard", scope(16, &[4])),
+            ("a child of an unrefined shard", scope(16, &[1, 3])),
+            ("out of range", scope(16, &[17])),
+            ("out of order", scope(16, &[5, 1])),
+            ("listed twice", scope(16, &[5, 5])),
+        ];
+        for (what, mut bytes) in hostile {
+            assert!(ShardScope::decode(&mut bytes, &offer).is_err(), "{what}");
+        }
+        // More indices than children were offered: refused on the
+        // count, whatever follows.
+        let mut buf = BytesMut::new();
+        buf.put_u8(TAG_SHARD_SCOPE);
+        wire::put_varint(&mut buf, 16);
+        wire::put_varint(&mut buf, 9);
+        buf.extend_from_slice(&[1; 9]);
+        assert_eq!(
+            ShardScope::decode(&mut buf.freeze(), &offer),
+            Err(WireError::InvalidPayload)
+        );
+        // A count the payload cannot hold.
+        let mut buf = BytesMut::new();
+        buf.put_u8(TAG_SHARD_SCOPE);
+        wire::put_varint(&mut buf, 16);
+        wire::put_varint(&mut buf, 8);
+        buf.put_u8(1);
+        assert!(ShardScope::decode(&mut buf.freeze(), &offer).is_err());
+    }
+
+    #[test]
+    fn an_offer_admits_unrefined_shards_whole_and_refined_ones_by_child() {
+        let offer = Offer {
+            count: 4,
+            fanout: 4,
+            parents: vec![1],
+        };
+        let keys: Vec<String> = (0..400).map(|i| format!("key-{i}")).collect();
+        let in_shard = |shard| {
+            keys.iter()
+                .filter(move |k| shard_of(k.as_bytes(), 4) == shard)
+        };
+        let listed = shard_of(in_shard(1).next().unwrap().as_bytes(), 16);
+        let scope = ShardScope {
+            count: 16,
+            children: vec![listed],
+        };
+        for key in in_shard(1) {
+            assert_eq!(
+                offer.admits(&scope, key.as_bytes()),
+                shard_of(key.as_bytes(), 16) == listed
+            );
+        }
+        assert!(in_shard(1).any(|key| !offer.admits(&scope, key.as_bytes())));
+        assert!(in_shard(3).all(|key| offer.admits(&scope, key.as_bytes())));
+        assert_eq!(listed & 3, 1, "a child keeps its parent's low bits");
+    }
+
+    /// `count` converged shards of `entries` keys, the first `dirty` of
+    /// them differing.
+    fn map_with(count: usize, entries: u64, dirty: usize) -> (Vec<ShardDigest>, Vec<ShardDigest>) {
+        let ours: Vec<ShardDigest> = (0..count as u64)
+            .map(|digest| ShardDigest { digest, entries })
+            .collect();
+        let mut theirs = ours.clone();
+        for shard in theirs.iter_mut().take(dirty) {
+            shard.digest ^= 0xD1;
+        }
+        (ours, theirs)
+    }
+
+    #[test]
+    fn decide_offers_children_only_where_they_pay() {
+        let config = PlanConfig::default();
+        let refined = |count, entries, dirty| {
+            let (ours, theirs) = map_with(count, entries, dirty);
+            let decision = decide(&ours, &theirs, &config);
+            (decision.refined.len(), decision.fanout)
+        };
+        // 16 dirty shards of 512 at 195 keys: every one, at F = 16.
+        assert_eq!(refined(512, 195, 16), (16, 16));
+        // All but a few shards dirty at 39 keys: the share of dirty
+        // shards says each holds many dirty keys.
+        for dirty in [505, 510, 511, 512] {
+            assert_eq!(refined(512, 39, dirty).0, 0, "{dirty} of 512");
+        }
+        // Too small a map to estimate anything from.
+        assert_eq!(refined(1, 100_000, 1).0, 0);
+        assert_eq!(refined(4, 24, 3).0, 0);
+        // Shards so small the children cost what the walk does.
+        assert_eq!(refined(512, 3, 16).0, 0);
+        // The fan-out never takes count * F past the cap.
+        let (count, fanout) = (MAX_PLAN_SHARDS as usize / 4, 4);
+        assert_eq!(refined(count, 10_000, 8), (8, fanout));
+        assert_eq!(refined(MAX_PLAN_SHARDS as usize, 10_000, 8).0, 0);
+        // Only shards worth it: one big dirty shard among small ones.
+        let (mut ours, mut theirs) = map_with(64, 4, 4);
+        ours[2].entries = 4000;
+        theirs[2].entries = 4000;
+        let decision = decide(&ours, &theirs, &config);
+        assert_eq!(decision.refined, vec![2]);
+        // Snapshot shards are never refined, but count as dirty.
+        let (mut ours, theirs) = map_with(64, 200, 8);
+        ours[0] = ShardDigest::default();
+        let decision = decide(&ours, &theirs, &config);
+        assert_eq!(decision.actions[0], ShardAction::Snapshot);
+        assert_eq!(decision.refined, (1..8).collect::<Vec<u64>>());
+    }
+
     #[test]
     fn decide_skips_equal_and_empty_server_shards() {
         let config = PlanConfig::default();
@@ -428,8 +1083,9 @@ mod tests {
                 entries: 0,
             }, // server empty -> skip
         ];
+        let decision = decide(&ours, &theirs, &config);
         assert_eq!(
-            decide(&ours, &theirs, &config),
+            decision.actions,
             vec![
                 ShardAction::Skip,
                 ShardAction::Incremental,
@@ -437,6 +1093,7 @@ mod tests {
                 ShardAction::Skip,
             ]
         );
+        assert!(decision.refined.is_empty(), "two of four shards differ");
     }
 
     #[test]
@@ -453,7 +1110,7 @@ mod tests {
             entries: 6,
         }];
         assert_eq!(
-            decide(&ours, &theirs, &config),
+            decide(&ours, &theirs, &config).actions,
             vec![ShardAction::Incremental]
         );
     }

@@ -13,12 +13,14 @@ use optrep_core::{Causality, Error, Result, RotatingVector, SiteId, Srv};
 use optrep_kv::{JoinResolver, KvStore, KvSyncReport};
 use optrep_net::{ConnectOptions, FaultPlan, FaultyLink, FrameLink, TcpLink};
 use optrep_replication::mux::{StreamOpen, TURN_STREAM};
-use optrep_replication::planner::{digest_vector_frame, plan_frame};
+use optrep_replication::planner::{digest_vector_frame, plan_frame, scope_frame};
 use optrep_replication::{
     pull_contact, pull_planned, reason_label, run_contact, serve_contact, serve_frame, serve_from,
     BatchPullClient, BatchPullServer, ContactReport, CtrlMsg, DigestVector, Faulted, InProcessLink,
-    MuxMsg, PlanConfig, Puller, ServeStep, Serving, ShardPlan, CONTROL_STREAM,
+    MuxMsg, PlanConfig, Puller, ServeStep, Serving, ShardPlan, ShardScope, CONTROL_STREAM,
 };
+use optrep_replication::{ChildDigests, ShardDigest};
+use std::cell::RefCell;
 use std::sync::mpsc;
 
 // ---------------------------------------------------------------------
@@ -135,12 +137,14 @@ fn many_objects_case() -> Case {
 /// An in-memory duplex [`FrameLink`]: each half owns a sender to the
 /// peer and a receiver for its own inbox, so the pumps run under real
 /// thread interleaving without sockets. Every write is folded — length
-/// first, so burst boundaries count — into the half's FNV-1a transcript.
+/// first, so burst boundaries count — into the half's FNV-1a transcript,
+/// and counted: a half's writes are the turns it took.
 struct ChannelLink {
     tx: Option<mpsc::Sender<Vec<u8>>>,
     rx: mpsc::Receiver<Vec<u8>>,
     decoder: FrameDecoder,
     transcript: u64,
+    writes: u64,
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -160,6 +164,7 @@ fn channel_pair() -> (ChannelLink, ChannelLink) {
         rx,
         decoder: FrameDecoder::new(),
         transcript: FNV_OFFSET,
+        writes: 0,
     };
     (half(atx, brx), half(btx, arx))
 }
@@ -168,6 +173,7 @@ impl FrameLink for ChannelLink {
     fn send_bytes(&mut self, bytes: &[u8]) -> Result<()> {
         self.transcript = fnv1a(self.transcript, &(bytes.len() as u64).to_le_bytes());
         self.transcript = fnv1a(self.transcript, bytes);
+        self.writes += 1;
         self.tx
             .as_ref()
             .and_then(|tx| tx.send(bytes.to_vec()).ok())
@@ -245,10 +251,69 @@ fn planned_stores() -> (KvStore, KvStore) {
     (dst, src)
 }
 
+/// A puller at 16 shards and a source at 64, converged over 2 400 keys
+/// (150 a shard), then diverged in three of the sixteen shards — keys
+/// moved on, deleted and created at the source, one written on both
+/// sides, one only the puller holds. Few and large enough dirty shards
+/// that the plan offers their children.
+fn refined_stores() -> (KvStore, KvStore) {
+    let mut rng = 0x0000_5C09_ED5E_ED5E_u64;
+    let mut value = |tag: &str| {
+        let len = (splitmix64(&mut rng) % 40) as usize;
+        format!("{tag}:{}", "y".repeat(len))
+    };
+    let keys: Vec<String> = (0..2400).map(|i| format!("key-{i:04}")).collect();
+    let in_shard = |shard: u64| keys.iter().filter(move |key| shard_at(key, 16) == shard);
+    let mut src = KvStore::with_shards(SiteId::new(1), 64);
+    let mut dst = KvStore::with_shards(SiteId::new(0), 16);
+    for key in &keys {
+        src.put(key.clone(), value("base"));
+    }
+    dst.sync(&src).run().expect("bootstrap");
+    for (i, key) in in_shard(2).enumerate().take(3) {
+        match i {
+            0 => src.put(key.clone(), value("ahead")),
+            1 => src.delete(key.clone()),
+            _ => {
+                src.put(key.clone(), value("theirs"));
+                dst.put(key.clone(), value("ours"));
+            }
+        }
+    }
+    let fresh = (0..).map(|i| format!("fresh-{i}"));
+    for key in fresh.filter(|key| shard_at(key, 16) == 7).take(1) {
+        src.put(key, value("created"));
+    }
+    let mine = (0..).map(|i| format!("mine-{i}"));
+    for key in mine.filter(|key| shard_at(key, 16) == 7).take(1) {
+        dst.put(key, value("local"));
+    }
+    for key in in_shard(11).take(1) {
+        src.put(key.clone(), value("ahead"));
+    }
+    (dst, src)
+}
+
 /// One planned pull of `dst` from whatever serves the far end of
 /// `link` — the three steps `pull_from` and `KvStore::sync_planned`
-/// are: digests, the planned-pull pump, the planned commit.
+/// are: digests, the planned-pull pump over the endpoint cut as finely
+/// as the plan allows, the planned commit.
 fn planned_pull<L: FrameLink>(
+    dst: &mut KvStore,
+    link: &mut L,
+) -> Result<(ContactReport, KvSyncReport)> {
+    let digests = dst.shard_digest_vector();
+    let (client, plan, contact) =
+        pull_planned(link, &digests, |plan| dst.client_endpoint_refined(plan))?;
+    let (synced, _) = dst.apply_planned_tracked(&JoinResolver, client, &contact, &plan)?;
+    Ok((contact, synced))
+}
+
+/// The same pull by a puller that ignores the plan's child digests and
+/// walks the incremental shards whole: what every planned pull was
+/// before plans had a second level, and what `crates/perf`'s mirror
+/// still replays.
+fn flat_pull<L: FrameLink>(
     dst: &mut KvStore,
     link: &mut L,
 ) -> Result<(ContactReport, KvSyncReport)> {
@@ -432,12 +497,17 @@ fn identical_pair_is_compare_only_over_a_link() {
     assert_eq!(report.round_trips, 1);
 }
 
-/// A planned pull — clean, dirty and never-populated shards, 4 against
-/// 16 shards — is the same contact over every link, ends where the
-/// in-memory reference does, and where an unplanned pull would.
-#[test]
-fn every_transport_runs_a_planned_pull_identically() {
-    let (dst, src) = planned_stores();
+/// One planned pull of `dst` from `src` over every link: the same
+/// contact each time, ending where the in-memory reference does and
+/// where an unplanned pull would. `verdicts` is the plan's `(total,
+/// skipped, incremental, snapshot, refined)`; `planner_frames` what the
+/// planning turn puts on the wire beside the exchange's frames.
+fn planned_pull_is_the_same_over_every_link(
+    dst: KvStore,
+    src: KvStore,
+    verdicts: (u64, u64, u64, u64, u64),
+    planner_frames: u64,
+) {
     let config = PlanConfig::default();
     let mut unplanned = dst.clone();
     unplanned.sync(&src).run().expect("unplanned pull");
@@ -448,12 +518,14 @@ fn every_transport_runs_a_planned_pull_identically() {
         .expect("reference");
     assert_eq!(reference.replica_digest(), unplanned.replica_digest());
     assert!(reference.consistent_with(&unplanned));
-    let shards = (
+    let planned = (
+        contact.shards_total,
         contact.shards_skipped,
         contact.shards_incremental,
         contact.shards_snapshot,
+        contact.shards_refined,
     );
-    assert_eq!((contact.shards_total, shards), (4, (1, 2, 1)));
+    assert_eq!(planned, verdicts);
 
     let mut source = source_of(&src);
     let mut in_process = dst.clone();
@@ -469,8 +541,11 @@ fn every_transport_runs_a_planned_pull_identically() {
     );
     assert_eq!(pulled.expect("clean fault plan"), (contact, synced));
     assert_eq!(faulted.replica_digest(), reference.replica_digest());
-    // The weather saw the two planner frames beside the exchange's.
-    assert_eq!(weather.stats().frames_delivered, contact.frames + 2);
+    // The weather saw the planner frames beside the exchange's.
+    assert_eq!(
+        weather.stats().frames_delivered,
+        contact.frames + planner_frames
+    );
     assert_eq!(
         weather.stats().bytes_delivered,
         contact.total_bytes + contact.digest_bytes
@@ -499,6 +574,138 @@ fn every_transport_runs_a_planned_pull_identically() {
     serving.join().expect("server thread").expect("serve");
     assert_eq!(pulled.expect("loopback tcp"), (contact, synced));
     assert_eq!(tcp.replica_digest(), reference.replica_digest());
+}
+
+/// A planned pull — clean, dirty and never-populated shards, 4 against
+/// 16 shards — is the same contact over every link.
+#[test]
+fn every_transport_runs_a_planned_pull_identically() {
+    let (dst, src) = planned_stores();
+    planned_pull_is_the_same_over_every_link(dst, src, (4, 1, 2, 1, 0), 2);
+}
+
+/// So is a refined one — 16 against 64 shards, three dirty shards cut
+/// at their children — with the scope frame the third planner frame.
+#[test]
+fn every_transport_runs_a_refined_pull_identically() {
+    let (dst, src) = refined_stores();
+    planned_pull_is_the_same_over_every_link(dst, src, (16, 13, 3, 0, 3), 3);
+}
+
+/// One planned pull of `dst` from `src` in which both stores are
+/// written to *between* the plan and the puller's answer to it — after
+/// the server fixed its plan and endpoint, before the puller compares
+/// children and builds its own. `refined` picks the endpoint cut at the
+/// children or the flat one. Returns what the commit changed.
+fn raced_pull(
+    dst: &mut KvStore,
+    src: &RefCell<KvStore>,
+    races: &[(bool, String, String)],
+    refined: bool,
+) -> (Vec<String>, KvSyncReport) {
+    let config = PlanConfig::default();
+    let mut source = |digests: Option<&DigestVector>| src.borrow().open_contact(digests, &config);
+    let mut link = InProcessLink::serving(&mut source);
+    let digests = dst.shard_digest_vector();
+    let (client, plan, contact) = pull_planned(&mut link, &digests, |plan| {
+        for (at_source, key, value) in races {
+            match at_source {
+                true => src.borrow_mut().put(key.clone(), value.clone()),
+                false => dst.put(key.clone(), value.clone()),
+            }
+        }
+        match refined {
+            true => dst.client_endpoint_refined(plan),
+            false => dst
+                .client_endpoint_for(&plan.incremental, plan.count as usize)
+                .into(),
+        }
+    })
+    .expect("pull");
+    let (synced, mut changed) = dst
+        .apply_planned_tracked(&JoinResolver, client, &contact, &plan)
+        .expect("commit");
+    changed.sort();
+    (changed, synced)
+}
+
+/// From any pair of stores — any of 1, 16 and 256 shards on either
+/// side, sparse or dense divergence, writes racing in on both sides
+/// between the plan and the scope — the pull cut at the children and
+/// the pull over whole shards change the same keys and end in the same
+/// state.
+#[test]
+fn refined_and_flat_pulls_commit_the_same_state() {
+    let mut rng = 0x0000_F1A7_0C47_5EED_u64;
+    let mut refined_shards = 0;
+    for case in 0..36u64 {
+        let pull_shards = [1, 16, 256][(case % 3) as usize];
+        let serve_shards = [1, 16, 256][(case / 3 % 3) as usize];
+        let keys = 600 + (splitmix64(&mut rng) % 2400) as usize;
+        let pick = |rng: &mut u64| format!("k{:04}", splitmix64(rng) % keys as u64);
+        let mut src = KvStore::with_shards(SiteId::new(1), serve_shards);
+        let mut dst = KvStore::with_shards(SiteId::new(0), pull_shards);
+        for i in 0..keys {
+            src.put(format!("k{i:04}"), format!("base{i}"));
+        }
+        dst.sync(&src).run().expect("bootstrap");
+        // Sparse cases move a handful of keys, dense ones a tenth.
+        let moved = match case % 4 {
+            0 => keys / 10,
+            _ => 1 + (splitmix64(&mut rng) % 6) as usize,
+        };
+        for i in 0..moved {
+            let key = pick(&mut rng);
+            match splitmix64(&mut rng) % 6 {
+                0 => src.delete(key),
+                1 => src.put(format!("new-{case}-{i}"), "created"),
+                2 => dst.put(format!("mine-{case}-{i}"), "local"),
+                3 => {
+                    src.put(key.clone(), "theirs");
+                    dst.put(key, "ours");
+                }
+                _ => src.put(key, format!("ahead{i}")),
+            }
+        }
+        let races: Vec<(bool, String, String)> = (0..splitmix64(&mut rng) % 4)
+            .map(|i| {
+                let at_source = splitmix64(&mut rng) & 1 == 0;
+                let key = match splitmix64(&mut rng) % 3 {
+                    0 => format!("raced-{case}-{i}"),
+                    _ => pick(&mut rng),
+                };
+                (at_source, key, format!("raced{i}"))
+            })
+            .collect();
+
+        let (mut flat_dst, flat_src) = (dst.clone(), RefCell::new(src.clone()));
+        let (flat_changed, _) = raced_pull(&mut flat_dst, &flat_src, &races, false);
+        let src = RefCell::new(src);
+        let (changed, synced) = raced_pull(&mut dst, &src, &races, true);
+        let at = format!("case {case}: {pull_shards} from {serve_shards} shards, {keys} keys");
+        assert_eq!(changed, flat_changed, "{at}");
+        assert_eq!(
+            dst.replica_digest_full(),
+            flat_dst.replica_digest_full(),
+            "{at}"
+        );
+        assert_eq!(dst.replica_digest(), dst.replica_digest_full(), "{at}");
+        assert!(dst.consistent_with(&flat_dst), "{at}");
+        refined_shards += synced.shards_refined;
+
+        // Once the racing writes have settled, a second pull converges
+        // on what the source holds.
+        let (_, again) = raced_pull(&mut dst, &src, &[], true);
+        let mut full = flat_dst.clone();
+        full.sync(&flat_src.borrow()).run().expect("unplanned pull");
+        assert_eq!(
+            dst.replica_digest_full(),
+            full.replica_digest_full(),
+            "{at}"
+        );
+        refined_shards += again.shards_refined;
+    }
+    assert!(refined_shards > 20, "the cases must exercise refinement");
 }
 
 /// The server vanishes after the opening burst; the puller must get a
@@ -586,6 +793,78 @@ fn planned_wire_transcript_is_pinned_and_priced_by_the_old_arithmetic() {
     );
     assert_eq!(created_ff_reconciled, (26, 4, 3));
     assert_eq!(synced.digest_bytes as u64, oracle);
+}
+
+/// The same two hashes for the refined pull of [`refined_stores`]:
+/// the plan frame under its refined tag with the children of three
+/// shards behind it, the scope frame leading the puller's opening
+/// burst. Computed when the second level landed.
+const PINNED_REFINED_PULLER_TRANSCRIPT: u64 = 0x0428_601f_1551_7ddc;
+const PINNED_REFINED_SERVER_TRANSCRIPT: u64 = 0xf1d7_13e6_bd76_1426;
+
+#[test]
+fn refined_wire_transcript_is_pinned_and_adds_no_turn() {
+    /// One pull over a channel pair: both halves' `(transcript,
+    /// writes)`, the reports, and where the puller ended.
+    fn over_channel(
+        pull: fn(&mut KvStore, &mut ChannelLink) -> Result<(ContactReport, KvSyncReport)>,
+    ) -> ([(u64, u64); 2], ContactReport, KvSyncReport, u64) {
+        let (mut dst, src) = refined_stores();
+        let (mut near, far) = channel_pair();
+        let serving = serving_thread(src, far);
+        let (contact, synced) = pull(&mut dst, &mut near).expect("pull");
+        let far = serving.join().expect("server thread").expect("serve");
+        let halves = [(near.transcript, near.writes), (far.transcript, far.writes)];
+        (halves, contact, synced, dst.replica_digest_full())
+    }
+    let (refined, report, synced, ended) = over_channel(planned_pull);
+    let (flat, flat_report, flat_synced, flat_ended) = over_channel(flat_pull);
+    assert_eq!(refined[0].0, PINNED_REFINED_PULLER_TRANSCRIPT);
+    assert_eq!(refined[1].0, PINNED_REFINED_SERVER_TRANSCRIPT);
+
+    // No turn is added: each half writes exactly as often as in the
+    // flat pull of the same stores, the round trips are the same two,
+    // and the planning turn still counts in neither them nor `frames`.
+    assert_eq!((refined[0].1, refined[1].1), (flat[0].1, flat[1].1));
+    assert_eq!(report.round_trips, 2);
+    assert_eq!(flat_report.round_trips, 2);
+
+    // The oracle: plan and scope computed directly, the planner bytes
+    // the sum of the three encoded frames.
+    let (dst, src) = refined_stores();
+    let digests = dst.shard_digest_vector();
+    let (plan, _) = src.plan_contact(&digests, &PlanConfig::default());
+    let children = plan.children.as_ref().expect("three shards refined");
+    assert_eq!((children.fanout, children.parents.len()), (16, 3));
+    let scope = dst.client_endpoint_refined(&plan).scope.expect("a scope");
+    assert_eq!(scope.children.len(), 6, "one child per dirty key");
+    let flat_oracle = (digest_vector_frame(&digests).len() + plan_frame(&plan).len()) as u64;
+    assert_eq!(flat_report.digest_bytes, flat_oracle);
+    assert_eq!(
+        report.digest_bytes,
+        flat_oracle + scope_frame(&scope).len() as u64
+    );
+    assert_eq!((report.shards_refined, flat_report.shards_refined), (3, 0));
+
+    // Same end state, same keys changed; the refined pull compared the
+    // keys of six children instead of three shards.
+    assert_eq!(ended, flat_ended);
+    let changed = |synced: &KvSyncReport| {
+        (
+            synced.keys_created,
+            synced.keys_fast_forwarded,
+            synced.keys_reconciled,
+        )
+    };
+    assert_eq!(changed(&synced), changed(&flat_synced));
+    assert_eq!(changed(&synced), (1, 3, 1));
+    assert_eq!((synced.keys_examined, flat_synced.keys_examined), (59, 452));
+    assert_eq!(
+        (report.compare_bytes, flat_report.compare_bytes),
+        (469, 3613)
+    );
+    assert_eq!((report.digest_bytes, flat_report.digest_bytes), (630, 612));
+    assert_eq!((report.frames, flat_report.frames), (23, 23));
 }
 
 // ---------------------------------------------------------------------
@@ -677,11 +956,9 @@ fn a_cut_at_every_byte_aborts_without_a_trace() {
 }
 
 /// The planning turn is part of the contact: a cut anywhere in a
-/// planned pull — digest vector, plan, exchange — aborts it with the
-/// destination untouched, and a clean retry converges.
-#[test]
-fn a_cut_at_every_byte_of_a_planned_pull_leaves_the_store_alone() {
-    let (mut dst, src) = planned_stores();
+/// planned pull — digest vector, plan, scope, exchange — aborts it with
+/// the destination untouched, and a clean retry converges.
+fn a_cut_at_every_byte_leaves_the_store_alone(mut dst: KvStore, src: KvStore) {
     let mut source = source_of(&src);
     let mut pull_under = |dst: &mut KvStore, weather: &mut FaultyLink| {
         planned_pull(
@@ -712,6 +989,34 @@ fn a_cut_at_every_byte_of_a_planned_pull_leaves_the_store_alone() {
     let mut exact = FaultyLink::new(FaultPlan::disconnect_at(total));
     pull_under(&mut dst, &mut exact).expect("the retry is not cut");
     assert_eq!(dst.replica_digest(), reference.replica_digest());
+}
+
+#[test]
+fn a_cut_at_every_byte_of_a_planned_pull_leaves_the_store_alone() {
+    let (dst, src) = planned_stores();
+    a_cut_at_every_byte_leaves_the_store_alone(dst, src);
+}
+
+/// The sweep again through a plan with children and a scope frame. The
+/// puller's digest vector is most of the bytes and is swept by the test
+/// above; this fixture is small so that the sweep stays quick.
+#[test]
+fn a_cut_at_every_byte_of_a_refined_pull_leaves_the_store_alone() {
+    let mut src = KvStore::with_shards(SiteId::new(1), 8);
+    let mut dst = KvStore::with_shards(SiteId::new(0), 8);
+    for i in 0..320 {
+        src.put(format!("k{i:03}"), "v");
+    }
+    dst.sync(&src).run().expect("bootstrap");
+    src.put("k007", "moved on");
+    dst.put("k007", "meanwhile");
+    let digests = dst.shard_digest_vector();
+    let (plan, _) = src.plan_contact(&digests, &PlanConfig::default());
+    assert!(
+        plan.children.is_some(),
+        "the sweep must cross a scope frame"
+    );
+    a_cut_at_every_byte_leaves_the_store_alone(dst, src);
 }
 
 // ---------------------------------------------------------------------
@@ -862,7 +1167,11 @@ fn digests_frame() -> wire::Frame {
 fn serving_until_error(frames: Vec<wire::Frame>) -> Error {
     let mut src = KvStore::with_shards(SiteId::new(1), 4);
     src.put("k", "v");
-    let mut source = source_of(&src);
+    serving_from_until_error(&src, frames)
+}
+
+fn serving_from_until_error(src: &KvStore, frames: Vec<wire::Frame>) -> Error {
+    let mut source = source_of(src);
     let mut serving = Serving::default();
     let mut out = BytesMut::new();
     for frame in frames {
@@ -887,6 +1196,66 @@ fn hostile_planner_sequences_fail_the_serving_step() {
     // just an undecodable session frame).
     serving_until_error(vec![frame(CONTROL_STREAM, &[0x35, 4, 0])]);
     serving_until_error(vec![frame(3, &digests_frame().payload)]);
+    // A scope answers an offer: the plan of the one-key store refines
+    // nothing, and an unplanned contact has no plan at all — there the
+    // frame is just not a mux message.
+    let scope_frame = |count, children: &[u64]| {
+        let children = children.to_vec();
+        frame(CONTROL_STREAM, &ShardScope { count, children }.encode())
+    };
+    serving_until_error(vec![digests_frame(), turn(), scope_frame(16, &[])]);
+    serving_until_error(vec![scope_frame(16, &[])]);
+    // Against a plan that does offer children (of shards 2, 7 and 11 of
+    // 16, at F = 16): at most one scope, only ahead of the hello, and
+    // never in place of the turn marker.
+    let (dst, src) = refined_stores();
+    let opening = frame(CONTROL_STREAM, &dst.shard_digest_vector().encode());
+    let refuse = |mut frames: Vec<wire::Frame>| {
+        frames.insert(0, opening.clone());
+        serving_from_until_error(&src, frames)
+    };
+    let honest = || scope_frame(256, &[2, 7 + 16 * 3]);
+    refuse(vec![turn(), honest(), honest()]);
+    refuse(vec![turn(), hello(), honest()]);
+    refuse(vec![honest()]);
+    // At the plan's count, or another fan-out's, instead of the offer's.
+    refuse(vec![turn(), scope_frame(16, &[2])]);
+    refuse(vec![turn(), scope_frame(128, &[2])]);
+    // A child of a shard the plan skips; indices out of order, repeated
+    // and out of range.
+    refuse(vec![turn(), scope_frame(256, &[0])]);
+    refuse(vec![turn(), scope_frame(256, &[7 + 16 * 3, 2])]);
+    refuse(vec![turn(), scope_frame(256, &[2, 2])]);
+    refuse(vec![turn(), scope_frame(256, &[2 + 16 * 16])]);
+    // Truncated, padded, and claiming more indices than were offered.
+    let full = honest().payload;
+    refuse(vec![turn(), frame(CONTROL_STREAM, &full[..full.len() - 1])]);
+    refuse(vec![
+        turn(),
+        frame(CONTROL_STREAM, &[&full[..], &[0]].concat()),
+    ]);
+    refuse(vec![turn(), frame(CONTROL_STREAM, &[0x37, 128, 2, 49, 2])]);
+    // The honest burst: the scope is absorbed, the hello opens the
+    // narrowed endpoint.
+    let mut source = source_of(&src);
+    let mut serving = Serving::default();
+    let mut out = BytesMut::new();
+    let closing_hello = msg_frame(
+        CONTROL_STREAM,
+        MuxMsg::Ctrl(CtrlMsg::BatchHello {
+            discover: false,
+            opens: Vec::new(),
+        }),
+    );
+    for (sent, step) in [
+        (opening.clone(), ServeStep::Continue),
+        (turn(), ServeStep::Continue),
+        (honest(), ServeStep::Continue),
+        (closing_hello, ServeStep::Continue),
+        (fin(), ServeStep::Done),
+    ] {
+        assert_eq!(serving.on_frame(sent, &mut source, &mut out).unwrap(), step);
+    }
     // A source that hands out no plan cannot serve a planned contact.
     let mut serving = Serving::default();
     let mut unplanned = |_: Option<&DigestVector>| (None, BatchPullServer::new(Vec::new()));
@@ -938,7 +1307,7 @@ fn hostile_planner_sequences_fail_the_pulling_step() {
         let plan = ShardPlan {
             count,
             incremental: vec![1],
-            snapshots: Vec::new(),
+            ..ShardPlan::default()
         };
         frame(CONTROL_STREAM, &plan.encode())
     };
@@ -961,6 +1330,29 @@ fn hostile_planner_sequences_fail_the_pulling_step() {
     plan_until_error(vec![digests_frame()]);
     plan_until_error(vec![frame(TURN_STREAM, b"junk")]);
     plan_until_error(vec![plan_at(4), turn(), turn()]);
+    // A plan under the refined tag with no children behind it; children
+    // of a shard the plan does not sync; a fan-out past the shard cap.
+    let refined = |children: ChildDigests| {
+        let plan = ShardPlan {
+            count: 4,
+            incremental: vec![1],
+            children: Some(children),
+            ..ShardPlan::default()
+        };
+        frame(CONTROL_STREAM, &plan.encode())
+    };
+    let pair = vec![ShardDigest::default(); 2];
+    let mut untailed = plan_at(4).payload.to_vec();
+    untailed[0] = 0x38;
+    plan_until_error(vec![frame(CONTROL_STREAM, &untailed)]);
+    plan_until_error(vec![refined(ChildDigests {
+        fanout: 2,
+        parents: vec![(2, pair.clone())],
+    })]);
+    plan_until_error(vec![refined(ChildDigests {
+        fanout: 1 << 19,
+        parents: vec![(1, Vec::new())],
+    })]);
 
     // The honest turn hands the plan out exactly once.
     let mut out = BytesMut::new();
@@ -977,4 +1369,18 @@ fn hostile_planner_sequences_fail_the_pulling_step() {
         Some(vec![1])
     );
     assert!(puller.take_plan().is_none());
+
+    // A well-formed refined plan is handed out with its children.
+    let mut puller = Puller::open_planned(&empty_digests(), &mut out);
+    let children = ChildDigests {
+        fanout: 2,
+        parents: vec![(1, pair)],
+    };
+    let offered = refined(children.clone());
+    assert!(puller.on_frame(offered, &mut out).unwrap().is_none());
+    assert!(puller.on_frame(turn(), &mut out).unwrap().is_none());
+    assert_eq!(
+        puller.take_plan().and_then(|plan| plan.children),
+        Some(children)
+    );
 }

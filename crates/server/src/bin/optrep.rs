@@ -96,7 +96,8 @@ fn run(client: &mut Client, verb: &Verb) -> optrep_core::Result<()> {
                  conn-dials {} conn-contacts {} conn-live {} \
                  uptime {} metrics-seq {} \
                  wal-records {} wal-bytes {} wal-fsyncs {} ckpt-seq {} \
-                 planner-skipped {} planner-incremental {} planner-snapshot {} planner-bytes {}",
+                 planner-skipped {} planner-incremental {} planner-snapshot {} planner-bytes {} \
+                 planner-refined {}",
                 info.site,
                 info.keys,
                 info.tracked,
@@ -114,6 +115,7 @@ fn run(client: &mut Client, verb: &Verb) -> optrep_core::Result<()> {
                 info.planner_shards_incremental,
                 info.planner_shards_snapshot,
                 info.planner_digest_bytes,
+                info.planner_shards_refined,
             );
         }),
         Verb::Digest => client.digest().map(|digest| println!("{digest:016x}")),
@@ -121,7 +123,7 @@ fn run(client: &mut Client, verb: &Verb) -> optrep_core::Result<()> {
             println!(
                 "examined {} created {} fast-forwarded {} reconciled {} \
                  unchanged {} meta-bytes {} value-bytes {} \
-                 shards {} skipped {} incremental {} snapshot {} digest-bytes {}",
+                 shards {} skipped {} incremental {} snapshot {} digest-bytes {} refined {}",
                 report.keys_examined,
                 report.keys_created,
                 report.keys_fast_forwarded,
@@ -134,6 +136,7 @@ fn run(client: &mut Client, verb: &Verb) -> optrep_core::Result<()> {
                 report.shards_incremental,
                 report.shards_snapshot,
                 report.digest_bytes,
+                report.shards_refined,
             );
         }),
         Verb::Metrics => client

@@ -227,6 +227,8 @@ struct NodeMetrics {
     planner_shards_incremental_total: Arc<Counter>,
     /// Shards bulk-loaded as whole-shard snapshots under a plan.
     planner_shards_snapshot_total: Arc<Counter>,
+    /// Incremental shards narrowed to their differing children.
+    planner_shards_refined_total: Arc<Counter>,
     /// Planner-phase wire bytes (digest vectors + plans, both
     /// directions; excluded from the contact byte planes).
     planner_digest_bytes_total: Arc<Counter>,
@@ -257,6 +259,7 @@ impl NodeMetrics {
             planner_shards_incremental_total: registry
                 .counter("optrep_planner_shards_incremental_total"),
             planner_shards_snapshot_total: registry.counter("optrep_planner_shards_snapshot_total"),
+            planner_shards_refined_total: registry.counter("optrep_planner_shards_refined_total"),
             planner_digest_bytes_total: registry.counter("optrep_planner_digest_bytes_total"),
             reactor: optrep_net::reactor::ReactorMetrics::register(registry, "optrep_reactor"),
         }
@@ -1138,6 +1141,7 @@ fn dispatch_request(shared: &Shared, request: Request) -> Response {
                 planner_shards_incremental: m.planner_shards_incremental_total.get(),
                 planner_shards_snapshot: m.planner_shards_snapshot_total.get(),
                 planner_digest_bytes: m.planner_digest_bytes_total.get(),
+                planner_shards_refined: m.planner_shards_refined_total.get(),
             })
         }
         Request::Digest => Response::Digest(shared.store().replica_digest()),
@@ -1172,18 +1176,21 @@ fn pull_from(shared: &Shared, peer: SocketAddr) -> Result<KvSyncReport> {
     for _ in 0..APPLY_RACE_RETRIES {
         // A planned pull: ship this store's shard digests, get back the
         // peer's per-shard plan, run the contact restricted to the
-        // incremental shards. The digest vector is snapshotted under
-        // its own (brief) lock; a write landing between it and the
-        // endpoint snapshot only makes a shard look dirtier than
-        // planned, never cleaner — and the commit's generation check
-        // still guards the endpoint snapshot itself.
+        // incremental shards — cut, where the plan offers child
+        // digests, at the children that differ from this store's,
+        // compared under the same guard that snapshots the generation.
+        // The digest vector is snapshotted under its own (brief) lock;
+        // a write landing between it and the endpoint snapshot only
+        // makes a shard look dirtier than planned, never cleaner — and
+        // the commit's generation check still guards the endpoint
+        // snapshot itself.
         let mut generation = 0;
         let (client, plan, report) = shared.pool.with_conn(peer, |link| {
             let digests = shared.store().shard_digest_vector();
             pull_planned(link, &digests, |plan| {
                 let store = shared.store();
                 generation = store.generation();
-                store.client_endpoint_for(&plan.incremental, plan.count as usize)
+                store.client_endpoint_refined(plan)
             })
         })?;
         // Commit: generation re-check, transactional apply, and WAL
@@ -1209,6 +1216,8 @@ fn pull_from(shared: &Shared, peer: SocketAddr) -> Result<KvSyncReport> {
         m.planner_shards_snapshot_total
             .add(synced.shards_snapshot as u64);
         m.planner_digest_bytes_total.add(synced.digest_bytes as u64);
+        m.planner_shards_refined_total
+            .add(synced.shards_refined as u64);
         return Ok(synced);
     }
     // Local writes outran every attempt; the next gossip tick will

@@ -92,9 +92,12 @@ pub struct StatusInfo {
     pub planner_shards_incremental: u64,
     /// Shards the planner bulk-loaded as snapshots across all pulls.
     pub planner_shards_snapshot: u64,
-    /// Planner-phase wire bytes (digest vectors + plans) across all
-    /// pulls.
+    /// Planner-phase wire bytes (digest vectors + plans + scopes)
+    /// across all pulls.
     pub planner_digest_bytes: u64,
+    /// Incremental shards the planner narrowed to their differing
+    /// children across all pulls (0 from daemons that predate it).
+    pub planner_shards_refined: u64,
 }
 
 /// The daemon's answer to one [`Request`].
@@ -325,6 +328,7 @@ impl Response {
                 wire::put_varint(&mut buf, info.planner_shards_incremental);
                 wire::put_varint(&mut buf, info.planner_shards_snapshot);
                 wire::put_varint(&mut buf, info.planner_digest_bytes);
+                wire::put_varint(&mut buf, info.planner_shards_refined);
             }
             Response::Digest(digest) => {
                 buf.put_u8(RESP_DIGEST);
@@ -349,6 +353,7 @@ impl Response {
                     report.shards_incremental,
                     report.shards_snapshot,
                     report.digest_bytes,
+                    report.shards_refined,
                 ] {
                     wire::put_varint(&mut buf, n as u64);
                 }
@@ -414,6 +419,7 @@ impl Response {
                     planner_shards_incremental: 0,
                     planner_shards_snapshot: 0,
                     planner_digest_bytes: 0,
+                    planner_shards_refined: 0,
                 };
                 // Optional tail: fields appended by this or any later
                 // protocol revision. A short payload (old daemon) leaves
@@ -450,6 +456,9 @@ impl Response {
                 }
                 if buf.has_remaining() {
                     info.planner_digest_bytes = wire::get_varint(buf)?;
+                }
+                if buf.has_remaining() {
+                    info.planner_shards_refined = wire::get_varint(buf)?;
                 }
                 while buf.has_remaining() {
                     let _ = wire::get_varint(buf)?;
@@ -490,6 +499,9 @@ impl Response {
                 }
                 if buf.has_remaining() {
                     report.digest_bytes = wire::get_varint(buf)? as usize;
+                }
+                if buf.has_remaining() {
+                    report.shards_refined = wire::get_varint(buf)? as usize;
                 }
                 while buf.has_remaining() {
                     let _ = wire::get_varint(buf)?;
@@ -565,6 +577,7 @@ mod tests {
                 planner_shards_incremental: 2,
                 planner_shards_snapshot: 1,
                 planner_digest_bytes: 480,
+                planner_shards_refined: 2,
             }),
             Response::Digest(u64::MAX),
             Response::Synced(KvSyncReport {
@@ -580,6 +593,7 @@ mod tests {
                 shards_incremental: 2,
                 shards_snapshot: 1,
                 digest_bytes: 310,
+                shards_refined: 2,
             }),
             Response::Err("no such peer".into()),
         ];
@@ -665,6 +679,7 @@ mod tests {
             planner_shards_incremental: 2,
             planner_shards_snapshot: 0,
             planner_digest_bytes: 260,
+            planner_shards_refined: 1,
         };
 
         // A pre-metrics daemon: only the original seven fields.
@@ -696,6 +711,7 @@ mod tests {
                 planner_shards_incremental: 0,
                 planner_shards_snapshot: 0,
                 planner_digest_bytes: 0,
+                planner_shards_refined: 0,
                 ..info
             })
         );
@@ -716,7 +732,7 @@ mod tests {
         // the cut lands mid-varint, so put a multi-byte value last and
         // slice one byte off it.
         let long_tail = Response::Status(StatusInfo {
-            planner_digest_bytes: 300, // two-byte varint at the very end
+            planner_shards_refined: 300, // two-byte varint at the very end
             ..info
         })
         .encode();

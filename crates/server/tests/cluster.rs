@@ -175,6 +175,48 @@ fn tcp_pull_report_matches_in_memory_sync() {
 }
 
 #[test]
+fn daemon_pull_is_cut_at_the_children_like_the_in_memory_one() {
+    // Two converged 16-shard stores of 960 keys, two keys moved on at
+    // the source: the plan offers the children of the two dirty shards,
+    // the daemon answers with a scope, and the report — `shards_refined`
+    // included — is the in-memory planned sync's, byte for byte.
+    let mut mem_src = KvStore::with_shards(SiteId::new(1), 16);
+    for i in 0..960 {
+        mem_src.put(format!("key-{i:03}"), "value");
+    }
+    let mut mem_dst = KvStore::with_shards(SiteId::new(0), 16);
+    mem_dst.sync(&mem_src).run().expect("bootstrap");
+    mem_src.put("key-007", "moved on");
+    mem_src.put("key-424", "moved on");
+
+    let dst = start_node(0);
+    let src = start_node(1);
+    dst.with_store(|s| *s = mem_dst.clone());
+    src.with_store(|s| *s = mem_src.clone());
+    let (reference, _) = mem_dst
+        .sync_planned(
+            &mem_src,
+            &optrep_kv::JoinResolver,
+            &optrep_replication::PlanConfig::default(),
+        )
+        .expect("in-memory planned sync");
+    assert_eq!(reference.shards_refined, 2);
+    assert!(reference.keys_examined < 40, "{reference:?}");
+
+    let mut client = Client::connect(dst.addr(), &fast_connect()).expect("connect");
+    let report = client.sync(&src.addr().to_string()).expect("sync verb");
+    assert_eq!(report, reference, "byte-for-byte identical pull report");
+    assert_eq!(dst.digest(), src.digest());
+    assert_eq!(client.status().expect("status").planner_shards_refined, 2);
+    let refined = dst
+        .metrics_snapshot()
+        .counter("optrep_planner_shards_refined_total");
+    assert_eq!(refined, Some(2));
+    dst.stop();
+    src.stop();
+}
+
+#[test]
 fn dead_peer_leaves_survivor_metadata_untouched() {
     let survivor = start_node(0);
     survivor.with_store(|s| {

@@ -19,7 +19,7 @@
 use bytes::Bytes;
 use optrep_core::obs::{FamilySnapshot, FamilyValue, HistogramSnapshot, MetricsSnapshot, BUCKETS};
 use optrep_kv::KvSyncReport;
-use optrep_replication::planner::{DigestVector, ShardDigest, ShardPlan};
+use optrep_replication::planner::{ChildDigests, DigestVector, ShardDigest, ShardPlan, ShardScope};
 use optrep_server::proto::{Request, Response, StatusInfo};
 use proptest::prelude::*;
 
@@ -55,7 +55,13 @@ fn arb_status() -> impl Strategy<Value = StatusInfo> {
         (
             (any::<u64>(), any::<u64>()),
             (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
-            (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+            (
+                any::<u64>(),
+                any::<u64>(),
+                any::<u64>(),
+                any::<u64>(),
+                any::<u64>(),
+            ),
         ),
     )
         .prop_map(
@@ -73,6 +79,7 @@ fn arb_status() -> impl Strategy<Value = StatusInfo> {
                         planner_shards_incremental,
                         planner_shards_snapshot,
                         planner_digest_bytes,
+                        planner_shards_refined,
                     ),
                 ),
             )| {
@@ -94,6 +101,7 @@ fn arb_status() -> impl Strategy<Value = StatusInfo> {
                     planner_shards_incremental,
                     planner_shards_snapshot,
                     planner_digest_bytes,
+                    planner_shards_refined,
                 }
             },
         )
@@ -138,13 +146,14 @@ fn arb_report() -> impl Strategy<Value = KvSyncReport> {
             any::<u32>(),
             any::<u32>(),
             any::<u32>(),
+            any::<u32>(),
         ),
     )
         .prop_map(
             |(
                 (examined, created, ff, reconciled),
                 (unchanged, meta, value),
-                (total, skipped, incremental, snapshot, digest),
+                (total, skipped, incremental, snapshot, digest, refined),
             )| KvSyncReport {
                 keys_examined: examined as usize,
                 keys_created: created as usize,
@@ -158,6 +167,7 @@ fn arb_report() -> impl Strategy<Value = KvSyncReport> {
                 shards_incremental: incremental as usize,
                 shards_snapshot: snapshot as usize,
                 digest_bytes: digest as usize,
+                shards_refined: refined as usize,
             },
         )
 }
@@ -234,7 +244,59 @@ fn arb_shard_plan() -> impl Strategy<Value = ShardPlan> {
                 count,
                 incremental,
                 snapshots,
+                children: None,
             }
+        })
+}
+
+/// A plan that refines some of its incremental shards (it always has
+/// one), and a scope answering that offer.
+fn arb_refined_plan() -> impl Strategy<Value = (ShardPlan, ShardScope)> {
+    (
+        arb_shard_plan(),
+        1u32..4,
+        proptest::collection::vec(any::<bool>(), 6),
+        proptest::collection::vec((any::<u64>(), 0u64..50_000, any::<bool>()), 6 * 8),
+    )
+        .prop_map(|(mut plan, log2, picks, raw)| {
+            if plan.incremental.is_empty() {
+                plan.snapshots.retain(|(shard, _)| *shard != 0);
+                plan.incremental.push(0);
+            }
+            let fanout = 1u64 << log2;
+            let mut picked: Vec<u64> = plan
+                .incremental
+                .iter()
+                .zip(picks)
+                .filter_map(|(&shard, pick)| pick.then_some(shard))
+                .collect();
+            if picked.is_empty() {
+                picked.push(plan.incremental[0]);
+            }
+            let mut raw = raw.into_iter();
+            let mut listed = Vec::new();
+            let parents = picked
+                .into_iter()
+                .map(|shard| {
+                    let digests = (0..fanout)
+                        .map(|j| {
+                            let (digest, entries, list) = raw.next().expect("6 x 8 children");
+                            if list {
+                                listed.push(shard + j * plan.count);
+                            }
+                            ShardDigest { digest, entries }
+                        })
+                        .collect();
+                    (shard, digests)
+                })
+                .collect();
+            listed.sort_unstable();
+            let scope = ShardScope {
+                count: plan.count * fanout,
+                children: listed,
+            };
+            plan.children = Some(ChildDigests { fanout, parents });
+            (plan, scope)
         })
 }
 
@@ -312,6 +374,10 @@ proptest! {
                     got.planner_digest_bytes == status.planner_digest_bytes
                         || got.planner_digest_bytes == 0
                 );
+                prop_assert!(
+                    got.planner_shards_refined == status.planner_shards_refined
+                        || got.planner_shards_refined == 0
+                );
             }
         }
         // The full encoding itself always decodes.
@@ -346,6 +412,9 @@ proptest! {
                     got.shards_snapshot == report.shards_snapshot || got.shards_snapshot == 0
                 );
                 prop_assert!(got.digest_bytes == report.digest_bytes || got.digest_bytes == 0);
+                prop_assert!(
+                    got.shards_refined == report.shards_refined || got.shards_refined == 0
+                );
             }
         }
         let mut buf = full.clone();
@@ -392,6 +461,42 @@ proptest! {
         padded.extend_from_slice(&[junk]);
         let mut buf = padded.freeze();
         prop_assert!(ShardPlan::decode(&mut buf).is_err());
+    }
+
+    /// A refined plan is as strict: the children tail is mandatory
+    /// under its tag, so no prefix of it is a plan — and the scope that
+    /// answers it is a strict codec against the plan's offer.
+    #[test]
+    fn refined_plan_and_scope_roundtrip_and_reject_every_prefix(
+        (plan, scope) in arb_refined_plan(),
+        junk in any::<u8>(),
+    ) {
+        let offer = plan.offer().expect("refined");
+        let full = plan.encode();
+        let mut buf = full.clone();
+        prop_assert_eq!(ShardPlan::decode(&mut buf).unwrap(), plan);
+        for cut in 0..full.len() {
+            let mut buf = full.slice(0..cut);
+            prop_assert!(ShardPlan::decode(&mut buf).is_err(), "plan cut {} decoded", cut);
+        }
+        let mut padded = bytes::BytesMut::from(&full[..]);
+        padded.extend_from_slice(&[junk]);
+        prop_assert!(ShardPlan::decode(&mut padded.freeze()).is_err());
+
+        let full = scope.encode();
+        let mut buf = full.clone();
+        prop_assert_eq!(ShardScope::decode(&mut buf, &offer).unwrap(), scope);
+        for cut in 0..full.len() {
+            let mut buf = full.slice(0..cut);
+            prop_assert!(
+                ShardScope::decode(&mut buf, &offer).is_err(),
+                "scope cut {} decoded",
+                cut
+            );
+        }
+        let mut padded = bytes::BytesMut::from(&full[..]);
+        padded.extend_from_slice(&[junk]);
+        prop_assert!(ShardScope::decode(&mut padded.freeze(), &offer).is_err());
     }
 
     #[test]

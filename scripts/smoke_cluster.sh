@@ -128,8 +128,12 @@ sync_out="$("$BIN/optrep" "$A" sync "$B")"
 shards="$(status_field "$sync_out" shards)"
 skipped="$(status_field "$sync_out" skipped)"
 digest_bytes="$(status_field "$sync_out" digest-bytes)"
+examined="$(status_field "$sync_out" examined)"
+refined="$(status_field "$sync_out" refined)"
+# Two frames, digest vector and plan, are all that moves: nothing is
+# examined, and with no dirty shard there are no children to offer.
 if [[ -z "$shards" || "$shards" == 0 || "$skipped" != "$shards" \
-      || "$digest_bytes" -le 0 ]]; then
+      || "$digest_bytes" -le 0 || "$examined" != 0 || "$refined" != 0 ]]; then
     echo "FAIL: converged re-pull did not skip all shards: $sync_out" >&2
     exit 1
 fi
