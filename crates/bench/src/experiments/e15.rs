@@ -36,7 +36,7 @@
 use crate::table::{ratio, Table};
 use optrep_core::SiteId;
 use optrep_kv::{JoinResolver, KvStore, KvSyncReport};
-use optrep_replication::{pull_planned, DigestVector, InProcessLink, PlanConfig};
+use optrep_replication::{pull_planned, DigestVector, InProcessLink, PlanConfig, VectorMemory};
 use std::time::{Duration, Instant};
 
 #[cfg(not(debug_assertions))]
@@ -108,11 +108,13 @@ fn contact_bytes(report: &KvSyncReport) -> usize {
 fn sync_planned_flat(dst: &mut KvStore, src: &KvStore, config: &PlanConfig) -> KvSyncReport {
     let digests = dst.shard_digest_vector();
     let mut far = |digests: Option<&DigestVector>| src.open_contact(digests, config);
-    let (client, plan, contact) =
-        pull_planned(&mut InProcessLink::serving(&mut far), &digests, |plan| {
-            dst.client_endpoint_for(&plan.incremental, plan.count as usize)
-        })
-        .expect("planned pull");
+    let (client, plan, contact) = pull_planned(
+        &mut InProcessLink::serving(&mut far),
+        &mut VectorMemory::default(),
+        &digests,
+        |plan| dst.client_endpoint_for(&plan.incremental, plan.count as usize),
+    )
+    .expect("planned pull");
     let (report, _) = dst
         .apply_planned_tracked(&JoinResolver, client, &contact, &plan)
         .expect("planned commit");

@@ -299,8 +299,12 @@ pub const HANDSHAKE_MAGIC: [u8; 4] = *b"OPTR";
 /// incompatible change to the frame or message formats.
 ///
 /// v2 added the persistent [`Intent::Peer`] connection kind that carries
-/// many pull contacts back-to-back over one socket.
-pub const HANDSHAKE_VERSION: u8 = 2;
+/// many pull contacts back-to-back over one socket. v3 lets a planned
+/// pull open with a digest *delta* against the vector the connection's
+/// last contact carried (`replication::planner`, tag `0x39`): a v2
+/// server would accept a connection's first, full vector and then fail
+/// its first delta, so the two must not be mixed.
+pub const HANDSHAKE_VERSION: u8 = 3;
 
 /// What the connecting peer intends to do with the connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

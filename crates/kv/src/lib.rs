@@ -46,7 +46,7 @@ use optrep_replication::mux::{
 };
 use optrep_replication::planner::{
     decide, nothing_to_pull, placement, shard_of, ChildDigests, DigestVector, PlanConfig,
-    ShardAction, ShardDigest, ShardPlan, ShardScope, MAX_PLAN_SHARDS,
+    ShardAction, ShardDigest, ShardPlan, ShardScope, VectorMemory, MAX_PLAN_SHARDS,
 };
 use optrep_replication::FaultyLink;
 use std::collections::BTreeMap;
@@ -210,6 +210,10 @@ pub struct KvSyncReport {
     pub digest_bytes: usize,
     /// Incremental shards narrowed to their differing children.
     pub shards_refined: usize,
+    /// Shard digests the opening frame shipped: `shards_total` for a
+    /// full vector, the shards that changed since the connection's last
+    /// pull for a delta.
+    pub digests_sent: usize,
 }
 
 /// A replicated key-value store: one [`Srv`] per key, anti-entropy
@@ -737,6 +741,13 @@ impl KvStore {
     /// frame. The daemon's pull is the same three steps over a socket;
     /// this is what it is tested against, and what the benches mirror.
     ///
+    /// Every call opens a fresh in-process link, so nothing is
+    /// remembered between calls and the digest vector always crosses in
+    /// full (`digests_sent == shards_total`) — the *first* contact of a
+    /// daemon's connection. A daemon's later pulls over the same pooled
+    /// socket send a delta and report fewer `digest_bytes` than this
+    /// mirror; every other field stays equal.
+    ///
     /// Returns the sync report and the contact report (planner counters
     /// filled in, planner bytes excluded from the four byte planes).
     ///
@@ -751,10 +762,12 @@ impl KvStore {
     ) -> Result<(KvSyncReport, ContactReport)> {
         let digests = self.shard_digest_vector();
         let mut far = |digests: Option<&DigestVector>| src.open_contact(digests, config);
-        let (client, plan, contact) =
-            pull_planned(&mut InProcessLink::serving(&mut far), &digests, |plan| {
-                self.client_endpoint_refined(plan)
-            })?;
+        let (client, plan, contact) = pull_planned(
+            &mut InProcessLink::serving(&mut far),
+            &mut VectorMemory::default(),
+            &digests,
+            |plan| self.client_endpoint_refined(plan),
+        )?;
         let (report, _) = self.apply_planned_tracked(resolver, client, &contact, &plan)?;
         Ok((report, contact))
     }
@@ -925,6 +938,7 @@ impl KvStore {
             shards_snapshot: contact.shards_snapshot as usize,
             digest_bytes: contact.digest_bytes as usize,
             shards_refined: contact.shards_refined as usize,
+            digests_sent: contact.digests_sent as usize,
             ..KvSyncReport::default()
         };
         let site = self.site;
@@ -1813,11 +1827,13 @@ mod tests {
         let config = PlanConfig::default();
         let digests = dst.shard_digest_vector();
         let mut far = |digests: Option<&DigestVector>| src.open_contact(digests, &config);
-        let (client, plan, contact) =
-            pull_planned(&mut InProcessLink::serving(&mut far), &digests, |plan| {
-                dst.client_endpoint_for(&plan.incremental, plan.count as usize)
-            })
-            .unwrap();
+        let (client, plan, contact) = pull_planned(
+            &mut InProcessLink::serving(&mut far),
+            &mut VectorMemory::default(),
+            &digests,
+            |plan| dst.client_endpoint_for(&plan.incremental, plan.count as usize),
+        )
+        .unwrap();
         let (report, _) = dst
             .apply_planned_tracked(&JoinResolver, client, &contact, &plan)
             .unwrap();

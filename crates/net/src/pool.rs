@@ -20,6 +20,13 @@
 //! NAT timeout) — transparently redials once and reruns the contact.
 //! Errors on a freshly dialed connection propagate to the caller's own
 //! retry/quarantine schedule unchanged.
+//!
+//! A connection can carry **state of its own** — the `S` of
+//! [`ConnPool<S>`], handed to [`ConnPool::with_conn`]'s closure with the
+//! link. It is created with the dial, pooled beside the idle socket and
+//! dropped with it, so whatever a protocol remembers about a connection
+//! (the daemon: the last digest vector it sent down it) can never
+//! outlive that connection or be mistaken for another's.
 
 use crate::tcp::{ConnectOptions, TcpLink};
 use optrep_core::error::Result;
@@ -82,9 +89,19 @@ impl PoolMetrics {
     }
 }
 
-struct PeerEntry {
-    idle: Option<TcpLink>,
+struct PeerEntry<S> {
+    /// The idle connection and the state that belongs to it.
+    idle: Option<(TcpLink, S)>,
     stats: PoolStats,
+}
+
+impl<S> Default for PeerEntry<S> {
+    fn default() -> Self {
+        PeerEntry {
+            idle: None,
+            stats: PoolStats::default(),
+        }
+    }
 }
 
 /// A pool of one persistent, handshaken connection per peer address.
@@ -95,24 +112,27 @@ struct PeerEntry {
 /// concurrently the second dials a temporary extra connection and the
 /// surplus is dropped on checkin — correctness is unaffected and the
 /// steady state returns to one connection.
-pub struct ConnPool {
+///
+/// `S` is the per-connection state (see the module docs): `S::default()`
+/// at every dial, dropped with the socket.
+pub struct ConnPool<S = ()> {
     site: u32,
     intent: Intent,
     opts: ConnectOptions,
-    peers: Mutex<HashMap<SocketAddr, PeerEntry>>,
+    peers: Mutex<HashMap<SocketAddr, PeerEntry<S>>>,
     metrics: Mutex<Option<PoolMetrics>>,
 }
 
-impl ConnPool {
+impl<S: Default> ConnPool<S> {
     /// A pool dialing with `opts` and introducing itself as `site` with
     /// [`Intent::Peer`] (a persistent multi-contact channel).
-    pub fn new(site: u32, opts: ConnectOptions) -> ConnPool {
+    pub fn new(site: u32, opts: ConnectOptions) -> Self {
         ConnPool::with_intent(site, Intent::Peer, opts)
     }
 
     /// A pool with an explicit handshake intent (the CLI reuses one
     /// verb connection with [`Intent::Verbs`]).
-    pub fn with_intent(site: u32, intent: Intent, opts: ConnectOptions) -> ConnPool {
+    pub fn with_intent(site: u32, intent: Intent, opts: ConnectOptions) -> Self {
         ConnPool {
             site,
             intent,
@@ -139,12 +159,14 @@ impl ConnPool {
         }
     }
 
-    /// Runs `f` over the pooled connection to `addr`, dialing (and
-    /// handshaking) only if none is pooled yet.
+    /// Runs `f` over the pooled connection to `addr` and that
+    /// connection's state, dialing (and handshaking) only if none is
+    /// pooled yet.
     ///
-    /// On success the connection returns to the pool. On failure it is
-    /// discarded; if it had been reused (possibly stale), one fresh dial
-    /// reruns `f` — which must therefore be restartable, true of contacts
+    /// On success the connection returns to the pool, its state with
+    /// it. On failure both are discarded; if the connection had been
+    /// reused (possibly stale), one fresh dial — with fresh state —
+    /// reruns `f`, which must therefore be restartable, true of contacts
     /// by design (a failed contact leaves replica state untouched).
     ///
     /// # Errors
@@ -154,16 +176,16 @@ impl ConnPool {
     pub fn with_conn<T>(
         &self,
         addr: SocketAddr,
-        mut f: impl FnMut(&mut TcpLink) -> Result<T>,
+        mut f: impl FnMut(&mut TcpLink, &mut S) -> Result<T>,
     ) -> Result<T> {
-        let (mut link, reused) = self.checkout(addr)?;
-        match f(&mut link) {
+        let (mut conn, reused) = self.checkout(addr)?;
+        match f(&mut conn.0, &mut conn.1) {
             Ok(value) => {
-                self.checkin(addr, link, 1, 0);
+                self.checkin(addr, conn, 1, 0);
                 Ok(value)
             }
             Err(first) => {
-                drop(link); // poisoned: never re-pool
+                drop(conn); // poisoned: never re-pool
                 if !reused {
                     self.record(addr, |s| s.discards += 1);
                     self.with_metrics(|m| m.discards.inc());
@@ -180,10 +202,10 @@ impl ConnPool {
                     m.discards.inc();
                     m.stale_reruns.inc();
                 });
-                let mut link = self.dial(addr)?;
-                match f(&mut link) {
+                let mut conn = self.dial(addr)?;
+                match f(&mut conn.0, &mut conn.1) {
                     Ok(value) => {
-                        self.checkin(addr, link, 1, 0);
+                        self.checkin(addr, conn, 1, 0);
                         Ok(value)
                     }
                     Err(second) => {
@@ -226,25 +248,25 @@ impl ConnPool {
         }
     }
 
-    fn checkout(&self, addr: SocketAddr) -> Result<(TcpLink, bool)> {
+    fn checkout(&self, addr: SocketAddr) -> Result<((TcpLink, S), bool)> {
         let pooled = {
             let mut peers = self.lock();
             peers.get_mut(&addr).and_then(|entry| {
-                let link = entry.idle.take();
-                if link.is_some() {
+                let conn = entry.idle.take();
+                if conn.is_some() {
                     entry.stats.reuses += 1;
                 }
-                link
+                conn
             })
         };
-        if let Some(link) = pooled {
+        if let Some(conn) = pooled {
             self.with_metrics(|m| m.reuses.inc());
-            return Ok((link, true));
+            return Ok((conn, true));
         }
         Ok((self.dial(addr)?, false))
     }
 
-    fn dial(&self, addr: SocketAddr) -> Result<TcpLink> {
+    fn dial(&self, addr: SocketAddr) -> Result<(TcpLink, S)> {
         let started = Instant::now();
         let mut link = TcpLink::connect(addr, &self.opts)?;
         let preamble = Handshake::new(self.site, self.intent).encode();
@@ -255,20 +277,17 @@ impl ConnPool {
             m.dials.inc();
             m.dial_micros.record(elapsed);
         });
-        Ok(link)
+        Ok((link, S::default()))
     }
 
-    fn checkin(&self, addr: SocketAddr, link: TcpLink, contacts: u64, discards: u64) {
+    fn checkin(&self, addr: SocketAddr, conn: (TcpLink, S), contacts: u64, discards: u64) {
         {
             let mut peers = self.lock();
-            let entry = peers.entry(addr).or_insert_with(|| PeerEntry {
-                idle: None,
-                stats: PoolStats::default(),
-            });
+            let entry = peers.entry(addr).or_default();
             entry.stats.contacts += contacts;
             entry.stats.discards += discards;
             if entry.idle.is_none() {
-                entry.idle = Some(link);
+                entry.idle = Some(conn);
             }
             // else: a concurrent contact already re-pooled a connection
             // for this peer; the surplus socket drops here.
@@ -281,14 +300,10 @@ impl ConnPool {
 
     fn record(&self, addr: SocketAddr, f: impl FnOnce(&mut PoolStats)) {
         let mut peers = self.lock();
-        let entry = peers.entry(addr).or_insert_with(|| PeerEntry {
-            idle: None,
-            stats: PoolStats::default(),
-        });
-        f(&mut entry.stats);
+        f(&mut peers.entry(addr).or_default().stats);
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<SocketAddr, PeerEntry>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<SocketAddr, PeerEntry<S>>> {
         self.peers.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
@@ -356,9 +371,9 @@ mod tests {
         let addr = listener.local_addr().expect("addr");
         let server = echo_server(listener);
 
-        let pool = ConnPool::new(3, fast_opts());
+        let pool: ConnPool = ConnPool::new(3, fast_opts());
         for tag in 0..5u8 {
-            pool.with_conn(addr, |link| roundtrip(link, tag))
+            pool.with_conn(addr, |link, ()| roundtrip(link, tag))
                 .expect("contact");
         }
         let stats = pool.stats(addr);
@@ -382,22 +397,32 @@ mod tests {
         let addr = listener.local_addr().expect("addr");
         let server = echo_server(listener);
 
-        let pool = ConnPool::new(3, fast_opts());
-        pool.with_conn(addr, |link| roundtrip(link, 1))
-            .expect("first");
+        // The connection's state: how many contacts it has carried.
+        let pool: ConnPool<u32> = ConnPool::new(3, fast_opts());
+        for carried in 0..2 {
+            pool.with_conn(addr, |link, contacts| {
+                assert_eq!(*contacts, carried, "the state is pooled with the link");
+                *contacts += 1;
+                roundtrip(link, 1)
+            })
+            .expect("warm-up");
+        }
         // Poison the pooled connection server-side on the first attempt
-        // only: the pool must discard the stale socket, redial, and let
-        // the rerun succeed on the fresh connection.
+        // only: the pool must discard the stale socket and its state,
+        // redial, and let the rerun succeed on the fresh connection.
         let mut attempt = 0;
-        pool.with_conn(addr, |link| {
+        pool.with_conn(addr, |link, contacts| {
             attempt += 1;
             if attempt == 1 {
+                assert_eq!(*contacts, 2);
                 link.send_frame(7, &[0xFF])?;
                 return match link.recv_frame() {
                     Ok(_) => panic!("server must cut a poisoned connection"),
                     Err(_) => Err(Error::ConnectionLost { after_bytes: 0 }),
                 };
             }
+            assert_eq!(*contacts, 0, "a fresh dial starts with fresh state");
+            *contacts += 1;
             roundtrip(link, 2)
         })
         .expect("redial must recover");
@@ -406,6 +431,19 @@ mod tests {
         assert_eq!(stats.discards, 1);
         assert_eq!(stats.stale_reruns, 1, "the redial-once path must count");
         assert!(stats.contacts >= 2);
+        // Dropping the pooled connection drops its state with it.
+        pool.with_conn(addr, |_, contacts| {
+            assert_eq!(*contacts, 1);
+            Ok(())
+        })
+        .expect("pooled");
+        pool.clear();
+        pool.with_conn(addr, |link, contacts| {
+            assert_eq!(*contacts, 0);
+            roundtrip(link, 3)
+        })
+        .expect("third dial");
+        drop(pool);
         let _ = std::net::TcpStream::connect(addr);
         let _ = server.join();
     }
@@ -417,10 +455,10 @@ mod tests {
         let server = echo_server(listener);
 
         let registry = optrep_core::obs::MetricsRegistry::new();
-        let pool = ConnPool::new(3, fast_opts());
+        let pool: ConnPool = ConnPool::new(3, fast_opts());
         pool.set_metrics(PoolMetrics::register(&registry, "optrep_pool"));
         for tag in 0..3u8 {
-            pool.with_conn(addr, |link| roundtrip(link, tag))
+            pool.with_conn(addr, |link, ()| roundtrip(link, tag))
                 .expect("contact");
         }
         let snap = registry.snapshot();
@@ -443,9 +481,9 @@ mod tests {
             let l = TcpListener::bind("127.0.0.1:0").expect("bind");
             l.local_addr().expect("addr")
         };
-        let pool = ConnPool::new(0, fast_opts());
+        let pool: ConnPool = ConnPool::new(0, fast_opts());
         let err = pool
-            .with_conn(addr, |_| Ok(()))
+            .with_conn(addr, |_, ()| Ok(()))
             .expect_err("nothing listens there");
         assert!(matches!(err, Error::ConnectionLost { .. }));
         assert_eq!(pool.stats(addr).dials, 0);

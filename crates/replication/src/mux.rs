@@ -27,8 +27,8 @@
 //! identical to the single-object path.
 
 use crate::planner::{
-    digest_vector_frame, plan_frame, scope_frame, DigestVector, Offer, ShardPlan, ShardScope,
-    TAG_SHARD_DIGESTS, TAG_SHARD_SCOPE,
+    plan_frame, scope_frame, DigestVector, Offer, ShardPlan, ShardScope, VectorMemory,
+    TAG_SHARD_DIGESTS, TAG_SHARD_DIGESTS_DELTA, TAG_SHARD_SCOPE,
 };
 use crate::protocol::{
     get_opt_elem, opt_elem_len, put_opt_elem, PullClient, PullOutcome, PullServer, SessionMsg,
@@ -1016,13 +1016,20 @@ pub struct ContactReport {
     /// [`ShardScope`]. Zero when the plan refined nothing or the puller
     /// walked the shards whole.
     pub shards_refined: u64,
-    /// Bytes of the planner exchange (digest-vector frame + plan frame,
-    /// snapshot blobs and child digests included, + the scope frame;
-    /// turn markers excluded) — the fifth plane, priced by [`Puller`].
+    /// Bytes of the planner exchange (the opening frame — the digest
+    /// vector, or its delta against the last one the connection
+    /// carried — + plan frame, snapshot blobs and child digests
+    /// included, + the scope frame; turn markers excluded) — the fifth
+    /// plane, priced by [`Puller`].
     /// The planner frames emit no `FrameTx` event: the obs contact
     /// scope opens with the object exchange, and widening it is a
     /// behaviour change for its own issue.
     pub digest_bytes: u64,
+    /// Shard digests the opening frame actually shipped:
+    /// [`shards_total`](Self::shards_total) for a full vector, the
+    /// shards that changed since the connection's last contact for a
+    /// delta — zero when a converged puller asks again.
+    pub digests_sent: u64,
 }
 
 /// One frame's bytes, split by the paper's cost taxonomy.
@@ -1256,14 +1263,24 @@ impl<'a> Puller<'a> {
         puller
     }
 
-    /// Starts a planned contact: writes the digest-vector frame plus a
-    /// turn marker to `out` as one burst and waits for the plan.
-    pub fn open_planned(digests: &DigestVector, out: &mut BytesMut) -> Self {
+    /// Starts a planned contact: writes the opening frame — `digests`
+    /// in full, or as a delta against the vector `remembered` from the
+    /// connection's last completed contact, whichever is shorter — plus
+    /// a turn marker to `out` as one burst and waits for the plan. The
+    /// caller owns the memory's discipline ([`pull_planned`] does it):
+    /// nothing may be remembered across a contact that did not
+    /// complete.
+    pub fn open_planned(
+        digests: &DigestVector,
+        remembered: &VectorMemory,
+        out: &mut BytesMut,
+    ) -> Self {
         let mut puller = Self::in_phase(PullPhase::Planning {
             shards: digests.shards.len() as u64,
         });
-        let frame = digest_vector_frame(digests);
+        let (frame, sent) = remembered.opening_frame(digests);
         puller.report.digest_bytes = frame.len() as u64;
+        puller.report.digests_sent = sent;
         out.extend_from_slice(&frame);
         put_marker(out, false);
         puller
@@ -1538,14 +1555,23 @@ impl From<BatchPullClient> for Restricted {
 }
 
 /// Drives one *planned* pull over `link`, the digest/plan turn
-/// included: sends `digests`, takes the server's [`ShardPlan`], asks
+/// included: sends `digests` — as a delta against what `remembered`
+/// holds of the link's last contact, where that is shorter — takes the
+/// server's [`ShardPlan`], asks
 /// `endpoint` for the client restricted to it (a daemon takes its store
 /// lock in there) — a [`Restricted`] cut at the plan's child digests,
 /// or a plain [`BatchPullClient`] over the incremental shards — and
 /// runs the object exchange exactly as [`pull_contact`] does. Returns
 /// the finished client, the plan, and the report with the planner
-/// fields ([`ContactReport::digest_bytes`], `shards_*`) filled in —
-/// what `KvStore::apply_planned_tracked` commits.
+/// fields ([`ContactReport::digest_bytes`], `digests_sent`, `shards_*`)
+/// filled in — what `KvStore::apply_planned_tracked` commits.
+///
+/// `remembered` is the pulling end's [`VectorMemory`] of **this link**
+/// and must live and die with it (`optrep_net::ConnPool` keeps it
+/// beside the pooled socket; a one-shot link passes a fresh one). It is
+/// emptied while the contact runs and holds `digests` once the contact
+/// has completed, so a delta is never encoded against a vector whose
+/// contact failed.
 ///
 /// The obs contact scope opens when the exchange begins, with the
 /// restricted client's stream count; the planning turn emits nothing.
@@ -1558,13 +1584,15 @@ impl From<BatchPullClient> for Restricted {
 /// scope exists.
 pub fn pull_planned<L: FrameLink, E: Into<Restricted>>(
     link: &mut L,
+    remembered: &mut VectorMemory,
     digests: &DigestVector,
     endpoint: impl FnOnce(&ShardPlan) -> E,
 ) -> Result<(BatchPullClient, ShardPlan, ContactReport)> {
     // Declared ahead of the machine that borrows it for the exchange.
     let mut client;
     let mut out = BytesMut::new();
-    let mut puller = Puller::open_planned(digests, &mut out);
+    let base = std::mem::take(remembered);
+    let mut puller = Puller::open_planned(digests, &base, &mut out);
     let plan = loop {
         if let Err(e) = pump(&mut puller, link, &mut out) {
             link.fin();
@@ -1579,6 +1607,7 @@ pub fn pull_planned<L: FrameLink, E: Into<Restricted>>(
     let scope = obs::contact_scope(client.streams.len() as u64);
     puller.exchange(&mut client, restricted.scope.as_ref(), scope.id(), &mut out);
     let report = pump_exchange(&mut puller, link, &mut out, scope)?;
+    remembered.remember(digests);
     Ok((client, plan, report))
 }
 
@@ -1640,14 +1669,20 @@ pub fn serve_contact<L: FrameLink>(server: &mut BatchPullServer, link: &mut L) -
 /// Serves the far half of one contact — planned ([`pull_planned`]) or
 /// not ([`pull_contact`]), the puller's first frame decides — with the
 /// endpoint taken from `source` at that first frame: the same pump as
-/// [`serve_contact`] around a [`Serving`].
+/// [`serve_contact`] around `serving`, the connection's [`Serving`].
+/// Pass the same one for every contact of a link (it remembers the
+/// puller's last digest vector for the next), a fresh one for a
+/// one-shot link.
 ///
 /// # Errors
 ///
 /// As [`serve_contact`], plus the planning turn's violations (see
 /// [`Serving::on_frame`]).
-pub fn serve_from<L: FrameLink>(source: &mut ContactSource<'_>, link: &mut L) -> Result<()> {
-    let mut serving = Serving::default();
+pub fn serve_from<L: FrameLink>(
+    serving: &mut Serving,
+    source: &mut ContactSource<'_>,
+    link: &mut L,
+) -> Result<()> {
     serve_steps(link, |frame, out| serving.on_frame(frame, source, out))
 }
 
@@ -1741,9 +1776,16 @@ pub type ContactSource<'a> =
 /// restricted endpoint — narrowed first, if the plan offered child
 /// digests and the puller's burst opens with a [`ShardScope`], to the
 /// children it lists. Any other first frame asks the source for the
-/// full endpoint and is an ordinary [`serve_frame`] step. Between
-/// contacts the machine holds nothing, so one `Serving` serves a
-/// persistent connection's contacts back to back.
+/// full endpoint and is an ordinary [`serve_frame`] step.
+///
+/// One `Serving` serves a persistent connection's contacts back to
+/// back. Between them it holds no endpoint, but it does keep the last
+/// digest vector the puller sent ([`VectorMemory`], 16 B × the shard
+/// count the peer chose — at most 16 MiB at
+/// [`MAX_PLAN_SHARDS`](crate::planner::MAX_PLAN_SHARDS)): the next
+/// contact may open with a [`DigestDelta`](crate::planner::DigestDelta)
+/// against it instead of the whole vector. The memory is the
+/// connection's — a new connection starts with a new `Serving`.
 #[derive(Debug, Default)]
 pub struct Serving {
     /// The open contact's endpoint. Boxed: a batch server carries
@@ -1757,6 +1799,9 @@ pub struct Serving {
     /// else forfeits the offer — so a contact takes at most one scope,
     /// and only ahead of its `BatchHello`.
     offer: Option<Offer>,
+    /// The puller's vector as of the last contact it opened here; the
+    /// only field that outlives [`ServeStep::Done`].
+    remembered: VectorMemory,
 }
 
 impl Serving {
@@ -1767,7 +1812,9 @@ impl Serving {
     /// # Errors
     ///
     /// As [`serve_frame`]; in the planning turn, a malformed digest
-    /// vector, a source that cannot plan, and anything but a plain turn
+    /// vector, a delta that does not patch the remembered vector to
+    /// the one its check describes (or finds none remembered), a
+    /// source that cannot plan, and anything but a plain turn
     /// marker (a FIN, a second frame) after the digest vector; a scope
     /// that does not answer the plan's offer (and, as an undecodable
     /// frame, any scope where none is due). The caller must treat any
@@ -1794,11 +1841,14 @@ impl Serving {
         let server = match &mut self.server {
             Some(server) => server,
             None if frame.stream == CONTROL_STREAM
-                && frame.payload.first() == Some(&TAG_SHARD_DIGESTS) =>
+                && matches!(
+                    frame.payload.first(),
+                    Some(&(TAG_SHARD_DIGESTS | TAG_SHARD_DIGESTS_DELTA))
+                ) =>
             {
                 let mut payload = frame.payload;
-                let digests = DigestVector::decode(&mut payload)?;
-                let (Some(plan), server) = source(Some(&digests)) else {
+                let digests = self.remembered.receive(&mut payload)?;
+                let (Some(plan), server) = source(Some(digests)) else {
                     return Err(planning_violation(
                         "this endpoint serves unplanned contacts only".into(),
                     ));

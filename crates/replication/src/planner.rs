@@ -29,6 +29,20 @@
 //! turn is added; a plan that refines nothing, and a puller that sends
 //! no scope, are byte for byte the contact described above.
 //!
+//! **The vector crosses a connection once.** Between two pulls over the
+//! same persistent connection the puller's vector differs only in the
+//! shards the last pull touched. Each end of a connection therefore
+//! remembers the last vector that crossed it ([`VectorMemory`]), and the
+//! puller opens every later contact with whichever of two frames is
+//! shorter: the full [`DigestVector`], or a [`DigestDelta`] — the shards
+//! that changed since, and a check over the vector they patch to. The
+//! server reconstructs the full vector and plans from it as before; a
+//! delta it cannot apply (nothing remembered, another shard count, a
+//! check mismatch) is a decode error like any other, the connection
+//! dies, and the redial opens with a full vector. The first contact on
+//! a connection, and any contact whose vector changed everywhere, is
+//! byte for byte what it always was.
+//!
 //! The planner frames reuse the mux control stream (tag space `0x35+`,
 //! disjoint from [`CtrlMsg`](crate::mux::CtrlMsg)'s `0x31..=0x34`) and
 //! the link layer's turn-marker discipline, so the phase pipelines over
@@ -38,7 +52,7 @@
 //! with `BatchHello`) serves the classic unplanned full contact, so the
 //! phase is strictly opt-in per contact.
 //!
-//! This module holds the two frames and the policy ([`decide`]). *How
+//! This module holds the frames and the policy ([`decide`]). *How
 //! the turn runs* is the first state of the two contact machines:
 //! [`Puller`](crate::mux::Puller)'s planning state and
 //! [`Serving`](crate::mux::Serving), pumped by
@@ -75,6 +89,9 @@ pub const TAG_SHARD_SCOPE: u8 = 0x37;
 /// mandatory under it, so no prefix of a refined plan is a valid plan —
 /// while an unrefined plan stays byte-identical to what it always was.
 pub const TAG_SHARD_PLAN_REFINED: u8 = 0x38;
+/// Wire tag of a [`DigestDelta`] (puller → server): a digest vector
+/// expressed against the last one the connection carried.
+pub const TAG_SHARD_DIGESTS_DELTA: u8 = 0x39;
 
 /// Hard cap on the shard count any peer may claim: bounds the
 /// allocation a hostile digest vector or plan can force.
@@ -89,6 +106,29 @@ pub struct ShardDigest {
     /// Tracked entries (tombstones included) in the shard.
     pub entries: u64,
 }
+
+impl ShardDigest {
+    /// A summary on the wire: the entry count as a varint, then the
+    /// digest as 8 fixed big-endian bytes.
+    fn put(&self, buf: &mut BytesMut) {
+        wire::put_varint(buf, self.entries);
+        buf.put_u64(self.digest);
+    }
+
+    fn get(buf: &mut Bytes) -> std::result::Result<ShardDigest, WireError> {
+        let entries = wire::get_varint(buf)?;
+        if buf.remaining() < 8 {
+            return Err(WireError::UnexpectedEof);
+        }
+        let digest = buf.get_u64();
+        Ok(ShardDigest { digest, entries })
+    }
+}
+
+/// FNV-1a's 64-bit offset basis and prime: [`placement`] hashes key
+/// bytes with them, [`DigestVector::check`] folds words.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// The puller's per-shard digests, at the puller's shard count (a
 /// power of two; the server folds its own map to match).
@@ -106,8 +146,7 @@ impl DigestVector {
         buf.put_u8(TAG_SHARD_DIGESTS);
         wire::put_varint(&mut buf, self.shards.len() as u64);
         for shard in &self.shards {
-            wire::put_varint(&mut buf, shard.entries);
-            buf.put_u64(shard.digest);
+            shard.put(&mut buf);
         }
         buf.freeze()
     }
@@ -132,17 +171,216 @@ impl DigestVector {
         }
         let mut shards = Vec::with_capacity(count as usize);
         for _ in 0..count {
-            let entries = wire::get_varint(buf)?;
-            if buf.remaining() < 8 {
-                return Err(WireError::UnexpectedEof);
-            }
-            let digest = buf.get_u64();
-            shards.push(ShardDigest { digest, entries });
+            shards.push(ShardDigest::get(buf)?);
         }
         if buf.has_remaining() {
             return Err(WireError::InvalidPayload);
         }
         Ok(DigestVector { shards })
+    }
+
+    /// An order-sensitive 8-byte check over the whole vector: what a
+    /// [`DigestDelta`] carries so that the two ends of a connection
+    /// find out, before anything is planned from it, that they no
+    /// longer remember the same vector. Every step is a bijection of
+    /// the running value, so two vectors that differ in one word never
+    /// share a check.
+    pub fn check(&self) -> u64 {
+        self.shards.iter().fold(FNV_OFFSET, |hash, shard| {
+            [shard.entries, shard.digest]
+                .iter()
+                .fold(hash, |hash, word| {
+                    (hash ^ word).wrapping_mul(FNV_PRIME).rotate_left(29)
+                })
+        })
+    }
+}
+
+/// A digest vector expressed against the last one that crossed the
+/// same connection (the *base*): only the shards that differ.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct DigestDelta {
+    /// The shard count of both vectors.
+    pub count: u64,
+    /// `(shard, its new summary)`, shards strictly increasing.
+    pub changed: Vec<(u64, ShardDigest)>,
+    /// [`DigestVector::check`] of the vector the base patches to.
+    pub check: u64,
+}
+
+impl DigestDelta {
+    /// A changed shard on the wire: a gap and an entry count of a byte
+    /// or more each, and 8 digest bytes.
+    const MIN_CHANGED_BYTES: u64 = 10;
+
+    /// What turns `base` into `next`; `None` when their shard counts
+    /// differ (the store was resharded: there is nothing to patch).
+    pub fn between(base: &DigestVector, next: &DigestVector) -> Option<DigestDelta> {
+        (base.shards.len() == next.shards.len()).then(|| DigestDelta {
+            count: next.shards.len() as u64,
+            changed: (0u64..)
+                .zip(base.shards.iter().zip(&next.shards))
+                .filter(|(_, (old, new))| old != new)
+                .map(|(shard, (_, new))| (shard, *new))
+                .collect(),
+            check: next.check(),
+        })
+    }
+
+    /// Encodes the message: tag, shard count, the number of changed
+    /// shards, each as its index (the first as it is, every later one
+    /// as the gap past its predecessor, less one — so no encoding lists
+    /// shards out of order or twice), entry count and 8 fixed digest
+    /// bytes, then the check as 8 fixed bytes.
+    pub fn encode(&self) -> Bytes {
+        let mut buf = BytesMut::with_capacity(20 + self.changed.len() * 12);
+        buf.put_u8(TAG_SHARD_DIGESTS_DELTA);
+        wire::put_varint(&mut buf, self.count);
+        wire::put_varint(&mut buf, self.changed.len() as u64);
+        let mut next = 0;
+        for (shard, summary) in &self.changed {
+            wire::put_varint(&mut buf, shard - next);
+            summary.put(&mut buf);
+            next = shard + 1;
+        }
+        buf.put_u64(self.check);
+        buf.freeze()
+    }
+
+    /// Decodes a [`DigestDelta`] against the vector it is to patch,
+    /// rejecting truncation, trailing bytes, a shard count other than
+    /// `base`'s, more changed shards than there are shards or than the
+    /// payload can hold (both checked before anything is allocated),
+    /// and indices at or past the count.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError`] on any malformed input.
+    pub fn decode(buf: &mut Bytes, base: &DigestVector) -> std::result::Result<Self, WireError> {
+        if !buf.has_remaining() {
+            return Err(WireError::UnexpectedEof);
+        }
+        if buf.get_u8() != TAG_SHARD_DIGESTS_DELTA {
+            return Err(WireError::InvalidPayload);
+        }
+        let count = wire::get_varint(buf)?;
+        if count != base.shards.len() as u64 {
+            return Err(WireError::InvalidPayload);
+        }
+        let n = wire::get_varint(buf)?;
+        if n > count {
+            return Err(WireError::InvalidPayload);
+        }
+        if n * Self::MIN_CHANGED_BYTES > buf.remaining() as u64 {
+            return Err(WireError::UnexpectedEof);
+        }
+        let mut changed = Vec::with_capacity(n as usize);
+        let mut next = 0u64;
+        for _ in 0..n {
+            let shard = next
+                .checked_add(wire::get_varint(buf)?)
+                .filter(|&shard| shard < count)
+                .ok_or(WireError::InvalidPayload)?;
+            changed.push((shard, ShardDigest::get(buf)?));
+            next = shard + 1;
+        }
+        if buf.remaining() < 8 {
+            return Err(WireError::UnexpectedEof);
+        }
+        let check = buf.get_u64();
+        if buf.has_remaining() {
+            return Err(WireError::InvalidPayload);
+        }
+        Ok(DigestDelta {
+            count,
+            changed,
+            check,
+        })
+    }
+
+    /// Overwrites the changed shards of `base` — the vector this delta
+    /// was decoded against — and verifies the result.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::InvalidPayload`] when the patched vector does not
+    /// have the delta's check: the sender's base was not this one.
+    /// `base` is then neither vector and must be forgotten.
+    pub fn patch(&self, base: &mut DigestVector) -> std::result::Result<(), WireError> {
+        for &(shard, summary) in &self.changed {
+            base.shards[shard as usize] = summary;
+        }
+        if base.check() != self.check {
+            return Err(WireError::InvalidPayload);
+        }
+        Ok(())
+    }
+}
+
+/// One end's memory of the last digest vector that crossed its
+/// connection — what a [`DigestDelta`] is encoded against by the puller
+/// and applied to by the server. It belongs to the connection and dies
+/// with it: the pulling end keeps it beside the pooled link, the
+/// serving end inside [`Serving`](crate::mux::Serving), and since any
+/// failed contact costs both ends the connection, the two memories
+/// never have to be reconciled — only checked
+/// ([`DigestVector::check`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct VectorMemory {
+    last: Option<DigestVector>,
+}
+
+impl VectorMemory {
+    /// The pulling end: `next` as the control-stream frame that opens a
+    /// contact (no marker), and how many shard digests that frame
+    /// ships. The delta against the remembered vector is sent iff it is
+    /// strictly shorter than the full vector — the two encoded lengths
+    /// are the whole policy — so with nothing remembered, another shard
+    /// count, or a vector that changed everywhere, the frame is
+    /// [`digest_vector_frame`]'s.
+    pub fn opening_frame(&self, next: &DigestVector) -> (BytesMut, u64) {
+        let full = digest_vector_frame(next);
+        let delta = self
+            .last
+            .as_ref()
+            .and_then(|base| DigestDelta::between(base, next));
+        if let Some(delta) = delta {
+            let frame = control_frame(&delta.encode());
+            if frame.len() < full.len() {
+                return (frame, delta.changed.len() as u64);
+            }
+        }
+        (full, next.shards.len() as u64)
+    }
+
+    /// The pulling end, once the contact `crossed` opened has
+    /// completed: the next contact may be encoded against it.
+    pub fn remember(&mut self, crossed: &DigestVector) {
+        self.last = Some(crossed.clone());
+    }
+
+    /// The serving end: decodes the payload that opens a contact —
+    /// a full vector, or a delta against the remembered one — into the
+    /// puller's full vector, which is remembered in turn.
+    ///
+    /// # Errors
+    ///
+    /// As [`DigestVector::decode`] and [`DigestDelta::decode`]; a delta
+    /// with nothing remembered, and one whose check fails
+    /// ([`DigestDelta::patch`]). After any error nothing is remembered.
+    pub fn receive(
+        &mut self,
+        payload: &mut Bytes,
+    ) -> std::result::Result<&DigestVector, WireError> {
+        let base = self.last.take();
+        let crossed = if payload.first() == Some(&TAG_SHARD_DIGESTS_DELTA) {
+            let mut base = base.ok_or(WireError::InvalidPayload)?;
+            DigestDelta::decode(payload, &base)?.patch(&mut base)?;
+            base
+        } else {
+            DigestVector::decode(payload)?
+        };
+        Ok(self.last.insert(crossed))
     }
 }
 
@@ -152,10 +390,9 @@ impl DigestVector {
 /// shard `s` at `count` shards are the shards `s + j·count` of the same
 /// hash masked `F` times wider.
 pub fn placement(key: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    key.iter()
-        .fold(OFFSET, |hash, &b| (hash ^ u64::from(b)).wrapping_mul(PRIME))
+    key.iter().fold(FNV_OFFSET, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(FNV_PRIME)
+    })
 }
 
 /// A key's shard in a map of `count` shards (`count` a power of two).
@@ -355,8 +592,7 @@ impl ShardPlan {
             for (shard, digests) in &children.parents {
                 wire::put_varint(&mut buf, *shard);
                 for child in digests {
-                    wire::put_varint(&mut buf, child.entries);
-                    buf.put_u64(child.digest);
+                    child.put(&mut buf);
                 }
             }
         }
@@ -462,14 +698,7 @@ impl ShardPlan {
             }
             let mut digests = Vec::with_capacity(fanout as usize);
             for _ in 0..fanout {
-                let entries = wire::get_varint(buf)?;
-                if buf.remaining() < 8 {
-                    return Err(WireError::UnexpectedEof);
-                }
-                digests.push(ShardDigest {
-                    digest: buf.get_u64(),
-                    entries,
-                });
+                digests.push(ShardDigest::get(buf)?);
             }
             parents.push((shard, digests));
         }
@@ -620,25 +849,26 @@ pub fn decide(client: &[ShardDigest], server: &[ShardDigest], config: &PlanConfi
     decision
 }
 
+/// One planner message as a control-stream frame (no marker).
+fn control_frame(payload: &[u8]) -> BytesMut {
+    let mut buf = BytesMut::new();
+    wire::put_frame(&mut buf, CONTROL_STREAM, payload);
+    buf
+}
+
 /// Encodes a [`DigestVector`] as a control-stream frame (no marker).
 pub fn digest_vector_frame(digests: &DigestVector) -> BytesMut {
-    let mut buf = BytesMut::new();
-    wire::put_frame(&mut buf, CONTROL_STREAM, &digests.encode());
-    buf
+    control_frame(&digests.encode())
 }
 
 /// Encodes a [`ShardPlan`] as a control-stream frame (no marker).
 pub fn plan_frame(plan: &ShardPlan) -> BytesMut {
-    let mut buf = BytesMut::new();
-    wire::put_frame(&mut buf, CONTROL_STREAM, &plan.encode());
-    buf
+    control_frame(&plan.encode())
 }
 
 /// Encodes a [`ShardScope`] as a control-stream frame (no marker).
 pub fn scope_frame(scope: &ShardScope) -> BytesMut {
-    let mut buf = BytesMut::new();
-    wire::put_frame(&mut buf, CONTROL_STREAM, &scope.encode());
-    buf
+    control_frame(&scope.encode())
 }
 
 #[cfg(test)]
@@ -847,6 +1077,166 @@ mod tests {
             padded.put_u8(0);
             assert!(ShardScope::decode(&mut padded.freeze(), &offer).is_err());
         }
+    }
+
+    /// A seeded vector and the one that follows it over the same
+    /// connection: anywhere from no shard to every shard changed.
+    fn random_vector_pair(seed: u64) -> (DigestVector, DigestVector) {
+        let mut rng = seed;
+        let count = 1usize << (splitmix64(&mut rng) % 10);
+        let density = splitmix64(&mut rng) % 9;
+        let summary = |rng: &mut u64| ShardDigest {
+            digest: splitmix64(rng),
+            entries: splitmix64(rng) % 40_000,
+        };
+        let base: Vec<ShardDigest> = (0..count).map(|_| summary(&mut rng)).collect();
+        let next = base
+            .iter()
+            .map(|old| match splitmix64(&mut rng) % 8 < density {
+                true => summary(&mut rng),
+                false => *old,
+            })
+            .collect();
+        (DigestVector { shards: base }, DigestVector { shards: next })
+    }
+
+    #[test]
+    fn deltas_roundtrip_patch_and_reject_every_prefix() {
+        for seed in 0..64 {
+            let (base, next) = random_vector_pair(seed);
+            let delta = DigestDelta::between(&base, &next).expect("same count");
+            let full = delta.encode();
+            let mut buf = full.clone();
+            assert_eq!(DigestDelta::decode(&mut buf, &base).unwrap(), delta);
+            let mut patched = base.clone();
+            delta.patch(&mut patched).expect("the check holds");
+            assert_eq!(patched, next, "seed {seed}");
+            for cut in 0..full.len() {
+                let mut buf = full.slice(0..cut);
+                assert!(
+                    DigestDelta::decode(&mut buf, &base).is_err(),
+                    "seed {seed}, cut {cut}"
+                );
+            }
+            let mut padded = BytesMut::from(&full[..]);
+            padded.put_u8(0);
+            assert!(DigestDelta::decode(&mut padded.freeze(), &base).is_err());
+            // Patched onto anything but its base, the check catches it.
+            let untouched = (0..base.shards.len())
+                .find(|&shard| delta.changed.iter().all(|c| c.0 != shard as u64));
+            if let Some(shard) = untouched {
+                let mut other = base.clone();
+                other.shards[shard].digest ^= 1;
+                assert!(delta.patch(&mut other).is_err(), "seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_memories_stay_in_step_and_the_shorter_frame_is_sent() {
+        for seed in 0..64 {
+            let (first, second) = random_vector_pair(seed);
+            let (mut puller, mut server) = (VectorMemory::default(), VectorMemory::default());
+            for (round, vector) in [&first, &second, &second].into_iter().enumerate() {
+                let full = digest_vector_frame(vector);
+                let (frame, sent) = puller.opening_frame(vector);
+                assert!(frame.len() <= full.len(), "seed {seed}");
+                if round == 0 {
+                    assert_eq!(frame, full, "nothing remembered: today's bytes");
+                    assert_eq!(sent, vector.shards.len() as u64);
+                }
+                let mut wire = frame.freeze();
+                let mut payload = wire::get_frame(&mut wire).unwrap().payload;
+                assert_eq!(server.receive(&mut payload).unwrap(), vector, "seed {seed}");
+                puller.remember(vector);
+            }
+            // An unchanged vector is the minimal frame: header, tag,
+            // count, zero changes, check.
+            let (frame, sent) = puller.opening_frame(&second);
+            let count_bytes = if second.shards.len() < 128 { 1 } else { 2 };
+            if second.shards.len() > 1 {
+                assert_eq!((frame.len(), sent), (2 + 1 + count_bytes + 1 + 8, 0));
+            }
+        }
+    }
+
+    #[test]
+    fn an_all_dirty_vector_and_a_resharded_one_cross_in_full() {
+        let (base, _) = random_vector_pair(7);
+        let mut memory = VectorMemory::default();
+        memory.remember(&base);
+        let mut all = base.clone();
+        for shard in &mut all.shards {
+            shard.digest ^= 1;
+        }
+        assert_eq!(memory.opening_frame(&all).0, digest_vector_frame(&all));
+        let mut wider = base.clone();
+        wider.shards.extend(base.shards.iter().copied());
+        assert!(DigestDelta::between(&base, &wider).is_none());
+        assert_eq!(memory.opening_frame(&wider).0, digest_vector_frame(&wider));
+        // One clean shard in a few hundred is not worth a delta either:
+        // the indices cost more than the one digest saved... until
+        // enough shards are clean to pay for the check.
+        let mut most = all.clone();
+        most.shards[0] = base.shards[0];
+        assert_eq!(memory.opening_frame(&most).0, digest_vector_frame(&most));
+    }
+
+    #[test]
+    fn hostile_deltas_rejected() {
+        let base = sample_vector();
+        // `n` changed shards claimed, one listed per gap, each with one
+        // entry and digest 9.
+        let delta = |count: u64, n: u64, gaps: &[u64], check: bool| {
+            let mut buf = BytesMut::new();
+            buf.put_u8(TAG_SHARD_DIGESTS_DELTA);
+            wire::put_varint(&mut buf, count);
+            wire::put_varint(&mut buf, n);
+            for &gap in gaps {
+                wire::put_varint(&mut buf, gap);
+                wire::put_varint(&mut buf, 1);
+                buf.put_u64(9);
+            }
+            if check {
+                buf.put_u64(0);
+            }
+            buf.freeze()
+        };
+        // Well-formed: shards 1 and 3 of 4. (Its check is wrong, which
+        // is `patch`'s business.)
+        let decoded = DigestDelta::decode(&mut delta(4, 2, &[1, 1], true), &base).unwrap();
+        let listed: Vec<u64> = decoded.changed.iter().map(|c| c.0).collect();
+        assert_eq!(listed, [1, 3]);
+        assert!(decoded.patch(&mut base.clone()).is_err());
+        let hostile = [
+            ("another shard count", delta(8, 0, &[], true)),
+            ("more changes than shards", delta(4, 5, &[0; 5], true)),
+            ("fewer listed than claimed", delta(4, 3, &[0, 0], true)),
+            ("a fifth shard of four", delta(4, 4, &[0, 0, 0, 1], true)),
+            ("an index that overflows", delta(4, 2, &[1, u64::MAX], true)),
+            ("no check", delta(4, 1, &[0], false)),
+        ];
+        for (what, mut bytes) in hostile {
+            assert!(DigestDelta::decode(&mut bytes, &base).is_err(), "{what}");
+        }
+        // A count of changes the payload cannot hold fails on the
+        // length check, before anything is allocated.
+        let big = DigestVector {
+            shards: vec![ShardDigest::default(); 1 << 16],
+        };
+        assert_eq!(
+            DigestDelta::decode(&mut delta(1 << 16, 1 << 16, &[0; 3], true), &big),
+            Err(WireError::UnexpectedEof)
+        );
+        // Nothing remembered: a delta is refused and a full vector
+        // accepted; a failed delta forgets what was remembered.
+        let mut memory = VectorMemory::default();
+        let unchanged = DigestDelta::between(&base, &base).unwrap().encode();
+        assert!(memory.receive(&mut unchanged.clone()).is_err());
+        assert_eq!(memory.receive(&mut base.encode()).unwrap(), &base);
+        assert_eq!(memory.receive(&mut unchanged.clone()).unwrap(), &base);
+        assert!(memory.receive(&mut delta(4, 2, &[1, 1], true)).is_err());
+        assert!(memory.receive(&mut unchanged.clone()).is_err());
     }
 
     /// The body of a refined plan at 4 shards, incremental `[0, 3]`,

@@ -16,8 +16,9 @@ use optrep_replication::mux::{StreamOpen, TURN_STREAM};
 use optrep_replication::planner::{digest_vector_frame, plan_frame, scope_frame};
 use optrep_replication::{
     pull_contact, pull_planned, reason_label, run_contact, serve_contact, serve_frame, serve_from,
-    BatchPullClient, BatchPullServer, ContactReport, CtrlMsg, DigestVector, Faulted, InProcessLink,
-    MuxMsg, PlanConfig, Puller, ServeStep, Serving, ShardPlan, ShardScope, CONTROL_STREAM,
+    BatchPullClient, BatchPullServer, ContactReport, CtrlMsg, DigestDelta, DigestVector, Faulted,
+    InProcessLink, MuxMsg, PlanConfig, Puller, ServeStep, Serving, ShardPlan, ShardScope,
+    VectorMemory, CONTROL_STREAM,
 };
 use optrep_replication::{ChildDigests, ShardDigest};
 use std::cell::RefCell;
@@ -297,16 +298,27 @@ fn refined_stores() -> (KvStore, KvStore) {
 /// One planned pull of `dst` from whatever serves the far end of
 /// `link` — the three steps `pull_from` and `KvStore::sync_planned`
 /// are: digests, the planned-pull pump over the endpoint cut as finely
-/// as the plan allows, the planned commit.
+/// as the plan allows, the planned commit. `remembered` is the pulling
+/// end's memory of `link`, as `optrep_net::ConnPool` keeps it.
+fn planned_pull_on<L: FrameLink>(
+    dst: &mut KvStore,
+    link: &mut L,
+    remembered: &mut VectorMemory,
+) -> Result<(ContactReport, KvSyncReport)> {
+    let digests = dst.shard_digest_vector();
+    let (client, plan, contact) = pull_planned(link, remembered, &digests, |plan| {
+        dst.client_endpoint_refined(plan)
+    })?;
+    let (synced, _) = dst.apply_planned_tracked(&JoinResolver, client, &contact, &plan)?;
+    Ok((contact, synced))
+}
+
+/// The first — or only — planned pull over `link`: nothing remembered.
 fn planned_pull<L: FrameLink>(
     dst: &mut KvStore,
     link: &mut L,
 ) -> Result<(ContactReport, KvSyncReport)> {
-    let digests = dst.shard_digest_vector();
-    let (client, plan, contact) =
-        pull_planned(link, &digests, |plan| dst.client_endpoint_refined(plan))?;
-    let (synced, _) = dst.apply_planned_tracked(&JoinResolver, client, &contact, &plan)?;
-    Ok((contact, synced))
+    planned_pull_on(dst, link, &mut VectorMemory::default())
 }
 
 /// The same pull by a puller that ignores the plan's child digests and
@@ -318,9 +330,10 @@ fn flat_pull<L: FrameLink>(
     link: &mut L,
 ) -> Result<(ContactReport, KvSyncReport)> {
     let digests = dst.shard_digest_vector();
-    let (client, plan, contact) = pull_planned(link, &digests, |plan| {
-        dst.client_endpoint_for(&plan.incremental, plan.count as usize)
-    })?;
+    let (client, plan, contact) =
+        pull_planned(link, &mut VectorMemory::default(), &digests, |plan| {
+            dst.client_endpoint_for(&plan.incremental, plan.count as usize)
+        })?;
     let (synced, _) = dst.apply_planned_tracked(&JoinResolver, client, &contact, &plan)?;
     Ok((contact, synced))
 }
@@ -337,7 +350,9 @@ fn serving_thread<L: FrameLink + Send + 'static>(
     src: KvStore,
     mut far: L,
 ) -> std::thread::JoinHandle<Result<L>> {
-    std::thread::spawn(move || serve_from(&mut source_of(&src), &mut far).map(|()| far))
+    std::thread::spawn(move || {
+        serve_from(&mut Serving::default(), &mut source_of(&src), &mut far).map(|()| far)
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -607,7 +622,8 @@ fn raced_pull(
     let mut source = |digests: Option<&DigestVector>| src.borrow().open_contact(digests, &config);
     let mut link = InProcessLink::serving(&mut source);
     let digests = dst.shard_digest_vector();
-    let (client, plan, contact) = pull_planned(&mut link, &digests, |plan| {
+    let mut fresh = VectorMemory::default();
+    let (client, plan, contact) = pull_planned(&mut link, &mut fresh, &digests, |plan| {
         for (at_source, key, value) in races {
             match at_source {
                 true => src.borrow_mut().put(key.clone(), value.clone()),
@@ -867,6 +883,270 @@ fn refined_wire_transcript_is_pinned_and_adds_no_turn() {
     assert_eq!((report.frames, flat_report.frames), (23, 23));
 }
 
+// What both sides do between the first pull of [`refined_stores`] and
+// the second over the same link: the source moves on in shards 2 (dirty
+// before, too), 4 and 13, the puller writes one key of its own in
+// shard 9. With shard 7, where the puller has held a key of its own all
+// along, five of sixteen shards differ — while the puller's *vector*
+// changed in four: the three the first pull committed into, and 9.
+
+fn refined_keys_in(shard: u64) -> impl Iterator<Item = String> {
+    (0..2400)
+        .map(|i| format!("key-{i:04}"))
+        .filter(move |key| shard_at(key, 16) == shard)
+}
+
+fn source_moves_on(src: &mut KvStore) {
+    for key in refined_keys_in(4)
+        .take(2)
+        .chain(refined_keys_in(2).skip(5).take(1))
+    {
+        src.put(key, "later:source");
+    }
+    src.delete(refined_keys_in(13).next().expect("150 keys a shard"));
+}
+
+fn puller_moves_on(dst: &mut KvStore) {
+    let mine = (0..).map(|i| format!("later-{i}"));
+    for key in mine.filter(|key| shard_at(key, 16) == 9).take(1) {
+        dst.put(key, "later:puller");
+    }
+}
+
+/// The puller's half of the two contacts over `link`; `between` runs
+/// once the first is committed (an in-process far end moves the source
+/// on in there). With `remember` off the second contact forgets the
+/// first — what a fresh link would do.
+fn pull_twice<L: FrameLink>(
+    dst: &mut KvStore,
+    link: &mut L,
+    remember: bool,
+    between: impl FnOnce(&mut L),
+) -> [(ContactReport, KvSyncReport); 2] {
+    let mut remembered = VectorMemory::default();
+    let first = planned_pull_on(dst, link, &mut remembered).expect("first pull");
+    between(link);
+    puller_moves_on(dst);
+    if !remember {
+        remembered = VectorMemory::default();
+    }
+    let second = planned_pull_on(dst, link, &mut remembered).expect("second pull");
+    [first, second]
+}
+
+/// The serving half, on its own thread: one contact, the source moves
+/// on, `between`, another contact — through one [`Serving`], or with
+/// `remember` off a fresh one each.
+fn serving_twice<L: FrameLink + Send + 'static>(
+    mut src: KvStore,
+    mut far: L,
+    remember: bool,
+    between: impl FnOnce(&mut L) + Send + 'static,
+) -> std::thread::JoinHandle<Result<L>> {
+    std::thread::spawn(move || {
+        let mut serving = Serving::default();
+        serve_from(&mut serving, &mut source_of(&src), &mut far)?;
+        source_moves_on(&mut src);
+        between(&mut far);
+        if !remember {
+            serving = Serving::default();
+        }
+        serve_from(&mut serving, &mut source_of(&src), &mut far)?;
+        Ok(far)
+    })
+}
+
+/// A [`ChannelLink`]'s `(transcript, writes)` so far, and a fresh count.
+fn take_transcript(link: &mut ChannelLink) -> (u64, u64) {
+    let taken = (link.transcript, link.writes);
+    (link.transcript, link.writes) = (FNV_OFFSET, 0);
+    taken
+}
+
+/// The second pull's transcripts when both ends remember the first: the
+/// puller opens with the delta frame; the server's half is what it
+/// would have written to a full vector. Computed when the delta landed.
+const PINNED_SECOND_PULLER_TRANSCRIPT: u64 = 0xec52_0055_58d9_fa38;
+const PINNED_SECOND_SERVER_TRANSCRIPT: u64 = 0x1452_3d85_0b4b_9899;
+
+#[test]
+fn second_pull_over_a_link_opens_with_a_delta_and_changes_nothing_else() {
+    /// Both contacts over one channel pair: per contact, both halves'
+    /// `(transcript, writes)` and the reports; where the puller ended.
+    type Halves = [(u64, u64); 2];
+    fn over_channel(remember: bool) -> ([Halves; 2], [(ContactReport, KvSyncReport); 2], u64) {
+        let (mut dst, src) = refined_stores();
+        let (mut near, far) = channel_pair();
+        let (tx, rx) = mpsc::channel();
+        let serving = serving_twice(src, far, remember, move |far| {
+            tx.send(take_transcript(far)).expect("the test waits");
+        });
+        let mut near_first = (0, 0);
+        let pulls = pull_twice(&mut dst, &mut near, remember, |near| {
+            near_first = take_transcript(near);
+        });
+        let mut far = serving.join().expect("server thread").expect("serve");
+        let far_first = rx.recv().expect("first contact served");
+        let halves = [
+            [near_first, far_first],
+            [take_transcript(&mut near), take_transcript(&mut far)],
+        ];
+        (halves, pulls, dst.replica_digest_full())
+    }
+    let (warm, [first, (report, synced)], ended) = over_channel(true);
+    let (cold, [cold_first, (cold_report, cold_synced)], cold_ended) = over_channel(false);
+
+    // The first contact on a link is the pinned refined pull, byte for
+    // byte, whether or not anything will be remembered of it.
+    for halves in [warm[0], cold[0]] {
+        assert_eq!(halves[0].0, PINNED_REFINED_PULLER_TRANSCRIPT);
+        assert_eq!(halves[1].0, PINNED_REFINED_SERVER_TRANSCRIPT);
+    }
+    assert_eq!(first, cold_first);
+    assert_eq!(first.0.digests_sent, 16);
+
+    // The second: same writes per half, same frames, same round trips;
+    // the server — planning from the reconstructed vector — writes the
+    // very bytes it writes to a full one.
+    assert_eq!(warm[1][0].0, PINNED_SECOND_PULLER_TRANSCRIPT);
+    assert_eq!(warm[1][1].0, PINNED_SECOND_SERVER_TRANSCRIPT);
+    assert_eq!(warm[1][1], cold[1][1]);
+    assert_eq!(warm[1][0].1, cold[1][0].1);
+    assert_ne!(warm[1][0].0, cold[1][0].0, "the opening frame differs");
+    assert_eq!((report.frames, report.round_trips), (19, 2));
+
+    // Only the opening frame shrank, by exactly the two encodings'
+    // difference: every other field of both reports is equal.
+    let (mut dst, mut src) = refined_stores();
+    let base = dst.shard_digest_vector();
+    {
+        let mut source = source_of(&src);
+        planned_pull(&mut dst, &mut InProcessLink::serving(&mut source)).expect("first");
+    }
+    puller_moves_on(&mut dst);
+    source_moves_on(&mut src);
+    let next = dst.shard_digest_vector();
+    let delta = DigestDelta::between(&base, &next).expect("same count");
+    let shards = |delta: &DigestDelta| -> Vec<u64> { delta.changed.iter().map(|c| c.0).collect() };
+    assert_eq!(
+        shards(&delta),
+        [2, 7, 9, 11],
+        "what the first pull and the puller touched"
+    );
+    let mut delta_frame = BytesMut::new();
+    wire::put_frame(&mut delta_frame, CONTROL_STREAM, &delta.encode());
+    let saved = (digest_vector_frame(&next).len() - delta_frame.len()) as u64;
+    assert_eq!((delta_frame.len(), saved), (57, 108));
+    assert_eq!(
+        report,
+        ContactReport {
+            digest_bytes: cold_report.digest_bytes - saved,
+            digests_sent: 4,
+            ..cold_report
+        }
+    );
+    assert_eq!(cold_report.digests_sent, 16);
+    assert_eq!(
+        synced,
+        KvSyncReport {
+            digest_bytes: report.digest_bytes as usize,
+            digests_sent: 4,
+            ..cold_synced
+        }
+    );
+    assert_eq!(report.shards_refined, 5);
+    assert_eq!(ended, cold_ended);
+    let mut full = dst.clone();
+    full.sync(&src).run().expect("unplanned pull");
+    assert_eq!(ended, full.replica_digest_full());
+}
+
+/// The same two contacts over TCP and over an in-process link: each
+/// remembers across them what the channel pair does.
+#[test]
+fn every_transport_runs_the_second_pull_identically() {
+    let (mut dst, src) = refined_stores();
+    let (mut near, far) = channel_pair();
+    let serving = serving_twice(src, far, true, |_| ());
+    let reference = pull_twice(&mut dst, &mut near, true, |_| ());
+    serving.join().expect("server thread").expect("serve");
+    let ended = dst.replica_digest_full();
+    let sent = [reference[0].0.digests_sent, reference[1].0.digests_sent];
+    assert_eq!(sent, [16, 4]);
+
+    let (mut dst, src) = refined_stores();
+    let src = RefCell::new(src);
+    let config = PlanConfig::default();
+    let mut source = |digests: Option<&DigestVector>| src.borrow().open_contact(digests, &config);
+    let mut link = InProcessLink::serving(&mut source);
+    let in_process = pull_twice(&mut dst, &mut link, true, |_| {
+        source_moves_on(&mut src.borrow_mut());
+    });
+    assert_eq!(in_process, reference, "in-process");
+    assert_eq!(dst.replica_digest_full(), ended);
+
+    let (mut dst, src) = refined_stores();
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("bound address");
+    let opts = ConnectOptions::new();
+    let accepting = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("accept");
+        TcpLink::from_stream(stream, &opts).expect("accepted link")
+    });
+    let mut link = TcpLink::connect(addr, &opts).expect("dial");
+    let far = accepting.join().expect("accept thread");
+    let serving = serving_twice(src, far, true, |_| ());
+    let tcp = pull_twice(&mut dst, &mut link, true, |_| ());
+    link.fin();
+    serving.join().expect("server thread").expect("serve");
+    assert_eq!(tcp, reference, "loopback tcp");
+    assert_eq!(dst.replica_digest_full(), ended);
+}
+
+/// What a daemon's `APPLY_RACE_RETRIES` does: a pull completes on the
+/// wire, its outcome is thrown away because a local write raced it, and
+/// the pull runs again over the same link. Both ends remembered the
+/// vector of the abandoned contact, so the rerun — a delta against it —
+/// stays in step and commits what a pull over a fresh link commits.
+#[test]
+fn a_pull_abandoned_after_the_wire_leaves_the_memories_in_step() {
+    let (mut dst, src) = refined_stores();
+    let mut reference = dst.clone();
+    reference.put("raced", "local write");
+    let mut source = source_of(&src);
+    let (fresh, _) = planned_pull(
+        &mut reference.clone(),
+        &mut InProcessLink::serving(&mut source),
+    )
+    .expect("reference");
+    planned_pull(&mut reference, &mut InProcessLink::serving(&mut source)).expect("reference");
+
+    let mut link = InProcessLink::serving(&mut source);
+    let mut remembered = VectorMemory::default();
+    let digests = dst.shard_digest_vector();
+    let abandoned = pull_planned(&mut link, &mut remembered, &digests, |plan| {
+        dst.client_endpoint_refined(plan)
+    })
+    .expect("the contact itself completes");
+    drop(abandoned);
+    dst.put("raced", "local write");
+    let (rerun, _) = planned_pull_on(&mut dst, &mut link, &mut remembered).expect("rerun");
+    assert_eq!(
+        rerun.digests_sent, 1,
+        "the shard the racing write landed in"
+    );
+    assert_eq!(
+        rerun,
+        ContactReport {
+            digest_bytes: rerun.digest_bytes,
+            digests_sent: 1,
+            ..fresh
+        }
+    );
+    assert!(rerun.digest_bytes < fresh.digest_bytes);
+    assert_eq!(dst.replica_digest_full(), reference.replica_digest_full());
+}
+
 // ---------------------------------------------------------------------
 // (c) Every cut aborts cleanly.
 
@@ -1017,6 +1297,94 @@ fn a_cut_at_every_byte_of_a_refined_pull_leaves_the_store_alone() {
         "the sweep must cross a scope frame"
     );
     a_cut_at_every_byte_leaves_the_store_alone(dst, src);
+}
+
+/// The sweep once more through a link's *second* contact, the one that
+/// opens with a delta: a cut anywhere in it leaves the store alone and
+/// the puller's memory empty, so the next pull — on a fresh link, the
+/// old one being dead — sends a full vector and converges.
+#[test]
+fn a_cut_at_every_byte_of_a_second_pull_leaves_the_store_and_no_memory() {
+    let mut src = KvStore::with_shards(SiteId::new(1), 8);
+    let mut dst = KvStore::with_shards(SiteId::new(0), 8);
+    for i in 0..320 {
+        src.put(format!("k{i:03}"), "v");
+    }
+    dst.sync(&src).run().expect("bootstrap");
+    src.put("k007", "moved on");
+
+    /// What two pulls over one link made of a store.
+    struct TwoPulls {
+        first: Result<(ContactReport, KvSyncReport)>,
+        /// The puller's `(digest, generation)` as the second pull began.
+        before: (u64, u64),
+        second: Result<(ContactReport, KvSyncReport)>,
+        remembered: VectorMemory,
+        delivered: u64,
+        src: KvStore,
+    }
+    // Pull, both sides move on, pull again — over one in-process link
+    // under `weather`.
+    let two_pulls = |dst: &mut KvStore, mut weather: FaultyLink| {
+        let config = PlanConfig::default();
+        let src = RefCell::new(src.clone());
+        let mut source =
+            |digests: Option<&DigestVector>| src.borrow().open_contact(digests, &config);
+        let mut remembered = VectorMemory::default();
+        let mut link = Faulted::new(InProcessLink::serving(&mut source), &mut weather);
+        let first = planned_pull_on(dst, &mut link, &mut remembered);
+        src.borrow_mut().put("k100", "moved on later");
+        dst.put("k200", "meanwhile");
+        let before = (dst.replica_digest(), dst.generation());
+        let second = planned_pull_on(dst, &mut link, &mut remembered);
+        TwoPulls {
+            first,
+            before,
+            second,
+            remembered,
+            delivered: weather.stats().bytes_delivered,
+            src: src.into_inner(),
+        }
+    };
+
+    let mut reference = dst.clone();
+    let clean = two_pulls(&mut reference, FaultyLink::clean());
+    let (first, _) = clean.first.expect("clean first pull");
+    let (second, _) = clean.second.expect("clean second pull");
+    assert_eq!((second.digests_sent, second.shards_total), (2, 8));
+    let first_bytes = first.total_bytes + first.digest_bytes;
+    let total = first_bytes + second.total_bytes + second.digest_bytes;
+    assert_eq!(clean.delivered, total);
+
+    // A budget of exactly `first_bytes` lets the first contact through
+    // and cuts the second before its first byte.
+    for k in first_bytes..total {
+        let mut dst = dst.clone();
+        let cut = two_pulls(&mut dst, FaultyLink::new(FaultPlan::disconnect_at(k)));
+        cut.first.expect("the first pull fits the budget");
+        let err = cut.second.expect_err("cut must abort");
+        assert!(
+            matches!(reason_label(&err), "connection_lost" | "stalled"),
+            "cut at {k}/{total}: {err:?}"
+        );
+        assert_eq!(
+            (dst.replica_digest(), dst.generation()),
+            cut.before,
+            "cut at {k}/{total} moved the store"
+        );
+        assert_eq!(
+            cut.remembered,
+            VectorMemory::default(),
+            "cut at {k}/{total}"
+        );
+        let mut remembered = cut.remembered;
+        let mut source = source_of(&cut.src);
+        let mut fresh = InProcessLink::serving(&mut source);
+        let (retry, _) =
+            planned_pull_on(&mut dst, &mut fresh, &mut remembered).expect("the retry is not cut");
+        assert_eq!(retry.digests_sent, retry.shards_total, "cut at {k}/{total}");
+        assert_eq!(dst.replica_digest(), reference.replica_digest());
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -1284,13 +1652,103 @@ fn hostile_planner_sequences_fail_the_serving_step() {
         assert_eq!(step(turn()).unwrap(), ServeStep::Continue);
         assert_eq!(step(fin()).unwrap(), ServeStep::Done);
     }
+
+    // A delta opens a contact only on a connection that remembers a
+    // vector at its shard count, and only if it patches that vector to
+    // the one its check describes. First frame of a fresh `Serving`:
+    // nothing is remembered.
+    let delta_frame = |delta: &DigestDelta| frame(CONTROL_STREAM, &delta.encode());
+    let base = empty_digests();
+    let mut next = base.clone();
+    next.shards[2] = ShardDigest {
+        digest: 7,
+        entries: 1,
+    };
+    let honest = DigestDelta::between(&base, &next).expect("same count");
+    serving_until_error(vec![delta_frame(&honest)]);
+    // After one honest contact that opened with `base` in full:
+    fn feed(
+        serving: &mut Serving,
+        src: &KvStore,
+        frames: impl IntoIterator<Item = wire::Frame>,
+    ) -> Result<()> {
+        let mut source = source_of(src);
+        for frame in frames {
+            serving.on_frame(frame, &mut source, &mut BytesMut::new())?;
+        }
+        Ok(())
+    }
+    let contact = |opening: wire::Frame| {
+        let rest = [turn(), empty_hello.clone(), turn(), fin()];
+        [opening].into_iter().chain(rest)
+    };
+    let warm = || {
+        let mut serving = Serving::default();
+        feed(&mut serving, &src, contact(digests_frame())).expect("honest contact");
+        serving
+    };
+    let refuse = |opening: wire::Frame| {
+        let mut serving = warm();
+        feed(&mut serving, &src, [opening]).expect_err("hostile delta");
+        // Whatever was wrong with it, nothing is remembered after.
+        feed(&mut serving, &src, [delta_frame(&honest)])
+            .expect_err("a failed delta forgets the vector");
+    };
+    // At another shard count than the remembered vector's.
+    let eight = KvStore::with_shards(SiteId::new(0), 8).shard_digest_vector();
+    refuse(delta_frame(&DigestDelta::between(&eight, &eight).unwrap()));
+    // A check that describes another vector.
+    refuse(delta_frame(&DigestDelta {
+        check: honest.check ^ 1,
+        ..honest.clone()
+    }));
+    // More changed shards than shards; more than the payload holds; an
+    // index past the count; a gap that overflows; truncated; padded.
+    refuse(frame(
+        CONTROL_STREAM,
+        &[0x39, 4, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    ));
+    refuse(frame(
+        CONTROL_STREAM,
+        &[0x39, 4, 4, 0, 1, 0, 0, 0, 0, 0, 0, 0, 7],
+    ));
+    let raw = |shard: &[u8]| {
+        let changed = [1, 0, 0, 0, 0, 0, 0, 0, 7];
+        let check = honest.check.to_be_bytes();
+        frame(
+            CONTROL_STREAM,
+            &[&[0x39, 4, 1], shard, &changed, &check].concat(),
+        )
+    };
+    feed(&mut warm(), &src, [raw(&[2])]).expect("well-formed by hand");
+    refuse(raw(&[4]));
+    refuse(raw(&[
+        0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01,
+    ]));
+    let full = delta_frame(&honest).payload;
+    refuse(frame(CONTROL_STREAM, &full[..full.len() - 1]));
+    refuse(frame(CONTROL_STREAM, &[&full[..], &[0]].concat()));
+    // The honest delta opens the second contact; replayed inside its
+    // planning turn it is a second frame where the turn marker is due.
+    let mut serving = warm();
+    feed(&mut serving, &src, [delta_frame(&honest)]).expect("the second contact opens");
+    feed(&mut serving, &src, [delta_frame(&honest)]).expect_err("replayed in the planning turn");
+    // Replayed verbatim as the opening of the *next* contact it is
+    // served: a delta carries the changed shards' values, not
+    // differences, so patching twice lands on the same vector and the
+    // check still holds — the puller is saying its vector did not move.
+    let mut serving = warm();
+    for _ in 0..2 {
+        feed(&mut serving, &src, contact(delta_frame(&honest)))
+            .expect("the delta, and the delta again");
+    }
 }
 
 /// Feeds `frames` to a puller that opened with a four-shard digest
 /// vector; returns the first error.
 fn plan_until_error(frames: Vec<wire::Frame>) -> Error {
     let mut out = BytesMut::new();
-    let mut puller = Puller::open_planned(&empty_digests(), &mut out);
+    let mut puller = Puller::open_planned(&empty_digests(), &VectorMemory::default(), &mut out);
     for frame in frames {
         match puller.on_frame(frame, &mut out) {
             Ok(None) => {}
@@ -1354,9 +1812,32 @@ fn hostile_planner_sequences_fail_the_pulling_step() {
         parents: vec![(1, Vec::new())],
     })]);
 
+    // A delta is a puller's frame: at the puller it is not a plan.
+    let unchanged = DigestDelta::between(&empty_digests(), &empty_digests()).unwrap();
+    plan_until_error(vec![frame(CONTROL_STREAM, &unchanged.encode())]);
+    // A puller that remembers the link's last vector opens with the
+    // delta, and holds the plan to the vector's shard count all the
+    // same; one that remembers a vector at another count sends today's
+    // frame.
+    let opening_tag = |remembered: &VectorMemory| {
+        let mut out = BytesMut::new();
+        let mut puller = Puller::open_planned(&empty_digests(), remembered, &mut out);
+        puller
+            .on_frame(plan_at(8), &mut BytesMut::new())
+            .expect_err("a plan at another count");
+        wire::get_frame(&mut out.freeze()).expect("a frame").payload[0]
+    };
+    let mut remembered = VectorMemory::default();
+    assert_eq!(opening_tag(&remembered), 0x35);
+    remembered.remember(&empty_digests());
+    assert_eq!(opening_tag(&remembered), 0x39);
+    remembered.remember(&KvStore::with_shards(SiteId::new(0), 8).shard_digest_vector());
+    assert_eq!(opening_tag(&remembered), 0x35);
+
     // The honest turn hands the plan out exactly once.
     let mut out = BytesMut::new();
-    let mut puller = Puller::open_planned(&empty_digests(), &mut out);
+    let nothing = VectorMemory::default();
+    let mut puller = Puller::open_planned(&empty_digests(), &nothing, &mut out);
     assert!(puller.take_plan().is_none());
     assert!(puller.on_frame(plan_at(4), &mut out).unwrap().is_none());
     assert!(
@@ -1371,7 +1852,7 @@ fn hostile_planner_sequences_fail_the_pulling_step() {
     assert!(puller.take_plan().is_none());
 
     // A well-formed refined plan is handed out with its children.
-    let mut puller = Puller::open_planned(&empty_digests(), &mut out);
+    let mut puller = Puller::open_planned(&empty_digests(), &nothing, &mut out);
     let children = ChildDigests {
         fanout: 2,
         parents: vec![(1, pair)],

@@ -97,7 +97,7 @@ fn run(client: &mut Client, verb: &Verb) -> optrep_core::Result<()> {
                  uptime {} metrics-seq {} \
                  wal-records {} wal-bytes {} wal-fsyncs {} ckpt-seq {} \
                  planner-skipped {} planner-incremental {} planner-snapshot {} planner-bytes {} \
-                 planner-refined {}",
+                 planner-refined {} planner-digests {}",
                 info.site,
                 info.keys,
                 info.tracked,
@@ -116,6 +116,7 @@ fn run(client: &mut Client, verb: &Verb) -> optrep_core::Result<()> {
                 info.planner_shards_snapshot,
                 info.planner_digest_bytes,
                 info.planner_shards_refined,
+                info.planner_digests_sent,
             );
         }),
         Verb::Digest => client.digest().map(|digest| println!("{digest:016x}")),
@@ -123,7 +124,8 @@ fn run(client: &mut Client, verb: &Verb) -> optrep_core::Result<()> {
             println!(
                 "examined {} created {} fast-forwarded {} reconciled {} \
                  unchanged {} meta-bytes {} value-bytes {} \
-                 shards {} skipped {} incremental {} snapshot {} digest-bytes {} refined {}",
+                 shards {} skipped {} incremental {} snapshot {} digest-bytes {} refined {} \
+                 digests {}/{}",
                 report.keys_examined,
                 report.keys_created,
                 report.keys_fast_forwarded,
@@ -137,6 +139,8 @@ fn run(client: &mut Client, verb: &Verb) -> optrep_core::Result<()> {
                 report.shards_snapshot,
                 report.digest_bytes,
                 report.shards_refined,
+                report.digests_sent,
+                report.shards_total,
             );
         }),
         Verb::Metrics => client

@@ -33,7 +33,11 @@
 //! [`ConnPool`]: the first pull to a peer dials and handshakes
 //! ([`Intent::Peer`]) once, and every later pull pipelines over that
 //! socket; a stale pooled connection is discarded and redialed once,
-//! folding reconnects into the callers' existing retry schedules. Each
+//! folding reconnects into the callers' existing retry schedules. The
+//! pool keeps, beside each socket, the digest vector the last pull sent
+//! down it, so every later pull ships only the shards that changed
+//! since (`replication::planner`, "The vector crosses a connection
+//! once"); the memory is dropped with the socket. Each
 //! pull runs the generation-checked discipline `KvStore::generation`
 //! was built for: snapshot the client endpoint under the lock, release
 //! it for the whole network exchange, re-lock and commit only if no
@@ -55,7 +59,7 @@ use optrep_core::{Error, Result, SiteId};
 use optrep_kv::{JoinResolver, KvStore, KvSyncReport};
 use optrep_net::{ConnPool, ConnectOptions, PoolMetrics};
 use optrep_replication::{
-    pull_planned, PlanConfig, RetryPolicy, ServeStep, Serving, CONTROL_STREAM,
+    pull_planned, PlanConfig, RetryPolicy, ServeStep, Serving, VectorMemory, CONTROL_STREAM,
 };
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -232,6 +236,9 @@ struct NodeMetrics {
     /// Planner-phase wire bytes (digest vectors + plans, both
     /// directions; excluded from the contact byte planes).
     planner_digest_bytes_total: Arc<Counter>,
+    /// Shard digests the opening frames actually shipped: the shard
+    /// count on a connection's first pull, the changed shards after.
+    planner_digests_sent_total: Arc<Counter>,
     reactor: optrep_net::reactor::ReactorMetrics,
 }
 
@@ -261,6 +268,7 @@ impl NodeMetrics {
             planner_shards_snapshot_total: registry.counter("optrep_planner_shards_snapshot_total"),
             planner_shards_refined_total: registry.counter("optrep_planner_shards_refined_total"),
             planner_digest_bytes_total: registry.counter("optrep_planner_digest_bytes_total"),
+            planner_digests_sent_total: registry.counter("optrep_planner_digests_sent_total"),
             reactor: optrep_net::reactor::ReactorMetrics::register(registry, "optrep_reactor"),
         }
     }
@@ -287,8 +295,9 @@ struct Shared {
     retry: RetryPolicy,
     connect: ConnectOptions,
     /// Persistent outbound peer connections; every pull pipelines over
-    /// a pooled socket instead of dialing fresh.
-    pool: ConnPool,
+    /// a pooled socket instead of dialing fresh. Each connection
+    /// carries the memory of the last digest vector sent down it.
+    pool: ConnPool<VectorMemory>,
     shutdown: AtomicBool,
     /// When the daemon started (`status` uptime, `optrep_uptime_secs`).
     started: Instant,
@@ -682,7 +691,10 @@ mod event {
         /// frame goes to the serving step, which takes a fresh endpoint
         /// from the store at the first frame of each contact — planned
         /// and restricted if the puller opened with its shard digests,
-        /// full otherwise (both built under one store lock).
+        /// full otherwise (both built under one store lock). The
+        /// `Serving` lives as long as the connection, and with it the
+        /// puller's last digest vector, which its next contact may
+        /// send a delta against.
         Serve { serving: Serving, persistent: bool },
         /// Done; close once the write buffer drains.
         Closing,
@@ -1142,6 +1154,7 @@ fn dispatch_request(shared: &Shared, request: Request) -> Response {
                 planner_shards_snapshot: m.planner_shards_snapshot_total.get(),
                 planner_digest_bytes: m.planner_digest_bytes_total.get(),
                 planner_shards_refined: m.planner_shards_refined_total.get(),
+                planner_digests_sent: m.planner_digests_sent_total.get(),
             })
         }
         Request::Digest => Response::Digest(shared.store().replica_digest()),
@@ -1166,7 +1179,9 @@ fn dispatch_request(shared: &Shared, request: Request) -> Response {
 /// handshaking only if there is none yet); the contact leaves the
 /// socket open, so the connection stays checked in for the next pull. The
 /// client endpoint is snapshotted *inside* the pooled closure so a
-/// stale-connection rerun gets fresh metadata. Before committing, the
+/// stale-connection rerun gets fresh metadata — and, the pool having
+/// dropped the stale connection's vector memory with it, opens with a
+/// full digest vector again. Before committing, the
 /// store's write generation is compared with the snapshot's: if a local
 /// write (or another pull) landed in between, the staged outcomes
 /// describe a store that no longer exists, so the pull is retried
@@ -1185,9 +1200,9 @@ fn pull_from(shared: &Shared, peer: SocketAddr) -> Result<KvSyncReport> {
         // the commit's generation check still guards the endpoint
         // snapshot itself.
         let mut generation = 0;
-        let (client, plan, report) = shared.pool.with_conn(peer, |link| {
+        let (client, plan, report) = shared.pool.with_conn(peer, |link, remembered| {
             let digests = shared.store().shard_digest_vector();
-            pull_planned(link, &digests, |plan| {
+            pull_planned(link, remembered, &digests, |plan| {
                 let store = shared.store();
                 generation = store.generation();
                 store.client_endpoint_refined(plan)
@@ -1216,6 +1231,7 @@ fn pull_from(shared: &Shared, peer: SocketAddr) -> Result<KvSyncReport> {
         m.planner_shards_snapshot_total
             .add(synced.shards_snapshot as u64);
         m.planner_digest_bytes_total.add(synced.digest_bytes as u64);
+        m.planner_digests_sent_total.add(synced.digests_sent as u64);
         m.planner_shards_refined_total
             .add(synced.shards_refined as u64);
         return Ok(synced);

@@ -98,6 +98,9 @@ pub struct StatusInfo {
     /// Incremental shards the planner narrowed to their differing
     /// children across all pulls (0 from daemons that predate it).
     pub planner_shards_refined: u64,
+    /// Shard digests the pulls' opening frames actually shipped (0 from
+    /// daemons that predate the digest delta).
+    pub planner_digests_sent: u64,
 }
 
 /// The daemon's answer to one [`Request`].
@@ -329,6 +332,7 @@ impl Response {
                 wire::put_varint(&mut buf, info.planner_shards_snapshot);
                 wire::put_varint(&mut buf, info.planner_digest_bytes);
                 wire::put_varint(&mut buf, info.planner_shards_refined);
+                wire::put_varint(&mut buf, info.planner_digests_sent);
             }
             Response::Digest(digest) => {
                 buf.put_u8(RESP_DIGEST);
@@ -354,6 +358,7 @@ impl Response {
                     report.shards_snapshot,
                     report.digest_bytes,
                     report.shards_refined,
+                    report.digests_sent,
                 ] {
                     wire::put_varint(&mut buf, n as u64);
                 }
@@ -420,6 +425,7 @@ impl Response {
                     planner_shards_snapshot: 0,
                     planner_digest_bytes: 0,
                     planner_shards_refined: 0,
+                    planner_digests_sent: 0,
                 };
                 // Optional tail: fields appended by this or any later
                 // protocol revision. A short payload (old daemon) leaves
@@ -459,6 +465,9 @@ impl Response {
                 }
                 if buf.has_remaining() {
                     info.planner_shards_refined = wire::get_varint(buf)?;
+                }
+                if buf.has_remaining() {
+                    info.planner_digests_sent = wire::get_varint(buf)?;
                 }
                 while buf.has_remaining() {
                     let _ = wire::get_varint(buf)?;
@@ -502,6 +511,9 @@ impl Response {
                 }
                 if buf.has_remaining() {
                     report.shards_refined = wire::get_varint(buf)? as usize;
+                }
+                if buf.has_remaining() {
+                    report.digests_sent = wire::get_varint(buf)? as usize;
                 }
                 while buf.has_remaining() {
                     let _ = wire::get_varint(buf)?;
@@ -578,6 +590,7 @@ mod tests {
                 planner_shards_snapshot: 1,
                 planner_digest_bytes: 480,
                 planner_shards_refined: 2,
+                planner_digests_sent: 19,
             }),
             Response::Digest(u64::MAX),
             Response::Synced(KvSyncReport {
@@ -594,6 +607,7 @@ mod tests {
                 shards_snapshot: 1,
                 digest_bytes: 310,
                 shards_refined: 2,
+                digests_sent: 3,
             }),
             Response::Err("no such peer".into()),
         ];
@@ -680,6 +694,7 @@ mod tests {
             planner_shards_snapshot: 0,
             planner_digest_bytes: 260,
             planner_shards_refined: 1,
+            planner_digests_sent: 18,
         };
 
         // A pre-metrics daemon: only the original seven fields.
@@ -712,6 +727,7 @@ mod tests {
                 planner_shards_snapshot: 0,
                 planner_digest_bytes: 0,
                 planner_shards_refined: 0,
+                planner_digests_sent: 0,
                 ..info
             })
         );
@@ -732,7 +748,7 @@ mod tests {
         // the cut lands mid-varint, so put a multi-byte value last and
         // slice one byte off it.
         let long_tail = Response::Status(StatusInfo {
-            planner_shards_refined: 300, // two-byte varint at the very end
+            planner_digests_sent: 300, // two-byte varint at the very end
             ..info
         })
         .encode();

@@ -289,6 +289,112 @@ fn repeated_syncs_reuse_one_peer_connection() {
     src.stop();
 }
 
+/// Everything in a pull report but the two fields a warm connection
+/// changes: how many bytes the planner frames took, how many shard
+/// digests the opening one shipped.
+fn but_for_the_opening_frame(report: optrep_kv::KvSyncReport) -> optrep_kv::KvSyncReport {
+    optrep_kv::KvSyncReport {
+        digest_bytes: 0,
+        digests_sent: 0,
+        ..report
+    }
+}
+
+#[test]
+fn the_digest_vector_crosses_a_connection_once_and_again_after_a_redial() {
+    // 960 keys over 16 shards, converged; each round one key moves on
+    // at the source and the daemon pulls, mirrored by an in-memory
+    // `sync_planned` — which opens a fresh link every time and so keeps
+    // sending the whole vector.
+    let mut mem_src = KvStore::with_shards(SiteId::new(1), 16);
+    for i in 0..960 {
+        mem_src.put(format!("key-{i:03}"), "value");
+    }
+    let mut mem_dst = KvStore::with_shards(SiteId::new(0), 16);
+    mem_dst.sync(&mem_src).run().expect("bootstrap");
+    let dst = start_node(0);
+    let mut src = start_node(1);
+    dst.with_store(|s| *s = mem_dst.clone());
+    src.with_store(|s| *s = mem_src.clone());
+
+    let mut round = |src: &Node, key: &str| {
+        if !key.is_empty() {
+            src.with_store(|s| s.put(key, "moved on"));
+            mem_src.put(key, "moved on");
+        }
+        let report = dst.sync_with(src.addr()).expect("tcp pull");
+        let (mirror, _) = mem_dst
+            .sync_planned(
+                &mem_src,
+                &optrep_kv::JoinResolver,
+                &optrep_replication::PlanConfig::default(),
+            )
+            .expect("in-memory planned sync");
+        assert_eq!(dst.digest(), mem_dst.replica_digest(), "{key}");
+        assert_eq!(mirror.digests_sent, 16, "the mirror never remembers");
+        assert_eq!(
+            but_for_the_opening_frame(report),
+            but_for_the_opening_frame(mirror),
+            "{key}"
+        );
+        (report, mirror)
+    };
+
+    // A fresh dial: the whole vector, the mirror's bytes exactly.
+    let (cold, mirror) = round(&src, "key-007");
+    assert_eq!(cold, mirror);
+    // The same socket again: only the shard the first pull changed.
+    let (warm, mirror) = round(&src, "key-424");
+    assert_eq!(warm.digests_sent, 1, "{warm:?}");
+    assert!(
+        warm.digest_bytes < mirror.digest_bytes,
+        "{warm:?} {mirror:?}"
+    );
+    // Converged and asked again: nothing to ship but the check.
+    let (idle, _) = round(&src, "");
+    assert_eq!(
+        (idle.digests_sent, idle.shards_skipped),
+        (1, 16),
+        "{idle:?}"
+    );
+    let (idle, mirror) = round(&src, "");
+    assert_eq!(
+        (idle.digests_sent, idle.shards_skipped),
+        (0, 16),
+        "{idle:?}"
+    );
+    assert_eq!((idle.digest_bytes, mirror.digest_bytes), (19, 155));
+
+    // The source restarts on its address: the pooled socket is stale,
+    // the pool redials once, and the memory went with the old socket —
+    // the rerun opens with the whole vector, as the first pull did.
+    let addr = src.addr();
+    let store = src.with_store(|s| s.clone());
+    src.stop();
+    src = Node::start(NodeConfig::new(SiteId::new(1), addr).with_connect(fast_connect()))
+        .expect("source restarts on its address");
+    src.with_store(|s| *s = store);
+    let (redialed, mirror) = round(&src, "key-100");
+    assert_eq!(redialed, mirror, "a redial sends today's bytes");
+    let totals = dst.conn_totals();
+    assert_eq!((totals.dials, totals.stale_reruns), (2, 1), "{totals:?}");
+    // And the pull after that is a delta again.
+    let (warm, mirror) = round(&src, "key-200");
+    assert_eq!(warm.digests_sent, 1, "{warm:?}");
+    assert!(warm.digest_bytes < mirror.digest_bytes);
+
+    // The counters add up over the wire, too.
+    let mut client = Client::connect(dst.addr(), &fast_connect()).expect("connect");
+    let sent: u64 = [16, 1, 1, 0, 16, 1].iter().sum();
+    assert_eq!(client.status().expect("status").planner_digests_sent, sent);
+    let counter = dst
+        .metrics_snapshot()
+        .counter("optrep_planner_digests_sent_total");
+    assert_eq!(counter, Some(sent));
+    dst.stop();
+    src.stop();
+}
+
 #[cfg(target_os = "linux")]
 fn thread_count() -> usize {
     std::fs::read_to_string("/proc/self/status")
@@ -602,6 +708,76 @@ fn pull_commit_cannot_clobber_a_write_racing_the_guard() {
             );
         }
     });
+    dst.stop();
+    src.stop();
+}
+
+/// A pull that completes on the wire and is then retried because a
+/// local write raced its commit (`APPLY_RACE_RETRIES`) reruns over the
+/// same socket, and both ends remembered the abandoned contact's
+/// vector: the rerun's delta must find the server in step. If it did
+/// not, the check would fail, the connection would be discarded and
+/// redialed — so under a write storm that forces retries, the pool
+/// must still hold its one, never-discarded connection.
+#[test]
+fn pulls_retried_after_a_racing_write_stay_in_step_on_their_connection() {
+    let dst = start_node(0);
+    let src = start_node(1);
+    src.with_store(|s| {
+        for i in 0..200 {
+            s.put(format!("bulk{i}"), vec![0u8; 64]);
+        }
+    });
+    dst.sync_with(src.addr()).expect("first pull");
+    let stop_flag = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let writer = {
+        let addr = dst.addr();
+        let stop_flag = std::sync::Arc::clone(&stop_flag);
+        let patient = ConnectOptions::new()
+            .timeouts(Some(Duration::from_secs(5)), Some(Duration::from_secs(5)));
+        std::thread::spawn(move || {
+            let mut client = Client::connect(addr, &patient).expect("connect");
+            let mut n = 0u32;
+            while !stop_flag.load(std::sync::atomic::Ordering::Relaxed) {
+                let _ = client.put(&format!("racing{n}"), &b"local"[..]);
+                n += 1;
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        })
+    };
+    // Pull under the storm until some pull has had to retry: every
+    // contact counts in the pool, a retried pull more than once.
+    let mut pulls = 1;
+    for i in 0..200 {
+        src.with_store(|s| s.put(format!("bulk{}", i % 200), format!("moved{i}")));
+        let _ = dst.sync_with(src.addr());
+        pulls += 1;
+        if i >= 15 && dst.conn_totals().contacts > pulls {
+            break;
+        }
+    }
+    stop_flag.store(true, std::sync::atomic::Ordering::Relaxed);
+    writer.join().expect("writer thread");
+    let totals = dst.conn_totals();
+    assert!(
+        totals.contacts > pulls,
+        "no pull was ever retried: {totals:?} over {pulls} pulls"
+    );
+    assert_eq!((totals.dials, totals.discards), (1, 0), "{totals:?}");
+    // Quiet again: the next pulls are deltas and converge — the first
+    // commits what the storm left, the second tells the source so, the
+    // third has nothing to tell.
+    for _ in 0..2 {
+        dst.sync_with(src.addr()).expect("quiet pull");
+    }
+    let last = dst.sync_with(src.addr()).expect("quiet pull");
+    assert_eq!(last.digests_sent, 0, "{last:?}");
+    let held =
+        |node: &Node, i: u32| node.with_store(|s| s.get(&format!("bulk{i}")).map(<[u8]>::to_vec));
+    for i in 0..200 {
+        assert_eq!(held(&dst, i), held(&src, i), "bulk{i}");
+    }
+    assert_eq!(dst.conn_totals().dials, 1);
     dst.stop();
     src.stop();
 }

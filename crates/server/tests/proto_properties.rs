@@ -13,13 +13,18 @@
 //! properties pin the exact tolerance each gets instead.
 //!
 //! The sync planner's wire shapes (the shard-digest vector a puller
-//! opens with and the plan the server answers) are strict codecs; their
-//! every-prefix properties live here too.
+//! opens with, the delta against the last one its connection carried,
+//! and the plan the server answers) are strict codecs; their
+//! every-prefix properties live here too, with the lockstep of the two
+//! ends' vector memories.
 
 use bytes::Bytes;
 use optrep_core::obs::{FamilySnapshot, FamilyValue, HistogramSnapshot, MetricsSnapshot, BUCKETS};
 use optrep_kv::KvSyncReport;
-use optrep_replication::planner::{ChildDigests, DigestVector, ShardDigest, ShardPlan, ShardScope};
+use optrep_replication::planner::{
+    digest_vector_frame, ChildDigests, DigestDelta, DigestVector, ShardDigest, ShardPlan,
+    ShardScope, VectorMemory,
+};
 use optrep_server::proto::{Request, Response, StatusInfo};
 use proptest::prelude::*;
 
@@ -61,6 +66,7 @@ fn arb_status() -> impl Strategy<Value = StatusInfo> {
                 any::<u64>(),
                 any::<u64>(),
                 any::<u64>(),
+                any::<u64>(),
             ),
         ),
     )
@@ -80,6 +86,7 @@ fn arb_status() -> impl Strategy<Value = StatusInfo> {
                         planner_shards_snapshot,
                         planner_digest_bytes,
                         planner_shards_refined,
+                        planner_digests_sent,
                     ),
                 ),
             )| {
@@ -102,6 +109,7 @@ fn arb_status() -> impl Strategy<Value = StatusInfo> {
                     planner_shards_snapshot,
                     planner_digest_bytes,
                     planner_shards_refined,
+                    planner_digests_sent,
                 }
             },
         )
@@ -147,13 +155,14 @@ fn arb_report() -> impl Strategy<Value = KvSyncReport> {
             any::<u32>(),
             any::<u32>(),
             any::<u32>(),
+            any::<u32>(),
         ),
     )
         .prop_map(
             |(
                 (examined, created, ff, reconciled),
                 (unchanged, meta, value),
-                (total, skipped, incremental, snapshot, digest, refined),
+                (total, skipped, incremental, snapshot, digest, refined, sent),
             )| KvSyncReport {
                 keys_examined: examined as usize,
                 keys_created: created as usize,
@@ -168,6 +177,7 @@ fn arb_report() -> impl Strategy<Value = KvSyncReport> {
                 shards_snapshot: snapshot as usize,
                 digest_bytes: digest as usize,
                 shards_refined: refined as usize,
+                digests_sent: sent as usize,
             },
         )
 }
@@ -211,6 +221,29 @@ fn arb_digest_vector() -> impl Strategy<Value = DigestVector> {
                 .take(count)
                 .map(|(digest, entries)| ShardDigest { digest, entries })
                 .collect(),
+        })
+}
+
+/// A remembered vector and the one that follows it over the same
+/// connection: same shard count, anywhere from no shard to every shard
+/// changed.
+fn arb_vector_pair() -> impl Strategy<Value = (DigestVector, DigestVector)> {
+    (
+        arb_digest_vector(),
+        0u8..9,
+        proptest::collection::vec((0u8..8, any::<u64>(), any::<u64>()), 256),
+    )
+        .prop_map(|(base, density, changes)| {
+            let shards = base
+                .shards
+                .iter()
+                .zip(changes)
+                .map(|(old, (pick, digest, entries))| match pick < density {
+                    true => ShardDigest { digest, entries },
+                    false => *old,
+                })
+                .collect();
+            (base, DigestVector { shards })
         })
 }
 
@@ -378,6 +411,10 @@ proptest! {
                     got.planner_shards_refined == status.planner_shards_refined
                         || got.planner_shards_refined == 0
                 );
+                prop_assert!(
+                    got.planner_digests_sent == status.planner_digests_sent
+                        || got.planner_digests_sent == 0
+                );
             }
         }
         // The full encoding itself always decodes.
@@ -415,6 +452,7 @@ proptest! {
                 prop_assert!(
                     got.shards_refined == report.shards_refined || got.shards_refined == 0
                 );
+                prop_assert!(got.digests_sent == report.digests_sent || got.digests_sent == 0);
             }
         }
         let mut buf = full.clone();
@@ -441,6 +479,75 @@ proptest! {
         padded.extend_from_slice(&[junk]);
         let mut buf = padded.freeze();
         prop_assert!(DigestVector::decode(&mut buf).is_err());
+    }
+
+    /// The delta a later contact opens with is as strict, against the
+    /// vector it patches: exact round-trip, the patch lands on the
+    /// next vector, every strict prefix and a trailing byte rejected —
+    /// and so are a base at another shard count and a check that
+    /// describes another vector.
+    #[test]
+    fn digest_delta_roundtrips_patches_and_rejects_every_prefix(
+        (base, next) in arb_vector_pair(),
+        junk in any::<u8>(),
+    ) {
+        let delta = DigestDelta::between(&base, &next).expect("same shard count");
+        let full = delta.encode();
+        let mut buf = full.clone();
+        prop_assert_eq!(DigestDelta::decode(&mut buf, &base).unwrap(), delta.clone());
+        let mut patched = base.clone();
+        delta.patch(&mut patched).expect("the check holds");
+        prop_assert_eq!(&patched, &next);
+        for cut in 0..full.len() {
+            let mut buf = full.slice(0..cut);
+            prop_assert!(DigestDelta::decode(&mut buf, &base).is_err(), "cut {} decoded", cut);
+        }
+        let mut padded = bytes::BytesMut::from(&full[..]);
+        padded.extend_from_slice(&[junk]);
+        prop_assert!(DigestDelta::decode(&mut padded.freeze(), &base).is_err());
+
+        let mut wider = base.clone();
+        wider.shards.extend(base.shards.iter().copied());
+        prop_assert!(DigestDelta::decode(&mut full.clone(), &wider).is_err());
+        prop_assert!(DigestDelta::between(&wider, &next).is_none());
+
+        let mut off = delta;
+        off.check ^= 1 << (junk % 64);
+        prop_assert!(off.patch(&mut base.clone()).is_err());
+    }
+
+    /// The two ends of a connection stay in step: whatever frame the
+    /// puller's memory picks, the server's reconstructs the vector —
+    /// and the frame is never longer than the full one, a handful of
+    /// bytes for a vector that did not change.
+    #[test]
+    fn vector_memories_stay_in_step_and_pick_the_shorter_frame(
+        (first, second) in arb_vector_pair(),
+    ) {
+        let (mut puller, mut server) = (VectorMemory::default(), VectorMemory::default());
+        for (vector, warm) in [(&first, false), (&second, true), (&second, true)] {
+            let full = digest_vector_frame(vector);
+            let (frame, sent) = puller.opening_frame(vector);
+            prop_assert!(frame.len() <= full.len());
+            if !warm {
+                prop_assert_eq!(&frame[..], &full[..]);
+            }
+            prop_assert_eq!(frame.len() < full.len(), frame[..] != full[..]);
+            prop_assert!(sent <= vector.shards.len() as u64);
+            let mut wire = frame.freeze();
+            let mut payload = optrep_core::wire::get_frame(&mut wire).unwrap().payload;
+            prop_assert_eq!(server.receive(&mut payload).unwrap(), vector);
+            puller.remember(vector);
+        }
+        // The third contact repeated the second's vector.
+        let (frame, sent) = puller.opening_frame(&second);
+        if second.shards.len() > 1 {
+            prop_assert_eq!(sent, 0);
+            prop_assert!(frame.len() <= 16, "an unchanged vector costs {} bytes", frame.len());
+        }
+        // A server that remembers nothing refuses a delta.
+        let mut payload = DigestDelta::between(&first, &second).unwrap().encode();
+        prop_assert!(VectorMemory::default().receive(&mut payload).is_err());
     }
 
     /// The planner's answer message is a strict codec too.

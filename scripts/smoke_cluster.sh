@@ -63,12 +63,17 @@ echo "cluster up: A=$A B=$B C=$C"
 "$BIN/optrep" "$C" put delta from-c
 
 # Full-mesh pulls until the three digests agree (the conflict needs a
-# second round to propagate the reconciled value everywhere).
+# second round to propagate the reconciled value everywhere). A's very
+# first pull from B — a fresh dial, so the whole digest vector — is kept
+# for the planner check below.
 converged=""
+first_ab=""
 for round in 1 2 3 4; do
     for dst in "$A" "$B" "$C"; do
         for src in "$A" "$B" "$C"; do
-            [[ "$dst" == "$src" ]] || "$BIN/optrep" "$dst" sync "$src" >/dev/null
+            [[ "$dst" == "$src" ]] && continue
+            out="$("$BIN/optrep" "$dst" sync "$src")"
+            [[ -n "$first_ab" || "$dst" != "$A" || "$src" != "$B" ]] || first_ab="$out"
         done
     done
     da="$("$BIN/optrep" "$A" digest)"
@@ -130,11 +135,24 @@ skipped="$(status_field "$sync_out" skipped)"
 digest_bytes="$(status_field "$sync_out" digest-bytes)"
 examined="$(status_field "$sync_out" examined)"
 refined="$(status_field "$sync_out" refined)"
+digests="$(status_field "$sync_out" digests)"
 # Two frames, digest vector and plan, are all that moves: nothing is
 # examined, and with no dirty shard there are no children to offer.
 if [[ -z "$shards" || "$shards" == 0 || "$skipped" != "$shards" \
       || "$digest_bytes" -le 0 || "$examined" != 0 || "$refined" != 0 ]]; then
     echo "FAIL: converged re-pull did not skip all shards: $sync_out" >&2
+    exit 1
+fi
+# And the vector crossed A's connection to B once: A's store has not
+# changed since its last pull from B, so the opening frame ships no
+# shard digest at all — a delta against what that pull sent — where the
+# first pull over the fresh dial shipped all of them, in more bytes.
+first_digests="$(status_field "$first_ab" digests)"
+first_bytes="$(status_field "$first_ab" digest-bytes)"
+if [[ "$digests" != "0/$shards" || "$first_digests" != "$shards/$shards" \
+      || "$digest_bytes" -ge "$first_bytes" ]]; then
+    echo "FAIL: converged re-pull re-sent its digest vector:" \
+         "first pull [$first_ab] re-pull [$sync_out]" >&2
     exit 1
 fi
 status="$("$BIN/optrep" "$A" status)"
@@ -145,7 +163,7 @@ if [[ "$planner_skipped" -lt "$shards" ]]; then
     exit 1
 fi
 echo "planner verified: converged re-pull skipped all $shards shards" \
-     "(digest exchange $digest_bytes bytes)"
+     "(digests $digests, exchange $digest_bytes bytes; first pull $first_bytes)"
 
 # Metrics: scrape every daemon with `optrep metrics`, validate the
 # Prometheus exposition offline, and cross-check it against `status` —
@@ -183,6 +201,16 @@ for pair in "A $A" "B $B" "C $C"; do
     if [[ "$bytes" != "$wire_sum" || "$bytes" -le 0 ]]; then
         echo "FAIL: $site byte counters ($bytes) != wire-bytes histogram" \
              "sum ($wire_sum)" >&2
+        exit 1
+    fi
+    # The planner's six families (skipped, incremental, snapshot,
+    # refined, digest bytes, digests sent), and at least one digest on
+    # the books: every daemon's first pull shipped a whole vector.
+    planner_families="$(grep -c '^# TYPE optrep_planner_' "$scrape")"
+    digests_sent="$(prom_value "$scrape" optrep_planner_digests_sent_total)"
+    if [[ "$planner_families" != 6 || -z "$digests_sent" || "$digests_sent" -le 0 ]]; then
+        echo "FAIL: $site exposes $planner_families planner families," \
+             "digests sent [$digests_sent]" >&2
         exit 1
     fi
 done
