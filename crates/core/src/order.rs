@@ -2,10 +2,16 @@
 //!
 //! A rotating vector is a version vector paired with a total order `≺` of
 //! its elements (§3.1). [`RotCore`] stores elements in a slab with an
-//! intrusive doubly-linked list for the order and a hash index for O(1)
-//! site lookup, which matches the paper's complexity assumptions: O(1)
-//! lookup/insertion and O(n) storage (§3.3 "the total order can be
-//! implemented as a doubly linked list").
+//! intrusive doubly-linked list for the order, which is the paper's O(n)
+//! storage (§3.3 "the total order can be implemented as a doubly linked
+//! list"): one 24-byte slot per element and nothing else while the vector
+//! is small. Site lookup scans the slab up to a constant bound
+//! (`INDEX_ABOVE` = 8 slots, three cache lines); past it, a boxed hash index
+//! is built once and maintained, so lookup, insertion and rotation stay
+//! O(1) at any `n`. A replicated store holds one vector per key and nearly
+//! all of them name one or two sites, so the small case is the one that
+//! sets the store's memory; the experiments' n = 1024/4096 vectors are the
+//! ones the index serves.
 //!
 //! Each element carries the *conflict bit* used by CRV (§3.2) and the
 //! *segment bit* used by SRV (§4); [`crate::Brv`] simply ignores them.
@@ -21,6 +27,12 @@ use bytes::{Bytes, BytesMut};
 use std::collections::HashMap;
 
 const NIL: u32 = u32::MAX;
+
+/// Slab length above which a vector carries a hash index. Up to here
+/// `find` compares at most eight `u32`s in 192 contiguous bytes, which is
+/// cheaper than one SipHash of the key, and a vector this small would be
+/// outweighed several times over by the index's own header and table.
+const INDEX_ABOVE: usize = 8;
 
 /// One element of a rotating vector: the pair `(i, v[i])` plus the CRV
 /// conflict bit and the SRV segment bit.
@@ -55,7 +67,11 @@ struct Slot {
 #[derive(Debug, Clone)]
 pub struct RotCore {
     slots: Vec<Slot>,
-    index: HashMap<SiteId, u32>,
+    /// Site → slot, present iff `slots.len() > INDEX_ABOVE`. Boxed on
+    /// purpose: the small vectors that never build it then carry 8 bytes
+    /// for it, not a 48-byte map header.
+    #[allow(clippy::box_collection)]
+    index: Option<Box<HashMap<SiteId, u32>>>,
     head: u32,
     tail: u32,
 }
@@ -71,7 +87,7 @@ impl RotCore {
     pub fn new() -> Self {
         RotCore {
             slots: Vec::new(),
-            index: HashMap::new(),
+            index: None,
             head: NIL,
             tail: NIL,
         }
@@ -89,15 +105,13 @@ impl RotCore {
 
     /// The value `v[i]`, zero if the site has no element yet.
     pub fn value(&self, site: SiteId) -> u64 {
-        self.index
-            .get(&site)
-            .map(|&ix| self.slots[ix as usize].value)
-            .unwrap_or(0)
+        self.find(site)
+            .map_or(0, |ix| self.slots[ix as usize].value)
     }
 
     /// The full element for `site`, if present.
     pub fn get(&self, site: SiteId) -> Option<Element> {
-        self.index.get(&site).map(|&ix| self.element(ix))
+        self.find(site).map(|ix| self.element(ix))
     }
 
     /// The least (first) element `⌊v⌋` in `≺` — the most recent update.
@@ -112,15 +126,14 @@ impl RotCore {
 
     /// `true` iff `site` holds the last position in `≺` (`cur = ⌈v⌉`).
     pub fn is_last(&self, site: SiteId) -> bool {
-        self.index
-            .get(&site)
-            .is_some_and(|&ix| self.slots[ix as usize].next == NIL)
+        self.find(site)
+            .is_some_and(|ix| self.slots[ix as usize].next == NIL)
     }
 
     /// The element directly following `site` in `≺` (`cur`'s successor in
     /// Algorithms 2–4), or `None` if `site` is last or absent.
     pub fn next_in_order(&self, site: SiteId) -> Option<Element> {
-        let &ix = self.index.get(&site)?;
+        let ix = self.find(site)?;
         let next = self.slots[ix as usize].next;
         (next != NIL).then(|| self.element(next))
     }
@@ -165,9 +178,7 @@ impl RotCore {
     pub fn rotate(&mut self, after: Option<SiteId>, site: SiteId) {
         let ix = self.ensure(site);
         let after_ix = after.map(|p| {
-            *self
-                .index
-                .get(&p)
+            self.find(p)
                 .expect("ROTATE(p, i): p must name an existing element")
         });
         if let Some(p) = after_ix {
@@ -191,8 +202,7 @@ impl RotCore {
     /// Panics if the site has no element; receivers always rotate first,
     /// which inserts it.
     pub fn write(&mut self, site: SiteId, value: u64, conflict: bool, segment: bool) {
-        let ix = self.index[&site] as usize;
-        let slot = &mut self.slots[ix];
+        let slot = self.slot_mut(site);
         slot.value = value;
         slot.conflict = conflict;
         slot.segment = segment;
@@ -205,8 +215,7 @@ impl RotCore {
     ///
     /// Panics if the site has no element.
     pub fn set_segment_bit(&mut self, site: SiteId) {
-        let ix = self.index[&site] as usize;
-        self.slots[ix].segment = true;
+        self.slot_mut(site).segment = true;
     }
 
     /// Sets the conflict bit of `site`'s element.
@@ -215,8 +224,7 @@ impl RotCore {
     ///
     /// Panics if the site has no element.
     pub fn set_conflict_bit(&mut self, site: SiteId) {
-        let ix = self.index[&site] as usize;
-        self.slots[ix].conflict = true;
+        self.slot_mut(site).conflict = true;
     }
 
     /// Copies values (ignoring order and bits) into a plain
@@ -267,10 +275,9 @@ impl RotCore {
                 }
             }
         }
-        let mut rebuilt = RotCore::new();
-        for e in kept.into_iter().rev() {
-            rebuilt.rotate(None, e.site);
-            rebuilt.write(e.site, e.value, e.conflict, e.segment);
+        let mut rebuilt = RotCore::with_exact_capacity(kept.len());
+        for e in kept {
+            rebuilt.push_back(e);
         }
         *self = rebuilt;
         removed
@@ -294,28 +301,36 @@ impl RotCore {
     }
 
     /// Rebuilds a store from [`encode_snapshot`](Self::encode_snapshot)
-    /// output.
+    /// output: the slab is filled in `≺` order at exact capacity, no
+    /// intermediate list.
     ///
     /// # Errors
     ///
-    /// Returns a [`WireError`] on truncated or malformed input.
+    /// Returns a [`WireError`] on truncated or malformed input: an
+    /// element count the remaining bytes cannot hold is
+    /// [`WireError::UnexpectedEof`] before anything is allocated, and an
+    /// image naming a site twice is [`WireError::InvalidPayload`] (no
+    /// encoder writes one, and accepting it would silently drop an
+    /// element).
     pub fn decode_snapshot(buf: &mut Bytes) -> Result<RotCore, WireError> {
-        let n = wire::get_varint(buf)? as usize;
-        let mut elements = Vec::with_capacity(n.min(1 << 16));
+        let n = wire::get_varint(buf)?;
+        // Two varints, so at least two bytes, per element.
+        if n > (buf.len() / 2) as u64 {
+            return Err(WireError::UnexpectedEof);
+        }
+        let mut core = RotCore::with_exact_capacity(n as usize);
         for _ in 0..n {
             let site = SiteId::new(wire::get_varint(buf)? as u32);
             let packed = wire::get_varint(buf)?;
-            elements.push(Element {
+            if core.find(site).is_some() {
+                return Err(WireError::InvalidPayload);
+            }
+            core.push_back(Element {
                 site,
                 value: packed >> 2,
                 conflict: packed >> 1 & 1 == 1,
                 segment: packed & 1 == 1,
             });
-        }
-        let mut core = RotCore::new();
-        for e in elements.into_iter().rev() {
-            core.rotate(None, e.site);
-            core.write(e.site, e.value, e.conflict, e.segment);
         }
         Ok(core)
     }
@@ -349,18 +364,59 @@ impl RotCore {
         }
     }
 
+    /// An empty store whose slab holds `n` elements without regrowing.
+    fn with_exact_capacity(n: usize) -> Self {
+        let mut core = RotCore::new();
+        core.slots.reserve_exact(n);
+        core
+    }
+
+    /// Index of `site`'s slot: a scan of the slab while it is small, the
+    /// hash index once it exists.
+    fn find(&self, site: SiteId) -> Option<u32> {
+        match &self.index {
+            Some(index) => index.get(&site).copied(),
+            None => self
+                .slots
+                .iter()
+                .position(|slot| slot.site == site)
+                .map(|ix| ix as u32),
+        }
+    }
+
+    /// The slot of a site that must have an element.
+    fn slot_mut(&mut self, site: SiteId) -> &mut Slot {
+        let ix = self.find(site).expect("site has an element");
+        &mut self.slots[ix as usize]
+    }
+
     /// Index of `site`'s slot, inserting a zero-valued element at the back
     /// of `≺` if absent.
     fn ensure(&mut self, site: SiteId) -> u32 {
-        if let Some(&ix) = self.index.get(&site) {
-            return ix;
+        self.find(site).unwrap_or_else(|| {
+            self.push_back(Element {
+                site,
+                value: 0,
+                conflict: false,
+                segment: false,
+            })
+        })
+    }
+
+    /// Appends an element for a site that has none as the new `⌈v⌉`,
+    /// returning its slot index. The slab grows by exact doubling from one
+    /// slot, so a one-site vector owns 24 bytes of heap, and the index is
+    /// built when the slab first outgrows [`INDEX_ABOVE`].
+    fn push_back(&mut self, e: Element) -> u32 {
+        if self.slots.len() == self.slots.capacity() {
+            self.slots.reserve_exact(self.slots.len().max(1));
         }
         let ix = self.slots.len() as u32;
         self.slots.push(Slot {
-            site,
-            value: 0,
-            conflict: false,
-            segment: false,
+            site: e.site,
+            value: e.value,
+            conflict: e.conflict,
+            segment: e.segment,
             prev: self.tail,
             next: NIL,
         });
@@ -370,7 +426,16 @@ impl RotCore {
             self.head = ix;
         }
         self.tail = ix;
-        self.index.insert(site, ix);
+        match &mut self.index {
+            Some(index) => {
+                index.insert(e.site, ix);
+            }
+            None if self.slots.len() > INDEX_ABOVE => {
+                let sites = self.slots.iter().zip(0u32..);
+                self.index = Some(Box::new(sites.map(|(slot, i)| (slot.site, i)).collect()));
+            }
+            None => {}
+        }
         ix
     }
 
@@ -694,6 +759,297 @@ mod tests {
         for cut in 0..bytes.len() {
             let mut buf = bytes.slice(0..cut);
             assert!(RotCore::decode_snapshot(&mut buf).is_err(), "cut {cut}");
+        }
+    }
+
+    fn splitmix64(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Sites the seeded tests draw from: enough that a run crosses
+    /// `INDEX_ABOVE` and `retain_sites` can bring it back under.
+    const SITES: u64 = 24;
+
+    /// The naive rotating vector the model test checks against: the
+    /// elements themselves, in `≺` order, every operation a linear walk.
+    #[derive(Debug, Clone, Default)]
+    struct Model(Vec<Element>);
+
+    impl Model {
+        fn position(&self, site: SiteId) -> Option<usize> {
+            self.0.iter().position(|e| e.site == site)
+        }
+
+        fn ensure(&mut self, site: SiteId) -> usize {
+            self.position(site).unwrap_or_else(|| {
+                self.0.push(Element {
+                    site,
+                    value: 0,
+                    conflict: false,
+                    segment: false,
+                });
+                self.0.len() - 1
+            })
+        }
+
+        /// Takes `site`'s element out, its segment bit carried to its
+        /// predecessor (§4).
+        fn detach(&mut self, at: usize) -> Element {
+            let mut e = self.0.remove(at);
+            if e.segment && at > 0 {
+                self.0[at - 1].segment = true;
+            }
+            e.segment = false;
+            e
+        }
+
+        fn record_update(&mut self, site: SiteId) {
+            let at = self.ensure(site);
+            let mut e = self.detach(at);
+            e.value += 1;
+            e.conflict = false;
+            self.0.insert(0, e);
+        }
+
+        fn rotate(&mut self, after: Option<SiteId>, site: SiteId) {
+            let at = self.ensure(site);
+            if after == Some(site) {
+                return;
+            }
+            let e = self.detach(at);
+            let to = after.map_or(0, |p| self.position(p).unwrap() + 1);
+            self.0.insert(to, e);
+        }
+
+        fn retain(&mut self, keep: impl Fn(SiteId) -> bool) {
+            let mut kept: Vec<Element> = Vec::new();
+            for e in self.0.drain(..) {
+                if keep(e.site) {
+                    kept.push(e);
+                } else if let (true, Some(prev)) = (e.segment, kept.last_mut()) {
+                    prev.segment = true;
+                }
+            }
+            self.0 = kept;
+        }
+    }
+
+    /// Every read the public API offers, for every site in range and one
+    /// outside it, plus the slab's own invariants.
+    fn assert_matches(core: &RotCore, model: &Model, ctx: &str) {
+        let listed: Vec<Element> = core.iter().collect();
+        assert_eq!(listed, model.0, "{ctx}: iter");
+        assert_eq!(core.len(), model.0.len(), "{ctx}: len");
+        assert_eq!(core.first(), model.0.first().copied(), "{ctx}: first");
+        assert_eq!(core.last(), model.0.last().copied(), "{ctx}: last");
+        for i in 0..=SITES as u32 {
+            let at = model.position(s(i));
+            let e = at.map(|at| model.0[at]);
+            assert_eq!(core.get(s(i)), e, "{ctx}: get {i}");
+            assert_eq!(
+                core.value(s(i)),
+                e.map_or(0, |e| e.value),
+                "{ctx}: value {i}"
+            );
+            let last = at.is_some_and(|at| at + 1 == model.0.len());
+            assert_eq!(core.is_last(s(i)), last, "{ctx}: is_last {i}");
+            let next = at.and_then(|at| model.0.get(at + 1).copied());
+            assert_eq!(core.next_in_order(s(i)), next, "{ctx}: next_in_order {i}");
+        }
+        assert_eq!(
+            core.index.is_some(),
+            core.slots.len() > INDEX_ABOVE,
+            "{ctx}: the index exists exactly past the threshold"
+        );
+        // `prev` links mirror `next`: walking back from the tail is the
+        // reverse listing.
+        let mut back = Vec::new();
+        let mut cursor = core.tail;
+        while cursor != NIL {
+            back.push(core.element(cursor));
+            cursor = core.slots[cursor as usize].prev;
+        }
+        back.reverse();
+        assert_eq!(back, model.0, "{ctx}: prev links");
+    }
+
+    /// One seeded operation applied to both; returns `true` when it was a
+    /// `retain_sites` that took the vector from indexed to scanned.
+    fn step(core: &mut RotCore, model: &mut Model, rng: &mut u64) -> bool {
+        let site = s((splitmix64(rng) % SITES) as u32);
+        let present = |model: &Model, rng: &mut u64| {
+            (!model.0.is_empty())
+                .then(|| model.0[(splitmix64(rng) % model.0.len() as u64) as usize].site)
+        };
+        match splitmix64(rng) % 20 {
+            0..=6 => {
+                core.record_update(site);
+                model.record_update(site);
+            }
+            7..=11 => {
+                let after = match splitmix64(rng) % 3 {
+                    0 => None,
+                    _ => present(model, rng),
+                };
+                core.rotate(after, site);
+                model.rotate(after, site);
+            }
+            12..=13 => {
+                if let Some(site) = present(model, rng) {
+                    let bits = splitmix64(rng);
+                    let (value, conflict, segment) =
+                        (bits >> 8 & 0xff, bits & 1 == 1, bits & 2 == 2);
+                    core.write(site, value, conflict, segment);
+                    let at = model.position(site).unwrap();
+                    model.0[at] = Element {
+                        site,
+                        value,
+                        conflict,
+                        segment,
+                    };
+                }
+            }
+            14..=15 => {
+                if let Some(site) = present(model, rng) {
+                    let at = model.position(site).unwrap();
+                    if splitmix64(rng) & 1 == 0 {
+                        core.set_segment_bit(site);
+                        model.0[at].segment = true;
+                    } else {
+                        core.set_conflict_bit(site);
+                        model.0[at].conflict = true;
+                    }
+                }
+            }
+            16 => {
+                // Keep three sites in four, or one in four.
+                let (a, b) = (splitmix64(rng), splitmix64(rng));
+                let mask = if splitmix64(rng) & 1 == 0 {
+                    a | b
+                } else {
+                    a & b
+                };
+                let keep = |site: SiteId| mask >> site.index() & 1 == 1;
+                let indexed = core.index.is_some();
+                let removed = core.retain_sites(keep);
+                let before = model.0.len();
+                model.retain(keep);
+                assert_eq!(removed, before - model.0.len());
+                return indexed && core.index.is_none();
+            }
+            17 => {
+                let copy = core.clone();
+                assert!(copy.structurally_equal(core));
+                *core = copy;
+            }
+            _ => {
+                let mut image = core.encode_snapshot();
+                let decoded = RotCore::decode_snapshot(&mut image).unwrap();
+                assert!(image.is_empty());
+                assert!(decoded.structurally_equal(core));
+                *core = decoded;
+            }
+        }
+        false
+    }
+
+    #[test]
+    fn index_threshold_is_invisible() {
+        let mut came_back_under = 0;
+        for seed in 0..256u64 {
+            let mut rng = seed;
+            let (mut core, mut model) = (RotCore::new(), Model::default());
+            let mut peak = 0;
+            for i in 0..200 {
+                came_back_under += usize::from(step(&mut core, &mut model, &mut rng));
+                assert_matches(&core, &model, &format!("seed {seed}, step {i}"));
+                peak = peak.max(core.len());
+            }
+            assert!(
+                peak > INDEX_ABOVE,
+                "seed {seed} never crossed the threshold"
+            );
+        }
+        assert!(came_back_under > 0, "no retain_sites dropped an index");
+    }
+
+    /// A seeded vector of up to `SITES` elements with bits set.
+    fn random_core(seed: u64) -> RotCore {
+        let mut rng = seed;
+        let (mut core, mut model) = (RotCore::new(), Model::default());
+        for _ in 0..splitmix64(&mut rng) % 40 {
+            step(&mut core, &mut model, &mut rng);
+        }
+        core
+    }
+
+    /// What `encode_snapshot` writes, from a bare element list — so a test
+    /// can write what no encoder would.
+    fn image_of(elements: &[Element]) -> Bytes {
+        let mut buf = BytesMut::new();
+        wire::put_varint(&mut buf, elements.len() as u64);
+        for e in elements {
+            wire::put_varint(&mut buf, u64::from(e.site.index()));
+            wire::put_varint(
+                &mut buf,
+                e.value << 2 | u64::from(e.conflict) << 1 | u64::from(e.segment),
+            );
+        }
+        buf.freeze()
+    }
+
+    #[test]
+    fn snapshot_decoder_round_trips_and_rejects_prefixes_and_repeats() {
+        for seed in 0..64u64 {
+            let core = random_core(seed);
+            let elements: Vec<Element> = core.iter().collect();
+            let image = core.encode_snapshot();
+            assert_eq!(image, image_of(&elements), "seed {seed}");
+            let mut buf = image.clone();
+            let decoded = RotCore::decode_snapshot(&mut buf).unwrap();
+            assert!(buf.is_empty(), "seed {seed}");
+            assert!(decoded.structurally_equal(&core), "seed {seed}");
+            for cut in 0..image.len() {
+                let mut buf = image.slice(0..cut);
+                assert!(
+                    RotCore::decode_snapshot(&mut buf).is_err(),
+                    "seed {seed}, cut {cut}"
+                );
+            }
+            // Each position in turn names the site the next one holds.
+            let n = elements.len();
+            for at in (0..n).filter(|_| n > 1) {
+                let mut repeated = elements.clone();
+                repeated[at].site = elements[(at + 1) % n].site;
+                assert_eq!(
+                    RotCore::decode_snapshot(&mut image_of(&repeated)),
+                    Err(WireError::InvalidPayload),
+                    "seed {seed}, repeat at {at}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn snapshot_count_beyond_the_payload_is_eof() {
+        let mut core = RotCore::new();
+        core.record_update(s(1));
+        core.record_update(s(2));
+        let image = core.encode_snapshot();
+        // Two elements of two bytes each; claim three, then far too many.
+        for claimed in [3, 1 << 20, u64::MAX] {
+            let mut buf = BytesMut::new();
+            wire::put_varint(&mut buf, claimed);
+            buf.extend_from_slice(&image[1..]);
+            assert_eq!(
+                RotCore::decode_snapshot(&mut buf.freeze()),
+                Err(WireError::UnexpectedEof),
+                "claimed {claimed}"
+            );
         }
     }
 

@@ -252,6 +252,10 @@ rotating_vector_type! {
     Srv, marks: true, true
 }
 
+// A store pays this header once per key (`optrep-kv`'s `Entry`): slab
+// pointer/capacity/length, the optional index and the two ends of `≺`.
+const _: () = assert!(std::mem::size_of::<Srv>() <= 40);
+
 impl Srv {
     /// The vector's segments in `≺` order (§4): maximal element runs ending
     /// at a set segment bit, the final run possibly open.

@@ -161,11 +161,15 @@ fn entry_hash(key: &str, entry: &Entry) -> u64 {
         }
         None => eat(&[0]),
     }
-    let mut pairs: Vec<(SiteId, u64)> = entry.meta.to_version_vector().iter().collect();
-    pairs.sort_by_key(|&(site, _)| site.index());
+    // The version vector is the non-zero elements, order and bits dropped.
+    let mut pairs: Vec<(u32, u64)> = (entry.meta.as_core().iter())
+        .filter(|e| e.value > 0)
+        .map(|e| (e.site.index(), e.value))
+        .collect();
+    pairs.sort_unstable_by_key(|&(site, _)| site);
     eat(&(pairs.len() as u64).to_le_bytes());
     for (site, count) in pairs {
-        eat(&u64::from(site.index()).to_le_bytes());
+        eat(&u64::from(site).to_le_bytes());
         eat(&count.to_le_bytes());
     }
     hash
@@ -1931,6 +1935,74 @@ mod tests {
         assert_eq!(report.keys_created, 1);
         assert_eq!(changed, vec!["b".to_string()]);
         assert_eq!(dst.replica_digest(), dst.replica_digest_full());
+    }
+
+    /// An honest two-site vector image with its second site renamed to
+    /// its first: no encoder writes it, and decoding it used to yield a
+    /// one-element vector without a word.
+    fn repeated_site_meta() -> Bytes {
+        let mut meta = Srv::new();
+        meta.record_update(s(3));
+        meta.record_update(s(5));
+        let mut image = meta.encode_snapshot().to_vec();
+        assert_eq!(image, [2, 5, 4, 3, 4], "count, then (site, value·4) pairs");
+        image[3] = image[1];
+        Bytes::from(image)
+    }
+
+    /// An entry holding `meta` and the value "v", in the layout
+    /// `encode_entry` writes.
+    fn entry_image(meta: &[u8]) -> BytesMut {
+        let mut buf = BytesMut::new();
+        wire::put_bytes(&mut buf, meta);
+        buf.put_u8(1);
+        wire::put_bytes(&mut buf, b"v");
+        buf
+    }
+
+    #[test]
+    fn a_repeated_site_is_refused_by_every_decoder() {
+        let meta = repeated_site_meta();
+        let refused = Err(WireError::InvalidPayload);
+
+        // WAL replay: one logged post-state.
+        let mut store = KvStore::with_shards(s(1), 4);
+        store.put("mine", "1");
+        let before = store.clone();
+        let mut entry = entry_image(&meta).freeze();
+        assert_eq!(store.apply_encoded_entry("x", &mut entry), refused);
+
+        // Checkpoint: a whole-store image holding that entry.
+        let mut image = BytesMut::new();
+        wire::put_varint(&mut image, 1); // site
+        wire::put_varint(&mut image, 1); // entries
+        wire::put_bytes(&mut image, b"x");
+        image.extend_from_slice(&entry_image(&meta));
+        assert_eq!(
+            KvStore::decode_snapshot(&mut image.freeze()).map(|_| ()),
+            refused
+        );
+
+        // A peer's plan: a shard snapshot blob holding that entry.
+        let mut src = KvStore::with_shards(s(0), 4);
+        src.put("x", "1");
+        let digests = KvStore::with_shards(s(1), 4).shard_digest_vector();
+        let (mut plan, mut server) = src.plan_contact(&digests, &PlanConfig::default());
+        let mut client = KvStore::with_shards(s(1), 4).client_endpoint_for(&plan.incremental, 4);
+        let contact = run_contact(&mut client, &mut server).unwrap();
+        let mut blob = BytesMut::new();
+        wire::put_varint(&mut blob, 1);
+        wire::put_bytes(&mut blob, b"x");
+        blob.extend_from_slice(&entry_image(&meta));
+        plan.snapshots[0].1 = blob.freeze();
+        assert_eq!(
+            store.apply_planned_tracked(&JoinResolver, client, &contact, &plan),
+            Err(optrep_core::Error::Wire(WireError::InvalidPayload))
+        );
+
+        assert_eq!(store, before);
+        assert_eq!(store.generation(), before.generation());
+        assert_eq!(store.replica_digest(), store.replica_digest_full());
     }
 
     #[test]

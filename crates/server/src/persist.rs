@@ -847,6 +847,51 @@ mod tests {
     }
 
     #[test]
+    fn a_repeated_site_in_the_log_or_the_checkpoint_refuses_recovery() {
+        // An honest two-site vector image, its second site renamed to its
+        // first, under a checksum that holds: only the vector decoder can
+        // tell, and it used to hand back a one-element vector.
+        use optrep_core::{RotatingVector, Srv};
+        let mut meta = Srv::new();
+        meta.record_update(SiteId::new(3));
+        meta.record_update(SiteId::new(5));
+        let mut meta = meta.encode_snapshot().to_vec();
+        assert_eq!(meta, [2, 5, 4, 3, 4], "count, then (site, value·4) pairs");
+        meta[3] = meta[1];
+        let mut forged = BytesMut::new();
+        wire::put_bytes(&mut forged, &meta);
+        forged.put_u8(1);
+        wire::put_bytes(&mut forged, b"v");
+        let forged = forged.freeze();
+
+        let site = SiteId::new(5);
+        let dir = tmpdir("repeat-wal");
+        let config = DurabilityConfig::new(&dir);
+        let (mut persist, _, _) = Persist::open(&config, site).unwrap();
+        persist
+            .append(&[("k".to_string(), forged.clone())])
+            .unwrap();
+        drop(persist);
+        let err = Persist::open(&config, site).unwrap_err();
+        assert!(format!("{err}").contains("payload corrupt"), "got: {err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        let dir = tmpdir("repeat-ckpt");
+        let config = DurabilityConfig::new(&dir);
+        let (mut persist, _, _) = Persist::open(&config, site).unwrap();
+        let mut image = BytesMut::new();
+        wire::put_varint(&mut image, u64::from(site.index()));
+        wire::put_varint(&mut image, 1);
+        wire::put_bytes(&mut image, b"k");
+        image.put_slice(&forged);
+        persist.checkpoint(&image).unwrap();
+        drop(persist);
+        let err = Persist::open(&config, site).unwrap_err();
+        assert!(format!("{err}").contains("image corrupt"), "got: {err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn foreign_site_data_dir_is_refused() {
         let dir = tmpdir("foreign");
         let config = DurabilityConfig::new(&dir);

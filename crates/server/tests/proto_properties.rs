@@ -623,3 +623,44 @@ proptest! {
         let _ = Response::decode(&mut buf);
     }
 }
+
+/// The plan codec carries snapshot blobs as opaque bytes, so a blob
+/// whose vector image names a site twice crosses it intact; the puller's
+/// apply is where it is refused, with the store untouched.
+#[test]
+fn a_plan_blob_naming_a_site_twice_crosses_the_codec_and_is_refused_at_apply() {
+    use optrep_core::error::WireError;
+    use optrep_core::{wire, RotatingVector, SiteId, Srv};
+    use optrep_kv::{JoinResolver, KvStore};
+    use optrep_replication::mux::run_contact;
+    use optrep_replication::PlanConfig;
+
+    let mut meta = Srv::new();
+    meta.record_update(SiteId::new(3));
+    meta.record_update(SiteId::new(5));
+    let mut meta = meta.encode_snapshot().to_vec();
+    meta[3] = meta[1]; // [2, 5, 4, 3, 4] → the second site is the first
+    let mut blob = bytes::BytesMut::new();
+    wire::put_varint(&mut blob, 1);
+    wire::put_bytes(&mut blob, b"x");
+    wire::put_bytes(&mut blob, &meta);
+    blob.extend_from_slice(&[1]);
+    wire::put_bytes(&mut blob, b"v");
+
+    let mut src = KvStore::with_shards(SiteId::new(0), 4);
+    src.put("x", "1");
+    let mut dst = KvStore::with_shards(SiteId::new(1), 4);
+    let (mut plan, mut server) =
+        src.plan_contact(&dst.shard_digest_vector(), &PlanConfig::default());
+    plan.snapshots[0].1 = blob.freeze();
+    let plan = ShardPlan::decode(&mut plan.encode()).expect("blobs are opaque to the codec");
+
+    let mut client = dst.client_endpoint_for(&plan.incremental, 4);
+    let contact = run_contact(&mut client, &mut server).unwrap();
+    let before = dst.clone();
+    assert_eq!(
+        dst.apply_planned_tracked(&JoinResolver, client, &contact, &plan),
+        Err(optrep_core::Error::Wire(WireError::InvalidPayload))
+    );
+    assert_eq!(dst, before);
+}
