@@ -15,15 +15,26 @@
 //! * **Byte-identical reports** — every TCP pull is mirrored by the
 //!   same pull between plain in-memory [`KvStore`]s, and the two
 //!   [`KvSyncReport`]s (including meta/value byte counters) must be
-//!   equal. Sockets add wall-clock, never bytes — and since the digest
-//!   vector crosses a connection once, a warm socket *removes* some:
-//!   the first sweep dials fresh and is held to full equality; the
-//!   second runs over the pooled connections, where the daemon opens
-//!   with the delta against the vector the first sweep sent while the
+//!   equal. Sockets add wall-clock, never bytes — and a warm socket
+//!   *removes* some, because both of its ends remember the last
+//!   contact: the first sweep dials fresh and is held to full equality;
+//!   the second runs over the pooled connections, where the daemon
+//!   opens with the delta against the vector the first sweep sent and
+//!   may be proposed the keys the source changed since, while the
 //!   mirror (a fresh in-process link per pull) sends the whole vector
-//!   again. There every field must still be equal except the two the
-//!   opening frame decides: `digests_sent`, and `digest_bytes`, which
-//!   must be strictly smaller on the socket.
+//!   again and walks every dirty shard. There the two must still agree on what
+//!   the pull changed and on every shard's verdict, and the socket
+//!   moves no more bytes than the mirror on any plane — strictly fewer
+//!   planner bytes on every pull, and fewer metadata bytes over the
+//!   sweep wherever anything was proposed. That takes a dirty shard of
+//!   three keys or more (two are cheaper walked than named, and
+//!   `decide` prices the proposal out): at 256 daemons a thousand keys
+//!   over 512 shards give enough of those, at CI's 64 none, and the two
+//!   metadata columns are then equal. The hypercube also makes this the
+//!   hard case for proposals — both ends of an edge have news in the
+//!   same sweep — so a share of them is refused and walked whole.
+//!   (`crates/perf`'s `sparse_pull`, 195 keys a shard and a puller
+//!   that never writes, is where they pay in full.)
 //! * **Fixed thread count** — the process thread count after both
 //!   sweeps equals the count right after daemon start-up, although by
 //!   then every daemon holds log2(N) client connections and serves
@@ -81,6 +92,11 @@ struct ClusterRun {
     /// Planner bytes per sweep, `[tcp, mirror]`: equal on the fresh
     /// dials of sweep 0, smaller on the warm sockets of sweep 1.
     digest_bytes: [[usize; 2]; 2],
+    /// Metadata bytes likewise.
+    meta_bytes: [[usize; 2]; 2],
+    /// Shards proposed over sweep 1's warm sockets, and how many of
+    /// those the pullers refused.
+    proposed: [usize; 2],
     threads_base: usize,
     threads_after: usize,
     mem_elapsed: Duration,
@@ -171,9 +187,11 @@ fn run_cluster(daemons: usize) -> ClusterRun {
     let mut mem_elapsed = Duration::ZERO;
     let mut tcp_elapsed = Duration::ZERO;
     let mut digest_bytes = [[0usize; 2]; 2];
+    let mut meta_bytes = [[0usize; 2]; 2];
+    let mut proposed = [0usize; 2];
     // Two full hypercube sweeps; the second lands on the connections the
     // first one opened, which is what pushes contacts to 2× dials.
-    for (wave, [tcp_digest_bytes, mem_digest_bytes]) in digest_bytes.iter_mut().enumerate() {
+    for wave in 0..2 {
         if wave == 1 {
             for (site, node) in nodes.iter().enumerate() {
                 node.with_store(|s| seed(1, site, s));
@@ -189,8 +207,10 @@ fn run_cluster(daemons: usize) -> ClusterRun {
                 let start = Instant::now();
                 let mem = mirror_pull(&mut mirrors, dst, src);
                 mem_elapsed += start.elapsed();
-                *tcp_digest_bytes += tcp.digest_bytes;
-                *mem_digest_bytes += mem.digest_bytes;
+                digest_bytes[wave][0] += tcp.digest_bytes;
+                digest_bytes[wave][1] += mem.digest_bytes;
+                meta_bytes[wave][0] += tcp.meta_bytes;
+                meta_bytes[wave][1] += mem.meta_bytes;
                 let at = format!("TCP pull {dst}<-{src} (wave {wave}, round {round})");
                 if wave == 0 {
                     assert_eq!(
@@ -199,30 +219,53 @@ fn run_cluster(daemons: usize) -> ClusterRun {
                     );
                 } else {
                     // A warm socket: the daemon sent only the shards
-                    // that changed since wave 0's pull on this edge.
-                    let but_for_the_opening_frame = |report: KvSyncReport| KvSyncReport {
+                    // that changed since wave 0's pull on this edge, and
+                    // was told which keys the source changed since. What
+                    // the pull *did* is the mirror's; how the dirty keys
+                    // were located is what the connection remembers for.
+                    let what_was_pulled = |report: KvSyncReport| KvSyncReport {
+                        keys_examined: 0,
+                        keys_unchanged: 0,
+                        meta_bytes: 0,
                         digest_bytes: 0,
                         digests_sent: 0,
+                        shards_refined: 0,
+                        shards_proposed: 0,
+                        shards_refused: 0,
                         ..report
                     };
                     assert_eq!(
-                        but_for_the_opening_frame(tcp),
-                        but_for_the_opening_frame(mem),
-                        "{at} differs from the in-memory mirror beyond the opening frame"
+                        what_was_pulled(tcp),
+                        what_was_pulled(mem),
+                        "{at} changed something else than the in-memory mirror"
                     );
                     assert_eq!(
-                        mem.digests_sent, SHARDS,
-                        "{at}: the mirror sends every shard"
+                        (mem.digests_sent, mem.shards_proposed),
+                        (SHARDS, 0),
+                        "{at}: the mirror sends every shard and is proposed none"
                     );
                     assert!(
                         tcp.digest_bytes < mem.digest_bytes && tcp.digests_sent < SHARDS,
                         "{at} sent no delta over its warm connection: {tcp:?}"
                     );
+                    assert!(
+                        tcp.meta_bytes <= mem.meta_bytes && tcp.keys_examined <= mem.keys_examined,
+                        "{at} walked more over its warm connection: {tcp:?} vs {mem:?}"
+                    );
+                    proposed[0] += tcp.shards_proposed;
+                    proposed[1] += tcp.shards_refused;
                 }
             }
         }
     }
     let threads_after = thread_count();
+
+    assert!(
+        digest_bytes[1][0] < digest_bytes[1][1]
+            && meta_bytes[1][0] <= meta_bytes[1][1]
+            && (meta_bytes[1][0] < meta_bytes[1][1]) == (proposed[0] > proposed[1]),
+        "sweep 1's warm sockets saved nothing: {digest_bytes:?}, {meta_bytes:?}, {proposed:?}"
+    );
 
     // Convergence, and socket state == mirror state, site by site.
     let reference = mirrors[0].replica_digest();
@@ -262,6 +305,8 @@ fn run_cluster(daemons: usize) -> ClusterRun {
         contacts,
         dials,
         digest_bytes,
+        meta_bytes,
+        proposed,
         threads_base,
         threads_after,
         mem_elapsed,
@@ -281,6 +326,9 @@ pub fn run() -> Vec<Table> {
             "digest B w0 tcp=mem",
             "digest B w1 tcp",
             "digest B w1 mem",
+            "meta B w1 tcp",
+            "meta B w1 mem",
+            "proposed (refused)",
             "mem ms",
             "tcp ms",
             "tcp/mem",
@@ -296,6 +344,9 @@ pub fn run() -> Vec<Table> {
             run.digest_bytes[0][0].to_string(),
             run.digest_bytes[1][0].to_string(),
             run.digest_bytes[1][1].to_string(),
+            run.meta_bytes[1][0].to_string(),
+            run.meta_bytes[1][1].to_string(),
+            format!("{} ({})", run.proposed[0], run.proposed[1]),
             format!("{:.1}", run.mem_elapsed.as_secs_f64() * 1e3),
             format!("{:.1}", run.tcp_elapsed.as_secs_f64() * 1e3),
             ratio(run.tcp_elapsed.as_secs_f64(), run.mem_elapsed.as_secs_f64()),
@@ -306,9 +357,14 @@ pub fn run() -> Vec<Table> {
          (asserted)",
     );
     t.note(
-        "sweep 1 (warm sockets): identical but for the opening frame - the daemon sends the \
-         changed shards' digests, the mirror all 512 again (asserted strictly fewer bytes per pull)",
+        "sweep 1 (warm sockets): same keys changed, same verdict per shard, same end state - the \
+         daemon sends the changed shards' digests and, where a dirty shard holds three keys or \
+         more, is proposed the ones its source changed; the mirror sends all 512 digests again \
+         and walks every dirty shard (asserted per pull: strictly fewer planner bytes, no more \
+         metadata bytes; over the sweep: strictly fewer metadata bytes iff any proposal was \
+         accepted - none is at 64 daemons, where no shard is that big)",
     );
+    t.note("the ms columns are one sample each on whatever host ran this; they measure nothing");
     t.note("contacts == 2x dials: both sweeps pipeline over one pooled connection per peer");
     t.note(
         "threads col is process thread count after start-up -> after both sweeps (asserted equal)",

@@ -107,7 +107,9 @@ fn contact_bytes(report: &KvSyncReport) -> usize {
 /// `sync_planned` with the endpoint over the incremental shards whole.
 fn sync_planned_flat(dst: &mut KvStore, src: &KvStore, config: &PlanConfig) -> KvSyncReport {
     let digests = dst.shard_digest_vector();
-    let mut far = |digests: Option<&DigestVector>| src.open_contact(digests, config);
+    let mut far = |digests: Option<&DigestVector>, since: Option<u64>| {
+        src.open_contact(digests, since, config)
+    };
     let (client, plan, contact) = pull_planned(
         &mut InProcessLink::serving(&mut far),
         &mut VectorMemory::default(),

@@ -22,7 +22,6 @@ use crate::error::WireError;
 use crate::site::SiteId;
 use crate::wire;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
@@ -38,7 +37,7 @@ use std::fmt;
 /// assert_eq!(id.site(), SiteId::new(3));
 /// assert_eq!(id.seq(), 7);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(u64);
 
 impl NodeId {

@@ -1,6 +1,5 @@
 //! Site identifiers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a participating site (replica host).
@@ -15,7 +14,7 @@ use std::fmt;
 /// assert_eq!(SiteId::new(25).to_string(), "Z");
 /// assert_eq!(SiteId::new(26).to_string(), "S26");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SiteId(u32);
 
 impl SiteId {

@@ -11,7 +11,6 @@
 
 use crate::causality::Causality;
 use crate::site::SiteId;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -32,7 +31,7 @@ use std::fmt;
 /// va.merge(&vb);
 /// assert_eq!(va.compare(&vb), Causality::Equal);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VersionVector {
     counts: HashMap<SiteId, u64>,
 }

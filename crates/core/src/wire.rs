@@ -303,8 +303,11 @@ pub const HANDSHAKE_MAGIC: [u8; 4] = *b"OPTR";
 /// pull open with a digest *delta* against the vector the connection's
 /// last contact carried (`replication::planner`, tag `0x39`): a v2
 /// server would accept a connection's first, full vector and then fail
-/// its first delta, so the two must not be mixed.
-pub const HANDSHAKE_VERSION: u8 = 3;
+/// its first delta, so the two must not be mixed. v4 lets the plan of a
+/// connection's later pulls propose scopes (tag `0x3a`) and the scope
+/// frame refuse them: a v3 puller would serve a connection's first pull
+/// and fail to decode the plan of its second.
+pub const HANDSHAKE_VERSION: u8 = 4;
 
 /// What the connecting peer intends to do with the connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

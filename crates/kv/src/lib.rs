@@ -45,11 +45,12 @@ use optrep_replication::mux::{
     InProcessLink, Restricted,
 };
 use optrep_replication::planner::{
-    decide, nothing_to_pull, placement, shard_of, ChildDigests, DigestVector, PlanConfig,
-    ShardAction, ShardDigest, ShardPlan, ShardScope, VectorMemory, MAX_PLAN_SHARDS,
+    decide, nothing_to_pull, placement, shard_of, Candidates, ChildDigests, DigestVector,
+    PlanConfig, Proposal, ShardAction, ShardDigest, ShardPlan, ShardScope, VectorMemory,
+    JOURNAL_CAP, MAX_PLAN_SHARDS,
 };
 use optrep_replication::FaultyLink;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Default shard count when `OPTREP_KV_SHARDS` is unset: small enough
 /// that a toy store's digest vector stays a handful of bytes, large
@@ -175,6 +176,49 @@ fn entry_hash(key: &str, entry: &Entry) -> u64 {
     hash
 }
 
+/// What a store changed lately: the placement hash of every key a
+/// generation bump touched, with that generation, newest last, the
+/// oldest evicted once [`JOURNAL_CAP`] are held. A serving store
+/// [proposes](KvStore::plan_contact_since) from it. It is bookkeeping,
+/// not state — in no snapshot, log record, digest or comparison — and
+/// nothing is wrong when it is short or lost: a proposal is checked
+/// against the shard digests, so the journal can only cost bytes.
+#[derive(Debug, Clone, Default)]
+struct Journal {
+    /// `(generation, placement hash)`, generations non-decreasing.
+    /// Allocated once, at the cap, by the first change (a clone is sized
+    /// to what it holds and brought to the cap by its first).
+    entries: VecDeque<(u64, u64)>,
+    /// The generation of the newest entry evicted: the journal lists
+    /// every key changed at a generation above it, and possibly not
+    /// every key changed at or below.
+    floor: u64,
+}
+
+impl Journal {
+    fn record(&mut self, generation: u64, hash: u64) {
+        if self.entries.capacity() < JOURNAL_CAP {
+            let held = self.entries.len();
+            self.entries.reserve_exact(JOURNAL_CAP - held);
+        }
+        if self.entries.len() == JOURNAL_CAP {
+            if let Some((evicted, _)) = self.entries.pop_front() {
+                self.floor = evicted;
+            }
+        }
+        self.entries.push_back((generation, hash));
+    }
+
+    /// The hashes of the keys changed at generations above `since`, or
+    /// `None` when the journal no longer reaches back that far.
+    fn changed_since(&self, since: u64) -> Option<impl Iterator<Item = u64> + '_> {
+        (self.floor <= since).then(|| {
+            let newer = self.entries.partition_point(|&(at, _)| at <= since);
+            self.entries.range(newer..).map(|&(_, hash)| hash)
+        })
+    }
+}
+
 /// One decoded, validated contact outcome awaiting commit — the staging
 /// form that makes application transactional.
 enum Staged {
@@ -218,6 +262,12 @@ pub struct KvSyncReport {
     /// full vector, the shards that changed since the connection's last
     /// pull for a delta.
     pub digests_sent: usize,
+    /// Incremental shards the source proposed the scope of, from the
+    /// keys it changed since the connection's last pull.
+    pub shards_proposed: usize,
+    /// Of those, shards this store refused — the rest of the shard did
+    /// not match the proposal's residual — and walked whole.
+    pub shards_refused: usize,
 }
 
 /// A replicated key-value store: one [`Srv`] per key, anti-entropy
@@ -240,6 +290,8 @@ pub struct KvStore {
     /// changed between snapshotting a pull's endpoint and applying its
     /// outcomes (see [`KvStore::generation`]).
     generation: u64,
+    /// The keys the last [`JOURNAL_CAP`] generation bumps touched.
+    journal: Journal,
 }
 
 /// Equality is over the replicated state (site and entries) and is
@@ -277,6 +329,7 @@ impl KvStore {
             shards: vec![Shard::default(); count],
             stats: CounterSink::new(),
             generation: 0,
+            journal: Journal::default(),
         }
     }
 
@@ -390,6 +443,33 @@ impl KvStore {
         children
     }
 
+    /// For each of `proposed` — plan shards at `whole.len()` shards,
+    /// strictly increasing, with their candidates — this store's
+    /// summary of the shard *less* its entries placed under the
+    /// candidates. `whole` is this store's digests at that count. Walks
+    /// those shards only, and hashes only the entries it subtracts.
+    fn residuals(&self, whole: &[ShardDigest], proposed: &[Candidates]) -> Vec<ShardDigest> {
+        let count = whole.len();
+        let shards: Vec<u64> = proposed.iter().map(|(shard, _)| *shard).collect();
+        let mut residuals: Vec<ShardDigest> =
+            shards.iter().map(|&shard| whole[shard as usize]).collect();
+        self.visit_shards(&shards, count, |key, entry| {
+            let hash = placement(key.as_bytes());
+            if let Ok(slot) = shards.binary_search(&(hash & (count as u64 - 1))) {
+                let candidates = &proposed[slot].1;
+                if candidates
+                    .binary_search(&(hash & (MAX_PLAN_SHARDS - 1)))
+                    .is_ok()
+                {
+                    let residual = &mut residuals[slot];
+                    residual.digest = residual.digest.wrapping_sub(entry_hash(key, entry));
+                    residual.entries -= 1;
+                }
+            }
+        });
+        residuals
+    }
+
     /// Inserts or replaces one entry, maintaining the shard digest.
     fn insert_entry(&mut self, key: String, entry: Entry) {
         let idx = self.shard_of(&key);
@@ -419,10 +499,18 @@ impl KvStore {
         self.write(key.into(), None);
     }
 
-    fn write(&mut self, key: String, value: Value) {
+    /// Counts one change of `key` into the store's generation and its
+    /// journal; returns the key's shard.
+    fn touch(&mut self, key: &str) -> usize {
+        let hash = placement(key.as_bytes());
         self.generation += 1;
+        self.journal.record(self.generation, hash);
+        (hash & (self.shards.len() as u64 - 1)) as usize
+    }
+
+    fn write(&mut self, key: String, value: Value) {
+        let idx = self.touch(&key);
         let site = self.site;
-        let idx = self.shard_of(&key);
         let shard = &mut self.shards[idx];
         match shard.entries.get_mut(&key) {
             Some(entry) => {
@@ -533,6 +621,16 @@ impl KvStore {
         self.generation
     }
 
+    /// How many generations back the change journal is complete: a
+    /// connection whose last pull was planned no longer ago than this is
+    /// proposed to from the journal, an older one from digests alone. A
+    /// value that stays below the generations a peer lets pass between
+    /// its pulls says the journal ([`JOURNAL_CAP`] keys) is too small
+    /// for the write rate.
+    pub fn journal_floor_lag(&self) -> u64 {
+        self.generation - self.journal.floor
+    }
+
     /// The pulling half of an anti-entropy contact: one stream per
     /// tracked key (tombstones included), carrying this store's current
     /// metadata. Pair it with a peer's
@@ -563,32 +661,49 @@ impl KvStore {
     /// allows. Where the plan offers child digests, this store's
     /// children of the same shards are compared with them and the
     /// endpoint keeps, of those shards, only the keys of children that
-    /// differ — the [`ShardScope`] returned with it tells the server
-    /// which, so both sides cut alike; every other incremental shard is
-    /// presented whole. For a plan that refines nothing this is
+    /// differ. Where it proposes a shard's scope, this store's summary
+    /// of the shard less its own entries under the proposal's candidates
+    /// is compared with the proposal's residual: equal — digest *and*
+    /// entry count, the evidence a skipped shard is skipped on — and
+    /// every other entry of the shard is the source's, so the endpoint
+    /// keeps only the keys under the candidates; different — this store
+    /// wrote or pulled something the source's journal knows nothing of —
+    /// and the shard is refused and presented whole. The [`ShardScope`]
+    /// returned with the endpoint tells the server all of it, so both
+    /// sides cut alike; every other incremental shard is presented
+    /// whole. For a plan that offers nothing this is
     /// [`client_endpoint_for`](Self::client_endpoint_for) over its
     /// incremental shards. Call it under the guard that snapshots the
-    /// [`generation`](Self::generation): children and endpoint are one
+    /// [`generation`](Self::generation): digests and endpoint are one
     /// view of the store.
     pub fn client_endpoint_refined(&self, plan: &ShardPlan) -> Restricted {
         let count = plan.count as usize;
-        let Some(theirs) = &plan.children else {
+        let Some(offer) = plan.offer() else {
             return self.client_endpoint_for(&plan.incremental, count).into();
         };
-        let offer = theirs.offer(plan.count);
-        let ours = self.child_digests(&offer.parents, offer.count, offer.fanout);
         let mut differing = Vec::new();
-        for ((shard, theirs), ours) in theirs.parents.iter().zip(&ours) {
-            for (j, (ours, theirs)) in ours.iter().zip(theirs).enumerate() {
-                if !nothing_to_pull(ours, theirs) {
-                    differing.push(shard + j as u64 * offer.count);
+        if let Some(theirs) = &plan.children {
+            let ours = self.child_digests(&offer.parents, offer.count, offer.fanout);
+            for ((shard, theirs), ours) in theirs.parents.iter().zip(&ours) {
+                for (j, (ours, theirs)) in ours.iter().zip(theirs).enumerate() {
+                    if !nothing_to_pull(ours, theirs) {
+                        differing.push(shard + j as u64 * offer.count);
+                    }
                 }
             }
+            differing.sort_unstable();
         }
-        differing.sort_unstable();
+        let refused = (!plan.proposed.is_empty()).then(|| {
+            let ours = self.residuals(&self.shard_digests_at(count), &offer.proposed);
+            (plan.proposed.iter().zip(ours))
+                .filter(|(proposal, ours)| proposal.residual != *ours)
+                .map(|(proposal, _)| proposal.shard)
+                .collect()
+        });
         let scope = ShardScope {
             count: offer.count * offer.fanout,
             children: differing,
+            refused,
         };
         let keep = |key: &str| offer.admits(&scope, key.as_bytes());
         let client = pulling(self.entries_in(&plan.incremental, count, keep));
@@ -660,6 +775,17 @@ impl KvStore {
         encode_shard_image(&self.entries_in(&[shard], count, |_| true))
     }
 
+    /// The serving half of the planner phase on a connection's first
+    /// contact: [`plan_contact_since`](Self::plan_contact_since) with
+    /// nothing to propose from.
+    pub fn plan_contact(
+        &self,
+        digests: &DigestVector,
+        config: &PlanConfig,
+    ) -> (ShardPlan, BatchPullServer) {
+        self.plan_contact_since(digests, None, config)
+    }
+
     /// The serving half of the planner phase: folds this store's
     /// digests to the puller's shard count, [`decide`]s per shard,
     /// encodes snapshot blobs for the bulk-load shards, digests the
@@ -667,18 +793,41 @@ impl KvStore {
     /// builds the restricted serving endpoint for the incremental ones
     /// — all from one consistent view of the store, so the plan and the
     /// endpoint can never disagree (call under one lock in a daemon).
+    ///
+    /// `since` is this store's [`generation`](Self::generation) when it
+    /// planned the same connection's previous contact. Where the change
+    /// journal still reaches back to it, the keys changed since are the
+    /// hints `decide` prices, and each shard it chooses to propose
+    /// carries them as candidates beside the digest of everything else
+    /// in the shard. With `None`, or a journal that has since evicted
+    /// past `since`, the plan is what digests alone give.
+    ///
     /// The endpoint covers the incremental shards whole: a puller that
-    /// ignores the plan's children pulls against it as it stands, and a
+    /// ignores what the plan offers pulls against it as it stands, and a
     /// [`Serving`](optrep_replication::mux::Serving) narrows it when
     /// the puller's scope arrives.
-    pub fn plan_contact(
+    pub fn plan_contact_since(
         &self,
         digests: &DigestVector,
+        since: Option<u64>,
         config: &PlanConfig,
     ) -> (ShardPlan, BatchPullServer) {
         let count = digests.shards.len().clamp(1, MAX_SHARDS);
         let ours = self.shard_digests_at(count);
-        let decision = decide(&digests.shards[..count], &ours, config);
+        let mut hints: Vec<Candidates> = Vec::new();
+        if let Some(changed) = since.and_then(|since| self.journal.changed_since(since)) {
+            let mut by_shard: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+            for hash in changed {
+                let candidates = by_shard.entry(hash & (count as u64 - 1)).or_default();
+                candidates.push(hash & (MAX_PLAN_SHARDS - 1));
+            }
+            for (shard, mut candidates) in by_shard {
+                candidates.sort_unstable();
+                candidates.dedup();
+                hints.push((shard, candidates));
+            }
+        }
+        let decision = decide(&digests.shards[..count], &ours, &hints, config);
         let mut plan = ShardPlan {
             count: count as u64,
             ..ShardPlan::default()
@@ -714,26 +863,40 @@ impl KvStore {
                 parents: decision.refined.into_iter().zip(children).collect(),
             });
         }
+        if !decision.proposed.is_empty() {
+            hints.retain(|(shard, _)| decision.proposed.binary_search(shard).is_ok());
+            let residuals = self.residuals(&ours, &hints);
+            plan.proposed = (hints.into_iter().zip(residuals))
+                .map(|((shard, candidates), residual)| Proposal {
+                    shard,
+                    candidates,
+                    residual,
+                })
+                .collect();
+        }
         let endpoint = serving(self.entries_in(&plan.incremental, count, |_| true));
         (plan, endpoint)
     }
 
     /// The serving side's answer to the first frame of a contact, as a
     /// [`Serving`](optrep_replication::mux::Serving) source wants it:
-    /// [`plan_contact`](Self::plan_contact) for a puller that opened
-    /// with its digest vector, the full
-    /// [`server_endpoint`](Self::server_endpoint) for one that did not.
+    /// [`plan_contact_since`](Self::plan_contact_since) for a puller
+    /// that opened with its digest vector, the full
+    /// [`server_endpoint`](Self::server_endpoint) for one that did not,
+    /// and in both cases this store's [`generation`](Self::generation)
+    /// — the `since` of the connection's next contact.
     pub fn open_contact(
         &self,
         digests: Option<&DigestVector>,
+        since: Option<u64>,
         config: &PlanConfig,
-    ) -> (Option<ShardPlan>, BatchPullServer) {
+    ) -> (Option<ShardPlan>, BatchPullServer, u64) {
         match digests {
             Some(digests) => {
-                let (plan, endpoint) = self.plan_contact(digests, config);
-                (Some(plan), endpoint)
+                let (plan, endpoint) = self.plan_contact_since(digests, since, config);
+                (Some(plan), endpoint, self.generation)
             }
-            None => (None, self.server_endpoint()),
+            None => (None, self.server_endpoint(), self.generation),
         }
     }
 
@@ -746,11 +909,13 @@ impl KvStore {
     /// this is what it is tested against, and what the benches mirror.
     ///
     /// Every call opens a fresh in-process link, so nothing is
-    /// remembered between calls and the digest vector always crosses in
-    /// full (`digests_sent == shards_total`) — the *first* contact of a
-    /// daemon's connection. A daemon's later pulls over the same pooled
-    /// socket send a delta and report fewer `digest_bytes` than this
-    /// mirror; every other field stays equal.
+    /// remembered between calls: the digest vector always crosses in
+    /// full (`digests_sent == shards_total`) and `src` proposes nothing
+    /// — the *first* contact of a daemon's connection. A daemon's later
+    /// pulls over the same pooled socket send a delta, are proposed to
+    /// from the source's journal, and report fewer `digest_bytes`,
+    /// `meta_bytes` and `keys_examined` than this mirror; they end in
+    /// the same state.
     ///
     /// Returns the sync report and the contact report (planner counters
     /// filled in, planner bytes excluded from the four byte planes).
@@ -765,7 +930,9 @@ impl KvStore {
         config: &PlanConfig,
     ) -> Result<(KvSyncReport, ContactReport)> {
         let digests = self.shard_digest_vector();
-        let mut far = |digests: Option<&DigestVector>| src.open_contact(digests, config);
+        let mut far = |digests: Option<&DigestVector>, since: Option<u64>| {
+            src.open_contact(digests, since, config)
+        };
         let (client, plan, contact) = pull_planned(
             &mut InProcessLink::serving(&mut far),
             &mut VectorMemory::default(),
@@ -943,6 +1110,8 @@ impl KvStore {
             digest_bytes: contact.digest_bytes as usize,
             shards_refined: contact.shards_refined as usize,
             digests_sent: contact.digests_sent as usize,
+            shards_proposed: contact.shards_proposed as usize,
+            shards_refused: contact.shards_refused as usize,
             ..KvSyncReport::default()
         };
         let site = self.site;
@@ -994,8 +1163,14 @@ impl KvStore {
             changed.push(key.clone());
             self.insert_entry(key, entry);
         }
+        // One bump for the whole commit, every changed key journalled
+        // under it.
         if !changed.is_empty() {
             self.generation += 1;
+            for key in &changed {
+                self.journal
+                    .record(self.generation, placement(key.as_bytes()));
+            }
         }
         (report, changed)
     }
@@ -1132,8 +1307,9 @@ impl KvStore {
         if buf.has_remaining() {
             return Err(WireError::InvalidPayload);
         }
-        self.generation += 1;
-        self.insert_entry(key.into(), Entry { meta, value });
+        let key = key.into();
+        self.touch(&key);
+        self.insert_entry(key, Entry { meta, value });
         Ok(())
     }
 
@@ -1830,7 +2006,9 @@ mod tests {
     fn flat_planned_pull(dst: &mut KvStore, src: &KvStore) -> (KvSyncReport, ContactReport) {
         let config = PlanConfig::default();
         let digests = dst.shard_digest_vector();
-        let mut far = |digests: Option<&DigestVector>| src.open_contact(digests, &config);
+        let mut far = |digests: Option<&DigestVector>, since: Option<u64>| {
+            src.open_contact(digests, since, &config)
+        };
         let (client, plan, contact) = pull_planned(
             &mut InProcessLink::serving(&mut far),
             &mut VectorMemory::default(),
@@ -2023,5 +2201,293 @@ mod tests {
         assert!(err.is_err(), "mis-sharded blob must be rejected");
         assert_eq!(dst, before);
         assert_eq!(dst.generation(), before.generation());
+    }
+    #[test]
+    fn the_journal_lists_what_changed_and_knows_how_far_back() {
+        let mut store = KvStore::with_shards(s(0), 4);
+        assert_eq!(store.journal_floor_lag(), 0);
+        for i in 0..10 {
+            store.put(format!("k{i}"), "v");
+        }
+        let hash = |key: &str| placement(key.as_bytes());
+        let since = |store: &KvStore, at: u64| -> Option<Vec<u64>> {
+            store.journal.changed_since(at).map(Iterator::collect)
+        };
+        assert_eq!(since(&store, 8), Some(vec![hash("k8"), hash("k9")]));
+        assert_eq!(since(&store, 10), Some(Vec::new()));
+        assert_eq!(since(&store, 0).map(|all| all.len()), Some(10));
+        assert_eq!(store.journal_floor_lag(), 10);
+        // A commit is one generation with every changed key under it.
+        let mut dst = KvStore::with_shards(s(1), 4);
+        dst.put("mine", "1");
+        dst.sync(&store).run().unwrap();
+        assert_eq!(dst.generation(), 2);
+        assert_eq!(since(&dst, 1).map(|all| all.len()), Some(10));
+        // So is a replayed log record.
+        let mut entry = store.encode_entry("k3").unwrap();
+        dst.apply_encoded_entry("k3", &mut entry).unwrap();
+        assert_eq!(since(&dst, 2), Some(vec![hash("k3")]));
+        // Past the cap the oldest go and the floor follows them: asked
+        // about anything older, the journal says it cannot know.
+        for i in 0..JOURNAL_CAP {
+            store.put(format!("k{}", i % 7), "w");
+        }
+        assert_eq!(store.journal.entries.len(), JOURNAL_CAP);
+        assert_eq!(store.journal.floor, 10);
+        assert_eq!(store.journal_floor_lag(), JOURNAL_CAP as u64);
+        assert_eq!(since(&store, 9), None);
+        assert_eq!(since(&store, 10).map(|all| all.len()), Some(JOURNAL_CAP));
+        // It is bookkeeping: no part of equality, snapshots or digests.
+        let image = store.encode_snapshot();
+        let reloaded = KvStore::decode_snapshot(&mut image.clone()).unwrap();
+        assert!(reloaded.journal.entries.is_empty());
+        assert_eq!(reloaded.replica_digest(), store.replica_digest());
+        let mut emptied = store.clone();
+        emptied.journal = Journal::default();
+        assert_eq!(emptied, store);
+        assert_eq!(emptied.encode_snapshot(), image);
+    }
+
+    /// One planned pull of `dst` over `link`, as a daemon makes it.
+    fn pull_over(
+        dst: &mut KvStore,
+        link: &mut InProcessLink<'_>,
+        remembered: &mut VectorMemory,
+    ) -> KvSyncReport {
+        let digests = dst.shard_digest_vector();
+        let (client, plan, contact) = pull_planned(link, remembered, &digests, |plan| {
+            dst.client_endpoint_refined(plan)
+        })
+        .unwrap();
+        let applied = dst.apply_planned_tracked(&JoinResolver, client, &contact, &plan);
+        applied.unwrap().0
+    }
+
+    /// Two planned pulls of `dst` from `src` over one in-process link —
+    /// a connection that remembers — with `between` run on both stores
+    /// once the first has committed.
+    fn pull_twice(
+        dst: &mut KvStore,
+        src: &std::cell::RefCell<KvStore>,
+        between: impl FnOnce(&mut KvStore, &mut KvStore),
+    ) -> [KvSyncReport; 2] {
+        let config = PlanConfig::default();
+        let mut far = |digests: Option<&DigestVector>, since: Option<u64>| {
+            src.borrow().open_contact(digests, since, &config)
+        };
+        let mut link = InProcessLink::serving(&mut far);
+        let mut remembered = VectorMemory::default();
+        let first = pull_over(dst, &mut link, &mut remembered);
+        between(dst, &mut src.borrow_mut());
+        [first, pull_over(dst, &mut link, &mut remembered)]
+    }
+
+    #[test]
+    fn a_warm_pull_is_proposed_the_keys_the_source_changed() {
+        let (dst, src) = pair_with_dirty_shards(64 * 195, 4);
+        let bytes = |r: &KvSyncReport| r.meta_bytes + r.value_bytes + r.digest_bytes;
+        let rewrite = |src: &mut KvStore| {
+            for key in ["key-00007", "key-00420", "key-01234"] {
+                src.put(key, vec![b'x'; 32]);
+            }
+        };
+        // The same second pull over a link that remembers nothing: a
+        // fresh in-process link per pull, as `sync_planned` makes.
+        let mut cold_dst = dst.clone();
+        let mut cold_src = src.clone();
+        cold_dst
+            .sync_planned(&cold_src, &JoinResolver, &PlanConfig::default())
+            .unwrap();
+        rewrite(&mut cold_src);
+        let (cold, _) = cold_dst
+            .sync_planned(&cold_src, &JoinResolver, &PlanConfig::default())
+            .unwrap();
+
+        let mut warm_dst = dst;
+        let src = std::cell::RefCell::new(src);
+        let [first, warm] = pull_twice(&mut warm_dst, &src, |_, src| rewrite(src));
+        assert_eq!((first.shards_proposed, first.shards_refined), (0, 4));
+        assert_eq!((cold.shards_proposed, cold.shards_refined), (0, 3));
+        assert_eq!(
+            (
+                warm.shards_proposed,
+                warm.shards_refused,
+                warm.shards_refined
+            ),
+            (3, 0, 0)
+        );
+        assert_eq!((warm.keys_examined, warm.keys_fast_forwarded), (3, 3));
+        assert!(cold.keys_examined >= 3 * 8, "{cold:?}");
+        assert!(
+            bytes(&warm) * 2 < bytes(&cold),
+            "warm {} B, cold {} B for 3 keys",
+            bytes(&warm),
+            bytes(&cold)
+        );
+        assert!(warm.digest_bytes < cold.digest_bytes);
+        assert_eq!(
+            warm_dst.replica_digest_full(),
+            cold_dst.replica_digest_full()
+        );
+        assert_eq!(warm_dst.replica_digest(), src.borrow().replica_digest());
+    }
+
+    #[test]
+    fn an_overflowed_journal_and_a_dense_shard_are_planned_from_digests_alone() {
+        // The journal evicted past the connection's last plan: the
+        // second pull is the one a fresh link would make.
+        let (mut dst, src) = pair_with_dirty_shards(64 * 40, 2);
+        let src = std::cell::RefCell::new(src);
+        let [_, second] = pull_twice(&mut dst, &src, |_, src| {
+            for round in 0..=JOURNAL_CAP / 64 {
+                for i in 0..64 {
+                    src.put(format!("key-{i:05}"), format!("round {round}"));
+                }
+            }
+        });
+        assert_eq!(second.shards_proposed, 0);
+        assert_eq!(second.keys_fast_forwarded, 64);
+        assert_eq!(dst.replica_digest(), src.borrow().replica_digest());
+        // Most of a shard's keys changed: listing them costs more than
+        // walking the shard, so it is walked.
+        let (mut dst, src) = pair_with_dirty_shards(64 * 8, 2);
+        let src = std::cell::RefCell::new(src);
+        let [_, second] = pull_twice(&mut dst, &src, |_, src| {
+            for i in 0..64 * 8 {
+                src.put(format!("key-{i:05}"), "rewritten");
+            }
+        });
+        assert_eq!(second.shards_proposed, 0);
+        assert_eq!(second.keys_fast_forwarded, 64 * 8);
+        assert_eq!(dst.replica_digest(), src.borrow().replica_digest());
+    }
+
+    fn splitmix64(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// The model: whatever the source's journal claims — entries lost,
+    /// entries for keys that never changed, a floor that says complete
+    /// when it is not — and whatever the puller did meanwhile, a warm
+    /// planned pull ends where an unplanned pull ends, and refuses
+    /// exactly the proposals whose candidates missed a differing key.
+    #[test]
+    fn a_wrong_journal_costs_refusals_never_convergence() {
+        let mut rng = 0x0000_10E5_0FA1_1E50_u64;
+        let (mut proposed, mut refused, mut accepted_stale) = (0, 0, 0);
+        for case in 0..48u64 {
+            let pull_shards = [4, 16, 64][(case % 3) as usize];
+            let serve_shards = [1, 16, 256][(case / 3 % 3) as usize];
+            let keys = 400 + (splitmix64(&mut rng) % 1200) as usize;
+            let pick = |rng: &mut u64| format!("k{:04}", splitmix64(rng) % keys as u64);
+            let mut src = KvStore::with_shards(s(1), serve_shards);
+            let mut dst = KvStore::with_shards(s(0), pull_shards);
+            let mut third = KvStore::with_shards(s(2), 8);
+            for i in 0..keys {
+                src.put(format!("k{i:04}"), format!("base{i}"));
+            }
+            let at = format!("case {case}: {pull_shards} from {serve_shards} shards, {keys} keys");
+            let src = std::cell::RefCell::new(src);
+            let mut plan_of_the_second = None;
+            let mut oracle_refused = Vec::new();
+            let mut before = None;
+            let [_, second] = pull_twice(&mut dst, &src, |dst, src| {
+                let since = src.generation();
+                // Both sides move on: the source in ways its journal
+                // sees, the puller in ways it cannot.
+                for i in 0..1 + splitmix64(&mut rng) % 12 {
+                    match splitmix64(&mut rng) % 5 {
+                        0 => src.delete(pick(&mut rng)),
+                        1 => src.put(format!("new-{case}-{i}"), "created"),
+                        _ => src.put(pick(&mut rng), format!("ahead{i}")),
+                    }
+                }
+                for i in 0..splitmix64(&mut rng) % 3 {
+                    match splitmix64(&mut rng) % 3 {
+                        0 => dst.put(format!("mine-{case}-{i}"), "local"),
+                        1 => dst.put(pick(&mut rng), "ours"),
+                        _ => {
+                            third.put(pick(&mut rng), "from a third site");
+                            dst.sync(&third).run().unwrap();
+                        }
+                    }
+                }
+                // Then the journal is made to lie.
+                let lie = case % 4;
+                if lie == 1 {
+                    // Entries lost.
+                    let mut keep = rng;
+                    (src.journal.entries).retain(|_| splitmix64(&mut keep) % 3 >= 1);
+                } else if lie == 2 {
+                    // Keys that never changed, listed as changed.
+                    for _ in 0..1 + splitmix64(&mut rng) % 6 {
+                        let stale = placement(pick(&mut rng).as_bytes());
+                        src.journal.record(src.generation, stale);
+                    }
+                } else if lie == 3 {
+                    // Evicted without the floor following.
+                    let half = src.journal.entries.len() / 2;
+                    src.journal.entries.drain(..half);
+                    src.journal.entries.retain(|&(at, _)| at > since + 1);
+                }
+                // What the second pull will be offered, and which of
+                // its proposals miss a key that differs.
+                let digests = dst.shard_digest_vector();
+                let (plan, _) =
+                    src.plan_contact_since(&digests, Some(since), &PlanConfig::default());
+                let differs = |key: &String| {
+                    let hash = |store: &KvStore| store.get_entry(key).map(|e| entry_hash(key, e));
+                    hash(dst) != hash(src)
+                };
+                for proposal in &plan.proposed {
+                    let missed = (dst.iter_entries().chain(src.iter_entries()))
+                        .map(|(key, _)| key)
+                        .filter(|key| {
+                            shard_index(key, plan.count as usize) as u64 == proposal.shard
+                        })
+                        .filter(|key| {
+                            let fine = placement(key.as_bytes()) & (MAX_PLAN_SHARDS - 1);
+                            proposal.candidates.binary_search(&fine).is_err()
+                        })
+                        .any(differs);
+                    if missed {
+                        oracle_refused.push(proposal.shard);
+                    } else if lie == 2 {
+                        accepted_stale += 1;
+                    }
+                }
+                let scope = dst.client_endpoint_refined(&plan).scope;
+                let answered = scope.and_then(|scope| scope.refused);
+                assert_eq!(
+                    answered.unwrap_or_default(),
+                    oracle_refused,
+                    "{at}: refused exactly where the hint was incomplete"
+                );
+                plan_of_the_second = Some(plan);
+                let mut full = dst.clone();
+                full.sync(src).run().unwrap();
+                before = Some(full.replica_digest_full());
+            });
+            let plan = plan_of_the_second.expect("the second pull was planned");
+            assert_eq!(second.shards_proposed, plan.proposed.len(), "{at}");
+            assert_eq!(second.shards_refused, oracle_refused.len(), "{at}");
+            assert_eq!(Some(dst.replica_digest_full()), before, "{at}");
+            assert_eq!(dst.replica_digest(), dst.replica_digest_full(), "{at}");
+            proposed += second.shards_proposed;
+            refused += second.shards_refused;
+        }
+        assert!(
+            proposed > 100,
+            "the cases must exercise proposals: {proposed}"
+        );
+        assert!(refused > 10, "and refusals: {refused}");
+        assert!(
+            accepted_stale > 5,
+            "and harmless stale hints: {accepted_stale}"
+        );
     }
 }

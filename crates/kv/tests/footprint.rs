@@ -6,12 +6,14 @@
 //! do not blur it) and pins what `core::order` promises — one 24-byte
 //! slot per element and nothing else up to eight elements, the hash
 //! index only from the ninth — and what that leaves a `KvStore` paying
-//! per key. It is its own test binary so the allocator touches nothing
-//! else.
+//! per key — and what a store's change journal costs: one allocation of
+//! the cap, whatever the store holds. It is its own test binary so the
+//! allocator touches nothing else.
 
 use bytes::Bytes;
 use optrep_core::{RotatingVector, SiteId, Srv};
 use optrep_kv::KvStore;
+use optrep_replication::JOURNAL_CAP;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -187,4 +189,56 @@ fn a_one_site_key_costs_under_400_bytes() {
             "{per_key} live heap bytes per key at {shards} shards"
         );
     }
+}
+
+/// The change journal is O(cap), not O(keys): 16 bytes an entry, the
+/// whole cap in one allocation made by the first change, and nothing
+/// after — not while it fills, not once it evicts.
+#[test]
+fn the_journal_is_one_allocation_of_the_cap() {
+    const JOURNAL: usize = 16 * JOURNAL_CAP;
+    let value = || Bytes::from(vec![b'v'; 32]);
+    // At the environment's shard count, as the reloaded twin below is.
+    let mut store = KvStore::new(SiteId::new(1));
+    let ((), first) = measure(|| store.put("k00", value()));
+    assert!(
+        (JOURNAL..JOURNAL + 2048).contains(&first.bytes),
+        "the first change allocates the journal beside its entry: {} B",
+        first.bytes
+    );
+    for i in 1..64 {
+        store.put(format!("k{i:02}"), value());
+    }
+    // Rewriting keys the store already holds swaps values of one size:
+    // whatever the heap gained would be the journal's.
+    let ((), rewrites) = measure(|| {
+        for i in 0..3 * JOURNAL_CAP {
+            store.put(format!("k{:02}", i % 64), value());
+        }
+    });
+    assert_eq!(
+        (rewrites.bytes, rewrites.blocks),
+        (0, 0),
+        "filling, full, evicting"
+    );
+    assert_eq!(store.journal_floor_lag(), JOURNAL_CAP as u64);
+
+    // Exactly the cap: a store reloaded from its snapshot holds the same
+    // entries and an empty journal, so the two clones differ by one.
+    let reloaded = KvStore::decode_snapshot(&mut store.encode_snapshot()).unwrap();
+    assert_eq!(reloaded.journal_floor_lag(), 0);
+    let (mut copy, with) = measure(|| store.clone());
+    let (_without, without) = measure(|| reloaded.clone());
+    assert_eq!(with.bytes - without.bytes, JOURNAL, "16 B an entry");
+    assert_eq!(with.blocks - without.blocks, 1);
+    // And a clone goes on at the cap, as its original does. (The
+    // original goes first: while it lives the values are shared, and a
+    // rewrite frees nothing.)
+    drop(store);
+    let ((), grown) = measure(|| {
+        for i in 0..JOURNAL_CAP + 7 {
+            copy.put(format!("k{:02}", i % 64), value());
+        }
+    });
+    assert_eq!((grown.bytes, grown.blocks), (0, 0));
 }

@@ -45,8 +45,8 @@ pub use mux::{
 pub use object::ObjectId;
 pub use oplog::OpReplica;
 pub use planner::{
-    decide, ChildDigests, Decision, DigestDelta, DigestVector, Offer, PlanConfig, ShardAction,
-    ShardDigest, ShardPlan, ShardScope, VectorMemory,
+    decide, Candidates, ChildDigests, Decision, DigestDelta, DigestVector, Offer, PlanConfig,
+    Proposal, ShardAction, ShardDigest, ShardPlan, ShardScope, VectorMemory, JOURNAL_CAP,
 };
 // Re-exported so callers of `Faulted` / `ContactOptions::with_fault` can
 // name the fault types without depending on `optrep-net` directly.

@@ -1016,11 +1016,19 @@ pub struct ContactReport {
     /// [`ShardScope`]. Zero when the plan refined nothing or the puller
     /// walked the shards whole.
     pub shards_refined: u64,
+    /// Incremental shards whose scope the server proposed from its
+    /// change journal ([`Proposal`](crate::planner::Proposal)) and the
+    /// puller answered with a [`ShardScope`]. Zero on a connection's
+    /// first contact, and when the puller walked the shards whole.
+    pub shards_proposed: u64,
+    /// Of those, the shards whose residual the puller could not match:
+    /// refused in the scope frame and walked whole in this same contact.
+    pub shards_refused: u64,
     /// Bytes of the planner exchange (the opening frame — the digest
     /// vector, or its delta against the last one the connection
-    /// carried — + plan frame, snapshot blobs and child digests
-    /// included, + the scope frame; turn markers excluded) — the fifth
-    /// plane, priced by [`Puller`].
+    /// carried — + plan frame, snapshot blobs, child digests and
+    /// proposals included, + the scope frame; turn markers excluded) —
+    /// the fifth plane, priced by [`Puller`].
     /// The planner frames emit no `FrameTx` event: the obs contact
     /// scope opens with the object exchange, and widening it is a
     /// behaviour change for its own issue.
@@ -1200,9 +1208,10 @@ enum PullPhase {
 /// answers one [`ShardPlan`] ([`take_plan`](Self::take_plan)), and the
 /// caller continues with a client restricted to the plan's incremental
 /// shards ([`exchange`](Self::exchange)) — or, where the plan offered
-/// child digests and the caller compared them, to the children that
-/// differ, named to the server by a [`ShardScope`] frame that leads
-/// the opening burst.
+/// child digests or proposed scopes and the caller checked them against
+/// its store, to the children that differ and the candidates of the
+/// proposals it accepts, named to the server by a [`ShardScope`] frame
+/// that leads the opening burst.
 ///
 /// The exchange is half-duplex lockstep: the client flushes a whole
 /// burst and passes the turn with a [`TURN_STREAM`] marker; the server
@@ -1226,8 +1235,12 @@ pub struct Puller<'a> {
     client: Option<&'a mut BatchPullClient>,
     /// The server's plan, until [`take_plan`](Self::take_plan).
     plan: Option<ShardPlan>,
-    /// Shards whose children the plan offered.
-    offered: u64,
+    /// Shards whose children the plan offered, and shards whose scope
+    /// it proposed.
+    offered: (u64, u64),
+    /// Nothing was remembered of this link when the contact opened: it
+    /// is the link's first, so its server has nothing to propose from.
+    first_on_link: bool,
     contact: u64,
     report: ContactReport,
     /// Round trips are the blocking dependency depth, not the burst
@@ -1245,7 +1258,8 @@ impl<'a> Puller<'a> {
         Puller {
             client: None,
             plan: None,
-            offered: 0,
+            offered: (0, 0),
+            first_on_link: false,
             contact: 0,
             report: ContactReport::default(),
             payload_requested: false,
@@ -1278,6 +1292,7 @@ impl<'a> Puller<'a> {
         let mut puller = Self::in_phase(PullPhase::Planning {
             shards: digests.shards.len() as u64,
         });
+        puller.first_on_link = remembered.is_empty();
         let (frame, sent) = remembered.opening_frame(digests);
         puller.report.digest_bytes = frame.len() as u64;
         puller.report.digests_sent = sent;
@@ -1303,7 +1318,7 @@ impl<'a> Puller<'a> {
     /// # Panics
     ///
     /// Panics unless the planning turn has just completed, or if a
-    /// scope answers a plan that offered no children.
+    /// scope answers a plan that offered nothing to narrow.
     pub fn exchange(
         &mut self,
         client: &'a mut BatchPullClient,
@@ -1313,10 +1328,16 @@ impl<'a> Puller<'a> {
     ) {
         assert_eq!(self.phase, PullPhase::Planned, "no plan to exchange under");
         if let Some(scope) = scope {
-            assert!(self.offered > 0, "a scope for a plan that refined nothing");
+            let (refined, proposed) = self.offered;
+            assert!(
+                refined + proposed > 0,
+                "a scope for a plan that offered nothing"
+            );
             let frame = scope_frame(scope);
             self.report.digest_bytes += frame.len() as u64;
-            self.report.shards_refined = self.offered;
+            self.report.shards_refined = refined;
+            self.report.shards_proposed = proposed;
+            self.report.shards_refused = scope.refused.as_ref().map_or(0, |r| r.len() as u64);
             out.extend_from_slice(&frame);
         }
         self.client = Some(client);
@@ -1403,7 +1424,15 @@ impl<'a> Puller<'a> {
         self.report.shards_skipped = plan.skipped();
         self.report.shards_incremental = plan.incremental.len() as u64;
         self.report.shards_snapshot = plan.snapshots.len() as u64;
-        self.offered = plan.children.as_ref().map_or(0, |c| c.parents.len() as u64);
+        if self.first_on_link && !plan.proposed.is_empty() {
+            // A server proposes from what it remembers of the link's
+            // last contact; this link had none.
+            return Err(planning_violation(
+                "a proposal on a link with no previous contact".into(),
+            ));
+        }
+        let refined = plan.children.as_ref().map_or(0, |c| c.parents.len());
+        self.offered = (refined as u64, plan.proposed.len() as u64);
         self.plan = Some(plan);
         Ok(())
     }
@@ -1538,9 +1567,10 @@ pub fn pull_contact<L: FrameLink>(
 pub struct Restricted {
     /// The client over the keys the contact will exchange.
     pub client: BatchPullClient,
-    /// The children of the plan's refined shards that differ, when the
-    /// caller compared them and cut `client` at them; `None` for a
-    /// client over the whole incremental shards.
+    /// The children of the plan's refined shards that differ and the
+    /// proposed shards refused, when the caller checked what the plan
+    /// offered and cut `client` accordingly; `None` for a client over
+    /// the whole incremental shards.
     pub scope: Option<ShardScope>,
 }
 
@@ -1559,12 +1589,17 @@ impl From<BatchPullClient> for Restricted {
 /// holds of the link's last contact, where that is shorter — takes the
 /// server's [`ShardPlan`], asks
 /// `endpoint` for the client restricted to it (a daemon takes its store
-/// lock in there) — a [`Restricted`] cut at the plan's child digests,
-/// or a plain [`BatchPullClient`] over the incremental shards — and
+/// lock in there) — a [`Restricted`] cut at the plan's child digests
+/// and proposals, or a plain [`BatchPullClient`] over the incremental
+/// shards — and
 /// runs the object exchange exactly as [`pull_contact`] does. Returns
 /// the finished client, the plan, and the report with the planner
 /// fields ([`ContactReport::digest_bytes`], `digests_sent`, `shards_*`)
 /// filled in — what `KvStore::apply_planned_tracked` commits.
+///
+/// A plan that [proposes](crate::planner::Proposal) is an error on a
+/// link of which `remembered` holds nothing: the far end has planned no
+/// contact of this link to propose from.
 ///
 /// `remembered` is the pulling end's [`VectorMemory`] of **this link**
 /// and must live and die with it (`optrep_net::ConnPool` keeps it
@@ -1757,12 +1792,17 @@ pub fn serve_frame(
 }
 
 /// Where a [`Serving`] gets a contact's endpoint, asked once, at the
-/// contact's first frame: given the puller's digest vector it returns
-/// the plan and the endpoint restricted to it (a store builds both from
-/// one consistent view — `KvStore::open_contact`); given `None`, no
-/// plan and the full endpoint.
+/// contact's first frame: given the puller's digest vector — and
+/// `since`, the generation this source answered with when the
+/// connection's previous contact was planned, if there was one — it
+/// returns the plan, the endpoint restricted to it, and its store's
+/// generation now (a store builds all three from one consistent view —
+/// `KvStore::open_contact`); given no vector, no plan and the full
+/// endpoint. `since` is only ever a value the same source handed out
+/// over the same connection, so a source that does not propose may
+/// ignore it and return any generation.
 pub type ContactSource<'a> =
-    dyn FnMut(Option<&DigestVector>) -> (Option<ShardPlan>, BatchPullServer) + 'a;
+    dyn FnMut(Option<&DigestVector>, Option<u64>) -> (Option<ShardPlan>, BatchPullServer, u64) + 'a;
 
 /// The serving half of a connection, one frame at a time: the state in
 /// front of [`serve_frame`] that decides, at the *first frame of each
@@ -1774,9 +1814,10 @@ pub type ContactSource<'a> =
 /// of its store), the encoded plan is parked until the puller's turn
 /// marker hands the link over, and the object exchange then runs on the
 /// restricted endpoint — narrowed first, if the plan offered child
-/// digests and the puller's burst opens with a [`ShardScope`], to the
-/// children it lists. Any other first frame asks the source for the
-/// full endpoint and is an ordinary [`serve_frame`] step.
+/// digests or proposed scopes and the puller's burst opens with a
+/// [`ShardScope`], to the children it lists and the candidates of the
+/// proposals it does not refuse. Any other first frame asks the source
+/// for the full endpoint and is an ordinary [`serve_frame`] step.
 ///
 /// One `Serving` serves a persistent connection's contacts back to
 /// back. Between them it holds no endpoint, but it does keep the last
@@ -1784,8 +1825,13 @@ pub type ContactSource<'a> =
 /// count the peer chose — at most 16 MiB at
 /// [`MAX_PLAN_SHARDS`](crate::planner::MAX_PLAN_SHARDS)): the next
 /// contact may open with a [`DigestDelta`](crate::planner::DigestDelta)
-/// against it instead of the whole vector. The memory is the
-/// connection's — a new connection starts with a new `Serving`.
+/// against it instead of the whole vector. Beside it sits `since`, one
+/// `u64`: the source's generation at that contact's plan, which the
+/// source gets back when the next contact is planned and may propose
+/// from (`KvStore::open_contact`). It is a hint and needs no discipline
+/// — a contact abandoned after the wire, or state the puller got
+/// elsewhere, only makes proposals the puller refuses. Both memories are
+/// the connection's — a new connection starts with a new `Serving`.
 #[derive(Debug, Default)]
 pub struct Serving {
     /// The open contact's endpoint. Boxed: a batch server carries
@@ -1799,9 +1845,11 @@ pub struct Serving {
     /// else forfeits the offer — so a contact takes at most one scope,
     /// and only ahead of its `BatchHello`.
     offer: Option<Offer>,
-    /// The puller's vector as of the last contact it opened here; the
-    /// only field that outlives [`ServeStep::Done`].
+    /// The puller's vector as of the last contact it opened here; with
+    /// `since`, what outlives [`ServeStep::Done`].
     remembered: VectorMemory,
+    /// The source's generation when it planned that contact.
+    since: Option<u64>,
 }
 
 impl Serving {
@@ -1848,17 +1896,19 @@ impl Serving {
             {
                 let mut payload = frame.payload;
                 let digests = self.remembered.receive(&mut payload)?;
-                let (Some(plan), server) = source(Some(digests)) else {
+                let (Some(plan), server, generation) = source(Some(digests), self.since.take())
+                else {
                     return Err(planning_violation(
                         "this endpoint serves unplanned contacts only".into(),
                     ));
                 };
+                self.since = Some(generation);
                 self.parked = Some(plan_frame(&plan));
                 self.offer = plan.offer();
                 self.server = Some(Box::new(server));
                 return Ok(ServeStep::Continue);
             }
-            None => self.server.insert(Box::new(source(None).1)),
+            None => self.server.insert(Box::new(source(None, None).1)),
         };
         if let Some(offer) = self.offer.take() {
             if frame.stream == CONTROL_STREAM && frame.payload.first() == Some(&TAG_SHARD_SCOPE) {

@@ -43,6 +43,22 @@
 //! a connection, and any contact whose vector changed everywhere, is
 //! byte for byte what it always was.
 //!
+//! **The server proposes the scope.** The serving store keeps a bounded
+//! journal of the keys it changed ([`JOURNAL_CAP`]), and the serving end
+//! of a connection remembers the store's generation at the connection's
+//! last plan. Where the journal reaches back that far, the server knows
+//! which keys of a dirty shard *it* moved since the puller last pulled,
+//! and says so in the plan frame instead of offering child digests: a
+//! [`Proposal`] lists the candidates and carries the **residual** — the
+//! shard's `(digest, entries)` without them. The puller subtracts its own
+//! entries under the same candidates from its own shard summary; an
+//! equal residual proves everything else in the shard identical, and
+//! both endpoints keep only the candidates. Anything else (a local
+//! write, a pull from a third site, a previous outcome thrown away) and
+//! the puller *refuses* the shard in its [`ShardScope`] and the shard is
+//! walked whole — same turn, same burst. The journal is a hint; the
+//! digests are the proof.
+//!
 //! The planner frames reuse the mux control stream (tag space `0x35+`,
 //! disjoint from [`CtrlMsg`](crate::mux::CtrlMsg)'s `0x31..=0x34`) and
 //! the link layer's turn-marker discipline, so the phase pipelines over
@@ -93,9 +109,25 @@ pub const TAG_SHARD_PLAN_REFINED: u8 = 0x38;
 /// expressed against the last one the connection carried.
 pub const TAG_SHARD_DIGESTS_DELTA: u8 = 0x39;
 
+/// Wire tag of a [`ShardPlan`] whose frame ends in a [`Proposal`] tail
+/// (behind a children tail, or the byte that says there is none). As
+/// with [`TAG_SHARD_PLAN_REFINED`], the tail is mandatory under the tag,
+/// and every plan that proposes nothing encodes as it always did.
+pub const TAG_SHARD_PLAN_PROPOSED: u8 = 0x3a;
+
 /// Hard cap on the shard count any peer may claim: bounds the
-/// allocation a hostile digest vector or plan can force.
+/// allocation a hostile digest vector or plan can force. Also the shard
+/// count a [`Proposal`]'s candidates are expressed at: the finest map
+/// the protocol admits, whatever the plan's own count.
 pub const MAX_PLAN_SHARDS: u64 = 1 << 20;
+
+/// Entries a store's change journal keeps before it evicts the oldest:
+/// what bounds how far back a server can [propose](Proposal) from. An
+/// entry is a `(generation, placement hash)` pair, so a store's journal
+/// is one allocation of 16 B × 4096 = 64 KiB once it has been written
+/// to, whatever the store holds — and a peer that pulls less often than
+/// every 4096 changed keys is planned for from digests alone.
+pub const JOURNAL_CAP: usize = 4096;
 
 /// One shard's summary in a [`DigestVector`]: an order-independent
 /// content digest plus the tracked-entry count.
@@ -331,6 +363,12 @@ pub struct VectorMemory {
 }
 
 impl VectorMemory {
+    /// Nothing is remembered: no contact has completed over this
+    /// connection, so its serving end remembers nothing either.
+    pub fn is_empty(&self) -> bool {
+        self.last.is_none()
+    }
+
     /// The pulling end: `next` as the control-stream frame that opens a
     /// contact (no marker), and how many shard digests that frame
     /// ships. The delta against the remembered vector is sent iff it is
@@ -421,16 +459,52 @@ pub struct ChildDigests {
     pub parents: Vec<(u64, Vec<ShardDigest>)>,
 }
 
-impl ChildDigests {
-    /// These children as an offer of a plan at `count` shards.
-    pub fn offer(&self, count: u64) -> Offer {
-        Offer {
-            count,
-            fanout: self.fanout,
-            parents: self.parents.iter().map(|(shard, _)| *shard).collect(),
-        }
-    }
+/// One shard whose scope the server proposes itself: the keys its
+/// journal says it changed since the connection's last contact, and the
+/// digest of the rest of the shard.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Proposal {
+    /// The shard, one of the plan's incremental ones.
+    pub shard: u64,
+    /// Where the changed keys live at [`MAX_PLAN_SHARDS`] — their
+    /// placement hashes masked that wide, so each is `shard` in its low
+    /// bits — strictly increasing, at least one. A candidate admits
+    /// every key placed under it.
+    pub candidates: Vec<u64>,
+    /// The server's `(digest, entries)` of the shard *without* the
+    /// entries under the candidates. A puller whose own shard, less its
+    /// own entries under them, summarises to the same pair holds every
+    /// other entry of the shard identically.
+    pub residual: ShardDigest,
 }
+
+/// A proposal on the wire, in a plan at `1 << shift` shards: the shard,
+/// the number of candidates, each candidate as what is left of it above
+/// the shard's bits (the first as it is, every later one as the gap past
+/// its predecessor, less one — no encoding lists candidates out of order
+/// or twice), then the residual.
+fn put_proposal(
+    buf: &mut BytesMut,
+    shard: u64,
+    candidates: &[u64],
+    residual: &ShardDigest,
+    shift: u32,
+) {
+    wire::put_varint(buf, shard);
+    wire::put_varint(buf, candidates.len() as u64);
+    let mut next = 0;
+    for candidate in candidates {
+        let above = candidate >> shift;
+        wire::put_varint(buf, above - next);
+        next = above + 1;
+    }
+    residual.put(buf);
+}
+
+/// A shard and its candidates, as a [`Proposal`] lists them: what a
+/// journal hints at before [`decide`] priced it, and what an [`Offer`]
+/// keeps of a proposal.
+pub type Candidates = (u64, Vec<u64>);
 
 /// What a plan offered to narrow, without the digests: the part of a
 /// [`ShardPlan`] a [`ShardScope`] is checked against and, with the
@@ -439,52 +513,86 @@ impl ChildDigests {
 pub struct Offer {
     /// The plan's shard count.
     pub count: u64,
-    /// Children per refined shard.
+    /// Children per refined shard; 1 when the plan refined none.
     pub fanout: u64,
     /// The refined shards, strictly increasing.
     pub parents: Vec<u64>,
+    /// The proposed shards with their candidates, shards strictly
+    /// increasing and none of them refined.
+    pub proposed: Vec<Candidates>,
 }
 
 impl Offer {
     /// Whether `key` — a key of one of the plan's incremental shards —
-    /// stays in the contact once the puller answered `scope`: every
-    /// key of an unrefined shard does, a key of a refined shard only
-    /// if its child is listed. Both endpoints cut themselves with this
-    /// one predicate, so they agree on the key set.
+    /// stays in the contact once the puller answered `scope`: a key of
+    /// a refined shard only if its child is listed, a key of a proposed
+    /// shard the puller did not refuse only if it is placed under a
+    /// candidate, every other key always. Both endpoints cut themselves
+    /// with this one predicate, so they agree on the key set.
     pub fn admits(&self, scope: &ShardScope, key: &[u8]) -> bool {
         let hash = placement(key);
-        self.parents
-            .binary_search(&(hash & (self.count - 1)))
-            .is_err()
-            || scope
+        let shard = hash & (self.count - 1);
+        if self.parents.binary_search(&shard).is_ok() {
+            return scope
                 .children
                 .binary_search(&(hash & (scope.count - 1)))
-                .is_ok()
+                .is_ok();
+        }
+        match self
+            .proposed
+            .binary_search_by_key(&shard, |(shard, _)| *shard)
+        {
+            Ok(slot) if !scope.refuses(shard) => self.proposed[slot]
+                .1
+                .binary_search(&(hash & (MAX_PLAN_SHARDS - 1)))
+                .is_ok(),
+            _ => true,
+        }
     }
 }
 
-/// The puller's answer to a plan's [`ChildDigests`]: which children
-/// differ from its own. Sent in front of the `BatchHello`, in the same
-/// burst; the server narrows its endpoint to them.
+/// The puller's answer to what a plan offered: which children of the
+/// refined shards differ from its own, and which proposed shards it
+/// refuses. Sent in front of the `BatchHello`, in the same burst; the
+/// server narrows its endpoint to match ([`Offer::admits`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardScope {
     /// The shard count the indices are expressed at: the plan's
-    /// `count · fanout`.
+    /// `count · fanout` (the plan's own count when it refined nothing).
     pub count: u64,
     /// The children to sync, strictly increasing, each under a shard
     /// the plan refined.
     pub children: Vec<u64>,
+    /// The proposed shards whose residual the puller could not match
+    /// and walks whole, strictly increasing. `Some` exactly when the
+    /// plan proposed anything: the list is a mandatory tail of the frame
+    /// then, and absent from it otherwise — so the scope answering a
+    /// plan without proposals is the frame it always was.
+    pub refused: Option<Vec<u64>>,
 }
 
 impl ShardScope {
-    /// Encodes the message (tag, child shard count, then the indices).
+    /// Whether the puller refused the proposal for `shard`.
+    pub fn refuses(&self, shard: u64) -> bool {
+        self.refused
+            .as_ref()
+            .is_some_and(|refused| refused.binary_search(&shard).is_ok())
+    }
+
+    /// Encodes the message (tag, child shard count, the child indices,
+    /// then — answering a plan that proposed — the refused shards).
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(8 + self.children.len() * 3);
         buf.put_u8(TAG_SHARD_SCOPE);
         wire::put_varint(&mut buf, self.count);
-        wire::put_varint(&mut buf, self.children.len() as u64);
-        for &child in &self.children {
-            wire::put_varint(&mut buf, child);
+        for list in [Some(&self.children), self.refused.as_ref()]
+            .into_iter()
+            .flatten()
+        {
+            wire::put_varint(&mut buf, list.len() as u64);
+            for &index in list {
+                wire::put_varint(&mut buf, index);
+            }
         }
         buf.freeze()
     }
@@ -493,7 +601,9 @@ impl ShardScope {
     /// truncation, trailing bytes, a shard count other than the one
     /// offered, more indices than were offered (checked before
     /// anything is allocated), indices out of order or out of range,
-    /// and children of a shard the plan did not refine.
+    /// children of a shard the plan did not refine, and — read if and
+    /// only if the plan proposed — refusals of a shard it did not
+    /// propose.
     ///
     /// # Errors
     ///
@@ -509,25 +619,44 @@ impl ShardScope {
         if count != offer.count * offer.fanout {
             return Err(WireError::InvalidPayload);
         }
-        let n = wire::get_varint(buf)?;
-        // An index is at least one byte, so the payload bounds `n` too.
-        if n > offer.parents.len() as u64 * offer.fanout || n > buf.remaining() as u64 {
-            return Err(WireError::InvalidPayload);
-        }
-        let mut children = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            let child = wire::get_varint(buf)?;
-            let in_order = children.last().is_none_or(|&last| last < child);
-            let offered = offer.parents.binary_search(&(child & (offer.count - 1)));
-            if !in_order || child >= count || offered.is_err() {
+        // At most `offered` indices — each at least one byte, so the
+        // payload bounds their number too — strictly increasing, every
+        // one `admissible`.
+        let list = |buf: &mut Bytes, offered: u64, admissible: &dyn Fn(u64) -> bool| {
+            let n = wire::get_varint(buf)?;
+            if n > offered || n > buf.remaining() as u64 {
                 return Err(WireError::InvalidPayload);
             }
-            children.push(child);
-        }
+            let mut indices = Vec::with_capacity(n as usize);
+            for _ in 0..n {
+                let index = wire::get_varint(buf)?;
+                let in_order = indices.last().is_none_or(|&last| last < index);
+                if !in_order || !admissible(index) {
+                    return Err(WireError::InvalidPayload);
+                }
+                indices.push(index);
+            }
+            Ok(indices)
+        };
+        let refined = |shard| offer.parents.binary_search(&shard).is_ok();
+        let children = list(buf, offer.parents.len() as u64 * offer.fanout, &|child| {
+            child < count && refined(child & (offer.count - 1))
+        })?;
+        let refused = match offer.proposed.len() as u64 {
+            0 => None,
+            proposed => Some(list(buf, proposed, &|shard| {
+                let proposals = &offer.proposed;
+                proposals.binary_search_by_key(&shard, |p| p.0).is_ok()
+            })?),
+        };
         if buf.has_remaining() {
             return Err(WireError::InvalidPayload);
         }
-        Ok(ShardScope { count, children })
+        Ok(ShardScope {
+            count,
+            children,
+            refused,
+        })
     }
 }
 
@@ -550,6 +679,12 @@ pub struct ShardPlan {
     /// ignore them: without a [`ShardScope`] the contact runs over the
     /// whole incremental shards.
     pub children: Option<ChildDigests>,
+    /// The incremental shards whose scope the server proposes from its
+    /// change journal, shards strictly increasing and none of them among
+    /// the `children`; empty on a connection's first contact, and
+    /// wherever the journal does not reach back to the last one. A
+    /// puller may ignore these too.
+    pub proposed: Vec<Proposal>,
 }
 
 impl ShardPlan {
@@ -563,18 +698,35 @@ impl ShardPlan {
 
     /// What the plan offers to narrow, if anything.
     pub fn offer(&self) -> Option<Offer> {
-        self.children
-            .as_ref()
-            .map(|children| children.offer(self.count))
+        if self.children.is_none() && self.proposed.is_empty() {
+            return None;
+        }
+        let (fanout, parents) = match &self.children {
+            Some(children) => (
+                children.fanout,
+                children.parents.iter().map(|(shard, _)| *shard).collect(),
+            ),
+            None => (1, Vec::new()),
+        };
+        let candidates = |p: &Proposal| (p.shard, p.candidates.clone());
+        Some(Offer {
+            count: self.count,
+            fanout,
+            parents,
+            proposed: self.proposed.iter().map(candidates).collect(),
+        })
     }
 
     /// Encodes the message. The children, when present, are a tail
-    /// after the unrefined encoding, under their own tag.
+    /// after the unrefined encoding, under their own tag; proposals,
+    /// when present, a tail behind that — or behind a zero byte where
+    /// there are no children — under a third.
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::new();
-        buf.put_u8(match self.children {
-            Some(_) => TAG_SHARD_PLAN_REFINED,
-            None => TAG_SHARD_PLAN,
+        buf.put_u8(match (&self.children, self.proposed.is_empty()) {
+            (_, false) => TAG_SHARD_PLAN_PROPOSED,
+            (Some(_), true) => TAG_SHARD_PLAN_REFINED,
+            (None, true) => TAG_SHARD_PLAN,
         });
         wire::put_varint(&mut buf, self.count);
         wire::put_varint(&mut buf, self.incremental.len() as u64);
@@ -586,6 +738,9 @@ impl ShardPlan {
             wire::put_varint(&mut buf, *shard);
             wire::put_bytes(&mut buf, blob);
         }
+        if !self.proposed.is_empty() {
+            buf.put_u8(u8::from(self.children.is_some()));
+        }
         if let Some(children) = &self.children {
             wire::put_varint(&mut buf, u64::from(children.fanout.trailing_zeros()));
             wire::put_varint(&mut buf, children.parents.len() as u64);
@@ -594,6 +749,13 @@ impl ShardPlan {
                 for child in digests {
                     child.put(&mut buf);
                 }
+            }
+        }
+        if !self.proposed.is_empty() {
+            wire::put_varint(&mut buf, self.proposed.len() as u64);
+            let shift = self.count.trailing_zeros();
+            for p in &self.proposed {
+                put_proposal(&mut buf, p.shard, &p.candidates, &p.residual, shift);
             }
         }
         buf.freeze()
@@ -605,9 +767,13 @@ impl ShardPlan {
     /// [`MAX_PLAN_SHARDS`]; under [`TAG_SHARD_PLAN_REFINED`] also a
     /// missing children tail, a fan-out below 2 or with `count · F`
     /// past [`MAX_PLAN_SHARDS`], and refined shards that are not a
-    /// strictly increasing selection of the incremental ones. Every
-    /// length is checked against what was already decoded, or against
-    /// the bytes that are left, before it sizes an allocation.
+    /// strictly increasing selection of the incremental ones; under
+    /// [`TAG_SHARD_PLAN_PROPOSED`] a missing proposals tail, proposed
+    /// shards that are not such a selection or that are also refined,
+    /// and candidates that are none, out of order or past the shard's
+    /// `MAX_PLAN_SHARDS ∕ count`. Every length is checked against what
+    /// was already decoded, or against the bytes that are left, before
+    /// it sizes an allocation.
     ///
     /// # Errors
     ///
@@ -616,11 +782,13 @@ impl ShardPlan {
         if !buf.has_remaining() {
             return Err(WireError::UnexpectedEof);
         }
-        let refined = match buf.get_u8() {
-            TAG_SHARD_PLAN => false,
-            TAG_SHARD_PLAN_REFINED => true,
-            _ => return Err(WireError::InvalidPayload),
-        };
+        let tag = buf.get_u8();
+        if !matches!(
+            tag,
+            TAG_SHARD_PLAN | TAG_SHARD_PLAN_REFINED | TAG_SHARD_PLAN_PROPOSED
+        ) {
+            return Err(WireError::InvalidPayload);
+        }
         let count = wire::get_varint(buf)?;
         if count == 0 || !count.is_power_of_two() || count > MAX_PLAN_SHARDS {
             return Err(WireError::InvalidPayload);
@@ -650,10 +818,25 @@ impl ShardPlan {
             let blob = wire::get_bytes(buf)?;
             snapshots.push((shard, blob));
         }
-        let children = if refined {
-            Some(Self::decode_children(buf, count, &incremental)?)
+        let proposing = tag == TAG_SHARD_PLAN_PROPOSED;
+        let refined = if !proposing {
+            tag == TAG_SHARD_PLAN_REFINED
+        } else if !buf.has_remaining() {
+            return Err(WireError::UnexpectedEof);
         } else {
-            None
+            match buf.get_u8() {
+                0 => false,
+                1 => true,
+                _ => return Err(WireError::InvalidPayload),
+            }
+        };
+        let children = match refined {
+            true => Some(Self::decode_children(buf, count, &incremental)?),
+            false => None,
+        };
+        let proposed = match proposing {
+            true => Self::decode_proposals(buf, count, &incremental, children.as_ref())?,
+            false => Vec::new(),
         };
         if buf.has_remaining() {
             return Err(WireError::InvalidPayload);
@@ -663,6 +846,7 @@ impl ShardPlan {
             incremental,
             snapshots,
             children,
+            proposed,
         })
     }
 
@@ -703,6 +887,63 @@ impl ShardPlan {
             parents.push((shard, digests));
         }
         Ok(ChildDigests { fanout, parents })
+    }
+
+    /// The proposals tail of a plan at `count` shards whose refined
+    /// shards are `children`'s.
+    fn decode_proposals(
+        buf: &mut Bytes,
+        count: u64,
+        incremental: &[u64],
+        children: Option<&ChildDigests>,
+    ) -> std::result::Result<Vec<Proposal>, WireError> {
+        /// A shard, a count, one candidate and an entry count of a byte
+        /// or more each, and 8 digest bytes.
+        const MIN_PROPOSAL_BYTES: u64 = 12;
+        let shift = count.trailing_zeros();
+        let fanout = MAX_PLAN_SHARDS >> shift;
+        let n = wire::get_varint(buf)?;
+        if n == 0 || n > incremental.len() as u64 {
+            return Err(WireError::InvalidPayload);
+        }
+        if n * MIN_PROPOSAL_BYTES > buf.remaining() as u64 {
+            return Err(WireError::UnexpectedEof);
+        }
+        let refined = |shard: u64| {
+            children.is_some_and(|c| c.parents.binary_search_by_key(&shard, |p| p.0).is_ok())
+        };
+        let mut proposed: Vec<Proposal> = Vec::with_capacity(n as usize);
+        // As for the children: a selection of the incremental shards in
+        // their order.
+        let mut listed = incremental.iter();
+        for _ in 0..n {
+            let shard = wire::get_varint(buf)?;
+            let in_order = proposed.last().is_none_or(|last| last.shard < shard);
+            if !in_order || !listed.any(|&listed| listed == shard) || refined(shard) {
+                return Err(WireError::InvalidPayload);
+            }
+            let m = wire::get_varint(buf)?;
+            // A candidate is at least one byte.
+            if m == 0 || m > fanout || m > buf.remaining() as u64 {
+                return Err(WireError::InvalidPayload);
+            }
+            let mut candidates = Vec::with_capacity(m as usize);
+            let mut next = 0u64;
+            for _ in 0..m {
+                let above = next
+                    .checked_add(wire::get_varint(buf)?)
+                    .filter(|&above| above < fanout)
+                    .ok_or(WireError::InvalidPayload)?;
+                candidates.push(shard | above << shift);
+                next = above + 1;
+            }
+            proposed.push(Proposal {
+                shard,
+                candidates,
+                residual: ShardDigest::get(buf)?,
+            });
+        }
+        Ok(proposed)
     }
 }
 
@@ -749,6 +990,9 @@ pub struct Decision {
     /// The fan-out every refined shard is offered at. Meaningful only
     /// when `refined` is not empty.
     pub fanout: u64,
+    /// The incremental shards whose hinted candidates are worth
+    /// proposing, increasing, none of them in `refined`.
+    pub proposed: Vec<u64>,
 }
 
 /// COMPARE bytes one clean key costs a contact that walks its shard:
@@ -764,7 +1008,11 @@ const INDEX_BYTES: f64 = 3.0;
 
 /// Decides per shard, and prices one more level. `client` and `server`
 /// are the two sides' digests at the same shard count (the client's);
-/// the slices must be equal length.
+/// the slices must be equal length. `hints` is what the server's change
+/// journal says it changed since this connection's last contact — per
+/// shard, increasing, the candidates a [`Proposal`] would list — and
+/// empty where there was no such contact or the journal no longer
+/// reaches it.
 ///
 /// **The pricing.** Offering a shard's `F` children costs their bytes
 /// in the plan frame; it saves the COMPARE bytes of every key in a
@@ -787,11 +1035,29 @@ const INDEX_BYTES: f64 = 3.0;
 /// walked when a single key is dirty (16 at 195 entries) — capped so
 /// `count · F ≤` [`MAX_PLAN_SHARDS`].
 ///
+/// **A hinted shard** needs no estimate: the proposal's bytes are what
+/// its encoding takes (the residual's entry count taken as the shard's,
+/// the most it can be), and the keys left in the contact are its
+/// candidates. It is proposed iff that — `bytes + 8 B · candidates` — is
+/// less than what the shard costs otherwise: `8 B · entries` walked
+/// whole, or, where the children were judged worth offering, their
+/// `9 B · F + 3 B · (1 + d) + 8 B · entries · d∕F`. One kind of shard is
+/// never proposed: where the puller holds *more* entries than the
+/// server, it holds keys the server has never seen, no candidate covers
+/// them, and the residual could not match. A proposed shard is not
+/// refined. With no hints the decision is the one described above,
+/// unchanged.
+///
 /// # Panics
 ///
 /// Panics if the slices differ in length (a caller bug — the server
 /// folds to the client's count before deciding).
-pub fn decide(client: &[ShardDigest], server: &[ShardDigest], config: &PlanConfig) -> Decision {
+pub fn decide(
+    client: &[ShardDigest],
+    server: &[ShardDigest],
+    hints: &[Candidates],
+    config: &PlanConfig,
+) -> Decision {
     assert_eq!(client.len(), server.len(), "digest vectors must align");
     let actions: Vec<ShardAction> = client
         .iter()
@@ -814,6 +1080,7 @@ pub fn decide(client: &[ShardDigest], server: &[ShardDigest], config: &PlanConfi
         actions,
         refined: Vec::new(),
         fanout: 0,
+        proposed: Vec::new(),
     };
     let count = client.len() as u64;
     // The keys a flat walk of shard `s` compares: the puller names its
@@ -828,24 +1095,51 @@ pub fn decide(client: &[ShardDigest], server: &[ShardDigest], config: &PlanConfi
         .filter(|&&action| action != ShardAction::Skip)
         .count() as u64;
     let share = (dirty as f64 + (dirty as f64).sqrt()) / count as f64;
-    if incremental.is_empty() || share >= 1.0 {
-        return decision;
+    // The children's fixed bytes and the share of a refined shard's
+    // keys still walked, where the children pay.
+    let mut children = (f64::INFINITY, 0.0);
+    if !incremental.is_empty() && share < 1.0 {
+        let per_dirty_shard = -(1.0 - share).ln() / share;
+        let mean = incremental.iter().map(|&s| walked(s)).sum::<f64>() / incremental.len() as f64;
+        let ideal = (mean * COMPARE_BYTES_PER_KEY / CHILD_BYTES).sqrt().ceil() as u64;
+        let fanout = ideal.next_power_of_two().min(MAX_PLAN_SHARDS / count);
+        if fanout >= 2 {
+            let cost = CHILD_BYTES * fanout as f64 + INDEX_BYTES * (1.0 + per_dirty_shard);
+            let clean_share = 1.0 - per_dirty_shard / fanout as f64;
+            decision.refined = incremental
+                .iter()
+                .filter(|&&shard| COMPARE_BYTES_PER_KEY * walked(shard) * clean_share > cost)
+                .map(|&shard| shard as u64)
+                .collect();
+            decision.fanout = fanout;
+            children = (cost, 1.0 - clean_share);
+        }
     }
-    let per_dirty_shard = -(1.0 - share).ln() / share;
-    let mean = incremental.iter().map(|&s| walked(s)).sum::<f64>() / incremental.len() as f64;
-    let ideal = (mean * COMPARE_BYTES_PER_KEY / CHILD_BYTES).sqrt().ceil() as u64;
-    let fanout = ideal.next_power_of_two().min(MAX_PLAN_SHARDS / count);
-    if fanout < 2 {
-        return decision;
+    // A proposal at the finest map's own count would list whole shards.
+    if count < MAX_PLAN_SHARDS {
+        let mut scratch = BytesMut::new();
+        for (shard, candidates) in hints {
+            let at = *shard as usize;
+            let incremental = decision.actions.get(at) == Some(&ShardAction::Incremental);
+            if !incremental || client[at].entries > server[at].entries {
+                continue;
+            }
+            scratch.clear();
+            let shift = count.trailing_zeros();
+            put_proposal(&mut scratch, *shard, candidates, &server[at], shift);
+            let kept = COMPARE_BYTES_PER_KEY * candidates.len() as f64;
+            let otherwise = match decision.refined.binary_search(shard) {
+                Ok(_) => children.0 + COMPARE_BYTES_PER_KEY * walked(at) * children.1,
+                Err(_) => COMPARE_BYTES_PER_KEY * walked(at),
+            };
+            if scratch.len() as f64 + kept < otherwise {
+                decision.proposed.push(*shard);
+            }
+        }
+        decision
+            .refined
+            .retain(|shard| decision.proposed.binary_search(shard).is_err());
     }
-    let cost = CHILD_BYTES * fanout as f64 + INDEX_BYTES * (1.0 + per_dirty_shard);
-    let clean_share = 1.0 - per_dirty_shard / fanout as f64;
-    decision.refined = incremental
-        .into_iter()
-        .filter(|&shard| COMPARE_BYTES_PER_KEY * walked(shard) * clean_share > cost)
-        .map(|shard| shard as u64)
-        .collect();
-    decision.fanout = fanout;
     decision
 }
 
@@ -904,6 +1198,7 @@ mod tests {
             incremental: vec![0, 3],
             snapshots: vec![(2, Bytes::from_static(b"\x00blob"))],
             children: None,
+            proposed: Vec::new(),
         }
     }
 
@@ -1014,12 +1309,296 @@ mod tests {
             incremental,
             snapshots: Vec::new(),
             children: Some(ChildDigests { fanout, parents }),
+            proposed: Vec::new(),
         };
         let scope = ShardScope {
             count: count * fanout,
             children,
+            refused: None,
         };
         (plan, scope)
+    }
+
+    /// A seeded plan that proposes — with children beside the
+    /// proposals on even seeds, without on odd ones — and a scope
+    /// answering it, refusals included.
+    fn random_proposed(seed: u64) -> (ShardPlan, ShardScope) {
+        let (mut plan, mut scope) = random_refined(seed);
+        let mut rng = seed ^ 0x0005_EED0_FA40_B000;
+        let mut children = plan.children.take().expect("refined");
+        // Proposed shards come out of the incremental ones; one that
+        // was refined stops being so.
+        let proposed: Vec<u64> = (plan.incremental.iter().copied())
+            .filter(|_| splitmix64(&mut rng) % 3 < 1)
+            .chain([plan.incremental[0]])
+            .collect::<std::collections::BTreeSet<u64>>()
+            .into_iter()
+            .collect();
+        children
+            .parents
+            .retain(|(shard, _)| proposed.binary_search(shard).is_err());
+        let refined = |child: &u64| {
+            let parents = &children.parents;
+            parents
+                .binary_search_by_key(&(child & (plan.count - 1)), |p| p.0)
+                .is_ok()
+        };
+        scope.children.retain(refined);
+        if seed & 1 == 0 && !children.parents.is_empty() {
+            plan.children = Some(children);
+        } else {
+            scope.children.clear();
+            scope.count = plan.count;
+        }
+        let fanout = MAX_PLAN_SHARDS / plan.count;
+        for &shard in &proposed {
+            let candidates: Vec<u64> = (0..1 + splitmix64(&mut rng) % 5)
+                .map(|_| shard + (splitmix64(&mut rng) % fanout) * plan.count)
+                .collect::<std::collections::BTreeSet<u64>>()
+                .into_iter()
+                .collect();
+            plan.proposed.push(Proposal {
+                shard,
+                candidates,
+                residual: ShardDigest {
+                    digest: splitmix64(&mut rng),
+                    entries: splitmix64(&mut rng) % 40_000,
+                },
+            });
+        }
+        let refused = proposed
+            .into_iter()
+            .filter(|_| splitmix64(&mut rng) % 4 < 1);
+        scope.refused = Some(refused.collect());
+        (plan, scope)
+    }
+
+    /// Round trip, every strict prefix refused, a trailing byte refused.
+    fn assert_strict<T: PartialEq + std::fmt::Debug>(
+        value: &T,
+        full: Bytes,
+        decode: impl Fn(&mut Bytes) -> std::result::Result<T, WireError>,
+    ) {
+        assert_eq!(&decode(&mut full.clone()).expect("round trip"), value);
+        for cut in 0..full.len() {
+            assert!(
+                decode(&mut full.slice(0..cut)).is_err(),
+                "cut {cut} of {value:?}"
+            );
+        }
+        let mut padded = BytesMut::from(&full[..]);
+        padded.put_u8(0);
+        assert!(decode(&mut padded.freeze()).is_err(), "trailing byte");
+    }
+
+    #[test]
+    fn proposing_plans_and_their_scopes_roundtrip_and_reject_every_prefix() {
+        let (mut with_children, mut without) = (0, 0);
+        for seed in 0..64 {
+            let (plan, scope) = random_proposed(seed);
+            match plan.children {
+                Some(_) => with_children += 1,
+                None => without += 1,
+            }
+            let full = plan.encode();
+            assert_eq!(full[0], TAG_SHARD_PLAN_PROPOSED, "seed {seed}");
+            assert_strict(&plan, full, ShardPlan::decode);
+            let offer = plan.offer().expect("something to narrow");
+            assert_eq!(offer.proposed.len(), plan.proposed.len());
+            assert_strict(&scope, scope.encode(), |buf| {
+                ShardScope::decode(buf, &offer)
+            });
+            // The refusals are a tail the offer demands: the frame
+            // without them answers no plan that proposes, and the frame
+            // with them none that does not.
+            let tailless = ShardScope {
+                refused: None,
+                ..scope.clone()
+            };
+            assert!(ShardScope::decode(&mut tailless.encode(), &offer).is_err());
+            let unproposing = Offer {
+                proposed: Vec::new(),
+                ..offer.clone()
+            };
+            assert!(ShardScope::decode(&mut scope.encode(), &unproposing).is_err());
+        }
+        assert!(with_children > 8 && without > 8, "both shapes exercised");
+    }
+
+    /// The body of a plan at 4 shards, incremental `[0, 1, 3]`, under
+    /// the proposing tag, followed by `tail`.
+    fn proposing_plan(tail: &[u8]) -> Bytes {
+        let mut buf = BytesMut::from(&[TAG_SHARD_PLAN_PROPOSED, 4, 3, 0, 1, 3, 0][..]);
+        buf.extend_from_slice(tail);
+        buf.freeze()
+    }
+
+    #[test]
+    fn hostile_proposals_rejected() {
+        // One residual: an entry count of 5 and eight digest bytes.
+        const R: [u8; 9] = [5, 0, 0, 0, 0, 0, 0, 0, 9];
+        let tail = |parts: &[&[u8]]| proposing_plan(&parts.concat());
+        // The honest shapes: no children, shard 1 with candidates at 0
+        // and 2 above its bits; and shard 3 refined at F = 2 beside it.
+        let plain = ShardPlan::decode(&mut tail(&[&[0, 1, 1, 2, 0, 1], &R])).expect("well-formed");
+        assert_eq!(plain.proposed[0].candidates, [1, 1 + 2 * 4]);
+        assert_eq!(plain.proposed[0].residual.entries, 5);
+        let child = [1u8, 0, 0, 0, 0, 0, 0, 0, 7];
+        let refined = [&[1u8, 1, 1, 3][..], &child, &child].concat();
+        let both = ShardPlan::decode(&mut tail(&[&refined, &[1, 1, 1, 0], &R])).expect("both");
+        assert_eq!(both.offer().expect("offer").parents, [3]);
+        let hostile: [(&str, Bytes); 12] = [
+            ("no tail under the proposing tag", tail(&[])),
+            (
+                "a children flag that is neither",
+                tail(&[&[2, 1, 1, 1, 0], &R]),
+            ),
+            ("a children flag and no children", tail(&[&[1]])),
+            ("no proposals", tail(&[&[0, 0]])),
+            ("more proposals than incremental shards", tail(&[&[0, 4]])),
+            ("a shard the plan skips", tail(&[&[0, 1, 2, 1, 0], &R])),
+            ("a shard out of range", tail(&[&[0, 1, 4, 1, 0], &R])),
+            ("no candidates", tail(&[&[0, 1, 1, 0], &R])),
+            (
+                "a shard both refined and proposed",
+                tail(&[&refined, &[1, 3, 1, 0], &R]),
+            ),
+            ("no residual", tail(&[&[0, 1, 1, 1, 0]])),
+            ("a short residual", tail(&[&[0, 1, 1, 1, 0], &R[..8]])),
+            (
+                "shards out of order",
+                tail(&[&[0, 2, 3, 1, 0], &R, &[1, 1, 0], &R]),
+            ),
+        ];
+        for (what, mut bytes) in hostile {
+            assert!(ShardPlan::decode(&mut bytes).is_err(), "{what}");
+        }
+        // A shard listed twice, and a candidate past the shard's
+        // 2^20 / 4 (the last admissible one decodes).
+        let twice = tail(&[&[0, 2, 1, 1, 0], &R, &[1, 1, 0], &R]);
+        assert!(ShardPlan::decode(&mut twice.clone()).is_err());
+        let mut edge = BytesMut::from(&[0u8, 1, 1, 1][..]);
+        wire::put_varint(&mut edge, (1 << 18) - 1);
+        let last = ShardPlan::decode(&mut tail(&[&edge, &R])).expect("the last candidate");
+        assert_eq!(last.proposed[0].candidates, [MAX_PLAN_SHARDS - 3]);
+        let mut past = BytesMut::from(&[0u8, 1, 1, 1][..]);
+        wire::put_varint(&mut past, 1 << 18);
+        assert!(ShardPlan::decode(&mut tail(&[&past, &R])).is_err());
+        // A second candidate whose gap overflows, or lands past the end.
+        let mut wrapped = BytesMut::from(&[0u8, 1, 1, 2, 7][..]);
+        wire::put_varint(&mut wrapped, u64::MAX);
+        assert!(ShardPlan::decode(&mut tail(&[&wrapped, &R])).is_err());
+        // Counts the payload cannot hold fail before anything is sized
+        // by them: three proposals over a dozen bytes, and a quarter of
+        // a million candidates over ten.
+        assert_eq!(
+            ShardPlan::decode(&mut tail(&[&[0, 3, 0, 1, 0], &R])),
+            Err(WireError::UnexpectedEof)
+        );
+        let mut many = BytesMut::from(&[0u8, 1, 1][..]);
+        wire::put_varint(&mut many, 1 << 18);
+        assert_eq!(
+            ShardPlan::decode(&mut tail(&[&many, &[0], &R])),
+            Err(WireError::InvalidPayload)
+        );
+        // The proposals tail under either older tag is trailing bytes.
+        for tag in [TAG_SHARD_PLAN, TAG_SHARD_PLAN_REFINED] {
+            let mut relabelled = BytesMut::from(&plain.encode()[..]);
+            relabelled[0] = tag;
+            assert!(ShardPlan::decode(&mut relabelled.freeze()).is_err());
+        }
+    }
+
+    #[test]
+    fn hostile_refusals_rejected() {
+        // Proposed: shards 1 and 3 of 4; refined: shard 2 at F = 4.
+        let offer = Offer {
+            count: 4,
+            fanout: 4,
+            parents: vec![2],
+            proposed: vec![(1, vec![1]), (3, vec![3, 7])],
+        };
+        let scope = |children: &[u64], refused: &[u64]| {
+            ShardScope {
+                count: 16,
+                children: children.to_vec(),
+                refused: Some(refused.to_vec()),
+            }
+            .encode()
+        };
+        ShardScope::decode(&mut scope(&[2, 6], &[1, 3]), &offer).expect("well-formed");
+        ShardScope::decode(&mut scope(&[], &[]), &offer).expect("all accepted");
+        let hostile = [
+            ("a shard that was not proposed", scope(&[], &[0])),
+            ("a refined shard", scope(&[], &[2])),
+            ("a child index where a shard is due", scope(&[], &[5])),
+            ("out of order", scope(&[], &[3, 1])),
+            ("listed twice", scope(&[], &[1, 1])),
+            ("a child of a proposed shard", scope(&[1], &[])),
+        ];
+        for (what, mut bytes) in hostile {
+            assert!(ShardScope::decode(&mut bytes, &offer).is_err(), "{what}");
+        }
+        // More refusals than proposals: refused on the count.
+        let mut buf = BytesMut::from(&[TAG_SHARD_SCOPE, 16, 0, 3, 1, 3, 3][..]);
+        assert!(ShardScope::decode(&mut buf.split().freeze(), &offer).is_err());
+        // A plan that only proposes is answered at its own count, and
+        // can list no children.
+        let only = Offer {
+            fanout: 1,
+            parents: Vec::new(),
+            ..offer
+        };
+        let answer = |count, children: Vec<u64>| ShardScope {
+            count,
+            children,
+            refused: Some(vec![3]),
+        };
+        ShardScope::decode(&mut answer(4, Vec::new()).encode(), &only).expect("well-formed");
+        assert!(ShardScope::decode(&mut answer(16, Vec::new()).encode(), &only).is_err());
+        assert!(ShardScope::decode(&mut answer(4, vec![1]).encode(), &only).is_err());
+    }
+
+    #[test]
+    fn an_offer_admits_proposed_shards_by_candidate_unless_refused() {
+        let keys: Vec<String> = (0..400).map(|i| format!("key-{i}")).collect();
+        let in_shard = |shard| {
+            keys.iter()
+                .filter(move |k| shard_of(k.as_bytes(), 4) == shard)
+        };
+        let fine = |key: &String| shard_of(key.as_bytes(), MAX_PLAN_SHARDS);
+        let listed: Vec<u64> = {
+            let mut two: Vec<u64> = in_shard(1).take(2).map(fine).collect();
+            two.sort_unstable();
+            two
+        };
+        let offer = Offer {
+            count: 4,
+            fanout: 1,
+            parents: Vec::new(),
+            proposed: vec![(1, listed.clone()), (2, vec![2])],
+        };
+        let accepted = ShardScope {
+            count: 4,
+            children: Vec::new(),
+            refused: Some(vec![2]),
+        };
+        for key in in_shard(1) {
+            assert_eq!(
+                offer.admits(&accepted, key.as_bytes()),
+                listed.contains(&fine(key))
+            );
+        }
+        assert_eq!(
+            in_shard(1)
+                .filter(|k| offer.admits(&accepted, k.as_bytes()))
+                .count(),
+            2
+        );
+        // A refused shard is walked whole, like one never proposed.
+        assert!(in_shard(2).all(|key| offer.admits(&accepted, key.as_bytes())));
+        assert!(in_shard(3).all(|key| offer.admits(&accepted, key.as_bytes())));
+        assert_eq!(listed[0] & 3, 1, "a candidate keeps its shard's low bits");
     }
 
     #[test]
@@ -1313,11 +1892,13 @@ mod tests {
             count: 4,
             fanout: 4,
             parents: vec![1, 2],
+            proposed: Vec::new(),
         };
         let scope = |count: u64, children: &[u64]| {
             ShardScope {
                 count,
                 children: children.to_vec(),
+                refused: None,
             }
             .encode()
         };
@@ -1361,6 +1942,7 @@ mod tests {
             count: 4,
             fanout: 4,
             parents: vec![1],
+            proposed: Vec::new(),
         };
         let keys: Vec<String> = (0..400).map(|i| format!("key-{i}")).collect();
         let in_shard = |shard| {
@@ -1371,6 +1953,7 @@ mod tests {
         let scope = ShardScope {
             count: 16,
             children: vec![listed],
+            refused: None,
         };
         for key in in_shard(1) {
             assert_eq!(
@@ -1401,7 +1984,7 @@ mod tests {
         let config = PlanConfig::default();
         let refined = |count, entries, dirty| {
             let (ours, theirs) = map_with(count, entries, dirty);
-            let decision = decide(&ours, &theirs, &config);
+            let decision = decide(&ours, &theirs, &[], &config);
             (decision.refined.len(), decision.fanout)
         };
         // 16 dirty shards of 512 at 195 keys: every one, at F = 16.
@@ -1424,14 +2007,59 @@ mod tests {
         let (mut ours, mut theirs) = map_with(64, 4, 4);
         ours[2].entries = 4000;
         theirs[2].entries = 4000;
-        let decision = decide(&ours, &theirs, &config);
+        let decision = decide(&ours, &theirs, &[], &config);
         assert_eq!(decision.refined, vec![2]);
         // Snapshot shards are never refined, but count as dirty.
         let (mut ours, theirs) = map_with(64, 200, 8);
         ours[0] = ShardDigest::default();
-        let decision = decide(&ours, &theirs, &config);
+        let decision = decide(&ours, &theirs, &[], &config);
         assert_eq!(decision.actions[0], ShardAction::Snapshot);
         assert_eq!(decision.refined, (1..8).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn decide_proposes_where_the_hint_is_cheaper_than_what_it_replaces() {
+        let config = PlanConfig::default();
+        // 16 dirty shards of 512 at 195 keys, one changed key in each
+        // of the first twelve: those are proposed, the other four keep
+        // their children, and without hints nothing moved.
+        let (ours, theirs) = map_with(512, 195, 16);
+        let hint = |shard: u64, keys: u64| -> Candidates {
+            (shard, (0..keys).map(|j| shard + j * 7 * 512).collect())
+        };
+        let hints: Vec<Candidates> = (0..12).map(|shard| hint(shard, 1)).collect();
+        let blind = decide(&ours, &theirs, &[], &config);
+        let hinted = decide(&ours, &theirs, &hints, &config);
+        assert_eq!(blind.refined, (0..16).collect::<Vec<u64>>());
+        assert!(blind.proposed.is_empty());
+        assert_eq!(hinted.proposed, (0..12).collect::<Vec<u64>>());
+        assert_eq!(hinted.refined, (12..16).collect::<Vec<u64>>());
+        assert_eq!(
+            (hinted.actions, hinted.fanout),
+            (blind.actions, blind.fanout)
+        );
+        // A hint for a shard whose digests match, and one for a shard
+        // past the map, are not this contact's business.
+        let stray = [hint(100, 1), hint(9_999, 1)];
+        assert!(decide(&ours, &theirs, &stray, &config).proposed.is_empty());
+        // A shard where the puller holds a key of its own is dirty
+        // whatever the server did, and would refuse any candidates.
+        let (mut ours, theirs) = map_with(512, 195, 16);
+        ours[3].entries += 1;
+        let hinted = decide(&ours, &theirs, &hints, &config);
+        assert_eq!(hinted.proposed.len(), 11);
+        assert!(hinted.refined.contains(&3) && !hinted.proposed.contains(&3));
+        // Every shard dirty at 39 keys — no children to fall back on:
+        // six changed keys a shard are proposed, thirty-six are not.
+        let (ours, theirs) = map_with(512, 39, 512);
+        let few: Vec<Candidates> = (0..512).map(|shard| hint(shard, 6)).collect();
+        let most: Vec<Candidates> = (0..512).map(|shard| hint(shard, 36)).collect();
+        assert_eq!(decide(&ours, &theirs, &few, &config).proposed.len(), 512);
+        assert!(decide(&ours, &theirs, &most, &config).proposed.is_empty());
+        // At the finest map a candidate is a whole shard.
+        let (ours, theirs) = map_with(MAX_PLAN_SHARDS as usize, 195, 4);
+        let hints: Vec<Candidates> = (0..4).map(|shard| (shard, vec![shard])).collect();
+        assert!(decide(&ours, &theirs, &hints, &config).proposed.is_empty());
     }
 
     #[test]
@@ -1473,7 +2101,7 @@ mod tests {
                 entries: 0,
             }, // server empty -> skip
         ];
-        let decision = decide(&ours, &theirs, &config);
+        let decision = decide(&ours, &theirs, &[], &config);
         assert_eq!(
             decision.actions,
             vec![
@@ -1500,7 +2128,7 @@ mod tests {
             entries: 6,
         }];
         assert_eq!(
-            decide(&ours, &theirs, &config).actions,
+            decide(&ours, &theirs, &[], &config).actions,
             vec![ShardAction::Incremental]
         );
     }

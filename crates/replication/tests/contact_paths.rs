@@ -17,7 +17,7 @@ use optrep_replication::planner::{digest_vector_frame, plan_frame, scope_frame};
 use optrep_replication::{
     pull_contact, pull_planned, reason_label, run_contact, serve_contact, serve_frame, serve_from,
     BatchPullClient, BatchPullServer, ContactReport, CtrlMsg, DigestDelta, DigestVector, Faulted,
-    InProcessLink, MuxMsg, PlanConfig, Puller, ServeStep, Serving, ShardPlan, ShardScope,
+    InProcessLink, MuxMsg, PlanConfig, Proposal, Puller, ServeStep, Serving, ShardPlan, ShardScope,
     VectorMemory, CONTROL_STREAM,
 };
 use optrep_replication::{ChildDigests, ShardDigest};
@@ -341,8 +341,9 @@ fn flat_pull<L: FrameLink>(
 /// `src` as a serving step's source, planning at the default policy.
 fn source_of(
     src: &KvStore,
-) -> impl FnMut(Option<&DigestVector>) -> (Option<ShardPlan>, BatchPullServer) + '_ {
-    |digests| src.open_contact(digests, &PlanConfig::default())
+) -> impl FnMut(Option<&DigestVector>, Option<u64>) -> (Option<ShardPlan>, BatchPullServer, u64) + '_
+{
+    |digests, since| src.open_contact(digests, since, &PlanConfig::default())
 }
 
 /// Serves one contact, planned or not, out of `src` on its own thread.
@@ -619,7 +620,9 @@ fn raced_pull(
     refined: bool,
 ) -> (Vec<String>, KvSyncReport) {
     let config = PlanConfig::default();
-    let mut source = |digests: Option<&DigestVector>| src.borrow().open_contact(digests, &config);
+    let mut source = |digests: Option<&DigestVector>, since: Option<u64>| {
+        src.borrow().open_contact(digests, since, &config)
+    };
     let mut link = InProcessLink::serving(&mut source);
     let digests = dst.shard_digest_vector();
     let mut fresh = VectorMemory::default();
@@ -889,6 +892,13 @@ fn refined_wire_transcript_is_pinned_and_adds_no_turn() {
 // shard 9. With shard 7, where the puller has held a key of its own all
 // along, five of sixteen shards differ — while the puller's *vector*
 // changed in four: the three the first pull committed into, and 9.
+// The source's journal lists what it did in 2, 4 and 13, so those three
+// are proposed; 7 and 9 differ through the puller's doing alone, have
+// no candidates and are offered their children as before. And shard 2
+// is refused: the first pull *reconciled* a key there (written on both
+// sides), the §C increment left the puller's copy ahead of the
+// source's, and no journal of the source's can know that — the
+// residual says so.
 
 fn refined_keys_in(shard: u64) -> impl Iterator<Item = String> {
     (0..2400)
@@ -963,14 +973,33 @@ fn take_transcript(link: &mut ChannelLink) -> (u64, u64) {
     taken
 }
 
-/// The second pull's transcripts when both ends remember the first: the
-/// puller opens with the delta frame; the server's half is what it
-/// would have written to a full vector. Computed when the delta landed.
-const PINNED_SECOND_PULLER_TRANSCRIPT: u64 = 0xec52_0055_58d9_fa38;
-const PINNED_SECOND_SERVER_TRANSCRIPT: u64 = 0x1452_3d85_0b4b_9899;
+/// The second pull's transcripts when both ends remember the first.
+/// Pinned when the digest delta landed (puller `0xec52_0055_58d9_fa38`,
+/// server `0x1452_3d85_0b4b_9899`) and re-pinned, once, when the server
+/// began to propose. Frame by frame, against that contact:
+///
+/// 1. the puller's opening burst — the delta frame naming shards 2, 7,
+///    9 and 11, and the turn marker — is unchanged (57 + 11 B);
+/// 2. the plan frame keeps its incremental list `[2, 4, 7, 9, 13]` but
+///    is tagged `0x3a`, carries the children of shards 7 and 9 only
+///    (2 × 16 digests instead of 5 × 16), and ends in three proposals —
+///    shard 2 with one candidate, 4 with two, 13 with one, each with
+///    its residual: 739 B → 352 B;
+/// 3. the scope frame, still leading the puller's second burst, lists
+///    two differing children (73 under shard 9, 135 under 7) instead of
+///    seven, and then its new tail: one refusal, shard 2: 18 B → 11 B;
+/// 4. the `BatchHello` behind it opens shard 2 whole, the keys under the
+///    three candidates of 4 and 13, and the two children — 175 keys
+///    where the children alone had cut the five shards to 64 — and
+///    every later frame follows from that.
+///
+/// Same turns: both halves write as often as before, and `round_trips`
+/// is 2.
+const PINNED_SECOND_PULLER_TRANSCRIPT: u64 = 0x4bad_4a1b_c614_08f9;
+const PINNED_SECOND_SERVER_TRANSCRIPT: u64 = 0xc384_663d_bbe6_681c;
 
 #[test]
-fn second_pull_over_a_link_opens_with_a_delta_and_changes_nothing_else() {
+fn second_pull_over_a_link_is_proposed_what_the_source_changed() {
     /// Both contacts over one channel pair: per contact, both halves'
     /// `(transcript, writes)` and the reports; where the puller ended.
     type Halves = [(u64, u64); 2];
@@ -1003,26 +1032,24 @@ fn second_pull_over_a_link_opens_with_a_delta_and_changes_nothing_else() {
         assert_eq!(halves[1].0, PINNED_REFINED_SERVER_TRANSCRIPT);
     }
     assert_eq!(first, cold_first);
-    assert_eq!(first.0.digests_sent, 16);
+    assert_eq!((first.0.digests_sent, first.0.shards_proposed), (16, 0));
 
-    // The second: same writes per half, same frames, same round trips;
-    // the server — planning from the reconstructed vector — writes the
-    // very bytes it writes to a full one.
+    // The second: no turn added or saved by the proposals.
     assert_eq!(warm[1][0].0, PINNED_SECOND_PULLER_TRANSCRIPT);
     assert_eq!(warm[1][1].0, PINNED_SECOND_SERVER_TRANSCRIPT);
-    assert_eq!(warm[1][1], cold[1][1]);
-    assert_eq!(warm[1][0].1, cold[1][0].1);
-    assert_ne!(warm[1][0].0, cold[1][0].0, "the opening frame differs");
-    assert_eq!((report.frames, report.round_trips), (19, 2));
+    assert_eq!((warm[1][0].1, warm[1][1].1), (cold[1][0].1, cold[1][1].1));
+    assert_eq!((report.round_trips, cold_report.round_trips), (2, 2));
 
-    // Only the opening frame shrank, by exactly the two encodings'
-    // difference: every other field of both reports is equal.
+    // The oracle: the three planner frames computed directly, as the
+    // serving store plans them given the generation it was at when it
+    // planned the first contact.
     let (mut dst, mut src) = refined_stores();
     let base = dst.shard_digest_vector();
     {
         let mut source = source_of(&src);
         planned_pull(&mut dst, &mut InProcessLink::serving(&mut source)).expect("first");
     }
+    let since = src.generation();
     puller_moves_on(&mut dst);
     source_moves_on(&mut src);
     let next = dst.shard_digest_vector();
@@ -1037,24 +1064,71 @@ fn second_pull_over_a_link_opens_with_a_delta_and_changes_nothing_else() {
     wire::put_frame(&mut delta_frame, CONTROL_STREAM, &delta.encode());
     let saved = (digest_vector_frame(&next).len() - delta_frame.len()) as u64;
     assert_eq!((delta_frame.len(), saved), (57, 108));
+
+    let config = PlanConfig::default();
+    let (blind, _) = src.plan_contact(&next, &config);
+    let (plan, _) = src.plan_contact_since(&next, Some(since), &config);
+    let refined = |plan: &ShardPlan| -> Vec<u64> {
+        let children = plan.children.as_ref().expect("children");
+        children.parents.iter().map(|p| p.0).collect()
+    };
+    assert_eq!(plan.incremental, [2, 4, 7, 9, 13]);
+    assert_eq!(plan.incremental, blind.incremental);
     assert_eq!(
-        report,
-        ContactReport {
-            digest_bytes: cold_report.digest_bytes - saved,
-            digests_sent: 4,
-            ..cold_report
-        }
+        (refined(&blind), blind.proposed.len()),
+        (vec![2, 4, 7, 9, 13], 0)
     );
-    assert_eq!(cold_report.digests_sent, 16);
+    assert_eq!(refined(&plan), [7, 9]);
+    let proposed: Vec<(u64, usize)> = (plan.proposed.iter())
+        .map(|p| (p.shard, p.candidates.len()))
+        .collect();
+    assert_eq!(proposed, [(2, 1), (4, 2), (13, 1)]);
     assert_eq!(
-        synced,
-        KvSyncReport {
-            digest_bytes: report.digest_bytes as usize,
-            digests_sent: 4,
-            ..cold_synced
-        }
+        (plan_frame(&blind).len(), plan_frame(&plan).len()),
+        (739, 352)
     );
-    assert_eq!(report.shards_refined, 5);
+    let scope = dst.client_endpoint_refined(&plan).scope.expect("a scope");
+    let blind_scope = dst.client_endpoint_refined(&blind).scope.expect("a scope");
+    assert_eq!((scope.children.len(), blind_scope.children.len()), (2, 7));
+    assert_eq!(scope.refused, Some(vec![2]), "the reconciled key");
+    assert_eq!(
+        (scope_frame(&blind_scope).len(), scope_frame(&scope).len()),
+        (18, 11)
+    );
+
+    let planner_frames = delta_frame.len() + plan_frame(&plan).len() + scope_frame(&scope).len();
+    assert_eq!(report.digest_bytes, planner_frames as u64);
+    let blind_frames = digest_vector_frame(&next).len()
+        + plan_frame(&blind).len()
+        + scope_frame(&blind_scope).len();
+    assert_eq!(cold_report.digest_bytes, blind_frames as u64);
+    assert_eq!((report.digests_sent, cold_report.digests_sent), (4, 16));
+    let offered = |r: &ContactReport| (r.shards_refined, r.shards_proposed, r.shards_refused);
+    assert_eq!(
+        (offered(&report), offered(&cold_report)),
+        ((2, 3, 1), (5, 0, 0))
+    );
+    assert_eq!(
+        (
+            synced.shards_proposed,
+            synced.shards_refused,
+            synced.digest_bytes
+        ),
+        (3, 1, planner_frames)
+    );
+    // The refusal is what this fixture pays for having reconciled: the
+    // walk of shard 2 outweighs what the proposals for 4 and 13 saved.
+    assert_eq!((synced.keys_examined, cold_synced.keys_examined), (175, 64));
+
+    // Both end where an unplanned pull ends, having changed the same keys.
+    let changed = |synced: &KvSyncReport| {
+        (
+            synced.keys_created,
+            synced.keys_fast_forwarded,
+            synced.keys_reconciled,
+        )
+    };
+    assert_eq!(changed(&synced), changed(&cold_synced));
     assert_eq!(ended, cold_ended);
     let mut full = dst.clone();
     full.sync(&src).run().expect("unplanned pull");
@@ -1073,11 +1147,18 @@ fn every_transport_runs_the_second_pull_identically() {
     let ended = dst.replica_digest_full();
     let sent = [reference[0].0.digests_sent, reference[1].0.digests_sent];
     assert_eq!(sent, [16, 4]);
+    let proposed = [
+        reference[0].0.shards_proposed,
+        reference[1].0.shards_proposed,
+    ];
+    assert_eq!(proposed, [0, 3], "the warm contact is a proposed one");
 
     let (mut dst, src) = refined_stores();
     let src = RefCell::new(src);
     let config = PlanConfig::default();
-    let mut source = |digests: Option<&DigestVector>| src.borrow().open_contact(digests, &config);
+    let mut source = |digests: Option<&DigestVector>, since: Option<u64>| {
+        src.borrow().open_contact(digests, since, &config)
+    };
     let mut link = InProcessLink::serving(&mut source);
     let in_process = pull_twice(&mut dst, &mut link, true, |_| {
         source_moves_on(&mut src.borrow_mut());
@@ -1145,6 +1226,61 @@ fn a_pull_abandoned_after_the_wire_leaves_the_memories_in_step() {
     );
     assert!(rerun.digest_bytes < fresh.digest_bytes);
     assert_eq!(dst.replica_digest_full(), reference.replica_digest_full());
+}
+
+/// The same abandonment with the source moving on around it: the rerun
+/// is proposed only what the source changed since it planned the
+/// *abandoned* contact — whose outcome the puller never applied. Where
+/// that matters the residual does not match, the stale proposal is
+/// refused, the shard walked whole, and the rerun alone converges.
+#[test]
+fn a_rerun_after_an_abandoned_pull_refuses_its_stale_proposals() {
+    let (mut dst, src) = refined_stores();
+    let src = RefCell::new(src);
+    let config = PlanConfig::default();
+    let mut source = |digests: Option<&DigestVector>, since: Option<u64>| {
+        src.borrow().open_contact(digests, since, &config)
+    };
+    let mut link = InProcessLink::serving(&mut source);
+    let mut remembered = VectorMemory::default();
+    planned_pull_on(&mut dst, &mut link, &mut remembered).expect("first pull");
+
+    source_moves_on(&mut src.borrow_mut());
+    let digests = dst.shard_digest_vector();
+    let abandoned = pull_planned(&mut link, &mut remembered, &digests, |plan| {
+        dst.client_endpoint_refined(plan)
+    })
+    .expect("the contact itself completes");
+    assert_eq!(abandoned.2.shards_proposed, 3);
+    drop(abandoned);
+    // The write that raced it: a key the source holds too, in a shard
+    // of its own (a key only the puller holds would have told the
+    // server, by the entry count, not to propose that shard at all).
+    dst.put(refined_keys_in(10).next().expect("a key"), "local write");
+
+    // The source moves on again: in shard 4, where the abandoned
+    // contact would have brought two keys, and in shard 5, clean so far.
+    for key in refined_keys_in(4)
+        .skip(2)
+        .take(1)
+        .chain(refined_keys_in(5).take(1))
+    {
+        src.borrow_mut().put(key, "later still");
+    }
+    let (rerun, synced) = planned_pull_on(&mut dst, &mut link, &mut remembered).expect("rerun");
+    assert_eq!(
+        (rerun.shards_proposed, rerun.shards_refused),
+        (2, 1),
+        "4 and 5 proposed, 4 refused; 2 and 13 have no news and keep their children"
+    );
+    assert_eq!(rerun.round_trips, 2);
+    assert_eq!(
+        synced.keys_fast_forwarded, 6,
+        "both rounds of the source's writes"
+    );
+    let mut full = dst.clone();
+    full.sync(&src.borrow()).run().expect("unplanned pull");
+    assert_eq!(dst.replica_digest_full(), full.replica_digest_full());
 }
 
 // ---------------------------------------------------------------------
@@ -1300,9 +1436,11 @@ fn a_cut_at_every_byte_of_a_refined_pull_leaves_the_store_alone() {
 }
 
 /// The sweep once more through a link's *second* contact, the one that
-/// opens with a delta: a cut anywhere in it leaves the store alone and
-/// the puller's memory empty, so the next pull — on a fresh link, the
-/// old one being dead — sends a full vector and converges.
+/// opens with a delta and is answered with a proposal: a cut anywhere in
+/// it leaves the store alone and the puller's memory empty, so the next
+/// pull — on a fresh link, the old one being dead, whose serving end
+/// remembers nothing either — sends a full vector, is proposed nothing
+/// and converges.
 #[test]
 fn a_cut_at_every_byte_of_a_second_pull_leaves_the_store_and_no_memory() {
     let mut src = KvStore::with_shards(SiteId::new(1), 8);
@@ -1328,8 +1466,9 @@ fn a_cut_at_every_byte_of_a_second_pull_leaves_the_store_and_no_memory() {
     let two_pulls = |dst: &mut KvStore, mut weather: FaultyLink| {
         let config = PlanConfig::default();
         let src = RefCell::new(src.clone());
-        let mut source =
-            |digests: Option<&DigestVector>| src.borrow().open_contact(digests, &config);
+        let mut source = |digests: Option<&DigestVector>, since: Option<u64>| {
+            src.borrow().open_contact(digests, since, &config)
+        };
         let mut remembered = VectorMemory::default();
         let mut link = Faulted::new(InProcessLink::serving(&mut source), &mut weather);
         let first = planned_pull_on(dst, &mut link, &mut remembered);
@@ -1352,6 +1491,11 @@ fn a_cut_at_every_byte_of_a_second_pull_leaves_the_store_and_no_memory() {
     let (first, _) = clean.first.expect("clean first pull");
     let (second, _) = clean.second.expect("clean second pull");
     assert_eq!((second.digests_sent, second.shards_total), (2, 8));
+    assert_eq!(
+        (second.shards_proposed, second.shards_refused),
+        (1, 0),
+        "the sweep must cross a proposal"
+    );
     let first_bytes = first.total_bytes + first.digest_bytes;
     let total = first_bytes + second.total_bytes + second.digest_bytes;
     assert_eq!(clean.delivered, total);
@@ -1383,6 +1527,10 @@ fn a_cut_at_every_byte_of_a_second_pull_leaves_the_store_and_no_memory() {
         let (retry, _) =
             planned_pull_on(&mut dst, &mut fresh, &mut remembered).expect("the retry is not cut");
         assert_eq!(retry.digests_sent, retry.shards_total, "cut at {k}/{total}");
+        assert_eq!(
+            retry.shards_proposed, 0,
+            "a fresh link remembers no contact"
+        );
         assert_eq!(dst.replica_digest(), reference.replica_digest());
     }
 }
@@ -1569,7 +1717,12 @@ fn hostile_planner_sequences_fail_the_serving_step() {
     // frame is just not a mux message.
     let scope_frame = |count, children: &[u64]| {
         let children = children.to_vec();
-        frame(CONTROL_STREAM, &ShardScope { count, children }.encode())
+        let scope = ShardScope {
+            count,
+            children,
+            refused: None,
+        };
+        frame(CONTROL_STREAM, &scope.encode())
     };
     serving_until_error(vec![digests_frame(), turn(), scope_frame(16, &[])]);
     serving_until_error(vec![scope_frame(16, &[])]);
@@ -1626,7 +1779,8 @@ fn hostile_planner_sequences_fail_the_serving_step() {
     }
     // A source that hands out no plan cannot serve a planned contact.
     let mut serving = Serving::default();
-    let mut unplanned = |_: Option<&DigestVector>| (None, BatchPullServer::new(Vec::new()));
+    let mut unplanned =
+        |_: Option<&DigestVector>, _: Option<u64>| (None, BatchPullServer::new(Vec::new()), 0);
     serving
         .on_frame(digests_frame(), &mut unplanned, &mut BytesMut::new())
         .expect_err("no plan to answer with");
@@ -1742,6 +1896,43 @@ fn hostile_planner_sequences_fail_the_serving_step() {
         feed(&mut serving, &src, contact(delta_frame(&honest)))
             .expect("the delta, and the delta again");
     }
+
+    // A connection's second contact may be answered with proposals, and
+    // the scope answering those ends in the refusals: it can refuse
+    // only what was proposed, and must say so in order, once, in full.
+    // After the first contact of `refined_stores` the source moves on:
+    // shards 2 (one candidate), 4 (two) and 13 (one) are proposed; 7,
+    // where the puller holds a key of its own, keeps its children.
+    let (dst, before) = refined_stores();
+    let mut after = before.clone();
+    source_moves_on(&mut after);
+    let opening = frame(CONTROL_STREAM, &dst.shard_digest_vector().encode());
+    let nothing_opened = msg_frame(
+        CONTROL_STREAM,
+        MuxMsg::Ctrl(CtrlMsg::BatchHello {
+            discover: false,
+            opens: Vec::new(),
+        }),
+    );
+    let answered = |refusals: &[u8]| {
+        let mut serving = Serving::default();
+        let first = [opening.clone(), turn(), nothing_opened.clone(), fin()];
+        feed(&mut serving, &before, first).expect("the link's first contact");
+        let scope = [&[0x37, 0x80, 0x02, 0][..], refusals].concat();
+        let second = [opening.clone(), turn(), frame(CONTROL_STREAM, &scope)];
+        feed(&mut serving, &after, second)
+    };
+    answered(&[0]).expect("every proposal accepted");
+    answered(&[2, 2, 13]).expect("two refused");
+    answered(&[]).expect_err("a plan that proposed is owed the refusals");
+    answered(&[1, 7]).expect_err("refusing a refined shard");
+    answered(&[1, 3]).expect_err("refusing a shard the plan skips");
+    answered(&[1, 34]).expect_err("a child index where a shard is due");
+    answered(&[2, 13, 2]).expect_err("out of order");
+    answered(&[2, 4, 4]).expect_err("twice");
+    answered(&[4, 2, 4, 13, 13]).expect_err("more refusals than proposals");
+    answered(&[1]).expect_err("truncated");
+    answered(&[1, 2, 0]).expect_err("padded");
 }
 
 /// Feeds `frames` to a puller that opened with a four-shard digest
@@ -1833,6 +2024,50 @@ fn hostile_planner_sequences_fail_the_pulling_step() {
     assert_eq!(opening_tag(&remembered), 0x39);
     remembered.remember(&KvStore::with_shards(SiteId::new(0), 8).shard_digest_vector());
     assert_eq!(opening_tag(&remembered), 0x35);
+
+    // A proposal is made from what the server remembers of the link's
+    // last contact. A puller that remembers none — it opened a fresh
+    // link with its vector in full — was not owed one: protocol error.
+    // The same frame is the plan of a link's later contact.
+    let proposing = ShardPlan {
+        count: 4,
+        incremental: vec![1],
+        proposed: vec![Proposal {
+            shard: 1,
+            candidates: vec![1 + 4 * 77],
+            residual: ShardDigest::default(),
+        }],
+        ..ShardPlan::default()
+    };
+    let proposing = || frame(CONTROL_STREAM, &proposing.encode());
+    let err = plan_until_error(vec![proposing()]);
+    assert_eq!(reason_label(&err), "protocol_error");
+    let mut out = BytesMut::new();
+    let mut puller = Puller::open_planned(&empty_digests(), &remembered, &mut out);
+    assert!(puller.on_frame(proposing(), &mut out).unwrap().is_none());
+    assert!(puller.on_frame(turn(), &mut out).unwrap().is_none());
+    let handed = puller.take_plan().expect("the plan");
+    assert_eq!(handed.proposed.len(), 1);
+    // Its malformed cousins fail in the decoder whoever receives them:
+    // a candidate past the shard's range, a shard both refined and
+    // proposed, the tail cut off.
+    let mut beyond = proposing().payload.to_vec();
+    let at = beyond.len() - 10;
+    assert_eq!(beyond[at], 77);
+    beyond.splice(at..=at, [0x80, 0x80, 0x10]);
+    let cut = proposing().payload.slice(..at);
+    let both = ShardPlan {
+        children: Some(ChildDigests {
+            fanout: 2,
+            parents: vec![(1, vec![ShardDigest::default(); 2])],
+        }),
+        ..handed
+    };
+    for payload in [&beyond[..], &cut[..], &both.encode()[..]] {
+        let mut puller = Puller::open_planned(&empty_digests(), &remembered, &mut out);
+        let err = puller.on_frame(frame(CONTROL_STREAM, payload), &mut out);
+        assert_eq!(reason_label(&err.unwrap_err()), "decode_error");
+    }
 
     // The honest turn hands the plan out exactly once.
     let mut out = BytesMut::new();

@@ -97,7 +97,7 @@ fn run(client: &mut Client, verb: &Verb) -> optrep_core::Result<()> {
                  uptime {} metrics-seq {} \
                  wal-records {} wal-bytes {} wal-fsyncs {} ckpt-seq {} \
                  planner-skipped {} planner-incremental {} planner-snapshot {} planner-bytes {} \
-                 planner-refined {} planner-digests {}",
+                 planner-refined {} planner-digests {} planner-proposed {} planner-refused {}",
                 info.site,
                 info.keys,
                 info.tracked,
@@ -117,6 +117,8 @@ fn run(client: &mut Client, verb: &Verb) -> optrep_core::Result<()> {
                 info.planner_digest_bytes,
                 info.planner_shards_refined,
                 info.planner_digests_sent,
+                info.planner_shards_proposed,
+                info.planner_shards_refused,
             );
         }),
         Verb::Digest => client.digest().map(|digest| println!("{digest:016x}")),
@@ -125,7 +127,7 @@ fn run(client: &mut Client, verb: &Verb) -> optrep_core::Result<()> {
                 "examined {} created {} fast-forwarded {} reconciled {} \
                  unchanged {} meta-bytes {} value-bytes {} \
                  shards {} skipped {} incremental {} snapshot {} digest-bytes {} refined {} \
-                 digests {}/{}",
+                 digests {}/{} proposed {} (refused {})",
                 report.keys_examined,
                 report.keys_created,
                 report.keys_fast_forwarded,
@@ -141,6 +143,8 @@ fn run(client: &mut Client, verb: &Verb) -> optrep_core::Result<()> {
                 report.shards_refined,
                 report.digests_sent,
                 report.shards_total,
+                report.shards_proposed,
+                report.shards_refused,
             );
         }),
         Verb::Metrics => client

@@ -37,7 +37,11 @@
 //! pool keeps, beside each socket, the digest vector the last pull sent
 //! down it, so every later pull ships only the shards that changed
 //! since (`replication::planner`, "The vector crosses a connection
-//! once"); the memory is dropped with the socket. Each
+//! once"); the memory is dropped with the socket. The serving end of
+//! such a connection remembers, in its `Serving`, the store generation
+//! it last planned at, and the store a journal of the keys it changed:
+//! a later pull is told which keys moved instead of being offered
+//! child digests ("The server proposes the scope"). Each
 //! pull runs the generation-checked discipline `KvStore::generation`
 //! was built for: snapshot the client endpoint under the lock, release
 //! it for the whole network exchange, re-lock and commit only if no
@@ -196,6 +200,10 @@ struct NodeMetrics {
     store_keys: Arc<Gauge>,
     store_tracked: Arc<Gauge>,
     store_generation: Arc<Gauge>,
+    /// Generations back the store's change journal is complete
+    /// (`KvStore::journal_floor_lag`): below what a peer lets pass
+    /// between pulls, its pulls are planned without proposals.
+    store_journal_floor_lag: Arc<Gauge>,
     conn_live: Arc<Gauge>,
     /// Jobs submitted to the sync worker and not yet picked up.
     worker_queue_depth: Arc<Gauge>,
@@ -233,6 +241,10 @@ struct NodeMetrics {
     planner_shards_snapshot_total: Arc<Counter>,
     /// Incremental shards narrowed to their differing children.
     planner_shards_refined_total: Arc<Counter>,
+    /// Incremental shards a source proposed the scope of.
+    planner_shards_proposed_total: Arc<Counter>,
+    /// Proposed shards this daemon refused and walked whole.
+    planner_shards_refused_total: Arc<Counter>,
     /// Planner-phase wire bytes (digest vectors + plans, both
     /// directions; excluded from the contact byte planes).
     planner_digest_bytes_total: Arc<Counter>,
@@ -249,6 +261,7 @@ impl NodeMetrics {
             store_keys: registry.gauge("optrep_store_keys"),
             store_tracked: registry.gauge("optrep_store_tracked"),
             store_generation: registry.gauge("optrep_store_generation"),
+            store_journal_floor_lag: registry.gauge("optrep_store_journal_floor_lag"),
             conn_live: registry.gauge("optrep_conn_live"),
             worker_queue_depth: registry.gauge("optrep_worker_queue_depth"),
             verb_service_micros: registry.histogram("optrep_verb_service_micros"),
@@ -267,6 +280,8 @@ impl NodeMetrics {
                 .counter("optrep_planner_shards_incremental_total"),
             planner_shards_snapshot_total: registry.counter("optrep_planner_shards_snapshot_total"),
             planner_shards_refined_total: registry.counter("optrep_planner_shards_refined_total"),
+            planner_shards_proposed_total: registry.counter("optrep_planner_shards_proposed_total"),
+            planner_shards_refused_total: registry.counter("optrep_planner_shards_refused_total"),
             planner_digest_bytes_total: registry.counter("optrep_planner_digest_bytes_total"),
             planner_digests_sent_total: registry.counter("optrep_planner_digests_sent_total"),
             reactor: optrep_net::reactor::ReactorMetrics::register(registry, "optrep_reactor"),
@@ -1012,7 +1027,10 @@ mod event {
             } => {
                 let step = serving.on_frame(
                     frame,
-                    &mut |digests| shared.store().open_contact(digests, &PlanConfig::default()),
+                    &mut |digests, since| {
+                        let config = PlanConfig::default();
+                        shared.store().open_contact(digests, since, &config)
+                    },
                     &mut conn.out,
                 );
                 match step {
@@ -1067,18 +1085,20 @@ mod event {
 /// pool liveness, uptime. Counters and histograms are always current;
 /// only gauges are sampled lazily, at snapshot time.
 fn refresh_gauges(shared: &Shared) {
-    let (keys, tracked, generation) = {
+    let (keys, tracked, generation, journal_floor_lag) = {
         let store = shared.store();
         (
             store.len() as u64,
             store.tracked_entries() as u64,
             store.generation(),
+            store.journal_floor_lag(),
         )
     };
     let m = &shared.metrics;
     m.store_keys.set(keys);
     m.store_tracked.set(tracked);
     m.store_generation.set(generation);
+    m.store_journal_floor_lag.set(journal_floor_lag);
     m.conn_live.set(shared.pool.live() as u64);
     m.uptime_secs.set(shared.started.elapsed().as_secs());
     if let Some(persist) = shared.persist() {
@@ -1155,6 +1175,8 @@ fn dispatch_request(shared: &Shared, request: Request) -> Response {
                 planner_digest_bytes: m.planner_digest_bytes_total.get(),
                 planner_shards_refined: m.planner_shards_refined_total.get(),
                 planner_digests_sent: m.planner_digests_sent_total.get(),
+                planner_shards_proposed: m.planner_shards_proposed_total.get(),
+                planner_shards_refused: m.planner_shards_refused_total.get(),
             })
         }
         Request::Digest => Response::Digest(shared.store().replica_digest()),
@@ -1181,7 +1203,8 @@ fn dispatch_request(shared: &Shared, request: Request) -> Response {
 /// client endpoint is snapshotted *inside* the pooled closure so a
 /// stale-connection rerun gets fresh metadata — and, the pool having
 /// dropped the stale connection's vector memory with it, opens with a
-/// full digest vector again. Before committing, the
+/// full digest vector again (to a serving end that, being new, proposes
+/// nothing). Before committing, the
 /// store's write generation is compared with the snapshot's: if a local
 /// write (or another pull) landed in between, the staged outcomes
 /// describe a store that no longer exists, so the pull is retried
@@ -1192,8 +1215,10 @@ fn pull_from(shared: &Shared, peer: SocketAddr) -> Result<KvSyncReport> {
         // A planned pull: ship this store's shard digests, get back the
         // peer's per-shard plan, run the contact restricted to the
         // incremental shards — cut, where the plan offers child
-        // digests, at the children that differ from this store's,
-        // compared under the same guard that snapshots the generation.
+        // digests, at the children that differ from this store's, and
+        // where it proposes a scope and the residual matches, at the
+        // proposal's candidates; both compared under the same guard
+        // that snapshots the generation.
         // The digest vector is snapshotted under its own (brief) lock;
         // a write landing between it and the endpoint snapshot only
         // makes a shard look dirtier than planned, never cleaner — and
@@ -1234,6 +1259,10 @@ fn pull_from(shared: &Shared, peer: SocketAddr) -> Result<KvSyncReport> {
         m.planner_digests_sent_total.add(synced.digests_sent as u64);
         m.planner_shards_refined_total
             .add(synced.shards_refined as u64);
+        m.planner_shards_proposed_total
+            .add(synced.shards_proposed as u64);
+        m.planner_shards_refused_total
+            .add(synced.shards_refused as u64);
         return Ok(synced);
     }
     // Local writes outran every attempt; the next gossip tick will

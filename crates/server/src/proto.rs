@@ -101,6 +101,12 @@ pub struct StatusInfo {
     /// Shard digests the pulls' opening frames actually shipped (0 from
     /// daemons that predate the digest delta).
     pub planner_digests_sent: u64,
+    /// Incremental shards whose scope the pulled-from daemons proposed
+    /// from their change journals, across all pulls (0 from daemons
+    /// that predate proposals — and likewise for the one below).
+    pub planner_shards_proposed: u64,
+    /// Of those, the shards this daemon refused and walked whole.
+    pub planner_shards_refused: u64,
 }
 
 /// The daemon's answer to one [`Request`].
@@ -333,6 +339,8 @@ impl Response {
                 wire::put_varint(&mut buf, info.planner_digest_bytes);
                 wire::put_varint(&mut buf, info.planner_shards_refined);
                 wire::put_varint(&mut buf, info.planner_digests_sent);
+                wire::put_varint(&mut buf, info.planner_shards_proposed);
+                wire::put_varint(&mut buf, info.planner_shards_refused);
             }
             Response::Digest(digest) => {
                 buf.put_u8(RESP_DIGEST);
@@ -359,6 +367,8 @@ impl Response {
                     report.digest_bytes,
                     report.shards_refined,
                     report.digests_sent,
+                    report.shards_proposed,
+                    report.shards_refused,
                 ] {
                     wire::put_varint(&mut buf, n as u64);
                 }
@@ -426,6 +436,8 @@ impl Response {
                     planner_digest_bytes: 0,
                     planner_shards_refined: 0,
                     planner_digests_sent: 0,
+                    planner_shards_proposed: 0,
+                    planner_shards_refused: 0,
                 };
                 // Optional tail: fields appended by this or any later
                 // protocol revision. A short payload (old daemon) leaves
@@ -468,6 +480,12 @@ impl Response {
                 }
                 if buf.has_remaining() {
                     info.planner_digests_sent = wire::get_varint(buf)?;
+                }
+                if buf.has_remaining() {
+                    info.planner_shards_proposed = wire::get_varint(buf)?;
+                }
+                if buf.has_remaining() {
+                    info.planner_shards_refused = wire::get_varint(buf)?;
                 }
                 while buf.has_remaining() {
                     let _ = wire::get_varint(buf)?;
@@ -514,6 +532,12 @@ impl Response {
                 }
                 if buf.has_remaining() {
                     report.digests_sent = wire::get_varint(buf)? as usize;
+                }
+                if buf.has_remaining() {
+                    report.shards_proposed = wire::get_varint(buf)? as usize;
+                }
+                if buf.has_remaining() {
+                    report.shards_refused = wire::get_varint(buf)? as usize;
                 }
                 while buf.has_remaining() {
                     let _ = wire::get_varint(buf)?;
@@ -591,6 +615,8 @@ mod tests {
                 planner_digest_bytes: 480,
                 planner_shards_refined: 2,
                 planner_digests_sent: 19,
+                planner_shards_proposed: 7,
+                planner_shards_refused: 1,
             }),
             Response::Digest(u64::MAX),
             Response::Synced(KvSyncReport {
@@ -608,6 +634,8 @@ mod tests {
                 digest_bytes: 310,
                 shards_refined: 2,
                 digests_sent: 3,
+                shards_proposed: 2,
+                shards_refused: 1,
             }),
             Response::Err("no such peer".into()),
         ];
@@ -695,6 +723,8 @@ mod tests {
             planner_digest_bytes: 260,
             planner_shards_refined: 1,
             planner_digests_sent: 18,
+            planner_shards_proposed: 5,
+            planner_shards_refused: 2,
         };
 
         // A pre-metrics daemon: only the original seven fields.
@@ -728,6 +758,8 @@ mod tests {
                 planner_digest_bytes: 0,
                 planner_shards_refined: 0,
                 planner_digests_sent: 0,
+                planner_shards_proposed: 0,
+                planner_shards_refused: 0,
                 ..info
             })
         );
@@ -748,7 +780,7 @@ mod tests {
         // the cut lands mid-varint, so put a multi-byte value last and
         // slice one byte off it.
         let long_tail = Response::Status(StatusInfo {
-            planner_digests_sent: 300, // two-byte varint at the very end
+            planner_shards_refused: 300, // two-byte varint at the very end
             ..info
         })
         .encode();

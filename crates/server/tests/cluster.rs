@@ -289,23 +289,31 @@ fn repeated_syncs_reuse_one_peer_connection() {
     src.stop();
 }
 
-/// Everything in a pull report but the two fields a warm connection
-/// changes: how many bytes the planner frames took, how many shard
-/// digests the opening one shipped.
-fn but_for_the_opening_frame(report: optrep_kv::KvSyncReport) -> optrep_kv::KvSyncReport {
+/// What a pull over a warm connection has in common with the same pull
+/// over a fresh dial: the plan's verdict per shard and what the commit
+/// changed. How the dirty keys were *located* — digests shipped, shards
+/// refined or proposed, keys examined, the bytes all that took — is
+/// what a connection's memory is for.
+fn what_was_pulled(report: optrep_kv::KvSyncReport) -> optrep_kv::KvSyncReport {
     optrep_kv::KvSyncReport {
+        keys_examined: 0,
+        keys_unchanged: 0,
+        meta_bytes: 0,
         digest_bytes: 0,
         digests_sent: 0,
+        shards_refined: 0,
+        shards_proposed: 0,
+        shards_refused: 0,
         ..report
     }
 }
 
 #[test]
-fn the_digest_vector_crosses_a_connection_once_and_again_after_a_redial() {
+fn a_connection_remembers_the_vector_and_the_source_proposes_until_a_redial() {
     // 960 keys over 16 shards, converged; each round one key moves on
     // at the source and the daemon pulls, mirrored by an in-memory
-    // `sync_planned` — which opens a fresh link every time and so keeps
-    // sending the whole vector.
+    // `sync_planned` — which opens a fresh link every time, and so
+    // keeps sending the whole vector and is never proposed to.
     let mut mem_src = KvStore::with_shards(SiteId::new(1), 16);
     for i in 0..960 {
         mem_src.put(format!("key-{i:03}"), "value");
@@ -332,42 +340,57 @@ fn the_digest_vector_crosses_a_connection_once_and_again_after_a_redial() {
             .expect("in-memory planned sync");
         assert_eq!(dst.digest(), mem_dst.replica_digest(), "{key}");
         assert_eq!(mirror.digests_sent, 16, "the mirror never remembers");
-        assert_eq!(
-            but_for_the_opening_frame(report),
-            but_for_the_opening_frame(mirror),
-            "{key}"
-        );
+        assert_eq!(mirror.shards_proposed, 0, "and is never proposed to");
+        assert_eq!(what_was_pulled(report), what_was_pulled(mirror), "{key}");
         (report, mirror)
+    };
+    // One dirty key over a warm connection: its shard's digest in the
+    // opening frame, its shard proposed, it alone examined — in fewer
+    // bytes of every kind than the same pull costs a fresh dial, which
+    // ships the vector, is offered children and compares a child.
+    let warm_pull_of_one_key = |warm: optrep_kv::KvSyncReport, mirror: optrep_kv::KvSyncReport| {
+        assert_eq!(warm.digests_sent, 1, "{warm:?}");
+        let offered =
+            |r: &optrep_kv::KvSyncReport| (r.shards_proposed, r.shards_refused, r.shards_refined);
+        assert_eq!((offered(&warm), offered(&mirror)), ((1, 0, 0), (0, 0, 1)));
+        assert_eq!((warm.keys_examined, warm.keys_fast_forwarded), (1, 1));
+        assert!(mirror.keys_examined > 1, "{mirror:?}");
+        assert!(warm.meta_bytes < mirror.meta_bytes, "{warm:?} {mirror:?}");
+        assert!(
+            warm.digest_bytes < mirror.digest_bytes,
+            "{warm:?} {mirror:?}"
+        );
     };
 
     // A fresh dial: the whole vector, the mirror's bytes exactly.
     let (cold, mirror) = round(&src, "key-007");
     assert_eq!(cold, mirror);
-    // The same socket again: only the shard the first pull changed.
+    // The same socket again.
     let (warm, mirror) = round(&src, "key-424");
-    assert_eq!(warm.digests_sent, 1, "{warm:?}");
-    assert!(
-        warm.digest_bytes < mirror.digest_bytes,
-        "{warm:?} {mirror:?}"
-    );
-    // Converged and asked again: nothing to ship but the check.
-    let (idle, _) = round(&src, "");
+    warm_pull_of_one_key(warm, mirror);
+    // Converged and asked again: nothing to ship but the check, and
+    // nothing to propose where no shard differs.
+    let (idle, mirror) = round(&src, "");
     assert_eq!(
         (idle.digests_sent, idle.shards_skipped),
         (1, 16),
         "{idle:?}"
     );
+    assert_eq!(idle.meta_bytes, mirror.meta_bytes);
     let (idle, mirror) = round(&src, "");
     assert_eq!(
-        (idle.digests_sent, idle.shards_skipped),
-        (0, 16),
+        (idle.digests_sent, idle.shards_skipped, idle.shards_proposed),
+        (0, 16, 0),
         "{idle:?}"
     );
     assert_eq!((idle.digest_bytes, mirror.digest_bytes), (19, 155));
 
     // The source restarts on its address: the pooled socket is stale,
-    // the pool redials once, and the memory went with the old socket —
-    // the rerun opens with the whole vector, as the first pull did.
+    // the pool redials once, and both memories went with the old socket
+    // — the rerun opens with the whole vector and is proposed nothing,
+    // as the first pull was: the store handed to the restarted source
+    // brings its journal along, but a journal proposes only from a
+    // `since`, and a new connection has none.
     let addr = src.addr();
     let store = src.with_store(|s| s.clone());
     src.stop();
@@ -378,19 +401,34 @@ fn the_digest_vector_crosses_a_connection_once_and_again_after_a_redial() {
     assert_eq!(redialed, mirror, "a redial sends today's bytes");
     let totals = dst.conn_totals();
     assert_eq!((totals.dials, totals.stale_reruns), (2, 1), "{totals:?}");
-    // And the pull after that is a delta again.
+    // And the pull after that is a delta, answered with a proposal,
+    // again.
     let (warm, mirror) = round(&src, "key-200");
-    assert_eq!(warm.digests_sent, 1, "{warm:?}");
-    assert!(warm.digest_bytes < mirror.digest_bytes);
+    warm_pull_of_one_key(warm, mirror);
 
     // The counters add up over the wire, too.
     let mut client = Client::connect(dst.addr(), &fast_connect()).expect("connect");
     let sent: u64 = [16, 1, 1, 0, 16, 1].iter().sum();
-    assert_eq!(client.status().expect("status").planner_digests_sent, sent);
-    let counter = dst
+    let status = client.status().expect("status");
+    assert_eq!(status.planner_digests_sent, sent);
+    assert_eq!(
+        (
+            status.planner_shards_proposed,
+            status.planner_shards_refused
+        ),
+        (2, 0)
+    );
+    let metrics = dst.metrics_snapshot();
+    let counter = |name: &str| metrics.counter(name);
+    assert_eq!(counter("optrep_planner_digests_sent_total"), Some(sent));
+    assert_eq!(counter("optrep_planner_shards_proposed_total"), Some(2));
+    assert_eq!(counter("optrep_planner_shards_refused_total"), Some(0));
+    // The source's journal still reaches back over every write the
+    // store has seen: 960 keys and four rewrites, under the cap.
+    let lag = src
         .metrics_snapshot()
-        .counter("optrep_planner_digests_sent_total");
-    assert_eq!(counter, Some(sent));
+        .gauge("optrep_store_journal_floor_lag");
+    assert_eq!(lag, Some(964));
     dst.stop();
     src.stop();
 }

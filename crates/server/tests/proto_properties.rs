@@ -68,6 +68,7 @@ fn arb_status() -> impl Strategy<Value = StatusInfo> {
                 any::<u64>(),
                 any::<u64>(),
             ),
+            (any::<u64>(), any::<u64>()),
         ),
     )
         .prop_map(
@@ -88,6 +89,7 @@ fn arb_status() -> impl Strategy<Value = StatusInfo> {
                         planner_shards_refined,
                         planner_digests_sent,
                     ),
+                    (planner_shards_proposed, planner_shards_refused),
                 ),
             )| {
                 StatusInfo {
@@ -110,6 +112,8 @@ fn arb_status() -> impl Strategy<Value = StatusInfo> {
                     planner_digest_bytes,
                     planner_shards_refined,
                     planner_digests_sent,
+                    planner_shards_proposed,
+                    planner_shards_refused,
                 }
             },
         )
@@ -157,12 +161,14 @@ fn arb_report() -> impl Strategy<Value = KvSyncReport> {
             any::<u32>(),
             any::<u32>(),
         ),
+        (any::<u32>(), any::<u32>()),
     )
         .prop_map(
             |(
                 (examined, created, ff, reconciled),
                 (unchanged, meta, value),
                 (total, skipped, incremental, snapshot, digest, refined, sent),
+                (proposed, refused),
             )| KvSyncReport {
                 keys_examined: examined as usize,
                 keys_created: created as usize,
@@ -178,6 +184,8 @@ fn arb_report() -> impl Strategy<Value = KvSyncReport> {
                 digest_bytes: digest as usize,
                 shards_refined: refined as usize,
                 digests_sent: sent as usize,
+                shards_proposed: proposed as usize,
+                shards_refused: refused as usize,
             },
         )
 }
@@ -278,6 +286,7 @@ fn arb_shard_plan() -> impl Strategy<Value = ShardPlan> {
                 incremental,
                 snapshots,
                 children: None,
+                proposed: Vec::new(),
             }
         })
 }
@@ -327,6 +336,7 @@ fn arb_refined_plan() -> impl Strategy<Value = (ShardPlan, ShardScope)> {
             let scope = ShardScope {
                 count: plan.count * fanout,
                 children: listed,
+                refused: None,
             };
             plan.children = Some(ChildDigests { fanout, parents });
             (plan, scope)
@@ -415,6 +425,14 @@ proptest! {
                     got.planner_digests_sent == status.planner_digests_sent
                         || got.planner_digests_sent == 0
                 );
+                prop_assert!(
+                    got.planner_shards_proposed == status.planner_shards_proposed
+                        || got.planner_shards_proposed == 0
+                );
+                prop_assert!(
+                    got.planner_shards_refused == status.planner_shards_refused
+                        || got.planner_shards_refused == 0
+                );
             }
         }
         // The full encoding itself always decodes.
@@ -453,6 +471,12 @@ proptest! {
                     got.shards_refined == report.shards_refined || got.shards_refined == 0
                 );
                 prop_assert!(got.digests_sent == report.digests_sent || got.digests_sent == 0);
+                prop_assert!(
+                    got.shards_proposed == report.shards_proposed || got.shards_proposed == 0
+                );
+                prop_assert!(
+                    got.shards_refused == report.shards_refused || got.shards_refused == 0
+                );
             }
         }
         let mut buf = full.clone();

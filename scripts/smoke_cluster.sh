@@ -61,6 +61,10 @@ echo "cluster up: A=$A B=$B C=$C"
 "$BIN/optrep" "$C" put gamma from-c
 "$BIN/optrep" "$C" delete gamma
 "$BIN/optrep" "$C" put delta from-c
+# And enough uncontended keys, ten or so a shard, that a shard is worth
+# more on the wire than naming one key in it (the proposal check below).
+# shellcheck disable=SC2046 # one verb per word group is the point
+"$BIN/optrep" "$A" $(for i in $(seq 160); do printf 'put bulk-%d v ' "$i"; done) >/dev/null
 
 # Full-mesh pulls until the three digests agree (the conflict needs a
 # second round to propagate the reconciled value everywhere). A's very
@@ -165,6 +169,35 @@ fi
 echo "planner verified: converged re-pull skipped all $shards shards" \
      "(digests $digests, exchange $digest_bytes bytes; first pull $first_bytes)"
 
+# The source proposes the scope: one key moves on at B, and the next
+# pulls over A's and C's warm connections to it are told which — B's
+# change journal reaches back to the generation it planned their last
+# pulls at — so the one dirty shard is proposed, its residual matches
+# (nothing else differs), and the one key is all that is examined. The
+# planner frames of such a pull are a fraction of a fresh dial's.
+"$BIN/optrep" "$B" put bulk-7 moved-on
+for dst in "$A" "$C"; do
+    warm_out="$("$BIN/optrep" "$dst" sync "$B")"
+    proposed="$(status_field "$warm_out" proposed)"
+    refused="$(status_field "$warm_out" "(refused")"
+    examined="$(status_field "$warm_out" examined)"
+    warm_bytes="$(status_field "$warm_out" digest-bytes)"
+    if [[ "$proposed" != 1 || "$refused" != "0)" || "$examined" != 1 \
+          || "$warm_bytes" -ge "$first_bytes" ]]; then
+        echo "FAIL: warm pull of one key was not proposed its scope:" \
+             "[$warm_out] (fresh dial: [$first_ab])" >&2
+        exit 1
+    fi
+done
+status="$("$BIN/optrep" "$A" status)"
+if [[ "$(status_field "$status" planner-proposed)" -lt 1 \
+      || "$(status_field "$status" planner-refused)" != 0 ]]; then
+    echo "FAIL: status does not count the proposal: $status" >&2
+    exit 1
+fi
+echo "proposals verified: one put at B, one key examined by each puller" \
+     "($warm_bytes planner bytes against a fresh dial's $first_bytes)"
+
 # Metrics: scrape every daemon with `optrep metrics`, validate the
 # Prometheus exposition offline, and cross-check it against `status` —
 # the contact counter, the latency histogram and the wire-bytes
@@ -203,14 +236,21 @@ for pair in "A $A" "B $B" "C $C"; do
              "sum ($wire_sum)" >&2
         exit 1
     fi
-    # The planner's six families (skipped, incremental, snapshot,
-    # refined, digest bytes, digests sent), and at least one digest on
-    # the books: every daemon's first pull shipped a whole vector.
+    # The planner's eight families (skipped, incremental, snapshot,
+    # refined, proposed, refused, digest bytes, digests sent), and at
+    # least one digest on the books: every daemon's first pull shipped
+    # a whole vector. No proposal was refused — nobody wrote behind a
+    # puller's back — and every journal reaches back to its first write.
     planner_families="$(grep -c '^# TYPE optrep_planner_' "$scrape")"
     digests_sent="$(prom_value "$scrape" optrep_planner_digests_sent_total)"
-    if [[ "$planner_families" != 6 || -z "$digests_sent" || "$digests_sent" -le 0 ]]; then
+    refused_total="$(prom_value "$scrape" optrep_planner_shards_refused_total)"
+    floor_lag="$(prom_value "$scrape" optrep_store_journal_floor_lag)"
+    generation="$(prom_value "$scrape" optrep_store_generation)"
+    if [[ "$planner_families" != 8 || -z "$digests_sent" || "$digests_sent" -le 0 \
+          || "$refused_total" != 0 || -z "$floor_lag" || "$floor_lag" != "$generation" ]]; then
         echo "FAIL: $site exposes $planner_families planner families," \
-             "digests sent [$digests_sent]" >&2
+             "digests sent [$digests_sent] refused [$refused_total]" \
+             "journal floor lag [$floor_lag] of generation [$generation]" >&2
         exit 1
     fi
 done
