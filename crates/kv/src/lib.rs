@@ -114,20 +114,77 @@ impl Resolver for OursResolver {
     }
 }
 
+/// What the store keeps per key. The value is *owned*: one exactly
+/// sized block, copied once where it enters the store (a write, a
+/// commit, [`decode_entry`]). A [`Bytes`] is for buffers in flight — a
+/// stored slice of one would keep the whole snapshot image, log record
+/// or socket chunk it was cut from alive for as long as the key is not
+/// overwritten.
 #[derive(Debug, Clone, PartialEq)]
 struct Entry {
     meta: Srv,
-    value: Value,
+    value: Option<Box<[u8]>>,
+}
+
+// The block a key's entry lives in: the vector's header and the value's
+// pointer and length, inside malloc's 64-byte class.
+const _: () = assert!(std::mem::size_of::<Entry>() <= 56);
+
+/// A value handed in through the API ([`Value`]), copied into the block
+/// an [`Entry`] owns.
+fn owned(value: Value) -> Option<Box<[u8]>> {
+    value.map(|bytes| Box::from(&bytes[..]))
 }
 
 /// One shard of the store's key space: its entries plus an
 /// incrementally maintained content digest (the wrapping sum of
 /// [`entry_hash`] over every entry, so updates are O(1): subtract the
-/// old hash, add the new one).
+/// old hash, add the new one) and live-key count. A node slot is two
+/// pointers and a length: key bytes and entry sit in blocks of their
+/// own size, so the slack a B-tree node carries (sequential inserts
+/// leave it six-elevenths full) multiplies 24 bytes a key, not the
+/// entry.
 #[derive(Debug, Clone, Default)]
 struct Shard {
-    entries: BTreeMap<String, Entry>,
+    entries: BTreeMap<Box<str>, Box<Entry>>,
     digest: u64,
+    /// Entries holding a value (not tombstones). Bookkeeping like the
+    /// digest's, so [`KvStore::len`] need not walk.
+    live: usize,
+}
+
+impl Shard {
+    /// Runs `edit` on `key`'s entry — a fresh one (empty vector, no
+    /// value) when the key is not tracked yet — and brings the digest
+    /// and the live count in step with what it did: the one place
+    /// either changes. Returns whether the key was tracked before.
+    fn upsert<K>(&mut self, key: K, edit: impl FnOnce(&mut Entry)) -> bool
+    where
+        K: AsRef<str> + Into<Box<str>>,
+    {
+        let name = key.as_ref();
+        match self.entries.get_mut(name) {
+            Some(entry) => {
+                let (old, was_live) = (entry_hash(name, entry), entry.value.is_some());
+                edit(entry);
+                let new = entry_hash(name, entry);
+                self.digest = self.digest.wrapping_sub(old).wrapping_add(new);
+                self.live = self.live - usize::from(was_live) + usize::from(entry.value.is_some());
+                true
+            }
+            None => {
+                let mut entry = Box::new(Entry {
+                    meta: Srv::new(),
+                    value: None,
+                });
+                edit(&mut entry);
+                self.digest = self.digest.wrapping_add(entry_hash(name, &entry));
+                self.live += usize::from(entry.value.is_some());
+                self.entries.insert(key.into(), entry);
+                false
+            }
+        }
+    }
 }
 
 /// A key's shard index in a map of `count` shards (`count` a power of
@@ -349,19 +406,23 @@ impl KvStore {
     }
 
     fn get_entry(&self, key: &str) -> Option<&Entry> {
-        self.shards[self.shard_of(key)].entries.get(key)
+        self.shards[self.shard_of(key)]
+            .entries
+            .get(key)
+            .map(Box::as_ref)
     }
 
     /// Every tracked entry, in unspecified order.
-    fn iter_entries(&self) -> impl Iterator<Item = (&String, &Entry)> {
-        self.shards.iter().flat_map(|shard| shard.entries.iter())
+    fn iter_entries(&self) -> impl Iterator<Item = (&str, &Entry)> {
+        let shards = self.shards.iter();
+        shards.flat_map(|shard| shard.entries.iter().map(|(key, entry)| (&**key, &**entry)))
     }
 
     /// Every tracked entry, sorted by key — the deterministic order
     /// snapshots and endpoints present, so wire images and stream-id
     /// assignment are independent of the local shard layout.
-    fn entries_sorted(&self) -> Vec<(&String, &Entry)> {
-        let mut all: Vec<(&String, &Entry)> = self.iter_entries().collect();
+    fn entries_sorted(&self) -> Vec<(&str, &Entry)> {
+        let mut all: Vec<(&str, &Entry)> = self.iter_entries().collect();
         all.sort_unstable_by(|a, b| a.0.cmp(b.0));
         all
     }
@@ -375,7 +436,7 @@ impl KvStore {
         &'a self,
         shards: &[u64],
         count: usize,
-        mut visit: impl FnMut(&'a String, &'a Entry),
+        mut visit: impl FnMut(&'a str, &'a Entry),
     ) {
         let physical = self.shards.len();
         let mut wanted = vec![false; count];
@@ -415,7 +476,7 @@ impl KvStore {
         shards: &[u64],
         count: usize,
         keep: impl Fn(&str) -> bool,
-    ) -> Vec<(&String, &Entry)> {
+    ) -> Vec<(&str, &Entry)> {
         let mut kept = Vec::new();
         self.visit_shards(shards, count, |key, entry| {
             if keep(key) {
@@ -470,15 +531,10 @@ impl KvStore {
         residuals
     }
 
-    /// Inserts or replaces one entry, maintaining the shard digest.
+    /// Inserts or replaces one entry.
     fn insert_entry(&mut self, key: String, entry: Entry) {
         let idx = self.shard_of(&key);
-        let shard = &mut self.shards[idx];
-        if let Some(old) = shard.entries.get(&key) {
-            shard.digest = shard.digest.wrapping_sub(entry_hash(&key, old));
-        }
-        shard.digest = shard.digest.wrapping_add(entry_hash(&key, &entry));
-        shard.entries.insert(key, entry);
+        self.shards[idx].upsert(key, |slot| *slot = entry);
     }
 
     /// A snapshot of the cumulative anti-entropy costs this store has paid
@@ -511,25 +567,11 @@ impl KvStore {
     fn write(&mut self, key: String, value: Value) {
         let idx = self.touch(&key);
         let site = self.site;
-        let shard = &mut self.shards[idx];
-        match shard.entries.get_mut(&key) {
-            Some(entry) => {
-                let old = entry_hash(&key, entry);
-                entry.meta.record_update(site);
-                entry.value = value;
-                let new = entry_hash(&key, entry);
-                shard.digest = shard.digest.wrapping_sub(old).wrapping_add(new);
-            }
-            None => {
-                let mut entry = Entry {
-                    meta: Srv::new(),
-                    value,
-                };
-                entry.meta.record_update(site);
-                shard.digest = shard.digest.wrapping_add(entry_hash(&key, &entry));
-                shard.entries.insert(key, entry);
-            }
-        }
+        let value = owned(value);
+        self.shards[idx].upsert(key, |entry| {
+            entry.meta.record_update(site);
+            entry.value = value;
+        });
     }
 
     /// Reads a key. Tombstoned and absent keys both read as `None`.
@@ -547,22 +589,20 @@ impl KvStore {
         let mut live: Vec<&str> = self
             .iter_entries()
             .filter(|(_, e)| e.value.is_some())
-            .map(|(k, _)| k.as_str())
+            .map(|(k, _)| k)
             .collect();
         live.sort_unstable();
         live.into_iter()
     }
 
-    /// Number of live keys.
+    /// Number of live keys. O(shards): each shard counts its own.
     pub fn len(&self) -> usize {
-        self.iter_entries()
-            .filter(|(_, e)| e.value.is_some())
-            .count()
+        self.shards.iter().map(|shard| shard.live).sum()
     }
 
-    /// `true` iff the store has no live keys. Stops at the first one.
+    /// `true` iff the store has no live keys.
     pub fn is_empty(&self) -> bool {
-        !self.iter_entries().any(|(_, e)| e.value.is_some())
+        self.len() == 0
     }
 
     /// Total entries including tombstones (the replication footprint).
@@ -843,7 +883,7 @@ impl KvStore {
         // Each walk sorts the shards it names and nothing else; within
         // a walk, bucketing keeps key order, so each image is what
         // `encode_shard_snapshot` would sort out for that shard alone.
-        let mut images: BTreeMap<u64, Vec<(&String, &Entry)>> =
+        let mut images: BTreeMap<u64, Vec<(&str, &Entry)>> =
             bulk.iter().map(|&shard| (shard, Vec::new())).collect();
         for (key, entry) in self.entries_in(&bulk, count, |_| true) {
             let shard = shard_index(key, count) as u64;
@@ -1057,20 +1097,7 @@ impl KvStore {
             let mut buf = blob.clone();
             let n = wire::get_varint(&mut buf).map_err(optrep_core::Error::Wire)?;
             for _ in 0..n {
-                let key_bytes = wire::get_bytes(&mut buf).map_err(optrep_core::Error::Wire)?;
-                let key = String::from_utf8(key_bytes.to_vec())
-                    .map_err(|_| optrep_core::Error::Wire(WireError::InvalidPayload))?;
-                let mut meta_bytes = wire::get_bytes(&mut buf).map_err(optrep_core::Error::Wire)?;
-                let meta =
-                    Srv::decode_snapshot(&mut meta_bytes).map_err(optrep_core::Error::Wire)?;
-                if !buf.has_remaining() {
-                    return Err(optrep_core::Error::Wire(WireError::UnexpectedEof));
-                }
-                let value = match buf.get_u8() {
-                    0 => None,
-                    1 => Some(wire::get_bytes(&mut buf).map_err(optrep_core::Error::Wire)?),
-                    _ => return Err(optrep_core::Error::Wire(WireError::InvalidPayload)),
-                };
+                let (key, entry) = decode_keyed(&mut buf).map_err(optrep_core::Error::Wire)?;
                 // The shard-map invariant: every key must hash into the
                 // blob's claimed shard at the plan's count.
                 if shard_index(&key, count) != *shard as usize {
@@ -1079,7 +1106,7 @@ impl KvStore {
                 if self.get_entry(&key).is_some() {
                     continue;
                 }
-                entries.push((key, Entry { meta, value }));
+                entries.push((key, entry));
             }
             if buf.has_remaining() {
                 return Err(optrep_core::Error::Wire(WireError::InvalidPayload));
@@ -1123,34 +1150,34 @@ impl KvStore {
                 Staged::Clean => report.keys_unchanged += 1,
                 Staged::Create { value } => {
                     changed.push(key.clone());
+                    let value = owned(value);
                     self.insert_entry(key, Entry { meta, value });
                     report.keys_created += 1;
                 }
                 Staged::FastForward { value } => {
                     let idx = self.shard_of(&key);
-                    let shard = &mut self.shards[idx];
-                    let ours = shard.entries.get_mut(&key).expect("client named our key");
-                    let old = entry_hash(&key, ours);
-                    ours.meta = meta;
-                    ours.value = value;
-                    let new = entry_hash(&key, ours);
-                    shard.digest = shard.digest.wrapping_sub(old).wrapping_add(new);
+                    let tracked = self.shards[idx].upsert(key.as_str(), |ours| {
+                        ours.meta = meta;
+                        ours.value = owned(value);
+                    });
+                    assert!(tracked, "client named our key");
                     self.stats.record_fast_forward();
                     report.keys_fast_forwarded += 1;
                     changed.push(key);
                 }
                 Staged::Reconcile { theirs } => {
                     let idx = self.shard_of(&key);
-                    let shard = &mut self.shards[idx];
-                    let ours = shard.entries.get_mut(&key).expect("client named our key");
-                    let old = entry_hash(&key, ours);
-                    ours.value = resolver.resolve(&key, &ours.value, &theirs);
-                    ours.meta = meta;
-                    // Parker §C: the resolved version must dominate both
-                    // parents.
-                    ours.meta.record_update(site);
-                    let new = entry_hash(&key, ours);
-                    shard.digest = shard.digest.wrapping_sub(old).wrapping_add(new);
+                    let tracked = self.shards[idx].upsert(key.as_str(), |ours| {
+                        // The resolver's currency is the API's: lend it
+                        // our side as a buffer of its own.
+                        let mine = ours.value.as_deref().map(Bytes::copy_from_slice);
+                        ours.value = owned(resolver.resolve(&key, &mine, &theirs));
+                        ours.meta = meta;
+                        // Parker §C: the resolved version must dominate
+                        // both parents.
+                        ours.meta.record_update(site);
+                    });
+                    assert!(tracked, "client named our key");
                     self.stats.record_reconciliation();
                     report.keys_reconciled += 1;
                     changed.push(key);
@@ -1239,19 +1266,7 @@ impl KvStore {
     pub fn encode_snapshot(&self) -> Bytes {
         let mut buf = BytesMut::new();
         wire::put_varint(&mut buf, u64::from(self.site.index()));
-        wire::put_varint(&mut buf, self.tracked_entries() as u64);
-        for (key, entry) in self.entries_sorted() {
-            wire::put_bytes(&mut buf, key.as_bytes());
-            let meta = entry.meta.encode_snapshot();
-            wire::put_bytes(&mut buf, &meta);
-            match &entry.value {
-                Some(v) => {
-                    buf.put_u8(1);
-                    wire::put_bytes(&mut buf, v);
-                }
-                None => buf.put_u8(0),
-            }
-        }
+        put_image(&mut buf, &self.entries_sorted());
         buf.freeze()
     }
 
@@ -1266,17 +1281,8 @@ impl KvStore {
     ///
     /// Returns `None` if the key is not tracked (never written).
     pub fn encode_entry(&self, key: &str) -> Option<Bytes> {
-        let entry = self.get_entry(key)?;
         let mut buf = BytesMut::new();
-        let meta = entry.meta.encode_snapshot();
-        wire::put_bytes(&mut buf, &meta);
-        match &entry.value {
-            Some(v) => {
-                buf.put_u8(1);
-                wire::put_bytes(&mut buf, v);
-            }
-            None => buf.put_u8(0),
-        }
+        put_entry(&mut buf, self.get_entry(key)?);
         Some(buf.freeze())
     }
 
@@ -1294,22 +1300,13 @@ impl KvStore {
         key: impl Into<String>,
         buf: &mut Bytes,
     ) -> std::result::Result<(), WireError> {
-        let mut meta_bytes = wire::get_bytes(buf)?;
-        let meta = Srv::decode_snapshot(&mut meta_bytes)?;
-        if !buf.has_remaining() {
-            return Err(WireError::UnexpectedEof);
-        }
-        let value = match buf.get_u8() {
-            0 => None,
-            1 => Some(wire::get_bytes(buf)?),
-            _ => return Err(WireError::InvalidPayload),
-        };
+        let entry = decode_entry(buf)?;
         if buf.has_remaining() {
             return Err(WireError::InvalidPayload);
         }
         let key = key.into();
         self.touch(&key);
-        self.insert_entry(key, Entry { meta, value });
+        self.insert_entry(key, entry);
         Ok(())
     }
 
@@ -1326,20 +1323,8 @@ impl KvStore {
         // rebuilding at the environment's count reshards at boot for free.
         let mut store = KvStore::with_shards(site, env_shards());
         for _ in 0..n {
-            let key_bytes = wire::get_bytes(buf)?;
-            let key =
-                String::from_utf8(key_bytes.to_vec()).map_err(|_| WireError::UnexpectedEof)?;
-            let mut meta_bytes = wire::get_bytes(buf)?;
-            let meta = Srv::decode_snapshot(&mut meta_bytes)?;
-            if !buf.has_remaining() {
-                return Err(WireError::UnexpectedEof);
-            }
-            let value = if buf.get_u8() == 1 {
-                Some(wire::get_bytes(buf)?)
-            } else {
-                None
-            };
-            store.insert_entry(key, Entry { meta, value });
+            let (key, entry) = decode_keyed(buf)?;
+            store.insert_entry(key, entry);
         }
         Ok(store)
     }
@@ -1409,49 +1394,88 @@ impl<'a> SyncRequest<'a> {
 
 /// A pulling endpoint over `entries`: one stream per key, carrying its
 /// current metadata.
-fn pulling(entries: Vec<(&String, &Entry)>) -> BatchPullClient {
+fn pulling(entries: Vec<(&str, &Entry)>) -> BatchPullClient {
     BatchPullClient::new(
         entries
             .into_iter()
-            .map(|(key, entry)| (Bytes::from(key.clone().into_bytes()), entry.meta.clone())),
+            .map(|(key, entry)| (Bytes::copy_from_slice(key.as_bytes()), entry.meta.clone())),
     )
 }
 
 /// A serving endpoint over `entries`: metadata plus the encoded value
 /// per key.
-fn serving(entries: Vec<(&String, &Entry)>) -> BatchPullServer {
+fn serving(entries: Vec<(&str, &Entry)>) -> BatchPullServer {
     BatchPullServer::new(entries.into_iter().map(|(key, entry)| {
         (
-            Bytes::from(key.clone().into_bytes()),
+            Bytes::copy_from_slice(key.as_bytes()),
             entry.meta.clone(),
-            encode_value(&entry.value),
+            encode_value(entry.value.as_deref()),
         )
     }))
 }
 
+/// The one wire form of an entry's state: its metadata snapshot, length-
+/// prefixed, then the value behind a one-byte tag (`0` a tombstone, `1`
+/// length-prefixed bytes). A log record is this and frames the key
+/// itself; images put the key in front ([`put_image`]).
+fn put_entry(buf: &mut BytesMut, entry: &Entry) {
+    wire::put_bytes(buf, &entry.meta.encode_snapshot());
+    match entry.value.as_deref() {
+        Some(v) => {
+            buf.put_u8(1);
+            wire::put_bytes(buf, v);
+        }
+        None => buf.put_u8(0),
+    }
+}
+
+/// Reads what [`put_entry`] wrote. The value is copied out of `buf`
+/// here, into the block the entry owns — every decoded entry comes
+/// through this function, so nothing a store holds refers to `buf`.
+fn decode_entry(buf: &mut Bytes) -> std::result::Result<Entry, WireError> {
+    let mut meta_bytes = wire::get_bytes(buf)?;
+    let meta = Srv::decode_snapshot(&mut meta_bytes)?;
+    if !buf.has_remaining() {
+        return Err(WireError::UnexpectedEof);
+    }
+    let value = match buf.get_u8() {
+        0 => None,
+        1 => Some(Box::from(&wire::get_bytes(buf)?[..])),
+        _ => return Err(WireError::InvalidPayload),
+    };
+    Ok(Entry { meta, value })
+}
+
+/// An image of (sorted) `entries`: a varint count, then each entry as
+/// its length-prefixed key and its [`put_entry`] form — the body of a
+/// store snapshot and the whole of a shard's.
+fn put_image(buf: &mut BytesMut, entries: &[(&str, &Entry)]) {
+    wire::put_varint(buf, entries.len() as u64);
+    for (key, entry) in entries {
+        wire::put_bytes(buf, key.as_bytes());
+        put_entry(buf, entry);
+    }
+}
+
+/// Reads one entry of an image: its key, which must be UTF-8, and its
+/// state.
+fn decode_keyed(buf: &mut Bytes) -> std::result::Result<(String, Entry), WireError> {
+    let key =
+        String::from_utf8(wire::get_bytes(buf)?.to_vec()).map_err(|_| WireError::InvalidPayload)?;
+    Ok((key, decode_entry(buf)?))
+}
+
 /// One shard's snapshot image over its (sorted) `entries`: the layout
 /// [`KvStore::encode_shard_snapshot`] documents.
-fn encode_shard_image(entries: &[(&String, &Entry)]) -> Bytes {
+fn encode_shard_image(entries: &[(&str, &Entry)]) -> Bytes {
     let mut buf = BytesMut::new();
-    wire::put_varint(&mut buf, entries.len() as u64);
-    for (key, entry) in entries {
-        wire::put_bytes(&mut buf, key.as_bytes());
-        let meta = entry.meta.encode_snapshot();
-        wire::put_bytes(&mut buf, &meta);
-        match &entry.value {
-            Some(v) => {
-                buf.put_u8(1);
-                wire::put_bytes(&mut buf, v);
-            }
-            None => buf.put_u8(0),
-        }
-    }
+    put_image(&mut buf, entries);
     buf.freeze()
 }
 
-/// Wire form of a [`Value`]: `[0]` is a tombstone, `[1, bytes…]` a value —
-/// the same one-byte tag the snapshot format uses.
-fn encode_value(value: &Value) -> Bytes {
+/// Wire form of a value in flight: `[0]` is a tombstone, `[1, bytes…]` a
+/// value — the same one-byte tag the snapshot format uses.
+fn encode_value(value: Option<&[u8]>) -> Bytes {
     match value {
         Some(v) => {
             let mut buf = BytesMut::with_capacity(v.len() + 1);
@@ -1642,6 +1666,108 @@ mod tests {
             let mut buf = bytes.slice(0..cut);
             assert!(KvStore::decode_snapshot(&mut buf).is_err(), "cut {cut}");
         }
+    }
+
+    /// What no encoder writes, a snapshot decoder refuses as the log and
+    /// shard-image decoders do — `InvalidPayload`, and no store.
+    #[test]
+    fn hostile_snapshots_are_invalid_payload() {
+        let mut a = KvStore::new(s(3));
+        a.put("key", "value");
+        let honest = a.encode_snapshot().to_vec();
+        // site, count, "key", the vector, then tag, length, "value".
+        assert_eq!(honest[2..6], *b"\x03key");
+        let tag = honest.len() - 1 - b"value".len() - 1;
+        assert_eq!(honest[tag], 1);
+        for (at, byte, what) in [
+            (tag, 2, "value tag 2"),
+            (tag, 255, "value tag 255"),
+            (4, 0xff, "a key that is not UTF-8"),
+        ] {
+            let mut image = honest.clone();
+            image[at] = byte;
+            let decoded = KvStore::decode_snapshot(&mut Bytes::from(image));
+            assert_eq!(decoded.err(), Some(WireError::InvalidPayload), "{what}");
+        }
+    }
+
+    /// `len()` and `is_empty()` read a count each shard keeps beside its
+    /// digest; the walk they replaced is the reference. Every way an
+    /// entry comes to hold or lose a value goes by here.
+    #[test]
+    fn the_live_count_equals_the_walk_after_every_step() {
+        fn check(store: &KvStore, step: &str) {
+            let walked = store.iter_entries().filter(|(_, e)| e.value.is_some());
+            assert_eq!(store.len(), walked.count(), "{step}");
+            assert_eq!(store.is_empty(), store.keys().next().is_none(), "{step}");
+        }
+        let plan = PlanConfig::default();
+        let (mut revived, mut snapshot_loaded) = (0, 0);
+        let mut pulled = KvSyncReport::default();
+        for shards in [1, 16, 512] {
+            for seed in 0..6u64 {
+                let mut rng = seed * 0x9e37 + shards as u64;
+                let mut a = KvStore::with_shards(s(0), shards);
+                let mut b = KvStore::with_shards(s(1), shards);
+                for step in 0..160 {
+                    let key = format!("k{:02}", splitmix64(&mut rng) % 24);
+                    let op = splitmix64(&mut rng) % 12;
+                    let step = format!("{shards} shards, seed {seed}, step {step}, op {op}");
+                    let store = if splitmix64(&mut rng) & 1 == 0 {
+                        &mut a
+                    } else {
+                        &mut b
+                    };
+                    match op {
+                        0..=3 => {
+                            let tombstone = store.meta(&key).is_some() && store.get(&key).is_none();
+                            revived += usize::from(tombstone);
+                            store.put(key, format!("v{step}").into_bytes());
+                        }
+                        4..=6 => store.delete(key),
+                        7 => {
+                            let report = b.sync(&a).run().unwrap();
+                            pulled.keys_created += report.keys_created;
+                            pulled.keys_fast_forwarded += report.keys_fast_forwarded;
+                            pulled.keys_reconciled += report.keys_reconciled;
+                        }
+                        8 => {
+                            a.sync_planned(&b, &JoinResolver, &plan).unwrap();
+                        }
+                        9 => {
+                            // A checkpoint reloaded (at the environment's
+                            // shard count, like a daemon's).
+                            *store =
+                                KvStore::decode_snapshot(&mut store.encode_snapshot()).unwrap();
+                        }
+                        10 => {
+                            // A log of `a`'s post-states replayed over `b`.
+                            for (key, _) in a.entries_sorted() {
+                                let mut record = a.encode_entry(key).unwrap();
+                                b.apply_encoded_entry(key, &mut record).unwrap();
+                                check(&b, &step);
+                            }
+                        }
+                        _ => {
+                            // A joiner bulk-loads whole shards.
+                            let mut joiner = KvStore::with_shards(s(2), shards);
+                            let (report, _) =
+                                joiner.sync_planned(store, &JoinResolver, &plan).unwrap();
+                            snapshot_loaded += report.shards_snapshot;
+                            assert_eq!(joiner.len(), store.len(), "{step}");
+                            check(&joiner, &step);
+                        }
+                    }
+                    check(&a, &step);
+                    check(&b, &step);
+                }
+            }
+        }
+        assert!(revived > 0 && snapshot_loaded > 0, "every path was taken");
+        assert!(
+            pulled.keys_created > 0 && pulled.keys_fast_forwarded > 0 && pulled.keys_reconciled > 0,
+            "{pulled:?}"
+        );
     }
 
     #[test]
@@ -1849,7 +1975,7 @@ mod tests {
             let mirror = {
                 let mut m = KvStore::with_shards(s(1), count);
                 for (key, entry) in store.iter_entries() {
-                    m.insert_entry(key.clone(), entry.clone());
+                    m.insert_entry(key.to_string(), entry.clone());
                 }
                 m.shard_digest_vector().shards
             };
@@ -2439,7 +2565,7 @@ mod tests {
                 let digests = dst.shard_digest_vector();
                 let (plan, _) =
                     src.plan_contact_since(&digests, Some(since), &PlanConfig::default());
-                let differs = |key: &String| {
+                let differs = |key: &str| {
                     let hash = |store: &KvStore| store.get_entry(key).map(|e| entry_hash(key, e));
                     hash(dst) != hash(src)
                 };

@@ -5,10 +5,11 @@
 //! a counting global allocator (per thread, so the harness's own threads
 //! do not blur it) and pins what `core::order` promises — one 24-byte
 //! slot per element and nothing else up to eight elements, the hash
-//! index only from the ninth — and what that leaves a `KvStore` paying
-//! per key — and what a store's change journal costs: one allocation of
-//! the cap, whatever the store holds. It is its own test binary so the
-//! allocator touches nothing else.
+//! index only from the ninth — what a `KvStore` pays per key on top of
+//! that (four blocks and a 24-byte node slot, whatever the value), that
+//! a stored value keeps nothing else alive, and what a store's change
+//! journal costs: one allocation of the cap, whatever the store holds.
+//! It is its own test binary so the allocator touches nothing else.
 
 use bytes::Bytes;
 use optrep_core::{RotatingVector, SiteId, Srv};
@@ -161,33 +162,148 @@ fn decoding_builds_the_slab_in_place() {
     assert_eq!(grown.allocations, 0);
 }
 
+const KEYS: usize = 10_000;
+
+/// A store of `KEYS` one-site keys, 8 bytes each, written in key order:
+/// values of `value_len` bytes, or tombstones for `None`.
+fn written(mut store: KvStore, value_len: Option<usize>) -> KvStore {
+    for i in 0..KEYS {
+        let key = format!("k{i:07}");
+        match value_len {
+            Some(len) => store.put(key, Bytes::from(vec![b'v'; len])),
+            None => store.delete(key),
+        }
+    }
+    store
+}
+
 /// Live heap per key of a store of one-site keys: 8-byte keys, 32-byte
 /// values — `sparse_pull`'s shape. Requested bytes, so below what RSS
-/// shows (malloc's own headers and rounding are not in it). Measured
-/// against the stand-in `bytes` of crates/perf/standins, whose value is an
-/// `Arc<Vec<u8>>` (40 B more per value than the published crate's, which
-/// this sandbox cannot build): 299 B at 1 shard, 296 at 16, 297 at 256,
-/// 326 at 512 — 496, 492, 493, 532 before the vector lost its always-on
-/// hash index and four-slot minimum. Of the 299, 195 B are the key's
-/// share of its `BTreeMap` node (sequential inserts leave nodes six-
-/// elevenths full), 72 B the value, 8 B the key and 24 B the one slot.
+/// shows (malloc's own headers and rounding are not in it), and the same
+/// under the published `bytes` and the stand-in: a stored value is a
+/// `Box<[u8]>`, not a handle of either. Four blocks a key — key bytes,
+/// entry, the vector's one slot, value — and a sixth of a `BTreeMap`
+/// node, whose slot is 24 B (sequential inserts leave nodes six-
+/// elevenths full, so ≈ 46 B a key with the node's own header). What a
+/// key costs beyond its value does not depend on the value: a 256-byte
+/// one and a tombstone pay the same overhead to the byte.
 #[test]
-fn a_one_site_key_costs_under_400_bytes() {
-    const KEYS: usize = 10_000;
+fn a_one_site_key_costs_at_most_220_bytes_in_four_blocks() {
+    eprintln!("shards  value  bytes/key  overhead/key  blocks/key");
     for shards in [1, 16, 256, 512] {
-        let (store, grown) = measure(|| {
-            let mut store = KvStore::with_shards(SiteId::new(1), shards);
-            for i in 0..KEYS {
-                store.put(format!("k{i:07}"), Bytes::from(vec![b'v'; 32]));
+        let mut overheads = Vec::new();
+        for value_len in [Some(32), Some(256), None] {
+            let empty = KvStore::with_shards(SiteId::new(1), shards);
+            let (store, grown) = measure(|| written(empty, value_len));
+            assert_eq!(store.tracked_entries(), KEYS);
+            assert_eq!(store.len(), value_len.map_or(0, |_| KEYS));
+            let overhead = grown.bytes - KEYS * value_len.unwrap_or(0);
+            let blocks = grown.blocks as f64 / KEYS as f64;
+            eprintln!(
+                "{shards:>6}  {:>5}  {:>9}  {:>12}  {blocks:>10.2}",
+                value_len.map_or("none".into(), |len| len.to_string()),
+                grown.bytes / KEYS,
+                overhead / KEYS,
+            );
+            if value_len == Some(32) {
+                assert!(
+                    grown.bytes <= 220 * KEYS,
+                    "{} live heap bytes per key at {shards} shards",
+                    grown.bytes / KEYS
+                );
+                assert!(
+                    blocks <= 4.2,
+                    "{blocks} live blocks per key at {shards} shards"
+                );
             }
-            store
-        });
-        assert_eq!(store.len(), KEYS);
-        let per_key = grown.bytes / KEYS;
+            overheads.push(overhead);
+        }
         assert!(
-            per_key <= 400,
-            "{per_key} live heap bytes per key at {shards} shards"
+            overheads.iter().all(|&overhead| overhead == overheads[0]),
+            "overhead depends on the value at {shards} shards: {overheads:?}"
         );
+    }
+}
+
+/// A stored value is the store's own copy. However a store came by its
+/// entries — a checkpoint image, one large log record, a pull — it holds,
+/// once the image, the record and the link are gone, what the same
+/// entries cost when `put`: within 16 B a key (the journal a decoded
+/// store has not allocated yet is 6.5 of them). And so it stays when
+/// every key but one is then deleted. While a value was a `Bytes` cut
+/// from the buffer it was decoded from, both rows failed by the size of
+/// that buffer: a decoded store held the image or the record whole in
+/// place of its values, and went on holding all of it for as long as one
+/// value read from it was not overwritten (per key, put / snapshot / log
+/// / pull: 302 / 276 / 293 / 346 B as built, 230 / 283 / 293 / 230 B
+/// with one value left).
+#[test]
+fn a_value_does_not_pin_what_it_was_decoded_from() {
+    let site = SiteId::new(1);
+    // At the environment's shard count, as `decode_snapshot` builds.
+    let by_put = || written(KvStore::new(site), Some(32));
+    let source = by_put();
+    let by_snapshot = || {
+        let mut image = source.encode_snapshot();
+        KvStore::decode_snapshot(&mut image).unwrap()
+    };
+    // Every post-state in one buffer, applied slice by slice: a
+    // contact's log record.
+    let by_log = || {
+        let keys: Vec<&str> = source.keys().collect();
+        let mut record = Vec::new();
+        let mut ends = Vec::new();
+        for key in &keys {
+            record.extend_from_slice(&source.encode_entry(key).unwrap());
+            ends.push(record.len());
+        }
+        let record = Bytes::from(record);
+        let mut store = KvStore::new(site);
+        let mut start = 0;
+        for (key, end) in keys.into_iter().zip(ends) {
+            let mut entry = record.slice(start..end);
+            store.apply_encoded_entry(key, &mut entry).unwrap();
+            start = end;
+        }
+        store
+    };
+    // (A puller on the source's own site, so that its deletes below
+    // count on the element the writes did, as every other store's do.)
+    let by_pull = || {
+        let mut store = KvStore::new(site);
+        store.sync(&source).run().unwrap();
+        store
+    };
+    let builders: [(&str, &dyn Fn() -> KvStore); 4] = [
+        ("put", &by_put),
+        ("snapshot", &by_snapshot),
+        ("log", &by_log),
+        ("pull", &by_pull),
+    ];
+    eprintln!("built by  kept  bytes/key");
+    for keep_one in [false, true] {
+        let mut baseline = None;
+        for (how, build) in builders {
+            let (store, grown) = measure(|| {
+                let mut store = build();
+                if keep_one {
+                    for i in 1..KEYS {
+                        store.delete(format!("k{i:07}"));
+                    }
+                }
+                store
+            });
+            let kept = store.len();
+            eprintln!("{how:>8}  {kept:>4}  {:>9}", grown.bytes / KEYS);
+            assert_eq!(kept, if keep_one { 1 } else { KEYS });
+            let put = *baseline.get_or_insert(grown.bytes);
+            assert!(
+                grown.bytes.abs_diff(put) <= 16 * KEYS,
+                "built by {how}, {kept} values kept: {} B a key, by put {}",
+                grown.bytes / KEYS,
+                put / KEYS
+            );
+        }
     }
 }
 
@@ -231,10 +347,7 @@ fn the_journal_is_one_allocation_of_the_cap() {
     let (_without, without) = measure(|| reloaded.clone());
     assert_eq!(with.bytes - without.bytes, JOURNAL, "16 B an entry");
     assert_eq!(with.blocks - without.blocks, 1);
-    // And a clone goes on at the cap, as its original does. (The
-    // original goes first: while it lives the values are shared, and a
-    // rewrite frees nothing.)
-    drop(store);
+    // And a clone goes on at the cap, as its original does.
     let ((), grown) = measure(|| {
         for i in 0..JOURNAL_CAP + 7 {
             copy.put(format!("k{:02}", i % 64), value());
