@@ -23,7 +23,7 @@ use crate::error::WireError;
 use crate::site::SiteId;
 use crate::vv::VersionVector;
 use crate::wire;
-use bytes::{Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::collections::HashMap;
 
 const NIL: u32 = u32::MAX;
@@ -47,6 +47,11 @@ pub struct Element {
     /// SRV segment bit `v.s[i]` (§4): set on the last element of a segment.
     /// Always `false` in a BRV or CRV.
     pub segment: bool,
+}
+
+/// An element's value and bits as one snapshot varint.
+fn packed(e: &Element) -> u64 {
+    e.value << 2 | u64::from(e.conflict) << 1 | u64::from(e.segment)
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -288,20 +293,33 @@ impl RotCore {
     /// by `(site, value·4 | conflict·2 | segment)` varint pairs in `≺`
     /// order.
     pub fn encode_snapshot(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        wire::put_varint(&mut buf, self.len() as u64);
-        for e in self.iter() {
-            wire::put_varint(&mut buf, u64::from(e.site.index()));
-            wire::put_varint(
-                &mut buf,
-                e.value << 2 | u64::from(e.conflict) << 1 | u64::from(e.segment),
-            );
-        }
+        let mut buf = BytesMut::with_capacity(self.snapshot_len());
+        self.put_snapshot(&mut buf);
         buf.freeze()
     }
 
+    /// Appends what [`encode_snapshot`](Self::encode_snapshot) returns to
+    /// `buf`: for a caller that frames the vector inside a larger record
+    /// and wants no buffer in between.
+    pub fn put_snapshot(&self, buf: &mut impl BufMut) {
+        wire::put_varint(buf, self.len() as u64);
+        for e in self.iter() {
+            wire::put_varint(buf, u64::from(e.site.index()));
+            wire::put_varint(buf, packed(&e));
+        }
+    }
+
+    /// The number of bytes [`put_snapshot`](Self::put_snapshot) writes.
+    pub fn snapshot_len(&self) -> usize {
+        let elements = self
+            .iter()
+            .map(|e| wire::varint_len(u64::from(e.site.index())) + wire::varint_len(packed(&e)));
+        wire::varint_len(self.len() as u64) + elements.sum::<usize>()
+    }
+
     /// Rebuilds a store from [`encode_snapshot`](Self::encode_snapshot)
-    /// output: the slab is filled in `≺` order at exact capacity, no
+    /// output — a [`Bytes`] in flight or a `&[u8]` field of a stored
+    /// record: the slab is filled in `≺` order at exact capacity, no
     /// intermediate list.
     ///
     /// # Errors
@@ -309,18 +327,18 @@ impl RotCore {
     /// Returns a [`WireError`] on truncated or malformed input: an
     /// element count the remaining bytes cannot hold is
     /// [`WireError::UnexpectedEof`] before anything is allocated, and an
-    /// image naming a site twice is [`WireError::InvalidPayload`] (no
-    /// encoder writes one, and accepting it would silently drop an
-    /// element).
-    pub fn decode_snapshot(buf: &mut Bytes) -> Result<RotCore, WireError> {
+    /// image naming a site twice, or a site above `u32::MAX`, is
+    /// [`WireError::InvalidPayload`] (no encoder writes one, and
+    /// accepting it would silently drop or rename an element).
+    pub fn decode_snapshot(buf: &mut impl Buf) -> Result<RotCore, WireError> {
         let n = wire::get_varint(buf)?;
         // Two varints, so at least two bytes, per element.
-        if n > (buf.len() / 2) as u64 {
+        if n > (buf.remaining() / 2) as u64 {
             return Err(WireError::UnexpectedEof);
         }
         let mut core = RotCore::with_exact_capacity(n as usize);
         for _ in 0..n {
-            let site = SiteId::new(wire::get_varint(buf)? as u32);
+            let site = wire::get_site(buf)?;
             let packed = wire::get_varint(buf)?;
             if core.find(site).is_some() {
                 return Err(WireError::InvalidPayload);
@@ -1031,6 +1049,35 @@ mod tests {
                     "seed {seed}, repeat at {at}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn a_site_above_u32_is_refused_not_renamed() {
+        // One element, site 2³² + 1, value 1: truncated, it would decode
+        // as site 1.
+        let mut image = BytesMut::new();
+        wire::put_varint(&mut image, 1);
+        wire::put_varint(&mut image, (1 << 32) + 1);
+        wire::put_varint(&mut image, 4);
+        assert_eq!(
+            RotCore::decode_snapshot(&mut image.freeze()),
+            Err(WireError::InvalidPayload)
+        );
+    }
+
+    #[test]
+    fn snapshot_len_is_what_put_snapshot_writes() {
+        for seed in 0..64u64 {
+            let core = random_core(seed);
+            let mut written = Vec::new();
+            core.put_snapshot(&mut written);
+            assert_eq!(written.len(), core.snapshot_len(), "seed {seed}");
+            assert_eq!(written, core.encode_snapshot(), "seed {seed}");
+            // A slice decodes like a `Bytes`.
+            let mut slice = &written[..];
+            let decoded = RotCore::decode_snapshot(&mut slice).unwrap();
+            assert!(slice.is_empty() && decoded.structurally_equal(&core));
         }
     }
 

@@ -131,14 +131,15 @@ macro_rules! rotating_vector_type {
             }
 
             /// Rebuilds a vector from
-            /// [`encode_snapshot`](Self::encode_snapshot) output.
+            /// [`encode_snapshot`](Self::encode_snapshot) output, read
+            /// from a `Bytes` or from a `&[u8]`.
             ///
             /// # Errors
             ///
             /// Returns a [`crate::error::WireError`] on truncated or
             /// malformed input.
             pub fn decode_snapshot(
-                buf: &mut bytes::Bytes,
+                buf: &mut impl bytes::Buf,
             ) -> std::result::Result<Self, crate::error::WireError> {
                 Ok(Self {
                     core: RotCore::decode_snapshot(buf)?,

@@ -250,14 +250,14 @@ impl WireMsg for Msg {
             TAG_ELEM_B => {
                 let value = wire::get_varint(buf)?;
                 Ok(Msg::ElemB {
-                    site: SiteId::new(field as u32),
+                    site: wire::site_id(field)?,
                     value,
                 })
             }
             TAG_ELEM_C => {
                 let packed = wire::get_varint(buf)?;
                 Ok(Msg::ElemC {
-                    site: SiteId::new(field as u32),
+                    site: wire::site_id(field)?,
                     value: packed >> 1,
                     conflict: packed & 1 == 1,
                 })
@@ -265,7 +265,7 @@ impl WireMsg for Msg {
             TAG_ELEM_S => {
                 let packed = wire::get_varint(buf)?;
                 Ok(Msg::ElemS {
-                    site: SiteId::new(field as u32),
+                    site: wire::site_id(field)?,
                     value: packed >> 2,
                     conflict: packed >> 1 & 1 == 1,
                     segment: packed & 1 == 1,
@@ -279,7 +279,7 @@ impl WireMsg for Msg {
                 let n = field as usize;
                 let mut pairs = Vec::with_capacity(n.min(1 << 16));
                 for _ in 0..n {
-                    let site = SiteId::new(wire::get_varint(buf)? as u32);
+                    let site = wire::get_site(buf)?;
                     let value = wire::get_varint(buf)?;
                     pairs.push((site, value));
                 }
@@ -470,6 +470,30 @@ mod tests {
         let decoded = Msg::decode(&mut buf).unwrap();
         assert_eq!(decoded, msg);
         assert!(buf.is_empty());
+    }
+
+    #[test]
+    fn a_site_above_u32_is_refused_by_every_message_that_names_one() {
+        let site = (1u64 << 32) + 1;
+        let mut hostile = Vec::new();
+        for tag in [TAG_ELEM_B, TAG_ELEM_C, TAG_ELEM_S] {
+            let mut buf = BytesMut::new();
+            put_head(&mut buf, tag, site);
+            wire::put_varint(&mut buf, 7);
+            hostile.push(buf.freeze());
+        }
+        let mut buf = BytesMut::new();
+        put_head(&mut buf, TAG_FULL_VECTOR, 1);
+        wire::put_varint(&mut buf, site);
+        wire::put_varint(&mut buf, 7);
+        hostile.push(buf.freeze());
+        for mut message in hostile {
+            assert_eq!(
+                Msg::decode(&mut message),
+                Err(WireError::InvalidPayload),
+                "truncated, it would name site 1"
+            );
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! (not abstract element counts — those are reported separately).
 
 use crate::error::WireError;
+use crate::site::SiteId;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Maximum number of bytes a `u64` varint occupies.
@@ -20,7 +21,7 @@ pub const MAX_VARINT_LEN: usize = 10;
 /// wire::put_varint(&mut buf, 300);
 /// assert_eq!(&buf[..], &[0xac, 0x02]);
 /// ```
-pub fn put_varint(buf: &mut BytesMut, mut value: u64) {
+pub fn put_varint(buf: &mut impl BufMut, mut value: u64) {
     loop {
         let byte = (value & 0x7f) as u8;
         value >>= 7;
@@ -32,14 +33,15 @@ pub fn put_varint(buf: &mut BytesMut, mut value: u64) {
     }
 }
 
-/// Decodes an LEB128 varint from the front of `buf`.
+/// Decodes an LEB128 varint from the front of `buf` — a [`Bytes`] in
+/// flight, or a `&[u8]` a caller holds (a stored record's field).
 ///
 /// # Errors
 ///
 /// Returns [`WireError::UnexpectedEof`] if the buffer ends mid-varint and
 /// [`WireError::VarintOverflow`] if the encoding exceeds
 /// [`MAX_VARINT_LEN`] bytes or carries bits above the `u64` range.
-pub fn get_varint(buf: &mut Bytes) -> Result<u64, WireError> {
+pub fn get_varint(buf: &mut impl Buf) -> Result<u64, WireError> {
     let mut value = 0u64;
     let mut shift = 0u32;
     for _ in 0..MAX_VARINT_LEN {
@@ -62,6 +64,37 @@ pub fn get_varint(buf: &mut Bytes) -> Result<u64, WireError> {
     Err(WireError::VarintOverflow)
 }
 
+/// Decodes a varint that must fit a `u32` — a site index, a sequence
+/// number. An `as u32` here would read `2³² + 1` as `1`.
+///
+/// # Errors
+///
+/// As [`get_varint`], and [`WireError::InvalidPayload`] above `u32::MAX`.
+pub fn get_u32(buf: &mut impl Buf) -> Result<u32, WireError> {
+    u32::try_from(get_varint(buf)?).map_err(|_| WireError::InvalidPayload)
+}
+
+/// The site a decoded `u64` names.
+///
+/// # Errors
+///
+/// [`WireError::InvalidPayload`] above `u32::MAX`: no site has that name,
+/// and truncating it would name another.
+pub fn site_id(raw: u64) -> Result<SiteId, WireError> {
+    u32::try_from(raw)
+        .map(SiteId::new)
+        .map_err(|_| WireError::InvalidPayload)
+}
+
+/// Decodes a varint site id.
+///
+/// # Errors
+///
+/// As [`get_u32`].
+pub fn get_site(buf: &mut impl Buf) -> Result<SiteId, WireError> {
+    get_u32(buf).map(SiteId::new)
+}
+
 /// Number of bytes [`put_varint`] uses for `value`.
 ///
 /// ```
@@ -80,7 +113,7 @@ pub const fn varint_len(value: u64) -> usize {
 }
 
 /// Appends a length-prefixed byte string.
-pub fn put_bytes(buf: &mut BytesMut, data: &[u8]) {
+pub fn put_bytes(buf: &mut impl BufMut, data: &[u8]) {
     put_varint(buf, data.len() as u64);
     buf.put_slice(data);
 }
@@ -385,8 +418,7 @@ impl Handshake {
                 theirs: version,
             });
         }
-        let site = get_varint(buf)?;
-        let site = u32::try_from(site).map_err(|_| WireError::InvalidPayload)?;
+        let site = get_u32(buf)?;
         if !buf.has_remaining() {
             return Err(WireError::UnexpectedEof);
         }
@@ -457,6 +489,32 @@ mod tests {
         encoded[9] = 0x01;
         let mut bytes = Bytes::from(encoded.to_vec());
         assert_eq!(get_varint(&mut bytes), Ok(u64::MAX));
+    }
+
+    #[test]
+    fn a_site_or_u32_above_the_range_is_refused_not_truncated() {
+        let encoded = |value: u64| {
+            let mut buf = BytesMut::new();
+            put_varint(&mut buf, value);
+            buf.freeze()
+        };
+        let max = u64::from(u32::MAX);
+        assert_eq!(get_u32(&mut encoded(max)), Ok(u32::MAX));
+        assert_eq!(get_site(&mut encoded(max)), Ok(SiteId::new(u32::MAX)));
+        assert_eq!(site_id(max), Ok(SiteId::new(u32::MAX)));
+        // 2³² + 1 is not site 1.
+        for above in [max + 1, max + 2, u64::MAX] {
+            assert_eq!(get_u32(&mut encoded(above)), Err(WireError::InvalidPayload));
+            assert_eq!(
+                get_site(&mut encoded(above)),
+                Err(WireError::InvalidPayload)
+            );
+            assert_eq!(site_id(above), Err(WireError::InvalidPayload));
+        }
+        // A slice reads like a `Bytes`, and is advanced like one.
+        let mut slice: &[u8] = &[0xac, 0x02, 7];
+        assert_eq!(get_varint(&mut slice), Ok(300));
+        assert_eq!(slice, [7]);
     }
 
     #[test]

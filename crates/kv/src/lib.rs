@@ -50,7 +50,9 @@ use optrep_replication::planner::{
     JOURNAL_CAP, MAX_PLAN_SHARDS,
 };
 use optrep_replication::FaultyLink;
-use std::collections::{BTreeMap, VecDeque};
+use std::borrow::Borrow;
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Default shard count when `OPTREP_KV_SHARDS` is unset: small enough
 /// that a toy store's digest vector stays a handful of bytes, large
@@ -114,83 +116,209 @@ impl Resolver for OursResolver {
     }
 }
 
-/// What the store keeps per key. The value is *owned*: one exactly
-/// sized block, copied once where it enters the store (a write, a
-/// commit, [`decode_entry`]). A [`Bytes`] is for buffers in flight — a
-/// stored slice of one would keep the whole snapshot image, log record
-/// or socket chunk it was cut from alive for as long as the key is not
-/// overwritten.
-#[derive(Debug, Clone, PartialEq)]
-struct Entry {
-    meta: Srv,
-    value: Option<Box<[u8]>>,
+/// What the store keeps per key: one exactly sized block holding the
+/// entry as every image writes it — the length-prefixed key, then the
+/// entry's state as a log record carries it: the length-prefixed vector
+/// snapshot, a one-byte tag (`0` a tombstone, `1` a value) and, behind
+/// tag 1, the length-prefixed value. Snapshots, shard images and log
+/// records are copies of these bytes; reading a field is a walk over
+/// length prefixes ([`Record::view`]); an [`Srv`] exists only while a
+/// vector is being operated on and is encoded back before it is stored.
+///
+/// The key lives inside the block because a block of its own would cost
+/// what the record saves (a second handle in the node, a second malloc
+/// header), and a record *is* its key to the set that holds it: ordered,
+/// compared and looked up by key bytes alone, whose byte order is `str`
+/// order. Whole-record equality is [`Record::bytes`].
+///
+/// A record is **canonical**: only [`Record::new`] builds one, from a
+/// decoded key, vector and value, never by keeping input bytes (a
+/// decoder accepts overlong varints no encoder writes) — so two equal
+/// states hold equal bytes, and nothing a store holds refers to the
+/// snapshot image, log record or socket chunk it was read from.
+#[derive(Debug, Clone)]
+struct Record(Box<[u8]>);
+
+/// A stored entry's state, borrowed from its [`Record`]: the vector's
+/// snapshot bytes and the value (`None` a tombstone).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct View<'a> {
+    meta: &'a [u8],
+    value: Option<&'a [u8]>,
 }
 
-// The block a key's entry lives in: the vector's header and the value's
-// pointer and length, inside malloc's 64-byte class.
-const _: () = assert!(std::mem::size_of::<Entry>() <= 56);
+/// Why a stored field always parses.
+const CANONICAL: &str = "a record holds its own encoder's output";
 
-/// A value handed in through the API ([`Value`]), copied into the block
-/// an [`Entry`] owns.
-fn owned(value: Value) -> Option<Box<[u8]>> {
-    value.map(|bytes| Box::from(&bytes[..]))
+/// Splits the length-prefixed field at the front of `bytes` off it.
+fn field<'a>(bytes: &mut &'a [u8]) -> &'a [u8] {
+    let len = wire::get_varint(bytes).expect(CANONICAL) as usize;
+    let (field, rest) = bytes.split_at(len);
+    *bytes = rest;
+    field
 }
 
-/// One shard of the store's key space: its entries plus an
+impl Record {
+    /// Encodes one entry, in one allocation of its exact size.
+    fn new(key: &str, meta: &Srv, value: Option<&[u8]>) -> Record {
+        let meta = meta.as_core();
+        let meta_len = meta.snapshot_len();
+        let value_len = value.map_or(0, |v| wire::bytes_len(v.len()));
+        let len = wire::bytes_len(key.len()) + wire::bytes_len(meta_len) + 1 + value_len;
+        let mut buf = Vec::with_capacity(len);
+        wire::put_bytes(&mut buf, key.as_bytes());
+        wire::put_varint(&mut buf, meta_len as u64);
+        meta.put_snapshot(&mut buf);
+        match value {
+            Some(v) => {
+                buf.put_u8(1);
+                wire::put_bytes(&mut buf, v);
+            }
+            None => buf.put_u8(0),
+        }
+        debug_assert_eq!(buf.len(), len);
+        Record(buf.into_boxed_slice())
+    }
+
+    /// The whole record: what an image writes for this entry.
+    fn bytes(&self) -> &[u8] {
+        &self.0
+    }
+
+    /// The key's bytes and the entry's state behind them — what
+    /// [`KvStore::encode_entry`] returns.
+    fn split(&self) -> (&[u8], &[u8]) {
+        let mut rest = &self.0[..];
+        let key = field(&mut rest);
+        (key, rest)
+    }
+
+    fn key_bytes(&self) -> &[u8] {
+        self.split().0
+    }
+
+    fn view(&self) -> View<'_> {
+        let mut state = self.split().1;
+        let meta = field(&mut state);
+        let value = match state.split_first() {
+            Some((1, mut rest)) => Some(field(&mut rest)),
+            _ => None,
+        };
+        View { meta, value }
+    }
+
+    /// The key and the state, as a walk over entries wants them.
+    fn entry(&self) -> (&str, View<'_>) {
+        let key = std::str::from_utf8(self.key_bytes()).expect(CANONICAL);
+        (key, self.view())
+    }
+}
+
+impl View<'_> {
+    /// The vector, materialised: a working copy to operate on.
+    fn srv(&self) -> Srv {
+        let mut meta = self.meta;
+        Srv::decode_snapshot(&mut meta).expect(CANONICAL)
+    }
+}
+
+impl Borrow<[u8]> for Record {
+    fn borrow(&self) -> &[u8] {
+        self.key_bytes()
+    }
+}
+
+impl PartialEq for Record {
+    fn eq(&self, other: &Self) -> bool {
+        self.key_bytes() == other.key_bytes()
+    }
+}
+
+impl Eq for Record {}
+
+impl PartialOrd for Record {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Record {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key_bytes().cmp(other.key_bytes())
+    }
+}
+
+/// One shard of the store's key space: its records plus an
 /// incrementally maintained content digest (the wrapping sum of
-/// [`entry_hash`] over every entry, so updates are O(1): subtract the
-/// old hash, add the new one) and live-key count. A node slot is two
-/// pointers and a length: key bytes and entry sit in blocks of their
-/// own size, so the slack a B-tree node carries (sequential inserts
-/// leave it six-elevenths full) multiplies 24 bytes a key, not the
-/// entry.
+/// [`entry_hash`] over every record, so updates are O(1): subtract the
+/// old hash, add the new one) and live-key count. A node slot is one
+/// pointer and a length, so the slack a B-tree node carries (sequential
+/// inserts leave it six-elevenths full) multiplies 16 bytes a key.
 #[derive(Debug, Clone, Default)]
 struct Shard {
-    entries: BTreeMap<Box<str>, Box<Entry>>,
+    entries: BTreeSet<Record>,
     digest: u64,
-    /// Entries holding a value (not tombstones). Bookkeeping like the
+    /// Records holding a value (not tombstones). Bookkeeping like the
     /// digest's, so [`KvStore::len`] need not walk.
     live: usize,
 }
 
 impl Shard {
-    /// Runs `edit` on `key`'s entry — a fresh one (empty vector, no
-    /// value) when the key is not tracked yet — and brings the digest
-    /// and the live count in step with what it did: the one place
-    /// either changes. Returns whether the key was tracked before.
-    fn upsert<K>(&mut self, key: K, edit: impl FnOnce(&mut Entry)) -> bool
-    where
-        K: AsRef<str> + Into<Box<str>>,
-    {
-        let name = key.as_ref();
-        match self.entries.get_mut(name) {
-            Some(entry) => {
-                let (old, was_live) = (entry_hash(name, entry), entry.value.is_some());
-                edit(entry);
-                let new = entry_hash(name, entry);
-                self.digest = self.digest.wrapping_sub(old).wrapping_add(new);
-                self.live = self.live - usize::from(was_live) + usize::from(entry.value.is_some());
+    /// Stores `record` in place of whatever its key held and brings the
+    /// digest and the live count in step: the one place either changes.
+    /// A caller that edits an entry reads the old record, builds the new
+    /// one and hands it here. Returns whether the key was tracked before.
+    fn upsert(&mut self, record: Record) -> bool {
+        self.digest = self.digest.wrapping_add(entry_hash(&record));
+        self.live += usize::from(record.view().value.is_some());
+        match self.entries.replace(record) {
+            Some(old) => {
+                self.digest = self.digest.wrapping_sub(entry_hash(&old));
+                self.live -= usize::from(old.view().value.is_some());
                 true
             }
-            None => {
-                let mut entry = Box::new(Entry {
-                    meta: Srv::new(),
-                    value: None,
-                });
-                edit(&mut entry);
-                self.digest = self.digest.wrapping_add(entry_hash(name, &entry));
-                self.live += usize::from(entry.value.is_some());
-                self.entries.insert(key.into(), entry);
-                false
-            }
+            None => false,
         }
     }
 }
 
 /// A key's shard index in a map of `count` shards (`count` a power of
 /// two): the planner's placement, which both sides of a contact share.
-fn shard_index(key: &str, count: usize) -> usize {
-    shard_of(key.as_bytes(), count as u64) as usize
+fn shard_index(key: &[u8], count: usize) -> usize {
+    shard_of(key, count as u64) as usize
+}
+
+/// Vectors of up to this many elements — `core::order`'s own bound on a
+/// vector without an index, and nearly every vector a store holds — are
+/// hashed and compared without touching the heap.
+const INLINE_SITES: usize = 8;
+
+/// Lends `read` the version vector that a record's vector bytes stand
+/// for: the non-zero `(site, count)` pairs, order and bits dropped,
+/// sorted by site.
+fn with_version_vector<R>(mut meta: &[u8], read: impl FnOnce(&[(u32, u64)]) -> R) -> R {
+    let n = wire::get_varint(&mut meta).expect(CANONICAL) as usize;
+    let mut inline = [(0u32, 0u64); INLINE_SITES];
+    let mut spilled = Vec::new();
+    let pairs = match inline.get_mut(..n) {
+        Some(pairs) => pairs,
+        None => {
+            spilled.resize(n, (0, 0));
+            &mut spilled[..]
+        }
+    };
+    let mut kept = 0;
+    for _ in 0..n {
+        let site = wire::get_u32(&mut meta).expect(CANONICAL);
+        let count = wire::get_varint(&mut meta).expect(CANONICAL) >> 2;
+        if count > 0 {
+            pairs[kept] = (site, count);
+            kept += 1;
+        }
+    }
+    let pairs = &mut pairs[..kept];
+    pairs.sort_unstable_by_key(|&(site, _)| site);
+    read(pairs)
 }
 
 /// The content hash of one entry, the unit the per-shard digests sum:
@@ -199,7 +327,7 @@ fn shard_index(key: &str, count: usize) -> usize {
 /// eaten, so the digest stays site-independent (raw rotating-vector
 /// segments, which differ between converged replicas, are *not*
 /// hashed).
-fn entry_hash(key: &str, entry: &Entry) -> u64 {
+fn entry_hash(record: &Record) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut hash = OFFSET;
@@ -209,9 +337,10 @@ fn entry_hash(key: &str, entry: &Entry) -> u64 {
             hash = hash.wrapping_mul(PRIME);
         }
     };
+    let (key, view) = (record.key_bytes(), record.view());
     eat(&(key.len() as u64).to_le_bytes());
-    eat(key.as_bytes());
-    match &entry.value {
+    eat(key);
+    match view.value {
         Some(v) => {
             eat(&[1]);
             eat(&(v.len() as u64).to_le_bytes());
@@ -219,17 +348,13 @@ fn entry_hash(key: &str, entry: &Entry) -> u64 {
         }
         None => eat(&[0]),
     }
-    // The version vector is the non-zero elements, order and bits dropped.
-    let mut pairs: Vec<(u32, u64)> = (entry.meta.as_core().iter())
-        .filter(|e| e.value > 0)
-        .map(|e| (e.site.index(), e.value))
-        .collect();
-    pairs.sort_unstable_by_key(|&(site, _)| site);
-    eat(&(pairs.len() as u64).to_le_bytes());
-    for (site, count) in pairs {
-        eat(&u64::from(site).to_le_bytes());
-        eat(&count.to_le_bytes());
-    }
+    with_version_vector(view.meta, |pairs| {
+        eat(&(pairs.len() as u64).to_le_bytes());
+        for &(site, count) in pairs {
+            eat(&u64::from(site).to_le_bytes());
+            eat(&count.to_le_bytes());
+        }
+    });
     hash
 }
 
@@ -354,14 +479,15 @@ pub struct KvStore {
 /// Equality is over the replicated state (site and entries) and is
 /// shard-count independent: a 1-shard and a 256-shard store holding
 /// the same entries are equal. The local cost counters are operational
-/// bookkeeping, not state.
+/// bookkeeping, not state. Records are canonical, so equal entries are
+/// equal bytes.
 impl PartialEq for KvStore {
     fn eq(&self, other: &Self) -> bool {
         self.site == other.site
             && self.tracked_entries() == other.tracked_entries()
             && self
-                .iter_entries()
-                .all(|(key, entry)| other.get_entry(key) == Some(entry))
+                .records()
+                .all(|ours| other.record(ours.key_bytes()).map(Record::bytes) == Some(ours.bytes()))
     }
 }
 
@@ -400,44 +526,33 @@ impl KvStore {
         self.shards.len()
     }
 
-    /// The shard holding `key`.
-    fn shard_of(&self, key: &str) -> usize {
-        shard_index(key, self.shards.len())
-    }
-
-    fn get_entry(&self, key: &str) -> Option<&Entry> {
-        self.shards[self.shard_of(key)]
+    fn record(&self, key: &[u8]) -> Option<&Record> {
+        self.shards[shard_index(key, self.shards.len())]
             .entries
             .get(key)
-            .map(Box::as_ref)
     }
 
-    /// Every tracked entry, in unspecified order.
-    fn iter_entries(&self) -> impl Iterator<Item = (&str, &Entry)> {
-        let shards = self.shards.iter();
-        shards.flat_map(|shard| shard.entries.iter().map(|(key, entry)| (&**key, &**entry)))
+    /// Every tracked record, in unspecified order.
+    fn records(&self) -> impl Iterator<Item = &Record> {
+        self.shards.iter().flat_map(|shard| &shard.entries)
     }
 
-    /// Every tracked entry, sorted by key — the deterministic order
+    /// Every tracked record, sorted by key — the deterministic order
     /// snapshots and endpoints present, so wire images and stream-id
     /// assignment are independent of the local shard layout.
-    fn entries_sorted(&self) -> Vec<(&str, &Entry)> {
-        let mut all: Vec<(&str, &Entry)> = self.iter_entries().collect();
-        all.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    fn records_sorted(&self) -> Vec<&Record> {
+        let mut all = Vec::with_capacity(self.tracked_entries());
+        all.extend(self.records());
+        all.sort_unstable();
         all
     }
 
-    /// Calls `visit` on every tracked entry of the given plan shards at
+    /// Calls `visit` on every tracked record of the given plan shards at
     /// plan-shard count `count`, touching only the physical shards they
     /// live in: plan shard `s` is the physical shards `i ≡ s (mod
     /// count)` when the plan is no finer than the store, and a slice of
     /// physical shard `s mod physical` when it is.
-    fn visit_shards<'a>(
-        &'a self,
-        shards: &[u64],
-        count: usize,
-        mut visit: impl FnMut(&'a str, &'a Entry),
-    ) {
+    fn visit_shards<'a>(&'a self, shards: &[u64], count: usize, mut visit: impl FnMut(&'a Record)) {
         let physical = self.shards.len();
         let mut wanted = vec![false; count];
         for &shard in shards {
@@ -448,7 +563,7 @@ impl KvStore {
         if count <= physical {
             for (index, shard) in self.shards.iter().enumerate() {
                 if wanted[index & (count - 1)] {
-                    shard.entries.iter().for_each(|(k, e)| visit(k, e));
+                    shard.entries.iter().for_each(&mut visit);
                 }
             }
             return;
@@ -459,31 +574,31 @@ impl KvStore {
         }
         for (index, shard) in self.shards.iter().enumerate() {
             if holds_wanted[index] {
-                for (key, entry) in &shard.entries {
-                    if wanted[shard_index(key, count)] {
-                        visit(key, entry);
+                for record in &shard.entries {
+                    if wanted[shard_index(record.key_bytes(), count)] {
+                        visit(record);
                     }
                 }
             }
         }
     }
 
-    /// The tracked entries of the given plan shards at plan-shard count
-    /// `count` that `keep` admits, sorted by key. Visits and sorts only
-    /// what the plan names, never the rest of the store.
-    fn entries_in(
+    /// The tracked records of the given plan shards at plan-shard count
+    /// `count` whose key `keep` admits, sorted by key. Visits and sorts
+    /// only what the plan names, never the rest of the store.
+    fn records_in(
         &self,
         shards: &[u64],
         count: usize,
-        keep: impl Fn(&str) -> bool,
-    ) -> Vec<(&str, &Entry)> {
+        keep: impl Fn(&[u8]) -> bool,
+    ) -> Vec<&Record> {
         let mut kept = Vec::new();
-        self.visit_shards(shards, count, |key, entry| {
-            if keep(key) {
-                kept.push((key, entry));
+        self.visit_shards(shards, count, |record| {
+            if keep(record.key_bytes()) {
+                kept.push(record);
             }
         });
-        kept.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        kept.sort_unstable();
         kept
     }
 
@@ -493,11 +608,11 @@ impl KvStore {
     /// fanout`. Hashes the entries of those shards only.
     fn child_digests(&self, parents: &[u64], count: u64, fanout: u64) -> Vec<Vec<ShardDigest>> {
         let mut children = vec![vec![ShardDigest::default(); fanout as usize]; parents.len()];
-        self.visit_shards(parents, count as usize, |key, entry| {
-            let hash = placement(key.as_bytes());
+        self.visit_shards(parents, count as usize, |record| {
+            let hash = placement(record.key_bytes());
             if let Ok(slot) = parents.binary_search(&(hash & (count - 1))) {
                 let child = &mut children[slot][((hash / count) & (fanout - 1)) as usize];
-                child.digest = child.digest.wrapping_add(entry_hash(key, entry));
+                child.digest = child.digest.wrapping_add(entry_hash(record));
                 child.entries += 1;
             }
         });
@@ -514,8 +629,8 @@ impl KvStore {
         let shards: Vec<u64> = proposed.iter().map(|(shard, _)| *shard).collect();
         let mut residuals: Vec<ShardDigest> =
             shards.iter().map(|&shard| whole[shard as usize]).collect();
-        self.visit_shards(&shards, count, |key, entry| {
-            let hash = placement(key.as_bytes());
+        self.visit_shards(&shards, count, |record| {
+            let hash = placement(record.key_bytes());
             if let Ok(slot) = shards.binary_search(&(hash & (count as u64 - 1))) {
                 let candidates = &proposed[slot].1;
                 if candidates
@@ -523,7 +638,7 @@ impl KvStore {
                     .is_ok()
                 {
                     let residual = &mut residuals[slot];
-                    residual.digest = residual.digest.wrapping_sub(entry_hash(key, entry));
+                    residual.digest = residual.digest.wrapping_sub(entry_hash(record));
                     residual.entries -= 1;
                 }
             }
@@ -531,10 +646,11 @@ impl KvStore {
         residuals
     }
 
-    /// Inserts or replaces one entry.
-    fn insert_entry(&mut self, key: String, entry: Entry) {
-        let idx = self.shard_of(&key);
-        self.shards[idx].upsert(key, |slot| *slot = entry);
+    /// Inserts or replaces one entry; returns whether its key was
+    /// tracked before.
+    fn insert(&mut self, record: Record) -> bool {
+        let idx = shard_index(record.key_bytes(), self.shards.len());
+        self.shards[idx].upsert(record)
     }
 
     /// A snapshot of the cumulative anti-entropy costs this store has paid
@@ -566,28 +682,31 @@ impl KvStore {
 
     fn write(&mut self, key: String, value: Value) {
         let idx = self.touch(&key);
-        let site = self.site;
-        let value = owned(value);
-        self.shards[idx].upsert(key, |entry| {
-            entry.meta.record_update(site);
-            entry.value = value;
-        });
+        let shard = &mut self.shards[idx];
+        let old = shard.entries.get(key.as_bytes());
+        let mut meta = old.map_or_else(Srv::new, |old| old.view().srv());
+        meta.record_update(self.site);
+        shard.upsert(Record::new(&key, &meta, value.as_deref()));
     }
 
     /// Reads a key. Tombstoned and absent keys both read as `None`.
     pub fn get(&self, key: &str) -> Option<&[u8]> {
-        self.get_entry(key).and_then(|e| e.value.as_deref())
+        self.record(key.as_bytes()).and_then(|r| r.view().value)
     }
 
-    /// The key's metadata, if the key (or its tombstone) exists.
-    pub fn meta(&self, key: &str) -> Option<&Srv> {
-        self.get_entry(key).map(|e| &e.meta)
+    /// The key's metadata, if the key (or its tombstone) exists. The
+    /// vector is returned *owned*: a store keeps a key's vector encoded
+    /// inside its record, and this is a working copy decoded from it —
+    /// changing it changes nothing in the store.
+    pub fn meta(&self, key: &str) -> Option<Srv> {
+        self.record(key.as_bytes()).map(|r| r.view().srv())
     }
 
     /// Live (non-tombstoned) keys, in sorted order.
     pub fn keys(&self) -> impl Iterator<Item = &str> {
         let mut live: Vec<&str> = self
-            .iter_entries()
+            .records()
+            .map(Record::entry)
             .filter(|(_, e)| e.value.is_some())
             .map(|(k, _)| k)
             .collect();
@@ -612,10 +731,8 @@ impl KvStore {
 
     /// Causal relation of this store's copy of `key` vs a peer's.
     pub fn compare_key(&self, other: &KvStore, key: &str) -> Option<Causality> {
-        match (self.get_entry(key), other.get_entry(key)) {
-            (Some(a), Some(b)) => Some(a.meta.compare(&b.meta)),
-            _ => None,
-        }
+        let (ours, theirs) = (self.meta(key)?, other.meta(key)?);
+        Some(ours.compare(&theirs))
     }
 
     /// Starts an anti-entropy pull from `src`, returning a
@@ -678,14 +795,14 @@ impl KvStore {
     /// over any transport (in-process lockstep, a `TcpLink`, …), then
     /// commit with [`apply_contact`](Self::apply_contact).
     pub fn client_endpoint(&self) -> BatchPullClient {
-        pulling(self.entries_sorted())
+        pulling(self.records_sorted())
     }
 
     /// The serving half of an anti-entropy contact: metadata plus the
     /// encoded value for every tracked key, ready to answer any puller.
     /// The serving store is never modified by a contact.
     pub fn server_endpoint(&self) -> BatchPullServer {
-        serving(self.entries_sorted())
+        serving(self.records_sorted())
     }
 
     /// [`client_endpoint`](Self::client_endpoint) restricted to the
@@ -694,7 +811,7 @@ impl KvStore {
     /// sorted order, so stream-id assignment (and therefore the whole
     /// framed exchange) is independent of the local shard layout.
     pub fn client_endpoint_for(&self, shards: &[u64], count: usize) -> BatchPullClient {
-        pulling(self.entries_in(shards, count, |_| true))
+        pulling(self.records_in(shards, count, |_| true))
     }
 
     /// The pulling half of a planned contact, cut as finely as `plan`
@@ -745,8 +862,8 @@ impl KvStore {
             children: differing,
             refused,
         };
-        let keep = |key: &str| offer.admits(&scope, key.as_bytes());
-        let client = pulling(self.entries_in(&plan.incremental, count, keep));
+        let keep = |key: &[u8]| offer.admits(&scope, key);
+        let client = pulling(self.records_in(&plan.incremental, count, keep));
         Restricted {
             client,
             scope: Some(scope),
@@ -759,7 +876,7 @@ impl KvStore {
     /// keys inside the planned shards, so clean shards cost zero
     /// object rounds.
     pub fn server_endpoint_for(&self, shards: &[u64], count: usize) -> BatchPullServer {
-        serving(self.entries_in(shards, count, |_| true))
+        serving(self.records_in(shards, count, |_| true))
     }
 
     /// This store's per-shard digests at its physical shard count —
@@ -797,9 +914,9 @@ impl KvStore {
                 target.entries += shard.entries.len() as u64;
             }
         } else {
-            for (key, entry) in self.iter_entries() {
-                let target = &mut out[shard_index(key, count)];
-                target.digest = target.digest.wrapping_add(entry_hash(key, entry));
+            for record in self.records() {
+                let target = &mut out[shard_index(record.key_bytes(), count)];
+                target.digest = target.digest.wrapping_add(entry_hash(record));
                 target.entries += 1;
             }
         }
@@ -812,7 +929,7 @@ impl KvStore {
     /// [`encode_snapshot`](Self::encode_snapshot), without the site
     /// header — shard snapshots cross sites, so they carry no site id).
     pub fn encode_shard_snapshot(&self, shard: u64, count: usize) -> Bytes {
-        encode_shard_image(&self.entries_in(&[shard], count, |_| true))
+        encode_image(None, &self.records_in(&[shard], count, |_| true))
     }
 
     /// The serving half of the planner phase on a connection's first
@@ -883,18 +1000,15 @@ impl KvStore {
         // Each walk sorts the shards it names and nothing else; within
         // a walk, bucketing keeps key order, so each image is what
         // `encode_shard_snapshot` would sort out for that shard alone.
-        let mut images: BTreeMap<u64, Vec<(&str, &Entry)>> =
+        let mut images: BTreeMap<u64, Vec<&Record>> =
             bulk.iter().map(|&shard| (shard, Vec::new())).collect();
-        for (key, entry) in self.entries_in(&bulk, count, |_| true) {
-            let shard = shard_index(key, count) as u64;
-            images
-                .get_mut(&shard)
-                .expect("a bulk shard")
-                .push((key, entry));
+        for record in self.records_in(&bulk, count, |_| true) {
+            let shard = shard_index(record.key_bytes(), count) as u64;
+            images.get_mut(&shard).expect("a bulk shard").push(record);
         }
         plan.snapshots = images
             .iter()
-            .map(|(&shard, image)| (shard, encode_shard_image(image)))
+            .map(|(&shard, image)| (shard, encode_image(None, image)))
             .collect();
         if !decision.refined.is_empty() {
             let children = self.child_digests(&decision.refined, plan.count, decision.fanout);
@@ -914,7 +1028,7 @@ impl KvStore {
                 })
                 .collect();
         }
-        let endpoint = serving(self.entries_in(&plan.incremental, count, |_| true));
+        let endpoint = serving(self.records_in(&plan.incremental, count, |_| true));
         (plan, endpoint)
     }
 
@@ -1087,7 +1201,7 @@ impl KvStore {
     /// Decodes and validates a plan's snapshot blobs into ready-to-commit
     /// entries, skipping keys this store already tracks (see
     /// [`apply_planned_tracked`](Self::apply_planned_tracked)).
-    fn stage_snapshots(&self, plan: &ShardPlan) -> Result<Vec<(String, Entry)>> {
+    fn stage_snapshots(&self, plan: &ShardPlan) -> Result<Vec<Record>> {
         let count = plan.count as usize;
         let mut entries = Vec::new();
         for (shard, blob) in &plan.snapshots {
@@ -1097,16 +1211,16 @@ impl KvStore {
             let mut buf = blob.clone();
             let n = wire::get_varint(&mut buf).map_err(optrep_core::Error::Wire)?;
             for _ in 0..n {
-                let (key, entry) = decode_keyed(&mut buf).map_err(optrep_core::Error::Wire)?;
+                let record = decode_keyed(&mut buf).map_err(optrep_core::Error::Wire)?;
                 // The shard-map invariant: every key must hash into the
                 // blob's claimed shard at the plan's count.
-                if shard_index(&key, count) != *shard as usize {
+                if shard_index(record.key_bytes(), count) != *shard as usize {
                     return Err(optrep_core::Error::Wire(WireError::InvalidPayload));
                 }
-                if self.get_entry(&key).is_some() {
+                if self.record(record.key_bytes()).is_some() {
                     continue;
                 }
-                entries.push((key, entry));
+                entries.push(record);
             }
             if buf.has_remaining() {
                 return Err(optrep_core::Error::Wire(WireError::InvalidPayload));
@@ -1121,7 +1235,7 @@ impl KvStore {
         &mut self,
         resolver: &dyn Resolver,
         staged: Vec<(String, Srv, SessionTotals, Staged)>,
-        snapshots: Vec<(String, Entry)>,
+        snapshots: Vec<Record>,
         contact: &ContactReport,
     ) -> (KvSyncReport, Vec<String>) {
         let totals = contact.totals();
@@ -1143,52 +1257,44 @@ impl KvStore {
         };
         let site = self.site;
         let mut changed = Vec::new();
-        for (key, meta, stream_totals, action) in staged {
+        for (key, mut meta, stream_totals, action) in staged {
             self.stats.absorb(&stream_totals);
             report.keys_examined += 1;
             match action {
                 Staged::Clean => report.keys_unchanged += 1,
                 Staged::Create { value } => {
-                    changed.push(key.clone());
-                    let value = owned(value);
-                    self.insert_entry(key, Entry { meta, value });
+                    self.insert(Record::new(&key, &meta, value.as_deref()));
                     report.keys_created += 1;
+                    changed.push(key);
                 }
                 Staged::FastForward { value } => {
-                    let idx = self.shard_of(&key);
-                    let tracked = self.shards[idx].upsert(key.as_str(), |ours| {
-                        ours.meta = meta;
-                        ours.value = owned(value);
-                    });
+                    let tracked = self.insert(Record::new(&key, &meta, value.as_deref()));
                     assert!(tracked, "client named our key");
                     self.stats.record_fast_forward();
                     report.keys_fast_forwarded += 1;
                     changed.push(key);
                 }
                 Staged::Reconcile { theirs } => {
-                    let idx = self.shard_of(&key);
-                    let tracked = self.shards[idx].upsert(key.as_str(), |ours| {
-                        // The resolver's currency is the API's: lend it
-                        // our side as a buffer of its own.
-                        let mine = ours.value.as_deref().map(Bytes::copy_from_slice);
-                        ours.value = owned(resolver.resolve(&key, &mine, &theirs));
-                        ours.meta = meta;
-                        // Parker §C: the resolved version must dominate
-                        // both parents.
-                        ours.meta.record_update(site);
-                    });
-                    assert!(tracked, "client named our key");
+                    let ours = self.record(key.as_bytes()).expect("client named our key");
+                    // The resolver's currency is the API's: lend it
+                    // our side as a buffer of its own.
+                    let mine = ours.view().value.map(Bytes::copy_from_slice);
+                    let resolved = resolver.resolve(&key, &mine, &theirs);
+                    // Parker §C: the resolved version must dominate
+                    // both parents.
+                    meta.record_update(site);
+                    self.insert(Record::new(&key, &meta, resolved.as_deref()));
                     self.stats.record_reconciliation();
                     report.keys_reconciled += 1;
                     changed.push(key);
                 }
             }
         }
-        for (key, entry) in snapshots {
+        for record in snapshots {
             report.keys_examined += 1;
             report.keys_created += 1;
-            changed.push(key.clone());
-            self.insert_entry(key, entry);
+            changed.push(record.entry().0.to_owned());
+            self.insert(record);
         }
         // One bump for the whole commit, every changed key journalled
         // under it.
@@ -1208,9 +1314,13 @@ impl KvStore {
         if self.tracked_entries() != other.tracked_entries() {
             return false;
         }
-        self.iter_entries().all(|(k, e)| {
-            other.get_entry(k).is_some_and(|o| {
-                e.value == o.value && e.meta.to_version_vector() == o.meta.to_version_vector()
+        self.records().all(|ours| {
+            other.record(ours.key_bytes()).is_some_and(|theirs| {
+                let (ours, theirs) = (ours.view(), theirs.view());
+                ours.value == theirs.value
+                    && with_version_vector(ours.meta, |ours| {
+                        with_version_vector(theirs.meta, |theirs| ours == theirs)
+                    })
             })
         })
     }
@@ -1245,8 +1355,8 @@ impl KvStore {
     pub fn replica_digest_full(&self) -> u64 {
         let mut sum = 0u64;
         let mut count = 0u64;
-        for (key, entry) in self.iter_entries() {
-            sum = sum.wrapping_add(entry_hash(key, entry));
+        for record in self.records() {
+            sum = sum.wrapping_add(entry_hash(record));
             count += 1;
         }
         Self::mix_digest(count, sum)
@@ -1262,12 +1372,10 @@ impl KvStore {
         placement(&feed)
     }
 
-    /// Serializes the whole store into a durable snapshot.
+    /// Serializes the whole store into a durable snapshot: the site,
+    /// then the image of every record in key order.
     pub fn encode_snapshot(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        wire::put_varint(&mut buf, u64::from(self.site.index()));
-        put_image(&mut buf, &self.entries_sorted());
-        buf.freeze()
+        encode_image(Some(self.site), &self.records_sorted())
     }
 
     /// The wire form of one entry's *current* state: metadata snapshot
@@ -1281,9 +1389,8 @@ impl KvStore {
     ///
     /// Returns `None` if the key is not tracked (never written).
     pub fn encode_entry(&self, key: &str) -> Option<Bytes> {
-        let mut buf = BytesMut::new();
-        put_entry(&mut buf, self.get_entry(key)?);
-        Some(buf.freeze())
+        let (_, state) = self.record(key.as_bytes())?.split();
+        Some(Bytes::copy_from_slice(state))
     }
 
     /// Overwrites one entry with a state captured by
@@ -1300,13 +1407,13 @@ impl KvStore {
         key: impl Into<String>,
         buf: &mut Bytes,
     ) -> std::result::Result<(), WireError> {
-        let entry = decode_entry(buf)?;
+        let (meta, value) = decode_state(buf)?;
         if buf.has_remaining() {
             return Err(WireError::InvalidPayload);
         }
         let key = key.into();
-        self.touch(&key);
-        self.insert_entry(key, entry);
+        let idx = self.touch(&key);
+        self.shards[idx].upsert(Record::new(&key, &meta, value.as_deref()));
         Ok(())
     }
 
@@ -1317,14 +1424,13 @@ impl KvStore {
     ///
     /// Returns a [`WireError`] on truncated or malformed input.
     pub fn decode_snapshot(buf: &mut Bytes) -> std::result::Result<Self, WireError> {
-        let site = SiteId::new(wire::get_varint(buf)? as u32);
+        let site = wire::get_site(buf)?;
         let n = wire::get_varint(buf)? as usize;
         // The shard count is a local layout choice, never serialized:
         // rebuilding at the environment's count reshards at boot for free.
         let mut store = KvStore::with_shards(site, env_shards());
         for _ in 0..n {
-            let (key, entry) = decode_keyed(buf)?;
-            store.insert_entry(key, entry);
+            store.insert(decode_keyed(buf)?);
         }
         Ok(store)
     }
@@ -1392,47 +1498,31 @@ impl<'a> SyncRequest<'a> {
     }
 }
 
-/// A pulling endpoint over `entries`: one stream per key, carrying its
+/// A pulling endpoint over `records`: one stream per key, carrying its
 /// current metadata.
-fn pulling(entries: Vec<(&str, &Entry)>) -> BatchPullClient {
-    BatchPullClient::new(
-        entries
-            .into_iter()
-            .map(|(key, entry)| (Bytes::copy_from_slice(key.as_bytes()), entry.meta.clone())),
-    )
-}
-
-/// A serving endpoint over `entries`: metadata plus the encoded value
-/// per key.
-fn serving(entries: Vec<(&str, &Entry)>) -> BatchPullServer {
-    BatchPullServer::new(entries.into_iter().map(|(key, entry)| {
-        (
-            Bytes::copy_from_slice(key.as_bytes()),
-            entry.meta.clone(),
-            encode_value(entry.value.as_deref()),
-        )
+fn pulling(records: Vec<&Record>) -> BatchPullClient {
+    BatchPullClient::new(records.into_iter().map(|record| {
+        let key = Bytes::copy_from_slice(record.key_bytes());
+        (key, record.view().srv())
     }))
 }
 
-/// The one wire form of an entry's state: its metadata snapshot, length-
-/// prefixed, then the value behind a one-byte tag (`0` a tombstone, `1`
-/// length-prefixed bytes). A log record is this and frames the key
-/// itself; images put the key in front ([`put_image`]).
-fn put_entry(buf: &mut BytesMut, entry: &Entry) {
-    wire::put_bytes(buf, &entry.meta.encode_snapshot());
-    match entry.value.as_deref() {
-        Some(v) => {
-            buf.put_u8(1);
-            wire::put_bytes(buf, v);
-        }
-        None => buf.put_u8(0),
-    }
+/// A serving endpoint over `records`: metadata plus the encoded value
+/// per key.
+fn serving(records: Vec<&Record>) -> BatchPullServer {
+    BatchPullServer::new(records.into_iter().map(|record| {
+        let key = Bytes::copy_from_slice(record.key_bytes());
+        let view = record.view();
+        (key, view.srv(), encode_value(view.value))
+    }))
 }
 
-/// Reads what [`put_entry`] wrote. The value is copied out of `buf`
-/// here, into the block the entry owns — every decoded entry comes
-/// through this function, so nothing a store holds refers to `buf`.
-fn decode_entry(buf: &mut Bytes) -> std::result::Result<Entry, WireError> {
+/// Reads the one wire form of an entry's state — its metadata snapshot,
+/// length-prefixed, then the value behind a one-byte tag (`0` a
+/// tombstone, `1` length-prefixed bytes) — into the vector and the value
+/// a [`Record`] is built from. The value is still a slice of `buf`;
+/// [`Record::new`] copies it.
+fn decode_state(buf: &mut Bytes) -> std::result::Result<(Srv, Value), WireError> {
     let mut meta_bytes = wire::get_bytes(buf)?;
     let meta = Srv::decode_snapshot(&mut meta_bytes)?;
     if !buf.has_remaining() {
@@ -1440,36 +1530,38 @@ fn decode_entry(buf: &mut Bytes) -> std::result::Result<Entry, WireError> {
     }
     let value = match buf.get_u8() {
         0 => None,
-        1 => Some(Box::from(&wire::get_bytes(buf)?[..])),
+        1 => Some(wire::get_bytes(buf)?),
         _ => return Err(WireError::InvalidPayload),
     };
-    Ok(Entry { meta, value })
-}
-
-/// An image of (sorted) `entries`: a varint count, then each entry as
-/// its length-prefixed key and its [`put_entry`] form — the body of a
-/// store snapshot and the whole of a shard's.
-fn put_image(buf: &mut BytesMut, entries: &[(&str, &Entry)]) {
-    wire::put_varint(buf, entries.len() as u64);
-    for (key, entry) in entries {
-        wire::put_bytes(buf, key.as_bytes());
-        put_entry(buf, entry);
-    }
+    Ok((meta, value))
 }
 
 /// Reads one entry of an image: its key, which must be UTF-8, and its
-/// state.
-fn decode_keyed(buf: &mut Bytes) -> std::result::Result<(String, Entry), WireError> {
-    let key =
-        String::from_utf8(wire::get_bytes(buf)?.to_vec()).map_err(|_| WireError::InvalidPayload)?;
-    Ok((key, decode_entry(buf)?))
+/// state. Every decoded entry comes through [`decode_state`] and
+/// [`Record::new`], so a store holds what its own encoder writes for the
+/// state it read, never the bytes it read it from.
+fn decode_keyed(buf: &mut Bytes) -> std::result::Result<Record, WireError> {
+    let key = wire::get_bytes(buf)?;
+    let key = std::str::from_utf8(&key).map_err(|_| WireError::InvalidPayload)?;
+    let (meta, value) = decode_state(buf)?;
+    Ok(Record::new(key, &meta, value.as_deref()))
 }
 
-/// One shard's snapshot image over its (sorted) `entries`: the layout
-/// [`KvStore::encode_shard_snapshot`] documents.
-fn encode_shard_image(entries: &[(&str, &Entry)]) -> Bytes {
-    let mut buf = BytesMut::new();
-    put_image(&mut buf, entries);
+/// An image of (sorted) `records`: the site for a whole store's
+/// snapshot (a shard's crosses sites and carries none), a varint count,
+/// then each record's bytes. One buffer of the image's exact size.
+fn encode_image(site: Option<SiteId>, records: &[&Record]) -> Bytes {
+    let site = site.map(|site| u64::from(site.index()));
+    let body: usize = records.iter().map(|record| record.bytes().len()).sum();
+    let head = site.map_or(0, wire::varint_len) + wire::varint_len(records.len() as u64);
+    let mut buf = BytesMut::with_capacity(head + body);
+    if let Some(site) = site {
+        wire::put_varint(&mut buf, site);
+    }
+    wire::put_varint(&mut buf, records.len() as u64);
+    for record in records {
+        buf.put_slice(record.bytes());
+    }
     buf.freeze()
 }
 
@@ -1505,6 +1597,19 @@ mod tests {
 
     fn s(i: u32) -> SiteId {
         SiteId::new(i)
+    }
+
+    /// The walks over `(key, state)` pairs the tests below read stores
+    /// through.
+    impl KvStore {
+        fn iter_entries(&self) -> impl Iterator<Item = (&str, View<'_>)> {
+            self.records().map(Record::entry)
+        }
+
+        fn entries_sorted(&self) -> Vec<(&str, View<'_>)> {
+            let sorted = self.records_sorted();
+            sorted.into_iter().map(Record::entry).collect()
+        }
     }
 
     #[test]
@@ -1770,6 +1875,310 @@ mod tests {
         );
     }
 
+    /// `2³² + 1` is not site 1: the snapshot's own site id is refused
+    /// above `u32::MAX`, as every vector element's is.
+    #[test]
+    fn a_snapshot_site_above_u32_is_refused_not_truncated() {
+        let mut image = BytesMut::new();
+        wire::put_varint(&mut image, (1 << 32) + 1);
+        wire::put_varint(&mut image, 0);
+        let decoded = KvStore::decode_snapshot(&mut image.freeze());
+        assert_eq!(decoded.err(), Some(WireError::InvalidPayload));
+    }
+
+    /// What [`entry_hash`] was before it read a record's bytes: the
+    /// vector walked, its pairs collected on the heap and sorted.
+    fn entry_hash_by_the_vector(key: &str, meta: &Srv, value: Option<&[u8]>) -> u64 {
+        let mut feed = Vec::new();
+        feed.extend_from_slice(&(key.len() as u64).to_le_bytes());
+        feed.extend_from_slice(key.as_bytes());
+        match value {
+            Some(v) => {
+                feed.push(1);
+                feed.extend_from_slice(&(v.len() as u64).to_le_bytes());
+                feed.extend_from_slice(v);
+            }
+            None => feed.push(0),
+        }
+        let mut pairs: Vec<(u32, u64)> = (meta.as_core().iter())
+            .filter(|e| e.value > 0)
+            .map(|e| (e.site.index(), e.value))
+            .collect();
+        pairs.sort_unstable_by_key(|&(site, _)| site);
+        feed.extend_from_slice(&(pairs.len() as u64).to_le_bytes());
+        for (site, count) in pairs {
+            feed.extend_from_slice(&u64::from(site).to_le_bytes());
+            feed.extend_from_slice(&count.to_le_bytes());
+        }
+        placement(&feed)
+    }
+
+    /// A seeded entry state covering what moves a length prefix or a
+    /// branch: 0–12 sites (so both sides of `INLINE_SITES`), zero-valued
+    /// elements, both bits, every kind of value and key.
+    fn random_state(rng: &mut u64) -> (String, Srv, Option<Vec<u8>>) {
+        let key = match splitmix64(rng) % 8 {
+            0 => String::new(),
+            1 => "k".repeat(127),
+            2 => "k".repeat(128),
+            3 => format!("ключ-{}-鍵", splitmix64(rng) % 100),
+            _ => format!("k{:07}", splitmix64(rng) % 10_000_000),
+        };
+        let mut sites = Vec::new();
+        for _ in 0..splitmix64(rng) % 13 {
+            let site = match splitmix64(rng) % 4 {
+                0 => u32::MAX - (splitmix64(rng) % 4) as u32,
+                1 => 128 + (splitmix64(rng) % 20_000) as u32,
+                _ => (splitmix64(rng) % 16) as u32,
+            };
+            if !sites.contains(&site) {
+                sites.push(site);
+            }
+        }
+        let meta = Srv::from_order(sites.into_iter().map(|site| {
+            let bits = splitmix64(rng);
+            optrep_core::order::Element {
+                site: s(site),
+                value: match bits >> 8 & 3 {
+                    0 => 0,
+                    1 => bits >> 16 & 0x1f,
+                    _ => bits >> 16 & 0xffff_ffff,
+                },
+                conflict: bits & 1 == 1,
+                segment: bits & 2 == 2,
+            }
+        }));
+        let value = match splitmix64(rng) % 6 {
+            0 => None,
+            1 => Some(0),
+            2 => Some(1),
+            3 => Some(127),
+            4 => Some(128),
+            _ => Some(20 * 1024),
+        };
+        let fill = splitmix64(rng) as u8;
+        (key, meta, value.map(|len| vec![fill; len]))
+    }
+
+    #[test]
+    fn a_record_reads_back_the_state_it_was_built_from() {
+        let mut rng = 0x0005_EED0_F2EC_02D5_u64;
+        let (mut spilled, mut tombstones) = (0, 0);
+        let mut records = Vec::new();
+        for case in 0..2000 {
+            let (key, meta, value) = random_state(&mut rng);
+            let record = Record::new(&key, &meta, value.as_deref());
+            let snapshot = meta.encode_snapshot();
+            let view = View {
+                meta: &snapshot,
+                value: value.as_deref(),
+            };
+            assert_eq!(record.entry(), (key.as_str(), view), "case {case}");
+            assert_eq!(record.key_bytes(), key.as_bytes(), "case {case}");
+            // `==` on a vector is structural: `≺` order, values, both bits.
+            assert_eq!(record.view().srv(), meta, "case {case}");
+            // The block is the image's layout and nothing else.
+            let mut image = BytesMut::new();
+            wire::put_bytes(&mut image, key.as_bytes());
+            wire::put_bytes(&mut image, &snapshot);
+            match &value {
+                Some(v) => {
+                    image.put_u8(1);
+                    wire::put_bytes(&mut image, v);
+                }
+                None => image.put_u8(0),
+            }
+            assert_eq!(record.bytes(), &image[..], "case {case}");
+            assert_eq!(record.split().1, &image[wire::bytes_len(key.len())..]);
+            assert_eq!(
+                entry_hash(&record),
+                entry_hash_by_the_vector(&key, &meta, value.as_deref()),
+                "case {case}"
+            );
+            spilled += usize::from(meta.len() > INLINE_SITES);
+            tombstones += usize::from(value.is_none());
+            records.push((key, record));
+        }
+        assert!(spilled > 100 && tombstones > 100, "{spilled} {tombstones}");
+        // A record is its key to whatever orders it, and byte order is
+        // `str` order.
+        for pair in records.windows(2) {
+            let [(a_key, a), (b_key, b)] = pair else {
+                unreachable!()
+            };
+            assert_eq!(a.cmp(b), a_key.cmp(b_key));
+            assert_eq!(a == b, a_key == b_key);
+            assert_eq!(Borrow::<[u8]>::borrow(a), a_key.as_bytes());
+        }
+    }
+
+    /// Which varint of an image a test writes one group longer than any
+    /// encoder would (`[0x83, 0x00]` for 3): `wire::get_varint` reads it
+    /// as the same number.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Overlong {
+        Nothing,
+        KeyLen,
+        VectorLen,
+        ElementCount,
+        Site,
+        Packed,
+        ValueLen,
+    }
+
+    fn put_varint_as(buf: &mut BytesMut, value: u64, overlong: bool) {
+        if !overlong {
+            return wire::put_varint(buf, value);
+        }
+        let mut rest = value;
+        loop {
+            buf.put_u8((rest & 0x7f) as u8 | 0x80);
+            rest >>= 7;
+            if rest == 0 {
+                break;
+            }
+        }
+        buf.put_u8(0);
+    }
+
+    /// One entry's state as a log record carries it, written from the
+    /// decoded state with `pad`'s varints overlong.
+    fn state_image(view: View<'_>, pad: Overlong) -> BytesMut {
+        let mut meta = BytesMut::new();
+        let elements: Vec<_> = view.srv().iter().collect();
+        put_varint_as(
+            &mut meta,
+            elements.len() as u64,
+            pad == Overlong::ElementCount,
+        );
+        for e in elements {
+            put_varint_as(&mut meta, u64::from(e.site.index()), pad == Overlong::Site);
+            let packed = e.value << 2 | u64::from(e.conflict) << 1 | u64::from(e.segment);
+            put_varint_as(&mut meta, packed, pad == Overlong::Packed);
+        }
+        let mut buf = BytesMut::new();
+        put_varint_as(&mut buf, meta.len() as u64, pad == Overlong::VectorLen);
+        buf.extend_from_slice(&meta);
+        match view.value {
+            Some(v) => {
+                buf.put_u8(1);
+                put_varint_as(&mut buf, v.len() as u64, pad == Overlong::ValueLen);
+                buf.extend_from_slice(v);
+            }
+            None => buf.put_u8(0),
+        }
+        buf
+    }
+
+    /// A shard image of `entries`, or with `site` a whole store's.
+    fn image_as(site: Option<SiteId>, entries: &[(&str, View<'_>)], pad: Overlong) -> Bytes {
+        let mut buf = BytesMut::new();
+        if let Some(site) = site {
+            wire::put_varint(&mut buf, u64::from(site.index()));
+        }
+        wire::put_varint(&mut buf, entries.len() as u64);
+        for (key, view) in entries {
+            put_varint_as(&mut buf, key.len() as u64, pad == Overlong::KeyLen);
+            buf.extend_from_slice(key.as_bytes());
+            buf.extend_from_slice(&state_image(*view, pad));
+        }
+        buf.freeze()
+    }
+
+    /// A decoder stores the state it read, re-encoded — never the bytes
+    /// it read it from: an image no encoder writes, but every decoder
+    /// accepts, leaves the store it would have left written honestly.
+    #[test]
+    fn overlong_varints_decode_to_the_canonical_store() {
+        // Multi-site vectors with bits set, tombstones, and a key and a
+        // value on each side of a one-byte length.
+        let mut stores = [
+            KvStore::with_shards(s(0), 4),
+            KvStore::with_shards(s(300), 4),
+            KvStore::with_shards(s(2), 4),
+        ];
+        let mut rng = 0x000C_A202_1CA1_u64;
+        for step in 0..400 {
+            let who = (splitmix64(&mut rng) % 3) as usize;
+            let key = match splitmix64(&mut rng) % 12 {
+                0 => "k".repeat(128),
+                1 => String::new(),
+                k => format!("k{k:02}"),
+            };
+            match splitmix64(&mut rng) % 8 {
+                0..=3 => {
+                    let len = [0, 1, 127, 128, 300][(splitmix64(&mut rng) % 5) as usize];
+                    stores[who].put(key, vec![step as u8; len]);
+                }
+                4 => stores[who].delete(key),
+                _ => {
+                    let src = stores[(who + 1) % 3].clone();
+                    stores[who].sync(&src).run().unwrap();
+                }
+            }
+        }
+        let honest = &stores[1];
+        let honest_image = honest.encode_snapshot();
+        let entries = honest.entries_sorted();
+        assert!(entries.iter().any(|(_, e)| e.srv().len() == 3));
+        assert!(entries.iter().any(|(_, e)| e.value.is_none()));
+        assert_eq!(
+            image_as(Some(honest.site()), &entries, Overlong::Nothing),
+            honest_image
+        );
+        let joined = |image: Bytes| {
+            let plan = ShardPlan {
+                count: 1,
+                snapshots: vec![(0, image)],
+                ..ShardPlan::default()
+            };
+            let mut joiner = KvStore::with_shards(s(9), 1);
+            let mut client = joiner.client_endpoint_for(&[], 1);
+            let mut server = KvStore::with_shards(s(8), 1).server_endpoint_for(&[], 1);
+            let contact = run_contact(&mut client, &mut server).unwrap();
+            joiner
+                .apply_planned_tracked(&JoinResolver, client, &contact, &plan)
+                .unwrap();
+            joiner
+        };
+        let honest_joiner = joined(image_as(None, &entries, Overlong::Nothing));
+        assert_eq!(honest_joiner.tracked_entries(), entries.len());
+        for pad in [
+            Overlong::KeyLen,
+            Overlong::VectorLen,
+            Overlong::ElementCount,
+            Overlong::Site,
+            Overlong::Packed,
+            Overlong::ValueLen,
+        ] {
+            // A checkpoint.
+            let image = image_as(Some(honest.site()), &entries, pad);
+            assert!(image.len() > honest_image.len(), "{pad:?}");
+            let decoded = KvStore::decode_snapshot(&mut image.clone()).unwrap();
+            assert_eq!(decoded, *honest, "{pad:?}");
+            assert_eq!(decoded.encode_snapshot(), honest_image, "{pad:?}");
+            assert_eq!(decoded.replica_digest(), honest.replica_digest());
+            // A peer's shard image.
+            let joiner = joined(image_as(None, &entries, pad));
+            assert_eq!(joiner, honest_joiner, "{pad:?}");
+            assert_eq!(joiner.encode_snapshot(), honest_joiner.encode_snapshot());
+            // A log, record by record.
+            let mut replayed = KvStore::with_shards(honest.site(), 4);
+            let mut padded = 0;
+            for (key, view) in &entries {
+                let mut record = state_image(*view, pad).freeze();
+                let canonical = honest.encode_entry(key).unwrap();
+                padded += usize::from(record.len() > canonical.len());
+                replayed.apply_encoded_entry(*key, &mut record).unwrap();
+                assert_eq!(replayed.encode_entry(key), Some(canonical), "{pad:?}");
+            }
+            // (A log record frames no key.)
+            assert_eq!(padded > 0, pad != Overlong::KeyLen, "{pad:?}");
+            assert_eq!(replayed, *honest, "{pad:?}");
+            assert_eq!(replayed.encode_snapshot(), honest_image, "{pad:?}");
+        }
+    }
+
     #[test]
     fn failed_contact_leaves_store_byte_identical() {
         let mut a = KvStore::new(s(0));
@@ -1974,8 +2383,8 @@ mod tests {
             let folded = store.shard_digests_at(count);
             let mirror = {
                 let mut m = KvStore::with_shards(s(1), count);
-                for (key, entry) in store.iter_entries() {
-                    m.insert_entry(key.to_string(), entry.clone());
+                for record in store.records() {
+                    m.insert(record.clone());
                 }
                 m.shard_digest_vector().shards
             };
@@ -2107,11 +2516,14 @@ mod tests {
             for count in [1usize, 4, 8, 32, 256] {
                 // Every other shard, plus one index past the map.
                 let shards: Vec<u64> = (0..count as u64).step_by(2).chain([count as u64]).collect();
-                let named = |key: &str| shards.contains(&(shard_index(key, count) as u64));
-                let mut filtered = store.entries_sorted();
-                filtered.retain(|(key, _)| named(key));
-                let walked = store.entries_in(&shards, count, |_| true);
-                assert_eq!(walked, filtered, "{count} over {physical}");
+                let named = |key: &[u8]| shards.contains(&(shard_index(key, count) as u64));
+                let mut filtered = store.records_sorted();
+                filtered.retain(|record| named(record.key_bytes()));
+                let walked = store.records_in(&shards, count, |_| true);
+                let bytes = |records: Vec<&Record>| -> Vec<Vec<u8>> {
+                    records.iter().map(|r| r.bytes().to_vec()).collect()
+                };
+                assert_eq!(bytes(walked), bytes(filtered), "{count} over {physical}");
 
                 // Children: the digests at count * F, regrouped by parent.
                 let fanout = 4usize;
@@ -2161,7 +2573,7 @@ mod tests {
         for shard in 0..dirty_shards {
             let key = (0..keys)
                 .map(|i| format!("key-{i:05}"))
-                .find(|key| shard_index(key, 64) == shard)
+                .find(|key| shard_index(key.as_bytes(), 64) == shard)
                 .expect("every shard holds a key");
             src.put(key, vec![b'w'; 32]);
         }
@@ -2566,14 +2978,15 @@ mod tests {
                 let (plan, _) =
                     src.plan_contact_since(&digests, Some(since), &PlanConfig::default());
                 let differs = |key: &str| {
-                    let hash = |store: &KvStore| store.get_entry(key).map(|e| entry_hash(key, e));
+                    let hash = |store: &KvStore| store.record(key.as_bytes()).map(entry_hash);
                     hash(dst) != hash(src)
                 };
                 for proposal in &plan.proposed {
                     let missed = (dst.iter_entries().chain(src.iter_entries()))
                         .map(|(key, _)| key)
                         .filter(|key| {
-                            shard_index(key, plan.count as usize) as u64 == proposal.shard
+                            shard_index(key.as_bytes(), plan.count as usize) as u64
+                                == proposal.shard
                         })
                         .filter(|key| {
                             let fine = placement(key.as_bytes()) & (MAX_PLAN_SHARDS - 1);

@@ -257,8 +257,8 @@ impl OpReplica {
     ///
     /// Returns a [`WireError`] on truncated or malformed input.
     pub fn decode_snapshot(buf: &mut Bytes) -> std::result::Result<Self, WireError> {
-        let site = SiteId::new(wire::get_varint(buf)? as u32);
-        let next_seq = wire::get_varint(buf)? as u32;
+        let site = wire::get_site(buf)?;
+        let next_seq = wire::get_u32(buf)?;
         let mut graph_bytes = wire::get_bytes(buf)?;
         let graph = CausalGraph::decode_snapshot(&mut graph_bytes)?;
         let n = wire::get_varint(buf)? as usize;
@@ -414,6 +414,28 @@ mod tests {
         let mut decoded = decoded;
         let id = decoded.record("post-restore");
         assert!(!a.graph().contains(id));
+    }
+
+    #[test]
+    fn a_site_or_sequence_above_u32_is_refused_not_truncated() {
+        let mut a = OpReplica::new(s(1));
+        a.record("create");
+        let honest = a.encode_snapshot();
+        assert_eq!(honest[..2], [1, 1], "site 1, next sequence 1");
+        let mut above = BytesMut::new();
+        wire::put_varint(&mut above, (1 << 32) + 1);
+        // Truncated, both would decode as the honest image.
+        for at in [0, 1] {
+            let mut hostile = BytesMut::new();
+            hostile.extend_from_slice(&honest[..at]);
+            hostile.extend_from_slice(&above);
+            hostile.extend_from_slice(&honest[at + 1..]);
+            assert_eq!(
+                OpReplica::decode_snapshot(&mut hostile.freeze()).err(),
+                Some(WireError::InvalidPayload),
+                "field {at}"
+            );
+        }
     }
 
     #[test]

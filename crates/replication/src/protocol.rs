@@ -91,7 +91,7 @@ pub(crate) fn get_opt_elem(
     if buf.get_u8() == 0 {
         return Ok(None);
     }
-    let site = SiteId::new(wire::get_varint(buf)? as u32);
+    let site = wire::get_site(buf)?;
     let value = wire::get_varint(buf)?;
     Ok(Some((site, value)))
 }
@@ -523,6 +523,22 @@ mod tests {
             }
             assert!(progress, "session stalled");
         }
+    }
+
+    #[test]
+    fn a_first_element_naming_a_site_above_u32_is_refused() {
+        let mut buf = BytesMut::new();
+        put_opt_elem(&mut buf, &Some((s(u32::MAX), 5)));
+        assert_eq!(get_opt_elem(&mut buf.freeze()), Ok(Some((s(u32::MAX), 5))));
+        let mut buf = BytesMut::new();
+        buf.put_u8(1);
+        wire::put_varint(&mut buf, (1 << 32) + 1);
+        wire::put_varint(&mut buf, 5);
+        assert_eq!(
+            get_opt_elem(&mut buf.freeze()),
+            Err(WireError::InvalidPayload),
+            "truncated, it would name site 1"
+        );
     }
 
     fn diverged() -> (Srv, Srv) {
