@@ -36,7 +36,7 @@
 use crate::table::{ratio, Table};
 use optrep_core::SiteId;
 use optrep_kv::{JoinResolver, KvStore, KvSyncReport};
-use optrep_replication::{pull_planned, DigestVector, InProcessLink, PlanConfig, VectorMemory};
+use optrep_replication::{pull_planned, ContactAsk, InProcessLink, PlanConfig, VectorMemory};
 use std::time::{Duration, Instant};
 
 #[cfg(not(debug_assertions))]
@@ -107,9 +107,7 @@ fn contact_bytes(report: &KvSyncReport) -> usize {
 /// `sync_planned` with the endpoint over the incremental shards whole.
 fn sync_planned_flat(dst: &mut KvStore, src: &KvStore, config: &PlanConfig) -> KvSyncReport {
     let digests = dst.shard_digest_vector();
-    let mut far = |digests: Option<&DigestVector>, since: Option<u64>| {
-        src.open_contact(digests, since, config)
-    };
+    let mut far = |ask: ContactAsk<'_>| src.open_contact(ask, config);
     let (client, plan, contact) = pull_planned(
         &mut InProcessLink::serving(&mut far),
         &mut VectorMemory::default(),

@@ -41,11 +41,11 @@ use optrep_core::error::WireError;
 use optrep_core::obs::{CounterSink, CounterSnapshot, SessionTotals};
 use optrep_core::{wire, Causality, Result, RotatingVector, SiteId, Srv};
 use optrep_replication::mux::{
-    pull_contact, pull_planned, BatchPullClient, BatchPullServer, ContactReport, Faulted,
-    InProcessLink, Restricted,
+    pull_contact, pull_planned, BatchPullClient, BatchPullServer, ContactAnswer, ContactAsk,
+    ContactReport, Faulted, InProcessLink, Restricted,
 };
 use optrep_replication::planner::{
-    decide, nothing_to_pull, placement, shard_of, Candidates, ChildDigests, DigestVector,
+    decide, nothing_to_pull, placement, shard_of, Candidates, ChildDigests, Cut, DigestVector,
     PlanConfig, Proposal, ShardAction, ShardDigest, ShardPlan, ShardScope, VectorMemory,
     JOURNAL_CAP, MAX_PLAN_SHARDS,
 };
@@ -602,6 +602,12 @@ impl KvStore {
         kept
     }
 
+    /// The tracked records a planned contact runs over, sorted by key —
+    /// what either endpoint of it is built from.
+    fn records_cut(&self, cut: &Cut<'_>) -> Vec<&Record> {
+        self.records_in(cut.incremental, cut.count as usize, |key| cut.admits(key))
+    }
+
     /// The digests of the `fanout` children of each of `parents` (plan
     /// shards at `count`, strictly increasing), one vector per parent:
     /// child `j` of shard `s` is shard `s + j·count` at `count ·
@@ -862,8 +868,11 @@ impl KvStore {
             children: differing,
             refused,
         };
-        let keep = |key: &[u8]| offer.admits(&scope, key);
-        let client = pulling(self.records_in(&plan.incremental, count, keep));
+        let client = pulling(self.records_cut(&Cut {
+            count: plan.count,
+            incremental: &plan.incremental,
+            narrowed: Some((&offer, &scope)),
+        }));
         Restricted {
             client,
             scope: Some(scope),
@@ -872,11 +881,25 @@ impl KvStore {
 
     /// [`server_endpoint`](Self::server_endpoint) restricted to the
     /// keys of the given plan shards at plan-shard count `count` —
-    /// the serving half of a planned contact. Discovery offers only
-    /// keys inside the planned shards, so clean shards cost zero
-    /// object rounds.
+    /// the serving half of a planned contact whose puller walks the
+    /// planned shards whole. Discovery offers only keys inside them, so
+    /// clean shards cost zero object rounds.
     pub fn server_endpoint_for(&self, shards: &[u64], count: usize) -> BatchPullServer {
-        serving(self.records_in(shards, count, |_| true))
+        self.server_endpoint_cut(&Cut {
+            count: count as u64,
+            incremental: shards,
+            narrowed: None,
+        })
+    }
+
+    /// The serving half of a planned contact, over the keys of `cut` and
+    /// no others: the mirror of
+    /// [`client_endpoint_refined`](Self::client_endpoint_refined) —
+    /// filter, *then* decode the vector and copy the key and value — and
+    /// the one place a planned serving endpoint is built. Every vector
+    /// is read with its value, from `self` as it stands now.
+    pub fn server_endpoint_cut(&self, cut: &Cut<'_>) -> BatchPullServer {
+        serving(self.records_cut(cut))
     }
 
     /// This store's per-shard digests at its physical shard count —
@@ -932,43 +955,52 @@ impl KvStore {
         encode_image(None, &self.records_in(&[shard], count, |_| true))
     }
 
-    /// The serving half of the planner phase on a connection's first
-    /// contact: [`plan_contact_since`](Self::plan_contact_since) with
-    /// nothing to propose from.
+    /// The planner phase in one call, for an in-process caller that
+    /// holds the store for the whole contact (`crates/perf`'s mirror):
+    /// the plan of a connection's first contact
+    /// ([`plan_contact_since`](Self::plan_contact_since) with nothing to
+    /// propose from) and the serving endpoint over its incremental
+    /// shards, whole — both from this one view of the store. A
+    /// [`Serving`](optrep_replication::mux::Serving) does not come
+    /// through here: it asks for the plan and, once the puller has
+    /// answered it, for the endpoint
+    /// ([`open_contact`](Self::open_contact)).
     pub fn plan_contact(
         &self,
         digests: &DigestVector,
         config: &PlanConfig,
     ) -> (ShardPlan, BatchPullServer) {
-        self.plan_contact_since(digests, None, config)
+        let plan = self.plan_contact_since(digests, None, config);
+        let endpoint = self.server_endpoint_for(&plan.incremental, plan.count as usize);
+        (plan, endpoint)
     }
 
     /// The serving half of the planner phase: folds this store's
     /// digests to the puller's shard count, [`decide`]s per shard,
     /// encodes snapshot blobs for the bulk-load shards, digests the
-    /// children of the shards `decide` priced as worth narrowing, and
-    /// builds the restricted serving endpoint for the incremental ones
-    /// — all from one consistent view of the store, so the plan and the
-    /// endpoint can never disagree (call under one lock in a daemon).
+    /// children of the shards `decide` priced as worth narrowing and
+    /// the residuals of the shards it proposes — all from one view of
+    /// the store, the one whose [`generation`](Self::generation) the
+    /// caller remembers as the connection's next `since` (call under
+    /// one lock in a daemon).
     ///
-    /// `since` is this store's [`generation`](Self::generation) when it
-    /// planned the same connection's previous contact. Where the change
+    /// `since` is this store's generation when it planned the same
+    /// connection's previous contact. Where the change
     /// journal still reaches back to it, the keys changed since are the
     /// hints `decide` prices, and each shard it chooses to propose
     /// carries them as candidates beside the digest of everything else
     /// in the shard. With `None`, or a journal that has since evicted
     /// past `since`, the plan is what digests alone give.
     ///
-    /// The endpoint covers the incremental shards whole: a puller that
-    /// ignores what the plan offers pulls against it as it stands, and a
-    /// [`Serving`](optrep_replication::mux::Serving) narrows it when
-    /// the puller's scope arrives.
+    /// No endpoint is built here: which keys the contact will open is
+    /// not known until the puller has answered what the plan offers
+    /// ([`server_endpoint_cut`](Self::server_endpoint_cut)).
     pub fn plan_contact_since(
         &self,
         digests: &DigestVector,
         since: Option<u64>,
         config: &PlanConfig,
-    ) -> (ShardPlan, BatchPullServer) {
+    ) -> ShardPlan {
         let count = digests.shards.len().clamp(1, MAX_SHARDS);
         let ours = self.shard_digests_at(count);
         let mut hints: Vec<Candidates> = Vec::new();
@@ -1028,29 +1060,37 @@ impl KvStore {
                 })
                 .collect();
         }
-        let endpoint = serving(self.records_in(&plan.incremental, count, |_| true));
-        (plan, endpoint)
+        plan
     }
 
-    /// The serving side's answer to the first frame of a contact, as a
-    /// [`Serving`](optrep_replication::mux::Serving) source wants it:
-    /// [`plan_contact_since`](Self::plan_contact_since) for a puller
-    /// that opened with its digest vector, the full
-    /// [`server_endpoint`](Self::server_endpoint) for one that did not,
-    /// and in both cases this store's [`generation`](Self::generation)
-    /// — the `since` of the connection's next contact.
-    pub fn open_contact(
-        &self,
-        digests: Option<&DigestVector>,
-        since: Option<u64>,
-        config: &PlanConfig,
-    ) -> (Option<ShardPlan>, BatchPullServer, u64) {
-        match digests {
-            Some(digests) => {
-                let (plan, endpoint) = self.plan_contact_since(digests, since, config);
-                (Some(plan), endpoint, self.generation)
+    /// This store's answer to what a
+    /// [`Serving`](optrep_replication::mux::Serving) asks its source.
+    /// At the digest frame: [`plan_contact_since`](Self::plan_contact_since)
+    /// and this store's [`generation`](Self::generation) — the `since`
+    /// of the connection's next contact — from one view. At the first
+    /// frame of the puller's burst:
+    /// [`server_endpoint_cut`](Self::server_endpoint_cut) over what the
+    /// puller left of the plan, or the full
+    /// [`server_endpoint`](Self::server_endpoint) for a puller that sent
+    /// no digest vector.
+    ///
+    /// A daemon locks once per ask, so the endpoint is a later view of
+    /// the store than the plan. A key written in between is served at
+    /// its newer state — vector and value read together here — if the
+    /// cut admits it, and is otherwise left to the connection's next
+    /// contact, whose `since` is the plan's generation and so still
+    /// behind the write (see
+    /// [`ContactSource`](optrep_replication::mux::ContactSource)).
+    pub fn open_contact(&self, ask: ContactAsk<'_>, config: &PlanConfig) -> ContactAnswer {
+        match ask {
+            ContactAsk::Plan { digests, since } => {
+                let plan = self.plan_contact_since(digests, since, config);
+                ContactAnswer::Plan(plan, self.generation)
             }
-            None => (None, self.server_endpoint(), self.generation),
+            ContactAsk::Endpoint(Some(cut)) => {
+                ContactAnswer::Endpoint(self.server_endpoint_cut(&cut))
+            }
+            ContactAsk::Endpoint(None) => ContactAnswer::Endpoint(self.server_endpoint()),
         }
     }
 
@@ -1084,9 +1124,7 @@ impl KvStore {
         config: &PlanConfig,
     ) -> Result<(KvSyncReport, ContactReport)> {
         let digests = self.shard_digest_vector();
-        let mut far = |digests: Option<&DigestVector>, since: Option<u64>| {
-            src.open_contact(digests, since, config)
-        };
+        let mut far = |ask: ContactAsk<'_>| src.open_contact(ask, config);
         let (client, plan, contact) = pull_planned(
             &mut InProcessLink::serving(&mut far),
             &mut VectorMemory::default(),
@@ -2544,9 +2582,7 @@ mod tests {
     fn flat_planned_pull(dst: &mut KvStore, src: &KvStore) -> (KvSyncReport, ContactReport) {
         let config = PlanConfig::default();
         let digests = dst.shard_digest_vector();
-        let mut far = |digests: Option<&DigestVector>, since: Option<u64>| {
-            src.open_contact(digests, since, &config)
-        };
+        let mut far = |ask: ContactAsk<'_>| src.open_contact(ask, &config);
         let (client, plan, contact) = pull_planned(
             &mut InProcessLink::serving(&mut far),
             &mut VectorMemory::default(),
@@ -2810,9 +2846,7 @@ mod tests {
         between: impl FnOnce(&mut KvStore, &mut KvStore),
     ) -> [KvSyncReport; 2] {
         let config = PlanConfig::default();
-        let mut far = |digests: Option<&DigestVector>, since: Option<u64>| {
-            src.borrow().open_contact(digests, since, &config)
-        };
+        let mut far = |ask: ContactAsk<'_>| src.borrow().open_contact(ask, &config);
         let mut link = InProcessLink::serving(&mut far);
         let mut remembered = VectorMemory::default();
         let first = pull_over(dst, &mut link, &mut remembered);
@@ -2975,8 +3009,7 @@ mod tests {
                 // What the second pull will be offered, and which of
                 // its proposals miss a key that differs.
                 let digests = dst.shard_digest_vector();
-                let (plan, _) =
-                    src.plan_contact_since(&digests, Some(since), &PlanConfig::default());
+                let plan = src.plan_contact_since(&digests, Some(since), &PlanConfig::default());
                 let differs = |key: &str| {
                     let hash = |store: &KvStore| store.record(key.as_bytes()).map(entry_hash);
                     hash(dst) != hash(src)

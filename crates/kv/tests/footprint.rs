@@ -8,22 +8,34 @@
 //! index only from the ninth — what a `KvStore` pays per key (one block,
 //! the entry as an image writes it, and a 16-byte node slot, whatever the
 //! value), that a stored value keeps nothing else alive, that a snapshot
-//! is written into one buffer of its size, and what a store's change
-//! journal costs: one allocation of the cap, whatever the store holds.
+//! is written into one buffer of its size, what a store's change
+//! journal costs: one allocation of the cap, whatever the store holds —
+//! and what a pull costs while it runs: heap for the keys it moves, not
+//! for the keys its source holds.
 //! It is its own test binary so the allocator touches nothing else.
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
+use optrep_core::sync::WireMsg;
+use optrep_core::wire::Frame;
 use optrep_core::{RotatingVector, SiteId, Srv};
-use optrep_kv::KvStore;
-use optrep_replication::JOURNAL_CAP;
+use optrep_kv::{JoinResolver, KvStore};
+use optrep_replication::mux::TURN_STREAM;
+use optrep_replication::{
+    pull_planned, ContactAsk, ContactReport, CtrlMsg, InProcessLink, MuxMsg, PlanConfig, Serving,
+    VectorMemory, CONTROL_STREAM, JOURNAL_CAP,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 
 thread_local! {
     static LIVE_BYTES: Cell<usize> = const { Cell::new(0) };
     static LIVE_BLOCKS: Cell<usize> = const { Cell::new(0) };
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
     static LARGEST: Cell<usize> = const { Cell::new(0) };
+    /// `LIVE_BYTES` when [`peak_of`] last began, and the most it has
+    /// stood above that since.
+    static PEAK_BASE: Cell<usize> = const { Cell::new(0) };
+    static PEAK_ABOVE: Cell<isize> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -34,7 +46,13 @@ impl Counting {
         // locals are gone; those calls are simply not counted. Wrapping:
         // a block may be freed on a thread that did not allocate it, and
         // only differences taken on one thread are ever read.
-        let _ = LIVE_BYTES.try_with(|live| live.set(live.get().wrapping_add(bytes)));
+        let _ = LIVE_BYTES.try_with(|live| {
+            live.set(live.get().wrapping_add(bytes));
+            let _ = PEAK_BASE.try_with(|base| {
+                let above = live.get().wrapping_sub(base.get()) as isize;
+                let _ = PEAK_ABOVE.try_with(|peak| peak.set(peak.get().max(above)));
+            });
+        });
         let _ = LIVE_BLOCKS.try_with(|live| live.set(live.get().wrapping_add(1)));
         let _ = ALLOCATIONS.try_with(|count| count.set(count.get().wrapping_add(1)));
         let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(bytes)));
@@ -101,6 +119,15 @@ fn measure<T>(build: impl FnOnce() -> T) -> (T, Heap) {
         allocations: after.allocations.wrapping_sub(before.allocations),
     };
     (built, grown)
+}
+
+/// What `run` returned, and the most this thread's live heap stood
+/// above where it began while `run` ran.
+fn peak_of<T>(run: impl FnOnce() -> T) -> (T, usize) {
+    PEAK_BASE.with(|base| base.set(LIVE_BYTES.with(Cell::get)));
+    PEAK_ABOVE.with(|peak| peak.set(0));
+    let ran = run();
+    (ran, PEAK_ABOVE.with(Cell::get) as usize)
 }
 
 fn srv_of(sites: u32) -> Srv {
@@ -390,4 +417,127 @@ fn the_journal_is_one_allocation_of_the_cap() {
         }
     });
     assert_eq!((grown.bytes, grown.blocks), (0, 0));
+}
+
+/// A pull costs heap for what it moves. The source of a warm pull —
+/// one over a connection it has planned before, so the plan proposes
+/// and the puller accepts — builds its serving endpoint when the
+/// puller's scope has arrived, over the keys the scope admits: 3 072
+/// changed keys of 256 B out of 20 000 or out of 40 000 peak alike, at
+/// ≈ 2.2 KiB a changed key — both ends on this thread, the frames
+/// between them and the commit together; the value alone is held three
+/// times at the peak, by the store, the endpoint and the puller's
+/// outcome. (Built at plan time over every key of every dirty shard,
+/// the endpoint alone was ≈ 480 B for each key *of the store*: 3.7 KiB
+/// a changed key here, 7.4 KiB over the larger source.) And between
+/// handing out its plan and hearing the scope, the
+/// connection's `Serving` holds shard indices and candidate placements —
+/// kilobytes — where it held that endpoint: a puller that sends its
+/// digest vector and goes quiet pins nothing that grows with the store.
+/// Sets its own shard count, like the store tests above.
+#[test]
+fn a_pull_costs_heap_for_the_keys_it_moves_not_the_keys_its_source_holds() {
+    const CHANGED: usize = 3072;
+    const SHARDS: usize = 512;
+    let value = |fill: u8| Bytes::from(vec![fill; 256]);
+    let config = PlanConfig::default();
+    let frame = |stream: u64, payload: &[u8]| Frame {
+        stream,
+        payload: Bytes::copy_from_slice(payload),
+    };
+    let mut peaks = Vec::new();
+    eprintln!("source keys  pull peak B  B/changed key  planned serving B");
+    for keys in [20_000usize, 40_000] {
+        let mut src = KvStore::with_shards(SiteId::new(1), SHARDS);
+        for i in 0..keys {
+            src.put(format!("k{i:07}"), value(b'v'));
+        }
+        let mut dst = KvStore::with_shards(SiteId::new(2), SHARDS);
+        dst.sync(&src).run().unwrap();
+        let src = RefCell::new(src);
+        let move_on = |fill: u8| {
+            for i in 0..CHANGED {
+                let key = format!("k{:07}", i * keys / CHANGED);
+                src.borrow_mut().put(key, value(fill));
+            }
+        };
+
+        // The pull, end to end on this thread.
+        let mut far = |ask: ContactAsk<'_>| src.borrow().open_contact(ask, &config);
+        let mut link = InProcessLink::serving(&mut far);
+        let mut remembered = VectorMemory::default();
+        let mut pull = |dst: &mut KvStore| -> (ContactReport, usize) {
+            let digests = dst.shard_digest_vector();
+            let (client, plan, contact) =
+                pull_planned(&mut link, &mut remembered, &digests, |plan| {
+                    dst.client_endpoint_refined(plan)
+                })
+                .unwrap();
+            let (_, changed) = dst
+                .apply_planned_tracked(&JoinResolver, client, &contact, &plan)
+                .unwrap();
+            (contact, changed.len())
+        };
+        let (cold, _) = pull(&mut dst);
+        assert_eq!(cold.shards_skipped, SHARDS as u64, "converged");
+        move_on(b'w');
+        let ((warm, moved), peak) = peak_of(|| pull(&mut dst));
+        assert_eq!(moved, CHANGED);
+        assert!(
+            warm.shards_proposed >= 500,
+            "{} proposed",
+            warm.shards_proposed
+        );
+        assert_eq!((warm.shards_refused, warm.shards_refined), (0, 0));
+        assert_eq!(dst.replica_digest(), src.borrow().replica_digest());
+
+        // The planning turn alone, on a connection as warm: a first
+        // contact that opens nothing, the source moves on, a second
+        // digest vector, the turn marker that releases the plan.
+        move_on(b'x');
+        let mut serving = Serving::default();
+        let mut feed = |frames: &[Frame]| {
+            let mut far = |ask: ContactAsk<'_>| src.borrow().open_contact(ask, &config);
+            let mut out = BytesMut::new();
+            for frame in frames {
+                serving.on_frame(frame.clone(), &mut far, &mut out).unwrap();
+            }
+            out.len()
+        };
+        let opening = frame(CONTROL_STREAM, &dst.shard_digest_vector().encode());
+        let turn = frame(TURN_STREAM, &[]);
+        let nothing = MuxMsg::Ctrl(CtrlMsg::BatchHello {
+            discover: false,
+            opens: Vec::new(),
+        });
+        let first = [
+            opening.clone(),
+            turn.clone(),
+            frame(CONTROL_STREAM, &nothing.to_bytes()),
+            frame(TURN_STREAM, &[1]),
+        ];
+        let (_, remembers) = measure(|| feed(&first));
+        move_on(b'y');
+        let (plan_bytes, planned) = measure(|| feed(&[opening.clone(), turn.clone()]));
+        assert!(plan_bytes > CHANGED * 2, "a plan naming every changed key");
+        let owned = remembers.bytes.wrapping_add(planned.bytes);
+        eprintln!(
+            "{keys:>11}  {peak:>11}  {:>13}  {owned:>17}",
+            peak / CHANGED
+        );
+        assert!(
+            peak <= 2560 * CHANGED,
+            "{} B of heap a changed key over {keys} keys",
+            peak / CHANGED
+        );
+        assert!(
+            owned < 64 * 1024,
+            "a planned, unanswered contact holds {owned} B over {keys} keys"
+        );
+        peaks.push(peak);
+    }
+    assert!(
+        peaks[1].abs_diff(peaks[0]) * 10 <= peaks[0],
+        "the pull's peak follows the store: {peaks:?}"
+    );
 }

@@ -38,14 +38,14 @@ pub use gossip::{Cluster, ClusterSnapshot, ClusterStats, ContactEnv, RetryPolicy
 pub use meta::ReplicaMeta;
 pub use mux::{
     classify, pull_contact, pull_planned, reason_label, run_contact, serve_contact, serve_frame,
-    serve_from, BatchPullClient, BatchPullServer, ContactReport, ContactSource, CtrlMsg, Faulted,
-    FrameBytes, InProcessLink, MuxMsg, Puller, Restricted, ServeStep, Serving, StreamResult,
-    CONTROL_STREAM,
+    serve_from, BatchPullClient, BatchPullServer, ContactAnswer, ContactAsk, ContactReport,
+    ContactSource, CtrlMsg, Faulted, FrameBytes, InProcessLink, MuxMsg, Puller, Restricted,
+    ServeStep, Serving, StreamResult, CONTROL_STREAM,
 };
 pub use object::ObjectId;
 pub use oplog::OpReplica;
 pub use planner::{
-    decide, Candidates, ChildDigests, Decision, DigestDelta, DigestVector, Offer, PlanConfig,
+    decide, Candidates, ChildDigests, Cut, Decision, DigestDelta, DigestVector, Offer, PlanConfig,
     Proposal, ShardAction, ShardDigest, ShardPlan, ShardScope, VectorMemory, JOURNAL_CAP,
 };
 // Re-exported so callers of `Faulted` / `ContactOptions::with_fault` can

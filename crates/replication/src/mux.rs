@@ -27,7 +27,7 @@
 //! identical to the single-object path.
 
 use crate::planner::{
-    plan_frame, scope_frame, DigestVector, Offer, ShardPlan, ShardScope, VectorMemory,
+    plan_frame, scope_frame, Cut, DigestVector, Offer, ShardPlan, ShardScope, VectorMemory,
     TAG_SHARD_DIGESTS, TAG_SHARD_DIGESTS_DELTA, TAG_SHARD_SCOPE,
 };
 use crate::protocol::{
@@ -738,6 +738,11 @@ impl BatchPullServer {
             cancelled: std::collections::BTreeSet::new(),
             outbox: VecDeque::new(),
         }
+    }
+
+    /// How many objects this server holds, opened or not.
+    pub fn object_count(&self) -> usize {
+        self.objects.len()
     }
 
     /// Tears one stream down after a cancel or a local error: the
@@ -1703,8 +1708,9 @@ pub fn serve_contact<L: FrameLink>(server: &mut BatchPullServer, link: &mut L) -
 
 /// Serves the far half of one contact — planned ([`pull_planned`]) or
 /// not ([`pull_contact`]), the puller's first frame decides — with the
-/// endpoint taken from `source` at that first frame: the same pump as
-/// [`serve_contact`] around `serving`, the connection's [`Serving`].
+/// plan and the endpoint taken from `source` as [`Serving`] comes to
+/// need them: the same pump as [`serve_contact`] around `serving`, the
+/// connection's [`Serving`].
 /// Pass the same one for every contact of a link (it remembers the
 /// puller's last digest vector for the next), a fresh one for a
 /// one-shot link.
@@ -1791,33 +1797,85 @@ pub fn serve_frame(
     Ok(ServeStep::Continue)
 }
 
-/// Where a [`Serving`] gets a contact's endpoint, asked once, at the
-/// contact's first frame: given the puller's digest vector — and
-/// `since`, the generation this source answered with when the
-/// connection's previous contact was planned, if there was one — it
-/// returns the plan, the endpoint restricted to it, and its store's
-/// generation now (a store builds all three from one consistent view —
-/// `KvStore::open_contact`); given no vector, no plan and the full
-/// endpoint. `since` is only ever a value the same source handed out
-/// over the same connection, so a source that does not propose may
-/// ignore it and return any generation.
-pub type ContactSource<'a> =
-    dyn FnMut(Option<&DigestVector>, Option<u64>) -> (Option<ShardPlan>, BatchPullServer, u64) + 'a;
+/// What a [`Serving`] asks its source — twice for a planned contact,
+/// at the two moments the protocol has, once for an unplanned one.
+#[derive(Debug, Clone, Copy)]
+pub enum ContactAsk<'a> {
+    /// At the digest frame: the plan for a puller holding `digests`,
+    /// and the source's generation at that plan. `since` is the
+    /// generation this source answered with when the connection's
+    /// previous contact was planned, if there was one — only ever a
+    /// value the same source handed out over the same connection, so a
+    /// source that does not propose may ignore it and answer any
+    /// generation. Plan and generation are one view of the store.
+    Plan {
+        /// The puller's digest vector.
+        digests: &'a DigestVector,
+        /// The source's generation at the connection's previous plan.
+        since: Option<u64>,
+    },
+    /// At the first frame of the puller's burst: the endpoint the
+    /// exchange runs against — over the keys of a planned contact's
+    /// [`Cut`], over everything (`None`) for a puller that sent no
+    /// digest vector. Every vector is read with its value, under one
+    /// view of the store; that view may be later than the plan's.
+    Endpoint(Option<Cut<'a>>),
+}
+
+/// A source's answer to a [`ContactAsk`], variant for variant.
+#[derive(Debug)]
+pub enum ContactAnswer {
+    /// The plan, and the store's generation when it was made.
+    Plan(ShardPlan, u64),
+    /// The endpoint. To a [`ContactAsk::Plan`] it says the source serves
+    /// unplanned contacts only.
+    Endpoint(BatchPullServer),
+}
+
+/// Where a [`Serving`] gets a contact's plan and endpoint
+/// (`KvStore::open_contact` is a store's answer; a daemon takes its
+/// store lock once per ask, inside the closure).
+///
+/// The two asks of a planned contact see two views of the store, and
+/// that is sound. A key written in between is either in the [`Cut`] — a
+/// candidate, a key of a listed child, of a refused or of an un-offered
+/// shard — and served as it stands at the second ask, vector and value
+/// together; or it is not, and the next contact finds it: the
+/// connection's `since` is the *plan's* generation, which the write
+/// came after. What the plan proved (equal residuals, equal children)
+/// it proved of entries the contact does not transfer.
+pub type ContactSource<'a> = dyn FnMut(ContactAsk<'_>) -> ContactAnswer + 'a;
+
+/// What [`Serving`] keeps of a plan between handing it out and cutting
+/// the endpoint: shard indices and candidate placements, no key, vector
+/// or value.
+#[derive(Debug)]
+struct Planned {
+    count: u64,
+    incremental: Vec<u64>,
+    /// What the plan offered to narrow. A scope leading the puller's
+    /// burst is checked against it; anything else there forfeits the
+    /// offer — so a contact takes at most one scope, and only ahead of
+    /// its `BatchHello`.
+    offer: Option<Offer>,
+}
 
 /// The serving half of a connection, one frame at a time: the state in
-/// front of [`serve_frame`] that decides, at the *first frame of each
+/// front of [`serve_frame`] that decides, at the *first frames of each
 /// contact*, which endpoint the contact runs against — the mirror of
 /// [`Puller`]'s planning state.
 ///
 /// A [`DigestVector`] opens a planned contact: the source is asked for
-/// the plan and the endpoint restricted to it (from one consistent view
-/// of its store), the encoded plan is parked until the puller's turn
-/// marker hands the link over, and the object exchange then runs on the
-/// restricted endpoint — narrowed first, if the plan offered child
-/// digests or proposed scopes and the puller's burst opens with a
-/// [`ShardScope`], to the children it lists and the candidates of the
-/// proposals it does not refuse. Any other first frame asks the source
-/// for the full endpoint and is an ordinary [`serve_frame`] step.
+/// the plan, the encoded plan is parked until the puller's turn marker
+/// hands the link over, and of the plan only its incremental shards and
+/// its [`Offer`] are kept. The first frame of the puller's burst then
+/// fixes the [`Cut`] — if the plan offered child digests or proposed
+/// scopes and the burst opens with a [`ShardScope`], the children it
+/// lists and the candidates of the proposals it does not refuse; the
+/// incremental shards whole otherwise — and only then is the source
+/// asked for the endpoint, so what is built is what will be served. Any
+/// other first frame asks the source for the full endpoint and is an
+/// ordinary [`serve_frame`] step.
 ///
 /// One `Serving` serves a persistent connection's contacts back to
 /// back. Between them it holds no endpoint, but it does keep the last
@@ -1828,23 +1886,21 @@ pub type ContactSource<'a> =
 /// against it instead of the whole vector. Beside it sits `since`, one
 /// `u64`: the source's generation at that contact's plan, which the
 /// source gets back when the next contact is planned and may propose
-/// from (`KvStore::open_contact`). It is a hint and needs no discipline
+/// from. It is a hint and needs no discipline
 /// — a contact abandoned after the wire, or state the puller got
 /// elsewhere, only makes proposals the puller refuses. Both memories are
 /// the connection's — a new connection starts with a new `Serving`.
 #[derive(Debug, Default)]
 pub struct Serving {
-    /// The open contact's endpoint. Boxed: a batch server carries
-    /// per-stream state and would otherwise dominate every idle
-    /// connection's state.
+    /// The open contact's endpoint, from the first frame of the puller's
+    /// burst. Boxed: a batch server carries per-stream state and would
+    /// otherwise dominate every idle connection's state.
     server: Option<Box<BatchPullServer>>,
     /// A planned contact's plan frame, until the puller passes the turn.
     parked: Option<BytesMut>,
-    /// What the plan offered to narrow, from the plan until the first
-    /// frame of the puller's burst: a scope there is taken, anything
-    /// else forfeits the offer — so a contact takes at most one scope,
-    /// and only ahead of its `BatchHello`.
-    offer: Option<Offer>,
+    /// A planned contact's plan, from the digest frame until the first
+    /// frame of the puller's burst.
+    planned: Option<Planned>,
     /// The puller's vector as of the last contact it opened here; with
     /// `since`, what outlives [`ServeStep::Done`].
     remembered: VectorMemory,
@@ -1854,8 +1910,9 @@ pub struct Serving {
 
 impl Serving {
     /// Advances the connection by one received frame, appending any
-    /// response bytes to `out`. `source` is called at most once, at the
-    /// first frame of a contact.
+    /// response bytes to `out`. `source` is asked at most once a call:
+    /// for the plan at a digest frame, for the endpoint at the first
+    /// frame of the puller's burst.
     ///
     /// # Errors
     ///
@@ -1886,45 +1943,70 @@ impl Serving {
             put_marker(out, false);
             return Ok(ServeStep::Continue);
         }
+        let on_control =
+            |tag: u8| frame.stream == CONTROL_STREAM && frame.payload.first() == Some(&tag);
         let server = match &mut self.server {
             Some(server) => server,
-            None if frame.stream == CONTROL_STREAM
-                && matches!(
-                    frame.payload.first(),
-                    Some(&(TAG_SHARD_DIGESTS | TAG_SHARD_DIGESTS_DELTA))
-                ) =>
-            {
-                let mut payload = frame.payload;
-                let digests = self.remembered.receive(&mut payload)?;
-                let (Some(plan), server, generation) = source(Some(digests), self.since.take())
-                else {
-                    return Err(planning_violation(
-                        "this endpoint serves unplanned contacts only".into(),
-                    ));
-                };
-                self.since = Some(generation);
-                self.parked = Some(plan_frame(&plan));
-                self.offer = plan.offer();
-                self.server = Some(Box::new(server));
-                return Ok(ServeStep::Continue);
-            }
-            None => self.server.insert(Box::new(source(None, None).1)),
+            None => match self.planned.take() {
+                Some(planned) => {
+                    let scope = match &planned.offer {
+                        Some(offer) if on_control(TAG_SHARD_SCOPE) => {
+                            Some(ShardScope::decode(&mut frame.payload.clone(), offer)?)
+                        }
+                        _ => None,
+                    };
+                    let cut = Cut {
+                        count: planned.count,
+                        incremental: &planned.incremental,
+                        narrowed: planned.offer.as_ref().zip(scope.as_ref()),
+                    };
+                    let server = self.server.insert(endpoint_from(source, Some(cut))?);
+                    if scope.is_some() {
+                        return Ok(ServeStep::Continue);
+                    }
+                    server
+                }
+                None if on_control(TAG_SHARD_DIGESTS) || on_control(TAG_SHARD_DIGESTS_DELTA) => {
+                    let mut payload = frame.payload;
+                    let digests = self.remembered.receive(&mut payload)?;
+                    let since = self.since.take();
+                    let ContactAnswer::Plan(plan, generation) =
+                        source(ContactAsk::Plan { digests, since })
+                    else {
+                        return Err(planning_violation(
+                            "this endpoint serves unplanned contacts only".into(),
+                        ));
+                    };
+                    self.since = Some(generation);
+                    self.parked = Some(plan_frame(&plan));
+                    self.planned = Some(Planned {
+                        count: plan.count,
+                        offer: plan.offer(),
+                        incremental: plan.incremental,
+                    });
+                    return Ok(ServeStep::Continue);
+                }
+                None => self.server.insert(endpoint_from(source, None)?),
+            },
         };
-        if let Some(offer) = self.offer.take() {
-            if frame.stream == CONTROL_STREAM && frame.payload.first() == Some(&TAG_SHARD_SCOPE) {
-                let mut payload = frame.payload;
-                let scope = ShardScope::decode(&mut payload, &offer)?;
-                // The endpoint was built when the plan was, from the
-                // same view of the store; the contact has not opened.
-                server.objects.retain(|name, _| offer.admits(&scope, name));
-                return Ok(ServeStep::Continue);
-            }
-        }
         let step = serve_frame(server, frame, out)?;
         if step == ServeStep::Done {
             self.server = None;
         }
         Ok(step)
+    }
+}
+
+/// Asks `source` for a contact's endpoint.
+fn endpoint_from(
+    source: &mut ContactSource<'_>,
+    cut: Option<Cut<'_>>,
+) -> Result<Box<BatchPullServer>> {
+    match source(ContactAsk::Endpoint(cut)) {
+        ContactAnswer::Endpoint(server) => Ok(Box::new(server)),
+        ContactAnswer::Plan(..) => Err(planning_violation(
+            "the source answered a plan where the endpoint was due".into(),
+        )),
     }
 }
 

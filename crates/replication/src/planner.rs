@@ -16,7 +16,10 @@
 //! 3. The ordinary batched contact follows, with **both** endpoints
 //!    restricted to the plan's incremental shards. Clean shards cost
 //!    zero object rounds; a second immediate pull of an unchanged store
-//!    is two frames total, whatever the object count.
+//!    is two frames total, whatever the object count. Each end builds
+//!    its endpoint only now, from the [`Cut`] the puller's answer to
+//!    the plan leaves — the server at the first frame of the puller's
+//!    burst — so neither materialises a key the contact will not open.
 //!
 //! **One more level.** A dirty shard with a few hundred entries still
 //! pays the O(1) COMPARE for every clean neighbour of its one dirty
@@ -548,6 +551,32 @@ impl Offer {
                 .is_ok(),
             _ => true,
         }
+    }
+}
+
+/// The keys a planned contact runs over: those of the plan's incremental
+/// shards that the puller's answer to the plan's [`Offer`] left in it.
+/// Each end builds its endpoint from one — filter, *then* materialise —
+/// so neither decodes a vector or copies a value for a key the contact
+/// will not open.
+#[derive(Debug, Clone, Copy)]
+pub struct Cut<'a> {
+    /// The plan's shard count.
+    pub count: u64,
+    /// The plan's incremental shards.
+    pub incremental: &'a [u64],
+    /// What the plan offered and what the puller answered; `None` where
+    /// the plan offered nothing or the puller ignored it, and the
+    /// incremental shards are walked whole.
+    pub narrowed: Option<(&'a Offer, &'a ShardScope)>,
+}
+
+impl Cut<'_> {
+    /// Whether `key`, a key of one of the incremental shards, is in the
+    /// contact ([`Offer::admits`]).
+    pub fn admits(&self, key: &[u8]) -> bool {
+        self.narrowed
+            .is_none_or(|(offer, scope)| offer.admits(scope, key))
     }
 }
 

@@ -13,12 +13,12 @@ use optrep_core::{Causality, Error, Result, RotatingVector, SiteId, Srv};
 use optrep_kv::{JoinResolver, KvStore, KvSyncReport};
 use optrep_net::{ConnectOptions, FaultPlan, FaultyLink, FrameLink, TcpLink};
 use optrep_replication::mux::{StreamOpen, TURN_STREAM};
-use optrep_replication::planner::{digest_vector_frame, plan_frame, scope_frame};
+use optrep_replication::planner::{digest_vector_frame, plan_frame, scope_frame, MAX_PLAN_SHARDS};
 use optrep_replication::{
     pull_contact, pull_planned, reason_label, run_contact, serve_contact, serve_frame, serve_from,
-    BatchPullClient, BatchPullServer, ContactReport, CtrlMsg, DigestDelta, DigestVector, Faulted,
-    InProcessLink, MuxMsg, PlanConfig, Proposal, Puller, ServeStep, Serving, ShardPlan, ShardScope,
-    VectorMemory, CONTROL_STREAM,
+    BatchPullClient, BatchPullServer, ContactAnswer, ContactAsk, ContactReport, CtrlMsg,
+    DigestDelta, DigestVector, Faulted, InProcessLink, MuxMsg, PlanConfig, Proposal, Puller,
+    ServeStep, Serving, ShardPlan, ShardScope, VectorMemory, CONTROL_STREAM,
 };
 use optrep_replication::{ChildDigests, ShardDigest};
 use std::cell::RefCell;
@@ -339,11 +339,8 @@ fn flat_pull<L: FrameLink>(
 }
 
 /// `src` as a serving step's source, planning at the default policy.
-fn source_of(
-    src: &KvStore,
-) -> impl FnMut(Option<&DigestVector>, Option<u64>) -> (Option<ShardPlan>, BatchPullServer, u64) + '_
-{
-    |digests, since| src.open_contact(digests, since, &PlanConfig::default())
+fn source_of(src: &KvStore) -> impl FnMut(ContactAsk<'_>) -> ContactAnswer + '_ {
+    |ask| src.open_contact(ask, &PlanConfig::default())
 }
 
 /// Serves one contact, planned or not, out of `src` on its own thread.
@@ -610,9 +607,10 @@ fn every_transport_runs_a_refined_pull_identically() {
 
 /// One planned pull of `dst` from `src` in which both stores are
 /// written to *between* the plan and the puller's answer to it — after
-/// the server fixed its plan and endpoint, before the puller compares
-/// children and builds its own. `refined` picks the endpoint cut at the
-/// children or the flat one. Returns what the commit changed.
+/// the server fixed its plan, before the puller compares children and
+/// builds its endpoint, and so before the server builds its own.
+/// `refined` picks the endpoint cut at the children or the flat one.
+/// Returns what the commit changed.
 fn raced_pull(
     dst: &mut KvStore,
     src: &RefCell<KvStore>,
@@ -620,9 +618,7 @@ fn raced_pull(
     refined: bool,
 ) -> (Vec<String>, KvSyncReport) {
     let config = PlanConfig::default();
-    let mut source = |digests: Option<&DigestVector>, since: Option<u64>| {
-        src.borrow().open_contact(digests, since, &config)
-    };
+    let mut source = |ask: ContactAsk<'_>| src.borrow().open_contact(ask, &config);
     let mut link = InProcessLink::serving(&mut source);
     let digests = dst.shard_digest_vector();
     let mut fresh = VectorMemory::default();
@@ -652,11 +648,14 @@ fn raced_pull(
 /// side, sparse or dense divergence, writes racing in on both sides
 /// between the plan and the scope — the pull cut at the children and
 /// the pull over whole shards change the same keys and end in the same
-/// state.
+/// state, the keys the source wrote after its plan aside: the serving
+/// endpoint is built once the scope is known, so the flat walk meets
+/// such a key in any incremental shard and the cut one only under a
+/// child it lists. Either way the next pull brings it.
 #[test]
 fn refined_and_flat_pulls_commit_the_same_state() {
     let mut rng = 0x0000_F1A7_0C47_5EED_u64;
-    let mut refined_shards = 0;
+    let (mut refined_shards, mut parted) = (0, 0);
     for case in 0..36u64 {
         let pull_shards = [1, 16, 256][(case % 3) as usize];
         let serve_shards = [1, 16, 256][(case / 3 % 3) as usize];
@@ -702,14 +701,26 @@ fn refined_and_flat_pulls_commit_the_same_state() {
         let src = RefCell::new(src);
         let (changed, synced) = raced_pull(&mut dst, &src, &races, true);
         let at = format!("case {case}: {pull_shards} from {serve_shards} shards, {keys} keys");
-        assert_eq!(changed, flat_changed, "{at}");
-        assert_eq!(
-            dst.replica_digest_full(),
-            flat_dst.replica_digest_full(),
-            "{at}"
+        let settled = |changed: &[String]| -> Vec<String> {
+            let raced = |key: &String| races.iter().any(|(at, raced, _)| *at && raced == key);
+            changed.iter().filter(|key| !raced(key)).cloned().collect()
+        };
+        assert_eq!(settled(&changed), settled(&flat_changed), "{at}");
+        assert!(
+            changed.iter().all(|key| flat_changed.contains(key)),
+            "{at}: the cut serves nothing the walk does not"
         );
+        if changed == flat_changed {
+            assert_eq!(
+                dst.replica_digest_full(),
+                flat_dst.replica_digest_full(),
+                "{at}"
+            );
+            assert!(dst.consistent_with(&flat_dst), "{at}");
+        } else {
+            parted += 1;
+        }
         assert_eq!(dst.replica_digest(), dst.replica_digest_full(), "{at}");
-        assert!(dst.consistent_with(&flat_dst), "{at}");
         refined_shards += synced.shards_refined;
 
         // Once the racing writes have settled, a second pull converges
@@ -725,6 +736,7 @@ fn refined_and_flat_pulls_commit_the_same_state() {
         refined_shards += again.shards_refined;
     }
     assert!(refined_shards > 20, "the cases must exercise refinement");
+    assert!(parted > 0, "a source's late write must land outside a cut");
 }
 
 /// The server vanishes after the opening burst; the puller must get a
@@ -1067,7 +1079,7 @@ fn second_pull_over_a_link_is_proposed_what_the_source_changed() {
 
     let config = PlanConfig::default();
     let (blind, _) = src.plan_contact(&next, &config);
-    let (plan, _) = src.plan_contact_since(&next, Some(since), &config);
+    let plan = src.plan_contact_since(&next, Some(since), &config);
     let refined = |plan: &ShardPlan| -> Vec<u64> {
         let children = plan.children.as_ref().expect("children");
         children.parents.iter().map(|p| p.0).collect()
@@ -1156,9 +1168,7 @@ fn every_transport_runs_the_second_pull_identically() {
     let (mut dst, src) = refined_stores();
     let src = RefCell::new(src);
     let config = PlanConfig::default();
-    let mut source = |digests: Option<&DigestVector>, since: Option<u64>| {
-        src.borrow().open_contact(digests, since, &config)
-    };
+    let mut source = |ask: ContactAsk<'_>| src.borrow().open_contact(ask, &config);
     let mut link = InProcessLink::serving(&mut source);
     let in_process = pull_twice(&mut dst, &mut link, true, |_| {
         source_moves_on(&mut src.borrow_mut());
@@ -1238,9 +1248,7 @@ fn a_rerun_after_an_abandoned_pull_refuses_its_stale_proposals() {
     let (mut dst, src) = refined_stores();
     let src = RefCell::new(src);
     let config = PlanConfig::default();
-    let mut source = |digests: Option<&DigestVector>, since: Option<u64>| {
-        src.borrow().open_contact(digests, since, &config)
-    };
+    let mut source = |ask: ContactAsk<'_>| src.borrow().open_contact(ask, &config);
     let mut link = InProcessLink::serving(&mut source);
     let mut remembered = VectorMemory::default();
     planned_pull_on(&mut dst, &mut link, &mut remembered).expect("first pull");
@@ -1281,6 +1289,255 @@ fn a_rerun_after_an_abandoned_pull_refuses_its_stale_proposals() {
     let mut full = dst.clone();
     full.sync(&src.borrow()).run().expect("unplanned pull");
     assert_eq!(dst.replica_digest_full(), full.replica_digest_full());
+}
+
+// A planned pull's server reads its store at two moments: the plan at
+// the digest frame, the endpoint at the first frame of the puller's
+// burst. Every place a write can land in between, at every form a plan
+// takes.
+
+/// The form of the plan the racing pull is answered with.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Form {
+    /// Thirteen of sixteen shards dirty: nothing offered, the
+    /// incremental shards walked whole.
+    Flat,
+    /// A link's first contact with three dirty shards: the two large
+    /// ones offered their children, the three-key one left whole.
+    Children,
+    /// A link's later contact: the journal names what changed, and the
+    /// puller refuses one proposal — a shard it wrote in itself.
+    Proposed,
+}
+
+/// Where the source's write lands between its plan and its endpoint.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Race {
+    /// A put to a key of an offered shard outside what the offer keeps:
+    /// under no candidate, in a child that does not differ. (A flat plan
+    /// offers nothing, so there the whole shard is kept.)
+    BesideTheCut,
+    /// A put to a key the contact is about: a candidate, the differing key.
+    PutCandidate,
+    /// The same key deleted.
+    DeleteCandidate,
+    /// A put into a shard the plan skips.
+    SkippedShard,
+    /// A put into an incremental shard the cut keeps whole: refused by
+    /// the puller, never offered, or any shard of a flat plan.
+    WholeShard,
+}
+
+const FORMS: [Form; 3] = [Form::Flat, Form::Children, Form::Proposed];
+const RACES: [Race; 5] = [
+    Race::BesideTheCut,
+    Race::PutCandidate,
+    Race::DeleteCandidate,
+    Race::SkippedShard,
+    Race::WholeShard,
+];
+
+/// The racing fixture's keys in `shard` of 16: `refined_stores`' key
+/// universe with shard 9 thinned to three keys, too few for `decide` to
+/// offer its children.
+fn racing_keys_in(shard: u64) -> Vec<String> {
+    let take = if shard == 9 { 3 } else { usize::MAX };
+    refined_keys_in(shard).take(take).collect()
+}
+
+/// Runs `pull` under the invariant-checking sink where `obs` is built
+/// in, and requires it to have audited a contact.
+fn audited<T>(pull: impl FnOnce() -> T) -> T {
+    #[cfg(feature = "obs")]
+    {
+        use optrep_core::obs::{self, CheckSink};
+        let check = std::sync::Arc::new(CheckSink::new());
+        let pulled = obs::with(check.clone(), pull);
+        assert!(check.checked_contacts() > 0, "the sink audits the contact");
+        pulled
+    }
+    #[cfg(not(feature = "obs"))]
+    pull()
+}
+
+/// One interleaving: a pull whose plan has `form`, the source written
+/// to as `race` says between the two asks of that pull, and the next
+/// pull over the same link.
+fn a_write_between_plan_and_endpoint(form: Form, race: Race) {
+    let at = format!("{form:?}, {race:?}");
+    let key = |shard: u64, nth: usize| racing_keys_in(shard)[nth].clone();
+    let mut src = KvStore::with_shards(SiteId::new(1), 64);
+    let mut dst = KvStore::with_shards(SiteId::new(0), 16);
+    for shard in 0..16 {
+        for key in racing_keys_in(shard) {
+            src.put(key, "base");
+        }
+    }
+    dst.sync(&src).run().expect("bootstrap");
+
+    // The source's answers, with the scripted write ahead of the
+    // endpoint ask of the pull that is armed.
+    let about = key(2, 0);
+    let beside = racing_keys_in(2)
+        .into_iter()
+        .find(|key| shard_at(key, 256) != shard_at(&about, 256))
+        .expect("150 keys a shard");
+    let raced = match race {
+        Race::BesideTheCut => beside,
+        Race::PutCandidate | Race::DeleteCandidate => about.clone(),
+        Race::SkippedShard => key(12, 0),
+        Race::WholeShard if form == Form::Children => key(9, 1),
+        Race::WholeShard => key(10, 2),
+    };
+    let src = RefCell::new(src);
+    let armed = std::cell::Cell::new(false);
+    let config = PlanConfig::default();
+    let mut source = |ask: ContactAsk<'_>| {
+        if matches!(ask, ContactAsk::Endpoint(_)) && armed.replace(false) {
+            match race {
+                Race::DeleteCandidate => src.borrow_mut().delete(raced.clone()),
+                _ => src.borrow_mut().put(raced.clone(), "raced"),
+            }
+        }
+        src.borrow().open_contact(ask, &config)
+    };
+    let mut link = InProcessLink::serving(&mut source);
+    let mut remembered = VectorMemory::default();
+    let mut pull = |dst: &mut KvStore| {
+        audited(|| {
+            let digests = dst.shard_digest_vector();
+            let (client, plan, contact) =
+                pull_planned(&mut link, &mut remembered, &digests, |plan| {
+                    dst.client_endpoint_refined(plan)
+                })
+                .expect("pull");
+            let (_, mut changed) = dst
+                .apply_planned_tracked(&JoinResolver, client, &contact, &plan)
+                .expect("commit");
+            changed.sort();
+            (plan, contact, changed)
+        })
+    };
+
+    // What the plan will be about.
+    let local = key(10, 1);
+    match form {
+        Form::Flat => {
+            for shard in (0..=13).filter(|&shard| shard != 12) {
+                src.borrow_mut().put(key(shard, 0), "ahead");
+            }
+            dst.put(local.clone(), "local");
+        }
+        Form::Children => {
+            for shard in [2, 5, 9] {
+                src.borrow_mut().put(key(shard, 0), "ahead");
+            }
+        }
+        Form::Proposed => {
+            let (plan, ..) = pull(&mut dst);
+            assert_eq!(plan.skipped(), 16, "{at}: converged");
+            for shard in [2, 5, 10] {
+                src.borrow_mut().put(key(shard, 0), "ahead");
+            }
+            dst.put(local.clone(), "local");
+        }
+    }
+
+    // The racing pull.
+    let before = dst.clone();
+    armed.set(true);
+    let (plan, contact, changed) = pull(&mut dst);
+    assert!(!armed.get(), "{at}: the endpoint was asked for");
+    let refined: Vec<u64> = (plan.children.iter())
+        .flat_map(|children| children.parents.iter().map(|(shard, _)| *shard))
+        .collect();
+    let proposed: Vec<u64> = plan.proposed.iter().map(|p| p.shard).collect();
+    let offered = (refined, proposed, contact.shards_refused);
+    match form {
+        Form::Flat => assert_eq!(offered, (vec![], vec![], 0), "{at}"),
+        Form::Children => assert_eq!(offered, (vec![2, 5], vec![], 0), "{at}"),
+        Form::Proposed => assert_eq!(offered, (vec![], vec![2, 5, 10], 1), "{at}"),
+    }
+    // Served at its newer state where the cut admits it, untouched
+    // where it does not — and never a vector of one view with the value
+    // of the other: what moved is what the source held at the endpoint.
+    let admitted = match race {
+        Race::BesideTheCut => form == Form::Flat,
+        Race::SkippedShard => false,
+        Race::PutCandidate | Race::DeleteCandidate | Race::WholeShard => true,
+    };
+    assert_eq!(changed.contains(&raced), admitted, "{at}: {changed:?}");
+    assert!(changed.contains(&about), "{at}: {changed:?}");
+    let src_now = src.borrow().clone();
+    for key in &changed {
+        assert_eq!(
+            dst.encode_entry(key),
+            src_now.encode_entry(key),
+            "{at}: {key}"
+        );
+    }
+    if !admitted {
+        assert_eq!(
+            dst.encode_entry(&raced),
+            before.encode_entry(&raced),
+            "{at}"
+        );
+    }
+
+    // The next pull over the link is proposed from the *plan's*
+    // generation: the raced key, which the journal holds, and nothing
+    // the racing pull was already told about.
+    let placed = fnv1a(FNV_OFFSET, raced.as_bytes()) & (MAX_PLAN_SHARDS - 1);
+    let mut expected = dst.clone();
+    expected.sync(&src_now).run().expect("unplanned pull");
+    let (plan, _, changed) = pull(&mut dst);
+    let candidates: Vec<u64> = (plan.proposed.iter())
+        .flat_map(|p| p.candidates.iter().copied())
+        .collect();
+    if admitted {
+        assert!(
+            candidates.iter().all(|&c| c == placed),
+            "{at}: {candidates:?}"
+        );
+        assert_eq!(changed, Vec::<String>::new(), "{at}");
+    } else {
+        assert_eq!(candidates, [placed], "{at}");
+        assert_eq!(changed, std::slice::from_ref(&raced), "{at}");
+    }
+    assert_eq!(
+        dst.encode_entry(&raced),
+        src_now.encode_entry(&raced),
+        "{at}"
+    );
+    assert_eq!(
+        dst.replica_digest_full(),
+        expected.replica_digest_full(),
+        "{at}"
+    );
+    if form == Form::Children {
+        assert_eq!(
+            dst.replica_digest_full(),
+            src_now.replica_digest_full(),
+            "{at}"
+        );
+    }
+    assert_eq!(
+        *src.borrow(),
+        src_now,
+        "{at}: a contact never writes to its source"
+    );
+}
+
+/// All fifteen, enumerated rather than sampled: with two views of the
+/// source in one pull, *which* interleaving goes wrong is what a seeded
+/// schedule would have to be lucky about.
+#[test]
+fn a_racing_write_between_plan_and_endpoint_is_served_whole_or_left_for_the_next_pull() {
+    for form in FORMS {
+        for race in RACES {
+            a_write_between_plan_and_endpoint(form, race);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -1466,9 +1723,7 @@ fn a_cut_at_every_byte_of_a_second_pull_leaves_the_store_and_no_memory() {
     let two_pulls = |dst: &mut KvStore, mut weather: FaultyLink| {
         let config = PlanConfig::default();
         let src = RefCell::new(src.clone());
-        let mut source = |digests: Option<&DigestVector>, since: Option<u64>| {
-            src.borrow().open_contact(digests, since, &config)
-        };
+        let mut source = |ask: ContactAsk<'_>| src.borrow().open_contact(ask, &config);
         let mut remembered = VectorMemory::default();
         let mut link = Faulted::new(InProcessLink::serving(&mut source), &mut weather);
         let first = planned_pull_on(dst, &mut link, &mut remembered);
@@ -1780,7 +2035,7 @@ fn hostile_planner_sequences_fail_the_serving_step() {
     // A source that hands out no plan cannot serve a planned contact.
     let mut serving = Serving::default();
     let mut unplanned =
-        |_: Option<&DigestVector>, _: Option<u64>| (None, BatchPullServer::new(Vec::new()), 0);
+        |_: ContactAsk<'_>| ContactAnswer::Endpoint(BatchPullServer::new(Vec::new()));
     serving
         .on_frame(digests_frame(), &mut unplanned, &mut BytesMut::new())
         .expect_err("no plan to answer with");

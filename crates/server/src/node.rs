@@ -12,9 +12,13 @@
 //! * **Pull** — the connector drives one batched anti-entropy contact
 //!   as the pulling side and the connection ends with it.
 //! * **Peer** — a persistent pulling connection: successive contacts
-//!   pipeline over the same socket, each served from a fresh
-//!   [`server_endpoint`](KvStore::server_endpoint) snapshot taken at
-//!   its first frame.
+//!   pipeline over the same socket, each served from a fresh endpoint:
+//!   the full [`server_endpoint`](KvStore::server_endpoint) taken at an
+//!   unplanned contact's first frame, or — for a puller that opened
+//!   with its shard digests — the plan taken at that frame and the
+//!   [`server_endpoint_cut`](KvStore::server_endpoint_cut) over the
+//!   keys the contact will open, taken at the first frame of the
+//!   puller's answer. One store lock per take.
 //!
 //! All connections are multiplexed onto **one event thread**:
 //! a `poll(2)` loop (see `optrep_net::reactor`) drives per-connection
@@ -63,7 +67,8 @@ use optrep_core::{Error, Result, SiteId};
 use optrep_kv::{JoinResolver, KvStore, KvSyncReport};
 use optrep_net::{ConnPool, ConnectOptions, PoolMetrics};
 use optrep_replication::{
-    pull_planned, PlanConfig, RetryPolicy, ServeStep, Serving, VectorMemory, CONTROL_STREAM,
+    pull_planned, ContactAnswer, PlanConfig, RetryPolicy, ServeStep, Serving, VectorMemory,
+    CONTROL_STREAM,
 };
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -251,6 +256,9 @@ struct NodeMetrics {
     /// Shard digests the opening frames actually shipped: the shard
     /// count on a connection's first pull, the changed shards after.
     planner_digests_sent_total: Arc<Counter>,
+    /// Objects in each serving endpoint when it is built — what a pull
+    /// cost this daemon to serve, to set against the keys it moved.
+    serving_endpoint_keys: Arc<Histogram>,
     reactor: optrep_net::reactor::ReactorMetrics,
 }
 
@@ -284,6 +292,7 @@ impl NodeMetrics {
             planner_shards_refused_total: registry.counter("optrep_planner_shards_refused_total"),
             planner_digest_bytes_total: registry.counter("optrep_planner_digest_bytes_total"),
             planner_digests_sent_total: registry.counter("optrep_planner_digests_sent_total"),
+            serving_endpoint_keys: registry.histogram("optrep_serving_endpoint_keys"),
             reactor: optrep_net::reactor::ReactorMetrics::register(registry, "optrep_reactor"),
         }
     }
@@ -703,10 +712,12 @@ mod event {
         /// A verb session; each request frame yields one response frame.
         Verbs,
         /// Serving anti-entropy contacts as the pulled-from side: every
-        /// frame goes to the serving step, which takes a fresh endpoint
-        /// from the store at the first frame of each contact — planned
-        /// and restricted if the puller opened with its shard digests,
-        /// full otherwise (both built under one store lock). The
+        /// frame goes to the serving step, which asks the store for a
+        /// plan when a contact opens with the puller's shard digests,
+        /// and for the endpoint — over the keys the puller's answer to
+        /// the plan left in the contact, or full for an unplanned one —
+        /// at the first frame of the exchange: one store lock per ask,
+        /// so what is built is what will be served. The
         /// `Serving` lives as long as the connection, and with it the
         /// puller's last digest vector, which its next contact may
         /// send a delta against.
@@ -1027,9 +1038,13 @@ mod event {
             } => {
                 let step = serving.on_frame(
                     frame,
-                    &mut |digests, since| {
-                        let config = PlanConfig::default();
-                        shared.store().open_contact(digests, since, &config)
+                    &mut |ask| {
+                        let answer = shared.store().open_contact(ask, &PlanConfig::default());
+                        if let ContactAnswer::Endpoint(endpoint) = &answer {
+                            let keys = endpoint.object_count() as u64;
+                            shared.metrics.serving_endpoint_keys.record(keys);
+                        }
+                        answer
                     },
                     &mut conn.out,
                 );

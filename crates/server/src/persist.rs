@@ -215,16 +215,46 @@ pub fn decode_record(buf: &mut Bytes) -> std::result::Result<(u64, Bytes), WireE
     Ok((seq, payload))
 }
 
+/// How many bytes [`put_payload`] writes for `changed`.
+fn payload_len(changed: &[(String, Bytes)]) -> usize {
+    let entries = changed
+        .iter()
+        .map(|(key, entry)| wire::bytes_len(key.len()) + wire::bytes_len(entry.len()));
+    wire::varint_len(changed.len() as u64) + entries.sum::<usize>()
+}
+
+fn put_payload(buf: &mut BytesMut, changed: &[(String, Bytes)]) {
+    wire::put_varint(buf, changed.len() as u64);
+    for (key, entry) in changed {
+        wire::put_bytes(buf, key.as_bytes());
+        wire::put_bytes(buf, entry);
+    }
+}
+
 /// Encodes one record's payload: the post-state of every key a commit
 /// changed.
 pub fn encode_payload(changed: &[(String, Bytes)]) -> Bytes {
-    let mut buf = BytesMut::new();
-    wire::put_varint(&mut buf, changed.len() as u64);
-    for (key, entry) in changed {
-        wire::put_bytes(&mut buf, key.as_bytes());
-        wire::put_bytes(&mut buf, entry);
-    }
+    let mut buf = BytesMut::with_capacity(payload_len(changed));
+    put_payload(&mut buf, changed);
     buf.freeze()
+}
+
+/// `encode_record(seq, &encode_payload(changed))`, byte for byte, in
+/// one buffer sized before the first write: a contact's record is most
+/// of a megabyte and is built under the store guard, so the payload is
+/// written where it will lie and checksummed there instead of being
+/// grown by doubling and then copied behind its header.
+fn encode_commit(seq: u64, changed: &[(String, Bytes)]) -> BytesMut {
+    let len = payload_len(changed);
+    let mut buf = BytesMut::with_capacity(2 * wire::MAX_VARINT_LEN + wire::bytes_len(len));
+    wire::put_varint(&mut buf, seq);
+    wire::put_varint(&mut buf, len as u64);
+    let at = buf.len();
+    put_payload(&mut buf, changed);
+    debug_assert_eq!(buf.len() - at, len, "payload_len must match put_payload");
+    let checksum = fnv64(seq, &buf[at..]);
+    wire::put_varint(&mut buf, checksum);
+    buf
 }
 
 /// Applies one record's payload to `store`. Each listed key is
@@ -428,7 +458,7 @@ impl Persist {
         if changed.is_empty() {
             return Ok(0);
         }
-        let record = encode_record(self.seq + 1, &encode_payload(changed));
+        let record = encode_commit(self.seq + 1, changed);
         self.wal.write_all(&record)?;
         self.seq += 1;
         self.wal_len += record.len() as u64;
@@ -724,6 +754,60 @@ mod tests {
         flipped[last] ^= 0x01;
         let mut buf = Bytes::from(flipped);
         assert_eq!(decode_record(&mut buf), Err(WireError::InvalidPayload));
+    }
+
+    /// What `append` writes is `encode_record(seq, &encode_payload(..))`
+    /// to the byte, in the buffer it reserved up front: seeded commits
+    /// whose counts, key and entry lengths and sequence numbers straddle
+    /// the one-, two- and three-byte length prefixes.
+    #[test]
+    fn a_commit_is_encoded_in_place_as_the_record_of_its_payload() {
+        let mut rng = 0x000C_0AA1_7ED5_EED5_u64;
+        let mut next = move || {
+            rng = rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = rng;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        const LENGTHS: [usize; 8] = [0, 1, 5, 127, 128, 300, 16_383, 16_384];
+        for case in 0..200u64 {
+            let keys = [1, 2, 127, 128, 300][(next() % 5) as usize];
+            let changed: Vec<(String, Bytes)> = (0..keys)
+                .map(|i| {
+                    let key_len = LENGTHS[(next() % 6) as usize];
+                    let entry_len = match next() % 16 {
+                        0 => LENGTHS[6 + (next() % 2) as usize],
+                        pick => LENGTHS[(pick % 6) as usize],
+                    };
+                    let fill = next();
+                    let entry: Vec<u8> = (0..entry_len)
+                        .map(|j| (fill >> (j % 8 * 8)) as u8)
+                        .collect();
+                    (format!("{i:0key_len$}"), Bytes::from(entry))
+                })
+                .collect();
+            let seq =
+                [0, 1, 127, 128, 16_384, u64::from(u32::MAX), u64::MAX][(next() % 7) as usize];
+            let record = encode_commit(seq, &changed);
+            let reference = encode_record(seq, &encode_payload(&changed));
+            assert_eq!(
+                record[..],
+                reference[..],
+                "case {case}: {keys} keys, seq {seq}"
+            );
+            let reserved = 2 * wire::MAX_VARINT_LEN + wire::bytes_len(payload_len(&changed));
+            assert!(
+                record.len() <= reserved,
+                "case {case}: grew past its reservation"
+            );
+            let (got, payload) = decode_record(&mut record.freeze()).expect("decodes");
+            assert_eq!(
+                (got, payload),
+                (seq, encode_payload(&changed)),
+                "case {case}"
+            );
+        }
     }
 
     #[test]

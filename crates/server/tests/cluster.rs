@@ -384,6 +384,16 @@ fn a_connection_remembers_the_vector_and_the_source_proposes_until_a_redial() {
         "{idle:?}"
     );
     assert_eq!((idle.digest_bytes, mirror.digest_bytes), (19, 155));
+    // What the source built to serve those four pulls is what the
+    // puller examined — one child's keys, one candidate, nothing twice
+    // — not the two dirty shards' 120.
+    let served = src.metrics_snapshot();
+    let built = served
+        .histogram("optrep_serving_endpoint_keys")
+        .expect("family");
+    let examined = (cold.keys_examined + warm.keys_examined) as u64;
+    assert_eq!((built.count, built.sum), (4, examined), "{cold:?}");
+    assert!(examined < 30, "{cold:?}");
 
     // The source restarts on its address: the pooled socket is stale,
     // the pool redials once, and both memories went with the old socket

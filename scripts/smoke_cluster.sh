@@ -253,6 +253,15 @@ for pair in "A $A" "B $B" "C $C"; do
              "journal floor lag [$floor_lag] of generation [$generation]" >&2
         exit 1
     fi
+    # What this daemon built to serve the pulls made of it: the
+    # histogram takes one sample per endpoint built, and every daemon
+    # here has been pulled from.
+    endpoints="$(prom_value "$scrape" optrep_serving_endpoint_keys_count)"
+    endpoint_keys="$(prom_value "$scrape" optrep_serving_endpoint_keys_sum)"
+    if [[ -z "$endpoints" || "$endpoints" -le 0 || -z "$endpoint_keys" ]]; then
+        echo "FAIL: $site served [$endpoints] endpoints of [$endpoint_keys] keys" >&2
+        exit 1
+    fi
 done
 echo "metrics verified: exposition parses, contact counts match status, bytes conserve"
 
