@@ -19,11 +19,10 @@
 //! stays fast, without changing what is asserted.
 
 use crate::table::{ratio, Table};
+use optrep_core::rng::SplitMix64;
 use optrep_core::SiteId;
 use optrep_replication::object::ObjectId;
 use optrep_replication::{Cluster, ClusterSnapshot, ContactOptions, TokenSet, UnionReconciler};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::time::{Duration, Instant};
 
 #[cfg(not(debug_assertions))]
@@ -55,7 +54,7 @@ struct EngineRun {
 /// Converges a fresh cluster through the engine with `workers` and
 /// returns the timing, cost counters and final per-site digests.
 fn engine_run(workers: usize) -> EngineRun {
-    let mut rng = StdRng::seed_from_u64(0xE10);
+    let mut rng = SplitMix64::new(0xE10);
     let mut cluster: Cluster<optrep_core::Srv, TokenSet, UnionReconciler> =
         Cluster::new(SITES, UnionReconciler);
     for i in 0..OBJECTS {

@@ -13,14 +13,13 @@
 //! so the table is reproducible bit-for-bit.
 
 use crate::table::{ratio, Table};
+use optrep_core::rng::SplitMix64;
 use optrep_core::SiteId;
 use optrep_net::{FaultPlan, FaultStats};
 use optrep_replication::object::ObjectId;
 use optrep_replication::{
     Cluster, ContactOptions, RetryPolicy, RoundReport, TokenSet, UnionReconciler,
 };
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Sites in the cluster.
 const SITES: u32 = 16;
@@ -42,7 +41,7 @@ struct ChaosRun {
 /// Converges a fresh 16-site cluster under `drop_per_mille` frame loss
 /// and returns the cost accounting.
 fn chaos_run(drop_per_mille: u16) -> ChaosRun {
-    let mut rng = StdRng::seed_from_u64(0xE9);
+    let mut rng = SplitMix64::new(0xE9);
     let mut cluster: Cluster<optrep_core::Srv, TokenSet, UnionReconciler> =
         Cluster::new(SITES, UnionReconciler);
     for i in 0..OBJECTS {

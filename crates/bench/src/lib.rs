@@ -9,9 +9,9 @@
 //! cargo run -p optrep-bench --bin tables -- t2 e4
 //! ```
 //!
-//! Wall-clock microbenchmarks live in `benches/` (Criterion): vector
-//! synchronization, O(1) COMPARE, graph synchronization and the simulated
-//! pipelining runs.
+//! Wall-clock is `crates/perf`'s: its probes time the same primitives
+//! (`core.srv_compare_ns_p50`, `core.frame_codec_mb_per_s`) with a noise
+//! model.
 
 pub mod experiments;
 pub mod jsonl;

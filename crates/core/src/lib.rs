@@ -52,6 +52,7 @@ pub mod error;
 pub mod graph;
 pub mod obs;
 pub mod order;
+pub mod rng;
 pub mod rotating;
 pub mod site;
 pub mod sync;

@@ -546,6 +546,7 @@ impl Iterator for Iter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SplitMix64;
 
     fn s(i: u32) -> SiteId {
         SiteId::new(i)
@@ -780,14 +781,6 @@ mod tests {
         }
     }
 
-    fn splitmix64(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
     /// Sites the seeded tests draw from: enough that a run crosses
     /// `INDEX_ABOVE` and `retain_sites` can bring it back under.
     const SITES: u64 = 24;
@@ -897,19 +890,19 @@ mod tests {
 
     /// One seeded operation applied to both; returns `true` when it was a
     /// `retain_sites` that took the vector from indexed to scanned.
-    fn step(core: &mut RotCore, model: &mut Model, rng: &mut u64) -> bool {
-        let site = s((splitmix64(rng) % SITES) as u32);
-        let present = |model: &Model, rng: &mut u64| {
+    fn step(core: &mut RotCore, model: &mut Model, rng: &mut SplitMix64) -> bool {
+        let site = s((rng.next_u64() % SITES) as u32);
+        let present = |model: &Model, rng: &mut SplitMix64| {
             (!model.0.is_empty())
-                .then(|| model.0[(splitmix64(rng) % model.0.len() as u64) as usize].site)
+                .then(|| model.0[(rng.next_u64() % model.0.len() as u64) as usize].site)
         };
-        match splitmix64(rng) % 20 {
+        match rng.next_u64() % 20 {
             0..=6 => {
                 core.record_update(site);
                 model.record_update(site);
             }
             7..=11 => {
-                let after = match splitmix64(rng) % 3 {
+                let after = match rng.next_u64() % 3 {
                     0 => None,
                     _ => present(model, rng),
                 };
@@ -918,7 +911,7 @@ mod tests {
             }
             12..=13 => {
                 if let Some(site) = present(model, rng) {
-                    let bits = splitmix64(rng);
+                    let bits = rng.next_u64();
                     let (value, conflict, segment) =
                         (bits >> 8 & 0xff, bits & 1 == 1, bits & 2 == 2);
                     core.write(site, value, conflict, segment);
@@ -934,7 +927,7 @@ mod tests {
             14..=15 => {
                 if let Some(site) = present(model, rng) {
                     let at = model.position(site).unwrap();
-                    if splitmix64(rng) & 1 == 0 {
+                    if rng.next_u64() & 1 == 0 {
                         core.set_segment_bit(site);
                         model.0[at].segment = true;
                     } else {
@@ -945,8 +938,8 @@ mod tests {
             }
             16 => {
                 // Keep three sites in four, or one in four.
-                let (a, b) = (splitmix64(rng), splitmix64(rng));
-                let mask = if splitmix64(rng) & 1 == 0 {
+                let (a, b) = (rng.next_u64(), rng.next_u64());
+                let mask = if rng.next_u64() & 1 == 0 {
                     a | b
                 } else {
                     a & b
@@ -979,7 +972,7 @@ mod tests {
     fn index_threshold_is_invisible() {
         let mut came_back_under = 0;
         for seed in 0..256u64 {
-            let mut rng = seed;
+            let mut rng = SplitMix64::new(seed);
             let (mut core, mut model) = (RotCore::new(), Model::default());
             let mut peak = 0;
             for i in 0..200 {
@@ -997,9 +990,9 @@ mod tests {
 
     /// A seeded vector of up to `SITES` elements with bits set.
     fn random_core(seed: u64) -> RotCore {
-        let mut rng = seed;
+        let mut rng = SplitMix64::new(seed);
         let (mut core, mut model) = (RotCore::new(), Model::default());
-        for _ in 0..splitmix64(&mut rng) % 40 {
+        for _ in 0..rng.next_u64() % 40 {
             step(&mut core, &mut model, &mut rng);
         }
         core

@@ -1,11 +1,11 @@
-//! Property tests for causal-graph synchronization: over randomly grown
+//! Seeded property tests for causal-graph synchronization: over randomly grown
 //! legal histories, `SYNCG` must always produce the exact graph union,
 //! agree with the full-graph baseline, and cost no more nodes than
 //! missing + one overlap per abandoned branch.
 
 use optrep_core::graph::{full::sync_graph_full, sync_graph, CausalGraph, NodeId};
+use optrep_core::rng::{cases, SplitMix64};
 use optrep_core::{Causality, SiteId};
-use proptest::prelude::*;
 
 /// One growth step for a pair of replicas of the same object.
 #[derive(Debug, Clone, Copy)]
@@ -16,9 +16,17 @@ enum Step {
     Pull(u8),
 }
 
-fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
-    let step = prop_oneof![(0u8..2).prop_map(Step::Op), (0u8..2).prop_map(Step::Pull),];
-    proptest::collection::vec(step, 1..40)
+fn steps(rng: &mut SplitMix64) -> Vec<Step> {
+    (0..rng.range(1..40))
+        .map(|_| {
+            let replica = rng.below(2) as u8;
+            if rng.chance(0.5) {
+                Step::Op(replica)
+            } else {
+                Step::Pull(replica)
+            }
+        })
+        .collect()
 }
 
 struct Replica {
@@ -82,43 +90,45 @@ fn grow(steps: &[Step]) -> (CausalGraph, CausalGraph) {
     (a.graph, b.graph)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn syncg_computes_exact_union(steps in arb_steps()) {
-        let (a, b) = grow(&steps);
+#[test]
+fn syncg_computes_exact_union() {
+    cases(128, |_, rng| {
+        let (a, b) = grow(&steps(rng));
         let mut union_inc = a.clone();
         let report = sync_graph(&mut union_inc, &b).unwrap();
         // Union contains both and nothing else.
-        prop_assert!(union_inc.contains_graph(&a));
-        prop_assert!(union_inc.contains_graph(&b));
-        prop_assert_eq!(union_inc.len(), a.len() + report.nodes_added);
+        assert!(union_inc.contains_graph(&a));
+        assert!(union_inc.contains_graph(&b));
+        assert_eq!(union_inc.len(), a.len() + report.nodes_added);
         // Agrees with the full-transfer baseline.
         let mut union_full = a.clone();
         sync_graph_full(&mut union_full, &b).unwrap();
-        prop_assert_eq!(union_inc, union_full);
-    }
+        assert_eq!(union_inc, union_full);
+    });
+}
 
-    #[test]
-    fn syncg_cost_is_missing_plus_branch_overlaps(steps in arb_steps()) {
-        let (a, b) = grow(&steps);
+#[test]
+fn syncg_cost_is_missing_plus_branch_overlaps() {
+    cases(128, |_, rng| {
+        let (a, b) = grow(&steps(rng));
         let mut target = a.clone();
         let report = sync_graph(&mut target, &b).unwrap();
         // Every abandoned branch costs at most one overlapping node, and
         // there are at most (#skiptos) abandoned branches.
-        prop_assert!(report.redundant_nodes <= report.skiptos + 1);
-        prop_assert_eq!(
+        assert!(report.redundant_nodes <= report.skiptos + 1);
+        assert_eq!(
             report.nodes_sent,
             report.nodes_added + report.redundant_nodes
         );
         // Never worse than the full transfer in nodes.
-        prop_assert!(report.nodes_sent <= b.len());
-    }
+        assert!(report.nodes_sent <= b.len());
+    });
+}
 
-    #[test]
-    fn graph_compare_matches_containment(steps in arb_steps()) {
-        let (a, b) = grow(&steps);
+#[test]
+fn graph_compare_matches_containment() {
+    cases(128, |_, rng| {
+        let (a, b) = grow(&steps(rng));
         let relation = a.compare(&b);
         let (ha, hb) = (a.head().unwrap(), b.head().unwrap());
         let expected = match (b.contains(ha), a.contains(hb)) {
@@ -127,14 +137,16 @@ proptest! {
             (false, true) => Causality::After,
             (false, false) => Causality::Concurrent,
         };
-        prop_assert_eq!(relation, expected);
-    }
+        assert_eq!(relation, expected);
+    });
+}
 
-    #[test]
-    fn snapshot_roundtrip_over_grown_graphs(steps in arb_steps()) {
-        let (a, _) = grow(&steps);
+#[test]
+fn snapshot_roundtrip_over_grown_graphs() {
+    cases(128, |_, rng| {
+        let (a, _) = grow(&steps(rng));
         let mut buf = a.encode_snapshot();
         let decoded = CausalGraph::decode_snapshot(&mut buf).unwrap();
-        prop_assert_eq!(decoded, a);
-    }
+        assert_eq!(decoded, a);
+    });
 }

@@ -4,12 +4,12 @@
 //! The metrics [`Histogram`] trades resolution for a fixed footprint:
 //! log2 buckets mean any quantile estimate is the upper bound of the
 //! bucket holding the true order statistic, i.e. `oracle <= estimate
-//! <= 2*oracle` (exact at 0). The property tests here pin that bound
+//! <= 2*oracle` (exact at 0). The seeded tests here pin that bound
 //! for arbitrary samples and arbitrary quantiles, and check that
 //! merging histograms is exactly recording the concatenated samples.
 
 use optrep_core::obs::{bucket_bound, bucket_index, Histogram, BUCKETS};
-use proptest::prelude::*;
+use optrep_core::rng::{cases, SplitMix64};
 
 /// The true order statistic the histogram estimate is compared against:
 /// rank ⌈q·n⌉ of the sorted samples, matching `HistogramSnapshot`'s
@@ -93,52 +93,65 @@ fn extremes_record_without_overflow() {
     assert_eq!(snap.p99(), u64::MAX);
 }
 
-proptest! {
-    #[test]
-    fn quantiles_track_sorted_vec_oracle(
-        mut samples in proptest::collection::vec(0u64..1_000_000, 1..400),
-        q_millis in 0u32..=1000,
-    ) {
-        let q = f64::from(q_millis) / 1000.0;
+/// A word of any magnitude, so every bucket is drawn.
+fn word(rng: &mut SplitMix64) -> u64 {
+    rng.next_u64() >> rng.below(64)
+}
+
+#[test]
+fn quantiles_track_sorted_vec_oracle() {
+    cases(256, |_, rng| {
+        let mut samples: Vec<u64> = (0..rng.range(1..400))
+            .map(|_| rng.below(1_000_000) as u64)
+            .collect();
+        let q = rng.below(1001) as f64 / 1000.0;
         let h = Histogram::new();
         for &s in &samples {
             h.record(s);
         }
         let snap = h.snapshot();
-        prop_assert_eq!(snap.count, samples.len() as u64);
-        prop_assert_eq!(snap.sum, samples.iter().sum::<u64>());
-        for (quant, est) in [(0.50, snap.p50()), (0.99, snap.p99()), (q, snap.quantile(q))] {
+        assert_eq!(snap.count, samples.len() as u64);
+        assert_eq!(snap.sum, samples.iter().sum::<u64>());
+        for (quant, est) in [
+            (0.50, snap.p50()),
+            (0.99, snap.p99()),
+            (q, snap.quantile(q)),
+        ] {
             let oracle = oracle_quantile(&mut samples, quant);
             assert_within_bucket_resolution(est, oracle, quant);
         }
-    }
+    });
+}
 
-    #[test]
-    fn merge_equals_recording_concatenation(
-        a in proptest::collection::vec(any::<u64>(), 0..200),
-        b in proptest::collection::vec(any::<u64>(), 0..200),
-    ) {
+#[test]
+fn merge_equals_recording_concatenation() {
+    cases(256, |_, rng| {
         let left = Histogram::new();
         let right = Histogram::new();
         let both = Histogram::new();
-        for &s in &a {
+        for _ in 0..rng.below(200) {
+            let s = word(rng);
             left.record(s);
             both.record(s);
         }
-        for &s in &b {
+        for _ in 0..rng.below(200) {
+            let s = word(rng);
             right.record(s);
             both.record(s);
         }
         left.merge(&right);
-        prop_assert_eq!(left.snapshot(), both.snapshot());
-    }
+        assert_eq!(left.snapshot(), both.snapshot());
+    });
+}
 
-    #[test]
-    fn every_value_lands_in_its_bound_bucket(v in any::<u64>()) {
+#[test]
+fn every_value_lands_in_its_bound_bucket() {
+    cases(256, |_, rng| {
+        let v = word(rng);
         let i = bucket_index(v);
-        prop_assert!(v <= bucket_bound(i));
+        assert!(v <= bucket_bound(i));
         if i > 0 {
-            prop_assert!(v > bucket_bound(i - 1));
+            assert!(v > bucket_bound(i - 1));
         }
-    }
+    });
 }

@@ -1,126 +1,159 @@
-//! Property tests for the wire layer: arbitrary messages round-trip
+//! Seeded property tests for the wire layer: arbitrary messages round-trip
 //! exactly, encoded lengths are exact, and arbitrary byte soup never
 //! panics the decoders (it errors or decodes to something that
 //! re-encodes consistently).
 
 use bytes::Bytes;
 use optrep_core::graph::{syncg::GraphMsg, NodeId, Parents};
+use optrep_core::rng::{cases, SplitMix64};
 use optrep_core::sync::{Msg, WireMsg};
 use optrep_core::{wire, SiteId};
-use proptest::prelude::*;
+use std::ops::Range;
 
-fn arb_site() -> impl Strategy<Value = SiteId> {
-    (0u32..1 << 20).prop_map(SiteId::new)
+/// A word of any magnitude, so every varint length is drawn.
+fn word(rng: &mut SplitMix64) -> u64 {
+    rng.next_u64() >> rng.below(64)
 }
 
-fn arb_value() -> impl Strategy<Value = u64> {
-    // Values stay below 2^61 so the two-bit packing of ElemS cannot
-    // overflow (documented domain limit).
-    0u64..1 << 61
+fn bytes(rng: &mut SplitMix64, len: Range<usize>) -> Vec<u8> {
+    (0..rng.range(len)).map(|_| rng.next_u64() as u8).collect()
 }
 
-fn arb_msg() -> impl Strategy<Value = Msg> {
-    prop_oneof![
-        (arb_site(), arb_value()).prop_map(|(site, value)| Msg::ElemB { site, value }),
-        (arb_site(), arb_value(), any::<bool>()).prop_map(|(site, value, conflict)| Msg::ElemC {
+fn site(rng: &mut SplitMix64) -> SiteId {
+    SiteId::new(rng.below(1 << 20) as u32)
+}
+
+/// Values stay below 2^61 so the two-bit packing of ElemS cannot
+/// overflow (documented domain limit).
+fn value(rng: &mut SplitMix64) -> u64 {
+    word(rng) >> 3
+}
+
+fn msg(rng: &mut SplitMix64) -> Msg {
+    let (site, value) = (site(rng), value(rng));
+    let (conflict, segment) = (rng.chance(0.5), rng.chance(0.5));
+    match rng.below(8) {
+        0 => Msg::ElemB { site, value },
+        1 => Msg::ElemC {
             site,
             value,
-            conflict
-        }),
-        (arb_site(), arb_value(), any::<bool>(), any::<bool>()).prop_map(
-            |(site, value, conflict, segment)| Msg::ElemS {
-                site,
-                value,
-                conflict,
-                segment
-            }
-        ),
-        Just(Msg::Halt),
-        Just(Msg::Continue),
-        (0u64..1 << 40).prop_map(|seg| Msg::Skip { seg }),
-        (0u64..1 << 40).prop_map(|seg| Msg::SegSkipped { seg }),
-        proptest::collection::vec((arb_site(), arb_value()), 0..20)
-            .prop_map(|pairs| Msg::FullVector { pairs }),
-    ]
+            conflict,
+        },
+        2 => Msg::ElemS {
+            site,
+            value,
+            conflict,
+            segment,
+        },
+        3 => Msg::Halt,
+        4 => Msg::Continue,
+        5 => Msg::Skip {
+            seg: word(rng) >> 24,
+        },
+        6 => Msg::SegSkipped {
+            seg: word(rng) >> 24,
+        },
+        _ => Msg::FullVector {
+            pairs: (0..rng.below(20))
+                .map(|_| (self::site(rng), self::value(rng)))
+                .collect(),
+        },
+    }
 }
 
-fn arb_node() -> impl Strategy<Value = NodeId> {
-    (0u32..1 << 16, 0u32..1 << 16).prop_map(|(s, q)| NodeId::of(SiteId::new(s), q))
+fn node(rng: &mut SplitMix64) -> NodeId {
+    NodeId::of(
+        SiteId::new(rng.below(1 << 16) as u32),
+        rng.below(1 << 16) as u32,
+    )
 }
 
-fn arb_graph_msg() -> impl Strategy<Value = GraphMsg> {
-    prop_oneof![
-        (
-            arb_node(),
-            proptest::option::of(arb_node()),
-            proptest::option::of(arb_node()),
-            proptest::collection::vec(any::<u8>(), 0..64)
-        )
-            .prop_map(|(id, left, right, payload)| {
-                // A right parent requires a left parent in well-formed
-                // graphs, but the wire layer must carry anything.
-                GraphMsg::Node {
-                    id,
-                    parents: Parents { left, right },
-                    payload: Bytes::from(payload),
-                }
-            }),
-        arb_node().prop_map(|id| GraphMsg::SkipTo { id }),
-        Just(GraphMsg::SkipToEnd),
-        Just(GraphMsg::Halt),
-    ]
+fn graph_msg(rng: &mut SplitMix64) -> GraphMsg {
+    match rng.below(4) {
+        // A right parent requires a left parent in well-formed graphs,
+        // but the wire layer must carry anything.
+        0 => GraphMsg::Node {
+            id: node(rng),
+            parents: Parents {
+                left: rng.chance(0.5).then(|| node(rng)),
+                right: rng.chance(0.5).then(|| node(rng)),
+            },
+            payload: Bytes::from(bytes(rng, 0..64)),
+        },
+        1 => GraphMsg::SkipTo { id: node(rng) },
+        2 => GraphMsg::SkipToEnd,
+        _ => GraphMsg::Halt,
+    }
 }
 
-proptest! {
-    #[test]
-    fn varint_roundtrip(v in any::<u64>()) {
+#[test]
+fn varint_roundtrip() {
+    cases(256, |seed, rng| {
+        // Every length boundary once, then words of every magnitude.
+        let v = match seed {
+            0..=63 => 1 << seed,
+            64..=127 => (1 << (seed - 64)) - 1,
+            128 => u64::MAX,
+            _ => word(rng),
+        };
         let mut buf = bytes::BytesMut::new();
         wire::put_varint(&mut buf, v);
-        prop_assert_eq!(buf.len(), wire::varint_len(v));
+        assert_eq!(buf.len(), wire::varint_len(v));
         let mut bytes = buf.freeze();
-        prop_assert_eq!(wire::get_varint(&mut bytes).unwrap(), v);
-        prop_assert!(bytes.is_empty());
-    }
+        assert_eq!(wire::get_varint(&mut bytes).unwrap(), v);
+        assert!(bytes.is_empty());
+    });
+}
 
-    #[test]
-    fn msg_roundtrip(msg in arb_msg()) {
+#[test]
+fn msg_roundtrip() {
+    cases(256, |_, rng| {
+        let msg = msg(rng);
         let bytes = msg.to_bytes();
-        prop_assert_eq!(bytes.len(), msg.encoded_len());
+        assert_eq!(bytes.len(), msg.encoded_len());
         let mut buf = bytes;
         let decoded = Msg::decode(&mut buf).unwrap();
-        prop_assert_eq!(decoded, msg);
-        prop_assert!(buf.is_empty());
-    }
+        assert_eq!(decoded, msg);
+        assert!(buf.is_empty());
+    });
+}
 
-    #[test]
-    fn graph_msg_roundtrip(msg in arb_graph_msg()) {
+#[test]
+fn graph_msg_roundtrip() {
+    cases(256, |_, rng| {
+        let msg = graph_msg(rng);
         let bytes = msg.to_bytes();
-        prop_assert_eq!(bytes.len(), msg.encoded_len());
+        assert_eq!(bytes.len(), msg.encoded_len());
         let mut buf = bytes;
         let decoded = GraphMsg::decode(&mut buf).unwrap();
-        prop_assert_eq!(decoded, msg);
-        prop_assert!(buf.is_empty());
-    }
+        assert_eq!(decoded, msg);
+        assert!(buf.is_empty());
+    });
+}
 
-    #[test]
-    fn decoder_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
-        let mut buf = Bytes::from(bytes.clone());
+#[test]
+fn decoder_never_panics_on_garbage() {
+    cases(256, |_, rng| {
+        let soup = bytes(rng, 0..64);
+        let mut buf = Bytes::from(soup.clone());
         let _ = Msg::decode(&mut buf);
-        let mut buf = Bytes::from(bytes);
+        let mut buf = Bytes::from(soup);
         let _ = GraphMsg::decode(&mut buf);
-    }
+    });
+}
 
-    #[test]
-    fn concatenated_messages_decode_in_sequence(msgs in proptest::collection::vec(arb_msg(), 1..10)) {
+#[test]
+fn concatenated_messages_decode_in_sequence() {
+    cases(256, |_, rng| {
+        let msgs: Vec<Msg> = (0..rng.range(1..10)).map(|_| msg(rng)).collect();
         let mut buf = bytes::BytesMut::new();
         for m in &msgs {
             m.encode(&mut buf);
         }
         let mut bytes = buf.freeze();
         for m in &msgs {
-            let decoded = Msg::decode(&mut bytes).unwrap();
-            prop_assert_eq!(&decoded, m);
+            assert_eq!(&Msg::decode(&mut bytes).unwrap(), m);
         }
-        prop_assert!(bytes.is_empty());
-    }
+        assert!(bytes.is_empty());
+    });
 }

@@ -1631,6 +1631,7 @@ fn decode_value(mut buf: Bytes) -> std::result::Result<Value, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use optrep_core::rng::SplitMix64;
     use optrep_replication::mux::run_contact;
 
     fn s(i: u32) -> SiteId {
@@ -1849,14 +1850,14 @@ mod tests {
         let mut pulled = KvSyncReport::default();
         for shards in [1, 16, 512] {
             for seed in 0..6u64 {
-                let mut rng = seed * 0x9e37 + shards as u64;
+                let mut rng = SplitMix64::new(seed * 0x9e37 + shards as u64);
                 let mut a = KvStore::with_shards(s(0), shards);
                 let mut b = KvStore::with_shards(s(1), shards);
                 for step in 0..160 {
-                    let key = format!("k{:02}", splitmix64(&mut rng) % 24);
-                    let op = splitmix64(&mut rng) % 12;
+                    let key = format!("k{:02}", rng.next_u64() % 24);
+                    let op = rng.next_u64() % 12;
                     let step = format!("{shards} shards, seed {seed}, step {step}, op {op}");
-                    let store = if splitmix64(&mut rng) & 1 == 0 {
+                    let store = if rng.next_u64() & 1 == 0 {
                         &mut a
                     } else {
                         &mut b
@@ -1954,27 +1955,27 @@ mod tests {
     /// A seeded entry state covering what moves a length prefix or a
     /// branch: 0–12 sites (so both sides of `INLINE_SITES`), zero-valued
     /// elements, both bits, every kind of value and key.
-    fn random_state(rng: &mut u64) -> (String, Srv, Option<Vec<u8>>) {
-        let key = match splitmix64(rng) % 8 {
+    fn random_state(rng: &mut SplitMix64) -> (String, Srv, Option<Vec<u8>>) {
+        let key = match rng.next_u64() % 8 {
             0 => String::new(),
             1 => "k".repeat(127),
             2 => "k".repeat(128),
-            3 => format!("ключ-{}-鍵", splitmix64(rng) % 100),
-            _ => format!("k{:07}", splitmix64(rng) % 10_000_000),
+            3 => format!("ключ-{}-鍵", rng.next_u64() % 100),
+            _ => format!("k{:07}", rng.next_u64() % 10_000_000),
         };
         let mut sites = Vec::new();
-        for _ in 0..splitmix64(rng) % 13 {
-            let site = match splitmix64(rng) % 4 {
-                0 => u32::MAX - (splitmix64(rng) % 4) as u32,
-                1 => 128 + (splitmix64(rng) % 20_000) as u32,
-                _ => (splitmix64(rng) % 16) as u32,
+        for _ in 0..rng.next_u64() % 13 {
+            let site = match rng.next_u64() % 4 {
+                0 => u32::MAX - (rng.next_u64() % 4) as u32,
+                1 => 128 + (rng.next_u64() % 20_000) as u32,
+                _ => (rng.next_u64() % 16) as u32,
             };
             if !sites.contains(&site) {
                 sites.push(site);
             }
         }
         let meta = Srv::from_order(sites.into_iter().map(|site| {
-            let bits = splitmix64(rng);
+            let bits = rng.next_u64();
             optrep_core::order::Element {
                 site: s(site),
                 value: match bits >> 8 & 3 {
@@ -1986,7 +1987,7 @@ mod tests {
                 segment: bits & 2 == 2,
             }
         }));
-        let value = match splitmix64(rng) % 6 {
+        let value = match rng.next_u64() % 6 {
             0 => None,
             1 => Some(0),
             2 => Some(1),
@@ -1994,13 +1995,13 @@ mod tests {
             4 => Some(128),
             _ => Some(20 * 1024),
         };
-        let fill = splitmix64(rng) as u8;
+        let fill = rng.next_u64() as u8;
         (key, meta, value.map(|len| vec![fill; len]))
     }
 
     #[test]
     fn a_record_reads_back_the_state_it_was_built_from() {
-        let mut rng = 0x0005_EED0_F2EC_02D5_u64;
+        let mut rng = SplitMix64::new(0x0005_EED0_F2EC_02D5);
         let (mut spilled, mut tombstones) = (0, 0);
         let mut records = Vec::new();
         for case in 0..2000 {
@@ -2135,17 +2136,17 @@ mod tests {
             KvStore::with_shards(s(300), 4),
             KvStore::with_shards(s(2), 4),
         ];
-        let mut rng = 0x000C_A202_1CA1_u64;
+        let mut rng = SplitMix64::new(0x000C_A202_1CA1);
         for step in 0..400 {
-            let who = (splitmix64(&mut rng) % 3) as usize;
-            let key = match splitmix64(&mut rng) % 12 {
+            let who = (rng.next_u64() % 3) as usize;
+            let key = match rng.next_u64() % 12 {
                 0 => "k".repeat(128),
                 1 => String::new(),
                 k => format!("k{k:02}"),
             };
-            match splitmix64(&mut rng) % 8 {
+            match rng.next_u64() % 8 {
                 0..=3 => {
-                    let len = [0, 1, 127, 128, 300][(splitmix64(&mut rng) % 5) as usize];
+                    let len = [0, 1, 127, 128, 300][(rng.next_u64() % 5) as usize];
                     stores[who].put(key, vec![step as u8; len]);
                 }
                 4 => stores[who].delete(key),
@@ -2934,14 +2935,6 @@ mod tests {
         assert_eq!(dst.replica_digest(), src.borrow().replica_digest());
     }
 
-    fn splitmix64(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
     /// The model: whatever the source's journal claims — entries lost,
     /// entries for keys that never changed, a floor that says complete
     /// when it is not — and whatever the puller did meanwhile, a warm
@@ -2949,13 +2942,13 @@ mod tests {
     /// exactly the proposals whose candidates missed a differing key.
     #[test]
     fn a_wrong_journal_costs_refusals_never_convergence() {
-        let mut rng = 0x0000_10E5_0FA1_1E50_u64;
+        let mut rng = SplitMix64::new(0x0000_10E5_0FA1_1E50);
         let (mut proposed, mut refused, mut accepted_stale) = (0, 0, 0);
         for case in 0..48u64 {
             let pull_shards = [4, 16, 64][(case % 3) as usize];
             let serve_shards = [1, 16, 256][(case / 3 % 3) as usize];
-            let keys = 400 + (splitmix64(&mut rng) % 1200) as usize;
-            let pick = |rng: &mut u64| format!("k{:04}", splitmix64(rng) % keys as u64);
+            let keys = 400 + (rng.next_u64() % 1200) as usize;
+            let pick = |rng: &mut SplitMix64| format!("k{:04}", rng.next_u64() % keys as u64);
             let mut src = KvStore::with_shards(s(1), serve_shards);
             let mut dst = KvStore::with_shards(s(0), pull_shards);
             let mut third = KvStore::with_shards(s(2), 8);
@@ -2971,15 +2964,15 @@ mod tests {
                 let since = src.generation();
                 // Both sides move on: the source in ways its journal
                 // sees, the puller in ways it cannot.
-                for i in 0..1 + splitmix64(&mut rng) % 12 {
-                    match splitmix64(&mut rng) % 5 {
+                for i in 0..1 + rng.next_u64() % 12 {
+                    match rng.next_u64() % 5 {
                         0 => src.delete(pick(&mut rng)),
                         1 => src.put(format!("new-{case}-{i}"), "created"),
                         _ => src.put(pick(&mut rng), format!("ahead{i}")),
                     }
                 }
-                for i in 0..splitmix64(&mut rng) % 3 {
-                    match splitmix64(&mut rng) % 3 {
+                for i in 0..rng.next_u64() % 3 {
+                    match rng.next_u64() % 3 {
                         0 => dst.put(format!("mine-{case}-{i}"), "local"),
                         1 => dst.put(pick(&mut rng), "ours"),
                         _ => {
@@ -2992,11 +2985,11 @@ mod tests {
                 let lie = case % 4;
                 if lie == 1 {
                     // Entries lost.
-                    let mut keep = rng;
-                    (src.journal.entries).retain(|_| splitmix64(&mut keep) % 3 >= 1);
+                    let mut keep = rng.clone();
+                    (src.journal.entries).retain(|_| keep.next_u64() % 3 >= 1);
                 } else if lie == 2 {
                     // Keys that never changed, listed as changed.
-                    for _ in 0..1 + splitmix64(&mut rng) % 6 {
+                    for _ in 0..1 + rng.next_u64() % 6 {
                         let stale = placement(pick(&mut rng).as_bytes());
                         src.journal.record(src.generation, stale);
                     }

@@ -1,10 +1,10 @@
-//! Property tests: a fleet of stores under arbitrary put/delete/sync
+//! Seeded property tests: a fleet of stores under arbitrary put/delete/sync
 //! schedules always converges once gossip quiesces, and never loses a
 //! causally-latest write.
 
+use optrep_core::rng::{cases, SplitMix64};
 use optrep_core::SiteId;
 use optrep_kv::KvStore;
-use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -13,18 +13,24 @@ enum Op {
     Sync { dst: usize, src: usize },
 }
 
-fn ops(stores: usize, len: usize) -> impl Strategy<Value = Vec<Op>> {
-    let op = prop_oneof![
-        (0..stores, 0u8..5, any::<u8>()).prop_map(|(store, key, val)| Op::Put { store, key, val }),
-        (0..stores, 0u8..5).prop_map(|(store, key)| Op::Delete { store, key }),
-        (0..stores, 0..stores - 1).prop_map(move |(dst, mut src)| {
-            if src >= dst {
-                src += 1;
+fn ops(rng: &mut SplitMix64, stores: usize, len: usize) -> Vec<Op> {
+    (0..rng.range(1..len))
+        .map(|_| {
+            let (store, key) = (rng.below(stores), rng.below(5) as u8);
+            match rng.below(3) {
+                0 => Op::Put {
+                    store,
+                    key,
+                    val: rng.next_u64() as u8,
+                },
+                1 => Op::Delete { store, key },
+                _ => Op::Sync {
+                    dst: store,
+                    src: (store + rng.range(1..stores)) % stores,
+                },
             }
-            Op::Sync { dst, src }
-        }),
-    ];
-    proptest::collection::vec(op, 1..len)
+        })
+        .collect()
 }
 
 fn run(stores: usize, schedule: &[Op]) -> Vec<KvStore> {
@@ -72,41 +78,42 @@ fn settle(fleet: &mut [KvStore]) {
     panic!("settle did not quiesce");
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn fleet_converges_after_settling(schedule in ops(4, 60)) {
-        let mut fleet = run(4, &schedule);
+#[test]
+fn fleet_converges_after_settling() {
+    cases(48, |_, rng| {
+        let mut fleet = run(4, &ops(rng, 4, 60));
         settle(&mut fleet);
         for pair in fleet.windows(2) {
-            prop_assert!(
+            assert!(
                 pair[0].consistent_with(&pair[1]),
                 "stores diverged after quiescent gossip"
             );
         }
-    }
+    });
+}
 
-    #[test]
-    fn unconflicted_latest_write_survives(schedule in ops(3, 40)) {
+#[test]
+fn unconflicted_latest_write_survives() {
+    cases(48, |_, rng| {
         // After settling, write one fresh value on store 0 and settle
         // again: with no concurrent writes it must win everywhere.
-        let mut fleet = run(3, &schedule);
+        let mut fleet = run(3, &ops(rng, 3, 40));
         settle(&mut fleet);
         fleet[0].put("k0", b"final".to_vec());
         settle(&mut fleet);
         for store in &fleet {
-            prop_assert_eq!(store.get("k0"), Some(&b"final"[..]));
+            assert_eq!(store.get("k0"), Some(&b"final"[..]));
         }
-    }
+    });
+}
 
-    #[test]
-    fn snapshots_roundtrip_any_state(schedule in ops(3, 40)) {
-        let fleet = run(3, &schedule);
-        for store in &fleet {
+#[test]
+fn snapshots_roundtrip_any_state() {
+    cases(48, |_, rng| {
+        for store in &run(3, &ops(rng, 3, 40)) {
             let mut buf = store.encode_snapshot();
             let decoded = KvStore::decode_snapshot(&mut buf).unwrap();
-            prop_assert_eq!(&decoded, store);
+            assert_eq!(&decoded, store);
         }
-    }
+    });
 }

@@ -10,11 +10,11 @@
 //! entries must leave all of them alone. A change that means to move one
 //! (a new wire form) re-pins it here and says so.
 //!
-//! The schedule uses neither `rand` nor `proptest`, so it is the same
-//! under the published crates and the stand-ins, and it sets its shard
-//! counts itself, so `OPTREP_KV_SHARDS` does not reach it.
+//! The schedule sets its shard counts itself, so `OPTREP_KV_SHARDS` does
+//! not reach it.
 
 use bytes::Bytes;
+use optrep_core::rng::SplitMix64;
 use optrep_core::SiteId;
 use optrep_kv::{JoinResolver, KvStore, KvSyncReport};
 use optrep_replication::planner::PlanConfig;
@@ -22,14 +22,6 @@ use optrep_replication::planner::PlanConfig;
 const STEPS: usize = 3000;
 const KEYS: usize = 64;
 const STORES: usize = 3;
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 fn fnv(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
@@ -49,9 +41,9 @@ fn key(i: usize) -> String {
     }
 }
 
-fn value(rng: &mut u64) -> Bytes {
-    let len = [0, 1, 5, 32, 32, 127, 128, 300][(splitmix64(rng) % 8) as usize];
-    let fill = splitmix64(rng);
+fn value(rng: &mut SplitMix64) -> Bytes {
+    let len = [0, 1, 5, 32, 32, 127, 128, 300][(rng.next_u64() % 8) as usize];
+    let fill = rng.next_u64();
     Bytes::from(
         (0..len)
             .map(|i| (fill >> (i % 8 * 8)) as u8 ^ i as u8)
@@ -127,17 +119,17 @@ impl Transcript {
 
 fn run(shards: usize) -> Transcript {
     let plan = PlanConfig::default();
-    let mut rng = 0x0060_1DE2_B17E_5000_u64 + shards as u64;
+    let mut rng = SplitMix64::new(0x0060_1DE2_B17E_5000 + shards as u64);
     let mut stores: Vec<KvStore> = (0..STORES)
         .map(|i| KvStore::with_shards(SiteId::new(i as u32), shards))
         .collect();
     let mut out = Transcript::default();
     for step in 0..STEPS {
         let at = format!("step {step}");
-        let who = (splitmix64(&mut rng) % STORES as u64) as usize;
-        let other = (who + 1 + (splitmix64(&mut rng) % (STORES as u64 - 1)) as usize) % STORES;
-        let k = (splitmix64(&mut rng) % KEYS as u64) as usize;
-        match splitmix64(&mut rng) % 40 {
+        let who = (rng.next_u64() % STORES as u64) as usize;
+        let other = (who + 1 + (rng.next_u64() % (STORES as u64 - 1)) as usize) % STORES;
+        let k = (rng.next_u64() % KEYS as u64) as usize;
+        match rng.next_u64() % 40 {
             0..=17 => stores[who].put(key(k), value(&mut rng)),
             18..=25 => stores[who].delete(key(k)),
             26..=28 => {

@@ -1,4 +1,4 @@
-//! Property tests for the sharded store and the sync planner.
+//! Seeded property tests for the sharded store and the sync planner.
 //!
 //! Three invariants pin the shard map:
 //!
@@ -16,10 +16,10 @@
 //!    replicated state as a full unplanned pull, at any shard-count
 //!    pairing.
 
+use optrep_core::rng::{cases, SplitMix64};
 use optrep_core::SiteId;
 use optrep_kv::{JoinResolver, KvStore};
 use optrep_replication::PlanConfig;
-use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -29,24 +29,23 @@ enum Op {
     PlannedSync { dst: usize, src: usize },
 }
 
-fn ops(stores: usize, len: usize) -> impl Strategy<Value = Vec<Op>> {
-    let op = prop_oneof![
-        (0..stores, 0u8..8, any::<u8>()).prop_map(|(store, key, val)| Op::Put { store, key, val }),
-        (0..stores, 0u8..8).prop_map(|(store, key)| Op::Delete { store, key }),
-        (0..stores, 0..stores - 1).prop_map(move |(dst, mut src)| {
-            if src >= dst {
-                src += 1;
+fn ops(rng: &mut SplitMix64, stores: usize, len: usize) -> Vec<Op> {
+    (0..rng.range(1..len))
+        .map(|_| {
+            let (store, key) = (rng.below(stores), rng.below(8) as u8);
+            let src = (store + rng.range(1..stores)) % stores;
+            match rng.below(4) {
+                0 => Op::Put {
+                    store,
+                    key,
+                    val: rng.next_u64() as u8,
+                },
+                1 => Op::Delete { store, key },
+                2 => Op::Sync { dst: store, src },
+                _ => Op::PlannedSync { dst: store, src },
             }
-            Op::Sync { dst, src }
-        }),
-        (0..stores, 0..stores - 1).prop_map(move |(dst, mut src)| {
-            if src >= dst {
-                src += 1;
-            }
-            Op::PlannedSync { dst, src }
-        }),
-    ];
-    proptest::collection::vec(op, 1..len)
+        })
+        .collect()
 }
 
 /// Runs one schedule with each store at its own shard count.
@@ -80,48 +79,48 @@ fn run(shard_counts: &[usize], schedule: &[Op]) -> Vec<KvStore> {
     fleet
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Satellite invariant: the cached per-shard digest fold equals the
-    /// full O(n) recomputation after arbitrary multi-site schedules —
-    /// every mutation path (write, delete, fast-forward, reconcile,
-    /// snapshot bulk-load, WAL-style insert) maintains the digests
-    /// exactly.
-    #[test]
-    fn cached_digest_fold_matches_full_recomputation(
-        schedule in ops(3, 60),
-        shift in 0u32..5,
-    ) {
+/// Satellite invariant: the cached per-shard digest fold equals the
+/// full O(n) recomputation after arbitrary multi-site schedules —
+/// every mutation path (write, delete, fast-forward, reconcile,
+/// snapshot bulk-load, WAL-style insert) maintains the digests
+/// exactly.
+#[test]
+fn cached_digest_fold_matches_full_recomputation() {
+    cases(32, |_, rng| {
+        let schedule = ops(rng, 3, 60);
+        let shift = rng.below(5);
         let counts = [1usize << shift, 16, 4];
         for store in run(&counts, &schedule) {
-            prop_assert_eq!(store.replica_digest(), store.replica_digest_full());
+            assert_eq!(store.replica_digest(), store.replica_digest_full());
         }
-    }
+    });
+}
 
-    /// The same schedule at different shard counts produces equal
-    /// stores, equal digests, and byte-identical snapshots: sharding is
-    /// pure layout.
-    #[test]
-    fn shard_count_is_invisible(schedule in ops(3, 40)) {
+/// The same schedule at different shard counts produces equal
+/// stores, equal digests, and byte-identical snapshots: sharding is
+/// pure layout.
+#[test]
+fn shard_count_is_invisible() {
+    cases(32, |_, rng| {
+        let schedule = ops(rng, 3, 40);
         let narrow = run(&[1, 1, 1], &schedule);
         let wide = run(&[64, 8, 256], &schedule);
         for (a, b) in narrow.iter().zip(&wide) {
-            prop_assert_eq!(a, b);
-            prop_assert_eq!(a.replica_digest(), b.replica_digest());
-            prop_assert_eq!(a.encode_snapshot(), b.encode_snapshot());
+            assert_eq!(a, b);
+            assert_eq!(a.replica_digest(), b.replica_digest());
+            assert_eq!(a.encode_snapshot(), b.encode_snapshot());
         }
-    }
+    });
+}
 
-    /// Digest identity: from any divergent pair, one planned contact
-    /// commits state digest-identical to the unplanned seed path — at
-    /// any shard-count pairing, snapshot verdicts included.
-    #[test]
-    fn planned_contact_commits_identical_state(
-        schedule in ops(2, 40),
-        pull_shift in 0u32..7,
-        serve_shift in 0u32..7,
-    ) {
+/// Digest identity: from any divergent pair, one planned contact
+/// commits state digest-identical to the unplanned seed path — at
+/// any shard-count pairing, snapshot verdicts included.
+#[test]
+fn planned_contact_commits_identical_state() {
+    cases(32, |_, rng| {
+        let schedule = ops(rng, 2, 40);
+        let (pull_shift, serve_shift) = (rng.below(7), rng.below(7));
         let fleet = run(&[1 << pull_shift, 1 << serve_shift], &schedule);
         let src = fleet[1].clone();
         let mut planned = fleet[0].clone();
@@ -130,15 +129,15 @@ proptest! {
         let (report, contact) = planned
             .sync_planned(&src, &JoinResolver, &PlanConfig::default())
             .expect("planned pull");
-        prop_assert!(planned.consistent_with(&unplanned));
-        prop_assert_eq!(planned.replica_digest(), unplanned.replica_digest());
-        prop_assert_eq!(planned.replica_digest(), planned.replica_digest_full());
-        prop_assert_eq!(report.shards_total, 1usize << pull_shift);
-        prop_assert_eq!(
+        assert!(planned.consistent_with(&unplanned));
+        assert_eq!(planned.replica_digest(), unplanned.replica_digest());
+        assert_eq!(planned.replica_digest(), planned.replica_digest_full());
+        assert_eq!(report.shards_total, 1usize << pull_shift);
+        assert_eq!(
             report.shards_skipped + report.shards_incremental + report.shards_snapshot,
             report.shards_total
         );
-        prop_assert_eq!(contact.shards_total, 1u64 << pull_shift);
+        assert_eq!(contact.shards_total, 1u64 << pull_shift);
 
         // An immediate second planned pull is a no-op. When the puller
         // fully converged to the server (no local-only keys, no
@@ -149,14 +148,14 @@ proptest! {
         let (report, _) = planned
             .sync_planned(&src, &JoinResolver, &PlanConfig::default())
             .expect("second planned pull");
-        prop_assert_eq!(planned.generation(), before, "second pull changed state");
-        prop_assert_eq!(
+        assert_eq!(planned.generation(), before, "second pull changed state");
+        assert_eq!(
             report.keys_created + report.keys_fast_forwarded + report.keys_reconciled,
             0
         );
         if converged {
-            prop_assert_eq!(report.shards_skipped, report.shards_total);
-            prop_assert_eq!(report.keys_examined, 0);
+            assert_eq!(report.shards_skipped, report.shards_total);
+            assert_eq!(report.keys_examined, 0);
         }
-    }
+    });
 }

@@ -1,4 +1,4 @@
-//! Property tests for the durable encodings: `encode_snapshot` /
+//! Seeded property tests for the durable encodings: `encode_snapshot` /
 //! `decode_snapshot` (the checkpoint image) and `encode_entry` /
 //! `apply_encoded_entry` (the WAL payload unit). Stores are driven
 //! through arbitrary put/delete/sync schedules first so the encodings
@@ -13,9 +13,9 @@
 
 use bytes::Buf;
 use optrep_core::error::WireError;
+use optrep_core::rng::{cases, SplitMix64};
 use optrep_core::SiteId;
 use optrep_kv::KvStore;
-use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -24,18 +24,24 @@ enum Op {
     Sync { dst: usize, src: usize },
 }
 
-fn ops(stores: usize, len: usize) -> impl Strategy<Value = Vec<Op>> {
-    let op = prop_oneof![
-        (0..stores, 0u8..5, any::<u8>()).prop_map(|(store, key, val)| Op::Put { store, key, val }),
-        (0..stores, 0u8..5).prop_map(|(store, key)| Op::Delete { store, key }),
-        (0..stores, 0..stores - 1).prop_map(move |(dst, mut src)| {
-            if src >= dst {
-                src += 1;
+fn ops(rng: &mut SplitMix64, stores: usize, len: usize) -> Vec<Op> {
+    (0..rng.range(1..len))
+        .map(|_| {
+            let (store, key) = (rng.below(stores), rng.below(5) as u8);
+            match rng.below(3) {
+                0 => Op::Put {
+                    store,
+                    key,
+                    val: rng.next_u64() as u8,
+                },
+                1 => Op::Delete { store, key },
+                _ => Op::Sync {
+                    dst: store,
+                    src: (store + rng.range(1..stores)) % stores,
+                },
             }
-            Op::Sync { dst, src }
-        }),
-    ];
-    proptest::collection::vec(op, 1..len)
+        })
+        .collect()
 }
 
 fn run(stores: usize, schedule: &[Op]) -> Vec<KvStore> {
@@ -59,56 +65,61 @@ fn run(stores: usize, schedule: &[Op]) -> Vec<KvStore> {
     fleet
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// The checkpoint image is lossless: decoding it rebuilds a store
-    /// equal (site + every entry, metadata included via `PartialEq`)
-    /// to the one encoded, with an identical replica digest and an
-    /// identical re-encoding.
-    #[test]
-    fn snapshot_roundtrips_exactly(schedule in ops(3, 40)) {
+/// The checkpoint image is lossless: decoding it rebuilds a store
+/// equal (site + every entry, metadata included via `PartialEq`)
+/// to the one encoded, with an identical replica digest and an
+/// identical re-encoding.
+#[test]
+fn snapshot_roundtrips_exactly() {
+    cases(32, |_, rng| {
+        let schedule = ops(rng, 3, 40);
         for store in run(3, &schedule) {
             let image = store.encode_snapshot();
             let mut buf = image.clone();
             let decoded = KvStore::decode_snapshot(&mut buf).expect("snapshot decodes");
-            prop_assert!(!buf.has_remaining(), "decode must consume the whole image");
-            prop_assert_eq!(&decoded, &store);
-            prop_assert_eq!(decoded.replica_digest(), store.replica_digest());
-            prop_assert_eq!(decoded.encode_snapshot(), image);
+            assert!(!buf.has_remaining(), "decode must consume the whole image");
+            assert_eq!(&decoded, &store);
+            assert_eq!(decoded.replica_digest(), store.replica_digest());
+            assert_eq!(decoded.encode_snapshot(), image);
         }
-    }
+    });
+}
 
-    /// Every strict prefix of a snapshot is torn, not corrupt: decoding
-    /// fails with exactly `UnexpectedEof`, never succeeds on partial
-    /// state, never panics. This is what lets recovery classify a short
-    /// snapshot read as a tear rather than silently accepting a store
-    /// missing its tail entries.
-    #[test]
-    fn every_snapshot_prefix_is_rejected_as_torn(schedule in ops(3, 25)) {
+/// Every strict prefix of a snapshot is torn, not corrupt: decoding
+/// fails with exactly `UnexpectedEof`, never succeeds on partial
+/// state, never panics. This is what lets recovery classify a short
+/// snapshot read as a tear rather than silently accepting a store
+/// missing its tail entries.
+#[test]
+fn every_snapshot_prefix_is_rejected_as_torn() {
+    cases(32, |_, rng| {
+        let schedule = ops(rng, 3, 25);
         for store in run(3, &schedule) {
             let image = store.encode_snapshot();
             for cut in 0..image.len() {
                 let mut buf = image.slice(0..cut);
-                prop_assert_eq!(
+                assert_eq!(
                     KvStore::decode_snapshot(&mut buf).unwrap_err(),
                     WireError::UnexpectedEof,
-                    "cut {} of {}", cut, image.len()
+                    "cut {} of {}",
+                    cut,
+                    image.len()
                 );
             }
         }
-    }
+    });
+}
 
-    /// The WAL payload unit round-trips: applying an encoded entry to
-    /// any other store reproduces that key's exact post-state (the
-    /// effect-logging contract replay depends on), and every strict
-    /// prefix — plus any trailing byte — is rejected without touching
-    /// the target store.
-    #[test]
-    fn encoded_entries_roundtrip_and_reject_truncation(
-        schedule in ops(3, 40),
-        junk in any::<u8>(),
-    ) {
+/// The WAL payload unit round-trips: applying an encoded entry to
+/// any other store reproduces that key's exact post-state (the
+/// effect-logging contract replay depends on), and every strict
+/// prefix — plus any trailing byte — is rejected without touching
+/// the target store.
+#[test]
+fn encoded_entries_roundtrip_and_reject_truncation() {
+    cases(32, |_, rng| {
+        let schedule = ops(rng, 3, 40);
+        let junk = rng.next_u64() as u8;
         let fleet = run(3, &schedule);
         for store in &fleet {
             // The schedule's whole key universe: probes hit live keys
@@ -120,22 +131,31 @@ proptest! {
 
                 let mut target = KvStore::new(SiteId::new(9));
                 let mut buf = entry.clone();
-                target.apply_encoded_entry(key.clone(), &mut buf).expect("entry applies");
-                prop_assert_eq!(
+                target
+                    .apply_encoded_entry(key.clone(), &mut buf)
+                    .expect("entry applies");
+                assert_eq!(
                     target.encode_entry(&key).expect("applied key is tracked"),
                     entry.clone(),
-                    "replayed post-state differs for {}", key
+                    "replayed post-state differs for {}",
+                    key
                 );
 
                 for cut in 0..entry.len() {
                     let mut target = KvStore::new(SiteId::new(9));
                     let before = target.generation();
                     let mut buf = entry.slice(0..cut);
-                    prop_assert!(
+                    assert!(
                         target.apply_encoded_entry(key.clone(), &mut buf).is_err(),
-                        "cut {} of {} applied", cut, entry.len()
+                        "cut {} of {} applied",
+                        cut,
+                        entry.len()
                     );
-                    prop_assert_eq!(target.generation(), before, "failed apply mutated the store");
+                    assert_eq!(
+                        target.generation(),
+                        before,
+                        "failed apply mutated the store"
+                    );
                 }
 
                 let mut padded = bytes::BytesMut::new();
@@ -143,28 +163,34 @@ proptest! {
                 padded.extend_from_slice(&[junk]);
                 let mut buf = padded.freeze();
                 let mut target = KvStore::new(SiteId::new(9));
-                prop_assert_eq!(
-                    target.apply_encoded_entry(key.clone(), &mut buf).unwrap_err(),
+                assert_eq!(
+                    target
+                        .apply_encoded_entry(key.clone(), &mut buf)
+                        .unwrap_err(),
                     WireError::InvalidPayload,
-                    "trailing byte accepted for {}", key
+                    "trailing byte accepted for {}",
+                    key
                 );
             }
         }
-    }
+    });
+}
 
-    /// Snapshot encoding is deterministic and idempotent across a
-    /// crash/recover cycle: the same history encodes to the same bytes,
-    /// and re-encoding a recovered store is a fixed point — so repeated
-    /// checkpoint/replay cycles can never drift. Converged *replicas*,
-    /// by contrast, agree only on `replica_digest`: their snapshot
-    /// bytes legitimately differ (hosting site id, rotating-vector
-    /// segments), which is why cross-daemon comparisons use digests.
-    #[test]
-    fn snapshot_encoding_is_deterministic_and_stable(schedule in ops(3, 40)) {
+/// Snapshot encoding is deterministic and idempotent across a
+/// crash/recover cycle: the same history encodes to the same bytes,
+/// and re-encoding a recovered store is a fixed point — so repeated
+/// checkpoint/replay cycles can never drift. Converged *replicas*,
+/// by contrast, agree only on `replica_digest`: their snapshot
+/// bytes legitimately differ (hosting site id, rotating-vector
+/// segments), which is why cross-daemon comparisons use digests.
+#[test]
+fn snapshot_encoding_is_deterministic_and_stable() {
+    cases(32, |_, rng| {
+        let schedule = ops(rng, 3, 40);
         let once = run(3, &schedule);
         let twice = run(3, &schedule);
         for (a, b) in once.iter().zip(&twice) {
-            prop_assert_eq!(a.encode_snapshot(), b.encode_snapshot());
+            assert_eq!(a.encode_snapshot(), b.encode_snapshot());
         }
         // Mutually converged replicas: equal digests, yet (in general)
         // different images — recovery must compare digests, not bytes.
@@ -175,13 +201,13 @@ proptest! {
             let src = fleet[0].clone();
             fleet[1].sync(&src).run().expect("pull");
         }
-        prop_assert_eq!(fleet[0].replica_digest(), fleet[1].replica_digest());
+        assert_eq!(fleet[0].replica_digest(), fleet[1].replica_digest());
         // Checkpoint → replay → checkpoint is a fixed point per store.
         for store in &fleet {
             let image = store.encode_snapshot();
             let mut buf = image.clone();
             let recovered = KvStore::decode_snapshot(&mut buf).expect("decode");
-            prop_assert_eq!(recovered.encode_snapshot(), image);
+            assert_eq!(recovered.encode_snapshot(), image);
         }
-    }
+    });
 }

@@ -26,24 +26,7 @@
 //! exactly reproducible, and free of float drift across platforms.
 
 use bytes::Bytes;
-
-/// Advances a [splitmix64](https://prng.di.unimi.it/splitmix64.c)
-/// state and returns the next pseudo-random word. Dependency-free and
-/// stable across platforms, which is all fault decisions need.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Mixes two words into one seed, for deriving per-contact plans from
-/// a master seed plus a contact index.
-pub fn mix_seed(seed: u64, salt: u64) -> u64 {
-    let mut s = seed ^ salt.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    splitmix64(&mut s)
-}
+use optrep_core::rng::{mix_seed, SplitMix64};
 
 /// A deterministic, seeded fault schedule for one link.
 ///
@@ -152,7 +135,7 @@ pub struct FaultStats {
 #[derive(Debug, Clone)]
 pub struct FaultyLink {
     plan: FaultPlan,
-    rng: u64,
+    rng: SplitMix64,
     dead: bool,
     stalled: bool,
     stats: FaultStats,
@@ -163,7 +146,7 @@ impl FaultyLink {
     pub fn new(plan: FaultPlan) -> Self {
         FaultyLink {
             plan,
-            rng: mix_seed(plan.seed, 0x6c69_6e6b), // "link"
+            rng: SplitMix64::new(mix_seed(plan.seed, 0x6c69_6e6b)), // "link"
             dead: false,
             stalled: false,
             stats: FaultStats::default(),
@@ -187,7 +170,7 @@ impl FaultyLink {
 
     /// Draws the next per-mille decision in `0..1000`.
     fn roll(&mut self) -> u16 {
-        (splitmix64(&mut self.rng) % 1000) as u16
+        self.rng.below(1000) as u16
     }
 
     /// Offers one encoded frame to the link and reports its fate.
@@ -239,7 +222,7 @@ impl FaultyLink {
             // bytes make it out. (A 1-byte frame always truncates to
             // nothing — still a death, still detectable.)
             self.dead = true;
-            let cut = (splitmix64(&mut self.rng) % frame.len().max(1) as u64) as usize;
+            let cut = self.rng.below(frame.len().max(1));
             let prefix = Bytes::copy_from_slice(&frame[..cut]);
             self.stats.bytes_delivered += cut as u64;
             self.stats.frames_truncated += 1;

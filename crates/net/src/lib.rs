@@ -35,8 +35,9 @@ pub mod reactor;
 pub mod sim;
 pub mod tcp;
 
-pub use fault::{mix_seed, FaultPlan, FaultStats, FaultyLink, TransmitOutcome};
+pub use fault::{FaultPlan, FaultStats, FaultyLink, TransmitOutcome};
 pub use link::LinkStats;
+pub use optrep_core::rng::mix_seed;
 pub use pool::{ConnPool, PoolMetrics, PoolStats};
 pub use sim::{SimConfig, SimLink, SimReport};
 pub use tcp::{ConnectOptions, FrameLink, TcpLink};

@@ -70,11 +70,10 @@ use crate::reconcile::Reconciler;
 use crate::session::sync_replica;
 use crate::site::Site;
 use optrep_core::obs::{self, CounterSink};
+use optrep_core::rng::SplitMix64;
 use optrep_core::sync::SyncOptions;
 use optrep_core::{obs_emit, Error, Result, SiteId, Srv};
 use optrep_net::{mix_seed, FaultPlan, FaultStats, FaultyLink};
-use rand::seq::SliceRandom;
-use rand::Rng;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -533,29 +532,26 @@ where
     /// on our own wire format, or a transport the metadata scheme does
     /// not support — propagate. The first fatal error (in schedule
     /// order) is returned after the sites are restored.
-    pub fn round_with<G: Rng>(
+    pub fn round_with(
         &mut self,
-        rng: &mut G,
+        rng: &mut SplitMix64,
         opts: &ContactOptions,
     ) -> Result<RoundReport> {
         self.rounds += 1;
         obs_emit!(obs::SyncEvent::GossipRound { round: self.rounds });
         let n = self.sites.len() as u32;
         let mut order: Vec<u32> = (0..n).collect();
-        order.shuffle(rng);
+        rng.shuffle(&mut order);
         let mut report = RoundReport::default();
 
         // The whole round's pairing, drawn up front: each destination
-        // picks uniformly among the non-quarantined other sites. The
-        // candidate list is ascending, so with nobody quarantined this
-        // consumes `gen_range(0..n-1)` with the same index mapping the
-        // sequential rounds used.
+        // picks uniformly among the non-quarantined other sites.
         let mut pairs: Vec<(SiteId, SiteId)> = Vec::new();
         for dst in order {
             let candidates: Vec<u32> = (0..n)
                 .filter(|&s| s != dst && !self.quarantined(SiteId::new(s)))
                 .collect();
-            let Some(&src) = candidates.choose(rng) else {
+            let Some(&src) = rng.pick(&candidates) else {
                 report.skipped += 1;
                 continue;
             };
@@ -690,9 +686,9 @@ where
     /// # Errors
     ///
     /// See [`round_with`](Self::round_with).
-    pub fn converge_with<G: Rng>(
+    pub fn converge_with(
         &mut self,
-        rng: &mut G,
+        rng: &mut SplitMix64,
         opts: &ContactOptions,
         max_rounds: u64,
     ) -> Result<(Option<u64>, Vec<RoundReport>)> {
@@ -717,8 +713,6 @@ mod tests {
     use crate::payload::TokenSet;
     use crate::reconcile::UnionReconciler;
     use optrep_core::Brv;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn seeded_cluster(n: u32, objects: u64) -> Cluster<Srv, TokenSet, UnionReconciler> {
         let mut cluster: Cluster<Srv, TokenSet, UnionReconciler> = Cluster::new(n, UnionReconciler);
@@ -776,8 +770,8 @@ mod tests {
         for transport in [ContactOptions::direct(), ContactOptions::mux()] {
             let mut sequential = seeded_cluster(12, 6);
             let mut parallel = sequential.clone();
-            let mut rng_a = StdRng::seed_from_u64(0xD16E57);
-            let mut rng_b = StdRng::seed_from_u64(0xD16E57);
+            let mut rng_a = SplitMix64::new(0xD16E57);
+            let mut rng_b = SplitMix64::new(0xD16E57);
             let opts_seq = transport.clone().with_workers(1);
             let opts_par = transport.with_workers(4);
             for _ in 0..6 {
@@ -805,21 +799,19 @@ mod tests {
         };
         let run = |workers: usize| {
             let mut cluster = seeded_cluster(10, 5);
-            let mut rng = StdRng::seed_from_u64(0xC0FFEE);
-            let (rounds, reports) = cluster
-                .converge_with(&mut rng, &opts(workers), 200)
-                .unwrap();
-            (
-                rounds,
-                reports,
-                all_digests(&cluster),
-                cluster.stats().counters,
-            )
+            let mut rng = SplitMix64::new(0xC0FFEE);
+            // To full replication (26 rounds at most over the seeds
+            // 0..256): `converge_with` would stop after one round, at
+            // `is_consistent_all`.
+            let mut reports = Vec::new();
+            while !cluster.fully_replicated() {
+                assert!(reports.len() < 200, "faulty cluster converged");
+                reports.push(cluster.round_with(&mut rng, &opts(workers)).unwrap());
+            }
+            (reports, all_digests(&cluster), cluster.stats().counters)
         };
-        let (rounds_1, reports_1, digests_1, counters_1) = run(1);
-        let (rounds_8, reports_8, digests_8, counters_8) = run(8);
-        assert!(rounds_1.is_some(), "faulty cluster converged");
-        assert_eq!(rounds_1, rounds_8);
+        let (reports_1, digests_1, counters_1) = run(1);
+        let (reports_8, digests_8, counters_8) = run(8);
         assert_eq!(reports_1, reports_8);
         assert_eq!(digests_1, digests_8);
         assert_eq!(counters_1, counters_8);
@@ -835,7 +827,7 @@ mod tests {
         cluster
             .site_mut(SiteId::new(0))
             .create_object(ObjectId::new(0), TokenSet::singleton("x"));
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = SplitMix64::new(1);
         let err = cluster
             .round_with(&mut rng, &ContactOptions::mux())
             .unwrap_err();
@@ -857,7 +849,7 @@ mod tests {
     #[test]
     fn total_frame_loss_quarantines_every_source() {
         let mut cluster = seeded_cluster(2, 1);
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = SplitMix64::new(5);
         let policy = RetryPolicy::default();
         let opts = ContactOptions::mux()
             .with_fault(FaultPlan::dropping(9, 1000)) // 100% frame drop
@@ -894,7 +886,7 @@ mod tests {
     #[test]
     fn link_latency_is_simulated_per_round_trip() {
         let mut cluster = seeded_cluster(2, 1);
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = SplitMix64::new(2);
         let latency = Duration::from_millis(5);
         let opts = ContactOptions::mux().with_link_latency(latency);
         let start = std::time::Instant::now();

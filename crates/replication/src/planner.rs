@@ -1197,6 +1197,7 @@ pub fn scope_frame(scope: &ShardScope) -> BytesMut {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use optrep_core::rng::SplitMix64;
 
     fn sample_vector() -> DigestVector {
         DigestVector {
@@ -1293,28 +1294,20 @@ mod tests {
         }
     }
 
-    fn splitmix64(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
     /// A seeded refined plan and a scope answering it.
     fn random_refined(seed: u64) -> (ShardPlan, ShardScope) {
-        let mut rng = seed;
-        let count = 1u64 << (splitmix64(&mut rng) % 7);
-        let fanout = 2u64 << (splitmix64(&mut rng) % 4);
+        let mut rng = SplitMix64::new(seed);
+        let count = 1u64 << (rng.next_u64() % 7);
+        let fanout = 2u64 << (rng.next_u64() % 4);
         let incremental: Vec<u64> = (0..count)
-            .filter(|_| splitmix64(&mut rng) & 1 == 0)
+            .filter(|_| rng.next_u64() & 1 == 0)
             .chain([count - 1])
             .collect::<std::collections::BTreeSet<u64>>()
             .into_iter()
             .collect();
         let mut parents: Vec<(u64, Vec<ShardDigest>)> = incremental
             .iter()
-            .filter(|_| splitmix64(&mut rng) & 1 == 0)
+            .filter(|_| rng.next_u64() & 1 == 0)
             .map(|&shard| (shard, Vec::new()))
             .collect();
         if parents.is_empty() {
@@ -1324,10 +1317,10 @@ mod tests {
         for (shard, digests) in &mut parents {
             for j in 0..fanout {
                 digests.push(ShardDigest {
-                    digest: splitmix64(&mut rng),
-                    entries: splitmix64(&mut rng) % 40_000,
+                    digest: rng.next_u64(),
+                    entries: rng.next_u64() % 40_000,
                 });
-                if splitmix64(&mut rng) % 3 < 1 {
+                if rng.next_u64() % 3 < 1 {
                     children.push(*shard + j * count);
                 }
             }
@@ -1353,12 +1346,12 @@ mod tests {
     /// answering it, refusals included.
     fn random_proposed(seed: u64) -> (ShardPlan, ShardScope) {
         let (mut plan, mut scope) = random_refined(seed);
-        let mut rng = seed ^ 0x0005_EED0_FA40_B000;
+        let mut rng = SplitMix64::new(seed ^ 0x0005_EED0_FA40_B000);
         let mut children = plan.children.take().expect("refined");
         // Proposed shards come out of the incremental ones; one that
         // was refined stops being so.
         let proposed: Vec<u64> = (plan.incremental.iter().copied())
-            .filter(|_| splitmix64(&mut rng) % 3 < 1)
+            .filter(|_| rng.next_u64() % 3 < 1)
             .chain([plan.incremental[0]])
             .collect::<std::collections::BTreeSet<u64>>()
             .into_iter()
@@ -1381,8 +1374,8 @@ mod tests {
         }
         let fanout = MAX_PLAN_SHARDS / plan.count;
         for &shard in &proposed {
-            let candidates: Vec<u64> = (0..1 + splitmix64(&mut rng) % 5)
-                .map(|_| shard + (splitmix64(&mut rng) % fanout) * plan.count)
+            let candidates: Vec<u64> = (0..1 + rng.next_u64() % 5)
+                .map(|_| shard + (rng.next_u64() % fanout) * plan.count)
                 .collect::<std::collections::BTreeSet<u64>>()
                 .into_iter()
                 .collect();
@@ -1390,14 +1383,12 @@ mod tests {
                 shard,
                 candidates,
                 residual: ShardDigest {
-                    digest: splitmix64(&mut rng),
-                    entries: splitmix64(&mut rng) % 40_000,
+                    digest: rng.next_u64(),
+                    entries: rng.next_u64() % 40_000,
                 },
             });
         }
-        let refused = proposed
-            .into_iter()
-            .filter(|_| splitmix64(&mut rng) % 4 < 1);
+        let refused = proposed.into_iter().filter(|_| rng.next_u64() % 4 < 1);
         scope.refused = Some(refused.collect());
         (plan, scope)
     }
@@ -1690,17 +1681,17 @@ mod tests {
     /// A seeded vector and the one that follows it over the same
     /// connection: anywhere from no shard to every shard changed.
     fn random_vector_pair(seed: u64) -> (DigestVector, DigestVector) {
-        let mut rng = seed;
-        let count = 1usize << (splitmix64(&mut rng) % 10);
-        let density = splitmix64(&mut rng) % 9;
-        let summary = |rng: &mut u64| ShardDigest {
-            digest: splitmix64(rng),
-            entries: splitmix64(rng) % 40_000,
+        let mut rng = SplitMix64::new(seed);
+        let count = 1usize << (rng.next_u64() % 10);
+        let density = rng.next_u64() % 9;
+        let summary = |rng: &mut SplitMix64| ShardDigest {
+            digest: rng.next_u64(),
+            entries: rng.next_u64() % 40_000,
         };
         let base: Vec<ShardDigest> = (0..count).map(|_| summary(&mut rng)).collect();
         let next = base
             .iter()
-            .map(|old| match splitmix64(&mut rng) % 8 < density {
+            .map(|old| match rng.next_u64() % 8 < density {
                 true => summary(&mut rng),
                 false => *old,
             })
@@ -2006,6 +1997,92 @@ mod tests {
             shard.digest ^= 0xD1;
         }
         (ours, theirs)
+    }
+
+    /// `decide` prices in three constants; each is what one more key,
+    /// child or shard adds to the frames its doc comment names, measured
+    /// here on the codec so neither can move without the other.
+    #[test]
+    fn the_priced_constants_are_what_the_codec_writes() {
+        use crate::mux::{CtrlMsg, MuxMsg, StreamAnswer, StreamOpen};
+        use optrep_core::sync::WireMsg;
+        use optrep_core::SiteId;
+
+        // One more key in each COMPARE frame, less what names it (its
+        // stream id and, in the hello, its key).
+        let name = Bytes::from_static(b"key");
+        let first = Some((SiteId::new(1), 1));
+        let frames = |keys: u64| {
+            let open = |stream| StreamOpen {
+                stream,
+                name: name.clone(),
+                first,
+            };
+            let answer = |stream| StreamAnswer {
+                stream,
+                missing: false,
+                first,
+                client_known: true,
+                client_equal: true,
+            };
+            [
+                CtrlMsg::BatchHello {
+                    discover: false,
+                    opens: (1..=keys).map(open).collect(),
+                },
+                CtrlMsg::BatchServerFirst {
+                    answers: (1..=keys).map(answer).collect(),
+                    offers: Vec::new(),
+                },
+                CtrlMsg::BatchDone {
+                    streams: (1..=keys).collect(),
+                },
+            ]
+            .map(|msg| MuxMsg::Ctrl(msg).to_bytes().len())
+        };
+        let (one, two) = (frames(1), frames(2));
+        let [hello, server_first, done] = std::array::from_fn(|i| two[i] - one[i]);
+        let stream = wire::varint_len(2);
+        assert_eq!(hello - stream - wire::bytes_len(name.len()), 3);
+        assert_eq!(server_first - stream, 4);
+        assert_eq!(done, 1);
+        assert_eq!(COMPARE_BYTES_PER_KEY, (3 + 4 + 1) as f64);
+
+        // One more offered child, one more refined shard, one more scope
+        // child — at the widest indices a plan can name.
+        let count = MAX_PLAN_SHARDS / 4;
+        let plan = |parents: u64, fanout: u64| {
+            let child = ShardDigest {
+                digest: u64::MAX,
+                entries: 100,
+            };
+            let parents = (count - parents..count)
+                .map(|shard| (shard, vec![child; fanout as usize]))
+                .collect();
+            ShardPlan {
+                count,
+                incremental: vec![count - 2, count - 1],
+                children: Some(ChildDigests { fanout, parents }),
+                ..ShardPlan::default()
+            }
+            .encode()
+            .len()
+        };
+        let scope = |children: u64| {
+            ShardScope {
+                count: MAX_PLAN_SHARDS,
+                children: (MAX_PLAN_SHARDS - children..MAX_PLAN_SHARDS).collect(),
+                refused: None,
+            }
+            .encode()
+            .len()
+        };
+        assert_eq!((plan(1, 4) - plan(1, 2)) as f64, 2.0 * CHILD_BYTES);
+        assert_eq!(
+            (plan(2, 2) - plan(1, 2)) as f64,
+            INDEX_BYTES + 2.0 * CHILD_BYTES
+        );
+        assert_eq!((scope(2) - scope(1)) as f64, INDEX_BYTES);
     }
 
     #[test]

@@ -2,11 +2,9 @@
 //! contact identically — planned or not — the bytes on the wire are
 //! pinned, every cut aborts cleanly, and hostile frame sequences fail
 //! the two step machines instead of wedging them.
-//!
-//! Deliberately free of `rand`/`proptest`: every fixture is built from a
-//! local splitmix64, so the file compiles wherever the workspace does.
 
 use bytes::{Bytes, BytesMut};
+use optrep_core::rng::SplitMix64;
 use optrep_core::sync::{Framed, ReceiverStats, WireMsg};
 use optrep_core::wire::{self, FrameDecoder};
 use optrep_core::{Causality, Error, Result, RotatingVector, SiteId, Srv};
@@ -25,7 +23,7 @@ use std::cell::RefCell;
 use std::sync::mpsc;
 
 // ---------------------------------------------------------------------
-// Fixture: seeded endpoint pairs, built without `rand`.
+// Fixture: seeded endpoint pairs.
 
 type ClientObjects = Vec<(Bytes, Srv)>;
 type ServerObjects = Vec<(Bytes, Srv, Bytes)>;
@@ -45,14 +43,6 @@ impl Case {
             BatchPullServer::new(self.server.clone()),
         )
     }
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 fn updated(mut vector: Srv, sites: &[u32]) -> Srv {
@@ -89,23 +79,23 @@ fn one_object_case() -> Case {
 /// only the puller tracks, and a puller that is ahead. Payload lengths
 /// straddle the one-, two- and three-byte varint boundaries.
 fn many_objects_case() -> Case {
-    let mut rng = 0x0C0F_FEE5_EED5_u64;
+    let mut rng = SplitMix64::new(0x0C0F_FEE5_EED5);
     let (mut client, mut server) = (Vec::new(), Vec::new());
     for i in 0..64usize {
         let name = Bytes::from(format!("obj{i:02}").into_bytes());
-        let history: Vec<u32> = (0..1 + splitmix64(&mut rng) % 6)
-            .map(|_| (splitmix64(&mut rng) % 8) as u32)
+        let history: Vec<u32> = (0..1 + rng.next_u64() % 6)
+            .map(|_| (rng.next_u64() % 8) as u32)
             .collect();
         let base = updated(Srv::new(), &history);
         let len = match i {
             7 => 127,
             8 => 128,
             9 => 17_000,
-            _ => (splitmix64(&mut rng) % 300) as usize,
+            _ => (rng.next_u64() % 300) as usize,
         };
         let payload = Bytes::from(vec![b'a' + (i % 26) as u8; len]);
-        let extra: Vec<u32> = (0..1 + splitmix64(&mut rng) % 3)
-            .map(|_| 10 + (splitmix64(&mut rng) % 4) as u32)
+        let extra: Vec<u32> = (0..1 + rng.next_u64() % 3)
+            .map(|_| 10 + (rng.next_u64() % 4) as u32)
             .collect();
         match i % 6 {
             0 => {
@@ -211,9 +201,9 @@ fn shard_at(key: &str, count: u64) -> u64 {
 /// shard 2 with concurrent writes (both incremental), shard 3 never
 /// populated on the puller (snapshot, tombstone included).
 fn planned_stores() -> (KvStore, KvStore) {
-    let mut rng = 0x0000_91A4_4ED5_EED5_u64;
+    let mut rng = SplitMix64::new(0x0000_91A4_4ED5_EED5);
     let mut value = |tag: &str| {
-        let len = (splitmix64(&mut rng) % 200) as usize;
+        let len = (rng.next_u64() % 200) as usize;
         format!("{tag}:{}", "x".repeat(len))
     };
     let keys: Vec<String> = (0..96).map(|i| format!("key-{i:03}")).collect();
@@ -258,9 +248,9 @@ fn planned_stores() -> (KvStore, KvStore) {
 /// sides, one only the puller holds. Few and large enough dirty shards
 /// that the plan offers their children.
 fn refined_stores() -> (KvStore, KvStore) {
-    let mut rng = 0x0000_5C09_ED5E_ED5E_u64;
+    let mut rng = SplitMix64::new(0x0000_5C09_ED5E_ED5E);
     let mut value = |tag: &str| {
-        let len = (splitmix64(&mut rng) % 40) as usize;
+        let len = (rng.next_u64() % 40) as usize;
         format!("{tag}:{}", "y".repeat(len))
     };
     let keys: Vec<String> = (0..2400).map(|i| format!("key-{i:04}")).collect();
@@ -654,13 +644,13 @@ fn raced_pull(
 /// child it lists. Either way the next pull brings it.
 #[test]
 fn refined_and_flat_pulls_commit_the_same_state() {
-    let mut rng = 0x0000_F1A7_0C47_5EED_u64;
+    let mut rng = SplitMix64::new(0x0000_F1A7_0C47_5EED);
     let (mut refined_shards, mut parted) = (0, 0);
     for case in 0..36u64 {
         let pull_shards = [1, 16, 256][(case % 3) as usize];
         let serve_shards = [1, 16, 256][(case / 3 % 3) as usize];
-        let keys = 600 + (splitmix64(&mut rng) % 2400) as usize;
-        let pick = |rng: &mut u64| format!("k{:04}", splitmix64(rng) % keys as u64);
+        let keys = 600 + (rng.next_u64() % 2400) as usize;
+        let pick = |rng: &mut SplitMix64| format!("k{:04}", rng.next_u64() % keys as u64);
         let mut src = KvStore::with_shards(SiteId::new(1), serve_shards);
         let mut dst = KvStore::with_shards(SiteId::new(0), pull_shards);
         for i in 0..keys {
@@ -670,11 +660,11 @@ fn refined_and_flat_pulls_commit_the_same_state() {
         // Sparse cases move a handful of keys, dense ones a tenth.
         let moved = match case % 4 {
             0 => keys / 10,
-            _ => 1 + (splitmix64(&mut rng) % 6) as usize,
+            _ => 1 + (rng.next_u64() % 6) as usize,
         };
         for i in 0..moved {
             let key = pick(&mut rng);
-            match splitmix64(&mut rng) % 6 {
+            match rng.next_u64() % 6 {
                 0 => src.delete(key),
                 1 => src.put(format!("new-{case}-{i}"), "created"),
                 2 => dst.put(format!("mine-{case}-{i}"), "local"),
@@ -685,10 +675,10 @@ fn refined_and_flat_pulls_commit_the_same_state() {
                 _ => src.put(key, format!("ahead{i}")),
             }
         }
-        let races: Vec<(bool, String, String)> = (0..splitmix64(&mut rng) % 4)
+        let races: Vec<(bool, String, String)> = (0..rng.next_u64() % 4)
             .map(|i| {
-                let at_source = splitmix64(&mut rng) & 1 == 0;
-                let key = match splitmix64(&mut rng) % 3 {
+                let at_source = rng.next_u64() & 1 == 0;
+                let key = match rng.next_u64() % 3 {
                     0 => format!("raced-{case}-{i}"),
                     _ => pick(&mut rng),
                 };

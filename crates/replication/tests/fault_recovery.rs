@@ -8,15 +8,13 @@
 //! loss with zero panics, under the invariant-checking sink.
 
 use bytes::BytesMut;
+use optrep_core::rng::{cases, SplitMix64};
 use optrep_core::{wire, Error, Result, SiteId, Srv};
 use optrep_net::{ConnectOptions, FaultPlan, FaultyLink, TcpLink};
 use optrep_replication::{
     pull_contact, BatchPullClient, Cluster, ContactOptions, ContactReport, ObjectId, RetryPolicy,
     TokenSet, UnionReconciler,
 };
-use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener};
 use std::time::Duration;
@@ -65,19 +63,17 @@ fn settle_pair(cluster: &mut Cluster<Srv, TokenSet, UnionReconciler>) {
     panic!("clean follow-up contacts failed to converge the pair");
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Cutting the connection after *every* possible byte prefix aborts
-    /// the contact without mutating either endpoint, and a clean
-    /// follow-up sync still converges — mid-session EOF can corrupt
-    /// nothing, no matter where the scissors land.
-    #[test]
-    fn truncation_at_every_prefix_is_recoverable(
-        raw in proptest::collection::vec(any::<u16>(), 1..4),
-        diverge in any::<bool>(),
-    ) {
-        let tokens: Vec<String> = raw.iter().map(|b| format!("t{b}")).collect();
+/// Cutting the connection after *every* possible byte prefix aborts
+/// the contact without mutating either endpoint, and a clean
+/// follow-up sync still converges — mid-session EOF can corrupt
+/// nothing, no matter where the scissors land.
+#[test]
+fn truncation_at_every_prefix_is_recoverable() {
+    cases(12, |_, rng| {
+        let tokens: Vec<String> = (0..rng.range(1..4))
+            .map(|_| format!("t{}", rng.below(1 << 16)))
+            .collect();
+        let diverge = rng.chance(0.5);
         // The loss-free contact measures how many bytes there are to cut.
         let mut reference = dirty_pair(&tokens, diverge);
         let mut link = FaultyLink::clean();
@@ -85,7 +81,7 @@ proptest! {
             .contact_faulty(SiteId::new(0), SiteId::new(1), &mut link)
             .expect("clean faulty link is transparent");
         let total = link.stats().bytes_delivered;
-        prop_assert!(total > 0);
+        assert!(total > 0);
 
         for cut in 0..total {
             let mut cluster = dirty_pair(&tokens, diverge);
@@ -94,15 +90,23 @@ proptest! {
             let before_src = cluster.site_digest(b);
             let mut link = FaultyLink::new(FaultPlan::disconnect_at(cut));
             let err = cluster.contact_faulty(a, b, &mut link);
-            prop_assert!(err.is_err(), "cut at {cut}/{total} bytes did not abort");
+            assert!(err.is_err(), "cut at {cut}/{total} bytes did not abort");
             // Both replicas are exactly as they were: valid vectors,
             // COMPARE-consistent with their own pre-contact state.
-            prop_assert_eq!(&cluster.site_digest(a), &before_dst, "dst mutated at cut {}", cut);
-            prop_assert_eq!(&cluster.site_digest(b), &before_src, "src mutated at cut {}", cut);
+            assert_eq!(
+                cluster.site_digest(a),
+                before_dst,
+                "dst mutated at cut {cut}"
+            );
+            assert_eq!(
+                cluster.site_digest(b),
+                before_src,
+                "src mutated at cut {cut}"
+            );
             settle_pair(&mut cluster);
-            prop_assert!(cluster.is_consistent_all());
+            assert!(cluster.is_consistent_all());
         }
-    }
+    });
 }
 
 /// Builds the 16-site chaos cluster of the acceptance criteria: six
@@ -164,7 +168,7 @@ fn sixteen_sites_converge_under_ten_percent_frame_loss() {
 
     let sink = Arc::new(CheckSink::new());
     let (rounds, reports) = obs::with(sink.clone(), || {
-        let mut rng = StdRng::seed_from_u64(chaos_seed());
+        let mut rng = SplitMix64::new(chaos_seed());
         let mut cluster = chaos_cluster();
         let opts = chaos_opts();
         let mut reports = Vec::new();
@@ -204,7 +208,7 @@ fn sixteen_sites_converge_under_ten_percent_frame_loss() {
 #[cfg(not(feature = "obs"))]
 #[test]
 fn sixteen_sites_converge_under_ten_percent_frame_loss() {
-    let mut rng = StdRng::seed_from_u64(chaos_seed());
+    let mut rng = SplitMix64::new(chaos_seed());
     let mut cluster = chaos_cluster();
     let opts = chaos_opts();
     let mut converged = false;

@@ -723,6 +723,7 @@ fn replay_wal(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use optrep_core::rng::SplitMix64;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -762,33 +763,26 @@ mod tests {
     /// the one-, two- and three-byte length prefixes.
     #[test]
     fn a_commit_is_encoded_in_place_as_the_record_of_its_payload() {
-        let mut rng = 0x000C_0AA1_7ED5_EED5_u64;
-        let mut next = move || {
-            rng = rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = rng;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
+        let mut rng = SplitMix64::new(0x000C_0AA1_7ED5_EED5);
         const LENGTHS: [usize; 8] = [0, 1, 5, 127, 128, 300, 16_383, 16_384];
         for case in 0..200u64 {
-            let keys = [1, 2, 127, 128, 300][(next() % 5) as usize];
+            let keys = [1, 2, 127, 128, 300][(rng.next_u64() % 5) as usize];
             let changed: Vec<(String, Bytes)> = (0..keys)
                 .map(|i| {
-                    let key_len = LENGTHS[(next() % 6) as usize];
-                    let entry_len = match next() % 16 {
-                        0 => LENGTHS[6 + (next() % 2) as usize],
+                    let key_len = LENGTHS[(rng.next_u64() % 6) as usize];
+                    let entry_len = match rng.next_u64() % 16 {
+                        0 => LENGTHS[6 + (rng.next_u64() % 2) as usize],
                         pick => LENGTHS[(pick % 6) as usize],
                     };
-                    let fill = next();
+                    let fill = rng.next_u64();
                     let entry: Vec<u8> = (0..entry_len)
                         .map(|j| (fill >> (j % 8 * 8)) as u8)
                         .collect();
                     (format!("{i:0key_len$}"), Bytes::from(entry))
                 })
                 .collect();
-            let seq =
-                [0, 1, 127, 128, 16_384, u64::from(u32::MAX), u64::MAX][(next() % 7) as usize];
+            let seq = [0, 1, 127, 128, 16_384, u64::from(u32::MAX), u64::MAX]
+                [(rng.next_u64() % 7) as usize];
             let record = encode_commit(seq, &changed);
             let reference = encode_record(seq, &encode_payload(&changed));
             assert_eq!(

@@ -1,4 +1,4 @@
-//! Property tests for the WAL record format and crash recovery,
+//! Seeded property tests for the WAL record format and crash recovery,
 //! mirroring `proto_properties.rs`'s truncation discipline: every
 //! strict prefix of a record is *torn* (fails with `UnexpectedEof`,
 //! the one shape replay tolerates), a WAL cut at any byte recovers
@@ -7,12 +7,13 @@
 
 use bytes::Bytes;
 use optrep_core::error::WireError;
+use optrep_core::rng::{cases, SplitMix64};
 use optrep_core::SiteId;
 use optrep_kv::KvStore;
 use optrep_server::persist::{
     decode_record, encode_record, DurabilityConfig, FsyncPolicy, Persist, WAL_FILE,
 };
-use proptest::prelude::*;
+use std::ops::Range;
 use std::path::PathBuf;
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -25,18 +26,23 @@ fn scratch_dir(tag: &str) -> PathBuf {
     ))
 }
 
-/// One logical mutation batch: the keys and values a single WAL record
-/// will carry (a 1-entry batch is a `put`; larger ones model a contact
-/// commit).
-fn arb_key() -> impl Strategy<Value = String> {
-    proptest::collection::vec(0u8..3, 1..4)
-        .prop_map(|raw| raw.into_iter().map(|b| (b'a' + b) as char).collect())
+fn bytes(rng: &mut SplitMix64, len: Range<usize>) -> Vec<u8> {
+    (0..rng.range(len)).map(|_| rng.next_u64() as u8).collect()
 }
 
-fn arb_batches() -> impl Strategy<Value = Vec<Vec<(String, Vec<u8>)>>> {
-    let value = proptest::collection::vec(any::<u8>(), 1..24);
-    let batch = proptest::collection::vec((arb_key(), value), 1..4);
-    proptest::collection::vec(batch, 1..5)
+/// Logical mutation batches: the keys and values a single WAL record
+/// will carry (a 1-entry batch is a `put`; larger ones model a contact
+/// commit). One to three letters of `abc` a key, so keys repeat.
+fn batches(rng: &mut SplitMix64) -> Vec<Vec<(String, Vec<u8>)>> {
+    let entry = |rng: &mut SplitMix64| {
+        let key = (0..rng.range(1..4))
+            .map(|_| (b'a' + rng.below(3) as u8) as char)
+            .collect();
+        (key, bytes(rng, 1..24))
+    };
+    (0..rng.range(1..5))
+        .map(|_| (0..rng.range(1..4)).map(|_| entry(rng)).collect())
+        .collect()
 }
 
 /// Applies one batch to `store` and logs it as one record, exactly as
@@ -56,15 +62,15 @@ fn commit_batch(store: &mut KvStore, persist: &mut Persist, batch: &[(String, Ve
     persist.append(&changed).expect("append");
 }
 
-proptest! {
-    // File-heavy properties: keep the case count modest.
-    #![proptest_config(ProptestConfig::with_cases(16))]
+// File-heavy properties: the case counts stay modest.
 
-    /// Round-trip: whatever was committed through the WAL is exactly
-    /// what reopening the dir recovers (the store `PartialEq` compares
-    /// site + entries, so "exactly" includes every vector and value).
-    #[test]
-    fn recovery_rebuilds_exactly_the_committed_store(batches in arb_batches()) {
+/// Round-trip: whatever was committed through the WAL is exactly
+/// what reopening the dir recovers (the store `PartialEq` compares
+/// site + entries, so "exactly" includes every vector and value).
+#[test]
+fn recovery_rebuilds_exactly_the_committed_store() {
+    cases(16, |_, rng| {
+        let batches = batches(rng);
         let dir = scratch_dir("roundtrip");
         let config = DurabilityConfig::new(&dir).with_fsync(FsyncPolicy::Never);
         let site = SiteId::new(0);
@@ -74,42 +80,48 @@ proptest! {
         }
         drop(persist);
         let (_, recovered, report) = Persist::open(&config, site).expect("reopen");
-        prop_assert!(!report.torn_tail);
-        prop_assert_eq!(report.wal_records_applied, batches.len() as u64);
-        prop_assert_eq!(&recovered, &store);
+        assert!(!report.torn_tail);
+        assert_eq!(report.wal_records_applied, batches.len() as u64);
+        assert_eq!(&recovered, &store);
         let _ = std::fs::remove_dir_all(&dir);
-    }
+    });
+}
 
-    /// Every strict prefix of an encoded record fails with
-    /// `UnexpectedEof` — the torn-tail shape — and never any other
-    /// error. This is what makes "tolerate exactly one trailing tear"
-    /// sound: a crash cannot manufacture a prefix that decodes as a
-    /// different record or as non-tear corruption.
-    #[test]
-    fn every_record_prefix_is_torn_not_corrupt(
-        seq in 0u64..u64::from(u32::MAX),
-        payload in proptest::collection::vec(any::<u8>(), 0..64),
-    ) {
+/// Every strict prefix of an encoded record fails with
+/// `UnexpectedEof` — the torn-tail shape — and never any other
+/// error. This is what makes "tolerate exactly one trailing tear"
+/// sound: a crash cannot manufacture a prefix that decodes as a
+/// different record or as non-tear corruption.
+#[test]
+fn every_record_prefix_is_torn_not_corrupt() {
+    cases(16, |_, rng| {
+        let seq = (rng.next_u64() >> rng.below(64)) % u64::from(u32::MAX);
+        let payload = bytes(rng, 0..64);
         let full = encode_record(seq, &payload);
         for cut in 0..full.len() {
             let mut buf = full.slice(0..cut);
-            prop_assert_eq!(
+            assert_eq!(
                 decode_record(&mut buf).unwrap_err(),
                 WireError::UnexpectedEof,
-                "cut {} of {}", cut, full.len()
+                "cut {} of {}",
+                cut,
+                full.len()
             );
         }
         let mut buf = full.clone();
         let (got_seq, got_payload) = decode_record(&mut buf).expect("full record decodes");
-        prop_assert_eq!(got_seq, seq);
-        prop_assert_eq!(&got_payload[..], &payload[..]);
-    }
+        assert_eq!(got_seq, seq);
+        assert_eq!(&got_payload[..], &payload[..]);
+    });
+}
 
-    /// Cut the WAL file at *any* byte: recovery still succeeds (past
-    /// the header) and lands exactly on the store at the last whole
-    /// record before the cut — the crash-anywhere guarantee.
-    #[test]
-    fn any_wal_cut_recovers_the_last_whole_record_state(batches in arb_batches()) {
+/// Cut the WAL file at *any* byte: recovery still succeeds (past
+/// the header) and lands exactly on the store at the last whole
+/// record before the cut — the crash-anywhere guarantee.
+#[test]
+fn any_wal_cut_recovers_the_last_whole_record_state() {
+    cases(16, |_, rng| {
+        let batches = batches(rng);
         let dir = scratch_dir("cut");
         let config = DurabilityConfig::new(&dir).with_fsync(FsyncPolicy::Never);
         let site = SiteId::new(2);
@@ -131,7 +143,7 @@ proptest! {
             if cut < header_len {
                 // A header can never be torn (it is written atomically);
                 // a short header is corruption and must refuse to open.
-                prop_assert!(result.is_err(), "cut {} inside header opened", cut);
+                assert!(result.is_err(), "cut {} inside header opened", cut);
                 continue;
             }
             let (_, recovered, _) = result.expect("open after cut");
@@ -141,26 +153,28 @@ proptest! {
                 .find(|(len, _)| *len <= cut)
                 .expect("header boundary exists")
                 .1;
-            prop_assert_eq!(
+            assert_eq!(
                 recovered.replica_digest(),
                 expected,
-                "cut {} recovered a state off every record boundary", cut
+                "cut {} recovered a state off every record boundary",
+                cut
             );
         }
         let _ = std::fs::remove_dir_all(&dir);
-    }
+    });
+}
 
-    /// Flip a byte inside the payload of a record that is NOT the tail:
-    /// the checksum catches it and recovery refuses — corruption before
-    /// the tail must never be silently skipped as if it were a tear.
-    /// (Values are sized so the flipped byte is well clear of the
-    /// varint framing; a corrupted *length* varint is the documented
-    /// undetectable case, indistinguishable from a tear.)
-    #[test]
-    fn mid_log_payload_corruption_refuses_recovery(
-        value in proptest::collection::vec(any::<u8>(), 48..96),
-        flip in 1u8..=255,
-    ) {
+/// Flip a byte inside the payload of a record that is NOT the tail:
+/// the checksum catches it and recovery refuses — corruption before
+/// the tail must never be silently skipped as if it were a tear.
+/// (Values are sized so the flipped byte is well clear of the
+/// varint framing; a corrupted *length* varint is the documented
+/// undetectable case, indistinguishable from a tear.)
+#[test]
+fn mid_log_payload_corruption_refuses_recovery() {
+    cases(16, |_, rng| {
+        let value = bytes(rng, 48..96);
+        let flip = rng.range(1..256) as u8;
         let dir = scratch_dir("flip");
         let config = DurabilityConfig::new(&dir).with_fsync(FsyncPolicy::Never);
         let site = SiteId::new(1);
@@ -178,10 +192,10 @@ proptest! {
         let target = ((start + end) / 2) as usize;
         bytes[target] ^= flip;
         std::fs::write(&wal_path, &bytes).expect("write corrupted wal");
-        prop_assert!(
+        assert!(
             Persist::open(&config, site).is_err(),
             "corrupted non-tail record recovered silently"
         );
         let _ = std::fs::remove_dir_all(&dir);
-    }
+    });
 }

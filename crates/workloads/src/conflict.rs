@@ -12,10 +12,9 @@
 //! (the `Γ` term grows with the rate); SRV skips each known segment after
 //! its first element, keeping communication near `|Δ| + γ`.
 
+use optrep_core::rng::SplitMix64;
 use optrep_core::{Result, SiteId};
 use optrep_replication::{Cluster, ClusterStats, ObjectId, ReplicaMeta, TokenSet, UnionReconciler};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Parameters of the conflict workload.
 #[derive(Debug, Clone, Copy)]
@@ -71,7 +70,7 @@ impl ConflictConfig {
     pub fn run<M: ReplicaMeta>(&self) -> Result<ConflictStats> {
         assert!(self.sites >= 2, "conflict workload needs two sites");
         let object = ObjectId::new(0);
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rng = SplitMix64::new(self.seed);
         let mut cluster: Cluster<M, TokenSet, UnionReconciler> =
             Cluster::new(self.sites, UnionReconciler);
         cluster
@@ -88,8 +87,7 @@ impl ConflictConfig {
         for _ in 0..self.rounds {
             // Pick the round's chain of distinct spokes.
             let mut spokes: Vec<u32> = (1..self.sites).collect();
-            use rand::seq::SliceRandom;
-            spokes.shuffle(&mut rng);
+            rng.shuffle(&mut spokes);
             spokes.truncate(chain_len);
             let spokes: Vec<SiteId> = spokes.into_iter().map(SiteId::new).collect();
 
@@ -114,7 +112,7 @@ impl ConflictConfig {
                 });
                 prev = Some(s);
             }
-            let conflict = rng.gen_bool(self.conflict_rate.clamp(0.0, 1.0));
+            let conflict = rng.chance(self.conflict_rate);
             if conflict {
                 conflicting_rounds += 1;
                 token += 1;

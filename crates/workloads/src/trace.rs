@@ -7,10 +7,9 @@
 //! metadata scheme and reports aggregate costs — the workhorse of
 //! experiments T1, E3 and E5.
 
+use optrep_core::rng::SplitMix64;
 use optrep_core::{Result, SiteId};
 use optrep_replication::{Cluster, ObjectId, ReplicaMeta, TokenSet, UnionReconciler};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// One trace event over the (implicit) single object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,27 +75,27 @@ impl TraceConfig {
     /// Panics if `sites < 2`.
     pub fn generate(&self) -> Vec<Event> {
         assert!(self.sites >= 2, "a trace needs at least two sites");
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let n = self.sites;
+        let mut rng = SplitMix64::new(self.seed);
+        let n = self.sites as usize;
         (0..self.events)
             .map(|_| {
-                if rng.gen_bool(self.update_fraction.clamp(0.0, 1.0)) {
+                if rng.chance(self.update_fraction) {
                     Event::Update {
-                        site: SiteId::new(rng.gen_range(0..n)),
+                        site: SiteId::new(rng.below(n) as u32),
                     }
                 } else {
                     let (dst, src) = match self.topology {
                         Topology::Random => {
-                            let dst = rng.gen_range(0..n);
-                            let mut src = rng.gen_range(0..n - 1);
+                            let dst = rng.below(n);
+                            let mut src = rng.below(n - 1);
                             if src >= dst {
                                 src += 1;
                             }
                             (dst, src)
                         }
                         Topology::Ring => {
-                            let dst = rng.gen_range(0..n);
-                            let src = if rng.gen_bool(0.5) {
+                            let dst = rng.below(n);
+                            let src = if rng.chance(0.5) {
                                 (dst + 1) % n
                             } else {
                                 (dst + n - 1) % n
@@ -104,8 +103,8 @@ impl TraceConfig {
                             (dst, src)
                         }
                         Topology::Star => {
-                            let spoke = rng.gen_range(1..n);
-                            if rng.gen_bool(0.5) {
+                            let spoke = rng.range(1..n);
+                            if rng.chance(0.5) {
                                 (0, spoke)
                             } else {
                                 (spoke, 0)
@@ -113,8 +112,8 @@ impl TraceConfig {
                         }
                     };
                     Event::Sync {
-                        dst: SiteId::new(dst),
-                        src: SiteId::new(src),
+                        dst: SiteId::new(dst as u32),
+                        src: SiteId::new(src as u32),
                     }
                 }
             })

@@ -13,12 +13,11 @@
 //! cargo run --example file_store
 //! ```
 
+use optrep::core::rng::SplitMix64;
 use optrep::core::{Causality, SiteId, Srv, VersionVector};
 use optrep::replication::{
     Cluster, ContactOptions, ContactScheme, ObjectId, TokenSet, UnionReconciler,
 };
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 const SITES: u32 = 24;
 const FILES: u64 = 5;
@@ -30,7 +29,7 @@ const STALE_EDIT_PROB: f64 = 0.08;
 fn run_store<M: ContactScheme<TokenSet> + Send>(
     seed: u64,
 ) -> Cluster<M, TokenSet, UnionReconciler> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed);
     let mut cluster: Cluster<M, TokenSet, UnionReconciler> = Cluster::new(SITES, UnionReconciler);
 
     // Each file is created on a different site, which starts as its
@@ -49,11 +48,11 @@ fn run_store<M: ContactScheme<TokenSet> + Send>(
     for round in 0..ROUNDS {
         // A couple of edits per round.
         for _ in 0..2 {
-            let f = rng.gen_range(0..FILES);
+            let f = rng.below(FILES as usize) as u64;
             let file = ObjectId::new(f);
-            let site = if rng.gen_bool(STALE_EDIT_PROB) {
+            let site = if rng.chance(STALE_EDIT_PROB) {
                 // A disconnected user edits whatever copy they have.
-                SiteId::new(rng.gen_range(0..SITES))
+                SiteId::new(rng.below(SITES as usize) as u32)
             } else {
                 freshest[f as usize]
             };
@@ -85,7 +84,7 @@ fn run_store<M: ContactScheme<TokenSet> + Send>(
             let holder = freshest[f as usize];
             let holder_meta = cluster.site(holder).replica(file).map(|r| r.meta.clone());
             if let Some(holder_meta) = holder_meta {
-                let candidate = SiteId::new(rng.gen_range(0..SITES));
+                let candidate = SiteId::new(rng.below(SITES as usize) as u32);
                 if let Some(r) = cluster.site(candidate).replica(file) {
                     if matches!(
                         holder_meta.compare(&r.meta),

@@ -14,21 +14,21 @@
 //! cargo run --example mobile_gossip
 //! ```
 
+use optrep::core::rng::SplitMix64;
 use optrep::core::{SiteId, Srv, VersionVector};
 use optrep::replication::{Cluster, ObjectId, ReplicaMeta, TokenSet, UnionReconciler};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
-const DEVICES: u32 = 200;
+const DEVICES: usize = 200;
 const CONTACTS: u32 = 8000;
 /// Probability that a contact involving the freshest replica logs a new
 /// reading.
 const UPDATE_PROB: f64 = 0.6;
 
 fn run_network<M: ReplicaMeta>() -> (optrep::replication::ClusterStats, usize) {
-    let mut rng = StdRng::seed_from_u64(7);
+    let mut rng = SplitMix64::new(7);
     let object = ObjectId::new(0);
-    let mut cluster: Cluster<M, TokenSet, UnionReconciler> = Cluster::new(DEVICES, UnionReconciler);
+    let mut cluster: Cluster<M, TokenSet, UnionReconciler> =
+        Cluster::new(DEVICES as u32, UnionReconciler);
     cluster
         .site_mut(SiteId::new(0))
         .create_object(object, TokenSet::singleton("incident-log"));
@@ -42,16 +42,13 @@ fn run_network<M: ReplicaMeta>() -> (optrep::replication::ClusterStats, usize) {
         // Opportunistic contact between two random devices: both pull.
         // The mule is the most active device (it is ferrying the data),
         // so it shows up in a quarter of all contacts.
-        let x = if rng.gen_bool(0.25) {
-            mule.index()
+        let x = if rng.chance(0.25) {
+            mule.index() as usize
         } else {
-            rng.gen_range(0..DEVICES)
+            rng.below(DEVICES)
         };
-        let mut y = rng.gen_range(0..DEVICES - 1);
-        if y >= x {
-            y += 1;
-        }
-        let (x, y) = (SiteId::new(x), SiteId::new(y));
+        let y = (x + rng.range(1..DEVICES)) % DEVICES;
+        let (x, y) = (SiteId::new(x as u32), SiteId::new(y as u32));
         cluster.sync(x, y, object).expect("contact sync");
         cluster.sync(y, x, object).expect("contact sync");
 
@@ -59,8 +56,8 @@ fn run_network<M: ReplicaMeta>() -> (optrep::replication::ClusterStats, usize) {
         // freshest replica; one of them may log the next reading and
         // becomes the new mule. Writes are thus causally serialized —
         // conflicts stay rare, as §1 assumes.
-        if (mule == x || mule == y) && rng.gen_bool(UPDATE_PROB) {
-            let dev = if rng.gen_bool(0.5) { x } else { y };
+        if (mule == x || mule == y) && rng.chance(UPDATE_PROB) {
+            let dev = if rng.chance(0.5) { x } else { y };
             reading += 1;
             let entry = format!("{dev}:reading{reading}");
             cluster.site_mut(dev).update(object, |p| {

@@ -3,13 +3,12 @@
 //! identical replicas (§2.1), and all schemes must agree on the final
 //! state for the same trace.
 
+use optrep::core::rng::SplitMix64;
 use optrep::core::{Crv, SiteId, Srv, VersionVector};
 use optrep::replication::{
     Cluster, ContactOptions, ObjectId, ReplicaMeta, TokenSet, UnionReconciler,
 };
 use optrep::workloads::trace::{replay, Topology, TraceConfig};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn obj() -> ObjectId {
     ObjectId::new(0)
@@ -76,7 +75,7 @@ fn payload_reflects_every_applied_update() {
 fn convergence_under_sustained_conflict_storm() {
     // Every site updates every round before gossiping: maximal conflict
     // pressure. The cluster must still settle to a single state.
-    let mut rng = StdRng::seed_from_u64(5);
+    let mut rng = SplitMix64::new(5);
     let mut cluster: Cluster<Srv, TokenSet, UnionReconciler> = Cluster::new(6, UnionReconciler);
     cluster
         .site_mut(SiteId::new(0))
@@ -109,7 +108,7 @@ fn convergence_under_sustained_conflict_storm() {
 fn brv_cluster_converges_without_conflicts() {
     // A single-writer workload never conflicts, so even BRV (manual
     // resolution only) reaches eventual consistency.
-    let mut rng = StdRng::seed_from_u64(3);
+    let mut rng = SplitMix64::new(3);
     let mut cluster: Cluster<optrep::core::Brv, TokenSet, UnionReconciler> =
         Cluster::new(8, UnionReconciler);
     cluster

@@ -9,10 +9,10 @@
 //! a missing value), including under pipelining delays where skips go
 //! stale.
 
+use optrep::core::rng::{cases, SplitMix64};
 use optrep::core::sync::drive::{sync_srv, sync_srv_opts};
 use optrep::core::sync::SyncOptions;
 use optrep::core::{RotatingVector, SiteId, Srv};
-use proptest::prelude::*;
 
 #[derive(Debug, Clone, Copy)]
 enum Step {
@@ -20,18 +20,20 @@ enum Step {
     Sync { dst: usize, src: usize },
 }
 
-fn steps(replicas: usize, len: usize) -> impl Strategy<Value = Vec<Step>> {
-    let step = prop_oneof![
-        1 => (0..replicas).prop_map(|r| Step::Update { r }),
-        // Sync-heavy mix maximizes reconciliations and tag churn.
-        2 => (0..replicas, 0..replicas - 1).prop_map(move |(dst, mut src)| {
-            if src >= dst {
-                src += 1;
+/// One update to two syncs: a sync-heavy mix maximizes reconciliations
+/// and tag churn.
+fn steps(rng: &mut SplitMix64, replicas: usize, len: usize) -> Vec<Step> {
+    (0..rng.range(1..len))
+        .map(|_| {
+            let r = rng.below(replicas);
+            if rng.chance(1.0 / 3.0) {
+                Step::Update { r }
+            } else {
+                let src = (r + rng.range(1..replicas)) % replicas;
+                Step::Sync { dst: r, src }
             }
-            Step::Sync { dst, src }
-        }),
-    ];
-    proptest::collection::vec(step, 1..len)
+        })
+        .collect()
 }
 
 fn run_trace(replicas: usize, trace: &[Step], opts: SyncOptions) -> Vec<Srv> {
@@ -54,11 +56,10 @@ fn run_trace(replicas: usize, trace: &[Step], opts: SyncOptions) -> Vec<Srv> {
     real
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn every_pairwise_sync_yields_exact_max(trace in steps(5, 80)) {
+#[test]
+fn every_pairwise_sync_yields_exact_max() {
+    cases(48, |_, rng| {
+        let trace = steps(rng, 5, 80);
         let replicas = run_trace(5, &trace, SyncOptions::default());
         for i in 0..replicas.len() {
             for j in 0..replicas.len() {
@@ -70,18 +71,22 @@ proptest! {
                 let mut expected = a.to_version_vector();
                 expected.merge(&b.to_version_vector());
                 sync_srv(&mut a, &b).expect("pairwise sync");
-                prop_assert_eq!(
+                assert_eq!(
                     a.to_version_vector(),
                     expected,
                     "sync {} ⇐ {} skipped something it should not have",
-                    i, j
+                    i,
+                    j
                 );
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn stale_skips_under_latency_never_lose_elements(trace in steps(4, 60)) {
+#[test]
+fn stale_skips_under_latency_never_lose_elements() {
+    cases(48, |_, rng| {
+        let trace = steps(rng, 4, 60);
         // Pipelining delays make skips arrive late (stale) and leave
         // in-flight elements; outcomes must match the lockstep run.
         let lockstep = run_trace(4, &trace, SyncOptions::default());
@@ -96,17 +101,20 @@ proptest! {
             },
         );
         for (i, (a, b)) in lockstep.iter().zip(&delayed).enumerate() {
-            prop_assert_eq!(
+            assert_eq!(
                 a.to_version_vector(),
                 b.to_version_vector(),
                 "replica {} diverged under latency",
                 i
             );
         }
-    }
+    });
+}
 
-    #[test]
-    fn segment_bits_partition_the_vector(trace in steps(4, 60)) {
+#[test]
+fn segment_bits_partition_the_vector() {
+    cases(48, |_, rng| {
+        let trace = steps(rng, 4, 60);
         // Structural sanity: segments cover all elements, in order, and
         // every element appears exactly once.
         let replicas = run_trace(4, &trace, SyncOptions::default());
@@ -118,12 +126,15 @@ proptest! {
                 .map(|e| (e.site, e.value))
                 .collect();
             let from_iter: Vec<_> = v.iter().map(|e| (e.site, e.value)).collect();
-            prop_assert_eq!(from_segments, from_iter);
+            assert_eq!(from_segments, from_iter);
         }
-    }
+    });
+}
 
-    #[test]
-    fn skipped_segments_were_fully_known(trace in steps(4, 50)) {
+#[test]
+fn skipped_segments_were_fully_known() {
+    cases(48, |_, rng| {
+        let trace = steps(rng, 4, 50);
         // Direct check of the §4 segment property at sync time: for every
         // pair, if the receiver knows a segment's first element it must
         // know every element of that segment (value-wise).
@@ -134,15 +145,19 @@ proptest! {
                     let first = segment[0];
                     if a.value(first.site) >= first.value && first.conflict {
                         for e in &segment {
-                            prop_assert!(
+                            assert!(
                                 a.value(e.site) >= e.value,
                                 "segment property violated: {} knows {}:{} but not {}:{}",
-                                a, first.site, first.value, e.site, e.value
+                                a,
+                                first.site,
+                                first.value,
+                                e.site,
+                                e.value
                             );
                         }
                     }
                 }
             }
         }
-    }
+    });
 }

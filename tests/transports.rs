@@ -4,14 +4,13 @@
 //! in-memory transport — the sans-io design's core promise.
 
 use optrep::core::graph::{CausalGraph, NodeId, SyncGReceiver, SyncGSender};
+use optrep::core::rng::SplitMix64;
 use optrep::core::sync::drive::{sync_srv, sync_srv_opts};
 use optrep::core::sync::sender::VectorSender;
 use optrep::core::sync::{Endpoint, SyncOptions, SyncSReceiver};
-use optrep::core::{RotatingVector, SiteId, Srv};
+use optrep::core::{Causality, RotatingVector, SiteId, Srv};
 use optrep::net::mem::run_pair;
 use optrep::net::sim::{SimConfig, SimLink};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 fn s(i: u32) -> SiteId {
     SiteId::new(i)
@@ -19,15 +18,15 @@ fn s(i: u32) -> SiteId {
 
 /// Builds a reconciliation-heavy pair of vectors through a legal history.
 fn diverged_pair(seed: u64) -> (Srv, Srv) {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed);
     let mut a = Srv::new();
     for i in 0..10 {
         a.record_update(s(i));
     }
     let mut b = a.clone();
     for step in 0..30 {
-        let on_a = rng.gen_bool(0.5);
-        let site = s(rng.gen_range(0..10) + if on_a { 0 } else { 20 });
+        let on_a = rng.chance(0.5);
+        let site = s(rng.below(10) as u32 + if on_a { 0 } else { 20 });
         if on_a {
             a.record_update(site);
         } else {
@@ -155,14 +154,23 @@ fn stop_and_wait_equals_pipelined_under_simulation() {
     assert!(saw_ns >= piped_ns, "stop-and-wait is never faster");
 }
 
+/// Over 64 fixtures — whichever way the pair ends up related; seed 11, the
+/// one this test used alone, is `Concurrent`, and 58 of the seeds 0..256
+/// end `After`, which it used to refuse as a precondition.
 #[test]
 fn full_replica_session_over_sim_and_threads() {
+    let seen: Vec<Causality> = (0..64).map(full_replica_session).collect();
+    for relation in [Causality::After, Causality::Concurrent] {
+        assert!(seen.contains(&relation), "no fixture ended {relation:?}");
+    }
+}
+
+fn full_replica_session(seed: u64) -> Causality {
     use bytes::Bytes;
     use optrep::replication::{apply_pull, PullClient, PullServer};
 
-    let (a, b) = diverged_pair(11);
+    let (a, b) = diverged_pair(seed);
     let relation = a.compare(&b);
-    assert!(relation.is_concurrent() || relation == optrep::core::Causality::Before);
     let server_state = Bytes::from_static(b"server payload");
 
     // Reference: lockstep by hand.
@@ -222,9 +230,10 @@ fn full_replica_session_over_sim_and_threads() {
         v.extend_from_slice(theirs);
         Bytes::from(v)
     });
-    if reference.relation.is_concurrent() {
-        assert_eq!(&applied[..], b"our payloadserver payload");
-    } else {
-        assert_eq!(applied, server_state);
+    match relation {
+        Causality::Concurrent => assert_eq!(&applied[..], b"our payloadserver payload"),
+        Causality::Before => assert_eq!(applied, server_state),
+        Causality::After | Causality::Equal => assert_eq!(applied, ours),
     }
+    relation
 }
