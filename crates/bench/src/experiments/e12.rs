@@ -119,11 +119,7 @@ fn mirror_pull(mirrors: &mut [KvStore], dst: usize, src: usize) -> KvSyncReport 
         (&mut right[0], &left[src])
     };
     let (report, _) = dst_store
-        .sync_planned(
-            src_store,
-            &optrep_kv::JoinResolver,
-            &optrep_replication::PlanConfig::default(),
-        )
+        .sync_planned(src_store, &optrep_kv::JoinResolver)
         .expect("in-memory planned sync");
     report
 }

@@ -36,7 +36,7 @@
 use crate::table::{ratio, Table};
 use optrep_core::SiteId;
 use optrep_kv::{JoinResolver, KvStore, KvSyncReport};
-use optrep_replication::{pull_planned, ContactAsk, InProcessLink, PlanConfig, VectorMemory};
+use optrep_replication::{pull_planned, ContactAsk, InProcessLink, VectorMemory};
 use std::time::{Duration, Instant};
 
 #[cfg(not(debug_assertions))]
@@ -105,9 +105,9 @@ fn contact_bytes(report: &KvSyncReport) -> usize {
 
 /// A planned pull by a puller that ignores the plan's child digests:
 /// `sync_planned` with the endpoint over the incremental shards whole.
-fn sync_planned_flat(dst: &mut KvStore, src: &KvStore, config: &PlanConfig) -> KvSyncReport {
+fn sync_planned_flat(dst: &mut KvStore, src: &KvStore) -> KvSyncReport {
     let digests = dst.shard_digest_vector();
-    let mut far = |ask: ContactAsk<'_>| src.open_contact(ask, config);
+    let mut far = |ask: ContactAsk<'_>| src.open_contact(ask);
     let (client, plan, contact) = pull_planned(
         &mut InProcessLink::serving(&mut far),
         &mut VectorMemory::default(),
@@ -122,8 +122,6 @@ fn sync_planned_flat(dst: &mut KvStore, src: &KvStore, config: &PlanConfig) -> K
 }
 
 fn run_row(base: &BasePair, mirror: &BasePair, dirty_keys: usize) -> Row {
-    let config = PlanConfig::default();
-
     let mut src = base.src.clone();
     dirty(&mut src, dirty_keys);
     let mut refined_dst = base.dst.clone();
@@ -132,12 +130,12 @@ fn run_row(base: &BasePair, mirror: &BasePair, dirty_keys: usize) -> Row {
 
     let start = Instant::now();
     let (refined, _) = refined_dst
-        .sync_planned(&src, &JoinResolver, &config)
+        .sync_planned(&src, &JoinResolver)
         .expect("refined pull");
     let refined_elapsed = start.elapsed();
 
     let start = Instant::now();
-    let planned = sync_planned_flat(&mut planned_dst, &src, &config);
+    let planned = sync_planned_flat(&mut planned_dst, &src);
     let planned_elapsed = start.elapsed();
 
     let start = Instant::now();
@@ -172,7 +170,7 @@ fn run_row(base: &BasePair, mirror: &BasePair, dirty_keys: usize) -> Row {
     dirty(&mut mirror_src, dirty_keys);
     let mut mirror_dst = mirror.dst.clone();
     let (mirror_report, _) = mirror_dst
-        .sync_planned(&mirror_src, &JoinResolver, &config)
+        .sync_planned(&mirror_src, &JoinResolver)
         .expect("mirror planned pull");
     assert_eq!(
         mirror_dst.replica_digest(),

@@ -22,44 +22,25 @@ enum Staged {
 }
 
 impl KvStore {
-    /// Commits a completed contact's outcomes to this store.
+    /// Commits a completed contact's outcomes to this store, **and** the
+    /// plan's whole-shard snapshot blobs, as one transaction, and carries
+    /// the planner counters into the report. An unplanned contact is
+    /// committed under `ShardPlan::default()`, which plans nothing.
     ///
-    /// `client` must be the endpoint created by
-    /// [`client_endpoint`](Self::client_endpoint) **on this store in its
-    /// current state**, driven to completion; `contact` is the report the
-    /// driver returned. Application is transactional: every outcome is
-    /// decoded and validated into a staging list before the first key is
-    /// touched, so a corrupt payload mid-batch leaves the store
-    /// byte-identical and uncounted.
+    /// `client` must be an endpoint built **on this store in its current
+    /// state** ([`client_endpoint_refined`](Self::client_endpoint_refined),
+    /// [`client_endpoint_for`](Self::client_endpoint_for)), driven to
+    /// completion; `contact` is the report the driver returned.
+    /// Application is transactional: every outcome is decoded and
+    /// validated into a staging list before the first key is touched, so
+    /// a corrupt payload mid-batch leaves the store byte-identical and
+    /// uncounted.
     ///
-    /// # Errors
-    ///
-    /// Returns a wire error if an outcome's payload is missing or
-    /// malformed; the store is untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the contact has not run to completion (the endpoint
-    /// still holds undelivered frames).
-    pub fn apply_contact(
-        &mut self,
-        resolver: &dyn Resolver,
-        client: BatchPullClient,
-        contact: &ContactReport,
-    ) -> Result<KvSyncReport> {
-        let staged = Self::stage_contact(client)?;
-        Ok(self.commit_staged(resolver, staged, Vec::new(), contact).0)
-    }
-
-    /// [`apply_contact`](Self::apply_contact) for a *planned* contact:
-    /// commits the restricted contact's outcomes **and** the plan's
-    /// whole-shard snapshot blobs as one transaction, and carries the
-    /// planner counters into the report. Also returns the keys the
-    /// commit actually changed (created, fast-forwarded or reconciled —
-    /// clean keys are not listed): a daemon logging committed mutations
-    /// captures each changed key's post-state
-    /// ([`encode_entry`](Self::encode_entry)) under the same lock as the
-    /// commit, so one contact becomes one atomic log record.
+    /// Also returns the keys the commit actually changed (created,
+    /// fast-forwarded or reconciled — clean keys are not listed): a
+    /// daemon logging committed mutations captures each changed key's
+    /// post-state ([`encode_entry`](Self::encode_entry)) under the same
+    /// lock as the commit, so one contact becomes one atomic log record.
     ///
     /// Snapshot entries are decoded and validated before the first key
     /// is touched — each key must hash into its blob's claimed shard at
@@ -69,11 +50,16 @@ impl KvStore {
     /// the write that raced the plan keeps the shard dirty and it
     /// reconciles incrementally on the next contact).
     ///
-    /// # Errors / Panics
+    /// # Errors
     ///
-    /// As [`apply_contact`](Self::apply_contact), plus a wire error on
-    /// a malformed or mis-sharded snapshot blob; the store is untouched
-    /// on any error.
+    /// Returns a wire error if an outcome's payload is missing or
+    /// malformed, or a snapshot blob malformed or mis-sharded; the store
+    /// is untouched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the contact has not run to completion (the endpoint
+    /// still holds undelivered frames).
     pub fn apply_planned_tracked(
         &mut self,
         resolver: &dyn Resolver,
@@ -124,8 +110,7 @@ impl KvStore {
     }
 
     /// Decodes and validates a plan's snapshot blobs into ready-to-commit
-    /// entries, skipping keys this store already tracks (see
-    /// [`apply_planned_tracked`](Self::apply_planned_tracked)).
+    /// entries, skipping keys this store already tracks.
     fn stage_snapshots(&self, plan: &ShardPlan) -> Result<Vec<Record>> {
         let count = plan.count as usize;
         let mut entries = Vec::new();

@@ -188,7 +188,7 @@ fn overlong_varints_decode_to_the_canonical_store() {
         };
         let mut joiner = KvStore::with_shards(s(9), 1);
         let mut client = joiner.client_endpoint_for(&[], 1);
-        let mut server = KvStore::with_shards(s(8), 1).server_endpoint_for(&[], 1);
+        let mut server = KvStore::with_shards(s(8), 1).server_endpoint();
         let contact = run_contact(&mut client, &mut server).unwrap();
         joiner
             .apply_planned_tracked(&JoinResolver, client, &contact, &plan)
@@ -268,8 +268,8 @@ fn entry_encoding_roundtrips_and_tracks_generation() {
 }
 
 /// An honest two-site vector image with its second site renamed to
-/// its first: no encoder writes it, and decoding it used to yield a
-/// one-element vector without a word.
+/// its first: no encoder writes it, and a lenient decoder would read
+/// it as a one-element vector.
 fn repeated_site_meta() -> Bytes {
     let mut meta = Srv::new();
     meta.record_update(s(3));

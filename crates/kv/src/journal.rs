@@ -6,7 +6,7 @@ use std::collections::VecDeque;
 /// What a store changed lately: the placement hash of every key a
 /// generation bump touched, with that generation, newest last, the
 /// oldest evicted once [`JOURNAL_CAP`] are held. A serving store
-/// [proposes](KvStore::plan_contact_since) from it. It is bookkeeping,
+/// [proposes](crate::KvStore::plan_contact_since) from it. It is bookkeeping,
 /// not state — in no snapshot, log record, digest or comparison — and
 /// nothing is wrong when it is short or lost: a proposal is checked
 /// against the shard digests, so the journal can only cost bytes.

@@ -35,6 +35,17 @@
 //! One [`SyncRequest`] builder configures a pull: the resolver, and
 //! optionally a seeded [`FaultyLink`] over the in-process link
 //! ([`SyncRequest::via`]).
+//!
+//! This file is the public types and the plain read/write API. The rest
+//! of [`KvStore`] lives in one private module per concern: `record` (an
+//! entry as the bytes every image writes — the only code that knows the
+//! layout), `shard` (a shard's records, digest and live count, changed
+//! only by `Shard::upsert`, and the walks over shards), `journal` (the
+//! keys changed lately), `codec` (snapshots, shard images, log records),
+//! `plan` (digest vectors, the plan, every endpoint) and `apply` (the
+//! one commit path).
+
+#![forbid(unsafe_code)]
 
 mod apply;
 mod codec;
@@ -48,9 +59,9 @@ mod tests;
 use bytes::Bytes;
 use journal::Journal;
 use optrep_core::obs::{CounterSink, CounterSnapshot};
-use optrep_core::{Causality, Result, RotatingVector, SiteId, Srv};
+use optrep_core::{Result, RotatingVector, SiteId, Srv};
 use optrep_replication::mux::{pull_contact, Faulted, InProcessLink};
-use optrep_replication::planner::{placement, MAX_PLAN_SHARDS};
+use optrep_replication::planner::{placement, ShardPlan, MAX_PLAN_SHARDS};
 use optrep_replication::FaultyLink;
 use record::{entry_hash, with_version_vector, Record};
 use shard::Shard;
@@ -179,7 +190,7 @@ pub struct KvStore {
     /// changed between snapshotting a pull's endpoint and applying its
     /// outcomes (see [`KvStore::generation`]).
     generation: u64,
-    /// The keys the last [`JOURNAL_CAP`] generation bumps touched.
+    /// The keys the last `JOURNAL_CAP` generation bumps touched.
     journal: Journal,
 }
 
@@ -306,13 +317,10 @@ impl KvStore {
 
     /// Total entries including tombstones (the replication footprint).
     pub fn tracked_entries(&self) -> usize {
-        self.shards.iter().map(|shard| shard.tracked()).sum()
-    }
-
-    /// Causal relation of this store's copy of `key` vs a peer's.
-    pub fn compare_key(&self, other: &KvStore, key: &str) -> Option<Causality> {
-        let (ours, theirs) = (self.meta(key)?, other.meta(key)?);
-        Some(ours.compare(&theirs))
+        self.shards
+            .iter()
+            .map(|shard| shard.summary().entries as usize)
+            .sum()
     }
 
     /// Starts an anti-entropy pull from `src`, returning a
@@ -347,11 +355,14 @@ impl KvStore {
         }
     }
 
-    /// Monotone write counter: bumped on every [`put`](Self::put) /
-    /// [`delete`](Self::delete). A daemon serving concurrent clients
-    /// snapshots this together with [`client_endpoint`](Self::client_endpoint),
+    /// Monotone change counter: bumped by every [`put`](Self::put),
+    /// [`delete`](Self::delete) and replayed log record, and once by a
+    /// commit that changed any key. A daemon serving concurrent clients
+    /// snapshots this together with
+    /// [`client_endpoint_refined`](Self::client_endpoint_refined),
     /// releases its lock for the network exchange, and re-checks the
-    /// generation before [`apply_contact`](Self::apply_contact): if it
+    /// generation before
+    /// [`apply_planned_tracked`](Self::apply_planned_tracked): if it
     /// moved, the pull raced a local write and must be retried against
     /// fresh metadata instead of committing stale outcomes.
     pub fn generation(&self) -> u64 {
@@ -362,7 +373,9 @@ impl KvStore {
     /// connection whose last pull was planned no longer ago than this is
     /// proposed to from the journal, an older one from digests alone. A
     /// value that stays below the generations a peer lets pass between
-    /// its pulls says the journal ([`JOURNAL_CAP`] keys) is too small
+    /// its pulls says the journal
+    /// ([`JOURNAL_CAP`](optrep_replication::planner::JOURNAL_CAP) keys) is
+    /// too small
     /// for the write rate.
     pub fn journal_floor_lag(&self) -> u64 {
         self.generation - self.journal.floor()
@@ -404,7 +417,7 @@ impl KvStore {
         let sum = self
             .shards
             .iter()
-            .fold(0u64, |acc, shard| acc.wrapping_add(shard.digest()));
+            .fold(0u64, |acc, shard| acc.wrapping_add(shard.summary().digest));
         Self::mix_digest(self.tracked_entries() as u64, sum)
     }
 
@@ -491,6 +504,9 @@ impl<'a> SyncRequest<'a> {
             Some(faults) => pull_contact(&mut client, &mut Faulted::new(link, faults)),
             None => pull_contact(&mut client, &mut link),
         }?;
-        self.store.apply_contact(self.resolver, client, &contact)
+        let unplanned = ShardPlan::default();
+        let (report, _changed) =
+            (self.store).apply_planned_tracked(self.resolver, client, &contact, &unplanned)?;
+        Ok(report)
     }
 }

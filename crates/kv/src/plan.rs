@@ -3,7 +3,7 @@
 
 use crate::codec::{encode_image, encode_value};
 use crate::record::{entry_hash, Record};
-use crate::shard::shard_index;
+use crate::shard::{shard_index, Shard};
 use crate::{KvStore, KvSyncReport, Resolver, MAX_SHARDS};
 use bytes::Bytes;
 use optrep_core::Result;
@@ -22,12 +22,7 @@ impl KvStore {
     /// shards at `count`, strictly increasing), one vector per parent:
     /// child `j` of shard `s` is shard `s + j·count` at `count ·
     /// fanout`. Hashes the entries of those shards only.
-    pub(crate) fn child_digests(
-        &self,
-        parents: &[u64],
-        count: u64,
-        fanout: u64,
-    ) -> Vec<Vec<ShardDigest>> {
+    fn child_digests(&self, parents: &[u64], count: u64, fanout: u64) -> Vec<Vec<ShardDigest>> {
         let mut children = vec![vec![ShardDigest::default(); fanout as usize]; parents.len()];
         self.visit_shards(parents, count as usize, |record| {
             let hash = placement(record.key_bytes());
@@ -67,26 +62,23 @@ impl KvStore {
         residuals
     }
 
-    /// The pulling half of an anti-entropy contact: one stream per
-    /// tracked key (tombstones included), carrying this store's current
-    /// metadata. Pair it with a peer's
-    /// [`server_endpoint`](Self::server_endpoint), drive the contact
-    /// over any transport (in-process lockstep, a `TcpLink`, …), then
-    /// commit with [`apply_contact`](Self::apply_contact).
-    pub fn client_endpoint(&self) -> BatchPullClient {
+    /// The pulling half of an unplanned contact: one stream per tracked
+    /// key (tombstones included), carrying this store's current
+    /// metadata.
+    pub(crate) fn client_endpoint(&self) -> BatchPullClient {
         pulling(self.records_sorted())
     }
 
-    /// The serving half of an anti-entropy contact: metadata plus the
-    /// encoded value for every tracked key, ready to answer any puller.
-    /// The serving store is never modified by a contact.
-    pub fn server_endpoint(&self) -> BatchPullServer {
+    /// The serving half of an unplanned contact: metadata plus the
+    /// encoded value for every tracked key. The serving store is never
+    /// modified by a contact.
+    pub(crate) fn server_endpoint(&self) -> BatchPullServer {
         serving(self.records_sorted())
     }
 
-    /// [`client_endpoint`](Self::client_endpoint) restricted to the
-    /// keys of the given plan shards at plan-shard count `count` —
-    /// the pulling half of a planned contact. Keys are presented in
+    /// The pulling half of a planned contact whose puller walks the
+    /// given plan shards (at plan-shard count `count`) whole: one stream
+    /// per tracked key of those shards. Keys are presented in
     /// sorted order, so stream-id assignment (and therefore the whole
     /// framed exchange) is independent of the local shard layout.
     pub fn client_endpoint_for(&self, shards: &[u64], count: usize) -> BatchPullClient {
@@ -152,12 +144,11 @@ impl KvStore {
         }
     }
 
-    /// [`server_endpoint`](Self::server_endpoint) restricted to the
-    /// keys of the given plan shards at plan-shard count `count` —
-    /// the serving half of a planned contact whose puller walks the
-    /// planned shards whole. Discovery offers only keys inside them, so
-    /// clean shards cost zero object rounds.
-    pub fn server_endpoint_for(&self, shards: &[u64], count: usize) -> BatchPullServer {
+    /// The serving half of a planned contact whose puller walks the
+    /// given plan shards (at plan-shard count `count`) whole. Discovery
+    /// offers only keys inside them, so clean shards cost zero object
+    /// rounds.
+    fn server_endpoint_for(&self, shards: &[u64], count: usize) -> BatchPullServer {
         self.server_endpoint_cut(&Cut {
             count: count as u64,
             incremental: shards,
@@ -171,7 +162,7 @@ impl KvStore {
     /// filter, *then* decode the vector and copy the key and value — and
     /// the one place a planned serving endpoint is built. Every vector
     /// is read with its value, from `self` as it stands now.
-    pub fn server_endpoint_cut(&self, cut: &Cut<'_>) -> BatchPullServer {
+    fn server_endpoint_cut(&self, cut: &Cut<'_>) -> BatchPullServer {
         serving(self.records_cut(cut))
     }
 
@@ -180,14 +171,7 @@ impl KvStore {
     /// digests are maintained incrementally by every mutation.
     pub fn shard_digest_vector(&self) -> DigestVector {
         DigestVector {
-            shards: self
-                .shards
-                .iter()
-                .map(|shard| ShardDigest {
-                    digest: shard.digest(),
-                    entries: shard.tracked() as u64,
-                })
-                .collect(),
+            shards: self.shards.iter().map(Shard::summary).collect(),
         }
     }
 
@@ -197,7 +181,7 @@ impl KvStore {
     /// (wrapping sums compose across the index mask); folding *up*
     /// recomputes per entry, O(n), the price of serving a
     /// finer-sharded puller.
-    pub fn shard_digests_at(&self, count: usize) -> Vec<ShardDigest> {
+    fn shard_digests_at(&self, count: usize) -> Vec<ShardDigest> {
         let physical = self.shards.len();
         if count == physical {
             return self.shard_digest_vector().shards;
@@ -205,9 +189,9 @@ impl KvStore {
         let mut out = vec![ShardDigest::default(); count];
         if count < physical {
             for (index, shard) in self.shards.iter().enumerate() {
-                let target = &mut out[index & (count - 1)];
-                target.digest = target.digest.wrapping_add(shard.digest());
-                target.entries += shard.tracked() as u64;
+                let (target, shard) = (&mut out[index & (count - 1)], shard.summary());
+                target.digest = target.digest.wrapping_add(shard.digest);
+                target.entries += shard.entries;
             }
         } else {
             for record in self.records() {
@@ -228,13 +212,18 @@ impl KvStore {
     /// [`Serving`](optrep_replication::mux::Serving) does not come
     /// through here: it asks for the plan and, once the puller has
     /// answered it, for the endpoint
-    /// ([`open_contact`](Self::open_contact)).
+    /// ([`open_contact`](Self::open_contact)). The [`PlanConfig`]
+    /// configures nothing; the mirror names it.
+    ///
+    /// # Panics
+    ///
+    /// As [`plan_contact_since`](Self::plan_contact_since).
     pub fn plan_contact(
         &self,
         digests: &DigestVector,
-        config: &PlanConfig,
+        _config: &PlanConfig,
     ) -> (ShardPlan, BatchPullServer) {
-        let plan = self.plan_contact_since(digests, None, config);
+        let plan = self.plan_contact_since(digests, None);
         let endpoint = self.server_endpoint_for(&plan.incremental, plan.count as usize);
         (plan, endpoint)
     }
@@ -258,14 +247,20 @@ impl KvStore {
     ///
     /// No endpoint is built here: which keys the contact will open is
     /// not known until the puller has answered what the plan offers
-    /// ([`server_endpoint_cut`](Self::server_endpoint_cut)).
-    pub fn plan_contact_since(
-        &self,
-        digests: &DigestVector,
-        since: Option<u64>,
-        config: &PlanConfig,
-    ) -> ShardPlan {
-        let count = digests.shards.len().clamp(1, MAX_SHARDS);
+    /// ([`open_contact`](Self::open_contact)).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `digests` holds a power-of-two number of shards, at
+    /// most [`MAX_SHARDS`] — what [`DigestVector::decode`] admits. The
+    /// field is public, so a vector built in-process can be any length;
+    /// one off the wire never gets here malformed.
+    pub fn plan_contact_since(&self, digests: &DigestVector, since: Option<u64>) -> ShardPlan {
+        let count = digests.shards.len();
+        assert!(
+            count.is_power_of_two() && count <= MAX_SHARDS,
+            "a digest vector of {count} shards: not a power of two up to {MAX_SHARDS}"
+        );
         let ours = self.shard_digests_at(count);
         let mut hints: Vec<Candidates> = Vec::new();
         if let Some(changed) = since.and_then(|since| self.journal.changed_since(since)) {
@@ -280,7 +275,7 @@ impl KvStore {
                 hints.push((shard, candidates));
             }
         }
-        let decision = decide(&digests.shards[..count], &ours, &hints, config);
+        let decision = decide(&digests.shards, &ours, &hints);
         let mut plan = ShardPlan {
             count: count as u64,
             ..ShardPlan::default()
@@ -327,28 +322,31 @@ impl KvStore {
         plan
     }
 
-    /// This store's answer to what a
+    /// The serving side's one door: this store's answer to what a
     /// [`Serving`](optrep_replication::mux::Serving) asks its source.
     /// At the digest frame: [`plan_contact_since`](Self::plan_contact_since)
     /// and this store's [`generation`](Self::generation) — the `since`
     /// of the connection's next contact — from one view. At the first
-    /// frame of the puller's burst:
-    /// [`server_endpoint_cut`](Self::server_endpoint_cut) over what the
-    /// puller left of the plan, or the full
-    /// [`server_endpoint`](Self::server_endpoint) for a puller that sent
-    /// no digest vector.
+    /// frame of the puller's burst: the serving endpoint over the keys
+    /// of the [`Cut`] the puller left of the plan and no others, or over
+    /// every tracked key for a puller that sent no digest vector.
     ///
-    /// A daemon locks once per ask, so the endpoint is a later view of
-    /// the store than the plan. A key written in between is served at
-    /// its newer state — vector and value read together here — if the
-    /// cut admits it, and is otherwise left to the connection's next
-    /// contact, whose `since` is the plan's generation and so still
-    /// behind the write (see
-    /// [`ContactSource`](optrep_replication::mux::ContactSource)).
-    pub fn open_contact(&self, ask: ContactAsk<'_>, config: &PlanConfig) -> ContactAnswer {
+    /// A plan and an endpoint are two asks and two views of the store —
+    /// a daemon locks once per ask — and that is sound: a key written in
+    /// between is served at its newer state, vector and value read
+    /// together here, if the cut admits it, and is otherwise left to the
+    /// connection's next contact, whose `since` is the plan's generation
+    /// and so still behind the write; what the plan proved (equal
+    /// residuals, equal children) it proved of entries the contact does
+    /// not transfer.
+    ///
+    /// # Panics
+    ///
+    /// At a `Plan` ask, as [`plan_contact_since`](Self::plan_contact_since).
+    pub fn open_contact(&self, ask: ContactAsk<'_>) -> ContactAnswer {
         match ask {
             ContactAsk::Plan { digests, since } => {
-                let plan = self.plan_contact_since(digests, since, config);
+                let plan = self.plan_contact_since(digests, since);
                 ContactAnswer::Plan(plan, self.generation)
             }
             ContactAsk::Endpoint(Some(cut)) => {
@@ -364,7 +362,7 @@ impl KvStore {
     /// call: [`pull_planned`] over an in-process link whose far end is
     /// `src`, so both planner frames cross the codec like every other
     /// frame. The daemon's pull is the same three steps over a socket;
-    /// this is what it is tested against, and what the benches mirror.
+    /// this is what it is tested against.
     ///
     /// Every call opens a fresh in-process link, so nothing is
     /// remembered between calls: the digest vector always crosses in
@@ -385,10 +383,9 @@ impl KvStore {
         &mut self,
         src: &KvStore,
         resolver: &dyn Resolver,
-        config: &PlanConfig,
     ) -> Result<(KvSyncReport, ContactReport)> {
         let digests = self.shard_digest_vector();
-        let mut far = |ask: ContactAsk<'_>| src.open_contact(ask, config);
+        let mut far = |ask: ContactAsk<'_>| src.open_contact(ask);
         let (client, plan, contact) = pull_planned(
             &mut InProcessLink::serving(&mut far),
             &mut VectorMemory::default(),

@@ -18,7 +18,9 @@ fn public_endpoints_drive_a_contact_like_sync() {
     let mut client = b.client_endpoint();
     let mut server = a.server_endpoint();
     let contact = run_contact(&mut client, &mut server).unwrap();
-    let report = b.apply_contact(&JoinResolver, client, &contact).unwrap();
+    let (report, _) = b
+        .apply_planned_tracked(&JoinResolver, client, &contact, &ShardPlan::default())
+        .unwrap();
     assert_eq!(report.keys_examined, 2);
     assert!(b.consistent_with(&reference));
     assert_eq!(b.replica_digest(), reference.replica_digest());
@@ -44,28 +46,57 @@ fn shard_digests_fold_across_counts() {
 }
 
 #[test]
+fn child_digests_are_the_finer_map_regrouped_by_parent() {
+    for physical in [1usize, 8, 64] {
+        let mut store = KvStore::with_shards(s(0), physical);
+        for i in 0..300 {
+            store.put(format!("key-{i}"), format!("v{i}"));
+        }
+        store.delete("key-42");
+        for count in [1usize, 4, 8, 32, 256] {
+            let fanout = 4usize;
+            let parents: Vec<u64> = (0..count as u64).step_by(2).collect();
+            let finer = store.shard_digests_at(count * fanout);
+            let children = store.child_digests(&parents, count as u64, fanout as u64);
+            for (parent, digests) in parents.iter().zip(&children) {
+                for (j, child) in digests.iter().enumerate() {
+                    assert_eq!(*child, finer[*parent as usize + j * count]);
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn planned_sync_matches_unplanned_and_skips_clean_shards() {
-    let config = PlanConfig {
-        snapshot_threshold: 2.0, // incremental-only: exercise skip logic
-    };
     let mut a = KvStore::with_shards(s(0), 16);
     let mut b = KvStore::with_shards(s(1), 16);
+    // Every shard of the puller holds a key before the planned pull, so
+    // the dirty ones are walked: only an empty shard is bulk-loaded.
+    for i in 0..200 {
+        a.put(format!("seed-{i}"), "s");
+    }
+    b.sync(&a).run().unwrap();
+    let seeded = b.shard_digest_vector().shards;
+    assert!(seeded.iter().all(|shard| shard.entries > 0));
     for i in 0..100 {
         a.put(format!("key-{i}"), format!("v{i}"));
     }
     let mut reference = b.clone();
     reference.sync(&a).run().unwrap();
-    let (report, contact) = b.sync_planned(&a, &JoinResolver, &config).unwrap();
+    let (report, contact) = b.sync_planned(&a, &JoinResolver).unwrap();
     assert!(b.consistent_with(&reference));
     assert_eq!(b.replica_digest(), reference.replica_digest());
     assert_eq!(report.shards_total, 16);
     assert_eq!(report.shards_snapshot, 0);
+    assert_eq!(report.shards_incremental + report.shards_skipped, 16);
+    assert_eq!(report.keys_created, 100);
     assert!(report.digest_bytes > 0);
     assert_eq!(contact.shards_total, 16);
 
     // A second immediate pull: every shard digest matches, so the
     // planner opens zero object streams.
-    let (report, _) = b.sync_planned(&a, &JoinResolver, &config).unwrap();
+    let (report, _) = b.sync_planned(&a, &JoinResolver).unwrap();
     assert_eq!(report.shards_skipped, report.shards_total);
     assert_eq!(report.shards_incremental, 0);
     assert_eq!(report.keys_examined, 0);
@@ -85,9 +116,7 @@ fn planned_sync_across_different_shard_counts() {
         dst.put("key-3", "local");
         let mut reference = dst.clone();
         reference.sync(&src).run().unwrap();
-        let (_, contact) = dst
-            .sync_planned(&src, &JoinResolver, &PlanConfig::default())
-            .unwrap();
+        let (_, contact) = dst.sync_planned(&src, &JoinResolver).unwrap();
         assert!(dst.consistent_with(&reference));
         assert_eq!(dst.replica_digest(), reference.replica_digest());
         assert_eq!(contact.shards_total as usize, pull_shards);
@@ -104,9 +133,7 @@ fn planned_sync_snapshots_empty_shards() {
     let mut dst = KvStore::with_shards(s(1), 8);
     let mut reference = dst.clone();
     reference.sync(&src).run().unwrap();
-    let (report, contact) = dst
-        .sync_planned(&src, &JoinResolver, &PlanConfig::default())
-        .unwrap();
+    let (report, contact) = dst.sync_planned(&src, &JoinResolver).unwrap();
     // Every local shard is empty, so every dirty shard bulk-loads.
     assert_eq!(report.shards_incremental, 0);
     assert!(report.shards_snapshot > 0);
@@ -159,9 +186,8 @@ fn one_walk_plan_matches_the_per_shard_builders() {
 /// One planned pull by a puller that ignores the plan's children and
 /// walks its incremental shards whole.
 fn flat_planned_pull(dst: &mut KvStore, src: &KvStore) -> (KvSyncReport, ContactReport) {
-    let config = PlanConfig::default();
     let digests = dst.shard_digest_vector();
-    let mut far = |ask: ContactAsk<'_>| src.open_contact(ask, &config);
+    let mut far = |ask: ContactAsk<'_>| src.open_contact(ask);
     let (client, plan, contact) = pull_planned(
         &mut InProcessLink::serving(&mut far),
         &mut VectorMemory::default(),
@@ -203,9 +229,7 @@ fn a_sparse_pull_moves_half_the_bytes_once_cut_at_the_children() {
     let mut flat_dst = dst.clone();
     let (flat, _) = flat_planned_pull(&mut flat_dst, &src);
     let mut refined_dst = dst;
-    let (refined, _) = refined_dst
-        .sync_planned(&src, &JoinResolver, &PlanConfig::default())
-        .unwrap();
+    let (refined, _) = refined_dst.sync_planned(&src, &JoinResolver).unwrap();
     assert_eq!((flat.keys_fast_forwarded, flat.shards_refined), (4, 0));
     assert_eq!(
         (refined.keys_fast_forwarded, refined.shards_refined),
@@ -227,7 +251,7 @@ fn a_sparse_pull_moves_half_the_bytes_once_cut_at_the_children() {
 }
 
 #[test]
-fn a_dense_pull_is_offered_no_children_and_runs_as_it_always_did() {
+fn a_dense_pull_is_offered_no_children_and_runs_flat() {
     // 40 keys a shard, every shard dirty.
     let (dst, src) = pair_with_dirty_shards(64 * 40, 64);
     let digests = dst.shard_digest_vector();
@@ -237,9 +261,7 @@ fn a_dense_pull_is_offered_no_children_and_runs_as_it_always_did() {
     let mut flat_dst = dst.clone();
     let flat = flat_planned_pull(&mut flat_dst, &src);
     let mut planned_dst = dst;
-    let planned = planned_dst
-        .sync_planned(&src, &JoinResolver, &PlanConfig::default())
-        .unwrap();
+    let planned = planned_dst.sync_planned(&src, &JoinResolver).unwrap();
     assert_eq!(planned, flat, "same frames, same bytes, same verdicts");
     assert_eq!(planned_dst.replica_digest(), src.replica_digest());
 }
@@ -267,8 +289,7 @@ fn pull_twice(
     src: &std::cell::RefCell<KvStore>,
     between: impl FnOnce(&mut KvStore, &mut KvStore),
 ) -> [KvSyncReport; 2] {
-    let config = PlanConfig::default();
-    let mut far = |ask: ContactAsk<'_>| src.borrow().open_contact(ask, &config);
+    let mut far = |ask: ContactAsk<'_>| src.borrow().open_contact(ask);
     let mut link = InProcessLink::serving(&mut far);
     let mut remembered = VectorMemory::default();
     let first = pull_over(dst, &mut link, &mut remembered);
@@ -289,13 +310,9 @@ fn a_warm_pull_is_proposed_the_keys_the_source_changed() {
     // fresh in-process link per pull, as `sync_planned` makes.
     let mut cold_dst = dst.clone();
     let mut cold_src = src.clone();
-    cold_dst
-        .sync_planned(&cold_src, &JoinResolver, &PlanConfig::default())
-        .unwrap();
+    cold_dst.sync_planned(&cold_src, &JoinResolver).unwrap();
     rewrite(&mut cold_src);
-    let (cold, _) = cold_dst
-        .sync_planned(&cold_src, &JoinResolver, &PlanConfig::default())
-        .unwrap();
+    let (cold, _) = cold_dst.sync_planned(&cold_src, &JoinResolver).unwrap();
 
     let mut warm_dst = dst;
     let src = std::cell::RefCell::new(src);
@@ -423,7 +440,7 @@ fn a_wrong_journal_costs_refusals_never_convergence() {
             // What the second pull will be offered, and which of
             // its proposals miss a key that differs.
             let digests = dst.shard_digest_vector();
-            let plan = src.plan_contact_since(&digests, Some(since), &PlanConfig::default());
+            let plan = src.plan_contact_since(&digests, Some(since));
             let differs = |key: &str| {
                 let hash = |store: &KvStore| store.record(key.as_bytes()).map(entry_hash);
                 hash(dst) != hash(src)
@@ -474,4 +491,144 @@ fn a_wrong_journal_costs_refusals_never_convergence() {
         accepted_stale > 5,
         "and harmless stale hints: {accepted_stale}"
     );
+}
+
+/// A vector no decoder admits — `shards` is a public field — is refused
+/// where the plan begins, through either door, not planned from.
+#[test]
+fn a_malformed_digest_vector_is_refused_at_the_door() {
+    let mut src = KvStore::with_shards(s(0), 4);
+    src.put("x", "1");
+    for shards in [0, 3] {
+        let digests = DigestVector {
+            shards: vec![ShardDigest::default(); shards],
+        };
+        let refused =
+            |plan: &dyn Fn()| std::panic::catch_unwind(std::panic::AssertUnwindSafe(plan)).is_err();
+        assert!(
+            refused(&|| drop(src.plan_contact(&digests, &PlanConfig::default()))),
+            "{shards} shards"
+        );
+        let ask = ContactAsk::Plan {
+            digests: &digests,
+            since: None,
+        };
+        assert!(refused(&|| drop(src.open_contact(ask))), "{shards} shards");
+    }
+}
+
+/// Two pullers of one source, a link each: what a link remembers — the
+/// source's `since`, the puller's last vector — is that link's alone.
+#[test]
+fn two_pullers_of_one_source_keep_their_links_memories_apart() {
+    let (first, src) = pair_with_dirty_shards(64 * 195, 0);
+    let (mut first, mut second) = (first.clone(), first);
+    let src = std::cell::RefCell::new(src);
+    let mut far_one = |ask: ContactAsk<'_>| src.borrow().open_contact(ask);
+    let mut far_two = |ask: ContactAsk<'_>| src.borrow().open_contact(ask);
+    type End<'a> = (InProcessLink<'a>, VectorMemory);
+    let mut one: End<'_> = (
+        InProcessLink::serving(&mut far_one),
+        VectorMemory::default(),
+    );
+    let mut two: End<'_> = (
+        InProcessLink::serving(&mut far_two),
+        VectorMemory::default(),
+    );
+    let write = |key: &str| src.borrow_mut().put(key, vec![b'x'; 32]);
+    // Digests sent, shards proposed, keys examined.
+    let pull = |dst: &mut KvStore, (link, remembered): &mut End<'_>| {
+        let r = pull_over(dst, link, remembered);
+        assert_eq!(r.shards_refused, 0);
+        (r.digests_sent, r.shards_proposed, r.keys_examined)
+    };
+    // Each link's first pull: nothing remembered at either end.
+    assert_eq!(pull(&mut first, &mut one), (64, 0, 0));
+    assert_eq!(pull(&mut second, &mut two), (64, 0, 0));
+    // Three keys of three shards, written one at a time.
+    write("key-00007");
+    assert_eq!(pull(&mut first, &mut one), (0, 1, 1));
+    write("key-00420");
+    // The second link's `since` is its own first pull: it is told both
+    // keys, though the first link's pull journalled past one of them.
+    assert_eq!(pull(&mut second, &mut two), (0, 2, 2));
+    // The first link is told only what came after its own last pull, and
+    // its delta is against the vector it sent then: one shard moved.
+    assert_eq!(pull(&mut first, &mut one), (1, 1, 1));
+    write("key-01234");
+    assert_eq!(pull(&mut second, &mut two), (2, 1, 1));
+    assert_eq!(pull(&mut first, &mut one), (1, 1, 1));
+    assert!(first.consistent_with(&src.borrow()));
+    assert!(second.consistent_with(&src.borrow()));
+}
+
+/// A puller ahead on one key of a shard the source keeps writing refuses
+/// that shard's proposal on every pull and walks it whole — the count
+/// pinned here is the cost of a writing puller — until the source has
+/// pulled the key back.
+#[test]
+fn a_refused_shard_written_again_is_refused_again_until_the_source_catches_up() {
+    let (mut dst, src) = pair_with_dirty_shards(64 * 195, 0);
+    let shard = 5;
+    let in_shard = src.shard_digest_vector().shards[shard].entries as usize;
+    let theirs: Vec<String> = (0..64 * 195)
+        .map(|i| format!("key-{i:05}"))
+        .filter(|key| shard_index(key.as_bytes(), 64) == shard)
+        .take(4)
+        .collect();
+    let src = std::cell::RefCell::new(src);
+    let mut far = |ask: ContactAsk<'_>| src.borrow().open_contact(ask);
+    let mut link = InProcessLink::serving(&mut far);
+    let mut remembered = VectorMemory::default();
+    let mut pull = |dst: &mut KvStore| {
+        let r = pull_over(dst, &mut link, &mut remembered);
+        (r.shards_proposed, r.shards_refused, r.keys_examined)
+    };
+    assert_eq!(pull(&mut dst), (0, 0, 0));
+    // (A key of its own would not do: a shard where the puller holds more
+    // entries than the source is never proposed.)
+    dst.put(theirs[3].as_str(), "ahead");
+    for key in &theirs[..2] {
+        src.borrow_mut().put(key.as_str(), "again");
+        // Proposed one key, refused, and the source's whole shard walked.
+        assert_eq!(pull(&mut dst), (1, 1, in_shard), "{key}");
+        assert_eq!(dst.get(key), Some(&b"again"[..]));
+        assert_eq!(dst.get(&theirs[3]), Some(&b"ahead"[..]));
+    }
+    // The source pulls the puller's key back: its journal now names it,
+    // and the rest of the shard is the same on both sides again.
+    src.borrow_mut().sync(&dst).run().unwrap();
+    src.borrow_mut().put(theirs[2].as_str(), "again");
+    assert_eq!(pull(&mut dst), (1, 0, 2));
+    assert!(dst.consistent_with(&src.borrow()));
+}
+
+/// A puller rebuilt at another shard count between two pulls of one
+/// link: there is nothing to patch, so the full vector crosses — and the
+/// source still proposes from the `since` it remembers.
+#[test]
+fn a_puller_resharded_between_two_pulls_sends_its_vector_whole() {
+    let mut src = KvStore::with_shards(s(1), 64);
+    for i in 0..64 * 195 {
+        src.put(format!("key-{i:05}"), vec![b'v'; 32]);
+    }
+    let src = std::cell::RefCell::new(src);
+    let mut dst = KvStore::with_shards(s(0), 16);
+    let [first, second] = pull_twice(&mut dst, &src, |dst, src| {
+        for key in ["key-00007", "key-00420", "key-01234"] {
+            src.put(key, vec![b'x'; 32]);
+        }
+        let mut wider = KvStore::with_shards(dst.site(), 64);
+        for record in dst.records() {
+            wider.insert(record.clone());
+        }
+        assert_eq!(wider, *dst);
+        *dst = wider;
+    });
+    assert_eq!((first.shards_total, first.shards_snapshot), (16, 16));
+    assert_eq!((second.shards_total, second.digests_sent), (64, 64));
+    assert_eq!((second.shards_proposed, second.shards_refused), (3, 0));
+    assert_eq!((second.keys_examined, second.keys_fast_forwarded), (3, 3));
+    assert_eq!(dst.shard_count(), 64);
+    assert_eq!(dst.replica_digest(), src.borrow().replica_digest());
 }

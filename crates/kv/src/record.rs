@@ -76,7 +76,7 @@ impl Record {
     }
 
     /// The key's bytes and the entry's state behind them — what
-    /// [`KvStore::encode_entry`] returns.
+    /// [`KvStore::encode_entry`](crate::KvStore::encode_entry) returns.
     pub(crate) fn split(&self) -> (&[u8], &[u8]) {
         let mut rest = &self.0[..];
         let key = field(&mut rest);
@@ -173,8 +173,7 @@ pub(crate) fn with_version_vector<R>(mut meta: &[u8], read: impl FnOnce(&[(u32, 
 
 /// The content hash of one entry, the unit the per-shard digests sum:
 /// FNV-1a over the key, the tagged value, and the sorted version
-/// vector — the same feed per entry that the replica digest has always
-/// eaten, so the digest stays site-independent (raw rotating-vector
+/// vector — so the digest is site-independent (raw rotating-vector
 /// segments, which differ between converged replicas, are *not*
 /// hashed).
 pub(crate) fn entry_hash(record: &Record) -> u64 {

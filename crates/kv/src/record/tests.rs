@@ -4,8 +4,8 @@ use bytes::BytesMut;
 use optrep_core::rng::SplitMix64;
 use optrep_replication::planner::placement;
 
-/// What [`entry_hash`] was before it read a record's bytes: the
-/// vector walked, its pairs collected on the heap and sorted.
+/// The reference for [`entry_hash`]: the same feed built from the
+/// decoded vector, its pairs collected on the heap and sorted.
 fn entry_hash_by_the_vector(key: &str, meta: &Srv, value: Option<&[u8]>) -> u64 {
     let mut feed = Vec::new();
     feed.extend_from_slice(&(key.len() as u64).to_le_bytes());

@@ -4,7 +4,7 @@
 
 use crate::record::{entry_hash, Record};
 use crate::KvStore;
-use optrep_replication::planner::{shard_of, Cut};
+use optrep_replication::planner::{shard_of, Cut, ShardDigest};
 use std::collections::BTreeSet;
 
 /// One shard of the store's key space: its records plus an
@@ -28,14 +28,14 @@ impl Shard {
         self.entries.get(key)
     }
 
-    /// The wrapping sum of [`entry_hash`] over the shard's records.
-    pub(crate) fn digest(&self) -> u64 {
-        self.digest
-    }
-
-    /// Records held, tombstones included.
-    pub(crate) fn tracked(&self) -> usize {
-        self.entries.len()
+    /// The shard as a digest vector lists it: the wrapping sum of
+    /// [`entry_hash`] over its records, and how many it holds
+    /// (tombstones included).
+    pub(crate) fn summary(&self) -> ShardDigest {
+        ShardDigest {
+            digest: self.digest,
+            entries: self.entries.len() as u64,
+        }
     }
 
     /// Records holding a value.

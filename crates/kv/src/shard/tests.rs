@@ -2,7 +2,6 @@ use super::*;
 use crate::tests::s;
 use crate::{JoinResolver, KvSyncReport};
 use optrep_core::rng::SplitMix64;
-use optrep_replication::planner::PlanConfig;
 
 /// `len()` and `is_empty()` read a count each shard keeps beside its
 /// digest; the walk they replaced is the reference. Every way an
@@ -14,7 +13,6 @@ fn the_live_count_equals_the_walk_after_every_step() {
         assert_eq!(store.len(), walked.count(), "{step}");
         assert_eq!(store.is_empty(), store.keys().next().is_none(), "{step}");
     }
-    let plan = PlanConfig::default();
     let (mut revived, mut snapshot_loaded) = (0, 0);
     let mut pulled = KvSyncReport::default();
     for shards in [1, 16, 512] {
@@ -45,7 +43,7 @@ fn the_live_count_equals_the_walk_after_every_step() {
                         pulled.keys_reconciled += report.keys_reconciled;
                     }
                     8 => {
-                        a.sync_planned(&b, &JoinResolver, &plan).unwrap();
+                        a.sync_planned(&b, &JoinResolver).unwrap();
                     }
                     9 => {
                         // A checkpoint reloaded (at the environment's
@@ -63,7 +61,7 @@ fn the_live_count_equals_the_walk_after_every_step() {
                     _ => {
                         // A joiner bulk-loads whole shards.
                         let mut joiner = KvStore::with_shards(s(2), shards);
-                        let (report, _) = joiner.sync_planned(store, &JoinResolver, &plan).unwrap();
+                        let (report, _) = joiner.sync_planned(store, &JoinResolver).unwrap();
                         snapshot_loaded += report.shards_snapshot;
                         assert_eq!(joiner.len(), store.len(), "{step}");
                         check(&joiner, &step);
@@ -100,17 +98,6 @@ fn shard_walks_visit_exactly_what_a_whole_store_filter_keeps() {
                 records.iter().map(|r| r.bytes().to_vec()).collect()
             };
             assert_eq!(bytes(walked), bytes(filtered), "{count} over {physical}");
-
-            // Children: the digests at count * F, regrouped by parent.
-            let fanout = 4usize;
-            let parents: Vec<u64> = (0..count as u64).step_by(2).collect();
-            let finer = store.shard_digests_at(count * fanout);
-            let children = store.child_digests(&parents, count as u64, fanout as u64);
-            for (parent, digests) in parents.iter().zip(&children) {
-                for (j, child) in digests.iter().enumerate() {
-                    assert_eq!(*child, finer[*parent as usize + j * count]);
-                }
-            }
         }
     }
 }

@@ -1,5 +1,6 @@
 use super::*;
 use crate::record::View;
+use optrep_core::Causality;
 
 pub(crate) fn s(i: u32) -> SiteId {
     SiteId::new(i)
@@ -71,8 +72,8 @@ fn concurrent_writes_converge_with_join() {
     a.put("k", "from-a");
     b.put("k", "from-b");
     assert_eq!(
-        a.compare_key(&b, "k"),
-        Some(Causality::Concurrent),
+        a.meta("k").unwrap().compare(&b.meta("k").unwrap()),
+        Causality::Concurrent,
         "conflict detected"
     );
     let report = b.sync(&a).run().unwrap();

@@ -21,8 +21,8 @@ use optrep_core::{RotatingVector, SiteId, Srv};
 use optrep_kv::{JoinResolver, KvStore};
 use optrep_replication::mux::TURN_STREAM;
 use optrep_replication::{
-    pull_planned, ContactAsk, ContactReport, CtrlMsg, InProcessLink, MuxMsg, PlanConfig, Serving,
-    VectorMemory, CONTROL_STREAM, JOURNAL_CAP,
+    pull_planned, ContactAsk, ContactReport, CtrlMsg, InProcessLink, MuxMsg, Serving, VectorMemory,
+    CONTROL_STREAM, JOURNAL_CAP,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
@@ -440,7 +440,6 @@ fn a_pull_costs_heap_for_the_keys_it_moves_not_the_keys_its_source_holds() {
     const CHANGED: usize = 3072;
     const SHARDS: usize = 512;
     let value = |fill: u8| Bytes::from(vec![fill; 256]);
-    let config = PlanConfig::default();
     let frame = |stream: u64, payload: &[u8]| Frame {
         stream,
         payload: Bytes::copy_from_slice(payload),
@@ -463,7 +462,7 @@ fn a_pull_costs_heap_for_the_keys_it_moves_not_the_keys_its_source_holds() {
         };
 
         // The pull, end to end on this thread.
-        let mut far = |ask: ContactAsk<'_>| src.borrow().open_contact(ask, &config);
+        let mut far = |ask: ContactAsk<'_>| src.borrow().open_contact(ask);
         let mut link = InProcessLink::serving(&mut far);
         let mut remembered = VectorMemory::default();
         let mut pull = |dst: &mut KvStore| -> (ContactReport, usize) {
@@ -497,7 +496,7 @@ fn a_pull_costs_heap_for_the_keys_it_moves_not_the_keys_its_source_holds() {
         move_on(b'x');
         let mut serving = Serving::default();
         let mut feed = |frames: &[Frame]| {
-            let mut far = |ask: ContactAsk<'_>| src.borrow().open_contact(ask, &config);
+            let mut far = |ask: ContactAsk<'_>| src.borrow().open_contact(ask);
             let mut out = BytesMut::new();
             for frame in frames {
                 serving.on_frame(frame.clone(), &mut far, &mut out).unwrap();

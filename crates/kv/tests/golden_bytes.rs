@@ -17,7 +17,6 @@ use bytes::Bytes;
 use optrep_core::rng::SplitMix64;
 use optrep_core::SiteId;
 use optrep_kv::{JoinResolver, KvStore, KvSyncReport};
-use optrep_replication::planner::PlanConfig;
 
 const STEPS: usize = 3000;
 const KEYS: usize = 64;
@@ -118,7 +117,6 @@ impl Transcript {
 }
 
 fn run(shards: usize) -> Transcript {
-    let plan = PlanConfig::default();
     let mut rng = SplitMix64::new(0x0060_1DE2_B17E_5000 + shards as u64);
     let mut stores: Vec<KvStore> = (0..STORES)
         .map(|i| KvStore::with_shards(SiteId::new(i as u32), shards))
@@ -149,9 +147,7 @@ fn run(shards: usize) -> Transcript {
             }
             32..=35 => {
                 let src = stores[other].clone();
-                let (report, contact) = stores[who]
-                    .sync_planned(&src, &JoinResolver, &plan)
-                    .unwrap();
+                let (report, contact) = stores[who].sync_planned(&src, &JoinResolver).unwrap();
                 out.pull(&format!("{at} planned {who}<-{other}"), &report);
                 out.note(
                     4,
@@ -164,9 +160,7 @@ fn run(shards: usize) -> Transcript {
             36 => {
                 // A joiner bulk-loads whole shards from an empty start.
                 let mut joiner = KvStore::with_shards(SiteId::new(STORES as u32), shards);
-                let (report, _) = joiner
-                    .sync_planned(&stores[who], &JoinResolver, &plan)
-                    .unwrap();
+                let (report, _) = joiner.sync_planned(&stores[who], &JoinResolver).unwrap();
                 out.pull(&format!("{at} joiner<-{who}"), &report);
                 let image = joiner.encode_snapshot();
                 out.note(

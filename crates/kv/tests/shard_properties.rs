@@ -19,7 +19,6 @@
 use optrep_core::rng::{cases, SplitMix64};
 use optrep_core::SiteId;
 use optrep_kv::{JoinResolver, KvStore};
-use optrep_replication::PlanConfig;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -50,7 +49,6 @@ fn ops(rng: &mut SplitMix64, stores: usize, len: usize) -> Vec<Op> {
 
 /// Runs one schedule with each store at its own shard count.
 fn run(shard_counts: &[usize], schedule: &[Op]) -> Vec<KvStore> {
-    let config = PlanConfig::default();
     let mut fleet: Vec<KvStore> = shard_counts
         .iter()
         .enumerate()
@@ -71,7 +69,7 @@ fn run(shard_counts: &[usize], schedule: &[Op]) -> Vec<KvStore> {
             Op::PlannedSync { dst, src } => {
                 let src = fleet[*src].clone();
                 fleet[*dst]
-                    .sync_planned(&src, &JoinResolver, &config)
+                    .sync_planned(&src, &JoinResolver)
                     .expect("planned sync");
             }
         }
@@ -127,7 +125,7 @@ fn planned_contact_commits_identical_state() {
         let mut unplanned = fleet[0].clone();
         unplanned.sync(&src).run().expect("unplanned pull");
         let (report, contact) = planned
-            .sync_planned(&src, &JoinResolver, &PlanConfig::default())
+            .sync_planned(&src, &JoinResolver)
             .expect("planned pull");
         assert!(planned.consistent_with(&unplanned));
         assert_eq!(planned.replica_digest(), unplanned.replica_digest());
@@ -146,7 +144,7 @@ fn planned_contact_commits_identical_state() {
         let converged = planned.consistent_with(&src);
         let before = planned.generation();
         let (report, _) = planned
-            .sync_planned(&src, &JoinResolver, &PlanConfig::default())
+            .sync_planned(&src, &JoinResolver)
             .expect("second planned pull");
         assert_eq!(planned.generation(), before, "second pull changed state");
         assert_eq!(

@@ -1,11 +1,11 @@
 //! The pulling endpoint of a batched contact: one [`PullClient`] per
 //! stream behind a single control stream.
 
-use super::msg::{CtrlMsg, MuxMsg, StreamOpen, CONTROL_STREAM};
+use super::msg::{unknown_stream, violation, CtrlMsg, MuxMsg, StreamOpen, CONTROL_STREAM};
 use super::reason_label;
 use crate::protocol::{PullClient, PullOutcome, SessionMsg};
 use bytes::Bytes;
-use optrep_core::error::{Error, Result};
+use optrep_core::error::Result;
 use optrep_core::obs;
 use optrep_core::sync::{Endpoint, Framed};
 use optrep_core::{obs_emit, Srv};
@@ -57,9 +57,7 @@ enum ClientPhase {
 #[derive(Debug)]
 pub struct BatchPullClient {
     phase: ClientPhase,
-    discover: bool,
     streams: BTreeMap<u64, ClientStream>,
-    order: Vec<u64>,
     /// Streams with possible pending work: every received frame enqueues
     /// its stream here, and [`gather`](Self::gather) drains the queue —
     /// so a contact costs O(frames), not O(streams × frames). Entries
@@ -81,7 +79,6 @@ impl BatchPullClient {
         I: IntoIterator<Item = (Bytes, Srv)>,
     {
         let mut streams = BTreeMap::new();
-        let mut order = Vec::new();
         for (i, (name, vector)) in objects.into_iter().enumerate() {
             let stream = i as u64 + 1;
             streams.insert(
@@ -95,14 +92,11 @@ impl BatchPullClient {
                     client: PullClient::new(vector),
                 },
             );
-            order.push(stream);
         }
         let unfinished = streams.len();
         BatchPullClient {
             phase: ClientPhase::Start,
-            discover: true,
             streams,
-            order,
             ready: VecDeque::new(),
             unfinished,
             pending_dones: Vec::new(),
@@ -111,19 +105,8 @@ impl BatchPullClient {
         }
     }
 
-    /// Creates a client that only pulls the objects it names (the server
-    /// offers nothing extra).
-    pub fn without_discovery<I>(objects: I) -> Self
-    where
-        I: IntoIterator<Item = (Bytes, Srv)>,
-    {
-        let mut client = Self::new(objects);
-        client.discover = false;
-        client
-    }
-
     /// Number of streams (named plus discovered).
-    pub fn stream_count(&self) -> usize {
+    pub(super) fn stream_count(&self) -> usize {
         self.streams.len()
     }
 
@@ -156,13 +139,6 @@ impl BatchPullClient {
         if !st.finished && (st.missing || st.aborted || st.client.is_done()) {
             st.finished = true;
             self.unfinished -= 1;
-        }
-    }
-
-    pub(super) fn unknown_stream(stream: u64) -> Error {
-        Error::UnexpectedMessage {
-            protocol: "mux",
-            message: format!("message for unknown stream {stream}"),
         }
     }
 
@@ -221,9 +197,9 @@ impl Endpoint for BatchPullClient {
 
     fn poll_send(&mut self) -> Option<Framed<MuxMsg>> {
         if self.phase == ClientPhase::Start {
-            let mut opens = Vec::with_capacity(self.order.len());
-            for &stream in &self.order {
-                let st = self.streams.get_mut(&stream).expect("stream exists");
+            // Streams are numbered in the order the objects were named.
+            let mut opens = Vec::with_capacity(self.streams.len());
+            for (&stream, st) in &mut self.streams {
                 let first = match st.client.poll_send() {
                     Some(SessionMsg::Hello { first }) => first,
                     other => unreachable!("fresh client must greet, got {other:?}"),
@@ -238,7 +214,7 @@ impl Endpoint for BatchPullClient {
             return Some(Framed::new(
                 CONTROL_STREAM,
                 MuxMsg::Ctrl(CtrlMsg::BatchHello {
-                    discover: self.discover,
+                    discover: true,
                     opens,
                 }),
             ));
@@ -265,16 +241,13 @@ impl Endpoint for BatchPullClient {
         match framed.msg {
             MuxMsg::Ctrl(CtrlMsg::BatchServerFirst { answers, offers }) => {
                 if self.phase != ClientPhase::AwaitServerFirst {
-                    return Err(Error::UnexpectedMessage {
-                        protocol: "mux",
-                        message: "BatchServerFirst out of order".into(),
-                    });
+                    return Err(violation("BatchServerFirst out of order"));
                 }
                 for ans in answers {
                     let st = self
                         .streams
                         .get_mut(&ans.stream)
-                        .ok_or_else(|| Self::unknown_stream(ans.stream))?;
+                        .ok_or_else(|| unknown_stream(ans.stream))?;
                     if ans.missing {
                         st.missing = true;
                     } else {
@@ -300,10 +273,7 @@ impl Endpoint for BatchPullClient {
                         client_equal: offer.client_equal,
                     })?;
                     if self.streams.contains_key(&offer.stream) {
-                        return Err(Error::UnexpectedMessage {
-                            protocol: "mux",
-                            message: format!("offer reuses stream {}", offer.stream),
-                        });
+                        return Err(violation(format!("offer reuses stream {}", offer.stream)));
                     }
                     self.streams.insert(
                         offer.stream,
@@ -316,7 +286,6 @@ impl Endpoint for BatchPullClient {
                             client,
                         },
                     );
-                    self.order.push(offer.stream);
                     self.unfinished += 1;
                     self.ready.push_back(offer.stream);
                 }
@@ -327,7 +296,7 @@ impl Endpoint for BatchPullClient {
                 let st = self
                     .streams
                     .get_mut(&framed.stream)
-                    .ok_or_else(|| Self::unknown_stream(framed.stream))?;
+                    .ok_or_else(|| unknown_stream(framed.stream))?;
                 if st.aborted {
                     // A frame already in flight when the stream aborted;
                     // drop it rather than poisoning the contact.
@@ -352,16 +321,13 @@ impl Endpoint for BatchPullClient {
                 // mirror the abort locally without echoing a Cancel back.
                 for stream in streams {
                     if !self.streams.contains_key(&stream) {
-                        return Err(Self::unknown_stream(stream));
+                        return Err(unknown_stream(stream));
                     }
                     self.abort_stream(stream, "peer_cancelled", false);
                 }
                 Ok(())
             }
-            MuxMsg::Ctrl(other) => Err(Error::UnexpectedMessage {
-                protocol: "mux",
-                message: format!("{other:?} at client"),
-            }),
+            MuxMsg::Ctrl(other) => Err(violation(format!("{other:?} at client"))),
         }
     }
 

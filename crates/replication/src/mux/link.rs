@@ -114,7 +114,7 @@ impl FrameLink for InProcessLink<'_> {
 /// was said. Turn markers are link overhead and bypass the fault plan,
 /// so a plan's decision stream is consumed by protocol frames only.
 ///
-/// A [`pull_contact`] over a faulted link fails with
+/// A [`pull_contact`](super::pull_contact) over a faulted link fails with
 /// [`Error::ConnectionLost`] on a hard cut or a detected gap and with
 /// [`Error::Incomplete`] on a stall (silent death, or a dropped frame
 /// starving both endpoints). The endpoints' *staged* state is abandoned

@@ -25,6 +25,14 @@
 //! `n` objects with `d` dirty ones completes in `O(1 + d/n·k)` round
 //! trips instead of `Ω(n)`, with per-object `Δ`/`Γ`/`γ` accounting
 //! identical to the single-object path.
+//!
+//! One module per machine: `msg` the frame vocabulary and turn markers;
+//! `client` and `server` the two batch endpoints ([`BatchPullClient`],
+//! [`BatchPullServer`] with its one-frame step [`serve_frame`]);
+//! `report` what a contact cost; `puller` the pulling half of a contact
+//! ([`Puller`]) and the pumps that drive it over a link; `serving` the
+//! serving half of a connection ([`Serving`]) and what it asks its
+//! source; `link` the in-process transport and the fault decorator.
 
 mod client;
 mod link;

@@ -104,6 +104,26 @@ pub enum MuxMsg {
     Session(SessionMsg),
 }
 
+/// A tag and a list of stream ids: the body of `BatchDone` and `Cancel`.
+fn put_streams(buf: &mut BytesMut, tag: u8, streams: &[u64]) {
+    buf.put_u8(tag);
+    wire::put_varint(buf, streams.len() as u64);
+    for s in streams {
+        wire::put_varint(buf, *s);
+    }
+}
+
+/// The list behind a `BatchDone` or `Cancel` tag, which is still in `buf`.
+fn get_streams(buf: &mut Bytes) -> std::result::Result<Vec<u64>, WireError> {
+    buf.advance(1);
+    let count = wire::get_varint(buf)? as usize;
+    let mut streams = Vec::with_capacity(count.min(4096));
+    for _ in 0..count {
+        streams.push(wire::get_varint(buf)?);
+    }
+    Ok(streams)
+}
+
 impl WireMsg for MuxMsg {
     fn encode(&self, buf: &mut BytesMut) {
         match self {
@@ -138,19 +158,9 @@ impl WireMsg for MuxMsg {
                 }
             }
             MuxMsg::Ctrl(CtrlMsg::BatchDone { streams }) => {
-                buf.put_u8(TAG_BATCH_DONE);
-                wire::put_varint(buf, streams.len() as u64);
-                for s in streams {
-                    wire::put_varint(buf, *s);
-                }
+                put_streams(buf, TAG_BATCH_DONE, streams)
             }
-            MuxMsg::Ctrl(CtrlMsg::Cancel { streams }) => {
-                buf.put_u8(TAG_CANCEL);
-                wire::put_varint(buf, streams.len() as u64);
-                for s in streams {
-                    wire::put_varint(buf, *s);
-                }
-            }
+            MuxMsg::Ctrl(CtrlMsg::Cancel { streams }) => put_streams(buf, TAG_CANCEL, streams),
             MuxMsg::Session(inner) => inner.encode(buf),
         }
     }
@@ -219,21 +229,11 @@ impl WireMsg for MuxMsg {
                 Ok(MuxMsg::Ctrl(CtrlMsg::BatchServerFirst { answers, offers }))
             }
             TAG_BATCH_DONE => {
-                buf.advance(1);
-                let count = wire::get_varint(buf)? as usize;
-                let mut streams = Vec::with_capacity(count.min(4096));
-                for _ in 0..count {
-                    streams.push(wire::get_varint(buf)?);
-                }
+                let streams = get_streams(buf)?;
                 Ok(MuxMsg::Ctrl(CtrlMsg::BatchDone { streams }))
             }
             TAG_CANCEL => {
-                buf.advance(1);
-                let count = wire::get_varint(buf)? as usize;
-                let mut streams = Vec::with_capacity(count.min(4096));
-                for _ in 0..count {
-                    streams.push(wire::get_varint(buf)?);
-                }
+                let streams = get_streams(buf)?;
                 Ok(MuxMsg::Ctrl(CtrlMsg::Cancel { streams }))
             }
             _ => Ok(MuxMsg::Session(SessionMsg::decode(buf)?)),
@@ -295,8 +295,9 @@ impl ProtocolMsg for MuxMsg {
 
 /// Stream identifier reserved for link-layer turn markers. Never a
 /// protocol stream: markers are consumed by the two step machines
-/// ([`Puller`], [`serve_frame`]) and are not accounted in the
-/// [`ContactReport`] (they are transport overhead, like TCP headers —
+/// ([`Puller`](super::Puller), [`serve_frame`](super::serve_frame)) and
+/// are not accounted in the [`ContactReport`](super::ContactReport)
+/// (they are transport overhead, like TCP headers —
 /// [`optrep_net::TcpLink`]'s own byte counters see them).
 pub const TURN_STREAM: u64 = u64::MAX;
 
@@ -332,6 +333,19 @@ pub(super) fn decode_frame_msg(frame: wire::Frame) -> Result<Framed<MuxMsg>> {
 pub(super) const STALLED: Error = Error::Incomplete {
     protocol: "mux contact",
 };
+
+/// A violation of the mux frame discipline, either side.
+pub(super) fn violation(message: impl Into<String>) -> Error {
+    Error::UnexpectedMessage {
+        protocol: "mux",
+        message: message.into(),
+    }
+}
+
+/// A frame that names a stream neither side opened.
+pub(super) fn unknown_stream(stream: u64) -> Error {
+    violation(format!("message for unknown stream {stream}"))
+}
 
 /// A violation of the planning turn's frame discipline, either side.
 pub(super) fn planning_violation(message: String) -> Error {

@@ -2,8 +2,8 @@
 //! pumps that drive it over a link.
 
 use super::msg::{
-    decode_frame_msg, marker_fin, planning_violation, put_marker, CtrlMsg, MuxMsg, CONTROL_STREAM,
-    STALLED, TURN_STREAM,
+    decode_frame_msg, marker_fin, planning_violation, put_marker, violation, CtrlMsg, MuxMsg,
+    CONTROL_STREAM, STALLED, TURN_STREAM,
 };
 use super::{reason_label, BatchPullClient, BatchPullServer, ContactReport, InProcessLink};
 use crate::planner::{scope_frame, DigestVector, ShardPlan, ShardScope, VectorMemory};
@@ -33,7 +33,7 @@ enum PullPhase {
 }
 
 /// The pulling half of a contact as a push-style step machine — the
-/// counterpart of [`Serving`], and the only place a contact is priced.
+/// counterpart of [`Serving`](super::Serving), and the only place a contact is priced.
 ///
 /// A *planned* contact ([`open_planned`](Self::open_planned)) starts
 /// one turn earlier: the puller sends its [`DigestVector`], the server
@@ -58,7 +58,7 @@ enum PullPhase {
 /// what the puller has to say to a byte buffer — a burst always ends in
 /// its marker, so flushing the buffer in one write keeps a burst one
 /// syscall — and every frame of the exchange, in either direction,
-/// passes through [`tally`](Self::tally). The serving side emits
+/// passes through `tally`. The serving side emits
 /// nothing, so the puller's trace alone satisfies per-contact byte
 /// conservation (`tables --check-jsonl`).
 #[derive(Debug)]
@@ -291,10 +291,7 @@ impl<'a> Puller<'a> {
                 return self.on_planning_frame(frame, shards).map(|()| None)
             }
             PullPhase::Planned | PullPhase::Finished => {
-                return Err(Error::UnexpectedMessage {
-                    protocol: "mux",
-                    message: "frame outside the exchange".into(),
-                });
+                return Err(violation("frame outside the exchange"));
             }
             PullPhase::Exchanging | PullPhase::Draining => {}
         }
@@ -364,8 +361,10 @@ fn pump_exchange<L: FrameLink>(
 
 /// Drives the pulling half of one unplanned contact over `link` — the
 /// blocking pump around [`Puller`]; every transport is a [`FrameLink`]
-/// handed to it. The far half is [`serve_contact`] / [`serve_from`], or
-/// a daemon's reactor feeding [`Serving`].
+/// handed to it. The far half is
+/// [`serve_contact`](super::serve_contact) /
+/// [`serve_from`](super::serve_from), or a daemon's reactor feeding
+/// [`Serving`](super::Serving).
 ///
 /// The link stays open on success: both endpoints finish at a clean
 /// frame boundary (each has consumed the other's FIN *marker*), so the

@@ -18,9 +18,8 @@ pub struct ContactReport {
     /// their `PayloadRequest`s overlap into a single extra round trip.
     /// Fire-and-forget frames (`BatchDone`, `SKIP`, speculative `SYNCS`
     /// elements) add none. A planned pull's digest/plan turn blocks too
-    /// but is **not** counted here: the field has priced the object
-    /// exchange alone since the planner landed, and counting the turn
-    /// is a behaviour change for its own issue.
+    /// but is **not** counted here: the field prices the object
+    /// exchange alone.
     pub round_trips: u64,
     /// Comparison bytes: the per-stream first elements, verdict flags and
     /// coalesced `Done`s carried by the control stream (Algorithm 1's
@@ -41,7 +40,7 @@ pub struct ContactReport {
     /// exchange and is accounted separately in
     /// [`digest_bytes`](Self::digest_bytes) — it is **not** part of the
     /// four byte planes, `total_bytes`, or `frames`, so per-contact
-    /// byte conservation over the object exchange is unchanged.
+    /// byte conservation holds over the object exchange alone.
     pub shards_total: u64,
     /// Shards skipped outright: digests matched, zero object rounds.
     pub shards_skipped: u64,
@@ -51,13 +50,13 @@ pub struct ContactReport {
     pub shards_snapshot: u64,
     /// Incremental shards narrowed to their dirty children: the plan
     /// offered their child digests and the puller answered with a
-    /// [`ShardScope`]. Zero when the plan refined nothing or the puller
-    /// walked the shards whole.
+    /// [`ShardScope`](crate::planner::ShardScope). Zero when the plan
+    /// refined nothing or the puller walked the shards whole.
     pub shards_refined: u64,
     /// Incremental shards whose scope the server proposed from its
     /// change journal ([`Proposal`](crate::planner::Proposal)) and the
-    /// puller answered with a [`ShardScope`]. Zero on a connection's
-    /// first contact, and when the puller walked the shards whole.
+    /// puller answered with a scope. Zero on a connection's first
+    /// contact, and when the puller walked the shards whole.
     pub shards_proposed: u64,
     /// Of those, the shards whose residual the puller could not match:
     /// refused in the scope frame and walked whole in this same contact.
@@ -66,10 +65,9 @@ pub struct ContactReport {
     /// vector, or its delta against the last one the connection
     /// carried — + plan frame, snapshot blobs, child digests and
     /// proposals included, + the scope frame; turn markers excluded) —
-    /// the fifth plane, priced by [`Puller`].
+    /// the fifth plane, priced by [`Puller`](super::Puller).
     /// The planner frames emit no `FrameTx` event: the obs contact
-    /// scope opens with the object exchange, and widening it is a
-    /// behaviour change for its own issue.
+    /// scope opens with the object exchange.
     pub digest_bytes: u64,
     /// Shard digests the opening frame actually shipped:
     /// [`shards_total`](Self::shards_total) for a full vector, the
@@ -162,7 +160,7 @@ impl ContactReport {
 }
 
 /// Maps an error to the stable snake_case abort-reason vocabulary of
-/// [`obs::SyncEvent::SessionAborted`].
+/// [`obs::SyncEvent::SessionAborted`](optrep_core::obs::SyncEvent::SessionAborted).
 pub fn reason_label(e: &Error) -> &'static str {
     match e {
         Error::ConnectionLost { .. } => "connection_lost",

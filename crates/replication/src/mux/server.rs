@@ -2,13 +2,12 @@
 //! opened stream — and its turn discipline, one received frame at a time.
 
 use super::msg::{
-    decode_frame_msg, marker_fin, put_marker, CtrlMsg, MuxMsg, StreamAnswer, StreamOffer,
-    CONTROL_STREAM, STALLED, TURN_STREAM,
+    decode_frame_msg, marker_fin, put_marker, unknown_stream, violation, CtrlMsg, MuxMsg,
+    StreamAnswer, StreamOffer, CONTROL_STREAM, STALLED, TURN_STREAM,
 };
-use super::BatchPullClient;
 use crate::protocol::{PullServer, SessionMsg};
 use bytes::{Bytes, BytesMut};
-use optrep_core::error::{Error, Result};
+use optrep_core::error::Result;
 use optrep_core::sync::{Endpoint, Framed, WireMsg};
 use optrep_core::{wire, SiteId, Srv};
 use std::collections::{BTreeMap, VecDeque};
@@ -143,10 +142,7 @@ impl Endpoint for BatchPullServer {
         match framed.msg {
             MuxMsg::Ctrl(CtrlMsg::BatchHello { discover, opens }) => {
                 if self.seen_hello {
-                    return Err(Error::UnexpectedMessage {
-                        protocol: "mux",
-                        message: "BatchHello after connection start".into(),
-                    });
+                    return Err(violation("BatchHello after connection start"));
                 }
                 self.seen_hello = true;
                 // The client chooses stream ids, so they are untrusted
@@ -160,26 +156,16 @@ impl Endpoint for BatchPullServer {
                 let mut seen = std::collections::BTreeSet::new();
                 for open in &opens {
                     if open.stream == CONTROL_STREAM {
-                        return Err(Error::UnexpectedMessage {
-                            protocol: "mux",
-                            message: "open names the control stream".into(),
-                        });
+                        return Err(violation("open names the control stream"));
                     }
                     if !seen.insert(open.stream) {
-                        return Err(Error::UnexpectedMessage {
-                            protocol: "mux",
-                            message: format!("open reuses stream {}", open.stream),
-                        });
+                        return Err(violation(format!("open reuses stream {}", open.stream)));
                     }
                     highest = highest.max(open.stream);
                 }
-                let mut next_stream =
-                    highest
-                        .checked_add(1)
-                        .ok_or_else(|| Error::UnexpectedMessage {
-                            protocol: "mux",
-                            message: "stream id space exhausted".into(),
-                        })?;
+                let mut next_stream = highest
+                    .checked_add(1)
+                    .ok_or_else(|| violation("stream id space exhausted"))?;
                 let mut answers = Vec::with_capacity(opens.len());
                 for open in opens {
                     match self.objects.remove(&open.name) {
@@ -207,13 +193,9 @@ impl Endpoint for BatchPullServer {
                 if discover {
                     for (name, (vector, payload)) in std::mem::take(&mut self.objects) {
                         let stream = next_stream;
-                        next_stream =
-                            next_stream
-                                .checked_add(1)
-                                .ok_or_else(|| Error::UnexpectedMessage {
-                                    protocol: "mux",
-                                    message: "stream id space exhausted".into(),
-                                })?;
+                        next_stream = next_stream
+                            .checked_add(1)
+                            .ok_or_else(|| violation("stream id space exhausted"))?;
                         let (first, _known, client_equal) =
                             self.open_stream(stream, vector, payload, None)?;
                         offers.push(StreamOffer {
@@ -238,7 +220,7 @@ impl Endpoint for BatchPullServer {
                             // cancelled.
                             continue;
                         }
-                        return Err(BatchPullClient::unknown_stream(stream));
+                        return Err(unknown_stream(stream));
                     };
                     server.on_receive(SessionMsg::Done)?;
                     self.ready.push_back(stream);
@@ -249,7 +231,7 @@ impl Endpoint for BatchPullServer {
             MuxMsg::Ctrl(CtrlMsg::Cancel { streams }) => {
                 for stream in streams {
                     if !self.streams.contains_key(&stream) && !self.cancelled.contains(&stream) {
-                        return Err(BatchPullClient::unknown_stream(stream));
+                        return Err(unknown_stream(stream));
                     }
                     self.drop_stream(stream);
                 }
@@ -261,7 +243,7 @@ impl Endpoint for BatchPullServer {
                         // Late frame for a cancelled stream; drop it.
                         return Ok(());
                     }
-                    return Err(BatchPullClient::unknown_stream(framed.stream));
+                    return Err(unknown_stream(framed.stream));
                 };
                 match server.on_receive(msg) {
                     Ok(()) => {
@@ -284,10 +266,7 @@ impl Endpoint for BatchPullServer {
                     }
                 }
             }
-            MuxMsg::Ctrl(other) => Err(Error::UnexpectedMessage {
-                protocol: "mux",
-                message: format!("{other:?} at server"),
-            }),
+            MuxMsg::Ctrl(other) => Err(violation(format!("{other:?} at server"))),
         }
     }
 
@@ -312,17 +291,18 @@ pub enum ServeStep {
 /// appending any response bytes to `out`.
 ///
 /// This is the server's turn discipline as a push-style step, so the
-/// blocking pump ([`serve_contact`]), the in-process link and the
-/// daemon's readiness-driven event loop share one state machine: absorb
+/// blocking pump ([`serve_contact`](super::serve_contact)), the in-process
+/// link and the daemon's readiness-driven event loop share one state
+/// machine: absorb
 /// burst frames silently; on a turn marker answer exactly *one* frame
 /// plus a turn marker; on the client's FIN marker drain the whole
 /// outbox, confirm completion, and append the server's FIN marker.
 ///
 /// # Errors
 ///
-/// Decode errors and protocol violations; [`Error::Incomplete`] if the
-/// client passes the turn before opening, or FINs while streams are
-/// still open; a protocol error for any frame after the contact ended.
+/// Decode errors and protocol violations;
+/// [`Error::Incomplete`](optrep_core::Error::Incomplete) if the client
+/// passes the turn before opening, or FINs while streams are still open; a protocol error for any frame after the contact ended.
 /// The caller must treat any error as poisoning the connection.
 pub fn serve_frame(
     server: &mut BatchPullServer,
@@ -330,10 +310,7 @@ pub fn serve_frame(
     out: &mut BytesMut,
 ) -> Result<ServeStep> {
     if server.closed {
-        return Err(Error::UnexpectedMessage {
-            protocol: "mux",
-            message: "frame after the contact ended".into(),
-        });
+        return Err(violation("frame after the contact ended"));
     }
     if frame.stream != TURN_STREAM {
         server.on_receive(decode_frame_msg(frame)?)?;
@@ -370,18 +347,36 @@ pub fn serve_frame(
 mod tests {
     use super::*;
     use crate::mux::fixtures::{dirty_pair, name, vec_with};
-    use crate::mux::{run_contact, StreamOpen};
+    use crate::mux::StreamOpen;
 
     #[test]
     fn no_discovery_leaves_server_objects_alone() {
-        let mut client =
-            BatchPullClient::without_discovery(vec![(Bytes::from_static(b"a"), vec_with(&[1]))]);
         let mut server = BatchPullServer::new(vec![
             (Bytes::from_static(b"a"), vec_with(&[1]), Bytes::new()),
             (Bytes::from_static(b"b"), vec_with(&[2]), Bytes::new()),
         ]);
-        run_contact(&mut client, &mut server).unwrap();
-        assert_eq!(client.finish().len(), 1);
+        let hello = CtrlMsg::BatchHello {
+            discover: false,
+            opens: vec![StreamOpen {
+                stream: 1,
+                name: Bytes::from_static(b"a"),
+                first: None,
+            }],
+        };
+        server
+            .on_receive(Framed::new(CONTROL_STREAM, MuxMsg::Ctrl(hello)))
+            .unwrap();
+        let Some(MuxMsg::Ctrl(CtrlMsg::BatchServerFirst { answers, offers })) =
+            server.poll_send().map(|framed| framed.msg)
+        else {
+            panic!("the hello is answered first");
+        };
+        assert_eq!((answers.len(), offers.len()), (1, 0));
+        assert_eq!(
+            server.object_count(),
+            1,
+            "`b` was neither named nor offered"
+        );
     }
 
     #[test]

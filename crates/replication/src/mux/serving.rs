@@ -36,9 +36,9 @@ fn serve_steps<L: FrameLink>(
     serve().inspect_err(|_| link.fin())
 }
 
-/// Serves the far half of one [`pull_contact`] from a fixed endpoint:
-/// a thin blocking pump around [`serve_frame`], which holds the actual
-/// turn discipline. The link stays open on success, so a persistent
+/// Serves the far half of one [`pull_contact`](super::pull_contact)
+/// from a fixed endpoint: a thin blocking pump around [`serve_frame`],
+/// which holds the actual turn discipline. The link stays open on success, so a persistent
 /// connection serves the next contact with a fresh [`BatchPullServer`].
 ///
 /// The serving side opens **no** obs contact scope and emits no frame
@@ -48,19 +48,21 @@ fn serve_steps<L: FrameLink>(
 ///
 /// # Errors
 ///
-/// Transport and decode errors as [`pull_contact`];
-/// [`Error::Incomplete`] if the client FINs while streams are still
-/// open. On any error the link is FIN'd so the peer unblocks.
+/// Transport and decode errors as [`pull_contact`](super::pull_contact);
+/// [`Error::Incomplete`](optrep_core::Error::Incomplete) if the client
+/// FINs while streams are still open. On any error the link is FIN'd so
+/// the peer unblocks.
 pub fn serve_contact<L: FrameLink>(server: &mut BatchPullServer, link: &mut L) -> Result<()> {
     serve_steps(link, |frame, out| serve_frame(server, frame, out))
 }
 
-/// Serves the far half of one contact — planned ([`pull_planned`]) or
-/// not ([`pull_contact`]), the puller's first frame decides — with the
-/// plan and the endpoint taken from `source` as [`Serving`] comes to
-/// need them: the same pump as [`serve_contact`] around `serving`, the
-/// connection's [`Serving`].
-/// Pass the same one for every contact of a link (it remembers the
+/// Serves the far half of one contact — planned
+/// ([`pull_planned`](super::pull_planned)) or not
+/// ([`pull_contact`](super::pull_contact)), the puller's first frame
+/// decides — with the plan and the endpoint taken from `source` as
+/// [`Serving`] comes to need them: the same pump as [`serve_contact`]
+/// around `serving`, the connection's [`Serving`]. Pass the same one for
+/// every contact of a link (it remembers the
 /// puller's last digest vector for the next), a fresh one for a
 /// one-shot link.
 ///
@@ -115,14 +117,11 @@ pub enum ContactAnswer {
 /// (`KvStore::open_contact` is a store's answer; a daemon takes its
 /// store lock once per ask, inside the closure).
 ///
-/// The two asks of a planned contact see two views of the store, and
-/// that is sound. A key written in between is either in the [`Cut`] — a
-/// candidate, a key of a listed child, of a refused or of an un-offered
-/// shard — and served as it stands at the second ask, vector and value
-/// together; or it is not, and the next contact finds it: the
-/// connection's `since` is the *plan's* generation, which the write
-/// came after. What the plan proved (equal residuals, equal children)
-/// it proved of entries the contact does not transfer.
+/// The two asks of a planned contact may see two views of the store.
+/// What a source owes for that to be sound is in [`ContactAsk`]: plan
+/// and generation from one view, every served vector read with its
+/// value. Why it then is sound is argued once, at
+/// `KvStore::open_contact`.
 pub type ContactSource<'a> = dyn FnMut(ContactAsk<'_>) -> ContactAnswer + 'a;
 
 /// What [`Serving`] keeps of a plan between handing it out and cutting
@@ -142,7 +141,7 @@ struct Planned {
 /// The serving half of a connection, one frame at a time: the state in
 /// front of [`serve_frame`] that decides, at the *first frames of each
 /// contact*, which endpoint the contact runs against — the mirror of
-/// [`Puller`]'s planning state.
+/// [`Puller`](super::Puller)'s planning state.
 ///
 /// A [`DigestVector`] opens a planned contact: the source is asked for
 /// the plan, the encoded plan is parked until the puller's turn marker

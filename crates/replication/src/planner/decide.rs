@@ -16,26 +16,14 @@ pub enum ShardAction {
     Snapshot,
 }
 
-/// Planner policy knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PlanConfig {
-    /// Estimated-divergence threshold at or above which a shard is
-    /// transferred as a whole snapshot instead of incrementally. The
-    /// divergence estimate saturates at `1.0` exactly when the puller's
-    /// shard is empty — the only case a snapshot is sound (see the
-    /// module docs) — so any threshold `<= 1.0` enables snapshot
-    /// transfer for never-populated shards and a threshold `> 1.0`
-    /// disables it entirely.
-    pub snapshot_threshold: f64,
-}
-
-impl Default for PlanConfig {
-    fn default() -> Self {
-        PlanConfig {
-            snapshot_threshold: 1.0,
-        }
-    }
-}
+/// Configures nothing: the planner has no knob. The type is what
+/// `KvStore::plan_contact(&digests, &PlanConfig::default())` takes, and
+/// that signature stays only because `crates/perf`'s mirror calls it and
+/// is the benchmark's to change; ROADMAP item 3 deletes both with the
+/// mirror. Nothing else takes one. (Braces, because clippy refuses the
+/// mirror's `::default()` on a unit struct.)
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PlanConfig {}
 
 /// What [`decide`] concluded about a digest exchange.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,9 +56,9 @@ const INDEX_BYTES: f64 = 3.0;
 /// are the two sides' digests at the same shard count (the client's);
 /// the slices must be equal length. `hints` is what the server's change
 /// journal says it changed since this connection's last contact — per
-/// shard, increasing, the candidates a [`Proposal`] would list — and
-/// empty where there was no such contact or the journal no longer
-/// reaches it.
+/// shard, increasing, the candidates a [`Proposal`](super::Proposal)
+/// would list — and empty where there was no such contact or the journal
+/// no longer reaches it.
 ///
 /// **The pricing.** Offering a shard's `F` children costs their bytes
 /// in the plan frame; it saves the COMPARE bytes of every key in a
@@ -103,19 +91,13 @@ const INDEX_BYTES: f64 = 3.0;
 /// never proposed: where the puller holds *more* entries than the
 /// server, it holds keys the server has never seen, no candidate covers
 /// them, and the residual could not match. A proposed shard is not
-/// refined. With no hints the decision is the one described above,
-/// unchanged.
+/// refined.
 ///
 /// # Panics
 ///
 /// Panics if the slices differ in length (a caller bug — the server
 /// folds to the client's count before deciding).
-pub fn decide(
-    client: &[ShardDigest],
-    server: &[ShardDigest],
-    hints: &[Candidates],
-    config: &PlanConfig,
-) -> Decision {
+pub fn decide(client: &[ShardDigest], server: &[ShardDigest], hints: &[Candidates]) -> Decision {
     assert_eq!(client.len(), server.len(), "digest vectors must align");
     let actions: Vec<ShardAction> = client
         .iter()
@@ -125,9 +107,9 @@ pub fn decide(
                 return ShardAction::Skip;
             }
             // The only sound bulk transfer is into a never-populated
-            // shard (divergence estimate 1.0); everything else must
-            // run the per-object rotating-vector exchange.
-            if ours.entries == 0 && config.snapshot_threshold <= 1.0 {
+            // shard; everything else must run the per-object
+            // rotating-vector exchange.
+            if ours.entries == 0 {
                 return ShardAction::Snapshot;
             }
             ShardAction::Incremental
@@ -309,10 +291,9 @@ mod tests {
 
     #[test]
     fn decide_offers_children_only_where_they_pay() {
-        let config = PlanConfig::default();
         let refined = |count, entries, dirty| {
             let (ours, theirs) = map_with(count, entries, dirty);
-            let decision = decide(&ours, &theirs, &[], &config);
+            let decision = decide(&ours, &theirs, &[]);
             (decision.refined.len(), decision.fanout)
         };
         // 16 dirty shards of 512 at 195 keys: every one, at F = 16.
@@ -335,19 +316,18 @@ mod tests {
         let (mut ours, mut theirs) = map_with(64, 4, 4);
         ours[2].entries = 4000;
         theirs[2].entries = 4000;
-        let decision = decide(&ours, &theirs, &[], &config);
+        let decision = decide(&ours, &theirs, &[]);
         assert_eq!(decision.refined, vec![2]);
         // Snapshot shards are never refined, but count as dirty.
         let (mut ours, theirs) = map_with(64, 200, 8);
         ours[0] = ShardDigest::default();
-        let decision = decide(&ours, &theirs, &[], &config);
+        let decision = decide(&ours, &theirs, &[]);
         assert_eq!(decision.actions[0], ShardAction::Snapshot);
         assert_eq!(decision.refined, (1..8).collect::<Vec<u64>>());
     }
 
     #[test]
     fn decide_proposes_where_the_hint_is_cheaper_than_what_it_replaces() {
-        let config = PlanConfig::default();
         // 16 dirty shards of 512 at 195 keys, one changed key in each
         // of the first twelve: those are proposed, the other four keep
         // their children, and without hints nothing moved.
@@ -356,8 +336,8 @@ mod tests {
             (shard, (0..keys).map(|j| shard + j * 7 * 512).collect())
         };
         let hints: Vec<Candidates> = (0..12).map(|shard| hint(shard, 1)).collect();
-        let blind = decide(&ours, &theirs, &[], &config);
-        let hinted = decide(&ours, &theirs, &hints, &config);
+        let blind = decide(&ours, &theirs, &[]);
+        let hinted = decide(&ours, &theirs, &hints);
         assert_eq!(blind.refined, (0..16).collect::<Vec<u64>>());
         assert!(blind.proposed.is_empty());
         assert_eq!(hinted.proposed, (0..12).collect::<Vec<u64>>());
@@ -369,12 +349,12 @@ mod tests {
         // A hint for a shard whose digests match, and one for a shard
         // past the map, are not this contact's business.
         let stray = [hint(100, 1), hint(9_999, 1)];
-        assert!(decide(&ours, &theirs, &stray, &config).proposed.is_empty());
+        assert!(decide(&ours, &theirs, &stray).proposed.is_empty());
         // A shard where the puller holds a key of its own is dirty
         // whatever the server did, and would refuse any candidates.
         let (mut ours, theirs) = map_with(512, 195, 16);
         ours[3].entries += 1;
-        let hinted = decide(&ours, &theirs, &hints, &config);
+        let hinted = decide(&ours, &theirs, &hints);
         assert_eq!(hinted.proposed.len(), 11);
         assert!(hinted.refined.contains(&3) && !hinted.proposed.contains(&3));
         // Every shard dirty at 39 keys — no children to fall back on:
@@ -382,17 +362,16 @@ mod tests {
         let (ours, theirs) = map_with(512, 39, 512);
         let few: Vec<Candidates> = (0..512).map(|shard| hint(shard, 6)).collect();
         let most: Vec<Candidates> = (0..512).map(|shard| hint(shard, 36)).collect();
-        assert_eq!(decide(&ours, &theirs, &few, &config).proposed.len(), 512);
-        assert!(decide(&ours, &theirs, &most, &config).proposed.is_empty());
+        assert_eq!(decide(&ours, &theirs, &few).proposed.len(), 512);
+        assert!(decide(&ours, &theirs, &most).proposed.is_empty());
         // At the finest map a candidate is a whole shard.
         let (ours, theirs) = map_with(MAX_PLAN_SHARDS as usize, 195, 4);
         let hints: Vec<Candidates> = (0..4).map(|shard| (shard, vec![shard])).collect();
-        assert!(decide(&ours, &theirs, &hints, &config).proposed.is_empty());
+        assert!(decide(&ours, &theirs, &hints).proposed.is_empty());
     }
 
     #[test]
     fn decide_skips_equal_and_empty_server_shards() {
-        let config = PlanConfig::default();
         let ours = [
             ShardDigest {
                 digest: 7,
@@ -429,7 +408,7 @@ mod tests {
                 entries: 0,
             }, // server empty -> skip
         ];
-        let decision = decide(&ours, &theirs, &[], &config);
+        let decision = decide(&ours, &theirs, &[]);
         assert_eq!(
             decision.actions,
             vec![
@@ -440,24 +419,19 @@ mod tests {
             ]
         );
         assert!(decision.refined.is_empty(), "two of four shards differ");
-    }
-
-    #[test]
-    fn threshold_above_one_disables_snapshots() {
-        let config = PlanConfig {
-            snapshot_threshold: 1.5,
-        };
-        let ours = [ShardDigest {
-            digest: 0,
-            entries: 0,
-        }];
-        let theirs = [ShardDigest {
-            digest: 3,
-            entries: 6,
-        }];
-        assert_eq!(
-            decide(&ours, &theirs, &[], &config).actions,
-            vec![ShardAction::Incremental]
-        );
+        // An empty puller shard opposite a non-empty server shard is
+        // always a snapshot; a non-empty one never is, however far behind.
+        for theirs in [1, 6, 40_000] {
+            let server = [ShardDigest {
+                digest: 3,
+                entries: theirs,
+            }];
+            let action = |ours| decide(&[ours], &server, &[]).actions[0];
+            assert_eq!(action(ShardDigest::default()), ShardAction::Snapshot);
+            for entries in [1, theirs, theirs + 1] {
+                let ours = ShardDigest { digest: 4, entries };
+                assert_eq!(action(ours), ShardAction::Incremental);
+            }
+        }
     }
 }

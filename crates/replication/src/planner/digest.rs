@@ -412,7 +412,7 @@ mod tests {
                 let (frame, sent) = puller.opening_frame(vector);
                 assert!(frame.len() <= full.len(), "seed {seed}");
                 if round == 0 {
-                    assert_eq!(frame, full, "nothing remembered: today's bytes");
+                    assert_eq!(frame, full, "nothing remembered: the full vector");
                     assert_eq!(sent, vector.shards.len() as u64);
                 }
                 let mut wire = frame.freeze();

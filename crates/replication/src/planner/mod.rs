@@ -9,7 +9,7 @@
 //!    pair per shard of its store, at its own shard count — followed by
 //!    a turn marker.
 //! 2. The server folds its own per-shard digests to the puller's shard
-//!    count, [`decide`]s per shard, and answers a single [`ShardPlan`]:
+//!    count, [`decide()`]s per shard, and answers a single [`ShardPlan`]:
 //!    which shards to sync incrementally, which to transfer as whole
 //!    snapshots (blobs inline in the plan frame), and — implicitly —
 //!    which to skip because the digests already matched.
@@ -23,7 +23,7 @@
 //!
 //! **One more level.** A dirty shard with a few hundred entries still
 //! pays the O(1) COMPARE for every clean neighbour of its one dirty
-//! key. Where [`decide`] prices it as worth the bytes, the plan frame
+//! key. Where [`decide()`] prices it as worth the bytes, the plan frame
 //! carries each such shard's **children** — the same `(digest,
 //! entries)` pairs at `count · F` ([`ChildDigests`]) — and the puller,
 //! having compared them with its own, puts one [`ShardScope`] frame
@@ -39,12 +39,12 @@
 //! puller opens every later contact with whichever of two frames is
 //! shorter: the full [`DigestVector`], or a [`DigestDelta`] — the shards
 //! that changed since, and a check over the vector they patch to. The
-//! server reconstructs the full vector and plans from it as before; a
-//! delta it cannot apply (nothing remembered, another shard count, a
-//! check mismatch) is a decode error like any other, the connection
-//! dies, and the redial opens with a full vector. The first contact on
-//! a connection, and any contact whose vector changed everywhere, is
-//! byte for byte what it always was.
+//! server reconstructs the full vector and plans from that; a delta it
+//! cannot apply (nothing remembered, another shard count, a check
+//! mismatch) is a decode error like any other, the connection dies, and
+//! the redial opens with a full vector. The first contact on a
+//! connection, and any contact whose vector changed everywhere, opens
+//! with the full vector's frame.
 //!
 //! **The server proposes the scope.** The serving store keeps a bounded
 //! journal of the keys it changed ([`JOURNAL_CAP`]), and the serving end
@@ -71,8 +71,13 @@
 //! with `BatchHello`) serves the classic unplanned full contact, so the
 //! phase is strictly opt-in per contact.
 //!
-//! This module holds the frames and the policy ([`decide`]). *How
-//! the turn runs* is the first state of the two contact machines:
+//! This module holds the frames and the policy: the tags, the
+//! placement hash and the frame helpers here; `digest` the shard
+//! summaries, their vector, its delta and each end's memory of it;
+//! `plan` the server's answer and its codec; `scope` what a plan
+//! offered, the puller's answer and the [`Cut`] both ends build from;
+//! `decide` the per-shard policy and its pricing. *How the turn runs* is
+//! the first state of the two contact machines:
 //! [`Puller`](crate::mux::Puller)'s planning state and
 //! [`Serving`](crate::mux::Serving), pumped by
 //! [`pull_planned`](crate::mux::pull_planned).
@@ -85,7 +90,7 @@
 //! **Snapshot soundness.** A skip rotating vector has no merge: two
 //! independently-updated `Srv`s for the same key cannot be joined
 //! outside a contact outcome. A whole-shard snapshot therefore only
-//! applies entries for keys the puller does **not** track; [`decide`]
+//! applies entries for keys the puller does **not** track; [`decide()`]
 //! only picks [`ShardAction::Snapshot`] when the puller's shard is
 //! empty (every entry lands as a create), and the staging decoder on
 //! the pulling side skips any key that raced into existence locally —
@@ -107,25 +112,25 @@ use bytes::BytesMut;
 use optrep_core::wire;
 
 /// Wire tag of a [`DigestVector`] (puller → server).
-pub const TAG_SHARD_DIGESTS: u8 = 0x35;
+pub(crate) const TAG_SHARD_DIGESTS: u8 = 0x35;
 /// Wire tag of a [`ShardPlan`] that refines nothing (server → puller).
-pub const TAG_SHARD_PLAN: u8 = 0x36;
+const TAG_SHARD_PLAN: u8 = 0x36;
 /// Wire tag of a [`ShardScope`] (puller → server).
-pub const TAG_SHARD_SCOPE: u8 = 0x37;
+pub(crate) const TAG_SHARD_SCOPE: u8 = 0x37;
 /// Wire tag of a [`ShardPlan`] whose frame ends in a [`ChildDigests`]
 /// tail. A tag of its own keeps the codec strict — the tail is
 /// mandatory under it, so no prefix of a refined plan is a valid plan —
-/// while an unrefined plan stays byte-identical to what it always was.
-pub const TAG_SHARD_PLAN_REFINED: u8 = 0x38;
+/// and a plan that refines nothing carries no byte saying so.
+const TAG_SHARD_PLAN_REFINED: u8 = 0x38;
 /// Wire tag of a [`DigestDelta`] (puller → server): a digest vector
 /// expressed against the last one the connection carried.
-pub const TAG_SHARD_DIGESTS_DELTA: u8 = 0x39;
+pub(crate) const TAG_SHARD_DIGESTS_DELTA: u8 = 0x39;
 
 /// Wire tag of a [`ShardPlan`] whose frame ends in a [`Proposal`] tail
 /// (behind a children tail, or the byte that says there is none). As
 /// with [`TAG_SHARD_PLAN_REFINED`], the tail is mandatory under the tag,
-/// and every plan that proposes nothing encodes as it always did.
-pub const TAG_SHARD_PLAN_PROPOSED: u8 = 0x3a;
+/// and a plan that proposes nothing carries no byte saying so.
+const TAG_SHARD_PLAN_PROPOSED: u8 = 0x3a;
 
 /// Hard cap on the shard count any peer may claim: bounds the
 /// allocation a hostile digest vector or plan can force. Also the shard

@@ -78,10 +78,11 @@ pub struct ShardPlan {
     /// the blob is the server's shard image
     /// (`KvStore::encode_shard_snapshot` format).
     pub snapshots: Vec<(u64, Bytes)>,
-    /// The children of the incremental shards [`decide`] priced as
-    /// worth narrowing; `None` when nothing is refined. A puller may
-    /// ignore them: without a [`ShardScope`] the contact runs over the
-    /// whole incremental shards.
+    /// The children of the incremental shards
+    /// [`decide`](super::decide()) priced as worth narrowing; `None` when
+    /// nothing is refined. A puller may ignore them: without a
+    /// [`ShardScope`](super::ShardScope) the contact runs over the whole
+    /// incremental shards.
     pub children: Option<ChildDigests>,
     /// The incremental shards whose scope the server proposes from its
     /// change journal, shards strictly increasing and none of them among
@@ -168,11 +169,11 @@ impl ShardPlan {
     /// Decodes a [`ShardPlan`], rejecting truncation, trailing bytes,
     /// out-of-range or unsorted-duplicate shard indices, and shard
     /// counts that are zero, non-power-of-two, or past
-    /// [`MAX_PLAN_SHARDS`]; under [`TAG_SHARD_PLAN_REFINED`] also a
+    /// [`MAX_PLAN_SHARDS`]; under the refined tag (`0x38`) also a
     /// missing children tail, a fan-out below 2 or with `count · F`
     /// past [`MAX_PLAN_SHARDS`], and refined shards that are not a
     /// strictly increasing selection of the incremental ones; under
-    /// [`TAG_SHARD_PLAN_PROPOSED`] a missing proposals tail, proposed
+    /// the proposing tag (`0x3a`) a missing proposals tail, proposed
     /// shards that are not such a selection or that are also refined,
     /// and candidates that are none, out of order or past the shard's
     /// `MAX_PLAN_SHARDS ∕ count`. Every length is checked against what
@@ -648,7 +649,7 @@ pub(super) mod tests {
     }
 
     #[test]
-    fn an_unrefined_plan_encodes_as_it_always_did() {
+    fn an_unrefined_plan_carries_no_byte_for_what_it_lacks() {
         assert_eq!(
             &sample_plan().encode()[..],
             b"\x36\x04\x02\x00\x03\x01\x02\x05\x00blob"

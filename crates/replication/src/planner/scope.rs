@@ -6,14 +6,15 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use optrep_core::error::WireError;
 use optrep_core::wire;
 
-/// A shard and its candidates, as a [`Proposal`] lists them: what a
-/// journal hints at before [`decide`] priced it, and what an [`Offer`]
-/// keeps of a proposal.
+/// A shard and its candidates, as a [`Proposal`](super::Proposal) lists
+/// them: what a journal hints at before [`decide`](super::decide()) priced
+/// it, and what an [`Offer`] keeps of a proposal.
 pub type Candidates = (u64, Vec<u64>);
 
 /// What a plan offered to narrow, without the digests: the part of a
-/// [`ShardPlan`] a [`ShardScope`] is checked against and, with the
-/// scope, what decides whether a key is still in the contact.
+/// [`ShardPlan`](super::ShardPlan) a [`ShardScope`] is checked against
+/// and, with the scope, what decides whether a key is still in the
+/// contact.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Offer {
     /// The plan's shard count.
@@ -97,8 +98,7 @@ pub struct ShardScope {
     /// The proposed shards whose residual the puller could not match
     /// and walks whole, strictly increasing. `Some` exactly when the
     /// plan proposed anything: the list is a mandatory tail of the frame
-    /// then, and absent from it otherwise — so the scope answering a
-    /// plan without proposals is the frame it always was.
+    /// then, and absent from it otherwise.
     pub refused: Option<Vec<u64>>,
 }
 

@@ -330,7 +330,7 @@ fn flat_pull<L: FrameLink>(
 
 /// `src` as a serving step's source, planning at the default policy.
 fn source_of(src: &KvStore) -> impl FnMut(ContactAsk<'_>) -> ContactAnswer + '_ {
-    |ask| src.open_contact(ask, &PlanConfig::default())
+    |ask| src.open_contact(ask)
 }
 
 /// Serves one contact, planned or not, out of `src` on its own thread.
@@ -511,13 +511,12 @@ fn planned_pull_is_the_same_over_every_link(
     verdicts: (u64, u64, u64, u64, u64),
     planner_frames: u64,
 ) {
-    let config = PlanConfig::default();
     let mut unplanned = dst.clone();
     unplanned.sync(&src).run().expect("unplanned pull");
 
     let mut reference = dst.clone();
     let (synced, contact) = reference
-        .sync_planned(&src, &JoinResolver, &config)
+        .sync_planned(&src, &JoinResolver)
         .expect("reference");
     assert_eq!(reference.replica_digest(), unplanned.replica_digest());
     assert!(reference.consistent_with(&unplanned));
@@ -607,8 +606,7 @@ fn raced_pull(
     races: &[(bool, String, String)],
     refined: bool,
 ) -> (Vec<String>, KvSyncReport) {
-    let config = PlanConfig::default();
-    let mut source = |ask: ContactAsk<'_>| src.borrow().open_contact(ask, &config);
+    let mut source = |ask: ContactAsk<'_>| src.borrow().open_contact(ask);
     let mut link = InProcessLink::serving(&mut source);
     let digests = dst.shard_digest_vector();
     let mut fresh = VectorMemory::default();
@@ -1067,9 +1065,8 @@ fn second_pull_over_a_link_is_proposed_what_the_source_changed() {
     let saved = (digest_vector_frame(&next).len() - delta_frame.len()) as u64;
     assert_eq!((delta_frame.len(), saved), (57, 108));
 
-    let config = PlanConfig::default();
-    let (blind, _) = src.plan_contact(&next, &config);
-    let plan = src.plan_contact_since(&next, Some(since), &config);
+    let (blind, _) = src.plan_contact(&next, &PlanConfig::default());
+    let plan = src.plan_contact_since(&next, Some(since));
     let refined = |plan: &ShardPlan| -> Vec<u64> {
         let children = plan.children.as_ref().expect("children");
         children.parents.iter().map(|p| p.0).collect()
@@ -1157,8 +1154,7 @@ fn every_transport_runs_the_second_pull_identically() {
 
     let (mut dst, src) = refined_stores();
     let src = RefCell::new(src);
-    let config = PlanConfig::default();
-    let mut source = |ask: ContactAsk<'_>| src.borrow().open_contact(ask, &config);
+    let mut source = |ask: ContactAsk<'_>| src.borrow().open_contact(ask);
     let mut link = InProcessLink::serving(&mut source);
     let in_process = pull_twice(&mut dst, &mut link, true, |_| {
         source_moves_on(&mut src.borrow_mut());
@@ -1237,8 +1233,7 @@ fn a_pull_abandoned_after_the_wire_leaves_the_memories_in_step() {
 fn a_rerun_after_an_abandoned_pull_refuses_its_stale_proposals() {
     let (mut dst, src) = refined_stores();
     let src = RefCell::new(src);
-    let config = PlanConfig::default();
-    let mut source = |ask: ContactAsk<'_>| src.borrow().open_contact(ask, &config);
+    let mut source = |ask: ContactAsk<'_>| src.borrow().open_contact(ask);
     let mut link = InProcessLink::serving(&mut source);
     let mut remembered = VectorMemory::default();
     planned_pull_on(&mut dst, &mut link, &mut remembered).expect("first pull");
@@ -1381,7 +1376,6 @@ fn a_write_between_plan_and_endpoint(form: Form, race: Race) {
     };
     let src = RefCell::new(src);
     let armed = std::cell::Cell::new(false);
-    let config = PlanConfig::default();
     let mut source = |ask: ContactAsk<'_>| {
         if matches!(ask, ContactAsk::Endpoint(_)) && armed.replace(false) {
             match race {
@@ -1389,7 +1383,7 @@ fn a_write_between_plan_and_endpoint(form: Form, race: Race) {
                 _ => src.borrow_mut().put(raced.clone(), "raced"),
             }
         }
-        src.borrow().open_contact(ask, &config)
+        src.borrow().open_contact(ask)
     };
     let mut link = InProcessLink::serving(&mut source);
     let mut remembered = VectorMemory::default();
@@ -1711,9 +1705,8 @@ fn a_cut_at_every_byte_of_a_second_pull_leaves_the_store_and_no_memory() {
     // Pull, both sides move on, pull again — over one in-process link
     // under `weather`.
     let two_pulls = |dst: &mut KvStore, mut weather: FaultyLink| {
-        let config = PlanConfig::default();
         let src = RefCell::new(src.clone());
-        let mut source = |ask: ContactAsk<'_>| src.borrow().open_contact(ask, &config);
+        let mut source = |ask: ContactAsk<'_>| src.borrow().open_contact(ask);
         let mut remembered = VectorMemory::default();
         let mut link = Faulted::new(InProcessLink::serving(&mut source), &mut weather);
         let first = planned_pull_on(dst, &mut link, &mut remembered);

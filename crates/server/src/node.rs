@@ -12,13 +12,12 @@
 //! * **Pull** — the connector drives one batched anti-entropy contact
 //!   as the pulling side and the connection ends with it.
 //! * **Peer** — a persistent pulling connection: successive contacts
-//!   pipeline over the same socket, each served from a fresh endpoint:
-//!   the full [`server_endpoint`](KvStore::server_endpoint) taken at an
-//!   unplanned contact's first frame, or — for a puller that opened
-//!   with its shard digests — the plan taken at that frame and the
-//!   [`server_endpoint_cut`](KvStore::server_endpoint_cut) over the
-//!   keys the contact will open, taken at the first frame of the
-//!   puller's answer. One store lock per take.
+//!   pipeline over the same socket, each served from a fresh endpoint
+//!   that [`KvStore::open_contact`] builds: over every key, asked for
+//!   at an unplanned contact's first frame, or — for a puller that
+//!   opened with its shard digests — the plan asked for at that frame
+//!   and the endpoint over the keys the contact will open, asked for at
+//!   the first frame of the puller's answer. One store lock per ask.
 //!
 //! All connections are multiplexed onto **one event thread**:
 //! a `poll(2)` loop (see `optrep_net::reactor`) drives per-connection
@@ -47,7 +46,8 @@
 //! a later pull is told which keys moved instead of being offered
 //! child digests ("The server proposes the scope"). Each
 //! pull runs the generation-checked discipline `KvStore::generation`
-//! was built for: snapshot the client endpoint under the lock, release
+//! was built for: snapshot the client endpoint
+//! (`client_endpoint_refined`) under the lock, release
 //! it for the whole network exchange, re-lock and commit only if no
 //! local write raced the pull — otherwise retry against fresh metadata.
 //! A connection that dies mid-contact therefore aborts before anything
@@ -67,8 +67,7 @@ use optrep_core::{Error, Result, SiteId};
 use optrep_kv::{JoinResolver, KvStore, KvSyncReport};
 use optrep_net::{ConnPool, ConnectOptions, PoolMetrics};
 use optrep_replication::{
-    pull_planned, ContactAnswer, PlanConfig, RetryPolicy, ServeStep, Serving, VectorMemory,
-    CONTROL_STREAM,
+    pull_planned, ContactAnswer, RetryPolicy, ServeStep, Serving, VectorMemory, CONTROL_STREAM,
 };
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -370,7 +369,8 @@ impl Shared {
 
     /// Logs the post-states of `keys` as **one** WAL record — a whole
     /// committed mutation, whether a single `put` or everything an
-    /// `apply_contact` changed — before that mutation is acknowledged.
+    /// `apply_planned_tracked` changed — before that mutation is
+    /// acknowledged.
     /// Call with the store lock held (the `store` argument is the
     /// guard's referent), so record order matches commit order and a
     /// checkpoint holding both locks sees a frozen pair. No-op on a
@@ -1039,7 +1039,7 @@ mod event {
                 let step = serving.on_frame(
                     frame,
                     &mut |ask| {
-                        let answer = shared.store().open_contact(ask, &PlanConfig::default());
+                        let answer = shared.store().open_contact(ask);
                         if let ContactAnswer::Endpoint(endpoint) = &answer {
                             let keys = endpoint.object_count() as u64;
                             shared.metrics.serving_endpoint_keys.record(keys);

@@ -156,11 +156,7 @@ fn tcp_pull_report_matches_in_memory_sync() {
     seed_dst(&mut mem_dst);
     seed_src(&mut mem_src);
     let (reference, _) = mem_dst
-        .sync_planned(
-            &mem_src,
-            &optrep_kv::JoinResolver,
-            &optrep_replication::PlanConfig::default(),
-        )
+        .sync_planned(&mem_src, &optrep_kv::JoinResolver)
         .expect("in-memory planned sync");
 
     let dst = start_node(0);
@@ -194,11 +190,7 @@ fn daemon_pull_is_cut_at_the_children_like_the_in_memory_one() {
     dst.with_store(|s| *s = mem_dst.clone());
     src.with_store(|s| *s = mem_src.clone());
     let (reference, _) = mem_dst
-        .sync_planned(
-            &mem_src,
-            &optrep_kv::JoinResolver,
-            &optrep_replication::PlanConfig::default(),
-        )
+        .sync_planned(&mem_src, &optrep_kv::JoinResolver)
         .expect("in-memory planned sync");
     assert_eq!(reference.shards_refined, 2);
     assert!(reference.keys_examined < 40, "{reference:?}");
@@ -332,11 +324,7 @@ fn a_connection_remembers_the_vector_and_the_source_proposes_until_a_redial() {
         }
         let report = dst.sync_with(src.addr()).expect("tcp pull");
         let (mirror, _) = mem_dst
-            .sync_planned(
-                &mem_src,
-                &optrep_kv::JoinResolver,
-                &optrep_replication::PlanConfig::default(),
-            )
+            .sync_planned(&mem_src, &optrep_kv::JoinResolver)
             .expect("in-memory planned sync");
         assert_eq!(dst.digest(), mem_dst.replica_digest(), "{key}");
         assert_eq!(mirror.digests_sent, 16, "the mirror never remembers");
@@ -694,7 +682,7 @@ fn durable_node_recovers_identical_store_after_restart() {
 }
 
 /// Regression for the pull-commit TOCTOU window: the generation
-/// re-check and the `apply_contact` commit must happen under ONE store
+/// re-check and the `apply_planned_tracked` commit must happen under ONE store
 /// guard. Hammer local writes into a node while it pulls repeatedly;
 /// if check and commit ever take the lock separately, a write landing
 /// between them is clobbered by a commit that passed a stale check.
