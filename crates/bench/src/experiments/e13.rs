@@ -1,13 +1,15 @@
 //! E13 — that daemon-native metrics count right.
 //!
-//! PR 7's acceptance experiment. The same loopback hypercube cluster as
-//! E12 runs with a plain [`CounterSink`] installed on the pulling thread
-//! as an independent witness beside each daemon's own `MetricsSink`.
-//! Asserted, not reported: summed over all daemons, the
-//! `optrep_contact_micros` histogram holds exactly one sample per
-//! contact the witness counted and the pools made, and the four
-//! per-plane byte counters equal the witness's byte totals to the byte.
-//! Histograms approximate *values* (log2 buckets), never *counts*.
+//! The same loopback hypercube cluster as E12 runs with a plain
+//! [`CounterSink`] installed on the pulling thread as a witness. A
+//! daemon counts from the reports its pulls return and installs no sink,
+//! so the witness, which folds the contact events, is independent of
+//! the registry: the check is events against reports. Asserted, not
+//! reported: summed over all daemons, the `optrep_contact_micros`
+//! histogram holds exactly one sample per contact the witness counted
+//! and the pools made, and the four per-plane byte counters equal the
+//! witness's byte totals to the byte. Histograms approximate *values*
+//! (log2 buckets), never *counts*.
 //!
 //! Release runs drive 64 daemons; debug/test runs scale down to 16
 //! (CI's `tables e13` job) without changing what is asserted.
@@ -115,7 +117,7 @@ fn sum_counter(snapshots: &[MetricsSnapshot], name: &str) -> u64 {
 /// Runs the experiment.
 pub fn run() -> Vec<Table> {
     let mut t = Table::new(
-        "E13: metrics exactness (MetricsSink histograms and counters vs a CounterSink witness)",
+        "E13: metrics exactness (report-fed histograms and counters vs a CounterSink witness of the events)",
         &[
             "daemons",
             "contacts",

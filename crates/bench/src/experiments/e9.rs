@@ -15,11 +15,13 @@
 //! so the table is reproducible bit-for-bit.
 
 use crate::table::{ratio, Table};
+use optrep_core::obs::{self, CounterSink};
 use optrep_core::rng::SplitMix64;
 use optrep_core::SiteId;
 use optrep_kv::KvCluster;
 use optrep_net::{FaultPlan, FaultStats};
 use optrep_replication::RoundReport;
+use std::sync::Arc;
 
 /// Stores in the cluster.
 const SITES: u32 = 16;
@@ -46,8 +48,11 @@ struct ChaosRun {
 }
 
 /// Converges a fresh 16-store cluster under `drop_per_mille` frame loss
-/// and returns the cost accounting.
+/// and returns the cost accounting. The committed bytes are the four
+/// planes of every exchange that completed, as a [`CounterSink`] folds
+/// them from the contacts' events; an aborted contact completes none.
 fn chaos_run(drop_per_mille: u16) -> ChaosRun {
+    let witness = Arc::new(CounterSink::new());
     let mut rng = SplitMix64::new(0xE9);
     let plan = FaultPlan::dropping(0xBAD5_EED0 ^ u64::from(drop_per_mille), drop_per_mille);
     let mut cluster = KvCluster::new(SITES, SHARDS).with_fault(plan);
@@ -71,8 +76,7 @@ fn chaos_run(drop_per_mille: u16) -> ChaosRun {
                 }
             }
         }
-        let report = cluster
-            .round(&mut rng)
+        let report = obs::with(witness.clone(), || cluster.round(&mut rng))
             .expect("staging errors cannot occur on our own wire format");
         reports.push(report);
         if round > 1 && cluster.converged() {
@@ -93,12 +97,9 @@ fn chaos_run(drop_per_mille: u16) -> ChaosRun {
         acc.bytes_delivered += r.fault.bytes_delivered;
         acc
     });
-    let committed_bytes = (cluster.stores().iter())
-        .map(|store| {
-            let stats = store.stats();
-            stats.compare_bytes + stats.meta_bytes + stats.framing_bytes + stats.payload_bytes
-        })
-        .sum();
+    let seen = witness.snapshot();
+    let committed_bytes =
+        seen.compare_bytes + seen.meta_bytes + seen.framing_bytes + seen.payload_bytes;
     ChaosRun {
         rounds,
         reports,

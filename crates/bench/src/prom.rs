@@ -178,16 +178,17 @@ pub fn check(text: &str) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::check;
-    use optrep_core::obs::{MetricsRegistry, MetricsSink, MetricsSnapshot};
+    use optrep_core::obs::{MetricsRegistry, MetricsSnapshot};
 
     #[test]
     fn a_live_registry_rendering_validates() {
-        let registry = std::sync::Arc::new(MetricsRegistry::new());
-        let _sink = MetricsSink::new(&registry);
+        let registry = MetricsRegistry::new();
         registry.histogram("demo_micros").record(1234);
+        registry.histogram("demo_empty_micros");
         registry.counter("demo_total").add(7);
+        registry.gauge("demo_live").set(3);
         let text = registry.snapshot().to_prometheus();
-        assert!(check(&text).expect("valid exposition") > 2);
+        assert_eq!(check(&text), Ok(4), "valid exposition:\n{text}");
     }
 
     #[test]

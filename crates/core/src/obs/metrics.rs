@@ -19,22 +19,13 @@
 //!   [`MetricsSnapshot`] — the value type the daemon's `Metrics` verb
 //!   ships over the wire and [`MetricsSnapshot::to_prometheus`] renders
 //!   in text exposition format.
-//! * [`MetricsSink`] — an event [`Sink`](super::Sink) folding the
-//!   existing [`SyncEvent`](super::SyncEvent) stream into families:
-//!   contact latency / round trips / bytes histograms, Δ/Γ/skip
-//!   counters, conflict and abort and retry counters. Its counters are
-//!   a [`CounterSink`](super::CounterSink) registered under the family
-//!   names, so its totals are *exactly* the counter totals — asserted
-//!   against an independent witness by bench e13.
 //!
-//! The event-fed families fill only where a `MetricsSink` is installed;
-//! the directly updated gauges (store shape, pool, reactor, worker) need
-//! no sink and are served through the `Metrics` verb either way.
+//! Nothing here reads the event stream: whoever holds a count records
+//! it into its family directly — the daemon from the reports its pulls
+//! return, the pool and the reactor as they work.
 
-use super::{CounterSink, Sink, SyncEvent};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// Histogram bucket count: bucket 0 holds the value 0, bucket `i`
 /// (1..=64) holds values of bit width `i`, i.e. `2^(i-1) ..= 2^i - 1`.
@@ -276,7 +267,7 @@ pub enum FamilyValue {
 /// One named family in a [`MetricsSnapshot`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FamilySnapshot {
-    /// Family name (Prometheus conventions: `optrep_contacts_total`).
+    /// Family name (Prometheus conventions: `optrep_pool_contacts_total`).
     pub name: String,
     /// The family's value.
     pub value: FamilyValue,
@@ -390,9 +381,10 @@ impl Metric {
 ///
 /// Registration is idempotent by name: asking for an existing family of
 /// the same kind returns the same handle, so independent subsystems
-/// (a [`MetricsSink`], the pool, the reactor) can register without
-/// coordinating. Snapshots walk the list under a short lock; recording
-/// into the returned handles never touches the registry again.
+/// (the daemon's core and shell, the pool, the reactor) can register
+/// without coordinating. Snapshots walk the list under a short lock;
+/// recording into the returned handles never touches the registry
+/// again.
 #[derive(Default)]
 pub struct MetricsRegistry {
     families: Mutex<Vec<(String, Metric)>>,
@@ -456,24 +448,6 @@ impl MetricsRegistry {
         h
     }
 
-    /// Attaches an existing counter under `name` (for subsystems that
-    /// own their instruments, like the connection pool).
-    pub fn register_counter(&self, name: &str, counter: Arc<Counter>) {
-        self.lock()
-            .push((name.to_string(), Metric::Counter(counter)));
-    }
-
-    /// Attaches an existing gauge under `name`.
-    pub fn register_gauge(&self, name: &str, gauge: Arc<Gauge>) {
-        self.lock().push((name.to_string(), Metric::Gauge(gauge)));
-    }
-
-    /// Attaches an existing histogram under `name`.
-    pub fn register_histogram(&self, name: &str, histogram: Arc<Histogram>) {
-        self.lock()
-            .push((name.to_string(), Metric::Histogram(histogram)));
-    }
-
     /// A point-in-time copy of every family, stamped with the next
     /// sequence number.
     pub fn snapshot(&self) -> MetricsSnapshot {
@@ -487,119 +461,6 @@ impl MetricsRegistry {
             })
             .collect();
         MetricsSnapshot { seq, families }
-    }
-}
-
-/// The event-driven metric families: one [`Sink`] turning the
-/// [`SyncEvent`](super::SyncEvent) stream into named counters and
-/// histograms.
-///
-/// The counters *are* a [`CounterSink`] whose handles are registered
-/// under the `optrep_*_total` names, and every event goes through its
-/// `record` — one fold of the close-time events (`SessionClose`,
-/// `ContactEnd`), so the registry's totals cannot drift from any other
-/// `CounterSink`'s (bench e13 asserts the equality against an
-/// independent witness). This sink adds only what that fold lacks: the
-/// abort and retry counters, five histograms, and contact latency,
-/// measured sink-side — `record` runs at emission time, so the
-/// `ContactBegin`→`ContactEnd` wall-clock interval is the contact's
-/// service time on its driving thread. An installed `MetricsSink` costs
-/// nothing per element.
-pub struct MetricsSink {
-    counters: CounterSink,
-    aborts: Arc<Counter>,
-    retries: Arc<Counter>,
-    contact_micros: Arc<Histogram>,
-    contact_round_trips: Arc<Histogram>,
-    contact_wire_bytes: Arc<Histogram>,
-    session_delta: Arc<Histogram>,
-    session_gamma: Arc<Histogram>,
-    /// `ContactBegin` wall-clock per open contact id.
-    inflight: Mutex<std::collections::HashMap<u64, Instant>>,
-}
-
-impl MetricsSink {
-    /// Registers the sink's families in `registry` and returns the sink.
-    pub fn new(registry: &MetricsRegistry) -> MetricsSink {
-        // Registration order is exposition order; it predates the
-        // shared fold, hence the locals.
-        let contacts = registry.counter("optrep_contacts_total");
-        let sessions = registry.counter("optrep_sessions_total");
-        let aborts = registry.counter("optrep_session_aborts_total");
-        let retries = registry.counter("optrep_retries_total");
-        MetricsSink {
-            counters: CounterSink {
-                contacts,
-                sessions,
-                conflicts: registry.counter("optrep_conflicts_total"),
-                reconciliations: registry.counter("optrep_reconciliations_total"),
-                fast_forwards: registry.counter("optrep_fast_forwards_total"),
-                compare_bytes: registry.counter("optrep_compare_bytes_total"),
-                meta_bytes: registry.counter("optrep_meta_bytes_total"),
-                framing_bytes: registry.counter("optrep_framing_bytes_total"),
-                payload_bytes: registry.counter("optrep_payload_bytes_total"),
-                delta_total: registry.counter("optrep_delta_total"),
-                gamma_total: registry.counter("optrep_gamma_total"),
-                skips_total: registry.counter("optrep_skips_total"),
-                // Counted, but not families of their own: the round-trip
-                // histogram's sum and the Δ + Γ counters carry them.
-                meta_elements: Arc::default(),
-                round_trips: Arc::default(),
-            },
-            aborts,
-            retries,
-            contact_micros: registry.histogram("optrep_contact_micros"),
-            contact_round_trips: registry.histogram("optrep_contact_round_trips"),
-            contact_wire_bytes: registry.histogram("optrep_contact_wire_bytes"),
-            session_delta: registry.histogram("optrep_session_delta"),
-            session_gamma: registry.histogram("optrep_session_gamma"),
-            inflight: Mutex::new(std::collections::HashMap::new()),
-        }
-    }
-
-    fn inflight(&self) -> std::sync::MutexGuard<'_, std::collections::HashMap<u64, Instant>> {
-        self.inflight
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}
-
-impl Sink for MetricsSink {
-    fn record(&self, event: &SyncEvent) {
-        self.counters.record(event);
-        match event {
-            SyncEvent::ContactBegin { contact, .. } => {
-                self.inflight().insert(*contact, Instant::now());
-            }
-            SyncEvent::ContactEnd {
-                contact,
-                round_trips,
-                totals,
-            } => {
-                self.contact_round_trips.record(*round_trips);
-                self.contact_wire_bytes.record(totals.wire_bytes());
-                if let Some(started) = self.inflight().remove(contact) {
-                    self.contact_micros
-                        .record(started.elapsed().as_micros() as u64);
-                }
-            }
-            SyncEvent::SessionClose { totals, .. } => {
-                self.session_delta.record(totals.delta);
-                self.session_gamma.record(totals.gamma);
-            }
-            SyncEvent::SessionAborted {
-                contact, stream, ..
-            } => {
-                self.aborts.inc();
-                if *stream == 0 {
-                    self.inflight().remove(contact);
-                }
-            }
-            SyncEvent::Retry { .. } => {
-                self.retries.inc();
-            }
-            _ => {}
-        }
     }
 }
 

@@ -14,9 +14,9 @@
 //! The aggregation currency is [`SessionTotals`]: one value type that
 //! every layer's report (`SyncReport`, `SessionReport`, `ContactReport`,
 //! [`ReceiverStats`]) converts into, absorbed by [`CounterSink`] — the
-//! single source of truth behind cluster- and store-level statistics.
-//! Reports never depend on the event stream: a pull reports the same
-//! with or without a sink installed.
+//! ledger behind the gossip cluster's statistics. Reports never depend
+//! on the event stream: a pull reports the same with or without a sink
+//! installed, and a daemon's metrics are recorded from those reports.
 
 use crate::causality::Causality;
 use crate::sync::ReceiverStats;
@@ -25,7 +25,7 @@ use std::sync::Arc;
 pub mod metrics;
 pub use metrics::{
     bucket_bound, bucket_index, Counter, FamilySnapshot, FamilyValue, Gauge, Histogram,
-    HistogramSnapshot, MetricsRegistry, MetricsSink, MetricsSnapshot, BUCKETS,
+    HistogramSnapshot, MetricsRegistry, MetricsSnapshot, BUCKETS,
 };
 
 pub mod flight;
@@ -464,10 +464,11 @@ macro_rules! obs_emit {
     };
 }
 
-/// Lock-free counter aggregation: the single source of truth behind
-/// `ClusterStats`, `KvStore` statistics, and — through
-/// [`metrics::MetricsSink`], which holds one registered under the
-/// daemon's `optrep_*_total` names — the metrics registry.
+/// Lock-free counter aggregation: the ledger behind the gossip
+/// cluster's statistics (`optrep_replication::ClusterSnapshot`), and
+/// the witness a test or bench installs to check the event stream
+/// against the reports (a daemon counts from its pulls' reports, never
+/// from events).
 ///
 /// Counters are absorbed either directly (the stats path, which needs
 /// no installed sink) or as an event [`Sink`] consuming

@@ -7,7 +7,6 @@ use crate::shard::{shard_index, Run};
 use crate::{KvStore, KvSyncReport, Resolver, Value};
 use bytes::Bytes;
 use optrep_core::error::WireError;
-use optrep_core::obs::SessionTotals;
 use optrep_core::{wire, Causality, Result, RotatingVector, Srv};
 use optrep_replication::mux::{BatchPullClient, ContactReport};
 use optrep_replication::planner::{placement, ShardPlan};
@@ -33,8 +32,7 @@ impl KvStore {
     /// completion; `contact` is the report the driver returned.
     /// Application is transactional: every outcome is decoded and
     /// validated into a staging list before the first key is touched, so
-    /// a corrupt payload mid-batch leaves the store byte-identical and
-    /// uncounted.
+    /// a corrupt payload mid-batch leaves the store byte-identical.
     ///
     /// Also returns the keys the commit actually changed (created,
     /// fast-forwarded or reconciled — clean keys are not listed): a
@@ -79,8 +77,8 @@ impl KvStore {
     /// Decodes and validates a finished contact's outcomes into a
     /// staging list — every fallible step of an apply, before any key
     /// is touched.
-    fn stage_contact(client: BatchPullClient) -> Result<Vec<(String, Srv, SessionTotals, Staged)>> {
-        let mut staged: Vec<(String, Srv, SessionTotals, Staged)> = Vec::new();
+    fn stage_contact(client: BatchPullClient) -> Result<Vec<(String, Srv, Staged)>> {
+        let mut staged: Vec<(String, Srv, Staged)> = Vec::new();
         for result in client.finish() {
             let Some(outcome) = result.outcome else {
                 // Our key, absent on the source — or a stream that aborted
@@ -108,7 +106,7 @@ impl KvStore {
                     },
                 }
             };
-            staged.push((key, outcome.vector, outcome.stats.totals(), action));
+            staged.push((key, outcome.vector, action));
         }
         Ok(staged)
     }
@@ -174,13 +172,11 @@ impl KvStore {
     fn commit_staged(
         &mut self,
         resolver: &dyn Resolver,
-        staged: Vec<(String, Srv, SessionTotals, Staged)>,
+        staged: Vec<(String, Srv, Staged)>,
         snapshots: Vec<Run>,
         contact: &ContactReport,
     ) -> (KvSyncReport, Vec<String>) {
         let totals = contact.totals();
-        self.stats.record_contact(contact.round_trips);
-        self.stats.absorb(&totals);
         let mut report = KvSyncReport {
             meta_bytes: totals.meta_wire_bytes() as usize,
             value_bytes: totals.payload_bytes as usize,
@@ -197,8 +193,7 @@ impl KvStore {
         };
         let site = self.site;
         let mut changed = Vec::new();
-        for (key, mut meta, stream_totals, action) in staged {
-            self.stats.absorb(&stream_totals);
+        for (key, mut meta, action) in staged {
             report.keys_examined += 1;
             match action {
                 Staged::Clean => report.keys_unchanged += 1,
@@ -210,7 +205,6 @@ impl KvStore {
                 Staged::FastForward { value } => {
                     let tracked = self.insert(&key, meta, value.as_deref());
                     assert!(tracked, "client named our key");
-                    self.stats.record_fast_forward();
                     report.keys_fast_forwarded += 1;
                     changed.push(key);
                 }
@@ -224,7 +218,6 @@ impl KvStore {
                     // both parents.
                     meta.record_update(site);
                     self.insert(&key, meta, resolved.as_deref());
-                    self.stats.record_reconciliation();
                     report.keys_reconciled += 1;
                     changed.push(key);
                 }

@@ -11,10 +11,8 @@ use std::collections::BTreeMap;
 
 /// `n` stores gossiping by [`KvStore::sync`]: each round, every store
 /// pulls from one random peer that is not quarantined, in the order the
-/// engine draws ([`engine::round`]) — with the default
-/// [`RetryPolicy`](optrep_replication::RetryPolicy)'s
-/// retries and quarantine, and a fault plan re-seeded per attempt when
-/// one is set.
+/// engine draws ([`engine::round`]) — with the engine's retries and
+/// quarantine, and a fault plan re-seeded per attempt when one is set.
 ///
 /// Each directed pair keeps one [`Connection`], as a daemon keeps one
 /// pooled socket a peer: a pair's second pull sends a digest delta and
@@ -28,6 +26,7 @@ pub struct KvCluster {
     fault: Option<FaultPlan>,
     gossip: Gossip,
     digest_bytes: u64,
+    keys_reconciled: u64,
 }
 
 impl KvCluster {
@@ -42,6 +41,7 @@ impl KvCluster {
             fault: None,
             gossip: Gossip::new(n),
             digest_bytes: 0,
+            keys_reconciled: 0,
         }
     }
 
@@ -71,6 +71,12 @@ impl KvCluster {
     /// `digest_bytes`, summed).
     pub fn digest_bytes(&self) -> u64 {
         self.digest_bytes
+    }
+
+    /// Keys reconciled by every committed pull so far (the report's
+    /// `keys_reconciled`, summed).
+    pub fn keys_reconciled(&self) -> u64 {
+        self.keys_reconciled
     }
 
     /// `true` iff every store holds the same keys, values and version
@@ -125,6 +131,7 @@ impl Host for KvCluster {
         match pulled {
             Ok(report) => {
                 self.digest_bytes += report.digest_bytes as u64;
+                self.keys_reconciled += report.keys_reconciled as u64;
                 Ok(Attempt::Committed { fault })
             }
             Err(error) if !faulted => Err(error),

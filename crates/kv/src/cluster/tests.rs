@@ -35,8 +35,8 @@ fn a_faulty_round_is_a_function_of_its_seed() {
             .iter()
             .map(KvStore::replica_digest)
             .collect();
-        let stats: Vec<_> = cluster.stores().iter().map(KvStore::stats).collect();
-        (reports, digests, stats, cluster.digest_bytes())
+        let ledgers = (cluster.digest_bytes(), cluster.keys_reconciled());
+        (reports, digests, ledgers)
     };
     let first = run();
     assert_eq!(run(), first, "same seed, same rounds, digests and counters");
@@ -130,13 +130,6 @@ fn storm_cluster(n: u32, rng: &mut SplitMix64) -> KvCluster {
     cluster
 }
 
-/// Reconciliations every store has committed.
-fn reconciliations(cluster: &KvCluster) -> u64 {
-    (cluster.stores().iter())
-        .map(|store| store.stats().reconciliations)
-        .sum()
-}
-
 /// Rounds (at most `max`) until the cluster converges, `None` if it did
 /// not.
 fn rounds_to_converge(cluster: &mut KvCluster, rng: &mut SplitMix64, max: u64) -> Option<u64> {
@@ -161,10 +154,10 @@ fn the_storm_schedule_between_stores() {
     let value = |cluster: &KvCluster, i: usize| cluster.stores()[i].get("obj").map(<[u8]>::to_vec);
     assert!((1..10).all(|i| value(&cluster, i) == value(&cluster, 0)));
 
-    let before = reconciliations(&cluster);
+    let before = cluster.keys_reconciled();
     let rounds = rounds_to_converge(&mut cluster, &mut rng, 190);
     assert_eq!(rounds, None, "the storm outlasts 200 rounds");
-    let stormed = reconciliations(&cluster) - before;
+    let stormed = cluster.keys_reconciled() - before;
     assert!(
         stormed > 3 * 190,
         "{stormed} reconciliations of equal values"
@@ -181,9 +174,9 @@ fn the_storm_schedule_between_stores() {
         }
     }
     assert!(cluster.converged());
-    let settled = reconciliations(&cluster);
+    let settled = cluster.keys_reconciled();
     assert_eq!(rounds_to_converge(&mut cluster, &mut rng, 10), Some(1));
-    assert_eq!(reconciliations(&cluster), settled, "nothing re-opens it");
+    assert_eq!(cluster.keys_reconciled(), settled, "nothing re-opens it");
 }
 
 /// EXPERIMENTS.md finding 2's sweep between stores: the storm schedule

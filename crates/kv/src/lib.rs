@@ -70,7 +70,6 @@ pub use codec::{ChunkReader, Reach, ReadError, SnapshotImage};
 
 use bytes::Bytes;
 use journal::Journal;
-use optrep_core::obs::{CounterSink, CounterSnapshot};
 use optrep_core::{Result, SiteId, Srv};
 use optrep_net::FrameLink;
 use optrep_replication::mux::{
@@ -200,7 +199,6 @@ pub struct KvSyncReport {
 pub struct KvStore {
     site: SiteId,
     shards: Vec<Shard>,
-    stats: CounterSink,
     /// Bumped on every local write. Lets a daemon detect that the store
     /// changed between snapshotting a pull's endpoint and applying its
     /// outcomes (see [`KvStore::generation`]).
@@ -211,9 +209,9 @@ pub struct KvStore {
 
 /// Equality is over the replicated state (site and entries) and is
 /// shard-count independent: a 1-shard and a 256-shard store holding
-/// the same entries are equal. The local cost counters are operational
-/// bookkeeping, not state. Records are canonical, so equal entries are
-/// equal bytes.
+/// the same entries are equal. The write generation and the change
+/// journal are local bookkeeping, not state. Records are canonical, so
+/// equal entries are equal bytes.
 impl PartialEq for KvStore {
     fn eq(&self, other: &Self) -> bool {
         self.site == other.site
@@ -243,7 +241,6 @@ impl KvStore {
         KvStore {
             site,
             shards: vec![Shard::default(); count],
-            stats: CounterSink::new(),
             generation: 0,
             journal: Journal::default(),
         }
@@ -257,12 +254,6 @@ impl KvStore {
     /// The physical shard count (a power of two).
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// A snapshot of the cumulative anti-entropy costs this store has paid
-    /// (as the pulling side).
-    pub fn stats(&self) -> CounterSnapshot {
-        self.stats.snapshot()
     }
 
     /// Writes a value. Counts as one update on this site's element of the

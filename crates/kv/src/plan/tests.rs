@@ -1,6 +1,7 @@
 use super::*;
 use crate::tests::{s, unplanned_pull};
 use crate::{Connection, JoinResolver, KvSyncReport};
+use optrep_core::obs::{self, CounterSink, CounterSnapshot};
 use optrep_core::rng::SplitMix64;
 use optrep_replication::mux::{pull_planned, ContactReport, InProcessLink, Serving};
 use optrep_replication::planner::{VectorMemory, JOURNAL_CAP};
@@ -127,7 +128,7 @@ fn planned_sync_snapshots_empty_shards() {
     let mut dst = KvStore::with_shards(s(1), 8);
     let mut reference = dst.clone();
     unplanned_pull(&mut reference, &src);
-    let report = dst.sync(&src).run().unwrap();
+    let (report, seen) = witnessed_sync(&mut dst, &src);
     // Every local shard is empty, so every dirty shard bulk-loads.
     assert_eq!(report.shards_incremental, 0);
     assert!(report.shards_snapshot > 0);
@@ -135,11 +136,7 @@ fn planned_sync_snapshots_empty_shards() {
     // A pure snapshot plan opens zero object streams: the contact is
     // just the empty BatchHello handshake, one round trip and no session.
     assert_eq!((report.meta_bytes, report.value_bytes), (0, 0));
-    let stats = dst.stats();
-    assert_eq!(
-        (stats.contacts, stats.round_trips, stats.sessions),
-        (1, 1, 0)
-    );
+    assert_eq!((seen.contacts, seen.round_trips, seen.sessions), (1, 1, 0));
     assert!(dst.consistent_with(&reference));
     assert_eq!(dst.replica_digest(), reference.replica_digest());
     // Tombstones survive the bulk load.
@@ -173,6 +170,14 @@ fn one_walk_plan_matches_the_per_shard_builders() {
         let reference = src.server_endpoint_for(&plan.incremental, count);
         assert_eq!(format!("{endpoint:?}"), format!("{reference:?}"));
     }
+}
+
+/// `dst.sync(src).run()` under a `CounterSink` witness: the report, and
+/// what the pull's contact events counted.
+fn witnessed_sync(dst: &mut KvStore, src: &KvStore) -> (KvSyncReport, CounterSnapshot) {
+    let witness = std::sync::Arc::new(CounterSink::new());
+    let report = obs::with(witness.clone(), || dst.sync(src).run()).unwrap();
+    (report, witness.snapshot())
 }
 
 /// One planned pull by a puller that ignores the plan's children and
@@ -253,13 +258,9 @@ fn a_dense_pull_is_offered_no_children_and_runs_flat() {
     let mut flat_dst = dst.clone();
     let (flat, contact) = flat_planned_pull(&mut flat_dst, &src);
     let mut planned_dst = dst;
-    let before = planned_dst.stats().round_trips;
-    let planned = planned_dst.sync(&src).run().unwrap();
+    let (planned, seen) = witnessed_sync(&mut planned_dst, &src);
     assert_eq!(planned, flat, "same bytes, same verdicts");
-    assert_eq!(
-        planned_dst.stats().round_trips - before,
-        contact.round_trips
-    );
+    assert_eq!(seen.round_trips, contact.round_trips);
     assert_eq!(planned_dst.replica_digest(), src.replica_digest());
 }
 

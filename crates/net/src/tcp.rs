@@ -33,8 +33,9 @@ const READ_BUF: usize = 8 * 1024;
 /// Connection policy for [`TcpLink::connect`]: bounded retry with capped
 /// exponential backoff plus per-socket read/write deadlines.
 ///
-/// The defaults mirror `replication`'s `RetryPolicy` shape (3 attempts,
-/// capped exponential backoff) scaled to wall-clock milliseconds.
+/// The defaults mirror the retry shape of `replication::engine`'s gossip
+/// rounds (3 attempts, capped exponential backoff) scaled to wall-clock
+/// milliseconds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConnectOptions {
     /// Total connect attempts before giving up (≥ 1).

@@ -3,8 +3,8 @@
 //!
 //! [`round`] draws the whole round's `(dst, src)` pairing from the
 //! caller's generator first, then runs the pairs one after another in
-//! that order, each through [`Host::attempt`] until one commits or the
-//! [`RetryPolicy`] runs out, and settles peer health and the round's
+//! that order, each through [`Host::attempt`] until one commits or
+//! three have aborted, and settles peer health and the round's
 //! counters pair by pair. Two hosts share it: [`Cluster`], whose
 //! per-object sessions ([`ContactOptions`]) are the paper's
 //! scheme-generic comparator for BRV, CRV, SRV and the full-vector
@@ -64,49 +64,16 @@ impl ContactOptions {
     }
 }
 
-/// Retry discipline for contacts that abort mid-stream: how often to
-/// retry within a round, and how the per-peer quarantine backoff grows
-/// once retries are exhausted.
-#[non_exhaustive]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Attempts per (dst, src) pairing within one round before the source
-    /// peer is quarantined.
-    pub max_attempts: u32,
-    /// Quarantine length (in rounds) after the first exhausted pairing;
-    /// doubles per consecutive failure.
-    pub backoff_base: u64,
-    /// Upper bound on the quarantine length (rounds).
-    pub backoff_cap: u64,
-}
+/// Attempts per (dst, src) pairing within one round before the source
+/// peer is quarantined.
+const MAX_ATTEMPTS: u64 = 3;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            backoff_base: 1,
-            backoff_cap: 8,
-        }
-    }
-}
+/// Quarantine length (in rounds) after the first exhausted pairing;
+/// doubles per consecutive failure up to [`BACKOFF_CAP`].
+const BACKOFF_BASE: u64 = 1;
 
-impl RetryPolicy {
-    /// Sets the attempts per pairing within one round (minimum 1).
-    #[must_use]
-    pub fn with_max_attempts(mut self, max_attempts: u32) -> Self {
-        self.max_attempts = max_attempts;
-        self
-    }
-
-    /// Sets the quarantine backoff: `base` rounds after the first
-    /// exhausted pairing, doubling per consecutive failure up to `cap`.
-    #[must_use]
-    pub fn with_backoff(mut self, base: u64, cap: u64) -> Self {
-        self.backoff_base = base;
-        self.backoff_cap = cap;
-        self
-    }
-}
+/// Upper bound on the quarantine length (rounds).
+const BACKOFF_CAP: u64 = 8;
 
 /// What one gossip round actually did.
 #[non_exhaustive]
@@ -221,14 +188,13 @@ impl Gossip {
     /// Settles `src`'s health after its pairing: a commit clears it, an
     /// exhausted pairing quarantines it for a backoff that doubles per
     /// consecutive failure.
-    fn settle(&mut self, src: SiteId, committed: bool, retry: RetryPolicy) {
+    fn settle(&mut self, src: SiteId, committed: bool) {
         let health = &mut self.health[src.index() as usize];
         if committed {
             *health = PeerHealth::default();
         } else {
             health.failures += 1;
-            health.quarantined_until =
-                self.rounds + capped_backoff(retry, u64::from(health.failures));
+            health.quarantined_until = self.rounds + capped_backoff(u64::from(health.failures));
         }
     }
 }
@@ -255,8 +221,8 @@ pub trait Host {
 
 /// Runs one gossip round over `host`: every site pulls from one
 /// uniformly random non-quarantined peer. The pairing is drawn up front;
-/// the pairs then run in schedule order, each retried under the default
-/// [`RetryPolicy`] (see the module docs).
+/// the pairs then run in schedule order, each attempted up to three
+/// times (see the module docs).
 ///
 /// # Errors
 ///
@@ -268,7 +234,6 @@ pub fn round<H: Host>(
     rng: &mut SplitMix64,
     opts: &H::Options,
 ) -> Result<RoundReport> {
-    let retry = RetryPolicy::default();
     let gossip = host.gossip();
     gossip.rounds += 1;
     obs_emit!(obs::SyncEvent::GossipRound {
@@ -280,8 +245,8 @@ pub fn round<H: Host>(
         ..RoundReport::default()
     };
     for (dst, src) in pairs {
-        let committed = run_pair(host, dst, src, retry, opts, &mut report)?;
-        host.gossip().settle(src, committed, retry);
+        let committed = run_pair(host, dst, src, opts, &mut report)?;
+        host.gossip().settle(src, committed);
         report.contacts += u64::from(committed);
     }
     Ok(report)
@@ -294,13 +259,11 @@ fn run_pair<H: Host>(
     host: &mut H,
     dst: SiteId,
     src: SiteId,
-    retry: RetryPolicy,
     opts: &H::Options,
     report: &mut RoundReport,
 ) -> Result<bool> {
     let round = host.gossip().rounds;
-    let max_attempts = u64::from(retry.max_attempts.max(1));
-    for attempt in 1..=max_attempts {
+    for attempt in 1..=MAX_ATTEMPTS {
         let env = ContactEnv {
             round,
             dst,
@@ -316,13 +279,13 @@ fn run_pair<H: Host>(
             Attempt::Aborted { error: _, fault } => {
                 add_fault(&mut report.fault, fault);
                 report.aborted += 1;
-                if attempt < max_attempts {
+                if attempt < MAX_ATTEMPTS {
                     report.retries += 1;
                     obs_emit!(obs::SyncEvent::Retry {
                         dst: dst.index(),
                         src: src.index(),
                         attempt,
-                        backoff: capped_backoff(retry, attempt),
+                        backoff: capped_backoff(attempt),
                     });
                 }
             }
@@ -333,13 +296,12 @@ fn run_pair<H: Host>(
 
 /// The capped-exponential backoff for the `n`-th consecutive failure
 /// (1-based): `min(base << (n-1), cap)` rounds.
-pub(crate) fn capped_backoff(policy: RetryPolicy, n: u64) -> u64 {
+fn capped_backoff(n: u64) -> u64 {
     let shift = u32::try_from(n.saturating_sub(1)).unwrap_or(u32::MAX);
-    policy
-        .backoff_base
+    BACKOFF_BASE
         .checked_shl(shift)
         .unwrap_or(u64::MAX)
-        .min(policy.backoff_cap)
+        .min(BACKOFF_CAP)
 }
 
 fn add_fault(acc: &mut FaultStats, s: FaultStats) {
@@ -507,11 +469,10 @@ mod tests {
     fn total_loss_quarantines_every_source() {
         let mut host = Dead(Gossip::new(2));
         let mut rng = SplitMix64::new(5);
-        let policy = RetryPolicy::default();
         let report = round(&mut host, &mut rng, &()).unwrap();
         assert_eq!(report.contacts, 0);
-        assert_eq!(report.aborted, 2 * u64::from(policy.max_attempts));
-        assert_eq!(report.retries, 2 * u64::from(policy.max_attempts - 1));
+        assert_eq!(report.aborted, 2 * MAX_ATTEMPTS);
+        assert_eq!(report.retries, 2 * (MAX_ATTEMPTS - 1));
         assert!(host.0.quarantined(SiteId::new(0)));
         assert!(host.0.quarantined(SiteId::new(1)));
         // Next round: every candidate quarantined, so both sites skip
@@ -519,14 +480,14 @@ mod tests {
         let report = round(&mut host, &mut rng, &()).unwrap();
         assert_eq!(report.skipped, 2);
         assert_eq!(report.aborted, 0);
-        // backoff_base = 1: the quarantine lapses after `capped_backoff`
+        // BACKOFF_BASE = 1: the quarantine lapses after `capped_backoff`
         // rounds, the sources are retried, fail again, and the
         // quarantine doubles.
-        assert_eq!(capped_backoff(policy, 1), 1);
+        assert_eq!(capped_backoff(1), 1);
         let report = round(&mut host, &mut rng, &()).unwrap();
         assert_eq!(report.skipped, 0, "the quarantine lapsed");
-        assert_eq!(report.aborted, 2 * u64::from(policy.max_attempts));
-        assert_eq!(capped_backoff(policy, 2), 2);
+        assert_eq!(report.aborted, 2 * MAX_ATTEMPTS);
+        assert_eq!(capped_backoff(2), 2);
         for _ in 0..2 {
             assert!(host.0.quarantined(SiteId::new(0)));
             assert!(host.0.quarantined(SiteId::new(1)));

@@ -4,7 +4,7 @@
 //! synchronization rounds until every replica of an object is consistent —
 //! the eventual-consistency guarantee of §2.1. All randomness comes from a
 //! caller-provided seeded RNG, so runs are reproducible; all costs are
-//! aggregated into [`ClusterStats`], which the benchmark harness reads.
+//! aggregated into [`ClusterSnapshot`], which the benchmark harness reads.
 
 use crate::engine::Gossip;
 use crate::meta::ReplicaMeta;
@@ -38,9 +38,6 @@ impl std::ops::Deref for ClusterSnapshot {
         &self.counters
     }
 }
-
-/// Historical name of the cluster's aggregate statistics.
-pub type ClusterStats = ClusterSnapshot;
 
 /// A cluster of sites sharing replicated objects, synchronized by gossip.
 #[derive(Debug, Clone)]

@@ -33,8 +33,8 @@ pub mod reconcile;
 pub mod session;
 pub mod site;
 
-pub use engine::{Attempt, ContactEnv, ContactOptions, Gossip, Host, RetryPolicy, RoundReport};
-pub use gossip::{Cluster, ClusterSnapshot, ClusterStats};
+pub use engine::{Attempt, ContactEnv, ContactOptions, Gossip, Host, RoundReport};
+pub use gossip::{Cluster, ClusterSnapshot};
 pub use meta::ReplicaMeta;
 pub use mux::{
     classify, pull_contact, pull_planned, reason_label, run_contact, serve_contact, serve_frame,

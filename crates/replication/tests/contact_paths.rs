@@ -2082,7 +2082,7 @@ fn a_cut_at_every_byte_leaves_the_store_alone(mut dst: KvStore, mut src: KvStore
     let pulled = pulled.expect("clean plan");
     let total = clean.stats().bytes_delivered;
 
-    let before = (dst.replica_digest(), dst.generation(), dst.stats());
+    let before = (dst.replica_digest(), dst.generation());
     let source = (src.replica_digest(), src.generation());
     for k in 0..total {
         let mut cut = FaultyLink::new(FaultPlan::disconnect_at(k));
@@ -2095,7 +2095,7 @@ fn a_cut_at_every_byte_leaves_the_store_alone(mut dst: KvStore, mut src: KvStore
             matches!(reason_label(&err), "connection_lost" | "stalled"),
             "cut at {k}/{total}: {err:?}"
         );
-        let after = (dst.replica_digest(), dst.generation(), dst.stats());
+        let after = (dst.replica_digest(), dst.generation());
         assert_eq!(after, before, "cut at {k}/{total} moved the store");
         assert_eq!((src.replica_digest(), src.generation()), source);
     }

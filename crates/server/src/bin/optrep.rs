@@ -188,7 +188,7 @@ fn top_row(addr: SocketAddr, metrics: &MetricsSnapshot) -> String {
         gauge("optrep_uptime_secs"),
         gauge("optrep_store_keys"),
         gauge("optrep_store_generation"),
-        counter("optrep_contacts_total"),
+        counter("optrep_pool_contacts_total"),
         p50,
         p99,
         bytes,

@@ -28,12 +28,12 @@ compile_error!("optrepd's core is the poll(2) reactor; unix only");
 
 use crate::persist::{DurabilityConfig, Persist, ReplayReport};
 use crate::proto::{Request, Response};
-use optrep_core::obs::metrics::{Gauge, Histogram, MetricsRegistry, MetricsSink, MetricsSnapshot};
+use optrep_core::obs::metrics::{Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
 use optrep_core::obs::{self, Sink};
 use optrep_core::wire::{Handshake, Intent};
 use optrep_core::{Error, Result, SiteId};
 use optrep_kv::{KvStore, KvSyncReport};
-use optrep_net::{ConnPool, ConnectOptions};
+use optrep_net::{ConnPool, ConnectOptions, TcpLink};
 use optrep_replication::{Serving, VectorMemory, CONTROL_STREAM};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 
 mod core;
 
-use self::core::NodeCore;
+use self::core::{Contact, NodeCore, Pulled};
 
 /// First backoff after a transient accept error; doubles per
 /// consecutive error up to [`ACCEPT_BACKOFF_CAP`].
@@ -136,6 +136,9 @@ struct VerbDone {
 /// The shell's metric instruments: what its sockets, threads and clock
 /// see (the core counts the rest).
 struct NodeMetrics {
+    /// Wall-clock of each pull attempt that completed on its pooled
+    /// connection, the planning turn included and the dial not.
+    contact_micros: Arc<Histogram>,
     uptime_secs: Arc<Gauge>,
     conn_live: Arc<Gauge>,
     /// Jobs submitted to the sync worker and not yet picked up.
@@ -153,6 +156,7 @@ struct NodeMetrics {
 impl NodeMetrics {
     fn register(registry: &MetricsRegistry) -> NodeMetrics {
         NodeMetrics {
+            contact_micros: registry.histogram("optrep_contact_micros"),
             uptime_secs: registry.gauge("optrep_uptime_secs"),
             conn_live: registry.gauge("optrep_conn_live"),
             worker_queue_depth: registry.gauge("optrep_worker_queue_depth"),
@@ -178,17 +182,11 @@ struct Shared {
     stop_signal: Condvar,
     /// When the daemon started (`optrep_uptime_secs`).
     started: Instant,
-    /// The event-driven sink feeding the core's registry; installed on
-    /// every daemon thread via [`Self::sinks`], and pushed by
-    /// [`Node::sync_with`] onto *caller* threads so embedded pulls are
-    /// metered too.
-    metrics_sink: Arc<dyn Sink>,
     metrics: NodeMetrics,
-    /// Obs sinks captured at [`Node::start`] plus the daemon's own
-    /// [`Self::metrics_sink`]; re-installed (shared `Arc`s) on the
-    /// threads the node spawns that run contacts — event loop, sync
-    /// worker, gossip thread — so socket-driven contacts trace into the
-    /// starter's aggregators.
+    /// Obs sinks captured at [`Node::start`]; re-installed (shared
+    /// `Arc`s) on the threads the node spawns that run contacts — event
+    /// loop, sync worker, gossip thread — so socket-driven contacts
+    /// trace into the starter's tracers.
     sinks: Vec<Arc<dyn Sink>>,
     /// Wakes the event loop from other threads: executor completions
     /// and [`Node::stop`].
@@ -217,7 +215,7 @@ impl Shared {
     }
 
     /// Runs `task` on a thread of its own, under the node's sinks (or its
-    /// pulls' contact events would vanish from traces and metrics).
+    /// pulls' contact events would vanish from traces).
     fn spawn(
         self: &Arc<Self>,
         task: impl FnOnce(&Arc<Shared>) + Send + 'static,
@@ -229,7 +227,19 @@ impl Shared {
     /// One pull from `peer` over the pooled persistent connection to it
     /// ([`NodeCore::pull_from`]).
     fn pull_from(&self, peer: SocketAddr) -> Result<KvSyncReport> {
-        (self.core).pull_from(|contact| self.pool.with_conn(peer, contact))
+        (self.core).pull_from(|contact| self.with_conn(peer, contact))
+    }
+
+    /// Runs one pull attempt over the pooled connection to `peer`,
+    /// timing each run that completes into `optrep_contact_micros`.
+    fn with_conn(&self, peer: SocketAddr, contact: Contact<'_, TcpLink>) -> Result<Pulled> {
+        self.pool.with_conn(peer, |link, remembered| {
+            let started = Instant::now();
+            let pulled = contact(link, remembered)?;
+            let micros = started.elapsed().as_micros() as u64;
+            self.metrics.contact_micros.record(micros);
+            Ok(pulled)
+        })
     }
 
     /// Runs `step`, timing into `optrep_checkpoint_micros` the checkpoint
@@ -300,7 +310,6 @@ impl Node {
             message: format!("cannot create event waker: {e}"),
         })?;
         let registry = Arc::new(MetricsRegistry::new());
-        let metrics_sink: Arc<dyn Sink> = Arc::new(MetricsSink::new(&registry));
         let metrics = NodeMetrics::register(&registry);
         // Recover durable state before the listener serves anything:
         // the first verb must already see the replayed store.
@@ -317,11 +326,10 @@ impl Node {
         registry
             .gauge("optrep_site")
             .set(u64::from(config.site.index()));
-        // Every daemon thread gets the starter's sinks plus the metrics
-        // sink, so sync-verb events raised on the worker and gossip
-        // threads reach both the user's tracers and the registry.
-        let mut sinks = obs::installed();
-        sinks.push(Arc::clone(&metrics_sink));
+        // Every daemon thread gets the starter's sinks, so sync-verb
+        // events raised on the worker and gossip threads reach the
+        // user's tracers.
+        let sinks = obs::installed();
         let shared = Arc::new(Shared {
             core,
             peers: config.peers,
@@ -329,7 +337,6 @@ impl Node {
             stopped: Mutex::new(false),
             stop_signal: Condvar::new(),
             started: Instant::now(),
-            metrics_sink,
             metrics,
             sinks,
             waker,
@@ -349,9 +356,8 @@ impl Node {
             threads.push(shared.spawn(move |shared| {
                 while !shared.wait_stop(interval) {
                     let peers = shared.peers.iter().take_while(|_| !shared.stopping());
-                    (shared.core).gossip_pass(peers, |&&peer, contact| {
-                        shared.pool.with_conn(peer, contact)
-                    });
+                    (shared.core)
+                        .gossip_pass(peers, |&&peer, contact| shared.with_conn(peer, contact));
                 }
             }));
         }
@@ -425,20 +431,16 @@ impl Node {
     }
 
     /// Pulls from `peer` right now, exactly as the `sync` verb does,
-    /// over this node's pooled persistent connection to that peer.
-    ///
-    /// The daemon's metrics sink rides along on the calling thread (on
-    /// top of whatever sinks the caller installed), so embedded pulls
-    /// land in the same histograms as verb- and gossip-driven ones.
+    /// over this node's pooled persistent connection to that peer, and
+    /// counts it in the same families. Its events reach the sinks
+    /// installed on the calling thread.
     ///
     /// # Errors
     ///
     /// Propagates dial, transport, and protocol errors; the store is
     /// untouched unless the pull committed.
     pub fn sync_with(&self, peer: SocketAddr) -> Result<KvSyncReport> {
-        obs::with(Arc::clone(&self.shared.metrics_sink), || {
-            self.shared.pull_from(peer)
-        })
+        self.shared.pull_from(peer)
     }
 
     /// Blocks until the node is stopped.

@@ -80,8 +80,24 @@ struct CoreMetrics {
     /// Objects in each serving endpoint when it is built — what a pull
     /// cost this daemon to serve, to set against the keys it moved.
     serving_endpoint_keys: Arc<Histogram>,
-    /// Server turns each outbound pull took, the planning turn and the
-    /// FIN included (`ContactReport::link_turns`): about the longest
+    /// The four byte planes of every exchange an outbound pull
+    /// completed, a commit lost to a racing write included
+    /// (`ContactReport`'s; the planner's bytes are
+    /// `planner_digest_bytes_total`).
+    compare_bytes_total: Arc<Counter>,
+    meta_bytes_total: Arc<Counter>,
+    framing_bytes_total: Arc<Counter>,
+    payload_bytes_total: Arc<Counter>,
+    /// Keys committed pulls fast-forwarded and reconciled
+    /// (`KvSyncReport::keys_fast_forwarded`, `keys_reconciled`).
+    fast_forwards_total: Arc<Counter>,
+    reconciliations_total: Arc<Counter>,
+    /// Blocking round trips of each completed exchange.
+    contact_round_trips: Arc<Histogram>,
+    /// Wire bytes of each completed exchange (the four planes summed).
+    contact_wire_bytes: Arc<Histogram>,
+    /// Server turns each completed exchange took, the planning turn and
+    /// the FIN included (`ContactReport::link_turns`): about the longest
     /// stream's messages, not the frame count.
     contact_link_turns: Arc<Histogram>,
 }
@@ -111,8 +127,27 @@ impl CoreMetrics {
             planner_digest_bytes_total: registry.counter("optrep_planner_digest_bytes_total"),
             planner_digests_sent_total: registry.counter("optrep_planner_digests_sent_total"),
             serving_endpoint_keys: registry.histogram("optrep_serving_endpoint_keys"),
+            compare_bytes_total: registry.counter("optrep_compare_bytes_total"),
+            meta_bytes_total: registry.counter("optrep_meta_bytes_total"),
+            framing_bytes_total: registry.counter("optrep_framing_bytes_total"),
+            payload_bytes_total: registry.counter("optrep_payload_bytes_total"),
+            fast_forwards_total: registry.counter("optrep_fast_forwards_total"),
+            reconciliations_total: registry.counter("optrep_reconciliations_total"),
+            contact_round_trips: registry.histogram("optrep_contact_round_trips"),
+            contact_wire_bytes: registry.histogram("optrep_contact_wire_bytes"),
             contact_link_turns: registry.histogram("optrep_contact_link_turns"),
         }
+    }
+
+    /// Counts one completed exchange, from its report.
+    fn record_contact(&self, report: &ContactReport) {
+        self.compare_bytes_total.add(report.compare_bytes);
+        self.meta_bytes_total.add(report.meta_bytes);
+        self.framing_bytes_total.add(report.framing_bytes);
+        self.payload_bytes_total.add(report.payload_bytes);
+        self.contact_round_trips.record(report.round_trips);
+        self.contact_wire_bytes.record(report.total_bytes);
+        self.contact_link_turns.record(report.link_turns);
     }
 }
 
@@ -331,13 +366,17 @@ impl NodeCore {
             // cleaner — and the commit's generation check still guards
             // the endpoint snapshot itself.
             let mut generation = 0;
+            // An exchange counts once it completes, whether or not its
+            // commit then loses the generation race.
             let (client, plan, report) = over(&mut |link, remembered| {
                 let digests = self.store().shard_digest_vector();
-                pull_planned(link, remembered, &digests, |plan| {
+                let pulled = pull_planned(link, remembered, &digests, |plan| {
                     let store = self.store();
                     generation = store.generation();
                     store.client_endpoint_refined(plan)
-                })
+                })?;
+                self.metrics.record_contact(&pulled.2);
+                Ok(pulled)
             })?;
             // Commit: generation re-check, transactional apply, and WAL
             // append all under ONE store guard. A local write that raced
@@ -355,7 +394,8 @@ impl NodeCore {
             self.wal_append(&store, &changed)?;
             drop(store);
             let m = &self.metrics;
-            m.contact_link_turns.record(report.link_turns);
+            m.fast_forwards_total.add(synced.keys_fast_forwarded as u64);
+            m.reconciliations_total.add(synced.keys_reconciled as u64);
             m.planner_shards_skipped_total
                 .add(synced.shards_skipped as u64);
             m.planner_shards_incremental_total

@@ -261,10 +261,6 @@ impl Response {
                     report.keys_unchanged,
                     report.meta_bytes,
                     report.value_bytes,
-                    // Optional tail, the protocol's only one: planner
-                    // fields appended after the original seven, readable
-                    // by old clients (which stop early) and tolerant of
-                    // future appendees.
                     report.shards_total,
                     report.shards_skipped,
                     report.shards_incremental,
@@ -318,55 +314,28 @@ impl Response {
             RESP_OK => Response::Ok,
             RESP_DIGEST => Response::Digest(wire::get_varint(buf)?),
             RESP_SYNCED => {
-                let mut fields = [0usize; 7];
-                for field in &mut fields {
-                    *field = wire::get_varint(buf)? as usize;
-                }
-                let mut report = KvSyncReport {
-                    keys_examined: fields[0],
-                    keys_created: fields[1],
-                    keys_fast_forwarded: fields[2],
-                    keys_reconciled: fields[3],
-                    keys_unchanged: fields[4],
-                    meta_bytes: fields[5],
-                    value_bytes: fields[6],
-                    ..KvSyncReport::default()
-                };
-                // Optional planner tail: a pre-planner daemon stops at
-                // seven fields (counters default to 0), unknown future
-                // appendees are skipped, and a tail cut mid-varint is
-                // still a broken frame.
-                if buf.has_remaining() {
-                    report.shards_total = wire::get_varint(buf)? as usize;
-                }
-                if buf.has_remaining() {
-                    report.shards_skipped = wire::get_varint(buf)? as usize;
-                }
-                if buf.has_remaining() {
-                    report.shards_incremental = wire::get_varint(buf)? as usize;
-                }
-                if buf.has_remaining() {
-                    report.shards_snapshot = wire::get_varint(buf)? as usize;
-                }
-                if buf.has_remaining() {
-                    report.digest_bytes = wire::get_varint(buf)? as usize;
-                }
-                if buf.has_remaining() {
-                    report.shards_refined = wire::get_varint(buf)? as usize;
-                }
-                if buf.has_remaining() {
-                    report.digests_sent = wire::get_varint(buf)? as usize;
-                }
-                if buf.has_remaining() {
-                    report.shards_proposed = wire::get_varint(buf)? as usize;
-                }
-                if buf.has_remaining() {
-                    report.shards_refused = wire::get_varint(buf)? as usize;
-                }
-                while buf.has_remaining() {
-                    let _ = wire::get_varint(buf)?;
-                }
-                Response::Synced(report)
+                // Exactly the sixteen fields every v4 daemon sends, in
+                // encode order (a struct expression evaluates its fields
+                // as written): a prefix or an extra varint is refused.
+                let mut field = || wire::get_varint(buf).map(|n| n as usize);
+                Response::Synced(KvSyncReport {
+                    keys_examined: field()?,
+                    keys_created: field()?,
+                    keys_fast_forwarded: field()?,
+                    keys_reconciled: field()?,
+                    keys_unchanged: field()?,
+                    meta_bytes: field()?,
+                    value_bytes: field()?,
+                    shards_total: field()?,
+                    shards_skipped: field()?,
+                    shards_incremental: field()?,
+                    shards_snapshot: field()?,
+                    digest_bytes: field()?,
+                    shards_refined: field()?,
+                    digests_sent: field()?,
+                    shards_proposed: field()?,
+                    shards_refused: field()?,
+                })
             }
             RESP_METRICS => {
                 let seq = wire::get_varint(buf)?;
@@ -449,7 +418,7 @@ mod tests {
     fn metrics_snapshot_roundtrips_through_the_wire() {
         use optrep_core::obs::{MetricsRegistry, BUCKETS};
         let registry = MetricsRegistry::new();
-        registry.counter("optrep_contacts_total").add(17);
+        registry.counter("optrep_pool_contacts_total").add(17);
         registry.gauge("optrep_conn_live").set(3);
         let h = registry.histogram("optrep_contact_micros");
         h.record(0);

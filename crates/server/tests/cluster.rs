@@ -72,11 +72,15 @@ fn three_node_cluster_converges_via_sync_verbs() {
         .iter()
         .map(|n| Client::connect(n.addr(), &fast_connect()).expect("client connects"))
         .collect();
+    // Per daemon, the keys its pulls reported (reconciled, fast-forwarded).
+    let mut reported = [(0u64, 0u64); 3];
     for _round in 0..4 {
         for (dst, client) in clients.iter_mut().enumerate() {
             for (src, addr) in addrs.iter().enumerate() {
                 if dst != src {
-                    client.sync(addr).expect("sync verb succeeds");
+                    let synced = client.sync(addr).expect("sync verb succeeds");
+                    reported[dst].0 += synced.keys_reconciled as u64;
+                    reported[dst].1 += synced.keys_fast_forwarded as u64;
                 }
             }
         }
@@ -115,6 +119,16 @@ fn three_node_cluster_converges_via_sync_verbs() {
             Some(&shared[..])
         );
     }
+    // Each daemon counts exactly what its pulls reported, and the
+    // conflict on "shared" was reconciled somewhere.
+    for (node, &(reconciled, fast_forwarded)) in nodes.iter().zip(&reported) {
+        let metrics = node.metrics_snapshot();
+        let counted = |name| metrics.counter(name).expect("family");
+        assert_eq!(counted("optrep_reconciliations_total"), reconciled);
+        assert_eq!(counted("optrep_fast_forwards_total"), fast_forwarded);
+    }
+    let reconciled: u64 = reported.iter().map(|&(reconciled, _)| reconciled).sum();
+    assert!(reconciled >= 1, "no pull reconciled the conflict");
     for node in nodes {
         node.stop();
     }
@@ -738,14 +752,16 @@ fn metrics_verb_reports_daemon_activity() {
     assert_eq!(second.gauge("optrep_store_keys"), Some(1));
     assert_eq!(second.gauge("optrep_conn_live"), Some(1));
     // The sync above must have landed in the histograms and counters.
-    let contacts = second.counter("optrep_contacts_total").expect("family");
+    let contacts = second
+        .counter("optrep_pool_contacts_total")
+        .expect("family");
     let latency = second.histogram("optrep_contact_micros").expect("family");
     assert!(contacts >= 1, "contacts: {contacts}");
     assert_eq!(latency.count, contacts, "one latency sample per contact");
 
     let text = second.to_prometheus();
     for family in [
-        "# TYPE optrep_contacts_total counter",
+        "# TYPE optrep_pool_contacts_total counter",
         "# TYPE optrep_contact_micros histogram",
         "# TYPE optrep_store_keys gauge",
         "optrep_contact_micros_bucket{le=\"+Inf\"}",

@@ -3,14 +3,9 @@
 //! encoding is rejected (the daemon sees truncated frames whenever a
 //! client dies mid-write — same discipline `fault_recovery` pins down
 //! for the anti-entropy wire), trailing bytes are rejected, and random
-//! byte soup never panics either decoder.
-//!
-//! `Synced` is the one deliberate exception to strict-prefix
-//! rejection: its decode tolerates an unknown varint tail so old
-//! clients read new daemons, which means prefixes cut at a field
-//! boundary past the original seven fields *do* decode. The generic
-//! prefix property therefore excludes it, and a dedicated property
-//! pins the exact tolerance it gets instead.
+//! byte soup never panics either decoder. No response is lenient:
+//! `Synced` decodes exactly its sixteen fields, and a dedicated
+//! property refuses every shorter and every longer run of varints.
 //!
 //! The sync planner's wire shapes (the shard-digest vector a puller
 //! opens with, the delta against the last one its connection carried,
@@ -103,21 +98,13 @@ fn report(rng: &mut SplitMix64) -> KvSyncReport {
 }
 
 fn response(rng: &mut SplitMix64) -> Response {
-    match rng.below(2) {
-        0 => strict_response(rng),
-        _ => Response::Synced(report(rng)),
-    }
-}
-
-/// Every response variant whose decode is strict — i.e. all but
-/// `Synced`, whose tolerated unknown tail makes some prefixes valid.
-fn strict_response(rng: &mut SplitMix64) -> Response {
-    match rng.below(6) {
+    match rng.below(7) {
         0 => Response::Value(None),
         1 => Response::Value(Some(Bytes::from(bytes(rng, 0..48)))),
         2 => Response::Ok,
         3 => Response::Digest(word(rng)),
         4 => Response::Err(string(rng)),
+        5 => Response::Synced(report(rng)),
         _ => Response::Metrics(metrics(rng)),
     }
 }
@@ -255,7 +242,7 @@ fn every_request_prefix_is_rejected() {
 #[test]
 fn every_response_prefix_is_rejected() {
     cases(256, |_, rng| {
-        let response = strict_response(rng);
+        let response = response(rng);
         let full = response.encode();
         for cut in 0..full.len() {
             let mut buf = full.slice(0..cut);
@@ -264,45 +251,22 @@ fn every_response_prefix_is_rejected() {
     });
 }
 
-/// The `Synced` tolerance is exactly "whole trailing varints may be
-/// missing or extra": any prefix either
-/// fails to decode (cut mid-field or before the seven original
-/// fields) or decodes to a report agreeing on the original seven,
-/// with absent planner extensions read as zero.
+/// `Synced` is as strict as every other response: its sixteen fields
+/// round-trip, every strict prefix is refused — a cut at a field
+/// boundary included — and so is any varint appended after the last.
 #[test]
-fn synced_prefixes_decode_compatibly_or_not_at_all() {
+fn synced_refuses_every_strict_prefix_and_every_trailing_varint() {
     cases(256, |_, rng| {
-        let report = report(rng);
-        let full = Response::Synced(report).encode();
+        let report = Response::Synced(report(rng));
+        let full = report.encode();
+        assert_eq!(Response::decode(&mut full.clone()).unwrap(), report);
         for cut in 0..full.len() {
             let mut buf = full.slice(0..cut);
-            if let Ok(Response::Synced(got)) = Response::decode(&mut buf) {
-                assert_eq!(got.keys_examined, report.keys_examined);
-                assert_eq!(got.keys_created, report.keys_created);
-                assert_eq!(got.keys_fast_forwarded, report.keys_fast_forwarded);
-                assert_eq!(got.keys_reconciled, report.keys_reconciled);
-                assert_eq!(got.keys_unchanged, report.keys_unchanged);
-                assert_eq!(got.meta_bytes, report.meta_bytes);
-                assert_eq!(got.value_bytes, report.value_bytes);
-                assert!(got.shards_total == report.shards_total || got.shards_total == 0);
-                assert!(got.shards_skipped == report.shards_skipped || got.shards_skipped == 0);
-                assert!(
-                    got.shards_incremental == report.shards_incremental
-                        || got.shards_incremental == 0
-                );
-                assert!(got.shards_snapshot == report.shards_snapshot || got.shards_snapshot == 0);
-                assert!(got.digest_bytes == report.digest_bytes || got.digest_bytes == 0);
-                assert!(got.shards_refined == report.shards_refined || got.shards_refined == 0);
-                assert!(got.digests_sent == report.digests_sent || got.digests_sent == 0);
-                assert!(got.shards_proposed == report.shards_proposed || got.shards_proposed == 0);
-                assert!(got.shards_refused == report.shards_refused || got.shards_refused == 0);
-            }
+            assert!(Response::decode(&mut buf).is_err(), "cut {} decoded", cut);
         }
-        let mut buf = full.clone();
-        assert_eq!(
-            Response::decode(&mut buf).unwrap(),
-            Response::Synced(report)
-        );
+        let mut padded = bytes::BytesMut::from(&full[..]);
+        optrep_core::wire::put_varint(&mut padded, word(rng));
+        assert!(Response::decode(&mut padded.freeze()).is_err());
     });
 }
 

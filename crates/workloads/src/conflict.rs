@@ -14,7 +14,9 @@
 
 use optrep_core::rng::SplitMix64;
 use optrep_core::{Result, SiteId};
-use optrep_replication::{Cluster, ClusterStats, ObjectId, ReplicaMeta, TokenSet, UnionReconciler};
+use optrep_replication::{
+    Cluster, ClusterSnapshot, ObjectId, ReplicaMeta, TokenSet, UnionReconciler,
+};
 
 /// Parameters of the conflict workload.
 #[derive(Debug, Clone, Copy)]
@@ -48,7 +50,7 @@ impl Default for ConflictConfig {
 #[derive(Debug, Clone, Copy)]
 pub struct ConflictStats {
     /// Aggregated cluster counters.
-    pub cluster: ClusterStats,
+    pub cluster: ClusterSnapshot,
     /// Rounds that actually produced concurrent updates.
     pub conflicting_rounds: u64,
     /// Average metadata bytes per synchronization session that ran a

@@ -125,7 +125,7 @@ impl TraceConfig {
 #[derive(Debug, Clone)]
 pub struct ReplayStats {
     /// The cluster statistics (bytes, outcomes).
-    pub cluster: optrep_replication::ClusterStats,
+    pub cluster: optrep_replication::ClusterSnapshot,
     /// Updates skipped because the site had no replica yet.
     pub skipped_updates: u64,
     /// Updates applied.

@@ -24,7 +24,7 @@ const CONTACTS: u32 = 8000;
 /// reading.
 const UPDATE_PROB: f64 = 0.6;
 
-fn run_network<M: ReplicaMeta>() -> (optrep::replication::ClusterStats, usize) {
+fn run_network<M: ReplicaMeta>() -> (optrep::replication::ClusterSnapshot, usize) {
     let mut rng = SplitMix64::new(7);
     let object = ObjectId::new(0);
     let mut cluster: Cluster<M, TokenSet, UnionReconciler> =

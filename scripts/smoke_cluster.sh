@@ -212,13 +212,14 @@ echo "proposals verified: one put at B, one key examined by each puller" \
      "($warm_bytes planner bytes against a fresh dial's $first_bytes)"
 
 # Metrics: scrape every daemon with `optrep metrics`, validate the
-# Prometheus exposition offline, and cross-check two independent counts
-# in it — the contact counter, the latency histogram and the wire-bytes
-# histogram (fed by the daemon's contact events) must all have seen
-# exactly the contacts the connection pool completed
-# (`optrep_pool_contacts_total`), and the four per-plane byte counters
-# must sum to the wire-bytes histogram total (byte conservation,
-# metrics edition).
+# Prometheus exposition offline, and cross-check independent counts in
+# it — the latency histogram and the wire-bytes histogram (fed from
+# each pull's report) must both have seen exactly the contacts the
+# connection pool completed (`optrep_pool_contacts_total`), and the four
+# per-plane byte counters must sum to the wire-bytes histogram total
+# (byte conservation, metrics edition). Summed over the three daemons,
+# the reconciliations must include the conflict on "shared".
+reconciliations=0
 for pair in "A $A" "B $B" "C $C"; do
     site="${pair%% *}"
     node="${pair#* }"
@@ -226,7 +227,6 @@ for pair in "A $A" "B $B" "C $C"; do
     "$BIN/optrep" "$node" metrics >"$scrape"
     "$BIN/tables" --check-prom "$scrape"
     pool_contacts="$(prom_value "$scrape" optrep_pool_contacts_total)"
-    contacts="$(prom_value "$scrape" optrep_contacts_total)"
     latency_count="$(prom_value "$scrape" optrep_contact_micros_count)"
     wire_count="$(prom_value "$scrape" optrep_contact_wire_bytes_count)"
     wire_sum="$(prom_value "$scrape" optrep_contact_wire_bytes_sum)"
@@ -234,13 +234,13 @@ for pair in "A $A" "B $B" "C $C"; do
             + $(prom_value "$scrape" optrep_meta_bytes_total) \
             + $(prom_value "$scrape" optrep_framing_bytes_total) \
             + $(prom_value "$scrape" optrep_payload_bytes_total) ))
-    if [[ "$contacts" != "$pool_contacts" || "$latency_count" != "$contacts" \
-          || "$wire_count" != "$contacts" ]]; then
-        echo "FAIL: $site contact events disagree with the pool on contacts:" \
-             "pool=$pool_contacts counter=$contacts latency=$latency_count" \
-             "wire=$wire_count" >&2
+    if [[ -z "$pool_contacts" || "$latency_count" != "$pool_contacts" \
+          || "$wire_count" != "$pool_contacts" ]]; then
+        echo "FAIL: $site contact histograms disagree with the pool on contacts:" \
+             "pool=$pool_contacts latency=$latency_count wire=$wire_count" >&2
         exit 1
     fi
+    reconciliations=$(( reconciliations + $(prom_value "$scrape" optrep_reconciliations_total) ))
     if [[ "$bytes" != "$wire_sum" || "$bytes" -le 0 ]]; then
         echo "FAIL: $site byte counters ($bytes) != wire-bytes histogram" \
              "sum ($wire_sum)" >&2
@@ -273,7 +273,12 @@ for pair in "A $A" "B $B" "C $C"; do
         exit 1
     fi
 done
-echo "metrics verified: exposition parses, contact counts match the pool's, bytes conserve"
+if [[ "$reconciliations" -lt 1 ]]; then
+    echo "FAIL: no daemon counted a reconciliation of the conflict on \"shared\"" >&2
+    exit 1
+fi
+echo "metrics verified: exposition parses, contact counts match the pool's, bytes conserve," \
+     "$reconciliations reconciliation(s)"
 
 # The fleet view renders one table over all three daemons.
 top="$("$BIN/optrep" top --iters 1 "$A" "$B" "$C")"
