@@ -203,8 +203,8 @@ fn run_cluster(daemons: usize) -> ClusterRun {
                 );
                 *sweep_digest_bytes += tcp.digest_bytes;
                 if wave == 1 {
-                    // A warm connection: only the shards that changed since
-                    // wave 0's pull on this edge are sent.
+                    // A warm connection: only the shards that differ from
+                    // what the edge remembers of wave 0's pull are sent.
                     assert!(
                         tcp.digests_sent < SHARDS,
                         "{dst}<-{src} sent no delta over its warm connection: {tcp:?}"

@@ -9,7 +9,26 @@ use bytes::Bytes;
 use optrep_core::error::WireError;
 use optrep_core::{wire, Causality, Result, RotatingVector, Srv};
 use optrep_replication::mux::{BatchPullClient, ContactReport};
-use optrep_replication::planner::{placement, ShardPlan};
+use optrep_replication::planner::{placement, shard_of, ShardDigest, ShardPlan};
+
+/// What one commit did: the pull's report, the keys it changed, and the
+/// shards that landed as served.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Committed {
+    /// The pull's report.
+    pub report: KvSyncReport,
+    /// The keys the commit changed (created, fast-forwarded or
+    /// reconciled).
+    pub changed: Vec<String>,
+    /// The plan's served shards the commit took exactly as served, each
+    /// with what it now sums to at the plan's count — the pulling end's
+    /// half of `VectorMemory::settle`. A shard lands when every stream
+    /// of it was created, fast-forwarded or equal (none ahead,
+    /// reconciled, aborted or this store's alone) and what the contact
+    /// left out of it was equal, not merely empty on the source; a
+    /// bulk-loaded shard when it was empty here.
+    pub landed: Vec<(u64, ShardDigest)>,
+}
 
 /// One decoded, validated contact outcome awaiting commit — the staging
 /// form that makes application transactional.
@@ -19,6 +38,9 @@ enum Staged {
     Reconcile { theirs: Value },
     Clean,
 }
+
+/// A staged outcome with its key and the vector it commits.
+type StagedKey = (String, Srv, Staged);
 
 impl KvStore {
     /// Commits a completed contact's outcomes to this store, **and** the
@@ -69,17 +91,104 @@ impl KvStore {
         contact: &ContactReport,
         plan: &ShardPlan,
     ) -> Result<(KvSyncReport, Vec<String>)> {
-        let staged = Self::stage_contact(client)?;
+        let committed = self.apply_planned(resolver, client, contact, plan)?;
+        Ok((committed.report, committed.changed))
+    }
+
+    /// [`apply_planned_tracked`](Self::apply_planned_tracked), and which
+    /// of the plan's served shards landed as served ([`Committed`]) —
+    /// what a puller that keeps its connection settles its memory of the
+    /// connection with.
+    ///
+    /// # Errors
+    ///
+    /// As [`apply_planned_tracked`](Self::apply_planned_tracked).
+    ///
+    /// # Panics
+    ///
+    /// As [`apply_planned_tracked`](Self::apply_planned_tracked).
+    pub fn apply_planned(
+        &mut self,
+        resolver: &dyn Resolver,
+        client: BatchPullClient,
+        contact: &ContactReport,
+        plan: &ShardPlan,
+    ) -> Result<Committed> {
+        let (staged, spoiled) = Self::stage_contact(client, plan)?;
         let snapshots = self.stage_snapshots(plan)?;
-        Ok(self.commit_staged(resolver, staged, snapshots, contact))
+        let landing = self.landing(plan, &spoiled);
+        let (report, changed) = self.commit_staged(resolver, staged, snapshots, contact);
+        let digests = self.digests_of(&landing, plan.count as usize);
+        Ok(Committed {
+            report,
+            changed,
+            landed: landing.into_iter().zip(digests).collect(),
+        })
+    }
+
+    /// Of `plan`'s served shards, those this store will hold exactly as
+    /// served once staged outcomes that spoiled only `spoiled` are
+    /// committed: an incremental shard not spoiled in which no child the
+    /// source held nothing of — left out of the contact as
+    /// `nothing_to_pull` whatever this store holds there — holds an entry
+    /// here, and a bulk-loaded shard not spoiled that is empty here.
+    /// Read before the commit; walks only refined shards with an empty
+    /// child.
+    fn landing(&self, plan: &ShardPlan, spoiled: &[u64]) -> Vec<u64> {
+        let count = plan.count;
+        let mut uneven: Vec<u64> = Vec::new();
+        for (shard, children) in plan.children.iter().flat_map(|c| &c.parents) {
+            let fanout = children.len() as u64;
+            if children.iter().all(|child| child.entries > 0) {
+                continue;
+            }
+            self.visit_shards(&[*shard], count as usize, |record| {
+                let hash = placement(record.key_bytes());
+                let child = ((hash / count) & (fanout - 1)) as usize;
+                let in_empty = hash & (count - 1) == *shard && children[child].entries == 0;
+                if in_empty && uneven.last() != Some(shard) {
+                    uneven.push(*shard);
+                }
+            });
+        }
+        let bulk: Vec<u64> = plan.snapshots.iter().map(|(shard, _)| *shard).collect();
+        let held: Vec<u64> = (bulk.iter().zip(self.digests_of(&bulk, count as usize)))
+            .filter(|(_, digest)| digest.entries > 0)
+            .map(|(shard, _)| *shard)
+            .collect();
+        plan.served()
+            .filter(|shard| {
+                spoiled.binary_search(shard).is_err()
+                    && !uneven.contains(shard)
+                    && !held.contains(shard)
+            })
+            .collect()
     }
 
     /// Decodes and validates a finished contact's outcomes into a
     /// staging list — every fallible step of an apply, before any key
-    /// is touched.
-    fn stage_contact(client: BatchPullClient) -> Result<Vec<(String, Srv, Staged)>> {
-        let mut staged: Vec<(String, Srv, Staged)> = Vec::new();
+    /// is touched — and lists the plan shards (at `plan`'s count) that
+    /// some stream did not take as served: a stream without an outcome
+    /// (this store's key, absent on the source, or a stream that
+    /// aborted), one ahead here, one to reconcile, and one outside the
+    /// plan's incremental shards.
+    fn stage_contact(
+        client: BatchPullClient,
+        plan: &ShardPlan,
+    ) -> Result<(Vec<StagedKey>, Vec<u64>)> {
+        let mut staged: Vec<StagedKey> = Vec::new();
+        let mut spoiled = Vec::new();
+        let mut incremental = plan.incremental.clone();
+        incremental.sort_unstable();
         for result in client.finish() {
+            let shard = shard_of(&result.name, plan.count.max(1));
+            let as_served = result.outcome.as_ref().is_some_and(|outcome| {
+                result.discovered
+                    || matches!(outcome.relation, Causality::Equal | Causality::Before)
+            });
+            if !as_served || incremental.binary_search(&shard).is_err() {
+                spoiled.push(shard);
+            }
             let Some(outcome) = result.outcome else {
                 // Our key, absent on the source — or a stream that aborted
                 // mid-session: nothing is applied either way.
@@ -108,7 +217,9 @@ impl KvStore {
             };
             staged.push((key, outcome.vector, action));
         }
-        Ok(staged)
+        spoiled.sort_unstable();
+        spoiled.dedup();
+        Ok((staged, spoiled))
     }
 
     /// Decodes and validates a plan's snapshot blobs into one run of
@@ -172,7 +283,7 @@ impl KvStore {
     fn commit_staged(
         &mut self,
         resolver: &dyn Resolver,
-        staged: Vec<(String, Srv, Staged)>,
+        staged: Vec<StagedKey>,
         snapshots: Vec<Run>,
         contact: &ContactReport,
     ) -> (KvSyncReport, Vec<String>) {

@@ -65,6 +65,7 @@ mod shard;
 #[cfg(test)]
 mod tests;
 
+pub use apply::Committed;
 pub use cluster::KvCluster;
 pub use codec::{ChunkReader, Reach, ReadError, SnapshotImage};
 
@@ -173,8 +174,8 @@ pub struct KvSyncReport {
     /// Incremental shards narrowed to their differing children.
     pub shards_refined: usize,
     /// Shard digests the opening frame shipped: `shards_total` for a
-    /// full vector, the shards that changed since the connection's last
-    /// pull for a delta.
+    /// full vector, for a delta the shards that differ from what the
+    /// connection remembers.
     pub digests_sent: usize,
     /// Incremental shards the source proposed the scope of, from the
     /// keys it changed since the connection's last pull.
@@ -458,8 +459,10 @@ impl KvStore {
 
 /// One in-process connection from a puller to its source, as the two
 /// memories its ends keep between pulls: the puller's last digest vector
-/// ([`VectorMemory`]) and the source's [`Serving`] — the vector it was
-/// sent and the generation it last planned at. Kept across
+/// ([`VectorMemory`]), settled after each commit at the shards that
+/// landed as served, and the source's [`Serving`] — the vector it was
+/// sent, each shard it served at its as-served digest, and the
+/// generation it last planned at. Kept across
 /// [`SyncRequest::over`] calls it makes consecutive pulls what pulls over
 /// one pooled socket are: the digest vector crosses as a delta, and the
 /// source proposes the keys it changed since. A fresh one is a fresh
@@ -556,10 +559,9 @@ impl<'a> SyncRequest<'a> {
             None => pull(self.store, &mut { link }, remembered),
         };
         let synced = pulled.and_then(|(client, plan, contact)| {
-            let applied = self
-                .store
-                .apply_planned_tracked(self.resolver, client, &contact, &plan);
-            applied.map(|(report, _changed)| report)
+            let committed = (self.store).apply_planned(self.resolver, client, &contact, &plan)?;
+            connection.remembered.settle(&committed.landed);
+            Ok(committed.report)
         });
         if synced.is_err() {
             *connection = Connection::default();

@@ -7,7 +7,7 @@ use crate::shard::{shard_index, Shard};
 use crate::{KvStore, MAX_SHARDS};
 use bytes::Bytes;
 use optrep_replication::mux::{
-    BatchPullClient, BatchPullServer, ContactAnswer, ContactAsk, Restricted,
+    BatchPullClient, BatchPullServer, ContactAnswer, ContactAsk, Restricted, ShardSums,
 };
 use optrep_replication::planner::{
     decide, nothing_to_pull, placement, Candidates, ChildDigests, Cut, DigestVector, PlanConfig,
@@ -150,6 +150,24 @@ impl KvStore {
         serving(self.records_cut(cut))
     }
 
+    /// [`server_endpoint_cut`](Self::server_endpoint_cut), and what the
+    /// records it serves sum to in each of the cut's incremental shards,
+    /// in order: one more entry hash a served record.
+    fn server_endpoint_summed(&self, cut: &Cut<'_>) -> (BatchPullServer, Vec<ShardDigest>) {
+        let mut sums = vec![ShardDigest::default(); cut.incremental.len()];
+        let records = self.records_cut(cut);
+        for record in &records {
+            let shard = shard_index(record.key_bytes(), cut.count as usize) as u64;
+            if let Ok(slot) = cut.incremental.binary_search(&shard) {
+                sums[slot] += ShardDigest {
+                    digest: entry_hash(*record),
+                    entries: 1,
+                };
+            }
+        }
+        (serving(records), sums)
+    }
+
     /// This store's per-shard digests at its physical shard count —
     /// what a planned pull sends as its opening frame. O(shards): the
     /// digests are maintained incrementally by every mutation.
@@ -165,7 +183,7 @@ impl KvStore {
     /// (wrapping sums compose across the index mask); folding *up*
     /// recomputes per entry, O(n), the price of serving a
     /// finer-sharded puller.
-    fn shard_digests_at(&self, count: usize) -> Vec<ShardDigest> {
+    pub(crate) fn shard_digests_at(&self, count: usize) -> Vec<ShardDigest> {
         let physical = self.shards.len();
         if count == physical {
             return self.shard_digest_vector().shards;
@@ -185,6 +203,18 @@ impl KvStore {
             }
         }
         out
+    }
+
+    /// This store's digests of `shards`, plan shards at `count`
+    /// ([`shard_digests_at`](Self::shard_digests_at)); a shard out of
+    /// range reads as empty.
+    pub(crate) fn digests_of(&self, shards: &[u64], count: usize) -> Vec<ShardDigest> {
+        if shards.is_empty() {
+            return Vec::new();
+        }
+        let digests = self.shard_digests_at(count);
+        let at = |shard: u64| digests.get(shard as usize).copied().unwrap_or_default();
+        shards.iter().map(|&shard| at(shard)).collect()
     }
 
     /// The planner phase in one call, for an in-process caller that
@@ -240,6 +270,16 @@ impl KvStore {
     /// field is public, so a vector built in-process can be any length;
     /// one off the wire never gets here malformed.
     pub fn plan_contact_since(&self, digests: &DigestVector, since: Option<u64>) -> ShardPlan {
+        self.plan_from(digests, since).0
+    }
+
+    /// [`plan_contact_since`](Self::plan_contact_since), and this
+    /// store's digests at the plan's count that it was made from.
+    fn plan_from(
+        &self,
+        digests: &DigestVector,
+        since: Option<u64>,
+    ) -> (ShardPlan, Vec<ShardDigest>) {
         let count = digests.shards.len();
         assert!(
             count.is_power_of_two() && count <= MAX_SHARDS,
@@ -303,16 +343,20 @@ impl KvStore {
                 })
                 .collect();
         }
-        plan
+        (plan, ours)
     }
 
     /// The serving side's one door: this store's answer to what a
     /// [`Serving`](optrep_replication::mux::Serving) asks its source.
-    /// At the digest frame: [`plan_contact_since`](Self::plan_contact_since)
-    /// and this store's [`generation`](Self::generation) — the `since`
-    /// of the connection's next contact — from one view. At the first
-    /// frame of the puller's burst: the serving endpoint over the keys
-    /// of the [`Cut`] the puller left of the plan and no others. The
+    /// At the digest frame: [`plan_contact_since`](Self::plan_contact_since),
+    /// this store's [`generation`](Self::generation) — the `since`
+    /// of the connection's next contact — and its digest of each shard
+    /// the plan bulk-loads, all from one view. At the first frame of
+    /// the puller's burst: the serving endpoint over the keys of the
+    /// [`Cut`] the puller left of the plan and no others, and
+    /// [`ShardSums`] of its incremental shards — their digests, where
+    /// the generation is still the plan's; otherwise what the served
+    /// keys sum to a shard, which costs an entry hash a served key. The
     /// serving store is never modified by a contact.
     ///
     /// A plan and an endpoint are two asks and two views of the store —
@@ -322,7 +366,10 @@ impl KvStore {
     /// connection's next contact, whose `since` is the plan's generation
     /// and so still behind the write; what the plan proved (equal
     /// residuals, equal children) it proved of entries the contact does
-    /// not transfer.
+    /// not transfer. For the same reason a served shard's as-served
+    /// digest is the plan's summary of those entries plus what is served
+    /// of the shard now — the [`ShardSums::Moved`] the endpoint answers
+    /// once the generation has moved.
     ///
     /// # Panics
     ///
@@ -330,10 +377,21 @@ impl KvStore {
     pub fn open_contact(&self, ask: ContactAsk<'_>) -> ContactAnswer {
         match ask {
             ContactAsk::Plan { digests, since } => {
-                let plan = self.plan_contact_since(digests, since);
-                ContactAnswer::Plan(plan, self.generation)
+                let (plan, ours) = self.plan_from(digests, since);
+                let images = (plan.snapshots.iter())
+                    .map(|(shard, _)| ours[*shard as usize])
+                    .collect();
+                ContactAnswer::Plan(plan, self.generation, images)
             }
-            ContactAsk::Endpoint(cut) => ContactAnswer::Endpoint(self.server_endpoint_cut(&cut)),
+            ContactAsk::Endpoint(cut, planned_at) if planned_at == self.generation => {
+                let digests = self.digests_of(cut.incremental, cut.count as usize);
+                let server = self.server_endpoint_cut(&cut);
+                ContactAnswer::Endpoint(server, ShardSums::Unchanged(digests))
+            }
+            ContactAsk::Endpoint(cut, _) => {
+                let (server, sums) = self.server_endpoint_summed(&cut);
+                ContactAnswer::Endpoint(server, ShardSums::Moved(sums))
+            }
         }
     }
 }

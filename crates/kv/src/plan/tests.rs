@@ -542,11 +542,12 @@ fn two_pullers_of_one_source_keep_their_links_memories_apart() {
     // keys, though the first link's pull journalled past one of them.
     assert_eq!(pull(&mut second, &src, &mut two), (0, 2, 2));
     // The first link is told only what came after its own last pull, and
-    // its delta is against the vector it sent then: one shard moved.
-    assert_eq!(pull(&mut first, &src, &mut one), (1, 1, 1));
+    // its delta is against what it remembers of it: the shard that pull
+    // moved, as served — so no shard differs.
+    assert_eq!(pull(&mut first, &src, &mut one), (0, 1, 1));
     src.put("key-01234", vec![b'x'; 32]);
-    assert_eq!(pull(&mut second, &src, &mut two), (2, 1, 1));
-    assert_eq!(pull(&mut first, &src, &mut one), (1, 1, 1));
+    assert_eq!(pull(&mut second, &src, &mut two), (0, 1, 1));
+    assert_eq!(pull(&mut first, &src, &mut one), (0, 1, 1));
     assert!(first.consistent_with(&src));
     assert!(second.consistent_with(&src));
 }

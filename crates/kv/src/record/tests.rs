@@ -137,3 +137,56 @@ fn a_record_reads_back_the_state_it_was_built_from() {
     }
     assert!(rest.is_empty());
 }
+
+/// `entry_hash` folds a short length, count or site in one step where
+/// FNV-1a takes eight: seeded states either side of 256 in every field —
+/// key and value lengths 0–300, 0–12 sites with sites and counts below
+/// and above a byte, tombstones — hash exactly as the byte-wise feed
+/// does.
+#[test]
+fn a_word_folded_in_one_step_hashes_as_its_eight_bytes() {
+    let (mut short, mut long) = (0, 0);
+    optrep_core::rng::cases(3000, |_, rng| {
+        let key: String = (0..rng.below(301))
+            .map(|_| char::from(b'a' + rng.below(26) as u8))
+            .collect();
+        let mut sites = Vec::new();
+        for _ in 0..rng.below(13) {
+            let site = match rng.chance(0.5) {
+                true => rng.below(256) as u32,
+                false => 256 + rng.next_u64() as u32 % (u32::MAX - 256),
+            };
+            if !sites.contains(&site) {
+                sites.push(site);
+            }
+        }
+        let meta = Srv::from_order(sites.into_iter().map(|site| {
+            let value = match rng.below(3) {
+                0 => rng.below(256) as u64,
+                1 => 256 + rng.next_u64() % 100_000,
+                _ => rng.next_u64() >> 2,
+            };
+            optrep_core::order::Element {
+                site: s(site),
+                value,
+                conflict: false,
+                segment: false,
+            }
+        }));
+        let value = (!rng.chance(0.2)).then(|| vec![rng.next_u64() as u8; rng.below(301)]);
+        for len in [key.len(), value.as_ref().map_or(0, Vec::len)] {
+            match len < 256 {
+                true => short += 1,
+                false => long += 1,
+            }
+        }
+        let mut buf = Vec::new();
+        Record::write(&mut buf, &key, &meta, value.as_deref());
+        let (record, _) = Record::split_first(&buf);
+        assert_eq!(
+            entry_hash(record),
+            entry_hash_by_the_vector(&key, &meta, value.as_deref())
+        );
+    });
+    assert!(short > 1000 && long > 500, "{short} {long}");
+}

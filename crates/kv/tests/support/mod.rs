@@ -17,7 +17,9 @@ pub fn unplanned_pull(dst: &mut KvStore, src: &KvStore) -> KvSyncReport {
         incremental: &[0],
         narrowed: None,
     };
-    let ContactAnswer::Endpoint(mut server) = src.open_contact(ContactAsk::Endpoint(every_key))
+    let now = src.generation();
+    let ContactAnswer::Endpoint(mut server, _) =
+        src.open_contact(ContactAsk::Endpoint(every_key, now))
     else {
         unreachable!("an endpoint is answered with an endpoint")
     };

@@ -442,7 +442,9 @@ impl From<BatchPullClient> for Restricted {
 /// beside the pooled socket; a one-shot link passes a fresh one). It is
 /// emptied while the contact runs and holds `digests` once the contact
 /// has completed, so a delta is never encoded against a vector whose
-/// contact failed.
+/// contact failed — with the plan's served shards marked, so that the
+/// next contact lists them until the caller, having committed, settles
+/// those that landed as served ([`VectorMemory::settle`]).
 ///
 /// The obs contact scope opens when the exchange begins, with the
 /// restricted client's stream count; the planning turn emits nothing.
@@ -478,7 +480,7 @@ pub fn pull_planned<L: FrameLink, E: Into<Restricted>>(
     let scope = obs::contact_scope(client.stream_count() as u64);
     puller.exchange(&mut client, restricted.scope.as_ref(), scope.id(), &mut out);
     let report = pump_exchange(&mut puller, link, &mut out, scope)?;
-    remembered.remember(digests);
+    remembered.remember(digests, plan.served());
     Ok((client, plan, report))
 }
 

@@ -76,9 +76,9 @@ pub struct ContactReport {
     /// scope opens with the object exchange.
     pub digest_bytes: u64,
     /// Shard digests the opening frame actually shipped:
-    /// [`shards_total`](Self::shards_total) for a full vector, the
-    /// shards that changed since the connection's last contact for a
-    /// delta — zero when a converged puller asks again.
+    /// [`shards_total`](Self::shards_total) for a full vector, for a
+    /// delta the shards that differ from what the connection remembers
+    /// — zero when a converged puller asks again.
     pub digests_sent: u64,
 }
 

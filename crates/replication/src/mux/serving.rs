@@ -5,8 +5,8 @@
 use super::msg::{marker_fin, planning_violation, put_marker, CONTROL_STREAM, TURN_STREAM};
 use super::{serve_frame, BatchPullServer, ServeStep};
 use crate::planner::{
-    plan_frame, Cut, DigestVector, Offer, ShardPlan, ShardScope, VectorMemory, TAG_SHARD_DIGESTS,
-    TAG_SHARD_DIGESTS_DELTA, TAG_SHARD_SCOPE,
+    plan_frame, ChildDigests, Cut, DigestVector, Offer, ShardDigest, ShardPlan, ShardScope,
+    VectorMemory, TAG_SHARD_DIGESTS, TAG_SHARD_DIGESTS_DELTA, TAG_SHARD_SCOPE,
 };
 use bytes::BytesMut;
 use optrep_core::error::Result;
@@ -95,18 +95,39 @@ pub enum ContactAsk<'a> {
     /// At the first frame of the puller's burst: the endpoint the
     /// exchange runs against, over the keys of the contact's [`Cut`].
     /// Every vector is read with its value, under one view of the
-    /// store; that view may be later than the plan's.
-    Endpoint(Cut<'a>),
+    /// store; that view may be later than the plan's, whose generation
+    /// — what the source answered the plan with — is the `u64`.
+    Endpoint(Cut<'a>, u64),
 }
 
 /// A source's answer to a [`ContactAsk`], variant for variant.
 #[derive(Debug)]
 pub enum ContactAnswer {
-    /// The plan, and the store's generation when it was made.
-    Plan(ShardPlan, u64),
-    /// The endpoint. To a [`ContactAsk::Plan`] it is a planning
+    /// The plan, the store's generation when it was made, and the
+    /// store's digest of each shard the plan bulk-loads, in the plan's
+    /// order — what the puller's shard sums to once the image is in.
+    Plan(ShardPlan, u64, Vec<ShardDigest>),
+    /// The endpoint, and what the source knows of each of the cut's
+    /// incremental shards. To a [`ContactAsk::Plan`] it is a planning
     /// violation.
-    Endpoint(BatchPullServer),
+    Endpoint(BatchPullServer, ShardSums),
+}
+
+/// What a source says, beside an endpoint, of each of the cut's
+/// incremental shards, in the cut's order: enough for the serving end to
+/// know each shard's *as-served* digest — what the puller's shard sums
+/// to once it holds exactly what it was served.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ShardSums {
+    /// The store has not changed since the plan's generation: each
+    /// shard's digest now, which is its as-served digest — what the
+    /// contact leaves out of it is what the plan summarised.
+    Unchanged(Vec<ShardDigest>),
+    /// The store changed since the plan: what the records the endpoint
+    /// serves sum to in each shard. The plan's summary of what the
+    /// contact leaves out of the shard — a refined shard's unlisted
+    /// children, an accepted proposal's residual — completes it.
+    Moved(Vec<ShardDigest>),
 }
 
 /// Where a [`Serving`] gets a contact's plan and endpoint
@@ -114,15 +135,15 @@ pub enum ContactAnswer {
 /// store lock once per ask, inside the closure).
 ///
 /// The two asks of a planned contact may see two views of the store.
-/// What a source owes for that to be sound is in [`ContactAsk`]: plan
-/// and generation from one view, every served vector read with its
-/// value. Why it then is sound is argued once, at
-/// `KvStore::open_contact`.
+/// What a source owes for that to be sound is in [`ContactAsk`]: plan,
+/// generation and image digests from one view, every served vector read
+/// with its value, and [`ShardSums`] of the endpoint's view. Why it then
+/// is sound is argued once, at `KvStore::open_contact`.
 pub type ContactSource<'a> = dyn FnMut(ContactAsk<'_>) -> ContactAnswer + 'a;
 
 /// What [`Serving`] keeps of a plan between handing it out and cutting
-/// the endpoint: shard indices and candidate placements, no key, vector
-/// or value.
+/// the endpoint: shard indices, candidate placements and the digests of
+/// refined shards' children, no key, vector or value.
 #[derive(Debug)]
 struct Planned {
     count: u64,
@@ -132,6 +153,72 @@ struct Planned {
     /// offer — so a contact takes at most one scope, and only ahead of
     /// its `BatchHello`.
     offer: Option<Offer>,
+    /// The plan's child digests: what a refined shard's children the
+    /// puller does not list sum to. (Its proposals' residuals wait in
+    /// the connection's memory, at their shards.)
+    children: Option<ChildDigests>,
+}
+
+impl Planned {
+    /// Each incremental shard's as-served digest, the puller having
+    /// answered `scope` and the source `sums`. `remembered` holds an
+    /// accepted proposal's residual at its shard.
+    fn as_served(
+        &self,
+        scope: Option<&ShardScope>,
+        sums: ShardSums,
+        remembered: &VectorMemory,
+    ) -> Vec<(u64, ShardDigest)> {
+        let (moved, sums) = match sums {
+            ShardSums::Unchanged(digests) => (false, digests),
+            ShardSums::Moved(sums) => (true, sums),
+        };
+        let shards = self.incremental.iter().copied();
+        let mut served: Vec<(u64, ShardDigest)> = shards.zip(sums).collect();
+        if moved {
+            for (shard, served) in &mut served {
+                *served += self.outside(*shard, scope, remembered);
+            }
+        }
+        served
+    }
+
+    /// The plan's summary of what a contact whose puller answered
+    /// `scope` leaves out of incremental `shard`: a refined shard's
+    /// unlisted children, an accepted proposal's residual, nothing of a
+    /// shard walked whole.
+    fn outside(
+        &self,
+        shard: u64,
+        scope: Option<&ShardScope>,
+        remembered: &VectorMemory,
+    ) -> ShardDigest {
+        let (Some(scope), Some(offer)) = (scope, &self.offer) else {
+            return ShardDigest::default();
+        };
+        let mut outside = ShardDigest::default();
+        let refined = self.children.as_ref().and_then(|children| {
+            let parents = &children.parents;
+            let slot = parents.binary_search_by_key(&shard, |p| p.0).ok()?;
+            Some(&parents[slot].1)
+        });
+        if let Some(children) = refined {
+            for (j, child) in (0u64..).zip(children) {
+                if scope
+                    .children
+                    .binary_search(&(shard + j * self.count))
+                    .is_err()
+                {
+                    outside += *child;
+                }
+            }
+        } else if offer.proposed.binary_search_by_key(&shard, |p| p.0).is_ok()
+            && !scope.refuses(shard)
+        {
+            outside = remembered.digest(shard).unwrap_or_default();
+        }
+        outside
+    }
 }
 
 /// The serving half of a connection, one frame at a time: the state in
@@ -153,11 +240,16 @@ struct Planned {
 ///
 /// One `Serving` serves a persistent connection's contacts back to
 /// back. Between them it holds no endpoint, but it does keep the last
-/// digest vector the puller sent ([`VectorMemory`], 16 B × the shard
-/// count the peer chose — at most 16 MiB at
+/// digest vector the puller sent, each shard the contact served at its
+/// as-served digest ([`VectorMemory`], 16 B × the shard count the peer
+/// chose — at most 16 MiB at
 /// [`MAX_PLAN_SHARDS`](crate::planner::MAX_PLAN_SHARDS)): the next
 /// contact may open with a [`DigestDelta`](crate::planner::DigestDelta)
-/// against it instead of the whole vector. Beside it sits `since`, one
+/// against it instead of the whole vector. The source names a
+/// bulk-loaded shard's as-served digest with the plan, and an
+/// incremental shard's with the endpoint ([`ShardSums`]); the memory is
+/// settled at the endpoint, so a contact that completes has served
+/// what it settled. Beside the vector sits `since`, one
 /// `u64`: the source's generation at that contact's plan, which the
 /// source gets back when the next contact is planned and may propose
 /// from. It is a hint and needs no discipline
@@ -173,8 +265,9 @@ pub struct Serving {
     /// A planned contact's plan frame, until the puller passes the turn.
     parked: Option<BytesMut>,
     /// A planned contact's plan, from the digest frame until the first
-    /// frame of the puller's burst.
-    planned: Option<Planned>,
+    /// frame of the puller's burst. Boxed, as the endpoint is: an idle
+    /// connection holds neither.
+    planned: Option<Box<Planned>>,
     /// The puller's vector as of the last contact it opened here; with
     /// `since`, what outlives [`ServeStep::Done`].
     remembered: VectorMemory,
@@ -235,7 +328,11 @@ impl Serving {
                         incremental: &planned.incremental,
                         narrowed: planned.offer.as_ref().zip(scope.as_ref()),
                     };
-                    let server = self.server.insert(endpoint_from(source, cut)?);
+                    let planned_at = self.since.expect("`since` is set with the plan");
+                    let (server, sums) = endpoint_from(source, cut, planned_at)?;
+                    let served = planned.as_served(scope.as_ref(), sums, &self.remembered);
+                    self.remembered.settle(&served);
+                    let server = self.server.insert(server);
                     if scope.is_some() {
                         return Ok(ServeStep::Continue);
                     }
@@ -245,7 +342,7 @@ impl Serving {
                     let mut payload = frame.payload;
                     let digests = self.remembered.receive(&mut payload)?;
                     let since = self.since.take();
-                    let ContactAnswer::Plan(plan, generation) =
+                    let ContactAnswer::Plan(plan, generation, images) =
                         source(ContactAsk::Plan { digests, since })
                     else {
                         return Err(planning_violation(
@@ -254,11 +351,20 @@ impl Serving {
                     };
                     self.since = Some(generation);
                     self.parked = Some(plan_frame(&plan));
-                    self.planned = Some(Planned {
+                    // What the puller sent for a served shard is spent:
+                    // a bulk-loaded shard is remembered as its image, and
+                    // a proposal's residual waits at its shard until the
+                    // endpoint settles it.
+                    let bulk = plan.snapshots.iter().map(|(shard, _)| *shard);
+                    let residuals = plan.proposed.iter().map(|p| (p.shard, p.residual));
+                    let parked: Vec<_> = bulk.zip(images).chain(residuals).collect();
+                    self.remembered.settle(&parked);
+                    self.planned = Some(Box::new(Planned {
                         count: plan.count,
                         offer: plan.offer(),
+                        children: plan.children,
                         incremental: plan.incremental,
-                    });
+                    }));
                     return Ok(ServeStep::Continue);
                 }
                 None => {
@@ -276,10 +382,15 @@ impl Serving {
     }
 }
 
-/// Asks `source` for a contact's endpoint.
-fn endpoint_from(source: &mut ContactSource<'_>, cut: Cut<'_>) -> Result<Box<BatchPullServer>> {
-    match source(ContactAsk::Endpoint(cut)) {
-        ContactAnswer::Endpoint(server) => Ok(Box::new(server)),
+/// Asks `source` for a contact's endpoint, the plan having been made at
+/// `generation`.
+fn endpoint_from(
+    source: &mut ContactSource<'_>,
+    cut: Cut<'_>,
+    generation: u64,
+) -> Result<(Box<BatchPullServer>, ShardSums)> {
+    match source(ContactAsk::Endpoint(cut, generation)) {
+        ContactAnswer::Endpoint(server, sums) => Ok((Box::new(server), sums)),
         ContactAnswer::Plan(..) => Err(planning_violation(
             "the source answered a plan where the endpoint was due".into(),
         )),

@@ -20,6 +20,16 @@ pub struct ShardDigest {
     pub entries: u64,
 }
 
+/// Adds another part of the same shard: the digests' wrapping sum and
+/// the entry counts' sum — what a shard summarises to once it holds
+/// both parts' entries.
+impl std::ops::AddAssign for ShardDigest {
+    fn add_assign(&mut self, other: ShardDigest) {
+        self.digest = self.digest.wrapping_add(other.digest);
+        self.entries += other.entries;
+    }
+}
+
 impl ShardDigest {
     /// A summary on the wire: the entry count as a varint, then the
     /// digest as 8 fixed big-endian bytes.
@@ -124,11 +134,21 @@ impl DigestDelta {
     /// What turns `base` into `next`; `None` when their shard counts
     /// differ (the store was resharded: there is nothing to patch).
     pub fn between(base: &DigestVector, next: &DigestVector) -> Option<DigestDelta> {
+        Self::listing(base, next, |_| false)
+    }
+
+    /// As [`between`](Self::between), listing also every shard `resend`
+    /// names, whether or not it changed.
+    fn listing(
+        base: &DigestVector,
+        next: &DigestVector,
+        resend: impl Fn(u64) -> bool,
+    ) -> Option<DigestDelta> {
         (base.shards.len() == next.shards.len()).then(|| DigestDelta {
             count: next.shards.len() as u64,
             changed: (0u64..)
                 .zip(base.shards.iter().zip(&next.shards))
-                .filter(|(_, (old, new))| old != new)
+                .filter(|&(shard, (old, new))| old != new || resend(shard))
                 .map(|(shard, (_, new))| (shard, *new))
                 .collect(),
             check: next.check(),
@@ -225,17 +245,30 @@ impl DigestDelta {
     }
 }
 
-/// One end's memory of the last digest vector that crossed its
-/// connection — what a [`DigestDelta`] is encoded against by the puller
-/// and applied to by the server. It belongs to the connection and dies
-/// with it: the pulling end keeps it beside the pooled link, the
-/// serving end inside [`Serving`](crate::mux::Serving), and since any
-/// failed contact costs both ends the connection, the two memories
-/// never have to be reconciled — only checked
-/// ([`DigestVector::check`]).
+/// One end's memory of its connection's digest vector — what a
+/// [`DigestDelta`] is encoded against by the puller and applied to by
+/// the server. It belongs to the connection and dies with it: the
+/// pulling end keeps it beside the pooled link, the serving end inside
+/// [`Serving`](crate::mux::Serving), and since any failed contact costs
+/// both ends the connection, the two memories never have to be
+/// reconciled — only checked ([`DigestVector::check`]).
+///
+/// What both remember is the last vector that crossed, except where the
+/// contact it opened served a shard: there each end remembers the
+/// shard's *as-served* digest — what the puller's shard sums to once it
+/// holds exactly what it was served. The serving end knows it from what
+/// it served; the pulling end reads it off its own shard once its
+/// commit took every stream of the shard as served
+/// ([`settle`](Self::settle)). Until then — and for good, where the
+/// commit reconciled, kept a key ahead or of its own, or lost the race
+/// with a local write — the pulling end marks the shard (one bit), and
+/// every later opening frame lists it whatever it reads.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VectorMemory {
     last: Option<DigestVector>,
+    /// The pulling end's marks, one bit a shard of `last`: served by the
+    /// last contact and not settled.
+    unsettled: Vec<u64>,
 }
 
 impl VectorMemory {
@@ -245,19 +278,30 @@ impl VectorMemory {
         self.last.is_none()
     }
 
+    /// What is remembered of `shard`, if anything.
+    pub fn digest(&self, shard: u64) -> Option<ShardDigest> {
+        self.last.as_ref()?.shards.get(shard as usize).copied()
+    }
+
+    fn marked(&self, shard: u64) -> bool {
+        let word = self.unsettled.get((shard / 64) as usize);
+        word.is_some_and(|word| word >> (shard % 64) & 1 == 1)
+    }
+
     /// The pulling end: `next` as the control-stream frame that opens a
     /// contact (no marker), and how many shard digests that frame
-    /// ships. The delta against the remembered vector is sent iff it is
-    /// strictly shorter than the full vector — the two encoded lengths
-    /// are the whole policy — so with nothing remembered, another shard
-    /// count, or a vector that changed everywhere, the frame is
+    /// ships. The delta against the remembered vector — the shards that
+    /// differ from it, and every marked one — is sent iff it is strictly
+    /// shorter than the full vector — the two encoded lengths are the
+    /// whole policy — so with nothing remembered, another shard count,
+    /// or a vector that changed everywhere, the frame is
     /// [`digest_vector_frame`]'s.
     pub fn opening_frame(&self, next: &DigestVector) -> (BytesMut, u64) {
         let full = digest_vector_frame(next);
         let delta = self
             .last
             .as_ref()
-            .and_then(|base| DigestDelta::between(base, next));
+            .and_then(|base| DigestDelta::listing(base, next, |shard| self.marked(shard)));
         if let Some(delta) = delta {
             let frame = control_frame(&delta.encode());
             if frame.len() < full.len() {
@@ -268,9 +312,38 @@ impl VectorMemory {
     }
 
     /// The pulling end, once the contact `crossed` opened has
-    /// completed: the next contact may be encoded against it.
-    pub fn remember(&mut self, crossed: &DigestVector) {
+    /// completed, its plan having served the shards `served`: the next
+    /// contact is encoded against `crossed`, each served shard marked
+    /// until it is [settled](Self::settle).
+    pub fn remember(&mut self, crossed: &DigestVector, served: impl IntoIterator<Item = u64>) {
+        let count = crossed.shards.len();
+        self.unsettled.clear();
+        self.unsettled.resize(count.div_ceil(64), 0);
+        for shard in served.into_iter().filter(|&shard| shard < count as u64) {
+            self.unsettled[(shard / 64) as usize] |= 1 << (shard % 64);
+        }
         self.last = Some(crossed.clone());
+    }
+
+    /// Either end, once a contact has served `served` — `(shard, its
+    /// as-served digest)`: the serving end every shard it served, when
+    /// it has served the last frame; the pulling end the shards its
+    /// commit took as served, with what each now sums to, before the
+    /// connection opens another contact. Those shards are remembered at
+    /// that digest and unmarked. A shard out of the remembered vector's
+    /// range, or with nothing remembered, is ignored.
+    pub fn settle(&mut self, served: &[(u64, ShardDigest)]) {
+        let Some(last) = &mut self.last else {
+            return;
+        };
+        for &(shard, digest) in served {
+            if let Some(slot) = last.shards.get_mut(shard as usize) {
+                *slot = digest;
+                if let Some(word) = self.unsettled.get_mut((shard / 64) as usize) {
+                    *word &= !(1 << (shard % 64));
+                }
+            }
+        }
     }
 
     /// The serving end: decodes the payload that opens a contact —
@@ -418,7 +491,7 @@ mod tests {
                 let mut wire = frame.freeze();
                 let mut payload = wire::get_frame(&mut wire).unwrap().payload;
                 assert_eq!(server.receive(&mut payload).unwrap(), vector, "seed {seed}");
-                puller.remember(vector);
+                puller.remember(vector, []);
             }
             // An unchanged vector is the minimal frame: header, tag,
             // count, zero changes, check.
@@ -430,11 +503,53 @@ mod tests {
         }
     }
 
+    /// A contact served shards 0, 1 and 2: the server remembers each at
+    /// its as-served digest, the puller marks all three and settles the
+    /// two that landed. The next delta lists the unsettled shard and the
+    /// one a local write moved, nothing else, and patches to the
+    /// puller's vector; a puller that settles the third at a digest the
+    /// server does not hold leaves it out, and the check refuses that.
+    #[test]
+    fn served_shards_cross_until_settled_and_a_wrong_settle_fails_the_check() {
+        let first = DigestVector {
+            shards: sample_vector().shards.repeat(4),
+        };
+        let as_served = |shard: u64| ShardDigest {
+            digest: 0x5e_4ed0 + shard,
+            entries: 3 + shard,
+        };
+        let served: Vec<(u64, ShardDigest)> = (0..3).map(|s| (s, as_served(s))).collect();
+        let mut next = first.clone();
+        next.shards[0] = as_served(0);
+        next.shards[1] = as_served(1);
+        next.shards[2].digest ^= 0xff; // reconciled: not as served
+        next.shards[9].entries += 1; // a local write
+        for wrong in [false, true] {
+            let (mut puller, mut server) = (VectorMemory::default(), VectorMemory::default());
+            let (frame, _) = puller.opening_frame(&first);
+            let mut payload = wire::get_frame(&mut frame.freeze()).unwrap().payload;
+            server.receive(&mut payload).unwrap();
+            server.settle(&served);
+            puller.remember(&first, [0, 1, 2]);
+            puller.settle(&served[..2]);
+            if wrong {
+                puller.settle(&[(2, next.shards[2])]);
+            }
+            let (frame, sent) = puller.opening_frame(&next);
+            assert_eq!(sent, if wrong { 1 } else { 2 });
+            let mut payload = wire::get_frame(&mut frame.freeze()).unwrap().payload;
+            match wrong {
+                false => assert_eq!(server.receive(&mut payload).unwrap(), &next),
+                true => assert!(server.receive(&mut payload).is_err()),
+            }
+        }
+    }
+
     #[test]
     fn an_all_dirty_vector_and_a_resharded_one_cross_in_full() {
         let (base, _) = random_vector_pair(7);
         let mut memory = VectorMemory::default();
-        memory.remember(&base);
+        memory.remember(&base, []);
         let mut all = base.clone();
         for shard in &mut all.shards {
             shard.digest ^= 1;

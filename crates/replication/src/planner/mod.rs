@@ -35,16 +35,19 @@
 //! **The vector crosses a connection once.** Between two pulls over the
 //! same persistent connection the puller's vector differs only in the
 //! shards the last pull touched. Each end of a connection therefore
-//! remembers the last vector that crossed it ([`VectorMemory`]), and the
-//! puller opens every later contact with whichever of two frames is
-//! shorter: the full [`DigestVector`], or a [`DigestDelta`] — the shards
-//! that changed since, and a check over the vector they patch to. The
-//! server reconstructs the full vector and plans from that; a delta it
-//! cannot apply (nothing remembered, another shard count, a check
-//! mismatch) is a decode error like any other, the connection dies, and
-//! the redial opens with a full vector. The first contact on a
-//! connection, and any contact whose vector changed everywhere, opens
-//! with the full vector's frame.
+//! remembers the last vector that crossed it ([`VectorMemory`]) — each
+//! shard the contact served at what the puller's shard sums to once it
+//! holds what it was served, which the server knows from what it served
+//! and the puller reads off a commit that took the shard as served —
+//! and the puller opens every later contact with whichever of two
+//! frames is shorter: the full [`DigestVector`], or a [`DigestDelta`] —
+//! the shards that differ from what the connection remembers, and a
+//! check over the vector they patch to. The server reconstructs the full
+//! vector and plans from that; a delta it cannot apply (nothing
+//! remembered, another shard count, a check mismatch) is a decode error
+//! like any other, the connection dies, and the redial opens with a full
+//! vector. The first contact on a connection, and any contact whose
+//! vector changed everywhere, opens with the full vector's frame.
 //!
 //! **The server proposes the scope.** The serving store keeps a bounded
 //! journal of the keys it changed ([`JOURNAL_CAP`]), and the serving end

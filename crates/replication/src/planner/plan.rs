@@ -101,6 +101,13 @@ impl ShardPlan {
             .saturating_sub(self.snapshots.len() as u64)
     }
 
+    /// The shards the plan serves: its incremental shards, then the
+    /// ones it bulk-loads, each in the plan's order.
+    pub fn served(&self) -> impl Iterator<Item = u64> + '_ {
+        let snapshots = self.snapshots.iter().map(|(shard, _)| *shard);
+        self.incremental.iter().copied().chain(snapshots)
+    }
+
     /// What the plan offers to narrow, if anything.
     pub fn offer(&self) -> Option<Offer> {
         if self.children.is_none() && self.proposed.is_empty() {

@@ -1,28 +1,33 @@
 //! One contact loop, many links: every transport must price and finish a
 //! contact identically — planned or not — the bytes on the wire are
-//! pinned, every cut aborts cleanly, and hostile frame sequences fail
-//! the two step machines instead of wedging them.
+//! pinned, every cut aborts cleanly, hostile frame sequences fail the
+//! two step machines instead of wedging them, and the two ends of a
+//! connection remember what its contacts served alike.
 
 use bytes::{Bytes, BytesMut};
+use optrep_core::error::WireError;
+use optrep_core::obs::metrics::MetricsRegistry;
 use optrep_core::obs::{self, CheckSink, RingSink, SyncEvent};
 use optrep_core::rng::SplitMix64;
 use optrep_core::sync::{Endpoint, Framed, ReceiverStats, WireMsg};
 use optrep_core::wire::{self, FrameDecoder};
 use optrep_core::{Causality, Error, Result, RotatingVector, SiteId, Srv};
-use optrep_kv::{JoinResolver, KvStore, KvSyncReport};
-use optrep_net::{ConnectOptions, FaultPlan, FaultyLink, FrameLink, TcpLink};
+use optrep_kv::{Committed, JoinResolver, KvStore, KvSyncReport};
+use optrep_net::{ConnPool, ConnectOptions, FaultPlan, FaultyLink, FrameLink, TcpLink};
 use optrep_replication::mux::{StreamOpen, TURN_STREAM};
-use optrep_replication::planner::{digest_vector_frame, plan_frame, scope_frame, MAX_PLAN_SHARDS};
+use optrep_replication::planner::{
+    digest_vector_frame, plan_frame, scope_frame, shard_of, MAX_PLAN_SHARDS,
+};
 use optrep_replication::{
     pull_contact, pull_planned, reason_label, run_contact, serve_contact, serve_frame, serve_from,
     BatchPullClient, BatchPullServer, ContactAnswer, ContactAsk, ContactReport, CtrlMsg,
     DigestDelta, DigestVector, Faulted, InProcessLink, MuxMsg, PlanConfig, Proposal, Puller,
     ServeStep, Serving, SessionMsg, ShardPlan, ShardScope, VectorMemory, CONTROL_STREAM,
 };
-use optrep_replication::{ChildDigests, ShardDigest};
+use optrep_replication::{ChildDigests, ShardDigest, ShardSums};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 
 #[path = "../../kv/tests/support/mod.rs"]
 mod support;
@@ -292,10 +297,11 @@ fn refined_stores() -> (KvStore, KvStore) {
 }
 
 /// One planned pull of `dst` from whatever serves the far end of
-/// `link` — the three steps `pull_from` and `KvStore::sync` are:
-/// digests, the planned-pull pump over the endpoint cut as finely as
-/// the plan allows, the planned commit — with the contact report they
-/// leave out. `remembered` is the pulling end's memory of `link`, as
+/// `link` — the steps `pull_from` and `KvStore::sync` are: digests, the
+/// planned-pull pump over the endpoint cut as finely as the plan
+/// allows, the planned commit, the memory settled at the shards that
+/// landed as served — with the contact report they leave out.
+/// `remembered` is the pulling end's memory of `link`, as
 /// `optrep_net::ConnPool` keeps it.
 fn planned_pull_on<L: FrameLink>(
     dst: &mut KvStore,
@@ -306,8 +312,9 @@ fn planned_pull_on<L: FrameLink>(
     let (client, plan, contact) = pull_planned(link, remembered, &digests, |plan| {
         dst.client_endpoint_refined(plan)
     })?;
-    let (synced, _) = dst.apply_planned_tracked(&JoinResolver, client, &contact, &plan)?;
-    Ok((contact, synced))
+    let committed = dst.apply_planned(&JoinResolver, client, &contact, &plan)?;
+    remembered.settle(&committed.landed);
+    Ok((contact, committed.report))
 }
 
 /// The first — or only — planned pull over `link`: nothing remembered.
@@ -1080,7 +1087,15 @@ fn take_transcript(link: &mut ChannelLink) -> (u64, u64) {
 ///
 /// 19 frames and 3 624 B as before, in six writes a half instead of
 /// 15; the cold second pull takes six too.
-const PINNED_SECOND_PULLER_TRANSCRIPT: u64 = 0x1075_117c_24cd_a880;
+///
+/// The puller's re-pinned once more (from `0x1075_117c_24cd_a880`) when
+/// both ends began to remember each shard a contact served as served:
+/// the delta frame names shards 2, 7 and 9 — not 11, where the first
+/// pull fast-forwarded a key and so landed it as served — in 46 B
+/// instead of 57. The server patches it to the same vector, so every
+/// other write of either half, and the server's transcript, is
+/// unchanged.
+const PINNED_SECOND_PULLER_TRANSCRIPT: u64 = 0xc98a_c6b4_cf67_b684;
 const PINNED_SECOND_SERVER_TRANSCRIPT: u64 = 0x3d20_8e26_2f73_2643;
 
 #[test]
@@ -1130,23 +1145,28 @@ fn second_pull_over_a_link_is_proposed_what_the_source_changed() {
     // serving store plans them given the generation it was at when it
     // planned the first contact.
     let (mut dst, mut src) = refined_stores();
-    let base = dst.shard_digest_vector();
+    let mut remembered = dst.shard_digest_vector();
     dst.sync(&src).run().expect("first");
     let since = src.generation();
+    // Of the shards the first pull served, 11 — where the puller
+    // fast-forwarded a key — landed as served, and both ends remember it
+    // as it now is; 2 (reconciled) and 7 (a key of the puller's own) did
+    // not, and are listed whatever they read.
+    remembered.shards[11] = dst.shard_digest_vector().shards[11];
     puller_moves_on(&mut dst);
     source_moves_on(&mut src);
     let next = dst.shard_digest_vector();
-    let delta = DigestDelta::between(&base, &next).expect("same count");
+    let delta = DigestDelta::between(&remembered, &next).expect("same count");
     let shards = |delta: &DigestDelta| -> Vec<u64> { delta.changed.iter().map(|c| c.0).collect() };
     assert_eq!(
         shards(&delta),
-        [2, 7, 9, 11],
-        "what the first pull and the puller touched"
+        [2, 7, 9],
+        "what the first pull did not land as served, and what the puller touched"
     );
     let mut delta_frame = BytesMut::new();
     wire::put_frame(&mut delta_frame, CONTROL_STREAM, &delta.encode());
     let saved = (digest_vector_frame(&next).len() - delta_frame.len()) as u64;
-    assert_eq!((delta_frame.len(), saved), (57, 108));
+    assert_eq!((delta_frame.len(), saved), (46, 119));
 
     let (blind, _) = src.plan_contact(&next, &PlanConfig::default());
     let plan = src.plan_contact_since(&next, Some(since));
@@ -1184,7 +1204,7 @@ fn second_pull_over_a_link_is_proposed_what_the_source_changed() {
         + plan_frame(&blind).len()
         + scope_frame(&blind_scope).len();
     assert_eq!(cold_report.digest_bytes, blind_frames as u64);
-    assert_eq!((report.digests_sent, cold_report.digests_sent), (4, 16));
+    assert_eq!((report.digests_sent, cold_report.digests_sent), (3, 16));
     let offered = |r: &ContactReport| (r.shards_refined, r.shards_proposed, r.shards_refused);
     assert_eq!(
         (offered(&report), offered(&cold_report)),
@@ -1228,7 +1248,7 @@ fn every_transport_runs_the_second_pull_identically() {
     serving.join().expect("server thread").expect("serve");
     let ended = dst.replica_digest_full();
     let sent = [reference[0].0.digests_sent, reference[1].0.digests_sent];
-    assert_eq!(sent, [16, 4]);
+    assert_eq!(sent, [16, 3]);
     let proposed = [
         reference[0].0.shards_proposed,
         reference[1].0.shards_proposed,
@@ -1267,8 +1287,10 @@ fn every_transport_runs_the_second_pull_identically() {
 /// What a daemon's `APPLY_RACE_RETRIES` does: a pull completes on the
 /// wire, its outcome is thrown away because a local write raced it, and
 /// the pull runs again over the same link. Both ends remembered the
-/// vector of the abandoned contact, so the rerun — a delta against it —
-/// stays in step and commits what a pull over a fresh link commits.
+/// vector of the abandoned contact — the server each shard it served as
+/// served, the puller those shards marked, never settled — so the rerun
+/// — a delta against it that lists the served shards again — stays in
+/// step and commits what a pull over a fresh link commits.
 #[test]
 fn a_pull_abandoned_after_the_wire_leaves_the_memories_in_step() {
     let (mut dst, src) = refined_stores();
@@ -1294,14 +1316,14 @@ fn a_pull_abandoned_after_the_wire_leaves_the_memories_in_step() {
     dst.put("raced", "local write");
     let (rerun, _) = planned_pull_on(&mut dst, &mut link, &mut remembered).expect("rerun");
     assert_eq!(
-        rerun.digests_sent, 1,
-        "the shard the racing write landed in"
+        rerun.digests_sent, 4,
+        "the shard the racing write landed in, and the three the abandoned contact served"
     );
     assert_eq!(
         rerun,
         ContactReport {
             digest_bytes: rerun.digest_bytes,
-            digests_sent: 1,
+            digests_sent: 4,
             ..fresh
         }
     );
@@ -1457,7 +1479,7 @@ fn a_write_between_plan_and_endpoint(form: Form, race: Race) {
     let src = RefCell::new(src);
     let armed = std::cell::Cell::new(false);
     let mut source = |ask: ContactAsk<'_>| {
-        if matches!(ask, ContactAsk::Endpoint(_)) && armed.replace(false) {
+        if matches!(ask, ContactAsk::Endpoint(..)) && armed.replace(false) {
             match race {
                 Race::DeleteCandidate => src.borrow_mut().delete(raced.clone()),
                 _ => src.borrow_mut().put(raced.clone(), "raced"),
@@ -1468,6 +1490,8 @@ fn a_write_between_plan_and_endpoint(form: Form, race: Race) {
     let mut serving = Serving::default();
     let mut link = InProcessLink::serving(&mut serving, &mut source);
     let mut remembered = VectorMemory::default();
+    // Settled as a daemon settles, so that the next pull's check proves
+    // the as-served digests the racing pull left at both ends.
     let mut pull = |dst: &mut KvStore| {
         audited(|| {
             let digests = dst.shard_digest_vector();
@@ -1476,9 +1500,11 @@ fn a_write_between_plan_and_endpoint(form: Form, race: Race) {
                     dst.client_endpoint_refined(plan)
                 })
                 .expect("pull");
-            let (_, mut changed) = dst
-                .apply_planned_tracked(&JoinResolver, client, &contact, &plan)
+            let committed = dst
+                .apply_planned(&JoinResolver, client, &contact, &plan)
                 .expect("commit");
+            remembered.settle(&committed.landed);
+            let mut changed = committed.changed;
             changed.sort();
             (plan, contact, changed)
         })
@@ -1855,7 +1881,7 @@ fn planned_exchanges(
     let src = RefCell::new(src);
     let served = RefCell::new(Vec::new());
     let mut source = |ask: ContactAsk<'_>| {
-        if let ContactAnswer::Endpoint(server) = src.borrow().open_contact(ask) {
+        if let ContactAnswer::Endpoint(server, _) = src.borrow().open_contact(ask) {
             served.borrow_mut().push(server);
         }
         src.borrow().open_contact(ask)
@@ -2210,7 +2236,9 @@ fn a_cut_at_every_byte_of_a_second_pull_leaves_the_store_and_no_memory() {
     let clean = two_pulls(&mut reference, FaultyLink::clean());
     let (first, _) = clean.first.expect("clean first pull");
     let (second, _) = clean.second.expect("clean second pull");
-    assert_eq!((second.digests_sent, second.shards_total), (2, 8));
+    // The shard the puller wrote; not `k007`'s, which the first pull
+    // fast-forwarded and both ends remember as served.
+    assert_eq!((second.digests_sent, second.shards_total), (1, 8));
     assert_eq!(
         (second.shards_proposed, second.shards_refused),
         (1, 0),
@@ -2435,7 +2463,10 @@ fn hostile_planner_sequences_fail_the_serving_step() {
     let mut asked = 0;
     let mut counting = |_: ContactAsk<'_>| {
         asked += 1;
-        ContactAnswer::Endpoint(BatchPullServer::new(Vec::new()))
+        ContactAnswer::Endpoint(
+            BatchPullServer::new(Vec::new()),
+            ShardSums::Moved(Vec::new()),
+        )
     };
     for first in [hello(), scope_frame(16, &[])] {
         let refused = Serving::default().on_frame(first, &mut counting, &mut BytesMut::new());
@@ -2519,8 +2550,12 @@ fn hostile_planner_sequences_fail_the_serving_step() {
     }
     // A source that hands out no plan cannot serve a planned contact.
     let mut serving = Serving::default();
-    let mut unplanned =
-        |_: ContactAsk<'_>| ContactAnswer::Endpoint(BatchPullServer::new(Vec::new()));
+    let mut unplanned = |_: ContactAsk<'_>| {
+        ContactAnswer::Endpoint(
+            BatchPullServer::new(Vec::new()),
+            ShardSums::Moved(Vec::new()),
+        )
+    };
     serving
         .on_frame(digests_frame(), &mut unplanned, &mut BytesMut::new())
         .expect_err("no plan to answer with");
@@ -2760,9 +2795,12 @@ fn hostile_planner_sequences_fail_the_pulling_step() {
     };
     let mut remembered = VectorMemory::default();
     assert_eq!(opening_tag(&remembered), 0x35);
-    remembered.remember(&empty_digests());
+    remembered.remember(&empty_digests(), []);
     assert_eq!(opening_tag(&remembered), 0x39);
-    remembered.remember(&KvStore::with_shards(SiteId::new(0), 8).shard_digest_vector());
+    remembered.remember(
+        &KvStore::with_shards(SiteId::new(0), 8).shard_digest_vector(),
+        [],
+    );
     assert_eq!(opening_tag(&remembered), 0x35);
 
     // A proposal is made from what the server remembers of the link's
@@ -2839,4 +2877,272 @@ fn hostile_planner_sequences_fail_the_pulling_step() {
         puller.take_plan().and_then(|plan| plan.children),
         Some(children)
     );
+}
+
+// ---------------------------------------------------------------------
+// (e) What a contact served, both ends remember as served: a memory the
+// two ends do not share is caught at the check, and none goes unshared.
+
+/// A source serving, one at a time, every connection a pool dials to it:
+/// the pool's handshake read, then contacts through one [`Serving`]
+/// until the link fails, and the error that ended it sent on. It waits
+/// for the next dial until a connection ends with the receiver gone:
+/// drop the receiver, then the pool, then join.
+fn serve_dials(
+    src: Arc<Mutex<KvStore>>,
+) -> (
+    std::net::SocketAddr,
+    mpsc::Receiver<Error>,
+    std::thread::JoinHandle<()>,
+) {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("bound address");
+    let (tx, rx) = mpsc::channel();
+    // Idle between pulls for as long as the test likes.
+    let opts = ConnectOptions::new().timeouts(None, Some(std::time::Duration::from_secs(5)));
+    let serving = std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(stream) = stream else { return };
+            let Ok(mut link) = TcpLink::from_stream(stream, &opts) else {
+                continue;
+            };
+            let mut source = |ask: ContactAsk<'_>| src.lock().unwrap().open_contact(ask);
+            let mut serving = Serving::default();
+            let ended = match link.recv_frame() {
+                Ok(_handshake) => loop {
+                    if let Err(e) = serve_from(&mut serving, &mut source, &mut link) {
+                        break e;
+                    }
+                },
+                Err(e) => e,
+            };
+            if tx.send(ended).is_err() {
+                return;
+            }
+        }
+    });
+    (addr, rx, serving)
+}
+
+/// A memory the two ends do not share costs a contact, never a plan. A
+/// puller that settles a served shard its commit did not take as served
+/// — here shard 7, where it holds a key of its own — remembers a digest
+/// the server does not. The next contact's delta leaves the shard out,
+/// the server's patched vector fails the check, the contact dies at its
+/// opening frame, and the pool discards the link and redials: the rerun
+/// sends the whole vector, is proposed nothing, and converges — no dirty
+/// shard skipped — under the invariant-checking sink.
+#[test]
+fn as_served_a_wrong_memory_costs_a_contact_never_a_plan() {
+    let (mut dst, src) = refined_stores();
+    let src = Arc::new(Mutex::new(src));
+    let (addr, ended, serving) = serve_dials(Arc::clone(&src));
+    let registry = MetricsRegistry::new();
+    let pool: ConnPool<VectorMemory> = ConnPool::new(0, ConnectOptions::new(), &registry);
+    let pull = |dst: &mut KvStore| {
+        pool.with_conn(addr, |link, remembered| {
+            planned_pull_on(dst, link, remembered)
+        })
+    };
+    let (first, _) = pull(&mut dst).expect("the first pull");
+    assert_eq!(first.digests_sent, 16);
+    // Shard 7 was served — its incremental shards are 2, 7 and 11 — and
+    // did not land: a key of the puller's own is there.
+    let mine = dst.shard_digest_vector().shards[7];
+    pool.with_conn(addr, |_, remembered| {
+        assert_ne!(remembered.digest(7), Some(mine), "shard 7 is not settled");
+        remembered.settle(&[(7, mine)]);
+        Ok(())
+    })
+    .expect("a pooled connection");
+    source_moves_on(&mut src.lock().unwrap());
+
+    let check = Arc::new(CheckSink::new());
+    let (rerun, synced) = obs::with(check.clone(), || pull(&mut dst)).expect("the rerun commits");
+    let totals = pool.totals();
+    let redial = (totals.dials, totals.discards, totals.stale_reruns);
+    assert_eq!(redial, (2, 1, 1), "{totals:?}");
+    let refused = (ended.recv_timeout(std::time::Duration::from_secs(5)))
+        .expect("the first connection ended");
+    assert!(
+        matches!(refused, Error::Wire(WireError::InvalidPayload)),
+        "the server refused the delta at its check: {refused:?}"
+    );
+    assert_eq!((rerun.digests_sent, rerun.shards_total), (16, 16));
+    assert_eq!(
+        rerun.shards_proposed, 0,
+        "a new serving end proposes nothing"
+    );
+    assert_eq!(
+        check.checked_contacts(),
+        1,
+        "the refused contact opened no scope"
+    );
+    assert!(synced.keys_created + synced.keys_fast_forwarded > 0);
+    let mut full = dst.clone();
+    unplanned_pull(&mut full, &src.lock().unwrap());
+    assert_eq!(dst.replica_digest_full(), full.replica_digest_full());
+    drop((ended, pool));
+    serving.join().expect("the serving thread");
+}
+
+/// What a seeded run of pulls over one pooled connection met, summed
+/// over its seeds: each is a path the as-served memories must survive.
+#[derive(Debug, Default)]
+struct Met {
+    bulk_loaded: u64,
+    refused: u64,
+    reconciled: u64,
+    ahead: u64,
+    raced: u64,
+    /// Children the source held nothing of and the puller something.
+    empty_children: u64,
+    landed: u64,
+    warm_deltas: u64,
+}
+
+/// The both ends' memories of the shards contacts served stay in step
+/// over seeded schedules that throw everything at them — a writing
+/// puller, keys it holds ahead of the source, reconciliations, a write
+/// racing the commit (the exchange thrown away and rerun on the same
+/// link, as a daemon does), bulk-loaded shards, refused proposals and
+/// children the source holds nothing of — pulled over one pooled
+/// connection: no contact fails its check
+/// (`optrep_pool_discards_total` stays 0), warm contacts open with a
+/// delta, and the puller ends where an unplanned pull ends.
+#[test]
+fn as_served_memories_stay_in_step_over_seeded_contacts() {
+    let mut met = Met::default();
+    optrep_core::rng::cases(6, |seed, rng| {
+        let src = Arc::new(Mutex::new(KvStore::with_shards(SiteId::new(1), 16)));
+        let keys: Vec<String> = (0..400).map(|i| format!("key-{seed}-{i}")).collect();
+        for key in &keys {
+            src.lock().unwrap().put(key.clone(), "base");
+        }
+        let mut dst = KvStore::with_shards(SiteId::new(0), 16);
+        let (addr, ended, serving) = serve_dials(Arc::clone(&src));
+        let registry = MetricsRegistry::new();
+        let pool: ConnPool<VectorMemory> = ConnPool::new(0, ConnectOptions::new(), &registry);
+        for step in 0..40 {
+            let key = |rng: &mut SplitMix64| keys[rng.below(keys.len())].clone();
+            for _ in 0..rng.below(4) {
+                let (key, value) = (key(rng), format!("src {seed}.{step}"));
+                match rng.chance(0.1) {
+                    true => src.lock().unwrap().delete(key),
+                    false => src.lock().unwrap().put(key, value),
+                }
+            }
+            if rng.chance(0.4) {
+                let key = match rng.chance(0.5) {
+                    true => key_of_its_own(&src.lock().unwrap(), &keys, &format!("{seed}.{step}")),
+                    false => key(rng),
+                };
+                dst.put(key, format!("dst {seed}.{step}"));
+            }
+            if rng.chance(0.2) {
+                src.lock()
+                    .unwrap()
+                    .sync(&dst)
+                    .run()
+                    .expect("the source pulls back");
+            }
+            met.ahead += u64::from(ahead_of(&dst, &src.lock().unwrap()));
+            let mut race = rng.chance(0.15).then(|| format!("race-{seed}.{step}"));
+            let (report, committed) = pool
+                .with_conn(addr, |link, remembered| loop {
+                    let digests = dst.shard_digest_vector();
+                    let (client, plan, report) =
+                        pull_planned(link, remembered, &digests, |plan| {
+                            dst.client_endpoint_refined(plan)
+                        })?;
+                    if let Some(key) = race.take() {
+                        // Abandoned: nothing committed, nothing settled.
+                        dst.put(key, "racing");
+                        met.raced += 1;
+                        continue;
+                    }
+                    met.empty_children += empty_children_held(&dst, &plan);
+                    met.bulk_loaded += plan.snapshots.len() as u64;
+                    let committed = dst.apply_planned(&JoinResolver, client, &report, &plan)?;
+                    remembered.settle(&committed.landed);
+                    return Ok((report, committed));
+                })
+                .unwrap_or_else(|e| panic!("seed {seed}, step {step}: {e}"));
+            let Committed {
+                report: synced,
+                landed,
+                ..
+            } = committed;
+            met.refused += report.shards_refused;
+            met.reconciled += synced.keys_reconciled as u64;
+            met.landed += landed.len() as u64;
+            met.warm_deltas += u64::from(step > 0 && report.digests_sent < report.shards_total);
+        }
+        let totals = pool.totals();
+        assert_eq!((totals.dials, totals.discards), (1, 0), "{totals:?}");
+        let mut full = dst.clone();
+        unplanned_pull(&mut full, &src.lock().unwrap());
+        assert_eq!(dst.replica_digest_full(), full.replica_digest_full());
+        drop((ended, pool));
+        serving.join().expect("the serving thread");
+    });
+    let all = [
+        met.bulk_loaded,
+        met.refused,
+        met.reconciled,
+        met.ahead,
+        met.raced,
+        met.empty_children,
+        met.landed,
+    ];
+    assert!(all.iter().all(|&n| n > 0), "{met:?}");
+    assert!(met.warm_deltas > 6 * 30, "{met:?}");
+}
+
+/// A key the source does not hold, placed where — at 128 shards, the
+/// children a plan at 16 offers of a shard of about 25 keys — the source
+/// holds nothing, if it holds nothing somewhere.
+fn key_of_its_own(src: &KvStore, written: &[String], tag: &str) -> String {
+    // `written` is every key the source wrote: deleted ones are tracked
+    // as tombstones, and `keys` lists the live ones, pulled ones too.
+    let tracked = written.iter().map(String::as_str).chain(src.keys());
+    let held: std::collections::BTreeSet<u64> =
+        tracked.map(|key| shard_of(key.as_bytes(), 128)).collect();
+    let mine = (0..1000).map(|n| format!("mine-{tag}.{n}"));
+    let mut mine = mine.peekable();
+    let first = mine.peek().cloned().expect("a key");
+    mine.find(|key| !held.contains(&shard_of(key.as_bytes(), 128)))
+        .unwrap_or(first)
+}
+
+/// Whether the puller holds some key ahead of the source's version.
+fn ahead_of(dst: &KvStore, src: &KvStore) -> bool {
+    dst.keys().any(|key| {
+        let (ours, theirs) = (dst.meta(key), src.meta(key));
+        ours.zip(theirs).is_some_and(|(ours, theirs)| {
+            let (ours, theirs) = (ours.to_version_vector(), theirs.to_version_vector());
+            ours.compare(&theirs) == Causality::After
+        })
+    })
+}
+
+/// Of `plan`'s refined shards' children, those the source holds nothing
+/// of and the puller holds keys in.
+fn empty_children_held(dst: &KvStore, plan: &ShardPlan) -> u64 {
+    let Some(children) = &plan.children else {
+        return 0;
+    };
+    let wide = plan.count * children.fanout;
+    let held: std::collections::BTreeSet<u64> = dst
+        .keys()
+        .map(|key| shard_of(key.as_bytes(), wide))
+        .collect();
+    let mut count = 0;
+    for (shard, digests) in &children.parents {
+        for (j, child) in (0u64..).zip(digests) {
+            let index = shard + j * plan.count;
+            count += u64::from(child.entries == 0 && held.contains(&index));
+        }
+    }
+    count
 }

@@ -18,7 +18,8 @@
 //! * **The connection pool.** Outbound pulls ([`Node::sync_with`], the
 //!   `sync` verb, gossip) pipeline over one persistent [`ConnPool`]
 //!   connection per peer ([`Intent::Peer`]), redialed once when stale,
-//!   which remembers the digest vector its last pull sent
+//!   which remembers the digest vector its last pull sent, each shard
+//!   that pull served as it landed
 //!   (`replication::planner`, "The vector crosses a connection once").
 //!
 //! The thread count is fixed no matter how many peers are connected.
@@ -41,7 +42,7 @@ use std::time::{Duration, Instant};
 
 mod core;
 
-use self::core::{Contact, NodeCore, Pulled};
+use self::core::{Contact, Landed, NodeCore};
 
 /// First backoff after a transient accept error; doubles per
 /// consecutive error up to [`ACCEPT_BACKOFF_CAP`].
@@ -231,8 +232,9 @@ impl Shared {
     }
 
     /// Runs one pull attempt over the pooled connection to `peer`,
-    /// timing each run that completes into `optrep_contact_micros`.
-    fn with_conn(&self, peer: SocketAddr, contact: Contact<'_, TcpLink>) -> Result<Pulled> {
+    /// timing each run that completes — its exchange and its commit —
+    /// into `optrep_contact_micros`.
+    fn with_conn(&self, peer: SocketAddr, contact: Contact<'_, TcpLink>) -> Result<Landed> {
         self.pool.with_conn(peer, |link, remembered| {
             let started = Instant::now();
             let pulled = contact(link, remembered)?;

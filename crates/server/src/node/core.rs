@@ -23,12 +23,14 @@ mod tests;
 /// (the exchange itself succeeded; only the commit was stale).
 const APPLY_RACE_RETRIES: u32 = 3;
 
-/// What a pull's exchange leaves to commit: the client endpoint, the
-/// plan it was cut to, and the contact's report.
-pub(super) type Pulled = (BatchPullClient, ShardPlan, ContactReport);
+/// How one attempt of a pull ended, its exchange having completed:
+/// `None` when a local write raced the exchange and nothing was
+/// committed, otherwise the commit's result — a commit that fails to
+/// stage or to log leaves the connection as good as one that succeeds.
+pub(super) type Landed = Option<Result<KvSyncReport>>;
 
 /// One attempt of a pull, run by whoever holds the link and its memory.
-pub(super) type Contact<'a, L> = &'a mut dyn FnMut(&mut L, &mut VectorMemory) -> Result<Pulled>;
+pub(super) type Contact<'a, L> = &'a mut dyn FnMut(&mut L, &mut VectorMemory) -> Result<Landed>;
 
 /// The core's metric instruments: the store's shape, the write-ahead
 /// log, the planner's and serving side's counts, gossip's quarantine.
@@ -75,7 +77,8 @@ struct CoreMetrics {
     /// directions; excluded from the contact byte planes).
     planner_digest_bytes_total: Arc<Counter>,
     /// Shard digests the opening frames actually shipped: the shard
-    /// count on a connection's first pull, the changed shards after.
+    /// count on a connection's first pull, after it the shards that
+    /// differ from what the connection remembers.
     planner_digests_sent_total: Arc<Counter>,
     /// Objects in each serving endpoint when it is built — what a pull
     /// cost this daemon to serve, to set against the keys it moved.
@@ -323,7 +326,7 @@ impl NodeCore {
     /// connection's `Serving` asks for, built under one store lock.
     pub(super) fn open_contact(&self, ask: ContactAsk<'_>) -> ContactAnswer {
         let answer = self.store().open_contact(ask);
-        if let ContactAnswer::Endpoint(endpoint) = &answer {
+        if let ContactAnswer::Endpoint(endpoint, _) = &answer {
             let keys = endpoint.object_count() as u64;
             self.metrics.serving_endpoint_keys.record(keys);
         }
@@ -337,12 +340,14 @@ impl NodeCore {
     /// attempt `over` reruns (the pool's, on a fresh connection after a
     /// stale one) gets fresh metadata — and, its vector memory dropped
     /// with the stale connection, opens with a full digest vector again
-    /// (to a serving end that, being new, proposes nothing). Before
-    /// committing, the store's write generation is compared with the
-    /// snapshot's: if a local write (or another pull) landed in between,
-    /// the staged outcomes describe a store that no longer exists, so the
-    /// pull is retried against fresh metadata instead of committed —
-    /// bounded by [`APPLY_RACE_RETRIES`].
+    /// (to a serving end that, being new, proposes nothing). The commit
+    /// is inside the attempt too ([`commit`](Self::commit)), so the
+    /// link's memory is settled before the link is free for another
+    /// pull. Before committing, the store's write generation is compared
+    /// with the snapshot's: if a local write (or another pull) landed in
+    /// between, the staged outcomes describe a store that no longer
+    /// exists, so the pull is retried against fresh metadata instead of
+    /// committed — bounded by [`APPLY_RACE_RETRIES`].
     ///
     /// # Errors
     ///
@@ -350,7 +355,7 @@ impl NodeCore {
     /// [`Error::Incomplete`] when local writes outran every attempt.
     pub(super) fn pull_from<L: FrameLink>(
         &self,
-        mut over: impl FnMut(Contact<'_, L>) -> Result<Pulled>,
+        mut over: impl FnMut(Contact<'_, L>) -> Result<Landed>,
     ) -> Result<KvSyncReport> {
         for _ in 0..APPLY_RACE_RETRIES {
             // A planned pull: ship this store's shard digests, get back
@@ -365,34 +370,58 @@ impl NodeCore {
             // only makes a shard look dirtier than planned, never
             // cleaner — and the commit's generation check still guards
             // the endpoint snapshot itself.
-            let mut generation = 0;
-            // An exchange counts once it completes, whether or not its
-            // commit then loses the generation race.
-            let (client, plan, report) = over(&mut |link, remembered| {
+            let landed = over(&mut |link, remembered| {
+                let mut generation = 0;
                 let digests = self.store().shard_digest_vector();
-                let pulled = pull_planned(link, remembered, &digests, |plan| {
+                let (client, plan, report) = pull_planned(link, remembered, &digests, |plan| {
                     let store = self.store();
                     generation = store.generation();
                     store.client_endpoint_refined(plan)
                 })?;
-                self.metrics.record_contact(&pulled.2);
-                Ok(pulled)
+                // An exchange counts once it completes, whether or not
+                // its commit then loses the generation race.
+                self.metrics.record_contact(&report);
+                Ok(self.commit((client, plan, report), generation, remembered))
             })?;
-            // Commit: generation re-check, transactional apply, and WAL
-            // append all under ONE store guard. A local write that raced
-            // the network exchange forces a retry; once the check passes,
-            // nothing can land between it and the commit, and the log
-            // record (the whole contact as one record — snapshot-applied
-            // keys included) freezes inside the same critical section the
-            // commit does.
-            let mut store = self.store();
-            if store.generation() != generation {
-                continue;
+            if let Some(committed) = landed {
+                return committed;
             }
-            let (synced, changed) =
-                store.apply_planned_tracked(&self.resolver, client, &report, &plan)?;
-            self.wal_append(&store, &changed)?;
-            drop(store);
+        }
+        // Local writes outran every attempt; the next gossip pass will
+        // carry them anyway.
+        Err(Error::Incomplete {
+            protocol: "daemon pull",
+        })
+    }
+
+    /// Commits a completed exchange whose endpoint was snapshotted at
+    /// `generation`, and settles `remembered`, the link's memory, at the
+    /// shards that landed as served: generation re-check, transactional
+    /// apply, settling and WAL append all under ONE store guard. A local
+    /// write that raced the network exchange forces a retry (`None`),
+    /// and the served shards stay marked for the next opening frame;
+    /// once the check passes, nothing can land between it and the
+    /// commit, and the log record (the whole contact as one record —
+    /// snapshot-applied keys included) freezes inside the same critical
+    /// section the commit does.
+    fn commit(
+        &self,
+        (client, plan, report): (BatchPullClient, ShardPlan, ContactReport),
+        generation: u64,
+        remembered: &mut VectorMemory,
+    ) -> Landed {
+        let mut store = self.store();
+        if store.generation() != generation {
+            return None;
+        }
+        let committed = store.apply_planned(&self.resolver, client, &report, &plan);
+        let synced = committed.and_then(|committed| {
+            remembered.settle(&committed.landed);
+            self.wal_append(&store, &committed.changed)?;
+            Ok(committed.report)
+        });
+        drop(store);
+        if let Ok(synced) = &synced {
             let m = &self.metrics;
             m.fast_forwards_total.add(synced.keys_fast_forwarded as u64);
             m.reconciliations_total.add(synced.keys_reconciled as u64);
@@ -410,13 +439,8 @@ impl NodeCore {
                 .add(synced.shards_proposed as u64);
             m.planner_shards_refused_total
                 .add(synced.shards_refused as u64);
-            return Ok(synced);
         }
-        // Local writes outran every attempt; the next gossip pass will
-        // carry them anyway.
-        Err(Error::Incomplete {
-            protocol: "daemon pull",
-        })
+        Some(synced)
     }
 
     /// One gossip pass: one [`pull_from`](Self::pull_from) each of
@@ -426,7 +450,7 @@ impl NodeCore {
     pub(super) fn gossip_pass<P, L: FrameLink>(
         &self,
         peers: impl IntoIterator<Item = P>,
-        mut over: impl FnMut(&P, Contact<'_, L>) -> Result<Pulled>,
+        mut over: impl FnMut(&P, Contact<'_, L>) -> Result<Landed>,
     ) {
         let failed = (peers.into_iter())
             .filter(|peer| self.pull_from(|contact| over(peer, contact)).is_err())

@@ -495,12 +495,13 @@ fn a_connection_remembers_the_vector_and_the_source_proposes_until_a_redial() {
         (report, fresh)
     };
     let mut link = Connection::default();
-    // One dirty key over a warm connection: its shard's digest in the
-    // opening frame, its shard proposed, it alone examined — in fewer
-    // bytes of every kind than the same pull costs a fresh dial, which
-    // ships the vector, is offered children and compares a child.
+    // One dirty key over a warm connection: no digest in the opening
+    // frame — the shard the last pull moved landed as served, and both
+    // ends remember it so — its shard proposed, it alone examined — in
+    // fewer bytes of every kind than the same pull costs a fresh dial,
+    // which ships the vector, is offered children and compares a child.
     let warm_pull_of_one_key = |warm: optrep_kv::KvSyncReport, mirror: optrep_kv::KvSyncReport| {
-        assert_eq!(warm.digests_sent, 1, "{warm:?}");
+        assert_eq!(warm.digests_sent, 0, "{warm:?}");
         let offered =
             |r: &optrep_kv::KvSyncReport| (r.shards_proposed, r.shards_refused, r.shards_refined);
         assert_eq!((offered(&warm), offered(&mirror)), ((1, 0, 0), (0, 0, 1)));
@@ -524,10 +525,11 @@ fn a_connection_remembers_the_vector_and_the_source_proposes_until_a_redial() {
     let (idle, mirror) = round(&src, &mut link, "");
     assert_eq!(
         (idle.digests_sent, idle.shards_skipped),
-        (1, 16),
+        (0, 16),
         "{idle:?}"
     );
     assert_eq!(idle.meta_bytes, mirror.meta_bytes);
+    assert_eq!(idle.digest_bytes, 19);
     let (idle, mirror) = round(&src, &mut link, "");
     assert_eq!(
         (idle.digests_sent, idle.shards_skipped, idle.shards_proposed),
@@ -569,7 +571,7 @@ fn a_connection_remembers_the_vector_and_the_source_proposes_until_a_redial() {
     warm_pull_of_one_key(warm, mirror);
 
     // The counters add up, too.
-    let sent: u64 = [16, 1, 1, 0, 16, 1].iter().sum();
+    let sent: u64 = [16, 0, 0, 0, 16, 0].iter().sum();
     let metrics = dst.metrics_snapshot();
     let counter = |name: &str| metrics.counter(name);
     assert_eq!(counter("optrep_planner_digests_sent_total"), Some(sent));
@@ -969,14 +971,19 @@ fn pulls_retried_after_a_racing_write_stay_in_step_on_their_connection() {
         "no pull was ever retried: {totals:?} over {pulls} pulls"
     );
     assert_eq!((totals.dials, totals.discards), (1, 0), "{totals:?}");
-    // Quiet again: the next pulls are deltas and converge — the first
-    // commits what the storm left, the second tells the source so, the
-    // third has nothing to tell.
-    for _ in 0..2 {
-        dst.sync_with(src.addr()).expect("quiet pull");
-    }
+    // Quiet again: the next pulls converge — the first commits what the
+    // storm left. The storm's keys are the puller's alone, so a shard
+    // holding one is served by every pull and never lands as served:
+    // each opening frame lists it again — the whole vector, where that
+    // is shorter — and nothing else.
+    dst.sync_with(src.addr()).expect("quiet pull");
+    let before = dst.sync_with(src.addr()).expect("quiet pull");
     let last = dst.sync_with(src.addr()).expect("quiet pull");
-    assert_eq!(last.digests_sent, 0, "{last:?}");
+    assert_eq!(last.shards_incremental, before.shards_incremental);
+    assert!(
+        [before.shards_incremental, last.shards_total].contains(&last.digests_sent),
+        "{before:?} {last:?}"
+    );
     let held =
         |node: &Node, i: u32| node.with_store(|s| s.get(&format!("bulk{i}")).map(<[u8]>::to_vec));
     for i in 0..200 {

@@ -358,7 +358,7 @@ fn vector_memories_stay_in_step_and_pick_the_shorter_frame() {
             let mut wire = frame.freeze();
             let mut payload = optrep_core::wire::get_frame(&mut wire).unwrap().payload;
             assert_eq!(server.receive(&mut payload).unwrap(), vector);
-            puller.remember(vector);
+            puller.remember(vector, []);
         }
         // The third contact repeated the second's vector.
         let (frame, sent) = puller.opening_frame(&second);
