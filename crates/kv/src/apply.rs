@@ -20,13 +20,15 @@ pub struct Committed {
     /// The keys the commit changed (created, fast-forwarded or
     /// reconciled).
     pub changed: Vec<String>,
-    /// The plan's served shards the commit took exactly as served, each
-    /// with what it now sums to at the plan's count — the pulling end's
-    /// half of `VectorMemory::settle`. A shard lands when every stream
-    /// of it was created, fast-forwarded or equal (none ahead,
-    /// reconciled, aborted or this store's alone) and what the contact
-    /// left out of it was equal, not merely empty on the source; a
-    /// bulk-loaded shard when it was empty here.
+    /// The plan's served shards the commit took as served, each with
+    /// what it now sums to at the plan's count — what
+    /// `VectorMemory::settle` takes. A shard lands when every stream of
+    /// it was created, fast-forwarded or equal (none ahead, reconciled,
+    /// aborted or this store's alone); a bulk-loaded shard when it was
+    /// empty here. Of these, the memory settles only the shards it
+    /// marked: a shard the contact kept at the digest this store sent
+    /// (`kept_as_sent`: one a child of which the contact left out
+    /// because the source holds nothing there, say) stays so.
     pub landed: Vec<(u64, ShardDigest)>,
 }
 
@@ -128,40 +130,17 @@ impl KvStore {
 
     /// Of `plan`'s served shards, those this store will hold exactly as
     /// served once staged outcomes that spoiled only `spoiled` are
-    /// committed: an incremental shard not spoiled in which no child the
-    /// source held nothing of — left out of the contact as
-    /// `nothing_to_pull` whatever this store holds there — holds an entry
-    /// here, and a bulk-loaded shard not spoiled that is empty here.
-    /// Read before the commit; walks only refined shards with an empty
-    /// child.
+    /// committed, as far as this store can tell: an incremental shard not
+    /// spoiled, and a bulk-loaded shard not spoiled that is empty here.
+    /// Read before the commit.
     fn landing(&self, plan: &ShardPlan, spoiled: &[u64]) -> Vec<u64> {
-        let count = plan.count;
-        let mut uneven: Vec<u64> = Vec::new();
-        for (shard, children) in plan.children.iter().flat_map(|c| &c.parents) {
-            let fanout = children.len() as u64;
-            if children.iter().all(|child| child.entries > 0) {
-                continue;
-            }
-            self.visit_shards(&[*shard], count as usize, |record| {
-                let hash = placement(record.key_bytes());
-                let child = ((hash / count) & (fanout - 1)) as usize;
-                let in_empty = hash & (count - 1) == *shard && children[child].entries == 0;
-                if in_empty && uneven.last() != Some(shard) {
-                    uneven.push(*shard);
-                }
-            });
-        }
         let bulk: Vec<u64> = plan.snapshots.iter().map(|(shard, _)| *shard).collect();
-        let held: Vec<u64> = (bulk.iter().zip(self.digests_of(&bulk, count as usize)))
+        let held: Vec<u64> = (bulk.iter().zip(self.digests_of(&bulk, plan.count as usize)))
             .filter(|(_, digest)| digest.entries > 0)
             .map(|(shard, _)| *shard)
             .collect();
         plan.served()
-            .filter(|shard| {
-                spoiled.binary_search(shard).is_err()
-                    && !uneven.contains(shard)
-                    && !held.contains(shard)
-            })
+            .filter(|shard| spoiled.binary_search(shard).is_err() && !held.contains(shard))
             .collect()
     }
 

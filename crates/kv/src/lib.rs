@@ -461,8 +461,9 @@ impl KvStore {
 /// memories its ends keep between pulls: the puller's last digest vector
 /// ([`VectorMemory`]), settled after each commit at the shards that
 /// landed as served, and the source's [`Serving`] — the vector it was
-/// sent, each shard it served at its as-served digest, and the
-/// generation it last planned at. Kept across
+/// sent, each shard it served at its as-served digest (but where the
+/// puller held something it lacks: as sent), and the generation it last
+/// planned at. Kept across
 /// [`SyncRequest::over`] calls it makes consecutive pulls what pulls over
 /// one pooled socket are: the digest vector crosses as a delta, and the
 /// source proposes the keys it changed since. A fresh one is a fresh

@@ -7,7 +7,7 @@ use crate::shard::{shard_index, Shard};
 use crate::{KvStore, MAX_SHARDS};
 use bytes::Bytes;
 use optrep_replication::mux::{
-    BatchPullClient, BatchPullServer, ContactAnswer, ContactAsk, Restricted, ShardSums,
+    BatchPullClient, BatchPullServer, ContactAnswer, ContactAsk, Restricted,
 };
 use optrep_replication::planner::{
     decide, nothing_to_pull, placement, Candidates, ChildDigests, Cut, DigestVector, PlanConfig,
@@ -353,11 +353,10 @@ impl KvStore {
     /// of the connection's next contact — and its digest of each shard
     /// the plan bulk-loads, all from one view. At the first frame of
     /// the puller's burst: the serving endpoint over the keys of the
-    /// [`Cut`] the puller left of the plan and no others, and
-    /// [`ShardSums`] of its incremental shards — their digests, where
-    /// the generation is still the plan's; otherwise what the served
-    /// keys sum to a shard, which costs an entry hash a served key. The
-    /// serving store is never modified by a contact.
+    /// [`Cut`] the puller left of the plan and no others, and what the
+    /// keys it serves sum to in each of the cut's incremental shards — an
+    /// entry hash a served key. The serving store is never modified by a
+    /// contact.
     ///
     /// A plan and an endpoint are two asks and two views of the store —
     /// a daemon locks once per ask — and that is sound: a key written in
@@ -368,8 +367,7 @@ impl KvStore {
     /// residuals, equal children) it proved of entries the contact does
     /// not transfer. For the same reason a served shard's as-served
     /// digest is the plan's summary of those entries plus what is served
-    /// of the shard now — the [`ShardSums::Moved`] the endpoint answers
-    /// once the generation has moved.
+    /// of the shard now — the sums the endpoint answers with.
     ///
     /// # Panics
     ///
@@ -383,14 +381,9 @@ impl KvStore {
                     .collect();
                 ContactAnswer::Plan(plan, self.generation, images)
             }
-            ContactAsk::Endpoint(cut, planned_at) if planned_at == self.generation => {
-                let digests = self.digests_of(cut.incremental, cut.count as usize);
-                let server = self.server_endpoint_cut(&cut);
-                ContactAnswer::Endpoint(server, ShardSums::Unchanged(digests))
-            }
-            ContactAsk::Endpoint(cut, _) => {
+            ContactAsk::Endpoint(cut) => {
                 let (server, sums) = self.server_endpoint_summed(&cut);
-                ContactAnswer::Endpoint(server, ShardSums::Moved(sums))
+                ContactAnswer::Endpoint(server, sums)
             }
         }
     }

@@ -17,9 +17,7 @@ pub fn unplanned_pull(dst: &mut KvStore, src: &KvStore) -> KvSyncReport {
         incremental: &[0],
         narrowed: None,
     };
-    let now = src.generation();
-    let ContactAnswer::Endpoint(mut server, _) =
-        src.open_contact(ContactAsk::Endpoint(every_key, now))
+    let ContactAnswer::Endpoint(mut server, _) = src.open_contact(ContactAsk::Endpoint(every_key))
     else {
         unreachable!("an endpoint is answered with an endpoint")
     };

@@ -40,7 +40,7 @@ pub use mux::{
     classify, pull_contact, pull_planned, reason_label, run_contact, serve_contact, serve_frame,
     serve_from, BatchPullClient, BatchPullServer, ContactAnswer, ContactAsk, ContactReport,
     ContactSource, CtrlMsg, Faulted, FrameBytes, InProcessLink, MuxMsg, Puller, Restricted,
-    ServeStep, Serving, ShardSums, StreamResult, CONTROL_STREAM,
+    ServeStep, Serving, StreamResult, CONTROL_STREAM,
 };
 pub use object::ObjectId;
 pub use oplog::OpReplica;

@@ -70,6 +70,8 @@ pub struct BatchPullClient {
     pending_dones: Vec<u64>,
     pending_cancels: Vec<u64>,
     outbox: VecDeque<Framed<MuxMsg>>,
+    /// See [`source_behind`](Self::source_behind).
+    source_behind: Vec<Bytes>,
 }
 
 impl BatchPullClient {
@@ -103,7 +105,18 @@ impl BatchPullClient {
             pending_dones: Vec::new(),
             pending_cancels: Vec::new(),
             outbox: VecDeque::new(),
+            source_behind: Vec::new(),
         }
+    }
+
+    /// The objects the server answered it holds no record of, or one
+    /// that this end's vector does not follow from (`client_known`
+    /// false): what this end holds of them the source lacks. Read off
+    /// the answers alone, so the serving end lists the same names
+    /// ([`BatchPullServer::source_behind`](super::BatchPullServer::source_behind)),
+    /// whatever becomes of the streams after.
+    pub fn source_behind(&self) -> &[Bytes] {
+        &self.source_behind
     }
 
     /// Number of streams (named plus discovered).
@@ -249,6 +262,9 @@ impl Endpoint for BatchPullClient {
                         .streams
                         .get_mut(&ans.stream)
                         .ok_or_else(|| unknown_stream(ans.stream))?;
+                    if ans.missing || !ans.client_known {
+                        self.source_behind.push(st.name.clone());
+                    }
                     if ans.missing {
                         st.missing = true;
                     } else {

@@ -6,7 +6,9 @@ use super::msg::{
     CONTROL_STREAM, STALLED, TURN_STREAM,
 };
 use super::{reason_label, BatchPullClient, BatchPullServer, ContactReport, InProcessLink};
-use crate::planner::{scope_frame, DigestVector, ShardPlan, ShardScope, VectorMemory};
+use crate::planner::{
+    kept_as_sent, scope_frame, DigestVector, ShardPlan, ShardScope, VectorMemory,
+};
 use crate::protocol::SessionMsg;
 use bytes::BytesMut;
 use optrep_core::error::{Error, Result};
@@ -444,7 +446,10 @@ impl From<BatchPullClient> for Restricted {
 /// has completed, so a delta is never encoded against a vector whose
 /// contact failed — with the plan's served shards marked, so that the
 /// next contact lists them until the caller, having committed, settles
-/// those that landed as served ([`VectorMemory::settle`]).
+/// those that landed as served ([`VectorMemory::settle`]). A served
+/// shard the exchange showed this end holding something of the source
+/// lacks is not marked: both ends keep it at what `digests` says
+/// ([`kept_as_sent`]).
 ///
 /// The obs contact scope opens when the exchange begins, with the
 /// restricted client's stream count; the planning turn emits nothing.
@@ -480,7 +485,12 @@ pub fn pull_planned<L: FrameLink, E: Into<Restricted>>(
     let scope = obs::contact_scope(client.stream_count() as u64);
     puller.exchange(&mut client, restricted.scope.as_ref(), scope.id(), &mut out);
     let report = pump_exchange(&mut puller, link, &mut out, scope)?;
-    remembered.remember(digests, plan.served());
+    let refined = plan.children.as_ref().zip(restricted.scope.as_ref());
+    let kept = kept_as_sent(plan.count, refined, client.source_behind());
+    let served = plan
+        .served()
+        .filter(|shard| kept.binary_search(shard).is_err());
+    remembered.remember(digests, served);
     Ok((client, plan, report))
 }
 

@@ -50,6 +50,8 @@ pub struct BatchPullServer {
     /// A stream's message polled in a turn it did not fit: it opens the
     /// next turn as its stream's one message there.
     held: Option<Framed<MuxMsg>>,
+    /// See [`source_behind`](Self::source_behind).
+    source_behind: Vec<Bytes>,
 }
 
 impl BatchPullServer {
@@ -73,12 +75,22 @@ impl BatchPullServer {
             cancelled: BTreeSet::new(),
             outbox: VecDeque::new(),
             held: None,
+            source_behind: Vec::new(),
         }
     }
 
     /// How many objects this server holds, opened or not.
     pub fn object_count(&self) -> usize {
         self.objects.len()
+    }
+
+    /// The objects the client opened that this server answered it holds
+    /// no record of, or one the client's vector does not follow from
+    /// (`client_known` false): what the client holds of them this
+    /// server lacks. The pulling end reads the same names off the same
+    /// answers ([`BatchPullClient::source_behind`](super::BatchPullClient::source_behind)).
+    pub fn source_behind(&self) -> &[Bytes] {
+        &self.source_behind
     }
 
     /// Tears one stream down after a cancel or a local error: the
@@ -241,6 +253,9 @@ impl Endpoint for BatchPullServer {
                         Some((vector, payload)) => {
                             let (first, client_known, client_equal) =
                                 self.open_stream(open.stream, vector, payload, open.first)?;
+                            if !client_known {
+                                self.source_behind.push(open.name);
+                            }
                             answers.push(StreamAnswer {
                                 stream: open.stream,
                                 missing: false,
@@ -249,13 +264,16 @@ impl Endpoint for BatchPullServer {
                                 client_equal,
                             });
                         }
-                        None => answers.push(StreamAnswer {
-                            stream: open.stream,
-                            missing: true,
-                            first: None,
-                            client_known: false,
-                            client_equal: false,
-                        }),
+                        None => {
+                            self.source_behind.push(open.name);
+                            answers.push(StreamAnswer {
+                                stream: open.stream,
+                                missing: true,
+                                first: None,
+                                client_known: false,
+                                client_equal: false,
+                            });
+                        }
                     }
                 }
                 let mut offers = Vec::new();

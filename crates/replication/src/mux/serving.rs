@@ -5,8 +5,8 @@
 use super::msg::{marker_fin, planning_violation, put_marker, CONTROL_STREAM, TURN_STREAM};
 use super::{serve_frame, BatchPullServer, ServeStep};
 use crate::planner::{
-    plan_frame, ChildDigests, Cut, DigestVector, Offer, ShardDigest, ShardPlan, ShardScope,
-    VectorMemory, TAG_SHARD_DIGESTS, TAG_SHARD_DIGESTS_DELTA, TAG_SHARD_SCOPE,
+    kept_as_sent, plan_frame, ChildDigests, Cut, DigestVector, Offer, ShardDigest, ShardPlan,
+    ShardScope, VectorMemory, TAG_SHARD_DIGESTS, TAG_SHARD_DIGESTS_DELTA, TAG_SHARD_SCOPE,
 };
 use bytes::BytesMut;
 use optrep_core::error::Result;
@@ -95,9 +95,8 @@ pub enum ContactAsk<'a> {
     /// At the first frame of the puller's burst: the endpoint the
     /// exchange runs against, over the keys of the contact's [`Cut`].
     /// Every vector is read with its value, under one view of the
-    /// store; that view may be later than the plan's, whose generation
-    /// — what the source answered the plan with — is the `u64`.
-    Endpoint(Cut<'a>, u64),
+    /// store; that view may be later than the plan's.
+    Endpoint(Cut<'a>),
 }
 
 /// A source's answer to a [`ContactAsk`], variant for variant.
@@ -107,27 +106,14 @@ pub enum ContactAnswer {
     /// store's digest of each shard the plan bulk-loads, in the plan's
     /// order — what the puller's shard sums to once the image is in.
     Plan(ShardPlan, u64, Vec<ShardDigest>),
-    /// The endpoint, and what the source knows of each of the cut's
-    /// incremental shards. To a [`ContactAsk::Plan`] it is a planning
-    /// violation.
-    Endpoint(BatchPullServer, ShardSums),
-}
-
-/// What a source says, beside an endpoint, of each of the cut's
-/// incremental shards, in the cut's order: enough for the serving end to
-/// know each shard's *as-served* digest — what the puller's shard sums
-/// to once it holds exactly what it was served.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ShardSums {
-    /// The store has not changed since the plan's generation: each
-    /// shard's digest now, which is its as-served digest — what the
-    /// contact leaves out of it is what the plan summarised.
-    Unchanged(Vec<ShardDigest>),
-    /// The store changed since the plan: what the records the endpoint
-    /// serves sum to in each shard. The plan's summary of what the
-    /// contact leaves out of the shard — a refined shard's unlisted
-    /// children, an accepted proposal's residual — completes it.
-    Moved(Vec<ShardDigest>),
+    /// The endpoint, and what the records it serves sum to in each of
+    /// the cut's incremental shards, in the cut's order. The plan's
+    /// summary of what the contact leaves out of a shard — a refined
+    /// shard's unlisted children, an accepted proposal's residual —
+    /// completes it to the shard's *as-served* digest: what the
+    /// puller's shard sums to once it holds exactly what it was served.
+    /// To a [`ContactAsk::Plan`] it is a planning violation.
+    Endpoint(BatchPullServer, Vec<ShardDigest>),
 }
 
 /// Where a [`Serving`] gets a contact's plan and endpoint
@@ -137,13 +123,14 @@ pub enum ShardSums {
 /// The two asks of a planned contact may see two views of the store.
 /// What a source owes for that to be sound is in [`ContactAsk`]: plan,
 /// generation and image digests from one view, every served vector read
-/// with its value, and [`ShardSums`] of the endpoint's view. Why it then
-/// is sound is argued once, at `KvStore::open_contact`.
+/// with its value, and the served records' sums of the endpoint's view.
+/// Why it then is sound is argued once, at `KvStore::open_contact`.
 pub type ContactSource<'a> = dyn FnMut(ContactAsk<'_>) -> ContactAnswer + 'a;
 
 /// What [`Serving`] keeps of a plan between handing it out and cutting
 /// the endpoint: shard indices, candidate placements and the digests of
-/// refined shards' children, no key, vector or value.
+/// refined shards' children, of proposals' residuals and of bulk-loaded
+/// shards' images, no key, vector or value.
 #[derive(Debug)]
 struct Planned {
     count: u64,
@@ -154,45 +141,44 @@ struct Planned {
     /// its `BatchHello`.
     offer: Option<Offer>,
     /// The plan's child digests: what a refined shard's children the
-    /// puller does not list sum to. (Its proposals' residuals wait in
-    /// the connection's memory, at their shards.)
+    /// puller does not list sum to.
     children: Option<ChildDigests>,
+    /// Each proposal's residual, in the order of the offer's proposals:
+    /// what an accepted one leaves out of its shard.
+    residuals: Vec<ShardDigest>,
+    /// The bulk-loaded shards, each at its image's digest.
+    bulk: Vec<(u64, ShardDigest)>,
 }
 
 impl Planned {
-    /// Each incremental shard's as-served digest, the puller having
-    /// answered `scope` and the source `sums`. `remembered` holds an
-    /// accepted proposal's residual at its shard.
-    fn as_served(
-        &self,
-        scope: Option<&ShardScope>,
-        sums: ShardSums,
-        remembered: &VectorMemory,
-    ) -> Vec<(u64, ShardDigest)> {
-        let (moved, sums) = match sums {
-            ShardSums::Unchanged(digests) => (false, digests),
-            ShardSums::Moved(sums) => (true, sums),
-        };
-        let shards = self.incremental.iter().copied();
-        let mut served: Vec<(u64, ShardDigest)> = shards.zip(sums).collect();
-        if moved {
-            for (shard, served) in &mut served {
-                *served += self.outside(*shard, scope, remembered);
-            }
+    /// Each shard the contact serves at its as-served digest, the
+    /// puller having answered `scope` and the source `sums`: a
+    /// bulk-loaded shard's image digest, an incremental shard's sum
+    /// completed by what the contact leaves out of it. Less the refined
+    /// shards the contact keeps at what the puller sent
+    /// ([`kept_as_sent`]); which others it keeps, only the exchange
+    /// tells.
+    fn as_served(&self, scope: Option<&ShardScope>, sums: Vec<ShardDigest>) -> Served {
+        let incremental = self.incremental.iter().zip(sums).map(|(&shard, sum)| {
+            let mut as_served = sum;
+            as_served += self.outside(shard, scope);
+            (shard, as_served)
+        });
+        let served = self.bulk.iter().copied().chain(incremental);
+        let kept = kept_as_sent(self.count, self.children.as_ref().zip(scope), &[]);
+        Served {
+            count: self.count,
+            shards: served
+                .filter(|(shard, _)| kept.binary_search(shard).is_err())
+                .collect(),
         }
-        served
     }
 
     /// The plan's summary of what a contact whose puller answered
     /// `scope` leaves out of incremental `shard`: a refined shard's
     /// unlisted children, an accepted proposal's residual, nothing of a
     /// shard walked whole.
-    fn outside(
-        &self,
-        shard: u64,
-        scope: Option<&ShardScope>,
-        remembered: &VectorMemory,
-    ) -> ShardDigest {
+    fn outside(&self, shard: u64, scope: Option<&ShardScope>) -> ShardDigest {
         let (Some(scope), Some(offer)) = (scope, &self.offer) else {
             return ShardDigest::default();
         };
@@ -212,13 +198,23 @@ impl Planned {
                     outside += *child;
                 }
             }
-        } else if offer.proposed.binary_search_by_key(&shard, |p| p.0).is_ok()
-            && !scope.refuses(shard)
-        {
-            outside = remembered.digest(shard).unwrap_or_default();
+        } else if let Ok(slot) = offer.proposed.binary_search_by_key(&shard, |p| p.0) {
+            if !scope.refuses(shard) {
+                outside = self.residuals[slot];
+            }
         }
         outside
     }
+}
+
+/// What a contact serves, from the first frame of the puller's burst to
+/// the end of the contact: each served shard at its as-served digest,
+/// at the plan's shard count, but for those the plan and the scope
+/// already keep at what the puller sent.
+#[derive(Debug)]
+struct Served {
+    count: u64,
+    shards: Vec<(u64, ShardDigest)>,
 }
 
 /// The serving half of a connection, one frame at a time: the state in
@@ -241,15 +237,17 @@ impl Planned {
 /// One `Serving` serves a persistent connection's contacts back to
 /// back. Between them it holds no endpoint, but it does keep the last
 /// digest vector the puller sent, each shard the contact served at its
-/// as-served digest ([`VectorMemory`], 16 B × the shard count the peer
-/// chose — at most 16 MiB at
-/// [`MAX_PLAN_SHARDS`](crate::planner::MAX_PLAN_SHARDS)): the next
-/// contact may open with a [`DigestDelta`](crate::planner::DigestDelta)
-/// against it instead of the whole vector. The source names a
-/// bulk-loaded shard's as-served digest with the plan, and an
-/// incremental shard's with the endpoint ([`ShardSums`]); the memory is
-/// settled at the endpoint, so a contact that completes has served
-/// what it settled. Beside the vector sits `since`, one
+/// as-served digest unless the contact kept it at what was sent
+/// ([`VectorMemory`], 16 B × the shard count the peer chose — at most
+/// 16 MiB at [`MAX_PLAN_SHARDS`](crate::planner::MAX_PLAN_SHARDS)): the
+/// next contact may open with a
+/// [`DigestDelta`](crate::planner::DigestDelta) against it instead of
+/// the whole vector. The source names a bulk-loaded shard's as-served
+/// digest with the plan, and what an incremental shard's served records
+/// sum to with the endpoint; the plan's summary of what the contact
+/// left out completes the latter. The memory is updated once the
+/// contact's last frame is served, so a contact that completes has
+/// served what it remembers. Beside the vector sits `since`, one
 /// `u64`: the source's generation at that contact's plan, which the
 /// source gets back when the next contact is planned and may propose
 /// from. It is a hint and needs no discipline
@@ -268,6 +266,9 @@ pub struct Serving {
     /// frame of the puller's burst. Boxed, as the endpoint is: an idle
     /// connection holds neither.
     planned: Option<Box<Planned>>,
+    /// What the open contact serves, from the first frame of the
+    /// puller's burst until it ends.
+    served: Option<Served>,
     /// The puller's vector as of the last contact it opened here; with
     /// `since`, what outlives [`ServeStep::Done`].
     remembered: VectorMemory,
@@ -328,10 +329,15 @@ impl Serving {
                         incremental: &planned.incremental,
                         narrowed: planned.offer.as_ref().zip(scope.as_ref()),
                     };
-                    let planned_at = self.since.expect("`since` is set with the plan");
-                    let (server, sums) = endpoint_from(source, cut, planned_at)?;
-                    let served = planned.as_served(scope.as_ref(), sums, &self.remembered);
-                    self.remembered.settle(&served);
+                    let (server, sums) = endpoint_from(source, cut)?;
+                    if sums.len() != planned.incremental.len() {
+                        return Err(planning_violation(format!(
+                            "the source summed {} shards of a cut of {} incremental shards",
+                            sums.len(),
+                            planned.incremental.len()
+                        )));
+                    }
+                    self.served = Some(planned.as_served(scope.as_ref(), sums));
                     let server = self.server.insert(server);
                     if scope.is_some() {
                         return Ok(ServeStep::Continue);
@@ -349,19 +355,21 @@ impl Serving {
                             "the source answered an endpoint where a plan was due".into(),
                         ));
                     };
+                    if images.len() != plan.snapshots.len() {
+                        return Err(planning_violation(format!(
+                            "the source digested {} images of a plan that bulk-loads {} shards",
+                            images.len(),
+                            plan.snapshots.len()
+                        )));
+                    }
                     self.since = Some(generation);
                     self.parked = Some(plan_frame(&plan));
-                    // What the puller sent for a served shard is spent:
-                    // a bulk-loaded shard is remembered as its image, and
-                    // a proposal's residual waits at its shard until the
-                    // endpoint settles it.
                     let bulk = plan.snapshots.iter().map(|(shard, _)| *shard);
-                    let residuals = plan.proposed.iter().map(|p| (p.shard, p.residual));
-                    let parked: Vec<_> = bulk.zip(images).chain(residuals).collect();
-                    self.remembered.settle(&parked);
                     self.planned = Some(Box::new(Planned {
                         count: plan.count,
                         offer: plan.offer(),
+                        residuals: plan.proposed.iter().map(|p| p.residual).collect(),
+                        bulk: bulk.zip(images).collect(),
                         children: plan.children,
                         incremental: plan.incremental,
                     }));
@@ -376,20 +384,24 @@ impl Serving {
         };
         let step = serve_frame(server, frame, out)?;
         if step == ServeStep::Done {
-            self.server = None;
+            let server = self.server.take().expect("the contact's endpoint");
+            let mut served = self.served.take().expect("a served contact was planned");
+            let kept = kept_as_sent(served.count, None, server.source_behind());
+            served
+                .shards
+                .retain(|(shard, _)| kept.binary_search(shard).is_err());
+            self.remembered.serve(&served.shards);
         }
         Ok(step)
     }
 }
 
-/// Asks `source` for a contact's endpoint, the plan having been made at
-/// `generation`.
+/// Asks `source` for a contact's endpoint.
 fn endpoint_from(
     source: &mut ContactSource<'_>,
     cut: Cut<'_>,
-    generation: u64,
-) -> Result<(Box<BatchPullServer>, ShardSums)> {
-    match source(ContactAsk::Endpoint(cut, generation)) {
+) -> Result<(Box<BatchPullServer>, Vec<ShardDigest>)> {
+    match source(ContactAsk::Endpoint(cut)) {
         ContactAnswer::Endpoint(server, sums) => Ok((Box::new(server), sums)),
         ContactAnswer::Plan(..) => Err(planning_violation(
             "the source answered a plan where the endpoint was due".into(),

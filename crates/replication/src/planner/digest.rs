@@ -3,8 +3,8 @@
 //! each end's memory of that one.
 
 use super::{
-    control_frame, digest_vector_frame, FNV_OFFSET, FNV_PRIME, MAX_PLAN_SHARDS, TAG_SHARD_DIGESTS,
-    TAG_SHARD_DIGESTS_DELTA,
+    control_frame, digest_vector_frame, shard_of, ChildDigests, ShardScope, FNV_OFFSET, FNV_PRIME,
+    MAX_PLAN_SHARDS, TAG_SHARD_DIGESTS, TAG_SHARD_DIGESTS_DELTA,
 };
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use optrep_core::error::WireError;
@@ -256,13 +256,16 @@ impl DigestDelta {
 /// What both remember is the last vector that crossed, except where the
 /// contact it opened served a shard: there each end remembers the
 /// shard's *as-served* digest — what the puller's shard sums to once it
-/// holds exactly what it was served. The serving end knows it from what
-/// it served; the pulling end reads it off its own shard once its
-/// commit took every stream of the shard as served
+/// holds exactly what it was served — unless the contact showed the
+/// puller holding something of the shard the source lacks
+/// ([`kept_as_sent`]), and both keep what the puller sent. The serving
+/// end knows the as-served digest from what it served
+/// ([`serve`](Self::serve)); the pulling end reads it off its own shard
+/// once its commit took every stream of the shard as served
 /// ([`settle`](Self::settle)). Until then — and for good, where the
-/// commit reconciled, kept a key ahead or of its own, or lost the race
-/// with a local write — the pulling end marks the shard (one bit), and
-/// every later opening frame lists it whatever it reads.
+/// commit kept a stream back or lost the race with a local write — the
+/// pulling end marks the shard (one bit), and every later opening frame
+/// lists it whatever it reads.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VectorMemory {
     last: Option<DigestVector>,
@@ -312,9 +315,11 @@ impl VectorMemory {
     }
 
     /// The pulling end, once the contact `crossed` opened has
-    /// completed, its plan having served the shards `served`: the next
-    /// contact is encoded against `crossed`, each served shard marked
-    /// until it is [settled](Self::settle).
+    /// completed, its plan having served the shards `served` and the
+    /// exchange kept none of them at what `crossed` says
+    /// ([`kept_as_sent`]): the next contact is encoded against
+    /// `crossed`, each of `served` marked until it is
+    /// [settled](Self::settle).
     pub fn remember(&mut self, crossed: &DigestVector, served: impl IntoIterator<Item = u64>) {
         let count = crossed.shards.len();
         self.unsettled.clear();
@@ -325,23 +330,36 @@ impl VectorMemory {
         self.last = Some(crossed.clone());
     }
 
-    /// Either end, once a contact has served `served` — `(shard, its
-    /// as-served digest)`: the serving end every shard it served, when
-    /// it has served the last frame; the pulling end the shards its
-    /// commit took as served, with what each now sums to, before the
-    /// connection opens another contact. Those shards are remembered at
-    /// that digest and unmarked. A shard out of the remembered vector's
-    /// range, or with nothing remembered, is ignored.
-    pub fn settle(&mut self, served: &[(u64, ShardDigest)]) {
+    /// The pulling end, once its commit took the shards `landed` as
+    /// served — `(shard, what it now sums to)` — and before the
+    /// connection opens another contact: each of them that is marked is
+    /// remembered at that digest and unmarked. A shard not marked was
+    /// kept at what the puller sent, on both ends, and stays so.
+    pub fn settle(&mut self, landed: &[(u64, ShardDigest)]) {
+        let Some(last) = &mut self.last else {
+            return;
+        };
+        for &(shard, digest) in landed {
+            let word = self.unsettled.get_mut((shard / 64) as usize);
+            if let Some(word) = word.filter(|word| **word >> (shard % 64) & 1 == 1) {
+                *word &= !(1 << (shard % 64));
+                last.shards[shard as usize] = digest;
+            }
+        }
+    }
+
+    /// The serving end, once it has served a contact's last frame: each
+    /// shard the contact served and did not keep ([`kept_as_sent`]) is
+    /// remembered at its as-served digest, `(shard, digest)`. A shard
+    /// out of the remembered vector's range, or with nothing
+    /// remembered, is ignored.
+    pub fn serve(&mut self, served: &[(u64, ShardDigest)]) {
         let Some(last) = &mut self.last else {
             return;
         };
         for &(shard, digest) in served {
             if let Some(slot) = last.shards.get_mut(shard as usize) {
                 *slot = digest;
-                if let Some(word) = self.unsettled.get_mut((shard / 64) as usize) {
-                    *word &= !(1 << (shard % 64));
-                }
             }
         }
     }
@@ -369,6 +387,50 @@ impl VectorMemory {
         };
         Ok(self.last.insert(crossed))
     }
+}
+
+/// The shards a contact served that both ends of its connection keep at
+/// the digest the puller sent for them, not as served, strictly
+/// increasing: those where the contact showed the puller holding
+/// something the source lacks. Such a shard cannot land as served;
+/// remembered as served, it would cross again with every contact that
+/// serves it, and kept as sent it crosses again only once the puller's
+/// shard moves. Both ends read them off what crossed, at the plan's
+/// `count`:
+///
+/// - each refined shard of `refined` — the plan's child digests and the
+///   puller's scope — a child of which the source holds nothing of and
+///   the scope leaves out: such a child is left out whatever the
+///   puller holds there ([`nothing_to_pull`]);
+/// - the shard of each key of `behind`, the streams the source answered
+///   it holds no record of, or one the puller's does not follow from
+///   (`BatchPullServer::source_behind`, `BatchPullClient::source_behind`):
+///   a key of the puller's own, or one it is ahead on or reconciles.
+///
+/// A bulk-loaded shard needs no rule: [`decide`](super::decide()) loads
+/// only a shard the puller sent empty.
+pub fn kept_as_sent(
+    count: u64,
+    refined: Option<(&ChildDigests, &ShardScope)>,
+    behind: &[Bytes],
+) -> Vec<u64> {
+    let left_out = refined.into_iter().flat_map(|(children, scope)| {
+        children
+            .parents
+            .iter()
+            .filter_map(move |(shard, children)| {
+                let left_out = (0u64..).zip(children).any(|(j, child)| {
+                    child.entries == 0
+                        && scope.children.binary_search(&(shard + j * count)).is_err()
+                });
+                left_out.then_some(*shard)
+            })
+    });
+    let streams = behind.iter().map(|key| shard_of(key, count));
+    let mut kept: Vec<u64> = left_out.chain(streams).collect();
+    kept.sort_unstable();
+    kept.dedup();
+    kept
 }
 
 /// `true` when a shard (or child) needs no object rounds: the server
@@ -529,7 +591,7 @@ mod tests {
             let (frame, _) = puller.opening_frame(&first);
             let mut payload = wire::get_frame(&mut frame.freeze()).unwrap().payload;
             server.receive(&mut payload).unwrap();
-            server.settle(&served);
+            server.serve(&served);
             puller.remember(&first, [0, 1, 2]);
             puller.settle(&served[..2]);
             if wrong {
@@ -543,6 +605,43 @@ mod tests {
                 true => assert!(server.receive(&mut payload).is_err()),
             }
         }
+    }
+
+    /// Kept as sent: a refined shard whose scope leaves out a child the
+    /// source holds nothing of, and the shard of each key the source is
+    /// behind on; not a refined shard whose empty children the scope
+    /// lists, nor one whose children all hold entries.
+    #[test]
+    fn kept_as_sent_reads_the_left_out_empty_children_and_the_streams_behind() {
+        let child = |entries| ShardDigest { digest: 7, entries };
+        let children = ChildDigests {
+            fanout: 2,
+            parents: vec![
+                (1, vec![child(3), child(0)]),
+                (2, vec![child(0), child(1)]),
+                (3, vec![child(2), child(2)]),
+            ],
+        };
+        // At 4 shards, child j of shard s is s + 4j; the scope lists
+        // shard 2's empty child, 2, and not shard 1's, 5.
+        let scope = ShardScope {
+            count: 8,
+            children: vec![1, 2, 3, 7],
+            refused: None,
+        };
+        let behind: Vec<Bytes> = ["mine", "ahead"]
+            .iter()
+            .map(|key| Bytes::from_static(key.as_bytes()))
+            .collect();
+        let streams: Vec<u64> = behind.iter().map(|key| shard_of(key, 4)).collect();
+        let mut expected = [vec![1], streams].concat();
+        expected.sort_unstable();
+        expected.dedup();
+        assert_eq!(
+            kept_as_sent(4, Some((&children, &scope)), &behind),
+            expected
+        );
+        assert_eq!(kept_as_sent(4, None, &[]), Vec::<u64>::new());
     }
 
     #[test]

@@ -38,8 +38,10 @@
 //! remembers the last vector that crossed it ([`VectorMemory`]) — each
 //! shard the contact served at what the puller's shard sums to once it
 //! holds what it was served, which the server knows from what it served
-//! and the puller reads off a commit that took the shard as served —
-//! and the puller opens every later contact with whichever of two
+//! and the puller reads off a commit that took the shard as served,
+//! except where the exchange showed the puller holding something the
+//! source lacks ([`kept_as_sent`]) — and the puller opens every later
+//! contact with whichever of two
 //! frames is shorter: the full [`DigestVector`], or a [`DigestDelta`] —
 //! the shards that differ from what the connection remembers, and a
 //! check over the vector they patch to. The server reconstructs the full
@@ -108,7 +110,9 @@ mod plan;
 mod scope;
 
 pub use decide::{decide, Decision, PlanConfig, ShardAction};
-pub use digest::{nothing_to_pull, DigestDelta, DigestVector, ShardDigest, VectorMemory};
+pub use digest::{
+    kept_as_sent, nothing_to_pull, DigestDelta, DigestVector, ShardDigest, VectorMemory,
+};
 pub use plan::{ChildDigests, Proposal, ShardPlan};
 pub use scope::{Candidates, Cut, Offer, ShardScope};
 

@@ -24,7 +24,7 @@ use optrep_replication::{
     DigestDelta, DigestVector, Faulted, InProcessLink, MuxMsg, PlanConfig, Proposal, Puller,
     ServeStep, Serving, SessionMsg, ShardPlan, ShardScope, VectorMemory, CONTROL_STREAM,
 };
-use optrep_replication::{ChildDigests, ShardDigest, ShardSums};
+use optrep_replication::{ChildDigests, ShardDigest};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::{mpsc, Arc, Mutex};
@@ -1287,10 +1287,12 @@ fn every_transport_runs_the_second_pull_identically() {
 /// What a daemon's `APPLY_RACE_RETRIES` does: a pull completes on the
 /// wire, its outcome is thrown away because a local write raced it, and
 /// the pull runs again over the same link. Both ends remembered the
-/// vector of the abandoned contact — the server each shard it served as
-/// served, the puller those shards marked, never settled — so the rerun
-/// — a delta against it that lists the served shards again — stays in
-/// step and commits what a pull over a fresh link commits.
+/// vector of the abandoned contact — the server shard 11, which it
+/// served and could land, as served, the puller that shard marked,
+/// never settled; both the shards the exchange kept (2, reconciled, and
+/// 7, a key of the puller's own) as sent — so the rerun — a delta
+/// against it that lists shard 11 again — stays in step and commits
+/// what a pull over a fresh link commits.
 #[test]
 fn a_pull_abandoned_after_the_wire_leaves_the_memories_in_step() {
     let (mut dst, src) = refined_stores();
@@ -1316,14 +1318,14 @@ fn a_pull_abandoned_after_the_wire_leaves_the_memories_in_step() {
     dst.put("raced", "local write");
     let (rerun, _) = planned_pull_on(&mut dst, &mut link, &mut remembered).expect("rerun");
     assert_eq!(
-        rerun.digests_sent, 4,
-        "the shard the racing write landed in, and the three the abandoned contact served"
+        rerun.digests_sent, 2,
+        "the shard the racing write landed in, and the one the abandoned contact left marked"
     );
     assert_eq!(
         rerun,
         ContactReport {
             digest_bytes: rerun.digest_bytes,
-            digests_sent: 4,
+            digests_sent: 2,
             ..fresh
         }
     );
@@ -2463,10 +2465,7 @@ fn hostile_planner_sequences_fail_the_serving_step() {
     let mut asked = 0;
     let mut counting = |_: ContactAsk<'_>| {
         asked += 1;
-        ContactAnswer::Endpoint(
-            BatchPullServer::new(Vec::new()),
-            ShardSums::Moved(Vec::new()),
-        )
+        ContactAnswer::Endpoint(BatchPullServer::new(Vec::new()), Vec::new())
     };
     for first in [hello(), scope_frame(16, &[])] {
         let refused = Serving::default().on_frame(first, &mut counting, &mut BytesMut::new());
@@ -2550,15 +2549,45 @@ fn hostile_planner_sequences_fail_the_serving_step() {
     }
     // A source that hands out no plan cannot serve a planned contact.
     let mut serving = Serving::default();
-    let mut unplanned = |_: ContactAsk<'_>| {
-        ContactAnswer::Endpoint(
-            BatchPullServer::new(Vec::new()),
-            ShardSums::Moved(Vec::new()),
-        )
-    };
+    let mut unplanned =
+        |_: ContactAsk<'_>| ContactAnswer::Endpoint(BatchPullServer::new(Vec::new()), Vec::new());
     serving
         .on_frame(digests_frame(), &mut unplanned, &mut BytesMut::new())
         .expect_err("no plan to answer with");
+    // Nor one whose digests fall short of what it plans or serves: an
+    // image digest short of the shards the plan bulk-loads (an empty
+    // puller is bulk-loaded the shard of the source's one key), a sum
+    // short of the cut's incremental shards (a puller holding another
+    // version of the key walks that shard).
+    let mut src = KvStore::with_shards(SiteId::new(1), 4);
+    src.put("k", "v");
+    let mut short = |ask: ContactAsk<'_>| match src.open_contact(ask) {
+        ContactAnswer::Plan(plan, generation, _) => {
+            ContactAnswer::Plan(plan, generation, Vec::new())
+        }
+        ContactAnswer::Endpoint(server, _) => ContactAnswer::Endpoint(server, Vec::new()),
+    };
+    let mut dst = KvStore::with_shards(SiteId::new(0), 4);
+    dst.put("k", "w");
+    let walked = frame(CONTROL_STREAM, &dst.shard_digest_vector().encode());
+    for (frames, what) in [
+        (vec![digests_frame()], "images of a plan"),
+        (vec![walked, turn(), hello()], "shards of a cut"),
+    ] {
+        let (mut serving, mut out) = (Serving::default(), BytesMut::new());
+        let refused = frames
+            .into_iter()
+            .map(|frame| serving.on_frame(frame, &mut short, &mut out))
+            .find_map(Result::err);
+        assert!(
+            matches!(
+                &refused,
+                Some(Error::UnexpectedMessage { protocol: "sync planner", message })
+                    if message.contains(what)
+            ),
+            "{what}: {refused:?}"
+        );
+    }
     // The honest sequence, for contrast: plan parked, then released
     // with the turn, then an ordinary (empty) exchange — twice over one
     // `Serving`, as on a persistent connection.
@@ -2924,10 +2953,12 @@ fn serve_dials(
     (addr, rx, serving)
 }
 
-/// A memory the two ends do not share costs a contact, never a plan. A
-/// puller that settles a served shard its commit did not take as served
-/// — here shard 7, where it holds a key of its own — remembers a digest
-/// the server does not. The next contact's delta leaves the shard out,
+/// A memory the two ends do not share costs a contact, never a plan.
+/// Shard 7, where the puller holds a key of its own, was served and
+/// kept at the digest the puller sent; a puller that remembers it at
+/// what the shard now holds instead — a hand-built memory, equal to the
+/// real one elsewhere — remembers a digest the server does not. The
+/// next contact's delta leaves the shard out,
 /// the server's patched vector fails the check, the contact dies at its
 /// opening frame, and the pool discards the link and redials: the rerun
 /// sends the whole vector, is proposed nothing, and converges — no dirty
@@ -2947,11 +2978,19 @@ fn as_served_a_wrong_memory_costs_a_contact_never_a_plan() {
     let (first, _) = pull(&mut dst).expect("the first pull");
     assert_eq!(first.digests_sent, 16);
     // Shard 7 was served — its incremental shards are 2, 7 and 11 — and
-    // did not land: a key of the puller's own is there.
+    // kept as sent: a key of the puller's own is there. The first pull
+    // moved the shard, so the memory is not what it holds now.
     let mine = dst.shard_digest_vector().shards[7];
     pool.with_conn(addr, |_, remembered| {
-        assert_ne!(remembered.digest(7), Some(mine), "shard 7 is not settled");
-        remembered.settle(&[(7, mine)]);
+        let mut wrong = DigestVector {
+            shards: (0..16)
+                .map(|s| remembered.digest(s).expect("16 shards"))
+                .collect(),
+        };
+        assert_eq!(remembered.opening_frame(&wrong).1, 0, "no shard is marked");
+        assert_ne!(wrong.shards[7], mine, "shard 7 is kept as sent");
+        wrong.shards[7] = mine;
+        remembered.remember(&wrong, []);
         Ok(())
     })
     .expect("a pooled connection");
@@ -3009,7 +3048,8 @@ struct Met {
 /// children the source holds nothing of — pulled over one pooled
 /// connection: no contact fails its check
 /// (`optrep_pool_discards_total` stays 0), warm contacts open with a
-/// delta, and the puller ends where an unplanned pull ends.
+/// delta, no shard crosses again and again once the writes stop, and
+/// the puller ends where an unplanned pull ends.
 #[test]
 fn as_served_memories_stay_in_step_over_seeded_contacts() {
     let mut met = Met::default();
@@ -3078,6 +3118,18 @@ fn as_served_memories_stay_in_step_over_seeded_contacts() {
             met.landed += landed.len() as u64;
             met.warm_deltas += u64::from(step > 0 && report.digests_sent < report.shards_total);
         }
+        // Quiet again: a shard the puller holds something of that the
+        // source lacks was kept as sent, so it crosses once more after it
+        // moved, and then not again — the third quiet pull ships nothing.
+        let quiet: Vec<u64> = (0..3)
+            .map(|_| {
+                let pulled = pool.with_conn(addr, |link, remembered| {
+                    planned_pull_on(&mut dst, link, remembered)
+                });
+                pulled.expect("a quiet pull").0.digests_sent
+            })
+            .collect();
+        assert_eq!(quiet[2], 0, "seed {seed}: {quiet:?}");
         let totals = pool.totals();
         assert_eq!((totals.dials, totals.discards), (1, 0), "{totals:?}");
         let mut full = dst.clone();
