@@ -21,14 +21,14 @@
 //!   of a connection remember its last contact: the puller opens with
 //!   the delta against the vector the first sweep sent and may be
 //!   proposed the keys its source changed since — in process exactly as
-//!   over the socket. A proposal takes a dirty shard of three keys or
-//!   more (two are cheaper walked than named, and `decide` prices the
-//!   proposal out): at 256 daemons a thousand keys over 512 shards
-//!   give enough of those, at CI's 64 none. The hypercube also makes
-//!   this the hard case for proposals — both ends of an edge have news
-//!   in the same sweep — so a share of them is refused and walked
-//!   whole. (`crates/perf`'s `sparse_pull`, 195 keys a shard and a
-//!   puller that never writes, is where they pay in full.)
+//!   over the socket. A proposal takes a dirty shard of two keys or
+//!   more (one is cheaper walked than named, and `decide` prices the
+//!   proposal out). The hypercube is the hard case for proposals — both
+//!   ends of an edge have news in the same sweep — so the source finds
+//!   a share of the dirty shards moved at the puller too and proposes
+//!   none of those: they are walked (too small for children).
+//!   (`crates/perf`'s `sparse_pull`, 195 keys a shard and a puller that
+//!   never writes, is where proposals pay in full.)
 //! * **Fixed thread count** — the process thread count after both
 //!   sweeps equals the count right after daemon start-up, although by
 //!   then every daemon holds log2(N) client connections and serves
@@ -86,8 +86,8 @@ struct ClusterRun {
     digest_bytes: [usize; 2],
     /// Metadata bytes of sweep 1 likewise.
     meta_bytes: usize,
-    /// Shards proposed over sweep 1's warm connections, and how many of
-    /// those the pullers refused.
+    /// Shards proposed over sweep 1's warm connections, and shards
+    /// refined there.
     proposed: [usize; 2],
     threads_base: usize,
     threads_after: usize,
@@ -211,7 +211,7 @@ fn run_cluster(daemons: usize) -> ClusterRun {
                     );
                     meta_bytes += tcp.meta_bytes;
                     proposed[0] += tcp.shards_proposed;
-                    proposed[1] += tcp.shards_refused;
+                    proposed[1] += tcp.shards_refined;
                 }
             }
         }
@@ -275,7 +275,7 @@ pub fn run() -> Vec<Table> {
             "digest B w0",
             "digest B w1",
             "meta B w1",
-            "proposed (refused)",
+            "proposed / refined",
         ],
     );
     for &daemons in CLUSTERS {
@@ -288,7 +288,7 @@ pub fn run() -> Vec<Table> {
             run.digest_bytes[0].to_string(),
             run.digest_bytes[1].to_string(),
             run.meta_bytes.to_string(),
-            format!("{} ({})", run.proposed[0], run.proposed[1]),
+            format!("{} / {}", run.proposed[0], run.proposed[1]),
         ]);
     }
     t.note(
@@ -297,8 +297,8 @@ pub fn run() -> Vec<Table> {
     );
     t.note(
         "sweep 1 (warm connections): the puller sends the changed shards' digests and, where a \
-         dirty shard holds three keys or more, is proposed the ones its source changed - none \
-         is at 64 daemons, where no shard is that big",
+         dirty shard holds two keys or more and the puller holds the rest of it as the source \
+         did, is proposed the ones its source changed",
     );
     t.note("contacts == 2x dials: both sweeps pipeline over one pooled connection per peer");
     t.note(

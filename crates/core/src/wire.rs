@@ -356,8 +356,13 @@ pub const HANDSHAKE_MAGIC: [u8; 4] = *b"OPTR";
 /// its first delta, so the two must not be mixed. v4 lets the plan of a
 /// connection's later pulls propose scopes (tag `0x3a`) and the scope
 /// frame refuse them: a v3 puller would serve a connection's first pull
-/// and fail to decode the plan of its second.
-pub const HANDSHAKE_VERSION: u8 = 4;
+/// and fail to decode the plan of its second. v5 makes a proposal
+/// binding — the server checks it against the puller's digest vector —
+/// so it carries no residual and the scope frame no refusals, and a plan
+/// that offers no children is answered with no scope frame: a v4 end
+/// would misread the plan of a connection's second pull, and the `sync`
+/// verb's report carries framing bytes where v4's carried refusals.
+pub const HANDSHAKE_VERSION: u8 = 5;
 
 /// What the connecting peer intends to do with the connection: byte 0
 /// or 2 of the preamble. Byte 1 named a one-shot pull no build sends

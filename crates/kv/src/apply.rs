@@ -2,7 +2,7 @@
 //! snapshot blobs, staged whole and then applied.
 
 use crate::codec::{decode_value, take_key, Ascending};
-use crate::record::{Record, State};
+use crate::record::{entry_hash, Record, State};
 use crate::shard::{shard_index, Run};
 use crate::{KvStore, KvSyncReport, Resolver, Value};
 use bytes::Bytes;
@@ -256,6 +256,24 @@ impl KvStore {
         Ok(runs)
     }
 
+    /// Stores one committed entry and journals, at `generation`, what
+    /// it did to its shard; returns whether its key was tracked before.
+    fn commit_entry(
+        &mut self,
+        generation: u64,
+        key: &str,
+        meta: Srv,
+        value: Option<&[u8]>,
+    ) -> bool {
+        let shard = shard_index(key.as_bytes(), self.shards.len());
+        let before = self.shards[shard].summary();
+        let tracked = self.insert(key, meta, value);
+        let change = self.shards[shard].summary() - before;
+        self.journal
+            .record(generation, placement(key.as_bytes()), change);
+        tracked
+    }
+
     /// Commits staged contact outcomes, then the staged snapshot runs,
     /// each moved into its physical shard whole.
     /// Infallible: every fallible step happened in staging.
@@ -278,22 +296,25 @@ impl KvStore {
             shards_refined: contact.shards_refined as usize,
             digests_sent: contact.digests_sent as usize,
             shards_proposed: contact.shards_proposed as usize,
-            shards_refused: contact.shards_refused as usize,
+            framing_bytes: contact.framing_bytes as usize,
             ..KvSyncReport::default()
         };
         let site = self.site;
+        // One bump for the whole commit, every changed key journalled
+        // under it as it is stored.
+        let next = self.generation + 1;
         let mut changed = Vec::new();
         for (key, mut meta, action) in staged {
             report.keys_examined += 1;
             match action {
                 Staged::Clean => report.keys_unchanged += 1,
                 Staged::Create { value } => {
-                    self.insert(&key, meta, value.as_deref());
+                    self.commit_entry(next, &key, meta, value.as_deref());
                     report.keys_created += 1;
                     changed.push(key);
                 }
                 Staged::FastForward { value } => {
-                    let tracked = self.insert(&key, meta, value.as_deref());
+                    let tracked = self.commit_entry(next, &key, meta, value.as_deref());
                     assert!(tracked, "client named our key");
                     report.keys_fast_forwarded += 1;
                     changed.push(key);
@@ -307,7 +328,7 @@ impl KvStore {
                     // Parker §C: the resolved version must dominate
                     // both parents.
                     meta.record_update(site);
-                    self.insert(&key, meta, resolved.as_deref());
+                    self.commit_entry(next, &key, meta, resolved.as_deref());
                     report.keys_reconciled += 1;
                     changed.push(key);
                 }
@@ -316,17 +337,19 @@ impl KvStore {
         for (shard, run) in self.shards.iter_mut().zip(snapshots) {
             report.keys_examined += run.len();
             report.keys_created += run.len();
-            changed.extend(run.records().map(|record| record.entry().0.to_owned()));
+            for record in run.records() {
+                let created = ShardDigest {
+                    digest: entry_hash(record),
+                    entries: 1,
+                };
+                self.journal
+                    .record(next, placement(record.key_bytes()), created);
+                changed.push(record.entry().0.to_owned());
+            }
             shard.append(run);
         }
-        // One bump for the whole commit, every changed key journalled
-        // under it.
         if !changed.is_empty() {
-            self.generation += 1;
-            for key in &changed {
-                self.journal
-                    .record(self.generation, placement(key.as_bytes()));
-            }
+            self.generation = next;
         }
         (report, changed)
     }

@@ -10,6 +10,7 @@ use optrep_core::error::WireError;
 use optrep_core::wire;
 #[cfg(test)]
 use optrep_core::Srv;
+use optrep_replication::planner::JOURNAL_CAP;
 use std::io::{self, Read, Write};
 
 impl KvStore {
@@ -121,6 +122,7 @@ impl KvStore {
     ) -> std::result::Result<(), WireError> {
         let physical = self.shards.len();
         let mut runs = Runs::default();
+        let mut listed = 0usize;
         for (key, mut state) in entries.clone() {
             let key = std::str::from_utf8(key).map_err(|_| WireError::InvalidPayload)?;
             let shard = shard_index(key.as_bytes(), physical);
@@ -128,12 +130,34 @@ impl KvStore {
             if !state.is_empty() {
                 return Err(WireError::InvalidPayload);
             }
+            listed += 1;
         }
-        for (key, _) in entries {
-            self.touch(key);
+        // Each entry counted in log order, with what it does to its
+        // shard: against the record the shard holds, while a run that
+        // names each key once waits to be merged; a run that may name a
+        // key twice is stored record by record here, as the shard would
+        // take it, so each entry is counted against the one before it.
+        // The entries before the record's last `JOURNAL_CAP` are evicted
+        // by the record's own: they are counted and passed, not summed.
+        let passed = listed.saturating_sub(JOURNAL_CAP);
+        let mut cursors: Vec<_> = (runs.iter())
+            .map(|run| (run.unordered(), run.records()))
+            .collect();
+        for (at, (key, _)) in entries.enumerate() {
+            let shard = shard_index(key, physical);
+            let (inline, records) = &mut cursors[runs.slot(shard)];
+            let record = records.next().expect("the run holds its entries");
+            let change = (at >= passed).then(|| self.shards[shard].change_of(record));
+            if *inline {
+                self.shards[shard].upsert(record);
+            }
+            self.touch(key, change);
         }
+        drop(cursors);
         for (shard, run) in runs.into_runs() {
-            self.shards[shard].append(run);
+            if !run.unordered() {
+                self.shards[shard].append(run);
+            }
         }
         Ok(())
     }
@@ -251,6 +275,20 @@ struct Runs {
 }
 
 impl Runs {
+    /// Every run, in the order [`slot`](Self::slot) counts them.
+    fn iter(&self) -> impl Iterator<Item = &Run> {
+        (self.first.iter().chain(&self.more)).map(|(_, run)| run)
+    }
+
+    /// Where shard `shard`'s run — one the record touched — stands in
+    /// [`iter`](Self::iter): the first, or one past its index in `more`.
+    fn slot(&self, shard: usize) -> usize {
+        match &self.first {
+            Some((first, _)) if *first == shard => 0,
+            _ => self.at[shard] as usize,
+        }
+    }
+
     /// Shard `shard`'s run, begun if the record has not touched it.
     fn of(&mut self, shard: usize, physical: usize) -> &mut Run {
         if self.first.as_ref().is_none_or(|(first, _)| *first == shard) {

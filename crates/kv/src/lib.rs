@@ -76,7 +76,9 @@ use optrep_net::FrameLink;
 use optrep_replication::mux::{
     pull_planned, BatchPullClient, ContactAsk, ContactReport, Faulted, InProcessLink, Serving,
 };
-use optrep_replication::planner::{placement, ShardPlan, VectorMemory, MAX_PLAN_SHARDS};
+use optrep_replication::planner::{
+    placement, ShardDigest, ShardPlan, VectorMemory, MAX_PLAN_SHARDS,
+};
 use optrep_replication::FaultyLink;
 use record::{entry_hash, with_version_vector, Record};
 use shard::Shard;
@@ -178,11 +180,13 @@ pub struct KvSyncReport {
     /// connection remembers.
     pub digests_sent: usize,
     /// Incremental shards the source proposed the scope of, from the
-    /// keys it changed since the connection's last pull.
+    /// keys it changed since the connection's last pull: cut to those
+    /// keys, the rest of the shard checked equal by the source.
     pub shards_proposed: usize,
-    /// Of those, shards this store refused — the rest of the shard did
-    /// not match the proposal's residual — and walked whole.
-    pub shards_refused: usize,
+    /// Framing bytes of the object exchange (frame headers, stream ids,
+    /// key names; both directions) — what `meta_bytes`, `value_bytes`
+    /// and `digest_bytes` leave out of the contact's wire bytes.
+    pub framing_bytes: usize,
 }
 
 /// A replicated key-value store: one [`Srv`] per key, anti-entropy
@@ -270,20 +274,27 @@ impl KvStore {
     }
 
     /// Counts one change of `key` into the store's generation and its
-    /// journal; returns the key's shard.
-    fn touch(&mut self, key: &[u8]) -> usize {
-        let hash = placement(key);
+    /// journal, with what it did to the key's shard — or, where later
+    /// changes of the same call evict it before anyone can ask (`None`),
+    /// as passed.
+    fn touch(&mut self, key: &[u8], change: Option<ShardDigest>) {
         self.generation += 1;
-        self.journal.record(self.generation, hash);
-        (hash & (self.shards.len() as u64 - 1)) as usize
+        match change {
+            Some(change) => self.journal.record(self.generation, placement(key), change),
+            None => self.journal.pass(self.generation),
+        }
     }
 
     /// One local write: one walk of the page the key belongs in finds
     /// the vector it holds, and the record with its vector one update
     /// further is written where it stands or into the page's rewrite.
     fn write(&mut self, key: String, value: Value) {
-        let idx = self.touch(key.as_bytes());
-        self.shards[idx].put(&key, self.site, value.as_deref());
+        let idx = shard::shard_index(key.as_bytes(), self.shards.len());
+        let shard = &mut self.shards[idx];
+        let before = shard.summary();
+        shard.put(&key, self.site, value.as_deref());
+        let change = shard.summary() - before;
+        self.touch(key.as_bytes(), Some(change));
     }
 
     /// Reads a key. Tombstoned and absent keys both read as `None`.

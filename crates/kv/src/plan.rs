@@ -1,5 +1,6 @@
-//! The planner phase as a store sees it: digest vectors, child digests
-//! and residuals, the plan, and every endpoint a contact runs between.
+//! The planner phase as a store sees it: digest vectors, child digests,
+//! the journal's hints and residuals, the plan, and every endpoint a
+//! contact runs between.
 
 use crate::codec::{encode_value, shard_image};
 use crate::record::{entry_hash, Record};
@@ -10,8 +11,8 @@ use optrep_replication::mux::{
     BatchPullClient, BatchPullServer, ContactAnswer, ContactAsk, Restricted,
 };
 use optrep_replication::planner::{
-    decide, nothing_to_pull, placement, Candidates, ChildDigests, Cut, DigestVector, PlanConfig,
-    Proposal, ShardAction, ShardDigest, ShardPlan, ShardScope, MAX_PLAN_SHARDS,
+    decide, nothing_to_pull, placement, Candidates, ChildDigests, Cut, DigestVector, Hint,
+    PlanConfig, Proposal, ShardAction, ShardDigest, ShardPlan, ShardScope, MAX_PLAN_SHARDS,
 };
 use std::collections::BTreeMap;
 
@@ -36,9 +37,15 @@ impl KvStore {
     /// For each of `proposed` — plan shards at `whole.len()` shards,
     /// strictly increasing, with their candidates — this store's
     /// summary of the shard *less* its entries placed under the
-    /// candidates. `whole` is this store's digests at that count. Walks
-    /// those shards only, and hashes only the entries it subtracts.
-    fn residuals(&self, whole: &[ShardDigest], proposed: &[Candidates]) -> Vec<ShardDigest> {
+    /// candidates: what a serving end completes a proposed shard's
+    /// served records with. `whole` is this store's digests at that
+    /// count. Walks those shards only, and hashes only the entries it
+    /// subtracts.
+    pub(crate) fn residuals(
+        &self,
+        whole: &[ShardDigest],
+        proposed: &[Candidates],
+    ) -> Vec<ShardDigest> {
         let count = whole.len();
         let shards: Vec<u64> = proposed.iter().map(|(shard, _)| *shard).collect();
         let mut residuals: Vec<ShardDigest> =
@@ -70,32 +77,28 @@ impl KvStore {
     }
 
     /// The pulling half of a planned contact, cut as finely as `plan`
-    /// allows. Where the plan offers child digests, this store's
-    /// children of the same shards are compared with them and the
-    /// endpoint keeps, of those shards, only the keys of children that
-    /// differ. Where it proposes a shard's scope, this store's summary
-    /// of the shard less its own entries under the proposal's candidates
-    /// is compared with the proposal's residual: equal — digest *and*
-    /// entry count, the evidence a skipped shard is skipped on — and
-    /// every other entry of the shard is the source's, so the endpoint
-    /// keeps only the keys under the candidates; different — this store
-    /// wrote or pulled something the source's journal knows nothing of —
-    /// and the shard is refused and presented whole. The [`ShardScope`]
-    /// returned with the endpoint tells the server all of it, so both
-    /// sides cut alike; every other incremental shard is presented
-    /// whole. For a plan that offers nothing this is
+    /// allows. A proposed shard is cut to the keys under its candidates:
+    /// the server proposed it only having checked that this store holds
+    /// the rest of it as the server does. Where the plan offers child
+    /// digests, this store's children of the same shards are compared
+    /// with them and the endpoint keeps, of those shards, only the keys
+    /// of children that differ — the [`ShardScope`] returned with the
+    /// endpoint tells the server which, so both sides cut alike. Every
+    /// other incremental shard is presented whole; for a plan that
+    /// offers nothing this is
     /// [`client_endpoint_for`](Self::client_endpoint_for) over its
     /// incremental shards. Call it under the guard that snapshots the
     /// [`generation`](Self::generation): digests and endpoint are one
     /// view of the store.
     pub fn client_endpoint_refined(&self, plan: &ShardPlan) -> Restricted {
-        let count = plan.count as usize;
         let Some(offer) = plan.offer() else {
-            return self.client_endpoint_for(&plan.incremental, count).into();
+            return self
+                .client_endpoint_for(&plan.incremental, plan.count as usize)
+                .into();
         };
-        let mut differing = Vec::new();
-        if let Some(theirs) = &plan.children {
+        let scope = plan.children.as_ref().map(|theirs| {
             let ours = self.child_digests(&offer.parents, offer.count, offer.fanout);
+            let mut differing = Vec::new();
             for ((shard, theirs), ours) in theirs.parents.iter().zip(&ours) {
                 for (j, (ours, theirs)) in ours.iter().zip(theirs).enumerate() {
                     if !nothing_to_pull(ours, theirs) {
@@ -104,28 +107,18 @@ impl KvStore {
                 }
             }
             differing.sort_unstable();
-        }
-        let refused = (!plan.proposed.is_empty()).then(|| {
-            let ours = self.residuals(&self.shard_digests_at(count), &offer.proposed);
-            (plan.proposed.iter().zip(ours))
-                .filter(|(proposal, ours)| proposal.residual != *ours)
-                .map(|(proposal, _)| proposal.shard)
-                .collect()
+            ShardScope {
+                count: offer.count * offer.fanout,
+                children: differing,
+            }
         });
-        let scope = ShardScope {
-            count: offer.count * offer.fanout,
-            children: differing,
-            refused,
-        };
         let client = pulling(self.records_cut(&Cut {
             count: plan.count,
             incremental: &plan.incremental,
-            narrowed: Some((&offer, &scope)),
+            offer: Some(&offer),
+            scope: scope.as_ref(),
         }));
-        Restricted {
-            client,
-            scope: Some(scope),
-        }
+        Restricted { client, scope }
     }
 
     /// The serving half of a planned contact whose puller walks the
@@ -136,7 +129,8 @@ impl KvStore {
         self.server_endpoint_cut(&Cut {
             count: count as u64,
             incremental: shards,
-            narrowed: None,
+            offer: None,
+            scope: None,
         })
     }
 
@@ -244,19 +238,20 @@ impl KvStore {
 
     /// The serving half of the planner phase: folds this store's
     /// digests to the puller's shard count, [`decide`]s per shard,
-    /// encodes snapshot blobs for the bulk-load shards, digests the
-    /// children of the shards `decide` priced as worth narrowing and
-    /// the residuals of the shards it proposes — all from one view of
-    /// the store, the one whose [`generation`](Self::generation) the
+    /// encodes snapshot blobs for the bulk-load shards and digests the
+    /// children of the shards `decide` priced as worth narrowing — all
+    /// from one view of the store, the one whose
+    /// [`generation`](Self::generation) the
     /// caller remembers as the connection's next `since` (call under
     /// one lock in a daemon).
     ///
     /// `since` is this store's generation when it planned the same
-    /// connection's previous contact. Where the change
-    /// journal still reaches back to it, the keys changed since are the
-    /// hints `decide` prices, and each shard it chooses to propose
-    /// carries them as candidates beside the digest of everything else
-    /// in the shard. With `None`, or a journal that has since evicted
+    /// connection's previous contact. Where the change journal still
+    /// reaches back to it, the keys changed since are the hints `decide`
+    /// prices, each shard's with what the shard summarised to then —
+    /// its digest now less what the journalled changes did to it — and
+    /// `decide` proposes a shard only where that equals the puller's
+    /// digest of it. With `None`, or a journal that has since evicted
     /// past `since`, the plan is what digests alone give.
     ///
     /// No endpoint is built here: which keys the contact will open is
@@ -273,8 +268,10 @@ impl KvStore {
         self.plan_from(digests, since).0
     }
 
-    /// [`plan_contact_since`](Self::plan_contact_since), and this
-    /// store's digests at the plan's count that it was made from.
+    /// [`plan_contact_since`](Self::plan_contact_since), and what the plan
+    /// leaves the puller to hold unseen, as
+    /// [`ContactAnswer::Plan`] lists it: this store's digest of each
+    /// shard the plan bulk-loads, then each proposed shard's residual.
     fn plan_from(
         &self,
         digests: &DigestVector,
@@ -286,17 +283,23 @@ impl KvStore {
             "a digest vector of {count} shards: not a power of two up to {MAX_SHARDS}"
         );
         let ours = self.shard_digests_at(count);
-        let mut hints: Vec<Candidates> = Vec::new();
+        let mut hints: Vec<Hint> = Vec::new();
         if let Some(changed) = since.and_then(|since| self.journal.changed_since(since)) {
-            let mut by_shard: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-            for hash in changed {
-                let candidates = by_shard.entry(hash & (count as u64 - 1)).or_default();
-                candidates.push(hash & (MAX_PLAN_SHARDS - 1));
+            let mut by_shard: BTreeMap<u64, (Vec<u64>, ShardDigest)> = BTreeMap::new();
+            for (placed, change) in changed {
+                let (candidates, moved) = by_shard.entry(placed & (count as u64 - 1)).or_default();
+                candidates.push(placed);
+                *moved += change;
             }
-            for (shard, mut candidates) in by_shard {
+            for (shard, (mut candidates, moved)) in by_shard {
                 candidates.sort_unstable();
                 candidates.dedup();
-                hints.push((shard, candidates));
+                let since = ours[shard as usize] - moved;
+                hints.push(Hint {
+                    shard,
+                    candidates,
+                    since,
+                });
             }
         }
         let decision = decide(&digests.shards, &ours, &hints);
@@ -325,6 +328,7 @@ impl KvStore {
             .into_iter()
             .map(|(shard, image)| (shard, shard_image(&image)))
             .collect();
+        let mut unseen: Vec<ShardDigest> = bulk.iter().map(|&shard| ours[shard as usize]).collect();
         if !decision.refined.is_empty() {
             let children = self.child_digests(&decision.refined, plan.count, decision.fanout);
             plan.children = Some(ChildDigests {
@@ -333,25 +337,25 @@ impl KvStore {
             });
         }
         if !decision.proposed.is_empty() {
-            hints.retain(|(shard, _)| decision.proposed.binary_search(shard).is_ok());
-            let residuals = self.residuals(&ours, &hints);
-            plan.proposed = (hints.into_iter().zip(residuals))
-                .map(|((shard, candidates), residual)| Proposal {
-                    shard,
-                    candidates,
-                    residual,
-                })
+            let proposed: Vec<Candidates> = (hints.into_iter())
+                .filter(|hint| decision.proposed.binary_search(&hint.shard).is_ok())
+                .map(|hint| (hint.shard, hint.candidates))
+                .collect();
+            unseen.extend(self.residuals(&ours, &proposed));
+            plan.proposed = (proposed.into_iter())
+                .map(|(shard, candidates)| Proposal { shard, candidates })
                 .collect();
         }
-        (plan, ours)
+        (plan, unseen)
     }
 
     /// The serving side's one door: this store's answer to what a
     /// [`Serving`](optrep_replication::mux::Serving) asks its source.
     /// At the digest frame: [`plan_contact_since`](Self::plan_contact_since),
     /// this store's [`generation`](Self::generation) — the `since`
-    /// of the connection's next contact — and its digest of each shard
-    /// the plan bulk-loads, all from one view. At the first frame of
+    /// of the connection's next contact — its digest of each shard the
+    /// plan bulk-loads and each proposed shard's residual, all from one
+    /// view. At the first frame of
     /// the puller's burst: the serving endpoint over the keys of the
     /// [`Cut`] the puller left of the plan and no others, and what the
     /// keys it serves sum to in each of the cut's incremental shards — an
@@ -363,9 +367,9 @@ impl KvStore {
     /// between is served at its newer state, vector and value read
     /// together here, if the cut admits it, and is otherwise left to the
     /// connection's next contact, whose `since` is the plan's generation
-    /// and so still behind the write; what the plan proved (equal
-    /// residuals, equal children) it proved of entries the contact does
-    /// not transfer. For the same reason a served shard's as-served
+    /// and so still behind the write; what the plan proved (a shard the
+    /// puller holds as it stood at `since`, equal children) it proved of
+    /// entries the contact does not transfer. For the same reason a served shard's as-served
     /// digest is the plan's summary of those entries plus what is served
     /// of the shard now — the sums the endpoint answers with.
     ///
@@ -375,11 +379,8 @@ impl KvStore {
     pub fn open_contact(&self, ask: ContactAsk<'_>) -> ContactAnswer {
         match ask {
             ContactAsk::Plan { digests, since } => {
-                let (plan, ours) = self.plan_from(digests, since);
-                let images = (plan.snapshots.iter())
-                    .map(|(shard, _)| ours[*shard as usize])
-                    .collect();
-                ContactAnswer::Plan(plan, self.generation, images)
+                let (plan, unseen) = self.plan_from(digests, since);
+                ContactAnswer::Plan(plan, self.generation, unseen)
             }
             ContactAsk::Endpoint(cut) => {
                 let (server, sums) = self.server_endpoint_summed(&cut);

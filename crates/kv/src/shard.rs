@@ -208,6 +208,17 @@ impl Shard {
         }
     }
 
+    /// What storing `new` in place of whatever its key holds would do
+    /// to [`summary`](Self::summary): its hash in, the held record's out,
+    /// and one more entry if the key is not held.
+    pub(crate) fn change_of(&self, new: Record<'_>) -> ShardDigest {
+        let held = self.get(new.key_bytes());
+        ShardDigest {
+            digest: entry_hash(new).wrapping_sub(held.map_or(0, entry_hash)),
+            entries: u64::from(held.is_none()),
+        }
+    }
+
     /// Records holding a value.
     pub(crate) fn live(&self) -> usize {
         self.live
@@ -611,6 +622,13 @@ impl Run {
     /// Records pushed.
     pub(crate) fn len(&self) -> usize {
         self.len
+    }
+
+    /// Whether a record was pushed at or below the key pushed before it
+    /// — a run that may name a key twice, and that a shard takes record
+    /// by record.
+    pub(crate) fn unordered(&self) -> bool {
+        self.unordered
     }
 
     /// The records pushed, in the order pushed.

@@ -513,8 +513,11 @@ type Log = Vec<Vec<(String, Bytes)>>;
 fn replay_by_the_oracle(store: &mut KvStore, record: &[(String, Bytes)]) {
     for (key, entry) in record {
         let (meta, value) = crate::codec::decode_state(&mut entry.clone()).unwrap();
-        let idx = store.touch(key.as_bytes());
+        let idx = shard_index(key.as_bytes(), store.shards.len());
+        let before = store.shards[idx].summary();
         store.shards[idx].write(key, meta, value.as_deref());
+        let change = store.shards[idx].summary() - before;
+        store.touch(key.as_bytes(), Some(change));
     }
 }
 
@@ -573,8 +576,9 @@ fn seeded_log(rng: &mut SplitMix64, keys: usize, order: &str) -> (Bytes, Log) {
     (base, log)
 }
 
-/// The journal's entries at the generations a log's records ended at.
-fn journal_at(store: &KvStore, generations: &[u64]) -> Vec<Option<Vec<u64>>> {
+/// The journal's entries — placements and what each change did to its
+/// shard — at the generations a log's records ended at.
+fn journal_at(store: &KvStore, generations: &[u64]) -> Vec<Option<Vec<(u64, ShardDigest)>>> {
     let listed = |at: u64| store.journal.changed_since(at).map(Iterator::collect);
     generations.iter().map(|&at| listed(at)).collect()
 }

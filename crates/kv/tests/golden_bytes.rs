@@ -227,7 +227,12 @@ fn run(shards: usize) -> Transcript {
 
 /// `[snapshot, entry, image, digest, pull]` hashes per shard count,
 /// recorded at bca34b2 (`Entry { meta: Srv, value: Option<Box<[u8]>> }`
-/// in a `BTreeMap<Box<str>, Box<Entry>>`).
+/// in a `BTreeMap<Box<str>, Box<Entry>>`). The pull hashes were
+/// re-pinned once, when a pull's report traded its count of refused
+/// proposals (always 0 here) for its framing bytes: the transcripts
+/// are line for line what they were, but for that last field of every
+/// report (pull: `0x2eae_21ec_595e_0127`, `0x81f9_c0ce_d5a0_1069`,
+/// `0x187a_5034_c0a7_3fc8` before).
 const GOLDEN: [(usize, [u64; 5]); 3] = [
     (
         1,
@@ -236,7 +241,7 @@ const GOLDEN: [(usize, [u64; 5]); 3] = [
             0x651a_200d_bb25_4e43,
             0x3f7d_3ffd_87bd_a402,
             0x13c5_008a_c94f_7cbb,
-            0x2eae_21ec_595e_0127,
+            0xb388_429a_7606_5cf6,
         ],
     ),
     (
@@ -246,7 +251,7 @@ const GOLDEN: [(usize, [u64; 5]); 3] = [
             0xf09a_8e28_15eb_da0a,
             0xa444_ef6f_7a34_04e2,
             0x5227_22fd_33bf_e70c,
-            0x81f9_c0ce_d5a0_1069,
+            0x6028_661f_c220_0af2,
         ],
     ),
     (
@@ -256,7 +261,7 @@ const GOLDEN: [(usize, [u64; 5]); 3] = [
             0x8409_f42c_d9d3_62e4,
             0x6d68_6b04_45af_bde8,
             0x8546_b578_3560_f7c7,
-            0x187a_5034_c0a7_3fc8,
+            0x0eb8_06fe_1f45_72df,
         ],
     ),
 ];

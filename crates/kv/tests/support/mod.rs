@@ -15,7 +15,8 @@ pub fn unplanned_pull(dst: &mut KvStore, src: &KvStore) -> KvSyncReport {
     let every_key = Cut {
         count: 1,
         incremental: &[0],
-        narrowed: None,
+        offer: None,
+        scope: None,
     };
     let ContactAnswer::Endpoint(mut server, _) = src.open_contact(ContactAsk::Endpoint(every_key))
     else {

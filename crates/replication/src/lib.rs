@@ -45,8 +45,9 @@ pub use mux::{
 pub use object::ObjectId;
 pub use oplog::OpReplica;
 pub use planner::{
-    decide, Candidates, ChildDigests, Cut, Decision, DigestDelta, DigestVector, Offer, PlanConfig,
-    Proposal, ShardAction, ShardDigest, ShardPlan, ShardScope, VectorMemory, JOURNAL_CAP,
+    decide, Candidates, ChildDigests, Cut, Decision, DigestDelta, DigestVector, Hint, Offer,
+    PlanConfig, Proposal, ShardAction, ShardDigest, ShardPlan, ShardScope, VectorMemory,
+    JOURNAL_CAP,
 };
 // Re-exported so callers of `Faulted` can name the fault types without
 // depending on `optrep-net` directly.

@@ -41,11 +41,11 @@ enum PullPhase {
 /// one turn earlier: the puller sends its [`DigestVector`], the server
 /// answers one [`ShardPlan`] ([`take_plan`](Self::take_plan)), and the
 /// caller continues with a client restricted to the plan's incremental
-/// shards ([`exchange`](Self::exchange)) — or, where the plan offered
-/// child digests or proposed scopes and the caller checked them against
-/// its store, to the children that differ and the candidates of the
-/// proposals it accepts, named to the server by a [`ShardScope`] frame
-/// that leads the opening burst.
+/// shards, each proposed one cut to its candidates
+/// ([`exchange`](Self::exchange)) — and, where the plan offered child
+/// digests and the caller compared them with its store, each refined one
+/// to the children that differ, named to the server by a [`ShardScope`]
+/// frame that leads the opening burst.
 ///
 /// The exchange is half-duplex: the client flushes a whole burst and
 /// passes the turn with a [`TURN_STREAM`] marker; the server answers
@@ -72,9 +72,8 @@ pub struct Puller<'a> {
     client: Option<&'a mut BatchPullClient>,
     /// The server's plan, until [`take_plan`](Self::take_plan).
     plan: Option<ShardPlan>,
-    /// Shards whose children the plan offered, and shards whose scope
-    /// it proposed.
-    offered: (u64, u64),
+    /// Shards whose children the plan offered.
+    refined: u64,
     /// Nothing was remembered of this link when the contact opened: it
     /// is the link's first, so its server has nothing to propose from.
     first_on_link: bool,
@@ -95,7 +94,7 @@ impl<'a> Puller<'a> {
         Puller {
             client: None,
             plan: None,
-            offered: (0, 0),
+            refined: 0,
             first_on_link: false,
             contact: 0,
             report: ContactReport::default(),
@@ -155,7 +154,7 @@ impl<'a> Puller<'a> {
     /// # Panics
     ///
     /// Panics unless the planning turn has just completed, or if a
-    /// scope answers a plan that offered nothing to narrow.
+    /// scope answers a plan that offered no children.
     pub fn exchange(
         &mut self,
         client: &'a mut BatchPullClient,
@@ -165,16 +164,13 @@ impl<'a> Puller<'a> {
     ) {
         assert_eq!(self.phase, PullPhase::Planned, "no plan to exchange under");
         if let Some(scope) = scope {
-            let (refined, proposed) = self.offered;
             assert!(
-                refined + proposed > 0,
-                "a scope for a plan that offered nothing"
+                self.refined > 0,
+                "a scope for a plan that offered no children"
             );
             let frame = scope_frame(scope);
             self.report.digest_bytes += frame.len() as u64;
-            self.report.shards_refined = refined;
-            self.report.shards_proposed = proposed;
-            self.report.shards_refused = scope.refused.as_ref().map_or(0, |r| r.len() as u64);
+            self.report.shards_refined = self.refined;
             out.extend_from_slice(&frame);
         }
         self.client = Some(client);
@@ -269,8 +265,8 @@ impl<'a> Puller<'a> {
                 "a proposal on a link with no previous contact".into(),
             ));
         }
-        let refined = plan.children.as_ref().map_or(0, |c| c.parents.len());
-        self.offered = (refined as u64, plan.proposed.len() as u64);
+        self.refined = plan.children.as_ref().map_or(0, |c| c.parents.len() as u64);
+        self.report.shards_proposed = plan.proposed.len() as u64;
         self.plan = Some(plan);
         Ok(())
     }
@@ -405,15 +401,15 @@ pub fn pull_contact<L: FrameLink>(
 pub struct Restricted {
     /// The client over the keys the contact will exchange.
     pub client: BatchPullClient,
-    /// The children of the plan's refined shards that differ and the
-    /// proposed shards refused, when the caller checked what the plan
-    /// offered and cut `client` accordingly; `None` for a client over
-    /// the whole incremental shards.
+    /// The children of the plan's refined shards that differ, when the
+    /// caller compared them with its own and cut `client` accordingly;
+    /// `None` for a client over the refined shards whole, and for a plan
+    /// that refined none.
     pub scope: Option<ShardScope>,
 }
 
 impl From<BatchPullClient> for Restricted {
-    /// A client over the plan's incremental shards, whole.
+    /// A client that answers no children.
     fn from(client: BatchPullClient) -> Self {
         Restricted {
             client,
@@ -427,9 +423,8 @@ impl From<BatchPullClient> for Restricted {
 /// holds of the link's last contact, where that is shorter — takes the
 /// server's [`ShardPlan`], asks
 /// `endpoint` for the client restricted to it (a daemon takes its store
-/// lock in there) — a [`Restricted`] cut at the plan's child digests
-/// and proposals, or a plain [`BatchPullClient`] over the incremental
-/// shards — and
+/// lock in there) — a [`Restricted`] cut at the plan's proposals and
+/// child digests, or a plain [`BatchPullClient`] — and
 /// runs the object exchange exactly as [`pull_contact`] does. Returns
 /// the finished client, the plan, and the report with the planner
 /// fields ([`ContactReport::digest_bytes`], `digests_sent`, `shards_*`)

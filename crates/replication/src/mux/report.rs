@@ -60,13 +60,11 @@ pub struct ContactReport {
     /// refined nothing or the puller walked the shards whole.
     pub shards_refined: u64,
     /// Incremental shards whose scope the server proposed from its
-    /// change journal ([`Proposal`](crate::planner::Proposal)) and the
-    /// puller answered with a scope. Zero on a connection's first
-    /// contact, and when the puller walked the shards whole.
+    /// change journal ([`Proposal`](crate::planner::Proposal)), having
+    /// checked that the puller holds the rest of each as the server
+    /// does: both ends cut them to the candidates. Zero on a
+    /// connection's first contact.
     pub shards_proposed: u64,
-    /// Of those, the shards whose residual the puller could not match:
-    /// refused in the scope frame and walked whole in this same contact.
-    pub shards_refused: u64,
     /// Bytes of the planner exchange (the opening frame — the digest
     /// vector, or its delta against the last one the connection
     /// carried — + plan frame, snapshot blobs, child digests and

@@ -102,14 +102,18 @@ pub enum ContactAsk<'a> {
 /// A source's answer to a [`ContactAsk`], variant for variant.
 #[derive(Debug)]
 pub enum ContactAnswer {
-    /// The plan, the store's generation when it was made, and the
-    /// store's digest of each shard the plan bulk-loads, in the plan's
-    /// order — what the puller's shard sums to once the image is in.
+    /// The plan, the store's generation when it was made, and what the
+    /// plan leaves the puller to hold unseen: the store's digest of each
+    /// shard the plan bulk-loads, in the plan's order — what the
+    /// puller's shard sums to once the image is in — then each proposed
+    /// shard's *residual*, in the plan's order — the shard's digest
+    /// without its entries under the proposal's candidates, which the
+    /// proposal leaves as the puller holds them.
     Plan(ShardPlan, u64, Vec<ShardDigest>),
     /// The endpoint, and what the records it serves sum to in each of
     /// the cut's incremental shards, in the cut's order. The plan's
     /// summary of what the contact leaves out of a shard — a refined
-    /// shard's unlisted children, an accepted proposal's residual —
+    /// shard's unlisted children, a proposal's residual —
     /// completes it to the shard's *as-served* digest: what the
     /// puller's shard sums to once it holds exactly what it was served.
     /// To a [`ContactAsk::Plan`] it is a planning violation.
@@ -129,8 +133,9 @@ pub type ContactSource<'a> = dyn FnMut(ContactAsk<'_>) -> ContactAnswer + 'a;
 
 /// What [`Serving`] keeps of a plan between handing it out and cutting
 /// the endpoint: shard indices, candidate placements and the digests of
-/// refined shards' children, of proposals' residuals and of bulk-loaded
-/// shards' images, no key, vector or value.
+/// refined shards' children, of proposals' residuals (the source's, not
+/// the plan's: they never cross the wire) and of bulk-loaded shards'
+/// images, no key, vector or value.
 #[derive(Debug)]
 struct Planned {
     count: u64,
@@ -144,7 +149,7 @@ struct Planned {
     /// puller does not list sum to.
     children: Option<ChildDigests>,
     /// Each proposal's residual, in the order of the offer's proposals:
-    /// what an accepted one leaves out of its shard.
+    /// what it leaves out of its shard.
     residuals: Vec<ShardDigest>,
     /// The bulk-loaded shards, each at its image's digest.
     bulk: Vec<(u64, ShardDigest)>,
@@ -176,19 +181,26 @@ impl Planned {
 
     /// The plan's summary of what a contact whose puller answered
     /// `scope` leaves out of incremental `shard`: a refined shard's
-    /// unlisted children, an accepted proposal's residual, nothing of a
-    /// shard walked whole.
+    /// unlisted children, a proposal's residual, nothing of a shard
+    /// walked whole.
     fn outside(&self, shard: u64, scope: Option<&ShardScope>) -> ShardDigest {
-        let (Some(scope), Some(offer)) = (scope, &self.offer) else {
+        let Some(offer) = &self.offer else {
             return ShardDigest::default();
         };
+        if let Ok(slot) = offer.proposed.binary_search_by_key(&shard, |p| p.0) {
+            return self.residuals[slot];
+        }
         let mut outside = ShardDigest::default();
-        let refined = self.children.as_ref().and_then(|children| {
-            let parents = &children.parents;
-            let slot = parents.binary_search_by_key(&shard, |p| p.0).ok()?;
-            Some(&parents[slot].1)
-        });
-        if let Some(children) = refined {
+        let refined = self
+            .children
+            .as_ref()
+            .zip(scope)
+            .and_then(|(children, scope)| {
+                let parents = &children.parents;
+                let slot = parents.binary_search_by_key(&shard, |p| p.0).ok()?;
+                Some((&parents[slot].1, scope))
+            });
+        if let Some((children, scope)) = refined {
             for (j, child) in (0u64..).zip(children) {
                 if scope
                     .children
@@ -197,10 +209,6 @@ impl Planned {
                 {
                     outside += *child;
                 }
-            }
-        } else if let Ok(slot) = offer.proposed.binary_search_by_key(&shard, |p| p.0) {
-            if !scope.refuses(shard) {
-                outside = self.residuals[slot];
             }
         }
         outside
@@ -226,13 +234,12 @@ struct Served {
 /// the plan, the encoded plan is parked until the puller's turn marker
 /// hands the link over, and of the plan only its incremental shards and
 /// its [`Offer`] are kept. The first frame of the puller's burst then
-/// fixes the [`Cut`] — if the plan offered child digests or proposed
-/// scopes and the burst opens with a [`ShardScope`], the children it
-/// lists and the candidates of the proposals it does not refuse; the
-/// incremental shards whole otherwise — and only then is the source
-/// asked for the endpoint, so what is built is what will be served. Any
-/// other first frame is a planning violation, and the source is not
-/// asked.
+/// fixes the [`Cut`] — each proposed shard cut to its candidates, and,
+/// if the plan offered child digests and the burst opens with a
+/// [`ShardScope`], each refined shard to the children it lists; every
+/// other incremental shard whole — and only then is the source asked for
+/// the endpoint, so what is built is what will be served. Any other
+/// first frame is a planning violation, and the source is not asked.
 ///
 /// One `Serving` serves a persistent connection's contacts back to
 /// back. Between them it holds no endpoint, but it does keep the last
@@ -252,8 +259,10 @@ struct Served {
 /// source gets back when the next contact is planned and may propose
 /// from. It is a hint and needs no discipline
 /// — a contact abandoned after the wire, or state the puller got
-/// elsewhere, only makes proposals the puller refuses. Both memories are
-/// the connection's — a new connection starts with a new `Serving`.
+/// elsewhere, leaves the puller's digest of a shard other than what the
+/// source's journal sums it back to, and the source does not propose
+/// that shard. Both memories are the connection's — a new connection
+/// starts with a new `Serving`.
 #[derive(Debug, Default)]
 pub struct Serving {
     /// The open contact's endpoint, from the first frame of the puller's
@@ -327,7 +336,8 @@ impl Serving {
                     let cut = Cut {
                         count: planned.count,
                         incremental: &planned.incremental,
-                        narrowed: planned.offer.as_ref().zip(scope.as_ref()),
+                        offer: planned.offer.as_ref(),
+                        scope: scope.as_ref(),
                     };
                     let (server, sums) = endpoint_from(source, cut)?;
                     if sums.len() != planned.incremental.len() {
@@ -348,27 +358,29 @@ impl Serving {
                     let mut payload = frame.payload;
                     let digests = self.remembered.receive(&mut payload)?;
                     let since = self.since.take();
-                    let ContactAnswer::Plan(plan, generation, images) =
+                    let ContactAnswer::Plan(plan, generation, mut images) =
                         source(ContactAsk::Plan { digests, since })
                     else {
                         return Err(planning_violation(
                             "the source answered an endpoint where a plan was due".into(),
                         ));
                     };
-                    if images.len() != plan.snapshots.len() {
+                    let (bulk, proposed) = (plan.snapshots.len(), plan.proposed.len());
+                    if images.len() != bulk + proposed {
                         return Err(planning_violation(format!(
-                            "the source digested {} images of a plan that bulk-loads {} shards",
-                            images.len(),
-                            plan.snapshots.len()
+                            "the source digested {} shards of a plan that bulk-loads {bulk} \
+                             and proposes {proposed}",
+                            images.len()
                         )));
                     }
+                    let residuals = images.split_off(bulk);
                     self.since = Some(generation);
                     self.parked = Some(plan_frame(&plan));
                     let bulk = plan.snapshots.iter().map(|(shard, _)| *shard);
                     self.planned = Some(Box::new(Planned {
                         count: plan.count,
                         offer: plan.offer(),
-                        residuals: plan.proposed.iter().map(|p| p.residual).collect(),
+                        residuals,
                         bulk: bulk.zip(images).collect(),
                         children: plan.children,
                         incremental: plan.incremental,

@@ -2,7 +2,7 @@
 //! whether one more level — child digests, or a proposal — pays.
 
 use super::plan::put_proposal;
-use super::{nothing_to_pull, Candidates, ShardDigest, MAX_PLAN_SHARDS};
+use super::{nothing_to_pull, ShardDigest, MAX_PLAN_SHARDS};
 use bytes::BytesMut;
 
 /// What the plan says to do with one shard.
@@ -36,9 +36,26 @@ pub struct Decision {
     /// The fan-out every refined shard is offered at. Meaningful only
     /// when `refined` is not empty.
     pub fanout: u64,
-    /// The incremental shards whose hinted candidates are worth
-    /// proposing, increasing, none of them in `refined`.
+    /// The incremental shards whose hint passed the check and whose
+    /// candidates are worth proposing, increasing, none of them in
+    /// `refined`.
     pub proposed: Vec<u64>,
+}
+
+/// What a server's change journal says of one shard since the
+/// connection's last contact: the candidates a
+/// [`Proposal`](super::Proposal) would list — where the keys changed
+/// since live — and what the shard summarised to at that contact, the
+/// shard's digest now less what those changes did to it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Hint {
+    /// The shard, at the plan's count.
+    pub shard: u64,
+    /// Where its changed keys live at [`MAX_PLAN_SHARDS`], strictly
+    /// increasing.
+    pub candidates: Vec<u64>,
+    /// The shard's `(digest, entries)` at the connection's last contact.
+    pub since: ShardDigest,
 }
 
 /// COMPARE bytes one clean key costs a contact that walks its shard:
@@ -55,10 +72,9 @@ const INDEX_BYTES: f64 = 3.0;
 /// Decides per shard, and prices one more level. `client` and `server`
 /// are the two sides' digests at the same shard count (the client's);
 /// the slices must be equal length. `hints` is what the server's change
-/// journal says it changed since this connection's last contact — per
-/// shard, increasing, the candidates a [`Proposal`](super::Proposal)
-/// would list — and empty where there was no such contact or the journal
-/// no longer reaches it.
+/// journal says it changed since this connection's last contact — one
+/// [`Hint`] a shard, shards increasing — and empty where there was no
+/// such contact or the journal no longer reaches it.
 ///
 /// **The pricing.** Offering a shard's `F` children costs their bytes
 /// in the plan frame; it saves the COMPARE bytes of every key in a
@@ -81,23 +97,29 @@ const INDEX_BYTES: f64 = 3.0;
 /// walked when a single key is dirty (16 at 195 entries) — capped so
 /// `count · F ≤` [`MAX_PLAN_SHARDS`].
 ///
-/// **A hinted shard** needs no estimate: the proposal's bytes are what
-/// its encoding takes (the residual's entry count taken as the shard's,
-/// the most it can be), and the keys left in the contact are its
-/// candidates. It is proposed iff that — `bytes + 8 B · candidates` — is
-/// less than what the shard costs otherwise: `8 B · entries` walked
-/// whole, or, where the children were judged worth offering, their
-/// `9 B · F + 3 B · (1 + d) + 8 B · entries · d∕F`. One kind of shard is
-/// never proposed: where the puller holds *more* entries than the
-/// server, it holds keys the server has never seen, no candidate covers
-/// them, and the residual could not match. A proposed shard is not
-/// refined.
+/// **A hinted shard is checked first.** It may be proposed only where
+/// the puller's digest of it — in the vector the server holds — equals
+/// the hint's `since`, digest *and* entry count: then the puller holds
+/// the shard as the server held it at the last contact, every entry
+/// outside the candidates is the server's now, on the same hash trust a
+/// skip rests on, and the proposal binds both ends to the candidates.
+/// Anything else — a local write, a pull from a third site, an outcome
+/// thrown away, a journal that lost or misfiled a change — and the sum
+/// does not come out, and the shard is priced as though unhinted.
+///
+/// A checked shard needs no estimate: the proposal's bytes are what its
+/// encoding takes, and the keys left in the contact are its candidates.
+/// It is proposed iff that — `bytes + 8 B · candidates` — is less than
+/// what the shard costs otherwise: `8 B · entries` walked whole, or,
+/// where the children were judged worth offering, their
+/// `9 B · F + 3 B · (1 + d) + 8 B · entries · d∕F`. A proposed shard is
+/// not refined.
 ///
 /// # Panics
 ///
 /// Panics if the slices differ in length (a caller bug — the server
 /// folds to the client's count before deciding).
-pub fn decide(client: &[ShardDigest], server: &[ShardDigest], hints: &[Candidates]) -> Decision {
+pub fn decide(client: &[ShardDigest], server: &[ShardDigest], hints: &[Hint]) -> Decision {
     assert_eq!(client.len(), server.len(), "digest vectors must align");
     let actions: Vec<ShardAction> = client
         .iter()
@@ -158,22 +180,26 @@ pub fn decide(client: &[ShardDigest], server: &[ShardDigest], hints: &[Candidate
     // A proposal at the finest map's own count would list whole shards.
     if count < MAX_PLAN_SHARDS {
         let mut scratch = BytesMut::new();
-        for (shard, candidates) in hints {
-            let at = *shard as usize;
+        for hint in hints {
+            let at = hint.shard as usize;
             let incremental = decision.actions.get(at) == Some(&ShardAction::Incremental);
-            if !incremental || client[at].entries > server[at].entries {
+            if !incremental || client[at] != hint.since {
                 continue;
             }
             scratch.clear();
-            let shift = count.trailing_zeros();
-            put_proposal(&mut scratch, *shard, candidates, &server[at], shift);
-            let kept = COMPARE_BYTES_PER_KEY * candidates.len() as f64;
-            let otherwise = match decision.refined.binary_search(shard) {
+            put_proposal(
+                &mut scratch,
+                hint.shard,
+                &hint.candidates,
+                count.trailing_zeros(),
+            );
+            let kept = COMPARE_BYTES_PER_KEY * hint.candidates.len() as f64;
+            let otherwise = match decision.refined.binary_search(&hint.shard) {
                 Ok(_) => children.0 + COMPARE_BYTES_PER_KEY * walked(at) * children.1,
                 Err(_) => COMPARE_BYTES_PER_KEY * walked(at),
             };
             if scratch.len() as f64 + kept < otherwise {
-                decision.proposed.push(*shard);
+                decision.proposed.push(hint.shard);
             }
         }
         decision
@@ -276,7 +302,6 @@ mod tests {
             ShardScope {
                 count: MAX_PLAN_SHARDS,
                 children: (MAX_PLAN_SHARDS - children..MAX_PLAN_SHARDS).collect(),
-                refused: None,
             }
             .encode()
             .len()
@@ -326,16 +351,24 @@ mod tests {
         assert_eq!(decision.refined, (1..8).collect::<Vec<u64>>());
     }
 
+    /// A hint for `shard` of `keys` candidates, its `since` what the
+    /// puller in `ours` holds there.
+    fn hint(ours: &[ShardDigest], shard: u64, keys: u64) -> Hint {
+        let count = ours.len() as u64;
+        Hint {
+            shard,
+            candidates: (0..keys).map(|j| shard + j * 7 * count).collect(),
+            since: ours.get(shard as usize).copied().unwrap_or_default(),
+        }
+    }
+
     #[test]
     fn decide_proposes_where_the_hint_is_cheaper_than_what_it_replaces() {
         // 16 dirty shards of 512 at 195 keys, one changed key in each
         // of the first twelve: those are proposed, the other four keep
         // their children, and without hints nothing moved.
         let (ours, theirs) = map_with(512, 195, 16);
-        let hint = |shard: u64, keys: u64| -> Candidates {
-            (shard, (0..keys).map(|j| shard + j * 7 * 512).collect())
-        };
-        let hints: Vec<Candidates> = (0..12).map(|shard| hint(shard, 1)).collect();
+        let hints: Vec<Hint> = (0..12).map(|shard| hint(&ours, shard, 1)).collect();
         let blind = decide(&ours, &theirs, &[]);
         let hinted = decide(&ours, &theirs, &hints);
         assert_eq!(blind.refined, (0..16).collect::<Vec<u64>>());
@@ -348,26 +381,48 @@ mod tests {
         );
         // A hint for a shard whose digests match, and one for a shard
         // past the map, are not this contact's business.
-        let stray = [hint(100, 1), hint(9_999, 1)];
+        let stray = [hint(&ours, 100, 1), hint(&ours, 9_999, 1)];
         assert!(decide(&ours, &theirs, &stray).proposed.is_empty());
-        // A shard where the puller holds a key of its own is dirty
-        // whatever the server did, and would refuse any candidates.
-        let (mut ours, theirs) = map_with(512, 195, 16);
-        ours[3].entries += 1;
-        let hinted = decide(&ours, &theirs, &hints);
-        assert_eq!(hinted.proposed.len(), 11);
-        assert!(hinted.refined.contains(&3) && !hinted.proposed.contains(&3));
         // Every shard dirty at 39 keys — no children to fall back on:
         // six changed keys a shard are proposed, thirty-six are not.
         let (ours, theirs) = map_with(512, 39, 512);
-        let few: Vec<Candidates> = (0..512).map(|shard| hint(shard, 6)).collect();
-        let most: Vec<Candidates> = (0..512).map(|shard| hint(shard, 36)).collect();
+        let few: Vec<Hint> = (0..512).map(|shard| hint(&ours, shard, 6)).collect();
+        let most: Vec<Hint> = (0..512).map(|shard| hint(&ours, shard, 36)).collect();
         assert_eq!(decide(&ours, &theirs, &few).proposed.len(), 512);
         assert!(decide(&ours, &theirs, &most).proposed.is_empty());
         // At the finest map a candidate is a whole shard.
         let (ours, theirs) = map_with(MAX_PLAN_SHARDS as usize, 195, 4);
-        let hints: Vec<Candidates> = (0..4).map(|shard| (shard, vec![shard])).collect();
+        let hints: Vec<Hint> = (0..4).map(|shard| hint(&ours, shard, 1)).collect();
         assert!(decide(&ours, &theirs, &hints).proposed.is_empty());
+    }
+
+    #[test]
+    fn decide_proposes_only_where_the_puller_holds_the_shard_as_it_was() {
+        let (ours, theirs) = map_with(512, 195, 16);
+        let hints: Vec<Hint> = (0..12).map(|shard| hint(&ours, shard, 1)).collect();
+        // The puller moved on in shard 3 (a key of its own), in 4 (a
+        // key rewritten: same count, another digest) and in 5 (a key
+        // deleted here and a key created there — the same digest sum
+        // with another count cannot pass): those three are priced as
+        // unhinted and keep their children, the other nine are proposed.
+        let mut moved = ours.clone();
+        moved[3].entries += 1;
+        moved[3].digest ^= 0x77;
+        moved[4].digest ^= 0x55;
+        moved[5].entries += 1;
+        let hinted = decide(&moved, &theirs, &hints);
+        let checked: Vec<u64> = (0..12).filter(|shard| !(3..=5).contains(shard)).collect();
+        assert_eq!(hinted.proposed, checked);
+        assert_eq!(hinted.refined, vec![3, 4, 5, 12, 13, 14, 15]);
+        // A journal that lies — a hint whose `since` is off by any part —
+        // proposes nothing, whoever is right.
+        let lying: Vec<Hint> = (hints.iter().cloned())
+            .map(|mut hint| {
+                hint.since.digest = hint.since.digest.wrapping_add(1);
+                hint
+            })
+            .collect();
+        assert!(decide(&ours, &theirs, &lying).proposed.is_empty());
     }
 
     #[test]

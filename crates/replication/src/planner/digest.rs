@@ -30,6 +30,20 @@ impl std::ops::AddAssign for ShardDigest {
     }
 }
 
+/// Takes a part of the same shard away: what the shard summarises to
+/// without that part's entries. Both halves wrap, so a part the shard
+/// never held leaves a count no shard holds rather than panicking.
+impl std::ops::Sub for ShardDigest {
+    type Output = ShardDigest;
+
+    fn sub(self, other: ShardDigest) -> ShardDigest {
+        ShardDigest {
+            digest: self.digest.wrapping_sub(other.digest),
+            entries: self.entries.wrapping_sub(other.entries),
+        }
+    }
+}
+
 impl ShardDigest {
     /// A summary on the wire: the entry count as a varint, then the
     /// digest as 8 fixed big-endian bytes.
@@ -627,7 +641,6 @@ mod tests {
         let scope = ShardScope {
             count: 8,
             children: vec![1, 2, 3, 7],
-            refused: None,
         };
         let behind: Vec<Bytes> = ["mine", "ahead"]
             .iter()

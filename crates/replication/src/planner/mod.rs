@@ -29,8 +29,8 @@
 //! having compared them with its own, puts one [`ShardScope`] frame
 //! (the child indices that differ) in front of its `BatchHello`, in
 //! the same burst. Both endpoints are then cut at the children. No
-//! turn is added; a plan that refines nothing, and a puller that sends
-//! no scope, are byte for byte the contact described above.
+//! turn is added; a plan that refines nothing is answered with no scope
+//! frame, and a puller that sends none walks the refined shards whole.
 //!
 //! **The vector crosses a connection once.** Between two pulls over the
 //! same persistent connection the puller's vector differs only in the
@@ -52,20 +52,25 @@
 //! vector changed everywhere, opens with the full vector's frame.
 //!
 //! **The server proposes the scope.** The serving store keeps a bounded
-//! journal of the keys it changed ([`JOURNAL_CAP`]), and the serving end
-//! of a connection remembers the store's generation at the connection's
-//! last plan. Where the journal reaches back that far, the server knows
-//! which keys of a dirty shard *it* moved since the puller last pulled,
-//! and says so in the plan frame instead of offering child digests: a
-//! [`Proposal`] lists the candidates and carries the **residual** — the
-//! shard's `(digest, entries)` without them. The puller subtracts its own
-//! entries under the same candidates from its own shard summary; an
-//! equal residual proves everything else in the shard identical, and
-//! both endpoints keep only the candidates. Anything else (a local
-//! write, a pull from a third site, a previous outcome thrown away) and
-//! the puller *refuses* the shard in its [`ShardScope`] and the shard is
-//! walked whole — same turn, same burst. The journal is a hint; the
-//! digests are the proof.
+//! journal of the keys it changed and of what each change did to its
+//! shard's digest ([`JOURNAL_CAP`]), and the serving end of a connection
+//! remembers the store's generation at the connection's last plan. Where
+//! the journal reaches back that far, the server knows which keys of a
+//! dirty shard *it* moved since the puller last pulled, and what the
+//! shard summarised to then: its digest now less those changes. It
+//! **checks** that against the puller's digest of the shard — in the
+//! vector it has just received — and only where the two are equal,
+//! digest and entry count, does it say so in the plan frame instead of
+//! offering child digests: a [`Proposal`] lists the candidates, and it
+//! is binding — both endpoints keep only the keys under them. Equal, the
+//! puller holds the shard as the server held it then, so every entry
+//! outside the candidates is the same on both sides, on the same hash
+//! trust a skip rests on. Anything else (a local write, a pull from a
+//! third site, a previous outcome thrown away, a journal that lost or
+//! misfiled a change) and the sum does not come out: the shard is
+//! refined or walked like one with no hint. The journal is a hint; the
+//! digests are the proof, and the one thing the check trusts is that
+//! each change is filed under its own key's placement.
 //!
 //! The planner frames reuse the mux control stream (tag space `0x35+`,
 //! disjoint from [`CtrlMsg`](crate::mux::CtrlMsg)'s `0x31..=0x34`) and
@@ -109,7 +114,7 @@ mod digest;
 mod plan;
 mod scope;
 
-pub use decide::{decide, Decision, PlanConfig, ShardAction};
+pub use decide::{decide, Decision, Hint, PlanConfig, ShardAction};
 pub use digest::{
     kept_as_sent, nothing_to_pull, DigestDelta, DigestVector, ShardDigest, VectorMemory,
 };
@@ -149,10 +154,12 @@ pub const MAX_PLAN_SHARDS: u64 = 1 << 20;
 
 /// Entries a store's change journal keeps before it evicts the oldest:
 /// what bounds how far back a server can [propose](Proposal) from. An
-/// entry is a `(generation, placement hash)` pair, so a store's journal
-/// is one allocation of 16 B × 4096 = 64 KiB once it has been written
-/// to, whatever the store holds — and a peer that pulls less often than
-/// every 4096 changed keys is planned for from digests alone.
+/// entry is a generation's low 32 bits, a placement masked at
+/// [`MAX_PLAN_SHARDS`] and what the change did to its shard's digest, 16
+/// bytes, so a store's journal is one allocation of 16 B × 4096 = 64 KiB
+/// once it has been written to, whatever the store holds — and a peer
+/// that pulls less often than every 4096 changed keys is planned for
+/// from digests alone.
 pub const JOURNAL_CAP: usize = 4096;
 
 /// FNV-1a's 64-bit offset basis and prime: [`placement`] hashes key

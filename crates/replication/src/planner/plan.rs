@@ -23,8 +23,10 @@ pub struct ChildDigests {
 }
 
 /// One shard whose scope the server proposes itself: the keys its
-/// journal says it changed since the connection's last contact, and the
-/// digest of the rest of the shard.
+/// journal says it changed since the connection's last contact. Binding:
+/// the server checked that the puller holds the shard as the server held
+/// it then ([`decide`](super::decide())), so both ends cut the shard to
+/// the candidates.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Proposal {
     /// The shard, one of the plan's incremental ones.
@@ -34,25 +36,14 @@ pub struct Proposal {
     /// bits — strictly increasing, at least one. A candidate admits
     /// every key placed under it.
     pub candidates: Vec<u64>,
-    /// The server's `(digest, entries)` of the shard *without* the
-    /// entries under the candidates. A puller whose own shard, less its
-    /// own entries under them, summarises to the same pair holds every
-    /// other entry of the shard identically.
-    pub residual: ShardDigest,
 }
 
 /// A proposal on the wire, in a plan at `1 << shift` shards: the shard,
 /// the number of candidates, each candidate as what is left of it above
 /// the shard's bits (the first as it is, every later one as the gap past
 /// its predecessor, less one — no encoding lists candidates out of order
-/// or twice), then the residual.
-pub(super) fn put_proposal(
-    buf: &mut BytesMut,
-    shard: u64,
-    candidates: &[u64],
-    residual: &ShardDigest,
-    shift: u32,
-) {
+/// or twice).
+pub(super) fn put_proposal(buf: &mut BytesMut, shard: u64, candidates: &[u64], shift: u32) {
     wire::put_varint(buf, shard);
     wire::put_varint(buf, candidates.len() as u64);
     let mut next = 0;
@@ -61,7 +52,6 @@ pub(super) fn put_proposal(
         wire::put_varint(buf, above - next);
         next = above + 1;
     }
-    residual.put(buf);
 }
 
 /// The server's answer: how each of the puller's shards will be
@@ -81,14 +71,15 @@ pub struct ShardPlan {
     /// The children of the incremental shards
     /// [`decide`](super::decide()) priced as worth narrowing; `None` when
     /// nothing is refined. A puller may ignore them: without a
-    /// [`ShardScope`](super::ShardScope) the contact runs over the whole
-    /// incremental shards.
+    /// [`ShardScope`](super::ShardScope) the contact runs over the refined
+    /// shards whole.
     pub children: Option<ChildDigests>,
     /// The incremental shards whose scope the server proposes from its
     /// change journal, shards strictly increasing and none of them among
     /// the `children`; empty on a connection's first contact, and
-    /// wherever the journal does not reach back to the last one. A
-    /// puller may ignore these too.
+    /// wherever the journal does not reach back to the last one. Unlike
+    /// the children, binding: both ends cut these shards to their
+    /// candidates.
     pub proposed: Vec<Proposal>,
 }
 
@@ -167,7 +158,7 @@ impl ShardPlan {
             wire::put_varint(&mut buf, self.proposed.len() as u64);
             let shift = self.count.trailing_zeros();
             for p in &self.proposed {
-                put_proposal(&mut buf, p.shard, &p.candidates, &p.residual, shift);
+                put_proposal(&mut buf, p.shard, &p.candidates, shift);
             }
         }
         buf.freeze()
@@ -309,9 +300,8 @@ impl ShardPlan {
         incremental: &[u64],
         children: Option<&ChildDigests>,
     ) -> std::result::Result<Vec<Proposal>, WireError> {
-        /// A shard, a count, one candidate and an entry count of a byte
-        /// or more each, and 8 digest bytes.
-        const MIN_PROPOSAL_BYTES: u64 = 12;
+        /// A shard, a count and one candidate, of a byte or more each.
+        const MIN_PROPOSAL_BYTES: u64 = 3;
         let shift = count.trailing_zeros();
         let fanout = MAX_PLAN_SHARDS >> shift;
         let n = wire::get_varint(buf)?;
@@ -349,11 +339,7 @@ impl ShardPlan {
                 candidates.push(shard | above << shift);
                 next = above + 1;
             }
-            proposed.push(Proposal {
-                shard,
-                candidates,
-                residual: ShardDigest::get(buf)?,
-            });
+            proposed.push(Proposal { shard, candidates });
         }
         Ok(proposed)
     }
@@ -462,15 +448,14 @@ pub(super) mod tests {
         let scope = ShardScope {
             count: count * fanout,
             children,
-            refused: None,
         };
         (plan, scope)
     }
 
     /// A seeded plan that proposes — with children beside the
-    /// proposals on even seeds, without on odd ones — and a scope
-    /// answering it, refusals included.
-    fn random_proposed(seed: u64) -> (ShardPlan, ShardScope) {
+    /// proposals on even seeds, without on odd ones — and the scope
+    /// answering its children, if it offers any.
+    fn random_proposed(seed: u64) -> (ShardPlan, Option<ShardScope>) {
         let (mut plan, mut scope) = random_refined(seed);
         let mut rng = SplitMix64::new(seed ^ 0x0005_EED0_FA40_B000);
         let mut children = plan.children.take().expect("refined");
@@ -492,12 +477,6 @@ pub(super) mod tests {
                 .is_ok()
         };
         scope.children.retain(refined);
-        if seed & 1 == 0 && !children.parents.is_empty() {
-            plan.children = Some(children);
-        } else {
-            scope.children.clear();
-            scope.count = plan.count;
-        }
         let fanout = MAX_PLAN_SHARDS / plan.count;
         for &shard in &proposed {
             let candidates: Vec<u64> = (0..1 + rng.next_u64() % 5)
@@ -505,18 +484,14 @@ pub(super) mod tests {
                 .collect::<std::collections::BTreeSet<u64>>()
                 .into_iter()
                 .collect();
-            plan.proposed.push(Proposal {
-                shard,
-                candidates,
-                residual: ShardDigest {
-                    digest: rng.next_u64(),
-                    entries: rng.next_u64() % 40_000,
-                },
-            });
+            plan.proposed.push(Proposal { shard, candidates });
         }
-        let refused = proposed.into_iter().filter(|_| rng.next_u64() % 4 < 1);
-        scope.refused = Some(refused.collect());
-        (plan, scope)
+        if seed & 1 == 0 && !children.parents.is_empty() {
+            plan.children = Some(children);
+            (plan, Some(scope))
+        } else {
+            (plan, None)
+        }
     }
 
     /// Round trip, every strict prefix refused, a trailing byte refused.
@@ -542,31 +517,29 @@ pub(super) mod tests {
         let (mut with_children, mut without) = (0, 0);
         for seed in 0..64 {
             let (plan, scope) = random_proposed(seed);
-            match plan.children {
-                Some(_) => with_children += 1,
-                None => without += 1,
-            }
             let full = plan.encode();
             assert_eq!(full[0], TAG_SHARD_PLAN_PROPOSED, "seed {seed}");
             assert_strict(&plan, full, ShardPlan::decode);
             let offer = plan.offer().expect("something to narrow");
             assert_eq!(offer.proposed.len(), plan.proposed.len());
-            assert_strict(&scope, scope.encode(), |buf| {
-                ShardScope::decode(buf, &offer)
-            });
-            // The refusals are a tail the offer demands: the frame
-            // without them answers no plan that proposes, and the frame
-            // with them none that does not.
-            let tailless = ShardScope {
-                refused: None,
-                ..scope.clone()
-            };
-            assert!(ShardScope::decode(&mut tailless.encode(), &offer).is_err());
-            let unproposing = Offer {
-                proposed: Vec::new(),
-                ..offer.clone()
-            };
-            assert!(ShardScope::decode(&mut scope.encode(), &unproposing).is_err());
+            match scope {
+                Some(scope) => {
+                    with_children += 1;
+                    assert_strict(&scope, scope.encode(), |buf| {
+                        ShardScope::decode(buf, &offer)
+                    });
+                }
+                None => {
+                    // A plan that only proposes is answered with no
+                    // scope: an empty one answers nothing it offered.
+                    without += 1;
+                    let empty = ShardScope {
+                        count: plan.count,
+                        children: Vec::new(),
+                    };
+                    assert!(ShardScope::decode(&mut empty.encode(), &offer).is_err());
+                }
+            }
         }
         assert!(with_children > 8 && without > 8, "both shapes exercised");
     }
@@ -581,70 +554,60 @@ pub(super) mod tests {
 
     #[test]
     fn hostile_proposals_rejected() {
-        // One residual: an entry count of 5 and eight digest bytes.
-        const R: [u8; 9] = [5, 0, 0, 0, 0, 0, 0, 0, 9];
         let tail = |parts: &[&[u8]]| proposing_plan(&parts.concat());
         // The honest shapes: no children, shard 1 with candidates at 0
         // and 2 above its bits; and shard 3 refined at F = 2 beside it.
-        let plain = ShardPlan::decode(&mut tail(&[&[0, 1, 1, 2, 0, 1], &R])).expect("well-formed");
+        let plain = ShardPlan::decode(&mut tail(&[&[0, 1, 1, 2, 0, 1]])).expect("well-formed");
         assert_eq!(plain.proposed[0].candidates, [1, 1 + 2 * 4]);
-        assert_eq!(plain.proposed[0].residual.entries, 5);
         let child = [1u8, 0, 0, 0, 0, 0, 0, 0, 7];
         let refined = [&[1u8, 1, 1, 3][..], &child, &child].concat();
-        let both = ShardPlan::decode(&mut tail(&[&refined, &[1, 1, 1, 0], &R])).expect("both");
+        let both = ShardPlan::decode(&mut tail(&[&refined, &[1, 1, 1, 0]])).expect("both");
         assert_eq!(both.offer().expect("offer").parents, [3]);
-        let hostile: [(&str, Bytes); 12] = [
+        let hostile: [(&str, Bytes); 11] = [
             ("no tail under the proposing tag", tail(&[])),
-            (
-                "a children flag that is neither",
-                tail(&[&[2, 1, 1, 1, 0], &R]),
-            ),
+            ("a children flag that is neither", tail(&[&[2, 1, 1, 1, 0]])),
             ("a children flag and no children", tail(&[&[1]])),
             ("no proposals", tail(&[&[0, 0]])),
             ("more proposals than incremental shards", tail(&[&[0, 4]])),
-            ("a shard the plan skips", tail(&[&[0, 1, 2, 1, 0], &R])),
-            ("a shard out of range", tail(&[&[0, 1, 4, 1, 0], &R])),
-            ("no candidates", tail(&[&[0, 1, 1, 0], &R])),
+            ("a shard the plan skips", tail(&[&[0, 1, 2, 1, 0]])),
+            ("a shard out of range", tail(&[&[0, 1, 4, 1, 0]])),
+            ("no candidates", tail(&[&[0, 1, 1, 0]])),
             (
                 "a shard both refined and proposed",
-                tail(&[&refined, &[1, 3, 1, 0], &R]),
+                tail(&[&refined, &[1, 3, 1, 0]]),
             ),
-            ("no residual", tail(&[&[0, 1, 1, 1, 0]])),
-            ("a short residual", tail(&[&[0, 1, 1, 1, 0], &R[..8]])),
-            (
-                "shards out of order",
-                tail(&[&[0, 2, 3, 1, 0], &R, &[1, 1, 0], &R]),
-            ),
+            ("a candidate short", tail(&[&[0, 1, 1, 2, 0]])),
+            ("shards out of order", tail(&[&[0, 2, 3, 1, 0, 1, 1, 0]])),
         ];
         for (what, mut bytes) in hostile {
             assert!(ShardPlan::decode(&mut bytes).is_err(), "{what}");
         }
         // A shard listed twice, and a candidate past the shard's
         // 2^20 / 4 (the last admissible one decodes).
-        let twice = tail(&[&[0, 2, 1, 1, 0], &R, &[1, 1, 0], &R]);
+        let twice = tail(&[&[0, 2, 1, 1, 0, 1, 1, 0]]);
         assert!(ShardPlan::decode(&mut twice.clone()).is_err());
         let mut edge = BytesMut::from(&[0u8, 1, 1, 1][..]);
         wire::put_varint(&mut edge, (1 << 18) - 1);
-        let last = ShardPlan::decode(&mut tail(&[&edge, &R])).expect("the last candidate");
+        let last = ShardPlan::decode(&mut tail(&[&edge])).expect("the last candidate");
         assert_eq!(last.proposed[0].candidates, [MAX_PLAN_SHARDS - 3]);
         let mut past = BytesMut::from(&[0u8, 1, 1, 1][..]);
         wire::put_varint(&mut past, 1 << 18);
-        assert!(ShardPlan::decode(&mut tail(&[&past, &R])).is_err());
+        assert!(ShardPlan::decode(&mut tail(&[&past])).is_err());
         // A second candidate whose gap overflows, or lands past the end.
         let mut wrapped = BytesMut::from(&[0u8, 1, 1, 2, 7][..]);
         wire::put_varint(&mut wrapped, u64::MAX);
-        assert!(ShardPlan::decode(&mut tail(&[&wrapped, &R])).is_err());
+        assert!(ShardPlan::decode(&mut tail(&[&wrapped])).is_err());
         // Counts the payload cannot hold fail before anything is sized
-        // by them: three proposals over a dozen bytes, and a quarter of
-        // a million candidates over ten.
+        // by them: three proposals over three bytes, and a quarter of a
+        // million candidates over one.
         assert_eq!(
-            ShardPlan::decode(&mut tail(&[&[0, 3, 0, 1, 0], &R])),
+            ShardPlan::decode(&mut tail(&[&[0, 3, 0, 1, 0]])),
             Err(WireError::UnexpectedEof)
         );
         let mut many = BytesMut::from(&[0u8, 1, 1][..]);
         wire::put_varint(&mut many, 1 << 18);
         assert_eq!(
-            ShardPlan::decode(&mut tail(&[&many, &[0], &R])),
+            ShardPlan::decode(&mut tail(&[&many, &[0]])),
             Err(WireError::InvalidPayload)
         );
         // The proposals tail under either older tag is trailing bytes.

@@ -30,27 +30,24 @@ pub struct Offer {
 
 impl Offer {
     /// Whether `key` — a key of one of the plan's incremental shards —
-    /// stays in the contact once the puller answered `scope`: a key of
-    /// a refined shard only if its child is listed, a key of a proposed
-    /// shard the puller did not refuse only if it is placed under a
-    /// candidate, every other key always. Both endpoints cut themselves
-    /// with this one predicate, so they agree on the key set.
-    pub fn admits(&self, scope: &ShardScope, key: &[u8]) -> bool {
+    /// stays in the contact once the puller answered the children with
+    /// `scope` (or ignored them): a key of a proposed shard only if it is
+    /// placed under a candidate, a key of a refined shard only if the
+    /// scope lists its child, every other key always. Both endpoints cut
+    /// themselves with this one predicate, so they agree on the key set.
+    pub fn admits(&self, scope: Option<&ShardScope>, key: &[u8]) -> bool {
         let hash = placement(key);
         let shard = hash & (self.count - 1);
-        if self.parents.binary_search(&shard).is_ok() {
-            return scope
-                .children
-                .binary_search(&(hash & (scope.count - 1)))
+        if let Ok(slot) = (self.proposed).binary_search_by_key(&shard, |(shard, _)| *shard) {
+            let candidates = &self.proposed[slot].1;
+            return candidates
+                .binary_search(&(hash & (MAX_PLAN_SHARDS - 1)))
                 .is_ok();
         }
-        match self
-            .proposed
-            .binary_search_by_key(&shard, |(shard, _)| *shard)
-        {
-            Ok(slot) if !scope.refuses(shard) => self.proposed[slot]
-                .1
-                .binary_search(&(hash & (MAX_PLAN_SHARDS - 1)))
+        match scope {
+            Some(scope) if self.parents.binary_search(&shard).is_ok() => scope
+                .children
+                .binary_search(&(hash & (scope.count - 1)))
                 .is_ok(),
             _ => true,
         }
@@ -58,83 +55,65 @@ impl Offer {
 }
 
 /// The keys a planned contact runs over: those of the plan's incremental
-/// shards that the puller's answer to the plan's [`Offer`] left in it.
-/// Each end builds its endpoint from one — filter, *then* materialise —
-/// so neither decodes a vector or copies a value for a key the contact
-/// will not open.
+/// shards that the plan's [`Offer`], and the puller's answer to its
+/// children, left in it. Each end builds its endpoint from one — filter,
+/// *then* materialise — so neither decodes a vector or copies a value
+/// for a key the contact will not open.
 #[derive(Debug, Clone, Copy)]
 pub struct Cut<'a> {
     /// The plan's shard count.
     pub count: u64,
     /// The plan's incremental shards.
     pub incremental: &'a [u64],
-    /// What the plan offered and what the puller answered; `None` where
-    /// the plan offered nothing or the puller ignored it, and the
+    /// What the plan offered; `None` where it offered nothing, and the
     /// incremental shards are walked whole.
-    pub narrowed: Option<(&'a Offer, &'a ShardScope)>,
+    pub offer: Option<&'a Offer>,
+    /// The puller's answer to the offered children; `None` where the
+    /// plan offered none or the puller ignored them, and the refined
+    /// shards are walked whole.
+    pub scope: Option<&'a ShardScope>,
 }
 
 impl Cut<'_> {
     /// Whether `key`, a key of one of the incremental shards, is in the
     /// contact ([`Offer::admits`]).
     pub fn admits(&self, key: &[u8]) -> bool {
-        self.narrowed
-            .is_none_or(|(offer, scope)| offer.admits(scope, key))
+        self.offer.is_none_or(|offer| offer.admits(self.scope, key))
     }
 }
 
-/// The puller's answer to what a plan offered: which children of the
-/// refined shards differ from its own, and which proposed shards it
-/// refuses. Sent in front of the `BatchHello`, in the same burst; the
-/// server narrows its endpoint to match ([`Offer::admits`]).
+/// The puller's answer to the children a plan offered: which of them
+/// differ from its own. Sent in front of the `BatchHello`, in the same
+/// burst, and only answering a plan that refined a shard; the server
+/// narrows its endpoint to match ([`Offer::admits`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardScope {
     /// The shard count the indices are expressed at: the plan's
-    /// `count · fanout` (the plan's own count when it refined nothing).
+    /// `count · fanout`.
     pub count: u64,
     /// The children to sync, strictly increasing, each under a shard
     /// the plan refined.
     pub children: Vec<u64>,
-    /// The proposed shards whose residual the puller could not match
-    /// and walks whole, strictly increasing. `Some` exactly when the
-    /// plan proposed anything: the list is a mandatory tail of the frame
-    /// then, and absent from it otherwise.
-    pub refused: Option<Vec<u64>>,
 }
 
 impl ShardScope {
-    /// Whether the puller refused the proposal for `shard`.
-    pub fn refuses(&self, shard: u64) -> bool {
-        self.refused
-            .as_ref()
-            .is_some_and(|refused| refused.binary_search(&shard).is_ok())
-    }
-
-    /// Encodes the message (tag, child shard count, the child indices,
-    /// then — answering a plan that proposed — the refused shards).
+    /// Encodes the message (tag, child shard count, the child indices).
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(8 + self.children.len() * 3);
         buf.put_u8(TAG_SHARD_SCOPE);
         wire::put_varint(&mut buf, self.count);
-        for list in [Some(&self.children), self.refused.as_ref()]
-            .into_iter()
-            .flatten()
-        {
-            wire::put_varint(&mut buf, list.len() as u64);
-            for &index in list {
-                wire::put_varint(&mut buf, index);
-            }
+        wire::put_varint(&mut buf, self.children.len() as u64);
+        for &index in &self.children {
+            wire::put_varint(&mut buf, index);
         }
         buf.freeze()
     }
 
-    /// Decodes a [`ShardScope`] answering `offer`, rejecting
-    /// truncation, trailing bytes, a shard count other than the one
-    /// offered, more indices than were offered (checked before
-    /// anything is allocated), indices out of order or out of range,
-    /// children of a shard the plan did not refine, and — read if and
-    /// only if the plan proposed — refusals of a shard it did not
-    /// propose.
+    /// Decodes a [`ShardScope`] answering `offer`, rejecting an offer
+    /// that refined nothing, truncation, trailing bytes, a shard count
+    /// other than the one offered, more indices than were offered
+    /// (checked before anything is allocated), indices out of order or
+    /// out of range, and children of a shard the plan did not refine.
     ///
     /// # Errors
     ///
@@ -143,51 +122,35 @@ impl ShardScope {
         if !buf.has_remaining() {
             return Err(WireError::UnexpectedEof);
         }
-        if buf.get_u8() != TAG_SHARD_SCOPE {
+        if buf.get_u8() != TAG_SHARD_SCOPE || offer.parents.is_empty() {
             return Err(WireError::InvalidPayload);
         }
         let count = wire::get_varint(buf)?;
         if count != offer.count * offer.fanout {
             return Err(WireError::InvalidPayload);
         }
-        // At most `offered` indices — each at least one byte, so the
-        // payload bounds their number too — strictly increasing, every
-        // one `admissible`.
-        let list = |buf: &mut Bytes, offered: u64, admissible: &dyn Fn(u64) -> bool| {
-            let n = wire::get_varint(buf)?;
-            if n > offered || n > buf.remaining() as u64 {
+        // At most one index an offered child — each at least one byte,
+        // so the payload bounds their number too — strictly increasing,
+        // every one a child of a refined shard.
+        let n = wire::get_varint(buf)?;
+        let offered = offer.parents.len() as u64 * offer.fanout;
+        if n > offered || n > buf.remaining() as u64 {
+            return Err(WireError::InvalidPayload);
+        }
+        let refined = |shard| offer.parents.binary_search(&shard).is_ok();
+        let mut children: Vec<u64> = Vec::with_capacity(n as usize);
+        for _ in 0..n {
+            let child = wire::get_varint(buf)?;
+            let in_order = children.last().is_none_or(|&last| last < child);
+            if !in_order || child >= count || !refined(child & (offer.count - 1)) {
                 return Err(WireError::InvalidPayload);
             }
-            let mut indices = Vec::with_capacity(n as usize);
-            for _ in 0..n {
-                let index = wire::get_varint(buf)?;
-                let in_order = indices.last().is_none_or(|&last| last < index);
-                if !in_order || !admissible(index) {
-                    return Err(WireError::InvalidPayload);
-                }
-                indices.push(index);
-            }
-            Ok(indices)
-        };
-        let refined = |shard| offer.parents.binary_search(&shard).is_ok();
-        let children = list(buf, offer.parents.len() as u64 * offer.fanout, &|child| {
-            child < count && refined(child & (offer.count - 1))
-        })?;
-        let refused = match offer.proposed.len() as u64 {
-            0 => None,
-            proposed => Some(list(buf, proposed, &|shard| {
-                let proposals = &offer.proposed;
-                proposals.binary_search_by_key(&shard, |p| p.0).is_ok()
-            })?),
-        };
+            children.push(child);
+        }
         if buf.has_remaining() {
             return Err(WireError::InvalidPayload);
         }
-        Ok(ShardScope {
-            count,
-            children,
-            refused,
-        })
+        Ok(ShardScope { count, children })
     }
 }
 
@@ -198,7 +161,7 @@ mod tests {
     use crate::planner::shard_of;
 
     #[test]
-    fn hostile_refusals_rejected() {
+    fn a_scope_answers_children_and_nothing_else() {
         // Proposed: shards 1 and 3 of 4; refined: shard 2 at F = 4.
         let offer = Offer {
             count: 4,
@@ -206,49 +169,37 @@ mod tests {
             parents: vec![2],
             proposed: vec![(1, vec![1]), (3, vec![3, 7])],
         };
-        let scope = |children: &[u64], refused: &[u64]| {
+        let scope = |count, children: &[u64]| {
             ShardScope {
-                count: 16,
+                count,
                 children: children.to_vec(),
-                refused: Some(refused.to_vec()),
             }
             .encode()
         };
-        ShardScope::decode(&mut scope(&[2, 6], &[1, 3]), &offer).expect("well-formed");
-        ShardScope::decode(&mut scope(&[], &[]), &offer).expect("all accepted");
+        ShardScope::decode(&mut scope(16, &[2, 6]), &offer).expect("well-formed");
+        ShardScope::decode(&mut scope(16, &[]), &offer).expect("no child differs");
         let hostile = [
-            ("a shard that was not proposed", scope(&[], &[0])),
-            ("a refined shard", scope(&[], &[2])),
-            ("a child index where a shard is due", scope(&[], &[5])),
-            ("out of order", scope(&[], &[3, 1])),
-            ("listed twice", scope(&[], &[1, 1])),
-            ("a child of a proposed shard", scope(&[1], &[])),
+            ("a child of a proposed shard", scope(16, &[1])),
+            ("a child of a skipped shard", scope(16, &[4])),
+            ("a shard where a child is due", scope(16, &[2, 3])),
         ];
         for (what, mut bytes) in hostile {
             assert!(ShardScope::decode(&mut bytes, &offer).is_err(), "{what}");
         }
-        // More refusals than proposals: refused on the count.
-        let mut buf = BytesMut::from(&[TAG_SHARD_SCOPE, 16, 0, 3, 1, 3, 3][..]);
-        assert!(ShardScope::decode(&mut buf.split().freeze(), &offer).is_err());
-        // A plan that only proposes is answered at its own count, and
-        // can list no children.
+        // A plan that only proposes is answered with no scope at all:
+        // one at its own count, even an empty one, answers nothing.
         let only = Offer {
             fanout: 1,
             parents: Vec::new(),
             ..offer
         };
-        let answer = |count, children: Vec<u64>| ShardScope {
-            count,
-            children,
-            refused: Some(vec![3]),
-        };
-        ShardScope::decode(&mut answer(4, Vec::new()).encode(), &only).expect("well-formed");
-        assert!(ShardScope::decode(&mut answer(16, Vec::new()).encode(), &only).is_err());
-        assert!(ShardScope::decode(&mut answer(4, vec![1]).encode(), &only).is_err());
+        for children in [&[][..], &[1]] {
+            assert!(ShardScope::decode(&mut scope(4, children), &only).is_err());
+        }
     }
 
     #[test]
-    fn an_offer_admits_proposed_shards_by_candidate_unless_refused() {
+    fn an_offer_admits_proposed_shards_by_candidate_whatever_the_scope() {
         let keys: Vec<String> = (0..400).map(|i| format!("key-{i}")).collect();
         let in_shard = |shard| {
             keys.iter()
@@ -262,30 +213,29 @@ mod tests {
         };
         let offer = Offer {
             count: 4,
-            fanout: 1,
-            parents: Vec::new(),
-            proposed: vec![(1, listed.clone()), (2, vec![2])],
+            fanout: 4,
+            parents: vec![2],
+            proposed: vec![(1, listed.clone())],
         };
-        let accepted = ShardScope {
-            count: 4,
+        let scope = ShardScope {
+            count: 16,
             children: Vec::new(),
-            refused: Some(vec![2]),
         };
-        for key in in_shard(1) {
-            assert_eq!(
-                offer.admits(&accepted, key.as_bytes()),
-                listed.contains(&fine(key))
-            );
+        for answered in [None, Some(&scope)] {
+            for key in in_shard(1) {
+                assert_eq!(
+                    offer.admits(answered, key.as_bytes()),
+                    listed.contains(&fine(key))
+                );
+            }
+            let admitted = in_shard(1).filter(|k| offer.admits(answered, k.as_bytes()));
+            assert_eq!(admitted.count(), 2);
+            assert!(in_shard(3).all(|key| offer.admits(answered, key.as_bytes())));
         }
-        assert_eq!(
-            in_shard(1)
-                .filter(|k| offer.admits(&accepted, k.as_bytes()))
-                .count(),
-            2
-        );
-        // A refused shard is walked whole, like one never proposed.
-        assert!(in_shard(2).all(|key| offer.admits(&accepted, key.as_bytes())));
-        assert!(in_shard(3).all(|key| offer.admits(&accepted, key.as_bytes())));
+        // The refined shard: whole when its children go unanswered, cut
+        // to the listed ones (here none) when they are answered.
+        assert!(in_shard(2).all(|key| offer.admits(None, key.as_bytes())));
+        assert!(in_shard(2).all(|key| !offer.admits(Some(&scope), key.as_bytes())));
         assert_eq!(listed[0] & 3, 1, "a candidate keeps its shard's low bits");
     }
 
@@ -324,7 +274,6 @@ mod tests {
             ShardScope {
                 count,
                 children: children.to_vec(),
-                refused: None,
             }
             .encode()
         };
@@ -379,16 +328,15 @@ mod tests {
         let scope = ShardScope {
             count: 16,
             children: vec![listed],
-            refused: None,
         };
         for key in in_shard(1) {
             assert_eq!(
-                offer.admits(&scope, key.as_bytes()),
+                offer.admits(Some(&scope), key.as_bytes()),
                 shard_of(key.as_bytes(), 16) == listed
             );
         }
-        assert!(in_shard(1).any(|key| !offer.admits(&scope, key.as_bytes())));
-        assert!(in_shard(3).all(|key| offer.admits(&scope, key.as_bytes())));
+        assert!(in_shard(1).any(|key| !offer.admits(Some(&scope), key.as_bytes())));
+        assert!(in_shard(3).all(|key| offer.admits(Some(&scope), key.as_bytes())));
         assert_eq!(listed & 3, 1, "a child keeps its parent's low bits");
     }
 }

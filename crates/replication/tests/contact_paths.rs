@@ -874,6 +874,13 @@ fn planned_wire_transcript_is_pinned_and_priced_by_the_old_arithmetic() {
     );
     assert_eq!(created_ff_reconciled, (26, 4, 3));
     assert_eq!(synced.digest_bytes as u64, oracle);
+    // Framing — frame headers, stream ids, key names — the one plane a
+    // `KvSyncReport` used to leave out: 617 B over its 33 changed keys,
+    // ≈ 18.7 B a key.
+    assert_eq!(
+        (synced.framing_bytes as u64, report.framing_bytes),
+        (617, 617)
+    );
 }
 
 /// The same two hashes for the refined pull of [`refined_stores`]:
@@ -961,6 +968,13 @@ fn refined_wire_transcript_is_pinned_and_adds_no_turn() {
     );
     assert_eq!((report.digest_bytes, flat_report.digest_bytes), (630, 612));
     assert_eq!((report.frames, flat_report.frames), (23, 23));
+    // Framing over the five changed keys — 144.8 B a key refined, 1 206
+    // walked flat: most of it names the keys compared, so the children
+    // cut it too.
+    assert_eq!(
+        (synced.framing_bytes, flat_synced.framing_bytes),
+        (724, 6030)
+    );
 }
 
 // What both sides do between the first pull of [`refined_stores`] and
@@ -969,13 +983,15 @@ fn refined_wire_transcript_is_pinned_and_adds_no_turn() {
 // shard 9. With shard 7, where the puller has held a key of its own all
 // along, five of sixteen shards differ — while the puller's *vector*
 // changed in four: the three the first pull committed into, and 9.
-// The source's journal lists what it did in 2, 4 and 13, so those three
-// are proposed; 7 and 9 differ through the puller's doing alone, have
-// no candidates and are offered their children as before. And shard 2
-// is refused: the first pull *reconciled* a key there (written on both
-// sides), the §C increment left the puller's copy ahead of the
-// source's, and no journal of the source's can know that — the
-// residual says so.
+// The source's journal lists what it did in 2, 4 and 13, and in 4 and
+// 13 the puller's digest is what the journal sums the shard back to, so
+// those two are proposed; 7 and 9 differ through the puller's doing
+// alone, have no candidates and are offered their children as before.
+// And shard 2 is not proposed: the first pull *reconciled* a key there
+// (written on both sides), the §C increment left the puller's copy
+// ahead of the source's, so the puller's digest of the shard is not the
+// source's at the last plan — the check says so — and it is offered
+// its children too.
 
 fn refined_keys_in(shard: u64) -> impl Iterator<Item = String> {
     (0..2400)
@@ -1095,8 +1111,23 @@ fn take_transcript(link: &mut ChannelLink) -> (u64, u64) {
 /// instead of 57. The server patches it to the same vector, so every
 /// other write of either half, and the server's transcript, is
 /// unchanged.
-const PINNED_SECOND_PULLER_TRANSCRIPT: u64 = 0xc98a_c6b4_cf67_b684;
-const PINNED_SECOND_SERVER_TRANSCRIPT: u64 = 0x3d20_8e26_2f73_2643;
+///
+/// Both re-pinned once more (from puller `0xc98a_c6b4_cf67_b684`,
+/// server `0x3d20_8e26_2f73_2643`) when the server began to check a
+/// proposal against the vector it holds:
+///
+/// 1. the delta frame (46 B) is unchanged;
+/// 2. the plan frame proposes 4 and 13 alone, with no residual, and
+///    offers the children of shard 2 beside those of 7 and 9: 352 B →
+///    462 B;
+/// 3. the scope frame lists four differing children and no refusal
+///    tail: 11 B → 13 B;
+/// 4. the `BatchHello` opens 39 keys instead of 175 — shard 2 is cut
+///    at its children instead of walked whole — and the exchange moves
+///    888 B instead of 3 624, in the same 19 frames and six writes a
+///    half.
+const PINNED_SECOND_PULLER_TRANSCRIPT: u64 = 0x4d6a_2fdd_865d_df16;
+const PINNED_SECOND_SERVER_TRANSCRIPT: u64 = 0xba4b_65cd_cda8_151c;
 
 #[test]
 fn second_pull_over_a_link_is_proposed_what_the_source_changed() {
@@ -1180,22 +1211,21 @@ fn second_pull_over_a_link_is_proposed_what_the_source_changed() {
         (refined(&blind), blind.proposed.len()),
         (vec![2, 4, 7, 9, 13], 0)
     );
-    assert_eq!(refined(&plan), [7, 9]);
+    assert_eq!(refined(&plan), [2, 7, 9]);
     let proposed: Vec<(u64, usize)> = (plan.proposed.iter())
         .map(|p| (p.shard, p.candidates.len()))
         .collect();
-    assert_eq!(proposed, [(2, 1), (4, 2), (13, 1)]);
+    assert_eq!(proposed, [(4, 2), (13, 1)], "not 2: the reconciled key");
     assert_eq!(
         (plan_frame(&blind).len(), plan_frame(&plan).len()),
-        (739, 352)
+        (739, 462)
     );
     let scope = dst.client_endpoint_refined(&plan).scope.expect("a scope");
     let blind_scope = dst.client_endpoint_refined(&blind).scope.expect("a scope");
-    assert_eq!((scope.children.len(), blind_scope.children.len()), (2, 7));
-    assert_eq!(scope.refused, Some(vec![2]), "the reconciled key");
+    assert_eq!((scope.children.len(), blind_scope.children.len()), (4, 7));
     assert_eq!(
         (scope_frame(&blind_scope).len(), scope_frame(&scope).len()),
-        (18, 11)
+        (18, 13)
     );
 
     let planner_frames = delta_frame.len() + plan_frame(&plan).len() + scope_frame(&scope).len();
@@ -1205,22 +1235,22 @@ fn second_pull_over_a_link_is_proposed_what_the_source_changed() {
         + scope_frame(&blind_scope).len();
     assert_eq!(cold_report.digest_bytes, blind_frames as u64);
     assert_eq!((report.digests_sent, cold_report.digests_sent), (3, 16));
-    let offered = |r: &ContactReport| (r.shards_refined, r.shards_proposed, r.shards_refused);
+    let offered = |r: &ContactReport| (r.shards_refined, r.shards_proposed);
+    assert_eq!((offered(&report), offered(&cold_report)), ((3, 2), (5, 0)));
     assert_eq!(
-        (offered(&report), offered(&cold_report)),
-        ((2, 3, 1), (5, 0, 0))
+        (synced.shards_proposed, synced.digest_bytes),
+        (2, planner_frames)
     );
+    // Shard 2, where the puller holds a reconciled key ahead of the
+    // source's, is not proposed and is cut at its children like 7 and
+    // 9: 39 keys against the cold pull's 64.
+    assert_eq!((synced.keys_examined, cold_synced.keys_examined), (39, 64));
+    // Framing over the four changed keys: 126.5 B a key warm, 195.25
+    // cold (538.5 B while shard 2 was refused and walked whole).
     assert_eq!(
-        (
-            synced.shards_proposed,
-            synced.shards_refused,
-            synced.digest_bytes
-        ),
-        (3, 1, planner_frames)
+        (synced.framing_bytes, cold_synced.framing_bytes),
+        (506, 781)
     );
-    // The refusal is what this fixture pays for having reconciled: the
-    // walk of shard 2 outweighs what the proposals for 4 and 13 saved.
-    assert_eq!((synced.keys_examined, cold_synced.keys_examined), (175, 64));
 
     // Both end where an unplanned pull ends, having changed the same keys.
     let changed = |synced: &KvSyncReport| {
@@ -1253,7 +1283,7 @@ fn every_transport_runs_the_second_pull_identically() {
         reference[0].0.shards_proposed,
         reference[1].0.shards_proposed,
     ];
-    assert_eq!(proposed, [0, 3], "the warm contact is a proposed one");
+    assert_eq!(proposed, [0, 2], "the warm contact is a proposed one");
 
     let (mut dst, src) = refined_stores();
     let src = RefCell::new(src);
@@ -1334,12 +1364,13 @@ fn a_pull_abandoned_after_the_wire_leaves_the_memories_in_step() {
 }
 
 /// The same abandonment with the source moving on around it: the rerun
-/// is proposed only what the source changed since it planned the
+/// is planned from what the source changed since it planned the
 /// *abandoned* contact — whose outcome the puller never applied. Where
-/// that matters the residual does not match, the stale proposal is
-/// refused, the shard walked whole, and the rerun alone converges.
+/// that matters the puller's digest is not what the source's journal
+/// sums the shard back to, the shard is not proposed, and the rerun
+/// alone converges.
 #[test]
-fn a_rerun_after_an_abandoned_pull_refuses_its_stale_proposals() {
+fn a_rerun_after_an_abandoned_pull_is_not_proposed_what_it_never_applied() {
     let (mut dst, src) = refined_stores();
     let src = RefCell::new(src);
     let mut source = |ask: ContactAsk<'_>| src.borrow().open_contact(ask);
@@ -1354,11 +1385,10 @@ fn a_rerun_after_an_abandoned_pull_refuses_its_stale_proposals() {
         dst.client_endpoint_refined(plan)
     })
     .expect("the contact itself completes");
-    assert_eq!(abandoned.2.shards_proposed, 3);
+    assert_eq!(abandoned.2.shards_proposed, 2, "4 and 13");
     drop(abandoned);
     // The write that raced it: a key the source holds too, in a shard
-    // of its own (a key only the puller holds would have told the
-    // server, by the entry count, not to propose that shard at all).
+    // of its own.
     dst.put(refined_keys_in(10).next().expect("a key"), "local write");
 
     // The source moves on again: in shard 4, where the abandoned
@@ -1371,10 +1401,12 @@ fn a_rerun_after_an_abandoned_pull_refuses_its_stale_proposals() {
         src.borrow_mut().put(key, "later still");
     }
     let (rerun, synced) = planned_pull_on(&mut dst, &mut link, &mut remembered).expect("rerun");
+    let (proposed, refined) = (rerun.shards_proposed, rerun.shards_refined);
     assert_eq!(
-        (rerun.shards_proposed, rerun.shards_refused),
-        (2, 1),
-        "4 and 5 proposed, 4 refused; 2 and 13 have no news and keep their children"
+        (proposed, refined),
+        (1, 5),
+        "5 proposed; 4 — the puller holds it as it stood before the abandoned plan — \
+         refined beside 2, 7, 10 and 13, which have no news"
     );
     assert_eq!(rerun.round_trips, 2);
     assert_eq!(
@@ -1401,7 +1433,8 @@ enum Form {
     /// ones offered their children, the three-key one left whole.
     Children,
     /// A link's later contact: the journal names what changed, and the
-    /// puller refuses one proposal — a shard it wrote in itself.
+    /// source proposes it but in the one shard the puller wrote in
+    /// itself, three keys walked whole.
     Proposed,
 }
 
@@ -1418,8 +1451,9 @@ enum Race {
     DeleteCandidate,
     /// A put into a shard the plan skips.
     SkippedShard,
-    /// A put into an incremental shard the cut keeps whole: refused by
-    /// the puller, never offered, or any shard of a flat plan.
+    /// A put into an incremental shard the cut keeps whole: one the
+    /// source could not propose, never offered, or any shard of a flat
+    /// plan.
     WholeShard,
 }
 
@@ -1476,6 +1510,7 @@ fn a_write_between_plan_and_endpoint(form: Form, race: Race) {
         Race::PutCandidate | Race::DeleteCandidate => about.clone(),
         Race::SkippedShard => key(12, 0),
         Race::WholeShard if form == Form::Children => key(9, 1),
+        Race::WholeShard if form == Form::Proposed => key(9, 2),
         Race::WholeShard => key(10, 2),
     };
     let src = RefCell::new(src);
@@ -1529,10 +1564,10 @@ fn a_write_between_plan_and_endpoint(form: Form, race: Race) {
         Form::Proposed => {
             let (plan, ..) = pull(&mut dst);
             assert_eq!(plan.skipped(), 16, "{at}: converged");
-            for shard in [2, 5, 10] {
+            for shard in [2, 5, 9] {
                 src.borrow_mut().put(key(shard, 0), "ahead");
             }
-            dst.put(local.clone(), "local");
+            dst.put(key(9, 1), "local");
         }
     }
 
@@ -1545,12 +1580,13 @@ fn a_write_between_plan_and_endpoint(form: Form, race: Race) {
         .flat_map(|children| children.parents.iter().map(|(shard, _)| *shard))
         .collect();
     let proposed: Vec<u64> = plan.proposed.iter().map(|p| p.shard).collect();
-    let offered = (refined, proposed, contact.shards_refused);
+    let offered = (refined, proposed);
     match form {
-        Form::Flat => assert_eq!(offered, (vec![], vec![], 0), "{at}"),
-        Form::Children => assert_eq!(offered, (vec![2, 5], vec![], 0), "{at}"),
-        Form::Proposed => assert_eq!(offered, (vec![], vec![2, 5, 10], 1), "{at}"),
+        Form::Flat => assert_eq!(offered, (vec![], vec![]), "{at}"),
+        Form::Children => assert_eq!(offered, (vec![2, 5], vec![]), "{at}"),
+        Form::Proposed => assert_eq!(offered, (vec![], vec![2, 5]), "{at}"),
     }
+    assert_eq!(contact.shards_proposed, offered.1.len() as u64, "{at}");
     // Served at its newer state where the cut admits it, untouched
     // where it does not — and never a vector of one view with the value
     // of the other: what moved is what the source held at the endpoint.
@@ -2241,11 +2277,7 @@ fn a_cut_at_every_byte_of_a_second_pull_leaves_the_store_and_no_memory() {
     // The shard the puller wrote; not `k007`'s, which the first pull
     // fast-forwarded and both ends remember as served.
     assert_eq!((second.digests_sent, second.shards_total), (1, 8));
-    assert_eq!(
-        (second.shards_proposed, second.shards_refused),
-        (1, 0),
-        "the sweep must cross a proposal"
-    );
+    assert_eq!(second.shards_proposed, 1, "the sweep must cross a proposal");
     let first_bytes = first.total_bytes + first.digest_bytes;
     let total = first_bytes + second.total_bytes + second.digest_bytes;
     assert_eq!(clean.delivered, total);
@@ -2453,11 +2485,7 @@ fn serving_from_until_error(src: &KvStore, frames: Vec<wire::Frame>) -> Error {
 fn hostile_planner_sequences_fail_the_serving_step() {
     let scope_frame = |count, children: &[u64]| {
         let children = children.to_vec();
-        let scope = ShardScope {
-            count,
-            children,
-            refused: None,
-        };
+        let scope = ShardScope { count, children };
         frame(CONTROL_STREAM, &scope.encode())
     };
     // A contact opens with a digest vector: a bare hello or a scope in
@@ -2571,7 +2599,7 @@ fn hostile_planner_sequences_fail_the_serving_step() {
     dst.put("k", "w");
     let walked = frame(CONTROL_STREAM, &dst.shard_digest_vector().encode());
     for (frames, what) in [
-        (vec![digests_frame()], "images of a plan"),
+        (vec![digests_frame()], "of a plan that bulk-loads 1"),
         (vec![walked, turn(), hello()], "shards of a cut"),
     ] {
         let (mut serving, mut out) = (Serving::default(), BytesMut::new());
@@ -2702,15 +2730,20 @@ fn hostile_planner_sequences_fail_the_serving_step() {
     }
 
     // A connection's second contact may be answered with proposals, and
-    // the scope answering those ends in the refusals: it can refuse
-    // only what was proposed, and must say so in order, once, in full.
-    // After the first contact of `refined_stores` the source moves on:
-    // shards 2 (one candidate), 4 (two) and 13 (one) are proposed; 7,
-    // where the puller holds a key of its own, keeps its children.
+    // they bind: the scope answering the same plan's children carries
+    // nothing about them. After a first contact of `refined_stores` that
+    // opened nothing the source moves on: shards 4 (two candidates) and
+    // 13 (one), which the puller holds as the source did, are proposed;
+    // 2, 7 and 11, which it does not, are offered their children.
     let (dst, before) = refined_stores();
     let mut after = before.clone();
     source_moves_on(&mut after);
-    let opening = frame(CONTROL_STREAM, &dst.shard_digest_vector().encode());
+    let digests = dst.shard_digest_vector();
+    let plan = after.plan_contact_since(&digests, Some(before.generation()));
+    let proposed: Vec<u64> = plan.proposed.iter().map(|p| p.shard).collect();
+    let offer = plan.offer().expect("an offer");
+    assert_eq!((proposed, offer.parents), (vec![4, 13], vec![2, 7, 11]));
+    let opening = frame(CONTROL_STREAM, &digests.encode());
     let nothing_opened = msg_frame(
         CONTROL_STREAM,
         MuxMsg::Ctrl(CtrlMsg::BatchHello {
@@ -2718,25 +2751,21 @@ fn hostile_planner_sequences_fail_the_serving_step() {
             opens: Vec::new(),
         }),
     );
-    let answered = |refusals: &[u8]| {
+    let answered = |children: &[u8]| {
         let mut serving = Serving::default();
         let first = [opening.clone(), turn(), nothing_opened.clone(), fin()];
         feed(&mut serving, &before, first).expect("the link's first contact");
-        let scope = [&[0x37, 0x80, 0x02, 0][..], refusals].concat();
+        let scope = [&[0x37, 0x80, 0x02][..], children].concat();
         let second = [opening.clone(), turn(), frame(CONTROL_STREAM, &scope)];
         feed(&mut serving, &after, second)
     };
-    answered(&[0]).expect("every proposal accepted");
-    answered(&[2, 2, 13]).expect("two refused");
-    answered(&[]).expect_err("a plan that proposed is owed the refusals");
-    answered(&[1, 7]).expect_err("refusing a refined shard");
-    answered(&[1, 3]).expect_err("refusing a shard the plan skips");
-    answered(&[1, 34]).expect_err("a child index where a shard is due");
-    answered(&[2, 13, 2]).expect_err("out of order");
-    answered(&[2, 4, 4]).expect_err("twice");
-    answered(&[4, 2, 4, 13, 13]).expect_err("more refusals than proposals");
-    answered(&[1]).expect_err("truncated");
-    answered(&[1, 2, 0]).expect_err("padded");
+    answered(&[0]).expect("no child differs");
+    answered(&[2, 2, 7]).expect("two children");
+    answered(&[]).expect_err("truncated");
+    answered(&[0, 0]).expect_err("a refusal tail, where none is due");
+    answered(&[1, 4]).expect_err("a child of a proposed shard");
+    answered(&[1, 13]).expect_err("a child of the other");
+    answered(&[1, 3]).expect_err("a child of a shard the plan skips");
 }
 
 /// Feeds `frames` to a puller that opened with a four-shard digest
@@ -2842,7 +2871,6 @@ fn hostile_planner_sequences_fail_the_pulling_step() {
         proposed: vec![Proposal {
             shard: 1,
             candidates: vec![1 + 4 * 77],
-            residual: ShardDigest::default(),
         }],
         ..ShardPlan::default()
     };
@@ -2859,7 +2887,7 @@ fn hostile_planner_sequences_fail_the_pulling_step() {
     // a candidate past the shard's range, a shard both refined and
     // proposed, the tail cut off.
     let mut beyond = proposing().payload.to_vec();
-    let at = beyond.len() - 10;
+    let at = beyond.len() - 1;
     assert_eq!(beyond[at], 77);
     beyond.splice(at..=at, [0x80, 0x80, 0x10]);
     let cut = proposing().payload.slice(..at);
@@ -3030,7 +3058,7 @@ fn as_served_a_wrong_memory_costs_a_contact_never_a_plan() {
 #[derive(Debug, Default)]
 struct Met {
     bulk_loaded: u64,
-    refused: u64,
+    proposed: u64,
     reconciled: u64,
     ahead: u64,
     raced: u64,
@@ -3044,8 +3072,8 @@ struct Met {
 /// over seeded schedules that throw everything at them — a writing
 /// puller, keys it holds ahead of the source, reconciliations, a write
 /// racing the commit (the exchange thrown away and rerun on the same
-/// link, as a daemon does), bulk-loaded shards, refused proposals and
-/// children the source holds nothing of — pulled over one pooled
+/// link, as a daemon does), bulk-loaded shards, proposals and children
+/// the source holds nothing of — pulled over one pooled
 /// connection: no contact fails its check
 /// (`optrep_pool_discards_total` stays 0), warm contacts open with a
 /// delta, no shard crosses again and again once the writes stop, and
@@ -3113,7 +3141,7 @@ fn as_served_memories_stay_in_step_over_seeded_contacts() {
                 landed,
                 ..
             } = committed;
-            met.refused += report.shards_refused;
+            met.proposed += report.shards_proposed;
             met.reconciled += synced.keys_reconciled as u64;
             met.landed += landed.len() as u64;
             met.warm_deltas += u64::from(step > 0 && report.digests_sent < report.shards_total);
@@ -3140,7 +3168,7 @@ fn as_served_memories_stay_in_step_over_seeded_contacts() {
     });
     let all = [
         met.bulk_loaded,
-        met.refused,
+        met.proposed,
         met.reconciled,
         met.ahead,
         met.raced,

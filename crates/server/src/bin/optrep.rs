@@ -93,9 +93,9 @@ fn run(client: &mut Client, verb: &Verb) -> optrep_core::Result<()> {
         Verb::Sync(peer) => client.sync(peer).map(|report| {
             println!(
                 "examined {} created {} fast-forwarded {} reconciled {} \
-                 unchanged {} meta-bytes {} value-bytes {} \
+                 unchanged {} meta-bytes {} value-bytes {} framing-bytes {} \
                  shards {} skipped {} incremental {} snapshot {} digest-bytes {} refined {} \
-                 digests {}/{} proposed {} (refused {})",
+                 digests {}/{} proposed {}",
                 report.keys_examined,
                 report.keys_created,
                 report.keys_fast_forwarded,
@@ -103,6 +103,7 @@ fn run(client: &mut Client, verb: &Verb) -> optrep_core::Result<()> {
                 report.keys_unchanged,
                 report.meta_bytes,
                 report.value_bytes,
+                report.framing_bytes,
                 report.shards_total,
                 report.shards_skipped,
                 report.shards_incremental,
@@ -112,7 +113,6 @@ fn run(client: &mut Client, verb: &Verb) -> optrep_core::Result<()> {
                 report.digests_sent,
                 report.shards_total,
                 report.shards_proposed,
-                report.shards_refused,
             );
         }),
         Verb::Metrics => client

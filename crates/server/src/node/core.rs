@@ -71,8 +71,6 @@ struct CoreMetrics {
     planner_shards_refined_total: Arc<Counter>,
     /// Incremental shards a source proposed the scope of.
     planner_shards_proposed_total: Arc<Counter>,
-    /// Proposed shards this daemon refused and walked whole.
-    planner_shards_refused_total: Arc<Counter>,
     /// Planner-phase wire bytes (digest vectors + plans, both
     /// directions; excluded from the contact byte planes).
     planner_digest_bytes_total: Arc<Counter>,
@@ -126,7 +124,6 @@ impl CoreMetrics {
             planner_shards_snapshot_total: registry.counter("optrep_planner_shards_snapshot_total"),
             planner_shards_refined_total: registry.counter("optrep_planner_shards_refined_total"),
             planner_shards_proposed_total: registry.counter("optrep_planner_shards_proposed_total"),
-            planner_shards_refused_total: registry.counter("optrep_planner_shards_refused_total"),
             planner_digest_bytes_total: registry.counter("optrep_planner_digest_bytes_total"),
             planner_digests_sent_total: registry.counter("optrep_planner_digests_sent_total"),
             serving_endpoint_keys: registry.histogram("optrep_serving_endpoint_keys"),
@@ -361,27 +358,36 @@ impl NodeCore {
             // A planned pull: ship this store's shard digests, get back
             // the peer's per-shard plan, run the contact restricted to
             // the incremental shards — cut, where the plan offers child
-            // digests, at the children that differ from this store's,
-            // and where it proposes a scope and the residual matches, at
-            // the proposal's candidates; both compared under the same
-            // guard that snapshots the generation.
+            // digests, at the children that differ from this store's
+            // (compared under the same guard that snapshots the
+            // generation), and where it proposes a scope, at the
+            // proposal's candidates — the peer proposes a shard only
+            // having checked this store's digest of it.
             // The digest vector is snapshotted under its own (brief)
             // lock; a write landing between it and the endpoint snapshot
             // only makes a shard look dirtier than planned, never
             // cleaner — and the commit's generation check still guards
-            // the endpoint snapshot itself.
+            // the endpoint snapshot itself. But a proposed shard the
+            // write moved holds more than the contact serves of it:
+            // it must not be settled as served.
             let landed = over(&mut |link, remembered| {
-                let mut generation = 0;
+                let (mut generation, mut moved) = (0, Vec::new());
                 let digests = self.store().shard_digest_vector();
                 let (client, plan, report) = pull_planned(link, remembered, &digests, |plan| {
                     let store = self.store();
                     generation = store.generation();
+                    if !plan.proposed.is_empty() {
+                        let now = store.shard_digest_vector().shards;
+                        let proposed = plan.proposed.iter().map(|p| p.shard as usize);
+                        moved = proposed.filter(|&s| now[s] != digests.shards[s]).collect();
+                    }
                     store.client_endpoint_refined(plan)
                 })?;
                 // An exchange counts once it completes, whether or not
                 // its commit then loses the generation race.
                 self.metrics.record_contact(&report);
-                Ok(self.commit((client, plan, report), generation, remembered))
+                let exchange = (client, plan, report);
+                Ok(self.commit(exchange, generation, &moved, remembered))
             })?;
             if let Some(committed) = landed {
                 return committed;
@@ -396,7 +402,8 @@ impl NodeCore {
 
     /// Commits a completed exchange whose endpoint was snapshotted at
     /// `generation`, and settles `remembered`, the link's memory, at the
-    /// shards that landed as served: generation re-check, transactional
+    /// shards that landed as served but those `moved` since the digest
+    /// vector the pull opened with: generation re-check, transactional
     /// apply, settling and WAL append all under ONE store guard. A local
     /// write that raced the network exchange forces a retry (`None`),
     /// and the served shards stay marked for the next opening frame;
@@ -408,6 +415,7 @@ impl NodeCore {
         &self,
         (client, plan, report): (BatchPullClient, ShardPlan, ContactReport),
         generation: u64,
+        moved: &[usize],
         remembered: &mut VectorMemory,
     ) -> Landed {
         let mut store = self.store();
@@ -415,7 +423,8 @@ impl NodeCore {
             return None;
         }
         let committed = store.apply_planned(&self.resolver, client, &report, &plan);
-        let synced = committed.and_then(|committed| {
+        let synced = committed.and_then(|mut committed| {
+            (committed.landed).retain(|(shard, _)| !moved.contains(&(*shard as usize)));
             remembered.settle(&committed.landed);
             self.wal_append(&store, &committed.changed)?;
             Ok(committed.report)
@@ -437,8 +446,6 @@ impl NodeCore {
                 .add(synced.shards_refined as u64);
             m.planner_shards_proposed_total
                 .add(synced.shards_proposed as u64);
-            m.planner_shards_refused_total
-                .add(synced.shards_refused as u64);
         }
         Some(synced)
     }

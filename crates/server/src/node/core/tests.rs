@@ -163,3 +163,62 @@ fn a_write_racing_a_pull_survives_at_either_ask() {
         assert_eq!(attempts, if at_plan { 1 } else { 2 }, "at the {at} ask");
     }
 }
+
+/// A proposal is checked against the digest vector a pull opens with,
+/// and the pulling core takes its endpoint later, under another lock. A
+/// key of its own written in between, beside a proposed shard's
+/// candidates, is in neither endpoint: the pull commits at once, but
+/// the shard holds more than it was served, so it must not be settled
+/// as served — the next pull over the connection lists it again, and
+/// the two ends' memories stay in step (a shard settled at what it
+/// holds would fail the next delta's check).
+#[test]
+fn a_key_written_beside_a_proposal_before_the_endpoint_is_not_settled() {
+    let (source, _) = boot(&MemDir::default(), 1);
+    for i in 0..50 {
+        let value = Some(vec![0u8; 256].into());
+        source.write(format!("bulk{i}"), value).unwrap();
+    }
+    let (puller, _) = boot(&MemDir::default(), 0);
+    let mut connection = Connection::default();
+    let (first, _) = pull(
+        &puller,
+        &mut |ask| source.open_contact(ask),
+        &mut connection,
+    );
+    first.expect("the first pull commits");
+    source
+        .write("bulk7".into(), Some(vec![1u8; 256].into()))
+        .unwrap();
+    let count = puller.store().shard_count() as u64;
+    let shard = optrep_replication::planner::shard_of(b"bulk7", count);
+    let beside = (0..)
+        .map(|i| format!("mine{i}"))
+        .find(|key| optrep_replication::planner::shard_of(key.as_bytes(), count) == shard)
+        .expect("a key of the proposed shard");
+    let mut racing = Some(beside.clone());
+    let (pulled, attempts) = pull(
+        &puller,
+        &mut |ask| {
+            if matches!(ask, ContactAsk::Plan { .. }) {
+                if let Some(key) = racing.take() {
+                    puller.write(key, Some(b"local"[..].into())).unwrap();
+                }
+            }
+            source.open_contact(ask)
+        },
+        &mut connection,
+    );
+    let pulled = pulled.expect("the pull commits");
+    assert_eq!((pulled.shards_proposed, attempts), (1, 1));
+    assert_eq!(puller.store().get("bulk7"), Some(&[1u8; 256][..]));
+    for _ in 0..2 {
+        let (next, _) = pull(
+            &puller,
+            &mut |ask| source.open_contact(ask),
+            &mut connection,
+        );
+        next.expect("the connection stays in step");
+    }
+    assert_eq!(puller.store().get(&beside), Some(&b"local"[..]));
+}

@@ -269,7 +269,7 @@ impl Response {
                     report.shards_refined,
                     report.digests_sent,
                     report.shards_proposed,
-                    report.shards_refused,
+                    report.framing_bytes,
                 ] {
                     wire::put_varint(&mut buf, n as u64);
                 }
@@ -314,7 +314,7 @@ impl Response {
             RESP_OK => Response::Ok,
             RESP_DIGEST => Response::Digest(wire::get_varint(buf)?),
             RESP_SYNCED => {
-                // Exactly the sixteen fields every v4 daemon sends, in
+                // Exactly the sixteen fields every v5 daemon sends, in
                 // encode order (a struct expression evaluates its fields
                 // as written): a prefix or an extra varint is refused.
                 let mut field = || wire::get_varint(buf).map(|n| n as usize);
@@ -334,7 +334,7 @@ impl Response {
                     shards_refined: field()?,
                     digests_sent: field()?,
                     shards_proposed: field()?,
-                    shards_refused: field()?,
+                    framing_bytes: field()?,
                 })
             }
             RESP_METRICS => {
@@ -404,7 +404,7 @@ mod tests {
                 shards_refined: 2,
                 digests_sent: 3,
                 shards_proposed: 2,
-                shards_refused: 1,
+                framing_bytes: 83,
             }),
             Response::Err("no such peer".into()),
         ];

@@ -93,7 +93,7 @@ fn report(rng: &mut SplitMix64) -> KvSyncReport {
         shards_refined: count(),
         digests_sent: count(),
         shards_proposed: count(),
-        shards_refused: count(),
+        framing_bytes: count(),
     }
 }
 
@@ -203,7 +203,6 @@ fn refined_plan(rng: &mut SplitMix64) -> (ShardPlan, ShardScope) {
     let scope = ShardScope {
         count: plan.count * fanout,
         children: listed,
-        refused: None,
     };
     plan.children = Some(ChildDigests { fanout, parents });
     (plan, scope)

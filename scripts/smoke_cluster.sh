@@ -183,17 +183,17 @@ echo "planner verified: converged re-pull skipped all $shards shards" \
 # The source proposes the scope: one key moves on at B, and the next
 # pulls over A's and C's warm connections to it are told which — B's
 # change journal reaches back to the generation it planned their last
-# pulls at — so the one dirty shard is proposed, its residual matches
-# (nothing else differs), and the one key is all that is examined. The
-# planner frames of such a pull are a fraction of a fresh dial's.
+# pulls at — and each puller holds the rest of that shard as B held it
+# then, so the one dirty shard is proposed and the one key is all that
+# is examined. The planner frames of such a pull are a fraction of a
+# fresh dial's.
 "$BIN/optrep" "$B" put bulk-7 moved-on
 for dst in "$A" "$C"; do
     warm_out="$("$BIN/optrep" "$dst" sync "$B")"
     proposed="$(status_field "$warm_out" proposed)"
-    refused="$(status_field "$warm_out" "(refused")"
     examined="$(status_field "$warm_out" examined)"
     warm_bytes="$(status_field "$warm_out" digest-bytes)"
-    if [[ "$proposed" != 1 || "$refused" != "0)" || "$examined" != 1 \
+    if [[ "$proposed" != 1 || "$examined" != 1 \
           || "$warm_bytes" -ge "$first_bytes" ]]; then
         echo "FAIL: warm pull of one key was not proposed its scope:" \
              "[$warm_out] (fresh dial: [$first_ab])" >&2
@@ -202,10 +202,8 @@ for dst in "$A" "$C"; do
 done
 "$BIN/optrep" "$A" metrics >"$WORK/planner.prom"
 proposed_total="$(prom_value "$WORK/planner.prom" optrep_planner_shards_proposed_total)"
-refused_total="$(prom_value "$WORK/planner.prom" optrep_planner_shards_refused_total)"
-if [[ "$proposed_total" -lt 1 || "$refused_total" != 0 ]]; then
-    echo "FAIL: metrics do not count the proposal:" \
-         "proposed $proposed_total refused $refused_total" >&2
+if [[ "$proposed_total" -lt 1 ]]; then
+    echo "FAIL: metrics do not count the proposal: proposed $proposed_total" >&2
     exit 1
 fi
 echo "proposals verified: one put at B, one key examined by each puller" \
@@ -246,20 +244,18 @@ for pair in "A $A" "B $B" "C $C"; do
              "sum ($wire_sum)" >&2
         exit 1
     fi
-    # The planner's eight families (skipped, incremental, snapshot,
-    # refined, proposed, refused, digest bytes, digests sent), and at
-    # least one digest on the books: every daemon's first pull shipped
-    # a whole vector. No proposal was refused — nobody wrote behind a
-    # puller's back — and every journal reaches back to its first write.
+    # The planner's seven families (skipped, incremental, snapshot,
+    # refined, proposed, digest bytes, digests sent), and at least one
+    # digest on the books: every daemon's first pull shipped a whole
+    # vector. Every journal reaches back to its first write.
     planner_families="$(grep -c '^# TYPE optrep_planner_' "$scrape")"
     digests_sent="$(prom_value "$scrape" optrep_planner_digests_sent_total)"
-    refused_total="$(prom_value "$scrape" optrep_planner_shards_refused_total)"
     floor_lag="$(prom_value "$scrape" optrep_store_journal_floor_lag)"
     generation="$(prom_value "$scrape" optrep_store_generation)"
-    if [[ "$planner_families" != 8 || -z "$digests_sent" || "$digests_sent" -le 0 \
-          || "$refused_total" != 0 || -z "$floor_lag" || "$floor_lag" != "$generation" ]]; then
+    if [[ "$planner_families" != 7 || -z "$digests_sent" || "$digests_sent" -le 0 \
+          || -z "$floor_lag" || "$floor_lag" != "$generation" ]]; then
         echo "FAIL: $site exposes $planner_families planner families," \
-             "digests sent [$digests_sent] refused [$refused_total]" \
+             "digests sent [$digests_sent]" \
              "journal floor lag [$floor_lag] of generation [$generation]" >&2
         exit 1
     fi
