@@ -4,8 +4,8 @@
 //! tables all          # every experiment, in document order
 //! tables t2 e4 f2     # a selection
 //! tables --list       # available ids
-//! tables --check-jsonl <path>   # validate an event trace
-//! tables --check-prom <path>    # validate a Prometheus scrape
+//! tables --check-jsonl <path>   # check an event trace
+//! tables --check-prom <path>    # check a Prometheus scrape
 //! ```
 //!
 //! Each experiment additionally writes its tables to `BENCH_<id>.json`
@@ -15,51 +15,49 @@
 //!
 //! Setting `OPTREP_OBS_JSONL=<path>` streams every sync event of the
 //! run to `<path>` as JSONL (see `optrep_core::obs::JsonlSink`); render
-//! it with the `timeline` binary or validate it with `--check-jsonl`.
-
-use std::collections::BTreeMap;
+//! it with the `timeline` binary or check it with `--check-jsonl`, which
+//! decodes every line with `SyncEvent::from_json` and replays the trace
+//! through `obs::CheckSink` (`obs::check_trace`): schema, pairing, byte
+//! and counter conservation, Theorem 5.1 and the COMPARE oracle.
 
 use optrep_bench::experiments;
-use optrep_bench::jsonl::{self, Record};
 use optrep_bench::Table;
 use optrep_core::obs;
 
+/// A file check: the count of what it checked, or the first violation.
+type Check = fn(&str) -> Result<usize, String>;
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(pos) = args.iter().position(|a| a == "--check-jsonl") {
-        let Some(path) = args.get(pos + 1) else {
-            eprintln!("usage: tables --check-jsonl <events.jsonl>");
-            std::process::exit(2);
-        };
-        match check_jsonl(path) {
-            Ok(events) => {
-                println!("ok: {path}: {events} events, schema and invariants hold");
-                return;
+    let checks: [(&str, Check, &str); 2] = [
+        (
+            "--check-jsonl",
+            obs::check_trace,
+            "events, schema and invariants hold",
+        ),
+        (
+            "--check-prom",
+            optrep_bench::prom::check,
+            "families, exposition format and histogram identities hold",
+        ),
+    ];
+    for (flag, check, holds) in checks {
+        if let Some(pos) = args.iter().position(|a| a == flag) {
+            let Some(path) = args.get(pos + 1) else {
+                eprintln!("usage: tables {flag} <path>");
+                std::process::exit(2);
+            };
+            let checked = std::fs::read_to_string(path)
+                .map_err(|e| format!("cannot read: {e}"))
+                .and_then(|text| check(&text));
+            match checked {
+                Ok(n) => println!("ok: {path}: {n} {holds}"),
+                Err(e) => {
+                    eprintln!("check failed: {path}: {e}");
+                    std::process::exit(1);
+                }
             }
-            Err(e) => {
-                eprintln!("check failed: {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if let Some(pos) = args.iter().position(|a| a == "--check-prom") {
-        let Some(path) = args.get(pos + 1) else {
-            eprintln!("usage: tables --check-prom <metrics.prom>");
-            std::process::exit(2);
-        };
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("check failed: {path}: cannot read: {e}");
-            std::process::exit(1);
-        });
-        match optrep_bench::prom::check(&text) {
-            Ok(families) => {
-                println!("ok: {path}: {families} families, exposition format and histogram identities hold");
-                return;
-            }
-            Err(e) => {
-                eprintln!("check failed: {path}: {e}");
-                std::process::exit(1);
-            }
+            return;
         }
     }
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
@@ -138,220 +136,4 @@ fn run_experiments(ids: &[&str]) {
             Err(e) => eprintln!("warning: could not write {path}: {e}"),
         }
     }
-}
-
-/// Validates an event trace offline: every line parses, every event kind
-/// is known with the right field types, sessions and contacts pair up,
-/// and the `session_close` / `contact_end` totals match the per-event
-/// stream (the same identities `obs::CheckSink` asserts online).
-fn check_jsonl(path: &str) -> Result<usize, String> {
-    const KINDS: &[&str] = &[
-        "session_open",
-        "compare",
-        "element",
-        "conflict_bit",
-        "segment_skip",
-        "reconcile",
-        "session_close",
-        "graph_node",
-        "frame_tx",
-        "frame_rx",
-        "contact_begin",
-        "contact_end",
-        "session_aborted",
-        "retry",
-        "gossip_round",
-        "link_bytes",
-        "link_excess",
-    ];
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read: {e}"))?;
-    let records = jsonl::parse_document(&text)?;
-    if records.is_empty() {
-        return Err("empty trace".to_string());
-    }
-
-    let need_u64 = |line: usize, rec: &Record, key: &str| -> Result<u64, String> {
-        rec.get(key)
-            .and_then(|v| v.as_u64())
-            .ok_or_else(|| format!("line {line}: missing or non-integer field {key:?}"))
-    };
-
-    #[derive(Default)]
-    struct SessionCheck {
-        opened: bool,
-        closed: bool,
-        elements: u64,
-        known: u64,
-        skips: u64,
-    }
-    #[derive(Default)]
-    struct ContactCheck {
-        opened: bool,
-        closed: bool,
-        compare: u64,
-        meta: u64,
-        framing: u64,
-        payload: u64,
-    }
-    let mut sessions: BTreeMap<u64, SessionCheck> = BTreeMap::new();
-    let mut contacts: BTreeMap<u64, ContactCheck> = BTreeMap::new();
-
-    for (line, rec) in &records {
-        let line = *line;
-        let ev = rec
-            .get("ev")
-            .and_then(|v| v.as_str())
-            .ok_or_else(|| format!("line {line}: missing \"ev\" field"))?;
-        if !KINDS.contains(&ev) {
-            return Err(format!("line {line}: unknown event kind {ev:?}"));
-        }
-        match ev {
-            "session_open" => {
-                let id = need_u64(line, rec, "session")?;
-                rec.get("scheme")
-                    .and_then(|v| v.as_str())
-                    .ok_or_else(|| format!("line {line}: session_open without scheme"))?;
-                let s = sessions.entry(id).or_default();
-                if s.opened {
-                    return Err(format!("line {line}: session {id} opened twice"));
-                }
-                s.opened = true;
-            }
-            "element" => {
-                let id = need_u64(line, rec, "session")?;
-                let s = sessions.entry(id).or_default();
-                s.elements += 1;
-                if rec.get("known").and_then(|v| v.as_bool()).unwrap_or(false) {
-                    s.known += 1;
-                }
-            }
-            "segment_skip" => {
-                let id = need_u64(line, rec, "session")?;
-                sessions.entry(id).or_default().skips += 1;
-            }
-            "session_close" => {
-                let id = need_u64(line, rec, "session")?;
-                let delta = need_u64(line, rec, "totals.delta")?;
-                let gamma = need_u64(line, rec, "totals.gamma")?;
-                let meta_elements = need_u64(line, rec, "totals.meta_elements")?;
-                let skips = need_u64(line, rec, "totals.skips")?;
-                let s = sessions.entry(id).or_default();
-                if !s.opened {
-                    return Err(format!("line {line}: session {id} closed before open"));
-                }
-                if s.closed {
-                    return Err(format!("line {line}: session {id} closed twice"));
-                }
-                s.closed = true;
-                if meta_elements != delta + gamma {
-                    return Err(format!(
-                        "line {line}: session {id} totals violate \
-                         meta_elements == |Δ|+|Γ| ({meta_elements} != {delta}+{gamma})"
-                    ));
-                }
-                // Per-event stream vs. close totals — only when the
-                // session's element traffic was observed on this thread.
-                if s.elements > 0 && s.elements != meta_elements {
-                    return Err(format!(
-                        "line {line}: session {id} saw {} element events but \
-                         closed with meta_elements={meta_elements}",
-                        s.elements
-                    ));
-                }
-                if s.skips > 0 && s.skips != skips {
-                    return Err(format!(
-                        "line {line}: session {id} saw {} segment_skip events \
-                         but closed with skips={skips}",
-                        s.skips
-                    ));
-                }
-            }
-            "frame_tx" => {
-                let id = need_u64(line, rec, "contact")?;
-                let c = contacts.entry(id).or_default();
-                c.compare += need_u64(line, rec, "compare")?;
-                c.meta += need_u64(line, rec, "meta")?;
-                c.framing += need_u64(line, rec, "framing")?;
-                c.payload += need_u64(line, rec, "payload")?;
-            }
-            "contact_begin" => {
-                let id = need_u64(line, rec, "contact")?;
-                let c = contacts.entry(id).or_default();
-                if c.opened {
-                    return Err(format!("line {line}: contact {id} opened twice"));
-                }
-                c.opened = true;
-            }
-            "contact_end" => {
-                let id = need_u64(line, rec, "contact")?;
-                let totals = [
-                    ("compare_bytes", 0usize),
-                    ("meta_bytes", 1),
-                    ("framing_bytes", 2),
-                    ("payload_bytes", 3),
-                ];
-                let c = contacts.entry(id).or_default();
-                if !c.opened {
-                    return Err(format!("line {line}: contact {id} ended before begin"));
-                }
-                if c.closed {
-                    return Err(format!("line {line}: contact {id} ended twice"));
-                }
-                c.closed = true;
-                let observed = [c.compare, c.meta, c.framing, c.payload];
-                for (field, idx) in totals {
-                    let total = need_u64(line, rec, &format!("totals.{field}"))?;
-                    if observed[idx] != total {
-                        return Err(format!(
-                            "line {line}: contact {id} frame_tx {field} sum \
-                             {} != contact_end total {total} (byte conservation)",
-                            observed[idx]
-                        ));
-                    }
-                }
-            }
-            "session_aborted" => {
-                let id = need_u64(line, rec, "contact")?;
-                let stream = need_u64(line, rec, "stream")?;
-                rec.get("reason")
-                    .and_then(|v| v.as_str())
-                    .ok_or_else(|| format!("line {line}: session_aborted without reason"))?;
-                if stream == 0 {
-                    // The whole contact aborted: it ends without a
-                    // contact_end and its frames were never committed, so
-                    // it is exempt from byte conservation — as are any
-                    // sessions left open inside it.
-                    contacts.remove(&id);
-                    sessions.retain(|_, s| s.closed || !s.opened);
-                }
-            }
-            "retry" => {
-                need_u64(line, rec, "dst")?;
-                need_u64(line, rec, "src")?;
-                need_u64(line, rec, "attempt")?;
-                need_u64(line, rec, "backoff")?;
-            }
-            "frame_rx" | "link_bytes" | "link_excess" => {
-                need_u64(line, rec, "bytes")?;
-            }
-            _ => {}
-        }
-    }
-
-    for (id, s) in &sessions {
-        if s.opened && !s.closed {
-            return Err(format!("session {id} opened but never closed"));
-        }
-        // Session 0 is the "no scope open" attribution: interleaved mux
-        // streams run their receivers outside any single session scope.
-        if *id != 0 && !s.opened && (s.elements > 0 || s.skips > 0) {
-            return Err(format!("session {id} has events but no session_open"));
-        }
-    }
-    for (id, c) in &contacts {
-        if c.opened && !c.closed {
-            return Err(format!("contact {id} begun but never ended"));
-        }
-    }
-    Ok(records.len())
 }

@@ -1,5 +1,6 @@
 //! Renders per-session timelines and cost histograms from a JSONL event
-//! trace written by `optrep_core::obs::JsonlSink`.
+//! trace written by `optrep_core::obs::JsonlSink`, each line decoded with
+//! `SyncEvent::from_json`.
 //!
 //! Usage:
 //!
@@ -24,8 +25,8 @@ use std::fmt::Write as _;
 use std::io::Write as _;
 use std::process::ExitCode;
 
-use optrep_bench::jsonl::{self, Record};
 use optrep_bench::Table;
+use optrep_core::obs::SyncEvent;
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
@@ -43,8 +44,12 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let records = match jsonl::parse_document(&text) {
-        Ok(r) => r,
+    let events = text
+        .lines()
+        .enumerate()
+        .map(|(i, line)| SyncEvent::from_json(line).map_err(|e| format!("line {}: {e}", i + 1)));
+    let events = match events.collect::<Result<Vec<_>, _>>() {
+        Ok(events) => events,
         Err(e) => {
             eprintln!("timeline: {path}: {e}");
             return ExitCode::from(2);
@@ -52,7 +57,7 @@ fn main() -> ExitCode {
     };
     // Ignore a failed write so `timeline … | head` ends quietly on the
     // reader closing the pipe instead of panicking.
-    let _ = std::io::stdout().write_all(render(&records).as_bytes());
+    let _ = std::io::stdout().write_all(render(&events).as_bytes());
     ExitCode::SUCCESS
 }
 
@@ -99,18 +104,7 @@ impl Session {
     }
 }
 
-fn u(rec: &Record, key: &str) -> u64 {
-    rec.get(key).and_then(|v| v.as_u64()).unwrap_or(0)
-}
-
-fn s(rec: &Record, key: &str) -> String {
-    rec.get(key)
-        .and_then(|v| v.as_str())
-        .unwrap_or("")
-        .to_string()
-}
-
-fn render(records: &[(usize, Record)]) -> String {
+fn render(events: &[SyncEvent]) -> String {
     let mut sessions: BTreeMap<u64, Session> = BTreeMap::new();
     let mut contacts = 0u64;
     let mut round_trips = 0u64;
@@ -123,48 +117,63 @@ fn render(records: &[(usize, Record)]) -> String {
     let mut link_bytes = 0u64;
     let mut link_excess = 0u64;
 
-    for (_, rec) in records {
-        let ev = s(rec, "ev");
-        let sess = u(rec, "session");
-        match ev.as_str() {
-            "session_open" => {
-                sessions.entry(sess).or_default().scheme = s(rec, "scheme");
+    for event in events {
+        match event {
+            SyncEvent::SessionOpen { session, scheme } => {
+                sessions.entry(*session).or_default().scheme = scheme.to_string();
             }
-            "compare" => {
-                sessions.entry(sess).or_default().relation = s(rec, "relation");
+            SyncEvent::Compare {
+                session, relation, ..
+            } => {
+                sessions.entry(*session).or_default().relation = relation.label().to_string();
             }
-            "element" => sessions.entry(sess).or_default().elements += 1,
-            "segment_skip" => sessions.entry(sess).or_default().skips += 1,
-            "conflict_bit" => sessions.entry(sess).or_default().conflicts += 1,
-            "reconcile" => {
-                sessions.entry(sess).or_default().reconcile = s(rec, "decision");
+            SyncEvent::Element { session, .. } => {
+                sessions.entry(*session).or_default().elements += 1
             }
-            "session_close" => {
-                let entry = sessions.entry(sess).or_default();
-                entry.outcome = s(rec, "outcome");
-                entry.delta = u(rec, "totals.delta");
-                entry.gamma = u(rec, "totals.gamma");
-                entry.close_skips = u(rec, "totals.skips");
-                entry.wire_bytes = u(rec, "totals.compare_bytes")
-                    + u(rec, "totals.meta_bytes")
-                    + u(rec, "totals.framing_bytes")
-                    + u(rec, "totals.payload_bytes");
+            SyncEvent::SegmentSkip { session, .. } => {
+                sessions.entry(*session).or_default().skips += 1
+            }
+            SyncEvent::ConflictBit { session, .. } => {
+                sessions.entry(*session).or_default().conflicts += 1
+            }
+            SyncEvent::Reconcile { session, decision } => {
+                sessions.entry(*session).or_default().reconcile = decision.to_string();
+            }
+            SyncEvent::SessionClose {
+                session,
+                outcome,
+                totals,
+            } => {
+                let entry = sessions.entry(*session).or_default();
+                entry.outcome = outcome.to_string();
+                entry.delta = totals.delta;
+                entry.gamma = totals.gamma;
+                entry.close_skips = totals.skips;
+                entry.wire_bytes = totals.wire_bytes();
                 entry.closed = true;
             }
-            "contact_end" => {
+            SyncEvent::ContactEnd {
+                round_trips: trips, ..
+            } => {
                 contacts += 1;
-                round_trips += u(rec, "round_trips");
+                round_trips += trips;
             }
-            "frame_tx" => {
+            SyncEvent::FrameTx {
+                compare,
+                meta,
+                framing,
+                payload,
+                ..
+            } => {
                 frames += 1;
-                compare_bytes += u(rec, "compare");
-                meta_bytes += u(rec, "meta");
-                framing_bytes += u(rec, "framing");
-                payload_bytes += u(rec, "payload");
+                compare_bytes += compare;
+                meta_bytes += meta;
+                framing_bytes += framing;
+                payload_bytes += payload;
             }
-            "gossip_round" => gossip_rounds += 1,
-            "link_bytes" => link_bytes += u(rec, "bytes"),
-            "link_excess" => link_excess += u(rec, "bytes"),
+            SyncEvent::GossipRound { .. } => gossip_rounds += 1,
+            SyncEvent::LinkBytes { bytes, .. } => link_bytes += bytes,
+            SyncEvent::LinkExcess { bytes } => link_excess += bytes,
             _ => {}
         }
     }

@@ -14,7 +14,6 @@
 //! model.
 
 pub mod experiments;
-pub mod jsonl;
 pub mod prom;
 pub mod table;
 

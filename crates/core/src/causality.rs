@@ -52,6 +52,18 @@ impl Causality {
             other => other,
         }
     }
+
+    /// The relation's snake_case name (`"equal"`, `"before"`, `"after"`,
+    /// `"concurrent"`): the `relation` and `oracle` values of an obs
+    /// event line.
+    pub const fn label(self) -> &'static str {
+        match self {
+            Causality::Equal => "equal",
+            Causality::Before => "before",
+            Causality::After => "after",
+            Causality::Concurrent => "concurrent",
+        }
+    }
 }
 
 impl fmt::Display for Causality {

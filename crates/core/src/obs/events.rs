@@ -3,6 +3,7 @@
 
 use crate::causality::Causality;
 use crate::sync::ReceiverStats;
+use std::borrow::Cow;
 
 /// Per-session cost totals: the common currency all layer reports
 /// convert into and [`CounterSink`](super::CounterSink) aggregates.
@@ -72,7 +73,7 @@ pub enum SyncEvent {
         /// Session id.
         session: u64,
         /// Metadata scheme driving the session (`"BRV"`, `"SRV"`, …).
-        scheme: &'static str,
+        scheme: Cow<'static, str>,
     },
     /// The COMPARE verdict for a session.
     Compare {
@@ -123,14 +124,14 @@ pub enum SyncEvent {
         session: u64,
         /// `"merged"` when a reconciler combined the payloads,
         /// `"excluded"` when the conflict was only recorded.
-        decision: &'static str,
+        decision: Cow<'static, str>,
     },
     /// A session closed with its final totals.
     SessionClose {
         /// Session id.
         session: u64,
         /// Outcome label (`"fast_forwarded"`, `"reconciled"`, …).
-        outcome: &'static str,
+        outcome: Cow<'static, str>,
         /// The session's cost totals.
         totals: SessionTotals,
     },
@@ -217,7 +218,7 @@ pub enum SyncEvent {
         stream: u64,
         /// Stable snake_case abort reason (`"connection_lost"`,
         /// `"peer_failed"`, `"decode_error"`, `"stalled"`, …).
-        reason: &'static str,
+        reason: Cow<'static, str>,
     },
     /// A gossip-layer retry of a failed contact, with its capped
     /// exponential backoff.
@@ -264,14 +265,6 @@ impl SyncEvent {
     /// numbers, booleans and identifier strings, so no escaping is
     /// needed.
     pub fn to_json(&self) -> String {
-        fn relation_name(c: Causality) -> &'static str {
-            match c {
-                Causality::Equal => "equal",
-                Causality::Before => "before",
-                Causality::After => "after",
-                Causality::Concurrent => "concurrent",
-            }
-        }
         fn totals_json(t: &SessionTotals) -> String {
             format!(
                 "{{\"sessions\":{},\"compare_bytes\":{},\"meta_bytes\":{},\
@@ -300,13 +293,13 @@ impl SyncEvent {
                 cost_bytes,
             } => {
                 let oracle = match oracle {
-                    Some(o) => format!("\"{}\"", relation_name(*o)),
+                    Some(o) => format!("\"{}\"", o.label()),
                     None => "null".to_string(),
                 };
                 format!(
                     "{{\"ev\":\"{kind}\",\"session\":{session},\"relation\":\"{}\",\
                      \"oracle\":{oracle},\"cost_bytes\":{cost_bytes}}}",
-                    relation_name(*relation)
+                    relation.label()
                 )
             }
             SyncEvent::Element {
@@ -402,5 +395,239 @@ impl SyncEvent {
                  \"attempt\":{attempt},\"backoff\":{backoff}}}"
             ),
         }
+    }
+
+    /// Decodes one line [`to_json`](Self::to_json) wrote: its exact
+    /// inverse, so `from_json(&e.to_json()) == Ok(e)`.
+    ///
+    /// Only that canonical line is accepted: the kind's keys in
+    /// `to_json`'s order and nothing else, no whitespace, integers
+    /// without sign or leading zero that fit the field, and labels of
+    /// ASCII letters, digits and `_`.
+    ///
+    /// # Errors
+    ///
+    /// Names the first byte at which `line` departs from every line
+    /// `to_json` can write.
+    pub fn from_json(line: &str) -> Result<SyncEvent, String> {
+        let mut r = Reader { line, rest: line };
+        r.lit("{\"ev\":")?;
+        let kind = r.word()?;
+        let event = match kind {
+            "session_open" => SyncEvent::SessionOpen {
+                session: r.num("session")?,
+                scheme: r.label("scheme")?,
+            },
+            "compare" => SyncEvent::Compare {
+                session: r.num("session")?,
+                relation: r.relation("relation")?,
+                oracle: {
+                    r.key("oracle")?;
+                    if r.lit("null").is_ok() {
+                        None
+                    } else {
+                        Some(r.causality()?)
+                    }
+                },
+                cost_bytes: r.num("cost_bytes")?,
+            },
+            "element" => SyncEvent::Element {
+                session: r.num("session")?,
+                site: r.num("site")?,
+                value: r.num("value")?,
+                known: r.flag("known")?,
+                conflict: r.flag("conflict")?,
+                segment: r.flag("segment")?,
+            },
+            "conflict_bit" => SyncEvent::ConflictBit {
+                session: r.num("session")?,
+                site: r.num("site")?,
+            },
+            "segment_skip" => SyncEvent::SegmentSkip {
+                session: r.num("session")?,
+                seg: r.num("seg")?,
+            },
+            "reconcile" => SyncEvent::Reconcile {
+                session: r.num("session")?,
+                decision: r.label("decision")?,
+            },
+            "session_close" => SyncEvent::SessionClose {
+                session: r.num("session")?,
+                outcome: r.label("outcome")?,
+                totals: r.totals()?,
+            },
+            "graph_node" => SyncEvent::GraphNode {
+                session: r.num("session")?,
+                value: r.num("value")?,
+                applied: r.flag("applied")?,
+            },
+            "frame_tx" => SyncEvent::FrameTx {
+                contact: r.num("contact")?,
+                stream: r.num("stream")?,
+                client: r.flag("client")?,
+                compare: r.num("compare")?,
+                meta: r.num("meta")?,
+                framing: r.num("framing")?,
+                payload: r.num("payload")?,
+            },
+            "frame_rx" => SyncEvent::FrameRx {
+                stream: r.num("stream")?,
+                bytes: r.num("bytes")?,
+            },
+            "contact_begin" => SyncEvent::ContactBegin {
+                contact: r.num("contact")?,
+                streams: r.num("streams")?,
+            },
+            "contact_end" => SyncEvent::ContactEnd {
+                contact: r.num("contact")?,
+                round_trips: r.num("round_trips")?,
+                totals: r.totals()?,
+            },
+            "gossip_round" => SyncEvent::GossipRound {
+                round: r.num("round")?,
+            },
+            "link_bytes" => SyncEvent::LinkBytes {
+                forward: r.flag("forward")?,
+                bytes: r.num("bytes")?,
+            },
+            "link_excess" => SyncEvent::LinkExcess {
+                bytes: r.num("bytes")?,
+            },
+            "session_aborted" => SyncEvent::SessionAborted {
+                contact: r.num("contact")?,
+                stream: r.num("stream")?,
+                reason: r.label("reason")?,
+            },
+            "retry" => SyncEvent::Retry {
+                dst: r.num("dst")?,
+                src: r.num("src")?,
+                attempt: r.num("attempt")?,
+                backoff: r.num("backoff")?,
+            },
+            _ => return Err(format!("unknown event kind {kind:?}")),
+        };
+        r.lit("}")?;
+        if !r.rest.is_empty() {
+            return Err(format!("trailing bytes at byte {}", r.at()));
+        }
+        Ok(event)
+    }
+}
+
+/// A cursor over one event line, for [`SyncEvent::from_json`].
+struct Reader<'a> {
+    line: &'a str,
+    rest: &'a str,
+}
+
+impl<'a> Reader<'a> {
+    fn at(&self) -> usize {
+        self.line.len() - self.rest.len()
+    }
+
+    fn lit(&mut self, lit: &str) -> Result<(), String> {
+        let at = self.at();
+        self.rest =
+            (self.rest.strip_prefix(lit)).ok_or_else(|| format!("expected {lit} at byte {at}"))?;
+        Ok(())
+    }
+
+    /// `,"key":` — every field but `"ev"` follows a comma.
+    fn key(&mut self, key: &str) -> Result<(), String> {
+        let at = self.at();
+        self.rest = (self.rest.strip_prefix(",\""))
+            .and_then(|r| r.strip_prefix(key))
+            .and_then(|r| r.strip_prefix("\":"))
+            .ok_or_else(|| format!("expected field {key:?} at byte {at}"))?;
+        Ok(())
+    }
+
+    /// A canonical unsigned integer (no sign, no leading zero) that
+    /// fits `T`.
+    fn uint<T: TryFrom<u64>>(&mut self, key: &str) -> Result<T, String> {
+        let len = self.rest.bytes().take_while(u8::is_ascii_digit).count();
+        let (digits, rest) = self.rest.split_at(len);
+        let canonical = len == 1 || !digits.starts_with('0');
+        let value = digits.parse().ok().filter(|_| canonical);
+        let value = value.and_then(|v: u64| T::try_from(v).ok());
+        let value = value.ok_or_else(|| {
+            format!(
+                "field {key:?} is not an integer in range at byte {}",
+                self.at()
+            )
+        })?;
+        self.rest = rest;
+        Ok(value)
+    }
+
+    fn num<T: TryFrom<u64>>(&mut self, key: &str) -> Result<T, String> {
+        self.key(key)?;
+        self.uint(key)
+    }
+
+    fn flag(&mut self, key: &str) -> Result<bool, String> {
+        self.key(key)?;
+        if self.lit("true").is_ok() {
+            return Ok(true);
+        }
+        self.lit("false").map(|()| false)
+    }
+
+    /// A quoted label of ASCII letters, digits and `_`.
+    fn word(&mut self) -> Result<&'a str, String> {
+        let at = self.at();
+        let quoted = self.rest.strip_prefix('"').and_then(|r| {
+            let len = (r.bytes())
+                .take_while(|b| b.is_ascii_alphanumeric() || *b == b'_')
+                .count();
+            let rest = r[len..].strip_prefix('"')?;
+            (len > 0).then(|| (&r[..len], rest))
+        });
+        let (word, rest) = quoted.ok_or_else(|| format!("expected a label at byte {at}"))?;
+        self.rest = rest;
+        Ok(word)
+    }
+
+    fn label(&mut self, key: &str) -> Result<Cow<'static, str>, String> {
+        self.key(key)?;
+        self.word().map(|w| Cow::Owned(w.to_string()))
+    }
+
+    fn causality(&mut self) -> Result<Causality, String> {
+        let at = self.at();
+        let word = self.word()?;
+        [
+            Causality::Equal,
+            Causality::Before,
+            Causality::After,
+            Causality::Concurrent,
+        ]
+        .into_iter()
+        .find(|c| c.label() == word)
+        .ok_or_else(|| format!("unknown relation {word:?} at byte {at}"))
+    }
+
+    fn relation(&mut self, key: &str) -> Result<Causality, String> {
+        self.key(key)?;
+        self.causality()
+    }
+
+    /// `,"totals":{…}` with [`SessionTotals`]' fields in `to_json`'s order.
+    fn totals(&mut self) -> Result<SessionTotals, String> {
+        self.key("totals")?;
+        self.lit("{\"sessions\":")?;
+        let totals = SessionTotals {
+            sessions: self.uint("sessions")?,
+            compare_bytes: self.num("compare_bytes")?,
+            meta_bytes: self.num("meta_bytes")?,
+            framing_bytes: self.num("framing_bytes")?,
+            payload_bytes: self.num("payload_bytes")?,
+            meta_elements: self.num("meta_elements")?,
+            delta: self.num("delta")?,
+            gamma: self.num("gamma")?,
+            skips: self.num("skips")?,
+        };
+        self.lit("}")?;
+        Ok(totals)
     }
 }

@@ -14,8 +14,10 @@
 //!
 //! Each dump is self-describing: a `"ev":"flight"` header line with the
 //! contact id, elapsed microseconds, trigger reason and drop count,
-//! followed by the ring's events in order — the same JSON encoding
-//! `tables --check-jsonl` already parses.
+//! followed by the ring's events in order, one
+//! [`SyncEvent::to_json`] line each. Every event line decodes with
+//! [`SyncEvent::from_json`]; the header is no event and does not, so a
+//! dump is not a trace `tables --check-jsonl` accepts whole.
 
 use super::{lock_recovering, Sink, SyncEvent};
 use std::collections::{HashMap, VecDeque};
@@ -248,6 +250,12 @@ mod tests {
         assert!(lines[0].contains("\"events\":3"));
         assert!(lines[1].contains("contact_begin"));
         assert!(lines[3].contains("contact_end"));
+        // Every event line decodes; the header is no event.
+        assert!(SyncEvent::from_json(lines[0]).is_err());
+        let events = contact_events(9);
+        for (line, event) in lines[1..].iter().zip(&events) {
+            assert_eq!(SyncEvent::from_json(line).as_ref(), Ok(event));
+        }
     }
 
     #[test]
@@ -261,7 +269,7 @@ mod tests {
         recorder.record(&SyncEvent::SessionAborted {
             contact: 3,
             stream: 0,
-            reason: "connection_lost",
+            reason: "connection_lost".into(),
         });
         assert_eq!(recorder.dumps(), 1);
         let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();

@@ -39,15 +39,15 @@ pub use sinks::{
 };
 
 mod check;
-pub use check::CheckSink;
+pub use check::{check_trace, CheckSink};
 
 /// Locks `mutex`, recovering the data if a previous holder panicked.
 ///
 /// The diagnostic sinks guard plain data (an event buffer, a writer, a
 /// check table) whose invariants hold between `record` calls, so a
-/// poisoned lock — e.g. a `CheckSink` assertion panicking mid-record on
-/// another test thread — must not cascade `PoisonError` panics into
-/// unrelated sessions sharing the sink.
+/// poisoned lock — e.g. a writer panicking mid-record on another test
+/// thread — must not cascade `PoisonError` panics into unrelated
+/// sessions sharing the sink.
 pub(crate) fn lock_recovering<T>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex
         .lock()

@@ -162,7 +162,7 @@ impl Sink for CounterSink {
                 // The close labels are the `Outcome::label()` vocabulary;
                 // sessions from layers with other outcomes simply don't
                 // move the outcome counters.
-                match *outcome {
+                match outcome.as_ref() {
                     "fast_forwarded" => self.record_fast_forward(),
                     "reconciled" => self.record_reconciliation(),
                     "conflict_excluded" => self.record_conflict(),
@@ -366,7 +366,7 @@ mod dispatch {
         CURRENT_SESSION.with(|c| c.set(id));
         emit(&SyncEvent::SessionOpen {
             session: id,
-            scheme,
+            scheme: scheme.into(),
         });
         SessionScope {
             id,
@@ -387,7 +387,7 @@ mod dispatch {
                 self.closed = true;
                 emit(&SyncEvent::SessionClose {
                     session: self.id,
-                    outcome,
+                    outcome: outcome.into(),
                     totals,
                 });
                 CURRENT_SESSION.with(|c| c.set(0));
@@ -455,7 +455,7 @@ mod dispatch {
                 emit(&SyncEvent::SessionAborted {
                     contact: self.id,
                     stream: 0,
-                    reason,
+                    reason: reason.into(),
                 });
                 CURRENT_CONTACT.with(|c| c.set(0));
             }

@@ -114,6 +114,7 @@ fn sixteen_sites_converge_under_ten_percent_frame_loss() {
     let committed: u64 = reports.iter().map(|r| r.contacts).sum();
     let aborted: u64 = reports.iter().map(|r| r.aborted).sum();
     let check = &sink.check;
+    check.finish().expect("every contact ends or aborts");
     assert_eq!(
         check.checked_contacts(),
         committed,

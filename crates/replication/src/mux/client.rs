@@ -201,7 +201,7 @@ impl BatchPullClient {
         obs_emit!(obs::SyncEvent::SessionAborted {
             contact: obs::current_contact(),
             stream,
-            reason,
+            reason: reason.into(),
         });
     }
 }

@@ -65,7 +65,8 @@ enum PullPhase {
 /// syscall — and every frame of the exchange, in either direction,
 /// passes through `tally`. The serving side emits
 /// nothing, so the puller's trace alone satisfies per-contact byte
-/// conservation (`tables --check-jsonl`).
+/// conservation as `obs::CheckSink` checks it, online or over a trace
+/// (`tables --check-jsonl`).
 #[derive(Debug)]
 pub struct Puller<'a> {
     /// `None` while a planned contact plans.

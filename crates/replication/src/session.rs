@@ -217,7 +217,7 @@ where
             if M::SUPPORTS_RECONCILIATION {
                 obs_emit!(obs::SyncEvent::Reconcile {
                     session: obs::current_session(),
-                    decision: "merged",
+                    decision: "merged".into(),
                 });
                 let meta_report = replica.meta.sync_from(&src_replica.meta)?;
                 replica.payload = reconciler.merge(&replica.payload, &src_replica.payload);
@@ -237,7 +237,7 @@ where
             } else {
                 obs_emit!(obs::SyncEvent::Reconcile {
                     session: obs::current_session(),
-                    decision: "excluded",
+                    decision: "excluded".into(),
                 });
                 dst.record_conflict(ConflictRecord {
                     object,

@@ -1479,6 +1479,7 @@ fn racing_keys_in(shard: u64) -> Vec<String> {
 fn audited<T>(pull: impl FnOnce() -> T) -> T {
     let check = Arc::new(CheckSink::new());
     let pulled = obs::with(check.clone(), pull);
+    check.finish().expect("every contact ends");
     assert!(check.checked_contacts() > 0, "the sink audits the contact");
     pulled
 }
@@ -3026,6 +3027,7 @@ fn as_served_a_wrong_memory_costs_a_contact_never_a_plan() {
 
     let check = Arc::new(CheckSink::new());
     let (rerun, synced) = obs::with(check.clone(), || pull(&mut dst)).expect("the rerun commits");
+    check.finish().expect("the contact ends");
     let totals = pool.totals();
     let redial = (totals.dials, totals.discards, totals.stale_reruns);
     assert_eq!(redial, (2, 1, 1), "{totals:?}");

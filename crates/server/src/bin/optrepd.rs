@@ -29,13 +29,16 @@
 //! sinks before exiting.
 //!
 //! `OPTREP_OBS_JSONL=<path>` streams every sync event the daemon's
-//! contacts emit to `<path>`; validate it with
-//! `tables --check-jsonl <path>`. `OPTREP_FLIGHT_JSONL=<path>` arms the
+//! contacts emit to `<path>`; `tables --check-jsonl <path>` replays it
+//! through `obs::CheckSink` (schema, pairing, byte and counter
+//! conservation, Theorem 5.1, the COMPARE oracle).
+//! `OPTREP_FLIGHT_JSONL=<path>` arms the
 //! slow-contact flight recorder: each contact's recent events ride a
 //! bounded ring, and rings of contacts slower than
 //! `OPTREP_FLIGHT_SLOW_MS` (default 250) — or aborted ones — are dumped
-//! to `<path>` as JSONL. Both can be set at once; they are independent
-//! sinks over the same event stream.
+//! to `<path>` as JSONL: a `"ev":"flight"` header, then one
+//! `SyncEvent::from_json` line per event. Both can be set at once; they
+//! are independent sinks over the same event stream.
 //!
 //! The daemon prints one `listening on <addr>` line once reachable and
 //! runs until killed.

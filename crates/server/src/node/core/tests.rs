@@ -109,6 +109,7 @@ fn three_cores_on_one_thread_converge_across_a_checkpoint_and_a_reboot() {
     });
     let digests: Vec<u64> = cores.iter().map(|c| c.store().replica_digest()).collect();
     assert!(digests.iter().all(|&d| d == digests[0]), "{digests:?}");
+    check.finish().expect("every contact ends");
     assert_eq!(check.checked_contacts(), committed);
 }
 

@@ -10,9 +10,10 @@
 # reboot to the state it joined. Once the fleet is stopped gracefully,
 # the joiner boots twice more from its final checkpoint alone, at 512
 # shards and at one, and must answer with the digest it stopped at.
-# Every daemon runs with OPTREP_OBS_JSONL set, and each trace is
-# validated by `tables --check-jsonl` (schema + conservation invariants)
-# at the end.
+# Every daemon runs with OPTREP_OBS_JSONL set, and at the end each trace
+# is replayed through `obs::CheckSink` by `tables --check-jsonl`: schema,
+# pairing, byte and counter conservation, Theorem 5.1 and the COMPARE
+# oracle.
 #
 # Usage: scripts/smoke_cluster.sh   (from the repo root; builds release
 # binaries if they are missing)

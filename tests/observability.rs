@@ -71,6 +71,7 @@ fn mux_frame_events_conserve_link_bytes() {
             })
         })
         .expect("lockstep contact");
+        check.finish().expect("the contact ends");
         assert!(check.checked_contacts() >= 1);
 
         let (mut client_bytes, mut server_bytes) = (0u64, 0u64);
@@ -199,6 +200,7 @@ fn check_sink_holds_over_random_traces() {
             Ok(())
         })
         .expect("trace syncs");
+        check.finish().expect("every session closes");
         // Every close-time invariant and every COMPARE-vs-oracle verdict
         // was checked.
         assert_eq!(check.checked_sessions(), expected_sessions);
@@ -261,6 +263,9 @@ fn check_sink_holds_over_gossip_convergence() {
     // Replication sessions compare *through* the sync protocol
     // (`COMPARE_IS_SYNC`), so no oracle verdicts are expected here —
     // only the close-time and byte-conservation invariants.
+    check
+        .finish()
+        .expect("every session closes and every contact ends");
     assert!(check.checked_sessions() > 0, "sessions were checked");
     assert!(check.checked_contacts() > 0, "contacts were checked");
 }
