@@ -403,7 +403,8 @@ impl SyncEvent {
     /// Only that canonical line is accepted: the kind's keys in
     /// `to_json`'s order and nothing else, no whitespace, integers
     /// without sign or leading zero that fit the field, and labels of
-    /// ASCII letters, digits and `_`.
+    /// ASCII letters, digits and `_` (every label the stack emits is
+    /// one).
     ///
     /// # Errors
     ///
