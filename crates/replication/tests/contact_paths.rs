@@ -19,7 +19,7 @@ use optrep_replication::planner::{
     digest_vector_frame, plan_frame, scope_frame, shard_of, MAX_PLAN_SHARDS,
 };
 use optrep_replication::{
-    pull_contact, pull_planned, reason_label, run_contact, serve_contact, serve_frame, serve_from,
+    classify, pull_contact, pull_planned, reason_label, run_contact, serve_contact, serve_frame, serve_from,
     BatchPullClient, BatchPullServer, ContactAnswer, ContactAsk, ContactReport, CtrlMsg,
     DigestDelta, DigestVector, Faulted, InProcessLink, MuxMsg, PlanConfig, Proposal, Puller,
     ServeStep, Serving, SessionMsg, ShardPlan, ShardScope, VectorMemory, CONTROL_STREAM,
@@ -138,15 +138,14 @@ fn many_objects_case() -> Case {
 
 /// An in-memory duplex [`FrameLink`]: each half owns a sender to the
 /// peer and a receiver for its own inbox, so the pumps run under real
-/// thread interleaving without sockets. Every write is folded — length
-/// first, so burst boundaries count — into the half's FNV-1a transcript,
-/// and counted: a half's writes are the turns it took.
+/// thread interleaving without sockets. Every write is kept, whole: a
+/// half's writes are the turns it took, and its transcript
+/// ([`assert_transcript`]).
 struct ChannelLink {
     tx: Option<mpsc::Sender<Vec<u8>>>,
     rx: mpsc::Receiver<Vec<u8>>,
     decoder: FrameDecoder,
-    transcript: u64,
-    writes: u64,
+    sent: Vec<Vec<u8>>,
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -165,17 +164,14 @@ fn channel_pair() -> (ChannelLink, ChannelLink) {
         tx: Some(tx),
         rx,
         decoder: FrameDecoder::new(),
-        transcript: FNV_OFFSET,
-        writes: 0,
+        sent: Vec::new(),
     };
     (half(atx, brx), half(btx, arx))
 }
 
 impl FrameLink for ChannelLink {
     fn send_bytes(&mut self, bytes: &[u8]) -> Result<()> {
-        self.transcript = fnv1a(self.transcript, &(bytes.len() as u64).to_le_bytes());
-        self.transcript = fnv1a(self.transcript, bytes);
-        self.writes += 1;
+        self.sent.push(bytes.to_vec());
         self.tx
             .as_ref()
             .and_then(|tx| tx.send(bytes.to_vec()).ok())
@@ -773,71 +769,107 @@ fn peer_death_mid_contact_aborts_the_pull() {
 // ---------------------------------------------------------------------
 // (b) The bytes on the wire are pinned.
 
-/// FNV-1a over every write of each half (lengths included) for the
-/// 64-object case. Pinned at the commit *before* the contact drivers
-/// were collapsed into one pump (puller `0xf3c0_fea1_f029_4fd7`, server
-/// `0x4d4c_7e6e_10bd_c141`) and re-pinned, once, when a serving turn
-/// began to carry one message per live stream instead of one frame.
-/// Write by write, against that contact:
-///
-/// 1. the `BatchHello` burst (547 B) and the `BatchServerFirst` turn
-///    (383 B), which still carries nothing else, are unchanged;
-/// 2. so is the puller's `BatchDone` of the 21 equal and ahead streams
-///    (36 B);
-/// 3. the server's 33 first elements, one a turn over 33 turns, leave
-///    in one turn (176 B); their second elements in the next, after the
-///    puller's empty burst; and so on down the streams: the 206 frames
-///    the puller and the server wrote in 150 writes each now take 10.
-///
-/// Each stream's messages, both ways, are what they were (the
-/// `a_turn_carries_one_message_a_stream…` test checks it); so are the
-/// compare, meta and payload planes, and, with no `Done` left to
-/// coalesce after the first burst, the frame count and every byte.
-const PINNED_PULLER_TRANSCRIPT: u64 = 0x1e79_ff80_3fd0_9d4f;
-const PINNED_SERVER_TRANSCRIPT: u64 = 0x0a10_3140_fdee_9133;
+/// A half's writes as text: one line per frame — the half, the write
+/// (burst) it left in, its stream, its tag and length, and its four
+/// byte planes (`-` for a turn marker or a planner frame, which the
+/// planes leave out) — then the FNV-1a of the raw writes, each length
+/// first, so no byte or burst boundary moves unseen.
+fn render_transcript(half: &str, writes: &[Vec<u8>]) -> String {
+    use std::fmt::Write;
+    let mut text = String::new();
+    let mut hash = FNV_OFFSET;
+    for (burst, write) in (1..).zip(writes) {
+        hash = fnv1a(hash, &(write.len() as u64).to_le_bytes());
+        hash = fnv1a(hash, write);
+        let mut bytes = Bytes::copy_from_slice(write);
+        while !bytes.is_empty() {
+            let before = bytes.len();
+            let frame = wire::get_frame(&mut bytes).expect("a half writes whole frames");
+            let len = before - bytes.len();
+            let (stream, tag) = match frame.stream {
+                TURN_STREAM => ("turn".to_string(), None),
+                stream => (stream.to_string(), frame.payload.first().copied()),
+            };
+            let (name, planes) = describe_frame(frame);
+            let tag = tag.map_or("-".to_string(), |tag| format!("{tag:#04x}"));
+            writeln!(text, "{half} {burst:>2} {stream:>5} {tag} {name:<13} {len:>6} {planes}")
+                .expect("a string takes any write");
+        }
+    }
+    writeln!(text, "fnv1a {hash:#018x}").expect("a string takes any write");
+    text
+}
 
+/// A frame's message name and its `compare meta framing payload` bytes.
+fn describe_frame(frame: wire::Frame) -> (&'static str, String) {
+    let planner = match frame.payload.first() {
+        _ if frame.stream == TURN_STREAM => Some(match &frame.payload[..] {
+            [] => "turn",
+            _ => "fin",
+        }),
+        Some(&tag) if frame.stream == CONTROL_STREAM && (0x35..=0x3a).contains(&tag) => {
+            Some(["digests", "plan", "scope", "plan.refined", "digests.delta", "plan.proposed"]
+                [usize::from(tag - 0x35)])
+        }
+        _ => None,
+    };
+    if let Some(name) = planner {
+        return (name, "- - - -".to_string());
+    }
+    let stream = frame.stream;
+    let mut payload = frame.payload;
+    let msg = MuxMsg::decode(&mut payload).expect("a half writes whole messages");
+    let name = match &msg {
+        MuxMsg::Ctrl(CtrlMsg::BatchHello { .. }) => "hello",
+        MuxMsg::Ctrl(CtrlMsg::BatchServerFirst { .. }) => "server_first",
+        MuxMsg::Ctrl(CtrlMsg::BatchDone { .. }) => "done",
+        MuxMsg::Ctrl(CtrlMsg::Cancel { .. }) => "cancel",
+        MuxMsg::Session(SessionMsg::Vector(_)) => "s.vector",
+        MuxMsg::Session(SessionMsg::PayloadRequest) => "s.payload_req",
+        MuxMsg::Session(SessionMsg::Payload { .. }) => "s.payload",
+        MuxMsg::Session(_) => "s.other",
+    };
+    let b = classify(&Framed::new(stream, msg));
+    (name, format!("{} {} {} {}", b.compare, b.meta, b.framing, b.payload))
+}
+
+/// Checks a half's writes against `transcripts/<name>.txt`. On a
+/// mismatch the rendering is written beside it as `<name>.actual` — a
+/// re-pin is a copy, which the diff then shows frame by frame.
+fn assert_transcript(name: &str, half: &str, writes: &[Vec<u8>]) {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/transcripts");
+    let actual = render_transcript(half, writes);
+    let pinned = std::fs::read_to_string(dir.join(format!("{name}.txt"))).unwrap_or_default();
+    if actual != pinned {
+        let path = dir.join(format!("{name}.actual"));
+        std::fs::write(&path, &actual).expect("write the actual transcript");
+        panic!("transcript {name} moved: see {}", path.display());
+    }
+}
+
+/// The 64-object case, unplanned, each serving turn one message a live
+/// stream: the hello burst and the answer turn, the `BatchDone` of the
+/// 21 equal and ahead streams, then the live streams' elements a turn
+/// at a time.
 #[test]
 fn wire_transcript_is_pinned() {
     let (mut client, mut server) = many_objects_case().endpoints();
     let (mut near, mut far) = channel_pair();
     let serving = std::thread::spawn(move || {
         serve_contact(&mut server, &mut far).expect("serve");
-        far.transcript
+        far.sent
     });
     let report = pull_contact(&mut client, &mut near).expect("pull");
-    assert_eq!(
-        serving.join().expect("server thread"),
-        PINNED_SERVER_TRANSCRIPT
-    );
-    assert_eq!(near.transcript, PINNED_PULLER_TRANSCRIPT);
+    let served = serving.join().expect("server thread");
+    assert_transcript("wire.server", "server", &served);
+    assert_transcript("wire.puller", "puller", &near.sent);
     assert_eq!((report.frames, report.total_bytes), (206, 23_762));
-    assert_eq!((near.writes, report.link_turns), (10, 10));
+    assert_eq!((near.sent.len(), report.link_turns), (10, 10));
     assert_eq!(report.round_trips, 2);
 }
 
-/// The same two hashes for the planned pull of [`planned_stores`].
-/// Pinned at the commit *before* the digest/plan turn moved into the
-/// contact machines (puller `0x07ca_32dd_8664_fee6`, server
-/// `0x6f2a_515e_3cd6_aaea`) — there the puller ran the planner's
-/// blocking exchange function, then `pull_contact`, and the server
-/// wrote `plan_frame` plus a turn marker as one write before
-/// `serve_contact` — and re-pinned, once, when a serving turn began to
-/// carry one message per live stream. Write by write:
-///
-/// 1. the planning turn (51 B out, 2 575 B back), the `BatchHello`
-///    burst (604 B), the `BatchServerFirst` turn (286 B) and the
-///    `BatchDone` of the 41 settled streams (56 B) are unchanged;
-/// 2. the nine live streams' 18 elements, one a turn, become two turns
-///    of nine (56 B, 47 B);
-/// 3. their nine `PayloadRequest`s, which trickled out one a burst, go
-///    in one burst, and the nine payloads come back in one turn (579 B)
-///    instead of nine.
-///
-/// 39 frames and 1 589 B as before — no `Done` to coalesce — in six
-/// writes a half instead of 30.
-const PINNED_PLANNED_PULLER_TRANSCRIPT: u64 = 0xa27b_ca8e_75d6_7fca;
-const PINNED_PLANNED_SERVER_TRANSCRIPT: u64 = 0x280b_b581_c473_d926;
-
+/// The planned pull of [`planned_stores`]: the planning turn, then the
+/// exchange, the nine live streams' payloads in one turn.
 #[test]
 fn planned_wire_transcript_is_pinned_and_priced_by_the_old_arithmetic() {
     let (mut dst, src) = planned_stores();
@@ -853,8 +885,8 @@ fn planned_wire_transcript_is_pinned_and_priced_by_the_old_arithmetic() {
     let serving = serving_thread(src, far);
     let (report, synced) = planned_pull(&mut dst, &mut near).expect("pull");
     let far = serving.join().expect("server thread").expect("serve");
-    assert_eq!(far.transcript, PINNED_PLANNED_SERVER_TRANSCRIPT);
-    assert_eq!(near.transcript, PINNED_PLANNED_PULLER_TRANSCRIPT);
+    assert_transcript("planned.server", "server", &far.sent);
+    assert_transcript("planned.puller", "puller", &near.sent);
 
     assert_eq!(report.digest_bytes, oracle);
     assert_eq!(report.digest_bytes, 2604);
@@ -865,7 +897,7 @@ fn planned_wire_transcript_is_pinned_and_priced_by_the_old_arithmetic() {
     // The planning turn is in neither the frame count, the four planes
     // nor the round trips.
     assert_eq!((report.frames, report.total_bytes), (39, 1589));
-    assert_eq!((near.writes, far.writes, report.link_turns), (6, 6, 6));
+    assert_eq!((near.sent.len(), far.sent.len(), report.link_turns), (6, 6, 6));
     assert_eq!(report.round_trips, 2);
     let created_ff_reconciled = (
         synced.keys_created,
@@ -883,52 +915,41 @@ fn planned_wire_transcript_is_pinned_and_priced_by_the_old_arithmetic() {
     );
 }
 
-/// The same two hashes for the refined pull of [`refined_stores`]:
-/// the plan frame under its refined tag with the children of three
-/// shards behind it, the scope frame leading the puller's opening
-/// burst. Pinned when the second level landed (puller
-/// `0x0428_601f_1551_7ddc`, server `0xf1d7_13e6_bd76_1426`) and
-/// re-pinned, once, when a serving turn began to carry one message per
-/// live stream. Write by write:
-///
-/// 1. the planning turn (176 B, 458 B), the scope and `BatchHello`
-///    burst (801 B), the `BatchServerFirst` turn (324 B) and the
-///    `BatchDone` of 54 streams (69 B) are unchanged;
-/// 2. the five live streams' ten elements, one a turn, become two turns
-///    of five (36 B, 31 B);
-/// 3. the five `PayloadRequest`s go in one burst and the five payloads
-///    come back in one turn (132 B).
-///
-/// 23 frames and 1 324 B as before, in six writes a half instead of
-/// 18 — and the flat pull of the same stores also takes six.
-const PINNED_REFINED_PULLER_TRANSCRIPT: u64 = 0x7eaf_3d90_8e28_4882;
-const PINNED_REFINED_SERVER_TRANSCRIPT: u64 = 0x9365_7b97_2db1_627c;
-
+/// The refined pull of [`refined_stores`]: the plan frame under its
+/// refined tag with the children of three shards behind it, the scope
+/// frame leading the puller's opening burst.
 #[test]
 fn refined_wire_transcript_is_pinned_and_adds_no_turn() {
-    /// One pull over a channel pair: both halves' `(transcript,
-    /// writes)`, the reports, and where the puller ended.
+    /// One pull over a channel pair: both halves' writes, the reports,
+    /// and where the puller ended.
     fn over_channel(
         pull: fn(&mut KvStore, &mut ChannelLink) -> Result<(ContactReport, KvSyncReport)>,
-    ) -> ([(u64, u64); 2], ContactReport, KvSyncReport, u64) {
+    ) -> ([Writes; 2], ContactReport, KvSyncReport, u64) {
         let (mut dst, src) = refined_stores();
         let (mut near, far) = channel_pair();
         let serving = serving_thread(src, far);
         let (contact, synced) = pull(&mut dst, &mut near).expect("pull");
         let far = serving.join().expect("server thread").expect("serve");
-        let halves = [(near.transcript, near.writes), (far.transcript, far.writes)];
-        (halves, contact, synced, dst.replica_digest_full())
+        (
+            [near.sent, far.sent],
+            contact,
+            synced,
+            dst.replica_digest_full(),
+        )
     }
     let (refined, report, synced, ended) = over_channel(planned_pull);
     let (flat, flat_report, flat_synced, flat_ended) = over_channel(flat_pull);
-    assert_eq!(refined[0].0, PINNED_REFINED_PULLER_TRANSCRIPT);
-    assert_eq!(refined[1].0, PINNED_REFINED_SERVER_TRANSCRIPT);
+    assert_transcript("refined.puller", "puller", &refined[0]);
+    assert_transcript("refined.server", "server", &refined[1]);
 
     // No turn is added: each half writes exactly as often as in the
     // flat pull of the same stores, the round trips are the same two,
     // and the planning turn still counts in neither them nor `frames`.
-    assert_eq!((refined[0].1, refined[1].1), (flat[0].1, flat[1].1));
-    assert_eq!((refined[0].1, report.link_turns), (6, 6));
+    assert_eq!(
+        (refined[0].len(), refined[1].len()),
+        (flat[0].len(), flat[1].len())
+    );
+    assert_eq!((refined[0].len(), report.link_turns), (6, 6));
     assert_eq!(report.round_trips, 2);
     assert_eq!(flat_report.round_trips, 2);
 
@@ -1059,81 +1080,23 @@ fn serving_twice<L: FrameLink + Send + 'static>(
     })
 }
 
-/// A [`ChannelLink`]'s `(transcript, writes)` so far, and a fresh count.
-fn take_transcript(link: &mut ChannelLink) -> (u64, u64) {
-    let taken = (link.transcript, link.writes);
-    (link.transcript, link.writes) = (FNV_OFFSET, 0);
-    taken
+/// A half's writes, in order.
+type Writes = Vec<Vec<u8>>;
+
+/// A [`ChannelLink`]'s writes so far, leaving none.
+fn take_transcript(link: &mut ChannelLink) -> Writes {
+    std::mem::take(&mut link.sent)
 }
 
-/// The second pull's transcripts when both ends remember the first.
-/// Pinned when the digest delta landed (puller `0xec52_0055_58d9_fa38`,
-/// server `0x1452_3d85_0b4b_9899`) and re-pinned, once, when the server
-/// began to propose. Frame by frame, against that contact:
-///
-/// 1. the puller's opening burst — the delta frame naming shards 2, 7,
-///    9 and 11, and the turn marker — is unchanged (57 + 11 B);
-/// 2. the plan frame keeps its incremental list `[2, 4, 7, 9, 13]` but
-///    is tagged `0x3a`, carries the children of shards 7 and 9 only
-///    (2 × 16 digests instead of 5 × 16), and ends in three proposals —
-///    shard 2 with one candidate, 4 with two, 13 with one, each with
-///    its residual: 739 B → 352 B;
-/// 3. the scope frame, still leading the puller's second burst, lists
-///    two differing children (73 under shard 9, 135 under 7) instead of
-///    seven, and then its new tail: one refusal, shard 2: 18 B → 11 B;
-/// 4. the `BatchHello` behind it opens shard 2 whole, the keys under the
-///    three candidates of 4 and 13, and the two children — 175 keys
-///    where the children alone had cut the five shards to 64 — and
-///    every later frame follows from that.
-///
-/// Same turns: both halves write as often as before, and `round_trips`
-/// is 2.
-///
-/// Re-pinned once more (from puller `0x4bad_4a1b_c614_08f9`, server
-/// `0xc384_663d_bbe6_681c`) when a serving turn began to carry one
-/// message per live stream. Write by write, against that contact:
-///
-/// 1. the delta (68 B) and plan (363 B) turn, the scope and
-///    `BatchHello` burst (2 379 B), the `BatchServerFirst` turn (949 B)
-///    and the `BatchDone` of 171 streams (236 B) are unchanged;
-/// 2. the four live streams' eight elements, one a turn, become two
-///    turns of four (31 B, 27 B);
-/// 3. the four `PayloadRequest`s go in one burst, the four payloads
-///    come back in one turn (67 B).
-///
-/// 19 frames and 3 624 B as before, in six writes a half instead of
-/// 15; the cold second pull takes six too.
-///
-/// The puller's re-pinned once more (from `0x1075_117c_24cd_a880`) when
-/// both ends began to remember each shard a contact served as served:
-/// the delta frame names shards 2, 7 and 9 — not 11, where the first
-/// pull fast-forwarded a key and so landed it as served — in 46 B
-/// instead of 57. The server patches it to the same vector, so every
-/// other write of either half, and the server's transcript, is
-/// unchanged.
-///
-/// Both re-pinned once more (from puller `0xc98a_c6b4_cf67_b684`,
-/// server `0x3d20_8e26_2f73_2643`) when the server began to check a
-/// proposal against the vector it holds:
-///
-/// 1. the delta frame (46 B) is unchanged;
-/// 2. the plan frame proposes 4 and 13 alone, with no residual, and
-///    offers the children of shard 2 beside those of 7 and 9: 352 B →
-///    462 B;
-/// 3. the scope frame lists four differing children and no refusal
-///    tail: 11 B → 13 B;
-/// 4. the `BatchHello` opens 39 keys instead of 175 — shard 2 is cut
-///    at its children instead of walked whole — and the exchange moves
-///    888 B instead of 3 624, in the same 19 frames and six writes a
-///    half.
-const PINNED_SECOND_PULLER_TRANSCRIPT: u64 = 0x4d6a_2fdd_865d_df16;
-const PINNED_SECOND_SERVER_TRANSCRIPT: u64 = 0xba4b_65cd_cda8_151c;
-
+/// The second pull over the link of [`refined_stores`], both ends
+/// remembering the first: the digest delta, the plan that proposes
+/// shards 4 and 13 and offers the children of 2, 7 and 9, the scope and
+/// the exchange it leaves.
 #[test]
 fn second_pull_over_a_link_is_proposed_what_the_source_changed() {
     /// Both contacts over one channel pair: per contact, both halves'
-    /// `(transcript, writes)` and the reports; where the puller ended.
-    type Halves = [(u64, u64); 2];
+    /// writes and the reports; where the puller ended.
+    type Halves = [Writes; 2];
     fn over_channel(remember: bool) -> ([Halves; 2], [(ContactReport, KvSyncReport); 2], u64) {
         let (mut dst, src) = refined_stores();
         let (mut near, far) = channel_pair();
@@ -1141,7 +1104,7 @@ fn second_pull_over_a_link_is_proposed_what_the_source_changed() {
         let serving = serving_twice(src, far, remember, move |far| {
             tx.send(take_transcript(far)).expect("the test waits");
         });
-        let mut near_first = (0, 0);
+        let mut near_first = Vec::new();
         let pulls = pull_twice(&mut dst, &mut near, remember, |near| {
             near_first = take_transcript(near);
         });
@@ -1158,18 +1121,21 @@ fn second_pull_over_a_link_is_proposed_what_the_source_changed() {
 
     // The first contact on a link is the pinned refined pull, byte for
     // byte, whether or not anything will be remembered of it.
-    for halves in [warm[0], cold[0]] {
-        assert_eq!(halves[0].0, PINNED_REFINED_PULLER_TRANSCRIPT);
-        assert_eq!(halves[1].0, PINNED_REFINED_SERVER_TRANSCRIPT);
+    for halves in [&warm[0], &cold[0]] {
+        assert_transcript("refined.puller", "puller", &halves[0]);
+        assert_transcript("refined.server", "server", &halves[1]);
     }
     assert_eq!(first, cold_first);
     assert_eq!((first.0.digests_sent, first.0.shards_proposed), (16, 0));
 
     // The second: no turn added or saved by the proposals.
-    assert_eq!(warm[1][0].0, PINNED_SECOND_PULLER_TRANSCRIPT);
-    assert_eq!(warm[1][1].0, PINNED_SECOND_SERVER_TRANSCRIPT);
-    assert_eq!((warm[1][0].1, warm[1][1].1), (cold[1][0].1, cold[1][1].1));
-    assert_eq!((warm[1][0].1, report.link_turns), (6, 6));
+    assert_transcript("second.puller", "puller", &warm[1][0]);
+    assert_transcript("second.server", "server", &warm[1][1]);
+    assert_eq!(
+        (warm[1][0].len(), warm[1][1].len()),
+        (cold[1][0].len(), cold[1][1].len())
+    );
+    assert_eq!((warm[1][0].len(), report.link_turns), (6, 6));
     assert_eq!((report.round_trips, cold_report.round_trips), (2, 2));
 
     // The oracle: the three planner frames computed directly, as the
