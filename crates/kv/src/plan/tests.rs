@@ -134,9 +134,10 @@ fn planned_sync_snapshots_empty_shards() {
     assert!(report.shards_snapshot > 0);
     assert_eq!(report.keys_created, 60);
     // A pure snapshot plan opens zero object streams: the contact is
-    // just the empty BatchHello handshake, one round trip and no session.
+    // the planning turn and the empty BatchHello handshake, two round
+    // trips and no session.
     assert_eq!((report.meta_bytes, report.value_bytes), (0, 0));
-    assert_eq!((seen.contacts, seen.round_trips, seen.sessions), (1, 1, 0));
+    assert_eq!((seen.contacts, seen.round_trips, seen.sessions), (1, 2, 0));
     assert!(dst.consistent_with(&reference));
     assert_eq!(dst.replica_digest(), reference.replica_digest());
     // Tombstones survive the bulk load.

@@ -234,6 +234,9 @@ impl<'a> Puller<'a> {
                     protocol: "sync planner",
                 });
             }
+            // The planning turn blocks like any other: the exchange
+            // cannot begin before the plan is in.
+            self.report.round_trips += 1;
             self.phase = PullPhase::Planned;
             return Ok(());
         }

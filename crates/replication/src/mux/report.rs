@@ -18,8 +18,7 @@ pub struct ContactReport {
     /// their `PayloadRequest`s overlap into a single extra round trip.
     /// Fire-and-forget frames (`BatchDone`, `SKIP`, speculative `SYNCS`
     /// elements) add none. A planned pull's digest/plan turn blocks too
-    /// but is **not** counted here: the field prices the object
-    /// exchange alone.
+    /// and counts one more.
     pub round_trips: u64,
     /// Comparison bytes: the per-stream first elements, verdict flags and
     /// coalesced `Done`s carried by the control stream (Algorithm 1's

@@ -894,11 +894,11 @@ fn planned_wire_transcript_is_pinned_and_priced_by_the_old_arithmetic() {
     assert_eq!(report.shards_skipped, plan.skipped());
     assert_eq!(report.shards_incremental, plan.incremental.len() as u64);
     assert_eq!(report.shards_snapshot, plan.snapshots.len() as u64);
-    // The planning turn is in neither the frame count, the four planes
-    // nor the round trips.
+    // The planning turn is in neither the frame count nor the four
+    // planes, but it blocks: a round trip beside the exchange's two.
     assert_eq!((report.frames, report.total_bytes), (39, 1589));
     assert_eq!((near.sent.len(), far.sent.len(), report.link_turns), (6, 6, 6));
-    assert_eq!(report.round_trips, 2);
+    assert_eq!(report.round_trips, 3);
     let created_ff_reconciled = (
         synced.keys_created,
         synced.keys_fast_forwarded,
@@ -943,15 +943,15 @@ fn refined_wire_transcript_is_pinned_and_adds_no_turn() {
     assert_transcript("refined.server", "server", &refined[1]);
 
     // No turn is added: each half writes exactly as often as in the
-    // flat pull of the same stores, the round trips are the same two,
-    // and the planning turn still counts in neither them nor `frames`.
+    // flat pull of the same stores, and the round trips are the same
+    // three, the planning turn's among them.
     assert_eq!(
         (refined[0].len(), refined[1].len()),
         (flat[0].len(), flat[1].len())
     );
     assert_eq!((refined[0].len(), report.link_turns), (6, 6));
-    assert_eq!(report.round_trips, 2);
-    assert_eq!(flat_report.round_trips, 2);
+    assert_eq!(report.round_trips, 3);
+    assert_eq!(flat_report.round_trips, 3);
 
     // The oracle: plan and scope computed directly, the planner bytes
     // the sum of the three encoded frames.
@@ -1136,7 +1136,7 @@ fn second_pull_over_a_link_is_proposed_what_the_source_changed() {
         (cold[1][0].len(), cold[1][1].len())
     );
     assert_eq!((warm[1][0].len(), report.link_turns), (6, 6));
-    assert_eq!((report.round_trips, cold_report.round_trips), (2, 2));
+    assert_eq!((report.round_trips, cold_report.round_trips), (3, 3));
 
     // The oracle: the three planner frames computed directly, as the
     // serving store plans them given the generation it was at when it
@@ -1374,7 +1374,7 @@ fn a_rerun_after_an_abandoned_pull_is_not_proposed_what_it_never_applied() {
         "5 proposed; 4 — the puller holds it as it stood before the abandoned plan — \
          refined beside 2, 7, 10 and 13, which have no news"
     );
-    assert_eq!(rerun.round_trips, 2);
+    assert_eq!(rerun.round_trips, 3);
     assert_eq!(
         synced.keys_fast_forwarded, 6,
         "both rounds of the source's writes"
