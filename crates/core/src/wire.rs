@@ -361,8 +361,12 @@ pub const HANDSHAKE_MAGIC: [u8; 4] = *b"OPTR";
 /// so it carries no residual and the scope frame no refusals, and a plan
 /// that offers no children is answered with no scope frame: a v4 end
 /// would misread the plan of a connection's second pull, and the `sync`
-/// verb's report carries framing bytes where v4's carried refusals.
-pub const HANDSHAKE_VERSION: u8 = 5;
+/// verb's report carries framing bytes where v4's carried refusals. v6
+/// pushes a proposed shard's changed keys behind the plan (tag `0x30`)
+/// and lists proposals as one bit an incremental shard, not as
+/// candidates: a v5 puller would misread the plan of a connection's
+/// second pull and refuse the push.
+pub const HANDSHAKE_VERSION: u8 = 6;
 
 /// What the connecting peer intends to do with the connection: byte 0
 /// or 2 of the preamble. Byte 1 named a one-shot pull no build sends

@@ -1,7 +1,7 @@
 //! The bounded journal of the keys a store changed lately, and what each
 //! change did to its shard's digest.
 
-use optrep_replication::planner::{ShardDigest, JOURNAL_CAP, MAX_PLAN_SHARDS};
+use optrep_replication::planner::{ShardDigest, JOURNAL_CAP, JOURNAL_PLACEMENTS};
 use std::collections::VecDeque;
 
 /// One change: 16 bytes, so the journal is one allocation of 16 B ×
@@ -15,9 +15,10 @@ pub(crate) struct Entry {
     /// entries span fewer than [`JOURNAL_CAP`] generations and the low
     /// bits name each one exactly, read back from the newest.
     generation: u32,
-    /// The key's placement hash masked at [`MAX_PLAN_SHARDS`] — all a
-    /// plan at any count reads of it — and, in [`CREATED`], whether the
-    /// change added a record to the shard.
+    /// The key's placement hash masked at [`JOURNAL_PLACEMENTS`] — a
+    /// plan at any count reads its shard off the low bits, and a push
+    /// its keys off all 31 — and, in [`CREATED`], whether the change
+    /// added a record to the shard.
     placed: u32,
 }
 
@@ -26,11 +27,12 @@ const CREATED: u32 = 1 << 31;
 
 /// The journal's entry is exactly 16 bytes.
 const _: () = assert!(std::mem::size_of::<Entry>() == 16);
-/// A placement masked at the widest map fits beside [`CREATED`].
-const _: () = assert!(MAX_PLAN_SHARDS <= CREATED as u64);
+/// A placement masked at [`JOURNAL_PLACEMENTS`] fills the bits beside
+/// [`CREATED`].
+const _: () = assert!(JOURNAL_PLACEMENTS == CREATED as u64);
 
 impl Entry {
-    /// The placement hash masked at [`MAX_PLAN_SHARDS`].
+    /// The placement hash masked at [`JOURNAL_PLACEMENTS`].
     fn placed(&self) -> u64 {
         u64::from(self.placed & !CREATED)
     }
@@ -99,7 +101,7 @@ impl Journal {
         self.entries.push_back(Entry {
             digest: change.digest,
             generation: generation as u32,
-            placed: (hash & (MAX_PLAN_SHARDS - 1)) as u32 | created,
+            placed: (hash & (JOURNAL_PLACEMENTS - 1)) as u32 | created,
         });
     }
 
@@ -119,9 +121,9 @@ impl Journal {
     }
 
     /// The keys changed at generations above `since` — each as its
-    /// placement masked at [`MAX_PLAN_SHARDS`], with what the change did
-    /// to its shard — or `None` when the journal no longer reaches back
-    /// that far.
+    /// placement masked at [`JOURNAL_PLACEMENTS`], with what the change
+    /// did to its shard — or `None` when the journal no longer reaches
+    /// back that far.
     pub(crate) fn changed_since(
         &self,
         since: u64,
@@ -173,7 +175,7 @@ mod tests {
         for i in 0..10 {
             store.put(format!("k{i}"), "v");
         }
-        let hash = |key: &str| placement(key.as_bytes()) & (MAX_PLAN_SHARDS - 1);
+        let hash = |key: &str| placement(key.as_bytes()) & (JOURNAL_PLACEMENTS - 1);
         let since = |store: &KvStore, at: u64| -> Option<Vec<u64>> {
             let changed = store.journal.changed_since(at);
             changed.map(|changed| changed.map(|(placed, _)| placed).collect())
@@ -224,7 +226,7 @@ mod tests {
         for since in start - 1..start + 8 {
             let listed: Vec<u64> = journal.changed_since(since).unwrap().map(|c| c.0).collect();
             let expected: Vec<u64> = (since + 1..start + 8)
-                .map(|generation| generation & (MAX_PLAN_SHARDS - 1))
+                .map(|generation| generation & (JOURNAL_PLACEMENTS - 1))
                 .collect();
             assert_eq!(listed, expected, "since {since}");
         }

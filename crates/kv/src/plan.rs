@@ -1,5 +1,5 @@
 //! The planner phase as a store sees it: digest vectors, child digests,
-//! the journal's hints and residuals, the plan, and every endpoint a
+//! the journal's hints, the plan and its push, and every endpoint a
 //! contact runs between.
 
 use crate::codec::{encode_value, shard_image};
@@ -8,13 +8,17 @@ use crate::shard::{shard_index, Shard};
 use crate::{KvStore, MAX_SHARDS};
 use bytes::Bytes;
 use optrep_replication::mux::{
-    BatchPullClient, BatchPullServer, ContactAnswer, ContactAsk, Restricted,
+    BatchPullClient, BatchPullServer, ContactAnswer, ContactAsk, Pushed, Restricted,
 };
 use optrep_replication::planner::{
-    decide, nothing_to_pull, placement, Candidates, ChildDigests, Cut, DigestVector, Hint,
-    PlanConfig, Proposal, ShardAction, ShardDigest, ShardPlan, ShardScope, MAX_PLAN_SHARDS,
+    decide, nothing_to_pull, placement, ChildDigests, Cut, DigestVector, Hint, PlanConfig,
+    ShardAction, ShardDigest, ShardPlan, ShardScope, JOURNAL_PLACEMENTS,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+
+/// Each proposed shard with where the keys it pushes are placed, at
+/// [`JOURNAL_PLACEMENTS`]: shards and placements strictly increasing.
+type Pushes = Vec<(u64, Vec<u64>)>;
 
 impl KvStore {
     /// The digests of the `fanout` children of each of `parents` (plan
@@ -34,37 +38,48 @@ impl KvStore {
         children
     }
 
-    /// For each of `proposed` — plan shards at `whole.len()` shards,
-    /// strictly increasing, with their candidates — this store's
-    /// summary of the shard *less* its entries placed under the
-    /// candidates: what a serving end completes a proposed shard's
-    /// served records with. `whole` is this store's digests at that
-    /// count. Walks those shards only, and hashes only the entries it
-    /// subtracts.
-    pub(crate) fn residuals(
-        &self,
-        whole: &[ShardDigest],
-        proposed: &[Candidates],
-    ) -> Vec<ShardDigest> {
-        let count = whole.len();
-        let shards: Vec<u64> = proposed.iter().map(|(shard, _)| *shard).collect();
-        let mut residuals: Vec<ShardDigest> =
-            shards.iter().map(|&shard| whole[shard as usize]).collect();
-        self.visit_shards(&shards, count, |record| {
-            let hash = placement(record.key_bytes());
-            if let Ok(slot) = shards.binary_search(&(hash & (count as u64 - 1))) {
-                let candidates = &proposed[slot].1;
-                if candidates
-                    .binary_search(&(hash & (MAX_PLAN_SHARDS - 1)))
+    /// The records a plan at `count` shards pushes: those of each
+    /// proposed shard placed where the journal says a key changed.
+    fn records_pushed(&self, count: u64, pushes: &Pushes) -> Vec<Record<'_>> {
+        let shards: Vec<u64> = pushes.iter().map(|(shard, _)| *shard).collect();
+        self.records_in(&shards, count as usize, |key| {
+            let hash = placement(key);
+            let slot = shards.binary_search(&(hash & (count - 1)));
+            slot.is_ok_and(|slot| {
+                let placed = &pushes[slot].1;
+                placed
+                    .binary_search(&(hash & (JOURNAL_PLACEMENTS - 1)))
                     .is_ok()
-                {
-                    let residual = &mut residuals[slot];
-                    residual.digest = residual.digest.wrapping_sub(entry_hash(record));
-                    residual.entries -= 1;
-                }
+            })
+        })
+    }
+
+    /// What this store holds of each key in `pushed`, read against the
+    /// digest vector it sent at generation `digested_at`: a key written
+    /// since — placed where the journal lists a change since, or any
+    /// key, where the journal no longer reaches back — is
+    /// [`Pushed::Written`], for the push rests on a proof about the
+    /// store as it was then.
+    fn held(&self, pushed: &[Bytes], digested_at: u64) -> Vec<(Bytes, Pushed)> {
+        let written: Option<BTreeSet<u64>> = match digested_at == self.generation {
+            true => Some(BTreeSet::new()),
+            false => (self.journal.changed_since(digested_at))
+                .map(|changed| changed.map(|(placed, _)| placed).collect()),
+        };
+        let held = |key: &Bytes| {
+            let placed = placement(key) & (JOURNAL_PLACEMENTS - 1);
+            if written
+                .as_ref()
+                .is_none_or(|written| written.contains(&placed))
+            {
+                return Pushed::Written;
             }
-        });
-        residuals
+            match self.record(key) {
+                Some(record) => Pushed::Held(record.view().srv()),
+                None => Pushed::Absent,
+            }
+        };
+        pushed.iter().map(|key| (key.clone(), held(key))).collect()
     }
 
     /// The pulling half of a planned contact whose puller walks the
@@ -73,51 +88,61 @@ impl KvStore {
     /// sorted order, so stream-id assignment (and therefore the whole
     /// framed exchange) is independent of the local shard layout.
     pub fn client_endpoint_for(&self, shards: &[u64], count: usize) -> BatchPullClient {
-        pulling(self.records_in(shards, count, |_| true))
+        BatchPullClient::new(named(self.records_in(shards, count, |_| true)))
     }
 
     /// The pulling half of a planned contact, cut as finely as `plan`
-    /// allows. A proposed shard is cut to the keys under its candidates:
+    /// allows, and over the keys the server `pushed` with it, in the
+    /// push's order. A proposed shard holds no other key of the contact:
     /// the server proposed it only having checked that this store holds
     /// the rest of it as the server does. Where the plan offers child
     /// digests, this store's children of the same shards are compared
     /// with them and the endpoint keeps, of those shards, only the keys
     /// of children that differ — the [`ShardScope`] returned with the
     /// endpoint tells the server which, so both sides cut alike. Every
-    /// other incremental shard is presented whole; for a plan that
-    /// offers nothing this is
+    /// other walked shard is presented whole; for a plan that offers and
+    /// proposes nothing this is
     /// [`client_endpoint_for`](Self::client_endpoint_for) over its
-    /// incremental shards. Call it under the guard that snapshots the
-    /// [`generation`](Self::generation): digests and endpoint are one
-    /// view of the store.
-    pub fn client_endpoint_refined(&self, plan: &ShardPlan) -> Restricted {
-        let Some(offer) = plan.offer() else {
-            return self
-                .client_endpoint_for(&plan.incremental, plan.count as usize)
-                .into();
-        };
-        let scope = plan.children.as_ref().map(|theirs| {
-            let ours = self.child_digests(&offer.parents, offer.count, offer.fanout);
-            let mut differing = Vec::new();
-            for ((shard, theirs), ours) in theirs.parents.iter().zip(&ours) {
-                for (j, (ours, theirs)) in ours.iter().zip(theirs).enumerate() {
-                    if !nothing_to_pull(ours, theirs) {
-                        differing.push(shard + j as u64 * offer.count);
+    /// incremental shards.
+    ///
+    /// `digested_at` is this store's [`generation`](Self::generation)
+    /// when it read the digest vector the plan answers. A pushed key
+    /// written since is cancelled ([`Pushed::Written`]) and left to the
+    /// next contact. Call it under the guard that snapshots the
+    /// generation the commit checks.
+    pub fn client_endpoint_refined(
+        &self,
+        plan: &ShardPlan,
+        pushed: &[Bytes],
+        digested_at: u64,
+    ) -> Restricted {
+        let walked = plan.walked();
+        let offer = plan.offer();
+        let scope = (offer.as_ref())
+            .zip(plan.children.as_ref())
+            .map(|(offer, theirs)| {
+                let ours = self.child_digests(&offer.parents, offer.count, offer.fanout);
+                let mut differing = Vec::new();
+                for ((shard, theirs), ours) in theirs.parents.iter().zip(&ours) {
+                    for (j, (ours, theirs)) in ours.iter().zip(theirs).enumerate() {
+                        if !nothing_to_pull(ours, theirs) {
+                            differing.push(shard + j as u64 * offer.count);
+                        }
                     }
                 }
-            }
-            differing.sort_unstable();
-            ShardScope {
-                count: offer.count * offer.fanout,
-                children: differing,
-            }
-        });
-        let client = pulling(self.records_cut(&Cut {
+                differing.sort_unstable();
+                ShardScope {
+                    count: offer.count * offer.fanout,
+                    children: differing,
+                }
+            });
+        let records = self.records_cut(&Cut {
             count: plan.count,
-            incremental: &plan.incremental,
-            offer: Some(&offer),
+            walked: &walked,
+            offer: offer.as_ref(),
             scope: scope.as_ref(),
-        }));
+        });
+        let client = BatchPullClient::with_pushed(self.held(pushed, digested_at), named(records));
         Restricted { client, scope }
     }
 
@@ -128,7 +153,7 @@ impl KvStore {
     pub(crate) fn server_endpoint_for(&self, shards: &[u64], count: usize) -> BatchPullServer {
         self.server_endpoint_cut(&Cut {
             count: count as u64,
-            incremental: shards,
+            walked: shards,
             offer: None,
             scope: None,
         })
@@ -145,14 +170,14 @@ impl KvStore {
     }
 
     /// [`server_endpoint_cut`](Self::server_endpoint_cut), and what the
-    /// records it serves sum to in each of the cut's incremental shards,
-    /// in order: one more entry hash a served record.
+    /// records it serves sum to in each of the cut's walked shards, in
+    /// order: one more entry hash a served record.
     fn server_endpoint_summed(&self, cut: &Cut<'_>) -> (BatchPullServer, Vec<ShardDigest>) {
-        let mut sums = vec![ShardDigest::default(); cut.incremental.len()];
+        let mut sums = vec![ShardDigest::default(); cut.walked.len()];
         let records = self.records_cut(cut);
         for record in &records {
             let shard = shard_index(record.key_bytes(), cut.count as usize) as u64;
-            if let Ok(slot) = cut.incremental.binary_search(&shard) {
+            if let Ok(slot) = cut.walked.binary_search(&shard) {
                 sums[slot] += ShardDigest {
                     digest: entry_hash(*record),
                     entries: 1,
@@ -268,15 +293,16 @@ impl KvStore {
         self.plan_from(digests, since).0
     }
 
-    /// [`plan_contact_since`](Self::plan_contact_since), and what the plan
-    /// leaves the puller to hold unseen, as
-    /// [`ContactAnswer::Plan`] lists it: this store's digest of each
-    /// shard the plan bulk-loads, then each proposed shard's residual.
+    /// [`plan_contact_since`](Self::plan_contact_since), this store's
+    /// digest of each shard the plan serves whole at this view, as
+    /// [`ContactAnswer::Plan`] lists them — each it bulk-loads, then
+    /// each it proposes — and where the keys each proposed shard pushes
+    /// are placed.
     fn plan_from(
         &self,
         digests: &DigestVector,
         since: Option<u64>,
-    ) -> (ShardPlan, Vec<ShardDigest>) {
+    ) -> (ShardPlan, Vec<ShardDigest>, Pushes) {
         let count = digests.shards.len();
         assert!(
             count.is_power_of_two() && count <= MAX_SHARDS,
@@ -336,17 +362,13 @@ impl KvStore {
                 parents: decision.refined.into_iter().zip(children).collect(),
             });
         }
-        if !decision.proposed.is_empty() {
-            let proposed: Vec<Candidates> = (hints.into_iter())
-                .filter(|hint| decision.proposed.binary_search(&hint.shard).is_ok())
-                .map(|hint| (hint.shard, hint.candidates))
-                .collect();
-            unseen.extend(self.residuals(&ours, &proposed));
-            plan.proposed = (proposed.into_iter())
-                .map(|(shard, candidates)| Proposal { shard, candidates })
-                .collect();
-        }
-        (plan, unseen)
+        unseen.extend(decision.proposed.iter().map(|&shard| ours[shard as usize]));
+        let pushes: Pushes = (hints.into_iter())
+            .filter(|hint| decision.proposed.binary_search(&hint.shard).is_ok())
+            .map(|hint| (hint.shard, hint.candidates))
+            .collect();
+        plan.proposed = decision.proposed;
+        (plan, unseen, pushes)
     }
 
     /// The serving side's one door: this store's answer to what a
@@ -354,24 +376,31 @@ impl KvStore {
     /// At the digest frame: [`plan_contact_since`](Self::plan_contact_since),
     /// this store's [`generation`](Self::generation) — the `since`
     /// of the connection's next contact — its digest of each shard the
-    /// plan bulk-loads and each proposed shard's residual, all from one
-    /// view. At the first frame of
+    /// plan bulk-loads or proposes, and the endpoint the plan pushes —
+    /// each record of a proposed shard placed where the journal lists a
+    /// change since `since` — all from one view. At the first frame of
     /// the puller's burst: the serving endpoint over the keys of the
-    /// [`Cut`] the puller left of the plan and no others, and what the
-    /// keys it serves sum to in each of the cut's incremental shards — an
-    /// entry hash a served key. The serving store is never modified by a
-    /// contact.
+    /// [`Cut`] the puller left of the plan's walked shards and no
+    /// others, and what the keys it serves sum to in each of those
+    /// shards — an entry hash a served key. The serving store is never
+    /// modified by a contact.
     ///
+    /// A proposed shard is served whole at the plan's view: what the
+    /// push leaves out the puller holds as this store did at `since`
+    /// and still does (the digest proof), and what the push carries is
+    /// read here, so the shard's as-served digest is its digest now.
     /// A plan and an endpoint are two asks and two views of the store —
-    /// a daemon locks once per ask — and that is sound: a key written in
-    /// between is served at its newer state, vector and value read
-    /// together here, if the cut admits it, and is otherwise left to the
-    /// connection's next contact, whose `since` is the plan's generation
-    /// and so still behind the write; what the plan proved (a shard the
-    /// puller holds as it stood at `since`, equal children) it proved of
-    /// entries the contact does not transfer. For the same reason a served shard's as-served
-    /// digest is the plan's summary of those entries plus what is served
-    /// of the shard now — the sums the endpoint answers with.
+    /// a daemon locks once per ask, and once a contact where the plan
+    /// walks nothing — and that is sound: a key written in between is
+    /// served at its newer state, vector and value read together here,
+    /// if the cut admits it, and is otherwise left to the connection's
+    /// next contact, whose `since` is the plan's generation and so
+    /// still behind the write; what the plan proved (a shard the puller
+    /// holds as it stood at `since`, equal children) it proved of
+    /// entries the contact does not transfer. For the same reason a
+    /// walked shard's as-served digest is the plan's summary of those
+    /// entries plus what is served of the shard now — the sums the
+    /// endpoint answers with.
     ///
     /// # Panics
     ///
@@ -379,8 +408,9 @@ impl KvStore {
     pub fn open_contact(&self, ask: ContactAsk<'_>) -> ContactAnswer {
         match ask {
             ContactAsk::Plan { digests, since } => {
-                let (plan, unseen) = self.plan_from(digests, since);
-                ContactAnswer::Plan(plan, self.generation, unseen)
+                let (plan, unseen, pushes) = self.plan_from(digests, since);
+                let push = serving(self.records_pushed(plan.count, &pushes));
+                ContactAnswer::Plan(plan, self.generation, unseen, push)
             }
             ContactAsk::Endpoint(cut) => {
                 let (server, sums) = self.server_endpoint_summed(&cut);
@@ -390,13 +420,13 @@ impl KvStore {
     }
 }
 
-/// A pulling endpoint over `records`, in key order: one stream per key,
-/// carrying its current metadata.
-fn pulling<'a>(records: impl IntoIterator<Item = Record<'a>>) -> BatchPullClient {
-    BatchPullClient::new(records.into_iter().map(|record| {
+/// The objects a pulling endpoint names, from `records` in key order:
+/// one stream per key, carrying its current metadata.
+fn named<'a>(records: Vec<Record<'a>>) -> impl Iterator<Item = (Bytes, optrep_core::Srv)> + 'a {
+    records.into_iter().map(|record| {
         let key = Bytes::copy_from_slice(record.key_bytes());
         (key, record.view().srv())
-    }))
+    })
 }
 
 /// A serving endpoint over `records`, in key order: metadata plus the

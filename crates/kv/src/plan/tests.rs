@@ -133,11 +133,11 @@ fn planned_sync_snapshots_empty_shards() {
     assert_eq!(report.shards_incremental, 0);
     assert!(report.shards_snapshot > 0);
     assert_eq!(report.keys_created, 60);
-    // A pure snapshot plan opens zero object streams: the contact is
-    // the planning turn and the empty BatchHello handshake, two round
-    // trips and no session.
+    // A pure snapshot plan opens zero object streams and walks no
+    // shard: the contact is the planning turn alone, one round trip,
+    // no hello and no session.
     assert_eq!((report.meta_bytes, report.value_bytes), (0, 0));
-    assert_eq!((seen.contacts, seen.round_trips, seen.sessions), (1, 2, 0));
+    assert_eq!((seen.contacts, seen.round_trips, seen.sessions), (1, 1, 0));
     assert!(dst.consistent_with(&reference));
     assert_eq!(dst.replica_digest(), reference.replica_digest());
     // Tombstones survive the bulk load.
@@ -190,7 +190,7 @@ fn flat_planned_pull(dst: &mut KvStore, src: &KvStore) -> (KvSyncReport, Contact
         &mut InProcessLink::serving(&mut Serving::default(), &mut far),
         &mut VectorMemory::default(),
         &digests,
-        |plan| dst.client_endpoint_for(&plan.incremental, plan.count as usize),
+        |plan, _| dst.client_endpoint_for(&plan.incremental, plan.count as usize),
     )
     .unwrap();
     let (report, _) = dst
@@ -278,6 +278,22 @@ fn pull_twice(
     [first, dst.sync(src).over(&mut link).run().unwrap()]
 }
 
+/// A pull over `connection` as `SyncRequest::run` makes one, with the
+/// contact report it leaves out.
+fn pull_reported(
+    dst: &mut KvStore,
+    src: &KvStore,
+    connection: &mut Connection,
+) -> (KvSyncReport, ContactReport) {
+    let mut far = |ask: ContactAsk<'_>| src.open_contact(ask);
+    let mut link = InProcessLink::serving(&mut connection.serving, &mut far);
+    let pulled = crate::pull(dst, &mut link, &mut connection.remembered);
+    let (client, plan, contact) = pulled.unwrap();
+    let committed = (dst.apply_planned(&JoinResolver, client, &contact, &plan)).unwrap();
+    connection.remembered.settle(&committed.landed);
+    (committed.report, contact)
+}
+
 #[test]
 fn a_warm_pull_is_proposed_the_keys_the_source_changed() {
     let (dst, src) = pair_with_dirty_shards(64 * 195, 4);
@@ -297,7 +313,15 @@ fn a_warm_pull_is_proposed_the_keys_the_source_changed() {
 
     let mut warm_dst = dst;
     let mut src = src;
-    let [first, warm] = pull_twice(&mut warm_dst, &mut src, |_, src| rewrite(src));
+    let mut link = Connection::default();
+    let first = warm_dst.sync(&src).over(&mut link).run().unwrap();
+    rewrite(&mut src);
+    let (warm, contact) = pull_reported(&mut warm_dst, &src, &mut link);
+    // Every dirty shard proposed: the push is the contact — one blocking
+    // round trip, the planning turn, in two link turns with the FIN, and
+    // nothing pushed for nothing.
+    assert_eq!((contact.round_trips, contact.link_turns), (1, 2));
+    assert_eq!(contact.excess_bytes, 0);
     assert_eq!((first.shards_proposed, first.shards_refined), (0, 4));
     assert_eq!((cold.shards_proposed, cold.shards_refined), (0, 3));
     assert_eq!((warm.shards_proposed, warm.shards_refined), (3, 0));
@@ -341,7 +365,7 @@ fn a_connection_handed_to_another_pair_starts_afresh() {
 }
 
 #[test]
-fn an_overflowed_journal_and_a_dense_shard_are_planned_from_digests_alone() {
+fn an_overflowed_journal_is_planned_from_digests_alone_and_a_rewritten_shard_pushed() {
     // The journal evicted past the connection's last plan: the
     // second pull is the one a fresh link would make.
     let (mut dst, mut src) = pair_with_dirty_shards(64 * 40, 2);
@@ -355,15 +379,15 @@ fn an_overflowed_journal_and_a_dense_shard_are_planned_from_digests_alone() {
     assert_eq!(second.shards_proposed, 0);
     assert_eq!(second.keys_fast_forwarded, 64);
     assert_eq!(dst.replica_digest(), src.replica_digest());
-    // Most of a shard's keys changed: listing them costs more than
-    // walking the shard, so it is walked.
+    // Every key of every shard changed: a pushed key costs half of one
+    // walked, hello and answer, so even then each shard is proposed.
     let (mut dst, mut src) = pair_with_dirty_shards(64 * 8, 2);
     let [_, second] = pull_twice(&mut dst, &mut src, |_, src| {
         for i in 0..64 * 8 {
             src.put(format!("key-{i:05}"), "rewritten");
         }
     });
-    assert_eq!(second.shards_proposed, 0);
+    assert_eq!(second.shards_proposed, 64);
     assert_eq!(second.keys_fast_forwarded, 64 * 8);
     assert_eq!(dst.replica_digest(), src.replica_digest());
 }
@@ -373,9 +397,8 @@ fn an_overflowed_journal_and_a_dense_shard_are_planned_from_digests_alone() {
 /// it is not, changes filed wrong — and whatever the puller did
 /// meanwhile, a warm planned pull ends where an unplanned pull ends,
 /// and every shard the source proposes is one the puller holds, outside
-/// the candidates, as the source does: its residual — the shard less
-/// its entries under the candidates — is the source's, and no key there
-/// differs. A wrong journal costs proposals, never convergence.
+/// the keys it pushes, as the source does: no key there differs. A
+/// wrong journal costs proposals, never convergence.
 #[test]
 fn a_wrong_journal_costs_proposals_never_convergence() {
     let mut rng = SplitMix64::new(0x0000_10E5_0FA1_1E50);
@@ -450,34 +473,25 @@ fn a_wrong_journal_costs_proposals_never_convergence() {
                 }
                 _ => {}
             }
-            // What the second pull will be offered: for each proposal,
-            // the puller's residual is the source's, and no key outside
-            // the candidates differs.
+            // What the second pull will be offered: in each proposed
+            // shard, no key the push leaves out differs.
             let digests = dst.shard_digest_vector();
-            let plan = src.plan_contact_since(&digests, Some(since));
+            let (plan, _, pushes) = src.plan_from(&digests, Some(since));
             let count = plan.count as usize;
-            let candidates: Vec<Candidates> = (plan.proposed.iter())
-                .map(|p| (p.shard, p.candidates.clone()))
+            let pushed: Vec<String> = (src.records_pushed(plan.count, &pushes).iter())
+                .map(|record| String::from_utf8(record.key_bytes().to_vec()).unwrap())
                 .collect();
-            assert_eq!(
-                dst.residuals(&dst.shard_digests_at(count), &candidates),
-                src.residuals(&src.shard_digests_at(count), &candidates),
-                "{at}: a proposal the puller would not hold the rest of"
-            );
             let differs = |key: &str| {
                 let hash = |store: &KvStore| store.record(key.as_bytes()).map(entry_hash);
                 hash(dst) != hash(src)
             };
-            for proposal in &plan.proposed {
+            for &shard in &plan.proposed {
                 let missed = (dst.iter_entries().chain(src.iter_entries()))
                     .map(|(key, _)| key)
-                    .filter(|key| shard_index(key.as_bytes(), count) as u64 == proposal.shard)
-                    .filter(|key| {
-                        let fine = placement(key.as_bytes()) & (MAX_PLAN_SHARDS - 1);
-                        proposal.candidates.binary_search(&fine).is_err()
-                    })
+                    .filter(|key| shard_index(key.as_bytes(), count) as u64 == shard)
+                    .filter(|key| !pushed.iter().any(|pushed| pushed == key))
                     .find(|key| differs(key));
-                assert_eq!(missed, None, "{at}: shard {}", proposal.shard);
+                assert_eq!(missed, None, "{at}: shard {shard}");
             }
             plan_of_the_second = Some(plan);
             let mut full = dst.clone();
@@ -590,7 +604,8 @@ fn a_shard_the_puller_is_ahead_on_is_not_proposed() {
         );
         (pinned, contact_bytes(&r))
     };
-    assert_eq!(pull(&mut dst, &src), ((0, 0, 0, 651), 661));
+    // Converged: the planning turn alone, no hello.
+    assert_eq!(pull(&mut dst, &src), ((0, 0, 0, 651), 651));
     dst.put(theirs[3].as_str(), "ahead");
     // The two children that differ, the source's key's and the puller's:
     // 25 and 24 keys of the shard's 195.
@@ -610,7 +625,7 @@ fn a_shard_the_puller_is_ahead_on_is_not_proposed() {
     src.put(theirs[2].as_str(), "again");
     assert_eq!(pull(&mut dst, &src), ((0, 1, 16, 187), 543));
     src.put(theirs[0].as_str(), "once more");
-    assert_eq!(pull(&mut dst, &src), ((1, 0, 1, 26), 81));
+    assert_eq!(pull(&mut dst, &src), ((1, 0, 1, 22), 64));
     assert!(dst.consistent_with(&src));
 }
 

@@ -851,7 +851,7 @@ impl KvStore {
     /// The tracked records a planned contact runs over, sorted by key —
     /// what either endpoint of it is built from.
     pub(crate) fn records_cut(&self, cut: &Cut<'_>) -> Vec<Record<'_>> {
-        self.records_in(cut.incremental, cut.count as usize, |key| cut.admits(key))
+        self.records_in(cut.walked, cut.count as usize, |key| cut.admits(key))
     }
 
     /// Inserts or replaces one entry; returns whether its key was

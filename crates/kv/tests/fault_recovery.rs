@@ -203,9 +203,12 @@ fn tcp_pull(dst: &KvStore, addr: SocketAddr) -> Result<ContactReport> {
         );
     let mut link = TcpLink::connect(addr, &opts)?;
     let digests = dst.shard_digest_vector();
-    let pulled = pull_planned(&mut link, &mut VectorMemory::default(), &digests, |plan| {
-        dst.client_endpoint_refined(plan)
-    });
+    let pulled = pull_planned(
+        &mut link,
+        &mut VectorMemory::default(),
+        &digests,
+        |plan, pushed| dst.client_endpoint_refined(plan, pushed, dst.generation()),
+    );
     // One-shot connection: close it behind a completed contact.
     pulled.map(|(_, _, report)| report).inspect(|_| link.fin())
 }

@@ -512,8 +512,8 @@ fn a_pull_costs_heap_for_the_keys_it_moves_not_the_keys_its_source_holds() {
         let mut pull = |dst: &mut KvStore| -> (ContactReport, usize) {
             let digests = dst.shard_digest_vector();
             let (client, plan, contact) =
-                pull_planned(&mut link, &mut remembered, &digests, |plan| {
-                    dst.client_endpoint_refined(plan)
+                pull_planned(&mut link, &mut remembered, &digests, |plan, pushed| {
+                    dst.client_endpoint_refined(plan, pushed, dst.generation())
                 })
                 .unwrap();
             let (_, changed) = dst

@@ -14,7 +14,7 @@ pub fn unplanned_pull(dst: &mut KvStore, src: &KvStore) -> KvSyncReport {
     let mut client = dst.client_endpoint_for(&[0], 1);
     let every_key = Cut {
         count: 1,
-        incremental: &[0],
+        walked: &[0],
         offer: None,
         scope: None,
     };

@@ -39,15 +39,14 @@ pub use meta::ReplicaMeta;
 pub use mux::{
     classify, pull_contact, pull_planned, reason_label, run_contact, serve_contact, serve_frame,
     serve_from, BatchPullClient, BatchPullServer, ContactAnswer, ContactAsk, ContactReport,
-    ContactSource, CtrlMsg, Faulted, FrameBytes, InProcessLink, MuxMsg, Puller, Restricted,
+    ContactSource, CtrlMsg, Faulted, FrameBytes, InProcessLink, MuxMsg, Puller, Pushed, Restricted,
     ServeStep, Serving, StreamResult, CONTROL_STREAM,
 };
 pub use object::ObjectId;
 pub use oplog::OpReplica;
 pub use planner::{
-    decide, Candidates, ChildDigests, Cut, Decision, DigestDelta, DigestVector, Hint, Offer,
-    PlanConfig, Proposal, ShardAction, ShardDigest, ShardPlan, ShardScope, VectorMemory,
-    JOURNAL_CAP,
+    decide, ChildDigests, Cut, Decision, DigestDelta, DigestVector, Hint, Offer, PlanConfig,
+    ShardAction, ShardDigest, ShardPlan, ShardScope, VectorMemory, JOURNAL_CAP, JOURNAL_PLACEMENTS,
 };
 // Re-exported so callers of `Faulted` can name the fault types without
 // depending on `optrep-net` directly.

@@ -1,15 +1,33 @@
 //! The pulling endpoint of a batched contact: one [`PullClient`] per
 //! stream behind a single control stream.
 
-use super::msg::{unknown_stream, violation, CtrlMsg, MuxMsg, StreamOpen, CONTROL_STREAM};
+use super::msg::{
+    offer_len, unknown_stream, violation, CtrlMsg, MuxMsg, StreamOffer, StreamOpen, CONTROL_STREAM,
+};
 use super::reason_label;
 use crate::protocol::{PullClient, PullOutcome, SessionMsg};
 use bytes::Bytes;
 use optrep_core::error::Result;
 use optrep_core::obs;
-use optrep_core::sync::{Endpoint, Framed};
-use optrep_core::{obs_emit, Srv};
+use optrep_core::sync::{Endpoint, Framed, Msg, WireMsg};
+use optrep_core::{obs_emit, wire, Srv};
 use std::collections::{BTreeMap, VecDeque};
+
+/// What the pulling end holds of a key the server pushes, read when its
+/// endpoint is built ([`BatchPullClient::with_pushed`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Pushed {
+    /// The key at this vector, not written since the digest vector the
+    /// plan answered: the push runs against it.
+    Held(Srv),
+    /// No record of the key: the push creates it, as an offer would.
+    Absent,
+    /// The key was written after the digest vector was read. The proof
+    /// the push rests on does not cover that write, so the stream is
+    /// cancelled, its bytes are excess, and the key is left to the next
+    /// contact.
+    Written,
+}
 
 /// What one stream of a finished batched pull produced.
 #[derive(Debug, Clone)]
@@ -39,6 +57,76 @@ struct ClientStream {
     /// the stream is seen missing, aborted, or session-done.
     finished: bool,
     client: PullClient,
+    /// A pushed stream's stand-in for the sender it cannot answer.
+    push: Option<Push>,
+}
+
+/// What one message a turn would have made of a pushed stream: the
+/// sender hears the puller's NAKs there, and a push never lets it. So
+/// the puller answers for the sender — an element past a `HALT`, or in a
+/// segment it asked to skip, and a value it did not ask for, never
+/// reach the receiver; a skipped segment's end reaches it as the
+/// sender's `SegSkipped` — and the receiver sees, and counts, exactly
+/// the lockstep's messages. What it does not see is excess.
+#[derive(Debug, Default)]
+struct Push {
+    /// Written since the digest vector: cancelled as the push arrives.
+    written: bool,
+    /// The receiver halted, or the session ended: no element is wanted.
+    halted: bool,
+    /// The receiver asked to skip the segment the sender is in.
+    skipping: bool,
+    /// Segment boundaries the sender has passed.
+    segs: u64,
+    /// The receiver asked for the value and has not had it.
+    wants_payload: bool,
+}
+
+impl Push {
+    /// What of a pushed message the receiver gets, and whether the
+    /// message is excess.
+    fn sift(&mut self, msg: SessionMsg) -> (Vec<SessionMsg>, bool) {
+        let vector = |msg| SessionMsg::Vector(msg);
+        match msg {
+            SessionMsg::Vector(_) if self.halted => (Vec::new(), true),
+            SessionMsg::Vector(Msg::ElemS { segment, .. }) if self.skipping => {
+                if !segment {
+                    return (Vec::new(), true);
+                }
+                let seg = self.segs;
+                (self.segs, self.skipping) = (seg + 1, false);
+                (vec![vector(Msg::SegSkipped { seg })], true)
+            }
+            SessionMsg::Vector(Msg::Halt) if self.skipping => {
+                self.skipping = false;
+                let seg = self.segs;
+                (
+                    vec![vector(Msg::SegSkipped { seg }), vector(Msg::Halt)],
+                    false,
+                )
+            }
+            SessionMsg::Vector(element @ Msg::ElemS { segment, .. }) => {
+                self.segs += u64::from(segment);
+                (vec![vector(element)], false)
+            }
+            SessionMsg::Payload { .. } if !self.wants_payload => (Vec::new(), true),
+            SessionMsg::Payload { data } => {
+                self.wants_payload = false;
+                (vec![SessionMsg::Payload { data }], false)
+            }
+            other => (vec![other], false),
+        }
+    }
+
+    /// Takes in what the receiver would have said to the sender.
+    fn hear(&mut self, msg: &SessionMsg) {
+        match msg {
+            SessionMsg::Vector(Msg::Halt) | SessionMsg::Done => self.halted = true,
+            SessionMsg::Vector(Msg::Skip { seg }) if *seg == self.segs => self.skipping = true,
+            SessionMsg::PayloadRequest => self.wants_payload = true,
+            _ => {}
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,6 +160,10 @@ pub struct BatchPullClient {
     outbox: VecDeque<Framed<MuxMsg>>,
     /// See [`source_behind`](Self::source_behind).
     source_behind: Vec<Bytes>,
+    /// Streams `1..=pushed` are the server's push.
+    pushed: u64,
+    /// See [`excess_bytes`](Self::excess_bytes).
+    excess: u64,
 }
 
 impl BatchPullClient {
@@ -81,20 +173,53 @@ impl BatchPullClient {
     where
         I: IntoIterator<Item = (Bytes, Srv)>,
     {
+        Self::with_pushed(Vec::new(), objects)
+    }
+
+    /// A client for a planned contact whose server pushed keys with the
+    /// plan: `pushed` names them, in the push's order, each with what
+    /// this end holds of it, on streams `1, 2, …`; `objects` are the
+    /// ones it names itself, on the streams above, as for
+    /// [`new`](Self::new). A pushed stream is answered by no hello and
+    /// no frame of this end's, but a cancel ([`Pushed::Written`]).
+    pub fn with_pushed<P, I>(pushed: P, objects: I) -> Self
+    where
+        P: IntoIterator<Item = (Bytes, Pushed)>,
+        I: IntoIterator<Item = (Bytes, Srv)>,
+    {
+        let stream = |name, vector, discovered, push| ClientStream {
+            name,
+            discovered,
+            missing: false,
+            aborted: false,
+            finished: false,
+            client: PullClient::new(vector),
+            push,
+        };
         let mut streams = BTreeMap::new();
-        for (i, (name, vector)) in objects.into_iter().enumerate() {
-            let stream = i as u64 + 1;
-            streams.insert(
-                stream,
-                ClientStream {
-                    name,
-                    discovered: false,
-                    missing: false,
-                    aborted: false,
-                    finished: false,
-                    client: PullClient::new(vector),
-                },
+        for (name, held) in pushed {
+            let (vector, discovered) = match &held {
+                Pushed::Held(vector) => (vector.clone(), false),
+                Pushed::Absent | Pushed::Written => (Srv::new(), held == Pushed::Absent),
+            };
+            let written = held == Pushed::Written;
+            let mut pushed = stream(
+                name,
+                vector,
+                discovered,
+                Some(Push {
+                    written,
+                    ..Push::default()
+                }),
             );
+            // The push implies the hello: pump ours and drop it, as for
+            // an offer.
+            pushed.client.poll_send();
+            streams.insert(streams.len() as u64 + 1, pushed);
+        }
+        let pushed = streams.len() as u64;
+        for (name, vector) in objects {
+            streams.insert(streams.len() as u64 + 1, stream(name, vector, false, None));
         }
         let unfinished = streams.len();
         BatchPullClient {
@@ -106,7 +231,96 @@ impl BatchPullClient {
             pending_cancels: Vec::new(),
             outbox: VecDeque::new(),
             source_behind: Vec::new(),
+            pushed,
+            excess: 0,
         }
+    }
+
+    /// Bytes of pushed frames that crossed for nothing: all of a stream
+    /// cancelled as [`Pushed::Written`], and what a stream sent past the
+    /// point where one message a turn would have stopped it.
+    pub fn excess_bytes(&self) -> u64 {
+        self.excess
+    }
+
+    /// Begins the exchange with no `BatchHello`: the plan walks no shard,
+    /// so this end names nothing and nothing is left to discover.
+    pub(super) fn open_without_hello(&mut self) {
+        debug_assert!(
+            self.streams.len() as u64 == self.pushed,
+            "named streams need a hello"
+        );
+        self.phase = ClientPhase::Running;
+    }
+
+    /// The server's push: each pushed stream's first half of Algorithm
+    /// 1 is the proof's (`client_known`), the rest this end's.
+    fn on_push(&mut self, pushes: Vec<StreamOffer>) -> Result<()> {
+        if self.phase != ClientPhase::Start || pushes.len() as u64 != self.pushed {
+            return Err(violation(format!(
+                "a push of {} keys where {} were pushed, or after the exchange began",
+                pushes.len(),
+                self.pushed
+            )));
+        }
+        self.pushed = 0;
+        for push in pushes {
+            let st = (self.streams.get_mut(&push.stream))
+                .filter(|st| st.push.is_some() && st.name == push.name)
+                .ok_or_else(|| {
+                    violation(format!("push on stream {} of another key", push.stream))
+                })?;
+            if st.push.as_ref().is_some_and(|push| push.written) {
+                self.excess += offer_len(&push) as u64;
+                self.abort_stream(push.stream, "written_since_digest", true);
+                continue;
+            }
+            st.client.on_receive(SessionMsg::ServerFirst {
+                first: push.first,
+                client_known: true,
+                client_equal: push.client_equal,
+            })?;
+            self.hear_pushed(push.stream);
+        }
+        self.pushed = self.streams.values().filter(|st| st.push.is_some()).count() as u64;
+        Ok(())
+    }
+
+    /// A pushed stream's session message: what of it the receiver gets,
+    /// what the receiver says back heard for the sender.
+    fn on_pushed(&mut self, stream: u64, msg: SessionMsg) -> Result<()> {
+        // The frame's bytes: its stream id, its length, the message.
+        let len = msg.encoded_len();
+        let len = wire::varint_len(stream) + wire::bytes_len(len);
+        let st = self.streams.get_mut(&stream).expect("a pushed stream");
+        let push = st.push.as_mut().expect("a pushed stream");
+        let (fed, excess) = match st.aborted {
+            true => (Vec::new(), true),
+            false => push.sift(msg),
+        };
+        if excess {
+            self.excess += len as u64;
+        }
+        for msg in fed {
+            let st = self.streams.get_mut(&stream).expect("a pushed stream");
+            if let Err(e) = st.client.on_receive(msg) {
+                self.abort_stream(stream, reason_label(&e), true);
+                return Ok(());
+            }
+            self.hear_pushed(stream);
+        }
+        Ok(())
+    }
+
+    /// Drains what a pushed stream's client says into its [`Push`]: the
+    /// sender it would go to has finished already.
+    fn hear_pushed(&mut self, stream: u64) {
+        let st = self.streams.get_mut(&stream).expect("a pushed stream");
+        let push = st.push.as_mut().expect("a pushed stream");
+        while let Some(msg) = st.client.poll_send() {
+            push.hear(&msg);
+        }
+        self.settle(stream);
     }
 
     /// The objects the server answered it holds no record of, or one
@@ -213,7 +427,8 @@ impl Endpoint for BatchPullClient {
         if self.phase == ClientPhase::Start {
             // Streams are numbered in the order the objects were named.
             let mut opens = Vec::with_capacity(self.streams.len());
-            for (&stream, st) in &mut self.streams {
+            let named = self.streams.iter_mut().filter(|(_, st)| st.push.is_none());
+            for (&stream, st) in named {
                 let first = match st.client.poll_send() {
                     Some(SessionMsg::Hello { first }) => first,
                     other => unreachable!("fresh client must greet, got {other:?}"),
@@ -301,6 +516,7 @@ impl Endpoint for BatchPullClient {
                             aborted: false,
                             finished: false,
                             client,
+                            push: None,
                         },
                     );
                     self.unfinished += 1;
@@ -309,11 +525,15 @@ impl Endpoint for BatchPullClient {
                 self.phase = ClientPhase::Running;
                 Ok(())
             }
+            MuxMsg::Ctrl(CtrlMsg::BatchPush { pushes }) => self.on_push(pushes),
             MuxMsg::Session(msg) => {
                 let st = self
                     .streams
                     .get_mut(&framed.stream)
                     .ok_or_else(|| unknown_stream(framed.stream))?;
+                if st.push.is_some() {
+                    return self.on_pushed(framed.stream, msg);
+                }
                 if st.aborted {
                     // A frame already in flight when the stream aborted;
                     // drop it rather than poisoning the contact.

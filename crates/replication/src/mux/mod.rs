@@ -49,7 +49,7 @@ mod report;
 mod server;
 mod serving;
 
-pub use client::{BatchPullClient, StreamResult};
+pub use client::{BatchPullClient, Pushed, StreamResult};
 pub use link::{Faulted, InProcessLink};
 pub use msg::{
     CtrlMsg, MuxMsg, StreamAnswer, StreamOffer, StreamOpen, CONTROL_STREAM, TURN_STREAM,

@@ -38,17 +38,22 @@ pub struct StreamAnswer {
     pub client_equal: bool,
 }
 
-/// A server-discovered object the client did not name, opened by the
-/// server on a fresh stream (the client pulls it from scratch).
+/// An object the server opens on a stream of its own choosing, the
+/// client's `client_known` implied: one the client did not name
+/// (discovery, against the empty vector the client pulls it into) or,
+/// in a [`CtrlMsg::BatchPush`], one the server pushes, where the plan's
+/// digest proof says the client holds no version the server lacks.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamOffer {
-    /// Server-chosen stream identifier (above all client streams).
+    /// Server-chosen stream identifier: above all client streams for a
+    /// discovered object, `1, 2, …` in order for a pushed one.
     pub stream: u64,
     /// Application name of the object.
     pub name: Bytes,
     /// The server's first element `⌊b⌋`.
     pub first: Option<(SiteId, u64)>,
-    /// `client_equal` computed against the implicit empty client vector.
+    /// `client_equal` computed against the implicit empty client vector;
+    /// set in a push, whose client's half alone tells equal from behind.
     pub client_equal: bool,
 }
 
@@ -75,6 +80,16 @@ pub enum CtrlMsg {
         /// Streams whose sessions ended clean.
         streams: Vec<u64>,
     },
+    /// Server → puller, in the planning turn's burst behind the plan: a
+    /// stream opened for each key the server changed in a proposed
+    /// shard since the connection's last contact. Each stream's whole
+    /// session — its `SYNCS` elements and its value — follows on the
+    /// stream in the same burst, with no hello before it and nothing
+    /// after it to wait for.
+    BatchPush {
+        /// The pushed streams, `1, 2, …`, keys strictly increasing.
+        pushes: Vec<StreamOffer>,
+    },
     /// Either direction: the listed streams aborted mid-session. The
     /// receiver tears its halves down and tolerates late frames for
     /// them; sibling streams and the contact itself continue. The
@@ -85,6 +100,7 @@ pub enum CtrlMsg {
     },
 }
 
+const TAG_BATCH_PUSH: u8 = 0x30;
 const TAG_BATCH_HELLO: u8 = 0x31;
 const TAG_BATCH_SERVER_FIRST: u8 = 0x32;
 const TAG_BATCH_DONE: u8 = 0x33;
@@ -94,7 +110,7 @@ const TAG_CANCEL: u8 = 0x34;
 /// [`CONTROL_STREAM`], per-object session traffic on every other stream.
 ///
 /// Wrapped in [`Framed`] it is what the transports carry; the tag spaces
-/// of [`CtrlMsg`] (`0x31..`) and [`SessionMsg`] (`0x21..`) are disjoint,
+/// of [`CtrlMsg`] (`0x30..`) and [`SessionMsg`] (`0x21..`) are disjoint,
 /// so decoding is unambiguous without looking at the stream id.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MuxMsg {
@@ -124,6 +140,50 @@ fn get_streams(buf: &mut Bytes) -> std::result::Result<Vec<u64>, WireError> {
     Ok(streams)
 }
 
+/// The list of a `BatchServerFirst`'s offers or a `BatchPush`.
+fn put_offers(buf: &mut BytesMut, offers: &[StreamOffer]) {
+    wire::put_varint(buf, offers.len() as u64);
+    for offer in offers {
+        wire::put_varint(buf, offer.stream);
+        wire::put_bytes(buf, &offer.name);
+        buf.put_u8(u8::from(offer.client_equal));
+        put_opt_elem(buf, &offer.first);
+    }
+}
+
+fn get_offers(buf: &mut Bytes) -> std::result::Result<Vec<StreamOffer>, WireError> {
+    let count = wire::get_varint(buf)? as usize;
+    let mut offers = Vec::with_capacity(count.min(1024));
+    for _ in 0..count {
+        let stream = wire::get_varint(buf)?;
+        let name = wire::get_bytes(buf)?;
+        if !buf.has_remaining() {
+            return Err(WireError::UnexpectedEof);
+        }
+        let client_equal = buf.get_u8() != 0;
+        let first = get_opt_elem(buf)?;
+        offers.push(StreamOffer {
+            stream,
+            name,
+            first,
+            client_equal,
+        });
+    }
+    Ok(offers)
+}
+
+fn offers_len(offers: &[StreamOffer]) -> usize {
+    wire::varint_len(offers.len() as u64) + offers.iter().map(offer_len).sum::<usize>()
+}
+
+/// One offer's bytes in its list.
+pub(super) fn offer_len(offer: &StreamOffer) -> usize {
+    wire::varint_len(offer.stream)
+        + wire::bytes_len(offer.name.len())
+        + 1
+        + opt_elem_len(&offer.first)
+}
+
 impl WireMsg for MuxMsg {
     fn encode(&self, buf: &mut BytesMut) {
         match self {
@@ -149,13 +209,11 @@ impl WireMsg for MuxMsg {
                     );
                     put_opt_elem(buf, &ans.first);
                 }
-                wire::put_varint(buf, offers.len() as u64);
-                for offer in offers {
-                    wire::put_varint(buf, offer.stream);
-                    wire::put_bytes(buf, &offer.name);
-                    buf.put_u8(u8::from(offer.client_equal));
-                    put_opt_elem(buf, &offer.first);
-                }
+                put_offers(buf, offers);
+            }
+            MuxMsg::Ctrl(CtrlMsg::BatchPush { pushes }) => {
+                buf.put_u8(TAG_BATCH_PUSH);
+                put_offers(buf, pushes);
             }
             MuxMsg::Ctrl(CtrlMsg::BatchDone { streams }) => {
                 put_streams(buf, TAG_BATCH_DONE, streams)
@@ -209,24 +267,13 @@ impl WireMsg for MuxMsg {
                         client_equal: flags & 2 == 2,
                     });
                 }
-                let count = wire::get_varint(buf)? as usize;
-                let mut offers = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    let stream = wire::get_varint(buf)?;
-                    let name = wire::get_bytes(buf)?;
-                    if !buf.has_remaining() {
-                        return Err(WireError::UnexpectedEof);
-                    }
-                    let client_equal = buf.get_u8() != 0;
-                    let first = get_opt_elem(buf)?;
-                    offers.push(StreamOffer {
-                        stream,
-                        name,
-                        first,
-                        client_equal,
-                    });
-                }
+                let offers = get_offers(buf)?;
                 Ok(MuxMsg::Ctrl(CtrlMsg::BatchServerFirst { answers, offers }))
+            }
+            TAG_BATCH_PUSH => {
+                buf.advance(1);
+                let pushes = get_offers(buf)?;
+                Ok(MuxMsg::Ctrl(CtrlMsg::BatchPush { pushes }))
             }
             TAG_BATCH_DONE => {
                 let streams = get_streams(buf)?;
@@ -259,17 +306,9 @@ impl WireMsg for MuxMsg {
                         .iter()
                         .map(|a| wire::varint_len(a.stream) + 1 + opt_elem_len(&a.first))
                         .sum::<usize>()
-                    + wire::varint_len(offers.len() as u64)
-                    + offers
-                        .iter()
-                        .map(|o| {
-                            wire::varint_len(o.stream)
-                                + wire::bytes_len(o.name.len())
-                                + 1
-                                + opt_elem_len(&o.first)
-                        })
-                        .sum::<usize>()
+                    + offers_len(offers)
             }
+            MuxMsg::Ctrl(CtrlMsg::BatchPush { pushes }) => 1 + offers_len(pushes),
             MuxMsg::Ctrl(CtrlMsg::BatchDone { streams })
             | MuxMsg::Ctrl(CtrlMsg::Cancel { streams }) => {
                 1 + wire::varint_len(streams.len() as u64)
@@ -409,6 +448,14 @@ mod tests {
                 streams: vec![2, 70_000],
             }),
             MuxMsg::Ctrl(CtrlMsg::Cancel { streams: vec![] }),
+            MuxMsg::Ctrl(CtrlMsg::BatchPush {
+                pushes: vec![StreamOffer {
+                    stream: 1,
+                    name: Bytes::from_static(b"pushed"),
+                    first: Some((s(2), 300)),
+                    client_equal: true,
+                }],
+            }),
             MuxMsg::Session(SessionMsg::Done),
         ];
         for m in msgs {

@@ -7,10 +7,10 @@ use super::msg::{
 };
 use super::{reason_label, BatchPullClient, BatchPullServer, ContactReport, InProcessLink};
 use crate::planner::{
-    kept_as_sent, scope_frame, DigestVector, ShardPlan, ShardScope, VectorMemory,
+    kept_as_sent, scope_frame, shard_of, DigestVector, ShardPlan, ShardScope, VectorMemory,
 };
 use crate::protocol::SessionMsg;
-use bytes::BytesMut;
+use bytes::{Bytes, BytesMut};
 use optrep_core::error::{Error, Result};
 use optrep_core::obs;
 use optrep_core::sync::{Endpoint, Framed, WireMsg};
@@ -21,8 +21,8 @@ use optrep_net::FrameLink;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PullPhase {
     /// A planned contact's first state: the digest vector is out; one
-    /// [`ShardPlan`] frame at its shard count, then the server's turn
-    /// marker, is due back.
+    /// [`ShardPlan`] frame at its shard count, the push if it proposes,
+    /// then the server's turn marker, is due back.
     Planning { shards: u64 },
     /// The plan is in; [`Puller::exchange`] starts the exchange.
     Planned,
@@ -39,13 +39,18 @@ enum PullPhase {
 ///
 /// A *planned* contact ([`open_planned`](Self::open_planned)) starts
 /// one turn earlier: the puller sends its [`DigestVector`], the server
-/// answers one [`ShardPlan`] ([`take_plan`](Self::take_plan)), and the
-/// caller continues with a client restricted to the plan's incremental
-/// shards, each proposed one cut to its candidates
+/// answers one [`ShardPlan`] ([`take_plan`](Self::take_plan)) and, in
+/// the same burst, pushes each key it changed in a proposed shard
+/// ([`pushed_keys`](Self::pushed_keys)); the caller continues with a
+/// client over the pushed keys and the plan's walked shards
 /// ([`exchange`](Self::exchange)) — and, where the plan offered child
 /// digests and the caller compared them with its store, each refined one
-/// to the children that differ, named to the server by a [`ShardScope`]
-/// frame that leads the opening burst.
+/// cut to the children that differ, named to the server by a
+/// [`ShardScope`] frame that leads the opening burst. The pushed frames
+/// are held, decoded, until then; the exchange prices them and feeds
+/// them to the client before its first burst. A plan that walks no
+/// shard opens no `BatchHello`: such a warm pull is one blocking round
+/// trip, two link turns with the FIN.
 ///
 /// The exchange is half-duplex: the client flushes a whole burst and
 /// passes the turn with a [`TURN_STREAM`] marker; the server answers
@@ -78,6 +83,13 @@ pub struct Puller<'a> {
     /// Nothing was remembered of this link when the contact opened: it
     /// is the link's first, so its server has nothing to propose from.
     first_on_link: bool,
+    /// The plan walks a shard, so the exchange opens with a hello.
+    walks: bool,
+    /// The push's frames, decoded, from the planning turn until the
+    /// exchange begins.
+    push: Vec<Framed<MuxMsg>>,
+    /// The keys pushed, on streams `1, 2, …`.
+    pushed: Vec<Bytes>,
     contact: u64,
     report: ContactReport,
     /// Round trips are the blocking dependency depth, not the burst
@@ -97,6 +109,9 @@ impl<'a> Puller<'a> {
             plan: None,
             refined: 0,
             first_on_link: false,
+            walks: true,
+            push: Vec::new(),
+            pushed: Vec::new(),
             contact: 0,
             report: ContactReport::default(),
             payload_requested: false,
@@ -110,7 +125,7 @@ impl<'a> Puller<'a> {
     /// contact id stamped on every frame event (0 when nothing listens).
     pub fn open(client: &'a mut BatchPullClient, contact: u64, out: &mut BytesMut) -> Self {
         let mut puller = Self::in_phase(PullPhase::Planned);
-        puller.exchange(client, None, contact, out);
+        puller.begin(client, contact, out);
         puller
     }
 
@@ -144,13 +159,26 @@ impl<'a> Puller<'a> {
         self.plan.take_if(|_| self.phase == PullPhase::Planned)
     }
 
+    /// The keys the server pushed with the plan, in the push's order —
+    /// streams `1, 2, …`: what the client must be built over besides the
+    /// walked shards ([`BatchPullClient::with_pushed`]).
+    pub fn pushed_keys(&self) -> &[Bytes] {
+        &self.pushed
+    }
+
     /// Begins the object exchange of a planned contact with the
-    /// restricted `client`: writes `scope` (if the caller narrowed the
-    /// plan's refined shards to it — `client` must be cut the same
-    /// way), `BatchHello` and its marker to `out` as one burst. The
-    /// scope frame is planner traffic: priced into
+    /// restricted `client`: prices the push and feeds it to `client`,
+    /// then writes `scope` (if the caller narrowed the plan's refined
+    /// shards to it — `client` must be cut the same way), `BatchHello`
+    /// (unless the plan walks nothing) and the marker to `out` as one
+    /// burst. The scope frame is planner traffic: priced into
     /// [`ContactReport::digest_bytes`], not into the four planes.
     /// `contact` as for [`open`](Self::open).
+    ///
+    /// # Errors
+    ///
+    /// A push the client does not take: one of another length or other
+    /// keys than it was built over ([`pushed_keys`](Self::pushed_keys)).
     ///
     /// # Panics
     ///
@@ -162,7 +190,7 @@ impl<'a> Puller<'a> {
         scope: Option<&ShardScope>,
         contact: u64,
         out: &mut BytesMut,
-    ) {
+    ) -> Result<()> {
         assert_eq!(self.phase, PullPhase::Planned, "no plan to exchange under");
         if let Some(scope) = scope {
             assert!(
@@ -174,6 +202,20 @@ impl<'a> Puller<'a> {
             self.report.shards_refined = self.refined;
             out.extend_from_slice(&frame);
         }
+        self.contact = contact;
+        for framed in std::mem::take(&mut self.push) {
+            self.tally(&framed, false);
+            client.on_receive(framed)?;
+        }
+        if !self.walks {
+            client.open_without_hello();
+        }
+        self.begin(client, contact, out);
+        Ok(())
+    }
+
+    /// Hands the exchange to `client` and writes its first burst.
+    fn begin(&mut self, client: &'a mut BatchPullClient, contact: u64, out: &mut BytesMut) {
         self.client = Some(client);
         self.contact = contact;
         self.phase = PullPhase::Exchanging;
@@ -223,8 +265,64 @@ impl<'a> Puller<'a> {
         put_marker(out, fin);
     }
 
+    /// A frame behind the plan in the planning turn: the push, checked
+    /// against the plan and held, decoded, for the exchange. One
+    /// `BatchPush` on the control stream opens streams `1, 2, …`, each
+    /// a key of a proposed shard, keys strictly increasing; every frame
+    /// after it is a `SYNCS` message or a value on one of those streams.
+    fn on_pushed_frame(&mut self, frame: wire::Frame) -> Result<()> {
+        let plan = self.plan.as_ref().expect("the plan is in");
+        if self.first_on_link {
+            return Err(planning_violation(
+                "a push on a link with no previous contact".into(),
+            ));
+        }
+        let framed = decode_frame_msg(frame)?;
+        let pushed = 1..=self.pushed.len() as u64;
+        match &framed.msg {
+            MuxMsg::Ctrl(CtrlMsg::BatchPush { pushes })
+                if framed.stream == CONTROL_STREAM && self.push.is_empty() =>
+            {
+                for (expected, push) in (1..).zip(pushes) {
+                    if push.stream != expected {
+                        return Err(planning_violation(format!(
+                            "a push on stream {} where {expected} is due",
+                            push.stream
+                        )));
+                    }
+                    let shard = shard_of(&push.name, plan.count);
+                    if plan.proposed.binary_search(&shard).is_err() {
+                        return Err(planning_violation(format!(
+                            "a push into shard {shard}, which the plan does not propose"
+                        )));
+                    }
+                    if self.pushed.last().is_some_and(|last| *last >= push.name) {
+                        return Err(planning_violation(
+                            "pushed keys out of order, or a key pushed twice".into(),
+                        ));
+                    }
+                    self.pushed.push(push.name.clone());
+                }
+                if pushes.is_empty() {
+                    return Err(planning_violation("an empty push".into()));
+                }
+            }
+            MuxMsg::Session(SessionMsg::Vector(_) | SessionMsg::Payload { .. })
+                if pushed.contains(&framed.stream) => {}
+            _ => {
+                return Err(planning_violation(format!(
+                    "a frame on stream {} the push did not open",
+                    framed.stream
+                )))
+            }
+        }
+        self.push.push(framed);
+        Ok(())
+    }
+
     /// The planning state's step: prices and keeps the one plan frame,
-    /// and leaves the state on the server's turn marker.
+    /// holds the push behind it, and leaves the state on the server's
+    /// turn marker.
     fn on_planning_frame(&mut self, frame: wire::Frame, shards: u64) -> Result<()> {
         if frame.stream == TURN_STREAM {
             self.report.link_turns += 1;
@@ -240,7 +338,10 @@ impl<'a> Puller<'a> {
             self.phase = PullPhase::Planned;
             return Ok(());
         }
-        if self.plan.is_some() || frame.stream != CONTROL_STREAM {
+        if self.plan.is_some() {
+            return self.on_pushed_frame(frame);
+        }
+        if frame.stream != CONTROL_STREAM {
             return Err(planning_violation(format!(
                 "unexpected frame on stream {}",
                 frame.stream
@@ -271,6 +372,7 @@ impl<'a> Puller<'a> {
         }
         self.refined = plan.children.as_ref().map_or(0, |c| c.parents.len() as u64);
         self.report.shards_proposed = plan.proposed.len() as u64;
+        self.walks = plan.incremental.len() > plan.proposed.len();
         self.plan = Some(plan);
         Ok(())
     }
@@ -301,6 +403,13 @@ impl<'a> Puller<'a> {
             }
             PullPhase::Exchanging | PullPhase::Draining => {}
         }
+        if (1..=self.pushed.len() as u64).contains(&frame.stream) {
+            // A pushed stream is whole in the planning turn.
+            return Err(violation(format!(
+                "a frame on pushed stream {} after the planning turn",
+                frame.stream
+            )));
+        }
         if frame.stream != TURN_STREAM {
             let framed = decode_frame_msg(frame)?;
             self.tally(&framed, false);
@@ -313,6 +422,12 @@ impl<'a> Puller<'a> {
             (PullPhase::Draining, true) => {
                 self.phase = PullPhase::Finished;
                 self.report.round_trips += u64::from(self.payload_requested);
+                self.report.excess_bytes = self.client().excess_bytes();
+                if self.report.excess_bytes > 0 {
+                    obs_emit!(obs::SyncEvent::LinkExcess {
+                        bytes: self.report.excess_bytes,
+                    });
+                }
                 Ok(Some(self.report))
             }
             (PullPhase::Draining, false) => Ok(None),
@@ -400,10 +515,11 @@ pub fn pull_contact<L: FrameLink>(
 }
 
 /// The pulling endpoint of a planned contact, as [`pull_planned`]'s
-/// caller builds it from the plan.
+/// caller builds it from the plan and the push.
 #[derive(Debug)]
 pub struct Restricted {
-    /// The client over the keys the contact will exchange.
+    /// The client over the keys the contact will exchange: the pushed
+    /// ones, then those of the walked shards.
     pub client: BatchPullClient,
     /// The children of the plan's refined shards that differ, when the
     /// caller compared them with its own and cut `client` accordingly;
@@ -425,18 +541,20 @@ impl From<BatchPullClient> for Restricted {
 /// Drives one *planned* pull over `link`, the digest/plan turn
 /// included: sends `digests` — as a delta against what `remembered`
 /// holds of the link's last contact, where that is shorter — takes the
-/// server's [`ShardPlan`], asks
-/// `endpoint` for the client restricted to it (a daemon takes its store
-/// lock in there) — a [`Restricted`] cut at the plan's proposals and
-/// child digests, or a plain [`BatchPullClient`] — and
-/// runs the object exchange exactly as [`pull_contact`] does. Returns
-/// the finished client, the plan, and the report with the planner
-/// fields ([`ContactReport::digest_bytes`], `digests_sent`, `shards_*`)
-/// filled in — what `KvStore::apply_planned_tracked` commits.
+/// server's [`ShardPlan`] and the keys it pushed behind it, asks
+/// `endpoint` for the client restricted to them (a daemon takes its
+/// store lock in there) — a [`Restricted`] over the pushed keys
+/// ([`BatchPullClient::with_pushed`], in the order given) and the
+/// plan's walked shards, cut at its child digests, or a plain
+/// [`BatchPullClient`] where nothing was pushed — and runs the object
+/// exchange exactly as [`pull_contact`] does. Returns the finished
+/// client, the plan, and the report with the planner fields
+/// ([`ContactReport::digest_bytes`], `digests_sent`, `shards_*`) filled
+/// in — what `KvStore::apply_planned_tracked` commits.
 ///
-/// A plan that [proposes](crate::planner::Proposal) is an error on a
-/// link of which `remembered` holds nothing: the far end has planned no
-/// contact of this link to propose from.
+/// A plan that proposes, or a push, is an error on a link of which
+/// `remembered` holds nothing: the far end has planned no contact of
+/// this link to propose from.
 ///
 /// `remembered` is the pulling end's [`VectorMemory`] of **this link**
 /// and must live and die with it (`optrep_net::ConnPool` keeps it
@@ -451,7 +569,8 @@ impl From<BatchPullClient> for Restricted {
 /// ([`kept_as_sent`]).
 ///
 /// The obs contact scope opens when the exchange begins, with the
-/// restricted client's stream count; the planning turn emits nothing.
+/// restricted client's stream count, and prices the push inside it;
+/// the planning turn emits nothing before.
 ///
 /// # Errors
 ///
@@ -463,7 +582,7 @@ pub fn pull_planned<L: FrameLink, E: Into<Restricted>>(
     link: &mut L,
     remembered: &mut VectorMemory,
     digests: &DigestVector,
-    endpoint: impl FnOnce(&ShardPlan) -> E,
+    endpoint: impl FnOnce(&ShardPlan, &[Bytes]) -> E,
 ) -> Result<(BatchPullClient, ShardPlan, ContactReport)> {
     // Declared ahead of the machine that borrows it for the exchange.
     let mut client;
@@ -479,10 +598,15 @@ pub fn pull_planned<L: FrameLink, E: Into<Restricted>>(
             break plan;
         }
     };
-    let restricted = endpoint(&plan).into();
+    let restricted = endpoint(&plan, puller.pushed_keys()).into();
     client = restricted.client;
     let scope = obs::contact_scope(client.stream_count() as u64);
-    puller.exchange(&mut client, restricted.scope.as_ref(), scope.id(), &mut out);
+    let cut = restricted.scope.as_ref();
+    if let Err(e) = puller.exchange(&mut client, cut, scope.id(), &mut out) {
+        link.fin();
+        scope.abort(reason_label(&e));
+        return Err(e);
+    }
     let report = pump_exchange(&mut puller, link, &mut out, scope)?;
     let refined = plan.children.as_ref().zip(restricted.scope.as_ref());
     let kept = kept_as_sent(plan.count, refined, client.source_behind());

@@ -72,6 +72,13 @@ pub struct ContactReport {
     /// The planner frames emit no `FrameTx` event: the obs contact
     /// scope opens with the object exchange.
     pub digest_bytes: u64,
+    /// Bytes of pushed frames that crossed for nothing — the lockstep
+    /// would not have carried them: every frame of a pushed stream the
+    /// puller cancelled (it wrote the key after its digest vector), and
+    /// whatever a pushed stream sent past the puller's NAK. They are in
+    /// the four planes like any frame, and reported as
+    /// [`LinkExcess`](optrep_core::obs::SyncEvent::LinkExcess).
+    pub excess_bytes: u64,
     /// Shard digests the opening frame actually shipped:
     /// [`shards_total`](Self::shards_total) for a full vector, for a
     /// delta the shards that differ from what the connection remembers
@@ -120,6 +127,14 @@ pub fn classify(framed: &Framed<MuxMsg>) -> FrameBytes {
                     .iter()
                     .map(|o| opt_elem_len(&o.first) as u64 + 1)
                     .sum::<u64>();
+        }
+        MuxMsg::Ctrl(CtrlMsg::BatchPush { pushes }) => {
+            // Each open's element and flags, as an answer's; its name and
+            // stream id are framing, as a hello's are.
+            bytes.compare = pushes
+                .iter()
+                .map(|o| opt_elem_len(&o.first) as u64 + 1)
+                .sum::<u64>();
         }
         MuxMsg::Ctrl(CtrlMsg::BatchDone { streams })
         | MuxMsg::Ctrl(CtrlMsg::Cancel { streams }) => {

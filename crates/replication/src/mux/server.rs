@@ -15,7 +15,7 @@ use crate::protocol::{PullServer, SessionMsg};
 use bytes::{Bytes, BytesMut};
 use optrep_core::error::Result;
 use optrep_core::sync::{Endpoint, Framed, WireMsg};
-use optrep_core::{wire, SiteId, Srv};
+use optrep_core::{wire, RotatingVector, SiteId, Srv};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// The bytes a serving turn carries before the rest waits for the next
@@ -52,6 +52,9 @@ pub struct BatchPullServer {
     held: Option<Framed<MuxMsg>>,
     /// See [`source_behind`](Self::source_behind).
     source_behind: Vec<Bytes>,
+    /// Streams `1..=pushed` were pushed with the plan, whole: the puller
+    /// opens its own above them, and may cancel one of them.
+    pushed: u64,
 }
 
 impl BatchPullServer {
@@ -76,7 +79,70 @@ impl BatchPullServer {
             outbox: VecDeque::new(),
             held: None,
             source_behind: Vec::new(),
+            pushed: 0,
         }
+    }
+
+    /// Pushes every object this server holds, each on a stream of its
+    /// own — `1, 2, …` in key order — as the session whose hello the
+    /// plan's digest proof implies: writes one [`CtrlMsg::BatchPush`]
+    /// frame of the opens, then each stream's whole session — its
+    /// `SYNCS` elements to the sender's `HALT`, and its value, as though
+    /// asked for — to `out`. Returns how many streams it pushed (none,
+    /// and nothing written, for a server that holds nothing).
+    ///
+    /// # Errors
+    ///
+    /// None that a session started this way raises; the per-stream
+    /// servers are the unplanned contact's.
+    pub fn push(mut self, out: &mut BytesMut) -> Result<u64> {
+        let objects = std::mem::take(&mut self.objects);
+        let count = objects.len() as u64;
+        if count == 0 {
+            return Ok(0);
+        }
+        let mut pushes = Vec::with_capacity(objects.len());
+        for (stream, (name, (vector, payload))) in (1..).zip(objects) {
+            // The hello the proof implies: one that the server's own
+            // first element answers as known and equal, so that the
+            // puller's half alone tells equal from behind.
+            let implied = vector.first().map(|e| (e.site, e.value));
+            let (first, _, client_equal) = self.open_stream(stream, vector, payload, implied)?;
+            pushes.push(StreamOffer {
+                stream,
+                name,
+                first,
+                client_equal,
+            });
+        }
+        let push = MuxMsg::Ctrl(CtrlMsg::BatchPush { pushes });
+        Framed::new(CONTROL_STREAM, push).encode(out);
+        for (&stream, server) in &mut self.streams {
+            loop {
+                while let Some(msg) = server.poll_send() {
+                    Framed::new(stream, MuxMsg::Session(msg)).encode(out);
+                }
+                if server.is_done() {
+                    break;
+                }
+                server.on_receive(SessionMsg::PayloadRequest)?;
+            }
+        }
+        Ok(count)
+    }
+
+    /// Serves the rest of a contact whose plan pushed `pushed` streams:
+    /// the puller's own open above them, and a cancel of a pushed one
+    /// is tolerated, as for a stream torn down. `hello` is whether a
+    /// `BatchHello` is due at all — not where the plan walks no shard.
+    pub(super) fn follow_push(&mut self, pushed: u64, hello: bool) {
+        self.pushed = pushed;
+        self.seen_hello = !hello;
+    }
+
+    /// A stream a push opened and finished.
+    fn was_pushed(&self, stream: u64) -> bool {
+        (1..=self.pushed).contains(&stream)
     }
 
     /// How many objects this server holds, opened or not.
@@ -239,11 +305,12 @@ impl Endpoint for BatchPullServer {
                     if open.stream == CONTROL_STREAM {
                         return Err(violation("open names the control stream"));
                     }
-                    if !seen.insert(open.stream) {
+                    if !seen.insert(open.stream) || self.was_pushed(open.stream) {
                         return Err(violation(format!("open reuses stream {}", open.stream)));
                     }
                     highest = highest.max(open.stream);
                 }
+                highest = highest.max(self.pushed);
                 let mut next_stream = highest
                     .checked_add(1)
                     .ok_or_else(|| violation("stream id space exhausted"))?;
@@ -302,9 +369,9 @@ impl Endpoint for BatchPullServer {
             MuxMsg::Ctrl(CtrlMsg::BatchDone { streams }) => {
                 for stream in streams {
                     let Some(server) = self.streams.get_mut(&stream) else {
-                        if self.cancelled.contains(&stream) {
+                        if self.cancelled.contains(&stream) || self.was_pushed(stream) {
                             // A Done already in flight when the stream was
-                            // cancelled.
+                            // cancelled, or for a stream pushed whole.
                             continue;
                         }
                         return Err(unknown_stream(stream));
@@ -317,7 +384,10 @@ impl Endpoint for BatchPullServer {
             }
             MuxMsg::Ctrl(CtrlMsg::Cancel { streams }) => {
                 for stream in streams {
-                    if !self.streams.contains_key(&stream) && !self.cancelled.contains(&stream) {
+                    let known = self.streams.contains_key(&stream)
+                        || self.cancelled.contains(&stream)
+                        || self.was_pushed(stream);
+                    if !known {
                         return Err(unknown_stream(stream));
                     }
                     self.drop_stream(stream);
@@ -326,8 +396,9 @@ impl Endpoint for BatchPullServer {
             }
             MuxMsg::Session(msg) => {
                 let Some(server) = self.streams.get_mut(&framed.stream) else {
-                    if self.cancelled.contains(&framed.stream) {
-                        // Late frame for a cancelled stream; drop it.
+                    if self.cancelled.contains(&framed.stream) || self.was_pushed(framed.stream) {
+                        // Late frame for a cancelled stream, or one for a
+                        // stream pushed whole; drop it.
                         return Ok(());
                     }
                     return Err(unknown_stream(framed.stream));

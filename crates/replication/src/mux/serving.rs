@@ -80,36 +80,39 @@ pub fn serve_from<L: FrameLink>(
 #[derive(Debug, Clone, Copy)]
 pub enum ContactAsk<'a> {
     /// At the digest frame: the plan for a puller holding `digests`,
-    /// and the source's generation at that plan. `since` is the
-    /// generation this source answered with when the connection's
-    /// previous contact was planned, if there was one — only ever a
-    /// value the same source handed out over the same connection, so a
-    /// source that does not propose may ignore it and answer any
-    /// generation. Plan and generation are one view of the store.
+    /// the source's generation at that plan, and the endpoint the plan
+    /// pushes. `since` is the generation this source answered with when
+    /// the connection's previous contact was planned, if there was one —
+    /// only ever a value the same source handed out over the same
+    /// connection, so a source that does not propose may ignore it and
+    /// answer any generation. Plan, generation and push are one view of
+    /// the store.
     Plan {
         /// The puller's digest vector.
         digests: &'a DigestVector,
         /// The source's generation at the connection's previous plan.
         since: Option<u64>,
     },
-    /// At the first frame of the puller's burst: the endpoint the
-    /// exchange runs against, over the keys of the contact's [`Cut`].
-    /// Every vector is read with its value, under one view of the
-    /// store; that view may be later than the plan's.
+    /// At the first frame of the puller's burst, where the plan walks a
+    /// shard: the endpoint the exchange runs against, over the keys of
+    /// the contact's [`Cut`]. Every vector is read with its value, under
+    /// one view of the store; that view may be later than the plan's. A
+    /// plan that walks nothing — every dirty shard proposed, or none
+    /// dirty — asks nothing more.
     Endpoint(Cut<'a>),
 }
 
 /// A source's answer to a [`ContactAsk`], variant for variant.
 #[derive(Debug)]
 pub enum ContactAnswer {
-    /// The plan, the store's generation when it was made, and what the
-    /// plan leaves the puller to hold unseen: the store's digest of each
-    /// shard the plan bulk-loads, in the plan's order — what the
-    /// puller's shard sums to once the image is in — then each proposed
-    /// shard's *residual*, in the plan's order — the shard's digest
-    /// without its entries under the proposal's candidates, which the
-    /// proposal leaves as the puller holds them.
-    Plan(ShardPlan, u64, Vec<ShardDigest>),
+    /// The plan, the store's generation when it was made, the store's
+    /// digest of each shard the plan serves at that view — each it
+    /// bulk-loads, then each it proposes, in the plan's order: what the
+    /// puller's shard sums to once the image, or the push, is in — and
+    /// the endpoint the plan pushes: every key the proposed shards
+    /// changed since `since`, which [`BatchPullServer::push`] writes
+    /// behind the plan.
+    Plan(ShardPlan, u64, Vec<ShardDigest>, BatchPullServer),
     /// The endpoint, and what the records it serves sum to in each of
     /// the cut's incremental shards, in the cut's order. The plan's
     /// summary of what the contact leaves out of a shard — a refined
@@ -132,14 +135,14 @@ pub enum ContactAnswer {
 pub type ContactSource<'a> = dyn FnMut(ContactAsk<'_>) -> ContactAnswer + 'a;
 
 /// What [`Serving`] keeps of a plan between handing it out and cutting
-/// the endpoint: shard indices, candidate placements and the digests of
-/// refined shards' children, of proposals' residuals (the source's, not
-/// the plan's: they never cross the wire) and of bulk-loaded shards'
-/// images, no key, vector or value.
+/// the endpoint: shard indices, the digests of refined shards' children
+/// and of the shards the plan served whole at its own view, and how many
+/// streams it pushed — no key, vector or value.
 #[derive(Debug)]
 struct Planned {
     count: u64,
-    incremental: Vec<u64>,
+    /// The plan's walked shards: its incremental ones less the proposed.
+    walked: Vec<u64>,
     /// What the plan offered to narrow. A scope leading the puller's
     /// burst is checked against it; anything else there forfeits the
     /// offer — so a contact takes at most one scope, and only ahead of
@@ -148,28 +151,28 @@ struct Planned {
     /// The plan's child digests: what a refined shard's children the
     /// puller does not list sum to.
     children: Option<ChildDigests>,
-    /// Each proposal's residual, in the order of the offer's proposals:
-    /// what it leaves out of its shard.
-    residuals: Vec<ShardDigest>,
-    /// The bulk-loaded shards, each at its image's digest.
-    bulk: Vec<(u64, ShardDigest)>,
+    /// The bulk-loaded and the proposed shards, each at its digest at
+    /// the plan's view: what it holds once the image or the push is in.
+    whole: Vec<(u64, ShardDigest)>,
+    /// Streams `1..=pushed` were pushed with the plan.
+    pushed: u64,
 }
 
 impl Planned {
     /// Each shard the contact serves at its as-served digest, the
     /// puller having answered `scope` and the source `sums`: a
-    /// bulk-loaded shard's image digest, an incremental shard's sum
-    /// completed by what the contact leaves out of it. Less the refined
-    /// shards the contact keeps at what the puller sent
-    /// ([`kept_as_sent`]); which others it keeps, only the exchange
-    /// tells.
+    /// bulk-loaded or proposed shard's digest at the plan's view, a
+    /// walked shard's sum completed by the children the contact leaves
+    /// out of it. Less the refined shards the contact keeps at what the
+    /// puller sent ([`kept_as_sent`]); which others it keeps, only the
+    /// exchange tells.
     fn as_served(&self, scope: Option<&ShardScope>, sums: Vec<ShardDigest>) -> Served {
-        let incremental = self.incremental.iter().zip(sums).map(|(&shard, sum)| {
+        let walked = self.walked.iter().zip(sums).map(|(&shard, sum)| {
             let mut as_served = sum;
             as_served += self.outside(shard, scope);
             (shard, as_served)
         });
-        let served = self.bulk.iter().copied().chain(incremental);
+        let served = self.whole.iter().copied().chain(walked);
         let kept = kept_as_sent(self.count, self.children.as_ref().zip(scope), &[]);
         Served {
             count: self.count,
@@ -180,16 +183,9 @@ impl Planned {
     }
 
     /// The plan's summary of what a contact whose puller answered
-    /// `scope` leaves out of incremental `shard`: a refined shard's
-    /// unlisted children, a proposal's residual, nothing of a shard
-    /// walked whole.
+    /// `scope` leaves out of walked `shard`: a refined shard's unlisted
+    /// children, nothing of a shard walked whole.
     fn outside(&self, shard: u64, scope: Option<&ShardScope>) -> ShardDigest {
-        let Some(offer) = &self.offer else {
-            return ShardDigest::default();
-        };
-        if let Ok(slot) = offer.proposed.binary_search_by_key(&shard, |p| p.0) {
-            return self.residuals[slot];
-        }
         let mut outside = ShardDigest::default();
         let refined = self
             .children
@@ -231,14 +227,16 @@ struct Served {
 /// [`Puller`](super::Puller)'s planning state.
 ///
 /// A [`DigestVector`] opens a planned contact: the source is asked for
-/// the plan, the encoded plan is parked until the puller's turn marker
-/// hands the link over, and of the plan only its incremental shards and
-/// its [`Offer`] are kept. The first frame of the puller's burst then
-/// fixes the [`Cut`] — each proposed shard cut to its candidates, and,
-/// if the plan offered child digests and the burst opens with a
-/// [`ShardScope`], each refined shard to the children it lists; every
-/// other incremental shard whole — and only then is the source asked for
-/// the endpoint, so what is built is what will be served. Any other
+/// the plan and its push, both are encoded and parked until the puller's
+/// turn marker hands the link over — the plan frame, then every pushed
+/// stream whole ([`BatchPullServer::push`]) — and of the plan only its
+/// walked shards and its [`Offer`] are kept. The first frame of the
+/// puller's burst then fixes the [`Cut`] — if the plan offered child
+/// digests and the burst opens with a [`ShardScope`], each refined shard
+/// to the children it lists; every other walked shard whole — and only
+/// then is the source asked for the endpoint, so what is built is what
+/// will be served. A plan that walks nothing asks nothing more: its
+/// contact is the push, and the puller sends no `BatchHello`. Any other
 /// first frame is a planning violation, and the source is not asked.
 ///
 /// One `Serving` serves a persistent connection's contacts back to
@@ -249,10 +247,10 @@ struct Served {
 /// 16 MiB at [`MAX_PLAN_SHARDS`](crate::planner::MAX_PLAN_SHARDS)): the
 /// next contact may open with a
 /// [`DigestDelta`](crate::planner::DigestDelta) against it instead of
-/// the whole vector. The source names a bulk-loaded shard's as-served
-/// digest with the plan, and what an incremental shard's served records
-/// sum to with the endpoint; the plan's summary of what the contact
-/// left out completes the latter. The memory is updated once the
+/// the whole vector. The source names a bulk-loaded or proposed
+/// shard's as-served digest with the plan, and what a walked shard's
+/// served records sum to with the endpoint; the plan's summary of what
+/// the contact left out completes the latter. The memory is updated once the
 /// contact's last frame is served, so a contact that completes has
 /// served what it remembers. Beside the vector sits `since`, one
 /// `u64`: the source's generation at that contact's plan, which the
@@ -269,7 +267,8 @@ pub struct Serving {
     /// burst. Boxed: a batch server carries per-stream state and would
     /// otherwise dominate every idle connection's state.
     server: Option<Box<BatchPullServer>>,
-    /// A planned contact's plan frame, until the puller passes the turn.
+    /// A planned contact's plan frame and push, until the puller passes
+    /// the turn.
     parked: Option<BytesMut>,
     /// A planned contact's plan, from the digest frame until the first
     /// frame of the puller's burst. Boxed, as the endpoint is: an idle
@@ -335,18 +334,23 @@ impl Serving {
                     };
                     let cut = Cut {
                         count: planned.count,
-                        incremental: &planned.incremental,
+                        walked: &planned.walked,
                         offer: planned.offer.as_ref(),
                         scope: scope.as_ref(),
                     };
-                    let (server, sums) = endpoint_from(source, cut)?;
-                    if sums.len() != planned.incremental.len() {
+                    let walks = !planned.walked.is_empty();
+                    let (mut server, sums) = match walks {
+                        true => endpoint_from(source, cut)?,
+                        false => (Box::new(BatchPullServer::new(Vec::new())), Vec::new()),
+                    };
+                    if sums.len() != planned.walked.len() {
                         return Err(planning_violation(format!(
-                            "the source summed {} shards of a cut of {} incremental shards",
+                            "the source summed {} shards of a cut of {} walked shards",
                             sums.len(),
-                            planned.incremental.len()
+                            planned.walked.len()
                         )));
                     }
+                    server.follow_push(planned.pushed, walks);
                     self.served = Some(planned.as_served(scope.as_ref(), sums));
                     let server = self.server.insert(server);
                     if scope.is_some() {
@@ -358,7 +362,7 @@ impl Serving {
                     let mut payload = frame.payload;
                     let digests = self.remembered.receive(&mut payload)?;
                     let since = self.since.take();
-                    let ContactAnswer::Plan(plan, generation, mut images) =
+                    let ContactAnswer::Plan(plan, generation, images, push) =
                         source(ContactAsk::Plan { digests, since })
                     else {
                         return Err(planning_violation(
@@ -373,17 +377,22 @@ impl Serving {
                             images.len()
                         )));
                     }
-                    let residuals = images.split_off(bulk);
                     self.since = Some(generation);
-                    self.parked = Some(plan_frame(&plan));
+                    // The plan and the push leave in one burst, once the
+                    // puller passes the turn; the push is held as bytes
+                    // alone.
+                    let mut parked = plan_frame(&plan);
+                    let pushed = push.push(&mut parked)?;
+                    self.parked = Some(parked);
                     let bulk = plan.snapshots.iter().map(|(shard, _)| *shard);
+                    let whole = bulk.chain(plan.proposed.iter().copied());
                     self.planned = Some(Box::new(Planned {
                         count: plan.count,
+                        walked: plan.walked(),
                         offer: plan.offer(),
-                        residuals,
-                        bulk: bulk.zip(images).collect(),
                         children: plan.children,
-                        incremental: plan.incremental,
+                        whole: whole.zip(images).collect(),
+                        pushed,
                     }));
                     return Ok(ServeStep::Continue);
                 }

@@ -1,9 +1,7 @@
 //! The policy: what to do with each shard of a digest exchange, and
 //! whether one more level — child digests, or a proposal — pays.
 
-use super::plan::put_proposal;
 use super::{nothing_to_pull, ShardDigest, MAX_PLAN_SHARDS};
-use bytes::BytesMut;
 
 /// What the plan says to do with one shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,16 +41,17 @@ pub struct Decision {
 }
 
 /// What a server's change journal says of one shard since the
-/// connection's last contact: the candidates a
-/// [`Proposal`](super::Proposal) would list — where the keys changed
-/// since live — and what the shard summarised to at that contact, the
-/// shard's digest now less what those changes did to it.
+/// connection's last contact: where the keys changed since live — what
+/// a proposal of the shard pushes — and what the shard summarised to at
+/// that contact, the shard's digest now less what those changes did to
+/// it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Hint {
     /// The shard, at the plan's count.
     pub shard: u64,
-    /// Where its changed keys live at [`MAX_PLAN_SHARDS`], strictly
-    /// increasing.
+    /// Where its changed keys live at [`JOURNAL_PLACEMENTS`](super::JOURNAL_PLACEMENTS),
+    /// strictly increasing: one a changed key, but for keys that share
+    /// all 31 bits.
     pub candidates: Vec<u64>,
     /// The shard's `(digest, entries)` at the connection's last contact.
     pub since: ShardDigest,
@@ -68,6 +67,11 @@ const CHILD_BYTES: f64 = 9.0;
 /// Plan-frame bytes one refined shard costs beside its children (its
 /// index), and scope-frame bytes one listed child costs.
 const INDEX_BYTES: f64 = 3.0;
+/// Plan-frame bytes one proposal costs: its bit in the proposals tail.
+const PROPOSAL_BYTES: f64 = 1.0 / 8.0;
+/// COMPARE bytes one pushed key costs: the server's first element (3 B)
+/// and verdict flags (1 B) in its pushed open. No hello, no `BatchDone`.
+const PUSHED_COMPARE_BYTES: f64 = 4.0;
 
 /// Decides per shard, and prices one more level. `client` and `server`
 /// are the two sides' digests at the same shard count (the client's);
@@ -107,13 +111,13 @@ const INDEX_BYTES: f64 = 3.0;
 /// thrown away, a journal that lost or misfiled a change — and the sum
 /// does not come out, and the shard is priced as though unhinted.
 ///
-/// A checked shard needs no estimate: the proposal's bytes are what its
-/// encoding takes, and the keys left in the contact are its candidates.
-/// It is proposed iff that — `bytes + 8 B · candidates` — is less than
-/// what the shard costs otherwise: `8 B · entries` walked whole, or,
-/// where the children were judged worth offering, their
-/// `9 B · F + 3 B · (1 + d) + 8 B · entries · d∕F`. A proposed shard is
-/// not refined.
+/// A checked shard needs no estimate: the proposal's bytes are its bit
+/// in the plan frame, and the keys left in the contact are the ones
+/// pushed, each at its pushed open's COMPARE bytes. It is proposed iff
+/// that — `⅛ B + 4 B · candidates` — is less than what the shard costs
+/// otherwise: `8 B · entries` walked whole, or, where the children were
+/// judged worth offering, their `9 B · F + 3 B · (1 + d) + 8 B · entries
+/// · d∕F`. A proposed shard is not refined.
 ///
 /// # Panics
 ///
@@ -177,35 +181,24 @@ pub fn decide(client: &[ShardDigest], server: &[ShardDigest], hints: &[Hint]) ->
             children = (cost, 1.0 - clean_share);
         }
     }
-    // A proposal at the finest map's own count would list whole shards.
-    if count < MAX_PLAN_SHARDS {
-        let mut scratch = BytesMut::new();
-        for hint in hints {
-            let at = hint.shard as usize;
-            let incremental = decision.actions.get(at) == Some(&ShardAction::Incremental);
-            if !incremental || client[at] != hint.since {
-                continue;
-            }
-            scratch.clear();
-            put_proposal(
-                &mut scratch,
-                hint.shard,
-                &hint.candidates,
-                count.trailing_zeros(),
-            );
-            let kept = COMPARE_BYTES_PER_KEY * hint.candidates.len() as f64;
-            let otherwise = match decision.refined.binary_search(&hint.shard) {
-                Ok(_) => children.0 + COMPARE_BYTES_PER_KEY * walked(at) * children.1,
-                Err(_) => COMPARE_BYTES_PER_KEY * walked(at),
-            };
-            if scratch.len() as f64 + kept < otherwise {
-                decision.proposed.push(hint.shard);
-            }
+    for hint in hints {
+        let at = hint.shard as usize;
+        let incremental = decision.actions.get(at) == Some(&ShardAction::Incremental);
+        if !incremental || client[at] != hint.since {
+            continue;
         }
-        decision
-            .refined
-            .retain(|shard| decision.proposed.binary_search(shard).is_err());
+        let pushed = PUSHED_COMPARE_BYTES * hint.candidates.len() as f64;
+        let otherwise = match decision.refined.binary_search(&hint.shard) {
+            Ok(_) => children.0 + COMPARE_BYTES_PER_KEY * walked(at) * children.1,
+            Err(_) => COMPARE_BYTES_PER_KEY * walked(at),
+        };
+        if PROPOSAL_BYTES + pushed < otherwise {
+            decision.proposed.push(hint.shard);
+        }
     }
+    decision
+        .refined
+        .retain(|shard| decision.proposed.binary_search(shard).is_err());
     decision
 }
 
@@ -234,8 +227,8 @@ mod tests {
     /// here on the codec so neither can move without the other.
     #[test]
     fn the_priced_constants_are_what_the_codec_writes() {
-        use crate::mux::{CtrlMsg, MuxMsg, StreamAnswer, StreamOpen};
-        use optrep_core::sync::WireMsg;
+        use crate::mux::{classify, CtrlMsg, MuxMsg, StreamAnswer, StreamOffer, StreamOpen};
+        use optrep_core::sync::{Framed, WireMsg};
         use optrep_core::SiteId;
 
         // One more key in each COMPARE frame, less what names it (its
@@ -312,6 +305,38 @@ mod tests {
             INDEX_BYTES + 2.0 * CHILD_BYTES
         );
         assert_eq!((scope(2) - scope(1)) as f64, INDEX_BYTES);
+
+        // Eight more proposed shards, one more byte of the proposals
+        // tail (each shard's index aside, a byte at 64 shards).
+        let proposing = |shards: u64| {
+            ShardPlan {
+                count: 64,
+                incremental: (0..shards).collect(),
+                proposed: (0..shards).collect(),
+                ..ShardPlan::default()
+            }
+            .encode()
+            .len()
+        };
+        assert_eq!(
+            (proposing(16) - proposing(8) - 8) as f64,
+            8.0 * PROPOSAL_BYTES
+        );
+
+        // One more pushed key in the push frame's COMPARE plane.
+        let pushes = |keys: u64| {
+            let push = |stream| StreamOffer {
+                stream,
+                name: name.clone(),
+                first,
+                client_equal: true,
+            };
+            let msg = MuxMsg::Ctrl(CtrlMsg::BatchPush {
+                pushes: (1..=keys).map(push).collect(),
+            });
+            classify(&Framed::new(0, msg)).compare
+        };
+        assert_eq!((pushes(2) - pushes(1)) as f64, PUSHED_COMPARE_BYTES);
     }
 
     #[test]
@@ -384,16 +409,17 @@ mod tests {
         let stray = [hint(&ours, 100, 1), hint(&ours, 9_999, 1)];
         assert!(decide(&ours, &theirs, &stray).proposed.is_empty());
         // Every shard dirty at 39 keys — no children to fall back on:
-        // six changed keys a shard are proposed, thirty-six are not.
+        // a pushed key costs half a walked one, so seventy-seven changed
+        // keys a shard are proposed, seventy-eight are not.
         let (ours, theirs) = map_with(512, 39, 512);
-        let few: Vec<Hint> = (0..512).map(|shard| hint(&ours, shard, 6)).collect();
-        let most: Vec<Hint> = (0..512).map(|shard| hint(&ours, shard, 36)).collect();
+        let few: Vec<Hint> = (0..512).map(|shard| hint(&ours, shard, 77)).collect();
+        let most: Vec<Hint> = (0..512).map(|shard| hint(&ours, shard, 78)).collect();
         assert_eq!(decide(&ours, &theirs, &few).proposed.len(), 512);
         assert!(decide(&ours, &theirs, &most).proposed.is_empty());
-        // At the finest map a candidate is a whole shard.
+        // Even at the finest map: a push names its keys, not a shard.
         let (ours, theirs) = map_with(MAX_PLAN_SHARDS as usize, 195, 4);
         let hints: Vec<Hint> = (0..4).map(|shard| hint(&ours, shard, 1)).collect();
-        assert!(decide(&ours, &theirs, &hints).proposed.is_empty());
+        assert_eq!(decide(&ours, &theirs, &hints).proposed, [0, 1, 2, 3]);
     }
 
     #[test]

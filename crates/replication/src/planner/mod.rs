@@ -51,29 +51,35 @@
 //! vector. The first contact on a connection, and any contact whose
 //! vector changed everywhere, opens with the full vector's frame.
 //!
-//! **The server proposes the scope.** The serving store keeps a bounded
-//! journal of the keys it changed and of what each change did to its
-//! shard's digest ([`JOURNAL_CAP`]), and the serving end of a connection
-//! remembers the store's generation at the connection's last plan. Where
-//! the journal reaches back that far, the server knows which keys of a
-//! dirty shard *it* moved since the puller last pulled, and what the
-//! shard summarised to then: its digest now less those changes. It
-//! **checks** that against the puller's digest of the shard — in the
-//! vector it has just received — and only where the two are equal,
-//! digest and entry count, does it say so in the plan frame instead of
-//! offering child digests: a [`Proposal`] lists the candidates, and it
-//! is binding — both endpoints keep only the keys under them. Equal, the
-//! puller holds the shard as the server held it then, so every entry
-//! outside the candidates is the same on both sides, on the same hash
-//! trust a skip rests on. Anything else (a local write, a pull from a
-//! third site, a previous outcome thrown away, a journal that lost or
+//! **The server proposes the scope, and pushes it.** The serving store
+//! keeps a bounded journal of the keys it changed and of what each
+//! change did to its shard's digest ([`JOURNAL_CAP`]), and the serving
+//! end of a connection remembers the store's generation at the
+//! connection's last plan. Where the journal reaches back that far, the
+//! server knows which keys of a dirty shard *it* moved since the puller
+//! last pulled, and what the shard summarised to then: its digest now
+//! less those changes. It **checks** that against the puller's digest
+//! of the shard — in the vector it has just received — and only where
+//! the two are equal, digest and entry count, does it propose the shard
+//! in the plan frame instead of offering child digests. A proposal is
+//! binding, and it is carried out at once: in the same burst as the
+//! plan, the server opens a stream for each key its journal places in
+//! the shard ([`JOURNAL_PLACEMENTS`]) and sends it whole — its open,
+//! its `SYNCS` elements, its value — with no hello to wait for
+//! ([`CtrlMsg::BatchPush`](crate::mux::CtrlMsg::BatchPush)). Equal,
+//! the puller holds the shard as the server held it then, so every
+//! entry the push leaves out is the same on both sides, and every entry
+//! it carries is one the puller holds at a version the server has
+//! since superseded (or not at all): the proof stands in for the
+//! server's half of COMPARE. Anything else (a local write, a pull from
+//! a third site, a previous outcome thrown away, a journal that lost or
 //! misfiled a change) and the sum does not come out: the shard is
 //! refined or walked like one with no hint. The journal is a hint; the
 //! digests are the proof, and the one thing the check trusts is that
 //! each change is filed under its own key's placement.
 //!
 //! The planner frames reuse the mux control stream (tag space `0x35+`,
-//! disjoint from [`CtrlMsg`](crate::mux::CtrlMsg)'s `0x31..=0x34`) and
+//! disjoint from [`CtrlMsg`](crate::mux::CtrlMsg)'s `0x30..=0x34`) and
 //! the link layer's turn-marker discipline, so the phase pipelines over
 //! pooled persistent connections exactly like the contacts themselves:
 //! no extra dial, no extra socket round beyond the one planning turn.
@@ -118,8 +124,8 @@ pub use decide::{decide, Decision, Hint, PlanConfig, ShardAction};
 pub use digest::{
     kept_as_sent, nothing_to_pull, DigestDelta, DigestVector, ShardDigest, VectorMemory,
 };
-pub use plan::{ChildDigests, Proposal, ShardPlan};
-pub use scope::{Candidates, Cut, Offer, ShardScope};
+pub use plan::{ChildDigests, ShardPlan};
+pub use scope::{Cut, Offer, ShardScope};
 
 use crate::mux::CONTROL_STREAM;
 use bytes::BytesMut;
@@ -140,26 +146,32 @@ const TAG_SHARD_PLAN_REFINED: u8 = 0x38;
 /// expressed against the last one the connection carried.
 pub(crate) const TAG_SHARD_DIGESTS_DELTA: u8 = 0x39;
 
-/// Wire tag of a [`ShardPlan`] whose frame ends in a [`Proposal`] tail
+/// Wire tag of a [`ShardPlan`] whose frame ends in a proposals tail
 /// (behind a children tail, or the byte that says there is none). As
 /// with [`TAG_SHARD_PLAN_REFINED`], the tail is mandatory under the tag,
 /// and a plan that proposes nothing carries no byte saying so.
 const TAG_SHARD_PLAN_PROPOSED: u8 = 0x3a;
 
 /// Hard cap on the shard count any peer may claim: bounds the
-/// allocation a hostile digest vector or plan can force. Also the shard
-/// count a [`Proposal`]'s candidates are expressed at: the finest map
-/// the protocol admits, whatever the plan's own count.
+/// allocation a hostile digest vector or plan can force.
 pub const MAX_PLAN_SHARDS: u64 = 1 << 20;
 
+/// The placements a change journal tells apart: a change is filed under
+/// its key's placement hash masked this wide (31 bits), and a proposed
+/// shard pushes each key whose placement, so masked, the journal lists
+/// since the connection's last contact — the keys that changed, and of
+/// 100 000 others about one in 20 000 that shares all 31 bits with one,
+/// which the puller finds equal.
+pub const JOURNAL_PLACEMENTS: u64 = 1 << 31;
+
 /// Entries a store's change journal keeps before it evicts the oldest:
-/// what bounds how far back a server can [propose](Proposal) from. An
-/// entry is a generation's low 32 bits, a placement masked at
-/// [`MAX_PLAN_SHARDS`] and what the change did to its shard's digest, 16
-/// bytes, so a store's journal is one allocation of 16 B × 4096 = 64 KiB
-/// once it has been written to, whatever the store holds — and a peer
-/// that pulls less often than every 4096 changed keys is planned for
-/// from digests alone.
+/// what bounds how far back a server can propose from. An entry is a
+/// generation's low 32 bits, a placement masked at
+/// [`JOURNAL_PLACEMENTS`] and what the change did to its shard's
+/// digest, 16 bytes, so a store's journal is one allocation of 16 B ×
+/// 4096 = 64 KiB once it has been written to, whatever the store holds
+/// — and a peer that pulls less often than every 4096 changed keys is
+/// planned for from digests alone.
 pub const JOURNAL_CAP: usize = 4096;
 
 /// FNV-1a's 64-bit offset basis and prime: [`placement`] hashes key

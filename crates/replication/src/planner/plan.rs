@@ -22,38 +22,6 @@ pub struct ChildDigests {
     pub parents: Vec<(u64, Vec<ShardDigest>)>,
 }
 
-/// One shard whose scope the server proposes itself: the keys its
-/// journal says it changed since the connection's last contact. Binding:
-/// the server checked that the puller holds the shard as the server held
-/// it then ([`decide`](super::decide())), so both ends cut the shard to
-/// the candidates.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Proposal {
-    /// The shard, one of the plan's incremental ones.
-    pub shard: u64,
-    /// Where the changed keys live at [`MAX_PLAN_SHARDS`] — their
-    /// placement hashes masked that wide, so each is `shard` in its low
-    /// bits — strictly increasing, at least one. A candidate admits
-    /// every key placed under it.
-    pub candidates: Vec<u64>,
-}
-
-/// A proposal on the wire, in a plan at `1 << shift` shards: the shard,
-/// the number of candidates, each candidate as what is left of it above
-/// the shard's bits (the first as it is, every later one as the gap past
-/// its predecessor, less one — no encoding lists candidates out of order
-/// or twice).
-pub(super) fn put_proposal(buf: &mut BytesMut, shard: u64, candidates: &[u64], shift: u32) {
-    wire::put_varint(buf, shard);
-    wire::put_varint(buf, candidates.len() as u64);
-    let mut next = 0;
-    for candidate in candidates {
-        let above = candidate >> shift;
-        wire::put_varint(buf, above - next);
-        next = above + 1;
-    }
-}
-
 /// The server's answer: how each of the puller's shards will be
 /// brought up to date. Shards in neither list are skipped.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -74,13 +42,14 @@ pub struct ShardPlan {
     /// [`ShardScope`](super::ShardScope) the contact runs over the refined
     /// shards whole.
     pub children: Option<ChildDigests>,
-    /// The incremental shards whose scope the server proposes from its
-    /// change journal, shards strictly increasing and none of them among
-    /// the `children`; empty on a connection's first contact, and
-    /// wherever the journal does not reach back to the last one. Unlike
-    /// the children, binding: both ends cut these shards to their
-    /// candidates.
-    pub proposed: Vec<Proposal>,
+    /// The incremental shards the server proposes from its change
+    /// journal, strictly increasing and none of them among the
+    /// `children`; empty on a connection's first contact, and wherever
+    /// the journal does not reach back to the last one. Binding: the
+    /// server pushes each key it changed there since the last contact,
+    /// with the plan, and neither end opens any other key of these
+    /// shards.
+    pub proposed: Vec<u64>,
 }
 
 impl ShardPlan {
@@ -99,31 +68,30 @@ impl ShardPlan {
         self.incremental.iter().copied().chain(snapshots)
     }
 
-    /// What the plan offers to narrow, if anything.
+    /// The incremental shards the exchange walks: all but the proposed
+    /// ones, in the plan's order.
+    pub fn walked(&self) -> Vec<u64> {
+        (self.incremental.iter().copied())
+            .filter(|shard| self.proposed.binary_search(shard).is_err())
+            .collect()
+    }
+
+    /// What the plan offers to narrow, if anything: the children.
     pub fn offer(&self) -> Option<Offer> {
-        if self.children.is_none() && self.proposed.is_empty() {
-            return None;
-        }
-        let (fanout, parents) = match &self.children {
-            Some(children) => (
-                children.fanout,
-                children.parents.iter().map(|(shard, _)| *shard).collect(),
-            ),
-            None => (1, Vec::new()),
-        };
-        let candidates = |p: &Proposal| (p.shard, p.candidates.clone());
+        let children = self.children.as_ref()?;
         Some(Offer {
             count: self.count,
-            fanout,
-            parents,
-            proposed: self.proposed.iter().map(candidates).collect(),
+            fanout: children.fanout,
+            parents: children.parents.iter().map(|(shard, _)| *shard).collect(),
         })
     }
 
     /// Encodes the message. The children, when present, are a tail
     /// after the unrefined encoding, under their own tag; proposals,
     /// when present, a tail behind that — or behind a zero byte where
-    /// there are no children — under a third.
+    /// there are no children — under a third: one bit an incremental
+    /// shard, in the plan's order, the first in the low bit of the first
+    /// byte, set where the shard is proposed.
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::new();
         buf.put_u8(match (&self.children, self.proposed.is_empty()) {
@@ -155,11 +123,13 @@ impl ShardPlan {
             }
         }
         if !self.proposed.is_empty() {
-            wire::put_varint(&mut buf, self.proposed.len() as u64);
-            let shift = self.count.trailing_zeros();
-            for p in &self.proposed {
-                put_proposal(&mut buf, p.shard, &p.candidates, shift);
+            let mut bits = vec![0u8; self.incremental.len().div_ceil(8)];
+            for (i, shard) in self.incremental.iter().enumerate() {
+                if self.proposed.binary_search(shard).is_ok() {
+                    bits[i / 8] |= 1 << (i % 8);
+                }
             }
+            buf.put_slice(&bits);
         }
         buf.freeze()
     }
@@ -171,12 +141,11 @@ impl ShardPlan {
     /// missing children tail, a fan-out below 2 or with `count · F`
     /// past [`MAX_PLAN_SHARDS`], and refined shards that are not a
     /// strictly increasing selection of the incremental ones; under
-    /// the proposing tag (`0x3a`) a missing proposals tail, proposed
-    /// shards that are not such a selection or that are also refined,
-    /// and candidates that are none, out of order or past the shard's
-    /// `MAX_PLAN_SHARDS ∕ count`. Every length is checked against what
-    /// was already decoded, or against the bytes that are left, before
-    /// it sizes an allocation.
+    /// the proposing tag (`0x3a`) a missing or short proposals tail, one
+    /// that proposes nothing, a bit past the last incremental shard, and
+    /// a proposed shard that is also refined. Every length is checked
+    /// against what was already decoded, or against the bytes that are
+    /// left, before it sizes an allocation.
     ///
     /// # Errors
     ///
@@ -238,7 +207,7 @@ impl ShardPlan {
             false => None,
         };
         let proposed = match proposing {
-            true => Self::decode_proposals(buf, count, &incremental, children.as_ref())?,
+            true => Self::decode_proposals(buf, &incremental, children.as_ref())?,
             false => Vec::new(),
         };
         if buf.has_remaining() {
@@ -292,54 +261,36 @@ impl ShardPlan {
         Ok(ChildDigests { fanout, parents })
     }
 
-    /// The proposals tail of a plan at `count` shards whose refined
-    /// shards are `children`'s.
+    /// The proposals tail of a plan whose incremental shards are
+    /// `incremental` and whose refined ones are `children`'s.
     fn decode_proposals(
         buf: &mut Bytes,
-        count: u64,
         incremental: &[u64],
         children: Option<&ChildDigests>,
-    ) -> std::result::Result<Vec<Proposal>, WireError> {
-        /// A shard, a count and one candidate, of a byte or more each.
-        const MIN_PROPOSAL_BYTES: u64 = 3;
-        let shift = count.trailing_zeros();
-        let fanout = MAX_PLAN_SHARDS >> shift;
-        let n = wire::get_varint(buf)?;
-        if n == 0 || n > incremental.len() as u64 {
+    ) -> std::result::Result<Vec<u64>, WireError> {
+        let len = incremental.len().div_ceil(8);
+        if len == 0 {
             return Err(WireError::InvalidPayload);
         }
-        if n * MIN_PROPOSAL_BYTES > buf.remaining() as u64 {
+        if buf.remaining() < len {
             return Err(WireError::UnexpectedEof);
+        }
+        let bits = buf.copy_to_bytes(len);
+        // The bits of the last byte past the last incremental shard.
+        let used = (incremental.len() - (len - 1) * 8) as u32;
+        if bits[len - 1].checked_shr(used).unwrap_or(0) != 0 {
+            return Err(WireError::InvalidPayload);
         }
         let refined = |shard: u64| {
             children.is_some_and(|c| c.parents.binary_search_by_key(&shard, |p| p.0).is_ok())
         };
-        let mut proposed: Vec<Proposal> = Vec::with_capacity(n as usize);
-        // As for the children: a selection of the incremental shards in
-        // their order.
-        let mut listed = incremental.iter();
-        for _ in 0..n {
-            let shard = wire::get_varint(buf)?;
-            let in_order = proposed.last().is_none_or(|last| last.shard < shard);
-            if !in_order || !listed.any(|&listed| listed == shard) || refined(shard) {
-                return Err(WireError::InvalidPayload);
-            }
-            let m = wire::get_varint(buf)?;
-            // A candidate is at least one byte.
-            if m == 0 || m > fanout || m > buf.remaining() as u64 {
-                return Err(WireError::InvalidPayload);
-            }
-            let mut candidates = Vec::with_capacity(m as usize);
-            let mut next = 0u64;
-            for _ in 0..m {
-                let above = next
-                    .checked_add(wire::get_varint(buf)?)
-                    .filter(|&above| above < fanout)
-                    .ok_or(WireError::InvalidPayload)?;
-                candidates.push(shard | above << shift);
-                next = above + 1;
-            }
-            proposed.push(Proposal { shard, candidates });
+        let proposed: Vec<u64> = (incremental.iter().enumerate())
+            .filter(|(i, _)| bits[i / 8] & 1 << (i % 8) != 0)
+            .map(|(_, &shard)| shard)
+            .collect();
+        let in_order = proposed.windows(2).all(|pair| pair[0] < pair[1]);
+        if !in_order || proposed.is_empty() || proposed.iter().any(|&shard| refined(shard)) {
+            return Err(WireError::InvalidPayload);
         }
         Ok(proposed)
     }
@@ -477,15 +428,7 @@ pub(super) mod tests {
                 .is_ok()
         };
         scope.children.retain(refined);
-        let fanout = MAX_PLAN_SHARDS / plan.count;
-        for &shard in &proposed {
-            let candidates: Vec<u64> = (0..1 + rng.next_u64() % 5)
-                .map(|_| shard + (rng.next_u64() % fanout) * plan.count)
-                .collect::<std::collections::BTreeSet<u64>>()
-                .into_iter()
-                .collect();
-            plan.proposed.push(Proposal { shard, candidates });
-        }
+        plan.proposed = proposed;
         if seed & 1 == 0 && !children.parents.is_empty() {
             plan.children = Some(children);
             (plan, Some(scope))
@@ -520,24 +463,20 @@ pub(super) mod tests {
             let full = plan.encode();
             assert_eq!(full[0], TAG_SHARD_PLAN_PROPOSED, "seed {seed}");
             assert_strict(&plan, full, ShardPlan::decode);
-            let offer = plan.offer().expect("something to narrow");
-            assert_eq!(offer.proposed.len(), plan.proposed.len());
+            let walked = plan.walked();
+            assert_eq!(walked.len() + plan.proposed.len(), plan.incremental.len());
             match scope {
                 Some(scope) => {
                     with_children += 1;
+                    let offer = plan.offer().expect("children to narrow");
                     assert_strict(&scope, scope.encode(), |buf| {
                         ShardScope::decode(buf, &offer)
                     });
                 }
                 None => {
-                    // A plan that only proposes is answered with no
-                    // scope: an empty one answers nothing it offered.
+                    // A plan that only proposes offers nothing to narrow.
                     without += 1;
-                    let empty = ShardScope {
-                        count: plan.count,
-                        children: Vec::new(),
-                    };
-                    assert!(ShardScope::decode(&mut empty.encode(), &offer).is_err());
+                    assert_eq!(plan.offer(), None);
                 }
             }
         }
@@ -555,61 +494,50 @@ pub(super) mod tests {
     #[test]
     fn hostile_proposals_rejected() {
         let tail = |parts: &[&[u8]]| proposing_plan(&parts.concat());
-        // The honest shapes: no children, shard 1 with candidates at 0
-        // and 2 above its bits; and shard 3 refined at F = 2 beside it.
-        let plain = ShardPlan::decode(&mut tail(&[&[0, 1, 1, 2, 0, 1]])).expect("well-formed");
-        assert_eq!(plain.proposed[0].candidates, [1, 1 + 2 * 4]);
+        // The honest shapes: no children, shard 1 proposed (the second
+        // incremental shard, the second bit); and shard 3 refined at
+        // F = 2 beside it.
+        let plain = ShardPlan::decode(&mut tail(&[&[0, 0b010]])).expect("well-formed");
+        assert_eq!(
+            (plain.proposed.clone(), plain.walked()),
+            (vec![1], vec![0, 3])
+        );
         let child = [1u8, 0, 0, 0, 0, 0, 0, 0, 7];
         let refined = [&[1u8, 1, 1, 3][..], &child, &child].concat();
-        let both = ShardPlan::decode(&mut tail(&[&refined, &[1, 1, 1, 0]])).expect("both");
+        let both = ShardPlan::decode(&mut tail(&[&refined, &[0b010]])).expect("both");
         assert_eq!(both.offer().expect("offer").parents, [3]);
-        let hostile: [(&str, Bytes); 11] = [
+        // Nine incremental shards at 16 take a tail of two bytes.
+        let mut nine = BytesMut::from(&[TAG_SHARD_PLAN_PROPOSED, 16, 9][..]);
+        nine.extend_from_slice(&[0, 1, 2, 3, 4, 5, 6, 7, 8, 0, 0, 1]);
+        let hostile: [(&str, Bytes); 9] = [
             ("no tail under the proposing tag", tail(&[])),
-            ("a children flag that is neither", tail(&[&[2, 1, 1, 1, 0]])),
+            ("a children flag that is neither", tail(&[&[2, 0b010]])),
             ("a children flag and no children", tail(&[&[1]])),
             ("no proposals", tail(&[&[0, 0]])),
-            ("more proposals than incremental shards", tail(&[&[0, 4]])),
-            ("a shard the plan skips", tail(&[&[0, 1, 2, 1, 0]])),
-            ("a shard out of range", tail(&[&[0, 1, 4, 1, 0]])),
-            ("no candidates", tail(&[&[0, 1, 1, 0]])),
+            (
+                "a bit past the last incremental shard",
+                tail(&[&[0, 0b1010]]),
+            ),
             (
                 "a shard both refined and proposed",
-                tail(&[&refined, &[1, 3, 1, 0]]),
+                tail(&[&refined, &[0b100]]),
             ),
-            ("a candidate short", tail(&[&[0, 1, 1, 2, 0]])),
-            ("shards out of order", tail(&[&[0, 2, 3, 1, 0, 1, 1, 0]])),
+            ("a tail a byte short", nine.clone().freeze()),
+            (
+                "no incremental shard to propose",
+                Bytes::from_static(&[TAG_SHARD_PLAN_PROPOSED, 4, 0, 0, 0, 1]),
+            ),
+            (
+                "incremental shards out of order",
+                Bytes::from_static(&[TAG_SHARD_PLAN_PROPOSED, 4, 2, 3, 1, 0, 0, 0b11]),
+            ),
         ];
         for (what, mut bytes) in hostile {
             assert!(ShardPlan::decode(&mut bytes).is_err(), "{what}");
         }
-        // A shard listed twice, and a candidate past the shard's
-        // 2^20 / 4 (the last admissible one decodes).
-        let twice = tail(&[&[0, 2, 1, 1, 0, 1, 1, 0]]);
-        assert!(ShardPlan::decode(&mut twice.clone()).is_err());
-        let mut edge = BytesMut::from(&[0u8, 1, 1, 1][..]);
-        wire::put_varint(&mut edge, (1 << 18) - 1);
-        let last = ShardPlan::decode(&mut tail(&[&edge])).expect("the last candidate");
-        assert_eq!(last.proposed[0].candidates, [MAX_PLAN_SHARDS - 3]);
-        let mut past = BytesMut::from(&[0u8, 1, 1, 1][..]);
-        wire::put_varint(&mut past, 1 << 18);
-        assert!(ShardPlan::decode(&mut tail(&[&past])).is_err());
-        // A second candidate whose gap overflows, or lands past the end.
-        let mut wrapped = BytesMut::from(&[0u8, 1, 1, 2, 7][..]);
-        wire::put_varint(&mut wrapped, u64::MAX);
-        assert!(ShardPlan::decode(&mut tail(&[&wrapped])).is_err());
-        // Counts the payload cannot hold fail before anything is sized
-        // by them: three proposals over three bytes, and a quarter of a
-        // million candidates over one.
-        assert_eq!(
-            ShardPlan::decode(&mut tail(&[&[0, 3, 0, 1, 0]])),
-            Err(WireError::UnexpectedEof)
-        );
-        let mut many = BytesMut::from(&[0u8, 1, 1][..]);
-        wire::put_varint(&mut many, 1 << 18);
-        assert_eq!(
-            ShardPlan::decode(&mut tail(&[&many, &[0]])),
-            Err(WireError::InvalidPayload)
-        );
+        nine.put_u8(1);
+        let last = ShardPlan::decode(&mut nine.freeze()).expect("two bytes");
+        assert_eq!(last.proposed, [0, 8]);
         // The proposals tail under either older tag is trailing bytes.
         for tag in [TAG_SHARD_PLAN, TAG_SHARD_PLAN_REFINED] {
             let mut relabelled = BytesMut::from(&plain.encode()[..]);

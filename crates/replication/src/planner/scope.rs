@@ -1,15 +1,10 @@
 //! What a plan offered to narrow, the puller's answer to it, and the
 //! one predicate both ends cut their endpoints with.
 
-use super::{placement, MAX_PLAN_SHARDS, TAG_SHARD_SCOPE};
+use super::{placement, TAG_SHARD_SCOPE};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use optrep_core::error::WireError;
 use optrep_core::wire;
-
-/// A shard and its candidates, as a [`Proposal`](super::Proposal) lists
-/// them: what a journal hints at before [`decide`](super::decide()) priced
-/// it, and what an [`Offer`] keeps of a proposal.
-pub type Candidates = (u64, Vec<u64>);
 
 /// What a plan offered to narrow, without the digests: the part of a
 /// [`ShardPlan`](super::ShardPlan) a [`ShardScope`] is checked against
@@ -23,27 +18,17 @@ pub struct Offer {
     pub fanout: u64,
     /// The refined shards, strictly increasing.
     pub parents: Vec<u64>,
-    /// The proposed shards with their candidates, shards strictly
-    /// increasing and none of them refined.
-    pub proposed: Vec<Candidates>,
 }
 
 impl Offer {
-    /// Whether `key` — a key of one of the plan's incremental shards —
-    /// stays in the contact once the puller answered the children with
-    /// `scope` (or ignored them): a key of a proposed shard only if it is
-    /// placed under a candidate, a key of a refined shard only if the
-    /// scope lists its child, every other key always. Both endpoints cut
+    /// Whether `key` — a key of one of the plan's walked shards — stays
+    /// in the contact once the puller answered the children with `scope`
+    /// (or ignored them): a key of a refined shard only if the scope
+    /// lists its child, every other key always. Both endpoints cut
     /// themselves with this one predicate, so they agree on the key set.
     pub fn admits(&self, scope: Option<&ShardScope>, key: &[u8]) -> bool {
         let hash = placement(key);
         let shard = hash & (self.count - 1);
-        if let Ok(slot) = (self.proposed).binary_search_by_key(&shard, |(shard, _)| *shard) {
-            let candidates = &self.proposed[slot].1;
-            return candidates
-                .binary_search(&(hash & (MAX_PLAN_SHARDS - 1)))
-                .is_ok();
-        }
         match scope {
             Some(scope) if self.parents.binary_search(&shard).is_ok() => scope
                 .children
@@ -54,17 +39,18 @@ impl Offer {
     }
 }
 
-/// The keys a planned contact runs over: those of the plan's incremental
-/// shards that the plan's [`Offer`], and the puller's answer to its
-/// children, left in it. Each end builds its endpoint from one — filter,
+/// The keys a planned contact walks: those of the plan's walked shards
+/// ([`ShardPlan::walked`](super::ShardPlan::walked)) that the plan's
+/// [`Offer`], and the puller's answer to its children, left in it. Each end builds its endpoint from one — filter,
 /// *then* materialise — so neither decodes a vector or copies a value
 /// for a key the contact will not open.
 #[derive(Debug, Clone, Copy)]
 pub struct Cut<'a> {
     /// The plan's shard count.
     pub count: u64,
-    /// The plan's incremental shards.
-    pub incremental: &'a [u64],
+    /// The plan's walked shards: its incremental ones but those it
+    /// proposed, whose keys the server pushed with the plan.
+    pub walked: &'a [u64],
     /// What the plan offered; `None` where it offered nothing, and the
     /// incremental shards are walked whole.
     pub offer: Option<&'a Offer>,
@@ -75,7 +61,7 @@ pub struct Cut<'a> {
 }
 
 impl Cut<'_> {
-    /// Whether `key`, a key of one of the incremental shards, is in the
+    /// Whether `key`, a key of one of the walked shards, is in the
     /// contact ([`Offer::admits`]).
     pub fn admits(&self, key: &[u8]) -> bool {
         self.offer.is_none_or(|offer| offer.admits(self.scope, key))
@@ -162,12 +148,11 @@ mod tests {
 
     #[test]
     fn a_scope_answers_children_and_nothing_else() {
-        // Proposed: shards 1 and 3 of 4; refined: shard 2 at F = 4.
+        // Refined: shard 2 of 4 at F = 4.
         let offer = Offer {
             count: 4,
             fanout: 4,
             parents: vec![2],
-            proposed: vec![(1, vec![1]), (3, vec![3, 7])],
         };
         let scope = |count, children: &[u64]| {
             ShardScope {
@@ -179,64 +164,13 @@ mod tests {
         ShardScope::decode(&mut scope(16, &[2, 6]), &offer).expect("well-formed");
         ShardScope::decode(&mut scope(16, &[]), &offer).expect("no child differs");
         let hostile = [
-            ("a child of a proposed shard", scope(16, &[1])),
+            ("a child of an unrefined shard", scope(16, &[1])),
             ("a child of a skipped shard", scope(16, &[4])),
             ("a shard where a child is due", scope(16, &[2, 3])),
         ];
         for (what, mut bytes) in hostile {
             assert!(ShardScope::decode(&mut bytes, &offer).is_err(), "{what}");
         }
-        // A plan that only proposes is answered with no scope at all:
-        // one at its own count, even an empty one, answers nothing.
-        let only = Offer {
-            fanout: 1,
-            parents: Vec::new(),
-            ..offer
-        };
-        for children in [&[][..], &[1]] {
-            assert!(ShardScope::decode(&mut scope(4, children), &only).is_err());
-        }
-    }
-
-    #[test]
-    fn an_offer_admits_proposed_shards_by_candidate_whatever_the_scope() {
-        let keys: Vec<String> = (0..400).map(|i| format!("key-{i}")).collect();
-        let in_shard = |shard| {
-            keys.iter()
-                .filter(move |k| shard_of(k.as_bytes(), 4) == shard)
-        };
-        let fine = |key: &String| shard_of(key.as_bytes(), MAX_PLAN_SHARDS);
-        let listed: Vec<u64> = {
-            let mut two: Vec<u64> = in_shard(1).take(2).map(fine).collect();
-            two.sort_unstable();
-            two
-        };
-        let offer = Offer {
-            count: 4,
-            fanout: 4,
-            parents: vec![2],
-            proposed: vec![(1, listed.clone())],
-        };
-        let scope = ShardScope {
-            count: 16,
-            children: Vec::new(),
-        };
-        for answered in [None, Some(&scope)] {
-            for key in in_shard(1) {
-                assert_eq!(
-                    offer.admits(answered, key.as_bytes()),
-                    listed.contains(&fine(key))
-                );
-            }
-            let admitted = in_shard(1).filter(|k| offer.admits(answered, k.as_bytes()));
-            assert_eq!(admitted.count(), 2);
-            assert!(in_shard(3).all(|key| offer.admits(answered, key.as_bytes())));
-        }
-        // The refined shard: whole when its children go unanswered, cut
-        // to the listed ones (here none) when they are answered.
-        assert!(in_shard(2).all(|key| offer.admits(None, key.as_bytes())));
-        assert!(in_shard(2).all(|key| !offer.admits(Some(&scope), key.as_bytes())));
-        assert_eq!(listed[0] & 3, 1, "a candidate keeps its shard's low bits");
     }
 
     #[test]
@@ -268,7 +202,6 @@ mod tests {
             count: 4,
             fanout: 4,
             parents: vec![1, 2],
-            proposed: Vec::new(),
         };
         let scope = |count: u64, children: &[u64]| {
             ShardScope {
@@ -317,7 +250,6 @@ mod tests {
             count: 4,
             fanout: 4,
             parents: vec![1],
-            proposed: Vec::new(),
         };
         let keys: Vec<String> = (0..400).map(|i| format!("key-{i}")).collect();
         let in_shard = |shard| {

@@ -9,19 +9,17 @@ use optrep_core::error::WireError;
 use optrep_core::obs::metrics::MetricsRegistry;
 use optrep_core::obs::{self, CheckSink, RingSink, SyncEvent};
 use optrep_core::rng::SplitMix64;
-use optrep_core::sync::{Endpoint, Framed, ReceiverStats, WireMsg};
+use optrep_core::sync::{Endpoint, Framed, Msg, ReceiverStats, WireMsg};
 use optrep_core::wire::{self, FrameDecoder};
 use optrep_core::{Causality, Error, Result, RotatingVector, SiteId, Srv};
 use optrep_kv::{Committed, JoinResolver, KvStore, KvSyncReport};
 use optrep_net::{ConnPool, ConnectOptions, FaultPlan, FaultyLink, FrameLink, TcpLink};
-use optrep_replication::mux::{StreamOpen, TURN_STREAM};
-use optrep_replication::planner::{
-    digest_vector_frame, plan_frame, scope_frame, shard_of, MAX_PLAN_SHARDS,
-};
+use optrep_replication::mux::{Pushed, StreamOffer, StreamOpen, TURN_STREAM};
+use optrep_replication::planner::{digest_vector_frame, plan_frame, scope_frame, shard_of};
 use optrep_replication::{
-    classify, pull_contact, pull_planned, reason_label, run_contact, serve_contact, serve_frame, serve_from,
-    BatchPullClient, BatchPullServer, ContactAnswer, ContactAsk, ContactReport, CtrlMsg,
-    DigestDelta, DigestVector, Faulted, InProcessLink, MuxMsg, PlanConfig, Proposal, Puller,
+    classify, pull_contact, pull_planned, reason_label, run_contact, serve_contact, serve_frame,
+    serve_from, BatchPullClient, BatchPullServer, ContactAnswer, ContactAsk, ContactReport,
+    CtrlMsg, DigestDelta, DigestVector, Faulted, InProcessLink, MuxMsg, PlanConfig, Puller,
     ServeStep, Serving, SessionMsg, ShardPlan, ShardScope, VectorMemory, CONTROL_STREAM,
 };
 use optrep_replication::{ChildDigests, ShardDigest};
@@ -305,8 +303,8 @@ fn planned_pull_on<L: FrameLink>(
     remembered: &mut VectorMemory,
 ) -> Result<(ContactReport, KvSyncReport)> {
     let digests = dst.shard_digest_vector();
-    let (client, plan, contact) = pull_planned(link, remembered, &digests, |plan| {
-        dst.client_endpoint_refined(plan)
+    let (client, plan, contact) = pull_planned(link, remembered, &digests, |plan, pushed| {
+        dst.client_endpoint_refined(plan, pushed, dst.generation())
     })?;
     let committed = dst.apply_planned(&JoinResolver, client, &contact, &plan)?;
     remembered.settle(&committed.landed);
@@ -331,7 +329,7 @@ fn flat_pull<L: FrameLink>(
 ) -> Result<(ContactReport, KvSyncReport)> {
     let digests = dst.shard_digest_vector();
     let (client, plan, contact) =
-        pull_planned(link, &mut VectorMemory::default(), &digests, |plan| {
+        pull_planned(link, &mut VectorMemory::default(), &digests, |plan, _| {
             dst.client_endpoint_for(&plan.incremental, plan.count as usize)
         })?;
     let (synced, _) = dst.apply_planned_tracked(&JoinResolver, client, &contact, &plan)?;
@@ -633,9 +631,9 @@ fn raced_pull(
     let mut source = |ask: ContactAsk<'_>| src.borrow().open_contact(ask);
     let mut serving = Serving::default();
     let mut link = InProcessLink::serving(&mut serving, &mut source);
-    let digests = dst.shard_digest_vector();
+    let (digests, digested_at) = (dst.shard_digest_vector(), dst.generation());
     let mut fresh = VectorMemory::default();
-    let (client, plan, contact) = pull_planned(&mut link, &mut fresh, &digests, |plan| {
+    let (client, plan, contact) = pull_planned(&mut link, &mut fresh, &digests, |plan, pushed| {
         for (at_source, key, value) in races {
             match at_source {
                 true => src.borrow_mut().put(key.clone(), value.clone()),
@@ -643,7 +641,7 @@ fn raced_pull(
             }
         }
         match refined {
-            true => dst.client_endpoint_refined(plan),
+            true => dst.client_endpoint_refined(plan, pushed, digested_at),
             false => dst
                 .client_endpoint_for(&plan.incremental, plan.count as usize)
                 .into(),
@@ -792,8 +790,11 @@ fn render_transcript(half: &str, writes: &[Vec<u8>]) -> String {
             };
             let (name, planes) = describe_frame(frame);
             let tag = tag.map_or("-".to_string(), |tag| format!("{tag:#04x}"));
-            writeln!(text, "{half} {burst:>2} {stream:>5} {tag} {name:<13} {len:>6} {planes}")
-                .expect("a string takes any write");
+            writeln!(
+                text,
+                "{half} {burst:>2} {stream:>5} {tag} {name:<13} {len:>6} {planes}"
+            )
+            .expect("a string takes any write");
         }
     }
     writeln!(text, "fnv1a {hash:#018x}").expect("a string takes any write");
@@ -807,10 +808,16 @@ fn describe_frame(frame: wire::Frame) -> (&'static str, String) {
             [] => "turn",
             _ => "fin",
         }),
-        Some(&tag) if frame.stream == CONTROL_STREAM && (0x35..=0x3a).contains(&tag) => {
-            Some(["digests", "plan", "scope", "plan.refined", "digests.delta", "plan.proposed"]
-                [usize::from(tag - 0x35)])
-        }
+        Some(&tag) if frame.stream == CONTROL_STREAM && (0x35..=0x3a).contains(&tag) => Some(
+            [
+                "digests",
+                "plan",
+                "scope",
+                "plan.refined",
+                "digests.delta",
+                "plan.proposed",
+            ][usize::from(tag - 0x35)],
+        ),
         _ => None,
     };
     if let Some(name) = planner {
@@ -824,13 +831,17 @@ fn describe_frame(frame: wire::Frame) -> (&'static str, String) {
         MuxMsg::Ctrl(CtrlMsg::BatchServerFirst { .. }) => "server_first",
         MuxMsg::Ctrl(CtrlMsg::BatchDone { .. }) => "done",
         MuxMsg::Ctrl(CtrlMsg::Cancel { .. }) => "cancel",
+        MuxMsg::Ctrl(CtrlMsg::BatchPush { .. }) => "push",
         MuxMsg::Session(SessionMsg::Vector(_)) => "s.vector",
         MuxMsg::Session(SessionMsg::PayloadRequest) => "s.payload_req",
         MuxMsg::Session(SessionMsg::Payload { .. }) => "s.payload",
         MuxMsg::Session(_) => "s.other",
     };
     let b = classify(&Framed::new(stream, msg));
-    (name, format!("{} {} {} {}", b.compare, b.meta, b.framing, b.payload))
+    (
+        name,
+        format!("{} {} {} {}", b.compare, b.meta, b.framing, b.payload),
+    )
 }
 
 /// Checks a half's writes against `transcripts/<name>.txt`. On a
@@ -897,7 +908,10 @@ fn planned_wire_transcript_is_pinned_and_priced_by_the_old_arithmetic() {
     // The planning turn is in neither the frame count nor the four
     // planes, but it blocks: a round trip beside the exchange's two.
     assert_eq!((report.frames, report.total_bytes), (39, 1589));
-    assert_eq!((near.sent.len(), far.sent.len(), report.link_turns), (6, 6, 6));
+    assert_eq!(
+        (near.sent.len(), far.sent.len(), report.link_turns),
+        (6, 6, 6)
+    );
     assert_eq!(report.round_trips, 3);
     let created_ff_reconciled = (
         synced.keys_created,
@@ -960,7 +974,10 @@ fn refined_wire_transcript_is_pinned_and_adds_no_turn() {
     let (plan, _) = src.plan_contact(&digests, &PlanConfig::default());
     let children = plan.children.as_ref().expect("three shards refined");
     assert_eq!((children.fanout, children.parents.len()), (16, 3));
-    let scope = dst.client_endpoint_refined(&plan).scope.expect("a scope");
+    let scope = dst
+        .client_endpoint_refined(&plan, &[], dst.generation())
+        .scope
+        .expect("a scope");
     assert_eq!(scope.children.len(), 6, "one child per dirty key");
     let flat_oracle = (digest_vector_frame(&digests).len() + plan_frame(&plan).len()) as u64;
     assert_eq!(flat_report.digest_bytes, flat_oracle);
@@ -1178,16 +1195,19 @@ fn second_pull_over_a_link_is_proposed_what_the_source_changed() {
         (vec![2, 4, 7, 9, 13], 0)
     );
     assert_eq!(refined(&plan), [2, 7, 9]);
-    let proposed: Vec<(u64, usize)> = (plan.proposed.iter())
-        .map(|p| (p.shard, p.candidates.len()))
-        .collect();
-    assert_eq!(proposed, [(4, 2), (13, 1)], "not 2: the reconciled key");
+    assert_eq!(plan.proposed, [4, 13], "not 2: the reconciled key");
     assert_eq!(
         (plan_frame(&blind).len(), plan_frame(&plan).len()),
-        (739, 462)
+        (739, 451)
     );
-    let scope = dst.client_endpoint_refined(&plan).scope.expect("a scope");
-    let blind_scope = dst.client_endpoint_refined(&blind).scope.expect("a scope");
+    let scope = dst
+        .client_endpoint_refined(&plan, &[], dst.generation())
+        .scope
+        .expect("a scope");
+    let blind_scope = dst
+        .client_endpoint_refined(&blind, &[], dst.generation())
+        .scope
+        .expect("a scope");
     assert_eq!((scope.children.len(), blind_scope.children.len()), (4, 7));
     assert_eq!(
         (scope_frame(&blind_scope).len(), scope_frame(&scope).len()),
@@ -1211,11 +1231,11 @@ fn second_pull_over_a_link_is_proposed_what_the_source_changed() {
     // source's, is not proposed and is cut at its children like 7 and
     // 9: 39 keys against the cold pull's 64.
     assert_eq!((synced.keys_examined, cold_synced.keys_examined), (39, 64));
-    // Framing over the four changed keys: 126.5 B a key warm, 195.25
+    // Framing over the four changed keys: 125.25 B a key warm, 195.25
     // cold (538.5 B while shard 2 was refused and walked whole).
     assert_eq!(
         (synced.framing_bytes, cold_synced.framing_bytes),
-        (506, 781)
+        (501, 781)
     );
 
     // Both end where an unplanned pull ends, having changed the same keys.
@@ -1306,8 +1326,8 @@ fn a_pull_abandoned_after_the_wire_leaves_the_memories_in_step() {
     let mut link = InProcessLink::serving(&mut serving, &mut source);
     let mut remembered = VectorMemory::default();
     let digests = dst.shard_digest_vector();
-    let abandoned = pull_planned(&mut link, &mut remembered, &digests, |plan| {
-        dst.client_endpoint_refined(plan)
+    let abandoned = pull_planned(&mut link, &mut remembered, &digests, |plan, pushed| {
+        dst.client_endpoint_refined(plan, pushed, dst.generation())
     })
     .expect("the contact itself completes");
     drop(abandoned);
@@ -1347,8 +1367,8 @@ fn a_rerun_after_an_abandoned_pull_is_not_proposed_what_it_never_applied() {
 
     source_moves_on(&mut src.borrow_mut());
     let digests = dst.shard_digest_vector();
-    let abandoned = pull_planned(&mut link, &mut remembered, &digests, |plan| {
-        dst.client_endpoint_refined(plan)
+    let abandoned = pull_planned(&mut link, &mut remembered, &digests, |plan, pushed| {
+        dst.client_endpoint_refined(plan, pushed, dst.generation())
     })
     .expect("the contact itself completes");
     assert_eq!(abandoned.2.shards_proposed, 2, "4 and 13");
@@ -1499,9 +1519,11 @@ fn a_write_between_plan_and_endpoint(form: Form, race: Race) {
     let mut pull = |dst: &mut KvStore| {
         audited(|| {
             let digests = dst.shard_digest_vector();
+            let mut keys = Vec::new();
             let (client, plan, contact) =
-                pull_planned(&mut link, &mut remembered, &digests, |plan| {
-                    dst.client_endpoint_refined(plan)
+                pull_planned(&mut link, &mut remembered, &digests, |plan, pushed| {
+                    keys = pushed.to_vec();
+                    dst.client_endpoint_refined(plan, pushed, dst.generation())
                 })
                 .expect("pull");
             let committed = dst
@@ -1510,7 +1532,7 @@ fn a_write_between_plan_and_endpoint(form: Form, race: Race) {
             remembered.settle(&committed.landed);
             let mut changed = committed.changed;
             changed.sort();
-            (plan, contact, changed)
+            (plan, contact, changed, keys)
         })
     };
 
@@ -1541,13 +1563,12 @@ fn a_write_between_plan_and_endpoint(form: Form, race: Race) {
     // The racing pull.
     let before = dst.clone();
     armed.set(true);
-    let (plan, contact, changed) = pull(&mut dst);
+    let (plan, contact, changed, _) = pull(&mut dst);
     assert!(!armed.get(), "{at}: the endpoint was asked for");
     let refined: Vec<u64> = (plan.children.iter())
         .flat_map(|children| children.parents.iter().map(|(shard, _)| *shard))
         .collect();
-    let proposed: Vec<u64> = plan.proposed.iter().map(|p| p.shard).collect();
-    let offered = (refined, proposed);
+    let offered = (refined, plan.proposed.clone());
     match form {
         Form::Flat => assert_eq!(offered, (vec![], vec![]), "{at}"),
         Form::Children => assert_eq!(offered, (vec![2, 5], vec![]), "{at}"),
@@ -1555,24 +1576,36 @@ fn a_write_between_plan_and_endpoint(form: Form, race: Race) {
     }
     assert_eq!(contact.shards_proposed, offered.1.len() as u64, "{at}");
     // Served at its newer state where the cut admits it, untouched
-    // where it does not — and never a vector of one view with the value
-    // of the other: what moved is what the source held at the endpoint.
+    // where it does not — a pushed key was read with the plan, before
+    // the write — and never a vector of one view with the value of the
+    // other: what moved is what the source held at the plan, pushed, or
+    // at the endpoint, walked.
     let admitted = match race {
         Race::BesideTheCut => form == Form::Flat,
         Race::SkippedShard => false,
-        Race::PutCandidate | Race::DeleteCandidate | Race::WholeShard => true,
+        Race::PutCandidate | Race::DeleteCandidate => form != Form::Proposed,
+        Race::WholeShard => true,
     };
-    assert_eq!(changed.contains(&raced), admitted, "{at}: {changed:?}");
+    // The key pushed before the write moved to the plan's state.
+    let pushed_at_plan = form == Form::Proposed && raced == about;
+    assert_eq!(
+        changed.contains(&raced),
+        admitted || pushed_at_plan,
+        "{at}: {changed:?}"
+    );
     assert!(changed.contains(&about), "{at}: {changed:?}");
     let src_now = src.borrow().clone();
-    for key in &changed {
+    for key in changed
+        .iter()
+        .filter(|key| !pushed_at_plan || **key != raced)
+    {
         assert_eq!(
             dst.encode_entry(key),
             src_now.encode_entry(key),
             "{at}: {key}"
         );
     }
-    if !admitted {
+    if !admitted && !pushed_at_plan {
         assert_eq!(
             dst.encode_entry(&raced),
             before.encode_entry(&raced),
@@ -1581,23 +1614,17 @@ fn a_write_between_plan_and_endpoint(form: Form, race: Race) {
     }
 
     // The next pull over the link is proposed from the *plan's*
-    // generation: the raced key, which the journal holds, and nothing
-    // the racing pull was already told about.
-    let placed = fnv1a(FNV_OFFSET, raced.as_bytes()) & (MAX_PLAN_SHARDS - 1);
+    // generation: it pushes the raced key, which the journal holds, and
+    // nothing the racing pull was already told about.
     let mut expected = dst.clone();
     unplanned_pull(&mut expected, &src_now);
-    let (plan, _, changed) = pull(&mut dst);
-    let candidates: Vec<u64> = (plan.proposed.iter())
-        .flat_map(|p| p.candidates.iter().copied())
-        .collect();
+    let (_, _, changed, pushed) = pull(&mut dst);
+    let raced_bytes = Bytes::from(raced.clone().into_bytes());
     if admitted {
-        assert!(
-            candidates.iter().all(|&c| c == placed),
-            "{at}: {candidates:?}"
-        );
+        assert!(pushed.iter().all(|k| *k == raced_bytes), "{at}: {pushed:?}");
         assert_eq!(changed, Vec::<String>::new(), "{at}");
     } else {
-        assert_eq!(candidates, [placed], "{at}");
+        assert_eq!(pushed, [raced_bytes], "{at}");
         assert_eq!(changed, std::slice::from_ref(&raced), "{at}");
     }
     assert_eq!(
@@ -1634,6 +1661,93 @@ fn a_racing_write_between_plan_and_endpoint_is_served_whole_or_left_for_the_next
             a_write_between_plan_and_endpoint(form, race);
         }
     }
+}
+
+/// A write on the *pulling* side between its digest vector and its
+/// endpoint, to a key the source pushes: the push rests on the vector's
+/// proof, which does not cover the write, so the puller cancels that
+/// stream — its bytes crossed for nothing and are reported as excess —
+/// and lands its sibling. The key's shard is not remembered as served,
+/// and the key meets the source's version on the next pull, as a
+/// conflict. Every event of both pulls passes `CheckSink`.
+#[test]
+fn a_pushed_key_the_puller_wrote_after_its_digest_is_cancelled_and_lands_next_pull() {
+    let (mut dst, mut src) = refined_stores();
+    let (mut serving, mut remembered) = (Serving::default(), VectorMemory::default());
+    let ring = Arc::new(RingSink::new(1 << 16));
+    let pull = |dst: &mut KvStore,
+                src: &KvStore,
+                serving: &mut Serving,
+                remembered: &mut VectorMemory,
+                racing: Option<&str>| {
+        let mut source = source_of(src);
+        let mut link = InProcessLink::serving(serving, &mut source);
+        let (digests, digested_at) = (dst.shard_digest_vector(), dst.generation());
+        let mut keys = Vec::new();
+        let (client, plan, contact) =
+            pull_planned(&mut link, remembered, &digests, |plan, pushed| {
+                keys = pushed.to_vec();
+                if let Some(key) = racing {
+                    dst.put(key, "mine, after the digest");
+                }
+                dst.client_endpoint_refined(plan, pushed, digested_at)
+            })
+            .expect("pull");
+        let committed = dst.apply_planned(&JoinResolver, client, &contact, &plan);
+        let committed = committed.expect("commit");
+        remembered.settle(&committed.landed);
+        (plan, contact, committed, keys)
+    };
+    obs::with(ring.clone(), || {
+        pull(&mut dst, &src, &mut serving, &mut remembered, None);
+    });
+    let [raced, sibling] = {
+        let mut two: Vec<String> = refined_keys_in(4).take(2).collect();
+        two.sort();
+        [two[0].clone(), two[1].clone()]
+    };
+    for key in [&raced, &sibling] {
+        src.put(key.clone(), "theirs");
+    }
+    let (plan, contact, committed, pushed) = obs::with(ring.clone(), || {
+        pull(&mut dst, &src, &mut serving, &mut remembered, Some(&raced))
+    });
+    assert_eq!(plan.proposed, [4]);
+    let names: Vec<&[u8]> = pushed.iter().map(|key| &key[..]).collect();
+    assert_eq!(names, [raced.as_bytes(), sibling.as_bytes()]);
+    assert_eq!(committed.changed, std::slice::from_ref(&sibling));
+    assert_eq!(dst.get(&raced), Some(&b"mine, after the digest"[..]));
+    assert!(committed.landed.iter().all(|(shard, _)| *shard != 4));
+    // The cancelled stream's open (14 B of the push frame), its element
+    // and `HALT` frames (5 B, 4 B) and its value (11 B), and nothing
+    // else: its sibling's frames were all taken.
+    let excess = contact.excess_bytes;
+    assert_eq!(excess, 14 + 5 + 4 + 11, "{contact:?}");
+    let reported: Vec<u64> = (ring.events().into_iter())
+        .filter_map(|event| match event {
+            SyncEvent::LinkExcess { bytes } => Some(bytes),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(reported, [excess]);
+    // The next pull: the shard is walked, the key reconciled.
+    let mut expected = dst.clone();
+    unplanned_pull(&mut expected, &src);
+    let (plan, contact, committed, _) = obs::with(ring.clone(), || {
+        pull(&mut dst, &src, &mut serving, &mut remembered, None)
+    });
+    assert!(plan.proposed.is_empty(), "{plan:?}");
+    assert_eq!(committed.report.keys_reconciled, 1);
+    assert_eq!(contact.excess_bytes, 0);
+    assert_eq!(dst.replica_digest_full(), expected.replica_digest_full());
+    let check = CheckSink::new();
+    for event in ring.events() {
+        check
+            .check(&event)
+            .expect("Theorem 5.1 and byte conservation");
+    }
+    check.finish().expect("every contact ends");
+    assert_eq!(check.checked_contacts(), 3);
 }
 
 // ---------------------------------------------------------------------
@@ -1720,6 +1834,12 @@ impl StepLink<'_> {
                 for stream in streams {
                     let streams = vec![stream];
                     put(stream, CtrlMsg::BatchDone { streams });
+                }
+            }
+            MuxMsg::Ctrl(CtrlMsg::BatchPush { pushes }) => {
+                for push in pushes {
+                    let (stream, pushes) = (push.stream, vec![push]);
+                    put(stream, CtrlMsg::BatchPush { pushes });
                 }
             }
             MuxMsg::Ctrl(CtrlMsg::Cancel { streams }) => {
@@ -1876,8 +1996,9 @@ fn same_streams(
 /// The exchanges of `pulls` planned pulls of `dst` from `src` over one
 /// in-process link — the first of [`refined_stores`]' second-pull
 /// fixture's moves between two: each pull's restricted client and
-/// served endpoint, built a second time from the views the pull built
-/// its own from.
+/// served endpoint over the walked shards, built a second time from the
+/// views the pull built its own from. (The push is no exchange: its
+/// streams are whole in the planning turn.)
 fn planned_exchanges(
     mut dst: KvStore,
     src: KvStore,
@@ -1900,11 +2021,13 @@ fn planned_exchanges(
             puller_moves_on(&mut dst);
         }
         let digests = dst.shard_digest_vector();
-        let (client, plan, contact) = pull_planned(&mut link, &mut remembered, &digests, |plan| {
-            clients.push(dst.client_endpoint_refined(plan).client);
-            dst.client_endpoint_refined(plan)
-        })
-        .expect("pull");
+        let (client, plan, contact) =
+            pull_planned(&mut link, &mut remembered, &digests, |plan, pushed| {
+                let generation = dst.generation();
+                clients.push(dst.client_endpoint_refined(plan, &[], generation).client);
+                dst.client_endpoint_refined(plan, pushed, generation)
+            })
+            .expect("pull");
         dst.apply_planned_tracked(&JoinResolver, client, &contact, &plan)
             .expect("commit");
     }
@@ -2557,8 +2680,8 @@ fn hostile_planner_sequences_fail_the_serving_step() {
     let mut src = KvStore::with_shards(SiteId::new(1), 4);
     src.put("k", "v");
     let mut short = |ask: ContactAsk<'_>| match src.open_contact(ask) {
-        ContactAnswer::Plan(plan, generation, _) => {
-            ContactAnswer::Plan(plan, generation, Vec::new())
+        ContactAnswer::Plan(plan, generation, _, push) => {
+            ContactAnswer::Plan(plan, generation, Vec::new(), push)
         }
         ContactAnswer::Endpoint(server, _) => ContactAnswer::Endpoint(server, Vec::new()),
     };
@@ -2584,8 +2707,9 @@ fn hostile_planner_sequences_fail_the_serving_step() {
         );
     }
     // The honest sequence, for contrast: plan parked, then released
-    // with the turn, then an ordinary (empty) exchange — twice over one
-    // `Serving`, as on a persistent connection.
+    // with the turn, then the puller's FIN — a plan that walks no shard
+    // has no exchange — twice over one `Serving`, as on a persistent
+    // connection. A hello there is one no plan asked for.
     let src = KvStore::with_shards(SiteId::new(1), 4);
     let mut source = source_of(&src);
     let mut serving = Serving::default();
@@ -2601,10 +2725,14 @@ fn hostile_planner_sequences_fail_the_serving_step() {
         let mut step = |frame| serving.on_frame(frame, &mut source, &mut out);
         assert_eq!(step(digests_frame()).unwrap(), ServeStep::Continue);
         assert_eq!(step(turn()).unwrap(), ServeStep::Continue);
-        assert_eq!(step(empty_hello.clone()).unwrap(), ServeStep::Continue);
-        assert_eq!(step(turn()).unwrap(), ServeStep::Continue);
         assert_eq!(step(fin()).unwrap(), ServeStep::Done);
     }
+    let mut out = BytesMut::new();
+    let mut step = |frame| serving.on_frame(frame, &mut source, &mut out);
+    step(digests_frame()).unwrap();
+    step(turn()).unwrap();
+    let err = step(empty_hello.clone()).expect_err("a hello no plan asked for");
+    assert!(err.to_string().contains("BatchHello"), "{err}");
 
     // A delta opens a contact only on a connection that remembers a
     // vector at its shard count, and only if it patches that vector to
@@ -2632,7 +2760,7 @@ fn hostile_planner_sequences_fail_the_serving_step() {
         Ok(())
     }
     let contact = |opening: wire::Frame| {
-        let rest = [turn(), empty_hello.clone(), turn(), fin()];
+        let rest = [turn(), fin()];
         [opening].into_iter().chain(rest)
     };
     let warm = || {
@@ -2707,9 +2835,11 @@ fn hostile_planner_sequences_fail_the_serving_step() {
     source_moves_on(&mut after);
     let digests = dst.shard_digest_vector();
     let plan = after.plan_contact_since(&digests, Some(before.generation()));
-    let proposed: Vec<u64> = plan.proposed.iter().map(|p| p.shard).collect();
     let offer = plan.offer().expect("an offer");
-    assert_eq!((proposed, offer.parents), (vec![4, 13], vec![2, 7, 11]));
+    assert_eq!(
+        (plan.proposed.clone(), offer.parents),
+        (vec![4, 13], vec![2, 7, 11])
+    );
     let opening = frame(CONTROL_STREAM, &digests.encode());
     let nothing_opened = msg_frame(
         CONTROL_STREAM,
@@ -2834,11 +2964,8 @@ fn hostile_planner_sequences_fail_the_pulling_step() {
     // The same frame is the plan of a link's later contact.
     let proposing = ShardPlan {
         count: 4,
-        incremental: vec![1],
-        proposed: vec![Proposal {
-            shard: 1,
-            candidates: vec![1 + 4 * 77],
-        }],
+        incremental: vec![1, 2],
+        proposed: vec![1],
         ..ShardPlan::default()
     };
     let proposing = || frame(CONTROL_STREAM, &proposing.encode());
@@ -2849,14 +2976,17 @@ fn hostile_planner_sequences_fail_the_pulling_step() {
     assert!(puller.on_frame(proposing(), &mut out).unwrap().is_none());
     assert!(puller.on_frame(turn(), &mut out).unwrap().is_none());
     let handed = puller.take_plan().expect("the plan");
-    assert_eq!(handed.proposed.len(), 1);
+    assert_eq!(
+        (handed.proposed.clone(), handed.walked()),
+        (vec![1], vec![2])
+    );
     // Its malformed cousins fail in the decoder whoever receives them:
-    // a candidate past the shard's range, a shard both refined and
+    // a bit past the last incremental shard, a shard both refined and
     // proposed, the tail cut off.
     let mut beyond = proposing().payload.to_vec();
     let at = beyond.len() - 1;
-    assert_eq!(beyond[at], 77);
-    beyond.splice(at..=at, [0x80, 0x80, 0x10]);
+    assert_eq!(beyond[at], 0b01);
+    beyond[at] = 0b101;
     let cut = proposing().payload.slice(..at);
     let both = ShardPlan {
         children: Some(ChildDigests {
@@ -2869,6 +2999,107 @@ fn hostile_planner_sequences_fail_the_pulling_step() {
         let mut puller = Puller::open_planned(&empty_digests(), &remembered, &mut out);
         let err = puller.on_frame(frame(CONTROL_STREAM, payload), &mut out);
         assert_eq!(reason_label(&err.unwrap_err()), "decode_error");
+    }
+
+    // The push behind a plan: a stream a key the plan proposes a shard
+    // of, each key once, streams 1, 2, … and each frame after the open
+    // on one of them — all in the planning turn, and only on a link the
+    // server has planned for before.
+    let key_in = |shard: u64, nth: usize| -> &'static str {
+        let keys = (0..).map(|i| format!("pushed-{i}"));
+        let key = keys.filter(|key| shard_at(key, 4) == shard).nth(nth);
+        Box::leak(key.expect("keys in every shard").into_boxed_str())
+    };
+    let (first, second) = {
+        let mut two = [key_in(1, 0), key_in(1, 1)];
+        two.sort_unstable();
+        (two[0], two[1])
+    };
+    let push = |pushes: &[(u64, &str)]| {
+        let pushes = (pushes.iter())
+            .map(|&(stream, name)| StreamOffer {
+                stream,
+                name: Bytes::from(name.as_bytes().to_vec()),
+                first: Some((SiteId::new(1), 2)),
+                client_equal: true,
+            })
+            .collect();
+        msg_frame(CONTROL_STREAM, MuxMsg::Ctrl(CtrlMsg::BatchPush { pushes }))
+    };
+    let value = |stream: u64| {
+        let data = Bytes::from_static(b"v");
+        msg_frame(stream, MuxMsg::Session(SessionMsg::Payload { data }))
+    };
+    let halt = |stream: u64| msg_frame(stream, MuxMsg::Session(SessionMsg::Vector(Msg::Halt)));
+    let pushed_until_error = |frames: Vec<wire::Frame>| {
+        let mut out = BytesMut::new();
+        let mut puller = Puller::open_planned(&empty_digests(), &remembered, &mut out);
+        for frame in frames {
+            if let Err(e) = puller.on_frame(frame, &mut out) {
+                return e;
+            }
+        }
+        panic!("the puller accepted a hostile push");
+    };
+    let hostile: [(&str, Vec<wire::Frame>); 8] = [
+        (
+            "a pushed stream in a shard the plan does not propose",
+            vec![proposing(), push(&[(1, key_in(2, 0))])],
+        ),
+        (
+            "a pushed key placed outside its shard",
+            vec![proposing(), push(&[(1, key_in(3, 0))])],
+        ),
+        (
+            "a stream id reused",
+            vec![proposing(), push(&[(1, first), (1, second)])],
+        ),
+        (
+            "a stream id off the push's own",
+            vec![proposing(), push(&[(2, first)])],
+        ),
+        (
+            "a frame on a stream the puller opens itself",
+            vec![proposing(), push(&[(1, first)]), halt(1), value(2)],
+        ),
+        (
+            "the same key pushed twice",
+            vec![proposing(), push(&[(1, first), (2, first)])],
+        ),
+        (
+            "a second push",
+            vec![proposing(), push(&[(1, first)]), push(&[(2, second)])],
+        ),
+        (
+            "a push's frame before its open",
+            vec![proposing(), value(1)],
+        ),
+    ];
+    for (what, frames) in hostile {
+        let err = pushed_until_error(frames);
+        assert_eq!(reason_label(&err), "protocol_error", "{what}: {err}");
+    }
+    // A pushed stream on a link's first contact, behind a plan that
+    // proposes nothing.
+    let err = plan_until_error(vec![plan_at(4), push(&[(1, key_in(1, 0))])]);
+    assert_eq!(reason_label(&err), "protocol_error");
+    // A pushed frame after the planning turn's marker: the push and its
+    // stream are whole inside the turn.
+    for late in [push(&[(1, first)]), value(1)] {
+        let mut out = BytesMut::new();
+        let mut puller = Puller::open_planned(&empty_digests(), &remembered, &mut out);
+        for frame in [proposing(), push(&[(1, first)]), halt(1), value(1), turn()] {
+            assert!(puller.on_frame(frame, &mut out).unwrap().is_none());
+        }
+        assert_eq!(puller.pushed_keys(), [first.as_bytes()]);
+        puller.take_plan().expect("the plan");
+        let pushed = [(Bytes::from(first.as_bytes().to_vec()), Pushed::Absent)];
+        let mut client = BatchPullClient::with_pushed(pushed, Vec::new());
+        puller
+            .exchange(&mut client, None, 0, &mut out)
+            .expect("the push lands");
+        let err = puller.on_frame(late, &mut out).unwrap_err();
+        assert_eq!(reason_label(&err), "protocol_error");
     }
 
     // The honest turn hands the plan out exactly once.
@@ -3088,8 +3319,8 @@ fn as_served_memories_stay_in_step_over_seeded_contacts() {
                 .with_conn(addr, |link, remembered| loop {
                     let digests = dst.shard_digest_vector();
                     let (client, plan, report) =
-                        pull_planned(link, remembered, &digests, |plan| {
-                            dst.client_endpoint_refined(plan)
+                        pull_planned(link, remembered, &digests, |plan, pushed| {
+                            dst.client_endpoint_refined(plan, pushed, dst.generation())
                         })?;
                     if let Some(key) = race.take() {
                         // Abandoned: nothing committed, nothing settled.

@@ -547,11 +547,13 @@ mod event {
         /// and for the endpoint — over the keys the puller's answer to
         /// the plan left in the contact — at the first frame of the
         /// exchange: one store lock per ask,
-        /// so what is built is what will be served. The
+        /// so what is built is what will be served — none, where the
+        /// plan walks no shard and its push is the contact. The
         /// `Serving` lives as long as the connection, and with it the
         /// puller's last digest vector, which its next contact may
-        /// send a delta against.
-        Serve(Serving),
+        /// send a delta against; beside it, the keys the last plan
+        /// pushed, for the contact's one endpoint sample.
+        Serve(Serving, u64),
     }
 
     struct Conn {
@@ -800,7 +802,7 @@ mod event {
                     Ok(handshake) => {
                         conn.state = match handshake.intent {
                             Intent::Verbs => ConnState::Verbs,
-                            Intent::Peer => ConnState::Serve(Serving::default()),
+                            Intent::Peer => ConnState::Serve(Serving::default(), 0),
                         };
                     }
                     Err(_) => conn.dead = true,
@@ -838,10 +840,10 @@ mod event {
                     }
                 }
             }
-            ConnState::Serve(serving) => {
+            ConnState::Serve(serving, pushed) => {
                 let step = serving.on_frame(
                     frame,
-                    &mut |ask| shared.core.open_contact(ask),
+                    &mut |ask| shared.core.open_contact(ask, pushed),
                     &mut conn.out,
                 );
                 if step.is_err() {

@@ -321,11 +321,23 @@ impl NodeCore {
 
     /// The serving side of a contact: the plan or the endpoint a
     /// connection's `Serving` asks for, built under one store lock.
-    pub(super) fn open_contact(&self, ask: ContactAsk<'_>) -> ContactAnswer {
+    /// `pushed` is the connection's: the keys its last plan pushed,
+    /// which the contact's one `serving_endpoint_keys` sample counts
+    /// with the endpoint's — at the plan, where it walks no shard and
+    /// asks for none.
+    pub(super) fn open_contact(&self, ask: ContactAsk<'_>, pushed: &mut u64) -> ContactAnswer {
         let answer = self.store().open_contact(ask);
-        if let ContactAnswer::Endpoint(endpoint, _) = &answer {
-            let keys = endpoint.object_count() as u64;
-            self.metrics.serving_endpoint_keys.record(keys);
+        let keys = &self.metrics.serving_endpoint_keys;
+        match &answer {
+            ContactAnswer::Plan(plan, _, _, push) => {
+                *pushed = push.object_count() as u64;
+                if plan.walked().is_empty() {
+                    keys.record(*pushed);
+                }
+            }
+            ContactAnswer::Endpoint(endpoint, _) => {
+                keys.record(*pushed + endpoint.object_count() as u64);
+            }
         }
         answer
     }
@@ -372,17 +384,21 @@ impl NodeCore {
             // it must not be settled as served.
             let landed = over(&mut |link, remembered| {
                 let (mut generation, mut moved) = (0, Vec::new());
-                let digests = self.store().shard_digest_vector();
-                let (client, plan, report) = pull_planned(link, remembered, &digests, |plan| {
+                let (digests, digested_at) = {
+                    let store = self.store();
+                    (store.shard_digest_vector(), store.generation())
+                };
+                let endpoint = |plan: &ShardPlan, pushed: &[bytes::Bytes]| {
                     let store = self.store();
                     generation = store.generation();
                     if !plan.proposed.is_empty() {
                         let now = store.shard_digest_vector().shards;
-                        let proposed = plan.proposed.iter().map(|p| p.shard as usize);
+                        let proposed = plan.proposed.iter().map(|&shard| shard as usize);
                         moved = proposed.filter(|&s| now[s] != digests.shards[s]).collect();
                     }
-                    store.client_endpoint_refined(plan)
-                })?;
+                    store.client_endpoint_refined(plan, pushed, digested_at)
+                };
+                let (client, plan, report) = pull_planned(link, remembered, &digests, endpoint)?;
                 // An exchange counts once it completes, whether or not
                 // its commit then loses the generation race.
                 self.metrics.record_contact(&report);

@@ -66,7 +66,7 @@ fn three_cores_on_one_thread_converge_across_a_checkpoint_and_a_reboot() {
             let connection = connections.entry(pair).or_default();
             let (pulled, attempts) = pull(
                 &cores[dst],
-                &mut |ask| cores[src].open_contact(ask),
+                &mut |ask| cores[src].open_contact(ask, &mut 0),
                 connection,
             );
             pulled.expect("an in-process pull with nothing racing it commits");
@@ -115,12 +115,15 @@ fn three_cores_on_one_thread_converge_across_a_checkpoint_and_a_reboot() {
 
 /// A write to the pulling core from inside a pull, at the two asks a
 /// socket races only by luck, to a key the pull brings a newer version
-/// of: at the `Plan` ask, before the pull has snapshotted its endpoint,
-/// the write is in that snapshot and the pull commits at once; at the
-/// `Endpoint` ask, after it, the generation check refuses a commit that
-/// would fast-forward the key over the write, and the pull retries on
-/// the same link. Either way the write meets the source's version as a
-/// conflict, which the join resolves to the write's larger bytes.
+/// of: at the `Plan` ask, after the digest vector the plan answers and
+/// before the pull has snapshotted its endpoint, the source pushes the
+/// key on that vector's proof, the puller cancels the push of a key it
+/// wrote since, and the pull commits at once without it; at the
+/// `Endpoint` ask, after the snapshot, the generation check refuses a
+/// commit that would fast-forward the key over the write, and the pull
+/// retries on the same link, where the write meets the source's version
+/// as a conflict, which the join resolves to the write's larger bytes.
+/// Either way the write survives.
 #[test]
 fn a_write_racing_a_pull_survives_at_either_ask() {
     for at_plan in [true, false] {
@@ -133,13 +136,23 @@ fn a_write_racing_a_pull_survives_at_either_ask() {
         let mut connection = Connection::default();
         let (first, _) = pull(
             &puller,
-            &mut |ask| source.open_contact(ask),
+            &mut |ask| source.open_contact(ask, &mut 0),
             &mut connection,
         );
         first.expect("the first pull commits");
         source
             .write("bulk7".into(), Some(vec![1u8; 256].into()))
             .unwrap();
+        // A key of the puller's own in a shard apart from bulk7's: the
+        // plan walks that shard, so the contact has an endpoint ask
+        // beside the push of bulk7.
+        let count = puller.store().shard_count() as u64;
+        let shard_of = |key: &str| optrep_replication::planner::shard_of(key.as_bytes(), count);
+        let apart = (0..)
+            .map(|i| format!("own{i}"))
+            .find(|key| shard_of(key) != shard_of("bulk7"))
+            .expect("a key in another shard");
+        puller.write(apart, Some(vec![2u8; 8].into())).unwrap();
         let mut racing = Some(bytes::Bytes::from_static(b"local"));
         let (pulled, attempts) = pull(
             &puller,
@@ -149,7 +162,7 @@ fn a_write_racing_a_pull_survives_at_either_ask() {
                         puller.write("bulk7".into(), Some(value)).unwrap();
                     }
                 }
-                source.open_contact(ask)
+                source.open_contact(ask, &mut 0)
             },
             &mut connection,
         );
@@ -184,7 +197,7 @@ fn a_key_written_beside_a_proposal_before_the_endpoint_is_not_settled() {
     let mut connection = Connection::default();
     let (first, _) = pull(
         &puller,
-        &mut |ask| source.open_contact(ask),
+        &mut |ask| source.open_contact(ask, &mut 0),
         &mut connection,
     );
     first.expect("the first pull commits");
@@ -206,7 +219,7 @@ fn a_key_written_beside_a_proposal_before_the_endpoint_is_not_settled() {
                     puller.write(key, Some(b"local"[..].into())).unwrap();
                 }
             }
-            source.open_contact(ask)
+            source.open_contact(ask, &mut 0)
         },
         &mut connection,
     );
@@ -216,7 +229,7 @@ fn a_key_written_beside_a_proposal_before_the_endpoint_is_not_settled() {
     for _ in 0..2 {
         let (next, _) = pull(
             &puller,
-            &mut |ask| source.open_contact(ask),
+            &mut |ask| source.open_contact(ask, &mut 0),
             &mut connection,
         );
         next.expect("the connection stays in step");

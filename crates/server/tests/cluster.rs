@@ -263,7 +263,7 @@ fn contact_of_a_pull(dst: &mut KvStore, src: &KvStore) -> (KvSyncReport, Contact
         &mut InProcessLink::serving(&mut Serving::default(), &mut far),
         &mut Default::default(),
         &digests,
-        |plan| dst.client_endpoint_refined(plan),
+        |plan, pushed| dst.client_endpoint_refined(plan, pushed, dst.generation()),
     )
     .expect("in-memory planned pull");
     let (report, _) = dst
@@ -509,9 +509,9 @@ fn a_connection_remembers_the_vector_and_the_source_proposes_until_a_redial() {
         let offered = |r: &optrep_kv::KvSyncReport| (r.shards_proposed, r.shards_refined);
         assert_eq!((offered(&warm), offered(&mirror)), ((1, 0), (0, 1)));
         assert_eq!((warm.keys_examined, warm.keys_fast_forwarded), (1, 1));
-        // Framing: 30 B for the one key named, against the 100 B or so
-        // a fresh dial frames naming a child's keys.
-        assert_eq!(warm.framing_bytes, 30, "{warm:?}");
+        // Framing: 21 B for the one key pushed, against the 100 B or
+        // so a fresh dial frames naming a child's keys.
+        assert_eq!(warm.framing_bytes, 21, "{warm:?}");
         assert!(mirror.framing_bytes > 3 * warm.framing_bytes, "{mirror:?}");
         assert!(mirror.keys_examined > 1, "{mirror:?}");
         assert!(warm.meta_bytes < mirror.meta_bytes, "{warm:?} {mirror:?}");
@@ -524,8 +524,17 @@ fn a_connection_remembers_the_vector_and_the_source_proposes_until_a_redial() {
     // A fresh dial: the whole vector, the mirror's bytes exactly.
     let (cold, mirror) = round(&src, &mut link, "key-007");
     assert_eq!(cold, mirror);
-    // The same socket again.
+    // The same socket again. Its one dirty shard proposed, the warm
+    // pull is the push: two link turns, the planning turn's and the
+    // FIN's, by the daemon's `optrep_contact_link_turns`.
+    let link_turns = |node: &Node| {
+        let metrics = node.metrics_snapshot();
+        let turns = metrics.histogram("optrep_contact_link_turns");
+        turns.expect("family").sum
+    };
+    let before = link_turns(&dst);
     let (warm, mirror) = round(&src, &mut link, "key-424");
+    assert!(link_turns(&dst) - before <= 2, "{warm:?}");
     warm_pull_of_one_key(warm, mirror);
     // Converged and asked again: nothing to ship but the check, and
     // nothing to propose where no shard differs.
@@ -573,8 +582,10 @@ fn a_connection_remembers_the_vector_and_the_source_proposes_until_a_redial() {
     let totals = dst.conn_totals();
     assert_eq!((totals.dials, totals.stale_reruns), (2, 1), "{totals:?}");
     // And the pull after that is a delta, answered with a proposal,
-    // again.
+    // again, in two turns.
+    let before = link_turns(&dst);
     let (warm, mirror) = round(&src, &mut link, "key-200");
+    assert!(link_turns(&dst) - before <= 2, "{warm:?}");
     warm_pull_of_one_key(warm, mirror);
 
     // The counters add up, too.
@@ -717,6 +728,9 @@ fn worker_thread_events_reach_sinks_installed_at_start() {
         (start_node(0), start_node(1))
     });
     src.with_store(|s| s.put("observed", "value"));
+    // A version of the puller's own: the shard is walked, not
+    // bulk-loaded, so the contact has an exchange to count.
+    dst.with_store(|s| s.put("observed", "mine"));
     let mut client = Client::connect(dst.addr(), &fast_connect()).expect("connect");
     client.sync(&src.addr().to_string()).expect("sync verb");
     let counts = sink.snapshot();
