@@ -296,9 +296,9 @@ pub fn run() -> Vec<Table> {
          its kept connection (asserted, both sweeps)",
     );
     t.note(
-        "sweep 1 (warm connections): the puller sends the changed shards' digests and, where a \
-         dirty shard holds two keys or more and the puller holds the rest of it as the source \
-         did, is proposed the ones its source changed",
+        "sweep 1 (warm connections): the puller sends the changed shards' digests and, where it \
+         holds a dirty shard as the source did, is pushed the keys its source changed there \
+         with the plan",
     );
     t.note("contacts == 2x dials: both sweeps pipeline over one pooled connection per peer");
     t.note(

@@ -341,6 +341,35 @@ fn a_warm_pull_is_proposed_the_keys_the_source_changed() {
     assert_eq!(warm_dst.replica_digest(), src.replica_digest());
 }
 
+/// Warm pulls at `crates/perf`'s two pull shapes — 100 000 keys of
+/// 32 B with 16 dirty a pull (`sparse_pull`), 20 000 of 256 B with
+/// 3 072 (`dense_pull`), both at 512 shards — over a kept connection:
+/// every dirty shard is proposed, and the pull is the planning turn's
+/// one round trip, in two link turns with the FIN.
+#[test]
+fn warm_pulls_at_the_benchmark_shapes_take_two_turns() {
+    for (keys, len, dirty) in [(100_000, 32, 16), (20_000, 256, 3_072)] {
+        let mut src = KvStore::with_shards(s(1), 512);
+        for i in 0..keys {
+            src.put(format!("key-{i:06}"), vec![b'v'; len]);
+        }
+        let mut dst = KvStore::with_shards(s(0), 512);
+        let mut link = Connection::default();
+        dst.sync(&src).over(&mut link).run().unwrap();
+        let stride = keys / dirty;
+        for i in (0..keys).step_by(stride).take(dirty) {
+            src.put(format!("key-{i:06}"), vec![b'w'; len]);
+        }
+        let (warm, contact) = pull_reported(&mut dst, &src, &mut link);
+        let at = format!("{keys} keys, {dirty} dirty");
+        assert_eq!(warm.shards_proposed, warm.shards_incremental, "{at}");
+        assert_eq!(warm.keys_fast_forwarded, dirty, "{at}");
+        assert_eq!((contact.round_trips, contact.link_turns), (1, 2), "{at}");
+        assert_eq!(contact.excess_bytes, 0, "{at}");
+        assert_eq!(dst.replica_digest(), src.replica_digest(), "{at}");
+    }
+}
+
 /// A connection kept by one pair and handed to another is emptied
 /// before the other pair's pull, which is then a fresh dial's: the whole
 /// vector, nothing proposed — not a delta against the first puller's

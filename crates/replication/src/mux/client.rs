@@ -15,7 +15,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 /// What the pulling end holds of a key the server pushes, read when its
 /// endpoint is built ([`BatchPullClient::with_pushed`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub enum Pushed {
     /// The key at this vector, not written since the digest vector the
     /// plan answered: the push runs against it.
@@ -198,20 +198,16 @@ impl BatchPullClient {
         };
         let mut streams = BTreeMap::new();
         for (name, held) in pushed {
-            let (vector, discovered) = match &held {
-                Pushed::Held(vector) => (vector.clone(), false),
-                Pushed::Absent | Pushed::Written => (Srv::new(), held == Pushed::Absent),
+            let (vector, discovered, written) = match held {
+                Pushed::Held(vector) => (vector, false, false),
+                Pushed::Absent => (Srv::new(), true, false),
+                Pushed::Written => (Srv::new(), false, true),
             };
-            let written = held == Pushed::Written;
-            let mut pushed = stream(
-                name,
-                vector,
-                discovered,
-                Some(Push {
-                    written,
-                    ..Push::default()
-                }),
-            );
+            let push = Push {
+                written,
+                ..Push::default()
+            };
+            let mut pushed = stream(name, vector, discovered, Some(push));
             // The push implies the hello: pump ours and drop it, as for
             // an offer.
             pushed.client.poll_send();
@@ -263,7 +259,6 @@ impl BatchPullClient {
                 self.pushed
             )));
         }
-        self.pushed = 0;
         for push in pushes {
             let st = (self.streams.get_mut(&push.stream))
                 .filter(|st| st.push.is_some() && st.name == push.name)
@@ -282,7 +277,6 @@ impl BatchPullClient {
             })?;
             self.hear_pushed(push.stream);
         }
-        self.pushed = self.streams.values().filter(|st| st.push.is_some()).count() as u64;
         Ok(())
     }
 

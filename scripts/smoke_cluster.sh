@@ -187,10 +187,18 @@ echo "planner verified: converged re-pull skipped all $shards shards" \
 # pulls at — and each puller holds the rest of that shard as B held it
 # then, so the one dirty shard is proposed and the one key is all that
 # is examined. The planner frames of such a pull are a fraction of a
-# fresh dial's.
+# fresh dial's. B pushes the key behind the plan, so the pull is the
+# planning turn and the FIN: its puller's optrep_contact_link_turns
+# histogram grows by at most 2.
 "$BIN/optrep" "$B" put bulk-7 moved-on
+link_turns() {
+    "$BIN/optrep" "$1" metrics >"$WORK/turns.prom"
+    prom_value "$WORK/turns.prom" optrep_contact_link_turns_sum
+}
 for dst in "$A" "$C"; do
+    turns_before="$(link_turns "$dst")"
     warm_out="$("$BIN/optrep" "$dst" sync "$B")"
+    turns="$(( $(link_turns "$dst") - turns_before ))"
     proposed="$(status_field "$warm_out" proposed)"
     examined="$(status_field "$warm_out" examined)"
     warm_bytes="$(status_field "$warm_out" digest-bytes)"
@@ -198,6 +206,11 @@ for dst in "$A" "$C"; do
           || "$warm_bytes" -ge "$first_bytes" ]]; then
         echo "FAIL: warm pull of one key was not proposed its scope:" \
              "[$warm_out] (fresh dial: [$first_ab])" >&2
+        exit 1
+    fi
+    if [[ -z "$turns_before" || "$turns" -gt 2 ]]; then
+        echo "FAIL: warm pull of one proposed key took $turns link turns" \
+             "(at most 2: the planning turn and the FIN)" >&2
         exit 1
     fi
 done
@@ -208,7 +221,7 @@ if [[ "$proposed_total" -lt 1 ]]; then
     exit 1
 fi
 echo "proposals verified: one put at B, one key examined by each puller" \
-     "($warm_bytes planner bytes against a fresh dial's $first_bytes)"
+     "in $turns link turns ($warm_bytes planner bytes against a fresh dial's $first_bytes)"
 
 # Metrics: scrape every daemon with `optrep metrics`, validate the
 # Prometheus exposition offline, and cross-check independent counts in
