@@ -474,9 +474,11 @@ fn the_journal_is_one_allocation_of_the_cap() {
 /// the endpoint alone was ≈ 480 B for each key *of the store*: 3.7 KiB
 /// a changed key here, 7.4 KiB over the larger source.) And between
 /// handing out its plan and hearing the scope, the
-/// connection's `Serving` holds shard indices and candidate placements —
-/// kilobytes — where it held that endpoint: a puller that sends its
-/// digest vector and goes quiet pins nothing that grows with the store.
+/// connection's `Serving` holds shard indices and digests — kilobytes —
+/// where it held that endpoint: a puller that takes the plan and goes
+/// quiet pins nothing that grows with the store. (The push waits, as
+/// bytes, only for the turn marker that follows the digest vector in
+/// the same burst, and leaves with the plan.)
 /// Sets its own shard count, like the store tests above.
 #[test]
 fn a_pull_costs_heap_for_the_keys_it_moves_not_the_keys_its_source_holds() {
@@ -564,7 +566,10 @@ fn a_pull_costs_heap_for_the_keys_it_moves_not_the_keys_its_source_holds() {
         let pulled = frame(CONTROL_STREAM, &src.borrow().shard_digest_vector().encode());
         move_on(b'y');
         let (plan_bytes, planned) = measure(|| feed(&[pulled, turn.clone()]));
-        assert!(plan_bytes > CHANGED * 2, "a plan naming every changed key");
+        assert!(
+            plan_bytes > CHANGED * 2,
+            "a plan and a push of every changed key"
+        );
         let owned = remembers.bytes.wrapping_add(planned.bytes);
         eprintln!(
             "{keys:>11}  {peak:>11}  {:>13}  {owned:>17}",

@@ -58,11 +58,12 @@ pub struct ContactReport {
     /// [`ShardScope`](crate::planner::ShardScope). Zero when the plan
     /// refined nothing or the puller walked the shards whole.
     pub shards_refined: u64,
-    /// Incremental shards whose scope the server proposed from its
-    /// change journal ([`Proposal`](crate::planner::Proposal)), having
-    /// checked that the puller holds the rest of each as the server
-    /// does: both ends cut them to the candidates. Zero on a
-    /// connection's first contact.
+    /// Incremental shards the server proposed from its change journal
+    /// ([`ShardPlan::proposed`](crate::planner::ShardPlan::proposed)),
+    /// having checked that the puller holds the rest of each as the
+    /// server does: their changed keys were pushed with the plan, and
+    /// no other key of them is opened. Zero on a connection's first
+    /// contact.
     pub shards_proposed: u64,
     /// Bytes of the planner exchange (the opening frame — the digest
     /// vector, or its delta against the last one the connection

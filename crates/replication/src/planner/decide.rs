@@ -104,9 +104,10 @@ const PUSHED_COMPARE_BYTES: f64 = 4.0;
 /// **A hinted shard is checked first.** It may be proposed only where
 /// the puller's digest of it — in the vector the server holds — equals
 /// the hint's `since`, digest *and* entry count: then the puller holds
-/// the shard as the server held it at the last contact, every entry
-/// outside the candidates is the server's now, on the same hash trust a
-/// skip rests on, and the proposal binds both ends to the candidates.
+/// the shard as the server held it at the last contact, every entry the
+/// journal does not name is the server's now, on the same hash trust a
+/// skip rests on, and the proposal binds both ends to the keys it
+/// pushes.
 /// Anything else — a local write, a pull from a third site, an outcome
 /// thrown away, a journal that lost or misfiled a change — and the sum
 /// does not come out, and the shard is priced as though unhinted.

@@ -1428,10 +1428,11 @@ enum Form {
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Race {
     /// A put to a key of an offered shard outside what the offer keeps:
-    /// under no candidate, in a child that does not differ. (A flat plan
-    /// offers nothing, so there the whole shard is kept.)
+    /// not pushed, in a child that does not differ. (A flat plan offers
+    /// nothing, so there the whole shard is kept.)
     BesideTheCut,
-    /// A put to a key the contact is about: a candidate, the differing key.
+    /// A put to a key the contact is about: a pushed key, the differing
+    /// key.
     PutCandidate,
     /// The same key deleted.
     DeleteCandidate,

@@ -372,9 +372,9 @@ impl NodeCore {
             // the incremental shards — cut, where the plan offers child
             // digests, at the children that differ from this store's
             // (compared under the same guard that snapshots the
-            // generation), and where it proposes a scope, at the
-            // proposal's candidates — the peer proposes a shard only
-            // having checked this store's digest of it.
+            // generation), and where it proposes a shard, to the keys
+            // it pushed — the peer proposes a shard only having checked
+            // this store's digest of it.
             // The digest vector is snapshotted under its own (brief)
             // lock; a write landing between it and the endpoint snapshot
             // only makes a shard look dirtier than planned, never

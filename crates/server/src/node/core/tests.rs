@@ -180,8 +180,8 @@ fn a_write_racing_a_pull_survives_at_either_ask() {
 
 /// A proposal is checked against the digest vector a pull opens with,
 /// and the pulling core takes its endpoint later, under another lock. A
-/// key of its own written in between, beside a proposed shard's
-/// candidates, is in neither endpoint: the pull commits at once, but
+/// key of its own written in between, beside a proposed shard's pushed
+/// keys, is in neither endpoint: the pull commits at once, but
 /// the shard holds more than it was served, so it must not be settled
 /// as served — the next pull over the connection lists it again, and
 /// the two ends' memories stay in step (a shard settled at what it
