@@ -2119,6 +2119,118 @@ fn mixed_case() -> Case {
     }
 }
 
+/// A pushed stream reaches its receiver as one message a turn would:
+/// over keys the server moved on from where the puller holds them —
+/// plainly, or after reconciling with a third site, so that the puller
+/// meets tagged elements it knows and skips their segments — keys the
+/// puller does not hold and keys it holds equal, the push's per-key
+/// outcomes, Δ/Γ/γ included, are the lockstep's, and what the lockstep
+/// would not have sent (an equal key's session, elements past a `HALT`
+/// or inside a skipped segment) is excess.
+#[test]
+fn a_pushed_stream_reaches_its_receiver_as_the_lockstep_would() {
+    let mut rng = SplitMix64::new(0x0000_9B5E_D5EA_5EED);
+    let mut draw = |n: u64| -> Vec<u32> { (0..n).map(|_| (rng.next_u64() % 12) as u32).collect() };
+    let (mut held, mut served) = (Vec::new(), Vec::new());
+    for i in 0..160usize {
+        let name = Bytes::from(format!("p{i:03}").into_bytes());
+        let base = updated(Srv::new(), &draw(4 + i as u64 % 12));
+        let theirs = draw(1 + i as u64 % 3);
+        let (ours, theirs) = match i % 4 {
+            0 => (Some(base.clone()), updated(base, &theirs)),
+            1 => {
+                // The puller holds the third site's version the server
+                // reconciled with: its tagged elements are known.
+                let third = updated(base.clone(), &[30, 31]);
+                let merged = reconciled(updated(base, &theirs), third.clone());
+                (Some(third), updated(merged, &[32]))
+            }
+            2 => (None, base),
+            _ => (Some(base.clone()), base),
+        };
+        held.push((name.clone(), ours));
+        served.push((name, theirs, Bytes::from(vec![b'p'; 20 + i % 200])));
+    }
+    let lockstep = {
+        let named = held
+            .iter()
+            .filter_map(|(n, v)| Some((n.clone(), v.clone()?)));
+        let endpoints = (
+            BatchPullClient::new(named),
+            BatchPullServer::new(served.clone()),
+        );
+        serve_with(one_frame_a_turn, endpoints, false)
+    };
+
+    // The planning turn of a link's later contact at one shard, which
+    // it proposes: the plan, then the push, then the marker.
+    let digests = DigestVector {
+        shards: vec![ShardDigest::default()],
+    };
+    let mut remembered = VectorMemory::default();
+    remembered.remember(&digests, []);
+    let plan = ShardPlan {
+        count: 1,
+        incremental: vec![0],
+        proposed: vec![0],
+        ..ShardPlan::default()
+    };
+    let mut turn_bytes = plan_frame(&plan);
+    BatchPullServer::new(served)
+        .push(&mut turn_bytes)
+        .expect("a push");
+    wire::put_frame(&mut turn_bytes, TURN_STREAM, &[]);
+    let mut out = BytesMut::new();
+    let mut puller = Puller::open_planned(&digests, &remembered, &mut out);
+    let mut turn_bytes = turn_bytes.freeze();
+    while !turn_bytes.is_empty() {
+        let frame = wire::get_frame(&mut turn_bytes).expect("a frame");
+        assert!(puller
+            .on_frame(frame, &mut out)
+            .expect("the push")
+            .is_none());
+    }
+    puller.take_plan().expect("the plan");
+    let ours: BTreeMap<Bytes, Option<Srv>> = held.into_iter().collect();
+    let pushed = (puller.pushed_keys().iter()).map(|key| {
+        let held = match &ours[key] {
+            Some(vector) => Pushed::Held(vector.clone()),
+            None => Pushed::Absent,
+        };
+        (key.clone(), held)
+    });
+    let mut client = BatchPullClient::with_pushed(pushed.collect::<Vec<_>>(), Vec::new());
+    out.clear();
+    puller
+        .exchange(&mut client, None, 0, &mut out)
+        .expect("the push lands");
+    let report = puller.on_frame(fin(), &mut out).expect("done");
+    let report = report.expect("the contact ends with the server's FIN");
+    assert_eq!(report.round_trips, 1);
+
+    // Per key, by name: the push's streams are numbered apart.
+    let by_name = |outcomes: Vec<Finished>| -> BTreeMap<Bytes, _> {
+        (outcomes.into_iter())
+            .map(|(_, name, discovered, aborted, outcome)| (name, (discovered, aborted, outcome)))
+            .collect()
+    };
+    let pushed = by_name(finished(client));
+    let reference = by_name(lockstep.outcomes);
+    assert_eq!(pushed.len(), 160);
+    assert_eq!(pushed, reference);
+    let stats = pushed.values().filter_map(|o| o.2.as_ref().map(|o| o.3));
+    let (skips, gamma) = stats.fold((0, 0), |(s, g), st| (s + st.skips, g + st.gamma));
+    assert!(
+        skips > 0 && gamma > 0,
+        "segments skipped: {skips}, Γ {gamma}"
+    );
+    // What the push carried that the receivers took moved fewer bytes
+    // than the lockstep did: no hello, no answer, no reply.
+    assert!(report.excess_bytes > 0, "{report:?}");
+    let taken = report.total_bytes - report.excess_bytes;
+    assert!(taken < lockstep.report.total_bytes, "{report:?}");
+}
+
 #[test]
 fn a_turn_carries_one_message_a_stream_and_every_stream_its_lockstep_transcript() {
     // The pinned fixtures: the 64 objects, and the exchanges of the
