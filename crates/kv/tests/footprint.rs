@@ -463,13 +463,12 @@ fn the_journal_is_one_allocation_of_the_cap() {
 }
 
 /// A pull costs heap for what it moves. The source of a warm pull —
-/// one over a connection it has planned before, so the plan proposes
-/// and the puller accepts — builds its serving endpoint when the
-/// puller's scope has arrived, over the keys the scope admits: 3 072
+/// one over a connection it has planned before, so the plan proposes —
+/// builds the push with the plan, over the keys it changed: 3 072
 /// changed keys of 256 B out of 20 000 or out of 40 000 peak alike, at
-/// ≈ 2.2 KiB a changed key — both ends on this thread, the frames
+/// ≈ 1.6 KiB a changed key — both ends on this thread, the frames
 /// between them and the commit together; the value alone is held three
-/// times at the peak, by the store, the endpoint and the puller's
+/// times at the peak, by the store, the pushed frames and the puller's
 /// outcome. (Built at plan time over every key of every dirty shard,
 /// the endpoint alone was ≈ 480 B for each key *of the store*: 3.7 KiB
 /// a changed key here, 7.4 KiB over the larger source.) And between
