@@ -467,9 +467,7 @@ fn the_journal_is_one_allocation_of_the_cap() {
 /// builds the push with the plan, over the keys it changed: 3 072
 /// changed keys of 256 B out of 20 000 or out of 40 000 peak alike, at
 /// ≈ 1.6 KiB a changed key — both ends on this thread, the frames
-/// between them and the commit together; the value alone is held three
-/// times at the peak, by the store, the pushed frames and the puller's
-/// outcome. (Built at plan time over every key of every dirty shard,
+/// between them and the commit together. (Built at plan time over every key of every dirty shard,
 /// the endpoint alone was ≈ 480 B for each key *of the store*: 3.7 KiB
 /// a changed key here, 7.4 KiB over the larger source.) And between
 /// handing out its plan and hearing the scope, the
