@@ -1154,6 +1154,8 @@ fn second_pull_over_a_link_is_proposed_what_the_source_changed() {
     );
     assert_eq!((warm[1][0].len(), report.link_turns), (6, 6));
     assert_eq!((report.round_trips, cold_report.round_trips), (3, 3));
+    // Nothing the push carried went unused: no puller write raced it.
+    assert_eq!((report.excess_bytes, cold_report.excess_bytes), (0, 0));
 
     // The oracle: the three planner frames computed directly, as the
     // serving store plans them given the generation it was at when it
