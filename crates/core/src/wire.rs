@@ -365,8 +365,12 @@ pub const HANDSHAKE_MAGIC: [u8; 4] = *b"OPTR";
 /// pushes a proposed shard's changed keys behind the plan (tag `0x30`)
 /// and lists proposals as one bit an incremental shard, not as
 /// candidates: a v5 puller would misread the plan of a connection's
-/// second pull and refuse the push.
-pub const HANDSHAKE_VERSION: u8 = 6;
+/// second pull and refuse the push. v7 names only the keys in a push,
+/// its stream ids, `⌊b⌋` and flags implied, leaves out a pushed stream's
+/// `HALT` (its value implies it), and writes a plan's shard lists as
+/// gaps: a v6 end would misread every plan that walks or bulk-loads a
+/// shard.
+pub const HANDSHAKE_VERSION: u8 = 7;
 
 /// What the connecting peer intends to do with the connection: byte 0
 /// or 2 of the preamble. Byte 1 named a one-shot pull no build sends

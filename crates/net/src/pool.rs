@@ -231,7 +231,8 @@ impl<S: Default> ConnPool<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use optrep_core::error::Error;
+    use bytes::Bytes;
+    use optrep_core::error::{Error, WireError};
     use optrep_core::wire::{self, HANDSHAKE_VERSION};
     use std::net::TcpListener;
     use std::time::Duration;
@@ -394,14 +395,24 @@ mod tests {
 
     #[test]
     fn handshake_version_negotiation_is_checked() {
-        // A wire-level sanity pin: the pool's preamble decodes to the
-        // current version and Peer intent on the receiving side.
-        let hs = Handshake::new(12, Intent::Peer);
-        let mut buf = hs.encode();
-        let decoded = Handshake::decode(&mut buf).expect("decode");
-        assert_eq!(decoded.site, 12);
-        assert_eq!(decoded.intent, Intent::Peer);
-        let _ = HANDSHAKE_VERSION;
-        let _ = wire::HANDSHAKE_MAGIC;
+        // The pool's preamble: the magic, then the current version, and
+        // it decodes to the site and Peer intent on the receiving side.
+        let preamble = Handshake::new(12, Intent::Peer).encode();
+        let magic = wire::HANDSHAKE_MAGIC.len();
+        assert_eq!(preamble[..magic], wire::HANDSHAKE_MAGIC);
+        assert_eq!(preamble[magic], HANDSHAKE_VERSION);
+        assert_eq!(HANDSHAKE_VERSION, 7);
+        let decoded = Handshake::decode(&mut preamble.clone()).expect("decode");
+        assert_eq!((decoded.site, decoded.intent), (12, Intent::Peer));
+        // A version-6 end's preamble is refused, naming both versions.
+        let mut older = preamble.to_vec();
+        older[magic] = 6;
+        assert_eq!(
+            Handshake::decode(&mut Bytes::from(older)),
+            Err(WireError::UnsupportedVersion {
+                ours: HANDSHAKE_VERSION,
+                theirs: 6,
+            })
+        );
     }
 }

@@ -1,9 +1,7 @@
 //! The pulling endpoint of a batched contact: one [`PullClient`] per
 //! stream behind a single control stream.
 
-use super::msg::{
-    offer_len, unknown_stream, violation, CtrlMsg, MuxMsg, StreamOffer, StreamOpen, CONTROL_STREAM,
-};
+use super::msg::{unknown_stream, violation, CtrlMsg, MuxMsg, StreamOpen, CONTROL_STREAM};
 use super::reason_label;
 use crate::protocol::{PullClient, PullOutcome, SessionMsg};
 use bytes::Bytes;
@@ -68,10 +66,18 @@ struct ClientStream {
 /// reach the receiver; a skipped segment's end reaches it as the
 /// sender's `SegSkipped` — and the receiver sees, and counts, exactly
 /// the lockstep's messages. What it does not see is excess.
+///
+/// Two of those messages do not cross: the answer to the implied hello,
+/// whose `⌊b⌋` is the stream's first element, and the sender's `HALT`,
+/// which its value implies. Each is handed to the receiver where it
+/// would have arrived — the answer before the first element, the
+/// `HALT` before the value — and heard before what follows.
 #[derive(Debug, Default)]
 struct Push {
     /// Written since the digest vector: cancelled as the push arrives.
     written: bool,
+    /// The stream's first element arrived, and with it the answer.
+    opened: bool,
     /// The receiver halted, or the session ended: no element is wanted.
     halted: bool,
     /// The receiver asked to skip the segment the sender is in.
@@ -83,6 +89,24 @@ struct Push {
 }
 
 impl Push {
+    /// What the receiver is handed before `msg`, which did not cross:
+    /// the answer before the first element, the `HALT` before the value.
+    fn implied(&mut self, msg: &SessionMsg) -> Result<Option<SessionMsg>> {
+        match msg {
+            SessionMsg::Vector(Msg::ElemS { site, value, .. }) if !self.opened => {
+                self.opened = true;
+                Ok(Some(SessionMsg::ServerFirst {
+                    first: Some((*site, *value)),
+                    client_known: true,
+                    client_equal: true,
+                }))
+            }
+            _ if !self.opened => Err(violation("a pushed stream opens with no element")),
+            SessionMsg::Payload { .. } => Ok(Some(SessionMsg::Vector(Msg::Halt))),
+            _ => Ok(None),
+        }
+    }
+
     /// What of a pushed message the receiver gets, and whether the
     /// message is excess.
     fn sift(&mut self, msg: SessionMsg) -> (Vec<SessionMsg>, bool) {
@@ -249,59 +273,58 @@ impl BatchPullClient {
         self.phase = ClientPhase::Running;
     }
 
-    /// The server's push: each pushed stream's first half of Algorithm
-    /// 1 is the proof's (`client_known`), the rest this end's.
-    fn on_push(&mut self, pushes: Vec<StreamOffer>) -> Result<()> {
-        if self.phase != ClientPhase::Start || pushes.len() as u64 != self.pushed {
+    /// The server's push: the keys on streams `1, 2, …`, each answered
+    /// when its first element arrives. A key written since the digest
+    /// vector is cancelled here.
+    fn on_push(&mut self, names: Vec<Bytes>) -> Result<()> {
+        if self.phase != ClientPhase::Start || names.len() as u64 != self.pushed {
             return Err(violation(format!(
                 "a push of {} keys where {} were pushed, or after the exchange began",
-                pushes.len(),
+                names.len(),
                 self.pushed
             )));
         }
-        for push in pushes {
-            let st = (self.streams.get_mut(&push.stream))
-                .filter(|st| st.push.is_some() && st.name == push.name)
-                .ok_or_else(|| {
-                    violation(format!("push on stream {} of another key", push.stream))
-                })?;
-            if st.push.as_ref().is_some_and(|push| push.written) {
-                self.excess += offer_len(&push) as u64;
-                self.abort_stream(push.stream, "written_since_digest", true);
-                continue;
+        for (stream, name) in (1..).zip(names) {
+            let st = self.streams.get_mut(&stream).expect("a pushed stream");
+            if st.name != name {
+                return Err(violation(format!("push on stream {stream} of another key")));
             }
-            st.client.on_receive(SessionMsg::ServerFirst {
-                first: push.first,
-                client_known: true,
-                client_equal: push.client_equal,
-            })?;
-            self.hear_pushed(push.stream);
+            if st.push.as_ref().is_some_and(|push| push.written) {
+                self.excess += wire::bytes_len(name.len()) as u64;
+                self.abort_stream(stream, "written_since_digest", true);
+            }
         }
         Ok(())
     }
 
     /// A pushed stream's session message: what of it the receiver gets,
-    /// what the receiver says back heard for the sender.
+    /// what the receiver says back heard for the sender — after what the
+    /// message implies ([`Push::implied`]), which has no bytes of its own.
     fn on_pushed(&mut self, stream: u64, msg: SessionMsg) -> Result<()> {
         // The frame's bytes: its stream id, its length, the message.
         let len = msg.encoded_len();
         let len = wire::varint_len(stream) + wire::bytes_len(len);
         let st = self.streams.get_mut(&stream).expect("a pushed stream");
-        let push = st.push.as_mut().expect("a pushed stream");
-        let (fed, excess) = match st.aborted {
-            true => (Vec::new(), true),
-            false => push.sift(msg),
-        };
-        if excess {
-            self.excess += len as u64;
-        }
-        for msg in fed {
+        let implied = st.push.as_mut().expect("a pushed stream").implied(&msg)?;
+        let messages = implied.map(|implied| (implied, false)).into_iter();
+        for (msg, crossed) in messages.chain([(msg, true)]) {
             let st = self.streams.get_mut(&stream).expect("a pushed stream");
-            if let Err(e) = st.client.on_receive(msg) {
-                self.abort_stream(stream, reason_label(&e), true);
-                return Ok(());
+            let push = st.push.as_mut().expect("a pushed stream");
+            let (fed, excess) = match st.aborted {
+                true => (Vec::new(), true),
+                false => push.sift(msg),
+            };
+            if excess && crossed {
+                self.excess += len as u64;
             }
-            self.hear_pushed(stream);
+            for msg in fed {
+                let st = self.streams.get_mut(&stream).expect("a pushed stream");
+                if let Err(e) = st.client.on_receive(msg) {
+                    self.abort_stream(stream, reason_label(&e), true);
+                    break;
+                }
+                self.hear_pushed(stream);
+            }
         }
         Ok(())
     }
@@ -519,7 +542,7 @@ impl Endpoint for BatchPullClient {
                 self.phase = ClientPhase::Running;
                 Ok(())
             }
-            MuxMsg::Ctrl(CtrlMsg::BatchPush { pushes }) => self.on_push(pushes),
+            MuxMsg::Ctrl(CtrlMsg::BatchPush { names }) => self.on_push(names),
             MuxMsg::Session(msg) => {
                 let st = self
                     .streams
@@ -577,7 +600,7 @@ mod tests {
     use super::*;
     use crate::mux::fixtures::{dirty_pair, vec_with};
     use crate::mux::{run_contact, BatchPullServer};
-    use optrep_core::RotatingVector;
+    use optrep_core::{RotatingVector, SiteId};
 
     #[test]
     fn missing_and_discovered_objects() {
@@ -623,6 +646,60 @@ mod tests {
             outcome.vector.to_version_vector(),
             fresh.to_version_vector()
         );
+    }
+
+    /// What a pushed stream hands its receiver for what did not cross:
+    /// the answer before the first element, and before the value the
+    /// `HALT` — behind the `SegSkipped` the sender would have sent where
+    /// the receiver was skipping the last segment, and nothing where it
+    /// had halted already.
+    #[test]
+    fn a_pushed_stream_hands_over_what_it_implies() {
+        let vector = SessionMsg::Vector;
+        let element = vector(Msg::ElemS {
+            site: SiteId::new(3),
+            value: 9,
+            conflict: false,
+            segment: false,
+        });
+        let value = SessionMsg::Payload {
+            data: Bytes::from_static(b"v"),
+        };
+        // The stream opens with an element, whose `⌊b⌋` the answer names.
+        let mut push = Push::default();
+        for first in [
+            value.clone(),
+            vector(Msg::Halt),
+            vector(Msg::SegSkipped { seg: 0 }),
+        ] {
+            assert!(push.implied(&first).is_err(), "{first:?}");
+        }
+        let answer = SessionMsg::ServerFirst {
+            first: Some((SiteId::new(3), 9)),
+            client_known: true,
+            client_equal: true,
+        };
+        assert_eq!(push.implied(&element).unwrap(), Some(answer));
+        assert_eq!(push.implied(&element).unwrap(), None);
+        // Skipping the last segment: its end, the `HALT`, and once the
+        // receiver asks, the value.
+        push.segs = 2;
+        push.hear(&vector(Msg::Skip { seg: 2 }));
+        let halt = push.implied(&value).unwrap().expect("the implied HALT");
+        let skipped = vec![vector(Msg::SegSkipped { seg: 2 }), vector(Msg::Halt)];
+        assert_eq!(push.sift(halt), (skipped, false));
+        push.hear(&SessionMsg::PayloadRequest);
+        assert_eq!(push.sift(value.clone()), (vec![value.clone()], false));
+        // Halted already: nothing is implied to it, and the value is
+        // excess.
+        let mut push = Push {
+            opened: true,
+            ..Push::default()
+        };
+        push.hear(&vector(Msg::Halt));
+        let halt = push.implied(&value).unwrap().expect("the implied HALT");
+        assert_eq!(push.sift(halt), (Vec::new(), true));
+        assert_eq!(push.sift(value), (Vec::new(), true));
     }
 
     #[test]

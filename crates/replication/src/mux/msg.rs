@@ -38,22 +38,18 @@ pub struct StreamAnswer {
     pub client_equal: bool,
 }
 
-/// An object the server opens on a stream of its own choosing, the
-/// client's `client_known` implied: one the client did not name
-/// (discovery, against the empty vector the client pulls it into) or,
-/// in a [`CtrlMsg::BatchPush`], one the server pushes, where the plan's
-/// digest proof says the client holds no version the server lacks.
+/// An object the client did not name, which the server opens on a
+/// stream above all client streams (discovery), the client's
+/// `client_known` implied against the empty vector it pulls it into.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamOffer {
-    /// Server-chosen stream identifier: above all client streams for a
-    /// discovered object, `1, 2, …` in order for a pushed one.
+    /// Server-chosen stream identifier.
     pub stream: u64,
     /// Application name of the object.
     pub name: Bytes,
     /// The server's first element `⌊b⌋`.
     pub first: Option<(SiteId, u64)>,
-    /// `client_equal` computed against the implicit empty client vector;
-    /// set in a push, whose client's half alone tells equal from behind.
+    /// `client_equal` computed against the implicit empty client vector.
     pub client_equal: bool,
 }
 
@@ -82,13 +78,15 @@ pub enum CtrlMsg {
     },
     /// Server → puller, in the planning turn's burst behind the plan: a
     /// stream opened for each key the server changed in a proposed
-    /// shard since the connection's last contact. Each stream's whole
-    /// session — its `SYNCS` elements and its value — follows on the
-    /// stream in the same burst, with no hello before it and nothing
-    /// after it to wait for.
+    /// shard since the connection's last contact, the `n`th named on
+    /// stream `n`. Each stream's whole session follows on the stream in
+    /// the same burst, with no hello before it and nothing after it to
+    /// wait for: its `SYNCS` elements — the first is `⌊b⌋`, so the open
+    /// carries none — and its value, which stands for the sender's
+    /// `HALT` before it as well.
     BatchPush {
-        /// The pushed streams, `1, 2, …`, keys strictly increasing.
-        pushes: Vec<StreamOffer>,
+        /// The pushed keys, strictly increasing.
+        names: Vec<Bytes>,
     },
     /// Either direction: the listed streams aborted mid-session. The
     /// receiver tears its halves down and tolerates late frames for
@@ -140,7 +138,7 @@ fn get_streams(buf: &mut Bytes) -> std::result::Result<Vec<u64>, WireError> {
     Ok(streams)
 }
 
-/// The list of a `BatchServerFirst`'s offers or a `BatchPush`.
+/// The list of a `BatchServerFirst`'s offers.
 fn put_offers(buf: &mut BytesMut, offers: &[StreamOffer]) {
     wire::put_varint(buf, offers.len() as u64);
     for offer in offers {
@@ -177,7 +175,7 @@ fn offers_len(offers: &[StreamOffer]) -> usize {
 }
 
 /// One offer's bytes in its list.
-pub(super) fn offer_len(offer: &StreamOffer) -> usize {
+fn offer_len(offer: &StreamOffer) -> usize {
     wire::varint_len(offer.stream)
         + wire::bytes_len(offer.name.len())
         + 1
@@ -211,9 +209,12 @@ impl WireMsg for MuxMsg {
                 }
                 put_offers(buf, offers);
             }
-            MuxMsg::Ctrl(CtrlMsg::BatchPush { pushes }) => {
+            MuxMsg::Ctrl(CtrlMsg::BatchPush { names }) => {
                 buf.put_u8(TAG_BATCH_PUSH);
-                put_offers(buf, pushes);
+                wire::put_varint(buf, names.len() as u64);
+                for name in names {
+                    wire::put_bytes(buf, name);
+                }
             }
             MuxMsg::Ctrl(CtrlMsg::BatchDone { streams }) => {
                 put_streams(buf, TAG_BATCH_DONE, streams)
@@ -272,8 +273,16 @@ impl WireMsg for MuxMsg {
             }
             TAG_BATCH_PUSH => {
                 buf.advance(1);
-                let pushes = get_offers(buf)?;
-                Ok(MuxMsg::Ctrl(CtrlMsg::BatchPush { pushes }))
+                let count = wire::get_varint(buf)?;
+                // A name is at least its length byte.
+                if count > buf.remaining() as u64 {
+                    return Err(WireError::UnexpectedEof);
+                }
+                let mut names = Vec::with_capacity(count as usize);
+                for _ in 0..count {
+                    names.push(wire::get_bytes(buf)?);
+                }
+                Ok(MuxMsg::Ctrl(CtrlMsg::BatchPush { names }))
             }
             TAG_BATCH_DONE => {
                 let streams = get_streams(buf)?;
@@ -308,7 +317,13 @@ impl WireMsg for MuxMsg {
                         .sum::<usize>()
                     + offers_len(offers)
             }
-            MuxMsg::Ctrl(CtrlMsg::BatchPush { pushes }) => 1 + offers_len(pushes),
+            MuxMsg::Ctrl(CtrlMsg::BatchPush { names }) => {
+                1 + wire::varint_len(names.len() as u64)
+                    + names
+                        .iter()
+                        .map(|name| wire::bytes_len(name.len()))
+                        .sum::<usize>()
+            }
             MuxMsg::Ctrl(CtrlMsg::BatchDone { streams })
             | MuxMsg::Ctrl(CtrlMsg::Cancel { streams }) => {
                 1 + wire::varint_len(streams.len() as u64)
@@ -449,12 +464,7 @@ mod tests {
             }),
             MuxMsg::Ctrl(CtrlMsg::Cancel { streams: vec![] }),
             MuxMsg::Ctrl(CtrlMsg::BatchPush {
-                pushes: vec![StreamOffer {
-                    stream: 1,
-                    name: Bytes::from_static(b"pushed"),
-                    first: Some((s(2), 300)),
-                    client_equal: true,
-                }],
+                names: vec![Bytes::from_static(b"pushed"), Bytes::new()],
             }),
             MuxMsg::Session(SessionMsg::Done),
         ];
@@ -465,6 +475,42 @@ mod tests {
             assert_eq!(MuxMsg::decode(&mut buf).unwrap(), m);
             assert!(buf.is_empty());
         }
+    }
+
+    #[test]
+    fn a_push_is_its_names_and_nothing_else() {
+        use crate::planner::assert_strict;
+        // As `decode_frame_msg` reads a frame: exactly one message.
+        let decode = |buf: &mut Bytes| {
+            let msg = MuxMsg::decode(buf)?;
+            match buf.has_remaining() {
+                true => Err(WireError::InvalidPayload),
+                false => Ok(msg),
+            }
+        };
+        let long = Bytes::from(vec![b'k'; 300]);
+        for names in [
+            vec![],
+            vec![Bytes::new()],
+            vec![Bytes::from_static(b"a"), long, Bytes::from_static(b"key-7")],
+        ] {
+            let push = MuxMsg::Ctrl(CtrlMsg::BatchPush { names });
+            assert_strict(&push, push.to_bytes(), decode);
+        }
+        // Tag, count, then each name's length and bytes: no stream id,
+        // no element, no flag.
+        let push = MuxMsg::Ctrl(CtrlMsg::BatchPush {
+            names: vec![Bytes::from_static(b"ab"), Bytes::from_static(b"c")],
+        });
+        assert_eq!(&push.to_bytes()[..], b"\x30\x02\x02ab\x01c");
+        // A count past the bytes left fails before it sizes anything.
+        let mut claim = BytesMut::from(&[TAG_BATCH_PUSH][..]);
+        wire::put_varint(&mut claim, u64::MAX);
+        claim.put_u8(0);
+        assert_eq!(
+            MuxMsg::decode(&mut claim.freeze()),
+            Err(WireError::UnexpectedEof)
+        );
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::protocol::SessionMsg;
 use bytes::{Bytes, BytesMut};
 use optrep_core::error::{Error, Result};
 use optrep_core::obs;
-use optrep_core::sync::{Endpoint, Framed, WireMsg};
+use optrep_core::sync::{Endpoint, Framed, Msg, WireMsg};
 use optrep_core::{obs_emit, wire};
 use optrep_net::FrameLink;
 
@@ -90,6 +90,9 @@ pub struct Puller<'a> {
     push: Vec<Framed<MuxMsg>>,
     /// The keys pushed, on streams `1, 2, …`.
     pushed: Vec<Bytes>,
+    /// Per pushed stream, what crossed on it so far: nothing, elements
+    /// (`false`), or elements and the value (`true`).
+    valued: Vec<Option<bool>>,
     contact: u64,
     report: ContactReport,
     /// Round trips are the blocking dependency depth, not the burst
@@ -112,6 +115,7 @@ impl<'a> Puller<'a> {
             walks: true,
             push: Vec::new(),
             pushed: Vec::new(),
+            valued: Vec::new(),
             contact: 0,
             report: ContactReport::default(),
             payload_requested: false,
@@ -269,7 +273,8 @@ impl<'a> Puller<'a> {
     /// against the plan and held, decoded, for the exchange. One
     /// `BatchPush` on the control stream opens streams `1, 2, …`, each
     /// a key of a proposed shard, keys strictly increasing; every frame
-    /// after it is a `SYNCS` message or a value on one of those streams.
+    /// after it is on one of those streams: `SYNCS` elements, the first
+    /// of them `⌊b⌋`, then the value, which implies the `HALT`.
     fn on_pushed_frame(&mut self, frame: wire::Frame) -> Result<()> {
         let plan = self.plan.as_ref().expect("the plan is in");
         if self.first_on_link {
@@ -278,41 +283,45 @@ impl<'a> Puller<'a> {
             ));
         }
         let framed = decode_frame_msg(frame)?;
-        let pushed = 1..=self.pushed.len() as u64;
+        let stream = framed.stream;
         match &framed.msg {
-            MuxMsg::Ctrl(CtrlMsg::BatchPush { pushes })
-                if framed.stream == CONTROL_STREAM && self.push.is_empty() =>
+            MuxMsg::Ctrl(CtrlMsg::BatchPush { names })
+                if stream == CONTROL_STREAM && self.push.is_empty() =>
             {
-                for (expected, push) in (1..).zip(pushes) {
-                    if push.stream != expected {
-                        return Err(planning_violation(format!(
-                            "a push on stream {} where {expected} is due",
-                            push.stream
-                        )));
-                    }
-                    let shard = shard_of(&push.name, plan.count);
+                for name in names {
+                    let shard = shard_of(name, plan.count);
                     if plan.proposed.binary_search(&shard).is_err() {
                         return Err(planning_violation(format!(
                             "a push into shard {shard}, which the plan does not propose"
                         )));
                     }
-                    if self.pushed.last().is_some_and(|last| *last >= push.name) {
+                    if self.pushed.last().is_some_and(|last| last >= name) {
                         return Err(planning_violation(
                             "pushed keys out of order, or a key pushed twice".into(),
                         ));
                     }
-                    self.pushed.push(push.name.clone());
+                    self.pushed.push(name.clone());
                 }
-                if pushes.is_empty() {
+                if names.is_empty() {
                     return Err(planning_violation("an empty push".into()));
                 }
+                self.valued = vec![None; names.len()];
             }
-            MuxMsg::Session(SessionMsg::Vector(_) | SessionMsg::Payload { .. })
-                if pushed.contains(&framed.stream) => {}
+            MuxMsg::Session(msg) if (1..=self.pushed.len() as u64).contains(&stream) => {
+                let valued = &mut self.valued[stream as usize - 1];
+                *valued = match (*valued, msg) {
+                    (Some(false), SessionMsg::Payload { .. }) => Some(true),
+                    (None | Some(false), SessionMsg::Vector(Msg::ElemS { .. })) => Some(false),
+                    _ => {
+                        return Err(planning_violation(format!(
+                            "a push's stream {stream} not elements then a value"
+                        )))
+                    }
+                };
+            }
             _ => {
                 return Err(planning_violation(format!(
-                    "a frame on stream {} the push did not open",
-                    framed.stream
+                    "a frame on stream {stream} the push did not open"
                 )))
             }
         }
@@ -331,6 +340,12 @@ impl<'a> Puller<'a> {
                 return Err(Error::Incomplete {
                     protocol: "sync planner",
                 });
+            }
+            if let Some(at) = self.valued.iter().position(|v| *v != Some(true)) {
+                return Err(planning_violation(format!(
+                    "pushed stream {} ends without its value",
+                    at + 1
+                )));
             }
             // The planning turn blocks like any other: the exchange
             // cannot begin before the plan is in.

@@ -129,14 +129,10 @@ pub fn classify(framed: &Framed<MuxMsg>) -> FrameBytes {
                     .map(|o| opt_elem_len(&o.first) as u64 + 1)
                     .sum::<u64>();
         }
-        MuxMsg::Ctrl(CtrlMsg::BatchPush { pushes }) => {
-            // Each open's element and flags, as an answer's; its name and
-            // stream id are framing, as a hello's are.
-            bytes.compare = pushes
-                .iter()
-                .map(|o| opt_elem_len(&o.first) as u64 + 1)
-                .sum::<u64>();
-        }
+        // A push carries no COMPARE byte: the digest proof stands in for
+        // the verdict, and `⌊b⌋` is the stream's first element. Its names
+        // are framing, as a hello's are.
+        MuxMsg::Ctrl(CtrlMsg::BatchPush { .. }) => {}
         MuxMsg::Ctrl(CtrlMsg::BatchDone { streams })
         | MuxMsg::Ctrl(CtrlMsg::Cancel { streams }) => {
             bytes.compare = streams.len() as u64;

@@ -14,7 +14,7 @@ use super::msg::{
 use crate::protocol::{PullServer, SessionMsg};
 use bytes::{Bytes, BytesMut};
 use optrep_core::error::Result;
-use optrep_core::sync::{Endpoint, Framed, WireMsg};
+use optrep_core::sync::{Endpoint, Framed, Msg, WireMsg};
 use optrep_core::{wire, RotatingVector, SiteId, Srv};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -86,41 +86,43 @@ impl BatchPullServer {
     /// Pushes every object this server holds, each on a stream of its
     /// own — `1, 2, …` in key order — as the session whose hello the
     /// plan's digest proof implies: writes one [`CtrlMsg::BatchPush`]
-    /// frame of the opens, then each stream's whole session — its
-    /// `SYNCS` elements to the sender's `HALT`, and its value, as though
-    /// asked for — to `out`. Returns how many streams it pushed (none,
-    /// and nothing written, for a server that holds nothing).
+    /// frame of the names, then each stream's whole session — its
+    /// `SYNCS` elements, and its value, as though asked for — to `out`.
+    /// The sender's `HALT` is not written: the value behind it implies
+    /// it. Returns how many streams it pushed (none, and nothing
+    /// written, for a server that holds nothing).
     ///
     /// # Errors
     ///
-    /// None that a session started this way raises; the per-stream
-    /// servers are the unplanned contact's.
+    /// An object with an empty vector: its session would carry no
+    /// element to open it. (A store pushes only keys it wrote.)
     pub fn push(mut self, out: &mut BytesMut) -> Result<u64> {
         let objects = std::mem::take(&mut self.objects);
         let count = objects.len() as u64;
         if count == 0 {
             return Ok(0);
         }
-        let mut pushes = Vec::with_capacity(objects.len());
+        let mut names = Vec::with_capacity(objects.len());
         for (stream, (name, (vector, payload))) in (1..).zip(objects) {
             // The hello the proof implies: one that the server's own
             // first element answers as known and equal, so that the
             // puller's half alone tells equal from behind.
             let implied = vector.first().map(|e| (e.site, e.value));
-            let (first, _, client_equal) = self.open_stream(stream, vector, payload, implied)?;
-            pushes.push(StreamOffer {
-                stream,
-                name,
-                first,
-                client_equal,
-            });
+            if implied.is_none() {
+                return Err(violation("a push of a key with an empty vector"));
+            }
+            // Its answer is implied too: `⌊b⌋` leads the elements.
+            self.open_stream(stream, vector, payload, implied)?;
+            names.push(name);
         }
-        let push = MuxMsg::Ctrl(CtrlMsg::BatchPush { pushes });
+        let push = MuxMsg::Ctrl(CtrlMsg::BatchPush { names });
         Framed::new(CONTROL_STREAM, push).encode(out);
         for (&stream, server) in &mut self.streams {
             loop {
                 while let Some(msg) = server.poll_send() {
-                    Framed::new(stream, MuxMsg::Session(msg)).encode(out);
+                    if msg != SessionMsg::Vector(Msg::Halt) {
+                        Framed::new(stream, MuxMsg::Session(msg)).encode(out);
+                    }
                 }
                 if server.is_done() {
                     break;

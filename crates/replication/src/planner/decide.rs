@@ -67,11 +67,6 @@ const CHILD_BYTES: f64 = 9.0;
 /// Plan-frame bytes one refined shard costs beside its children (its
 /// index), and scope-frame bytes one listed child costs.
 const INDEX_BYTES: f64 = 3.0;
-/// Plan-frame bytes one proposal costs: its bit in the proposals tail.
-const PROPOSAL_BYTES: f64 = 1.0 / 8.0;
-/// COMPARE bytes one pushed key costs: the server's first element (3 B)
-/// and verdict flags (1 B) in its pushed open. No hello, no `BatchDone`.
-const PUSHED_COMPARE_BYTES: f64 = 4.0;
 
 /// Decides per shard, and prices one more level. `client` and `server`
 /// are the two sides' digests at the same shard count (the client's);
@@ -112,13 +107,11 @@ const PUSHED_COMPARE_BYTES: f64 = 4.0;
 /// thrown away, a journal that lost or misfiled a change — and the sum
 /// does not come out, and the shard is priced as though unhinted.
 ///
-/// A checked shard needs no estimate: the proposal's bytes are its bit
-/// in the plan frame, and the keys left in the contact are the ones
-/// pushed, each at its pushed open's COMPARE bytes. It is proposed iff
-/// that — `⅛ B + 4 B · candidates` — is less than what the shard costs
-/// otherwise: `8 B · entries` walked whole, or, where the children were
-/// judged worth offering, their `9 B · F + 3 B · (1 + d) + 8 B · entries
-/// · d∕F`. A proposed shard is not refined.
+/// A checked shard is always proposed, and so not refined: the keys
+/// left in the contact are the ones pushed, and a pushed key costs no
+/// COMPARE byte — its name is framing, its `⌊b⌋` its first `SYNCS`
+/// element — so nothing a walk or children could save is left to weigh
+/// against the proposal's one bit in the plan frame.
 ///
 /// # Panics
 ///
@@ -162,9 +155,6 @@ pub fn decide(client: &[ShardDigest], server: &[ShardDigest], hints: &[Hint]) ->
         .filter(|&&action| action != ShardAction::Skip)
         .count() as u64;
     let share = (dirty as f64 + (dirty as f64).sqrt()) / count as f64;
-    // The children's fixed bytes and the share of a refined shard's
-    // keys still walked, where the children pay.
-    let mut children = (f64::INFINITY, 0.0);
     if !incremental.is_empty() && share < 1.0 {
         let per_dirty_shard = -(1.0 - share).ln() / share;
         let mean = incremental.iter().map(|&s| walked(s)).sum::<f64>() / incremental.len() as f64;
@@ -179,21 +169,12 @@ pub fn decide(client: &[ShardDigest], server: &[ShardDigest], hints: &[Hint]) ->
                 .map(|&shard| shard as u64)
                 .collect();
             decision.fanout = fanout;
-            children = (cost, 1.0 - clean_share);
         }
     }
     for hint in hints {
         let at = hint.shard as usize;
         let incremental = decision.actions.get(at) == Some(&ShardAction::Incremental);
-        if !incremental || client[at] != hint.since {
-            continue;
-        }
-        let pushed = PUSHED_COMPARE_BYTES * hint.candidates.len() as f64;
-        let otherwise = match decision.refined.binary_search(&hint.shard) {
-            Ok(_) => children.0 + COMPARE_BYTES_PER_KEY * walked(at) * children.1,
-            Err(_) => COMPARE_BYTES_PER_KEY * walked(at),
-        };
-        if PROPOSAL_BYTES + pushed < otherwise {
+        if incremental && client[at] == hint.since {
             decision.proposed.push(hint.shard);
         }
     }
@@ -225,10 +206,12 @@ mod tests {
 
     /// `decide` prices in three constants; each is what one more key,
     /// child or shard adds to the frames its doc comment names, measured
-    /// here on the codec so neither can move without the other.
+    /// here on the codec so neither can move without the other. What it
+    /// does not price is measured too: a proposal is a bit, a pushed key
+    /// no COMPARE byte.
     #[test]
     fn the_priced_constants_are_what_the_codec_writes() {
-        use crate::mux::{classify, CtrlMsg, MuxMsg, StreamAnswer, StreamOffer, StreamOpen};
+        use crate::mux::{classify, CtrlMsg, MuxMsg, StreamAnswer, StreamOpen};
         use optrep_core::sync::{Framed, WireMsg};
         use optrep_core::SiteId;
 
@@ -273,19 +256,20 @@ mod tests {
         assert_eq!(COMPARE_BYTES_PER_KEY, (3 + 4 + 1) as f64);
 
         // One more offered child, one more refined shard, one more scope
-        // child — at the widest indices a plan can name.
+        // child — at the widest indices a plan can name: a refined
+        // shard's gap past the one before it spans the map.
         let count = MAX_PLAN_SHARDS / 4;
-        let plan = |parents: u64, fanout: u64| {
+        let plan = |parents: &[u64], fanout: u64| {
             let child = ShardDigest {
                 digest: u64::MAX,
                 entries: 100,
             };
-            let parents = (count - parents..count)
-                .map(|shard| (shard, vec![child; fanout as usize]))
+            let parents = (parents.iter())
+                .map(|&shard| (shard, vec![child; fanout as usize]))
                 .collect();
             ShardPlan {
                 count,
-                incremental: vec![count - 2, count - 1],
+                incremental: vec![0, count - 1],
                 children: Some(ChildDigests { fanout, parents }),
                 ..ShardPlan::default()
             }
@@ -300,15 +284,19 @@ mod tests {
             .encode()
             .len()
         };
-        assert_eq!((plan(1, 4) - plan(1, 2)) as f64, 2.0 * CHILD_BYTES);
+        let (first, widest) = ([0], [0, count - 1]);
         assert_eq!(
-            (plan(2, 2) - plan(1, 2)) as f64,
+            (plan(&first, 4) - plan(&first, 2)) as f64,
+            2.0 * CHILD_BYTES
+        );
+        assert_eq!(
+            (plan(&widest, 2) - plan(&first, 2)) as f64,
             INDEX_BYTES + 2.0 * CHILD_BYTES
         );
         assert_eq!((scope(2) - scope(1)) as f64, INDEX_BYTES);
 
         // Eight more proposed shards, one more byte of the proposals
-        // tail (each shard's index aside, a byte at 64 shards).
+        // tail (each shard's gap aside, a byte).
         let proposing = |shards: u64| {
             ShardPlan {
                 count: 64,
@@ -319,25 +307,20 @@ mod tests {
             .encode()
             .len()
         };
-        assert_eq!(
-            (proposing(16) - proposing(8) - 8) as f64,
-            8.0 * PROPOSAL_BYTES
-        );
+        assert_eq!(proposing(16) - proposing(8) - 8, 1);
 
-        // One more pushed key in the push frame's COMPARE plane.
-        let pushes = |keys: u64| {
-            let push = |stream| StreamOffer {
-                stream,
-                name: name.clone(),
-                first,
-                client_equal: true,
-            };
-            let msg = MuxMsg::Ctrl(CtrlMsg::BatchPush {
-                pushes: (1..=keys).map(push).collect(),
-            });
-            classify(&Framed::new(0, msg)).compare
+        // A pushed key is its name in the push frame, all of it framing:
+        // the proof stands in for the verdict, and `⌊b⌋` leads its
+        // `SYNCS` elements.
+        let push = |keys: usize| {
+            let names = vec![name.clone(); keys];
+            let frame = Framed::new(0, MuxMsg::Ctrl(CtrlMsg::BatchPush { names }));
+            (frame.encoded_len(), classify(&frame))
         };
-        assert_eq!((pushes(2) - pushes(1)) as f64, PUSHED_COMPARE_BYTES);
+        let ((one, one_split), (two, two_split)) = (push(1), push(2));
+        assert_eq!(two - one, wire::bytes_len(name.len()));
+        assert_eq!((one_split.compare, two_split.compare), (0, 0));
+        assert_eq!(two_split.framing - one_split.framing, (two - one) as u64);
     }
 
     #[test]
@@ -389,7 +372,7 @@ mod tests {
     }
 
     #[test]
-    fn decide_proposes_where_the_hint_is_cheaper_than_what_it_replaces() {
+    fn decide_proposes_every_hinted_shard_that_passes_the_check() {
         // 16 dirty shards of 512 at 195 keys, one changed key in each
         // of the first twelve: those are proposed, the other four keep
         // their children, and without hints nothing moved.
@@ -410,13 +393,14 @@ mod tests {
         let stray = [hint(&ours, 100, 1), hint(&ours, 9_999, 1)];
         assert!(decide(&ours, &theirs, &stray).proposed.is_empty());
         // Every shard dirty at 39 keys — no children to fall back on:
-        // a pushed key costs half a walked one, so seventy-seven changed
-        // keys a shard are proposed, seventy-eight are not.
+        // a pushed key costs no COMPARE byte, so a shard is proposed
+        // however many of its keys changed, one or all of them.
         let (ours, theirs) = map_with(512, 39, 512);
-        let few: Vec<Hint> = (0..512).map(|shard| hint(&ours, shard, 77)).collect();
-        let most: Vec<Hint> = (0..512).map(|shard| hint(&ours, shard, 78)).collect();
-        assert_eq!(decide(&ours, &theirs, &few).proposed.len(), 512);
-        assert!(decide(&ours, &theirs, &most).proposed.is_empty());
+        for keys in [1, 39] {
+            let hints: Vec<Hint> = (0..512).map(|shard| hint(&ours, shard, keys)).collect();
+            let decision = decide(&ours, &theirs, &hints);
+            assert_eq!(decision.proposed.len(), 512, "{keys} keys a shard");
+        }
         // Even at the finest map: a push names its keys, not a shard.
         let (ours, theirs) = map_with(MAX_PLAN_SHARDS as usize, 195, 4);
         let hints: Vec<Hint> = (0..4).map(|shard| hint(&ours, shard, 1)).collect();

@@ -3,8 +3,8 @@
 //! each end's memory of that one.
 
 use super::{
-    control_frame, digest_vector_frame, shard_of, ChildDigests, ShardScope, FNV_OFFSET, FNV_PRIME,
-    MAX_PLAN_SHARDS, TAG_SHARD_DIGESTS, TAG_SHARD_DIGESTS_DELTA,
+    control_frame, digest_vector_frame, shard_of, ChildDigests, Gaps, ShardScope, FNV_OFFSET,
+    FNV_PRIME, MAX_PLAN_SHARDS, TAG_SHARD_DIGESTS, TAG_SHARD_DIGESTS_DELTA,
 };
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use optrep_core::error::WireError;
@@ -179,11 +179,10 @@ impl DigestDelta {
         buf.put_u8(TAG_SHARD_DIGESTS_DELTA);
         wire::put_varint(&mut buf, self.count);
         wire::put_varint(&mut buf, self.changed.len() as u64);
-        let mut next = 0;
+        let mut gaps = Gaps::default();
         for (shard, summary) in &self.changed {
-            wire::put_varint(&mut buf, shard - next);
+            gaps.put(&mut buf, *shard);
             summary.put(&mut buf);
-            next = shard + 1;
         }
         buf.put_u64(self.check);
         buf.freeze()
@@ -217,14 +216,9 @@ impl DigestDelta {
             return Err(WireError::UnexpectedEof);
         }
         let mut changed = Vec::with_capacity(n as usize);
-        let mut next = 0u64;
+        let mut gaps = Gaps::default();
         for _ in 0..n {
-            let shard = next
-                .checked_add(wire::get_varint(buf)?)
-                .filter(|&shard| shard < count)
-                .ok_or(WireError::InvalidPayload)?;
-            changed.push((shard, ShardDigest::get(buf)?));
-            next = shard + 1;
+            changed.push((gaps.get(buf, count)?, ShardDigest::get(buf)?));
         }
         if buf.remaining() < 8 {
             return Err(WireError::UnexpectedEof);

@@ -64,7 +64,7 @@
 //! in the plan frame instead of offering child digests. A proposal is
 //! binding, and it is carried out at once: in the same burst as the
 //! plan, the server opens a stream for each key its journal places in
-//! the shard ([`JOURNAL_PLACEMENTS`]) and sends it whole — its open,
+//! the shard ([`JOURNAL_PLACEMENTS`]) and sends it whole — its name,
 //! its `SYNCS` elements, its value — with no hello to wait for
 //! ([`CtrlMsg::BatchPush`](crate::mux::CtrlMsg::BatchPush)). Equal,
 //! the puller holds the shard as the server held it then, so every
@@ -124,11 +124,14 @@ pub use decide::{decide, Decision, Hint, PlanConfig, ShardAction};
 pub use digest::{
     kept_as_sent, nothing_to_pull, DigestDelta, DigestVector, ShardDigest, VectorMemory,
 };
+#[cfg(test)]
+pub(crate) use plan::tests::assert_strict;
 pub use plan::{ChildDigests, ShardPlan};
 pub use scope::{Cut, Offer, ShardScope};
 
 use crate::mux::CONTROL_STREAM;
-use bytes::BytesMut;
+use bytes::{Bytes, BytesMut};
+use optrep_core::error::WireError;
 use optrep_core::wire;
 
 /// Wire tag of a [`DigestVector`] (puller → server).
@@ -151,6 +154,38 @@ pub(crate) const TAG_SHARD_DIGESTS_DELTA: u8 = 0x39;
 /// with [`TAG_SHARD_PLAN_REFINED`], the tail is mandatory under the tag,
 /// and a plan that proposes nothing carries no byte saying so.
 const TAG_SHARD_PLAN_PROPOSED: u8 = 0x3a;
+
+/// A strictly increasing list of shard indices on the wire: the first
+/// as it is, every later one as the gap past its predecessor, less one
+/// — so no encoding lists a shard out of order or twice, and a sparse
+/// list at a large count costs a byte a shard.
+#[derive(Debug, Default)]
+struct Gaps {
+    /// The least index the next one may be.
+    next: u64,
+}
+
+impl Gaps {
+    /// Writes `shard`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard` is not past the one written before it.
+    fn put(&mut self, buf: &mut BytesMut, shard: u64) {
+        let gap = shard.checked_sub(self.next);
+        wire::put_varint(buf, gap.expect("shards strictly increasing"));
+        self.next = shard + 1;
+    }
+
+    /// Reads the next index, rejecting one at or past `count`.
+    fn get(&mut self, buf: &mut Bytes, count: u64) -> Result<u64, WireError> {
+        let shard = (self.next.checked_add(wire::get_varint(buf)?))
+            .filter(|&shard| shard < count)
+            .ok_or(WireError::InvalidPayload)?;
+        self.next = shard + 1;
+        Ok(shard)
+    }
+}
 
 /// Hard cap on the shard count any peer may claim: bounds the
 /// allocation a hostile digest vector or plan can force.

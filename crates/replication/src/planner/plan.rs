@@ -2,7 +2,7 @@
 //! to bulk-load, and what it offers to narrow — and its codec.
 
 use super::{
-    Offer, ShardDigest, MAX_PLAN_SHARDS, TAG_SHARD_PLAN, TAG_SHARD_PLAN_PROPOSED,
+    Gaps, Offer, ShardDigest, MAX_PLAN_SHARDS, TAG_SHARD_PLAN, TAG_SHARD_PLAN_PROPOSED,
     TAG_SHARD_PLAN_REFINED,
 };
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -30,11 +30,13 @@ pub struct ShardPlan {
     /// sides) is expressed at — echoes the digest vector's (the puller
     /// rejects a plan at any other count).
     pub count: u64,
-    /// Shards to sync incrementally over per-object streams.
+    /// Shards to sync incrementally over per-object streams, strictly
+    /// increasing.
     pub incremental: Vec<u64>,
     /// Shards to apply as whole snapshots: `(shard index, blob)` where
     /// the blob is the server's shard image
-    /// (`KvStore::encode_shard_snapshot` format).
+    /// (`KvStore::encode_shard_snapshot` format), shards strictly
+    /// increasing.
     pub snapshots: Vec<(u64, Bytes)>,
     /// The children of the incremental shards
     /// [`decide`](super::decide()) priced as worth narrowing; `None` when
@@ -86,12 +88,19 @@ impl ShardPlan {
         })
     }
 
-    /// Encodes the message. The children, when present, are a tail
-    /// after the unrefined encoding, under their own tag; proposals,
-    /// when present, a tail behind that — or behind a zero byte where
-    /// there are no children — under a third: one bit an incremental
-    /// shard, in the plan's order, the first in the low bit of the first
-    /// byte, set where the shard is proposed.
+    /// Encodes the message. Each list of shards — the incremental, the
+    /// bulk-loaded and the refined ones — is its length, then its
+    /// shards as gaps: the first as it is, every later one as the gap
+    /// past its predecessor, less one. The children, when present, are
+    /// a tail after the unrefined encoding, under their own tag;
+    /// proposals, when present, a tail behind that — or behind a zero
+    /// byte where there are no children — under a third: one bit an
+    /// incremental shard, in the plan's order, the first in the low bit
+    /// of the first byte, set where the shard is proposed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a list of shards is not strictly increasing.
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::new();
         buf.put_u8(match (&self.children, self.proposed.is_empty()) {
@@ -101,12 +110,14 @@ impl ShardPlan {
         });
         wire::put_varint(&mut buf, self.count);
         wire::put_varint(&mut buf, self.incremental.len() as u64);
+        let mut gaps = Gaps::default();
         for &shard in &self.incremental {
-            wire::put_varint(&mut buf, shard);
+            gaps.put(&mut buf, shard);
         }
         wire::put_varint(&mut buf, self.snapshots.len() as u64);
+        let mut gaps = Gaps::default();
         for (shard, blob) in &self.snapshots {
-            wire::put_varint(&mut buf, *shard);
+            gaps.put(&mut buf, *shard);
             wire::put_bytes(&mut buf, blob);
         }
         if !self.proposed.is_empty() {
@@ -115,8 +126,9 @@ impl ShardPlan {
         if let Some(children) = &self.children {
             wire::put_varint(&mut buf, u64::from(children.fanout.trailing_zeros()));
             wire::put_varint(&mut buf, children.parents.len() as u64);
+            let mut gaps = Gaps::default();
             for (shard, digests) in &children.parents {
-                wire::put_varint(&mut buf, *shard);
+                gaps.put(&mut buf, *shard);
                 for child in digests {
                     child.put(&mut buf);
                 }
@@ -135,12 +147,12 @@ impl ShardPlan {
     }
 
     /// Decodes a [`ShardPlan`], rejecting truncation, trailing bytes,
-    /// out-of-range or unsorted-duplicate shard indices, and shard
+    /// a gap that runs to or past the shard count, and shard
     /// counts that are zero, non-power-of-two, or past
     /// [`MAX_PLAN_SHARDS`]; under the refined tag (`0x38`) also a
     /// missing children tail, a fan-out below 2 or with `count · F`
     /// past [`MAX_PLAN_SHARDS`], and refined shards that are not a
-    /// strictly increasing selection of the incremental ones; under
+    /// selection of the incremental ones; under
     /// the proposing tag (`0x3a`) a missing or short proposals tail, one
     /// that proposes nothing, a bit past the last incremental shard, and
     /// a proposed shard that is also refined. Every length is checked
@@ -165,28 +177,23 @@ impl ShardPlan {
         if count == 0 || !count.is_power_of_two() || count > MAX_PLAN_SHARDS {
             return Err(WireError::InvalidPayload);
         }
-        let read_index = |buf: &mut Bytes| -> std::result::Result<u64, WireError> {
-            let shard = wire::get_varint(buf)?;
-            if shard >= count {
-                return Err(WireError::InvalidPayload);
-            }
-            Ok(shard)
-        };
         let n = wire::get_varint(buf)?;
         if n > count {
             return Err(WireError::InvalidPayload);
         }
         let mut incremental = Vec::with_capacity(n as usize);
+        let mut gaps = Gaps::default();
         for _ in 0..n {
-            incremental.push(read_index(buf)?);
+            incremental.push(gaps.get(buf, count)?);
         }
         let n = wire::get_varint(buf)?;
         if n > count {
             return Err(WireError::InvalidPayload);
         }
         let mut snapshots = Vec::with_capacity(n as usize);
+        let mut gaps = Gaps::default();
         for _ in 0..n {
-            let shard = read_index(buf)?;
+            let shard = gaps.get(buf, count)?;
             let blob = wire::get_bytes(buf)?;
             snapshots.push((shard, blob));
         }
@@ -243,10 +250,10 @@ impl ShardPlan {
         // Refined shards are a selection of the incremental ones in
         // their order, so one pass over the latter finds them all.
         let mut candidates = incremental.iter();
+        let mut gaps = Gaps::default();
         for _ in 0..n {
-            let shard = wire::get_varint(buf)?;
-            let in_order = parents.last().is_none_or(|(last, _)| *last < shard);
-            if !in_order || !candidates.any(|&listed| listed == shard) {
+            let shard = gaps.get(buf, count)?;
+            if !candidates.any(|&listed| listed == shard) {
                 return Err(WireError::InvalidPayload);
             }
             if (buf.remaining() as u64) < fanout * MIN_CHILD_BYTES {
@@ -334,15 +341,40 @@ pub(super) mod tests {
             let mut bytes = buf.freeze();
             assert!(DigestVector::decode(&mut bytes).is_err(), "count {count}");
         }
-        // A plan index out of range.
-        let mut buf = BytesMut::new();
-        buf.put_u8(TAG_SHARD_PLAN);
-        wire::put_varint(&mut buf, 4);
-        wire::put_varint(&mut buf, 1);
-        wire::put_varint(&mut buf, 4); // index == count
-        wire::put_varint(&mut buf, 0);
-        let mut bytes = buf.freeze();
-        assert!(ShardPlan::decode(&mut bytes).is_err());
+        // A plan index out of range, and a later one whose gap runs to
+        // the count or past it, in either list (wrapping included).
+        let plan = |incremental: &[u64], snapshots: &[u64]| {
+            let mut buf = BytesMut::new();
+            buf.put_u8(TAG_SHARD_PLAN);
+            wire::put_varint(&mut buf, 4);
+            wire::put_varint(&mut buf, incremental.len() as u64);
+            for &gap in incremental {
+                wire::put_varint(&mut buf, gap);
+            }
+            wire::put_varint(&mut buf, snapshots.len() as u64);
+            for &gap in snapshots {
+                wire::put_varint(&mut buf, gap);
+                wire::put_bytes(&mut buf, b"");
+            }
+            ShardPlan::decode(&mut buf.freeze())
+        };
+        let honest = plan(&[1, 1], &[0, 1]).expect("well-formed");
+        assert_eq!(honest.served().collect::<Vec<_>>(), [1, 3, 0, 2]);
+        for (incremental, snapshots) in [
+            (&[4][..], &[][..]),
+            (&[1, 2], &[]),
+            (&[3, 0], &[]),
+            (&[0, u64::MAX], &[]),
+            (&[], &[0, 3]),
+            (&[], &[3, u64::MAX]),
+        ] {
+            let decoded = plan(incremental, snapshots);
+            assert_eq!(
+                decoded,
+                Err(WireError::InvalidPayload),
+                "{incremental:?} {snapshots:?}"
+            );
+        }
     }
 
     /// `sample_plan` with the children of shard 3 offered at F = 2.
@@ -438,7 +470,7 @@ pub(super) mod tests {
     }
 
     /// Round trip, every strict prefix refused, a trailing byte refused.
-    fn assert_strict<T: PartialEq + std::fmt::Debug>(
+    pub(crate) fn assert_strict<T: PartialEq + std::fmt::Debug>(
         value: &T,
         full: Bytes,
         decode: impl Fn(&mut Bytes) -> std::result::Result<T, WireError>,
@@ -483,10 +515,10 @@ pub(super) mod tests {
         assert!(with_children > 8 && without > 8, "both shapes exercised");
     }
 
-    /// The body of a plan at 4 shards, incremental `[0, 1, 3]`, under
-    /// the proposing tag, followed by `tail`.
+    /// The body of a plan at 4 shards, incremental `[0, 1, 3]` (gaps
+    /// 0, 0, 1), under the proposing tag, followed by `tail`.
     fn proposing_plan(tail: &[u8]) -> Bytes {
-        let mut buf = BytesMut::from(&[TAG_SHARD_PLAN_PROPOSED, 4, 3, 0, 1, 3, 0][..]);
+        let mut buf = BytesMut::from(&[TAG_SHARD_PLAN_PROPOSED, 4, 3, 0, 0, 1, 0][..]);
         buf.extend_from_slice(tail);
         buf.freeze()
     }
@@ -508,7 +540,7 @@ pub(super) mod tests {
         assert_eq!(both.offer().expect("offer").parents, [3]);
         // Nine incremental shards at 16 take a tail of two bytes.
         let mut nine = BytesMut::from(&[TAG_SHARD_PLAN_PROPOSED, 16, 9][..]);
-        nine.extend_from_slice(&[0, 1, 2, 3, 4, 5, 6, 7, 8, 0, 0, 1]);
+        nine.extend_from_slice(&[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]);
         let hostile: [(&str, Bytes); 9] = [
             ("no tail under the proposing tag", tail(&[])),
             ("a children flag that is neither", tail(&[&[2, 0b010]])),
@@ -528,8 +560,8 @@ pub(super) mod tests {
                 Bytes::from_static(&[TAG_SHARD_PLAN_PROPOSED, 4, 0, 0, 0, 1]),
             ),
             (
-                "incremental shards out of order",
-                Bytes::from_static(&[TAG_SHARD_PLAN_PROPOSED, 4, 2, 3, 1, 0, 0, 0b11]),
+                "an incremental shard's gap past the count",
+                Bytes::from_static(&[TAG_SHARD_PLAN_PROPOSED, 4, 2, 3, 0, 0, 0, 0b11]),
             ),
         ];
         for (what, mut bytes) in hostile {
@@ -550,7 +582,7 @@ pub(super) mod tests {
     fn an_unrefined_plan_carries_no_byte_for_what_it_lacks() {
         assert_eq!(
             &sample_plan().encode()[..],
-            b"\x36\x04\x02\x00\x03\x01\x02\x05\x00blob"
+            b"\x36\x04\x02\x00\x02\x01\x02\x05\x00blob"
         );
         let refined = refined_plan().encode();
         assert_eq!(refined[0], TAG_SHARD_PLAN_REFINED);
@@ -582,12 +614,12 @@ pub(super) mod tests {
         }
     }
 
-    /// The body of a refined plan at 4 shards, incremental `[0, 3]`,
-    /// with `tail` for its children.
+    /// The body of a refined plan at 4 shards, incremental `[0, 3]`
+    /// (gaps 0, 2), with `tail` for its children.
     fn plan_with_tail(tail: &[u64], digests: usize) -> Bytes {
         let mut buf = BytesMut::new();
         buf.put_u8(TAG_SHARD_PLAN_REFINED);
-        for v in [4, 2, 0, 3, 0] {
+        for v in [4, 2, 0, 2, 0] {
             wire::put_varint(&mut buf, v);
         }
         for &v in tail {
@@ -621,15 +653,22 @@ pub(super) mod tests {
                 "{what}"
             );
         }
-        // Parents out of order, and one listed twice.
-        for parents in [[3u64, 0], [3, 3]] {
-            let mut buf = BytesMut::from(&plan_with_tail(&[1, 2, parents[0]], 2)[..]);
-            wire::put_varint(&mut buf, parents[1]);
+        // Two parents as gaps: 0 then 2 refines both incremental shards;
+        // 0 then 0 names shard 1, which the plan skips, and 0 then 3 runs
+        // past the count.
+        let two_parents = |gaps: [u64; 2]| {
+            let mut buf = BytesMut::from(&plan_with_tail(&[1, 2, gaps[0]], 2)[..]);
+            wire::put_varint(&mut buf, gaps[1]);
             for _ in 0..2 {
                 buf.put_u8(1);
                 buf.put_u64(9);
             }
-            assert!(ShardPlan::decode(&mut buf.freeze()).is_err(), "{parents:?}");
+            ShardPlan::decode(&mut buf.freeze())
+        };
+        let both = two_parents([0, 2]).expect("well-formed");
+        assert_eq!(both.offer().expect("an offer").parents, [0, 3]);
+        for gaps in [[0u64, 0], [0, 3]] {
+            assert!(two_parents(gaps).is_err(), "{gaps:?}");
         }
         // A huge fan-out over a short payload fails on the length
         // check, before the digests are allocated.

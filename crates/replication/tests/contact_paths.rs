@@ -14,8 +14,10 @@ use optrep_core::wire::{self, FrameDecoder};
 use optrep_core::{Causality, Error, Result, RotatingVector, SiteId, Srv};
 use optrep_kv::{Committed, JoinResolver, KvStore, KvSyncReport};
 use optrep_net::{ConnPool, ConnectOptions, FaultPlan, FaultyLink, FrameLink, TcpLink};
-use optrep_replication::mux::{Pushed, StreamOffer, StreamOpen, TURN_STREAM};
-use optrep_replication::planner::{digest_vector_frame, plan_frame, scope_frame, shard_of};
+use optrep_replication::mux::{Pushed, StreamOpen, TURN_STREAM};
+use optrep_replication::planner::{
+    digest_vector_frame, plan_frame, scope_frame, shard_of, JOURNAL_PLACEMENTS,
+};
 use optrep_replication::{
     classify, pull_contact, pull_planned, reason_label, run_contact, serve_contact, serve_frame,
     serve_from, BatchPullClient, BatchPullServer, ContactAnswer, ContactAsk, ContactReport,
@@ -1233,11 +1235,11 @@ fn second_pull_over_a_link_is_proposed_what_the_source_changed() {
     // source's, is not proposed and is cut at its children like 7 and
     // 9: 39 keys against the cold pull's 64.
     assert_eq!((synced.keys_examined, cold_synced.keys_examined), (39, 64));
-    // Framing over the four changed keys: 125.25 B a key warm, 195.25
+    // Framing over the four changed keys: 123 B a key warm, 195.25
     // cold (538.5 B while shard 2 was refused and walked whole).
     assert_eq!(
         (synced.framing_bytes, cold_synced.framing_bytes),
-        (501, 781)
+        (492, 781)
     );
 
     // Both end where an unplanned pull ends, having changed the same keys.
@@ -1721,11 +1723,12 @@ fn a_pushed_key_the_puller_wrote_after_its_digest_is_cancelled_and_lands_next_pu
     assert_eq!(committed.changed, std::slice::from_ref(&sibling));
     assert_eq!(dst.get(&raced), Some(&b"mine, after the digest"[..]));
     assert!(committed.landed.iter().all(|(shard, _)| *shard != 4));
-    // The cancelled stream's open (14 B of the push frame), its element
-    // and `HALT` frames (5 B, 4 B) and its value (11 B), and nothing
-    // else: its sibling's frames were all taken.
+    // The cancelled stream's name (9 B of the push frame: an 8-byte key
+    // and its length), its element frame (5 B) and its value (11 B),
+    // and nothing else: its sibling's frames were all taken.
     let excess = contact.excess_bytes;
-    assert_eq!(excess, 14 + 5 + 4 + 11, "{contact:?}");
+    assert_eq!(raced.len(), 8);
+    assert_eq!(excess, 9 + 5 + 11, "{contact:?}");
     let reported: Vec<u64> = (ring.events().into_iter())
         .filter_map(|event| match event {
             SyncEvent::LinkExcess { bytes } => Some(bytes),
@@ -1839,10 +1842,10 @@ impl StepLink<'_> {
                     put(stream, CtrlMsg::BatchDone { streams });
                 }
             }
-            MuxMsg::Ctrl(CtrlMsg::BatchPush { pushes }) => {
-                for push in pushes {
-                    let (stream, pushes) = (push.stream, vec![push]);
-                    put(stream, CtrlMsg::BatchPush { pushes });
+            MuxMsg::Ctrl(CtrlMsg::BatchPush { names }) => {
+                for (stream, name) in (1..).zip(names) {
+                    let names = vec![name];
+                    put(stream, CtrlMsg::BatchPush { names });
                 }
             }
             MuxMsg::Ctrl(CtrlMsg::Cancel { streams }) => {
@@ -2121,24 +2124,34 @@ fn mixed_case() -> Case {
     }
 }
 
+/// Two keys that share all 31 bits of placement: a journal that lists
+/// one lists the other, so a push of a change to one pushes both.
+const SHARING_PLACEMENT: [&str; 2] = ["p133bba9a1", "p9aa423960"];
+
 /// A pushed stream reaches its receiver as one message a turn would:
 /// over keys the server moved on from where the puller holds them —
-/// plainly, or after reconciling with a third site, so that the puller
-/// meets tagged elements it knows and skips their segments — keys the
-/// puller does not hold and keys it holds equal, the push's per-key
-/// outcomes, Δ/Γ/γ included, are the lockstep's, and what the lockstep
-/// would not have sent (an equal key's session, elements past a `HALT`
-/// or inside a skipped segment) is excess.
+/// plainly, so that the receiver halts on the first element of the
+/// multi-site base it knows, and the sender's elements past it are
+/// not wanted; or after reconciling with a third site, so that the
+/// puller meets tagged elements it knows and skips their segments — keys
+/// the puller does not hold, keys it holds equal, keys whose last
+/// segment the receiver is skipping when the value arrives (the value's
+/// implied `HALT` reaches it behind the sender's `SegSkipped`), and an
+/// unchanged key pushed because it shares its placement with a changed
+/// one, the push's per-key outcomes, Δ/Γ/γ included, are the
+/// lockstep's, and what the lockstep would not have sent (an equal
+/// key's session, elements past a `HALT` or inside a skipped segment)
+/// is excess.
 #[test]
 fn a_pushed_stream_reaches_its_receiver_as_the_lockstep_would() {
     let mut rng = SplitMix64::new(0x0000_9B5E_D5EA_5EED);
     let mut draw = |n: u64| -> Vec<u32> { (0..n).map(|_| (rng.next_u64() % 12) as u32).collect() };
     let (mut held, mut served) = (Vec::new(), Vec::new());
-    for i in 0..160usize {
+    for i in 0..200usize {
         let name = Bytes::from(format!("p{i:03}").into_bytes());
         let base = updated(Srv::new(), &draw(4 + i as u64 % 12));
         let theirs = draw(1 + i as u64 % 3);
-        let (ours, theirs) = match i % 4 {
+        let (ours, theirs) = match i % 5 {
             0 => (Some(base.clone()), updated(base, &theirs)),
             1 => {
                 // The puller holds the third site's version the server
@@ -2148,11 +2161,39 @@ fn a_pushed_stream_reaches_its_receiver_as_the_lockstep_would() {
                 (Some(third), updated(merged, &[32]))
             }
             2 => (None, base),
-            _ => (Some(base.clone()), base),
+            3 => (Some(base.clone()), base),
+            _ => {
+                // The puller reconciled two sites' writes and wrote
+                // again: its own element leaves the tail, and the
+                // tagged elements it took in are the vector's last
+                // segment. A server that took that in and wrote sends
+                // its own element, then that segment — which the
+                // receiver meets known and tagged, and skips to the end.
+                let (ours, theirs) = (20 + i as u32 % 4, 24 + i as u32 % 4);
+                let other = updated(Srv::new(), &[theirs]);
+                let held = updated(reconciled(updated(Srv::new(), &[ours]), other), &[ours]);
+                let own = updated(Srv::new(), &[28]);
+                (Some(held.clone()), updated(reconciled(own, held), &[28]))
+            }
         };
         held.push((name.clone(), ours));
         served.push((name, theirs, Bytes::from(vec![b'p'; 20 + i % 200])));
     }
+    // The pair sharing a placement: one moved on, the other equal.
+    let [moved, unchanged] = SHARING_PLACEMENT.map(|key| Bytes::from_static(key.as_bytes()));
+    assert_eq!(
+        shard_of(&moved, JOURNAL_PLACEMENTS),
+        shard_of(&unchanged, JOURNAL_PLACEMENTS)
+    );
+    let base = updated(Srv::new(), &[1, 2, 3]);
+    held.push((moved.clone(), Some(base.clone())));
+    served.push((
+        moved,
+        updated(base.clone(), &[4]),
+        Bytes::from_static(b"moved"),
+    ));
+    held.push((unchanged.clone(), Some(base.clone())));
+    served.push((unchanged.clone(), base, Bytes::from_static(b"same")));
     let lockstep = {
         let named = held
             .iter()
@@ -2163,6 +2204,37 @@ fn a_pushed_stream_reaches_its_receiver_as_the_lockstep_would() {
         );
         serve_with(one_frame_a_turn, endpoints, false)
     };
+    // What the lockstep shows of each case, per key: the receiver
+    // halted while the sender had elements left, in a vector of more
+    // than one site; and the receiver was skipping the last segment
+    // when the sender reached its end (its `SegSkipped`, then `HALT`).
+    let names: BTreeMap<u64, Bytes> = (lockstep.outcomes.iter())
+        .map(|(stream, name, ..)| (*stream, name.clone()))
+        .collect();
+    let sites: BTreeMap<Bytes, usize> = (served.iter())
+        .map(|(name, vector, _)| (name.clone(), vector.len()))
+        .collect();
+    let session = |msg: &MuxMsg| match msg {
+        MuxMsg::Session(SessionMsg::Vector(msg)) => Some(msg.clone()),
+        _ => None,
+    };
+    let (mut halted_early, mut skipping_at_end) = (0, 0);
+    for (stream, log) in &lockstep.logs {
+        let from_server: Vec<Msg> = (log.iter())
+            .filter(|(puller, _)| !puller)
+            .filter_map(|(_, msg)| session(msg))
+            .collect();
+        let puller_halted =
+            (log.iter()).any(|(puller, msg)| *puller && session(msg) == Some(Msg::Halt));
+        if puller_halted && sites[&names[stream]] > 1 {
+            halted_early += 1;
+        }
+        if matches!(from_server[..], [.., Msg::SegSkipped { .. }, Msg::Halt]) {
+            skipping_at_end += 1;
+        }
+    }
+    // The first two cases and the key that moved; the fifth case.
+    assert_eq!((halted_early, skipping_at_end), (81, 40));
 
     // The planning turn of a link's later contact at one shard, which
     // it proposes: the plan, then the push, then the marker.
@@ -2218,8 +2290,12 @@ fn a_pushed_stream_reaches_its_receiver_as_the_lockstep_would() {
     };
     let pushed = by_name(finished(client));
     let reference = by_name(lockstep.outcomes);
-    assert_eq!(pushed.len(), 160);
+    assert_eq!(pushed.len(), 202);
     assert_eq!(pushed, reference);
+    // The key that shares its placement arrives equal and costs no value.
+    let (_, _, outcome) = &pushed[&unchanged];
+    let (relation, value, ..) = outcome.as_ref().expect("an outcome");
+    assert_eq!((*relation, value), (Causality::Equal, &None));
     let stats = pushed.values().filter_map(|o| o.2.as_ref().map(|o| o.3));
     let (skips, gamma) = stats.fold((0, 0), |(s, g), st| (s + st.skips, g + st.gamma));
     assert!(
@@ -3130,22 +3206,27 @@ fn hostile_planner_sequences_fail_the_pulling_step() {
         two.sort_unstable();
         (two[0], two[1])
     };
-    let push = |pushes: &[(u64, &str)]| {
-        let pushes = (pushes.iter())
-            .map(|&(stream, name)| StreamOffer {
-                stream,
-                name: Bytes::from(name.as_bytes().to_vec()),
-                first: Some((SiteId::new(1), 2)),
-                client_equal: true,
-            })
+    let push = |names: &[&str]| {
+        let names = (names.iter())
+            .map(|name| Bytes::from(name.as_bytes().to_vec()))
             .collect();
-        msg_frame(CONTROL_STREAM, MuxMsg::Ctrl(CtrlMsg::BatchPush { pushes }))
+        msg_frame(CONTROL_STREAM, MuxMsg::Ctrl(CtrlMsg::BatchPush { names }))
     };
     let value = |stream: u64| {
         let data = Bytes::from_static(b"v");
         msg_frame(stream, MuxMsg::Session(SessionMsg::Payload { data }))
     };
-    let halt = |stream: u64| msg_frame(stream, MuxMsg::Session(SessionMsg::Vector(Msg::Halt)));
+    let vector =
+        |stream: u64, msg: Msg| msg_frame(stream, MuxMsg::Session(SessionMsg::Vector(msg)));
+    let element = |stream: u64| {
+        let elem = Msg::ElemS {
+            site: SiteId::new(1),
+            value: 2,
+            conflict: false,
+            segment: false,
+        };
+        vector(stream, elem)
+    };
     let pushed_until_error = |frames: Vec<wire::Frame>| {
         let mut out = BytesMut::new();
         let mut puller = Puller::open_planned(&empty_digests(), &remembered, &mut out);
@@ -3156,38 +3237,77 @@ fn hostile_planner_sequences_fail_the_pulling_step() {
         }
         panic!("the puller accepted a hostile push");
     };
-    let hostile: [(&str, Vec<wire::Frame>); 8] = [
+    let hostile: [(&str, Vec<wire::Frame>); 14] = [
         (
             "a pushed stream in a shard the plan does not propose",
-            vec![proposing(), push(&[(1, key_in(2, 0))])],
+            vec![proposing(), push(&[key_in(2, 0)])],
         ),
         (
             "a pushed key placed outside its shard",
-            vec![proposing(), push(&[(1, key_in(3, 0))])],
+            vec![proposing(), push(&[key_in(3, 0)])],
         ),
+        ("an empty push", vec![proposing(), push(&[])]),
         (
-            "a stream id reused",
-            vec![proposing(), push(&[(1, first), (1, second)])],
-        ),
-        (
-            "a stream id off the push's own",
-            vec![proposing(), push(&[(2, first)])],
+            "pushed keys out of order",
+            vec![proposing(), push(&[second, first])],
         ),
         (
             "a frame on a stream the puller opens itself",
-            vec![proposing(), push(&[(1, first)]), halt(1), value(2)],
+            vec![proposing(), push(&[first]), element(1), value(1), value(2)],
         ),
         (
             "the same key pushed twice",
-            vec![proposing(), push(&[(1, first), (2, first)])],
+            vec![proposing(), push(&[first, first])],
         ),
         (
             "a second push",
-            vec![proposing(), push(&[(1, first)]), push(&[(2, second)])],
+            vec![proposing(), push(&[first]), push(&[second])],
         ),
         (
             "a push's frame before its open",
             vec![proposing(), value(1)],
+        ),
+        (
+            "a pushed stream that opens with a HALT",
+            vec![proposing(), push(&[first]), vector(1, Msg::Halt), value(1)],
+        ),
+        (
+            "a pushed stream that opens with a skipped segment's end",
+            vec![
+                proposing(),
+                push(&[first]),
+                vector(1, Msg::SegSkipped { seg: 0 }),
+                element(1),
+                value(1),
+            ],
+        ),
+        (
+            "a pushed stream that opens with its value",
+            vec![proposing(), push(&[first]), value(1), turn()],
+        ),
+        (
+            "a HALT where the value implies it",
+            vec![
+                proposing(),
+                push(&[first]),
+                element(1),
+                vector(1, Msg::Halt),
+                value(1),
+            ],
+        ),
+        (
+            "an element after the value",
+            vec![
+                proposing(),
+                push(&[first]),
+                element(1),
+                value(1),
+                element(1),
+            ],
+        ),
+        (
+            "a pushed stream without its value",
+            vec![proposing(), push(&[first]), element(1), turn()],
         ),
     ];
     for (what, frames) in hostile {
@@ -3196,14 +3316,14 @@ fn hostile_planner_sequences_fail_the_pulling_step() {
     }
     // A pushed stream on a link's first contact, behind a plan that
     // proposes nothing.
-    let err = plan_until_error(vec![plan_at(4), push(&[(1, key_in(1, 0))])]);
+    let err = plan_until_error(vec![plan_at(4), push(&[key_in(1, 0)])]);
     assert_eq!(reason_label(&err), "protocol_error");
     // A pushed frame after the planning turn's marker: the push and its
     // stream are whole inside the turn.
-    for late in [push(&[(1, first)]), value(1)] {
+    for late in [push(&[first]), value(1)] {
         let mut out = BytesMut::new();
         let mut puller = Puller::open_planned(&empty_digests(), &remembered, &mut out);
-        for frame in [proposing(), push(&[(1, first)]), halt(1), value(1), turn()] {
+        for frame in [proposing(), push(&[first]), element(1), value(1), turn()] {
             assert!(puller.on_frame(frame, &mut out).unwrap().is_none());
         }
         assert_eq!(puller.pushed_keys(), [first.as_bytes()]);
