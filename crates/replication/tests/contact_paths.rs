@@ -2304,7 +2304,12 @@ fn a_pushed_stream_reaches_its_receiver_as_the_lockstep_would() {
     );
     // What the push carried that the receivers took moved fewer bytes
     // than the lockstep did: no hello, no answer, no reply.
-    assert!(report.excess_bytes > 0, "{report:?}");
+    assert_eq!(
+        (report.excess_bytes, report.total_bytes),
+        (8_824, 33_467),
+        "{report:?}"
+    );
+    assert_eq!(lockstep.report.total_bytes, 28_520);
     let taken = report.total_bytes - report.excess_bytes;
     assert!(taken < lockstep.report.total_bytes, "{report:?}");
 }
@@ -3335,6 +3340,43 @@ fn hostile_planner_sequences_fail_the_pulling_step() {
             .expect("the push lands");
         let err = puller.on_frame(late, &mut out).unwrap_err();
         assert_eq!(reason_label(&err), "protocol_error");
+    }
+    // A pushed stream whose elements name a site twice is taken: the
+    // receiver commits `Before` at what it folded them to.
+    let named = |site: u32, value: u64| {
+        let site = SiteId::new(site);
+        let elem = Msg::ElemS {
+            site,
+            value,
+            conflict: false,
+            segment: false,
+        };
+        vector(1, elem)
+    };
+    let only_proposing = ShardPlan {
+        count: 4,
+        incremental: vec![1],
+        proposed: vec![1],
+        ..ShardPlan::default()
+    };
+    let only_proposing = frame(CONTROL_STREAM, &only_proposing.encode());
+    let mut out = BytesMut::new();
+    let mut puller = Puller::open_planned(&empty_digests(), &remembered, &mut out);
+    let twice = [named(2, 1), named(2, 3), named(1, 1), value(1), turn()];
+    for frame in [only_proposing, push(&[first])].into_iter().chain(twice) {
+        assert!(puller.on_frame(frame, &mut out).unwrap().is_none());
+    }
+    puller.take_plan().expect("the plan");
+    let pushed = [(Bytes::from(first.as_bytes().to_vec()), Pushed::Absent)];
+    let mut client = BatchPullClient::with_pushed(pushed, Vec::new());
+    puller.exchange(&mut client, None, 0, &mut out).unwrap();
+    assert!(puller.on_frame(fin(), &mut out).unwrap().is_some());
+    let outcome = client.finish().remove(0).outcome.expect("an outcome");
+    let folded = [(SiteId::new(2), 3), (SiteId::new(1), 1)];
+    assert_eq!(outcome.relation, Causality::Before);
+    assert_eq!(outcome.vector.to_version_vector().len(), 2);
+    for (site, value) in folded {
+        assert_eq!(outcome.vector.value(site), value);
     }
 
     // The honest turn hands the plan out exactly once.
