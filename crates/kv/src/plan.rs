@@ -166,7 +166,7 @@ impl KvStore {
     /// the one place a planned serving endpoint is built. Every vector
     /// is read with its value, from `self` as it stands now.
     fn server_endpoint_cut(&self, cut: &Cut<'_>) -> BatchPullServer {
-        serving(self.records_cut(cut))
+        BatchPullServer::new(served(self.records_cut(cut)))
     }
 
     /// [`server_endpoint_cut`](Self::server_endpoint_cut), and what the
@@ -184,7 +184,7 @@ impl KvStore {
                 };
             }
         }
-        (serving(records), sums)
+        (BatchPullServer::new(served(records)), sums)
     }
 
     /// This store's per-shard digests at its physical shard count —
@@ -409,7 +409,7 @@ impl KvStore {
         match ask {
             ContactAsk::Plan { digests, since } => {
                 let (plan, unseen, pushes) = self.plan_from(digests, since);
-                let push = serving(self.records_pushed(plan.count, &pushes));
+                let push = served(self.records_pushed(plan.count, &pushes)).collect();
                 ContactAnswer::Plan(plan, self.generation, unseen, push)
             }
             ContactAsk::Endpoint(cut) => {
@@ -429,14 +429,16 @@ fn named<'a>(records: Vec<Record<'a>>) -> impl Iterator<Item = (Bytes, optrep_co
     })
 }
 
-/// A serving endpoint over `records`, in key order: metadata plus the
+/// What a store serves of `records`, in key order: metadata plus the
 /// encoded value per key.
-fn serving<'a>(records: impl IntoIterator<Item = Record<'a>>) -> BatchPullServer {
-    BatchPullServer::new(records.into_iter().map(|record| {
+fn served<'a>(
+    records: Vec<Record<'a>>,
+) -> impl Iterator<Item = (Bytes, optrep_core::Srv, Bytes)> + 'a {
+    records.into_iter().map(|record| {
         let key = Bytes::copy_from_slice(record.key_bytes());
         let view = record.view();
         (key, view.srv(), encode_value(view.value))
-    }))
+    })
 }
 
 #[cfg(test)]

@@ -3,12 +3,13 @@
 
 use super::msg::{unknown_stream, violation, CtrlMsg, MuxMsg, StreamOpen, CONTROL_STREAM};
 use super::reason_label;
-use crate::protocol::{PullClient, PullOutcome, SessionMsg};
+use crate::protocol::{PullClient, PullOutcome, PullServer, SessionMsg};
 use bytes::Bytes;
 use optrep_core::error::Result;
 use optrep_core::obs;
+use optrep_core::order::Element;
 use optrep_core::sync::{Endpoint, Framed, Msg, WireMsg};
-use optrep_core::{obs_emit, wire, Srv};
+use optrep_core::{obs_emit, wire, RotatingVector, Srv};
 use std::collections::{BTreeMap, VecDeque};
 
 /// What the pulling end holds of a key the server pushes, read when its
@@ -55,102 +56,18 @@ struct ClientStream {
     /// the stream is seen missing, aborted, or session-done.
     finished: bool,
     client: PullClient,
-    /// A pushed stream's stand-in for the sender it cannot answer.
+    /// A pushed stream's elements, until its value arrives.
     push: Option<Push>,
 }
 
-/// What one message a turn would have made of a pushed stream: the
-/// sender hears the puller's NAKs there, and a push never lets it. So
-/// the puller answers for the sender — an element past a `HALT`, or in a
-/// segment it asked to skip, and a value it did not ask for, never
-/// reach the receiver; a skipped segment's end reaches it as the
-/// sender's `SegSkipped` — and the receiver sees, and counts, exactly
-/// the lockstep's messages. What it does not see is excess.
-///
-/// Two of those messages do not cross: the answer to the implied hello,
-/// whose `⌊b⌋` is the stream's first element, and the sender's `HALT`,
-/// which its value implies. Each is handed to the receiver where it
-/// would have arrived — the answer before the first element, the
-/// `HALT` before the value — and heard before what follows.
+/// What crossed on a pushed stream before its value: the sender's
+/// elements, which rebuild the vector it streamed.
 #[derive(Debug, Default)]
 struct Push {
     /// Written since the digest vector: cancelled as the push arrives.
     written: bool,
-    /// The stream's first element arrived, and with it the answer.
-    opened: bool,
-    /// The receiver halted, or the session ended: no element is wanted.
-    halted: bool,
-    /// The receiver asked to skip the segment the sender is in.
-    skipping: bool,
-    /// Segment boundaries the sender has passed.
-    segs: u64,
-    /// The receiver asked for the value and has not had it.
-    wants_payload: bool,
-}
-
-impl Push {
-    /// What the receiver is handed before `msg`, which did not cross:
-    /// the answer before the first element, the `HALT` before the value.
-    fn implied(&mut self, msg: &SessionMsg) -> Result<Option<SessionMsg>> {
-        match msg {
-            SessionMsg::Vector(Msg::ElemS { site, value, .. }) if !self.opened => {
-                self.opened = true;
-                Ok(Some(SessionMsg::ServerFirst {
-                    first: Some((*site, *value)),
-                    client_known: true,
-                    client_equal: true,
-                }))
-            }
-            _ if !self.opened => Err(violation("a pushed stream opens with no element")),
-            SessionMsg::Payload { .. } => Ok(Some(SessionMsg::Vector(Msg::Halt))),
-            _ => Ok(None),
-        }
-    }
-
-    /// What of a pushed message the receiver gets, and whether the
-    /// message is excess.
-    fn sift(&mut self, msg: SessionMsg) -> (Vec<SessionMsg>, bool) {
-        let vector = |msg| SessionMsg::Vector(msg);
-        match msg {
-            SessionMsg::Vector(_) if self.halted => (Vec::new(), true),
-            SessionMsg::Vector(Msg::ElemS { segment, .. }) if self.skipping => {
-                if !segment {
-                    return (Vec::new(), true);
-                }
-                let seg = self.segs;
-                (self.segs, self.skipping) = (seg + 1, false);
-                (vec![vector(Msg::SegSkipped { seg })], true)
-            }
-            SessionMsg::Vector(Msg::Halt) if self.skipping => {
-                self.skipping = false;
-                let seg = self.segs;
-                (
-                    vec![vector(Msg::SegSkipped { seg }), vector(Msg::Halt)],
-                    false,
-                )
-            }
-            SessionMsg::Vector(element @ Msg::ElemS { segment, .. }) => {
-                self.segs += u64::from(segment);
-                (vec![vector(element)], false)
-            }
-            SessionMsg::Payload { .. } if !self.wants_payload => (Vec::new(), true),
-            SessionMsg::Payload { data } => {
-                self.wants_payload = false;
-                (vec![SessionMsg::Payload { data }], false)
-            }
-            other => (vec![other], false),
-        }
-    }
-
-    /// Takes in what the receiver would have said to the sender.
-    fn hear(&mut self, msg: &SessionMsg) {
-        match msg {
-            SessionMsg::Vector(Msg::Halt) | SessionMsg::Done => self.halted = true,
-            SessionMsg::Vector(Msg::Skip { seg }) if *seg == self.segs => self.skipping = true,
-            SessionMsg::PayloadRequest => self.wants_payload = true,
-            _ => {}
-        }
-    }
+    /// The sender's elements so far, in `≺` order.
+    elements: Vec<Element>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -204,8 +121,9 @@ impl BatchPullClient {
     /// plan: `pushed` names them, in the push's order, each with what
     /// this end holds of it, on streams `1, 2, …`; `objects` are the
     /// ones it names itself, on the streams above, as for
-    /// [`new`](Self::new). A pushed stream is answered by no hello and
-    /// no frame of this end's, but a cancel ([`Pushed::Written`]).
+    /// [`new`](Self::new). A pushed stream is answered by no frame of
+    /// this end's but a cancel ([`Pushed::Written`]): its session runs
+    /// here, hello and all, when its value arrives.
     pub fn with_pushed<P, I>(pushed: P, objects: I) -> Self
     where
         P: IntoIterator<Item = (Bytes, Pushed)>,
@@ -231,10 +149,7 @@ impl BatchPullClient {
                 written,
                 ..Push::default()
             };
-            let mut pushed = stream(name, vector, discovered, Some(push));
-            // The push implies the hello: pump ours and drop it, as for
-            // an offer.
-            pushed.client.poll_send();
+            let pushed = stream(name, vector, discovered, Some(push));
             streams.insert(streams.len() as u64 + 1, pushed);
         }
         let pushed = streams.len() as u64;
@@ -257,8 +172,8 @@ impl BatchPullClient {
     }
 
     /// Bytes of pushed frames that crossed for nothing: all of a stream
-    /// cancelled as [`Pushed::Written`], and what a stream sent past the
-    /// point where one message a turn would have stopped it.
+    /// cancelled as [`Pushed::Written`], and of every other stream what
+    /// its session, run one message a turn, did not send.
     pub fn excess_bytes(&self) -> u64 {
         self.excess
     }
@@ -273,9 +188,9 @@ impl BatchPullClient {
         self.phase = ClientPhase::Running;
     }
 
-    /// The server's push: the keys on streams `1, 2, …`, each answered
-    /// when its first element arrives. A key written since the digest
-    /// vector is cancelled here.
+    /// The server's push: the keys on streams `1, 2, …`, each run when
+    /// its value arrives. A key written since the digest vector is
+    /// cancelled here.
     fn on_push(&mut self, names: Vec<Bytes>) -> Result<()> {
         if self.phase != ClientPhase::Start || names.len() as u64 != self.pushed {
             return Err(violation(format!(
@@ -297,47 +212,83 @@ impl BatchPullClient {
         Ok(())
     }
 
-    /// A pushed stream's session message: what of it the receiver gets,
-    /// what the receiver says back heard for the sender — after what the
-    /// message implies ([`Push::implied`]), which has no bytes of its own.
+    /// A pushed stream's frame: an element is kept, the value runs the
+    /// stream's session ([`replay`](Self::replay)). Every byte is excess
+    /// until the session sends it.
     fn on_pushed(&mut self, stream: u64, msg: SessionMsg) -> Result<()> {
-        // The frame's bytes: its stream id, its length, the message.
-        let len = msg.encoded_len();
-        let len = wire::varint_len(stream) + wire::bytes_len(len);
+        self.excess += frame_len(stream, &msg);
         let st = self.streams.get_mut(&stream).expect("a pushed stream");
-        let implied = st.push.as_mut().expect("a pushed stream").implied(&msg)?;
-        let messages = implied.map(|implied| (implied, false)).into_iter();
-        for (msg, crossed) in messages.chain([(msg, true)]) {
-            let st = self.streams.get_mut(&stream).expect("a pushed stream");
-            let push = st.push.as_mut().expect("a pushed stream");
-            let (fed, excess) = match st.aborted {
-                true => (Vec::new(), true),
-                false => push.sift(msg),
-            };
-            if excess && crossed {
-                self.excess += len as u64;
-            }
-            for msg in fed {
-                let st = self.streams.get_mut(&stream).expect("a pushed stream");
-                if let Err(e) = st.client.on_receive(msg) {
-                    self.abort_stream(stream, reason_label(&e), true);
-                    break;
-                }
-                self.hear_pushed(stream);
-            }
+        if st.aborted {
+            return Ok(());
         }
-        Ok(())
+        let Some(push) = st.push.as_mut() else {
+            return Err(violation(format!(
+                "a frame on pushed stream {stream} after its value"
+            )));
+        };
+        match msg {
+            SessionMsg::Vector(Msg::ElemS {
+                site,
+                value,
+                conflict,
+                segment,
+            }) => {
+                let element = Element {
+                    site,
+                    value,
+                    conflict,
+                    segment,
+                };
+                push.elements.push(element);
+                Ok(())
+            }
+            SessionMsg::Payload { data } => self.replay(stream, data),
+            other => Err(violation(format!("{other:?} on a pushed stream"))),
+        }
     }
 
-    /// Drains what a pushed stream's client says into its [`Push`]: the
-    /// sender it would go to has finished already.
-    fn hear_pushed(&mut self, stream: u64) {
+    /// A pushed stream's value: rebuilds the vector its elements came
+    /// from and runs the stream's session against it, one message a
+    /// turn — the walked key's session, so the receiver sees and counts
+    /// the lockstep's messages. What the session's sender sends of the
+    /// elements and the value is what crossed for it; its answer,
+    /// `HALT`s and `SegSkipped`s never cross.
+    fn replay(&mut self, stream: u64, value: Bytes) -> Result<()> {
         let st = self.streams.get_mut(&stream).expect("a pushed stream");
-        let push = st.push.as_mut().expect("a pushed stream");
-        while let Some(msg) = st.client.poll_send() {
-            push.hear(&msg);
+        let elements = st.push.take().expect("a pushed stream").elements;
+        let listed = elements.len();
+        if listed == 0 {
+            return Err(violation("a pushed stream opens with its value"));
         }
-        self.settle(stream);
+        let vector = Srv::from_order(elements);
+        if vector.len() != listed {
+            return Err(violation("a pushed stream names a site twice"));
+        }
+        let mut server = PullServer::new(vector, value);
+        let excess = &mut self.excess;
+        let mut session = || -> Result<()> {
+            loop {
+                while let Some(msg) = st.client.poll_send() {
+                    server.on_receive(msg)?;
+                }
+                let Some(msg) = server.poll_send() else {
+                    debug_assert!(st.client.is_done(), "a session ends with its sender");
+                    return Ok(());
+                };
+                if matches!(
+                    msg,
+                    SessionMsg::Vector(Msg::ElemS { .. }) | SessionMsg::Payload { .. }
+                ) {
+                    *excess -= frame_len(stream, &msg);
+                }
+                st.client.on_receive(msg)?;
+            }
+        };
+        match session() {
+            Ok(()) => self.settle(stream),
+            Err(e) => self.abort_stream(stream, reason_label(&e), true),
+        }
+        Ok(())
     }
 
     /// The objects the server answered it holds no record of, or one
@@ -437,6 +388,13 @@ impl BatchPullClient {
     }
 }
 
+/// The bytes of `msg`'s frame on `stream`: its stream id, its length,
+/// the message.
+fn frame_len(stream: u64, msg: &SessionMsg) -> u64 {
+    let len = msg.encoded_len();
+    (wire::varint_len(stream) + wire::bytes_len(len)) as u64
+}
+
 impl Endpoint for BatchPullClient {
     type Msg = Framed<MuxMsg>;
 
@@ -444,8 +402,7 @@ impl Endpoint for BatchPullClient {
         if self.phase == ClientPhase::Start {
             // Streams are numbered in the order the objects were named.
             let mut opens = Vec::with_capacity(self.streams.len());
-            let named = self.streams.iter_mut().filter(|(_, st)| st.push.is_none());
-            for (&stream, st) in named {
+            for (&stream, st) in self.streams.range_mut(self.pushed + 1..) {
                 let first = match st.client.poll_send() {
                     Some(SessionMsg::Hello { first }) => first,
                     other => unreachable!("fresh client must greet, got {other:?}"),
@@ -548,7 +505,7 @@ impl Endpoint for BatchPullClient {
                     .streams
                     .get_mut(&framed.stream)
                     .ok_or_else(|| unknown_stream(framed.stream))?;
-                if st.push.is_some() {
+                if framed.stream <= self.pushed {
                     return self.on_pushed(framed.stream, msg);
                 }
                 if st.aborted {
@@ -600,7 +557,6 @@ mod tests {
     use super::*;
     use crate::mux::fixtures::{dirty_pair, vec_with};
     use crate::mux::{run_contact, BatchPullServer};
-    use optrep_core::{RotatingVector, SiteId};
 
     #[test]
     fn missing_and_discovered_objects() {
@@ -646,60 +602,6 @@ mod tests {
             outcome.vector.to_version_vector(),
             fresh.to_version_vector()
         );
-    }
-
-    /// What a pushed stream hands its receiver for what did not cross:
-    /// the answer before the first element, and before the value the
-    /// `HALT` — behind the `SegSkipped` the sender would have sent where
-    /// the receiver was skipping the last segment, and nothing where it
-    /// had halted already.
-    #[test]
-    fn a_pushed_stream_hands_over_what_it_implies() {
-        let vector = SessionMsg::Vector;
-        let element = vector(Msg::ElemS {
-            site: SiteId::new(3),
-            value: 9,
-            conflict: false,
-            segment: false,
-        });
-        let value = SessionMsg::Payload {
-            data: Bytes::from_static(b"v"),
-        };
-        // The stream opens with an element, whose `⌊b⌋` the answer names.
-        let mut push = Push::default();
-        for first in [
-            value.clone(),
-            vector(Msg::Halt),
-            vector(Msg::SegSkipped { seg: 0 }),
-        ] {
-            assert!(push.implied(&first).is_err(), "{first:?}");
-        }
-        let answer = SessionMsg::ServerFirst {
-            first: Some((SiteId::new(3), 9)),
-            client_known: true,
-            client_equal: true,
-        };
-        assert_eq!(push.implied(&element).unwrap(), Some(answer));
-        assert_eq!(push.implied(&element).unwrap(), None);
-        // Skipping the last segment: its end, the `HALT`, and once the
-        // receiver asks, the value.
-        push.segs = 2;
-        push.hear(&vector(Msg::Skip { seg: 2 }));
-        let halt = push.implied(&value).unwrap().expect("the implied HALT");
-        let skipped = vec![vector(Msg::SegSkipped { seg: 2 }), vector(Msg::Halt)];
-        assert_eq!(push.sift(halt), (skipped, false));
-        push.hear(&SessionMsg::PayloadRequest);
-        assert_eq!(push.sift(value.clone()), (vec![value.clone()], false));
-        // Halted already: nothing is implied to it, and the value is
-        // excess.
-        let mut push = Push {
-            opened: true,
-            ..Push::default()
-        };
-        push.hear(&vector(Msg::Halt));
-        let halt = push.implied(&value).unwrap().expect("the implied HALT");
-        assert_eq!(push.sift(halt), (Vec::new(), true));
-        assert_eq!(push.sift(value), (Vec::new(), true));
     }
 
     #[test]

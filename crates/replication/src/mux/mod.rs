@@ -56,7 +56,7 @@ pub use msg::{
 };
 pub use puller::{pull_contact, pull_planned, run_contact, Puller, Restricted};
 pub use report::{classify, reason_label, ContactReport, FrameBytes};
-pub use server::{serve_frame, BatchPullServer, ServeStep};
+pub use server::{serve_frame, write_push, BatchPullServer, ServeStep};
 pub use serving::{serve_contact, serve_from, ContactAnswer, ContactAsk, ContactSource, Serving};
 
 /// The endpoints the tests of more than one machine run between.

@@ -274,7 +274,7 @@ impl<'a> Puller<'a> {
     /// `BatchPush` on the control stream opens streams `1, 2, …`, each
     /// a key of a proposed shard, keys strictly increasing; every frame
     /// after it is on one of those streams: `SYNCS` elements, the first
-    /// of them `⌊b⌋`, then the value, which implies the `HALT`.
+    /// of them `⌊b⌋`, then the value, which ends the stream.
     fn on_pushed_frame(&mut self, frame: wire::Frame) -> Result<()> {
         let plan = self.plan.as_ref().expect("the plan is in");
         if self.first_on_link {

@@ -14,7 +14,8 @@ use super::msg::{
 use crate::protocol::{PullServer, SessionMsg};
 use bytes::{Bytes, BytesMut};
 use optrep_core::error::Result;
-use optrep_core::sync::{Endpoint, Framed, Msg, WireMsg};
+use optrep_core::sync::sender::SyncVector;
+use optrep_core::sync::{Endpoint, Framed, WireMsg};
 use optrep_core::{wire, RotatingVector, SiteId, Srv};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -81,56 +82,6 @@ impl BatchPullServer {
             source_behind: Vec::new(),
             pushed: 0,
         }
-    }
-
-    /// Pushes every object this server holds, each on a stream of its
-    /// own — `1, 2, …` in key order — as the session whose hello the
-    /// plan's digest proof implies: writes one [`CtrlMsg::BatchPush`]
-    /// frame of the names, then each stream's whole session — its
-    /// `SYNCS` elements, and its value, as though asked for — to `out`.
-    /// The sender's `HALT` is not written: the value behind it implies
-    /// it. Returns how many streams it pushed (none, and nothing
-    /// written, for a server that holds nothing).
-    ///
-    /// # Errors
-    ///
-    /// An object with an empty vector: its session would carry no
-    /// element to open it. (A store pushes only keys it wrote.)
-    pub fn push(mut self, out: &mut BytesMut) -> Result<u64> {
-        let objects = std::mem::take(&mut self.objects);
-        let count = objects.len() as u64;
-        if count == 0 {
-            return Ok(0);
-        }
-        let mut names = Vec::with_capacity(objects.len());
-        for (stream, (name, (vector, payload))) in (1..).zip(objects) {
-            // The hello the proof implies: one that the server's own
-            // first element answers as known and equal, so that the
-            // puller's half alone tells equal from behind.
-            let implied = vector.first().map(|e| (e.site, e.value));
-            if implied.is_none() {
-                return Err(violation("a push of a key with an empty vector"));
-            }
-            // Its answer is implied too: `⌊b⌋` leads the elements.
-            self.open_stream(stream, vector, payload, implied)?;
-            names.push(name);
-        }
-        let push = MuxMsg::Ctrl(CtrlMsg::BatchPush { names });
-        Framed::new(CONTROL_STREAM, push).encode(out);
-        for (&stream, server) in &mut self.streams {
-            loop {
-                while let Some(msg) = server.poll_send() {
-                    if msg != SessionMsg::Vector(Msg::Halt) {
-                        Framed::new(stream, MuxMsg::Session(msg)).encode(out);
-                    }
-                }
-                if server.is_done() {
-                    break;
-                }
-                server.on_receive(SessionMsg::PayloadRequest)?;
-            }
-        }
-        Ok(count)
     }
 
     /// Serves the rest of a contact whose plan pushed `pushed` streams:
@@ -433,6 +384,42 @@ impl Endpoint for BatchPullServer {
     fn is_done(&self) -> bool {
         self.seen_hello && self.outbox.is_empty() && self.held.is_none() && self.unfinished == 0
     }
+}
+
+/// Writes the push behind a plan to `out`: one [`CtrlMsg::BatchPush`]
+/// frame naming the keys of `records` — streams `1, 2, …` in the order
+/// given, key order behind a plan — then each key's whole `SYNCS`
+/// stream, its vector's elements in `≺` order, and its value. Those are
+/// what the sender sends a puller that never NAKs; the pulling end runs
+/// the key's session itself over them
+/// ([`BatchPullClient::with_pushed`](super::BatchPullClient::with_pushed)),
+/// so its hello, the answer, the sender's `HALT` and every message the
+/// puller sends stay off the wire. Returns how many keys it pushed
+/// (none, and nothing written, for no records).
+///
+/// # Errors
+///
+/// A key with an empty vector: its stream would carry no element to
+/// open it. (A store pushes only keys it wrote.)
+pub fn write_push(records: &[(Bytes, Srv, Bytes)], out: &mut BytesMut) -> Result<u64> {
+    if records.is_empty() {
+        return Ok(0);
+    }
+    if records.iter().any(|(_, vector, _)| vector.is_empty()) {
+        return Err(violation("a push of a key with an empty vector"));
+    }
+    let names = records.iter().map(|(name, ..)| name.clone()).collect();
+    Framed::new(CONTROL_STREAM, MuxMsg::Ctrl(CtrlMsg::BatchPush { names })).encode(out);
+    let session = |stream, msg| Framed::new(stream, MuxMsg::Session(msg));
+    for (stream, (_, vector, value)) in (1..).zip(records) {
+        for element in vector.iter() {
+            let element = SessionMsg::Vector(Srv::element_msg(element));
+            session(stream, element).encode(out);
+        }
+        let data = value.clone();
+        session(stream, SessionMsg::Payload { data }).encode(out);
+    }
+    Ok(records.len() as u64)
 }
 
 /// What a [`serve_frame`] call concluded about the contact.

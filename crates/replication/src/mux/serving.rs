@@ -3,14 +3,14 @@
 //! contact runs against, and the blocking pumps around both.
 
 use super::msg::{marker_fin, planning_violation, put_marker, CONTROL_STREAM, TURN_STREAM};
-use super::{serve_frame, BatchPullServer, ServeStep};
+use super::{serve_frame, write_push, BatchPullServer, ServeStep};
 use crate::planner::{
     kept_as_sent, plan_frame, ChildDigests, Cut, DigestVector, Offer, ShardDigest, ShardPlan,
     ShardScope, VectorMemory, TAG_SHARD_DIGESTS, TAG_SHARD_DIGESTS_DELTA, TAG_SHARD_SCOPE,
 };
-use bytes::BytesMut;
+use bytes::{Bytes, BytesMut};
 use optrep_core::error::Result;
-use optrep_core::wire;
+use optrep_core::{wire, Srv};
 use optrep_net::FrameLink;
 
 /// The blocking pump around a serving step (`serve_frame` on one
@@ -80,7 +80,7 @@ pub fn serve_from<L: FrameLink>(
 #[derive(Debug, Clone, Copy)]
 pub enum ContactAsk<'a> {
     /// At the digest frame: the plan for a puller holding `digests`,
-    /// the source's generation at that plan, and the endpoint the plan
+    /// the source's generation at that plan, and the records the plan
     /// pushes. `since` is the generation this source answered with when
     /// the connection's previous contact was planned, if there was one —
     /// only ever a value the same source handed out over the same
@@ -109,10 +109,10 @@ pub enum ContactAnswer {
     /// digest of each shard the plan serves at that view — each it
     /// bulk-loads, then each it proposes, in the plan's order: what the
     /// puller's shard sums to once the image, or the push, is in — and
-    /// the endpoint the plan pushes: every key the proposed shards
-    /// changed since `since`, which [`BatchPullServer::push`] writes
-    /// behind the plan.
-    Plan(ShardPlan, u64, Vec<ShardDigest>, BatchPullServer),
+    /// what the plan pushes: every key the proposed shards changed since
+    /// `since`, in key order, with its vector and its value, which
+    /// [`write_push`] writes behind the plan.
+    Plan(ShardPlan, u64, Vec<ShardDigest>, Vec<(Bytes, Srv, Bytes)>),
     /// The endpoint, and what the records it serves sum to in each of
     /// the cut's incremental shards, in the cut's order. The plan's
     /// summary of what the contact leaves out of a shard — a refined
@@ -229,7 +229,7 @@ struct Served {
 /// A [`DigestVector`] opens a planned contact: the source is asked for
 /// the plan and its push, both are encoded and parked until the puller's
 /// turn marker hands the link over — the plan frame, then every pushed
-/// stream whole ([`BatchPullServer::push`]) — and of the plan only its
+/// stream whole ([`write_push`]) — and of the plan only its
 /// walked shards and its [`Offer`] are kept. The first frame of the
 /// puller's burst then fixes the [`Cut`] — if the plan offered child
 /// digests and the burst opens with a [`ShardScope`], each refined shard
@@ -382,7 +382,7 @@ impl Serving {
                     // puller passes the turn; the push is held as bytes
                     // alone.
                     let mut parked = plan_frame(&plan);
-                    let pushed = push.push(&mut parked)?;
+                    let pushed = write_push(&push, &mut parked)?;
                     self.parked = Some(parked);
                     let bulk = plan.snapshots.iter().map(|(shard, _)| *shard);
                     let whole = bulk.chain(plan.proposed.iter().copied());

@@ -14,7 +14,7 @@ use optrep_core::wire::{self, FrameDecoder};
 use optrep_core::{Causality, Error, Result, RotatingVector, SiteId, Srv};
 use optrep_kv::{Committed, JoinResolver, KvStore, KvSyncReport};
 use optrep_net::{ConnPool, ConnectOptions, FaultPlan, FaultyLink, FrameLink, TcpLink};
-use optrep_replication::mux::{Pushed, StreamOpen, TURN_STREAM};
+use optrep_replication::mux::{write_push, Pushed, StreamOpen, TURN_STREAM};
 use optrep_replication::planner::{
     digest_vector_frame, plan_frame, scope_frame, shard_of, JOURNAL_PLACEMENTS,
 };
@@ -2250,9 +2250,8 @@ fn a_pushed_stream_reaches_its_receiver_as_the_lockstep_would() {
         ..ShardPlan::default()
     };
     let mut turn_bytes = plan_frame(&plan);
-    BatchPullServer::new(served)
-        .push(&mut turn_bytes)
-        .expect("a push");
+    served.sort_by(|a, b| a.0.cmp(&b.0));
+    write_push(&served, &mut turn_bytes).expect("a push");
     wire::put_frame(&mut turn_bytes, TURN_STREAM, &[]);
     let mut out = BytesMut::new();
     let mut puller = Puller::open_planned(&digests, &remembered, &mut out);
@@ -3232,6 +3231,17 @@ fn hostile_planner_sequences_fail_the_pulling_step() {
         };
         vector(stream, elem)
     };
+    let named = |site: u32, value: u64| {
+        let elem = Msg::ElemS {
+            site: SiteId::new(site),
+            value,
+            conflict: false,
+            segment: false,
+        };
+        vector(1, elem)
+    };
+    // Up to the end of the planning turn, then on into the exchange: the
+    // push lands in a client that holds none of its keys.
     let pushed_until_error = |frames: Vec<wire::Frame>| {
         let mut out = BytesMut::new();
         let mut puller = Puller::open_planned(&empty_digests(), &remembered, &mut out);
@@ -3240,9 +3250,15 @@ fn hostile_planner_sequences_fail_the_pulling_step() {
                 return e;
             }
         }
-        panic!("the puller accepted a hostile push");
+        puller.take_plan().expect("a whole planning turn");
+        let absent = (puller.pushed_keys().iter()).map(|key| (key.clone(), Pushed::Absent));
+        let mut client = BatchPullClient::with_pushed(absent.collect::<Vec<_>>(), Vec::new());
+        match puller.exchange(&mut client, None, 0, &mut out) {
+            Err(e) => e,
+            Ok(()) => panic!("the puller accepted a hostile push"),
+        }
     };
-    let hostile: [(&str, Vec<wire::Frame>); 14] = [
+    let hostile: [(&str, Vec<wire::Frame>); 15] = [
         (
             "a pushed stream in a shard the plan does not propose",
             vec![proposing(), push(&[key_in(2, 0)])],
@@ -3314,6 +3330,18 @@ fn hostile_planner_sequences_fail_the_pulling_step() {
             "a pushed stream without its value",
             vec![proposing(), push(&[first]), element(1), turn()],
         ),
+        (
+            "a pushed stream whose elements name a site twice",
+            vec![
+                proposing(),
+                push(&[first]),
+                named(2, 1),
+                named(2, 3),
+                named(1, 1),
+                value(1),
+                turn(),
+            ],
+        ),
     ];
     for (what, frames) in hostile {
         let err = pushed_until_error(frames);
@@ -3341,44 +3369,6 @@ fn hostile_planner_sequences_fail_the_pulling_step() {
         let err = puller.on_frame(late, &mut out).unwrap_err();
         assert_eq!(reason_label(&err), "protocol_error");
     }
-    // A pushed stream whose elements name a site twice is taken: the
-    // receiver commits `Before` at what it folded them to.
-    let named = |site: u32, value: u64| {
-        let site = SiteId::new(site);
-        let elem = Msg::ElemS {
-            site,
-            value,
-            conflict: false,
-            segment: false,
-        };
-        vector(1, elem)
-    };
-    let only_proposing = ShardPlan {
-        count: 4,
-        incremental: vec![1],
-        proposed: vec![1],
-        ..ShardPlan::default()
-    };
-    let only_proposing = frame(CONTROL_STREAM, &only_proposing.encode());
-    let mut out = BytesMut::new();
-    let mut puller = Puller::open_planned(&empty_digests(), &remembered, &mut out);
-    let twice = [named(2, 1), named(2, 3), named(1, 1), value(1), turn()];
-    for frame in [only_proposing, push(&[first])].into_iter().chain(twice) {
-        assert!(puller.on_frame(frame, &mut out).unwrap().is_none());
-    }
-    puller.take_plan().expect("the plan");
-    let pushed = [(Bytes::from(first.as_bytes().to_vec()), Pushed::Absent)];
-    let mut client = BatchPullClient::with_pushed(pushed, Vec::new());
-    puller.exchange(&mut client, None, 0, &mut out).unwrap();
-    assert!(puller.on_frame(fin(), &mut out).unwrap().is_some());
-    let outcome = client.finish().remove(0).outcome.expect("an outcome");
-    let folded = [(SiteId::new(2), 3), (SiteId::new(1), 1)];
-    assert_eq!(outcome.relation, Causality::Before);
-    assert_eq!(outcome.vector.to_version_vector().len(), 2);
-    for (site, value) in folded {
-        assert_eq!(outcome.vector.value(site), value);
-    }
-
     // The honest turn hands the plan out exactly once.
     let mut out = BytesMut::new();
     let nothing = VectorMemory::default();

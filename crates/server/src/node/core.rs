@@ -330,7 +330,7 @@ impl NodeCore {
         let keys = &self.metrics.serving_endpoint_keys;
         match &answer {
             ContactAnswer::Plan(plan, _, _, push) => {
-                *pushed = push.object_count() as u64;
+                *pushed = push.len() as u64;
                 if plan.walked().is_empty() {
                     keys.record(*pushed);
                 }
