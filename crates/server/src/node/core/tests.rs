@@ -123,7 +123,10 @@ fn three_cores_on_one_thread_converge_across_a_checkpoint_and_a_reboot() {
 /// commit that would fast-forward the key over the write, and the pull
 /// retries on the same link, where the write meets the source's version
 /// as a conflict, which the join resolves to the write's larger bytes.
-/// Either way the write survives.
+/// Either way the write survives. At one shard, where the puller's own
+/// key keeps bulk7's shard from being proposed, bulk7 is walked: a write
+/// at the `Plan` ask is in the endpoint the pull takes after it, and
+/// meets the source's version as a conflict in the first attempt.
 #[test]
 fn a_write_racing_a_pull_survives_at_either_ask() {
     for at_plan in [true, false] {
@@ -145,14 +148,17 @@ fn a_write_racing_a_pull_survives_at_either_ask() {
             .unwrap();
         // A key of the puller's own in a shard apart from bulk7's: the
         // plan walks that shard, so the contact has an endpoint ask
-        // beside the push of bulk7.
+        // beside the push of bulk7. At one shard there is no other: the
+        // key shares bulk7's shard, which the puller's write keeps from
+        // being proposed, so that shard is walked and bulk7 is served
+        // at the endpoint ask.
         let count = puller.store().shard_count() as u64;
         let shard_of = |key: &str| optrep_replication::planner::shard_of(key.as_bytes(), count);
-        let apart = (0..)
+        let own = (0..)
             .map(|i| format!("own{i}"))
-            .find(|key| shard_of(key) != shard_of("bulk7"))
+            .find(|key| count == 1 || shard_of(key) != shard_of("bulk7"))
             .expect("a key in another shard");
-        puller.write(apart, Some(vec![2u8; 8].into())).unwrap();
+        puller.write(own, Some(vec![2u8; 8].into())).unwrap();
         let mut racing = Some(bytes::Bytes::from_static(b"local"));
         let (pulled, attempts) = pull(
             &puller,
@@ -167,14 +173,28 @@ fn a_write_racing_a_pull_survives_at_either_ask() {
             &mut connection,
         );
         let at = if at_plan { "plan" } else { "endpoint" };
-        pulled.unwrap_or_else(|e| panic!("the pull commits (write at the {at} ask): {e}"));
+        let report =
+            pulled.unwrap_or_else(|e| panic!("the pull commits (write at the {at} ask): {e}"));
         assert!(racing.is_none(), "the write ran at the {at} ask");
         let store = puller.store();
         assert_eq!(store.get("bulk7"), Some(&b"local"[..]), "at the {at} ask");
         for i in (0..50).filter(|&i| i != 7) {
             assert_eq!(store.get(&format!("bulk{i}")), Some(&[0u8; 256][..]));
         }
-        assert_eq!(attempts, if at_plan { 1 } else { 2 }, "at the {at} ask");
+        if count > 1 {
+            assert_eq!(attempts, if at_plan { 1 } else { 2 }, "at the {at} ask");
+        } else {
+            // Walked, bulk7 is never pushed: the write at the plan ask
+            // is in the endpoint the pull then takes and meets the
+            // source's version there, the pull committing at once; the
+            // write at the endpoint ask is refused and retried as above.
+            let walked = (attempts, report.shards_proposed, report.keys_reconciled);
+            assert_eq!(
+                walked,
+                (if at_plan { 1 } else { 2 }, 0, 1),
+                "at the {at} ask"
+            );
+        }
     }
 }
 
