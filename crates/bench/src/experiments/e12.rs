@@ -29,8 +29,9 @@
 //!   none of those: they are walked (too small for children).
 //!   (`crates/perf`'s `sparse_pull`, 195 keys a shard and a puller that
 //!   never writes, is where proposals pay in full.)
-//! * **Fixed thread count** — the process thread count after both
-//!   sweeps equals the count right after daemon start-up, although by
+//! * **Fixed thread count** — the daemons' thread count (the process's
+//!   threads named `optrepd-…`) after both sweeps equals the count
+//!   right after daemon start-up, although by
 //!   then every daemon holds log2(N) client connections and serves
 //!   log2(N) more: connections are poll-loop states, not threads.
 //! * **Connection reuse** — total dials across the cluster equal
@@ -122,16 +123,20 @@ fn mirror_pull(
         .expect("in-memory planned sync")
 }
 
+/// The daemons' threads in this process: those named under
+/// [`THREAD_PREFIX`](optrep_server::node::THREAD_PREFIX). A test
+/// harness's threads come and go beside the sweeps and are not counted.
 #[cfg(target_os = "linux")]
 fn thread_count() -> usize {
-    std::fs::read_to_string("/proc/self/status")
-        .expect("/proc/self/status")
-        .lines()
-        .find_map(|line| line.strip_prefix("Threads:"))
-        .expect("Threads line")
-        .trim()
-        .parse()
-        .expect("thread count")
+    std::fs::read_dir("/proc/self/task")
+        .expect("/proc/self/task")
+        .filter(|task| {
+            let comm = task.as_ref().expect("a task").path().join("comm");
+            // A thread that ended since the listing has no name to read.
+            let name = std::fs::read_to_string(comm);
+            name.is_ok_and(|name| name.starts_with(optrep_server::node::THREAD_PREFIX))
+        })
+        .count()
 }
 
 #[cfg(not(target_os = "linux"))]
@@ -243,7 +248,7 @@ fn run_cluster(daemons: usize) -> ClusterRun {
         assert_eq!(
             threads_after,
             threads_base,
-            "{} peer connections grew the process from {threads_base} to \
+            "{} peer connections grew the daemons from {threads_base} to \
              {threads_after} threads",
             2 * daemons * bits,
         );
@@ -302,7 +307,8 @@ pub fn run() -> Vec<Table> {
     );
     t.note("contacts == 2x dials: both sweeps pipeline over one pooled connection per peer");
     t.note(
-        "threads col is process thread count after start-up -> after both sweeps (asserted equal)",
+        "threads col is the daemons' thread count after start-up -> after both sweeps (asserted \
+         equal)",
     );
     vec![t]
 }

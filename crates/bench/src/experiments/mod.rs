@@ -68,7 +68,7 @@ pub fn is_known(id: &str) -> bool {
 }
 
 /// Held by every test that starts daemons, one at a time: E12 counts
-/// the process's threads before and after its sweeps, and another
+/// the daemons' threads before and after its sweeps, and another
 /// test's daemons starting or stopping in between would move the count.
 #[cfg(test)]
 pub(crate) fn daemons_alone() -> std::sync::MutexGuard<'static, ()> {

@@ -53,6 +53,10 @@ const ACCEPT_BACKOFF_BASE: Duration = Duration::from_millis(5);
 /// spinning.
 const ACCEPT_BACKOFF_CAP: Duration = Duration::from_millis(500);
 
+/// What every thread a [`Node`] runs is named with: `optrepd-event`,
+/// `optrepd-durable`, `optrepd-gossip` or `optrepd-worker`.
+pub const THREAD_PREFIX: &str = "optrepd-";
+
 /// Configuration for one [`Node`].
 #[non_exhaustive]
 #[derive(Debug, Clone)]
@@ -215,14 +219,19 @@ impl Shared {
         *waited.unwrap_or_else(PoisonError::into_inner).0
     }
 
-    /// Runs `task` on a thread of its own, under the node's sinks (or its
-    /// pulls' contact events would vanish from traces).
+    /// Runs `task` on a thread of its own, named `optrepd-{role}`, under
+    /// the node's sinks (or its pulls' contact events would vanish from
+    /// traces). A thread a daemon thread starts unnamed carries its
+    /// starter's name, so every daemon thread counts under that prefix.
     fn spawn(
         self: &Arc<Self>,
+        role: &str,
         task: impl FnOnce(&Arc<Shared>) + Send + 'static,
     ) -> std::thread::JoinHandle<()> {
         let shared = Arc::clone(self);
-        std::thread::spawn(move || obs::with_all(shared.sinks.clone(), || task(&shared)))
+        let thread = std::thread::Builder::new().name(format!("{THREAD_PREFIX}{role}"));
+        let run = move || obs::with_all(shared.sinks.clone(), || task(&shared));
+        thread.spawn(run).expect("failed to spawn a daemon thread")
     }
 
     /// One pull from `peer` over the pooled persistent connection to it
@@ -344,10 +353,10 @@ impl Node {
             waker,
             completions: Mutex::new(Vec::new()),
         });
-        let mut threads = vec![shared.spawn(move |shared| event::run(shared, &listener))];
+        let mut threads = vec![shared.spawn("event", move |shared| event::run(shared, &listener))];
         if config.durability.is_some() {
             // Every 25 ms, a checkpoint when due, else the backstop fsync.
-            threads.push(shared.spawn(|shared| {
+            threads.push(shared.spawn("durable", |shared| {
                 while !shared.wait_stop(Duration::from_millis(25)) {
                     shared.checkpoint(|core| core.durability_tick(Instant::now()));
                 }
@@ -355,7 +364,7 @@ impl Node {
         }
         if let Some(interval) = config.gossip_interval {
             // One pass an interval; a peer that fails waits for the next.
-            threads.push(shared.spawn(move |shared| {
+            threads.push(shared.spawn("gossip", move |shared| {
                 while !shared.wait_stop(interval) {
                     let peers = shared.peers.iter().take_while(|_| !shared.stopping());
                     (shared.core)
@@ -599,7 +608,7 @@ mod event {
 
     fn spawn_executor(shared: &Arc<Shared>) -> Executor {
         let (tx, rx) = mpsc::channel::<Job>();
-        shared.spawn(move |shared| {
+        shared.spawn("worker", move |shared| {
             while let Ok(job) = rx.recv() {
                 shared.metrics.worker_queue_depth.dec();
                 let response = handle_request(shared, job.request);
