@@ -55,19 +55,10 @@ struct ClientStream {
     /// Already counted out of `unfinished` — set once, the first time
     /// the stream is seen missing, aborted, or session-done.
     finished: bool,
-    client: PullClient,
-    /// A pushed stream's elements, until its value arrives.
-    push: Option<Push>,
-}
-
-/// What crossed on a pushed stream before its value: the sender's
-/// elements, which rebuild the vector it streamed.
-#[derive(Debug, Default)]
-struct Push {
-    /// Written since the digest vector: cancelled as the push arrives.
+    /// A pushed key written since the digest vector: its stream is
+    /// cancelled as the push arrives.
     written: bool,
-    /// The sender's elements so far, in `≺` order.
-    elements: Vec<Element>,
+    client: PullClient,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,6 +94,9 @@ pub struct BatchPullClient {
     source_behind: Vec<Bytes>,
     /// Streams `1..=pushed` are the server's push.
     pushed: u64,
+    /// A pushed stream's elements in `≺` order, from its first until
+    /// its value: what rebuilds the vector its sender streamed.
+    elements: BTreeMap<u64, Vec<Element>>,
     /// See [`excess_bytes`](Self::excess_bytes).
     excess: u64,
 }
@@ -129,14 +123,14 @@ impl BatchPullClient {
         P: IntoIterator<Item = (Bytes, Pushed)>,
         I: IntoIterator<Item = (Bytes, Srv)>,
     {
-        let stream = |name, vector, discovered, push| ClientStream {
+        let stream = |name, vector, discovered, written| ClientStream {
             name,
             discovered,
             missing: false,
             aborted: false,
             finished: false,
+            written,
             client: PullClient::new(vector),
-            push,
         };
         let mut streams = BTreeMap::new();
         for (name, held) in pushed {
@@ -145,16 +139,12 @@ impl BatchPullClient {
                 Pushed::Absent => (Srv::new(), true, false),
                 Pushed::Written => (Srv::new(), false, true),
             };
-            let push = Push {
-                written,
-                ..Push::default()
-            };
-            let pushed = stream(name, vector, discovered, Some(push));
+            let pushed = stream(name, vector, discovered, written);
             streams.insert(streams.len() as u64 + 1, pushed);
         }
         let pushed = streams.len() as u64;
         for (name, vector) in objects {
-            streams.insert(streams.len() as u64 + 1, stream(name, vector, false, None));
+            streams.insert(streams.len() as u64 + 1, stream(name, vector, false, false));
         }
         let unfinished = streams.len();
         BatchPullClient {
@@ -167,6 +157,7 @@ impl BatchPullClient {
             outbox: VecDeque::new(),
             source_behind: Vec::new(),
             pushed,
+            elements: BTreeMap::new(),
             excess: 0,
         }
     }
@@ -200,11 +191,11 @@ impl BatchPullClient {
             )));
         }
         for (stream, name) in (1..).zip(names) {
-            let st = self.streams.get_mut(&stream).expect("a pushed stream");
+            let st = self.streams.get(&stream).expect("a pushed stream");
             if st.name != name {
                 return Err(violation(format!("push on stream {stream} of another key")));
             }
-            if st.push.as_ref().is_some_and(|push| push.written) {
+            if st.written {
                 self.excess += wire::bytes_len(name.len()) as u64;
                 self.abort_stream(stream, "written_since_digest", true);
             }
@@ -217,15 +208,15 @@ impl BatchPullClient {
     /// until the session sends it.
     fn on_pushed(&mut self, stream: u64, msg: SessionMsg) -> Result<()> {
         self.excess += frame_len(stream, &msg);
-        let st = self.streams.get_mut(&stream).expect("a pushed stream");
+        let st = self.streams.get(&stream).expect("a pushed stream");
         if st.aborted {
             return Ok(());
         }
-        let Some(push) = st.push.as_mut() else {
+        if st.finished {
             return Err(violation(format!(
                 "a frame on pushed stream {stream} after its value"
             )));
-        };
+        }
         match msg {
             SessionMsg::Vector(Msg::ElemS {
                 site,
@@ -239,7 +230,7 @@ impl BatchPullClient {
                     conflict,
                     segment,
                 };
-                push.elements.push(element);
+                self.elements.entry(stream).or_default().push(element);
                 Ok(())
             }
             SessionMsg::Payload { data } => self.replay(stream, data),
@@ -254,8 +245,7 @@ impl BatchPullClient {
     /// elements and the value is what crossed for it; its answer,
     /// `HALT`s and `SegSkipped`s never cross.
     fn replay(&mut self, stream: u64, value: Bytes) -> Result<()> {
-        let st = self.streams.get_mut(&stream).expect("a pushed stream");
-        let elements = st.push.take().expect("a pushed stream").elements;
+        let elements = self.elements.remove(&stream).unwrap_or_default();
         let listed = elements.len();
         if listed == 0 {
             return Err(violation("a pushed stream opens with its value"));
@@ -265,6 +255,7 @@ impl BatchPullClient {
             return Err(violation("a pushed stream names a site twice"));
         }
         let mut server = PullServer::new(vector, value);
+        let st = self.streams.get_mut(&stream).expect("a pushed stream");
         let excess = &mut self.excess;
         let mut session = || -> Result<()> {
             loop {
@@ -489,8 +480,8 @@ impl Endpoint for BatchPullClient {
                             missing: false,
                             aborted: false,
                             finished: false,
+                            written: false,
                             client,
-                            push: None,
                         },
                     );
                     self.unfinished += 1;

@@ -35,7 +35,8 @@
 //!
 //! One module per machine: `msg` the frame vocabulary and turn markers;
 //! `client` and `server` the two batch endpoints ([`BatchPullClient`],
-//! [`BatchPullServer`] with its per-frame step [`serve_frame`]);
+//! [`BatchPullServer`] with its per-frame step [`serve_frame`], and
+//! [`write_push`], the push a plan carries);
 //! `report` what a contact cost; `puller` the pulling half of a contact
 //! ([`Puller`]) and the pumps that drive it over a link; `serving` the
 //! serving half of a connection ([`Serving`]) and what it asks its
