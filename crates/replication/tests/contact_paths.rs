@@ -2135,13 +2135,13 @@ const SHARING_PLACEMENT: [&str; 2] = ["p133bba9a1", "p9aa423960"];
 /// not wanted; or after reconciling with a third site, so that the
 /// puller meets tagged elements it knows and skips their segments — keys
 /// the puller does not hold, keys it holds equal, keys whose last
-/// segment the receiver is skipping when the value arrives (the value's
-/// implied `HALT` reaches it behind the sender's `SegSkipped`), and an
-/// unchanged key pushed because it shares its placement with a changed
-/// one, the push's per-key outcomes, Δ/Γ/γ included, are the
-/// lockstep's, and what the lockstep would not have sent (an equal
-/// key's session, elements past a `HALT` or inside a skipped segment)
-/// is excess.
+/// segment the receiver is skipping when the sender reaches its end (the
+/// session run at the puller sends its `SegSkipped`, then its `HALT`,
+/// neither of which crossed), and an unchanged key pushed because it
+/// shares its placement with a changed one, the push's per-key
+/// outcomes, Δ/Γ/γ included, are the lockstep's, and what the lockstep
+/// would not have sent (an equal key's session, elements past a `HALT`
+/// or inside a skipped segment) is excess.
 #[test]
 fn a_pushed_stream_reaches_its_receiver_as_the_lockstep_would() {
     let mut rng = SplitMix64::new(0x0000_9B5E_D5EA_5EED);
