@@ -369,8 +369,10 @@ pub const HANDSHAKE_MAGIC: [u8; 4] = *b"OPTR";
 /// its stream ids, `⌊b⌋` and flags implied, leaves out a pushed stream's
 /// `HALT` (its value implies it), and writes a plan's shard lists as
 /// gaps: a v6 end would misread every plan that walks or bulk-loads a
-/// shard.
-pub const HANDSHAKE_VERSION: u8 = 7;
+/// shard. v8 writes each key of a bulk-loaded shard's image as the
+/// length of the prefix it shares with the key before it and the rest:
+/// a v7 end would misread every shard image.
+pub const HANDSHAKE_VERSION: u8 = 8;
 
 /// What the connecting peer intends to do with the connection: byte 0
 /// or 2 of the preamble. Byte 1 named a one-shot pull no build sends

@@ -1,7 +1,7 @@
 //! The one commit path: a finished contact's outcomes and a plan's
 //! snapshot blobs, staged whole and then applied.
 
-use crate::codec::{decode_value, take_key, Ascending};
+use crate::codec::{decode_value, Ascending};
 use crate::record::{entry_hash, Record, State};
 use crate::shard::{shard_index, Run};
 use crate::{KvStore, KvSyncReport, Resolver, Value};
@@ -231,7 +231,7 @@ impl KvStore {
                 let n = wire::get_varint(&mut buf)?;
                 let mut keys = Ascending::default();
                 for _ in 0..n {
-                    let key = take_key(&mut buf)?;
+                    let key = keys.take(&mut buf)?;
                     let bytes = key.as_bytes();
                     if self.record(bytes).is_none() {
                         runs[shard_index(bytes, physical)].push(key, &mut buf)?;
@@ -239,7 +239,6 @@ impl KvStore {
                         Record::write_state(&mut refused, key, State::take(&mut buf)?)?;
                         refused.clear();
                     }
-                    keys.admit(bytes)?;
                     // The shard-map invariant: every key must hash into
                     // the blob's claimed shard at the plan's count.
                     if shard_index(bytes, count) != *shard as usize {
@@ -464,12 +463,20 @@ mod tests {
         assert_eq!(dst.generation(), before.generation());
     }
 
-    /// A shard image of `records`, in the order given.
+    /// A shard image of `records`, in the order given: each key as the
+    /// length of the prefix it shares with the key before it, then the
+    /// rest of it, and then its state.
     fn blob_of(records: &[Record<'_>]) -> Bytes {
         let mut buf = bytes::BytesMut::new();
         wire::put_varint(&mut buf, records.len() as u64);
+        let mut before = "".as_bytes();
         for record in records {
-            buf.extend_from_slice(record.bytes());
+            let (key, state) = record.split();
+            let shared = key.iter().zip(before).take_while(|(a, b)| a == b).count();
+            wire::put_varint(&mut buf, shared as u64);
+            wire::put_bytes(&mut buf, &key[shared..]);
+            buf.extend_from_slice(state);
+            before = key;
         }
         buf.freeze()
     }

@@ -1,6 +1,6 @@
 //! What a store writes and reads back: whole-store snapshots, shard
 //! images, log records and values in flight — an image written where it
-//! goes, record by record, and read back through one chunked reader.
+//! goes, keys front-coded, and read back through one chunked reader.
 
 use crate::record::Record;
 use crate::shard::{shard_index, Run};
@@ -15,8 +15,8 @@ use std::io::{self, Read, Write};
 
 impl KvStore {
     /// Encodes one plan shard's whole image at plan-shard count
-    /// `count`: a varint entry count followed by each entry's key,
-    /// metadata snapshot, and tagged value (the per-entry layout of
+    /// `count`: a varint entry count followed by each entry's
+    /// front-coded key, metadata snapshot, and tagged value (the layout of
     /// [`encode_snapshot`](Self::encode_snapshot), without the site
     /// header — shard snapshots cross sites, so they carry no site id).
     pub fn encode_shard_snapshot(&self, shard: u64, count: usize) -> Bytes {
@@ -48,7 +48,7 @@ impl KvStore {
         SnapshotImage {
             store: self,
             count,
-            len: site + records_len(count, self.records()),
+            len: site + records_len(count, self.sorted()),
         }
     }
 
@@ -225,9 +225,8 @@ impl KvStore {
         let mut keys = Ascending::default();
         for _ in 0..n {
             let decode = |entry: &mut &[u8]| {
-                let key = take_key(entry)?;
-                runs[shard_index(key.as_bytes(), physical)].push(key, entry)?;
-                keys.admit(key.as_bytes())
+                let key = keys.take(entry)?;
+                runs[shard_index(key.as_bytes(), physical)].push(key, entry)
             };
             reader.next_seen(entry_reach, decode, &mut seen)?;
         }
@@ -238,25 +237,43 @@ impl KvStore {
     }
 }
 
-/// The keys of an image, checked strictly ascending as they are read:
-/// every image lists its keys so, and one that repeats a key or lists it
-/// out of order is refused rather than folded into whatever the store
-/// makes of it. Keeps the last key admitted, in one reused buffer.
+/// The keys of an image, each rebuilt in one reused buffer from the
+/// length of the prefix it shares with the key before it and the rest.
+/// An image lists its keys strictly ascending, each sharing all it can,
+/// so a key has one encoding: any other is refused rather than folded
+/// into whatever the store makes of it.
 #[derive(Debug, Default)]
 pub(crate) struct Ascending(Option<Vec<u8>>);
 
 impl Ascending {
-    /// Admits `key` if it follows every key admitted before it.
-    pub(crate) fn admit(&mut self, key: &[u8]) -> std::result::Result<(), WireError> {
-        match &mut self.0 {
-            Some(last) if key <= last.as_slice() => return Err(WireError::InvalidPayload),
-            Some(last) => {
-                last.clear();
-                last.extend_from_slice(key);
-            }
-            None => self.0 = Some(key.to_vec()),
+    /// Takes the key at the front of `entry` off it, rebuilt, if it
+    /// follows every key taken before it.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::UnexpectedEof`] on a cut key; [`WireError::InvalidPayload`]
+    /// on a shared length past the key before, a shared prefix that is
+    /// not the longest, an empty or descending rest and a rebuilt key
+    /// that is not UTF-8.
+    pub(crate) fn take(&mut self, entry: &mut &[u8]) -> std::result::Result<&str, WireError> {
+        let shared = usize::try_from(wire::get_varint(entry)?).unwrap_or(usize::MAX);
+        let rest = wire::get_slice(entry)?;
+        let first = self.0.is_none();
+        let key = self.0.get_or_insert_default();
+        // The rest starts above the byte it replaces, or extends the key
+        // before; only a first key may be empty.
+        let follows = match (key.get(shared..), rest.first()) {
+            (Some([before, ..]), Some(byte)) => byte > before,
+            (Some([]), Some(_)) => true,
+            (Some(_), None) => first,
+            (None, _) => false,
+        };
+        if !follows {
+            return Err(WireError::InvalidPayload);
         }
-        Ok(())
+        key.truncate(shared);
+        key.extend_from_slice(rest);
+        std::str::from_utf8(key).map_err(|_| WireError::InvalidPayload)
     }
 }
 
@@ -311,13 +328,6 @@ impl Runs {
     }
 }
 
-/// Takes the key at the front of an entry off it: a length-prefixed
-/// field that must be UTF-8.
-pub(crate) fn take_key<'a>(entry: &mut &'a [u8]) -> std::result::Result<&'a str, WireError> {
-    let key = wire::get_slice(entry)?;
-    std::str::from_utf8(key).map_err(|_| WireError::InvalidPayload)
-}
-
 /// The test oracle for [`Record::write_state`]: an entry's state decoded
 /// the way every decoder once read it — the vector built, the value a
 /// slice of `buf` — to be written back by [`Record::write`]. No store
@@ -344,6 +354,7 @@ pub(crate) fn decode_state(buf: &mut Bytes) -> std::result::Result<(Srv, Value),
 /// makes, over length prefixes only.
 fn entry_reach(buf: &[u8]) -> usize {
     Reach::of(buf, |r| {
+        r.varint()?;
         r.field()?;
         r.field()?;
         if r.byte()? == 1 {
@@ -354,11 +365,11 @@ fn entry_reach(buf: &[u8]) -> usize {
 }
 
 /// A whole store's snapshot as the store it copies: the site, a varint
-/// count, then each record's bytes in key order. It holds the store and
-/// the image's length, summed over the shards — no list of the records —
-/// and is written where it goes, into one buffer of its exact size or
-/// into a checkpoint's file, by one walk of the store's merge
-/// ([`KvStore::sorted`]): a cursor a shard.
+/// count, then each record in key order, its key front-coded. It holds
+/// the store and the image's length, summed over a walk of the store's
+/// merge ([`KvStore::sorted`], a cursor a shard) — no list of the
+/// records — and is written where it goes, into one buffer of its exact
+/// size or into a checkpoint's file, by a second walk of that merge.
 #[derive(Debug)]
 pub struct SnapshotImage<'a> {
     store: &'a KvStore,
@@ -372,8 +383,8 @@ impl SnapshotImage<'_> {
         self.len
     }
 
-    /// Writes the image to `out`: its header, then every record's bytes
-    /// in key order.
+    /// Writes the image to `out`: its header, then every record in key
+    /// order.
     ///
     /// # Errors
     ///
@@ -397,18 +408,42 @@ pub(crate) fn shard_image(records: &[Record<'_>]) -> Bytes {
 
 /// The length of what [`write_records`] writes.
 fn records_len<'a>(count: u64, records: impl Iterator<Item = Record<'a>>) -> usize {
-    wire::varint_len(count) + records.map(|record| record.bytes().len()).sum::<usize>()
+    let coded = front_coded(records).map(|(shared, rest, state)| {
+        wire::varint_len(shared as u64) + wire::bytes_len(rest.len()) + state.len()
+    });
+    wire::varint_len(count) + coded.sum::<usize>()
 }
 
 /// The body of every image, a whole store's and a shard's: a varint
-/// count of the records, then each record's bytes.
+/// count of the records, then each record's key, front-coded, and its
+/// state bytes.
 fn write_records<'a>(
     out: &mut impl Write,
     count: u64,
-    mut records: impl Iterator<Item = Record<'a>>,
+    records: impl Iterator<Item = Record<'a>>,
 ) -> io::Result<()> {
     wire::write_varint(out, count)?;
-    records.try_for_each(|record| out.write_all(record.bytes()))
+    front_coded(records).try_for_each(|(shared, rest, state)| {
+        wire::write_varint(out, shared as u64)?;
+        wire::write_varint(out, rest.len() as u64)?;
+        out.write_all(rest)?;
+        out.write_all(state)
+    })
+}
+
+/// Each record as an image writes it: the length of the prefix its key
+/// shares with the key before it (0 for the first), the rest of the key,
+/// and the state.
+fn front_coded<'a>(
+    records: impl Iterator<Item = Record<'a>>,
+) -> impl Iterator<Item = (usize, &'a [u8], &'a [u8])> {
+    let mut before: &[u8] = &[];
+    records.map(move |record| {
+        let (key, state) = record.split();
+        let shared = key.iter().zip(before).take_while(|(a, b)| a == b).count();
+        before = key;
+        (shared, &key[shared..], state)
+    })
 }
 
 /// Why a [`ChunkReader`] returned no record.

@@ -87,14 +87,15 @@ fn hostile_snapshots_are_invalid_payload() {
     let mut a = KvStore::new(s(3));
     a.put("key", "value");
     let honest = a.encode_snapshot().to_vec();
-    // site, count, "key", the vector, then tag, length, "value".
-    assert_eq!(honest[2..6], *b"\x03key");
+    // site, count, "key" sharing nothing, the vector, then tag, length,
+    // "value".
+    assert_eq!(honest[2..7], *b"\x00\x03key");
     let tag = honest.len() - 1 - b"value".len() - 1;
     assert_eq!(honest[tag], 1);
     for (at, byte, what) in [
         (tag, 2, "value tag 2"),
         (tag, 255, "value tag 255"),
-        (4, 0xff, "a key that is not UTF-8"),
+        (5, 0xff, "a key that is not UTF-8"),
     ] {
         let mut image = honest.clone();
         image[at] = byte;
@@ -159,6 +160,7 @@ fn a_snapshot_site_above_u32_is_refused_not_truncated() {
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Overlong {
     Nothing,
+    Shared,
     KeyLen,
     VectorLen,
     ElementCount,
@@ -211,19 +213,48 @@ fn state_image(view: View<'_>, pad: Overlong) -> BytesMut {
     buf
 }
 
-/// A shard image of `entries`, or with `site` a whole store's.
+/// A shard image of `entries`, or with `site` a whole store's: each key
+/// as the length of the prefix it shares with the key listed before it,
+/// then the rest of it.
 fn image_as(site: Option<SiteId>, entries: &[(&str, View<'_>)], pad: Overlong) -> Bytes {
     let mut buf = BytesMut::new();
     if let Some(site) = site {
         wire::put_varint(&mut buf, u64::from(site.index()));
     }
     wire::put_varint(&mut buf, entries.len() as u64);
+    let mut before = "".as_bytes();
     for (key, view) in entries {
-        put_varint_as(&mut buf, key.len() as u64, pad == Overlong::KeyLen);
-        buf.extend_from_slice(key.as_bytes());
+        let key = key.as_bytes();
+        let shared = key.iter().zip(before).take_while(|(a, b)| a == b).count();
+        put_varint_as(&mut buf, shared as u64, pad == Overlong::Shared);
+        put_varint_as(
+            &mut buf,
+            (key.len() - shared) as u64,
+            pad == Overlong::KeyLen,
+        );
+        buf.extend_from_slice(&key[shared..]);
         buf.extend_from_slice(&state_image(*view, pad));
+        before = key;
     }
     buf.freeze()
+}
+
+/// An empty store at one shard after it joins a peer's plan that
+/// bulk-loads `image` as its one shard.
+fn joined(image: Bytes) -> KvStore {
+    let plan = ShardPlan {
+        count: 1,
+        snapshots: vec![(0, image)],
+        ..ShardPlan::default()
+    };
+    let mut joiner = KvStore::with_shards(s(9), 1);
+    let mut client = joiner.client_endpoint_for(&[], 1);
+    let mut server = KvStore::with_shards(s(8), 1).server_endpoint_for(&[0], 1);
+    let contact = run_contact(&mut client, &mut server).unwrap();
+    joiner
+        .apply_planned_tracked(&JoinResolver, client, &contact, &plan)
+        .unwrap();
+    joiner
 }
 
 /// A decoder stores the state it read, re-encoded — never the bytes
@@ -267,24 +298,10 @@ fn overlong_varints_decode_to_the_canonical_store() {
         image_as(Some(honest.site()), &entries, Overlong::Nothing),
         honest_image
     );
-    let joined = |image: Bytes| {
-        let plan = ShardPlan {
-            count: 1,
-            snapshots: vec![(0, image)],
-            ..ShardPlan::default()
-        };
-        let mut joiner = KvStore::with_shards(s(9), 1);
-        let mut client = joiner.client_endpoint_for(&[], 1);
-        let mut server = KvStore::with_shards(s(8), 1).server_endpoint_for(&[0], 1);
-        let contact = run_contact(&mut client, &mut server).unwrap();
-        joiner
-            .apply_planned_tracked(&JoinResolver, client, &contact, &plan)
-            .unwrap();
-        joiner
-    };
     let honest_joiner = joined(image_as(None, &entries, Overlong::Nothing));
     assert_eq!(honest_joiner.tracked_entries(), entries.len());
     for pad in [
+        Overlong::Shared,
         Overlong::KeyLen,
         Overlong::VectorLen,
         Overlong::ElementCount,
@@ -314,7 +331,8 @@ fn overlong_varints_decode_to_the_canonical_store() {
             assert_eq!(replayed.encode_entry(key), Some(canonical), "{pad:?}");
         }
         // (A log record frames no key.)
-        assert_eq!(padded > 0, pad != Overlong::KeyLen, "{pad:?}");
+        let key_pad = matches!(pad, Overlong::Shared | Overlong::KeyLen);
+        assert_eq!(padded > 0, !key_pad, "{pad:?}");
         assert_eq!(replayed, *honest, "{pad:?}");
         assert_eq!(replayed.encode_snapshot(), honest_image, "{pad:?}");
     }
@@ -377,10 +395,44 @@ fn entry_image(meta: &[u8]) -> BytesMut {
     buf
 }
 
+/// `body` — an image's count and entries — is refused with `refused` by
+/// both image decoders: as a checkpoint's image behind a site, and as the
+/// blob of a peer's plan shard, and no store is touched.
+fn assert_refused_by_every_decoder(body: &[u8], refused: WireError) {
+    // Checkpoint: a whole-store image.
+    let mut image = BytesMut::new();
+    wire::put_varint(&mut image, 1); // site
+    image.extend_from_slice(body);
+    assert_eq!(
+        KvStore::decode_snapshot(&mut image.freeze()).map(drop),
+        Err(refused)
+    );
+
+    // A peer's plan at one shard, every key of which falls in it: a shard
+    // snapshot blob.
+    let mut src = KvStore::with_shards(s(0), 1);
+    src.put("x", "1");
+    let digests = KvStore::with_shards(s(1), 1).shard_digest_vector();
+    let (mut plan, mut server) = src.plan_contact(&digests, &PlanConfig::default());
+    let mut store = KvStore::with_shards(s(1), 4);
+    store.put("mine", "1");
+    let before = store.clone();
+    let mut client = store.client_endpoint_for(&plan.incremental, 1);
+    let contact = run_contact(&mut client, &mut server).unwrap();
+    plan.snapshots[0].1 = Bytes::copy_from_slice(body);
+    assert_eq!(
+        store.apply_planned_tracked(&JoinResolver, client, &contact, &plan),
+        Err(optrep_core::Error::Wire(refused))
+    );
+    assert_eq!(store, before);
+    assert_eq!(store.generation(), before.generation());
+    assert_eq!(store.replica_digest(), store.replica_digest_full());
+}
+
 /// `meta` as the vector of an entry of key `x` is refused by every
 /// decoder — a logged post-state, a checkpoint holding it, a peer's shard
 /// blob holding it — with `InvalidPayload`, and no store is touched.
-fn assert_refused_by_every_decoder(meta: &[u8]) {
+fn assert_vector_refused_by_every_decoder(meta: &[u8]) {
     let refused = Err(WireError::InvalidPayload);
 
     // The oracle every decoder is held to.
@@ -393,43 +445,15 @@ fn assert_refused_by_every_decoder(meta: &[u8]) {
     let before = store.clone();
     let mut entry = entry_image(meta).freeze();
     assert_eq!(store.apply_encoded_entry("x", &mut entry), refused);
-
-    // Checkpoint: a whole-store image holding that entry.
-    let mut image = BytesMut::new();
-    wire::put_varint(&mut image, 1); // site
-    wire::put_varint(&mut image, 1); // entries
-    wire::put_bytes(&mut image, b"x");
-    image.extend_from_slice(&entry_image(meta));
-    assert_eq!(
-        KvStore::decode_snapshot(&mut image.freeze()).map(|_| ()),
-        refused
-    );
-
-    // A peer's plan: a shard snapshot blob holding that entry.
-    let mut src = KvStore::with_shards(s(0), 4);
-    src.put("x", "1");
-    let digests = KvStore::with_shards(s(1), 4).shard_digest_vector();
-    let (mut plan, mut server) = src.plan_contact(&digests, &PlanConfig::default());
-    let mut client = KvStore::with_shards(s(1), 4).client_endpoint_for(&plan.incremental, 4);
-    let contact = run_contact(&mut client, &mut server).unwrap();
-    let mut blob = BytesMut::new();
-    wire::put_varint(&mut blob, 1);
-    wire::put_bytes(&mut blob, b"x");
-    blob.extend_from_slice(&entry_image(meta));
-    plan.snapshots[0].1 = blob.freeze();
-    assert_eq!(
-        store.apply_planned_tracked(&JoinResolver, client, &contact, &plan),
-        Err(optrep_core::Error::Wire(WireError::InvalidPayload))
-    );
-
     assert_eq!(store, before);
-    assert_eq!(store.generation(), before.generation());
-    assert_eq!(store.replica_digest(), store.replica_digest_full());
+
+    let body = keyed_body(&[(0, b"x")], &entry_image(meta));
+    assert_refused_by_every_decoder(&body, WireError::InvalidPayload);
 }
 
 #[test]
 fn a_repeated_site_is_refused_by_every_decoder() {
-    assert_refused_by_every_decoder(&repeated_site_meta());
+    assert_vector_refused_by_every_decoder(&repeated_site_meta());
 }
 
 /// A vector field with a byte left over behind the vector: `put("k",
@@ -443,7 +467,121 @@ fn a_byte_left_in_the_vector_field_is_refused_by_every_decoder() {
     let honest = store.encode_entry("k").unwrap();
     assert_eq!(honest, [3, 1, 0, 4, 1, 1, 118][..]);
     assert_eq!(entry_image(&[1, 0, 4])[..], honest[..4 + 3]);
-    assert_refused_by_every_decoder(&[1, 0, 4, 0x7f]);
+    assert_vector_refused_by_every_decoder(&[1, 0, 4, 0x7f]);
+}
+
+/// An image's count and entries: each key given as the length of the
+/// prefix it claims to share with the key before it and the rest of it,
+/// each followed by `state`.
+fn keyed_body(keys: &[(u64, &[u8])], state: &[u8]) -> Vec<u8> {
+    let mut body = BytesMut::new();
+    wire::put_varint(&mut body, keys.len() as u64);
+    for (shared, rest) in keys {
+        wire::put_varint(&mut body, *shared);
+        wire::put_bytes(&mut body, rest);
+        body.extend_from_slice(state);
+    }
+    body.to_vec()
+}
+
+/// Each key has one encoding, the one the writer writes — the longest
+/// prefix shared, then a rest that starts above the byte it replaces —
+/// and both image decoders refuse every other with `InvalidPayload`,
+/// and what does not rebuild to UTF-8. A shared prefix may split a
+/// character: `к` and `л` share their first byte.
+#[test]
+fn a_key_encoded_any_way_but_the_writers_is_refused() {
+    let mut store = KvStore::with_shards(s(0), 1);
+    for key in ["", "a", "ab", "abd", "b", "к", "л"] {
+        store.put(key, "v");
+    }
+    let state = store.encode_entry("a").unwrap();
+    let honest: [(u64, &[u8]); 7] = [
+        (0, b""),
+        (0, b"a"),
+        (1, b"b"),
+        (2, b"d"),
+        (0, b"b"),
+        (0, "к".as_bytes()),
+        (1, &"л".as_bytes()[1..]),
+    ];
+    let image = store.encode_shard_snapshot(0, 1);
+    let states: Vec<_> = (store.entries_sorted().iter())
+        .map(|(key, _)| store.encode_entry(key).unwrap())
+        .collect();
+    let mut written = BytesMut::new();
+    wire::put_varint(&mut written, 7);
+    for ((shared, rest), state) in honest.iter().zip(&states) {
+        written.extend_from_slice(&keyed_body(&[(*shared, rest)], state)[1..]);
+    }
+    assert_eq!(image, written, "the writer's encoding");
+    let mut checkpoint = BytesMut::new();
+    wire::put_varint(&mut checkpoint, 0);
+    checkpoint.extend_from_slice(&image);
+    assert_eq!(checkpoint, store.encode_snapshot());
+    assert!(joined(image).consistent_with(&store));
+    assert_eq!(
+        KvStore::decode_snapshot(&mut checkpoint.freeze()),
+        Ok(store)
+    );
+
+    let invalid = WireError::InvalidPayload;
+    for (what, keys) in [
+        ("a first key claiming a prefix", &[(1, &b"a"[..])][..]),
+        (
+            "a shared length past the key before",
+            &[(0, b"a"), (2, b"b")],
+        ),
+        ("a shared prefix left out", &[(0, b"ab"), (0, b"ac")]),
+        ("a shared prefix cut short", &[(0, b"abc"), (1, b"bd")]),
+        ("an empty rest: a repeat", &[(0, b"a"), (1, b"")]),
+        ("an empty rest: a prefix", &[(0, b"ab"), (1, b"")]),
+        ("a descending rest", &[(0, b"b"), (0, b"a")]),
+        ("a descending rest after a prefix", &[(0, b"ac"), (1, b"b")]),
+        ("an empty key after the first", &[(0, b"a"), (0, b"")]),
+        ("a first key not UTF-8", &[(0, b"\xff")]),
+        ("a rest not UTF-8", &[(0, b"a"), (1, b"\xff")]),
+        (
+            "a split character rebuilt wrong",
+            &[(0, "к".as_bytes()), (1, b"\xff")],
+        ),
+    ] {
+        let body = keyed_body(keys, &state);
+        let mut image = BytesMut::new();
+        wire::put_varint(&mut image, 1);
+        image.extend_from_slice(&body);
+        assert_eq!(boot_by_the_oracle(&image).err(), Some(invalid), "{what}");
+        assert_refused_by_every_decoder(&body, invalid);
+    }
+    // The split character rebuilt right, and an empty first key: read.
+    for keys in [
+        &[(0, "к".as_bytes()), (1, &"л".as_bytes()[1..])][..],
+        &[(0, b"")],
+    ] {
+        let mut image = BytesMut::new();
+        wire::put_varint(&mut image, 1);
+        image.extend_from_slice(&keyed_body(keys, &state));
+        assert_eq!(
+            KvStore::decode_snapshot(&mut image.freeze()).map(|s| s.len()),
+            Ok(keys.len())
+        );
+    }
+}
+
+/// Every strict prefix of a shard image — keys that share prefixes, a
+/// split character, an empty key, a tombstone — is refused by both image
+/// decoders as cut short, and no store is touched.
+#[test]
+fn every_cut_of_an_image_is_refused_by_every_decoder() {
+    let mut store = KvStore::with_shards(s(0), 1);
+    for key in ["", "k1", "k10", "k2", "к", "л"] {
+        store.put(key, vec![3u8; 130]);
+    }
+    store.delete("k10");
+    let image = store.encode_shard_snapshot(0, 1);
+    for cut in 0..image.len() {
+        assert_refused_by_every_decoder(&image[..cut], WireError::UnexpectedEof);
+    }
 }
 
 /// The key universe `golden_bytes.rs` pins: mostly short, with the
@@ -591,19 +729,29 @@ fn the_state_writer_writes_what_decoding_and_encoding_write() {
 }
 
 /// The store the oracle boots from `image`, and what it left unread:
-/// every entry's state decoded into a vector and a value, then stored.
+/// every key rebuilt from the prefix it shares with the key before and
+/// its rest, and every entry's state decoded into a vector and a value,
+/// then stored.
 fn boot_by_the_oracle(image: &[u8]) -> Result<(KvStore, usize), WireError> {
     let mut buf = Bytes::copy_from_slice(image);
     let site = wire::get_site(&mut buf)?;
     let n = wire::get_varint(&mut buf)?;
     let mut store = KvStore::with_shards(site, 16);
-    let mut keys = Ascending::default();
+    let mut before: Option<Vec<u8>> = None;
     for _ in 0..n {
-        let key = wire::get_bytes(&mut buf)?;
-        let key = std::str::from_utf8(&key).map_err(|_| WireError::InvalidPayload)?;
+        let shared = wire::get_varint(&mut buf)? as usize;
+        let rest = wire::get_bytes(&mut buf)?;
+        let last = before.as_deref().unwrap_or_default();
+        let prefix = last.get(..shared).ok_or(WireError::InvalidPayload)?;
+        let key = [prefix, &rest].concat();
+        let common = key.iter().zip(last).take_while(|(a, b)| a == b).count();
+        if common != shared || before.is_some() && key.as_slice() <= last {
+            return Err(WireError::InvalidPayload);
+        }
+        let text = std::str::from_utf8(&key).map_err(|_| WireError::InvalidPayload)?;
         let (meta, value) = decode_state(&mut buf)?;
-        keys.admit(key.as_bytes())?;
-        store.insert(key, meta, value.as_deref());
+        store.insert(text, meta, value.as_deref());
+        before = Some(key);
     }
     Ok((store, buf.len()))
 }
@@ -667,23 +815,30 @@ fn a_chunked_read_decodes_what_one_chunk_decodes() {
 }
 
 /// How far an entry reaches is where its decoder stops: exactly its
-/// length once it is whole, and past the end of any strict prefix.
+/// length once it is whole, and past the end of any strict prefix — the
+/// shared length in front of the key included.
 #[test]
 fn an_entry_reaches_where_its_decoder_stops() {
     let mut store = KvStore::with_shards(s(1), 1);
     store.put("", "");
     store.put("k".repeat(200), vec![7u8; 20_000]);
+    store.put("k".repeat(201), "x");
     store.put("gone", "x");
     store.delete("gone");
-    for record in store.records() {
-        let bytes = record.bytes();
-        assert_eq!(entry_reach(bytes), bytes.len());
-        for cut in 0..bytes.len() {
-            assert!(
-                entry_reach(&bytes[..cut]) > cut,
-                "cut {cut} of {}",
-                bytes.len()
-            );
+    let image = store.encode_shard_snapshot(0, 1);
+    let mut rest = &image[1..];
+    let mut keys = Ascending::default();
+    let mut shared = Vec::new();
+    while !rest.is_empty() {
+        let entry = rest;
+        keys.take(&mut rest).unwrap();
+        crate::record::State::take(&mut rest).unwrap();
+        let len = entry.len() - rest.len();
+        shared.push(entry[0]);
+        assert_eq!(entry_reach(entry), len);
+        for cut in 0..len {
+            assert!(entry_reach(&entry[..cut]) > cut, "cut {cut} of {len}");
         }
     }
+    assert_eq!(shared, [0, 0, 0, 200], "the first key and each after it");
 }

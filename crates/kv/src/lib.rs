@@ -44,12 +44,13 @@
 //!
 //! This file is the public types and the plain read/write API. The rest
 //! of [`KvStore`] lives in one private module per concern: `record` (an
-//! entry as the bytes every image writes — the only code that knows the
+//! entry as the bytes a store holds — the only code that knows the
 //! layout), `shard` (a shard's records in pages of up to sixteen, its
 //! digest and counts, changed only by `Shard::place` and
 //! `Shard::append`, and the walks over shards), `journal` (the
-//! keys changed lately), `codec` (snapshots, shard images, log records,
-//! and the chunked reader a snapshot or a log is read back through),
+//! keys changed lately), `codec` (images with front-coded keys, log
+//! records, and the chunked reader a snapshot or a log is read back
+//! through),
 //! `plan` (digest vectors, the plan, every endpoint), `apply` (the
 //! one commit path) and `cluster` (the gossip host).
 

@@ -1,19 +1,19 @@
-//! One stored entry as the bytes every image writes for it, and the
-//! only code that knows that layout.
+//! One stored entry as the bytes a store holds for it, and the only
+//! code that knows that layout.
 
 use bytes::BufMut;
 use optrep_core::error::WireError;
 use optrep_core::order::RotCore;
 use optrep_core::{wire, RotatingVector, Srv};
 
-/// A stored entry, borrowed from the page that holds it: the bytes
-/// every image writes for it — the length-prefixed key, then the entry's
-/// state as a log record carries it: the length-prefixed vector
-/// snapshot, a one-byte tag (`0` a tombstone, `1` a value) and, behind
-/// tag 1, the length-prefixed value. Snapshots, shard images and log
-/// records are copies of these bytes; reading a field is a walk over
-/// length prefixes ([`Record::view`]); an [`Srv`] exists only while a
-/// vector is being operated on and is encoded back before it is stored.
+/// A stored entry, borrowed from the page that holds it: the
+/// length-prefixed key, then the entry's state as a log record carries
+/// it: the length-prefixed vector snapshot, a one-byte tag (`0` a
+/// tombstone, `1` a value) and, behind tag 1, the length-prefixed value.
+/// A log record copies the state; an image front-codes the key and
+/// copies the state. Reading a field is a walk over length prefixes
+/// ([`Record::view`]); an [`Srv`] exists only while a vector is being
+/// operated on and is encoded back before it is stored.
 ///
 /// A page holds its records back to back, so the key lives inside the
 /// record and a record's length is read off its own length prefixes
@@ -164,7 +164,7 @@ impl<'a> Record<'a> {
         (Record(record), rest)
     }
 
-    /// The whole record: what an image writes for this entry.
+    /// The whole record, as a page holds it.
     pub(crate) fn bytes(self) -> &'a [u8] {
         self.0
     }

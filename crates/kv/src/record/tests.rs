@@ -102,7 +102,7 @@ fn a_record_reads_back_the_state_it_was_built_from() {
         assert_eq!(record.key_bytes(), key.as_bytes(), "case {case}");
         // `==` on a vector is structural: `≺` order, values, both bits.
         assert_eq!(record.view().srv(), meta, "case {case}");
-        // The block is the image's layout and nothing else.
+        // The block is the stored layout and nothing else.
         let mut image = BytesMut::new();
         wire::put_bytes(&mut image, key.as_bytes());
         wire::put_bytes(&mut image, &snapshot);

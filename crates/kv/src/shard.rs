@@ -646,54 +646,44 @@ pub(crate) fn shard_index(key: &[u8], count: usize) -> usize {
 
 /// Records in key order, merged from cursors that each yield records in
 /// key order and no key another yields — one per shard. The heap holds
-/// each live cursor's next record, so a record is compared against the
-/// other cursors' next keys alone, about log₂(cursors) times, where a
-/// sort of the records compares each about log₂(records) times against
-/// records scattered over the heap. It holds the cursors and their heads:
-/// nothing that grows with the records.
+/// each live cursor behind its next record, so a record is compared
+/// against the other cursors' next keys alone, about log₂(cursors) times,
+/// where a sort of the records compares each about log₂(records) times
+/// against records scattered over the heap. It holds the cursors and
+/// their heads in one block: nothing that grows with the records.
 pub(crate) struct Merge<'a, I> {
-    cursors: Vec<I>,
-    heads: BinaryHeap<Head<'a>>,
+    heads: BinaryHeap<Head<'a, I>>,
 }
 
-/// A cursor's next record, behind its key, and which cursor it is. The
-/// order is the key's, reversed: the heap's greatest is the least key.
-/// The key's first eight bytes, zero-padded, are cached as a big-endian
-/// number and compared first: two keys that differ there compare as
-/// their prefixes do, without a walk to either record's page.
-struct Head<'a> {
+/// A cursor behind its next record and that record's key. The order is
+/// the key's, reversed: the heap's greatest is the least key. The key's
+/// first eight bytes, zero-padded, are cached as a big-endian number and
+/// compared first: two keys that differ there compare as their prefixes
+/// do, without a walk to either record's page.
+struct Head<'a, I> {
     prefix: u64,
     key: &'a [u8],
     record: Record<'a>,
-    cursor: usize,
+    rest: I,
 }
 
 impl<'a, I: Iterator<Item = Record<'a>>> Merge<'a, I> {
     pub(crate) fn new(cursors: impl Iterator<Item = I>) -> Self {
         let (least, most) = cursors.size_hint();
-        let room = most.unwrap_or(least);
-        let (mut live, mut heads) = (Vec::with_capacity(room), Vec::with_capacity(room));
-        for mut cursor in cursors {
-            if let Some(record) = cursor.next() {
-                heads.push(Head::new(record, live.len()));
-                live.push(cursor);
+        let mut heads = Vec::with_capacity(most.unwrap_or(least));
+        for mut rest in cursors {
+            if let Some(record) = rest.next() {
+                let key = record.key_bytes();
+                heads.push(Head {
+                    prefix: prefix(key),
+                    key,
+                    record,
+                    rest,
+                });
             }
         }
         Merge {
-            cursors: live,
             heads: heads.into(),
-        }
-    }
-}
-
-impl<'a> Head<'a> {
-    fn new(record: Record<'a>, cursor: usize) -> Self {
-        let key = record.key_bytes();
-        Head {
-            prefix: prefix(key),
-            key,
-            record,
-            cursor,
         }
     }
 }
@@ -703,10 +693,14 @@ impl<'a, I: Iterator<Item = Record<'a>>> Iterator for Merge<'a, I> {
 
     fn next(&mut self) -> Option<Record<'a>> {
         let mut least = self.heads.peek_mut()?;
-        let (record, cursor) = (least.record, least.cursor);
-        match self.cursors[cursor].next() {
+        let record = least.record;
+        match least.rest.next() {
             // Dropping the heap's handle sifts the new head down.
-            Some(next) => *least = Head::new(next, cursor),
+            Some(next) => {
+                least.key = next.key_bytes();
+                least.prefix = prefix(least.key);
+                least.record = next;
+            }
             None => {
                 PeekMut::pop(least);
             }
@@ -715,21 +709,21 @@ impl<'a, I: Iterator<Item = Record<'a>>> Iterator for Merge<'a, I> {
     }
 }
 
-impl PartialEq for Head<'_> {
+impl<I> PartialEq for Head<'_, I> {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == Ordering::Equal
     }
 }
 
-impl Eq for Head<'_> {}
+impl<I> Eq for Head<'_, I> {}
 
-impl PartialOrd for Head<'_> {
+impl<I> PartialOrd for Head<'_, I> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for Head<'_> {
+impl<I> Ord for Head<'_, I> {
     fn cmp(&self, other: &Self) -> Ordering {
         let prefixes = other.prefix.cmp(&self.prefix);
         prefixes.then_with(|| other.key.cmp(self.key))

@@ -6,7 +6,7 @@
 //! do not blur it) and pins what `core::order` promises — one 24-byte
 //! slot per element and nothing else up to eight elements, the hash
 //! index only from the ninth — what a `KvStore` pays per key (the entry
-//! as an image writes it, in pages of up to sixteen records, whatever
+//! as a record, in pages of up to sixteen records, whatever
 //! the value), that a stored value keeps nothing else alive, that a snapshot
 //! is written into one buffer of its size, what a store's change
 //! journal costs: one allocation of the cap, whatever the store holds —
@@ -267,17 +267,34 @@ fn a_one_site_key_is_its_record_in_a_page_of_sixteen_and_at_most_64_bytes() {
     }
 }
 
-/// A checkpoint is the records, copied: the image is summed before it
-/// is written, so it is written into one buffer of its size — not grown
-/// there through a buffer twice as large — by a merge of the shards'
-/// sorted sets, which holds a cursor a shard and no list of the records.
+/// A checkpoint is the records, each key front-coded and each state
+/// copied: the image is summed before it is written, so it is written
+/// into one buffer of its size — not grown there through a buffer twice
+/// as large — by a merge of the shards' sorted sets, which holds a cursor
+/// a shard and no list of the records.
 #[test]
 fn a_snapshot_is_one_buffer_of_its_size_and_a_merge() {
     let store = written(KvStore::with_shards(SiteId::new(1), 16), Some(32));
     LARGEST.with(|largest| largest.set(0));
     let (image, grown) = measure(|| store.encode_snapshot());
     let largest = LARGEST.with(Cell::get);
-    assert_eq!(image.len(), 1 + 2 + KEYS * 47, "site, count, records");
+    // A record: the length of the prefix its key shares with the key
+    // before it (one byte: a key is 8), the rest of the key behind its
+    // one-byte length, then the state — the vector's field (its length,
+    // then one site: count, site, value) 4 B, the tag, and the 32 B
+    // value behind its length.
+    let state = (1 + 3) + 1 + (1 + 32);
+    let mut before = String::new();
+    let records: usize = (0..KEYS)
+        .map(|i| {
+            let key = format!("k{i:07}");
+            let shared = key.bytes().zip(before.bytes()).take_while(|(a, b)| a == b);
+            let rest = key.len() - shared.count();
+            before = key;
+            1 + (1 + rest) + state
+        })
+        .sum();
+    assert_eq!(image.len(), 1 + 2 + records, "site, count, records");
     // The buffer, what `freeze` may add to share it, and the merge's
     // cursor list and heap.
     assert!(grown.allocations <= 4, "{} allocations", grown.allocations);

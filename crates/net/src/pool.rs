@@ -401,17 +401,18 @@ mod tests {
         let magic = wire::HANDSHAKE_MAGIC.len();
         assert_eq!(preamble[..magic], wire::HANDSHAKE_MAGIC);
         assert_eq!(preamble[magic], HANDSHAKE_VERSION);
-        assert_eq!(HANDSHAKE_VERSION, 7);
+        assert_eq!(HANDSHAKE_VERSION, 8);
         let decoded = Handshake::decode(&mut preamble.clone()).expect("decode");
         assert_eq!((decoded.site, decoded.intent), (12, Intent::Peer));
-        // A version-6 end's preamble is refused, naming both versions.
+        // A version-7 end's preamble — shard images with whole keys — is
+        // refused, naming both versions.
         let mut older = preamble.to_vec();
-        older[magic] = 6;
+        older[magic] = 7;
         assert_eq!(
             Handshake::decode(&mut Bytes::from(older)),
             Err(WireError::UnsupportedVersion {
                 ours: HANDSHAKE_VERSION,
-                theirs: 6,
+                theirs: 7,
             })
         );
     }

@@ -38,7 +38,11 @@
 //! ```text
 //! "OPSN" | u8 version | varint covered_seq | varint image_len | image | varint fnv64(covered_seq, image)
 //! image:  varint site | varint n | n × record, in key order   (KvStore::encode_snapshot)
+//! record: varint shared | bytes rest of key | entry           (key front-coded)
 //! ```
+//!
+//! The log and the snapshot carry versions of their own: a snapshot of
+//! version 1 wrote each key whole, and is refused by name, undecoded.
 //!
 //! Neither the log nor the snapshot is ever held whole. An append walks
 //! the commit's entries where they lie — a daemon's, in its store — once
@@ -94,7 +98,8 @@ pub const SNAPSHOT_FILE: &str = "snapshot";
 
 const WAL_MAGIC: [u8; 4] = *b"OPWL";
 const SNAPSHOT_MAGIC: [u8; 4] = *b"OPSN";
-const FORMAT_VERSION: u8 = 1;
+const WAL_VERSION: u8 = 1;
+const SNAPSHOT_VERSION: u8 = 2;
 
 /// What a snapshot or a log is read in, and a snapshot or a log record
 /// written through: the memory a checkpoint, a boot or an append holds
@@ -377,7 +382,7 @@ impl<'a> Iterator for Logged<'a> {
 fn wal_header(site: SiteId) -> Bytes {
     let mut buf = BytesMut::with_capacity(16);
     buf.put_slice(&WAL_MAGIC);
-    buf.put_u8(FORMAT_VERSION);
+    buf.put_u8(WAL_VERSION);
     wire::put_varint(&mut buf, u64::from(site.index()));
     buf.freeze()
 }
@@ -427,7 +432,7 @@ fn write_snapshot_tmp(
     let file = dir.create(&tmp_name(SNAPSHOT_FILE))?;
     let mut head = BytesMut::with_capacity(SNAPSHOT_MAGIC.len() + 1 + 2 * wire::MAX_VARINT_LEN);
     head.put_slice(&SNAPSHOT_MAGIC);
-    head.put_u8(FORMAT_VERSION);
+    head.put_u8(SNAPSHOT_VERSION);
     wire::put_varint(&mut head, covered);
     wire::put_varint(&mut head, len as u64);
     let mut out = BufWriter::with_capacity(CHUNK, file);
@@ -478,9 +483,9 @@ fn decode_snapshot_header(buf: &mut Bytes) -> std::result::Result<(u64, u64), Wi
         return Err(WireError::InvalidPayload);
     }
     let version = buf.get_u8();
-    if version != FORMAT_VERSION {
+    if version != SNAPSHOT_VERSION {
         return Err(WireError::UnsupportedVersion {
-            ours: FORMAT_VERSION,
+            ours: SNAPSHOT_VERSION,
             theirs: version,
         });
     }
@@ -502,9 +507,13 @@ fn read_snapshot(file: impl Read, len: u64) -> Result<(KvStore, u64)> {
         })
     };
     let file_corrupt = |e: ReadError| read_failed("snapshot file", e);
-    let (covered, image_len) = reader
-        .next(header, decode_snapshot_header)
-        .map_err(file_corrupt)?;
+    let (covered, image_len) =
+        (reader.next(header, decode_snapshot_header)).map_err(|e| match e {
+            ReadError::Wire(WireError::UnsupportedVersion { ours, theirs }) => corrupt(format!(
+                "snapshot file format version {theirs} (this build speaks {ours})"
+            )),
+            e => file_corrupt(e),
+        })?;
     // The image and a checksum byte must fit in the file: a short file is
     // refused before any of it is decoded.
     if image_len >= reader.remaining() {
@@ -885,11 +894,11 @@ fn replay_wal(
     if head.len() < header.len() || head[..WAL_MAGIC.len()] != WAL_MAGIC {
         return Err(corrupt("wal header missing or wrong magic"));
     }
-    if head[WAL_MAGIC.len()] != FORMAT_VERSION {
+    if head[WAL_MAGIC.len()] != WAL_VERSION {
         return Err(corrupt(format!(
             "wal format version {} (this build speaks {})",
             head[WAL_MAGIC.len()],
-            FORMAT_VERSION
+            WAL_VERSION
         )));
     }
     if head != header {

@@ -281,6 +281,7 @@ fn a_repeated_site_in_the_log_or_the_checkpoint_refuses_recovery() {
     let mut image = BytesMut::new();
     wire::put_varint(&mut image, u64::from(site.index()));
     wire::put_varint(&mut image, 1);
+    wire::put_varint(&mut image, 0); // the first key shares no prefix
     wire::put_bytes(&mut image, b"k");
     image.put_slice(&forged);
     persist.checkpoint(&image).unwrap();
@@ -322,7 +323,7 @@ fn fsync_policy_parses_every_form() {
 fn encode_snapshot_file(covered_seq: u64, store_image: &[u8]) -> Bytes {
     let mut buf = BytesMut::with_capacity(store_image.len() + 24);
     buf.put_slice(&SNAPSHOT_MAGIC);
-    buf.put_u8(FORMAT_VERSION);
+    buf.put_u8(SNAPSHOT_VERSION);
     wire::put_varint(&mut buf, covered_seq);
     wire::put_bytes(&mut buf, store_image);
     wire::put_varint(&mut buf, fnv64(covered_seq, store_image));
@@ -495,13 +496,18 @@ fn a_checksummed_snapshot_listing_a_key_twice_refuses_recovery() {
     let mut store = KvStore::with_shards(site, 4);
     store.put("a", "1");
     store.put("b", "2");
+    // Each key shares no prefix with the one before it, or all of it.
     let image = |keys: &[&str]| {
         let mut image = BytesMut::new();
         wire::put_varint(&mut image, u64::from(site.index()));
         wire::put_varint(&mut image, keys.len() as u64);
+        let mut before = "";
         for key in keys {
-            wire::put_bytes(&mut image, key.as_bytes());
+            let shared = if *key == before { key.len() } else { 0 };
+            wire::put_varint(&mut image, shared as u64);
+            wire::put_bytes(&mut image, &key.as_bytes()[shared..]);
             image.put_slice(&store.encode_entry(key).unwrap());
+            before = key;
         }
         image.freeze()
     };
@@ -517,6 +523,41 @@ fn a_checksummed_snapshot_listing_a_key_twice_refuses_recovery() {
     .unwrap();
     let (_, booted, _) = Persist::open(&DurabilityConfig::new(&dir), site).unwrap();
     assert_eq!(booted, store);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A checkpoint in the layout before keys were front-coded — snapshot
+/// file version 1, each key whole — is refused by its version, naming
+/// both, whatever its image holds: the header is read before any of the
+/// image. The log keeps version 1: its records copy states, and no key
+/// is front-coded there.
+#[test]
+fn a_version_1_snapshot_is_refused_by_name_undecoded() {
+    let site = SiteId::new(2);
+    let mut store = KvStore::with_shards(site, 4);
+    store.put("a", "1");
+    store.put("ab", "2");
+    let mut whole_keys = BytesMut::new();
+    wire::put_varint(&mut whole_keys, u64::from(site.index()));
+    wire::put_varint(&mut whole_keys, 2);
+    for key in ["a", "ab"] {
+        wire::put_bytes(&mut whole_keys, key.as_bytes());
+        whole_keys.put_slice(&store.encode_entry(key).unwrap());
+    }
+    let dir = tmpdir("version-1");
+    drop(Persist::open(&DurabilityConfig::new(&dir), site).unwrap());
+    let wal = std::fs::read(dir.join(WAL_FILE)).unwrap();
+    assert_eq!(wal[..WAL_MAGIC.len() + 1], *b"OPWL\x01");
+    for image in [&whole_keys[..], &[0xff; 9][..]] {
+        let mut file = encode_snapshot_file(1, image).to_vec();
+        assert_eq!(file[SNAPSHOT_MAGIC.len()], 2);
+        file[SNAPSHOT_MAGIC.len()] = 1;
+        let err = boot_refuses(&dir, site, &file, "a version 1 snapshot");
+        assert!(
+            err.contains("snapshot file format version 1 (this build speaks 2)"),
+            "{err}"
+        );
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -538,11 +579,11 @@ fn a_snapshot_is_read_across_chunk_boundaries_and_a_record_longer_than_a_chunk()
     let (dir, file) = streamed_checkpoint("chunks", &store, 70_000);
     assert!(file.len() > 4 * CHUNK, "{} B", file.len());
 
-    let key_at = (file.windows(6).position(|w| w == b"k0450x")).unwrap();
-    let long = (
-        key_at - 1,
-        key_at + 6 + store.encode_entry("k0450x").unwrap().len(),
-    );
+    // "k0450x" follows "k0450": it shares five bytes and its rest is "x".
+    let entry = store.encode_entry("k0450x").unwrap();
+    let coded = [&[5, 1, b'x'][..], &entry[..8]].concat();
+    let key_at = (file.windows(coded.len()).position(|w| w == coded)).unwrap();
+    let long = (key_at, key_at + 3 + entry.len());
     assert!(long.1 - long.0 > CHUNK);
     let marks = [CHUNK, 2 * CHUNK, 3 * CHUNK, 4 * CHUNK, long.0, long.1];
     for mark in marks {
