@@ -369,9 +369,9 @@ pub const HANDSHAKE_MAGIC: [u8; 4] = *b"OPTR";
 /// its stream ids, `⌊b⌋` and flags implied, leaves out a pushed stream's
 /// `HALT` (its value implies it), and writes a plan's shard lists as
 /// gaps: a v6 end would misread every plan that walks or bulk-loads a
-/// shard. v8 writes each key of a bulk-loaded shard's image as the
-/// length of the prefix it shares with the key before it and the rest:
-/// a v7 end would misread every shard image.
+/// shard. v8 writes each key after the first of a bulk-loaded shard's
+/// image as the length of the prefix it shares with the key before it
+/// and the rest: a v7 end would misread every image of two keys or more.
 pub const HANDSHAKE_VERSION: u8 = 8;
 
 /// What the connecting peer intends to do with the connection: byte 0

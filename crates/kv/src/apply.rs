@@ -463,20 +463,23 @@ mod tests {
         assert_eq!(dst.generation(), before.generation());
     }
 
-    /// A shard image of `records`, in the order given: each key as the
-    /// length of the prefix it shares with the key before it, then the
-    /// rest of it, and then its state.
+    /// A shard image of `records`, in the order given: each key after
+    /// the first as the length of the prefix it shares with the key
+    /// before it, then the rest of it, and then its state.
     fn blob_of(records: &[Record<'_>]) -> Bytes {
         let mut buf = bytes::BytesMut::new();
         wire::put_varint(&mut buf, records.len() as u64);
-        let mut before = "".as_bytes();
+        let mut before: Option<&[u8]> = None;
         for record in records {
             let (key, state) = record.split();
-            let shared = key.iter().zip(before).take_while(|(a, b)| a == b).count();
-            wire::put_varint(&mut buf, shared as u64);
+            let mut shared = 0;
+            if let Some(before) = before {
+                shared = key.iter().zip(before).take_while(|(a, b)| a == b).count();
+                wire::put_varint(&mut buf, shared as u64);
+            }
             wire::put_bytes(&mut buf, &key[shared..]);
             buf.extend_from_slice(state);
-            before = key;
+            before = Some(key);
         }
         buf.freeze()
     }

@@ -223,12 +223,12 @@ impl KvStore {
         let mut runs: Vec<Run> = (0..physical).map(|_| Run::default()).collect();
         // Strictly ascending: each run lists its keys once, in order.
         let mut keys = Ascending::default();
-        for _ in 0..n {
+        for at in 0..n {
             let decode = |entry: &mut &[u8]| {
                 let key = keys.take(entry)?;
                 runs[shard_index(key.as_bytes(), physical)].push(key, entry)
             };
-            reader.next_seen(entry_reach, decode, &mut seen)?;
+            reader.next_seen(|buf| entry_reach(buf, at > 0), decode, &mut seen)?;
         }
         for (shard, run) in store.shards.iter_mut().zip(runs) {
             shard.append(run);
@@ -238,10 +238,9 @@ impl KvStore {
 }
 
 /// The keys of an image, each rebuilt in one reused buffer from the
-/// length of the prefix it shares with the key before it and the rest.
-/// An image lists its keys strictly ascending, each sharing all it can,
-/// so a key has one encoding: any other is refused rather than folded
-/// into whatever the store makes of it.
+/// length of the prefix it shares with the key before it (the first, none)
+/// and the rest. An image lists its keys strictly ascending, each sharing
+/// all it can, so a key has one encoding: any other is refused.
 #[derive(Debug, Default)]
 pub(crate) struct Ascending(Option<Vec<u8>>);
 
@@ -256,9 +255,10 @@ impl Ascending {
     /// not the longest, an empty or descending rest and a rebuilt key
     /// that is not UTF-8.
     pub(crate) fn take(&mut self, entry: &mut &[u8]) -> std::result::Result<&str, WireError> {
-        let shared = usize::try_from(wire::get_varint(entry)?).unwrap_or(usize::MAX);
-        let rest = wire::get_slice(entry)?;
         let first = self.0.is_none();
+        let shared = if first { 0 } else { wire::get_varint(entry)? };
+        let shared = usize::try_from(shared).unwrap_or(usize::MAX);
+        let rest = wire::get_slice(entry)?;
         let key = self.0.get_or_insert_default();
         // The rest starts above the byte it replaces, or extends the key
         // before; only a first key may be empty.
@@ -351,10 +351,11 @@ pub(crate) fn decode_state(buf: &mut Bytes) -> std::result::Result<(Srv, Value),
 }
 
 /// How far the entry at the front of `buf` reaches: the walk a decoder
-/// makes, over length prefixes only.
-fn entry_reach(buf: &[u8]) -> usize {
+/// makes, over length prefixes only. An entry `after` another leads
+/// with the length of the prefix its key shares with that one's.
+fn entry_reach(buf: &[u8], after: bool) -> usize {
     Reach::of(buf, |r| {
-        r.varint()?;
+        after.then(|| r.varint()).transpose()?;
         r.field()?;
         r.field()?;
         if r.byte()? == 1 {
@@ -366,10 +367,9 @@ fn entry_reach(buf: &[u8]) -> usize {
 
 /// A whole store's snapshot as the store it copies: the site, a varint
 /// count, then each record in key order, its key front-coded. It holds
-/// the store and the image's length, summed over a walk of the store's
-/// merge ([`KvStore::sorted`], a cursor a shard) — no list of the
-/// records — and is written where it goes, into one buffer of its exact
-/// size or into a checkpoint's file, by a second walk of that merge.
+/// the store and the image's length, summed over one walk of the store's
+/// merge ([`KvStore::sorted`]), and is written where it goes, into one
+/// buffer of its exact size or into a checkpoint's file, by a second.
 #[derive(Debug)]
 pub struct SnapshotImage<'a> {
     store: &'a KvStore,
@@ -409,14 +409,13 @@ pub(crate) fn shard_image(records: &[Record<'_>]) -> Bytes {
 /// The length of what [`write_records`] writes.
 fn records_len<'a>(count: u64, records: impl Iterator<Item = Record<'a>>) -> usize {
     let coded = front_coded(records).map(|(shared, rest, state)| {
-        wire::varint_len(shared as u64) + wire::bytes_len(rest.len()) + state.len()
+        shared.map_or(0, wire::varint_len) + wire::bytes_len(rest.len()) + state.len()
     });
     wire::varint_len(count) + coded.sum::<usize>()
 }
 
 /// The body of every image, a whole store's and a shard's: a varint
-/// count of the records, then each record's key, front-coded, and its
-/// state bytes.
+/// count of the records, then each record's front-coded key and state.
 fn write_records<'a>(
     out: &mut impl Write,
     count: u64,
@@ -424,7 +423,7 @@ fn write_records<'a>(
 ) -> io::Result<()> {
     wire::write_varint(out, count)?;
     front_coded(records).try_for_each(|(shared, rest, state)| {
-        wire::write_varint(out, shared as u64)?;
+        shared.map_or(Ok(()), |shared| wire::write_varint(out, shared))?;
         wire::write_varint(out, rest.len() as u64)?;
         out.write_all(rest)?;
         out.write_all(state)
@@ -432,17 +431,18 @@ fn write_records<'a>(
 }
 
 /// Each record as an image writes it: the length of the prefix its key
-/// shares with the key before it (0 for the first), the rest of the key,
-/// and the state.
+/// shares with the key before it (none for the first key), the rest of
+/// the key, and the state.
 fn front_coded<'a>(
     records: impl Iterator<Item = Record<'a>>,
-) -> impl Iterator<Item = (usize, &'a [u8], &'a [u8])> {
-    let mut before: &[u8] = &[];
+) -> impl Iterator<Item = (Option<u64>, &'a [u8], &'a [u8])> {
+    let mut before: Option<&[u8]> = None;
     records.map(move |record| {
         let (key, state) = record.split();
-        let shared = key.iter().zip(before).take_while(|(a, b)| a == b).count();
-        before = key;
-        (shared, &key[shared..], state)
+        let shared = before.map_or(0, |p| key.iter().zip(p).take_while(|(a, b)| a == b).count());
+        let lead = before.map(|_| shared as u64);
+        before = Some(key);
+        (lead, &key[shared..], state)
     })
 }
 

@@ -87,15 +87,15 @@ fn hostile_snapshots_are_invalid_payload() {
     let mut a = KvStore::new(s(3));
     a.put("key", "value");
     let honest = a.encode_snapshot().to_vec();
-    // site, count, "key" sharing nothing, the vector, then tag, length,
-    // "value".
-    assert_eq!(honest[2..7], *b"\x00\x03key");
+    // site, count, "key" (the first key: its rest alone), the vector,
+    // then tag, length, "value".
+    assert_eq!(honest[2..6], *b"\x03key");
     let tag = honest.len() - 1 - b"value".len() - 1;
     assert_eq!(honest[tag], 1);
     for (at, byte, what) in [
         (tag, 2, "value tag 2"),
         (tag, 255, "value tag 255"),
-        (5, 0xff, "a key that is not UTF-8"),
+        (4, 0xff, "a key that is not UTF-8"),
     ] {
         let mut image = honest.clone();
         image[at] = byte;
@@ -214,19 +214,22 @@ fn state_image(view: View<'_>, pad: Overlong) -> BytesMut {
 }
 
 /// A shard image of `entries`, or with `site` a whole store's: each key
-/// as the length of the prefix it shares with the key listed before it,
-/// then the rest of it.
+/// after the first as the length of the prefix it shares with the key
+/// listed before it, then the rest of it.
 fn image_as(site: Option<SiteId>, entries: &[(&str, View<'_>)], pad: Overlong) -> Bytes {
     let mut buf = BytesMut::new();
     if let Some(site) = site {
         wire::put_varint(&mut buf, u64::from(site.index()));
     }
     wire::put_varint(&mut buf, entries.len() as u64);
-    let mut before = "".as_bytes();
+    let mut before: Option<&[u8]> = None;
     for (key, view) in entries {
         let key = key.as_bytes();
-        let shared = key.iter().zip(before).take_while(|(a, b)| a == b).count();
-        put_varint_as(&mut buf, shared as u64, pad == Overlong::Shared);
+        let mut shared = 0;
+        if let Some(before) = before {
+            shared = key.iter().zip(before).take_while(|(a, b)| a == b).count();
+            put_varint_as(&mut buf, shared as u64, pad == Overlong::Shared);
+        }
         put_varint_as(
             &mut buf,
             (key.len() - shared) as u64,
@@ -234,7 +237,7 @@ fn image_as(site: Option<SiteId>, entries: &[(&str, View<'_>)], pad: Overlong) -
         );
         buf.extend_from_slice(&key[shared..]);
         buf.extend_from_slice(&state_image(*view, pad));
-        before = key;
+        before = Some(key);
     }
     buf.freeze()
 }
@@ -446,8 +449,10 @@ fn assert_vector_refused_by_every_decoder(meta: &[u8]) {
     let mut entry = entry_image(meta).freeze();
     assert_eq!(store.apply_encoded_entry("x", &mut entry), refused);
     assert_eq!(store, before);
+    assert_eq!(store.generation(), before.generation());
+    assert_eq!(store.replica_digest(), store.replica_digest_full());
 
-    let body = keyed_body(&[(0, b"x")], &entry_image(meta));
+    let body = keyed_body(b"x", &[], &entry_image(meta));
     assert_refused_by_every_decoder(&body, WireError::InvalidPayload);
 }
 
@@ -470,13 +475,18 @@ fn a_byte_left_in_the_vector_field_is_refused_by_every_decoder() {
     assert_vector_refused_by_every_decoder(&[1, 0, 4, 0x7f]);
 }
 
-/// An image's count and entries: each key given as the length of the
-/// prefix it claims to share with the key before it and the rest of it,
-/// each followed by `state`.
-fn keyed_body(keys: &[(u64, &[u8])], state: &[u8]) -> Vec<u8> {
+/// A key after an image's first: the length of the prefix it claims to
+/// share with the key before it, and the rest of it.
+type After<'a> = (u64, &'a [u8]);
+
+/// An image's count and entries: `first`, then each key `after` it, each
+/// key followed by `state`.
+fn keyed_body(first: &[u8], after: &[After<'_>], state: &[u8]) -> Vec<u8> {
     let mut body = BytesMut::new();
-    wire::put_varint(&mut body, keys.len() as u64);
-    for (shared, rest) in keys {
+    wire::put_varint(&mut body, 1 + after.len() as u64);
+    wire::put_bytes(&mut body, first);
+    body.extend_from_slice(state);
+    for (shared, rest) in after {
         wire::put_varint(&mut body, *shared);
         wire::put_bytes(&mut body, rest);
         body.extend_from_slice(state);
@@ -484,11 +494,12 @@ fn keyed_body(keys: &[(u64, &[u8])], state: &[u8]) -> Vec<u8> {
     body.to_vec()
 }
 
-/// Each key has one encoding, the one the writer writes — the longest
-/// prefix shared, then a rest that starts above the byte it replaces —
-/// and both image decoders refuse every other with `InvalidPayload`,
-/// and what does not rebuild to UTF-8. A shared prefix may split a
-/// character: `к` and `л` share their first byte.
+/// Each key has one encoding, the one the writer writes — the first key
+/// whole, then each sharing the longest prefix it can, its rest starting
+/// above the byte it replaces — and both image decoders refuse every
+/// other with `InvalidPayload`, and what does not rebuild to UTF-8. A
+/// shared prefix may split a character: `к` and `л` share their first
+/// byte.
 #[test]
 fn a_key_encoded_any_way_but_the_writers_is_refused() {
     let mut store = KvStore::with_shards(s(0), 1);
@@ -496,8 +507,7 @@ fn a_key_encoded_any_way_but_the_writers_is_refused() {
         store.put(key, "v");
     }
     let state = store.encode_entry("a").unwrap();
-    let honest: [(u64, &[u8]); 7] = [
-        (0, b""),
+    let after: [After<'_>; 6] = [
         (0, b"a"),
         (1, b"b"),
         (2, b"d"),
@@ -511,8 +521,12 @@ fn a_key_encoded_any_way_but_the_writers_is_refused() {
         .collect();
     let mut written = BytesMut::new();
     wire::put_varint(&mut written, 7);
-    for ((shared, rest), state) in honest.iter().zip(&states) {
-        written.extend_from_slice(&keyed_body(&[(*shared, rest)], state)[1..]);
+    wire::put_bytes(&mut written, b"");
+    written.extend_from_slice(&states[0]);
+    for ((shared, rest), state) in after.iter().zip(&states[1..]) {
+        wire::put_varint(&mut written, *shared);
+        wire::put_bytes(&mut written, rest);
+        written.extend_from_slice(state);
     }
     assert_eq!(image, written, "the writer's encoding");
     let mut checkpoint = BytesMut::new();
@@ -526,27 +540,25 @@ fn a_key_encoded_any_way_but_the_writers_is_refused() {
     );
 
     let invalid = WireError::InvalidPayload;
-    for (what, keys) in [
-        ("a first key claiming a prefix", &[(1, &b"a"[..])][..]),
-        (
-            "a shared length past the key before",
-            &[(0, b"a"), (2, b"b")],
-        ),
-        ("a shared prefix left out", &[(0, b"ab"), (0, b"ac")]),
-        ("a shared prefix cut short", &[(0, b"abc"), (1, b"bd")]),
-        ("an empty rest: a repeat", &[(0, b"a"), (1, b"")]),
-        ("an empty rest: a prefix", &[(0, b"ab"), (1, b"")]),
-        ("a descending rest", &[(0, b"b"), (0, b"a")]),
-        ("a descending rest after a prefix", &[(0, b"ac"), (1, b"b")]),
-        ("an empty key after the first", &[(0, b"a"), (0, b"")]),
-        ("a first key not UTF-8", &[(0, b"\xff")]),
-        ("a rest not UTF-8", &[(0, b"a"), (1, b"\xff")]),
+    let refused: [(&str, &[u8], &[After<'_>]); 11] = [
+        ("a shared length past the key before", b"a", &[(2, b"b")]),
+        ("a shared prefix left out", b"ab", &[(0, b"ac")]),
+        ("a shared prefix cut short", b"abc", &[(1, b"bd")]),
+        ("an empty rest: a repeat", b"a", &[(1, b"")]),
+        ("an empty rest: a prefix", b"ab", &[(1, b"")]),
+        ("a descending rest", b"b", &[(0, b"a")]),
+        ("a descending rest after a prefix", b"ac", &[(1, b"b")]),
+        ("an empty key after the first", b"a", &[(0, b"")]),
+        ("a first key not UTF-8", b"\xff", &[]),
+        ("a rest not UTF-8", b"a", &[(1, b"\xff")]),
         (
             "a split character rebuilt wrong",
-            &[(0, "к".as_bytes()), (1, b"\xff")],
+            "к".as_bytes(),
+            &[(1, b"\xff")],
         ),
-    ] {
-        let body = keyed_body(keys, &state);
+    ];
+    for (what, first, after) in refused {
+        let body = keyed_body(first, after, &state);
         let mut image = BytesMut::new();
         wire::put_varint(&mut image, 1);
         image.extend_from_slice(&body);
@@ -554,16 +566,15 @@ fn a_key_encoded_any_way_but_the_writers_is_refused() {
         assert_refused_by_every_decoder(&body, invalid);
     }
     // The split character rebuilt right, and an empty first key: read.
-    for keys in [
-        &[(0, "к".as_bytes()), (1, &"л".as_bytes()[1..])][..],
-        &[(0, b"")],
-    ] {
+    let read: [(&[u8], &[After<'_>]); 2] =
+        [("к".as_bytes(), &[(1, &"л".as_bytes()[1..])]), (b"", &[])];
+    for (first, after) in read {
         let mut image = BytesMut::new();
         wire::put_varint(&mut image, 1);
-        image.extend_from_slice(&keyed_body(keys, &state));
+        image.extend_from_slice(&keyed_body(first, after, &state));
         assert_eq!(
             KvStore::decode_snapshot(&mut image.freeze()).map(|s| s.len()),
-            Ok(keys.len())
+            Ok(1 + after.len())
         );
     }
 }
@@ -739,7 +750,10 @@ fn boot_by_the_oracle(image: &[u8]) -> Result<(KvStore, usize), WireError> {
     let mut store = KvStore::with_shards(site, 16);
     let mut before: Option<Vec<u8>> = None;
     for _ in 0..n {
-        let shared = wire::get_varint(&mut buf)? as usize;
+        let shared = match before {
+            Some(_) => wire::get_varint(&mut buf)? as usize,
+            None => 0,
+        };
         let rest = wire::get_bytes(&mut buf)?;
         let last = before.as_deref().unwrap_or_default();
         let prefix = last.get(..shared).ok_or(WireError::InvalidPayload)?;
@@ -816,7 +830,7 @@ fn a_chunked_read_decodes_what_one_chunk_decodes() {
 
 /// How far an entry reaches is where its decoder stops: exactly its
 /// length once it is whole, and past the end of any strict prefix — the
-/// shared length in front of the key included.
+/// shared length in front of a key after the first included.
 #[test]
 fn an_entry_reaches_where_its_decoder_stops() {
     let mut store = KvStore::with_shards(s(1), 1);
@@ -830,15 +844,19 @@ fn an_entry_reaches_where_its_decoder_stops() {
     let mut keys = Ascending::default();
     let mut shared = Vec::new();
     while !rest.is_empty() {
-        let entry = rest;
+        // Past the count's one byte, every entry follows another.
+        let (entry, after) = (rest, rest.len() < image.len() - 1);
         keys.take(&mut rest).unwrap();
         crate::record::State::take(&mut rest).unwrap();
         let len = entry.len() - rest.len();
-        shared.push(entry[0]);
-        assert_eq!(entry_reach(entry), len);
+        if after {
+            shared.push(wire::get_varint(&mut &entry[..]).unwrap());
+        }
+        assert_eq!(entry_reach(entry, after), len);
         for cut in 0..len {
-            assert!(entry_reach(&entry[..cut]) > cut, "cut {cut} of {len}");
+            let reach = entry_reach(&entry[..cut], after);
+            assert!(reach > cut, "cut {cut} of {len}");
         }
     }
-    assert_eq!(shared, [0, 0, 0, 200], "the first key and each after it");
+    assert_eq!(shared, [0, 0, 200], "each key after the first");
 }

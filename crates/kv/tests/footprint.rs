@@ -278,25 +278,30 @@ fn a_snapshot_is_one_buffer_of_its_size_and_a_merge() {
     LARGEST.with(|largest| largest.set(0));
     let (image, grown) = measure(|| store.encode_snapshot());
     let largest = LARGEST.with(Cell::get);
-    // A record: the length of the prefix its key shares with the key
-    // before it (one byte: a key is 8), the rest of the key behind its
-    // one-byte length, then the state — the vector's field (its length,
-    // then one site: count, site, value) 4 B, the tag, and the 32 B
-    // value behind its length.
+    // A record: after the first, the length of the prefix its key shares
+    // with the key before it (one byte: a key is 8); the rest of the key
+    // behind its one-byte length; then the state — the vector's field
+    // (its length, then one site: count, site, value) 4 B, the tag, and
+    // the 32 B value behind its length.
     let state = (1 + 3) + 1 + (1 + 32);
-    let mut before = String::new();
+    let mut before: Option<String> = None;
     let records: usize = (0..KEYS)
         .map(|i| {
             let key = format!("k{i:07}");
-            let shared = key.bytes().zip(before.bytes()).take_while(|(a, b)| a == b);
-            let rest = key.len() - shared.count();
-            before = key;
-            1 + (1 + rest) + state
+            let (lead, rest) = match &before {
+                Some(before) => {
+                    let shared = key.bytes().zip(before.bytes()).take_while(|(a, b)| a == b);
+                    (1, key.len() - shared.count())
+                }
+                None => (0, key.len()),
+            };
+            before = Some(key);
+            lead + (1 + rest) + state
         })
         .sum();
     assert_eq!(image.len(), 1 + 2 + records, "site, count, records");
-    // The buffer, what `freeze` may add to share it, and the merge's
-    // cursor list and heap.
+    // The buffer, what `freeze` may add to share it, and the heap of each
+    // of the image's two merges: one sums its length, one writes it.
     assert!(grown.allocations <= 4, "{} allocations", grown.allocations);
     assert!(
         largest <= image.len(),

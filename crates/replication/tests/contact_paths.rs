@@ -904,8 +904,8 @@ fn planned_wire_transcript_is_pinned_and_priced_by_the_old_arithmetic() {
     assert_eq!(report.digest_bytes, oracle);
     // 2604 while a shard image wrote each key whole: every key of the
     // bulk-loaded shard but its first shares `key-` and more with the
-    // key before it, and the image is 105 B shorter front-coded.
-    assert_eq!(report.digest_bytes, 2499);
+    // key before it, and the image is 106 B shorter front-coded.
+    assert_eq!(report.digest_bytes, 2498);
     assert_eq!(report.shards_total, plan.count);
     assert_eq!(report.shards_skipped, plan.skipped());
     assert_eq!(report.shards_incremental, plan.incremental.len() as u64);

@@ -38,7 +38,7 @@
 //! ```text
 //! "OPSN" | u8 version | varint covered_seq | varint image_len | image | varint fnv64(covered_seq, image)
 //! image:  varint site | varint n | n × record, in key order   (KvStore::encode_snapshot)
-//! record: varint shared | bytes rest of key | entry           (key front-coded)
+//! record: varint shared | bytes rest of key | entry           (no shared on the first)
 //! ```
 //!
 //! The log and the snapshot carry versions of their own: a snapshot of

@@ -281,7 +281,6 @@ fn a_repeated_site_in_the_log_or_the_checkpoint_refuses_recovery() {
     let mut image = BytesMut::new();
     wire::put_varint(&mut image, u64::from(site.index()));
     wire::put_varint(&mut image, 1);
-    wire::put_varint(&mut image, 0); // the first key shares no prefix
     wire::put_bytes(&mut image, b"k");
     image.put_slice(&forged);
     persist.checkpoint(&image).unwrap();
@@ -496,18 +495,22 @@ fn a_checksummed_snapshot_listing_a_key_twice_refuses_recovery() {
     let mut store = KvStore::with_shards(site, 4);
     store.put("a", "1");
     store.put("b", "2");
-    // Each key shares no prefix with the one before it, or all of it.
+    // Each key after the first shares no prefix with the one before
+    // it, or all of it.
     let image = |keys: &[&str]| {
         let mut image = BytesMut::new();
         wire::put_varint(&mut image, u64::from(site.index()));
         wire::put_varint(&mut image, keys.len() as u64);
-        let mut before = "";
+        let mut before = None;
         for key in keys {
-            let shared = if *key == before { key.len() } else { 0 };
-            wire::put_varint(&mut image, shared as u64);
+            let mut shared = 0;
+            if let Some(before) = before {
+                shared = if *key == before { key.len() } else { 0 };
+                wire::put_varint(&mut image, shared as u64);
+            }
             wire::put_bytes(&mut image, &key.as_bytes()[shared..]);
             image.put_slice(&store.encode_entry(key).unwrap());
-            before = key;
+            before = Some(*key);
         }
         image.freeze()
     };

@@ -479,7 +479,6 @@ fn a_plan_blob_naming_a_site_twice_crosses_the_codec_and_is_refused_at_apply() {
     meta[3] = meta[1]; // [2, 5, 4, 3, 4] → the second site is the first
     let mut blob = bytes::BytesMut::new();
     wire::put_varint(&mut blob, 1);
-    wire::put_varint(&mut blob, 0); // the first key shares no prefix
     wire::put_bytes(&mut blob, b"x");
     wire::put_bytes(&mut blob, &meta);
     blob.extend_from_slice(&[1]);
