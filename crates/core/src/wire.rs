@@ -372,7 +372,10 @@ pub const HANDSHAKE_MAGIC: [u8; 4] = *b"OPTR";
 /// shard. v8 writes each key after the first of a bulk-loaded shard's
 /// image as the length of the prefix it shares with the key before it
 /// and the rest: a v7 end would misread every image of two keys or more.
-pub const HANDSHAKE_VERSION: u8 = 8;
+/// v9 writes a record's vector in such an image as an empty field where
+/// it is the vector of the record before: a v8 end would refuse nearly
+/// every image of two keys or more.
+pub const HANDSHAKE_VERSION: u8 = 9;
 
 /// What the connecting peer intends to do with the connection: byte 0
 /// or 2 of the preamble. Byte 1 named a one-shot pull no build sends

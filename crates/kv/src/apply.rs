@@ -1,8 +1,8 @@
 //! The one commit path: a finished contact's outcomes and a plan's
 //! snapshot blobs, staged whole and then applied.
 
-use crate::codec::{decode_value, Ascending};
-use crate::record::{entry_hash, Record, State};
+use crate::codec::{decode_value, ImageEntries};
+use crate::record::{entry_hash, Record};
 use crate::shard::{shard_index, Run};
 use crate::{KvStore, KvSyncReport, Resolver, Value};
 use bytes::Bytes;
@@ -229,14 +229,14 @@ impl KvStore {
             let mut buf = &blob[..];
             let mut stage = || {
                 let n = wire::get_varint(&mut buf)?;
-                let mut keys = Ascending::default();
+                let mut entries = ImageEntries::default();
                 for _ in 0..n {
-                    let key = keys.take(&mut buf)?;
+                    let (key, state) = entries.take(&mut buf)?;
                     let bytes = key.as_bytes();
                     if self.record(bytes).is_none() {
-                        runs[shard_index(bytes, physical)].push(key, &mut buf)?;
+                        runs[shard_index(bytes, physical)].push(key, state)?;
                     } else {
-                        Record::write_state(&mut refused, key, State::take(&mut buf)?)?;
+                        Record::write_state(&mut refused, key, state)?;
                         refused.clear();
                     }
                     // The shard-map invariant: every key must hash into
@@ -465,21 +465,28 @@ mod tests {
 
     /// A shard image of `records`, in the order given: each key after
     /// the first as the length of the prefix it shares with the key
-    /// before it, then the rest of it, and then its state.
+    /// before it, then the rest of it; then its vector, an empty field
+    /// where it is the vector before, and its tagged value.
     fn blob_of(records: &[Record<'_>]) -> Bytes {
         let mut buf = bytes::BytesMut::new();
         wire::put_varint(&mut buf, records.len() as u64);
-        let mut before: Option<&[u8]> = None;
+        let mut before: Option<(&[u8], &[u8])> = None;
         for record in records {
-            let (key, state) = record.split();
+            let (key, state, vector) = record.fields();
+            let value = &state[wire::varint_len(vector.len() as u64) + vector.len()..];
             let mut shared = 0;
-            if let Some(before) = before {
-                shared = key.iter().zip(before).take_while(|(a, b)| a == b).count();
+            let mut written = vector;
+            if let Some((last, last_vector)) = before {
+                shared = key.iter().zip(last).take_while(|(a, b)| a == b).count();
                 wire::put_varint(&mut buf, shared as u64);
+                if vector == last_vector {
+                    written = &[];
+                }
             }
             wire::put_bytes(&mut buf, &key[shared..]);
-            buf.extend_from_slice(state);
-            before = Some(key);
+            wire::put_bytes(&mut buf, written);
+            buf.extend_from_slice(value);
+            before = Some((key, vector));
         }
         buf.freeze()
     }

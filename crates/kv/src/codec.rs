@@ -1,8 +1,10 @@
 //! What a store writes and reads back: whole-store snapshots, shard
 //! images, log records and values in flight — an image written where it
-//! goes, keys front-coded, and read back through one chunked reader.
+//! goes, its keys front-coded and a record's vector written only where
+//! it is not the vector of the record before, and read back through one
+//! chunked reader and one entry reader.
 
-use crate::record::Record;
+use crate::record::{recode_vector, Record, State};
 use crate::shard::{shard_index, Run};
 use crate::{env_shards, KvStore, Value};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -16,7 +18,8 @@ use std::io::{self, Read, Write};
 impl KvStore {
     /// Encodes one plan shard's whole image at plan-shard count
     /// `count`: a varint entry count followed by each entry's
-    /// front-coded key, metadata snapshot, and tagged value (the layout of
+    /// front-coded key, metadata snapshot (an empty field where it is the
+    /// entry before's), and tagged value (the layout of
     /// [`encode_snapshot`](Self::encode_snapshot), without the site
     /// header — shard snapshots cross sites, so they carry no site id).
     pub fn encode_shard_snapshot(&self, shard: u64, count: usize) -> Bytes {
@@ -126,7 +129,8 @@ impl KvStore {
         for (key, mut state) in entries.clone() {
             let key = std::str::from_utf8(key).map_err(|_| WireError::InvalidPayload)?;
             let shard = shard_index(key.as_bytes(), physical);
-            runs.of(shard, physical).push(key, &mut state)?;
+            runs.of(shard, physical)
+                .push(key, State::take(&mut state)?)?;
             if !state.is_empty() {
                 return Err(WireError::InvalidPayload);
             }
@@ -222,11 +226,11 @@ impl KvStore {
         let physical = store.shards.len();
         let mut runs: Vec<Run> = (0..physical).map(|_| Run::default()).collect();
         // Strictly ascending: each run lists its keys once, in order.
-        let mut keys = Ascending::default();
+        let mut entries = ImageEntries::default();
         for at in 0..n {
             let decode = |entry: &mut &[u8]| {
-                let key = keys.take(entry)?;
-                runs[shard_index(key.as_bytes(), physical)].push(key, entry)
+                let (key, state) = entries.take(entry)?;
+                runs[shard_index(key.as_bytes(), physical)].push(key, state)
             };
             reader.next_seen(|buf| entry_reach(buf, at > 0), decode, &mut seen)?;
         }
@@ -237,12 +241,63 @@ impl KvStore {
     }
 }
 
+/// The entries of an image, each read against the entry before it: the
+/// one reader of a boot's image and of a join's shard images. An entry's
+/// key is rebuilt by [`Ascending`]; its vector, where the field is empty,
+/// is the vector of the entry before, copied, and is otherwise re-encoded
+/// once, here, and kept for the entry after. Either way the state it
+/// hands on holds the vector as a record holds it, to be copied. A
+/// vector has one encoding in an image, the writer's: written out on the
+/// first entry and wherever it differs from the vector before, empty
+/// wherever it does not.
+#[derive(Debug, Default)]
+pub(crate) struct ImageEntries {
+    keys: Ascending,
+    /// The vector of the entry before, as a record holds it: empty
+    /// before the first entry (no vector snapshot is empty).
+    vector: Vec<u8>,
+    /// Where an entry's own vector is re-encoded.
+    recoded: Vec<u8>,
+}
+
+impl ImageEntries {
+    /// Takes the entry at the front of `entry` off it: its key, rebuilt,
+    /// and its state, its vector canonical.
+    ///
+    /// # Errors
+    ///
+    /// [`Ascending::take`]'s; then [`WireError::InvalidPayload`] for an
+    /// empty vector field on the first entry, the vector decoder's and
+    /// [`recode_vector`]'s, and [`WireError::InvalidPayload`] for a vector
+    /// written out that is the vector before. The value's, as
+    /// [`Record::write_state`] meets them.
+    pub(crate) fn take<'s, 'e: 's>(
+        &'s mut self,
+        entry: &mut &'e [u8],
+    ) -> std::result::Result<(&'s str, State<'s>), WireError> {
+        let key = self.keys.take(entry)?;
+        match wire::get_slice(entry)? {
+            [] if self.vector.is_empty() => return Err(WireError::InvalidPayload),
+            [] => {}
+            meta => {
+                self.recoded.clear();
+                recode_vector(&mut self.recoded, meta)?;
+                if self.recoded == self.vector {
+                    return Err(WireError::InvalidPayload);
+                }
+                std::mem::swap(&mut self.recoded, &mut self.vector);
+            }
+        }
+        Ok((key, State::canonical(&self.vector, entry)))
+    }
+}
+
 /// The keys of an image, each rebuilt in one reused buffer from the
 /// length of the prefix it shares with the key before it (the first, none)
 /// and the rest. An image lists its keys strictly ascending, each sharing
 /// all it can, so a key has one encoding: any other is refused.
 #[derive(Debug, Default)]
-pub(crate) struct Ascending(Option<Vec<u8>>);
+struct Ascending(Option<Vec<u8>>);
 
 impl Ascending {
     /// Takes the key at the front of `entry` off it, rebuilt, if it
@@ -254,7 +309,7 @@ impl Ascending {
     /// on a shared length past the key before, a shared prefix that is
     /// not the longest, an empty or descending rest and a rebuilt key
     /// that is not UTF-8.
-    pub(crate) fn take(&mut self, entry: &mut &[u8]) -> std::result::Result<&str, WireError> {
+    fn take(&mut self, entry: &mut &[u8]) -> std::result::Result<&str, WireError> {
         let first = self.0.is_none();
         let shared = if first { 0 } else { wire::get_varint(entry)? };
         let shared = usize::try_from(shared).unwrap_or(usize::MAX);
@@ -366,7 +421,8 @@ fn entry_reach(buf: &[u8], after: bool) -> usize {
 }
 
 /// A whole store's snapshot as the store it copies: the site, a varint
-/// count, then each record in key order, its key front-coded. It holds
+/// count, then each record in key order, its key front-coded and its
+/// vector an empty field where it is the record before's. It holds
 /// the store and the image's length, summed over one walk of the store's
 /// merge ([`KvStore::sorted`]), and is written where it goes, into one
 /// buffer of its exact size or into a checkpoint's file, by a second.
@@ -408,41 +464,81 @@ pub(crate) fn shard_image(records: &[Record<'_>]) -> Bytes {
 
 /// The length of what [`write_records`] writes.
 fn records_len<'a>(count: u64, records: impl Iterator<Item = Record<'a>>) -> usize {
-    let coded = front_coded(records).map(|(shared, rest, state)| {
-        shared.map_or(0, wire::varint_len) + wire::bytes_len(rest.len()) + state.len()
-    });
-    wire::varint_len(count) + coded.sum::<usize>()
+    wire::varint_len(count) + coded(records).map(|entry| entry.len()).sum::<usize>()
 }
 
 /// The body of every image, a whole store's and a shard's: a varint
-/// count of the records, then each record's front-coded key and state.
+/// count of the records, then each record as [`Coded`] writes it.
 fn write_records<'a>(
     out: &mut impl Write,
     count: u64,
     records: impl Iterator<Item = Record<'a>>,
 ) -> io::Result<()> {
     wire::write_varint(out, count)?;
-    front_coded(records).try_for_each(|(shared, rest, state)| {
-        shared.map_or(Ok(()), |shared| wire::write_varint(out, shared))?;
-        wire::write_varint(out, rest.len() as u64)?;
-        out.write_all(rest)?;
-        out.write_all(state)
-    })
+    coded(records).try_for_each(|entry| entry.write_to(out))
 }
 
-/// Each record as an image writes it: the length of the prefix its key
-/// shares with the key before it (none for the first key), the rest of
-/// the key, and the state.
-fn front_coded<'a>(
-    records: impl Iterator<Item = Record<'a>>,
-) -> impl Iterator<Item = (Option<u64>, &'a [u8], &'a [u8])> {
-    let mut before: Option<&[u8]> = None;
+/// A record as an image writes it, against the record before it.
+struct Coded<'a> {
+    /// The length of the prefix its key shares with the key before it;
+    /// none for the first key, written whole.
+    shared: Option<u64>,
+    /// The key past that prefix.
+    rest: &'a [u8],
+    /// Whether its vector is the record before's: the vector's field is
+    /// then written empty.
+    repeats: bool,
+    /// The state the record holds, or where the vector repeats, what
+    /// follows the vector's field in it: the tag and the value.
+    state: &'a [u8],
+}
+
+impl Coded<'_> {
+    fn len(&self) -> usize {
+        self.shared.map_or(0, wire::varint_len)
+            + wire::bytes_len(self.rest.len())
+            + usize::from(self.repeats)
+            + self.state.len()
+    }
+
+    fn write_to(&self, out: &mut impl Write) -> io::Result<()> {
+        self.shared
+            .map_or(Ok(()), |shared| wire::write_varint(out, shared))?;
+        wire::write_varint(out, self.rest.len() as u64)?;
+        out.write_all(self.rest)?;
+        if self.repeats {
+            out.write_all(&[0])?;
+        }
+        out.write_all(self.state)
+    }
+}
+
+/// Each record as an image writes it: its key front-coded against the
+/// key before it, its vector left out where it is the vector before.
+fn coded<'a>(records: impl Iterator<Item = Record<'a>>) -> impl Iterator<Item = Coded<'a>> {
+    let mut before: Option<(&[u8], &[u8])> = None;
     records.map(move |record| {
-        let (key, state) = record.split();
-        let shared = before.map_or(0, |p| key.iter().zip(p).take_while(|(a, b)| a == b).count());
-        let lead = before.map(|_| shared as u64);
-        before = Some(key);
-        (lead, &key[shared..], state)
+        let (key, state, vector) = record.fields();
+        let (shared, repeats) = match before {
+            None => (None, false),
+            Some((last, last_vector)) => {
+                let shared = key.iter().zip(last).take_while(|(a, b)| a == b).count();
+                (Some(shared), vector == last_vector)
+            }
+        };
+        before = Some((key, vector));
+        // A stored record's length prefixes are minimal.
+        let past_vector = wire::varint_len(vector.len() as u64) + vector.len();
+        Coded {
+            shared: shared.map(|shared| shared as u64),
+            rest: &key[shared.unwrap_or(0)..],
+            repeats,
+            state: if repeats {
+                &state[past_vector..]
+            } else {
+                state
+            },
+        }
     })
 }
 

@@ -7,6 +7,9 @@ use optrep_core::{RotatingVector, SiteId};
 use optrep_replication::mux::run_contact;
 use optrep_replication::planner::{PlanConfig, ShardPlan};
 
+mod oracle;
+use oracle::boot_by_the_oracle;
+
 #[test]
 fn snapshot_roundtrip() {
     let mut a = KvStore::new(s(0));
@@ -213,22 +216,40 @@ fn state_image(view: View<'_>, pad: Overlong) -> BytesMut {
     buf
 }
 
+/// What follows the vector field of `state`, an entry's state as a log
+/// record carries it: the tag and the value.
+fn tagged_value(state: &[u8]) -> &[u8] {
+    let mut value = state;
+    wire::get_slice(&mut value).unwrap();
+    value
+}
+
+/// `state` as an image writes it where its vector is the vector before:
+/// the vector field empty.
+fn repeated(state: &[u8]) -> Vec<u8> {
+    [&[0][..], tagged_value(state)].concat()
+}
+
 /// A shard image of `entries`, or with `site` a whole store's: each key
 /// after the first as the length of the prefix it shares with the key
-/// listed before it, then the rest of it.
+/// listed before it, then the rest of it; each vector that is the one
+/// listed before it as an empty field.
 fn image_as(site: Option<SiteId>, entries: &[(&str, View<'_>)], pad: Overlong) -> Bytes {
     let mut buf = BytesMut::new();
     if let Some(site) = site {
         wire::put_varint(&mut buf, u64::from(site.index()));
     }
     wire::put_varint(&mut buf, entries.len() as u64);
-    let mut before: Option<&[u8]> = None;
+    let mut before: Option<(&[u8], &[u8])> = None;
     for (key, view) in entries {
         let key = key.as_bytes();
         let mut shared = 0;
-        if let Some(before) = before {
-            shared = key.iter().zip(before).take_while(|(a, b)| a == b).count();
+        let state = state_image(*view, pad);
+        let mut repeats = false;
+        if let Some((last, last_vector)) = before {
+            shared = key.iter().zip(last).take_while(|(a, b)| a == b).count();
             put_varint_as(&mut buf, shared as u64, pad == Overlong::Shared);
+            repeats = view.meta == last_vector;
         }
         put_varint_as(
             &mut buf,
@@ -236,8 +257,14 @@ fn image_as(site: Option<SiteId>, entries: &[(&str, View<'_>)], pad: Overlong) -
             pad == Overlong::KeyLen,
         );
         buf.extend_from_slice(&key[shared..]);
-        buf.extend_from_slice(&state_image(*view, pad));
-        before = Some(key);
+        match repeats {
+            true => {
+                put_varint_as(&mut buf, 0, pad == Overlong::VectorLen);
+                buf.extend_from_slice(tagged_value(&state));
+            }
+            false => buf.extend_from_slice(&state),
+        }
+        before = Some((key, view.meta));
     }
     buf.freeze()
 }
@@ -480,7 +507,7 @@ fn a_byte_left_in_the_vector_field_is_refused_by_every_decoder() {
 type After<'a> = (u64, &'a [u8]);
 
 /// An image's count and entries: `first`, then each key `after` it, each
-/// key followed by `state`.
+/// key holding `state` — the first written out, the rest repeating it.
 fn keyed_body(first: &[u8], after: &[After<'_>], state: &[u8]) -> Vec<u8> {
     let mut body = BytesMut::new();
     wire::put_varint(&mut body, 1 + after.len() as u64);
@@ -489,7 +516,7 @@ fn keyed_body(first: &[u8], after: &[After<'_>], state: &[u8]) -> Vec<u8> {
     for (shared, rest) in after {
         wire::put_varint(&mut body, *shared);
         wire::put_bytes(&mut body, rest);
-        body.extend_from_slice(state);
+        body.extend_from_slice(&repeated(state));
     }
     body.to_vec()
 }
@@ -526,8 +553,9 @@ fn a_key_encoded_any_way_but_the_writers_is_refused() {
     for ((shared, rest), state) in after.iter().zip(&states[1..]) {
         wire::put_varint(&mut written, *shared);
         wire::put_bytes(&mut written, rest);
-        written.extend_from_slice(state);
+        written.extend_from_slice(&repeated(state));
     }
+    assert!(states.iter().all(|state| *state == states[0]));
     assert_eq!(image, written, "the writer's encoding");
     let mut checkpoint = BytesMut::new();
     wire::put_varint(&mut checkpoint, 0);
@@ -579,9 +607,107 @@ fn a_key_encoded_any_way_but_the_writers_is_refused() {
     }
 }
 
+/// A vector has one encoding in an image, the writer's — written out on
+/// the first entry and wherever it is not the vector before, an empty
+/// field wherever it is — and both image decoders refuse every other with
+/// `InvalidPayload`, as the oracle does: an empty field on the first
+/// entry, and a vector written out that re-encodes to the vector before,
+/// its varints overlong or not. A log record's entries follow no vector:
+/// an empty field there is refused as cut short, alone or behind an
+/// entry, and leaves the store as it was.
+#[test]
+fn a_vector_encoded_any_way_but_the_writers_is_refused() {
+    let mut store = KvStore::with_shards(s(0), 1);
+    for key in ["a", "b", "c", "d"] {
+        store.put(key, "v");
+    }
+    store.put("c", "w");
+    let states = ["a", "b", "c", "d"].map(|key| store.encode_entry(key).unwrap());
+    let mut written = BytesMut::new();
+    wire::put_varint(&mut written, 4);
+    wire::put_bytes(&mut written, b"a");
+    written.extend_from_slice(&states[0]);
+    for (key, state) in [(b"b", repeated(&states[1])), (b"c", states[2].to_vec())] {
+        wire::put_varint(&mut written, 0);
+        wire::put_bytes(&mut written, key);
+        written.extend_from_slice(&state);
+    }
+    // `d` follows `c`, whose vector is not its own.
+    wire::put_varint(&mut written, 0);
+    wire::put_bytes(&mut written, b"d");
+    written.extend_from_slice(&states[3]);
+    let image = store.encode_shard_snapshot(0, 1);
+    assert_eq!(image, written, "the writer's encoding");
+    assert_eq!(vector_fields(&image), [3, 0, 3, 3]);
+    assert!(joined(image).consistent_with(&store));
+
+    let invalid = WireError::InvalidPayload;
+    let b = store.entries_sorted()[1].1;
+    let mut refused = vec![("an empty field on the first entry", {
+        keyed_body(b"b", &[], &repeated(&states[1]))
+    })];
+    for pad in [
+        Overlong::Nothing,
+        Overlong::VectorLen,
+        Overlong::ElementCount,
+        Overlong::Site,
+        Overlong::Packed,
+    ] {
+        let mut body = BytesMut::new();
+        wire::put_varint(&mut body, 2);
+        wire::put_bytes(&mut body, b"a");
+        body.extend_from_slice(&states[0]);
+        wire::put_varint(&mut body, 0);
+        wire::put_bytes(&mut body, b"b");
+        body.extend_from_slice(&state_image(b, pad));
+        refused.push(("the vector before, written out", body.to_vec()));
+    }
+    for (what, body) in refused {
+        let mut image = BytesMut::new();
+        wire::put_varint(&mut image, 0);
+        image.extend_from_slice(&body);
+        assert_eq!(boot_by_the_oracle(&image).err(), Some(invalid), "{what}");
+        assert_refused_by_every_decoder(&body, invalid);
+    }
+
+    // A log record, replayed: `b`'s state as an image repeats it.
+    let mut replayed = KvStore::with_shards(s(0), 4);
+    replayed.put("mine", "1");
+    let before = replayed.clone();
+    let empty = repeated(&states[1]);
+    let eof = Err(WireError::UnexpectedEof);
+    assert_eq!(decode_state(&mut Bytes::from(empty.clone())).map(drop), eof);
+    let logged = [(&b"a"[..], &states[0][..]), (b"b", &empty)];
+    assert_eq!(replayed.apply_encoded_entries(logged.into_iter()), eof);
+    assert_eq!(
+        replayed.apply_encoded_entry("b", &mut Bytes::from(empty)),
+        eof
+    );
+    assert_eq!(replayed, before);
+    assert_eq!(replayed.generation(), before.generation());
+    assert_eq!(replayed.replica_digest(), replayed.replica_digest_full());
+}
+
+/// The length of each vector field of image body `body` — its count,
+/// then its entries — in order: 0 where the vector is the one before.
+fn vector_fields(mut body: &[u8]) -> Vec<usize> {
+    let n = wire::get_varint(&mut body).unwrap();
+    let mut keys = Ascending::default();
+    let fields = (0..n).map(|_| {
+        keys.take(&mut body).unwrap();
+        let vector = wire::get_slice(&mut body).unwrap();
+        crate::record::State::canonical(vector, &mut body);
+        vector.len()
+    });
+    let fields = fields.collect();
+    assert!(body.is_empty());
+    fields
+}
+
 /// Every strict prefix of a shard image — keys that share prefixes, a
-/// split character, an empty key, a tombstone — is refused by both image
-/// decoders as cut short, and no store is touched.
+/// split character, an empty key, a tombstone, vectors written out and
+/// repeated — is refused by both image decoders as cut short, and no
+/// store is touched.
 #[test]
 fn every_cut_of_an_image_is_refused_by_every_decoder() {
     let mut store = KvStore::with_shards(s(0), 1);
@@ -590,205 +716,10 @@ fn every_cut_of_an_image_is_refused_by_every_decoder() {
     }
     store.delete("k10");
     let image = store.encode_shard_snapshot(0, 1);
+    assert_eq!(vector_fields(&image), [3, 0, 3, 3, 0, 0]);
     for cut in 0..image.len() {
         assert_refused_by_every_decoder(&image[..cut], WireError::UnexpectedEof);
     }
-}
-
-/// The key universe `golden_bytes.rs` pins: mostly short, with the
-/// shapes that move a length prefix — the empty key, 127 and 128 bytes,
-/// multi-byte UTF-8.
-fn golden_key(i: usize) -> String {
-    match i {
-        7 => String::new(),
-        21 => format!("{i:02}-{}", "x".repeat(124)),
-        22 => format!("{i:02}-{}", "y".repeat(125)),
-        40..=43 => format!("ключ-{i:02}-鍵"),
-        _ => format!("k{i:02}"),
-    }
-}
-
-/// Three stores driven `steps` steps over the golden universe — puts of
-/// every value length it pins, deletes, pulls both ways — so their
-/// entries hold multi-site vectors with bits set, and tombstones.
-fn golden_stores(steps: usize, rng: &mut SplitMix64) -> [KvStore; 3] {
-    let mut stores = [
-        KvStore::with_shards(s(0), 16),
-        KvStore::with_shards(s(1), 16),
-        KvStore::with_shards(s(300), 16),
-    ];
-    for _ in 0..steps {
-        let who = rng.below(3);
-        let key = golden_key(rng.below(64));
-        match rng.below(10) {
-            0..=4 => {
-                let len = [0, 1, 5, 32, 32, 127, 128, 300][rng.below(8)];
-                stores[who].put(key, vec![rng.next_u64() as u8; len]);
-            }
-            5 | 6 => stores[who].delete(key),
-            _ => {
-                let src = stores[(who + 1 + rng.below(2)) % 3].clone();
-                stores[who].sync(&src).run().unwrap();
-            }
-        }
-    }
-    stores
-}
-
-/// `bytes` cut short at every length, each byte flipped, and a byte
-/// inserted at each place.
-fn mangled(bytes: &[u8], rng: &mut SplitMix64) -> Vec<Vec<u8>> {
-    let mut out: Vec<Vec<u8>> = (0..bytes.len()).map(|cut| bytes[..cut].to_vec()).collect();
-    for at in 0..bytes.len() {
-        let mut flipped = bytes.to_vec();
-        flipped[at] ^= 1 + rng.below(255) as u8;
-        out.push(flipped);
-        let mut inserted = bytes.to_vec();
-        inserted.insert(at, rng.next_u64() as u8);
-        out.push(inserted);
-    }
-    out
-}
-
-/// What the oracle makes of `state` under `key` — the vector built, then
-/// written back by `Record::write` — and how much of it it read.
-fn record_by_the_oracle(key: &str, state: &[u8]) -> (Result<Vec<u8>, WireError>, usize) {
-    let mut buf = Bytes::copy_from_slice(state);
-    let decoded = decode_state(&mut buf).map(|(meta, value)| {
-        let mut record = Vec::new();
-        Record::write(&mut record, key, &meta, value.as_deref());
-        record
-    });
-    (decoded, state.len() - buf.len())
-}
-
-/// What `Record::write_state` makes of it, and how much it read.
-fn record_by_the_writer(key: &str, state: &[u8]) -> (Result<Vec<u8>, WireError>, usize) {
-    let mut rest = state;
-    let mut record = vec![0xee];
-    let taken = crate::record::State::take(&mut rest);
-    let len = taken.map(|state| state.record_len(key));
-    let written = taken.and_then(|state| Record::write_state(&mut record, key, state));
-    match written {
-        Ok(()) => {
-            assert!(
-                len.unwrap() + 1 >= record.len(),
-                "record_len is never short"
-            );
-            (Ok(record[1..].to_vec()), state.len() - rest.len())
-        }
-        Err(e) => {
-            assert_eq!(
-                record,
-                [0xee],
-                "a refused state leaves the buffer as it was"
-            );
-            (Err(e), state.len() - rest.len())
-        }
-    }
-}
-
-/// The one decoder of an entry's state writes the record the vector
-/// decoder and the encoder write, and refuses what they refuse with the
-/// same error: over every entry of stores driven through the golden
-/// universe, each state written with each varint overlong in turn, a
-/// repeated site and a byte left in the vector field, and every
-/// truncation, byte flip and one-byte insertion of each of them.
-#[test]
-fn the_state_writer_writes_what_decoding_and_encoding_write() {
-    let pads = [
-        Overlong::Nothing,
-        Overlong::VectorLen,
-        Overlong::ElementCount,
-        Overlong::Site,
-        Overlong::Packed,
-        Overlong::ValueLen,
-    ];
-    let (mut written, mut refused) = (0, 0);
-    optrep_core::rng::cases(2, |seed, rng| {
-        let stores = golden_stores(300, rng);
-        let mut states: Vec<(String, Vec<u8>)> = Vec::new();
-        for store in &stores {
-            for (key, view) in store.entries_sorted() {
-                let honest = store.encode_entry(key).unwrap();
-                let (record, read) = record_by_the_writer(key, &honest);
-                assert_eq!(read, honest.len(), "seed {seed}, {key:?}");
-                let (len, exact) = (record.unwrap().len(), store.record(key.as_bytes()));
-                assert_eq!(len, exact.unwrap().bytes().len(), "exact for its own bytes");
-                for pad in pads {
-                    states.push((key.to_owned(), state_image(view, pad).to_vec()));
-                }
-            }
-        }
-        states.push(("x".into(), entry_image(&repeated_site_meta()).to_vec()));
-        states.push(("x".into(), entry_image(&[1, 0, 4, 0x7f]).to_vec()));
-        for (key, state) in states {
-            for state in std::iter::once(state.clone()).chain(mangled(&state, rng)) {
-                let (by_oracle, read) = record_by_the_oracle(&key, &state);
-                let (by_writer, taken) = record_by_the_writer(&key, &state);
-                assert_eq!(by_writer, by_oracle, "seed {seed}, {key:?}: {state:?}");
-                if by_oracle.is_ok() {
-                    assert_eq!(taken, read, "seed {seed}, {key:?}: {state:?}");
-                    written += 1;
-                } else {
-                    refused += 1;
-                }
-            }
-        }
-    });
-    assert!(written > 0 && refused > 0, "{written} {refused}");
-}
-
-/// The store the oracle boots from `image`, and what it left unread:
-/// every key rebuilt from the prefix it shares with the key before and
-/// its rest, and every entry's state decoded into a vector and a value,
-/// then stored.
-fn boot_by_the_oracle(image: &[u8]) -> Result<(KvStore, usize), WireError> {
-    let mut buf = Bytes::copy_from_slice(image);
-    let site = wire::get_site(&mut buf)?;
-    let n = wire::get_varint(&mut buf)?;
-    let mut store = KvStore::with_shards(site, 16);
-    let mut before: Option<Vec<u8>> = None;
-    for _ in 0..n {
-        let shared = match before {
-            Some(_) => wire::get_varint(&mut buf)? as usize,
-            None => 0,
-        };
-        let rest = wire::get_bytes(&mut buf)?;
-        let last = before.as_deref().unwrap_or_default();
-        let prefix = last.get(..shared).ok_or(WireError::InvalidPayload)?;
-        let key = [prefix, &rest].concat();
-        let common = key.iter().zip(last).take_while(|(a, b)| a == b).count();
-        if common != shared || before.is_some() && key.as_slice() <= last {
-            return Err(WireError::InvalidPayload);
-        }
-        let text = std::str::from_utf8(&key).map_err(|_| WireError::InvalidPayload)?;
-        let (meta, value) = decode_state(&mut buf)?;
-        store.insert(text, meta, value.as_deref());
-        before = Some(key);
-    }
-    Ok((store, buf.len()))
-}
-
-/// A boot is the oracle's, byte for byte, on each golden store's
-/// snapshot and on every truncation, byte flip and one-byte insertion of
-/// it: the same store or the same error.
-#[test]
-fn a_boot_reads_what_the_oracle_reads() {
-    optrep_core::rng::cases(2, |seed, rng| {
-        for store in golden_stores(40, rng) {
-            let image = store.encode_snapshot();
-            for image in std::iter::once(image.to_vec()).chain(mangled(&image, rng)) {
-                let mut buf = Bytes::from(image.clone());
-                let booted = KvStore::decode_snapshot(&mut buf).map(|store| (store, buf.len()));
-                let by_oracle = boot_by_the_oracle(&image);
-                let snapshot = |booted: Result<(KvStore, usize), WireError>| {
-                    booted.map(|(store, rest)| (store.encode_snapshot(), rest))
-                };
-                assert_eq!(snapshot(booted), snapshot(by_oracle), "seed {seed}");
-            }
-        }
-    });
 }
 
 /// An image read a chunk at a time decodes to the store one chunk does,
@@ -830,7 +761,8 @@ fn a_chunked_read_decodes_what_one_chunk_decodes() {
 
 /// How far an entry reaches is where its decoder stops: exactly its
 /// length once it is whole, and past the end of any strict prefix — the
-/// shared length in front of a key after the first included.
+/// shared length in front of a key after the first included, and a
+/// vector written out or repeated.
 #[test]
 fn an_entry_reaches_where_its_decoder_stops() {
     let mut store = KvStore::with_shards(s(1), 1);
@@ -840,14 +772,15 @@ fn an_entry_reaches_where_its_decoder_stops() {
     store.put("gone", "x");
     store.delete("gone");
     let image = store.encode_shard_snapshot(0, 1);
+    assert_eq!(vector_fields(&image), [3, 3, 3, 0]);
     let mut rest = &image[1..];
-    let mut keys = Ascending::default();
+    let mut entries = ImageEntries::default();
     let mut shared = Vec::new();
     while !rest.is_empty() {
         // Past the count's one byte, every entry follows another.
         let (entry, after) = (rest, rest.len() < image.len() - 1);
-        keys.take(&mut rest).unwrap();
-        crate::record::State::take(&mut rest).unwrap();
+        let (_, state) = entries.take(&mut rest).unwrap();
+        Record::write_state(&mut Vec::new(), "", state).unwrap();
         let len = entry.len() - rest.len();
         if after {
             shared.push(wire::get_varint(&mut &entry[..]).unwrap());

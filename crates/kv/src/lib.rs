@@ -48,7 +48,8 @@
 //! layout), `shard` (a shard's records in pages of up to sixteen, its
 //! digest and counts, changed only by `Shard::place` and
 //! `Shard::append`, and the walks over shards), `journal` (the
-//! keys changed lately), `codec` (images with front-coded keys, log
+//! keys changed lately), `codec` (images with front-coded keys and
+//! each vector written only where it is not the one before, log
 //! records, and the chunked reader a snapshot or a log is read back
 //! through),
 //! `plan` (digest vectors, the plan, every endpoint), `apply` (the

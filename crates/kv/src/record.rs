@@ -1,5 +1,8 @@
 //! One stored entry as the bytes a store holds for it, and the only
-//! code that knows that layout.
+//! code that knows that layout: its one writer from a vector, its one
+//! writer from a state read off the wire, and the re-encoding of a
+//! vector read off the wire that both that writer and an image's reader
+//! run.
 
 use bytes::BufMut;
 use optrep_core::error::WireError;
@@ -10,8 +13,9 @@ use optrep_core::{wire, RotatingVector, Srv};
 /// length-prefixed key, then the entry's state as a log record carries
 /// it: the length-prefixed vector snapshot, a one-byte tag (`0` a
 /// tombstone, `1` a value) and, behind tag 1, the length-prefixed value.
-/// A log record copies the state; an image front-codes the key and
-/// copies the state. Reading a field is a walk over length prefixes
+/// A log record copies the state; an image front-codes the key, writes
+/// the vector only where it is not the vector of the record before it,
+/// and copies the rest. Reading a field is a walk over length prefixes
 /// ([`Record::view`]); an [`Srv`] exists only while a vector is being
 /// operated on and is encoded back before it is stored.
 ///
@@ -92,18 +96,17 @@ impl<'a> Record<'a> {
     /// Appends the record of `key` holding `state` to `buf` — the buffer
     /// it is to live in, reserved for [`State::record_len`] bytes by the
     /// caller — without building its vector: the key and the value are
-    /// copied and the vector is re-encoded by
-    /// [`RotCore::recode_snapshot`], so the record is what
-    /// [`write`](Self::write) writes for the state a decoder reads. The
-    /// one reader of an entry's wire state: a boot, a log replay and a
-    /// join's blobs all come through here.
+    /// copied, and so is a vector an image's reader already made
+    /// canonical; any other vector is re-encoded by [`recode_vector`], so
+    /// the record is what [`write`](Self::write) writes for the state a
+    /// decoder reads. The one reader of an entry's wire state: a boot, a
+    /// log replay and a join's blobs all come through here.
     ///
     /// # Errors
     ///
     /// What decoding the state refuses, in the order a decoder meets it:
-    /// the vector's, bytes left inside the vector's field
-    /// ([`WireError::InvalidPayload`]: no encoder writes them), then the
-    /// value's. `buf` is then left as it was.
+    /// [`recode_vector`]'s, then the value's. `buf` is then left as it
+    /// was.
     pub(crate) fn write_state(
         buf: &mut Vec<u8>,
         key: &str,
@@ -111,29 +114,20 @@ impl<'a> Record<'a> {
     ) -> Result<(), WireError> {
         let start = buf.len();
         wire::put_bytes(buf, key.as_bytes());
-        // The vector's length prefix as the state wrote it; a re-encoded
-        // vector is never longer than the field it was read from.
-        let at = buf.len();
-        let room = wire::varint_len(state.meta.len() as u64);
-        buf.resize(at + room, 0);
-        let mut meta = state.meta;
-        let recoded = RotCore::recode_snapshot(&mut meta, buf);
-        let value = match (recoded, meta) {
-            (Ok(()), []) => state.value,
-            (Ok(()), _) => Err(WireError::InvalidPayload),
-            (Err(e), _) => Err(e),
+        let vector = match state.canonical {
+            true => {
+                wire::put_bytes(buf, state.meta);
+                Ok(())
+            }
+            false => recode_field(buf, state.meta),
         };
-        let value = match value {
+        let value = match vector.and(state.value) {
             Ok(value) => value,
             Err(e) => {
                 buf.truncate(start);
                 return Err(e);
             }
         };
-        let len = buf.len() - at - room;
-        let prefix = wire::varint_len(len as u64);
-        buf.drain(at..at + room - prefix);
-        wire::write_varint(&mut &mut buf[at..at + prefix], len as u64).expect("sized to fit");
         match value {
             Some(v) => {
                 buf.put_u8(1);
@@ -177,6 +171,15 @@ impl<'a> Record<'a> {
         (key, rest)
     }
 
+    /// The key's bytes, the entry's state behind them, and the vector's
+    /// snapshot bytes at the front of that state: what an image writes
+    /// of a record.
+    pub(crate) fn fields(self) -> (&'a [u8], &'a [u8], &'a [u8]) {
+        let (key, state) = self.split();
+        let mut rest = state;
+        (key, state, field(&mut rest))
+    }
+
     pub(crate) fn key_bytes(self) -> &'a [u8] {
         self.split().0
     }
@@ -198,6 +201,43 @@ impl<'a> Record<'a> {
     }
 }
 
+/// Appends to `out` exactly what [`Record::write`] writes for the vector
+/// that fills `meta`, without building it: [`RotCore::recode_snapshot`]
+/// of all of `meta`.
+///
+/// # Errors
+///
+/// The vector decoder's, then [`WireError::InvalidPayload`] for bytes
+/// left inside `meta` (no encoder writes them); `out` is then left as
+/// it was.
+pub(crate) fn recode_vector(out: &mut Vec<u8>, mut meta: &[u8]) -> Result<(), WireError> {
+    let start = out.len();
+    RotCore::recode_snapshot(&mut meta, out)?;
+    if !meta.is_empty() {
+        out.truncate(start);
+        return Err(WireError::InvalidPayload);
+    }
+    Ok(())
+}
+
+/// [`recode_vector`] as the length-prefixed field a record holds.
+fn recode_field(buf: &mut Vec<u8>, meta: &[u8]) -> Result<(), WireError> {
+    // The vector's length prefix as the state wrote it; a re-encoded
+    // vector is never longer than the field it was read from.
+    let at = buf.len();
+    let room = wire::varint_len(meta.len() as u64);
+    buf.resize(at + room, 0);
+    if let Err(e) = recode_vector(buf, meta) {
+        buf.truncate(at);
+        return Err(e);
+    }
+    let len = buf.len() - at - room;
+    let prefix = wire::varint_len(len as u64);
+    buf.drain(at..at + room - prefix);
+    wire::write_varint(&mut &mut buf[at..at + prefix], len as u64).expect("sized to fit");
+    Ok(())
+}
+
 /// One entry's state as a log record, an image or a blob carries it —
 /// the length-prefixed vector snapshot, then the value behind a one-byte
 /// tag — with its fields found and nothing decoded: what
@@ -205,6 +245,10 @@ impl<'a> Record<'a> {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct State<'a> {
     meta: &'a [u8],
+    /// Whether `meta` is already what [`Record::write`] writes for the
+    /// vector (an image's reader made it so), to be copied, not
+    /// re-encoded.
+    canonical: bool,
     /// The value, or why it does not read: an error the vector's own
     /// comes before.
     value: Result<Option<&'a [u8]>, WireError>,
@@ -219,18 +263,22 @@ impl<'a> State<'a> {
     /// the vector's field does not read: the first thing a decoder reads.
     pub(crate) fn take(bytes: &mut &'a [u8]) -> Result<Self, WireError> {
         let meta = wire::get_slice(bytes)?;
-        let value = match bytes.split_first() {
-            None => Err(WireError::UnexpectedEof),
-            Some((&tag, rest)) => {
-                *bytes = rest;
-                match tag {
-                    0 => Ok(None),
-                    1 => wire::get_slice(bytes).map(Some),
-                    _ => Err(WireError::InvalidPayload),
-                }
-            }
-        };
-        Ok(State { meta, value })
+        Ok(State {
+            meta,
+            canonical: false,
+            value: take_value(bytes),
+        })
+    }
+
+    /// The state of canonical vector bytes `meta` and the tagged value at
+    /// the front of `bytes`, taken off it: an image's entry once its
+    /// reader has read the vector.
+    pub(crate) fn canonical<'b: 'a>(meta: &'a [u8], bytes: &mut &'b [u8]) -> Self {
+        State {
+            meta,
+            canonical: true,
+            value: take_value(bytes),
+        }
     }
 
     /// The length of the record [`Record::write_state`] writes of this
@@ -242,6 +290,17 @@ impl<'a> State<'a> {
             _ => 0,
         };
         wire::bytes_len(key.len()) + wire::bytes_len(self.meta.len()) + 1 + value
+    }
+}
+
+/// Takes the tagged value at the front of `bytes` off it.
+fn take_value<'b>(bytes: &mut &'b [u8]) -> Result<Option<&'b [u8]>, WireError> {
+    let (&tag, rest) = bytes.split_first().ok_or(WireError::UnexpectedEof)?;
+    *bytes = rest;
+    match tag {
+        0 => Ok(None),
+        1 => wire::get_slice(bytes).map(Some),
+        _ => Err(WireError::InvalidPayload),
     }
 }
 

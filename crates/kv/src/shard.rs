@@ -579,16 +579,14 @@ pub(crate) struct Run {
 }
 
 impl Run {
-    /// Writes the record of `key` holding the entry state at the front of
-    /// `state` behind those pushed before it — into the open page, or
-    /// into a new one when it does not fit there — and takes the state
-    /// off `state`.
+    /// Writes the record of `key` holding `state` behind those pushed
+    /// before it — into the open page, or into a new one when it does not
+    /// fit there.
     ///
     /// # Errors
     ///
     /// The state's, as [`Record::write_state`] refuses it.
-    pub(crate) fn push(&mut self, key: &str, state: &mut &[u8]) -> Result<(), WireError> {
-        let state = State::take(state)?;
+    pub(crate) fn push(&mut self, key: &str, state: State<'_>) -> Result<(), WireError> {
         let len = state.record_len(key);
         if self.open_records > 0 {
             self.unordered |= key.as_bytes() <= Record::key_at(&self.open[self.last..]);

@@ -193,7 +193,7 @@ fn push(run: &mut Run, key: &str, meta: &Srv, value: Option<&[u8]>) {
     let mut record = Vec::new();
     Record::write(&mut record, key, meta, value);
     let mut state = Record::split_first(&record).0.split().1;
-    run.push(key, &mut state).unwrap();
+    run.push(key, State::take(&mut state).unwrap()).unwrap();
     assert!(state.is_empty());
 }
 

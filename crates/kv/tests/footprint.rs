@@ -267,7 +267,8 @@ fn a_one_site_key_is_its_record_in_a_page_of_sixteen_and_at_most_64_bytes() {
     }
 }
 
-/// A checkpoint is the records, each key front-coded and each state
+/// A checkpoint is the records, each key front-coded, each vector written
+/// only where it is not the vector before and the rest of each state
 /// copied: the image is summed before it is written, so it is written
 /// into one buffer of its size — not grown there through a buffer twice
 /// as large — by a merge of the shards' sorted sets, which holds a cursor
@@ -280,23 +281,24 @@ fn a_snapshot_is_one_buffer_of_its_size_and_a_merge() {
     let largest = LARGEST.with(Cell::get);
     // A record: after the first, the length of the prefix its key shares
     // with the key before it (one byte: a key is 8); the rest of the key
-    // behind its one-byte length; then the state — the vector's field
-    // (its length, then one site: count, site, value) 4 B, the tag, and
-    // the 32 B value behind its length.
-    let state = (1 + 3) + 1 + (1 + 32);
+    // behind its one-byte length; then the state — the vector's field,
+    // on the first record its length and one site (count, site, value)
+    // 4 B and on every other, the same vector again, its empty length
+    // 1 B; the tag, and the 32 B value behind its length.
+    let value = 1 + (1 + 32);
     let mut before: Option<String> = None;
     let records: usize = (0..KEYS)
         .map(|i| {
             let key = format!("k{i:07}");
-            let (lead, rest) = match &before {
+            let (lead, rest, vector) = match &before {
                 Some(before) => {
                     let shared = key.bytes().zip(before.bytes()).take_while(|(a, b)| a == b);
-                    (1, key.len() - shared.count())
+                    (1, key.len() - shared.count(), 1)
                 }
-                None => (0, key.len()),
+                None => (0, key.len(), 1 + 3),
             };
             before = Some(key);
-            lead + (1 + rest) + state
+            lead + (1 + rest) + vector + value
         })
         .sum();
     assert_eq!(image.len(), 1 + 2 + records, "site, count, records");

@@ -256,32 +256,45 @@ fn run(shards: usize) -> Transcript {
 /// `0xea00_a58d_0da1_c995`, `0xc049_f02c_a19c_5856`; image
 /// `0x3f7d_3ffd_87bd_a402`, `0xa444_ef6f_7a34_04e2`,
 /// `0x6d68_6b04_45af_bde8` (at 1, 16 and 512 shards); pull
-/// `0x5b24_f5f0_88c0_4d80`, `0x840e_17d1_2bca_d3af` (at 1 and 16).
+/// `0x5b24_f5f0_88c0_4d80`, `0x840e_17d1_2bca_d3af` (at 1 and 16). The
+/// snapshot hashes were re-pinned once more, and the image and pull
+/// hashes where they moved, when an image began to write a record's
+/// vector as an empty field where it is the vector of the record before:
+/// only images with two neighbours of one vector move — 31 of the
+/// snapshot lines (18, 7 and 6 at 1, 16 and 512 shards: joiners early in
+/// the schedule, when most keys hold one write, and some dumps), 2 image
+/// lines at 16 shards, and, in `digest_bytes` only, the 26 pulls at 1
+/// and 16 shards that bulk-load such an image. At 512 shards every image
+/// a pull bulk-loads holds about one key, and no image or pull line
+/// moves. Before: snapshot `0xb874_8360_9f5f_07a7`,
+/// `0x23d9_deb5_907b_398f`, `0x749f_6e0e_7f72_d2c1`; image
+/// `0xa91c_d860_7f8f_d149` (at 16); pull `0x27e5_ce34_610c_545a`,
+/// `0x957e_9f0a_c712_fec3` (at 1 and 16).
 const GOLDEN: [(usize, [u64; 5]); 3] = [
     (
         1,
         [
-            0xb874_8360_9f5f_07a7,
+            0x5d59_f5b8_ebc4_1994,
             0x651a_200d_bb25_4e43,
             0xf0c6_5c3f_cebe_2e74,
             0x13c5_008a_c94f_7cbb,
-            0x27e5_ce34_610c_545a,
+            0x40b8_ae39_c5b5_a820,
         ],
     ),
     (
         16,
         [
-            0x23d9_deb5_907b_398f,
+            0x280b_37ac_092e_0490,
             0xf09a_8e28_15eb_da0a,
-            0xa91c_d860_7f8f_d149,
+            0xefa5_659a_d5cc_8922,
             0x5227_22fd_33bf_e70c,
-            0x957e_9f0a_c712_fec3,
+            0xd9f7_8478_dbef_880f,
         ],
     ),
     (
         512,
         [
-            0x749f_6e0e_7f72_d2c1,
+            0xcf12_e23e_082e_c5dd,
             0x8409_f42c_d9d3_62e4,
             0x3599_3606_e5ab_7c5e,
             0x8546_b578_3560_f7c7,

@@ -38,11 +38,13 @@
 //! ```text
 //! "OPSN" | u8 version | varint covered_seq | varint image_len | image | varint fnv64(covered_seq, image)
 //! image:  varint site | varint n | n × record, in key order   (KvStore::encode_snapshot)
-//! record: varint shared | bytes rest of key | entry           (no shared on the first)
+//! record: varint shared | bytes rest of key | bytes vector | tag | value
+//!         (no shared on the first; an empty vector: the record before's)
 //! ```
 //!
 //! The log and the snapshot carry versions of their own: a snapshot of
-//! version 1 wrote each key whole, and is refused by name, undecoded.
+//! version 1 wrote each key whole and one of version 2 each vector, and
+//! either is refused by name, undecoded.
 //!
 //! Neither the log nor the snapshot is ever held whole. An append walks
 //! the commit's entries where they lie — a daemon's, in its store — once
@@ -99,7 +101,7 @@ pub const SNAPSHOT_FILE: &str = "snapshot";
 const WAL_MAGIC: [u8; 4] = *b"OPWL";
 const SNAPSHOT_MAGIC: [u8; 4] = *b"OPSN";
 const WAL_VERSION: u8 = 1;
-const SNAPSHOT_VERSION: u8 = 2;
+const SNAPSHOT_VERSION: u8 = 3;
 
 /// What a snapshot or a log is read in, and a snapshot or a log record
 /// written through: the memory a checkpoint, a boot or an append holds

@@ -496,20 +496,27 @@ fn a_checksummed_snapshot_listing_a_key_twice_refuses_recovery() {
     store.put("a", "1");
     store.put("b", "2");
     // Each key after the first shares no prefix with the one before
-    // it, or all of it.
+    // it, or all of it, and holds the vector before it: an empty field.
     let image = |keys: &[&str]| {
         let mut image = BytesMut::new();
         wire::put_varint(&mut image, u64::from(site.index()));
         wire::put_varint(&mut image, keys.len() as u64);
         let mut before = None;
         for key in keys {
-            let mut shared = 0;
-            if let Some(before) = before {
-                shared = if *key == before { key.len() } else { 0 };
-                wire::put_varint(&mut image, shared as u64);
+            let state = store.encode_entry(key).unwrap();
+            match before {
+                None => {
+                    wire::put_bytes(&mut image, key.as_bytes());
+                    image.put_slice(&state);
+                }
+                Some(before) => {
+                    let shared = if *key == before { key.len() } else { 0 };
+                    wire::put_varint(&mut image, shared as u64);
+                    wire::put_bytes(&mut image, &key.as_bytes()[shared..]);
+                    wire::put_bytes(&mut image, b"");
+                    image.put_slice(tagged(&state)[1]);
+                }
             }
-            wire::put_bytes(&mut image, &key.as_bytes()[shared..]);
-            image.put_slice(&store.encode_entry(key).unwrap());
             before = Some(*key);
         }
         image.freeze()
@@ -529,38 +536,90 @@ fn a_checksummed_snapshot_listing_a_key_twice_refuses_recovery() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A checkpoint in the layout before keys were front-coded — snapshot
-/// file version 1, each key whole — is refused by its version, naming
-/// both, whatever its image holds: the header is read before any of the
-/// image. The log keeps version 1: its records copy states, and no key
-/// is front-coded there.
+/// A checkpoint in a layout before this one — snapshot file version 1,
+/// each key whole, or version 2, each key front-coded and each vector
+/// written out — is refused by its version, naming both, whatever its
+/// image holds: the header is read before any of the image. The log
+/// keeps version 1: its records copy states, and no key or vector is
+/// left out there.
 #[test]
-fn a_version_1_snapshot_is_refused_by_name_undecoded() {
+fn a_version_1_or_2_snapshot_is_refused_by_name_undecoded() {
     let site = SiteId::new(2);
     let mut store = KvStore::with_shards(site, 4);
     store.put("a", "1");
     store.put("ab", "2");
-    let mut whole_keys = BytesMut::new();
-    wire::put_varint(&mut whole_keys, u64::from(site.index()));
-    wire::put_varint(&mut whole_keys, 2);
-    for key in ["a", "ab"] {
-        wire::put_bytes(&mut whole_keys, key.as_bytes());
-        whole_keys.put_slice(&store.encode_entry(key).unwrap());
-    }
-    let dir = tmpdir("version-1");
+    // Both keys' vectors are the same: this build's image repeats the
+    // first's with an empty field.
+    assert_eq!(
+        tagged(&store.encode_entry("a").unwrap())[0],
+        tagged(&store.encode_entry("ab").unwrap())[0]
+    );
+    let image_as = |front_coded: bool| {
+        let mut image = BytesMut::new();
+        wire::put_varint(&mut image, u64::from(site.index()));
+        wire::put_varint(&mut image, 2);
+        wire::put_bytes(&mut image, b"a");
+        image.put_slice(&store.encode_entry("a").unwrap());
+        match front_coded {
+            true => {
+                wire::put_varint(&mut image, 1);
+                wire::put_bytes(&mut image, b"b");
+            }
+            false => wire::put_bytes(&mut image, b"ab"),
+        }
+        image.put_slice(&store.encode_entry("ab").unwrap());
+        image.freeze()
+    };
+    let dir = tmpdir("version-1-or-2");
     drop(Persist::open(&DurabilityConfig::new(&dir), site).unwrap());
     let wal = std::fs::read(dir.join(WAL_FILE)).unwrap();
     assert_eq!(wal[..WAL_MAGIC.len() + 1], *b"OPWL\x01");
-    for image in [&whole_keys[..], &[0xff; 9][..]] {
-        let mut file = encode_snapshot_file(1, image).to_vec();
-        assert_eq!(file[SNAPSHOT_MAGIC.len()], 2);
-        file[SNAPSHOT_MAGIC.len()] = 1;
-        let err = boot_refuses(&dir, site, &file, "a version 1 snapshot");
-        assert!(
-            err.contains("snapshot file format version 1 (this build speaks 2)"),
-            "{err}"
-        );
+    for (version, image) in [
+        (1, image_as(false)),
+        (1, Bytes::from(vec![0xff; 9])),
+        (2, image_as(true)),
+        (2, Bytes::from(vec![0xff; 9])),
+    ] {
+        let mut file = encode_snapshot_file(1, &image).to_vec();
+        assert_eq!(file[SNAPSHOT_MAGIC.len()], 3);
+        file[SNAPSHOT_MAGIC.len()] = version;
+        let err = boot_refuses(&dir, site, &file, "an earlier snapshot");
+        let named = format!("snapshot file format version {version} (this build speaks 3)");
+        assert!(err.contains(&named), "{err}");
     }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// An entry's state split at its vector field: the field, then the tag
+/// and the value.
+fn tagged(state: &[u8]) -> [&[u8]; 2] {
+    let mut rest = state;
+    let vector = wire::get_slice(&mut rest).unwrap();
+    [vector, rest]
+}
+
+/// A log record's entry follows no vector: one whose vector field is
+/// empty, as an image writes a vector it repeats, refuses recovery as a
+/// corrupt payload, behind an honest entry of the same record too.
+#[test]
+fn an_empty_vector_field_in_the_log_refuses_recovery() {
+    let site = SiteId::new(5);
+    let mut store = KvStore::with_shards(site, 4);
+    store.put("a", "1");
+    store.put("b", "2");
+    let honest = store.encode_entry("a").unwrap();
+    let empty = [&[0][..], tagged(&store.encode_entry("b").unwrap())[1]].concat();
+    let dir = tmpdir("empty-vector-wal");
+    let config = DurabilityConfig::new(&dir);
+    let (mut persist, _, _) = Persist::open(&config, site).unwrap();
+    let logged = [
+        ("a".to_string(), honest),
+        ("b".to_string(), Bytes::from(empty)),
+    ];
+    persist.append(&logged).unwrap();
+    drop(persist);
+    let err = Persist::open(&config, site).unwrap_err();
+    assert!(format!("{err}").contains("payload corrupt"), "got: {err}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -582,11 +641,14 @@ fn a_snapshot_is_read_across_chunk_boundaries_and_a_record_longer_than_a_chunk()
     let (dir, file) = streamed_checkpoint("chunks", &store, 70_000);
     assert!(file.len() > 4 * CHUNK, "{} B", file.len());
 
-    // "k0450x" follows "k0450": it shares five bytes and its rest is "x".
+    // "k0450x" follows "k0450": it shares five bytes, its rest is "x",
+    // and it holds k0450's vector, an empty field.
     let entry = store.encode_entry("k0450x").unwrap();
-    let coded = [&[5, 1, b'x'][..], &entry[..8]].concat();
+    let [vector, value] = tagged(&entry);
+    assert_eq!(tagged(&store.encode_entry("k0450").unwrap())[0], vector);
+    let coded = [&[5, 1, b'x', 0][..], &value[..4]].concat();
     let key_at = (file.windows(coded.len()).position(|w| w == coded)).unwrap();
-    let long = (key_at, key_at + 3 + entry.len());
+    let long = (key_at, key_at + 4 + value.len());
     assert!(long.1 - long.0 > CHUNK);
     let marks = [CHUNK, 2 * CHUNK, 3 * CHUNK, 4 * CHUNK, long.0, long.1];
     for mark in marks {
