@@ -35,10 +35,7 @@ impl SplitMix64 {
     /// The next pseudo-random word.
     pub fn next_u64(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        finalize(self.0)
     }
 
     /// Uniform in `0..bound`: one word modulo `bound` (the bias is below
@@ -80,6 +77,18 @@ impl SplitMix64 {
         }
         items.get(self.below(items.len()))
     }
+}
+
+/// SplitMix64's finalizer (Stafford's mix 13): a bijection of the word
+/// in which every input bit flips each output bit with probability about
+/// one half. A wrapping sum of finalized hashes is an incremental
+/// multiset hash (Clarke et al., "MSet-Add-Hash"): moves of a few
+/// entries' raw hashes that cancel in a plain sum do not cancel here.
+#[must_use]
+pub const fn finalize(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 /// Mixes two words into one seed, for deriving per-contact plans from

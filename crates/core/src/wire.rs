@@ -374,8 +374,14 @@ pub const HANDSHAKE_MAGIC: [u8; 4] = *b"OPTR";
 /// and the rest: a v7 end would misread every image of two keys or more.
 /// v9 writes a record's vector in such an image as an empty field where
 /// it is the vector of the record before: a v8 end would refuse nearly
-/// every image of two keys or more.
-pub const HANDSHAKE_VERSION: u8 = 9;
+/// every image of two keys or more. v10 sends a plan's bulk-loaded
+/// shards as one image in key order behind their gap list, writes an
+/// empty shard's summary as its zero count alone, and finalizes each
+/// entry hash before shard digests sum it: a v9 end would misread every
+/// plan that bulk-loads two shards or more and every vector with an
+/// empty shard, and no digest of a shard that holds anything would
+/// match across the two.
+pub const HANDSHAKE_VERSION: u8 = 10;
 
 /// What the connecting peer intends to do with the connection: byte 0
 /// or 2 of the preamble. Byte 1 named a one-shot pull no build sends

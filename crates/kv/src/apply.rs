@@ -1,5 +1,5 @@
 //! The one commit path: a finished contact's outcomes and a plan's
-//! snapshot blobs, staged whole and then applied.
+//! bulk image, staged whole and then applied.
 
 use crate::codec::{decode_value, ImageEntries};
 use crate::record::{entry_hash, Record};
@@ -46,8 +46,8 @@ type StagedKey = (String, Srv, Staged);
 
 impl KvStore {
     /// Commits a completed contact's outcomes to this store, **and** the
-    /// plan's whole-shard snapshot blobs, as one transaction, and carries
-    /// the planner counters into the report. An unplanned contact is
+    /// plan's image of its bulk-loaded shards, as one transaction, and
+    /// carries the planner counters into the report. An unplanned contact is
     /// committed under `ShardPlan::default()`, which plans nothing.
     ///
     /// `client` must be an endpoint built **on this store in its current
@@ -64,12 +64,12 @@ impl KvStore {
     /// post-state ([`encode_entry`](Self::encode_entry)) under the same
     /// lock as the commit, so one contact becomes one atomic log record.
     ///
-    /// Snapshot entries are decoded and validated before the first key
-    /// is touched — each key must hash into its blob's claimed shard at
-    /// the plan's shard count, so a hostile blob cannot smuggle keys
-    /// into shards the plan skipped, and follow the blob's key before
-    /// it, so no key is listed twice. An entry whose key this store
-    /// already tracks is *not* applied (a rotating vector has no merge;
+    /// Image entries are decoded and validated before the first key is
+    /// touched — each key must hash into one of the plan's bulk shards
+    /// at the plan's shard count, so a hostile image cannot smuggle keys
+    /// into shards the plan skips or walks, and follow the image's key
+    /// before it, so no key is listed twice. An entry whose key this
+    /// store already tracks is *not* applied (a rotating vector has no merge;
     /// the write that raced the plan keeps the shard dirty and it
     /// reconciles incrementally on the next contact). The rest are
     /// written, as they are decoded, into the pages of one run a
@@ -79,8 +79,9 @@ impl KvStore {
     /// # Errors
     ///
     /// Returns a wire error if an outcome's payload is missing or
-    /// malformed, or a snapshot blob malformed, mis-sharded, out of key
-    /// order or listed twice; the store is untouched.
+    /// malformed, or the image malformed, mis-sharded or out of key
+    /// order, or missing beside bulk shards or present without them, or
+    /// a bulk list out of order or past the count; the store is untouched.
     ///
     /// # Panics
     ///
@@ -134,8 +135,8 @@ impl KvStore {
     /// spoiled, and a bulk-loaded shard not spoiled that is empty here.
     /// Read before the commit.
     fn landing(&self, plan: &ShardPlan, spoiled: &[u64]) -> Vec<u64> {
-        let bulk: Vec<u64> = plan.snapshots.iter().map(|(shard, _)| *shard).collect();
-        let held: Vec<u64> = (bulk.iter().zip(self.digests_of(&bulk, plan.count as usize)))
+        let bulk = &plan.bulk;
+        let held: Vec<u64> = (bulk.iter().zip(self.digests_of(bulk, plan.count as usize)))
             .filter(|(_, digest)| digest.entries > 0)
             .map(|(shard, _)| *shard)
             .collect();
@@ -201,57 +202,53 @@ impl KvStore {
         Ok((staged, spoiled))
     }
 
-    /// Decodes and validates a plan's snapshot blobs into one run of
+    /// Decodes and validates a plan's image into one run of
     /// ready-to-commit records per physical shard (none when the plan
-    /// has no snapshot), written into the run's pages as they are
-    /// decoded, skipping keys this store already tracks. A blob lists
-    /// its keys strictly ascending and a plan each shard once, so no run
-    /// names a key twice.
+    /// bulk-loads nothing), written into the runs' pages as they are
+    /// decoded, skipping keys this store already tracks. The image is
+    /// read as a boot reads one: its keys strictly ascending, so every
+    /// run takes its keys in ascending order, each once.
     fn stage_snapshots(&self, plan: &ShardPlan) -> Result<Vec<Run>> {
-        let invalid = || optrep_core::Error::Wire(WireError::InvalidPayload);
-        if plan.snapshots.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut listed: Vec<u64> = plan.snapshots.iter().map(|(shard, _)| *shard).collect();
-        listed.sort_unstable();
-        if listed.windows(2).any(|pair| pair[0] == pair[1])
-            || listed[listed.len() - 1] >= plan.count
-        {
-            return Err(invalid());
-        }
-        let count = plan.count as usize;
-        let physical = self.shards.len();
+        let bulk = &plan.bulk;
+        let in_order = bulk.windows(2).all(|pair| pair[0] < pair[1]);
+        let image = match (&plan.image, bulk.last()) {
+            (None, None) => return Ok(Vec::new()),
+            (Some(image), Some(&last)) if in_order && last < plan.count => image,
+            _ => return Err(optrep_core::Error::Wire(WireError::InvalidPayload)),
+        };
+        let (count, physical) = (plan.count as usize, self.shards.len());
         let mut runs: Vec<Run> = (0..physical).map(|_| Run::default()).collect();
         // Where the state of a key a racing write reached first is read
         // to be checked, and not kept.
         let mut refused = Vec::new();
-        for (shard, blob) in &plan.snapshots {
-            let mut buf = &blob[..];
-            let mut stage = || {
-                let n = wire::get_varint(&mut buf)?;
-                let mut entries = ImageEntries::default();
-                for _ in 0..n {
-                    let (key, state) = entries.take(&mut buf)?;
-                    let bytes = key.as_bytes();
-                    if self.record(bytes).is_none() {
-                        runs[shard_index(bytes, physical)].push(key, state)?;
-                    } else {
-                        Record::write_state(&mut refused, key, state)?;
-                        refused.clear();
-                    }
-                    // The shard-map invariant: every key must hash into
-                    // the blob's claimed shard at the plan's count.
-                    if shard_index(bytes, count) != *shard as usize {
-                        return Err(WireError::InvalidPayload);
-                    }
+        let mut buf = &image[..];
+        let mut stage = || {
+            let n = wire::get_varint(&mut buf)?;
+            let mut entries = ImageEntries::default();
+            for _ in 0..n {
+                let (key, state) = entries.take(&mut buf)?;
+                let bytes = key.as_bytes();
+                // The shard-map invariant: every key must hash into one
+                // of the plan's bulk shards at its count.
+                if bulk
+                    .binary_search(&(shard_index(bytes, count) as u64))
+                    .is_err()
+                {
+                    return Err(WireError::InvalidPayload);
                 }
-                match buf {
-                    [] => Ok(()),
-                    _ => Err(WireError::InvalidPayload),
+                if self.record(bytes).is_none() {
+                    runs[shard_index(bytes, physical)].push(key, state)?;
+                } else {
+                    Record::write_state(&mut refused, key, state)?;
+                    refused.clear();
                 }
-            };
-            stage().map_err(optrep_core::Error::Wire)?;
-        }
+            }
+            match buf {
+                [] => Ok(()),
+                _ => Err(WireError::InvalidPayload),
+            }
+        };
+        stage().map_err(optrep_core::Error::Wire)?;
         Ok(runs)
     }
 
@@ -404,7 +401,7 @@ mod tests {
         // Plan against an empty view, then write locally before applying:
         // the staged snapshot must not clobber the racing write.
         let (plan, mut server) = src.plan_contact(&digests, &PlanConfig::default());
-        assert_eq!(plan.snapshots.len(), 1);
+        assert_eq!(plan.bulk.len(), 1);
         let mut dst = KvStore::with_shards(s(1), 1);
         dst.put("a", "local");
         let mut client = dst.client_endpoint_for(&plan.incremental, 1);
@@ -432,7 +429,7 @@ mod tests {
         let mut dst = KvStore::with_shards(s(1), 2);
         dst.put("k00", "mine");
         let (plan, _) = src.plan_contact(&dst.shard_digest_vector(), &PlanConfig::default());
-        assert_eq!((plan.incremental.len(), plan.snapshots.len()), (1, 1));
+        assert_eq!((plan.incremental.len(), plan.bulk.len()), (1, 1));
         // The whole store's endpoint: every key of the source discovered.
         let mut server = src.server_endpoint_for(&[0], 1);
         let mut client = dst.client_endpoint_for(&plan.incremental, 2);
@@ -443,31 +440,11 @@ mod tests {
         assert_eq!(dst.replica_digest(), dst.replica_digest_full());
     }
 
-    #[test]
-    fn hostile_snapshot_blobs_are_rejected_untouched() {
-        let mut src = KvStore::with_shards(s(0), 4);
-        src.put("x", "1");
-        let digests = KvStore::with_shards(s(1), 4).shard_digest_vector();
-        let (mut plan, mut server) = src.plan_contact(&digests, &PlanConfig::default());
-        let mut client = KvStore::with_shards(s(1), 4).client_endpoint_for(&plan.incremental, 4);
-        let contact = run_contact(&mut client, &mut server).unwrap();
-        // Re-home the blob under the wrong shard index: the key no longer
-        // hashes into its claimed shard.
-        let (shard, blob) = plan.snapshots.pop().unwrap();
-        plan.snapshots.push(((shard + 1) % 4, blob));
-        let mut dst = KvStore::with_shards(s(1), 4);
-        let before = dst.clone();
-        let err = dst.apply_planned_tracked(&JoinResolver, client, &contact, &plan);
-        assert!(err.is_err(), "mis-sharded blob must be rejected");
-        assert_eq!(dst, before);
-        assert_eq!(dst.generation(), before.generation());
-    }
-
-    /// A shard image of `records`, in the order given: each key after
-    /// the first as the length of the prefix it shares with the key
-    /// before it, then the rest of it; then its vector, an empty field
-    /// where it is the vector before, and its tagged value.
-    fn blob_of(records: &[Record<'_>]) -> Bytes {
+    /// An image of `records`, in the order given: each key after the
+    /// first as the length of the prefix it shares with the key before
+    /// it, then the rest of it; then its vector, an empty field where it
+    /// is the vector before, and its tagged value.
+    fn image_of(records: &[Record<'_>]) -> Bytes {
         let mut buf = bytes::BytesMut::new();
         wire::put_varint(&mut buf, records.len() as u64);
         let mut before: Option<(&[u8], &[u8])> = None;
@@ -491,33 +468,79 @@ mod tests {
         buf.freeze()
     }
 
-    /// A blob lists its keys strictly ascending and a plan each shard
-    /// once, as every source writes them: a key listed twice — which a
-    /// commit used to count as two keys created into a store that then
-    /// tracked one — a blob out of key order, and a shard listed twice
-    /// are refused, and the store is untouched.
+    /// A plan lists its bulk shards strictly increasing and below its
+    /// count, and sends an image exactly when it lists one; the image
+    /// lists its keys strictly ascending, each in a listed bulk shard.
+    /// Every other plan is refused, and the store, its generation and
+    /// its digest are untouched.
     #[test]
-    fn a_snapshot_blob_repeating_or_reordering_a_key_is_refused_untouched() {
-        let mut src = KvStore::with_shards(s(0), 1);
-        src.put("x", "1");
-        src.put("y", "2");
-        let (x, y) = (src.record(b"x").unwrap(), src.record(b"y").unwrap());
-        assert_eq!(src.encode_shard_snapshot(0, 1), blob_of(&[x, y]));
-        let digests = KvStore::with_shards(s(1), 1).shard_digest_vector();
-        for (what, snapshots) in [
-            ("x twice", vec![(0, blob_of(&[x, x]))]),
-            ("y before x", vec![(0, blob_of(&[y, x]))]),
+    fn hostile_plans_are_refused_untouched() {
+        let mut src = KvStore::with_shards(s(0), 4);
+        for i in 0..24 {
+            src.put(format!("k{i:02}"), format!("v{i}"));
+        }
+        let mut local = KvStore::with_shards(s(1), 4);
+        local.put("k00", "mine");
+        let (honest, _) = src.plan_contact(&local.shard_digest_vector(), &PlanConfig::default());
+        let walked = shard_index(b"k00", 4) as u64;
+        assert_eq!(honest.incremental, [walked]);
+        assert_eq!(honest.bulk.len(), 3);
+        let image = honest.image.clone().expect("an image");
+        // The bulk shards' records in key order, and two neighbours of
+        // them in different shards swapped: keys that descend across a
+        // shard boundary.
+        let records = src.records_in(&honest.bulk, 4, |_| true);
+        let at = (records.windows(2))
+            .position(|pair| {
+                let shard = |record: &Record<'_>| shard_index(record.key_bytes(), 4);
+                shard(&pair[0]) != shard(&pair[1])
+            })
+            .expect("neighbours in two shards");
+        let mut swapped = records.clone();
+        swapped.swap(at, at + 1);
+        let (x, y) = (records[0], records[1]);
+        let every = src.encode_shard_snapshot(&[0, 1, 2, 3], 4);
+        let short = honest.bulk[..2].to_vec();
+        let past = [&honest.bulk[..], &[4]].concat();
+        let twice = [&honest.bulk[..1], &honest.bulk[..]].concat();
+        let hostile: [(&str, Vec<u64>, Option<Bytes>); 9] = [
+            ("a key of a shard not listed", short, Some(image.clone())),
             (
-                "shard 0 twice",
-                vec![(0, blob_of(&[x])), (0, blob_of(&[y]))],
+                "a key of the walked shard",
+                honest.bulk.clone(),
+                Some(every),
             ),
-        ] {
-            let (mut plan, mut server) = src.plan_contact(&digests, &PlanConfig::default());
-            plan.snapshots = snapshots;
-            let mut dst = KvStore::with_shards(s(1), 1);
-            dst.put("mine", "local");
+            (
+                "keys that descend across a shard boundary",
+                honest.bulk.clone(),
+                Some(image_of(&swapped)),
+            ),
+            ("a bulk list with no image", honest.bulk.clone(), None),
+            (
+                "an image with no bulk list",
+                Vec::new(),
+                Some(image.clone()),
+            ),
+            ("a listed shard past the count", past, Some(image.clone())),
+            ("a shard listed twice", twice, Some(image.clone())),
+            ("a key twice", honest.bulk.clone(), Some(image_of(&[x, x]))),
+            (
+                "two keys out of order",
+                honest.bulk.clone(),
+                Some(image_of(&[y, x])),
+            ),
+        ];
+        for (what, bulk, image) in hostile {
+            let mut dst = local.clone();
             let before = dst.clone();
-            let mut client = dst.client_endpoint_for(&plan.incremental, 1);
+            let (plan, mut server) =
+                src.plan_contact(&dst.shard_digest_vector(), &PlanConfig::default());
+            let plan = ShardPlan {
+                bulk,
+                image,
+                ..plan
+            };
+            let mut client = dst.client_endpoint_for(&plan.incremental, 4);
             let contact = run_contact(&mut client, &mut server).unwrap();
             let applied = dst.apply_planned_tracked(&JoinResolver, client, &contact, &plan);
             assert_eq!(
@@ -527,7 +550,19 @@ mod tests {
             );
             assert_eq!(dst, before, "{what}");
             assert_eq!(dst.generation(), before.generation(), "{what}");
+            assert_eq!(dst.replica_digest(), before.replica_digest(), "{what}");
         }
+        // The honest plan, and its image rebuilt here, apply.
+        assert_eq!(image, image_of(&records));
+        let mut dst = local.clone();
+        let (plan, mut server) =
+            src.plan_contact(&dst.shard_digest_vector(), &PlanConfig::default());
+        let mut client = dst.client_endpoint_for(&plan.incremental, 4);
+        let contact = run_contact(&mut client, &mut server).unwrap();
+        dst.apply_planned_tracked(&JoinResolver, client, &contact, &plan)
+            .unwrap();
+        assert_eq!(dst.replica_digest(), dst.replica_digest_full());
+        assert_eq!(dst.len(), 24);
     }
 
     /// A join moves each physical shard's run in whole, whether a plan
@@ -544,7 +579,7 @@ mod tests {
         for (plan_count, physical) in [(1, 8), (4, 16), (8, 8), (16, 4), (32, 1)] {
             let digests = KvStore::with_shards(s(1), plan_count).shard_digest_vector();
             let (plan, mut server) = src.plan_contact(&digests, &PlanConfig::default());
-            assert_eq!(plan.snapshots.len(), plan_count);
+            assert_eq!(plan.bulk.len(), plan_count);
             let mut dst = KvStore::with_shards(s(1), physical);
             let mut client = dst.client_endpoint_for(&plan.incremental, plan_count);
             let contact = run_contact(&mut client, &mut server).unwrap();

@@ -16,14 +16,19 @@ use optrep_replication::planner::JOURNAL_CAP;
 use std::io::{self, Read, Write};
 
 impl KvStore {
-    /// Encodes one plan shard's whole image at plan-shard count
-    /// `count`: a varint entry count followed by each entry's
-    /// front-coded key, metadata snapshot (an empty field where it is the
-    /// entry before's), and tagged value (the layout of
-    /// [`encode_snapshot`](Self::encode_snapshot), without the site
-    /// header — shard snapshots cross sites, so they carry no site id).
-    pub fn encode_shard_snapshot(&self, shard: u64, count: usize) -> Bytes {
-        shard_image(&self.records_in(&[shard], count, |_| true))
+    /// Encodes the records of the given plan shards at plan-shard count
+    /// `count` (strictly increasing) as one image in key order: a varint
+    /// entry count followed by each entry's front-coded key, metadata
+    /// snapshot (an empty field where it is the entry before's), and
+    /// tagged value (the layout of [`encode_snapshot`](Self::encode_snapshot),
+    /// without the site header — a plan's image crosses sites, so it
+    /// carries no site id). A plan's bulk-loaded shards cross as this.
+    pub fn encode_shard_snapshot(&self, shards: &[u64], count: usize) -> Bytes {
+        let records = self.records_in(shards, count, |_| true);
+        let count = records.len() as u64;
+        let mut buf = Vec::with_capacity(records_len(count, records.iter().copied()));
+        write_records(&mut buf, count, records.into_iter()).expect("a Vec takes every byte");
+        Bytes::from(buf)
     }
 
     /// Serializes the whole store into a durable snapshot: the site,
@@ -242,7 +247,7 @@ impl KvStore {
 }
 
 /// The entries of an image, each read against the entry before it: the
-/// one reader of a boot's image and of a join's shard images. An entry's
+/// one reader of a boot's image and of a plan's image. An entry's
 /// key is rebuilt by [`Ascending`]; its vector, where the field is empty,
 /// is the vector of the entry before, copied, and is otherwise re-encoded
 /// once, here, and kept for the entry after. Either way the state it
@@ -449,17 +454,6 @@ impl SnapshotImage<'_> {
         wire::write_varint(out, u64::from(self.store.site.index()))?;
         write_records(out, self.count, self.store.sorted())
     }
-}
-
-/// A shard's image of `records`, in the order given (a plan's are
-/// sorted): the records as a whole store's image lists them after its
-/// site, in one buffer of its exact size. A shard image crosses sites,
-/// so it carries no site.
-pub(crate) fn shard_image(records: &[Record<'_>]) -> Bytes {
-    let count = records.len() as u64;
-    let mut buf = Vec::with_capacity(records_len(count, records.iter().copied()));
-    write_records(&mut buf, count, records.iter().copied()).expect("a Vec takes every byte");
-    Bytes::from(buf)
 }
 
 /// The length of what [`write_records`] writes.

@@ -274,7 +274,8 @@ fn image_as(site: Option<SiteId>, entries: &[(&str, View<'_>)], pad: Overlong) -
 fn joined(image: Bytes) -> KvStore {
     let plan = ShardPlan {
         count: 1,
-        snapshots: vec![(0, image)],
+        bulk: vec![0],
+        image: Some(image),
         ..ShardPlan::default()
     };
     let mut joiner = KvStore::with_shards(s(9), 1);
@@ -438,8 +439,8 @@ fn assert_refused_by_every_decoder(body: &[u8], refused: WireError) {
         Err(refused)
     );
 
-    // A peer's plan at one shard, every key of which falls in it: a shard
-    // snapshot blob.
+    // A peer's plan at one shard, every key of which falls in it: the
+    // plan's image.
     let mut src = KvStore::with_shards(s(0), 1);
     src.put("x", "1");
     let digests = KvStore::with_shards(s(1), 1).shard_digest_vector();
@@ -449,7 +450,7 @@ fn assert_refused_by_every_decoder(body: &[u8], refused: WireError) {
     let before = store.clone();
     let mut client = store.client_endpoint_for(&plan.incremental, 1);
     let contact = run_contact(&mut client, &mut server).unwrap();
-    plan.snapshots[0].1 = Bytes::copy_from_slice(body);
+    plan.image = Some(Bytes::copy_from_slice(body));
     assert_eq!(
         store.apply_planned_tracked(&JoinResolver, client, &contact, &plan),
         Err(optrep_core::Error::Wire(refused))
@@ -542,7 +543,7 @@ fn a_key_encoded_any_way_but_the_writers_is_refused() {
         (0, "к".as_bytes()),
         (1, &"л".as_bytes()[1..]),
     ];
-    let image = store.encode_shard_snapshot(0, 1);
+    let image = store.encode_shard_snapshot(&[0], 1);
     let states: Vec<_> = (store.entries_sorted().iter())
         .map(|(key, _)| store.encode_entry(key).unwrap())
         .collect();
@@ -636,7 +637,7 @@ fn a_vector_encoded_any_way_but_the_writers_is_refused() {
     wire::put_varint(&mut written, 0);
     wire::put_bytes(&mut written, b"d");
     written.extend_from_slice(&states[3]);
-    let image = store.encode_shard_snapshot(0, 1);
+    let image = store.encode_shard_snapshot(&[0], 1);
     assert_eq!(image, written, "the writer's encoding");
     assert_eq!(vector_fields(&image), [3, 0, 3, 3]);
     assert!(joined(image).consistent_with(&store));
@@ -715,7 +716,7 @@ fn every_cut_of_an_image_is_refused_by_every_decoder() {
         store.put(key, vec![3u8; 130]);
     }
     store.delete("k10");
-    let image = store.encode_shard_snapshot(0, 1);
+    let image = store.encode_shard_snapshot(&[0], 1);
     assert_eq!(vector_fields(&image), [3, 0, 3, 3, 0, 0]);
     for cut in 0..image.len() {
         assert_refused_by_every_decoder(&image[..cut], WireError::UnexpectedEof);
@@ -771,7 +772,7 @@ fn an_entry_reaches_where_its_decoder_stops() {
     store.put("k".repeat(201), "x");
     store.put("gone", "x");
     store.delete("gone");
-    let image = store.encode_shard_snapshot(0, 1);
+    let image = store.encode_shard_snapshot(&[0], 1);
     assert_eq!(vector_fields(&image), [3, 3, 3, 0]);
     let mut rest = &image[1..];
     let mut entries = ImageEntries::default();

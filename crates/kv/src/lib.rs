@@ -172,7 +172,7 @@ pub struct KvSyncReport {
     pub shards_incremental: usize,
     /// Shards applied as whole snapshots.
     pub shards_snapshot: usize,
-    /// Planner-phase wire bytes (digest vector, plan with its blobs and
+    /// Planner-phase wire bytes (digest vector, plan with its image and
     /// child digests, scope).
     pub digest_bytes: usize,
     /// Incremental shards narrowed to their differing children.
@@ -422,12 +422,15 @@ impl KvStore {
         })
     }
 
-    /// A site-independent digest of the replicated state: two stores
-    /// have equal digests iff they hold the same keys, values and
-    /// version vectors — [`consistent_with`](Self::consistent_with)
-    /// without needing both stores in one process. This is what
-    /// `optrep digest` prints and what the cluster smoke test compares
-    /// across daemons.
+    /// A site-independent 64-bit digest of the replicated state: two
+    /// stores that hold the same keys, values and version vectors have
+    /// equal digests, and two that do not have equal digests with
+    /// probability about 2⁻⁶⁴ — each entry's hash is finalized before it
+    /// is summed, so no pattern of honest writes makes sums meet. Equal
+    /// digests are therefore strong evidence, not proof, of
+    /// [`consistent_with`](Self::consistent_with), and need no second
+    /// store in the process. This is what `optrep digest` prints and what
+    /// the cluster smoke test compares across daemons.
     ///
     /// (The [snapshot](Self::encode_snapshot) embeds the hosting site
     /// id and raw rotating-vector segments, both of which legitimately
@@ -545,7 +548,7 @@ impl<'a> SyncRequest<'a> {
     /// * If the contact fails (link death, stall, decode error)
     ///   **nothing** happened: no key, no metadata, no counter moved. A
     ///   clean follow-up sync picks up exactly where this one left off.
-    /// * If it completes, every outcome and every snapshot blob is
+    /// * If it completes, every outcome and the plan's image are
     ///   decoded and validated into a staging list *before* the first
     ///   key is touched, so a corrupt payload mid-batch also leaves the
     ///   store byte-identical.

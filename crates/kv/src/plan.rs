@@ -2,7 +2,7 @@
 //! the journal's hints, the plan and its push, and every endpoint a
 //! contact runs between.
 
-use crate::codec::{encode_value, shard_image};
+use crate::codec::encode_value;
 use crate::record::{entry_hash, Record};
 use crate::shard::{shard_index, Shard};
 use crate::{KvStore, MAX_SHARDS};
@@ -263,7 +263,7 @@ impl KvStore {
 
     /// The serving half of the planner phase: folds this store's
     /// digests to the puller's shard count, [`decide`]s per shard,
-    /// encodes snapshot blobs for the bulk-load shards and digests the
+    /// encodes the bulk-loaded shards' records as one image and digests the
     /// children of the shards `decide` priced as worth narrowing — all
     /// from one view of the store, the one whose
     /// [`generation`](Self::generation) the
@@ -341,20 +341,11 @@ impl KvStore {
                 ShardAction::Snapshot => bulk.push(shard as u64),
             }
         }
-        // One merge of the shards the bulk shards name and nothing else;
-        // bucketing keeps key order, so each image is what
-        // `encode_shard_snapshot` would list for that shard alone.
-        let mut images: BTreeMap<u64, Vec<Record<'_>>> =
-            bulk.iter().map(|&shard| (shard, Vec::new())).collect();
-        for record in self.records_in(&bulk, count, |_| true) {
-            let shard = shard_index(record.key_bytes(), count) as u64;
-            images.get_mut(&shard).expect("a bulk shard").push(record);
-        }
-        plan.snapshots = images
-            .into_iter()
-            .map(|(shard, image)| (shard, shard_image(&image)))
+        plan.image = (!bulk.is_empty()).then(|| self.encode_shard_snapshot(&bulk, count));
+        plan.bulk = bulk;
+        let mut unseen: Vec<ShardDigest> = (plan.bulk.iter())
+            .map(|&shard| ours[shard as usize])
             .collect();
-        let mut unseen: Vec<ShardDigest> = bulk.iter().map(|&shard| ours[shard as usize]).collect();
         if !decision.refined.is_empty() {
             let children = self.child_digests(&decision.refined, plan.count, decision.fanout);
             plan.children = Some(ChildDigests {

@@ -145,6 +145,64 @@ fn planned_sync_snapshots_empty_shards() {
     assert!(dst.meta("key-11").is_some());
 }
 
+/// A plan that bulk-loads no shard, or one, is byte for byte what it
+/// was when each bulk shard carried an image of its own: its one image
+/// is that shard's. The length and FNV-1a of each plan frame below were
+/// read off the same stores at the commit before bulk shards shared an
+/// image. The plans that bulk-load nothing walk every dirty shard whole
+/// (every shard is dirty, so none is refined), so no digest is in them.
+#[test]
+fn plans_of_no_bulk_shard_or_one_are_what_they_were() {
+    let pinned = [
+        (
+            1,
+            [(5, 0x691f_25d4_0448_b073), (6530, 0xc99f_8bfd_98b5_2533)],
+        ),
+        (
+            16,
+            [(20, 0x331f_12e0_6807_4aa3), (462, 0xce82_5b95_bba8_afbb)],
+        ),
+        (
+            512,
+            [(142, 0x2447_816f_35e8_18ff), (282, 0xa64a_a4ac_bc45_c9b5)],
+        ),
+    ];
+    for (shards, frames) in pinned {
+        let mut src = KvStore::with_shards(s(0), shards);
+        for i in 0..300 {
+            src.put(format!("key-{i:03}"), vec![i as u8; 1 + i % 40]);
+        }
+        src.delete("key-007");
+        // No bulk shard: a puller that holds an older write of half the
+        // keys.
+        let mut held = KvStore::with_shards(s(1), shards);
+        held.sync(&src).run().unwrap();
+        for i in (0..300).step_by(2) {
+            src.put(format!("key-{i:03}"), "newer");
+        }
+        // One bulk shard: a puller that lacks only the keys of the shard
+        // of `key-042` (at one shard, an empty one).
+        let lonely = shard_index(b"key-042", shards);
+        let mut lacking = KvStore::with_shards(s(2), shards);
+        for i in (0..300).filter(|_| shards > 1) {
+            let key = format!("key-{i:03}");
+            if shard_index(key.as_bytes(), shards) != lonely {
+                lacking.put(key, "mine");
+            }
+        }
+        for (bulk, (puller, (len, hash))) in [&held, &lacking].into_iter().zip(frames).enumerate() {
+            let (plan, _) = src.plan_contact(&puller.shard_digest_vector(), &PlanConfig::default());
+            assert_eq!(plan.bulk.len(), bulk, "{shards} shards");
+            let frame = plan.encode();
+            assert_eq!(
+                (frame.len(), placement(&frame)),
+                (len, hash),
+                "{shards} shards, {bulk} bulk"
+            );
+        }
+    }
+}
+
 #[test]
 fn one_walk_plan_matches_the_per_shard_builders() {
     let mut src = KvStore::with_shards(s(0), 8);
@@ -160,14 +218,9 @@ fn one_walk_plan_matches_the_per_shard_builders() {
         let digests = dst.shard_digest_vector();
         let (plan, endpoint) = src.plan_contact(&digests, &PlanConfig::default());
         assert_eq!(plan.incremental.len(), 1, "{count} shards");
-        assert!(!plan.snapshots.is_empty(), "{count} shards");
-        for (shard, blob) in &plan.snapshots {
-            assert_eq!(
-                *blob,
-                src.encode_shard_snapshot(*shard, count),
-                "shard {shard} of {count}"
-            );
-        }
+        assert!(!plan.bulk.is_empty(), "{count} shards");
+        let image = src.encode_shard_snapshot(&plan.bulk, count);
+        assert_eq!(plan.image, Some(image), "{count} shards");
         let reference = src.server_endpoint_for(&plan.incremental, count);
         assert_eq!(format!("{endpoint:?}"), format!("{reference:?}"));
     }

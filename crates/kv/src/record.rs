@@ -7,6 +7,7 @@
 use bytes::BufMut;
 use optrep_core::error::WireError;
 use optrep_core::order::RotCore;
+use optrep_core::rng::finalize;
 use optrep_core::{wire, RotatingVector, Srv};
 
 /// A stored entry, borrowed from the page that holds it: the
@@ -100,7 +101,7 @@ impl<'a> Record<'a> {
     /// canonical; any other vector is re-encoded by [`recode_vector`], so
     /// the record is what [`write`](Self::write) writes for the state a
     /// decoder reads. The one reader of an entry's wire state: a boot, a
-    /// log replay and a join's blobs all come through here.
+    /// log replay and a join's image all come through here.
     ///
     /// # Errors
     ///
@@ -349,8 +350,13 @@ pub(crate) fn with_version_vector<R>(mut meta: &[u8], read: impl FnOnce(&[(u32, 
 /// FNV-1a over the key, the tagged value, and the sorted version
 /// vector — so the digest is site-independent (raw rotating-vector
 /// segments, which differ between converged replicas, are *not*
-/// hashed). Each length, count and site is fed as its 8 little-endian
-/// bytes.
+/// hashed) — passed through SplitMix64's finalizer. Each length, count
+/// and site is fed as its 8 little-endian bytes. FNV-1a's last step is
+/// `(h ^ count) · P⁸`, so a count that moves by one moves the raw hash
+/// by a small multiple of `P⁸`, and such moves cancel in a sum across
+/// entries (a key rewritten with the value it holds beside another);
+/// finalized, a sum of hashes is a multiset hash, and a collision on
+/// honest input is about 2⁻⁶⁴ a comparison.
 pub(crate) fn entry_hash(record: Record<'_>) -> u64 {
     let (key, view) = (record.key_bytes(), record.view());
     let mut hash = fnv_bytes(fnv_word(FNV_OFFSET, key.len() as u64), key);
@@ -364,7 +370,7 @@ pub(crate) fn entry_hash(record: Record<'_>) -> u64 {
             hash = fnv_word(fnv_word(hash, u64::from(site)), count);
         }
     });
-    hash
+    finalize(hash)
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

@@ -5,7 +5,8 @@ use optrep_core::rng::SplitMix64;
 use optrep_replication::planner::placement;
 
 /// The reference for [`entry_hash`]: the same feed built from the
-/// decoded vector, its pairs collected on the heap and sorted.
+/// decoded vector, its pairs collected on the heap and sorted, hashed
+/// byte by byte and finalized.
 fn entry_hash_by_the_vector(key: &str, meta: &Srv, value: Option<&[u8]>) -> u64 {
     let mut feed = Vec::new();
     feed.extend_from_slice(&(key.len() as u64).to_le_bytes());
@@ -28,7 +29,7 @@ fn entry_hash_by_the_vector(key: &str, meta: &Srv, value: Option<&[u8]>) -> u64 
         feed.extend_from_slice(&u64::from(site).to_le_bytes());
         feed.extend_from_slice(&count.to_le_bytes());
     }
-    placement(&feed)
+    optrep_core::rng::finalize(placement(&feed))
 }
 
 /// A seeded entry state covering what moves a length prefix or a

@@ -312,7 +312,7 @@ fn a_snapshot_is_one_buffer_of_its_size_and_a_merge() {
     );
     // A shard's image likewise.
     LARGEST.with(|largest| largest.set(0));
-    let shard = store.encode_shard_snapshot(3, 16);
+    let shard = store.encode_shard_snapshot(&[3], 16);
     let largest = LARGEST.with(Cell::get);
     assert!(shard.len() > 47 * KEYS / 32, "{} B", shard.len());
     assert!(

@@ -25,10 +25,29 @@ use support::unplanned_pull;
 
 #[derive(Debug, Clone)]
 enum Op {
-    Put { store: usize, key: u8, val: u8 },
-    Delete { store: usize, key: u8 },
-    Sync { dst: usize, src: usize },
-    PlannedSync { dst: usize, src: usize },
+    Put {
+        store: usize,
+        key: u8,
+        val: u8,
+    },
+    Delete {
+        store: usize,
+        key: u8,
+    },
+    /// The value the key holds written again, or its tombstone: only
+    /// its vector moves.
+    Rewrite {
+        store: usize,
+        key: u8,
+    },
+    Sync {
+        dst: usize,
+        src: usize,
+    },
+    PlannedSync {
+        dst: usize,
+        src: usize,
+    },
 }
 
 fn ops(rng: &mut SplitMix64, stores: usize, len: usize) -> Vec<Op> {
@@ -36,14 +55,15 @@ fn ops(rng: &mut SplitMix64, stores: usize, len: usize) -> Vec<Op> {
         .map(|_| {
             let (store, key) = (rng.below(stores), rng.below(8) as u8);
             let src = (store + rng.range(1..stores)) % stores;
-            match rng.below(4) {
+            match rng.below(5) {
                 0 => Op::Put {
                     store,
                     key,
                     val: rng.next_u64() as u8,
                 },
                 1 => Op::Delete { store, key },
-                2 => Op::Sync { dst: store, src },
+                2 => Op::Rewrite { store, key },
+                3 => Op::Sync { dst: store, src },
                 _ => Op::PlannedSync { dst: store, src },
             }
         })
@@ -64,6 +84,13 @@ fn run(shard_counts: &[usize], schedule: &[Op]) -> Vec<KvStore> {
             }
             Op::Delete { store, key } => {
                 fleet[*store].delete(format!("k{key}"));
+            }
+            Op::Rewrite { store, key } => {
+                let (store, key) = (&mut fleet[*store], format!("k{key}"));
+                match store.get(&key).map(<[u8]>::to_vec) {
+                    Some(held) => store.put(key, held),
+                    None => store.delete(key),
+                }
             }
             Op::Sync { dst, src } => {
                 let src = fleet[*src].clone();

@@ -377,7 +377,7 @@ impl<'a> Puller<'a> {
         self.report.shards_total = plan.count;
         self.report.shards_skipped = plan.skipped();
         self.report.shards_incremental = plan.incremental.len() as u64;
-        self.report.shards_snapshot = plan.snapshots.len() as u64;
+        self.report.shards_snapshot = plan.bulk.len() as u64;
         if self.first_on_link && !plan.proposed.is_empty() {
             // A server proposes from what it remembers of the link's
             // last contact; this link had none.

@@ -67,7 +67,7 @@ pub struct ContactReport {
     pub shards_proposed: u64,
     /// Bytes of the planner exchange (the opening frame — the digest
     /// vector, or its delta against the last one the connection
-    /// carried — + plan frame, snapshot blobs, child digests and
+    /// carried — + plan frame, bulk image, child digests and
     /// proposals included, + the scope frame; turn markers excluded) —
     /// the fifth plane, priced by [`Puller`](super::Puller).
     /// The planner frames emit no `FrameTx` event: the obs contact

@@ -369,7 +369,7 @@ impl Serving {
                             "the source answered an endpoint where a plan was due".into(),
                         ));
                     };
-                    let (bulk, proposed) = (plan.snapshots.len(), plan.proposed.len());
+                    let (bulk, proposed) = (plan.bulk.len(), plan.proposed.len());
                     if images.len() != bulk + proposed {
                         return Err(planning_violation(format!(
                             "the source digested {} shards of a plan that bulk-loads {bulk} \
@@ -384,8 +384,7 @@ impl Serving {
                     let mut parked = plan_frame(&plan);
                     let pushed = write_push(&push, &mut parked)?;
                     self.parked = Some(parked);
-                    let bulk = plan.snapshots.iter().map(|(shard, _)| *shard);
-                    let whole = bulk.chain(plan.proposed.iter().copied());
+                    let whole = plan.bulk.iter().chain(&plan.proposed).copied();
                     self.planned = Some(Box::new(Planned {
                         count: plan.count,
                         walked: plan.walked(),

@@ -45,15 +45,31 @@ impl std::ops::Sub for ShardDigest {
 }
 
 impl ShardDigest {
-    /// A summary on the wire: the entry count as a varint, then the
-    /// digest as 8 fixed big-endian bytes.
+    /// A summary on the wire: the entry count as a varint, then, unless
+    /// it is 0, the digest as 8 fixed big-endian bytes. An empty shard's
+    /// digest is the empty sum, 0, and is implied.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a count of 0 with a digest other than 0: no shard
+    /// summarises to that.
     pub(super) fn put(&self, buf: &mut BytesMut) {
+        assert!(
+            self.entries > 0 || self.digest == 0,
+            "an empty shard's digest is 0, not {:#018x}",
+            self.digest
+        );
         wire::put_varint(buf, self.entries);
-        buf.put_u64(self.digest);
+        if self.entries > 0 {
+            buf.put_u64(self.digest);
+        }
     }
 
     pub(super) fn get(buf: &mut Bytes) -> std::result::Result<ShardDigest, WireError> {
         let entries = wire::get_varint(buf)?;
+        if entries == 0 {
+            return Ok(ShardDigest::default());
+        }
         if buf.remaining() < 8 {
             return Err(WireError::UnexpectedEof);
         }
@@ -72,7 +88,8 @@ pub struct DigestVector {
 
 impl DigestVector {
     /// Encodes the message (tag, shard count, then each shard's entry
-    /// count as a varint and its digest as 8 fixed big-endian bytes).
+    /// count as a varint and, unless it is 0, its digest as 8 fixed
+    /// big-endian bytes).
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(2 + self.shards.len() * 12);
         buf.put_u8(TAG_SHARD_DIGESTS);
@@ -142,8 +159,8 @@ pub struct DigestDelta {
 
 impl DigestDelta {
     /// A changed shard on the wire: a gap and an entry count of a byte
-    /// or more each, and 8 digest bytes.
-    const MIN_CHANGED_BYTES: u64 = 10;
+    /// or more each, and 8 digest bytes unless the shard is empty.
+    const MIN_CHANGED_BYTES: u64 = 2;
 
     /// What turns `base` into `next`; `None` when their shard counts
     /// differ (the store was resharded: there is nothing to patch).
@@ -172,8 +189,8 @@ impl DigestDelta {
     /// Encodes the message: tag, shard count, the number of changed
     /// shards, each as its index (the first as it is, every later one
     /// as the gap past its predecessor, less one — so no encoding lists
-    /// shards out of order or twice), entry count and 8 fixed digest
-    /// bytes, then the check as 8 fixed bytes.
+    /// shards out of order or twice) and summary ([`ShardDigest::put`]),
+    /// then the check as 8 fixed bytes.
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(20 + self.changed.len() * 12);
         buf.put_u8(TAG_SHARD_DIGESTS_DELTA);
@@ -492,15 +509,46 @@ mod tests {
         assert!(DigestVector::decode(&mut buf).is_err(), "trailing byte");
     }
 
+    /// An empty shard is its zero count alone: a fresh puller's vector
+    /// at 512 shards is 515 bytes, and a count of 0 beside a digest
+    /// other than 0 — a summary no shard has — cannot be encoded.
+    #[test]
+    fn an_empty_summary_is_its_zero_count_alone() {
+        let fresh = DigestVector {
+            shards: vec![ShardDigest::default(); 512],
+        };
+        let full = fresh.encode();
+        assert_eq!(full.len(), 515);
+        assert_eq!(DigestVector::decode(&mut full.clone()).unwrap(), fresh);
+        let mut buf = BytesMut::new();
+        ShardDigest {
+            digest: 9,
+            entries: 1,
+        }
+        .put(&mut buf);
+        ShardDigest::default().put(&mut buf);
+        assert_eq!(&buf[..], &[1, 0, 0, 0, 0, 0, 0, 0, 9, 0]);
+        let hostile = ShardDigest {
+            digest: 9,
+            entries: 0,
+        };
+        let put = std::panic::catch_unwind(|| hostile.put(&mut BytesMut::new()));
+        assert!(put.is_err(), "a count of 0 with digest 9 was encoded");
+    }
+
     /// A seeded vector and the one that follows it over the same
     /// connection: anywhere from no shard to every shard changed.
     fn random_vector_pair(seed: u64) -> (DigestVector, DigestVector) {
         let mut rng = SplitMix64::new(seed);
         let count = 1usize << (rng.next_u64() % 10);
         let density = rng.next_u64() % 9;
-        let summary = |rng: &mut SplitMix64| ShardDigest {
-            digest: rng.next_u64(),
-            entries: rng.next_u64() % 40_000,
+        let summary = |rng: &mut SplitMix64| {
+            let digest = rng.next_u64();
+            let entries = rng.next_u64() % 40_000;
+            ShardDigest {
+                digest: if entries == 0 { 0 } else { digest },
+                entries,
+            }
         };
         let base: Vec<ShardDigest> = (0..count).map(|_| summary(&mut rng)).collect();
         let next = base

@@ -10,9 +10,10 @@
 //!    a turn marker.
 //! 2. The server folds its own per-shard digests to the puller's shard
 //!    count, [`decide()`]s per shard, and answers a single [`ShardPlan`]:
-//!    which shards to sync incrementally, which to transfer as whole
-//!    snapshots (blobs inline in the plan frame), and — implicitly —
-//!    which to skip because the digests already matched.
+//!    which shards to sync incrementally, which to bulk-load whole
+//!    (their records inline in the plan frame, one image in key order
+//!    for all of them), and — implicitly — which to skip because the
+//!    digests already matched.
 //! 3. The ordinary batched contact follows, with **both** endpoints
 //!    restricted to the plan's incremental shards. Clean shards cost
 //!    zero object rounds; a second immediate pull of an unchanged store

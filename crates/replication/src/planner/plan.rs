@@ -33,11 +33,12 @@ pub struct ShardPlan {
     /// Shards to sync incrementally over per-object streams, strictly
     /// increasing.
     pub incremental: Vec<u64>,
-    /// Shards to apply as whole snapshots: `(shard index, blob)` where
-    /// the blob is the server's shard image
-    /// (`KvStore::encode_shard_snapshot` format), shards strictly
-    /// increasing.
-    pub snapshots: Vec<(u64, Bytes)>,
+    /// Shards to bulk-load whole, strictly increasing.
+    pub bulk: Vec<u64>,
+    /// The records of every bulk-loaded shard as one image, in key
+    /// order (`KvStore::encode_shard_snapshot` over `bulk`): present
+    /// exactly when `bulk` is not empty.
+    pub image: Option<Bytes>,
     /// The children of the incremental shards
     /// [`decide`](super::decide()) priced as worth narrowing; `None` when
     /// nothing is refined. A puller may ignore them: without a
@@ -60,14 +61,13 @@ impl ShardPlan {
     pub fn skipped(&self) -> u64 {
         self.count
             .saturating_sub(self.incremental.len() as u64)
-            .saturating_sub(self.snapshots.len() as u64)
+            .saturating_sub(self.bulk.len() as u64)
     }
 
     /// The shards the plan serves: its incremental shards, then the
     /// ones it bulk-loads, each in the plan's order.
     pub fn served(&self) -> impl Iterator<Item = u64> + '_ {
-        let snapshots = self.snapshots.iter().map(|(shard, _)| *shard);
-        self.incremental.iter().copied().chain(snapshots)
+        self.incremental.iter().chain(&self.bulk).copied()
     }
 
     /// The incremental shards the exchange walks: all but the proposed
@@ -91,7 +91,8 @@ impl ShardPlan {
     /// Encodes the message. Each list of shards — the incremental, the
     /// bulk-loaded and the refined ones — is its length, then its
     /// shards as gaps: the first as it is, every later one as the gap
-    /// past its predecessor, less one. The children, when present, are
+    /// past its predecessor, less one. Behind a bulk list that is not
+    /// empty comes its image, length-prefixed. The children, when present, are
     /// a tail after the unrefined encoding, under their own tag;
     /// proposals, when present, a tail behind that — or behind a zero
     /// byte where there are no children — under a third: one bit an
@@ -100,7 +101,9 @@ impl ShardPlan {
     ///
     /// # Panics
     ///
-    /// Panics if a list of shards is not strictly increasing.
+    /// Panics if a list of shards is not strictly increasing, or if the
+    /// image is present where the bulk list is empty or missing where it
+    /// is not.
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::new();
         buf.put_u8(match (&self.children, self.proposed.is_empty()) {
@@ -114,11 +117,15 @@ impl ShardPlan {
         for &shard in &self.incremental {
             gaps.put(&mut buf, shard);
         }
-        wire::put_varint(&mut buf, self.snapshots.len() as u64);
+        wire::put_varint(&mut buf, self.bulk.len() as u64);
         let mut gaps = Gaps::default();
-        for (shard, blob) in &self.snapshots {
-            gaps.put(&mut buf, *shard);
-            wire::put_bytes(&mut buf, blob);
+        for &shard in &self.bulk {
+            gaps.put(&mut buf, shard);
+        }
+        match (&self.image, self.bulk.is_empty()) {
+            (Some(image), false) => wire::put_bytes(&mut buf, image),
+            (None, true) => {}
+            _ => panic!("an image goes with a bulk list that is not empty, and only with one"),
         }
         if !self.proposed.is_empty() {
             buf.put_u8(u8::from(self.children.is_some()));
@@ -190,13 +197,15 @@ impl ShardPlan {
         if n > count {
             return Err(WireError::InvalidPayload);
         }
-        let mut snapshots = Vec::with_capacity(n as usize);
+        let mut bulk = Vec::with_capacity(n as usize);
         let mut gaps = Gaps::default();
         for _ in 0..n {
-            let shard = gaps.get(buf, count)?;
-            let blob = wire::get_bytes(buf)?;
-            snapshots.push((shard, blob));
+            bulk.push(gaps.get(buf, count)?);
         }
+        let image = match bulk.is_empty() {
+            true => None,
+            false => Some(wire::get_bytes(buf)?),
+        };
         let proposing = tag == TAG_SHARD_PLAN_PROPOSED;
         let refined = if !proposing {
             tag == TAG_SHARD_PLAN_REFINED
@@ -223,7 +232,8 @@ impl ShardPlan {
         Ok(ShardPlan {
             count,
             incremental,
-            snapshots,
+            bulk,
+            image,
             children,
             proposed,
         })
@@ -235,8 +245,9 @@ impl ShardPlan {
         count: u64,
         incremental: &[u64],
     ) -> std::result::Result<ChildDigests, WireError> {
-        /// A child is a one-byte-or-more entry count and 8 digest bytes.
-        const MIN_CHILD_BYTES: u64 = 9;
+        /// A child is a one-byte-or-more entry count, and 8 digest bytes
+        /// unless the count is 0.
+        const MIN_CHILD_BYTES: u64 = 1;
         let log2 = wire::get_varint(buf)?;
         if log2 == 0 || log2 > 20 || count << log2 > MAX_PLAN_SHARDS {
             return Err(WireError::InvalidPayload);
@@ -313,7 +324,8 @@ pub(super) mod tests {
         ShardPlan {
             count: 4,
             incremental: vec![0, 3],
-            snapshots: vec![(2, Bytes::from_static(b"\x00blob"))],
+            bulk: vec![2],
+            image: Some(Bytes::from_static(b"\x00blob")),
             children: None,
             proposed: Vec::new(),
         }
@@ -343,7 +355,7 @@ pub(super) mod tests {
         }
         // A plan index out of range, and a later one whose gap runs to
         // the count or past it, in either list (wrapping included).
-        let plan = |incremental: &[u64], snapshots: &[u64]| {
+        let plan = |incremental: &[u64], bulk: &[u64]| {
             let mut buf = BytesMut::new();
             buf.put_u8(TAG_SHARD_PLAN);
             wire::put_varint(&mut buf, 4);
@@ -351,16 +363,18 @@ pub(super) mod tests {
             for &gap in incremental {
                 wire::put_varint(&mut buf, gap);
             }
-            wire::put_varint(&mut buf, snapshots.len() as u64);
-            for &gap in snapshots {
+            wire::put_varint(&mut buf, bulk.len() as u64);
+            for &gap in bulk {
                 wire::put_varint(&mut buf, gap);
+            }
+            if !bulk.is_empty() {
                 wire::put_bytes(&mut buf, b"");
             }
             ShardPlan::decode(&mut buf.freeze())
         };
         let honest = plan(&[1, 1], &[0, 1]).expect("well-formed");
         assert_eq!(honest.served().collect::<Vec<_>>(), [1, 3, 0, 2]);
-        for (incremental, snapshots) in [
+        for (incremental, bulk) in [
             (&[4][..], &[][..]),
             (&[1, 2], &[]),
             (&[3, 0], &[]),
@@ -368,11 +382,11 @@ pub(super) mod tests {
             (&[], &[0, 3]),
             (&[], &[3, u64::MAX]),
         ] {
-            let decoded = plan(incremental, snapshots);
+            let decoded = plan(incremental, bulk);
             assert_eq!(
                 decoded,
                 Err(WireError::InvalidPayload),
-                "{incremental:?} {snapshots:?}"
+                "{incremental:?} {bulk:?}"
             );
         }
     }
@@ -411,9 +425,11 @@ pub(super) mod tests {
         let mut children = Vec::new();
         for (shard, digests) in &mut parents {
             for j in 0..fanout {
+                let digest = rng.next_u64();
+                let entries = rng.next_u64() % 40_000;
                 digests.push(ShardDigest {
-                    digest: rng.next_u64(),
-                    entries: rng.next_u64() % 40_000,
+                    digest: if entries == 0 { 0 } else { digest },
+                    entries,
                 });
                 if rng.next_u64() % 3 < 1 {
                     children.push(*shard + j * count);
@@ -424,7 +440,8 @@ pub(super) mod tests {
         let plan = ShardPlan {
             count,
             incremental,
-            snapshots: Vec::new(),
+            bulk: Vec::new(),
+            image: None,
             children: Some(ChildDigests { fanout, parents }),
             proposed: Vec::new(),
         };
@@ -587,6 +604,44 @@ pub(super) mod tests {
         let refined = refined_plan().encode();
         assert_eq!(refined[0], TAG_SHARD_PLAN_REFINED);
         assert_eq!(refined[1..13], sample_plan().encode()[1..]);
+    }
+
+    /// Bulk-loaded shards are a gap list and one image behind it; a plan
+    /// with no bulk shard writes no image, and one with a single bulk
+    /// shard is that shard's gap and image, as when each bulk shard
+    /// carried its own.
+    #[test]
+    fn bulk_shards_share_one_image() {
+        let plan = ShardPlan {
+            count: 4,
+            bulk: vec![0, 2, 3],
+            image: Some(Bytes::from_static(b"ab")),
+            ..ShardPlan::default()
+        };
+        let full = plan.encode();
+        assert_eq!(&full[..], b"\x36\x04\x00\x03\x00\x01\x00\x02ab");
+        assert_strict(&plan, full, ShardPlan::decode);
+        assert_eq!(plan.skipped(), 1);
+        let empty = ShardPlan {
+            count: 4,
+            ..ShardPlan::default()
+        };
+        assert_eq!(&empty.encode()[..], b"\x36\x04\x00\x00");
+        // An image without a bulk shard, or a bulk shard without one, is
+        // no plan a server sends.
+        for hostile in [
+            ShardPlan {
+                image: Some(Bytes::new()),
+                ..empty.clone()
+            },
+            ShardPlan {
+                image: None,
+                ..plan.clone()
+            },
+        ] {
+            let encoded = std::panic::catch_unwind(|| hostile.encode());
+            assert!(encoded.is_err(), "{hostile:?}");
+        }
     }
 
     #[test]

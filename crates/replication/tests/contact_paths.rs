@@ -908,12 +908,15 @@ fn planned_wire_transcript_is_pinned_and_priced_by_the_old_arithmetic() {
     // while it wrote every vector: 21 of its 24 keys hold the vector of
     // the key before (one put at site 1; the second key, deleted after
     // its put, and the third, behind it, do not), and each writes an
-    // empty field, 3 B short of the vector's 4.
-    assert_eq!(report.digest_bytes, 2435);
+    // empty field, 3 B short of the vector's 4. 2435 while an empty
+    // shard's summary wrote its digest: the puller's vector holds one
+    // empty shard, now its zero count alone. The plan bulk-loads one
+    // shard, so its frame is byte for byte what it was.
+    assert_eq!(report.digest_bytes, 2427);
     assert_eq!(report.shards_total, plan.count);
     assert_eq!(report.shards_skipped, plan.skipped());
     assert_eq!(report.shards_incremental, plan.incremental.len() as u64);
-    assert_eq!(report.shards_snapshot, plan.snapshots.len() as u64);
+    assert_eq!(report.shards_snapshot, plan.bulk.len() as u64);
     // The planning turn is in neither the frame count nor the four
     // planes, but it blocks: a round trip beside the exchange's two.
     assert_eq!((report.frames, report.total_bytes), (39, 1589));
@@ -3141,10 +3144,20 @@ fn hostile_planner_sequences_fail_the_pulling_step() {
     // A puller that remembers the link's last vector opens with the
     // delta, and holds the plan to the vector's shard count all the
     // same; one that remembers a vector at another count sends today's
-    // frame.
+    // frame. (Its shards hold a key each: four empty shards are a
+    // vector of 6 B, shorter than any delta, and always cross whole.)
+    let held = DigestVector {
+        shards: vec![
+            ShardDigest {
+                digest: 7,
+                entries: 1
+            };
+            4
+        ],
+    };
     let opening_tag = |remembered: &VectorMemory| {
         let mut out = BytesMut::new();
-        let mut puller = Puller::open_planned(&empty_digests(), remembered, &mut out);
+        let mut puller = Puller::open_planned(&held, remembered, &mut out);
         puller
             .on_frame(plan_at(8), &mut BytesMut::new())
             .expect_err("a plan at another count");
@@ -3153,6 +3166,8 @@ fn hostile_planner_sequences_fail_the_pulling_step() {
     let mut remembered = VectorMemory::default();
     assert_eq!(opening_tag(&remembered), 0x35);
     remembered.remember(&empty_digests(), []);
+    assert_eq!(opening_tag(&remembered), 0x35);
+    remembered.remember(&held, []);
     assert_eq!(opening_tag(&remembered), 0x39);
     remembered.remember(
         &KvStore::with_shards(SiteId::new(0), 8).shard_digest_vector(),
@@ -3603,7 +3618,7 @@ fn as_served_memories_stay_in_step_over_seeded_contacts() {
                         continue;
                     }
                     met.empty_children += empty_children_held(&dst, &plan);
-                    met.bulk_loaded += plan.snapshots.len() as u64;
+                    met.bulk_loaded += plan.bulk.len() as u64;
                     let committed = dst.apply_planned(&JoinResolver, client, &report, &plan)?;
                     remembered.settle(&committed.landed);
                     return Ok((report, committed));

@@ -41,7 +41,7 @@
 //! are independent sinks over the same event stream.
 //!
 //! The daemon prints one `listening on <addr>` line once reachable and
-//! runs until killed.
+//! runs until killed; by then SIGINT and SIGTERM stop it gracefully.
 
 use optrep_core::{obs, SiteId};
 use optrep_server::{DurabilityConfig, FsyncPolicy, Node, NodeConfig};
@@ -237,14 +237,15 @@ fn run_traced(config: NodeConfig) {
                 replay.elapsed,
             );
         }
-        println!("optrepd site {} listening on {}", node.site(), node.addr());
-        use std::io::Write as _;
-        let _ = std::io::stdout().flush();
         // Watch for SIGINT/SIGTERM and shut down gracefully — final
         // checkpoint, WAL fsync, pooled connections FINned — then
         // return so the obs scope below flushes its sinks on the way
-        // out.
+        // out. The latch is in place before the ready line: a signal
+        // sent the moment the line is read is a graceful stop.
         signals::install();
+        println!("optrepd site {} listening on {}", node.site(), node.addr());
+        use std::io::Write as _;
+        let _ = std::io::stdout().flush();
         while !signals::requested() {
             std::thread::sleep(Duration::from_millis(50));
         }

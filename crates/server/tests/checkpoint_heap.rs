@@ -280,7 +280,7 @@ fn a_join_holds_the_store_it_builds_and_its_runs() {
     let shards = dst.shard_count();
     let digests = dst.shard_digest_vector();
     let (plan, mut server) = src.plan_contact(&digests, &PlanConfig::default());
-    assert_eq!(plan.snapshots.len(), shards, "every shard a snapshot");
+    assert_eq!(plan.bulk.len(), shards, "every shard a snapshot");
     let mut client = dst.client_endpoint_for(&plan.incremental, shards);
     let contact = run_contact(&mut client, &mut server).unwrap();
     let (applied, join) =

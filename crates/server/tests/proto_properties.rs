@@ -109,10 +109,13 @@ fn response(rng: &mut SplitMix64) -> Response {
     }
 }
 
+/// A shard's summary: an empty shard's digest is 0, the empty sum.
 fn shard_digest(rng: &mut SplitMix64) -> ShardDigest {
+    let digest = word(rng);
+    let entries = word(rng);
     ShardDigest {
-        digest: word(rng),
-        entries: word(rng),
+        digest: if entries == 0 { 0 } else { digest },
+        entries,
     }
 }
 
@@ -149,18 +152,20 @@ fn shard_plan(rng: &mut SplitMix64) -> ShardPlan {
     let mut incremental: Vec<u64> = (0..rng.below(6)).map(|_| rng.next_u64() % count).collect();
     incremental.sort_unstable();
     incremental.dedup();
-    let mut snapshots: Vec<(u64, Bytes)> = Vec::new();
+    let mut bulk: Vec<u64> = Vec::new();
     for _ in 0..rng.below(4) {
-        let (shard, blob) = (rng.next_u64() % count, bytes(rng, 0..24));
-        if !incremental.contains(&shard) && snapshots.iter().all(|(taken, _)| *taken != shard) {
-            snapshots.push((shard, Bytes::from(blob)));
+        let shard = rng.next_u64() % count;
+        if !incremental.contains(&shard) && !bulk.contains(&shard) {
+            bulk.push(shard);
         }
     }
-    snapshots.sort_unstable_by_key(|(shard, _)| *shard);
+    bulk.sort_unstable();
+    let image = (!bulk.is_empty()).then(|| Bytes::from(bytes(rng, 0..24)));
     ShardPlan {
         count,
         incremental,
-        snapshots,
+        bulk,
+        image,
         children: None,
         proposed: Vec::new(),
     }
@@ -171,7 +176,10 @@ fn shard_plan(rng: &mut SplitMix64) -> ShardPlan {
 fn refined_plan(rng: &mut SplitMix64) -> (ShardPlan, ShardScope) {
     let mut plan = shard_plan(rng);
     if plan.incremental.is_empty() {
-        plan.snapshots.retain(|(shard, _)| *shard != 0);
+        plan.bulk.retain(|&shard| shard != 0);
+        if plan.bulk.is_empty() {
+            plan.image = None;
+        }
         plan.incremental.push(0);
     }
     let fanout = 1u64 << rng.range(1..4);
@@ -461,8 +469,8 @@ fn garbage_never_panics() {
     });
 }
 
-/// The plan codec carries snapshot blobs as opaque bytes, so a blob
-/// whose vector image names a site twice crosses it intact; the puller's
+/// The plan codec carries its image as opaque bytes, so an image
+/// whose vector names a site twice crosses it intact; the puller's
 /// apply is where it is refused, with the store untouched.
 #[test]
 fn a_plan_blob_naming_a_site_twice_crosses_the_codec_and_is_refused_at_apply() {
@@ -489,8 +497,8 @@ fn a_plan_blob_naming_a_site_twice_crosses_the_codec_and_is_refused_at_apply() {
     let mut dst = KvStore::with_shards(SiteId::new(1), 4);
     let (mut plan, mut server) =
         src.plan_contact(&dst.shard_digest_vector(), &PlanConfig::default());
-    plan.snapshots[0].1 = blob.freeze();
-    let plan = ShardPlan::decode(&mut plan.encode()).expect("blobs are opaque to the codec");
+    plan.image = Some(blob.freeze());
+    let plan = ShardPlan::decode(&mut plan.encode()).expect("images are opaque to the codec");
 
     let mut client = dst.client_endpoint_for(&plan.incremental, 4);
     let contact = run_contact(&mut client, &mut server).unwrap();
