@@ -225,6 +225,13 @@ pub fn get_frame(buf: &mut Bytes) -> Result<Frame, WireError> {
     Ok(Frame { stream, payload })
 }
 
+/// What a byte-stream transport reads off its socket at a time and
+/// pushes into a [`FrameDecoder`]: 8 KiB keeps syscall counts low
+/// without hoarding memory per connection. The decoder holds a partial
+/// frame's rest and one such read more, so the read that ends a frame
+/// fits with whatever follows the frame in it.
+pub const READ_CHUNK: usize = 8 * 1024;
+
 /// The [`FrameDecoder`] payload cap: 16 MiB. Far above any frame the
 /// protocols produce, far below what a hostile length prefix can name.
 pub const DEFAULT_MAX_FRAME: usize = 1 << 24;
@@ -266,6 +273,13 @@ fn peek_varint(buf: &[u8]) -> Result<Option<(u64, usize)>, WireError> {
 /// [`WireError::FrameTooLarge`] before a single payload byte is buffered,
 /// so a corrupt or hostile header near `u32::MAX`/`u64::MAX` cannot make
 /// the decoder reserve unbounded memory.
+///
+/// A frame's payload is split off the buffer it was read into, without a
+/// copy. The decoder reserves a partial frame's rest and one
+/// [`READ_CHUNK`] beyond it, so a big frame is read into one buffer of
+/// about its size, and it lets go of that buffer once a frame leaves it
+/// empty: the payload then holds its allocation alone, and it is freed
+/// with the payload.
 ///
 /// ```
 /// use optrep_core::wire::FrameDecoder;
@@ -327,13 +341,17 @@ impl FrameDecoder {
         let header_len = stream_len + len_len;
         if self.buf.len() - header_len < payload_len {
             // The declared length is now known to be within the cap, so
-            // pre-reserving the rest of the frame is bounded.
-            self.buf
-                .reserve((header_len + payload_len).saturating_sub(self.buf.len()));
+            // pre-reserving the rest of the frame is bounded. The read
+            // that completes it may carry the next frame's first bytes.
+            let rest = header_len + payload_len - self.buf.len();
+            self.buf.reserve(rest + READ_CHUNK);
             return Ok(None);
         }
         let _ = self.buf.split_to(header_len);
         let payload = self.buf.split_to(payload_len).freeze();
+        if self.buf.is_empty() {
+            self.buf = BytesMut::new();
+        }
         crate::obs_emit!(crate::obs::SyncEvent::FrameRx {
             stream,
             bytes: (header_len + payload_len) as u64,
@@ -622,6 +640,33 @@ mod tests {
         assert_eq!(frames[1].stream, 0);
         assert!(frames[1].payload.is_empty());
         assert_eq!(dec.buffered(), 0);
+    }
+
+    /// A frame of many reads is read into one buffer of about its size —
+    /// the read that ends it carries the next frame's first bytes and
+    /// still fits — and a decoder the next frame leaves empty holds no
+    /// buffer at all.
+    #[test]
+    fn frame_decoder_reads_a_big_frame_into_one_buffer_and_lets_it_go() {
+        let payload = vec![7u8; 20 * READ_CHUNK + 100];
+        let mut buf = BytesMut::new();
+        put_frame(&mut buf, 3, &payload);
+        put_frame(&mut buf, 0, b"next");
+        let frame = Frame::encoded_len(3, payload.len());
+        let mut dec = FrameDecoder::new();
+        let mut frames = Vec::new();
+        for chunk in buf.chunks(READ_CHUNK) {
+            dec.push(chunk);
+            let held = dec.buf.capacity();
+            assert!(held <= frame + READ_CHUNK, "{held} B held for a {frame} B frame");
+            while let Some(frame) = dec.next_frame().unwrap() {
+                frames.push(frame);
+            }
+        }
+        assert_eq!(frames.len(), 2);
+        assert_eq!(frames[0].payload, payload);
+        assert_eq!(&frames[1].payload[..], b"next");
+        assert_eq!(dec.buf.capacity(), 0, "an empty decoder holds no buffer");
     }
 
     #[test]

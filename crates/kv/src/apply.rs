@@ -11,15 +11,17 @@ use optrep_core::{wire, Causality, Result, RotatingVector, Srv};
 use optrep_replication::mux::{BatchPullClient, ContactReport};
 use optrep_replication::planner::{placement, shard_of, ShardDigest, ShardPlan};
 
-/// What one commit did: the pull's report, the keys it changed, and the
+/// What one commit did: the pull's report, what it changed, and the
 /// shards that landed as served.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Committed {
     /// The pull's report.
     pub report: KvSyncReport,
-    /// The keys the commit changed (created, fast-forwarded or
-    /// reconciled).
-    pub changed: Vec<String>,
+    /// The keys the contact's outcomes changed (created, fast-forwarded
+    /// or reconciled), in the order they were staged.
+    changed: Vec<String>,
+    /// What the plan's image filled, physical shard by physical shard.
+    filled: Vec<Filled>,
     /// The plan's served shards the commit took as served, each with
     /// what it now sums to at the plan's count — what
     /// `VectorMemory::settle` takes. A shard lands when every stream of
@@ -30,6 +32,50 @@ pub struct Committed {
     /// (`kept_as_sent`: one a child of which the contact left out
     /// because the source holds nothing there, say) stays so.
     pub landed: Vec<(u64, ShardDigest)>,
+}
+
+/// What a plan's image put into one physical shard.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Filled {
+    /// The shard, which held nothing before: every record it holds.
+    Shard(usize),
+    /// The keys its run merged into a shard that held records, in key
+    /// order: a racing write's shard, or one a plan shard shares with
+    /// others.
+    Merged(Vec<String>),
+}
+
+impl Committed {
+    /// Every entry the commit changed, as `store` holds it — the store
+    /// the commit was made on, changed by nothing since: each key and its
+    /// post-state ([`KvStore::encoded_entry`]), the contact's keys in
+    /// the order they were staged, then the image's, physical shard by
+    /// physical shard in key order. What a daemon logs of the commit, as
+    /// one record, read where each entry lies: a join names the shards
+    /// it filled, not a key each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `store` no longer tracks a key the commit changed.
+    pub fn entries<'s>(
+        &'s self,
+        store: &'s KvStore,
+    ) -> impl Iterator<Item = (&'s str, &'s [u8])> + Clone + 's {
+        let named = |key: &'s String| {
+            let entry = store.encoded_entry(key);
+            (key.as_str(), entry.expect("a changed key is tracked"))
+        };
+        let filled = self.filled.iter().flat_map(move |filled| {
+            let (whole, merged) = match filled {
+                Filled::Shard(shard) => (Some(store.shards[*shard].records()), &[][..]),
+                Filled::Merged(keys) => (None, &keys[..]),
+            };
+            let whole = whole.into_iter().flatten();
+            let whole = whole.map(|record| (record.entry().0, record.split().1));
+            whole.chain(merged.iter().map(named))
+        });
+        self.changed.iter().map(named).chain(filled)
+    }
 }
 
 /// One decoded, validated contact outcome awaiting commit — the staging
@@ -59,10 +105,12 @@ impl KvStore {
     /// a corrupt payload mid-batch leaves the store byte-identical.
     ///
     /// Also returns the keys the commit actually changed (created,
-    /// fast-forwarded or reconciled — clean keys are not listed): a
-    /// daemon logging committed mutations captures each changed key's
-    /// post-state ([`encode_entry`](Self::encode_entry)) under the same
-    /// lock as the commit, so one contact becomes one atomic log record.
+    /// fast-forwarded or reconciled — clean keys are not listed), in the
+    /// order [`Committed::entries`] names them. A daemon logging
+    /// committed mutations reads each changed key's post-state from
+    /// there, under the same lock as the commit, so one contact becomes
+    /// one atomic log record without a list of its keys
+    /// ([`apply_planned`](Self::apply_planned)).
     ///
     /// Image entries are decoded and validated before the first key is
     /// touched — each key must hash into one of the plan's bulk shards
@@ -95,13 +143,15 @@ impl KvStore {
         plan: &ShardPlan,
     ) -> Result<(KvSyncReport, Vec<String>)> {
         let committed = self.apply_planned(resolver, client, contact, plan)?;
-        Ok((committed.report, committed.changed))
+        let changed = committed.entries(self).map(|(key, _)| key.to_owned());
+        Ok((committed.report, changed.collect()))
     }
 
     /// [`apply_planned_tracked`](Self::apply_planned_tracked), and which
     /// of the plan's served shards landed as served ([`Committed`]) —
     /// what a puller that keeps its connection settles its memory of the
-    /// connection with.
+    /// connection with — where what the commit changed is named, not
+    /// listed: its contact's keys, and the shards its image filled.
     ///
     /// # Errors
     ///
@@ -120,11 +170,12 @@ impl KvStore {
         let (staged, spoiled) = Self::stage_contact(client, plan)?;
         let snapshots = self.stage_snapshots(plan)?;
         let landing = self.landing(plan, &spoiled);
-        let (report, changed) = self.commit_staged(resolver, staged, snapshots, contact);
+        let (report, changed, filled) = self.commit_staged(resolver, staged, snapshots, contact);
         let digests = self.digests_of(&landing, plan.count as usize);
         Ok(Committed {
             report,
             changed,
+            filled,
             landed: landing.into_iter().zip(digests).collect(),
         })
     }
@@ -271,7 +322,8 @@ impl KvStore {
     }
 
     /// Commits staged contact outcomes, then the staged snapshot runs,
-    /// each moved into its physical shard whole.
+    /// each moved into its physical shard whole; returns the report, the
+    /// keys the outcomes changed and what the runs filled.
     /// Infallible: every fallible step happened in staging.
     fn commit_staged(
         &mut self,
@@ -279,7 +331,7 @@ impl KvStore {
         staged: Vec<StagedKey>,
         snapshots: Vec<Run>,
         contact: &ContactReport,
-    ) -> (KvSyncReport, Vec<String>) {
+    ) -> (KvSyncReport, Vec<String>, Vec<Filled>) {
         let totals = contact.totals();
         let mut report = KvSyncReport {
             meta_bytes: totals.meta_wire_bytes() as usize,
@@ -330,7 +382,9 @@ impl KvStore {
                 }
             }
         }
-        for (shard, run) in self.shards.iter_mut().zip(snapshots) {
+        let mut filled = Vec::new();
+        let runs = self.shards.iter_mut().zip(snapshots).enumerate();
+        for (index, (shard, run)) in runs.filter(|(_, (_, run))| run.len() > 0) {
             report.keys_examined += run.len();
             report.keys_created += run.len();
             for record in run.records() {
@@ -340,14 +394,18 @@ impl KvStore {
                 };
                 self.journal
                     .record(next, placement(record.key_bytes()), created);
-                changed.push(record.entry().0.to_owned());
             }
+            filled.push(match shard.summary().entries {
+                // The run's pages become the shard's.
+                0 => Filled::Shard(index),
+                _ => Filled::Merged(run.records().map(|r| r.entry().0.to_owned()).collect()),
+            });
             shard.append(run);
         }
-        if !changed.is_empty() {
+        if !changed.is_empty() || !filled.is_empty() {
             self.generation = next;
         }
-        (report, changed)
+        (report, changed, filled)
     }
 }
 
@@ -406,13 +464,14 @@ mod tests {
         dst.put("a", "local");
         let mut client = dst.client_endpoint_for(&plan.incremental, 1);
         let contact = run_contact(&mut client, &mut server).unwrap();
-        let (report, changed) = dst
-            .apply_planned_tracked(&JoinResolver, client, &contact, &plan)
+        let committed = dst
+            .apply_planned(&JoinResolver, client, &contact, &plan)
             .unwrap();
         assert_eq!(dst.get("a"), Some(&b"local"[..]), "racing write survives");
         assert_eq!(dst.get("b"), Some(&b"src"[..]));
-        assert_eq!(report.keys_created, 1);
-        assert_eq!(changed, vec!["b".to_string()]);
+        assert_eq!(committed.report.keys_created, 1);
+        let changed: Vec<&str> = committed.entries(&dst).map(|(key, _)| key).collect();
+        assert_eq!(changed, ["b"]);
         assert_eq!(dst.replica_digest(), dst.replica_digest_full());
     }
 
@@ -583,16 +642,110 @@ mod tests {
             let mut dst = KvStore::with_shards(s(1), physical);
             let mut client = dst.client_endpoint_for(&plan.incremental, plan_count);
             let contact = run_contact(&mut client, &mut server).unwrap();
-            let (report, changed) = dst
-                .apply_planned_tracked(&JoinResolver, client, &contact, &plan)
+            let committed = dst
+                .apply_planned(&JoinResolver, client, &contact, &plan)
                 .unwrap();
+            let (report, changed) = (&committed.report, committed.entries(&dst).count());
             let at = format!("plan {plan_count}, store {physical}");
-            assert_eq!((report.keys_created, changed.len()), (300, 300), "{at}");
+            assert_eq!((report.keys_created, changed), (300, 300), "{at}");
             assert!(dst.consistent_with(&src), "{at}");
             assert_eq!(dst.replica_digest(), dst.replica_digest_full(), "{at}");
             assert_eq!(dst.replica_digest(), src.replica_digest(), "{at}");
             assert_eq!((dst.len(), dst.tracked_entries()), (299, 300), "{at}");
             assert_eq!(dst.generation(), 1, "{at}: one commit");
         }
+    }
+
+    /// Commits of joins, each named by its shape: a store of 2 000 keys
+    /// (one deleted) joined whole at 1, 16 and 512 shards, at plan
+    /// counts unlike the store's, and pulled by a store holding a key
+    /// of its own, with three local writes racing the plan into shards
+    /// it bulk-loads. Each is the committed store and what it committed.
+    fn logged_commits() -> Vec<(String, KvStore, Committed)> {
+        let written = |shards: usize| {
+            let mut src = KvStore::with_shards(s(0), shards);
+            for i in 0..2000u32 {
+                src.put(
+                    format!("k{i:05}"),
+                    vec![(i % 251) as u8; 8 + (i % 40) as usize],
+                );
+            }
+            src.delete("k00007");
+            src
+        };
+        let commit = |src: &KvStore, mut dst: KvStore, count: usize, race: &[&str]| {
+            let digests = match dst.shard_count() == count && !dst.is_empty() {
+                true => dst.shard_digest_vector(),
+                false => KvStore::with_shards(s(1), count).shard_digest_vector(),
+            };
+            let (plan, mut server) = src.plan_contact(&digests, &PlanConfig::default());
+            for &key in race {
+                dst.put(key, "racing");
+            }
+            let mut client = dst.client_endpoint_for(&plan.incremental, count);
+            let contact = run_contact(&mut client, &mut server).unwrap();
+            let committed = dst.apply_planned(&JoinResolver, client, &contact, &plan);
+            (dst.clone(), committed.unwrap())
+        };
+        let mut commits = Vec::new();
+        for shards in [1, 16, 512] {
+            let src = written(shards);
+            let (dst, committed) = commit(&src, KvStore::with_shards(s(1), shards), shards, &[]);
+            commits.push((format!("a join at {shards} shards"), dst, committed));
+        }
+        let src = written(16);
+        for (count, physical) in [(16, 4), (4, 16), (16, 64)] {
+            let dst = KvStore::with_shards(s(1), physical);
+            let (dst, committed) = commit(&src, dst, count, &[]);
+            let what = format!("a join planned at {count} shards into {physical}");
+            commits.push((what, dst, committed));
+        }
+        let mut dst = KvStore::with_shards(s(1), 16);
+        dst.put("k00100", "mine");
+        let (dst, committed) = commit(&src, dst, 16, &["k00042", "k01999", "local"]);
+        commits.push(("racing local writes".to_string(), dst, committed));
+        commits
+    }
+
+    /// A commit hands its log the keys and entries it handed it when it
+    /// listed each changed key, in that order: the contact's keys as
+    /// staged, then each physical shard's image keys in key order — a
+    /// shard's whole where the image filled it, a run's own where it
+    /// merged into a shard holding a racing write. The counts and
+    /// FNV-1a digests of the logged payloads are the ones the key list
+    /// gave.
+    #[test]
+    fn a_commit_logs_what_its_key_list_named() {
+        let pinned: [(usize, u64); 7] = [
+            (2000, 0x8824_da4a_f884_23a6),
+            (2000, 0x2396_9772_971a_45fc),
+            (2000, 0x2ca8_a0d1_b5a5_cf8e),
+            (2000, 0x66b6_6d53_278a_f0a6),
+            (2000, 0x2396_9772_971a_45fc),
+            (2000, 0x1049_8c45_2283_c238),
+            (1998, 0xd031_2f30_44cc_4812),
+        ];
+        let commits = logged_commits();
+        assert_eq!(commits.len(), pinned.len());
+        for ((what, dst, committed), pinned) in commits.iter().zip(pinned) {
+            let mut payload = Vec::new();
+            let mut n = 0;
+            for (key, entry) in committed.entries(dst) {
+                assert_eq!(dst.encoded_entry(key), Some(entry), "{what}: {key}");
+                wire::put_bytes(&mut payload, key.as_bytes());
+                wire::put_bytes(&mut payload, entry);
+                n += 1;
+            }
+            eprintln!("{what}: ({n}, {:#018x})", placement(&payload));
+            assert_eq!((n, placement(&payload)), pinned, "{what}");
+        }
+        let (_, _, raced) = commits.last().expect("the racing pull");
+        assert!(!raced.changed.is_empty(), "the contact changed keys");
+        let merged = |filled: &&Filled| matches!(filled, Filled::Merged(_));
+        assert_eq!(
+            raced.filled.iter().filter(merged).count(),
+            3,
+            "one a racing write"
+        );
     }
 }

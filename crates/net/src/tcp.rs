@@ -25,11 +25,6 @@ use std::time::Duration;
 /// Protocol label used in [`Error::Incomplete`] for socket stalls.
 const PROTOCOL: &str = "tcp link";
 
-/// Read buffer size for [`TcpLink::recv_frame`]. Frames are small (the
-/// protocols are metadata-dominated); 8 KiB keeps syscall counts low
-/// without hoarding memory per connection.
-const READ_BUF: usize = 8 * 1024;
-
 /// Connection policy for [`TcpLink::connect`]: bounded retry with capped
 /// exponential backoff plus per-socket read/write deadlines.
 ///
@@ -219,7 +214,7 @@ impl TcpLink {
     /// on EOF or reset (including EOF that strands a partial frame in
     /// the decoder), and [`Error::Wire`] on a malformed header.
     pub fn recv_frame(&mut self) -> Result<wire::Frame> {
-        let mut buf = [0u8; READ_BUF];
+        let mut buf = [0u8; wire::READ_CHUNK];
         loop {
             if let Some(frame) = self.decoder.next_frame()? {
                 return Ok(frame);

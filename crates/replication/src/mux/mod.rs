@@ -52,6 +52,7 @@ mod serving;
 
 pub use client::{BatchPullClient, Pushed, StreamResult};
 pub use link::{Faulted, InProcessLink};
+pub(crate) use msg::MARKER_LEN;
 pub use msg::{
     CtrlMsg, MuxMsg, StreamAnswer, StreamOffer, StreamOpen, CONTROL_STREAM, TURN_STREAM,
 };

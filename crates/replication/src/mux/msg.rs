@@ -355,6 +355,9 @@ impl ProtocolMsg for MuxMsg {
 /// [`optrep_net::TcpLink`]'s own byte counters see them).
 pub const TURN_STREAM: u64 = u64::MAX;
 
+/// The bytes of a turn marker that passes the turn (not a FIN).
+pub(crate) const MARKER_LEN: usize = wire::Frame::encoded_len(TURN_STREAM, 0);
+
 /// Appends a turn marker (`[]` = your turn, `[1]` = FIN: no more frames
 /// from this side, drain and close).
 pub(super) fn put_marker(out: &mut BytesMut, fin: bool) {

@@ -267,8 +267,9 @@ pub struct Serving {
     /// burst. Boxed: a batch server carries per-stream state and would
     /// otherwise dominate every idle connection's state.
     server: Option<Box<BatchPullServer>>,
-    /// A planned contact's plan frame and push, until the puller passes
-    /// the turn.
+    /// A planned contact's burst — its plan frame, push and turn
+    /// marker — until the puller passes the turn, when it moves into
+    /// the output whole.
     parked: Option<BytesMut>,
     /// A planned contact's plan, from the digest frame until the first
     /// frame of the puller's burst. Boxed, as the endpoint is: an idle
@@ -316,8 +317,10 @@ impl Serving {
                     frame.stream
                 )));
             }
-            out.extend_from_slice(&reply);
-            put_marker(out, false);
+            match out.is_empty() {
+                true => *out = reply,
+                false => out.extend_from_slice(&reply),
+            }
             return Ok(ServeStep::Continue);
         }
         let on_control =
@@ -380,9 +383,10 @@ impl Serving {
                     self.since = Some(generation);
                     // The plan and the push leave in one burst, once the
                     // puller passes the turn; the push is held as bytes
-                    // alone.
+                    // alone, and the plan's image only in its frame.
                     let mut parked = plan_frame(&plan);
                     let pushed = write_push(&push, &mut parked)?;
+                    put_marker(&mut parked, false);
                     self.parked = Some(parked);
                     let whole = plan.bulk.iter().chain(&plan.proposed).copied();
                     self.planned = Some(Box::new(Planned {

@@ -3,8 +3,8 @@
 //! each end's memory of that one.
 
 use super::{
-    control_frame, digest_vector_frame, shard_of, ChildDigests, Gaps, ShardScope, FNV_OFFSET,
-    FNV_PRIME, MAX_PLAN_SHARDS, TAG_SHARD_DIGESTS, TAG_SHARD_DIGESTS_DELTA,
+    control_frame, digest_vector_frame, payload, shard_of, ChildDigests, ControlMsg, Gaps,
+    ShardScope, FNV_OFFSET, FNV_PRIME, MAX_PLAN_SHARDS, TAG_SHARD_DIGESTS, TAG_SHARD_DIGESTS_DELTA,
 };
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use optrep_core::error::WireError;
@@ -65,6 +65,11 @@ impl ShardDigest {
         }
     }
 
+    /// The bytes [`put`](Self::put) writes.
+    pub(super) fn encoded_len(&self) -> usize {
+        wire::varint_len(self.entries) + if self.entries > 0 { 8 } else { 0 }
+    }
+
     pub(super) fn get(buf: &mut Bytes) -> std::result::Result<ShardDigest, WireError> {
         let entries = wire::get_varint(buf)?;
         if entries == 0 {
@@ -91,13 +96,7 @@ impl DigestVector {
     /// count as a varint and, unless it is 0, its digest as 8 fixed
     /// big-endian bytes).
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(2 + self.shards.len() * 12);
-        buf.put_u8(TAG_SHARD_DIGESTS);
-        wire::put_varint(&mut buf, self.shards.len() as u64);
-        for shard in &self.shards {
-            shard.put(&mut buf);
-        }
-        buf.freeze()
+        payload(self)
     }
 
     /// Decodes a [`DigestVector`], rejecting truncation, trailing
@@ -192,17 +191,7 @@ impl DigestDelta {
     /// shards out of order or twice) and summary ([`ShardDigest::put`]),
     /// then the check as 8 fixed bytes.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(20 + self.changed.len() * 12);
-        buf.put_u8(TAG_SHARD_DIGESTS_DELTA);
-        wire::put_varint(&mut buf, self.count);
-        wire::put_varint(&mut buf, self.changed.len() as u64);
-        let mut gaps = Gaps::default();
-        for (shard, summary) in &self.changed {
-            gaps.put(&mut buf, *shard);
-            summary.put(&mut buf);
-        }
-        buf.put_u64(self.check);
-        buf.freeze()
+        payload(self)
     }
 
     /// Decodes a [`DigestDelta`] against the vector it is to patch,
@@ -325,18 +314,15 @@ impl VectorMemory {
     /// or a vector that changed everywhere, the frame is
     /// [`digest_vector_frame`]'s.
     pub fn opening_frame(&self, next: &DigestVector) -> (BytesMut, u64) {
-        let full = digest_vector_frame(next);
         let delta = self
             .last
             .as_ref()
             .and_then(|base| DigestDelta::listing(base, next, |shard| self.marked(shard)));
-        if let Some(delta) = delta {
-            let frame = control_frame(&delta.encode());
-            if frame.len() < full.len() {
-                return (frame, delta.changed.len() as u64);
-            }
+        // A frame is the shorter of two exactly when its payload is.
+        match delta.filter(|delta| delta.encoded_len() < next.encoded_len()) {
+            Some(delta) => (control_frame(&delta), delta.changed.len() as u64),
+            None => (digest_vector_frame(next), next.shards.len() as u64),
         }
-        (full, next.shards.len() as u64)
     }
 
     /// The pulling end, once the contact `crossed` opened has
@@ -462,6 +448,49 @@ pub fn kept_as_sent(
 /// holds nothing there, or the content is provably identical.
 pub fn nothing_to_pull(ours: &ShardDigest, theirs: &ShardDigest) -> bool {
     theirs.entries == 0 || ours == theirs
+}
+
+/// The layout [`DigestVector::encode`] describes.
+impl ControlMsg for DigestVector {
+    fn encoded_len(&self) -> usize {
+        let shards = self.shards.iter().map(ShardDigest::encoded_len);
+        1 + wire::varint_len(self.shards.len() as u64) + shards.sum::<usize>()
+    }
+
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_u8(TAG_SHARD_DIGESTS);
+        wire::put_varint(buf, self.shards.len() as u64);
+        for shard in &self.shards {
+            shard.put(buf);
+        }
+    }
+}
+
+/// The layout [`DigestDelta::encode`] describes.
+impl ControlMsg for DigestDelta {
+    fn encoded_len(&self) -> usize {
+        let changed = self
+            .changed
+            .iter()
+            .map(|(_, summary)| summary.encoded_len());
+        1 + wire::varint_len(self.count)
+            + wire::varint_len(self.changed.len() as u64)
+            + Gaps::len(self.changed.iter().map(|(shard, _)| *shard))
+            + changed.sum::<usize>()
+            + 8
+    }
+
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_u8(TAG_SHARD_DIGESTS_DELTA);
+        wire::put_varint(buf, self.count);
+        wire::put_varint(buf, self.changed.len() as u64);
+        let mut gaps = Gaps::default();
+        for (shard, summary) in &self.changed {
+            gaps.put(buf, *shard);
+            summary.put(buf);
+        }
+        buf.put_u64(self.check);
+    }
 }
 
 #[cfg(test)]

@@ -130,7 +130,7 @@ pub(crate) use plan::tests::assert_strict;
 pub use plan::{ChildDigests, ShardPlan};
 pub use scope::{Cut, Offer, ShardScope};
 
-use crate::mux::CONTROL_STREAM;
+use crate::mux::{CONTROL_STREAM, MARKER_LEN};
 use bytes::{Bytes, BytesMut};
 use optrep_core::error::WireError;
 use optrep_core::wire;
@@ -167,15 +167,36 @@ struct Gaps {
 }
 
 impl Gaps {
+    /// What `shard` is written as: the gap past the index before it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard` is not past the one before it.
+    fn gap(&mut self, shard: u64) -> u64 {
+        let gap = shard.checked_sub(self.next);
+        self.next = shard + 1;
+        gap.expect("shards strictly increasing")
+    }
+
     /// Writes `shard`.
     ///
     /// # Panics
     ///
-    /// Panics if `shard` is not past the one written before it.
+    /// As [`gap`](Self::gap).
     fn put(&mut self, buf: &mut BytesMut, shard: u64) {
-        let gap = shard.checked_sub(self.next);
-        wire::put_varint(buf, gap.expect("shards strictly increasing"));
-        self.next = shard + 1;
+        wire::put_varint(buf, self.gap(shard));
+    }
+
+    /// The bytes [`put`](Self::put) writes for each of `shards`, in all.
+    ///
+    /// # Panics
+    ///
+    /// As [`gap`](Self::gap).
+    fn len(shards: impl IntoIterator<Item = u64>) -> usize {
+        let mut gaps = Gaps::default();
+        (shards.into_iter())
+            .map(|shard| wire::varint_len(gaps.gap(shard)))
+            .sum()
     }
 
     /// Reads the next index, rejecting one at or past `count`.
@@ -233,24 +254,64 @@ pub fn shard_of(key: &[u8], count: u64) -> u64 {
     placement(key) & (count - 1)
 }
 
-/// One planner message as a control-stream frame (no marker).
-fn control_frame(payload: &[u8]) -> BytesMut {
-    let mut buf = BytesMut::new();
-    wire::put_frame(&mut buf, CONTROL_STREAM, payload);
+/// A planner message: its exact encoded length, and how it writes
+/// itself. Every planner payload and frame is written once, by
+/// [`payload`] or [`control_frame`], into a buffer of that length.
+trait ControlMsg {
+    /// The bytes [`put`](Self::put) writes.
+    fn encoded_len(&self) -> usize;
+
+    /// Writes the message.
+    fn put(&self, buf: &mut BytesMut);
+}
+
+/// `msg`'s payload, in a buffer of its exact length.
+fn payload(msg: &impl ControlMsg) -> Bytes {
+    let len = msg.encoded_len();
+    let mut buf = BytesMut::with_capacity(len);
+    msg.put(&mut buf);
+    debug_assert_eq!(
+        buf.len(),
+        len,
+        "a planner message writes its encoded length"
+    );
+    buf.freeze()
+}
+
+/// `msg` as a control-stream frame (no marker), written once into a
+/// buffer of the frame's exact length and room for the turn marker that
+/// ends a burst behind it. A plan's image is copied once on its way to
+/// the socket: here.
+///
+/// # Panics
+///
+/// Panics if `msg` writes other than its [`encoded_len`](ControlMsg::encoded_len).
+fn control_frame(msg: &impl ControlMsg) -> BytesMut {
+    let len = msg.encoded_len();
+    let frame = wire::Frame::encoded_len(CONTROL_STREAM, len);
+    let mut buf = BytesMut::with_capacity(frame + MARKER_LEN);
+    wire::put_varint(&mut buf, CONTROL_STREAM);
+    wire::put_varint(&mut buf, len as u64);
+    msg.put(&mut buf);
+    assert_eq!(
+        buf.len(),
+        frame,
+        "a planner message writes its encoded length"
+    );
     buf
 }
 
 /// Encodes a [`DigestVector`] as a control-stream frame (no marker).
 pub fn digest_vector_frame(digests: &DigestVector) -> BytesMut {
-    control_frame(&digests.encode())
+    control_frame(digests)
 }
 
 /// Encodes a [`ShardPlan`] as a control-stream frame (no marker).
 pub fn plan_frame(plan: &ShardPlan) -> BytesMut {
-    control_frame(&plan.encode())
+    control_frame(plan)
 }
 
 /// Encodes a [`ShardScope`] as a control-stream frame (no marker).
 pub fn scope_frame(scope: &ShardScope) -> BytesMut {
-    control_frame(&scope.encode())
+    control_frame(scope)
 }

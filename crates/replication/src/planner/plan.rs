@@ -2,8 +2,8 @@
 //! to bulk-load, and what it offers to narrow — and its codec.
 
 use super::{
-    Gaps, Offer, ShardDigest, MAX_PLAN_SHARDS, TAG_SHARD_PLAN, TAG_SHARD_PLAN_PROPOSED,
-    TAG_SHARD_PLAN_REFINED,
+    payload, ControlMsg, Gaps, Offer, ShardDigest, MAX_PLAN_SHARDS, TAG_SHARD_PLAN,
+    TAG_SHARD_PLAN_PROPOSED, TAG_SHARD_PLAN_REFINED,
 };
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use optrep_core::error::WireError;
@@ -105,52 +105,20 @@ impl ShardPlan {
     /// image is present where the bulk list is empty or missing where it
     /// is not.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        buf.put_u8(match (&self.children, self.proposed.is_empty()) {
-            (_, false) => TAG_SHARD_PLAN_PROPOSED,
-            (Some(_), true) => TAG_SHARD_PLAN_REFINED,
-            (None, true) => TAG_SHARD_PLAN,
-        });
-        wire::put_varint(&mut buf, self.count);
-        wire::put_varint(&mut buf, self.incremental.len() as u64);
-        let mut gaps = Gaps::default();
-        for &shard in &self.incremental {
-            gaps.put(&mut buf, shard);
-        }
-        wire::put_varint(&mut buf, self.bulk.len() as u64);
-        let mut gaps = Gaps::default();
-        for &shard in &self.bulk {
-            gaps.put(&mut buf, shard);
-        }
+        payload(self)
+    }
+
+    /// The image, exactly when the bulk list is not empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics otherwise.
+    fn image_of_bulk(&self) -> Option<&Bytes> {
         match (&self.image, self.bulk.is_empty()) {
-            (Some(image), false) => wire::put_bytes(&mut buf, image),
-            (None, true) => {}
+            (Some(image), false) => Some(image),
+            (None, true) => None,
             _ => panic!("an image goes with a bulk list that is not empty, and only with one"),
         }
-        if !self.proposed.is_empty() {
-            buf.put_u8(u8::from(self.children.is_some()));
-        }
-        if let Some(children) = &self.children {
-            wire::put_varint(&mut buf, u64::from(children.fanout.trailing_zeros()));
-            wire::put_varint(&mut buf, children.parents.len() as u64);
-            let mut gaps = Gaps::default();
-            for (shard, digests) in &children.parents {
-                gaps.put(&mut buf, *shard);
-                for child in digests {
-                    child.put(&mut buf);
-                }
-            }
-        }
-        if !self.proposed.is_empty() {
-            let mut bits = vec![0u8; self.incremental.len().div_ceil(8)];
-            for (i, shard) in self.incremental.iter().enumerate() {
-                if self.proposed.binary_search(shard).is_ok() {
-                    bits[i / 8] |= 1 << (i % 8);
-                }
-            }
-            buf.put_slice(&bits);
-        }
-        buf.freeze()
     }
 
     /// Decodes a [`ShardPlan`], rejecting truncation, trailing bytes,
@@ -311,6 +279,77 @@ impl ShardPlan {
             return Err(WireError::InvalidPayload);
         }
         Ok(proposed)
+    }
+}
+
+/// The layout [`ShardPlan::encode`] describes.
+impl ControlMsg for ShardPlan {
+    fn encoded_len(&self) -> usize {
+        let list = |shards: &[u64]| {
+            wire::varint_len(shards.len() as u64) + Gaps::len(shards.iter().copied())
+        };
+        let children = self.children.as_ref().map_or(0, |children| {
+            let parents = &children.parents;
+            let digests = parents.iter().flat_map(|(_, digests)| digests);
+            wire::varint_len(u64::from(children.fanout.trailing_zeros()))
+                + wire::varint_len(parents.len() as u64)
+                + Gaps::len(parents.iter().map(|(shard, _)| *shard))
+                + digests.map(ShardDigest::encoded_len).sum::<usize>()
+        });
+        let proposals = match self.proposed.is_empty() {
+            true => 0,
+            false => 1 + self.incremental.len().div_ceil(8),
+        };
+        1 + wire::varint_len(self.count)
+            + list(&self.incremental)
+            + list(&self.bulk)
+            + self
+                .image_of_bulk()
+                .map_or(0, |image| wire::bytes_len(image.len()))
+            + children
+            + proposals
+    }
+
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_u8(match (&self.children, self.proposed.is_empty()) {
+            (_, false) => TAG_SHARD_PLAN_PROPOSED,
+            (Some(_), true) => TAG_SHARD_PLAN_REFINED,
+            (None, true) => TAG_SHARD_PLAN,
+        });
+        wire::put_varint(buf, self.count);
+        for list in [&self.incremental, &self.bulk] {
+            wire::put_varint(buf, list.len() as u64);
+            let mut gaps = Gaps::default();
+            for &shard in list {
+                gaps.put(buf, shard);
+            }
+        }
+        if let Some(image) = self.image_of_bulk() {
+            wire::put_bytes(buf, image);
+        }
+        if !self.proposed.is_empty() {
+            buf.put_u8(u8::from(self.children.is_some()));
+        }
+        if let Some(children) = &self.children {
+            wire::put_varint(buf, u64::from(children.fanout.trailing_zeros()));
+            wire::put_varint(buf, children.parents.len() as u64);
+            let mut gaps = Gaps::default();
+            for (shard, digests) in &children.parents {
+                gaps.put(buf, *shard);
+                for child in digests {
+                    child.put(buf);
+                }
+            }
+        }
+        if !self.proposed.is_empty() {
+            for eight in self.incremental.chunks(8) {
+                let proposed = |shard| self.proposed.binary_search(shard).is_ok();
+                let bits = (eight.iter().enumerate())
+                    .filter(|(_, shard)| proposed(shard))
+                    .fold(0u8, |bits, (i, _)| bits | 1 << i);
+                buf.put_u8(bits);
+            }
+        }
     }
 }
 

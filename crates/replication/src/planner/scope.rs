@@ -1,7 +1,7 @@
 //! What a plan offered to narrow, the puller's answer to it, and the
 //! one predicate both ends cut their endpoints with.
 
-use super::{placement, TAG_SHARD_SCOPE};
+use super::{payload, placement, ControlMsg, TAG_SHARD_SCOPE};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use optrep_core::error::WireError;
 use optrep_core::wire;
@@ -85,14 +85,7 @@ pub struct ShardScope {
 impl ShardScope {
     /// Encodes the message (tag, child shard count, the child indices).
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(8 + self.children.len() * 3);
-        buf.put_u8(TAG_SHARD_SCOPE);
-        wire::put_varint(&mut buf, self.count);
-        wire::put_varint(&mut buf, self.children.len() as u64);
-        for &index in &self.children {
-            wire::put_varint(&mut buf, index);
-        }
-        buf.freeze()
+        payload(self)
     }
 
     /// Decodes a [`ShardScope`] answering `offer`, rejecting an offer
@@ -137,6 +130,25 @@ impl ShardScope {
             return Err(WireError::InvalidPayload);
         }
         Ok(ShardScope { count, children })
+    }
+}
+
+/// The layout [`ShardScope::encode`] describes.
+impl ControlMsg for ShardScope {
+    fn encoded_len(&self) -> usize {
+        let children = self.children.iter().map(|&index| wire::varint_len(index));
+        1 + wire::varint_len(self.count)
+            + wire::varint_len(self.children.len() as u64)
+            + children.sum::<usize>()
+    }
+
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_u8(TAG_SHARD_SCOPE);
+        wire::put_varint(buf, self.count);
+        wire::put_varint(buf, self.children.len() as u64);
+        for &index in &self.children {
+            wire::put_varint(buf, index);
+        }
     }
 }
 

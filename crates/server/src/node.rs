@@ -541,9 +541,6 @@ mod event {
     /// suspenders).
     const IDLE_POLL: Duration = Duration::from_millis(500);
 
-    /// Read buffer per wakeup; matches `TcpLink`'s.
-    const READ_BUF: usize = 8 * 1024;
-
     /// Where one connection is in its life.
     enum ConnState {
         /// Waiting for the opening handshake frame.
@@ -763,7 +760,7 @@ mod event {
     /// Returns `false` on EOF or a socket error — frames already
     /// decoded are still processed, then the connection dies.
     fn read_into(conn: &mut Conn) -> bool {
-        let mut buf = [0u8; READ_BUF];
+        let mut buf = [0u8; wire::READ_CHUNK];
         loop {
             match conn.stream.read(&mut buf) {
                 Ok(0) => return false,
@@ -871,7 +868,8 @@ mod event {
     /// Writes as much of the buffered output as the socket accepts now;
     /// the remainder keeps `POLLOUT` interest for the next round. Each
     /// time the socket pushes back, the bytes left behind are one
-    /// sample in the write-backlog histogram.
+    /// sample in the write-backlog histogram. A buffer written out is
+    /// let go of, so a plan's burst is not held after it has left.
     fn flush(shared: &Shared, conn: &mut Conn) {
         while !conn.out.is_empty() {
             match conn.stream.write(&conn.out) {
@@ -896,6 +894,7 @@ mod event {
                 }
             }
         }
+        conn.out = BytesMut::new();
     }
 }
 

@@ -217,12 +217,14 @@ impl NodeCore {
         })
     }
 
-    /// Logs the post-states of `keys` as **one** WAL record — a whole
-    /// committed mutation, whether a single `put` or everything an
-    /// `apply_planned_tracked` changed — before that mutation is
-    /// acknowledged.
-    /// Call with the store lock held (the `store` argument is the
-    /// guard's referent), so record order matches commit order and a
+    /// Logs `entries`, each a key and its post-state as the store holds
+    /// it, as **one** WAL record — a whole committed mutation, whether a
+    /// single `put` or everything a commit changed
+    /// ([`Committed::entries`](optrep_kv::Committed::entries)) — before
+    /// that mutation is acknowledged. The entries are read where they
+    /// lie as the record is written: nothing is copied out of the store.
+    /// Call with the store lock held (the entries borrow the guard's
+    /// referent), so record order matches commit order and a
     /// checkpoint holding both locks sees a frozen pair. No-op on a
     /// memory-only node or an empty commit.
     ///
@@ -232,22 +234,16 @@ impl NodeCore {
     /// acknowledging (the in-memory commit stands — it dies with the
     /// process either way, which is exactly what the log now fails to
     /// prevent).
-    pub(super) fn wal_append(&self, store: &KvStore, keys: &[String]) -> Result<()> {
+    pub(super) fn wal_append<'s>(
+        &self,
+        entries: impl Iterator<Item = (&'s str, &'s [u8])> + Clone,
+    ) -> Result<()> {
         let Some(mut persist) = self.persist() else {
             return Ok(());
         };
-        if keys.is_empty() {
-            return Ok(());
-        }
-        debug_assert!(
-            keys.iter().all(|key| store.encoded_entry(key).is_some()),
-            "changed keys must be tracked"
-        );
-        // Each entry is read where it lies, as the record is written.
-        let changed = (keys.iter())
-            .filter_map(|key| store.encoded_entry(key).map(|entry| (key.as_str(), entry)));
         let fsyncs_before = persist.fsyncs();
-        match persist.append_entries(changed) {
+        match persist.append_entries(entries) {
+            Ok(0) => Ok(()),
             Ok(bytes) => {
                 let m = &self.metrics;
                 m.wal_records_total.inc();
@@ -275,7 +271,8 @@ impl NodeCore {
             Some(value) => store.put(key.clone(), value),
             None => store.delete(key.clone()),
         }
-        self.wal_append(&store, std::slice::from_ref(&key))
+        let entry = store.encoded_entry(&key).expect("a written key is tracked");
+        self.wal_append(std::iter::once((key.as_str(), entry)))
     }
 
     /// A metrics snapshot, the store's and the log's gauges refreshed
@@ -442,7 +439,7 @@ impl NodeCore {
         let synced = committed.and_then(|mut committed| {
             (committed.landed).retain(|(shard, _)| !moved.contains(&(*shard as usize)));
             remembered.settle(&committed.landed);
-            self.wal_append(&store, &committed.changed)?;
+            self.wal_append(committed.entries(&store))?;
             Ok(committed.report)
         });
         drop(store);

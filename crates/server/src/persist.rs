@@ -8,8 +8,8 @@
 //! * **`wal`** — the write-ahead log: one length-prefixed, checksummed
 //!   record per committed mutation since that checkpoint. A local
 //!   `put`/`delete` is one record; a committed pull
-//!   (`KvStore::apply_planned_tracked`) is also **one** record carrying
-//!   every key the contact changed, so crash
+//!   (`KvStore::apply_planned`) is also **one** record carrying every
+//!   key the contact changed (`Committed::entries`), so crash
 //!   recovery reinstates the whole contact or none of it.
 //!
 //! Records log *post-states*, not operations: each record lists the

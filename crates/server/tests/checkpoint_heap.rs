@@ -11,7 +11,8 @@
 //! than a chunk (that record and a chunk), what logging a commit of every
 //! key holds (a chunk: no record, no copy of an entry), what a join that
 //! commits them holds beside the store it builds (a run's bookkeeping a
-//! shard), and what stopping a node whose log the snapshot already
+//! shard) and keeps beside what a boot of the same image keeps (its
+//! journal), and what stopping a node whose log the snapshot already
 //! covers asks for (next to
 //! nothing: no image is built to be thrown away). It prints what it
 //! measured (`--nocapture`). It is its own test binary so the allocator
@@ -21,7 +22,7 @@ use bytes::Bytes;
 use optrep_core::SiteId;
 use optrep_kv::{JoinResolver, KvStore};
 use optrep_replication::mux::run_contact;
-use optrep_replication::planner::PlanConfig;
+use optrep_replication::planner::{PlanConfig, JOURNAL_CAP};
 use optrep_server::persist::SNAPSHOT_FILE;
 use optrep_server::{DurabilityConfig, FsyncPolicy, Node, NodeConfig, Persist};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -125,6 +126,9 @@ const VALUE: usize = 256;
 const SLACK: usize = 256 * 1024;
 /// `persist`'s read and write chunk.
 const CHUNK: usize = 64 * 1024;
+/// A store's change journal, once written to: [`JOURNAL_CAP`] entries
+/// of 16 B.
+const JOURNAL: usize = JOURNAL_CAP * 16;
 /// One cursor of a store's merge, with room: a shard's page list
 /// iterator and the rest of a page, and its head in the heap (the next
 /// record, its key and prefix, which cursor). Also a shard's run, with
@@ -270,12 +274,21 @@ fn a_commit_of_every_key_is_logged_without_a_copy_of_each_entry() {
 /// A join — an all-snapshot plan of every key of a store, applied to an
 /// empty one — holds the store it keeps and a run's bookkeeping a shard:
 /// each record is written into its shard's open page, grown to its exact
-/// length, as its blob is decoded, and the pages become the shard's. No
+/// length, as its image is decoded, and the pages become the shard's. No
 /// staged copy of a record, and no run of record handles (16 B a key,
-/// which it held before).
+/// which it held before). It keeps what booting the same image keeps,
+/// its change journal and what the commit names, a few words a shard:
+/// the commit names the shards the image filled, where it listed the
+/// keys it changed (a `String` a key, which it kept before).
 #[test]
 fn a_join_holds_the_store_it_builds_and_its_runs() {
     let src = written(SiteId::new(5), KEYS);
+    let dir = tmpdir("join");
+    let (mut persist, _, _) = Persist::open(&config(&dir), src.site()).unwrap();
+    persist.checkpoint_store(&src).unwrap();
+    drop(persist);
+    let (opened, boot) = cost_of(|| Persist::open(&config(&dir), src.site()));
+    drop(opened.unwrap());
     let mut dst = KvStore::new(SiteId::new(6));
     let shards = dst.shard_count();
     let digests = dst.shard_digest_vector();
@@ -283,21 +296,27 @@ fn a_join_holds_the_store_it_builds_and_its_runs() {
     assert_eq!(plan.bulk.len(), shards, "every shard a snapshot");
     let mut client = dst.client_endpoint_for(&plan.incremental, shards);
     let contact = run_contact(&mut client, &mut server).unwrap();
-    let (applied, join) =
-        cost_of(|| dst.apply_planned_tracked(&JoinResolver, client, &contact, &plan));
-    let (report, changed) = applied.unwrap();
-    assert_eq!((report.keys_created, changed.len()), (KEYS, KEYS));
+    let (applied, join) = cost_of(|| dst.apply_planned(&JoinResolver, client, &contact, &plan));
+    let committed = applied.unwrap();
+    assert_eq!(committed.report.keys_created, KEYS);
+    assert_eq!(committed.entries(&dst).count(), KEYS);
     assert_eq!(dst.replica_digest(), src.replica_digest());
 
-    let kept = join.grown as usize;
+    let (kept, booted) = (join.grown as usize, boot.grown as usize);
+    // A shard's run slack covers what the commit names of it (a filled
+    // shard, a landed digest); a kibibyte, its report.
+    let kept_bound = booted + JOURNAL + shards * CURSOR + 1024;
     let bound = kept + shards * CURSOR + 16 * 1024;
-    eprintln!("a join of {KEYS} keys into {shards} shards     peak B     bound B");
-    eprintln!("  store and changed keys kept   {kept:>11}");
+    eprintln!("a join of {KEYS} keys into {shards} shards     B          bound B");
+    eprintln!("  a boot of the image keeps     {booted:>11}");
+    eprintln!("  store and commit kept         {kept:>11}  {kept_bound:>10}");
     eprintln!(
         "  peak                          {:>11}  {bound:>10}",
         join.peak
     );
+    assert!(kept <= kept_bound, "a join kept {kept} B");
     assert!(join.peak <= bound, "a join held {} B", join.peak);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A replay of a log whose one record carries every key of a store — a
