@@ -12,7 +12,9 @@
 //! run is exactly the durability tax. Convergence is asserted per run
 //! (sink digest == source digest), and in release builds the headline
 //! acceptance bar is asserted too: `interval` costs at most 1.3× the
-//! WAL-off wall-clock.
+//! WAL-off wall-clock — judged on the median ratio of
+//! [`TAX_PAIRS`] alternating (`off`, `interval`) pairs, not on one
+//! sample a policy, which a busy two-core host swings past the bar.
 //!
 //! **Part 2 — recovery time vs log length.** A log of N single-key
 //! records (no checkpoint, the worst case) is written through
@@ -52,6 +54,11 @@ const VALUE_BYTES: usize = 256;
 const LOG_LENGTHS: &[usize] = &[1_000, 10_000, 50_000];
 #[cfg(debug_assertions)]
 const LOG_LENGTHS: &[usize] = &[200, 1_000];
+
+/// Alternating (`off`, `interval`) runs the release-only 1.3× bar is
+/// judged on: the median of their ratios.
+#[cfg(not(debug_assertions))]
+const TAX_PAIRS: usize = 5;
 
 /// Distinct keys the part-2 log cycles over: replay applies every
 /// record, but the final store stays bounded (the realistic hot-key
@@ -149,6 +156,23 @@ fn run_policy(label: &'static str, fsync: Option<FsyncPolicy>) -> PolicyRun {
     run
 }
 
+/// `interval`'s wall-clock over WAL-off's in each of [`TAX_PAIRS`]
+/// pairs, the two runs of a pair back to back: sorted, so the middle
+/// one is the median.
+#[cfg(not(debug_assertions))]
+fn interval_tax() -> Vec<f64> {
+    let interval = FsyncPolicy::parse("interval").expect("default interval policy");
+    let mut ratios: Vec<f64> = (0..TAX_PAIRS)
+        .map(|_| {
+            let off = run_policy("off", None).elapsed.as_secs_f64();
+            let on = run_policy("interval", Some(interval)).elapsed.as_secs_f64();
+            on / off
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    ratios
+}
+
 /// One part-2 row: write a `records`-long log, reopen, measure replay.
 struct RecoveryRun {
     records: usize,
@@ -230,24 +254,31 @@ pub fn run() -> Vec<Table> {
             run.fsyncs.to_string(),
         ]);
     }
-    // The acceptance bar: at the default `interval` policy the WAL
-    // costs at most 1.3x the WAL-off wall-clock. Release-only — debug
-    // builds measure the compiler, not the log.
-    #[cfg(not(debug_assertions))]
-    {
-        let interval = runs[2].elapsed.as_secs_f64();
-        assert!(
-            interval <= baseline * 1.3,
-            "fsync=interval contact wall-clock {:.1}ms exceeds 1.3x the \
-             WAL-off baseline {:.1}ms",
-            interval * 1e3,
-            baseline * 1e3,
-        );
-    }
     t1.note("sink digest == source digest asserted for every policy");
     t1.note("one WAL record per committed contact (asserted); 'off' rows log nothing");
+    // The acceptance bar: at the default `interval` policy the WAL
+    // costs at most 1.3x the WAL-off wall-clock, in the median of
+    // alternating pairs. Release-only — debug builds measure the
+    // compiler, not the log.
     #[cfg(not(debug_assertions))]
-    t1.note("asserted: interval wall-clock <= 1.3x the WAL-off baseline");
+    {
+        let ratios = interval_tax();
+        let median = ratios[ratios.len() / 2];
+        t1.note(format!(
+            "interval/off over {TAX_PAIRS} alternating pairs: median {median:.2}x, \
+             range {:.2}x-{:.2}x",
+            ratios[0],
+            ratios[ratios.len() - 1],
+        ));
+        assert!(
+            median <= 1.3,
+            "fsync=interval contact wall-clock is {median:.2}x the WAL-off baseline in the \
+             median of {TAX_PAIRS} alternating pairs (range {:.2}x-{:.2}x), past 1.3x",
+            ratios[0],
+            ratios[ratios.len() - 1],
+        );
+        t1.note("asserted: that median <= 1.3x");
+    }
 
     let mut t2 = Table::new(
         "E14b: cold recovery time vs WAL length (no checkpoint, worst case)",

@@ -398,8 +398,12 @@ pub const HANDSHAKE_MAGIC: [u8; 4] = *b"OPTR";
 /// entry hash before shard digests sum it: a v9 end would misread every
 /// plan that bulk-loads two shards or more and every vector with an
 /// empty shard, and no digest of a shard that holds anything would
-/// match across the two.
-pub const HANDSHAKE_VERSION: u8 = 10;
+/// match across the two. v11 lists only the walked and bulk-loaded
+/// shards in a plan and retires the proposing plan tag (`0x3a`): a
+/// proposed shard is the shard of a pushed key. A v10 puller would
+/// refuse a push into a shard its plan does not list, and a v11 one
+/// every plan a v10 server proposes in.
+pub const HANDSHAKE_VERSION: u8 = 11;
 
 /// What the connecting peer intends to do with the connection: byte 0
 /// or 2 of the preamble. Byte 1 named a one-shot pull no build sends
@@ -658,7 +662,10 @@ mod tests {
         for chunk in buf.chunks(READ_CHUNK) {
             dec.push(chunk);
             let held = dec.buf.capacity();
-            assert!(held <= frame + READ_CHUNK, "{held} B held for a {frame} B frame");
+            assert!(
+                held <= frame + READ_CHUNK,
+                "{held} B held for a {frame} B frame"
+            );
             while let Some(frame) = dec.next_frame().unwrap() {
                 frames.push(frame);
             }

@@ -158,6 +158,15 @@ impl Entry {
             ..self
         }
     }
+
+    /// The entry filed under `placed`, masked at [`JOURNAL_PLACEMENTS`].
+    pub(crate) fn misplaced(self, placed: u64) -> Entry {
+        let placed = (placed & (JOURNAL_PLACEMENTS - 1)) as u32;
+        Entry {
+            placed: (self.placed & CREATED) | placed,
+            ..self
+        }
+    }
 }
 
 #[cfg(test)]

@@ -11,8 +11,8 @@ use optrep_replication::mux::{
     BatchPullClient, BatchPullServer, ContactAnswer, ContactAsk, Pushed, Restricted,
 };
 use optrep_replication::planner::{
-    decide, nothing_to_pull, placement, ChildDigests, Cut, DigestVector, Hint, PlanConfig,
-    ShardAction, ShardDigest, ShardPlan, ShardScope, JOURNAL_PLACEMENTS,
+    decide, nothing_to_pull, placement, shards_of, ChildDigests, Cut, DigestVector, Hint,
+    PlanConfig, ShardAction, ShardDigest, ShardPlan, ShardScope, JOURNAL_PLACEMENTS,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -296,13 +296,14 @@ impl KvStore {
     /// [`plan_contact_since`](Self::plan_contact_since), this store's
     /// digest of each shard the plan serves whole at this view, as
     /// [`ContactAnswer::Plan`] lists them — each it bulk-loads, then
-    /// each it proposes — and where the keys each proposed shard pushes
-    /// are placed.
+    /// each it proposes — and the records the plan pushes. A proposed
+    /// shard is named by its push alone, so a shard `decide` proposes
+    /// that the push holds no record of is walked instead.
     fn plan_from(
         &self,
         digests: &DigestVector,
         since: Option<u64>,
-    ) -> (ShardPlan, Vec<ShardDigest>, Pushes) {
+    ) -> (ShardPlan, Vec<ShardDigest>, Vec<Record<'_>>) {
         let count = digests.shards.len();
         assert!(
             count.is_power_of_two() && count <= MAX_SHARDS,
@@ -328,7 +329,13 @@ impl KvStore {
                 });
             }
         }
-        let decision = decide(&digests.shards, &ours, &hints);
+        let mut decision = decide(&digests.shards, &ours, &hints);
+        let pushes: Pushes = (hints.into_iter())
+            .filter(|hint| decision.proposed.binary_search(&hint.shard).is_ok())
+            .map(|hint| (hint.shard, hint.candidates))
+            .collect();
+        let pushed = self.records_pushed(count as u64, &pushes);
+        decision.proposed = shards_of(pushed.iter().map(|record| record.key_bytes()), count as u64);
         let mut plan = ShardPlan {
             count: count as u64,
             ..ShardPlan::default()
@@ -354,12 +361,8 @@ impl KvStore {
             });
         }
         unseen.extend(decision.proposed.iter().map(|&shard| ours[shard as usize]));
-        let pushes: Pushes = (hints.into_iter())
-            .filter(|hint| decision.proposed.binary_search(&hint.shard).is_ok())
-            .map(|hint| (hint.shard, hint.candidates))
-            .collect();
         plan.proposed = decision.proposed;
-        (plan, unseen, pushes)
+        (plan, unseen, pushed)
     }
 
     /// The serving side's one door: this store's answer to what a
@@ -399,9 +402,8 @@ impl KvStore {
     pub fn open_contact(&self, ask: ContactAsk<'_>) -> ContactAnswer {
         match ask {
             ContactAsk::Plan { digests, since } => {
-                let (plan, unseen, pushes) = self.plan_from(digests, since);
-                let push = served(self.records_pushed(plan.count, &pushes)).collect();
-                ContactAnswer::Plan(plan, self.generation, unseen, push)
+                let (plan, unseen, pushed) = self.plan_from(digests, since);
+                ContactAnswer::Plan(plan, self.generation, unseen, served(pushed).collect())
             }
             ContactAsk::Endpoint(cut) => {
                 let (server, sums) = self.server_endpoint_summed(&cut);

@@ -474,6 +474,77 @@ fn an_overflowed_journal_is_planned_from_digests_alone_and_a_rewritten_shard_pus
     assert_eq!(dst.replica_digest(), src.replica_digest());
 }
 
+/// A proposed shard is named by its push alone, so every shard a plan
+/// proposes pushes a record: one whose only change is a tombstone, and
+/// one whose only change rewrites the value a key already held, too.
+#[test]
+fn every_proposed_shard_pushes_a_record() {
+    let mut src = KvStore::with_shards(s(1), 16);
+    for i in 0..400 {
+        src.put(format!("key-{i:03}"), format!("v{i}"));
+    }
+    let mut dst = KvStore::with_shards(s(0), 16);
+    let shard = |key: &[u8]| shard_index(key, 16) as u64;
+    let deleted = "key-007";
+    let rewritten = (0..400)
+        .map(|i| format!("key-{i:03}"))
+        .find(|key| shard(key.as_bytes()) != shard(deleted.as_bytes()))
+        .expect("400 keys over 16 shards");
+    let [_, second] = pull_twice(&mut dst, &mut src, |dst, src| {
+        let since = src.generation();
+        src.delete(deleted);
+        let held = src.get(&rewritten).expect("held").to_vec();
+        src.put(rewritten.clone(), held);
+        let (plan, _, pushed) = src.plan_from(&dst.shard_digest_vector(), Some(since));
+        // One record a proposed shard: the tombstone, the rewrite.
+        let mut named: Vec<(u64, &[u8])> = (pushed.iter())
+            .map(|record| (shard(record.key_bytes()), record.key_bytes()))
+            .collect();
+        named.sort_unstable();
+        let mut expected = [deleted.as_bytes(), rewritten.as_bytes()].map(|key| (shard(key), key));
+        expected.sort_unstable();
+        assert_eq!(named, expected);
+        assert_eq!(plan.proposed, expected.map(|(shard, _)| shard));
+        assert_eq!(plan.incremental, plan.proposed);
+    });
+    assert_eq!((second.shards_proposed, second.shards_incremental), (2, 2));
+    assert_eq!(second.keys_examined, 2);
+    assert_eq!(dst.get(deleted), None);
+    assert_eq!(dst.replica_digest(), src.replica_digest());
+}
+
+/// A journal that files a change under a placement no key of its shard
+/// holds — the shard's sums come out, the push would be empty — gets
+/// the shard walked, not proposed: a proposed shard is named by its
+/// push, and an empty push names none.
+#[test]
+fn a_shard_its_push_would_leave_empty_is_walked() {
+    let mut src = KvStore::with_shards(s(1), 16);
+    for i in 0..400 {
+        src.put(format!("key-{i:03}"), format!("v{i}"));
+    }
+    let mut dst = KvStore::with_shards(s(0), 16);
+    let created = "created";
+    let shard = shard_index(created.as_bytes(), 16) as u64;
+    let [_, second] = pull_twice(&mut dst, &mut src, |dst, src| {
+        let since = src.generation();
+        src.put(created, "new");
+        // Filed under the key's shard, at a placement no key holds.
+        let elsewhere = placement(created.as_bytes()) ^ 1 << 20;
+        assert!(src
+            .iter_entries()
+            .all(|(key, _)| placement(key.as_bytes()) != elsewhere));
+        let last = src.journal.entries_mut().back_mut().expect("journalled");
+        *last = last.misplaced(elsewhere);
+        let (plan, _, pushed) = src.plan_from(&dst.shard_digest_vector(), Some(since));
+        assert!(pushed.is_empty());
+        assert_eq!((plan.incremental, plan.proposed), (vec![shard], vec![]));
+    });
+    assert_eq!((second.shards_proposed, second.shards_incremental), (0, 1));
+    assert_eq!(dst.get(created), Some(&b"new"[..]));
+    assert_eq!(dst.replica_digest(), src.replica_digest());
+}
+
 /// The model: whatever the source's journal claims — entries lost,
 /// entries for keys that never changed, a floor that says complete when
 /// it is not, changes filed wrong — and whatever the puller did
@@ -558,9 +629,9 @@ fn a_wrong_journal_costs_proposals_never_convergence() {
             // What the second pull will be offered: in each proposed
             // shard, no key the push leaves out differs.
             let digests = dst.shard_digest_vector();
-            let (plan, _, pushes) = src.plan_from(&digests, Some(since));
+            let (plan, _, pushed) = src.plan_from(&digests, Some(since));
             let count = plan.count as usize;
-            let pushed: Vec<String> = (src.records_pushed(plan.count, &pushes).iter())
+            let pushed: Vec<String> = (pushed.iter())
                 .map(|record| String::from_utf8(record.key_bytes().to_vec()).unwrap())
                 .collect();
             let differs = |key: &str| {
@@ -568,6 +639,11 @@ fn a_wrong_journal_costs_proposals_never_convergence() {
                 hash(dst) != hash(src)
             };
             for &shard in &plan.proposed {
+                let named = |key: &String| shard_index(key.as_bytes(), count) as u64 == shard;
+                assert!(
+                    pushed.iter().any(named),
+                    "{at}: shard {shard} pushes nothing"
+                );
                 let missed = (dst.iter_entries().chain(src.iter_entries()))
                     .map(|(key, _)| key)
                     .filter(|key| shard_index(key.as_bytes(), count) as u64 == shard)
@@ -708,7 +784,7 @@ fn a_shard_the_puller_is_ahead_on_is_not_proposed() {
     assert_eq!(pull(&mut dst, &src), ((0, 1, 16, 187), 543));
     src.put(theirs[0].as_str(), "once more");
     // The key pushed: its name, one element, its value.
-    assert_eq!(pull(&mut dst, &src), ((1, 0, 1, 22), 55));
+    assert_eq!(pull(&mut dst, &src), ((1, 0, 1, 19), 52));
     assert!(dst.consistent_with(&src));
 }
 

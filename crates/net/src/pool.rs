@@ -401,18 +401,18 @@ mod tests {
         let magic = wire::HANDSHAKE_MAGIC.len();
         assert_eq!(preamble[..magic], wire::HANDSHAKE_MAGIC);
         assert_eq!(preamble[magic], HANDSHAKE_VERSION);
-        assert_eq!(HANDSHAKE_VERSION, 10);
+        assert_eq!(HANDSHAKE_VERSION, 11);
         let decoded = Handshake::decode(&mut preamble.clone()).expect("decode");
         assert_eq!((decoded.site, decoded.intent), (12, Intent::Peer));
-        // A version-9 end's preamble — an image a bulk shard, every
-        // summary's digest written — is refused, naming both versions.
+        // A version-10 end's preamble — a plan that flags its proposed
+        // shards under their own tag — is refused, naming both versions.
         let mut older = preamble.to_vec();
-        older[magic] = 9;
+        older[magic] = 10;
         assert_eq!(
             Handshake::decode(&mut Bytes::from(older)),
             Err(WireError::UnsupportedVersion {
                 ours: HANDSHAKE_VERSION,
-                theirs: 9,
+                theirs: 10,
             })
         );
     }

@@ -83,7 +83,8 @@ pub enum CtrlMsg {
     /// the same burst, with no hello before it and nothing after it to
     /// wait for: its `SYNCS` elements — the first is `⌊b⌋`, so the open
     /// carries none — and its value, which stands for the sender's
-    /// `HALT` before it as well.
+    /// `HALT` before it as well. The push names the proposed shards: the
+    /// plan lists none of them.
     BatchPush {
         /// The pushed keys, strictly increasing.
         names: Vec<Bytes>,

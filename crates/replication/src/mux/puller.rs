@@ -7,7 +7,7 @@ use super::msg::{
 };
 use super::{reason_label, BatchPullClient, BatchPullServer, ContactReport, InProcessLink};
 use crate::planner::{
-    kept_as_sent, scope_frame, shard_of, DigestVector, ShardPlan, ShardScope, VectorMemory,
+    kept_as_sent, scope_frame, shards_of, DigestVector, ShardPlan, ShardScope, VectorMemory,
 };
 use crate::protocol::SessionMsg;
 use bytes::{Bytes, BytesMut};
@@ -272,12 +272,16 @@ impl<'a> Puller<'a> {
     /// A frame behind the plan in the planning turn: the push, checked
     /// against the plan and held, decoded, for the exchange. One
     /// `BatchPush` on the control stream opens streams `1, 2, …`, each
-    /// a key of a proposed shard, keys strictly increasing; every frame
-    /// after it is on one of those streams: `SYNCS` elements, the first
-    /// of them `⌊b⌋`, then the value, which ends the stream.
+    /// a key of a shard the plan neither walks nor bulk-loads, keys
+    /// strictly increasing — the shards of those keys are the ones the
+    /// plan proposes; every frame after it is on one of those streams:
+    /// `SYNCS` elements, the first of them `⌊b⌋`, then the value, which
+    /// ends the stream.
     fn on_pushed_frame(&mut self, frame: wire::Frame) -> Result<()> {
-        let plan = self.plan.as_ref().expect("the plan is in");
+        let plan = self.plan.as_mut().expect("the plan is in");
         if self.first_on_link {
+            // A server proposes from what it remembers of the link's
+            // last contact; this link had none.
             return Err(planning_violation(
                 "a push on a link with no previous contact".into(),
             ));
@@ -288,24 +292,29 @@ impl<'a> Puller<'a> {
             MuxMsg::Ctrl(CtrlMsg::BatchPush { names })
                 if stream == CONTROL_STREAM && self.push.is_empty() =>
             {
-                for name in names {
-                    let shard = shard_of(name, plan.count);
-                    if plan.proposed.binary_search(&shard).is_err() {
-                        return Err(planning_violation(format!(
-                            "a push into shard {shard}, which the plan does not propose"
-                        )));
-                    }
-                    if self.pushed.last().is_some_and(|last| last >= name) {
-                        return Err(planning_violation(
-                            "pushed keys out of order, or a key pushed twice".into(),
-                        ));
-                    }
-                    self.pushed.push(name.clone());
-                }
                 if names.is_empty() {
                     return Err(planning_violation("an empty push".into()));
                 }
+                if names.windows(2).any(|pair| pair[0] >= pair[1]) {
+                    return Err(planning_violation(
+                        "pushed keys out of order, or a key pushed twice".into(),
+                    ));
+                }
+                let proposed = shards_of(names.iter().map(|name| &name[..]), plan.count);
+                let listed = |shard: &&u64| {
+                    plan.incremental.binary_search(shard).is_ok()
+                        || plan.bulk.binary_search(shard).is_ok()
+                };
+                if let Some(shard) = proposed.iter().find(listed) {
+                    return Err(planning_violation(format!(
+                        "a push into shard {shard}, which the plan walks or bulk-loads"
+                    )));
+                }
+                self.pushed = names.clone();
                 self.valued = vec![None; names.len()];
+                plan.incremental.extend(&proposed);
+                plan.incremental.sort_unstable();
+                plan.proposed = proposed;
             }
             MuxMsg::Session(msg) if (1..=self.pushed.len() as u64).contains(&stream) => {
                 let valued = &mut self.valued[stream as usize - 1];
@@ -330,8 +339,9 @@ impl<'a> Puller<'a> {
     }
 
     /// The planning state's step: prices and keeps the one plan frame,
-    /// holds the push behind it, and leaves the state on the server's
-    /// turn marker.
+    /// holds the push behind it and adds the shards it names to the
+    /// plan as proposed, and leaves the state on the server's turn
+    /// marker.
     fn on_planning_frame(&mut self, frame: wire::Frame, shards: u64) -> Result<()> {
         if frame.stream == TURN_STREAM {
             self.report.link_turns += 1;
@@ -347,6 +357,7 @@ impl<'a> Puller<'a> {
                     at + 1
                 )));
             }
+            self.settle_plan();
             // The planning turn blocks like any other: the exchange
             // cannot begin before the plan is in.
             self.report.round_trips += 1;
@@ -374,22 +385,21 @@ impl<'a> Puller<'a> {
                 plan.count
             )));
         }
+        self.refined = plan.children.as_ref().map_or(0, |c| c.parents.len() as u64);
+        self.plan = Some(plan);
+        Ok(())
+    }
+
+    /// The plan as the whole turn gave it, at the server's turn marker:
+    /// its shards in the report, and whether the exchange walks any.
+    fn settle_plan(&mut self) {
+        let plan = self.plan.as_ref().expect("the plan is in");
         self.report.shards_total = plan.count;
         self.report.shards_skipped = plan.skipped();
         self.report.shards_incremental = plan.incremental.len() as u64;
         self.report.shards_snapshot = plan.bulk.len() as u64;
-        if self.first_on_link && !plan.proposed.is_empty() {
-            // A server proposes from what it remembers of the link's
-            // last contact; this link had none.
-            return Err(planning_violation(
-                "a proposal on a link with no previous contact".into(),
-            ));
-        }
-        self.refined = plan.children.as_ref().map_or(0, |c| c.parents.len() as u64);
         self.report.shards_proposed = plan.proposed.len() as u64;
         self.walks = plan.incremental.len() > plan.proposed.len();
-        self.plan = Some(plan);
-        Ok(())
     }
 
     /// Advances the contact by one received frame, appending the next
@@ -567,9 +577,10 @@ impl From<BatchPullClient> for Restricted {
 /// ([`ContactReport::digest_bytes`], `digests_sent`, `shards_*`) filled
 /// in — what `KvStore::apply_planned_tracked` commits.
 ///
-/// A plan that proposes, or a push, is an error on a link of which
-/// `remembered` holds nothing: the far end has planned no contact of
-/// this link to propose from.
+/// A push is an error on a link of which `remembered` holds nothing:
+/// the far end has planned no contact of this link to propose from.
+/// The plan comes out with the shards the push names among its
+/// incremental ones, and as its `proposed`.
 ///
 /// `remembered` is the pulling end's [`VectorMemory`] of **this link**
 /// and must live and die with it (`optrep_net::ConnPool` keeps it

@@ -62,13 +62,13 @@ pub struct ContactReport {
     /// ([`ShardPlan::proposed`](crate::planner::ShardPlan::proposed)),
     /// having checked that the puller holds the rest of each as the
     /// server does: their changed keys were pushed with the plan, and
-    /// no other key of them is opened. Zero on a connection's first
-    /// contact.
+    /// no other key of them is opened: the shards of the pushed keys.
+    /// Zero on a connection's first contact.
     pub shards_proposed: u64,
     /// Bytes of the planner exchange (the opening frame — the digest
     /// vector, or its delta against the last one the connection
-    /// carried — + plan frame, bulk image, child digests and
-    /// proposals included, + the scope frame; turn markers excluded) —
+    /// carried — + plan frame, bulk image and child digests included, +
+    /// the scope frame; turn markers excluded) —
     /// the fifth plane, priced by [`Puller`](super::Puller).
     /// The planner frames emit no `FrameTx` event: the obs contact
     /// scope opens with the object exchange.

@@ -5,8 +5,9 @@
 use super::msg::{marker_fin, planning_violation, put_marker, CONTROL_STREAM, TURN_STREAM};
 use super::{serve_frame, write_push, BatchPullServer, ServeStep};
 use crate::planner::{
-    kept_as_sent, plan_frame, ChildDigests, Cut, DigestVector, Offer, ShardDigest, ShardPlan,
-    ShardScope, VectorMemory, TAG_SHARD_DIGESTS, TAG_SHARD_DIGESTS_DELTA, TAG_SHARD_SCOPE,
+    kept_as_sent, plan_frame, shards_of, ChildDigests, Cut, DigestVector, Offer, ShardDigest,
+    ShardPlan, ShardScope, VectorMemory, TAG_SHARD_DIGESTS, TAG_SHARD_DIGESTS_DELTA,
+    TAG_SHARD_SCOPE,
 };
 use bytes::{Bytes, BytesMut};
 use optrep_core::error::Result;
@@ -378,6 +379,14 @@ impl Serving {
                             "the source digested {} shards of a plan that bulk-loads {bulk} \
                              and proposes {proposed}",
                             images.len()
+                        )));
+                    }
+                    // The puller reads the proposed shards off the push.
+                    let named = shards_of(push.iter().map(|(name, ..)| &name[..]), plan.count);
+                    if named != plan.proposed {
+                        return Err(planning_violation(format!(
+                            "the source proposed {proposed} shards and pushed into {}",
+                            named.len()
                         )));
                     }
                     self.since = Some(generation);

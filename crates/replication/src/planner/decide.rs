@@ -110,8 +110,9 @@ const INDEX_BYTES: f64 = 3.0;
 /// A checked shard is always proposed, and so not refined: the keys
 /// left in the contact are the ones pushed, and a pushed key costs no
 /// COMPARE byte — its name is framing, its `⌊b⌋` its first `SYNCS`
-/// element — so nothing a walk or children could save is left to weigh
-/// against the proposal's one bit in the plan frame.
+/// element — and the proposal none in the plan frame, the push naming
+/// the shard, so nothing a walk or children could save is left to weigh
+/// against it.
 ///
 /// # Panics
 ///
@@ -295,8 +296,8 @@ mod tests {
         );
         assert_eq!((scope(2) - scope(1)) as f64, INDEX_BYTES);
 
-        // Eight more proposed shards, one more byte of the proposals
-        // tail (each shard's gap aside, a byte).
+        // A proposed shard costs the plan frame nothing: the push names
+        // it.
         let proposing = |shards: u64| {
             ShardPlan {
                 count: 64,
@@ -307,7 +308,7 @@ mod tests {
             .encode()
             .len()
         };
-        assert_eq!(proposing(16) - proposing(8) - 8, 1);
+        assert_eq!((proposing(0), proposing(8), proposing(16)), (4, 4, 4));
 
         // A pushed key is its name in the push frame, all of it framing:
         // the proof stands in for the verdict, and `⌊b⌋` leads its

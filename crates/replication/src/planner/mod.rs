@@ -62,12 +62,16 @@
 //! less those changes. It **checks** that against the puller's digest
 //! of the shard — in the vector it has just received — and only where
 //! the two are equal, digest and entry count, does it propose the shard
-//! in the plan frame instead of offering child digests. A proposal is
-//! binding, and it is carried out at once: in the same burst as the
-//! plan, the server opens a stream for each key its journal places in
-//! the shard ([`JOURNAL_PLACEMENTS`]) and sends it whole — its name,
-//! its `SYNCS` elements, its value — with no hello to wait for
-//! ([`CtrlMsg::BatchPush`](crate::mux::CtrlMsg::BatchPush)). Equal,
+//! instead of offering child digests. A proposal is binding, and it is
+//! carried out at once: in the same burst as the plan, the server opens
+//! a stream for each key its journal places in the shard
+//! ([`JOURNAL_PLACEMENTS`]) and sends it whole — its name, its `SYNCS`
+//! elements, its value — with no hello to wait for
+//! ([`CtrlMsg::BatchPush`](crate::mux::CtrlMsg::BatchPush)). The push
+//! is the proposal: the plan frame lists only the shards it walks or
+//! bulk-loads, a proposed shard is the shard of a pushed key at the
+//! plan's count, and the server proposes no shard it pushes nothing
+//! into. A pushed key in a shard the plan lists is a violation. Equal,
 //! the puller holds the shard as the server held it then, so every
 //! entry the push leaves out is the same on both sides, and every entry
 //! it carries is one the puller holds at a version the server has
@@ -149,12 +153,6 @@ const TAG_SHARD_PLAN_REFINED: u8 = 0x38;
 /// Wire tag of a [`DigestDelta`] (puller → server): a digest vector
 /// expressed against the last one the connection carried.
 pub(crate) const TAG_SHARD_DIGESTS_DELTA: u8 = 0x39;
-
-/// Wire tag of a [`ShardPlan`] whose frame ends in a proposals tail
-/// (behind a children tail, or the byte that says there is none). As
-/// with [`TAG_SHARD_PLAN_REFINED`], the tail is mandatory under the tag,
-/// and a plan that proposes nothing carries no byte saying so.
-const TAG_SHARD_PLAN_PROPOSED: u8 = 0x3a;
 
 /// A strictly increasing list of shard indices on the wire: the first
 /// as it is, every later one as the gap past its predecessor, less one
@@ -252,6 +250,17 @@ pub fn placement(key: &[u8]) -> u64 {
 /// index bits — folding a 256-shard map to 16 shards is an index mask.
 pub fn shard_of(key: &[u8], count: u64) -> u64 {
     placement(key) & (count - 1)
+}
+
+/// The shards of `keys` in a map of `count` shards, strictly
+/// increasing: the shards a push of those keys proposes. The push is
+/// what names a proposed shard — the plan frame lists none — so a
+/// server proposes these and the puller reads these off it.
+pub fn shards_of<'k>(keys: impl IntoIterator<Item = &'k [u8]>, count: u64) -> Vec<u64> {
+    let mut shards: Vec<u64> = (keys.into_iter()).map(|key| shard_of(key, count)).collect();
+    shards.sort_unstable();
+    shards.dedup();
+    shards
 }
 
 /// A planner message: its exact encoded length, and how it writes

@@ -3,7 +3,7 @@
 
 use super::{
     payload, ControlMsg, Gaps, Offer, ShardDigest, MAX_PLAN_SHARDS, TAG_SHARD_PLAN,
-    TAG_SHARD_PLAN_PROPOSED, TAG_SHARD_PLAN_REFINED,
+    TAG_SHARD_PLAN_REFINED,
 };
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use optrep_core::error::WireError;
@@ -31,7 +31,7 @@ pub struct ShardPlan {
     /// rejects a plan at any other count).
     pub count: u64,
     /// Shards to sync incrementally over per-object streams, strictly
-    /// increasing.
+    /// increasing: the walked ones and the `proposed`.
     pub incremental: Vec<u64>,
     /// Shards to bulk-load whole, strictly increasing.
     pub bulk: Vec<u64>,
@@ -52,6 +52,12 @@ pub struct ShardPlan {
     /// server pushes each key it changed there since the last contact,
     /// with the plan, and neither end opens any other key of these
     /// shards.
+    ///
+    /// Not on the wire: a proposed shard is one the push names a key
+    /// of, so a server proposes no shard it pushes nothing into, and
+    /// the puller reads the list off the push and adds it to
+    /// `incremental` ([`Puller`](crate::mux::Puller)). A decoded plan
+    /// proposes nothing.
     pub proposed: Vec<u64>,
 }
 
@@ -88,16 +94,14 @@ impl ShardPlan {
         })
     }
 
-    /// Encodes the message. Each list of shards — the incremental, the
+    /// Encodes the message. Each list of shards — the walked, the
     /// bulk-loaded and the refined ones — is its length, then its
     /// shards as gaps: the first as it is, every later one as the gap
     /// past its predecessor, less one. Behind a bulk list that is not
     /// empty comes its image, length-prefixed. The children, when present, are
-    /// a tail after the unrefined encoding, under their own tag;
-    /// proposals, when present, a tail behind that — or behind a zero
-    /// byte where there are no children — under a third: one bit an
-    /// incremental shard, in the plan's order, the first in the low bit
-    /// of the first byte, set where the shard is proposed.
+    /// a tail after the unrefined encoding, under their own tag. The
+    /// proposed shards are left out: the push behind the plan names
+    /// them.
     ///
     /// # Panics
     ///
@@ -127,12 +131,10 @@ impl ShardPlan {
     /// [`MAX_PLAN_SHARDS`]; under the refined tag (`0x38`) also a
     /// missing children tail, a fan-out below 2 or with `count · F`
     /// past [`MAX_PLAN_SHARDS`], and refined shards that are not a
-    /// selection of the incremental ones; under
-    /// the proposing tag (`0x3a`) a missing or short proposals tail, one
-    /// that proposes nothing, a bit past the last incremental shard, and
-    /// a proposed shard that is also refined. Every length is checked
+    /// selection of the incremental ones. Every length is checked
     /// against what was already decoded, or against the bytes that are
-    /// left, before it sizes an allocation.
+    /// left, before it sizes an allocation. The plan proposes nothing:
+    /// what it proposes arrives behind it, as the push.
     ///
     /// # Errors
     ///
@@ -142,10 +144,7 @@ impl ShardPlan {
             return Err(WireError::UnexpectedEof);
         }
         let tag = buf.get_u8();
-        if !matches!(
-            tag,
-            TAG_SHARD_PLAN | TAG_SHARD_PLAN_REFINED | TAG_SHARD_PLAN_PROPOSED
-        ) {
+        if !matches!(tag, TAG_SHARD_PLAN | TAG_SHARD_PLAN_REFINED) {
             return Err(WireError::InvalidPayload);
         }
         let count = wire::get_varint(buf)?;
@@ -174,25 +173,9 @@ impl ShardPlan {
             true => None,
             false => Some(wire::get_bytes(buf)?),
         };
-        let proposing = tag == TAG_SHARD_PLAN_PROPOSED;
-        let refined = if !proposing {
-            tag == TAG_SHARD_PLAN_REFINED
-        } else if !buf.has_remaining() {
-            return Err(WireError::UnexpectedEof);
-        } else {
-            match buf.get_u8() {
-                0 => false,
-                1 => true,
-                _ => return Err(WireError::InvalidPayload),
-            }
-        };
-        let children = match refined {
+        let children = match tag == TAG_SHARD_PLAN_REFINED {
             true => Some(Self::decode_children(buf, count, &incremental)?),
             false => None,
-        };
-        let proposed = match proposing {
-            true => Self::decode_proposals(buf, &incremental, children.as_ref())?,
-            false => Vec::new(),
         };
         if buf.has_remaining() {
             return Err(WireError::InvalidPayload);
@@ -203,7 +186,7 @@ impl ShardPlan {
             bulk,
             image,
             children,
-            proposed,
+            proposed: Vec::new(),
         })
     }
 
@@ -246,40 +229,6 @@ impl ShardPlan {
         }
         Ok(ChildDigests { fanout, parents })
     }
-
-    /// The proposals tail of a plan whose incremental shards are
-    /// `incremental` and whose refined ones are `children`'s.
-    fn decode_proposals(
-        buf: &mut Bytes,
-        incremental: &[u64],
-        children: Option<&ChildDigests>,
-    ) -> std::result::Result<Vec<u64>, WireError> {
-        let len = incremental.len().div_ceil(8);
-        if len == 0 {
-            return Err(WireError::InvalidPayload);
-        }
-        if buf.remaining() < len {
-            return Err(WireError::UnexpectedEof);
-        }
-        let bits = buf.copy_to_bytes(len);
-        // The bits of the last byte past the last incremental shard.
-        let used = (incremental.len() - (len - 1) * 8) as u32;
-        if bits[len - 1].checked_shr(used).unwrap_or(0) != 0 {
-            return Err(WireError::InvalidPayload);
-        }
-        let refined = |shard: u64| {
-            children.is_some_and(|c| c.parents.binary_search_by_key(&shard, |p| p.0).is_ok())
-        };
-        let proposed: Vec<u64> = (incremental.iter().enumerate())
-            .filter(|(i, _)| bits[i / 8] & 1 << (i % 8) != 0)
-            .map(|(_, &shard)| shard)
-            .collect();
-        let in_order = proposed.windows(2).all(|pair| pair[0] < pair[1]);
-        if !in_order || proposed.is_empty() || proposed.iter().any(|&shard| refined(shard)) {
-            return Err(WireError::InvalidPayload);
-        }
-        Ok(proposed)
-    }
 }
 
 /// The layout [`ShardPlan::encode`] describes.
@@ -296,28 +245,22 @@ impl ControlMsg for ShardPlan {
                 + Gaps::len(parents.iter().map(|(shard, _)| *shard))
                 + digests.map(ShardDigest::encoded_len).sum::<usize>()
         });
-        let proposals = match self.proposed.is_empty() {
-            true => 0,
-            false => 1 + self.incremental.len().div_ceil(8),
-        };
         1 + wire::varint_len(self.count)
-            + list(&self.incremental)
+            + list(&self.walked())
             + list(&self.bulk)
             + self
                 .image_of_bulk()
                 .map_or(0, |image| wire::bytes_len(image.len()))
             + children
-            + proposals
     }
 
     fn put(&self, buf: &mut BytesMut) {
-        buf.put_u8(match (&self.children, self.proposed.is_empty()) {
-            (_, false) => TAG_SHARD_PLAN_PROPOSED,
-            (Some(_), true) => TAG_SHARD_PLAN_REFINED,
-            (None, true) => TAG_SHARD_PLAN,
+        buf.put_u8(match &self.children {
+            Some(_) => TAG_SHARD_PLAN_REFINED,
+            None => TAG_SHARD_PLAN,
         });
         wire::put_varint(buf, self.count);
-        for list in [&self.incremental, &self.bulk] {
+        for list in [&self.walked(), &self.bulk] {
             wire::put_varint(buf, list.len() as u64);
             let mut gaps = Gaps::default();
             for &shard in list {
@@ -326,9 +269,6 @@ impl ControlMsg for ShardPlan {
         }
         if let Some(image) = self.image_of_bulk() {
             wire::put_bytes(buf, image);
-        }
-        if !self.proposed.is_empty() {
-            buf.put_u8(u8::from(self.children.is_some()));
         }
         if let Some(children) = &self.children {
             wire::put_varint(buf, u64::from(children.fanout.trailing_zeros()));
@@ -339,15 +279,6 @@ impl ControlMsg for ShardPlan {
                 for child in digests {
                     child.put(buf);
                 }
-            }
-        }
-        if !self.proposed.is_empty() {
-            for eight in self.incremental.chunks(8) {
-                let proposed = |shard| self.proposed.binary_search(shard).is_ok();
-                let bits = (eight.iter().enumerate())
-                    .filter(|(_, shard)| proposed(shard))
-                    .fold(0u8, |bits, (i, _)| bits | 1 << i);
-                buf.put_u8(bits);
             }
         }
     }
@@ -491,40 +422,6 @@ pub(super) mod tests {
         (plan, scope)
     }
 
-    /// A seeded plan that proposes — with children beside the
-    /// proposals on even seeds, without on odd ones — and the scope
-    /// answering its children, if it offers any.
-    fn random_proposed(seed: u64) -> (ShardPlan, Option<ShardScope>) {
-        let (mut plan, mut scope) = random_refined(seed);
-        let mut rng = SplitMix64::new(seed ^ 0x0005_EED0_FA40_B000);
-        let mut children = plan.children.take().expect("refined");
-        // Proposed shards come out of the incremental ones; one that
-        // was refined stops being so.
-        let proposed: Vec<u64> = (plan.incremental.iter().copied())
-            .filter(|_| rng.next_u64() % 3 < 1)
-            .chain([plan.incremental[0]])
-            .collect::<std::collections::BTreeSet<u64>>()
-            .into_iter()
-            .collect();
-        children
-            .parents
-            .retain(|(shard, _)| proposed.binary_search(shard).is_err());
-        let refined = |child: &u64| {
-            let parents = &children.parents;
-            parents
-                .binary_search_by_key(&(child & (plan.count - 1)), |p| p.0)
-                .is_ok()
-        };
-        scope.children.retain(refined);
-        plan.proposed = proposed;
-        if seed & 1 == 0 && !children.parents.is_empty() {
-            plan.children = Some(children);
-            (plan, Some(scope))
-        } else {
-            (plan, None)
-        }
-    }
-
     /// Round trip, every strict prefix refused, a trailing byte refused.
     pub(crate) fn assert_strict<T: PartialEq + std::fmt::Debug>(
         value: &T,
@@ -543,95 +440,40 @@ pub(super) mod tests {
         assert!(decode(&mut padded.freeze()).is_err(), "trailing byte");
     }
 
+    /// A proposed shard is not on the wire: a plan that proposes encodes
+    /// as the plan that walks what it walks and proposes nothing, under
+    /// the refined tag or the plain one, and decodes as that plan. The
+    /// retired proposing tag (`0x3a`) is no plan.
     #[test]
-    fn proposing_plans_and_their_scopes_roundtrip_and_reject_every_prefix() {
-        let (mut with_children, mut without) = (0, 0);
+    fn a_proposed_shard_costs_the_plan_frame_nothing() {
         for seed in 0..64 {
-            let (plan, scope) = random_proposed(seed);
-            let full = plan.encode();
-            assert_eq!(full[0], TAG_SHARD_PLAN_PROPOSED, "seed {seed}");
-            assert_strict(&plan, full, ShardPlan::decode);
-            let walked = plan.walked();
-            assert_eq!(walked.len() + plan.proposed.len(), plan.incremental.len());
-            match scope {
-                Some(scope) => {
-                    with_children += 1;
-                    let offer = plan.offer().expect("children to narrow");
-                    assert_strict(&scope, scope.encode(), |buf| {
-                        ShardScope::decode(buf, &offer)
-                    });
-                }
-                None => {
-                    // A plan that only proposes offers nothing to narrow.
-                    without += 1;
-                    assert_eq!(plan.offer(), None);
-                }
+            let (mut plan, _) = random_refined(seed);
+            let mut rng = SplitMix64::new(seed ^ 0x0005_EED0_FA40_B000);
+            let children = plan.children.take().expect("refined");
+            let refined = |shard: &u64| {
+                let parents = &children.parents;
+                parents.binary_search_by_key(shard, |p| p.0).is_ok()
+            };
+            plan.proposed = (plan.incremental.iter().copied())
+                .filter(|shard| !refined(shard) && rng.next_u64() % 3 < 1)
+                .collect();
+            if seed & 1 == 0 {
+                plan.children = Some(children);
             }
+            let bare = ShardPlan {
+                incremental: plan.walked(),
+                proposed: Vec::new(),
+                ..plan.clone()
+            };
+            assert_eq!(plan.encode(), bare.encode(), "seed {seed}");
+            assert_strict(&bare, plan.encode(), ShardPlan::decode);
         }
-        assert!(with_children > 8 && without > 8, "both shapes exercised");
-    }
-
-    /// The body of a plan at 4 shards, incremental `[0, 1, 3]` (gaps
-    /// 0, 0, 1), under the proposing tag, followed by `tail`.
-    fn proposing_plan(tail: &[u8]) -> Bytes {
-        let mut buf = BytesMut::from(&[TAG_SHARD_PLAN_PROPOSED, 4, 3, 0, 0, 1, 0][..]);
-        buf.extend_from_slice(tail);
-        buf.freeze()
-    }
-
-    #[test]
-    fn hostile_proposals_rejected() {
-        let tail = |parts: &[&[u8]]| proposing_plan(&parts.concat());
-        // The honest shapes: no children, shard 1 proposed (the second
-        // incremental shard, the second bit); and shard 3 refined at
-        // F = 2 beside it.
-        let plain = ShardPlan::decode(&mut tail(&[&[0, 0b010]])).expect("well-formed");
+        let mut retired = BytesMut::from(&sample_plan().encode()[..]);
+        retired[0] = 0x3a;
         assert_eq!(
-            (plain.proposed.clone(), plain.walked()),
-            (vec![1], vec![0, 3])
+            ShardPlan::decode(&mut retired.freeze()),
+            Err(WireError::InvalidPayload)
         );
-        let child = [1u8, 0, 0, 0, 0, 0, 0, 0, 7];
-        let refined = [&[1u8, 1, 1, 3][..], &child, &child].concat();
-        let both = ShardPlan::decode(&mut tail(&[&refined, &[0b010]])).expect("both");
-        assert_eq!(both.offer().expect("offer").parents, [3]);
-        // Nine incremental shards at 16 take a tail of two bytes.
-        let mut nine = BytesMut::from(&[TAG_SHARD_PLAN_PROPOSED, 16, 9][..]);
-        nine.extend_from_slice(&[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]);
-        let hostile: [(&str, Bytes); 9] = [
-            ("no tail under the proposing tag", tail(&[])),
-            ("a children flag that is neither", tail(&[&[2, 0b010]])),
-            ("a children flag and no children", tail(&[&[1]])),
-            ("no proposals", tail(&[&[0, 0]])),
-            (
-                "a bit past the last incremental shard",
-                tail(&[&[0, 0b1010]]),
-            ),
-            (
-                "a shard both refined and proposed",
-                tail(&[&refined, &[0b100]]),
-            ),
-            ("a tail a byte short", nine.clone().freeze()),
-            (
-                "no incremental shard to propose",
-                Bytes::from_static(&[TAG_SHARD_PLAN_PROPOSED, 4, 0, 0, 0, 1]),
-            ),
-            (
-                "an incremental shard's gap past the count",
-                Bytes::from_static(&[TAG_SHARD_PLAN_PROPOSED, 4, 2, 3, 0, 0, 0, 0b11]),
-            ),
-        ];
-        for (what, mut bytes) in hostile {
-            assert!(ShardPlan::decode(&mut bytes).is_err(), "{what}");
-        }
-        nine.put_u8(1);
-        let last = ShardPlan::decode(&mut nine.freeze()).expect("two bytes");
-        assert_eq!(last.proposed, [0, 8]);
-        // The proposals tail under either older tag is trailing bytes.
-        for tag in [TAG_SHARD_PLAN, TAG_SHARD_PLAN_REFINED] {
-            let mut relabelled = BytesMut::from(&plain.encode()[..]);
-            relabelled[0] = tag;
-            assert!(ShardPlan::decode(&mut relabelled.freeze()).is_err());
-        }
     }
 
     #[test]

@@ -810,15 +810,8 @@ fn describe_frame(frame: wire::Frame) -> (&'static str, String) {
             [] => "turn",
             _ => "fin",
         }),
-        Some(&tag) if frame.stream == CONTROL_STREAM && (0x35..=0x3a).contains(&tag) => Some(
-            [
-                "digests",
-                "plan",
-                "scope",
-                "plan.refined",
-                "digests.delta",
-                "plan.proposed",
-            ][usize::from(tag - 0x35)],
+        Some(&tag) if frame.stream == CONTROL_STREAM && (0x35..=0x39).contains(&tag) => Some(
+            ["digests", "plan", "scope", "plan.refined", "digests.delta"][usize::from(tag - 0x35)],
         ),
         _ => None,
     };
@@ -1212,7 +1205,7 @@ fn second_pull_over_a_link_is_proposed_what_the_source_changed() {
     assert_eq!(plan.proposed, [4, 13], "not 2: the reconciled key");
     assert_eq!(
         (plan_frame(&blind).len(), plan_frame(&plan).len()),
-        (739, 451)
+        (739, 447)
     );
     let scope = dst
         .client_endpoint_refined(&plan, &[], dst.generation())
@@ -3178,9 +3171,12 @@ fn hostile_planner_sequences_fail_the_pulling_step() {
     assert_eq!(opening_tag(&remembered), 0x35);
 
     // A proposal is made from what the server remembers of the link's
-    // last contact. A puller that remembers none — it opened a fresh
-    // link with its vector in full — was not owed one: protocol error.
-    // The same frame is the plan of a link's later contact.
+    // last contact, and it is the push behind the plan: this plan frame
+    // lists shard 2, which it walks, and the keys pushed behind it name
+    // the shard it proposes. Under the retired proposing tag (`0x3a`) —
+    // the same plan as it was once sent, shard 1 flagged proposed in a
+    // bitmap behind the lists — a plan frame is no plan, whoever
+    // receives it.
     let proposing = ShardPlan {
         count: 4,
         incremental: vec![1, 2],
@@ -3188,36 +3184,12 @@ fn hostile_planner_sequences_fail_the_pulling_step() {
         ..ShardPlan::default()
     };
     let proposing = || frame(CONTROL_STREAM, &proposing.encode());
-    let err = plan_until_error(vec![proposing()]);
-    assert_eq!(reason_label(&err), "protocol_error");
-    let mut out = BytesMut::new();
-    let mut puller = Puller::open_planned(&empty_digests(), &remembered, &mut out);
-    assert!(puller.on_frame(proposing(), &mut out).unwrap().is_none());
-    assert!(puller.on_frame(turn(), &mut out).unwrap().is_none());
-    let handed = puller.take_plan().expect("the plan");
-    assert_eq!(
-        (handed.proposed.clone(), handed.walked()),
-        (vec![1], vec![2])
-    );
-    // Its malformed cousins fail in the decoder whoever receives them:
-    // a bit past the last incremental shard, a shard both refined and
-    // proposed, the tail cut off.
-    let mut beyond = proposing().payload.to_vec();
-    let at = beyond.len() - 1;
-    assert_eq!(beyond[at], 0b01);
-    beyond[at] = 0b101;
-    let cut = proposing().payload.slice(..at);
-    let both = ShardPlan {
-        children: Some(ChildDigests {
-            fanout: 2,
-            parents: vec![(1, vec![ShardDigest::default(); 2])],
-        }),
-        ..handed
-    };
-    for payload in [&beyond[..], &cut[..], &both.encode()[..]] {
-        let mut puller = Puller::open_planned(&empty_digests(), &remembered, &mut out);
-        let err = puller.on_frame(frame(CONTROL_STREAM, payload), &mut out);
-        assert_eq!(reason_label(&err.unwrap_err()), "decode_error");
+    let retired = frame(CONTROL_STREAM, &[0x3a, 4, 2, 1, 0, 0, 0, 0b01]);
+    for memory in [&VectorMemory::default(), &remembered] {
+        let mut out = BytesMut::new();
+        let mut puller = Puller::open_planned(&empty_digests(), memory, &mut out);
+        let err = puller.on_frame(retired.clone(), &mut out).unwrap_err();
+        assert_eq!(reason_label(&err), "decode_error");
     }
 
     // The push behind a plan: a stream a key the plan proposes a shard
@@ -3264,6 +3236,19 @@ fn hostile_planner_sequences_fail_the_pulling_step() {
         };
         vector(1, elem)
     };
+    // The honest turn: the plan, then a push into shard 1, hands out a
+    // plan that proposes shard 1 and walks shard 2.
+    let mut out = BytesMut::new();
+    let mut puller = Puller::open_planned(&empty_digests(), &remembered, &mut out);
+    for frame in [proposing(), push(&[first]), element(1), value(1), turn()] {
+        assert!(puller.on_frame(frame, &mut out).unwrap().is_none());
+    }
+    let handed = puller.take_plan().expect("the plan");
+    assert_eq!(
+        (handed.incremental.clone(), handed.proposed.clone()),
+        (vec![1, 2], vec![1])
+    );
+    assert_eq!(handed.walked(), [2]);
     // Up to the end of the planning turn, then on into the exchange: the
     // push lands in a client that holds none of its keys.
     let pushed_until_error = |frames: Vec<wire::Frame>| {
@@ -3282,14 +3267,10 @@ fn hostile_planner_sequences_fail_the_pulling_step() {
             Ok(()) => panic!("the puller accepted a hostile push"),
         }
     };
-    let hostile: [(&str, Vec<wire::Frame>); 15] = [
+    let hostile: [(&str, Vec<wire::Frame>); 14] = [
         (
-            "a pushed stream in a shard the plan does not propose",
+            "a pushed key in a shard the plan walks",
             vec![proposing(), push(&[key_in(2, 0)])],
-        ),
-        (
-            "a pushed key placed outside its shard",
-            vec![proposing(), push(&[key_in(3, 0)])],
         ),
         ("an empty push", vec![proposing(), push(&[])]),
         (
@@ -3371,9 +3352,9 @@ fn hostile_planner_sequences_fail_the_pulling_step() {
         let err = pushed_until_error(frames);
         assert_eq!(reason_label(&err), "protocol_error", "{what}: {err}");
     }
-    // A pushed stream on a link's first contact, behind a plan that
-    // proposes nothing.
-    let err = plan_until_error(vec![plan_at(4), push(&[key_in(1, 0)])]);
+    // A pushed stream on a link's first contact, into a shard the plan
+    // does not list.
+    let err = plan_until_error(vec![plan_at(4), push(&[key_in(2, 0)])]);
     assert_eq!(reason_label(&err), "protocol_error");
     // A pushed frame after the planning turn's marker: the push and its
     // stream are whole inside the turn.
@@ -3423,6 +3404,135 @@ fn hostile_planner_sequences_fail_the_pulling_step() {
         puller.take_plan().and_then(|plan| plan.children),
         Some(children)
     );
+}
+
+/// A far end that plays `script` back — whole frames — whatever the
+/// puller says, and is gone once it has.
+struct Scripted {
+    script: Bytes,
+}
+
+impl FrameLink for Scripted {
+    fn send_bytes(&mut self, _bytes: &[u8]) -> Result<()> {
+        Ok(())
+    }
+
+    fn recv_frame(&mut self) -> Result<wire::Frame> {
+        match self.script.is_empty() {
+            true => Err(Error::ConnectionLost { after_bytes: 0 }),
+            false => Ok(wire::get_frame(&mut self.script)?),
+        }
+    }
+
+    fn fin(&mut self) {}
+}
+
+/// A push the plan does not own is refused in the planning turn, and the
+/// puller's store, generation and digest are as they were: a push into
+/// a shard the plan walks, refines or bulk-loads, a plan under the
+/// retired proposing tag, a push on a link's first contact. The honest
+/// turn the hostile ones are cut from — the source's own plan and push
+/// for a key it wrote since the link's last contact — lands.
+#[test]
+fn a_push_the_plan_does_not_own_leaves_the_puller_alone() {
+    let (mut dst, mut src) = refined_stores();
+    dst.sync(&src).run().expect("the puller catches up");
+    src.sync(&dst).run().expect("and the source");
+    let since = src.generation();
+    let key = refined_keys_in(4).next().expect("150 keys a shard");
+    src.put(key.clone(), "later");
+    let digests = dst.shard_digest_vector();
+    let ask = ContactAsk::Plan {
+        digests: &digests,
+        since: Some(since),
+    };
+    let ContactAnswer::Plan(honest, _, _, push) = src.open_contact(ask) else {
+        panic!("a plan answers a plan ask");
+    };
+    assert_eq!((honest.proposed.clone(), push.len()), (vec![4], 1));
+    // A planning turn: the plan frame, the push, the marker, then the
+    // server's FIN, which ends a contact that walks nothing.
+    let turn = |plan_frame: &[u8]| {
+        let mut script = BytesMut::new();
+        wire::put_frame(&mut script, CONTROL_STREAM, plan_frame);
+        write_push(&push, &mut script).expect("a push");
+        wire::put_frame(&mut script, TURN_STREAM, &[]);
+        wire::put_frame(&mut script, TURN_STREAM, &[1]);
+        script.freeze()
+    };
+    let listing = |plan: ShardPlan| turn(&plan.encode());
+    let pair = vec![ShardDigest::default(); 2];
+    let hostile = [
+        (
+            "a push into a shard the plan walks",
+            listing(ShardPlan {
+                count: 16,
+                incremental: vec![4],
+                ..ShardPlan::default()
+            }),
+            true,
+            "protocol_error",
+        ),
+        (
+            "a push into a shard the plan refines",
+            listing(ShardPlan {
+                count: 16,
+                incremental: vec![4],
+                children: Some(ChildDigests {
+                    fanout: 2,
+                    parents: vec![(4, pair)],
+                }),
+                ..ShardPlan::default()
+            }),
+            true,
+            "protocol_error",
+        ),
+        (
+            "a push into a shard the plan bulk-loads",
+            listing(ShardPlan {
+                count: 16,
+                bulk: vec![4],
+                image: Some(Bytes::from_static(b"\0")),
+                ..ShardPlan::default()
+            }),
+            true,
+            "protocol_error",
+        ),
+        (
+            "the honest plan under the retired proposing tag",
+            turn(&[0x3a, 16, 1, 4, 0, 0, 0b1]),
+            true,
+            "decode_error",
+        ),
+        (
+            "the honest turn on a link's first contact",
+            listing(honest.clone()),
+            false,
+            "protocol_error",
+        ),
+    ];
+    for (what, script, warm, label) in hostile {
+        let before = (dst.clone(), dst.generation(), dst.replica_digest());
+        let mut remembered = VectorMemory::default();
+        if warm {
+            remembered.remember(&digests, []);
+        }
+        let mut link = Scripted { script };
+        let err = planned_pull_on(&mut dst, &mut link, &mut remembered).expect_err(what);
+        assert_eq!(reason_label(&err), label, "{what}: {err}");
+        assert!(remembered.is_empty(), "{what}");
+        let after = (dst.clone(), dst.generation(), dst.replica_digest());
+        assert!(after == before, "{what} moved the store");
+    }
+    let mut remembered = VectorMemory::default();
+    remembered.remember(&digests, []);
+    let mut link = Scripted {
+        script: listing(honest),
+    };
+    let (report, synced) = planned_pull_on(&mut dst, &mut link, &mut remembered).expect("honest");
+    assert_eq!((report.shards_proposed, synced.keys_fast_forwarded), (1, 1));
+    assert_eq!(dst.get(&key), Some(&b"later"[..]));
+    assert_eq!(dst.replica_digest(), src.replica_digest());
 }
 
 // ---------------------------------------------------------------------
