@@ -12,9 +12,12 @@
 //! run is exactly the durability tax. Convergence is asserted per run
 //! (sink digest == source digest), and in release builds the headline
 //! acceptance bar is asserted too: `interval` costs at most 1.3× the
-//! WAL-off wall-clock — judged on the median ratio of
-//! [`TAX_PAIRS`] alternating (`off`, `interval`) pairs, not on one
-//! sample a policy, which a busy two-core host swings past the bar.
+//! WAL-off wall-clock — judged on the median ratio of alternating
+//! (`off`, `interval`) pairs, not on one sample a policy, which a busy
+//! two-core host swings past the bar. The pairs run in rounds of
+//! [`TAX_ROUND`] until the ratios' interquartile range lies wholly on
+//! one side of the bar, or [`TAX_PAIRS`] have run: the sample is sized
+//! by its own spread.
 //!
 //! **Part 2 — recovery time vs log length.** A log of N single-key
 //! records (no checkpoint, the worst case) is written through
@@ -55,10 +58,19 @@ const LOG_LENGTHS: &[usize] = &[1_000, 10_000, 50_000];
 #[cfg(debug_assertions)]
 const LOG_LENGTHS: &[usize] = &[200, 1_000];
 
-/// Alternating (`off`, `interval`) runs the release-only 1.3× bar is
-/// judged on: the median of their ratios.
+/// The release-only bar: `interval`'s wall-clock over WAL-off's.
 #[cfg(not(debug_assertions))]
-const TAX_PAIRS: usize = 5;
+const TAX_BAR: f64 = 1.3;
+
+/// Alternating (`off`, `interval`) pairs run at a time before the
+/// ratios' spread is read.
+#[cfg(not(debug_assertions))]
+const TAX_ROUND: usize = 5;
+
+/// The most pairs run: the bar is judged on the median of their ratios
+/// however widely they spread.
+#[cfg(not(debug_assertions))]
+const TAX_PAIRS: usize = 25;
 
 /// Distinct keys the part-2 log cycles over: replay applies every
 /// record, but the final store stays bounded (the realistic hot-key
@@ -156,21 +168,33 @@ fn run_policy(label: &'static str, fsync: Option<FsyncPolicy>) -> PolicyRun {
     run
 }
 
-/// `interval`'s wall-clock over WAL-off's in each of [`TAX_PAIRS`]
-/// pairs, the two runs of a pair back to back: sorted, so the middle
-/// one is the median.
+/// `interval`'s wall-clock over WAL-off's in alternating pairs, the two
+/// runs of a pair back to back, [`TAX_ROUND`] pairs at a time until the
+/// interquartile range of the ratios lies wholly on one side of
+/// [`TAX_BAR`] or [`TAX_PAIRS`] have run: sorted, so the middle one is
+/// the median.
 #[cfg(not(debug_assertions))]
 fn interval_tax() -> Vec<f64> {
     let interval = FsyncPolicy::parse("interval").expect("default interval policy");
-    let mut ratios: Vec<f64> = (0..TAX_PAIRS)
-        .map(|_| {
+    let mut ratios = Vec::new();
+    loop {
+        for _ in 0..TAX_ROUND {
             let off = run_policy("off", None).elapsed.as_secs_f64();
             let on = run_policy("interval", Some(interval)).elapsed.as_secs_f64();
-            on / off
-        })
-        .collect();
-    ratios.sort_by(f64::total_cmp);
-    ratios
+            ratios.push(on / off);
+        }
+        ratios.sort_by(f64::total_cmp);
+        let (low, high) = quartiles(&ratios);
+        if high <= TAX_BAR || low > TAX_BAR || ratios.len() >= TAX_PAIRS {
+            return ratios;
+        }
+    }
+}
+
+/// The lower and upper quartiles of `sorted`, by nearest rank.
+#[cfg(not(debug_assertions))]
+fn quartiles(sorted: &[f64]) -> (f64, f64) {
+    (sorted[sorted.len() / 4], sorted[sorted.len() * 3 / 4])
 }
 
 /// One part-2 row: write a `records`-long log, reopen, measure replay.
@@ -258,26 +282,23 @@ pub fn run() -> Vec<Table> {
     t1.note("one WAL record per committed contact (asserted); 'off' rows log nothing");
     // The acceptance bar: at the default `interval` policy the WAL
     // costs at most 1.3x the WAL-off wall-clock, in the median of
-    // alternating pairs. Release-only — debug builds measure the
-    // compiler, not the log.
+    // alternating pairs, as many as their spread asks for. Release-only
+    // — debug builds measure the compiler, not the log.
     #[cfg(not(debug_assertions))]
     {
         let ratios = interval_tax();
-        let median = ratios[ratios.len() / 2];
+        let (pairs, median) = (ratios.len(), ratios[ratios.len() / 2]);
+        let (low, high) = quartiles(&ratios);
         t1.note(format!(
-            "interval/off over {TAX_PAIRS} alternating pairs: median {median:.2}x, \
-             range {:.2}x-{:.2}x",
-            ratios[0],
-            ratios[ratios.len() - 1],
+            "interval/off over {pairs} alternating pairs: median {median:.2}x, \
+             IQR {low:.2}x-{high:.2}x"
         ));
         assert!(
-            median <= 1.3,
+            median <= TAX_BAR,
             "fsync=interval contact wall-clock is {median:.2}x the WAL-off baseline in the \
-             median of {TAX_PAIRS} alternating pairs (range {:.2}x-{:.2}x), past 1.3x",
-            ratios[0],
-            ratios[ratios.len() - 1],
+             median of {pairs} alternating pairs (IQR {low:.2}x-{high:.2}x), past {TAX_BAR}x"
         );
-        t1.note("asserted: that median <= 1.3x");
+        t1.note(format!("asserted: that median <= {TAX_BAR}x"));
     }
 
     let mut t2 = Table::new(

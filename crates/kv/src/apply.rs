@@ -3,7 +3,7 @@
 
 use crate::codec::{decode_value, ImageEntries};
 use crate::record::{entry_hash, Record};
-use crate::shard::{shard_index, Run};
+use crate::shard::{shard_index, Merge, Records, Run};
 use crate::{KvStore, KvSyncReport, Resolver, Value};
 use bytes::Bytes;
 use optrep_core::error::WireError;
@@ -18,7 +18,7 @@ pub struct Committed {
     /// The pull's report.
     pub report: KvSyncReport,
     /// The keys the contact's outcomes changed (created, fast-forwarded
-    /// or reconciled), in the order they were staged.
+    /// or reconciled), in key order.
     changed: Vec<String>,
     /// What the plan's image filled, physical shard by physical shard.
     filled: Vec<Filled>,
@@ -48,11 +48,12 @@ enum Filled {
 impl Committed {
     /// Every entry the commit changed, as `store` holds it — the store
     /// the commit was made on, changed by nothing since: each key and its
-    /// post-state ([`KvStore::encoded_entry`]), the contact's keys in
-    /// the order they were staged, then the image's, physical shard by
-    /// physical shard in key order. What a daemon logs of the commit, as
-    /// one record, read where each entry lies: a join names the shards
-    /// it filled, not a key each.
+    /// post-state ([`KvStore::encoded_entry`]), in key order and each key
+    /// once. What a daemon logs of the commit, as the image of one record
+    /// ([`EntryImage`](crate::EntryImage)), read where each entry lies:
+    /// one merge ([`Merge`]) of a cursor over the contact's keys and one
+    /// over each filled shard's records or merged keys, so a join names
+    /// the shards it filled, not a key each.
     ///
     /// # Panics
     ///
@@ -61,20 +62,47 @@ impl Committed {
         &'s self,
         store: &'s KvStore,
     ) -> impl Iterator<Item = (&'s str, &'s [u8])> + Clone + 's {
-        let named = |key: &'s String| {
-            let entry = store.encoded_entry(key);
-            (key.as_str(), entry.expect("a changed key is tracked"))
-        };
-        let filled = self.filled.iter().flat_map(move |filled| {
-            let (whole, merged) = match filled {
-                Filled::Shard(shard) => (Some(store.shards[*shard].records()), &[][..]),
-                Filled::Merged(keys) => (None, &keys[..]),
-            };
-            let whole = whole.into_iter().flatten();
-            let whole = whole.map(|record| (record.entry().0, record.split().1));
-            whole.chain(merged.iter().map(named))
+        let filled = self.filled.iter().map(move |filled| match filled {
+            Filled::Shard(shard) => Cursor::Shard(store.shards[*shard].records()),
+            Filled::Merged(keys) => Cursor::Keys(keys.iter(), store),
         });
-        self.changed.iter().map(named).chain(filled)
+        let cursors = std::iter::once(Cursor::Keys(self.changed.iter(), store)).chain(filled);
+        // A key both the contact and the image changed — no honest source
+        // sends one — is held once, and named once.
+        let mut last: Option<&[u8]> = None;
+        let once = move |record: &Record<'s>| {
+            let key = Some(record.key_bytes());
+            std::mem::replace(&mut last, key) != key
+        };
+        Merge::new(cursors)
+            .filter(once)
+            .map(|record| (record.entry().0, record.split().1))
+    }
+}
+
+/// The records of some of a commit's changed keys, in key order: a
+/// list's, each looked up in the store, or a filled shard's, walked.
+#[derive(Clone)]
+enum Cursor<'s> {
+    Keys(std::slice::Iter<'s, String>, &'s KvStore),
+    Shard(Records<'s>),
+}
+
+impl<'s> Iterator for Cursor<'s> {
+    type Item = Record<'s>;
+
+    fn next(&mut self) -> Option<Record<'s>> {
+        match self {
+            Cursor::Keys(keys, store) => {
+                let key = keys.next()?;
+                Some(
+                    store
+                        .record(key.as_bytes())
+                        .expect("a changed key is tracked"),
+                )
+            }
+            Cursor::Shard(records) => records.next(),
+        }
     }
 }
 
@@ -405,6 +433,7 @@ impl KvStore {
         if !changed.is_empty() || !filled.is_empty() {
             self.generation = next;
         }
+        changed.sort_unstable();
         (report, changed, filled)
     }
 }
@@ -508,8 +537,9 @@ mod tests {
         wire::put_varint(&mut buf, records.len() as u64);
         let mut before: Option<(&[u8], &[u8])> = None;
         for record in records {
-            let (key, state, vector) = record.fields();
-            let value = &state[wire::varint_len(vector.len() as u64) + vector.len()..];
+            let (key, state) = record.split();
+            let mut value = state;
+            let vector = wire::get_slice(&mut value).unwrap();
             let mut shared = 0;
             let mut written = vector;
             if let Some((last, last_vector)) = before {
@@ -707,31 +737,34 @@ mod tests {
         commits
     }
 
-    /// A commit hands its log the keys and entries it handed it when it
-    /// listed each changed key, in that order: the contact's keys as
-    /// staged, then each physical shard's image keys in key order — a
-    /// shard's whole where the image filled it, a run's own where it
-    /// merged into a shard holding a racing write. The counts and
-    /// FNV-1a digests of the logged payloads are the ones the key list
-    /// gave.
+    /// A commit hands its log the keys and entries it changed in key
+    /// order, each once: the contact's keys and each physical shard's
+    /// image keys — a shard's whole where the image filled it, a run's own
+    /// where it merged into a shard holding a racing write — merged. The
+    /// counts and FNV-1a digests of the logged payloads are pinned: every
+    /// join logs the one store it joined.
     #[test]
     fn a_commit_logs_what_its_key_list_named() {
+        let join = (2000, 0x8824_da4a_f884_23a6);
         let pinned: [(usize, u64); 7] = [
-            (2000, 0x8824_da4a_f884_23a6),
-            (2000, 0x2396_9772_971a_45fc),
-            (2000, 0x2ca8_a0d1_b5a5_cf8e),
-            (2000, 0x66b6_6d53_278a_f0a6),
-            (2000, 0x2396_9772_971a_45fc),
-            (2000, 0x1049_8c45_2283_c238),
-            (1998, 0xd031_2f30_44cc_4812),
+            join,
+            join,
+            join,
+            join,
+            join,
+            join,
+            (1998, 0xf2bd_c895_8fdc_e444),
         ];
         let commits = logged_commits();
         assert_eq!(commits.len(), pinned.len());
         for ((what, dst, committed), pinned) in commits.iter().zip(pinned) {
             let mut payload = Vec::new();
             let mut n = 0;
+            let mut before: Option<&str> = None;
             for (key, entry) in committed.entries(dst) {
                 assert_eq!(dst.encoded_entry(key), Some(entry), "{what}: {key}");
+                assert!(before < Some(key), "{what}: {key} after {before:?}");
+                before = Some(key);
                 wire::put_bytes(&mut payload, key.as_bytes());
                 wire::put_bytes(&mut payload, entry);
                 n += 1;

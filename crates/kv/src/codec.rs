@@ -1,11 +1,15 @@
-//! What a store writes and reads back: whole-store snapshots, shard
-//! images, log records and values in flight — an image written where it
-//! goes, its keys front-coded and a record's vector written only where
-//! it is not the vector of the record before, and read back through one
-//! chunked reader and one entry reader.
+//! What a store writes and reads back: whole-store snapshots, a plan's
+//! shard images, log records and values in flight. The first three are
+//! one image ([`EntryImage`]): a count, then each entry in strictly
+//! ascending key order, its key front-coded and its vector written only
+//! where it is not the vector of the entry before, written where it goes
+//! from where the entries lie. One entry reader ([`ImageEntries`]) reads
+//! every image back — a boot through one chunked reader, a join's plan
+//! and a replayed log record ([`KvStore::apply_image`]) from a buffer —
+//! and refuses every encoding but the writer's.
 
 use crate::record::{recode_vector, Record, State};
-use crate::shard::{shard_index, Run};
+use crate::shard::{shard_index, Merge, Records, Run};
 use crate::{env_shards, KvStore, Value};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use optrep_core::error::WireError;
@@ -25,9 +29,10 @@ impl KvStore {
     /// carries no site id). A plan's bulk-loaded shards cross as this.
     pub fn encode_shard_snapshot(&self, shards: &[u64], count: usize) -> Bytes {
         let records = self.records_in(shards, count, |_| true);
-        let count = records.len() as u64;
-        let mut buf = Vec::with_capacity(records_len(count, records.iter().copied()));
-        write_records(&mut buf, count, records.into_iter()).expect("a Vec takes every byte");
+        let image = EntryImage::new(records.into_iter().map(Record::split));
+        let image = image.expect("a store's keys ascend");
+        let mut buf = Vec::with_capacity(image.encoded_len());
+        image.write_to(&mut buf).expect("a Vec takes every byte");
         Bytes::from(buf)
     }
 
@@ -37,13 +42,10 @@ impl KvStore {
     /// of its exact size.
     pub fn encode_snapshot(&self) -> Bytes {
         let image = self.snapshot_image();
-        let mut buf = Vec::with_capacity(image.encoded_len());
+        let len = image.encoded_len();
+        let mut buf = Vec::with_capacity(len);
         image.write_to(&mut buf).expect("a Vec takes every byte");
-        debug_assert_eq!(
-            buf.len(),
-            image.encoded_len(),
-            "encoded_len must match write_to"
-        );
+        debug_assert_eq!(buf.len(), len, "encoded_len must match write_to");
         Bytes::from(buf)
     }
 
@@ -51,20 +53,19 @@ impl KvStore {
     /// image in memory: what [`encode_snapshot`](Self::encode_snapshot)
     /// encodes, and what a checkpoint streams into its file.
     pub fn snapshot_image(&self) -> SnapshotImage<'_> {
-        let count = self.tracked_entries() as u64;
-        let site = wire::varint_len(u64::from(self.site.index()));
+        let records: Sorted<'_> = self.sorted().map(Record::split);
         SnapshotImage {
-            store: self,
-            count,
-            len: site + records_len(count, self.sorted()),
+            site: self.site.index(),
+            image: EntryImage::new(records).expect("a store's keys ascend"),
         }
     }
 
     /// The wire form of one entry's *current* state: metadata snapshot
     /// plus the tagged value, exactly the per-entry layout
-    /// [`encode_snapshot`](Self::encode_snapshot) uses (minus the key,
-    /// which the caller frames separately). This is what a write-ahead
-    /// log records per mutated key — logging post-states instead of
+    /// [`encode_snapshot`](Self::encode_snapshot) uses where it writes
+    /// the vector (minus the key, which the image front-codes). Listed
+    /// with its key in an [`EntryImage`], it is what a write-ahead log
+    /// records per mutated key — logging post-states instead of
     /// operations makes replay exact and idempotent regardless of what
     /// produced the state (a local write, a fast-forward, or a
     /// resolver's reconciliation).
@@ -83,88 +84,85 @@ impl KvStore {
 
     /// Overwrites one entry with a state captured by
     /// [`encode_entry`](Self::encode_entry), bumping the write
-    /// generation: [`apply_encoded_entries`](Self::apply_encoded_entries)
-    /// of that one entry.
+    /// generation: [`apply_image`](Self::apply_image) of the image of
+    /// that one entry.
     ///
     /// # Errors
     ///
-    /// Returns a [`WireError`] on truncated or malformed input (trailing
-    /// bytes included); the store is untouched on error.
+    /// As [`apply_image`](Self::apply_image), trailing bytes included;
+    /// the store is untouched on error.
     pub fn apply_encoded_entry(
         &mut self,
         key: impl Into<String>,
         buf: &mut Bytes,
     ) -> std::result::Result<(), WireError> {
-        let key = key.into();
-        self.apply_encoded_entries(std::iter::once((key.as_bytes(), &buf[..])))?;
+        let mut image = vec![1];
+        wire::put_bytes(&mut image, key.into().as_bytes());
+        image.extend_from_slice(buf);
+        self.apply_image(&image)?;
         buf.advance(buf.len());
         Ok(())
     }
 
-    /// Overwrites every entry one log record lists — each key's bytes
-    /// with the state [`encode_entry`](Self::encode_entry) captured for
-    /// it, in log order — as that many writes: the generation and the
-    /// change journal move once an entry, in log order. The WAL replay
-    /// path: applying every logged record in order rebuilds the store
-    /// the log described.
+    /// Overwrites every entry one image lists — a log record's payload,
+    /// written by [`EntryImage`] — with the state it lists, as that many
+    /// writes: the generation and the change journal move once an entry,
+    /// in key order, each entry counted against the record its shard
+    /// holds. The entries before the image's last `JOURNAL_CAP` are
+    /// evicted by its own: they are counted and passed, not summed. The
+    /// WAL replay path: applying every logged record in order rebuilds
+    /// the store the log described.
     ///
-    /// Each entry is written, as it is read, into the run of the shard it
-    /// falls in (runs only for the shards the record touches), and each
-    /// touched shard then takes its run in one merge
-    /// ([`Shard::append`](crate::shard::Shard::append)): a record logged
-    /// in key order rewrites each page its keys fall in once, not once a
-    /// key. A record that lists a key twice, or a shard's keys out of
-    /// order — a commit logs a pull's keys before its joined shards' —
-    /// leaves what writing its entries one by one leaves: the last entry
-    /// for a key wins.
+    /// The image is read by [`ImageEntries`], as a boot and a join read
+    /// theirs: each entry is written, as it is read, into the run of the
+    /// shard it falls in, and each touched shard then takes its run in
+    /// one merge ([`Shard::append`](crate::shard::Shard::append)), which
+    /// rewrites each page its keys fall in once, not once a key. An
+    /// image of one entry builds one run, and no run a shard.
     ///
     /// # Errors
     ///
-    /// Returns a [`WireError`] on a key that is not UTF-8 and on a state
-    /// that is truncated or malformed, trailing bytes included; the store
-    /// is untouched on error: every entry is read before the first is
-    /// counted or stored.
-    pub fn apply_encoded_entries<'e>(
-        &mut self,
-        entries: impl Iterator<Item = (&'e [u8], &'e [u8])> + Clone,
-    ) -> std::result::Result<(), WireError> {
+    /// [`ImageEntries::take`]'s — a key listed twice or out of order, a
+    /// vector written any way but the writer's — and
+    /// [`WireError::InvalidPayload`] for bytes past the last entry; the
+    /// store is untouched on error: every entry is read before the first
+    /// is counted or stored.
+    pub fn apply_image(&mut self, image: &[u8]) -> std::result::Result<(), WireError> {
+        let mut rest = image;
+        let n = wire::get_varint(&mut rest)?;
         let physical = self.shards.len();
-        let mut runs = Runs::default();
-        let mut listed = 0usize;
-        for (key, mut state) in entries.clone() {
-            let key = std::str::from_utf8(key).map_err(|_| WireError::InvalidPayload)?;
-            let shard = shard_index(key.as_bytes(), physical);
-            runs.of(shard, physical)
-                .push(key, State::take(&mut state)?)?;
-            if !state.is_empty() {
-                return Err(WireError::InvalidPayload);
-            }
-            listed += 1;
-        }
-        // Each entry counted in log order, with what it does to its
-        // shard: against the record the shard holds, while a run that
-        // names each key once waits to be merged; a run that may name a
-        // key twice is stored record by record here, as the shard would
-        // take it, so each entry is counted against the one before it.
-        // The entries before the record's last `JOURNAL_CAP` are evicted
-        // by the record's own: they are counted and passed, not summed.
-        let passed = listed.saturating_sub(JOURNAL_CAP);
-        let mut cursors: Vec<_> = (runs.iter())
-            .map(|run| (run.unordered(), run.records()))
+        let table = n > 1;
+        let mut runs: Vec<Run> = (0..if table { physical } else { n as usize })
+            .map(|_| Run::default())
             .collect();
-        for (at, (key, _)) in entries.enumerate() {
-            let shard = shard_index(key, physical);
-            let (inline, records) = &mut cursors[runs.slot(shard)];
-            let record = records.next().expect("the run holds its entries");
-            let change = (at >= passed).then(|| self.shards[shard].change_of(record));
-            if *inline {
-                self.shards[shard].upsert(record);
-            }
-            self.touch(key, change);
+        // The merge's heads are reserved beside the runs, before any page:
+        // reserved behind the pages, they left `dense_pull`'s set-up, which
+        // replays records of 8 192 keys, at a peak 1 MiB higher in 9 of
+        // 15 runs; reserved here, in none of 10.
+        let heads = Vec::with_capacity(runs.len());
+        let mut entries = ImageEntries::default();
+        for _ in 0..n {
+            let (key, state) = entries.take(&mut rest)?;
+            let at = if table {
+                shard_index(key.as_bytes(), physical)
+            } else {
+                0
+            };
+            runs[at].push(key, state)?;
         }
-        drop(cursors);
-        for (shard, run) in runs.into_runs() {
-            if !run.unordered() {
+        if !rest.is_empty() {
+            return Err(WireError::InvalidPayload);
+        }
+        let passed = (n as usize).saturating_sub(JOURNAL_CAP);
+        let records = Merge::with_heads(heads, runs.iter().map(Run::records));
+        for (at, record) in records.enumerate() {
+            let shard = &self.shards[shard_index(record.key_bytes(), physical)];
+            let change = (at >= passed).then(|| shard.change_of(record));
+            self.touch(record.key_bytes(), change);
+        }
+        for run in runs {
+            let first = run.records().next().map(Record::key_bytes);
+            if let Some(shard) = first.map(|key| shard_index(key, physical)) {
                 self.shards[shard].append(run);
             }
         }
@@ -247,14 +245,14 @@ impl KvStore {
 }
 
 /// The entries of an image, each read against the entry before it: the
-/// one reader of a boot's image and of a plan's image. An entry's
-/// key is rebuilt by [`Ascending`]; its vector, where the field is empty,
-/// is the vector of the entry before, copied, and is otherwise re-encoded
-/// once, here, and kept for the entry after. Either way the state it
-/// hands on holds the vector as a record holds it, to be copied. A
-/// vector has one encoding in an image, the writer's: written out on the
-/// first entry and wherever it differs from the vector before, empty
-/// wherever it does not.
+/// one reader of a boot's image, a plan's image and a log record. An
+/// entry's key is rebuilt by [`Ascending`]; its vector, where the field
+/// is empty, is the vector of the entry before, copied, and is otherwise
+/// re-encoded once, here, and kept for the entry after. Either way the
+/// state it hands on holds the vector as a record holds it, to be
+/// copied. A vector has one encoding in an image, the writer's: written
+/// out on the first entry and wherever it differs from the vector
+/// before, empty wherever it does not.
 #[derive(Debug, Default)]
 pub(crate) struct ImageEntries {
     keys: Ascending,
@@ -337,55 +335,17 @@ impl Ascending {
     }
 }
 
-/// The runs one log record builds: one for each shard it touches. A
-/// record of one key, or of keys of one shard, holds one run, inline,
-/// and no index; past that, `at` maps a shard to its run.
-#[derive(Debug, Default)]
-struct Runs {
-    /// The first shard touched, and its run.
-    first: Option<(usize, Run)>,
-    /// The other shards touched and their runs, in the order touched.
-    more: Vec<(usize, Run)>,
-    /// By shard: one past its run's index in `more`, `0` for none.
-    /// Empty while one shard is touched.
-    at: Vec<u32>,
-}
-
-impl Runs {
-    /// Every run, in the order [`slot`](Self::slot) counts them.
-    fn iter(&self) -> impl Iterator<Item = &Run> {
-        (self.first.iter().chain(&self.more)).map(|(_, run)| run)
-    }
-
-    /// Where shard `shard`'s run — one the record touched — stands in
-    /// [`iter`](Self::iter): the first, or one past its index in `more`.
-    fn slot(&self, shard: usize) -> usize {
-        match &self.first {
-            Some((first, _)) if *first == shard => 0,
-            _ => self.at[shard] as usize,
-        }
-    }
-
-    /// Shard `shard`'s run, begun if the record has not touched it.
-    fn of(&mut self, shard: usize, physical: usize) -> &mut Run {
-        if self.first.as_ref().is_none_or(|(first, _)| *first == shard) {
-            return &mut self.first.get_or_insert_with(|| (shard, Run::default())).1;
-        }
-        if self.at.is_empty() {
-            self.at = vec![0; physical];
-        }
-        let at = &mut self.at[shard];
-        if *at == 0 {
-            self.more.push((shard, Run::default()));
-            *at = self.more.len() as u32;
-        }
-        &mut self.more[*at as usize - 1].1
-    }
-
-    /// Every run, by shard.
-    fn into_runs(self) -> impl Iterator<Item = (usize, Run)> {
-        self.first.into_iter().chain(self.more)
-    }
+/// The image a log record's writer would write of `entries` were it to
+/// take them as listed — keys out of order or repeated, too: what a
+/// hostile or corrupt log record holds, under a checksum that holds.
+#[cfg(test)]
+pub(crate) fn image_as_listed<K: AsRef<[u8]>, E: AsRef<[u8]>>(
+    entries: impl Iterator<Item = (K, E)> + Clone,
+) -> Vec<u8> {
+    let mut buf = Vec::new();
+    wire::write_varint(&mut buf, entries.clone().count() as u64).expect("a Vec takes every byte");
+    each_coded(entries, |entry| entry.write_to(&mut buf)).expect("a Vec takes every byte");
+    buf
 }
 
 /// The test oracle for [`Record::write_state`]: an entry's state decoded
@@ -425,69 +385,144 @@ fn entry_reach(buf: &[u8], after: bool) -> usize {
     })
 }
 
-/// A whole store's snapshot as the store it copies: the site, a varint
-/// count, then each record in key order, its key front-coded and its
-/// vector an empty field where it is the record before's. It holds
-/// the store and the image's length, summed over one walk of the store's
-/// merge ([`KvStore::sorted`]), and is written where it goes, into one
-/// buffer of its exact size or into a checkpoint's file, by a second.
+/// A store's records in key order, each as its key and its state.
+type Sorted<'a> = std::iter::Map<Merge<'a, Records<'a>>, fn(Record<'a>) -> (&'a [u8], &'a [u8])>;
+
+/// A whole store's snapshot as the store it copies: the site, then the
+/// [`EntryImage`] of every record in key order. It holds the store's
+/// merge ([`KvStore::sorted`]) and the image's length, summed over one
+/// walk of it, and is written where it goes, into one buffer of its
+/// exact size or into a checkpoint's file, by a second.
 #[derive(Debug)]
 pub struct SnapshotImage<'a> {
-    store: &'a KvStore,
-    count: u64,
-    len: usize,
+    site: u32,
+    image: EntryImage<Sorted<'a>>,
 }
 
 impl SnapshotImage<'_> {
     /// The image's length in bytes.
     pub fn encoded_len(&self) -> usize {
-        self.len
+        wire::varint_len(u64::from(self.site)) + self.image.encoded_len()
     }
 
     /// Writes the image to `out`: its header, then every record in key
-    /// order.
+    /// order, walking the store's merge a second time.
     ///
     /// # Errors
     ///
     /// The first error `out` returns.
-    pub fn write_to(&self, out: &mut impl Write) -> io::Result<()> {
-        wire::write_varint(out, u64::from(self.store.site.index()))?;
-        write_records(out, self.count, self.store.sorted())
+    pub fn write_to(self, out: &mut impl Write) -> io::Result<()> {
+        wire::write_varint(out, u64::from(self.site))?;
+        self.image.write_to(out)
     }
 }
 
-/// The length of what [`write_records`] writes.
-fn records_len<'a>(count: u64, records: impl Iterator<Item = Record<'a>>) -> usize {
-    wire::varint_len(count) + coded(records).map(|entry| entry.len()).sum::<usize>()
-}
-
-/// The body of every image, a whole store's and a shard's: a varint
-/// count of the records, then each record as [`Coded`] writes it.
-fn write_records<'a>(
-    out: &mut impl Write,
+/// The body of every image — a snapshot's behind its site, a plan's bulk
+/// shards, a log record's payload — of entries handed over as keys and
+/// states ([`KvStore::encode_entry`]'s) in strictly ascending key order:
+/// a varint count, then each entry against the one before it, its key
+/// front-coded and its vector an empty field where it is the vector
+/// before ([`Coded`]). It holds the entries and its length, summed over
+/// one walk of them, and is written where it goes by a second.
+#[derive(Debug, Clone)]
+pub struct EntryImage<I> {
+    entries: I,
     count: u64,
-    records: impl Iterator<Item = Record<'a>>,
-) -> io::Result<()> {
-    wire::write_varint(out, count)?;
-    coded(records).try_for_each(|entry| entry.write_to(out))
+    len: usize,
 }
 
-/// A record as an image writes it, against the record before it.
+impl<I, K, E> EntryImage<I>
+where
+    I: Iterator<Item = (K, E)> + Clone,
+    K: AsRef<[u8]>,
+    E: AsRef<[u8]>,
+{
+    /// The image of `entries`, sized by one walk of them; `None` when a
+    /// key does not follow every key before it.
+    pub fn new(entries: I) -> Option<Self> {
+        let (mut count, mut len) = (0u64, 0);
+        each_coded(entries.clone(), |entry| {
+            count += 1;
+            len += entry.len();
+            entry.follows.then_some(()).ok_or(())
+        })
+        .ok()?;
+        Some(EntryImage {
+            entries,
+            count,
+            len: wire::varint_len(count) + len,
+        })
+    }
+
+    /// How many entries it lists.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Its length in bytes.
+    pub fn encoded_len(&self) -> usize {
+        self.len
+    }
+
+    /// Writes it to `out`, walking the entries a second time: the
+    /// count, then every entry.
+    ///
+    /// # Errors
+    ///
+    /// The first error `out` returns.
+    pub fn write_to(self, out: &mut impl Write) -> io::Result<()> {
+        wire::write_varint(out, self.count)?;
+        each_coded(self.entries, |entry| entry.write_to(out))
+    }
+}
+
+/// An entry as an image writes it, against the entry before it.
 struct Coded<'a> {
     /// The length of the prefix its key shares with the key before it;
     /// none for the first key, written whole.
     shared: Option<u64>,
     /// The key past that prefix.
     rest: &'a [u8],
-    /// Whether its vector is the record before's: the vector's field is
+    /// Whether its vector is the entry before's: the vector's field is
     /// then written empty.
     repeats: bool,
-    /// The state the record holds, or where the vector repeats, what
-    /// follows the vector's field in it: the tag and the value.
+    /// Its state, or where the vector repeats, what follows the vector's
+    /// field in it: the tag and the value.
     state: &'a [u8],
+    /// Whether its key is above the key before it.
+    follows: bool,
 }
 
-impl Coded<'_> {
+impl<'a> Coded<'a> {
+    /// `key` holding `state`, against the key and the state before it.
+    fn of(key: &'a [u8], state: &'a [u8], before: Option<(&[u8], &[u8])>) -> Self {
+        let Some((last, last_state)) = before else {
+            return Coded {
+                shared: None,
+                rest: key,
+                repeats: false,
+                state,
+                follows: true,
+            };
+        };
+        let shared = key.iter().zip(last).take_while(|(a, b)| a == b).count();
+        let follows = match (key.get(shared), last.get(shared)) {
+            (Some(byte), Some(before)) => byte > before,
+            (next, _) => next.is_some(),
+        };
+        let repeated = match (vector_field(state), vector_field(last_state)) {
+            (Some((vector, rest)), Some((last_vector, _))) if vector == last_vector => Some(rest),
+            _ => None,
+        };
+        Coded {
+            shared: Some(shared as u64),
+            rest: &key[shared..],
+            repeats: repeated.is_some(),
+            state: repeated.unwrap_or(state),
+            follows,
+        }
+    }
+
     fn len(&self) -> usize {
         self.shared.map_or(0, wire::varint_len)
             + wire::bytes_len(self.rest.len())
@@ -507,33 +542,25 @@ impl Coded<'_> {
     }
 }
 
-/// Each record as an image writes it: its key front-coded against the
-/// key before it, its vector left out where it is the vector before.
-fn coded<'a>(records: impl Iterator<Item = Record<'a>>) -> impl Iterator<Item = Coded<'a>> {
-    let mut before: Option<(&[u8], &[u8])> = None;
-    records.map(move |record| {
-        let (key, state, vector) = record.fields();
-        let (shared, repeats) = match before {
-            None => (None, false),
-            Some((last, last_vector)) => {
-                let shared = key.iter().zip(last).take_while(|(a, b)| a == b).count();
-                (Some(shared), vector == last_vector)
-            }
-        };
-        before = Some((key, vector));
-        // A stored record's length prefixes are minimal.
-        let past_vector = wire::varint_len(vector.len() as u64) + vector.len();
-        Coded {
-            shared: shared.map(|shared| shared as u64),
-            rest: &key[shared.unwrap_or(0)..],
-            repeats,
-            state: if repeats {
-                &state[past_vector..]
-            } else {
-                state
-            },
-        }
-    })
+/// The vector's field at the front of a state, and what follows it.
+fn vector_field(state: &[u8]) -> Option<(&[u8], &[u8])> {
+    let mut rest = state;
+    Some((wire::get_slice(&mut rest).ok()?, rest))
+}
+
+/// Hands `each` every entry as an image writes it, in order, until it
+/// returns an error.
+fn each_coded<K: AsRef<[u8]>, E: AsRef<[u8]>, X>(
+    entries: impl Iterator<Item = (K, E)>,
+    mut each: impl FnMut(&Coded<'_>) -> std::result::Result<(), X>,
+) -> std::result::Result<(), X> {
+    let mut before: Option<(K, E)> = None;
+    for (key, state) in entries {
+        let last = before.as_ref().map(|(k, e)| (k.as_ref(), e.as_ref()));
+        each(&Coded::of(key.as_ref(), state.as_ref(), last))?;
+        before = Some((key, state));
+    }
+    Ok(())
 }
 
 /// Why a [`ChunkReader`] returned no record.

@@ -427,8 +427,9 @@ fn entry_image(meta: &[u8]) -> BytesMut {
 }
 
 /// `body` — an image's count and entries — is refused with `refused` by
-/// both image decoders: as a checkpoint's image behind a site, and as the
-/// blob of a peer's plan shard, and no store is touched.
+/// every image decoder: as a checkpoint's image behind a site, as the
+/// image of a peer's plan, and as a log record's payload replayed, and no
+/// store is touched.
 fn assert_refused_by_every_decoder(body: &[u8], refused: WireError) {
     // Checkpoint: a whole-store image.
     let mut image = BytesMut::new();
@@ -455,6 +456,12 @@ fn assert_refused_by_every_decoder(body: &[u8], refused: WireError) {
         store.apply_planned_tracked(&JoinResolver, client, &contact, &plan),
         Err(optrep_core::Error::Wire(refused))
     );
+    assert_eq!(store, before);
+    assert_eq!(store.generation(), before.generation());
+    assert_eq!(store.replica_digest(), store.replica_digest_full());
+
+    // Replay: a log record's payload.
+    assert_eq!(store.apply_image(body), Err(refused));
     assert_eq!(store, before);
     assert_eq!(store.generation(), before.generation());
     assert_eq!(store.replica_digest(), store.replica_digest_full());
@@ -610,12 +617,10 @@ fn a_key_encoded_any_way_but_the_writers_is_refused() {
 
 /// A vector has one encoding in an image, the writer's — written out on
 /// the first entry and wherever it is not the vector before, an empty
-/// field wherever it is — and both image decoders refuse every other with
-/// `InvalidPayload`, as the oracle does: an empty field on the first
+/// field wherever it is — and every image decoder refuses every other
+/// with `InvalidPayload`, as the oracle does: an empty field on the first
 /// entry, and a vector written out that re-encodes to the vector before,
-/// its varints overlong or not. A log record's entries follow no vector:
-/// an empty field there is refused as cut short, alone or behind an
-/// entry, and leaves the store as it was.
+/// its varints overlong or not.
 #[test]
 fn a_vector_encoded_any_way_but_the_writers_is_refused() {
     let mut store = KvStore::with_shards(s(0), 1);
@@ -671,18 +676,15 @@ fn a_vector_encoded_any_way_but_the_writers_is_refused() {
         assert_refused_by_every_decoder(&body, invalid);
     }
 
-    // A log record, replayed: `b`'s state as an image repeats it.
+    // One logged entry is an image of one entry: `b`'s state as an image
+    // repeats it is refused there too.
     let mut replayed = KvStore::with_shards(s(0), 4);
     replayed.put("mine", "1");
     let before = replayed.clone();
     let empty = repeated(&states[1]);
-    let eof = Err(WireError::UnexpectedEof);
-    assert_eq!(decode_state(&mut Bytes::from(empty.clone())).map(drop), eof);
-    let logged = [(&b"a"[..], &states[0][..]), (b"b", &empty)];
-    assert_eq!(replayed.apply_encoded_entries(logged.into_iter()), eof);
     assert_eq!(
         replayed.apply_encoded_entry("b", &mut Bytes::from(empty)),
-        eof
+        Err(invalid)
     );
     assert_eq!(replayed, before);
     assert_eq!(replayed.generation(), before.generation());

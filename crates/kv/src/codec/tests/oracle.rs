@@ -59,9 +59,15 @@ fn mangled(bytes: &[u8], rng: &mut SplitMix64) -> Vec<Vec<u8>> {
     out
 }
 
-/// What the oracle makes of `state` under `key` — the vector built, then
-/// written back by `Record::write` — and how much of it it read.
+/// What the oracle makes of `state` under `key`, as the one entry of an
+/// image — the vector built, then written back by `Record::write`; an
+/// empty vector field refused, as the first entry of an image writes its
+/// vector — and how much of it it read.
 fn record_by_the_oracle(key: &str, state: &[u8]) -> (Result<Vec<u8>, WireError>, usize) {
+    let mut field = state;
+    if wire::get_slice(&mut field).is_ok_and(<[u8]>::is_empty) {
+        return (Err(WireError::InvalidPayload), state.len() - field.len());
+    }
     let mut buf = Bytes::copy_from_slice(state);
     let decoded = decode_state(&mut buf).map(|(meta, value)| {
         let mut record = Vec::new();
@@ -71,20 +77,23 @@ fn record_by_the_oracle(key: &str, state: &[u8]) -> (Result<Vec<u8>, WireError>,
     (decoded, state.len() - buf.len())
 }
 
-/// What `Record::write_state` makes of it, and how much it read.
+/// What `Record::write_state` makes of it as the image reader reads it
+/// — the one entry of an image — and how much of it it read.
 fn record_by_the_writer(key: &str, state: &[u8]) -> (Result<Vec<u8>, WireError>, usize) {
-    let mut rest = state;
+    let mut entry = Vec::new();
+    wire::put_bytes(&mut entry, key.as_bytes());
+    let keyed = entry.len();
+    entry.extend_from_slice(state);
+    let mut rest = &entry[..];
     let mut record = vec![0xee];
-    let taken = crate::record::State::take(&mut rest);
-    let len = taken.map(|state| state.record_len(key));
-    let written = taken.and_then(|state| Record::write_state(&mut record, key, state));
+    let mut entries = ImageEntries::default();
+    let taken = entries.take(&mut rest);
+    let len = taken.as_ref().map(|(key, state)| state.record_len(key));
+    let written = taken.and_then(|(key, state)| Record::write_state(&mut record, key, state));
     match written {
         Ok(()) => {
-            assert!(
-                len.unwrap() + 1 >= record.len(),
-                "record_len is never short"
-            );
-            (Ok(record[1..].to_vec()), state.len() - rest.len())
+            assert_eq!(len.unwrap() + 1, record.len(), "record_len is exact");
+            (Ok(record[1..].to_vec()), entry.len() - rest.len() - keyed)
         }
         Err(e) => {
             assert_eq!(
@@ -92,7 +101,7 @@ fn record_by_the_writer(key: &str, state: &[u8]) -> (Result<Vec<u8>, WireError>,
                 [0xee],
                 "a refused state leaves the buffer as it was"
             );
-            (Err(e), state.len() - rest.len())
+            (Err(e), entry.len() - rest.len() - keyed)
         }
     }
 }

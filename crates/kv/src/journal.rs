@@ -172,10 +172,13 @@ impl Entry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::image_as_listed;
     use crate::tests::s;
     use crate::KvStore;
+    use optrep_core::error::WireError;
     use optrep_core::rng::{cases, SplitMix64};
     use optrep_replication::planner::placement;
+    use std::collections::BTreeMap;
 
     #[test]
     fn the_journal_lists_what_changed_and_knows_how_far_back() {
@@ -241,10 +244,11 @@ mod tests {
         }
     }
 
-    /// A log record longer than the journal — keys in order, and keys
-    /// listed again and again — journals what its entries applied one at
-    /// a time journal: the last `JOURNAL_CAP` changes, the floor at the
-    /// one before them.
+    /// A log record longer than the journal, its keys in order, journals
+    /// what its entries applied one at a time journal: the last
+    /// `JOURNAL_CAP` changes, the floor at the one before them. A record
+    /// that lists keys again and again, or out of order, is refused, and
+    /// the store, its generation and its journal are untouched.
     #[test]
     fn a_record_longer_than_the_journal_journals_its_tail() {
         for (keys, ordered) in [(JOURNAL_CAP + 300, true), (500, false)] {
@@ -259,13 +263,22 @@ mod tests {
             base.put("k00001", "before");
             let (mut by_record, mut by_entry) = (base.clone(), base);
             let entries = record.iter().map(|(key, e)| (key.as_bytes(), &e[..]));
-            by_record.apply_encoded_entries(entries).unwrap();
+            let image = image_as_listed(entries);
+            let at = format!("ordered {ordered}");
+            if !ordered {
+                let refused = by_record.apply_image(&image);
+                assert_eq!(refused, Err(WireError::InvalidPayload), "{at}");
+                assert!(by_record == by_entry, "{at}");
+                assert_eq!(by_record.generation(), by_entry.generation(), "{at}");
+                assert_eq!(by_record.journal.newest, by_entry.journal.newest, "{at}");
+                continue;
+            }
+            by_record.apply_image(&image).unwrap();
             for (key, entry) in &record {
                 by_entry
                     .apply_encoded_entry(key, &mut entry.clone())
                     .unwrap();
             }
-            let at = format!("ordered {ordered}");
             assert!(by_record == by_entry, "{at}");
             assert_eq!(by_record.generation(), by_entry.generation(), "{at}");
             let floor = by_entry.journal.floor();
@@ -296,7 +309,7 @@ mod tests {
     #[test]
     fn digests_less_the_changes_since_are_the_digests_then() {
         let keys = |rng: &mut SplitMix64| format!("k{:03}", rng.next_u64() % 300);
-        let (mut checked, mut reached) = (0, 0);
+        let (mut checked, mut reached, mut refused_records) = (0, 0, 0);
         cases(8, |seed, rng| {
             let physical = [1, 16, 64][(seed % 3) as usize];
             let mut store = KvStore::with_shards(s(0), physical);
@@ -322,8 +335,9 @@ mod tests {
                         store = joined;
                     }
                     _ => {
-                        // A log record replayed, a key listed twice now
-                        // and then, the last state winning.
+                        // A log record replayed: its keys ascending, each
+                        // once. Listed as written — a key twice now and
+                        // then, or reversed — it is refused untouched.
                         let mut other = store.clone();
                         let mut record: Vec<(String, Vec<u8>)> = Vec::new();
                         for i in 0..1 + rng.next_u64() % 6 {
@@ -334,8 +348,19 @@ mod tests {
                         if rng.next_u64() % 2 == 0 {
                             record.reverse();
                         }
-                        let entries = record.iter().map(|(k, e)| (k.as_bytes(), &e[..]));
-                        store.apply_encoded_entries(entries).unwrap();
+                        let logged: BTreeMap<&str, &[u8]> =
+                            record.iter().map(|(k, e)| (k.as_str(), &e[..])).collect();
+                        let listed = record.iter().map(|(k, _)| k.as_str());
+                        if !logged.keys().copied().eq(listed) {
+                            let listed = record.iter().map(|(k, e)| (k.as_bytes(), &e[..]));
+                            let before = kept(&store);
+                            let refused = store.apply_image(&image_as_listed(listed));
+                            assert_eq!(refused, Err(WireError::InvalidPayload));
+                            assert_eq!(kept(&store), before);
+                            refused_records += 1;
+                        }
+                        let logged = logged.iter().map(|(k, e)| (k.as_bytes(), *e));
+                        store.apply_image(&image_as_listed(logged)).unwrap();
                     }
                 }
                 if rng.next_u64() % 8 == 0 {
@@ -363,8 +388,8 @@ mod tests {
             }
         });
         assert!(
-            checked > 10_000 && reached > 20,
-            "{checked} checks, {reached} kept"
+            checked > 10_000 && reached > 20 && refused_records > 0,
+            "{checked} checks, {reached} kept, {refused_records} records refused"
         );
     }
 }

@@ -69,7 +69,7 @@ mod tests;
 
 pub use apply::Committed;
 pub use cluster::KvCluster;
-pub use codec::{ChunkReader, Reach, ReadError, SnapshotImage};
+pub use codec::{ChunkReader, EntryImage, Reach, ReadError, SnapshotImage};
 
 use bytes::Bytes;
 use journal::Journal;

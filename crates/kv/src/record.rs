@@ -1,8 +1,7 @@
 //! One stored entry as the bytes a store holds for it, and the only
 //! code that knows that layout: its one writer from a vector, its one
-//! writer from a state read off the wire, and the re-encoding of a
-//! vector read off the wire that both that writer and an image's reader
-//! run.
+//! writer from a state an image's reader read off the wire, and the
+//! re-encoding of a vector read off the wire that the reader runs.
 
 use bytes::BufMut;
 use optrep_core::error::WireError;
@@ -11,12 +10,13 @@ use optrep_core::rng::finalize;
 use optrep_core::{wire, RotatingVector, Srv};
 
 /// A stored entry, borrowed from the page that holds it: the
-/// length-prefixed key, then the entry's state as a log record carries
-/// it: the length-prefixed vector snapshot, a one-byte tag (`0` a
-/// tombstone, `1` a value) and, behind tag 1, the length-prefixed value.
-/// A log record copies the state; an image front-codes the key, writes
-/// the vector only where it is not the vector of the record before it,
-/// and copies the rest. Reading a field is a walk over length prefixes
+/// length-prefixed key, then the entry's state
+/// ([`KvStore::encode_entry`](crate::KvStore::encode_entry)): the
+/// length-prefixed vector snapshot, a one-byte tag (`0` a tombstone, `1`
+/// a value) and, behind tag 1, the length-prefixed value. An image — a
+/// snapshot's, a plan's, a log record's — front-codes the key, writes the
+/// vector only where it is not the vector of the record before it, and
+/// copies the rest. Reading a field is a walk over length prefixes
 /// ([`Record::view`]); an [`Srv`] exists only while a vector is being
 /// operated on and is encoded back before it is stored.
 ///
@@ -27,7 +27,7 @@ use optrep_core::{wire, RotatingVector, Srv};
 ///
 /// A record is **canonical**: only [`Record::write`] writes one, from a
 /// key, vector and value, and [`Record::write_state`] from a key and an
-/// entry's state read off the wire, its vector re-encoded, never by
+/// entry's state an image's reader read, its vector re-encoded, never by
 /// keeping input bytes (a decoder accepts overlong varints no encoder
 /// writes) — so two equal states hold equal bytes, and nothing a store
 /// holds refers to the snapshot image, log record or socket chunk it was
@@ -96,39 +96,24 @@ impl<'a> Record<'a> {
 
     /// Appends the record of `key` holding `state` to `buf` — the buffer
     /// it is to live in, reserved for [`State::record_len`] bytes by the
-    /// caller — without building its vector: the key and the value are
-    /// copied, and so is a vector an image's reader already made
-    /// canonical; any other vector is re-encoded by [`recode_vector`], so
-    /// the record is what [`write`](Self::write) writes for the state a
-    /// decoder reads. The one reader of an entry's wire state: a boot, a
-    /// log replay and a join's image all come through here.
+    /// caller — without building its vector: the key, the vector an
+    /// image's reader made canonical and the value are copied, so the
+    /// record is what [`write`](Self::write) writes for the state. Boot,
+    /// log replay and a join's image all come through here, each state
+    /// read by [`ImageEntries`](crate::codec::ImageEntries).
     ///
     /// # Errors
     ///
-    /// What decoding the state refuses, in the order a decoder meets it:
-    /// [`recode_vector`]'s, then the value's. `buf` is then left as it
-    /// was.
+    /// The value's, as the image's reader met it. `buf` is then left as
+    /// it was.
     pub(crate) fn write_state(
         buf: &mut Vec<u8>,
         key: &str,
         state: State<'_>,
     ) -> Result<(), WireError> {
-        let start = buf.len();
+        let value = state.value?;
         wire::put_bytes(buf, key.as_bytes());
-        let vector = match state.canonical {
-            true => {
-                wire::put_bytes(buf, state.meta);
-                Ok(())
-            }
-            false => recode_field(buf, state.meta),
-        };
-        let value = match vector.and(state.value) {
-            Ok(value) => value,
-            Err(e) => {
-                buf.truncate(start);
-                return Err(e);
-            }
-        };
+        wire::put_bytes(buf, state.meta);
         match value {
             Some(v) => {
                 buf.put_u8(1);
@@ -172,15 +157,6 @@ impl<'a> Record<'a> {
         (key, rest)
     }
 
-    /// The key's bytes, the entry's state behind them, and the vector's
-    /// snapshot bytes at the front of that state: what an image writes
-    /// of a record.
-    pub(crate) fn fields(self) -> (&'a [u8], &'a [u8], &'a [u8]) {
-        let (key, state) = self.split();
-        let mut rest = state;
-        (key, state, field(&mut rest))
-    }
-
     pub(crate) fn key_bytes(self) -> &'a [u8] {
         self.split().0
     }
@@ -221,70 +197,31 @@ pub(crate) fn recode_vector(out: &mut Vec<u8>, mut meta: &[u8]) -> Result<(), Wi
     Ok(())
 }
 
-/// [`recode_vector`] as the length-prefixed field a record holds.
-fn recode_field(buf: &mut Vec<u8>, meta: &[u8]) -> Result<(), WireError> {
-    // The vector's length prefix as the state wrote it; a re-encoded
-    // vector is never longer than the field it was read from.
-    let at = buf.len();
-    let room = wire::varint_len(meta.len() as u64);
-    buf.resize(at + room, 0);
-    if let Err(e) = recode_vector(buf, meta) {
-        buf.truncate(at);
-        return Err(e);
-    }
-    let len = buf.len() - at - room;
-    let prefix = wire::varint_len(len as u64);
-    buf.drain(at..at + room - prefix);
-    wire::write_varint(&mut &mut buf[at..at + prefix], len as u64).expect("sized to fit");
-    Ok(())
-}
-
-/// One entry's state as a log record, an image or a blob carries it —
-/// the length-prefixed vector snapshot, then the value behind a one-byte
-/// tag — with its fields found and nothing decoded: what
+/// One entry's state as an image carries it, its vector made canonical
+/// by the image's reader — the vector snapshot, then the value behind a
+/// one-byte tag — with its fields found and nothing decoded: what
 /// [`Record::write_state`] writes a record from.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct State<'a> {
+    /// What [`Record::write`] writes for the vector.
     meta: &'a [u8],
-    /// Whether `meta` is already what [`Record::write`] writes for the
-    /// vector (an image's reader made it so), to be copied, not
-    /// re-encoded.
-    canonical: bool,
-    /// The value, or why it does not read: an error the vector's own
-    /// comes before.
+    /// The value, or why it does not read.
     value: Result<Option<&'a [u8]>, WireError>,
 }
 
 impl<'a> State<'a> {
-    /// Takes the state at the front of `bytes` off it.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::UnexpectedEof`] or [`WireError::VarintOverflow`] when
-    /// the vector's field does not read: the first thing a decoder reads.
-    pub(crate) fn take(bytes: &mut &'a [u8]) -> Result<Self, WireError> {
-        let meta = wire::get_slice(bytes)?;
-        Ok(State {
-            meta,
-            canonical: false,
-            value: take_value(bytes),
-        })
-    }
-
     /// The state of canonical vector bytes `meta` and the tagged value at
     /// the front of `bytes`, taken off it: an image's entry once its
     /// reader has read the vector.
     pub(crate) fn canonical<'b: 'a>(meta: &'a [u8], bytes: &mut &'b [u8]) -> Self {
         State {
             meta,
-            canonical: true,
             value: take_value(bytes),
         }
     }
 
     /// The length of the record [`Record::write_state`] writes of this
-    /// state under `key`: exact for a state an encoder wrote, and never
-    /// short (an overlong varint only shrinks when it is rewritten).
+    /// state under `key`.
     pub(crate) fn record_len(&self, key: &str) -> usize {
         let value = match self.value {
             Ok(Some(v)) => wire::bytes_len(v.len()),

@@ -373,17 +373,15 @@ impl Shard {
     }
 
     /// Stores every record of `run` as [`upsert`](Self::upsert) would,
-    /// one by one, the last of a key's winning. Into an empty shard, a
-    /// run pushed in key order moves in whole: its pages, filled as the
-    /// records arrived, become the shard's. Into a shard that holds
-    /// records, it is merged page by page: only the pages its keys fall
-    /// in are rewritten, each filled to the caps, and where the rewrite
-    /// of the shard's last page closes a page in front of the start of
-    /// one of the run's, that page and the rest move in whole. A run of
-    /// one record, or one pushed out of key order, is upserted record by
-    /// record.
+    /// one by one. Into an empty shard, the run moves in whole: its
+    /// pages, filled as the records arrived, become the shard's. Into a
+    /// shard that holds records, it is merged page by page: only the
+    /// pages its keys fall in are rewritten, each filled to the caps, and
+    /// where the rewrite of the shard's last page closes a page in front
+    /// of the start of one of the run's, that page and the rest move in
+    /// whole. A run of one record is upserted.
     pub(crate) fn append(&mut self, mut run: Run) {
-        if run.unordered || (run.len == 1 && self.entries > 0) {
+        if run.len == 1 && self.entries > 0 {
             for record in run.records() {
                 self.upsert(record);
             }
@@ -559,48 +557,38 @@ impl Fill {
     }
 }
 
-/// A shard's records as a boot, a log record or a join receives them,
-/// written into pages as they arrive: the pages filled so far and one
-/// open page, no block a record. Pushed in strictly ascending key order —
-/// a boot's order, a join's blob's, a log record's of keys logged in
-/// order — its pages are a shard's as they stand; pushed otherwise, they
-/// only hold the records until they are stored.
+/// A shard's records as a boot, a log record or a join receives them —
+/// an image's, so pushed in strictly ascending key order — written into
+/// pages as they arrive: the pages filled so far and one open page, no
+/// block a record. Its pages are a shard's as they stand.
 #[derive(Debug, Default)]
 pub(crate) struct Run {
     pages: Vec<Slot>,
-    /// The page being filled: `open_records` records, the last at `last`.
+    /// The page being filled: `open_records` records.
     open: Vec<u8>,
     open_records: usize,
-    last: usize,
     /// Records pushed.
     len: usize,
-    /// Whether a record was pushed at or below the key pushed before it.
-    unordered: bool,
 }
 
 impl Run {
-    /// Writes the record of `key` holding `state` behind those pushed
-    /// before it — into the open page, or into a new one when it does not
-    /// fit there.
+    /// Writes the record of `key`, a key above every key pushed before
+    /// it, holding `state` behind those records — into the open page, or
+    /// into a new one when it does not fit there.
     ///
     /// # Errors
     ///
     /// The state's, as [`Record::write_state`] refuses it.
     pub(crate) fn push(&mut self, key: &str, state: State<'_>) -> Result<(), WireError> {
         let len = state.record_len(key);
-        if self.open_records > 0 {
-            self.unordered |= key.as_bytes() <= Record::key_at(&self.open[self.last..]);
-            if !fits(self.open_records + 1, self.open.len() + len) {
-                self.seal();
-            }
+        if self.open_records > 0 && !fits(self.open_records + 1, self.open.len() + len) {
+            self.seal();
         }
         // The open page grows by each record's exact length, so the
         // shards' open pages hold nothing beyond their records, and it
         // is a page as it stands.
         self.open.reserve_exact(len);
-        let last = self.open.len();
         Record::write_state(&mut self.open, key, state)?;
-        self.last = last;
         self.open_records += 1;
         self.len += 1;
         Ok(())
@@ -620,13 +608,6 @@ impl Run {
     /// Records pushed.
     pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// Whether a record was pushed at or below the key pushed before it
-    /// — a run that may name a key twice, and that a shard takes record
-    /// by record.
-    pub(crate) fn unordered(&self) -> bool {
-        self.unordered
     }
 
     /// The records pushed, in the order pushed.
@@ -649,6 +630,7 @@ pub(crate) fn shard_index(key: &[u8], count: usize) -> usize {
 /// where a sort of the records compares each about log₂(records) times
 /// against records scattered over the heap. It holds the cursors and
 /// their heads in one block: nothing that grows with the records.
+#[derive(Debug, Clone)]
 pub(crate) struct Merge<'a, I> {
     heads: BinaryHeap<Head<'a, I>>,
 }
@@ -658,7 +640,8 @@ pub(crate) struct Merge<'a, I> {
 /// first eight bytes, zero-padded, are cached as a big-endian number and
 /// compared first: two keys that differ there compare as their prefixes
 /// do, without a walk to either record's page.
-struct Head<'a, I> {
+#[derive(Debug, Clone)]
+pub(crate) struct Head<'a, I> {
     prefix: u64,
     key: &'a [u8],
     record: Record<'a>,
@@ -668,7 +651,15 @@ struct Head<'a, I> {
 impl<'a, I: Iterator<Item = Record<'a>>> Merge<'a, I> {
     pub(crate) fn new(cursors: impl Iterator<Item = I>) -> Self {
         let (least, most) = cursors.size_hint();
-        let mut heads = Vec::with_capacity(most.unwrap_or(least));
+        Self::with_heads(Vec::with_capacity(most.unwrap_or(least)), cursors)
+    }
+
+    /// [`new`](Self::new) into `heads`, an empty list reserved for the
+    /// cursors where the caller wants the block to lie.
+    pub(crate) fn with_heads(
+        mut heads: Vec<Head<'a, I>>,
+        cursors: impl Iterator<Item = I>,
+    ) -> Self {
         for mut rest in cursors {
             if let Some(record) = rest.next() {
                 let key = record.key_bytes();

@@ -13,17 +13,25 @@
 //!   recovery reinstates the whole contact or none of it.
 //!
 //! Records log *post-states*, not operations: each record lists the
-//! mutated keys with their [`KvStore::encode_entry`] images. Replay is
+//! mutated keys with their [`KvStore::encode_entry`] states. Replay is
 //! therefore exact (the rebuilt entry is byte-identical metadata and
 //! value) and idempotent, and it never needs the resolver — whatever a
 //! reconciliation decided is already in the logged state.
 //!
-//! Record layout, reusing the repo's varint framing ([`wire`]):
+//! Record layout (log version 2), reusing the repo's varint framing
+//! ([`wire`]):
 //!
 //! ```text
 //! varint seq | bytes payload | varint fnv64(seq, payload)
-//! payload:  varint n, then n × { bytes key, bytes entry }
+//! payload: varint n | n × entry, keys strictly ascending   (kv::EntryImage)
+//! entry:   varint shared | bytes rest of key | bytes vector | tag | value
+//!          (no shared on the first; an empty vector: the entry before's)
 //! ```
+//!
+//! A payload is an image, the body a snapshot's image and a plan's bulk
+//! shards are, and it is read back the one way they are
+//! ([`KvStore::apply_image`]). A record that lists a key twice or out of
+//! order, or writes a vector any way but the writer's, is corrupt.
 //!
 //! Replay tolerates exactly one failure shape: a record that runs past
 //! end-of-file — a *torn tail*, the footprint of a crash mid-append —
@@ -37,14 +45,14 @@
 //!
 //! ```text
 //! "OPSN" | u8 version | varint covered_seq | varint image_len | image | varint fnv64(covered_seq, image)
-//! image:  varint site | varint n | n × record, in key order   (KvStore::encode_snapshot)
-//! record: varint shared | bytes rest of key | bytes vector | tag | value
-//!         (no shared on the first; an empty vector: the record before's)
+//! image:  varint site | payload, every record of the store   (KvStore::encode_snapshot)
 //! ```
 //!
-//! The log and the snapshot carry versions of their own: a snapshot of
-//! version 1 wrote each key whole and one of version 2 each vector, and
-//! either is refused by name, undecoded.
+//! The log and the snapshot carry versions of their own, and a file of
+//! any other version is refused by name, undecoded: a version-1 log
+//! listed each key whole and each state behind a length of its own, a
+//! version-1 snapshot each key whole and a version-2 snapshot each
+//! vector.
 //!
 //! Neither the log nor the snapshot is ever held whole. An append walks
 //! the commit's entries where they lie — a daemon's, in its store — once
@@ -60,15 +68,12 @@
 //! 64 KiB chunks — the checksum folded over each record as it is decoded,
 //! each record written into its shard's run as it is read and each shard
 //! built whole, and the store dropped if the sum does not match — and
-//! replays the WAL through the same reader. A log record is applied in
-//! one call ([`KvStore::apply_encoded_entries`]): its entries are read
-//! where they lie in the reader's buffer, each written into the run of
-//! the shard it falls in, and each shard the record touches merges its
-//! run once — a record of every key rewrites each page once, not once a
-//! key. No entry's vector is built on the way: a record holds what its
-//! own encoder writes for the state it read. A snapshot is written
-//! atomically, so any defect in it — a short file, a trailing byte, a
-//! flipped one — refuses recovery.
+//! replays the WAL through the same reader, a record at a time: each
+//! entry is written into the run of the shard it falls in, and each shard
+//! the record touches merges its run once — a record of every key
+//! rewrites each page once, not once a key. No entry's vector is built
+//! on the way. A snapshot is written atomically, so any defect in it — a
+//! short file, a trailing byte, a flipped one — refuses recovery.
 //!
 //! The fsync policy bounds what a crash can lose: `always` fsyncs every
 //! append before the commit is acknowledged (an acked write survives
@@ -81,7 +86,7 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use optrep_core::error::WireError;
 use optrep_core::{wire, Error, Result, SiteId};
-use optrep_kv::{ChunkReader, KvStore, Reach, ReadError};
+use optrep_kv::{ChunkReader, EntryImage, KvStore, Reach, ReadError};
 use std::io::{self, BufWriter, Read, Write};
 use std::ops::Deref;
 use std::path::PathBuf;
@@ -100,7 +105,7 @@ pub const SNAPSHOT_FILE: &str = "snapshot";
 
 const WAL_MAGIC: [u8; 4] = *b"OPWL";
 const SNAPSHOT_MAGIC: [u8; 4] = *b"OPSN";
-const WAL_VERSION: u8 = 1;
+const WAL_VERSION: u8 = 2;
 const SNAPSHOT_VERSION: u8 = 3;
 
 /// What a snapshot or a log is read in, and a snapshot or a log record
@@ -280,38 +285,22 @@ pub fn decode_record(buf: &mut Bytes) -> std::result::Result<(u64, Bytes), WireE
     Ok((seq, payload))
 }
 
-/// Encodes one record's payload: the post-state of every key a commit
-/// changed. (A commit is logged without it: [`Persist::append_entries`]
-/// writes the same bytes from where the entries lie.)
-pub fn encode_payload(changed: &[(String, Bytes)]) -> Bytes {
-    let mut buf = BytesMut::new();
-    wire::put_varint(&mut buf, changed.len() as u64);
-    for (key, entry) in changed {
-        wire::put_bytes(&mut buf, key.as_bytes());
-        wire::put_bytes(&mut buf, entry);
-    }
-    buf.freeze()
-}
-
-/// Writes `encode_record(seq, &encode_payload(..))` of the entries
-/// `changed` yields to `out`, byte for byte, walking them twice: once to
-/// size the payload, once to write the record through a buffer of at
-/// most a [`CHUNK`] — the whole record, in one write, when it is
-/// shorter — summing the payload as it passes. Returns the record's
-/// length; with no entry, writes nothing and returns 0.
-fn write_commit<K: AsRef<str>, E: AsRef<[u8]>>(
-    out: impl Write,
-    seq: u64,
-    changed: impl Iterator<Item = (K, E)> + Clone,
-) -> io::Result<usize> {
-    let (n, body) = changed.clone().fold((0, 0), |(n, body), (key, entry)| {
-        let sized = wire::bytes_len(key.as_ref().len()) + wire::bytes_len(entry.as_ref().len());
-        (n + 1, body + sized)
-    });
-    if n == 0 {
+/// Writes the record of sequence `seq` whose payload is `image` to
+/// `out`, byte for byte `encode_record(seq, ..)` of the image written
+/// whole, walking its entries once more: through a buffer of at most a
+/// [`CHUNK`] — the whole record, in one write, when it is shorter —
+/// summing the payload as it passes. Returns the record's length; with
+/// no entry, writes nothing and returns 0.
+fn write_commit<I, K, E>(out: impl Write, seq: u64, image: EntryImage<I>) -> io::Result<usize>
+where
+    I: Iterator<Item = (K, E)> + Clone,
+    K: AsRef<[u8]>,
+    E: AsRef<[u8]>,
+{
+    if image.count() == 0 {
         return Ok(0);
     }
-    let len = wire::varint_len(n) + body;
+    let len = image.encoded_len();
     let head = wire::varint_len(seq) + wire::varint_len(len as u64);
     let most = head + len + wire::MAX_VARINT_LEN;
     let mut out = BufWriter::with_capacity(most.min(CHUNK), out);
@@ -322,15 +311,7 @@ fn write_commit<K: AsRef<str>, E: AsRef<[u8]>>(
         hash: Fnv64::new(seq),
         len: 0,
     };
-    let field = |out: &mut Summed<_>, bytes: &[u8]| {
-        wire::write_varint(out, bytes.len() as u64)?;
-        out.write_all(bytes)
-    };
-    wire::write_varint(&mut summed, n)?;
-    for (key, entry) in changed {
-        field(&mut summed, key.as_ref().as_bytes())?;
-        field(&mut summed, entry.as_ref())?;
-    }
+    image.write_to(&mut summed)?;
     let Summed {
         mut out,
         hash,
@@ -340,45 +321,6 @@ fn write_commit<K: AsRef<str>, E: AsRef<[u8]>>(
     wire::write_varint(&mut out, hash.0)?;
     out.flush()?;
     Ok(head + len + wire::varint_len(hash.0))
-}
-
-/// Applies one record's payload to `store` in one call: each listed
-/// key is overwritten with its logged post-state, in log order
-/// ([`KvStore::apply_encoded_entries`]), each entry read where it lies in
-/// the payload. The framing is checked whole first, so the store sees
-/// only entries that are there.
-fn apply_payload(store: &mut KvStore, payload: &[u8]) -> std::result::Result<(), WireError> {
-    let mut rest = payload;
-    let n = wire::get_varint(&mut rest)?;
-    let entries = rest;
-    for _ in 0..n {
-        wire::get_slice(&mut rest)?;
-        wire::get_slice(&mut rest)?;
-    }
-    if !rest.is_empty() {
-        return Err(WireError::InvalidPayload);
-    }
-    store.apply_encoded_entries(Logged {
-        rest: entries,
-        left: n,
-    })
-}
-
-/// A payload's `(key, entry)` pairs, its framing already checked.
-#[derive(Debug, Clone)]
-struct Logged<'a> {
-    rest: &'a [u8],
-    left: u64,
-}
-
-impl<'a> Iterator for Logged<'a> {
-    type Item = (&'a [u8], &'a [u8]);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.left = self.left.checked_sub(1)?;
-        let mut field = || wire::get_slice(&mut self.rest).expect("framing checked");
-        Some((field(), field()))
-    }
 }
 
 fn wal_header(site: SiteId) -> Bytes {
@@ -690,7 +632,9 @@ impl Persist {
     /// Appends one record logging the post-states of `changed`,
     /// fsyncing per policy. Call under the store lock of the mutation
     /// being logged, before acknowledging it. A no-op commit (`changed`
-    /// empty) appends nothing.
+    /// empty) appends nothing. The record lists its keys in key order,
+    /// each once: `changed` is sorted, and of a key it lists twice the
+    /// state listed last is logged.
     ///
     /// # Errors
     ///
@@ -698,23 +642,38 @@ impl Persist {
     /// already happened; the caller reports the durability failure
     /// instead of acknowledging.
     pub fn append(&mut self, changed: &[(String, Bytes)]) -> io::Result<u64> {
-        self.append_entries(changed.iter().map(|(key, entry)| (key, entry)))
+        let mut listed: Vec<&(String, Bytes)> = changed.iter().collect();
+        // Stable: of a key's states, the one listed last stays last.
+        listed.sort_by(|a, b| a.0.cmp(&b.0));
+        let last = |(at, (key, _)): &(usize, &&(String, Bytes))| {
+            listed.get(at + 1).is_none_or(|next| next.0 != *key)
+        };
+        let kept = listed.iter().enumerate().filter(last);
+        self.append_entries(kept.map(|(_, (key, entry))| (key.as_bytes(), &entry[..])))
     }
 
     /// [`append`](Self::append) of keys and entries borrowed from where
     /// they lie — a daemon's, from its store ([`KvStore::encoded_entry`])
-    /// — and walked, never collected: a commit of every key of a store
-    /// holds a buffer of at most a [`CHUNK`], not its record or a list
-    /// of its entries.
+    /// — in strictly ascending key order, and walked, never collected:
+    /// a commit of every key of a store holds a buffer of at most a
+    /// [`CHUNK`], not its record or a list of its entries.
     ///
     /// # Errors
     ///
-    /// As [`append`](Self::append).
-    pub fn append_entries<K: AsRef<str>, E: AsRef<[u8]>>(
+    /// [`io::ErrorKind::InvalidInput`], and nothing appended, when a key
+    /// does not follow every key before it; else as
+    /// [`append`](Self::append).
+    pub fn append_entries<K: AsRef<[u8]>, E: AsRef<[u8]>>(
         &mut self,
         changed: impl Iterator<Item = (K, E)> + Clone,
     ) -> io::Result<u64> {
-        let record = write_commit(&mut *self.wal, self.seq + 1, changed)? as u64;
+        let image = EntryImage::new(changed).ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "a log record lists its keys strictly ascending",
+            )
+        })?;
+        let record = write_commit(&mut *self.wal, self.seq + 1, image)? as u64;
         if record == 0 {
             return Ok(0);
         }
@@ -786,9 +745,8 @@ impl Persist {
         self.last_checkpoint = Instant::now();
         let file = {
             let image = store.snapshot_image();
-            write_snapshot_tmp(&mut *self.dir, self.seq, image.encoded_len(), |out| {
-                image.write_to(out)
-            })?
+            let len = image.encoded_len();
+            write_snapshot_tmp(&mut *self.dir, self.seq, len, |out| image.write_to(out))?
         };
         drop(store);
         self.install_snapshot(file)
@@ -930,7 +888,8 @@ fn replay_wal(
                 if seq <= snapshot_seq {
                     report.wal_records_skipped += 1;
                 } else {
-                    apply_payload(store, &payload)
+                    store
+                        .apply_image(&payload)
                         .map_err(|e| corrupt(format!("wal record {seq} payload corrupt: {e:?}")))?;
                     report.wal_records_applied += 1;
                 }

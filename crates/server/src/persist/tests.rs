@@ -1,6 +1,7 @@
 use super::*;
 use optrep_core::rng::SplitMix64;
 use optrep_core::RotatingVector;
+use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -51,12 +52,52 @@ impl Write for Writes {
     }
 }
 
+/// The payload of a record logging `changed`, written here field by
+/// field: the reference the streamed writer is held to. Its keys sorted,
+/// each once with the state listed last; each key after the first as the
+/// length of the prefix it shares with the key before and the rest; each
+/// state whose vector field is the one before's with that field empty.
+fn encode_payload(changed: &[(String, Bytes)]) -> Bytes {
+    let logged: BTreeMap<&str, &Bytes> = changed.iter().map(|(k, e)| (k.as_str(), e)).collect();
+    let mut buf = BytesMut::new();
+    wire::put_varint(&mut buf, logged.len() as u64);
+    let mut before: Option<(&str, Option<&[u8]>)> = None;
+    for (key, entry) in logged {
+        let mut rest = &entry[..];
+        let vector = wire::get_slice(&mut rest).ok();
+        let Some((last, last_vector)) = before else {
+            wire::put_bytes(&mut buf, key.as_bytes());
+            buf.put_slice(entry);
+            before = Some((key, vector));
+            continue;
+        };
+        let shared = key
+            .bytes()
+            .zip(last.bytes())
+            .take_while(|(a, b)| a == b)
+            .count();
+        wire::put_varint(&mut buf, shared as u64);
+        wire::put_bytes(&mut buf, &key.as_bytes()[shared..]);
+        match vector.is_some() && vector == last_vector {
+            true => {
+                buf.put_u8(0);
+                buf.put_slice(rest);
+            }
+            false => buf.put_slice(entry),
+        }
+        before = Some((key, vector));
+    }
+    buf.freeze()
+}
+
 /// What `append` adds to the log is `encode_record(seq,
 /// &encode_payload(..))` to the byte, streamed from the entries: seeded
 /// commits whose counts, key and entry lengths and sequence numbers
 /// straddle the one-, two- and three-byte length prefixes, many of them
-/// records several chunks long. A record no longer than a chunk goes
-/// out in one write, and a longer one in writes of a chunk at most.
+/// records several chunks long, their keys listed out of order and now
+/// and then twice, and half their entries behind one vector field. A
+/// record no longer than a chunk goes out in one write, and a longer one
+/// in writes of a chunk at most.
 #[test]
 fn an_appended_commit_is_the_record_of_its_payload() {
     use std::io::{Read, Seek, SeekFrom};
@@ -66,10 +107,10 @@ fn an_appended_commit_is_the_record_of_its_payload() {
     let mut wal = File::open(dir.join(WAL_FILE)).unwrap();
     let mut rng = SplitMix64::new(0x000C_0AA1_7ED5_EED5);
     const LENGTHS: [usize; 8] = [0, 1, 5, 127, 128, 300, 16_383, 16_384];
-    let mut long = 0;
+    let (mut long, mut twice) = (0, 0);
     for case in 0..200u64 {
         let keys = [1, 2, 127, 128, 300][(rng.next_u64() % 5) as usize];
-        let changed: Vec<(String, Bytes)> = (0..keys)
+        let mut changed: Vec<(String, Bytes)> = (0..keys)
             .map(|i| {
                 let key_len = LENGTHS[(rng.next_u64() % 6) as usize];
                 let entry_len = match rng.next_u64() % 16 {
@@ -77,15 +118,21 @@ fn an_appended_commit_is_the_record_of_its_payload() {
                     pick => LENGTHS[(pick % 6) as usize],
                 };
                 let fill = rng.next_u64();
-                let entry: Vec<u8> = (0..entry_len)
-                    .map(|j| (fill >> (j % 8 * 8)) as u8)
-                    .collect();
+                let mut entry: Vec<u8> = match rng.next_u64() % 2 {
+                    0 => vec![3, 1, 0, 4],
+                    _ => Vec::new(),
+                };
+                entry.extend((0..entry_len).map(|j| (fill >> (j % 8 * 8)) as u8));
                 (format!("{i:0key_len$}"), Bytes::from(entry))
             })
             .collect();
-        let seq =
-            [1, 127, 128, 16_384, u64::from(u32::MAX), u64::MAX][(rng.next_u64() % 6) as usize];
-        let reference = encode_record(seq, &encode_payload(&changed));
+        if rng.next_u64().is_multiple_of(4) {
+            let again = changed[(rng.next_u64() % keys as u64) as usize].0.clone();
+            changed.push((again, Bytes::from_static(&[3, 1, 0, 4, 1])));
+            twice += 1;
+        }
+        let reference = encode_record(seq_of(&mut rng), &encode_payload(&changed));
+        let seq = decode_record(&mut reference.clone()).unwrap().0;
         let at = format!("case {case}: {keys} keys, seq {seq}");
         // The sequence a log of that many records would have reached.
         persist.seq = seq - 1;
@@ -101,12 +148,13 @@ fn an_appended_commit_is_the_record_of_its_payload() {
         wal.read_to_end(&mut record).unwrap();
         assert_eq!(record, reference[..], "{at}");
         let (got, payload) = decode_record(&mut Bytes::from(record)).expect("decodes");
-        assert_eq!((got, payload), (seq, encode_payload(&changed)), "{at}");
+        assert_eq!((got, &payload), (seq, &encode_payload(&changed)), "{at}");
 
         let mut writes = Writes::default();
-        let entries = changed.iter().map(|(key, entry)| (key, entry));
+        let logged: BTreeMap<&str, &Bytes> = changed.iter().map(|(k, e)| (k.as_str(), e)).collect();
+        let image = EntryImage::new(logged.iter().map(|(k, e)| (k.as_bytes(), &e[..]))).unwrap();
         assert_eq!(
-            write_commit(&mut writes, seq, entries).unwrap(),
+            write_commit(&mut writes, seq, image).unwrap(),
             reference.len()
         );
         if reference.len() <= CHUNK {
@@ -117,8 +165,15 @@ fn an_appended_commit_is_the_record_of_its_payload() {
         }
     }
     assert!(long > 10, "{long} records longer than a chunk");
+    assert!(twice > 10, "{twice} records listing a key twice");
     drop(persist);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A sequence number on each side of a one-, two-, five- and ten-byte
+/// varint.
+fn seq_of(rng: &mut SplitMix64) -> u64 {
+    [1, 127, 128, 16_384, u64::from(u32::MAX), u64::MAX][(rng.next_u64() % 6) as usize]
 }
 
 #[test]
@@ -539,9 +594,10 @@ fn a_checksummed_snapshot_listing_a_key_twice_refuses_recovery() {
 /// A checkpoint in a layout before this one — snapshot file version 1,
 /// each key whole, or version 2, each key front-coded and each vector
 /// written out — is refused by its version, naming both, whatever its
-/// image holds: the header is read before any of the image. The log
-/// keeps version 1: its records copy states, and no key or vector is
-/// left out there.
+/// image holds: the header is read before any of the image. So is a log
+/// of version 1, whose records listed each key whole and each state
+/// behind a length of its own: a log is at version 2, its records
+/// images.
 #[test]
 fn a_version_1_or_2_snapshot_is_refused_by_name_undecoded() {
     let site = SiteId::new(2);
@@ -573,7 +629,7 @@ fn a_version_1_or_2_snapshot_is_refused_by_name_undecoded() {
     let dir = tmpdir("version-1-or-2");
     drop(Persist::open(&DurabilityConfig::new(&dir), site).unwrap());
     let wal = std::fs::read(dir.join(WAL_FILE)).unwrap();
-    assert_eq!(wal[..WAL_MAGIC.len() + 1], *b"OPWL\x01");
+    assert_eq!(wal[..WAL_MAGIC.len() + 1], *b"OPWL\x02");
     for (version, image) in [
         (1, image_as(false)),
         (1, Bytes::from(vec![0xff; 9])),
@@ -587,6 +643,20 @@ fn a_version_1_or_2_snapshot_is_refused_by_name_undecoded() {
         let named = format!("snapshot file format version {version} (this build speaks 3)");
         assert!(err.contains(&named), "{err}");
     }
+    // A version-1 log — each key whole and each state behind a length
+    // of its own — is refused by its version, its records undecoded.
+    std::fs::remove_file(dir.join(SNAPSHOT_FILE)).unwrap();
+    let mut v1 = wal.clone();
+    v1[WAL_MAGIC.len()] = 1;
+    let mut payload = BytesMut::new();
+    wire::put_varint(&mut payload, 1);
+    wire::put_bytes(&mut payload, b"a");
+    wire::put_bytes(&mut payload, &store.encode_entry("a").unwrap());
+    v1.extend_from_slice(&encode_record(1, &payload));
+    std::fs::write(dir.join(WAL_FILE), &v1).unwrap();
+    let err = Persist::open(&DurabilityConfig::new(&dir), site).unwrap_err();
+    let named = "wal format version 1 (this build speaks 2)";
+    assert!(err.to_string().contains(named), "{err}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -598,28 +668,151 @@ fn tagged(state: &[u8]) -> [&[u8]; 2] {
     [vector, rest]
 }
 
-/// A log record's entry follows no vector: one whose vector field is
-/// empty, as an image writes a vector it repeats, refuses recovery as a
-/// corrupt payload, behind an honest entry of the same record too.
+/// Appends a record of sequence 1 holding `payload` under a checksum
+/// that holds to a fresh log of `site` in `dir`, and boots: the error
+/// recovery refused with, or a panic naming `what` if it recovered.
+fn boot_with_record(dir: &Path, site: SiteId, payload: &[u8], what: &str) -> String {
+    let _ = std::fs::remove_dir_all(dir);
+    let config = DurabilityConfig::new(dir);
+    drop(Persist::open(&config, site).unwrap());
+    let mut wal = OpenOptions::new()
+        .append(true)
+        .open(dir.join(WAL_FILE))
+        .unwrap();
+    wal.write_all(&encode_record(1, payload)).unwrap();
+    drop(wal);
+    match Persist::open(&config, site) {
+        Ok(_) => panic!("{what}: recovered"),
+        Err(err) => err.to_string(),
+    }
+}
+
+/// A log record's payload in the layout a record is written in — a
+/// count, then `(shared, rest of key, state)` for each entry, no shared
+/// on the first — whatever order or vectors it lists.
+fn payload_of(count: u64, entries: &[(Option<u64>, &str, &[u8])]) -> Vec<u8> {
+    let mut payload = BytesMut::new();
+    wire::put_varint(&mut payload, count);
+    for (shared, rest, state) in entries {
+        if let Some(shared) = shared {
+            wire::put_varint(&mut payload, *shared);
+        }
+        wire::put_bytes(&mut payload, rest.as_bytes());
+        payload.put_slice(state);
+    }
+    payload.to_vec()
+}
+
+/// A log record is an image: its first entry writes its vector, and an
+/// entry after it whose vector field is empty holds the vector before.
+/// A record whose first entry's vector field is empty — alone, or ahead
+/// of an honest entry — refuses recovery as a corrupt payload under a
+/// checksum that holds, not as a torn tail; its honest twin boots.
 #[test]
 fn an_empty_vector_field_in_the_log_refuses_recovery() {
     let site = SiteId::new(5);
     let mut store = KvStore::with_shards(site, 4);
     store.put("a", "1");
     store.put("b", "2");
-    let honest = store.encode_entry("a").unwrap();
-    let empty = [&[0][..], tagged(&store.encode_entry("b").unwrap())[1]].concat();
+    let (a, b) = (
+        store.encode_entry("a").unwrap(),
+        store.encode_entry("b").unwrap(),
+    );
+    assert_eq!(tagged(&a)[0], tagged(&b)[0], "one vector");
+    let empty = |state: &[u8]| [&[0][..], tagged(state)[1]].concat();
     let dir = tmpdir("empty-vector-wal");
+    for (what, payload) in [
+        ("alone", payload_of(1, &[(None, "a", &empty(&a))])),
+        (
+            "ahead of an honest entry",
+            payload_of(2, &[(None, "a", &empty(&a)), (Some(0), "b", &b)]),
+        ),
+    ] {
+        let err = boot_with_record(&dir, site, &payload, what);
+        assert!(
+            err.contains("wal record 1 payload corrupt"),
+            "{what}: {err}"
+        );
+    }
+    // Behind the first, an empty field is the vector before.
+    let honest = payload_of(2, &[(None, "a", &a), (Some(0), "b", &empty(&b))]);
+    std::fs::remove_dir_all(&dir).unwrap();
     let config = DurabilityConfig::new(&dir);
     let (mut persist, _, _) = Persist::open(&config, site).unwrap();
-    let logged = [
-        ("a".to_string(), honest),
-        ("b".to_string(), Bytes::from(empty)),
-    ];
-    persist.append(&logged).unwrap();
+    persist
+        .append(&[entry(&store, "b"), entry(&store, "a")])
+        .unwrap();
     drop(persist);
-    let err = Persist::open(&config, site).unwrap_err();
-    assert!(format!("{err}").contains("payload corrupt"), "got: {err}");
+    let wal = std::fs::read(dir.join(WAL_FILE)).unwrap();
+    assert!(
+        wal.ends_with(&encode_record(1, &honest)),
+        "the writer's record"
+    );
+    let (_, booted, report) = Persist::open(&config, site).unwrap();
+    assert_eq!((booted, report.torn_tail), (store, false));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A log record's entries have one encoding, the writer's: keys strictly
+/// ascending, each front-coded, a vector written out only where it is
+/// not the vector before, and nothing past the last entry. A record that
+/// lists a key twice or a key below the one before, writes out the
+/// vector before, or holds bytes past its count's entries refuses
+/// recovery as a corrupt payload under a checksum that holds, not as a
+/// torn tail.
+#[test]
+fn a_checksummed_log_record_not_the_writers_refuses_recovery() {
+    let site = SiteId::new(2);
+    let mut store = KvStore::with_shards(site, 4);
+    store.put("a", "1");
+    store.put("b", "2");
+    let (a, b) = (
+        store.encode_entry("a").unwrap(),
+        store.encode_entry("b").unwrap(),
+    );
+    let repeat = |state: &[u8]| [&[0][..], tagged(state)[1]].concat();
+    let (ra, rb) = (repeat(&a), repeat(&b));
+    let honest = payload_of(2, &[(None, "a", &a), (Some(0), "b", &rb)]);
+    let past = [&honest[..], &[0]].concat();
+    let dir = tmpdir("hostile-wal");
+    for (what, payload) in [
+        (
+            "a key listed twice",
+            payload_of(
+                3,
+                &[(None, "a", &a), (Some(0), "b", &rb), (Some(1), "", &rb)],
+            ),
+        ),
+        (
+            "a key below the one before",
+            payload_of(2, &[(None, "b", &b), (Some(0), "a", &ra)]),
+        ),
+        (
+            "the vector before, written out",
+            payload_of(2, &[(None, "a", &a), (Some(0), "b", &b)]),
+        ),
+        ("a byte past the last entry", past),
+    ] {
+        let err = boot_with_record(&dir, site, &payload, what);
+        assert!(
+            err.contains("wal record 1 payload corrupt"),
+            "{what}: {err}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+    let config = DurabilityConfig::new(&dir);
+    let (mut persist, _, _) = Persist::open(&config, site).unwrap();
+    persist
+        .append(&[entry(&store, "a"), entry(&store, "b")])
+        .unwrap();
+    drop(persist);
+    let wal = std::fs::read(dir.join(WAL_FILE)).unwrap();
+    assert!(
+        wal.ends_with(&encode_record(1, &honest)),
+        "the writer's record"
+    );
+    let (_, booted, _) = Persist::open(&config, site).unwrap();
+    assert_eq!(booted, store);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -845,4 +1038,50 @@ fn due_answers_from_the_cadence() {
     let (mut persist, _, _) = Persist::open_in(Box::new(MemDir::default()), &config, site).unwrap();
     persist.append(&[entry(&store, "a")]).unwrap();
     assert_eq!(persist.due(Instant::now()), Due::Checkpoint);
+}
+
+/// A cold join logs the store it received as it received it: joining a
+/// source of 2 000 keys (one deleted, values of many lengths) into an
+/// empty store at 1, 16 and 512 shards, the one WAL record's payload is
+/// the plan's image byte for byte, and a boot from the log is the joined
+/// store.
+#[test]
+fn a_cold_joins_log_record_is_its_plans_image() {
+    use optrep_kv::JoinResolver;
+    use optrep_replication::mux::run_contact;
+    use optrep_replication::planner::PlanConfig;
+    for shards in [1, 16, 512] {
+        let mut source = KvStore::with_shards(SiteId::new(1), shards);
+        for i in 0..2000u32 {
+            source.put(format!("k{i:05}"), vec![(i % 251) as u8; (i % 40) as usize]);
+        }
+        source.delete("k00007");
+        let site = SiteId::new(2);
+        let mut joined = KvStore::with_shards(site, shards);
+        let (plan, mut server) =
+            source.plan_contact(&joined.shard_digest_vector(), &PlanConfig::default());
+        assert_eq!(plan.bulk.len(), shards);
+        let mut client = joined.client_endpoint_for(&plan.incremental, shards);
+        let contact = run_contact(&mut client, &mut server).unwrap();
+        let committed = joined
+            .apply_planned(&JoinResolver, client, &contact, &plan)
+            .unwrap();
+        let dir = tmpdir("cold-join");
+        let config = DurabilityConfig::new(&dir);
+        let (mut persist, _, _) = Persist::open(&config, site).unwrap();
+        let header = persist.wal_len();
+        persist.append_entries(committed.entries(&joined)).unwrap();
+        drop(persist);
+        let wal = std::fs::read(dir.join(WAL_FILE)).unwrap();
+        let (seq, payload) = decode_record(&mut Bytes::from(wal).slice(header as usize..)).unwrap();
+        assert_eq!(seq, 1, "{shards} shards");
+        assert!(payload == plan.image.clone().unwrap(), "{shards} shards");
+        let (_, booted, report) = Persist::open(&config, site).unwrap();
+        assert_eq!(
+            (report.wal_records_applied, &booted),
+            (1, &joined),
+            "{shards} shards"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

@@ -9,10 +9,11 @@ use bytes::Bytes;
 use optrep_core::error::WireError;
 use optrep_core::rng::{cases, SplitMix64};
 use optrep_core::SiteId;
-use optrep_kv::KvStore;
+use optrep_kv::{EntryImage, KvStore};
 use optrep_server::persist::{
     decode_record, encode_record, DurabilityConfig, FsyncPolicy, Persist, WAL_FILE,
 };
+use std::collections::BTreeMap;
 use std::ops::Range;
 use std::path::PathBuf;
 
@@ -30,35 +31,71 @@ fn bytes(rng: &mut SplitMix64, len: Range<usize>) -> Vec<u8> {
     (0..rng.range(len)).map(|_| rng.next_u64() as u8).collect()
 }
 
-/// Logical mutation batches: the keys and values a single WAL record
-/// will carry (a 1-entry batch is a `put`; larger ones model a contact
-/// commit). One to three letters of `abc` a key, so keys repeat.
-fn batches(rng: &mut SplitMix64) -> Vec<Vec<(String, Vec<u8>)>> {
-    let entry = |rng: &mut SplitMix64| {
-        let key = (0..rng.range(1..4))
+/// One write of a batch: a put of a value, or a delete.
+type Write = (String, Option<Vec<u8>>);
+
+/// Logical mutation batches: the writes a single WAL record will carry
+/// (a 1-write batch is a `put`; larger ones model a contact commit). One
+/// to three letters of `abc` a key, so keys repeat — across batches and
+/// inside one, where the last write wins. Now and then a write puts the
+/// value its key already holds, or deletes a key deleted or never
+/// written.
+fn batches(rng: &mut SplitMix64) -> Vec<Vec<Write>> {
+    let key = |rng: &mut SplitMix64| -> String {
+        (0..rng.range(1..4))
             .map(|_| (b'a' + rng.below(3) as u8) as char)
-            .collect();
-        (key, bytes(rng, 1..24))
+            .collect()
     };
-    (0..rng.range(1..5))
-        .map(|_| (0..rng.range(1..4)).map(|_| entry(rng)).collect())
-        .collect()
+    // What each key holds once the batches drawn so far are committed.
+    let mut held: BTreeMap<String, Option<Vec<u8>>> = BTreeMap::new();
+    let mut batches = Vec::new();
+    for _ in 0..rng.range(1..5) {
+        let mut batch: Vec<Write> = Vec::new();
+        for _ in 0..rng.range(1..4) {
+            let write = match rng.below(8) {
+                0 => {
+                    // A rewrite of the value a key holds, if one does.
+                    let live: Vec<_> = held.iter().filter(|(_, v)| v.is_some()).collect();
+                    match live.get(rng.range(0..live.len().max(1))) {
+                        Some((key, value)) => ((*key).clone(), (*value).clone()),
+                        None => (key(rng), Some(bytes(rng, 1..24))),
+                    }
+                }
+                1 => {
+                    // A delete of a key deleted or never written.
+                    let mut k = key(rng);
+                    while held.get(&k).is_some_and(Option::is_some) {
+                        k.push('d');
+                    }
+                    (k, None)
+                }
+                2 if !batch.is_empty() => {
+                    // A key the batch wrote already, written again.
+                    let again = batch[rng.range(0..batch.len())].0.clone();
+                    (again, Some(bytes(rng, 1..24)))
+                }
+                _ => (key(rng), Some(bytes(rng, 1..24))),
+            };
+            held.insert(write.0.clone(), write.1.clone());
+            batch.push(write);
+        }
+        batches.push(batch);
+    }
+    batches
 }
 
-/// Applies one batch to `store` and logs it as one record, exactly as
-/// the daemon's `wal_append` does.
-fn commit_batch(store: &mut KvStore, persist: &mut Persist, batch: &[(String, Vec<u8>)]) {
-    let mut keys = Vec::new();
+/// Applies one batch to `store` and logs it as one record: each write's
+/// post-state listed as it was written, a key written twice listed
+/// twice — `Persist::append` sorts them and logs the state listed last.
+fn commit_batch(store: &mut KvStore, persist: &mut Persist, batch: &[Write]) {
+    let mut changed: Vec<(String, Bytes)> = Vec::new();
     for (key, value) in batch {
-        store.put(key.clone(), value.clone());
-        keys.push(key.clone());
+        match value {
+            Some(value) => store.put(key.clone(), value.clone()),
+            None => store.delete(key.clone()),
+        }
+        changed.push((key.clone(), store.encode_entry(key).expect("tracked")));
     }
-    keys.sort();
-    keys.dedup();
-    let changed: Vec<(String, Bytes)> = keys
-        .iter()
-        .map(|key| (key.clone(), store.encode_entry(key).expect("tracked")))
-        .collect();
     persist.append(&changed).expect("append");
 }
 
@@ -91,12 +128,34 @@ fn recovery_rebuilds_exactly_the_committed_store() {
 /// `UnexpectedEof` — the torn-tail shape — and never any other
 /// error. This is what makes "tolerate exactly one trailing tear"
 /// sound: a crash cannot manufacture a prefix that decodes as a
-/// different record or as non-tear corruption.
+/// different record or as non-tear corruption. Payloads are arbitrary
+/// bytes, and, every other case, a record's own: the image of a batch's
+/// post-states.
 #[test]
 fn every_record_prefix_is_torn_not_corrupt() {
-    cases(16, |_, rng| {
+    cases(16, |seed, rng| {
         let seq = (rng.next_u64() >> rng.below(64)) % u64::from(u32::MAX);
-        let payload = bytes(rng, 0..64);
+        let payload = match seed % 2 {
+            0 => bytes(rng, 0..64),
+            _ => {
+                let mut store = KvStore::new(SiteId::new(0));
+                let mut changed = BTreeMap::new();
+                for (key, value) in batches(rng).concat() {
+                    match value {
+                        Some(value) => store.put(key.clone(), value),
+                        None => store.delete(key.clone()),
+                    }
+                    changed.insert(key.clone(), store.encode_entry(&key).expect("tracked"));
+                }
+                let entries = changed.iter().map(|(k, e)| (k.as_bytes(), &e[..]));
+                let image = EntryImage::new(entries).expect("ascending");
+                let mut payload = Vec::new();
+                image
+                    .write_to(&mut payload)
+                    .expect("a Vec takes every byte");
+                payload
+            }
+        };
         let full = encode_record(seq, &payload);
         for cut in 0..full.len() {
             let mut buf = full.slice(0..cut);
@@ -180,9 +239,13 @@ fn mid_log_payload_corruption_refuses_recovery() {
         let site = SiteId::new(1);
         let (mut persist, mut store, _) = Persist::open(&config, site).expect("open");
         let start = persist.wal_len();
-        commit_batch(&mut store, &mut persist, &[("victim".into(), value)]);
+        commit_batch(&mut store, &mut persist, &[("victim".into(), Some(value))]);
         let end = persist.wal_len();
-        commit_batch(&mut store, &mut persist, &[("tail".into(), vec![1, 2, 3])]);
+        commit_batch(
+            &mut store,
+            &mut persist,
+            &[("tail".into(), Some(vec![1, 2, 3]))],
+        );
         drop(persist);
 
         let wal_path = dir.join(WAL_FILE);
