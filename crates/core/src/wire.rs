@@ -402,8 +402,11 @@ pub const HANDSHAKE_MAGIC: [u8; 4] = *b"OPTR";
 /// shards in a plan and retires the proposing plan tag (`0x3a`): a
 /// proposed shard is the shard of a pushed key. A v10 puller would
 /// refuse a push into a shard its plan does not list, and a v11 one
-/// every plan a v10 server proposes in.
-pub const HANDSHAKE_VERSION: u8 = 11;
+/// every plan a v10 server proposes in. v12 writes each entry of a
+/// plan's image behind two heads — the key's shared and rest lengths,
+/// the value's length and whether the vector repeats — in place of
+/// their five fields: a v11 end would misread every image.
+pub const HANDSHAKE_VERSION: u8 = 12;
 
 /// What the connecting peer intends to do with the connection: byte 0
 /// or 2 of the preamble. Byte 1 named a one-shot pull no build sends

@@ -297,9 +297,6 @@ impl KvStore {
         };
         let (count, physical) = (plan.count as usize, self.shards.len());
         let mut runs: Vec<Run> = (0..physical).map(|_| Run::default()).collect();
-        // Where the state of a key a racing write reached first is read
-        // to be checked, and not kept.
-        let mut refused = Vec::new();
         let mut buf = &image[..];
         let mut stage = || {
             let n = wire::get_varint(&mut buf)?;
@@ -315,11 +312,9 @@ impl KvStore {
                 {
                     return Err(WireError::InvalidPayload);
                 }
+                // A key a racing write reached first keeps that write.
                 if self.record(bytes).is_none() {
-                    runs[shard_index(bytes, physical)].push(key, state)?;
-                } else {
-                    Record::write_state(&mut refused, key, state)?;
-                    refused.clear();
+                    runs[shard_index(bytes, physical)].push(key, state);
                 }
             }
             match buf {
@@ -528,33 +523,9 @@ mod tests {
         assert_eq!(dst.replica_digest(), dst.replica_digest_full());
     }
 
-    /// An image of `records`, in the order given: each key after the
-    /// first as the length of the prefix it shares with the key before
-    /// it, then the rest of it; then its vector, an empty field where it
-    /// is the vector before, and its tagged value.
+    /// The image the writer writes of `records`, in the order given.
     fn image_of(records: &[Record<'_>]) -> Bytes {
-        let mut buf = bytes::BytesMut::new();
-        wire::put_varint(&mut buf, records.len() as u64);
-        let mut before: Option<(&[u8], &[u8])> = None;
-        for record in records {
-            let (key, state) = record.split();
-            let mut value = state;
-            let vector = wire::get_slice(&mut value).unwrap();
-            let mut shared = 0;
-            let mut written = vector;
-            if let Some((last, last_vector)) = before {
-                shared = key.iter().zip(last).take_while(|(a, b)| a == b).count();
-                wire::put_varint(&mut buf, shared as u64);
-                if vector == last_vector {
-                    written = &[];
-                }
-            }
-            wire::put_bytes(&mut buf, &key[shared..]);
-            wire::put_bytes(&mut buf, written);
-            buf.extend_from_slice(value);
-            before = Some((key, vector));
-        }
-        buf.freeze()
+        crate::codec::image_as_listed(records.iter().map(|record| record.split())).into()
     }
 
     /// A plan lists its bulk shards strictly increasing and below its

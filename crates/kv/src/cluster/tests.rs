@@ -49,7 +49,8 @@ fn a_faulty_round_is_a_function_of_its_seed() {
 /// A pull that completes over a link that injected nothing, and then
 /// fails to stage, ends the round with its error — under a fault plan
 /// too — instead of being retried as an abort: store 0 holds a
-/// tombstone under a tag no encoder writes, and store 1 bulk-loads it.
+/// tombstone whose vector names site 0 twice, which no encoder writes,
+/// and store 1 bulk-loads it.
 #[test]
 fn a_pull_that_fails_to_stage_on_a_clean_link_ends_the_round() {
     for plan in [None, Some(FaultPlan::clean())] {
@@ -58,9 +59,8 @@ fn a_pull_that_fails_to_stage_on_a_clean_link_ends_the_round() {
             cluster = cluster.with_fault(plan);
         }
         let store = cluster.store_mut(s(0));
-        store.delete("x");
-        let mut image = store.record(b"x").unwrap().bytes().to_vec();
-        *image.last_mut().unwrap() = 2;
+        // The key, the vector (two elements, each site 0 at 1), tag 0.
+        let image = [1, b'x', 5, 2, 0, 4, 0, 4, 0];
         store.insert_record(Record::split_first(&image).0);
         let before = cluster.stores()[1].clone();
         let err = cluster.round(&mut SplitMix64::new(1)).unwrap_err();

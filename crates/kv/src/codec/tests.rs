@@ -90,14 +90,12 @@ fn hostile_snapshots_are_invalid_payload() {
     let mut a = KvStore::new(s(3));
     a.put("key", "value");
     let honest = a.encode_snapshot().to_vec();
-    // site, count, "key" (the first key: its rest alone), the vector,
-    // then tag, length, "value".
-    assert_eq!(honest[2..6], *b"\x03key");
-    let tag = honest.len() - 1 - b"value".len() - 1;
-    assert_eq!(honest[tag], 1);
+    // site, count, the key head (shared 0, rest 3) and "key", the state
+    // head (a value of 5 bytes, the vector written out), the vector,
+    // then "value".
+    assert_eq!(honest[2..7], *b"\x03key\x0c");
     for (at, byte, what) in [
-        (tag, 2, "value tag 2"),
-        (tag, 255, "value tag 255"),
+        (6, 0x0d, "a repeat flag on the first entry"),
         (4, 0xff, "a key that is not UTF-8"),
     ] {
         let mut image = honest.clone();
@@ -157,19 +155,32 @@ fn a_snapshot_site_above_u32_is_refused_not_truncated() {
     assert_eq!(decoded.err(), Some(WireError::InvalidPayload));
 }
 
-/// Which varint of an image a test writes one group longer than any
-/// encoder would (`[0x83, 0x00]` for 3): `wire::get_varint` reads it
-/// as the same number.
+/// Which varint of an image, or of a state as a store holds it, a test
+/// writes one group longer than any encoder would (`[0x83, 0x00]` for
+/// 3): `wire::get_varint` reads it as the same number.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Overlong {
     Nothing,
-    Shared,
-    KeyLen,
+    KeyHead,
+    Escape,
+    StateHead,
     VectorLen,
     ElementCount,
     Site,
     Packed,
     ValueLen,
+}
+
+impl Overlong {
+    /// An image's heads: every reader refuses one written overlong.
+    const HEADS: [Overlong; 3] = [Overlong::KeyHead, Overlong::Escape, Overlong::StateHead];
+    /// A vector's varints: every reader re-encodes them.
+    const VECTOR: [Overlong; 4] = [
+        Overlong::VectorLen,
+        Overlong::ElementCount,
+        Overlong::Site,
+        Overlong::Packed,
+    ];
 }
 
 fn put_varint_as(buf: &mut BytesMut, value: u64, overlong: bool) {
@@ -187,9 +198,9 @@ fn put_varint_as(buf: &mut BytesMut, value: u64, overlong: bool) {
     buf.put_u8(0);
 }
 
-/// One entry's state as a log record carries it, written from the
-/// decoded state with `pad`'s varints overlong.
-fn state_image(view: View<'_>, pad: Overlong) -> BytesMut {
+/// A vector's snapshot, written from the decoded vector of `view` with
+/// `pad`'s varints overlong.
+fn vector_image(view: View<'_>, pad: Overlong) -> BytesMut {
     let mut meta = BytesMut::new();
     let elements: Vec<_> = view.srv().iter().collect();
     put_varint_as(
@@ -202,6 +213,13 @@ fn state_image(view: View<'_>, pad: Overlong) -> BytesMut {
         let packed = e.value << 2 | u64::from(e.conflict) << 1 | u64::from(e.segment);
         put_varint_as(&mut meta, packed, pad == Overlong::Packed);
     }
+    meta
+}
+
+/// One entry's state as a store holds it (`encode_entry`), written from
+/// the decoded state with `pad`'s varints overlong.
+fn state_image(view: View<'_>, pad: Overlong) -> BytesMut {
+    let meta = vector_image(view, pad);
     let mut buf = BytesMut::new();
     put_varint_as(&mut buf, meta.len() as u64, pad == Overlong::VectorLen);
     buf.extend_from_slice(&meta);
@@ -216,24 +234,38 @@ fn state_image(view: View<'_>, pad: Overlong) -> BytesMut {
     buf
 }
 
-/// What follows the vector field of `state`, an entry's state as a log
-/// record carries it: the tag and the value.
-fn tagged_value(state: &[u8]) -> &[u8] {
-    let mut value = state;
-    wire::get_slice(&mut value).unwrap();
-    value
+/// One image entry, written field by field with `pad`'s varints
+/// overlong: the key head `shared << 3 | min(rest, 7)`, the rest's
+/// length less 7 where it is 7 or more, the rest; the state head
+/// `value_code << 1 | repeats`, the vector's field unless `vector` is
+/// `None` (the vector before), the value.
+fn put_entry(
+    buf: &mut BytesMut,
+    (shared, rest): After<'_>,
+    vector: Option<&[u8]>,
+    value: Option<&[u8]>,
+    pad: Overlong,
+) {
+    let low = rest.len().min(7) as u64;
+    put_varint_as(buf, shared << 3 | low, pad == Overlong::KeyHead);
+    if low == 7 {
+        put_varint_as(buf, rest.len() as u64 - 7, pad == Overlong::Escape);
+    }
+    buf.extend_from_slice(rest);
+    let code = value.map_or(0, |v| v.len() as u64 + 1);
+    let head = code << 1 | u64::from(vector.is_none());
+    put_varint_as(buf, head, pad == Overlong::StateHead);
+    if let Some(vector) = vector {
+        put_varint_as(buf, vector.len() as u64, pad == Overlong::VectorLen);
+        buf.extend_from_slice(vector);
+    }
+    buf.extend_from_slice(value.unwrap_or_default());
 }
 
-/// `state` as an image writes it where its vector is the vector before:
-/// the vector field empty.
-fn repeated(state: &[u8]) -> Vec<u8> {
-    [&[0][..], tagged_value(state)].concat()
-}
-
-/// A shard image of `entries`, or with `site` a whole store's: each key
-/// after the first as the length of the prefix it shares with the key
-/// listed before it, then the rest of it; each vector that is the one
-/// listed before it as an empty field.
+/// A shard image of `entries`, or with `site` a whole store's, each
+/// entry written by [`put_entry`]: each key after the first as the
+/// length of the prefix it shares with the key listed before it and the
+/// rest of it; each vector that is the one listed before it left out.
 fn image_as(site: Option<SiteId>, entries: &[(&str, View<'_>)], pad: Overlong) -> Bytes {
     let mut buf = BytesMut::new();
     if let Some(site) = site {
@@ -243,27 +275,20 @@ fn image_as(site: Option<SiteId>, entries: &[(&str, View<'_>)], pad: Overlong) -
     let mut before: Option<(&[u8], &[u8])> = None;
     for (key, view) in entries {
         let key = key.as_bytes();
-        let mut shared = 0;
-        let state = state_image(*view, pad);
-        let mut repeats = false;
+        let (mut shared, mut repeats) = (0, false);
         if let Some((last, last_vector)) = before {
             shared = key.iter().zip(last).take_while(|(a, b)| a == b).count();
-            put_varint_as(&mut buf, shared as u64, pad == Overlong::Shared);
             repeats = view.meta == last_vector;
         }
-        put_varint_as(
+        let vector = vector_image(*view, pad);
+        let rest = (shared as u64, &key[shared..]);
+        put_entry(
             &mut buf,
-            (key.len() - shared) as u64,
-            pad == Overlong::KeyLen,
+            rest,
+            (!repeats).then_some(&vector[..]),
+            view.value,
+            pad,
         );
-        buf.extend_from_slice(&key[shared..]);
-        match repeats {
-            true => {
-                put_varint_as(&mut buf, 0, pad == Overlong::VectorLen);
-                buf.extend_from_slice(tagged_value(&state));
-            }
-            false => buf.extend_from_slice(&state),
-        }
         before = Some((key, view.meta));
     }
     buf.freeze()
@@ -289,8 +314,12 @@ fn joined(image: Bytes) -> KvStore {
 }
 
 /// A decoder stores the state it read, re-encoded — never the bytes
-/// it read it from: an image no encoder writes, but every decoder
-/// accepts, leaves the store it would have left written honestly.
+/// it read it from: an image whose vectors no encoder writes, but every
+/// decoder accepts, leaves the store it would have left written honestly.
+/// An image's heads have one encoding, and so has a state a store holds:
+/// a head written overlong is refused by every decoder, and a state
+/// written overlong by an image's writer — what `apply_encoded_entry`
+/// and a log's append hand theirs — before anything is written.
 #[test]
 fn overlong_varints_decode_to_the_canonical_store() {
     // Multi-site vectors with bits set, tombstones, and a key and a
@@ -325,21 +354,15 @@ fn overlong_varints_decode_to_the_canonical_store() {
     let entries = honest.entries_sorted();
     assert!(entries.iter().any(|(_, e)| e.srv().len() == 3));
     assert!(entries.iter().any(|(_, e)| e.value.is_none()));
+    assert!(entries.iter().any(|(key, _)| key.len() == 128));
     assert_eq!(
         image_as(Some(honest.site()), &entries, Overlong::Nothing),
         honest_image
     );
-    let honest_joiner = joined(image_as(None, &entries, Overlong::Nothing));
+    let honest_body = image_as(None, &entries, Overlong::Nothing);
+    let honest_joiner = joined(honest_body.clone());
     assert_eq!(honest_joiner.tracked_entries(), entries.len());
-    for pad in [
-        Overlong::Shared,
-        Overlong::KeyLen,
-        Overlong::VectorLen,
-        Overlong::ElementCount,
-        Overlong::Site,
-        Overlong::Packed,
-        Overlong::ValueLen,
-    ] {
+    for pad in Overlong::VECTOR {
         // A checkpoint.
         let image = image_as(Some(honest.site()), &entries, pad);
         assert!(image.len() > honest_image.len(), "{pad:?}");
@@ -351,19 +374,42 @@ fn overlong_varints_decode_to_the_canonical_store() {
         let joiner = joined(image_as(None, &entries, pad));
         assert_eq!(joiner, honest_joiner, "{pad:?}");
         assert_eq!(joiner.encode_snapshot(), honest_joiner.encode_snapshot());
-        // A log, record by record.
+        // A log record.
+        let mut replayed = KvStore::with_shards(honest.site(), 4);
+        replayed
+            .apply_image(&image_as(None, &entries, pad))
+            .unwrap();
+        assert_eq!(replayed, *honest, "{pad:?}");
+        assert_eq!(replayed.encode_snapshot(), honest_image, "{pad:?}");
+    }
+    for pad in Overlong::HEADS {
+        let body = image_as(None, &entries, pad);
+        assert!(body.len() > honest_body.len(), "{pad:?}");
+        assert_refused_by_every_decoder(&body, WireError::InvalidPayload);
+    }
+    // A state as a store holds it, each varint in turn overlong: refused
+    // by the writer, the store untouched; the honest state then taken.
+    for pad in [Overlong::ValueLen].iter().chain(&Overlong::VECTOR) {
         let mut replayed = KvStore::with_shards(honest.site(), 4);
         let mut padded = 0;
         for (key, view) in &entries {
-            let mut record = state_image(*view, pad).freeze();
+            let mut record = state_image(*view, *pad).freeze();
             let canonical = honest.encode_entry(key).unwrap();
-            padded += usize::from(record.len() > canonical.len());
+            if record.len() > canonical.len() {
+                padded += 1;
+                let listed = std::iter::once((key.as_bytes(), &record[..]));
+                assert!(EntryImage::new(listed).is_none(), "{pad:?}");
+                let before = replayed.clone();
+                let refused = replayed.apply_encoded_entry(*key, &mut record.clone());
+                assert_eq!(refused, Err(WireError::InvalidPayload), "{pad:?}");
+                assert_eq!(replayed, before, "{pad:?}");
+                assert_eq!(replayed.generation(), before.generation(), "{pad:?}");
+                record = canonical.clone();
+            }
             replayed.apply_encoded_entry(*key, &mut record).unwrap();
             assert_eq!(replayed.encode_entry(key), Some(canonical), "{pad:?}");
         }
-        // (A log record frames no key.)
-        let key_pad = matches!(pad, Overlong::Shared | Overlong::KeyLen);
-        assert_eq!(padded > 0, !key_pad, "{pad:?}");
+        assert!(padded > 0, "{pad:?}");
         assert_eq!(replayed, *honest, "{pad:?}");
         assert_eq!(replayed.encode_snapshot(), honest_image, "{pad:?}");
     }
@@ -487,7 +533,8 @@ fn assert_vector_refused_by_every_decoder(meta: &[u8]) {
     assert_eq!(store.generation(), before.generation());
     assert_eq!(store.replica_digest(), store.replica_digest_full());
 
-    let body = keyed_body(b"x", &[], &entry_image(meta));
+    let (value, after) = (Some(&b"v"[..]), &[]);
+    let body = keyed_body(b"x", after, View { meta, value });
     assert_refused_by_every_decoder(&body, WireError::InvalidPayload);
 }
 
@@ -515,33 +562,68 @@ fn a_byte_left_in_the_vector_field_is_refused_by_every_decoder() {
 type After<'a> = (u64, &'a [u8]);
 
 /// An image's count and entries: `first`, then each key `after` it, each
-/// key holding `state` — the first written out, the rest repeating it.
-fn keyed_body(first: &[u8], after: &[After<'_>], state: &[u8]) -> Vec<u8> {
+/// key holding `state` — the first writing its vector out, the rest
+/// repeating it.
+fn keyed_body(first: &[u8], after: &[After<'_>], state: View<'_>) -> Vec<u8> {
     let mut body = BytesMut::new();
     wire::put_varint(&mut body, 1 + after.len() as u64);
-    wire::put_bytes(&mut body, first);
-    body.extend_from_slice(state);
-    for (shared, rest) in after {
-        wire::put_varint(&mut body, *shared);
-        wire::put_bytes(&mut body, rest);
-        body.extend_from_slice(&repeated(state));
+    let (meta, value) = (Some(state.meta), state.value);
+    put_entry(&mut body, (0, first), meta, value, Overlong::Nothing);
+    for &after in after {
+        put_entry(&mut body, after, None, value, Overlong::Nothing);
     }
     body.to_vec()
 }
 
+/// `body` — an image's count and entries — is refused with `refused` by
+/// the oracle and by every image decoder.
+fn assert_refused_by_all(what: &str, body: &[u8], refused: WireError) {
+    let mut image = BytesMut::new();
+    wire::put_varint(&mut image, 0);
+    image.extend_from_slice(body);
+    assert_eq!(boot_by_the_oracle(&image).err(), Some(refused), "{what}");
+    assert_refused_by_every_decoder(body, refused);
+}
+
+/// An entry spends one head on its key and one on its state where its
+/// shared prefix is below 16 bytes, its rest below 7 and its value below
+/// 63. Keys written once at site 0 hold the vector `[1, 0, 4]`; a delete
+/// is a second write (`[1, 0, 8]`).
+#[test]
+fn an_entry_spends_a_head_on_its_key_and_one_on_its_state() {
+    let mut store = KvStore::with_shards(s(0), 1);
+    for key in ["a", "a1234567", "b"] {
+        store.put(key, "v");
+    }
+    store.delete("b");
+    let image = store.encode_shard_snapshot(&[0], 1);
+    #[rustfmt::skip]
+    let written = [
+        3,
+        // "a": shared 0, rest 1; a 1-byte value, the vector written out.
+        0x01, b'a', 2 << 1, 3, 1, 0, 4, b'v',
+        // "a1234567": shared 1, rest 7 behind the escape, the vector
+        // before repeated.
+        1 << 3 | 7, 0, b'1', b'2', b'3', b'4', b'5', b'6', b'7', 2 << 1 | 1, b'v',
+        // "b": shared 0, rest 1; a tombstone, its own vector (a delete
+        // counts as a write).
+        0x01, b'b', 0, 3, 1, 0, 8,
+    ];
+    assert_eq!(image[..], written);
+}
+
 /// Each key has one encoding, the one the writer writes — the first key
 /// whole, then each sharing the longest prefix it can, its rest starting
-/// above the byte it replaces — and both image decoders refuse every
-/// other with `InvalidPayload`, and what does not rebuild to UTF-8. A
-/// shared prefix may split a character: `к` and `л` share their first
-/// byte.
+/// above the byte it replaces, each behind a key head as short as it goes
+/// — and every image decoder refuses every other as the oracle does: with
+/// `InvalidPayload`, and what does not rebuild to UTF-8. A shared prefix
+/// may split a character: `к` and `л` share their first byte.
 #[test]
 fn a_key_encoded_any_way_but_the_writers_is_refused() {
     let mut store = KvStore::with_shards(s(0), 1);
     for key in ["", "a", "ab", "abd", "b", "к", "л"] {
         store.put(key, "v");
     }
-    let state = store.encode_entry("a").unwrap();
     let after: [After<'_>; 6] = [
         (0, b"a"),
         (1, b"b"),
@@ -551,19 +633,10 @@ fn a_key_encoded_any_way_but_the_writers_is_refused() {
         (1, &"л".as_bytes()[1..]),
     ];
     let image = store.encode_shard_snapshot(&[0], 1);
-    let states: Vec<_> = (store.entries_sorted().iter())
-        .map(|(key, _)| store.encode_entry(key).unwrap())
-        .collect();
-    let mut written = BytesMut::new();
-    wire::put_varint(&mut written, 7);
-    wire::put_bytes(&mut written, b"");
-    written.extend_from_slice(&states[0]);
-    for ((shared, rest), state) in after.iter().zip(&states[1..]) {
-        wire::put_varint(&mut written, *shared);
-        wire::put_bytes(&mut written, rest);
-        written.extend_from_slice(&repeated(state));
-    }
-    assert!(states.iter().all(|state| *state == states[0]));
+    let entries = store.entries_sorted();
+    let state = entries[0].1;
+    assert!(entries.iter().all(|(_, view)| *view == state));
+    let written = keyed_body(b"", &after, state);
     assert_eq!(image, written, "the writer's encoding");
     let mut checkpoint = BytesMut::new();
     wire::put_varint(&mut checkpoint, 0);
@@ -571,12 +644,13 @@ fn a_key_encoded_any_way_but_the_writers_is_refused() {
     assert_eq!(checkpoint, store.encode_snapshot());
     assert!(joined(image).consistent_with(&store));
     assert_eq!(
-        KvStore::decode_snapshot(&mut checkpoint.freeze()),
-        Ok(store)
+        KvStore::decode_snapshot(&mut checkpoint.freeze()).as_ref(),
+        Ok(&store)
     );
 
     let invalid = WireError::InvalidPayload;
-    let refused: [(&str, &[u8], &[After<'_>]); 11] = [
+    let refused: [(&str, &[u8], &[After<'_>]); 12] = [
+        ("a shared length on the first key", b"a", &[]),
         ("a shared length past the key before", b"a", &[(2, b"b")]),
         ("a shared prefix left out", b"ab", &[(0, b"ac")]),
         ("a shared prefix cut short", b"abc", &[(1, b"bd")]),
@@ -594,20 +668,74 @@ fn a_key_encoded_any_way_but_the_writers_is_refused() {
         ),
     ];
     for (what, first, after) in refused {
-        let body = keyed_body(first, after, &state);
-        let mut image = BytesMut::new();
-        wire::put_varint(&mut image, 1);
-        image.extend_from_slice(&body);
-        assert_eq!(boot_by_the_oracle(&image).err(), Some(invalid), "{what}");
-        assert_refused_by_every_decoder(&body, invalid);
+        let mut body = keyed_body(first, after, state);
+        if what == "a shared length on the first key" {
+            body[1] |= 1 << 3;
+        }
+        assert_refused_by_all(what, &body, invalid);
     }
-    // The split character rebuilt right, and an empty first key: read.
-    let read: [(&[u8], &[After<'_>]); 2] =
-        [("к".as_bytes(), &[(1, &"л".as_bytes()[1..])]), (b"", &[])];
+
+    // Its heads: each overlong, first and after the first, refused. The
+    // escape counts from 7, so a rest under 7 has no escaped form: one
+    // written as a writer that did not subtract would write it reads 7
+    // bytes further, and runs past the image.
+    let long = b"abcdefgh";
+    let mut refused: Vec<(&str, Vec<u8>, WireError)> = Vec::new();
+    for (what, pads) in [
+        (
+            "an overlong key head on the first key",
+            [Overlong::KeyHead, Overlong::Nothing],
+        ),
+        (
+            "an overlong key head after the first",
+            [Overlong::Nothing, Overlong::KeyHead],
+        ),
+        (
+            "an overlong escape on the first key",
+            [Overlong::Escape, Overlong::Nothing],
+        ),
+        (
+            "an overlong escape after the first",
+            [Overlong::Nothing, Overlong::Escape],
+        ),
+    ] {
+        let mut body = BytesMut::new();
+        wire::put_varint(&mut body, 2);
+        put_entry(&mut body, (0, long), Some(state.meta), state.value, pads[0]);
+        put_entry(&mut body, (0, b"bcdefghi"), None, state.value, pads[1]);
+        refused.push((what, body.to_vec(), invalid));
+    }
+    let mut body = BytesMut::new();
+    wire::put_varint(&mut body, 2);
+    put_entry(
+        &mut body,
+        (0, b"a"),
+        Some(state.meta),
+        state.value,
+        Overlong::Nothing,
+    );
+    body.extend_from_slice(&[7, 1, b'b']);
+    body.extend_from_slice(&[2 << 1 | 1, b'v']);
+    refused.push((
+        "a rest of 1 behind the escape",
+        body.to_vec(),
+        WireError::UnexpectedEof,
+    ));
+    for (what, body, error) in refused {
+        assert_refused_by_all(what, &body, error);
+    }
+
+    // The split character rebuilt right, an empty first key, and a
+    // first key that needs the escape: read.
+    let read: [(&[u8], &[After<'_>]); 3] = [
+        ("к".as_bytes(), &[(1, &"л".as_bytes()[1..])]),
+        (b"", &[]),
+        (long, &[(7, b"i")]),
+    ];
     for (first, after) in read {
         let mut image = BytesMut::new();
         wire::put_varint(&mut image, 1);
-        image.extend_from_slice(&keyed_body(first, after, &state));
+        image.extend_from_slice(&keyed_body(first, after, state));
         assert_eq!(
             KvStore::decode_snapshot(&mut image.freeze()).map(|s| s.len()),
             Ok(1 + after.len())
@@ -615,12 +743,16 @@ fn a_key_encoded_any_way_but_the_writers_is_refused() {
     }
 }
 
-/// A vector has one encoding in an image, the writer's — written out on
-/// the first entry and wherever it is not the vector before, an empty
-/// field wherever it is — and every image decoder refuses every other
-/// with `InvalidPayload`, as the oracle does: an empty field on the first
-/// entry, and a vector written out that re-encodes to the vector before,
-/// its varints overlong or not.
+/// A state has one encoding in an image, the writer's — its head as
+/// short as it goes, its vector written out on the first entry and
+/// wherever it is not the vector before, and only there, its value as
+/// long as its head says — and every image decoder refuses every other
+/// as the oracle does: with `InvalidPayload` a repeat flag on the first
+/// entry, an empty vector field, a vector written out that re-encodes to
+/// the vector before, its varints overlong or not, an overlong state
+/// head, and a tombstone with value bytes behind it (read as the key head
+/// of the entry after it); a value shorter than its head says runs into the entry
+/// after it, or past the image.
 #[test]
 fn a_vector_encoded_any_way_but_the_writers_is_refused() {
     let mut store = KvStore::with_shards(s(0), 1);
@@ -628,60 +760,119 @@ fn a_vector_encoded_any_way_but_the_writers_is_refused() {
         store.put(key, "v");
     }
     store.put("c", "w");
-    let states = ["a", "b", "c", "d"].map(|key| store.encode_entry(key).unwrap());
+    let entries = store.entries_sorted();
+    let views = entries.iter().map(|(_, view)| *view).collect::<Vec<_>>();
     let mut written = BytesMut::new();
     wire::put_varint(&mut written, 4);
-    wire::put_bytes(&mut written, b"a");
-    written.extend_from_slice(&states[0]);
-    for (key, state) in [(b"b", repeated(&states[1])), (b"c", states[2].to_vec())] {
-        wire::put_varint(&mut written, 0);
-        wire::put_bytes(&mut written, key);
-        written.extend_from_slice(&state);
+    for (at, (key, view)) in entries.iter().enumerate() {
+        // Only `b` repeats: `c` is written twice, and `d` follows `c`.
+        let vector = (at != 1).then_some(view.meta);
+        put_entry(
+            &mut written,
+            (0, key.as_bytes()),
+            vector,
+            view.value,
+            Overlong::Nothing,
+        );
     }
-    // `d` follows `c`, whose vector is not its own.
-    wire::put_varint(&mut written, 0);
-    wire::put_bytes(&mut written, b"d");
-    written.extend_from_slice(&states[3]);
     let image = store.encode_shard_snapshot(&[0], 1);
     assert_eq!(image, written, "the writer's encoding");
     assert_eq!(vector_fields(&image), [3, 0, 3, 3]);
     assert!(joined(image).consistent_with(&store));
 
     let invalid = WireError::InvalidPayload;
-    let b = store.entries_sorted()[1].1;
-    let mut refused = vec![("an empty field on the first entry", {
-        keyed_body(b"b", &[], &repeated(&states[1]))
-    })];
-    for pad in [
-        Overlong::Nothing,
-        Overlong::VectorLen,
-        Overlong::ElementCount,
-        Overlong::Site,
-        Overlong::Packed,
-    ] {
+    let (a, b) = (views[0], views[1]);
+    let one = |pad: Overlong, vector: Option<&[u8]>, value: Option<&[u8]>| {
+        let mut body = BytesMut::new();
+        wire::put_varint(&mut body, 1);
+        put_entry(&mut body, (0, b"b"), vector, value, pad);
+        body.to_vec()
+    };
+    let two = |vector: Option<&[u8]>, pad: Overlong| {
         let mut body = BytesMut::new();
         wire::put_varint(&mut body, 2);
-        wire::put_bytes(&mut body, b"a");
-        body.extend_from_slice(&states[0]);
-        wire::put_varint(&mut body, 0);
-        wire::put_bytes(&mut body, b"b");
-        body.extend_from_slice(&state_image(b, pad));
-        refused.push(("the vector before, written out", body.to_vec()));
+        put_entry(
+            &mut body,
+            (0, b"a"),
+            Some(a.meta),
+            a.value,
+            Overlong::Nothing,
+        );
+        put_entry(&mut body, (0, b"b"), vector, b.value, pad);
+        body.to_vec()
+    };
+    let mut refused = vec![
+        (
+            "a repeat flag on the first entry",
+            one(Overlong::Nothing, None, b.value),
+            invalid,
+        ),
+        (
+            "an empty vector field",
+            one(Overlong::Nothing, Some(&[]), b.value),
+            invalid,
+        ),
+        (
+            "an overlong state head",
+            one(Overlong::StateHead, Some(b.meta), b.value),
+            invalid,
+        ),
+        (
+            "an overlong state head after the first",
+            two(None, Overlong::StateHead),
+            invalid,
+        ),
+    ];
+    // A value's bytes behind a tombstone: `A` (0x41) is a key head of
+    // shared 8 and a rest of 1, past `a`.
+    let mut tombstone = BytesMut::new();
+    wire::put_varint(&mut tombstone, 2);
+    put_entry(
+        &mut tombstone,
+        (0, b"a"),
+        Some(a.meta),
+        None,
+        Overlong::Nothing,
+    );
+    tombstone.extend_from_slice(b"A");
+    put_entry(&mut tombstone, (0, b"b"), None, b.value, Overlong::Nothing);
+    refused.push(("a tombstone with value bytes", tombstone.to_vec(), invalid));
+    // A value of 1 byte under a head of 2: alone, it runs past the image;
+    // before `b`, it takes `b`'s key head, and `b` (0x62, shared 12) is
+    // read as the key head after it.
+    let mut short = one(Overlong::Nothing, Some(b.meta), Some(b"vw"));
+    short.pop();
+    let what = "a value shorter than its head says";
+    refused.push((what, short, WireError::UnexpectedEof));
+    let mut short = BytesMut::new();
+    wire::put_varint(&mut short, 2);
+    put_entry(
+        &mut short,
+        (0, b"a"),
+        Some(a.meta),
+        Some(b"vw"),
+        Overlong::Nothing,
+    );
+    short.truncate(short.len() - 1);
+    put_entry(&mut short, (0, b"b"), None, b.value, Overlong::Nothing);
+    let what = "a value shorter than its head says, before another";
+    refused.push((what, short.to_vec(), invalid));
+    for pad in Overlong::VECTOR.iter().chain([&Overlong::Nothing]) {
+        let body = two(Some(&vector_image(b, *pad)), *pad);
+        refused.push(("the vector before, written out", body, invalid));
     }
-    for (what, body) in refused {
-        let mut image = BytesMut::new();
-        wire::put_varint(&mut image, 0);
-        image.extend_from_slice(&body);
-        assert_eq!(boot_by_the_oracle(&image).err(), Some(invalid), "{what}");
-        assert_refused_by_every_decoder(&body, invalid);
+    for (what, body, error) in refused {
+        assert_refused_by_all(what, &body, error);
     }
 
-    // One logged entry is an image of one entry: `b`'s state as an image
-    // repeats it is refused there too.
+    // One logged entry is an image of one entry: `b`'s state with an
+    // empty vector field is no state a store wrote, and is refused.
     let mut replayed = KvStore::with_shards(s(0), 4);
     replayed.put("mine", "1");
     let before = replayed.clone();
-    let empty = repeated(&states[1]);
+    let mut empty = store.encode_entry("b").unwrap().to_vec();
+    empty.drain(1..1 + empty[0] as usize);
+    empty[0] = 0;
     assert_eq!(
         replayed.apply_encoded_entry("b", &mut Bytes::from(empty)),
         Err(invalid)
@@ -698,8 +889,12 @@ fn vector_fields(mut body: &[u8]) -> Vec<usize> {
     let mut keys = Ascending::default();
     let fields = (0..n).map(|_| {
         keys.take(&mut body).unwrap();
-        let vector = wire::get_slice(&mut body).unwrap();
-        crate::record::State::canonical(vector, &mut body);
+        let head = canonical_varint(&mut body).unwrap();
+        let vector = match head & 1 {
+            1 => &[][..],
+            _ => wire::get_slice(&mut body).unwrap(),
+        };
+        take_bytes(&mut body, (head >> 1).saturating_sub(1)).unwrap();
         vector.len()
     });
     let fields = fields.collect();
@@ -707,24 +902,54 @@ fn vector_fields(mut body: &[u8]) -> Vec<usize> {
     fields
 }
 
-/// Every strict prefix of a shard image — keys that share prefixes, a
-/// split character, an empty key, a tombstone, vectors written out and
-/// repeated — is refused by both image decoders as cut short, and no
-/// store is touched.
+/// A store whose image writes a head at every edge of a varint: the
+/// golden universe's empty key and its 127- and 128-byte keys, shared
+/// prefixes of 15 and 16 bytes, rests of 6, 7 and 8 bytes, values of 0,
+/// 62, 63, 127, 128 and 300 bytes, a tombstone, a split character, and
+/// vectors written out and repeated.
+fn edge_store() -> KvStore {
+    let mut store = KvStore::with_shards(s(0), 1);
+    let fifteen = "s".repeat(15);
+    let keys = [
+        String::new(),
+        format!("21-{}", "x".repeat(124)),
+        format!("22-{}", "y".repeat(125)),
+        format!("{fifteen}a"),
+        format!("{fifteen}b"),
+        format!("{fifteen}bc"),
+        "u".into(),
+        "u123456".into(),
+        "v".into(),
+        "v1234567".into(),
+        "w".into(),
+        "w12345678".into(),
+        "к".into(),
+        "л".into(),
+    ];
+    let lens = [0, 62, 63, 127, 128, 300];
+    for (at, key) in keys.iter().enumerate() {
+        store.put(key.clone(), vec![at as u8; lens[at % lens.len()]]);
+        if at % 3 == 0 {
+            store.put(key.clone(), vec![at as u8; lens[(at + 1) % lens.len()]]);
+        }
+    }
+    store.delete("u");
+    store
+}
+
+/// Every strict prefix of a shard image — heads at every varint edge
+/// ([`edge_store`]) — is refused by every image decoder as cut short,
+/// and no store is touched.
 #[test]
 fn every_cut_of_an_image_is_refused_by_every_decoder() {
-    let mut store = KvStore::with_shards(s(0), 1);
-    for key in ["", "k1", "k10", "k2", "к", "л"] {
-        store.put(key, vec![3u8; 130]);
-    }
-    store.delete("k10");
+    let store = edge_store();
     let image = store.encode_shard_snapshot(&[0], 1);
-    assert_eq!(vector_fields(&image), [3, 0, 3, 3, 0, 0]);
+    let fields = vector_fields(&image);
+    assert!(fields.contains(&0) && fields.iter().filter(|&&len| len > 0).count() > 1);
     for cut in 0..image.len() {
         assert_refused_by_every_decoder(&image[..cut], WireError::UnexpectedEof);
     }
 }
-
 /// An image read a chunk at a time decodes to the store one chunk does,
 /// whatever the chunk — records straddle every boundary and one record
 /// is longer than most chunks — and `seen` is handed the image, every
@@ -763,9 +988,9 @@ fn a_chunked_read_decodes_what_one_chunk_decodes() {
 }
 
 /// How far an entry reaches is where its decoder stops: exactly its
-/// length once it is whole, and past the end of any strict prefix — the
-/// shared length in front of a key after the first included, and a
-/// vector written out or repeated.
+/// length once it is whole, and past the end of any strict prefix — over
+/// heads at every varint edge ([`edge_store`]), a shared prefix of 200
+/// bytes, a 20 000-byte value, and vectors written out or repeated.
 #[test]
 fn an_entry_reaches_where_its_decoder_stops() {
     let mut store = KvStore::with_shards(s(1), 1);
@@ -776,23 +1001,23 @@ fn an_entry_reaches_where_its_decoder_stops() {
     store.delete("gone");
     let image = store.encode_shard_snapshot(&[0], 1);
     assert_eq!(vector_fields(&image), [3, 3, 3, 0]);
-    let mut rest = &image[1..];
-    let mut entries = ImageEntries::default();
+    let edges = edge_store().encode_shard_snapshot(&[0], 1);
     let mut shared = Vec::new();
-    while !rest.is_empty() {
-        // Past the count's one byte, every entry follows another.
-        let (entry, after) = (rest, rest.len() < image.len() - 1);
-        let (_, state) = entries.take(&mut rest).unwrap();
-        Record::write_state(&mut Vec::new(), "", state).unwrap();
-        let len = entry.len() - rest.len();
-        if after {
-            shared.push(wire::get_varint(&mut &entry[..]).unwrap());
-        }
-        assert_eq!(entry_reach(entry, after), len);
-        for cut in 0..len {
-            let reach = entry_reach(&entry[..cut], after);
-            assert!(reach > cut, "cut {cut} of {len}");
+    for image in [image, edges] {
+        let mut rest = &image[1..];
+        let mut entries = ImageEntries::default();
+        while !rest.is_empty() {
+            let entry = rest;
+            entries.take(&mut rest).unwrap();
+            let len = entry.len() - rest.len();
+            shared.push(wire::get_varint(&mut &entry[..]).unwrap() >> 3);
+            assert_eq!(entry_reach(entry), len);
+            for cut in 0..len {
+                let reach = entry_reach(&entry[..cut]);
+                assert!(reach > cut, "cut {cut} of {len}");
+            }
         }
     }
-    assert_eq!(shared, [0, 0, 200], "each key after the first");
+    assert_eq!(shared[..4], [0, 0, 0, 200], "each key's shared prefix");
+    assert!(shared.contains(&15) && shared.contains(&16));
 }

@@ -59,58 +59,45 @@ fn mangled(bytes: &[u8], rng: &mut SplitMix64) -> Vec<Vec<u8>> {
     out
 }
 
-/// What the oracle makes of `state` under `key`, as the one entry of an
-/// image — the vector built, then written back by `Record::write`; an
-/// empty vector field refused, as the first entry of an image writes its
-/// vector — and how much of it it read.
-fn record_by_the_oracle(key: &str, state: &[u8]) -> (Result<Vec<u8>, WireError>, usize) {
-    let mut field = state;
-    if wire::get_slice(&mut field).is_ok_and(<[u8]>::is_empty) {
-        return (Err(WireError::InvalidPayload), state.len() - field.len());
-    }
+/// What the oracle makes of `state` under `key` — the vector built, then
+/// written back by `Record::write` — if `state` is what a store writes
+/// for it, byte for byte; `None` otherwise.
+fn record_by_the_oracle(key: &str, state: &[u8]) -> Option<Vec<u8>> {
     let mut buf = Bytes::copy_from_slice(state);
-    let decoded = decode_state(&mut buf).map(|(meta, value)| {
-        let mut record = Vec::new();
-        Record::write(&mut record, key, &meta, value.as_deref());
-        record
-    });
-    (decoded, state.len() - buf.len())
+    let (meta, value) = decode_state(&mut buf).ok()?;
+    let mut record = Vec::new();
+    Record::write(&mut record, key, &meta, value.as_deref());
+    let written = buf.is_empty() && record[wire::bytes_len(key.len())..] == *state;
+    written.then_some(record)
 }
 
-/// What `Record::write_state` makes of it as the image reader reads it
-/// — the one entry of an image — and how much of it it read.
-fn record_by_the_writer(key: &str, state: &[u8]) -> (Result<Vec<u8>, WireError>, usize) {
-    let mut entry = Vec::new();
-    wire::put_bytes(&mut entry, key.as_bytes());
-    let keyed = entry.len();
-    entry.extend_from_slice(state);
-    let mut rest = &entry[..];
+/// What the record of `state` under `key` is once an image's writer has
+/// written it as the one entry of an image and the image's reader has
+/// read it back into `Record::write_state`; `None` when the writer
+/// refuses it.
+fn record_by_the_writer(key: &str, state: &[u8]) -> Option<Vec<u8>> {
+    let image = EntryImage::new(std::iter::once((key.as_bytes(), state)))?;
+    let mut bytes = Vec::new();
+    image.write_to(&mut bytes).unwrap();
+    let mut rest = &bytes[1..];
     let mut record = vec![0xee];
     let mut entries = ImageEntries::default();
-    let taken = entries.take(&mut rest);
-    let len = taken.as_ref().map(|(key, state)| state.record_len(key));
-    let written = taken.and_then(|(key, state)| Record::write_state(&mut record, key, state));
-    match written {
-        Ok(()) => {
-            assert_eq!(len.unwrap() + 1, record.len(), "record_len is exact");
-            (Ok(record[1..].to_vec()), entry.len() - rest.len() - keyed)
-        }
-        Err(e) => {
-            assert_eq!(
-                record,
-                [0xee],
-                "a refused state leaves the buffer as it was"
-            );
-            (Err(e), entry.len() - rest.len() - keyed)
-        }
-    }
+    let (key, state) = entries.take(&mut rest).unwrap();
+    assert!(rest.is_empty(), "the entry is read whole");
+    Record::write_state(&mut record, key, state);
+    assert_eq!(
+        state.record_len(key) + 1,
+        record.len(),
+        "record_len is exact"
+    );
+    Some(record[1..].to_vec())
 }
 
-/// The one decoder of an entry's state writes the record the vector
-/// decoder and the encoder write, and refuses what they refuse with the
-/// same error: over every entry of stores driven through the golden
-/// universe, each state written with each varint overlong in turn, a
-/// repeated site and a byte left in the vector field, and every
+/// An image's writer takes exactly the states a store writes, and the
+/// record its reader writes of each is the one the vector decoder and
+/// the encoder write: over every entry of stores driven through the
+/// golden universe, each state written with each varint overlong in
+/// turn, a repeated site and a byte left in the vector field, and every
 /// truncation, byte flip and one-byte insertion of each of them.
 #[test]
 fn the_state_writer_writes_what_decoding_and_encoding_write() {
@@ -129,10 +116,9 @@ fn the_state_writer_writes_what_decoding_and_encoding_write() {
         for store in &stores {
             for (key, view) in store.entries_sorted() {
                 let honest = store.encode_entry(key).unwrap();
-                let (record, read) = record_by_the_writer(key, &honest);
-                assert_eq!(read, honest.len(), "seed {seed}, {key:?}");
-                let (len, exact) = (record.unwrap().len(), store.record(key.as_bytes()));
-                assert_eq!(len, exact.unwrap().bytes().len(), "exact for its own bytes");
+                let record = record_by_the_writer(key, &honest);
+                let exact = store.record(key.as_bytes()).unwrap().bytes();
+                assert_eq!(record.as_deref(), Some(exact), "seed {seed}, {key:?}");
                 for pad in pads {
                     states.push((key.to_owned(), state_image(view, pad).to_vec()));
                 }
@@ -142,14 +128,12 @@ fn the_state_writer_writes_what_decoding_and_encoding_write() {
         states.push(("x".into(), entry_image(&[1, 0, 4, 0x7f]).to_vec()));
         for (key, state) in states {
             for state in std::iter::once(state.clone()).chain(mangled(&state, rng)) {
-                let (by_oracle, read) = record_by_the_oracle(&key, &state);
-                let (by_writer, taken) = record_by_the_writer(&key, &state);
+                let by_oracle = record_by_the_oracle(&key, &state);
+                let by_writer = record_by_the_writer(&key, &state);
                 assert_eq!(by_writer, by_oracle, "seed {seed}, {key:?}: {state:?}");
-                if by_oracle.is_ok() {
-                    assert_eq!(taken, read, "seed {seed}, {key:?}: {state:?}");
-                    written += 1;
-                } else {
-                    refused += 1;
+                match by_oracle {
+                    Some(_) => written += 1,
+                    None => refused += 1,
                 }
             }
         }
@@ -157,10 +141,29 @@ fn the_state_writer_writes_what_decoding_and_encoding_write() {
     assert!(written > 0 && refused > 0, "{written} {refused}");
 }
 
+/// The varint at the front of `buf` if it is as short as it goes.
+fn shortest(buf: &mut Bytes) -> Result<u64, WireError> {
+    let before = buf.len();
+    let value = wire::get_varint(buf)?;
+    match before - buf.len() == wire::varint_len(value) {
+        true => Ok(value),
+        false => Err(WireError::InvalidPayload),
+    }
+}
+
+/// The next `len` bytes of `buf`.
+fn split(buf: &mut Bytes, len: u64) -> Result<Bytes, WireError> {
+    match usize::try_from(len) {
+        Ok(len) if len <= buf.len() => Ok(buf.split_to(len)),
+        _ => Err(WireError::UnexpectedEof),
+    }
+}
+
 /// The store the oracle boots from `image`, and what it left unread:
 /// every key rebuilt from the prefix it shares with the key before and
-/// its rest, every vector decoded — or, for an empty field, the vector
-/// before — and every value decoded, then stored.
+/// its rest, their lengths read off its key head; every vector decoded
+/// — or, where the state head says it repeats, the vector before — and
+/// every value as long as the state head says, then stored.
 pub(super) fn boot_by_the_oracle(image: &[u8]) -> Result<(KvStore, usize), WireError> {
     let mut buf = Bytes::copy_from_slice(image);
     let site = wire::get_site(&mut buf)?;
@@ -169,11 +172,13 @@ pub(super) fn boot_by_the_oracle(image: &[u8]) -> Result<(KvStore, usize), WireE
     let mut before: Option<Vec<u8>> = None;
     let mut vector_before: Option<Srv> = None;
     for _ in 0..n {
-        let shared = match before {
-            Some(_) => wire::get_varint(&mut buf)? as usize,
-            None => 0,
+        let head = shortest(&mut buf)?;
+        let shared = usize::try_from(head / 8).unwrap_or(usize::MAX);
+        let rest = match head % 8 {
+            7 => 7u64.saturating_add(shortest(&mut buf)?),
+            len => len,
         };
-        let rest = wire::get_bytes(&mut buf)?;
+        let rest = split(&mut buf, rest)?;
         let last = before.as_deref().unwrap_or_default();
         let prefix = last.get(..shared).ok_or(WireError::InvalidPayload)?;
         let key = [prefix, &rest].concat();
@@ -182,11 +187,15 @@ pub(super) fn boot_by_the_oracle(image: &[u8]) -> Result<(KvStore, usize), WireE
             return Err(WireError::InvalidPayload);
         }
         let text = std::str::from_utf8(&key).map_err(|_| WireError::InvalidPayload)?;
-        let mut field = wire::get_bytes(&mut buf)?;
-        let meta = match (field.is_empty(), vector_before.take()) {
-            (true, None) => return Err(WireError::InvalidPayload),
-            (true, Some(meta)) => meta,
-            (false, last) => {
+        let head = shortest(&mut buf)?;
+        let meta = match (head % 2, vector_before.take()) {
+            (1, None) => return Err(WireError::InvalidPayload),
+            (1, Some(meta)) => meta,
+            (_, last) => {
+                let mut field = wire::get_bytes(&mut buf)?;
+                if field.is_empty() {
+                    return Err(WireError::InvalidPayload);
+                }
                 let meta = Srv::decode_snapshot(&mut field)?;
                 let again =
                     last.is_some_and(|last| last.encode_snapshot() == meta.encode_snapshot());
@@ -196,13 +205,9 @@ pub(super) fn boot_by_the_oracle(image: &[u8]) -> Result<(KvStore, usize), WireE
                 meta
             }
         };
-        if !buf.has_remaining() {
-            return Err(WireError::UnexpectedEof);
-        }
-        let value = match buf.get_u8() {
+        let value = match head / 2 {
             0 => None,
-            1 => Some(wire::get_bytes(&mut buf)?),
-            _ => return Err(WireError::InvalidPayload),
+            code => Some(split(&mut buf, code - 1)?),
         };
         store.insert(text, meta.clone(), value.as_deref());
         before = Some(key);

@@ -1,6 +1,7 @@
 //! One stored entry as the bytes a store holds for it, and the only
 //! code that knows that layout: its one writer from a vector, its one
-//! writer from a state an image's reader read off the wire, and the
+//! writer from a state an image's reader read off the wire, the one
+//! strict reading of a state an image's writer is handed, and the
 //! re-encoding of a vector read off the wire that the reader runs.
 
 use bytes::BufMut;
@@ -14,11 +15,13 @@ use optrep_core::{wire, RotatingVector, Srv};
 /// ([`KvStore::encode_entry`](crate::KvStore::encode_entry)): the
 /// length-prefixed vector snapshot, a one-byte tag (`0` a tombstone, `1`
 /// a value) and, behind tag 1, the length-prefixed value. An image — a
-/// snapshot's, a plan's, a log record's — front-codes the key, writes the
-/// vector only where it is not the vector of the record before it, and
-/// copies the rest. Reading a field is a walk over length prefixes
-/// ([`Record::view`]); an [`Srv`] exists only while a vector is being
-/// operated on and is encoded back before it is stored.
+/// snapshot's, a plan's, a log record's — writes no tag and no length
+/// of its own: two heads an entry ([`EntryImage`](crate::EntryImage))
+/// carry the key's shared and rest lengths and the value's length with
+/// whether the vector is the record before's, written only where it is
+/// not; the bytes are copied. Reading a field is a walk over length
+/// prefixes ([`Record::view`]); an [`Srv`] exists only while a vector is
+/// being operated on and is encoded back before it is stored.
 ///
 /// A page holds its records back to back, so the key lives inside the
 /// record and a record's length is read off its own length prefixes
@@ -35,8 +38,11 @@ use optrep_core::{wire, RotatingVector, Srv};
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Record<'a>(&'a [u8]);
 
-/// A stored entry's state, borrowed from its [`Record`]: the vector's
-/// snapshot bytes and the value (`None` a tombstone).
+/// An entry's state: the vector's snapshot bytes and the value (`None`
+/// a tombstone), borrowed from its [`Record`], from a state handed to an
+/// image's writer ([`View::of_state`]), or from an image as its reader
+/// read it, the vector made canonical — what [`Record::write_state`]
+/// writes a record from.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct View<'a> {
     pub(crate) meta: &'a [u8],
@@ -95,33 +101,22 @@ impl<'a> Record<'a> {
     }
 
     /// Appends the record of `key` holding `state` to `buf` — the buffer
-    /// it is to live in, reserved for [`State::record_len`] bytes by the
+    /// it is to live in, reserved for [`View::record_len`] bytes by the
     /// caller — without building its vector: the key, the vector an
     /// image's reader made canonical and the value are copied, so the
     /// record is what [`write`](Self::write) writes for the state. Boot,
     /// log replay and a join's image all come through here, each state
     /// read by [`ImageEntries`](crate::codec::ImageEntries).
-    ///
-    /// # Errors
-    ///
-    /// The value's, as the image's reader met it. `buf` is then left as
-    /// it was.
-    pub(crate) fn write_state(
-        buf: &mut Vec<u8>,
-        key: &str,
-        state: State<'_>,
-    ) -> Result<(), WireError> {
-        let value = state.value?;
+    pub(crate) fn write_state(buf: &mut Vec<u8>, key: &str, state: View<'_>) {
         wire::put_bytes(buf, key.as_bytes());
         wire::put_bytes(buf, state.meta);
-        match value {
+        match state.value {
             Some(v) => {
                 buf.put_u8(1);
                 wire::put_bytes(buf, v);
             }
             None => buf.put_u8(0),
         }
-        Ok(())
     }
 
     /// The key of the record at the front of `bytes`, read without a
@@ -197,52 +192,67 @@ pub(crate) fn recode_vector(out: &mut Vec<u8>, mut meta: &[u8]) -> Result<(), Wi
     Ok(())
 }
 
-/// One entry's state as an image carries it, its vector made canonical
-/// by the image's reader — the vector snapshot, then the value behind a
-/// one-byte tag — with its fields found and nothing decoded: what
-/// [`Record::write_state`] writes a record from.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct State<'a> {
-    /// What [`Record::write`] writes for the vector.
-    meta: &'a [u8],
-    /// The value, or why it does not read.
-    value: Result<Option<&'a [u8]>, WireError>,
+/// The varint at the front of `bytes`, taken off it, if it is written
+/// as short as it goes: what every encoder writes.
+///
+/// # Errors
+///
+/// [`wire::get_varint`]'s, then [`WireError::InvalidPayload`] for an
+/// overlong one.
+pub(crate) fn canonical_varint(bytes: &mut &[u8]) -> Result<u64, WireError> {
+    let before = bytes.len();
+    let value = wire::get_varint(bytes)?;
+    if before - bytes.len() != wire::varint_len(value) {
+        return Err(WireError::InvalidPayload);
+    }
+    Ok(value)
 }
 
-impl<'a> State<'a> {
-    /// The state of canonical vector bytes `meta` and the tagged value at
-    /// the front of `bytes`, taken off it: an image's entry once its
-    /// reader has read the vector.
-    pub(crate) fn canonical<'b: 'a>(meta: &'a [u8], bytes: &mut &'b [u8]) -> Self {
-        State {
-            meta,
-            value: take_value(bytes),
-        }
+/// The length-prefixed field at the front of `bytes`, its prefix as
+/// short as it goes, taken off it.
+fn canonical_field<'b>(bytes: &mut &'b [u8]) -> Option<&'b [u8]> {
+    let len = usize::try_from(canonical_varint(bytes).ok()?).ok()?;
+    let field = bytes.get(..len)?;
+    *bytes = &bytes[len..];
+    Some(field)
+}
+
+impl<'a> View<'a> {
+    /// The state `state` holds if it is laid out as [`Record::write`]
+    /// writes one — the vector's field and, behind tag 1, the value's,
+    /// each length as short as it goes, and nothing behind them — and
+    /// its vector is no empty field; else `None`. The vector is found,
+    /// not decoded ([`written_vector`](Self::written_vector) decodes it).
+    pub(crate) fn of_state(mut state: &'a [u8]) -> Option<Self> {
+        let meta = canonical_field(&mut state).filter(|meta| !meta.is_empty())?;
+        let value = match state.split_first()? {
+            (0, rest) => {
+                state = rest;
+                None
+            }
+            (1, rest) => {
+                state = rest;
+                Some(canonical_field(&mut state)?)
+            }
+            _ => return None,
+        };
+        state.is_empty().then_some(View { meta, value })
+    }
+
+    /// Whether the vector is what [`Record::write`] writes for the
+    /// vector it decodes to, re-encoded in `scratch`.
+    pub(crate) fn written_vector(&self, scratch: &mut Vec<u8>) -> bool {
+        scratch.clear();
+        recode_vector(scratch, self.meta).is_ok() && scratch[..] == *self.meta
     }
 
     /// The length of the record [`Record::write_state`] writes of this
     /// state under `key`.
     pub(crate) fn record_len(&self, key: &str) -> usize {
-        let value = match self.value {
-            Ok(Some(v)) => wire::bytes_len(v.len()),
-            _ => 0,
-        };
+        let value = self.value.map_or(0, |v| wire::bytes_len(v.len()));
         wire::bytes_len(key.len()) + wire::bytes_len(self.meta.len()) + 1 + value
     }
-}
 
-/// Takes the tagged value at the front of `bytes` off it.
-fn take_value<'b>(bytes: &mut &'b [u8]) -> Result<Option<&'b [u8]>, WireError> {
-    let (&tag, rest) = bytes.split_first().ok_or(WireError::UnexpectedEof)?;
-    *bytes = rest;
-    match tag {
-        0 => Ok(None),
-        1 => wire::get_slice(bytes).map(Some),
-        _ => Err(WireError::InvalidPayload),
-    }
-}
-
-impl View<'_> {
     /// The vector, materialised: a working copy to operate on.
     pub(crate) fn srv(&self) -> Srv {
         let mut meta = self.meta;

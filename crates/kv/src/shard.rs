@@ -3,9 +3,8 @@
 //! [`Shard::append`] — and the walks over a store's shards: in no order,
 //! or in key order as one merge of the shards' sorted pages.
 
-use crate::record::{entry_hash, Record, State, View};
+use crate::record::{entry_hash, Record, View};
 use crate::KvStore;
-use optrep_core::error::WireError;
 use optrep_core::{RotatingVector, SiteId, Srv};
 use optrep_replication::planner::{shard_of, Cut, ShardDigest};
 use std::cmp::Ordering;
@@ -575,11 +574,7 @@ impl Run {
     /// Writes the record of `key`, a key above every key pushed before
     /// it, holding `state` behind those records — into the open page, or
     /// into a new one when it does not fit there.
-    ///
-    /// # Errors
-    ///
-    /// The state's, as [`Record::write_state`] refuses it.
-    pub(crate) fn push(&mut self, key: &str, state: State<'_>) -> Result<(), WireError> {
+    pub(crate) fn push(&mut self, key: &str, state: View<'_>) {
         let len = state.record_len(key);
         if self.open_records > 0 && !fits(self.open_records + 1, self.open.len() + len) {
             self.seal();
@@ -588,10 +583,9 @@ impl Run {
         // shards' open pages hold nothing beyond their records, and it
         // is a page as it stands.
         self.open.reserve_exact(len);
-        Record::write_state(&mut self.open, key, state)?;
+        Record::write_state(&mut self.open, key, state);
         self.open_records += 1;
         self.len += 1;
-        Ok(())
     }
 
     /// Closes the open page: its buffer, exactly sized, becomes a page

@@ -2,6 +2,7 @@ use super::*;
 use crate::tests::{s, unplanned_pull};
 use crate::{ChunkReader, KvSyncReport};
 use bytes::Bytes;
+use optrep_core::error::WireError;
 use optrep_core::rng::{cases, SplitMix64};
 use optrep_core::RotatingVector;
 use std::collections::BTreeMap;
@@ -192,10 +193,9 @@ impl Model {
 fn push(run: &mut Run, key: &str, meta: &Srv, value: Option<&[u8]>) {
     let mut record = Vec::new();
     Record::write(&mut record, key, meta, value);
-    let mut state = Record::split_first(&record).0.split().1;
-    let vector = optrep_core::wire::get_slice(&mut state).unwrap();
-    run.push(key, State::canonical(vector, &mut state)).unwrap();
-    assert!(state.is_empty());
+    let (record, rest) = Record::split_first(&record);
+    assert!(rest.is_empty());
+    run.push(key, record.view());
 }
 
 /// The store against the model after a step: every page within the

@@ -267,38 +267,40 @@ fn a_one_site_key_is_its_record_in_a_page_of_sixteen_and_at_most_64_bytes() {
     }
 }
 
-/// A checkpoint is the records, each key front-coded, each vector written
-/// only where it is not the vector before and the rest of each state
-/// copied: the image is summed before it is written, so it is written
-/// into one buffer of its size — not grown there through a buffer twice
-/// as large — by a merge of the shards' sorted sets, which holds a cursor
-/// a shard and no list of the records.
+/// A checkpoint is the records, each behind a key head and a state head,
+/// each vector written only where it is not the vector before and the
+/// value copied: the image is summed before it is written, so it is
+/// written into one buffer of its size — not grown there through a
+/// buffer twice as large — by a merge of the shards' sorted sets, which
+/// holds a cursor a shard and no list of the records.
 #[test]
 fn a_snapshot_is_one_buffer_of_its_size_and_a_merge() {
     let store = written(KvStore::with_shards(SiteId::new(1), 16), Some(32));
     LARGEST.with(|largest| largest.set(0));
     let (image, grown) = measure(|| store.encode_snapshot());
     let largest = LARGEST.with(Cell::get);
-    // A record: after the first, the length of the prefix its key shares
-    // with the key before it (one byte: a key is 8); the rest of the key
-    // behind its one-byte length; then the state — the vector's field,
-    // on the first record its length and one site (count, site, value)
-    // 4 B and on every other, the same vector again, its empty length
-    // 1 B; the tag, and the 32 B value behind its length.
-    let value = 1 + (1 + 32);
+    // A record: its key head, one byte (a shared prefix below 16 bytes
+    // and the rest's length below 7, or 7 and the rest's length less 7
+    // behind it — only the first key's rest, 8 B, needs that); the rest
+    // of the key; its state head, one byte (a 32 B value: 33 << 1 and
+    // whether the vector repeats); on the first record the vector's field,
+    // its length and one site (count, site, value) 4 B, and on every
+    // other nothing, the same vector again; and the 32 B value.
+    let value = 1 + 32;
     let mut before: Option<String> = None;
     let records: usize = (0..KEYS)
         .map(|i| {
             let key = format!("k{i:07}");
-            let (lead, rest, vector) = match &before {
+            let (rest, vector) = match &before {
                 Some(before) => {
                     let shared = key.bytes().zip(before.bytes()).take_while(|(a, b)| a == b);
-                    (1, key.len() - shared.count(), 1)
+                    (key.len() - shared.count(), 0)
                 }
-                None => (0, key.len(), 1 + 3),
+                None => (key.len(), 1 + 3),
             };
             before = Some(key);
-            lead + (1 + rest) + vector + value
+            let escape = usize::from(rest >= 7);
+            1 + escape + rest + vector + value
         })
         .sum();
     assert_eq!(image.len(), 1 + 2 + records, "site, count, records");

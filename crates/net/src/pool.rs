@@ -401,19 +401,23 @@ mod tests {
         let magic = wire::HANDSHAKE_MAGIC.len();
         assert_eq!(preamble[..magic], wire::HANDSHAKE_MAGIC);
         assert_eq!(preamble[magic], HANDSHAKE_VERSION);
-        assert_eq!(HANDSHAKE_VERSION, 11);
+        assert_eq!(HANDSHAKE_VERSION, 12);
         let decoded = Handshake::decode(&mut preamble.clone()).expect("decode");
         assert_eq!((decoded.site, decoded.intent), (12, Intent::Peer));
         // A version-10 end's preamble — a plan that flags its proposed
-        // shards under their own tag — is refused, naming both versions.
-        let mut older = preamble.to_vec();
-        older[magic] = 10;
-        assert_eq!(
-            Handshake::decode(&mut Bytes::from(older)),
-            Err(WireError::UnsupportedVersion {
-                ours: HANDSHAKE_VERSION,
-                theirs: 10,
-            })
-        );
+        // shards under their own tag — and a version-11 end's — a plan's
+        // image written five fields an entry — are refused, naming both
+        // versions.
+        for theirs in [10, 11] {
+            let mut older = preamble.to_vec();
+            older[magic] = theirs;
+            assert_eq!(
+                Handshake::decode(&mut Bytes::from(older)),
+                Err(WireError::UnsupportedVersion {
+                    ours: HANDSHAKE_VERSION,
+                    theirs,
+                })
+            );
+        }
     }
 }

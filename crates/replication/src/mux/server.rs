@@ -402,24 +402,40 @@ impl Endpoint for BatchPullServer {
 /// A key with an empty vector: its stream would carry no element to
 /// open it. (A store pushes only keys it wrote.)
 pub fn write_push(records: &[(Bytes, Srv, Bytes)], out: &mut BytesMut) -> Result<u64> {
-    if records.is_empty() {
-        return Ok(0);
-    }
     if records.iter().any(|(_, vector, _)| vector.is_empty()) {
         return Err(violation("a push of a key with an empty vector"));
     }
-    let names = records.iter().map(|(name, ..)| name.clone()).collect();
-    Framed::new(CONTROL_STREAM, MuxMsg::Ctrl(CtrlMsg::BatchPush { names })).encode(out);
-    let session = |stream, msg| Framed::new(stream, MuxMsg::Session(msg));
-    for (stream, (_, vector, value)) in (1..).zip(records) {
-        for element in vector.iter() {
-            let element = SessionMsg::Vector(Srv::element_msg(element));
-            session(stream, element).encode(out);
-        }
-        let data = value.clone();
-        session(stream, SessionMsg::Payload { data }).encode(out);
-    }
+    push_frames(records).for_each(|frame| frame.encode(out));
     Ok(records.len() as u64)
+}
+
+/// How many bytes [`write_push`] writes for `records`: its frames'
+/// [`Framed::encoded_len`], summed without writing them — what a planning
+/// turn reserves for the push behind its plan.
+pub(crate) fn push_len(records: &[(Bytes, Srv, Bytes)]) -> usize {
+    push_frames(records).map(|frame| frame.encoded_len()).sum()
+}
+
+/// The frames of the push of `records`, in the order [`write_push`]
+/// writes them; none for no records.
+fn push_frames(records: &[(Bytes, Srv, Bytes)]) -> impl Iterator<Item = Framed<MuxMsg>> + '_ {
+    let names = (!records.is_empty()).then(|| {
+        let names = records.iter().map(|(name, ..)| name.clone()).collect();
+        Framed::new(CONTROL_STREAM, MuxMsg::Ctrl(CtrlMsg::BatchPush { names }))
+    });
+    let session = |stream, msg| Framed::new(stream, MuxMsg::Session(msg));
+    let streams = (1..)
+        .zip(records)
+        .flat_map(move |(stream, (_, vector, value))| {
+            let elements = (vector.iter())
+                .map(move |e| session(stream, SessionMsg::Vector(Srv::element_msg(e))));
+            let data = value.clone();
+            elements.chain(std::iter::once(session(
+                stream,
+                SessionMsg::Payload { data },
+            )))
+        });
+    names.into_iter().chain(streams)
 }
 
 /// What a [`serve_frame`] call concluded about the contact.

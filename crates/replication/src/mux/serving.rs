@@ -2,11 +2,14 @@
 //! state in front of [`serve_frame`] that decides which endpoint a
 //! contact runs against, and the blocking pumps around both.
 
-use super::msg::{marker_fin, planning_violation, put_marker, CONTROL_STREAM, TURN_STREAM};
+use super::msg::{
+    marker_fin, planning_violation, put_marker, CONTROL_STREAM, MARKER_LEN, TURN_STREAM,
+};
+use super::server::push_len;
 use super::{serve_frame, write_push, BatchPullServer, ServeStep};
 use crate::planner::{
-    kept_as_sent, plan_frame, shards_of, ChildDigests, Cut, DigestVector, Offer, ShardDigest,
-    ShardPlan, ShardScope, VectorMemory, TAG_SHARD_DIGESTS, TAG_SHARD_DIGESTS_DELTA,
+    kept_as_sent, plan_frame_before, shards_of, ChildDigests, Cut, DigestVector, Offer,
+    ShardDigest, ShardPlan, ShardScope, VectorMemory, TAG_SHARD_DIGESTS, TAG_SHARD_DIGESTS_DELTA,
     TAG_SHARD_SCOPE,
 };
 use bytes::{Bytes, BytesMut};
@@ -393,9 +396,7 @@ impl Serving {
                     // The plan and the push leave in one burst, once the
                     // puller passes the turn; the push is held as bytes
                     // alone, and the plan's image only in its frame.
-                    let mut parked = plan_frame(&plan);
-                    let pushed = write_push(&push, &mut parked)?;
-                    put_marker(&mut parked, false);
+                    let (parked, pushed) = burst(&plan, &push)?;
                     self.parked = Some(parked);
                     let whole = plan.bulk.iter().chain(&plan.proposed).copied();
                     self.planned = Some(Box::new(Planned {
@@ -429,6 +430,16 @@ impl Serving {
     }
 }
 
+/// A planning turn's burst: the plan's frame, the push behind it and the
+/// turn marker, written into one buffer of their exact size — sized
+/// first, not grown by doubling — and how many keys it pushed.
+fn burst(plan: &ShardPlan, push: &[(Bytes, Srv, Bytes)]) -> Result<(BytesMut, u64)> {
+    let mut parked = plan_frame_before(plan, push_len(push) + MARKER_LEN);
+    let pushed = write_push(push, &mut parked)?;
+    put_marker(&mut parked, false);
+    Ok((parked, pushed))
+}
+
 /// Asks `source` for a contact's endpoint.
 fn endpoint_from(
     source: &mut ContactSource<'_>,
@@ -439,5 +450,51 @@ fn endpoint_from(
         ContactAnswer::Plan(..) => Err(planning_violation(
             "the source answered a plan where the endpoint was due".into(),
         )),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::mux::fixtures::{name, vec_with};
+    use crate::planner::plan_frame;
+
+    /// A planning turn's burst is the plan's frame, the push and the
+    /// marker, byte for byte, written into the one buffer reserved for
+    /// them before the first is written: the buffer is never moved or
+    /// grown, and it ends full. Pushes of no key, one, and hundreds of
+    /// keys with vectors of one to three elements and values up to 300 B.
+    #[test]
+    fn a_burst_is_written_into_one_buffer_of_its_size() {
+        let plan = ShardPlan {
+            count: 4,
+            bulk: vec![1, 3],
+            image: Some(Bytes::from(vec![7u8; 900])),
+            ..ShardPlan::default()
+        };
+        for keys in [0usize, 1, 3, 400] {
+            let push: Vec<(Bytes, Srv, Bytes)> = (0..keys)
+                .map(|i| {
+                    let sites: Vec<u32> = (0..=(i % 3) as u32).collect();
+                    (name(i), vec_with(&sites), Bytes::from(vec![b'x'; i % 301]))
+                })
+                .collect();
+            let mut expected = plan_frame(&plan);
+            write_push(&push, &mut expected).unwrap();
+            put_marker(&mut expected, false);
+
+            let mut parked = plan_frame_before(&plan, push_len(&push) + MARKER_LEN);
+            let (at, capacity) = (parked.as_ptr(), parked.capacity());
+            assert_eq!(write_push(&push, &mut parked).unwrap(), keys as u64);
+            put_marker(&mut parked, false);
+            assert_eq!(parked, expected, "{keys} keys");
+            assert_eq!(
+                (parked.as_ptr(), parked.capacity()),
+                (at, capacity),
+                "{keys} keys"
+            );
+            assert_eq!(parked.len(), capacity, "{keys} keys");
+            assert_eq!(burst(&plan, &push).unwrap(), (expected, keys as u64));
+        }
     }
 }

@@ -296,9 +296,14 @@ fn payload(msg: &impl ControlMsg) -> Bytes {
 ///
 /// Panics if `msg` writes other than its [`encoded_len`](ControlMsg::encoded_len).
 fn control_frame(msg: &impl ControlMsg) -> BytesMut {
+    control_frame_before(msg, MARKER_LEN)
+}
+
+/// [`control_frame`] in a buffer with room for `behind` more bytes.
+fn control_frame_before(msg: &impl ControlMsg, behind: usize) -> BytesMut {
     let len = msg.encoded_len();
     let frame = wire::Frame::encoded_len(CONTROL_STREAM, len);
-    let mut buf = BytesMut::with_capacity(frame + MARKER_LEN);
+    let mut buf = BytesMut::with_capacity(frame + behind);
     wire::put_varint(&mut buf, CONTROL_STREAM);
     wire::put_varint(&mut buf, len as u64);
     msg.put(&mut buf);
@@ -318,6 +323,12 @@ pub fn digest_vector_frame(digests: &DigestVector) -> BytesMut {
 /// Encodes a [`ShardPlan`] as a control-stream frame (no marker).
 pub fn plan_frame(plan: &ShardPlan) -> BytesMut {
     control_frame(plan)
+}
+
+/// [`plan_frame`] in one buffer with room for `behind` more bytes: the
+/// push and the marker a planning turn writes behind its plan.
+pub(crate) fn plan_frame_before(plan: &ShardPlan, behind: usize) -> BytesMut {
+    control_frame_before(plan, behind)
 }
 
 /// Encodes a [`ShardScope`] as a control-stream frame (no marker).

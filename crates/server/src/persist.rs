@@ -18,20 +18,26 @@
 //! value) and idempotent, and it never needs the resolver — whatever a
 //! reconciliation decided is already in the logged state.
 //!
-//! Record layout (log version 2), reusing the repo's varint framing
+//! Record layout (log version 3), reusing the repo's varint framing
 //! ([`wire`]):
 //!
 //! ```text
 //! varint seq | bytes payload | varint fnv64(seq, payload)
 //! payload: varint n | n × entry, keys strictly ascending   (kv::EntryImage)
-//! entry:   varint shared | bytes rest of key | bytes vector | tag | value
-//!          (no shared on the first; an empty vector: the entry before's)
+//! entry:   varint(shared << 3 | min(rest, 7)) | [varint(rest − 7)] | rest of key
+//!          varint(value_code << 1 | repeats) | [bytes vector] | value
+//!          (value_code 0 a tombstone, len + 1 a value; the vector only
+//!           where it is not the entry before's; the first shares nothing)
 //! ```
 //!
 //! A payload is an image, the body a snapshot's image and a plan's bulk
 //! shards are, and it is read back the one way they are
 //! ([`KvStore::apply_image`]). A record that lists a key twice or out of
-//! order, or writes a vector any way but the writer's, is corrupt.
+//! order, writes a head longer than it goes or a vector any way but the
+//! writer's, is corrupt. An append writes only states a store writes —
+//! [`KvStore::encode_entry`]'s, each read as the image's writer reads it
+//! — and refuses any other before writing a byte, so no acknowledged
+//! record refuses recovery.
 //!
 //! Replay tolerates exactly one failure shape: a record that runs past
 //! end-of-file — a *torn tail*, the footprint of a crash mid-append —
@@ -52,7 +58,10 @@
 //! any other version is refused by name, undecoded: a version-1 log
 //! listed each key whole and each state behind a length of its own, a
 //! version-1 snapshot each key whole and a version-2 snapshot each
-//! vector.
+//! vector; a version-2 log's records and a version-3 snapshot's image
+//! wrote each entry's shared length, rest length, vector field, tag and
+//! value length as fields of their own, a repeated vector as an empty
+//! field.
 //!
 //! Neither the log nor the snapshot is ever held whole. An append walks
 //! the commit's entries where they lie — a daemon's, in its store — once
@@ -105,8 +114,8 @@ pub const SNAPSHOT_FILE: &str = "snapshot";
 
 const WAL_MAGIC: [u8; 4] = *b"OPWL";
 const SNAPSHOT_MAGIC: [u8; 4] = *b"OPSN";
-const WAL_VERSION: u8 = 2;
-const SNAPSHOT_VERSION: u8 = 3;
+const WAL_VERSION: u8 = 3;
+const SNAPSHOT_VERSION: u8 = 4;
 
 /// What a snapshot or a log is read in, and a snapshot or a log record
 /// written through: the memory a checkpoint, a boot or an append holds
@@ -638,6 +647,8 @@ impl Persist {
     ///
     /// # Errors
     ///
+    /// [`io::ErrorKind::InvalidInput`], and nothing appended, for a state
+    /// no store writes (see [`append_entries`](Self::append_entries)).
     /// The underlying write or fsync failure. The in-memory commit has
     /// already happened; the caller reports the durability failure
     /// instead of acknowledging.
@@ -661,8 +672,8 @@ impl Persist {
     /// # Errors
     ///
     /// [`io::ErrorKind::InvalidInput`], and nothing appended, when a key
-    /// does not follow every key before it; else as
-    /// [`append`](Self::append).
+    /// does not follow every key before it or a state is not one a store
+    /// writes ([`EntryImage::new`]); else as [`append`](Self::append).
     pub fn append_entries<K: AsRef<[u8]>, E: AsRef<[u8]>>(
         &mut self,
         changed: impl Iterator<Item = (K, E)> + Clone,
@@ -670,7 +681,7 @@ impl Persist {
         let image = EntryImage::new(changed).ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::InvalidInput,
-                "a log record lists its keys strictly ascending",
+                "a log record lists its keys strictly ascending, each with a state a store writes",
             )
         })?;
         let record = write_commit(&mut *self.wal, self.seq + 1, image)? as u64;
