@@ -309,6 +309,25 @@ impl RotCore {
         }
     }
 
+    /// Writes what [`put_snapshot`](Self::put_snapshot) appends into
+    /// `out`, a buffer of exactly [`snapshot_len`](Self::snapshot_len)
+    /// bytes: for a caller that keeps a short snapshot where no `BufMut`
+    /// reaches, such as an inline buffer on the stack.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is not [`snapshot_len`](Self::snapshot_len) bytes.
+    pub fn write_snapshot(&self, mut out: &mut [u8]) {
+        let mut write =
+            |value| wire::write_varint(&mut out, value).expect("a buffer of the length");
+        write(self.len() as u64);
+        for e in self.iter() {
+            write(u64::from(e.site.index()));
+            write(packed(&e));
+        }
+        assert!(out.is_empty(), "a buffer of the snapshot's length");
+    }
+
     /// The number of bytes [`put_snapshot`](Self::put_snapshot) writes.
     pub fn snapshot_len(&self) -> usize {
         let elements = self

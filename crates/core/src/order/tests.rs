@@ -519,6 +519,9 @@ fn snapshot_len_is_what_put_snapshot_writes() {
         core.put_snapshot(&mut written);
         assert_eq!(written.len(), core.snapshot_len(), "seed {seed}");
         assert_eq!(written, core.encode_snapshot(), "seed {seed}");
+        let mut into = vec![0; written.len()];
+        core.write_snapshot(&mut into);
+        assert_eq!(into, written, "seed {seed}");
         // A slice decodes like a `Bytes`.
         let mut slice = &written[..];
         let decoded = RotCore::decode_snapshot(&mut slice).unwrap();

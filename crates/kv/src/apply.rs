@@ -1,9 +1,11 @@
 //! The one commit path: a finished contact's outcomes and a plan's
 //! bulk image, staged whole and then applied.
 
-use crate::codec::{decode_value, ImageEntries};
-use crate::record::{entry_hash, Record};
-use crate::shard::{shard_index, Merge, Records, Run};
+#[cfg(test)]
+use crate::codec::encode_state;
+use crate::codec::{decode_value, hand, Entries, Entry, ImageEntries};
+use crate::record::{entry_hash, Key, View};
+use crate::shard::{shard_index, Cursor, Merge, Records, Run};
 use crate::{KvStore, KvSyncReport, Resolver, Value};
 use bytes::Bytes;
 use optrep_core::error::WireError;
@@ -48,60 +50,111 @@ enum Filled {
 impl Committed {
     /// Every entry the commit changed, as `store` holds it — the store
     /// the commit was made on, changed by nothing since: each key and its
-    /// post-state ([`KvStore::encoded_entry`]), in key order and each key
-    /// once. What a daemon logs of the commit, as the image of one record
-    /// ([`EntryImage`](crate::EntryImage)), read where each entry lies:
-    /// one merge ([`Merge`]) of a cursor over the contact's keys and one
-    /// over each filled shard's records or merged keys, so a join names
-    /// the shards it filled, not a key each.
+    /// post-state, handed over as the parts its page holds, in key order
+    /// and each key once. What a daemon logs of the commit, as the image
+    /// of one record ([`EntryImage`](crate::EntryImage)), read where each
+    /// entry lies: one merge ([`Merge`]) of a cursor over the contact's
+    /// keys and one over each filled shard's records or merged keys, so a
+    /// join names the shards it filled, not a key each.
     ///
     /// # Panics
     ///
-    /// Panics if `store` no longer tracks a key the commit changed.
-    pub fn entries<'s>(
-        &'s self,
-        store: &'s KvStore,
-    ) -> impl Iterator<Item = (&'s str, &'s [u8])> + Clone + 's {
-        let filled = self.filled.iter().map(move |filled| match filled {
-            Filled::Shard(shard) => Cursor::Shard(store.shards[*shard].records()),
-            Filled::Merged(keys) => Cursor::Keys(keys.iter(), store),
+    /// A walk of them panics if `store` no longer tracks a key the
+    /// commit changed.
+    pub fn entries<'s>(&'s self, store: &'s KvStore) -> impl Entries + 's {
+        Changed {
+            committed: self,
+            store,
+        }
+    }
+
+    /// The keys of [`entries`](Self::entries), copied out, in key order.
+    pub fn keys(&self, store: &KvStore) -> Vec<String> {
+        let mut keys = Vec::new();
+        let Ok(()) = self.entries(store).each(|entry| {
+            let key = std::str::from_utf8(entry.key()).expect("a stored key is UTF-8");
+            keys.push(key.to_owned());
+            Ok::<_, std::convert::Infallible>(())
         });
-        let cursors = std::iter::once(Cursor::Keys(self.changed.iter(), store)).chain(filled);
+        keys
+    }
+}
+
+/// What a commit changed, on the store it was made on
+/// ([`Committed::entries`]).
+struct Changed<'s> {
+    committed: &'s Committed,
+    store: &'s KvStore,
+}
+
+impl Entries for Changed<'_> {
+    fn each<X>(
+        &self,
+        mut each: impl FnMut(Entry<'_>) -> std::result::Result<(), X>,
+    ) -> std::result::Result<(), X> {
+        let store = self.store;
+        let filled = self
+            .committed
+            .filled
+            .iter()
+            .map(move |filled| match filled {
+                Filled::Shard(shard) => Changes::Shard(store.shards[*shard].records()),
+                Filled::Merged(keys) => Changes::Keys(keys.iter(), store, None),
+            });
+        let keys = Changes::Keys(self.committed.changed.iter(), store, None);
+        let merge = Merge::new(std::iter::once(keys).chain(filled));
         // A key both the contact and the image changed — no honest source
         // sends one — is held once, and named once.
-        let mut last: Option<&[u8]> = None;
-        let once = move |record: &Record<'s>| {
-            let key = Some(record.key_bytes());
-            std::mem::replace(&mut last, key) != key
-        };
-        Merge::new(cursors)
-            .filter(once)
-            .map(|record| (record.entry().0, record.split().1))
+        let mut last: Option<Key> = None;
+        hand(merge, |entry| {
+            if last
+                .as_ref()
+                .is_some_and(|last| last.as_slice() == entry.key())
+            {
+                return Ok(());
+            }
+            last.get_or_insert_default().set(entry.key());
+            each(entry)
+        })
     }
 }
 
 /// The records of some of a commit's changed keys, in key order: a
 /// list's, each looked up in the store, or a filled shard's, walked.
-#[derive(Clone)]
-enum Cursor<'s> {
-    Keys(std::slice::Iter<'s, String>, &'s KvStore),
+enum Changes<'s> {
+    Keys(
+        std::slice::Iter<'s, String>,
+        &'s KvStore,
+        Option<(&'s [u8], View<'s>)>,
+    ),
     Shard(Records<'s>),
 }
 
-impl<'s> Iterator for Cursor<'s> {
-    type Item = Record<'s>;
-
-    fn next(&mut self) -> Option<Record<'s>> {
+impl<'s> Cursor<'s> for Changes<'s> {
+    fn step(&mut self) -> bool {
         match self {
-            Cursor::Keys(keys, store) => {
-                let key = keys.next()?;
-                Some(
-                    store
-                        .record(key.as_bytes())
-                        .expect("a changed key is tracked"),
-                )
+            Changes::Keys(keys, store, at) => {
+                *at = keys.next().map(|key| {
+                    let view = store.view(key.as_bytes());
+                    (key.as_bytes(), view.expect("a changed key is tracked"))
+                });
+                at.is_some()
             }
-            Cursor::Shard(records) => records.next(),
+            Changes::Shard(records) => records.step(),
+        }
+    }
+
+    fn key(&self) -> &[u8] {
+        match self {
+            Changes::Keys(.., at) => at.expect("stepped to").0,
+            Changes::Shard(records) => records.key(),
+        }
+    }
+
+    fn view(&self) -> View<'s> {
+        match self {
+            Changes::Keys(.., at) => at.expect("stepped to").1,
+            Changes::Shard(records) => records.view(),
         }
     }
 }
@@ -171,8 +224,8 @@ impl KvStore {
         plan: &ShardPlan,
     ) -> Result<(KvSyncReport, Vec<String>)> {
         let committed = self.apply_planned(resolver, client, contact, plan)?;
-        let changed = committed.entries(self).map(|(key, _)| key.to_owned());
-        Ok((committed.report, changed.collect()))
+        let changed = committed.keys(self);
+        Ok((committed.report, changed))
     }
 
     /// [`apply_planned_tracked`](Self::apply_planned_tracked), and which
@@ -313,7 +366,7 @@ impl KvStore {
                     return Err(WireError::InvalidPayload);
                 }
                 // A key a racing write reached first keeps that write.
-                if self.record(bytes).is_none() {
+                if self.view(bytes).is_none() {
                     runs[shard_index(bytes, physical)].push(key, state);
                 }
             }
@@ -391,10 +444,10 @@ impl KvStore {
                     changed.push(key);
                 }
                 Staged::Reconcile { theirs } => {
-                    let ours = self.record(key.as_bytes()).expect("client named our key");
+                    let ours = self.view(key.as_bytes()).expect("client named our key");
                     // The resolver's currency is the API's: lend it
                     // our side as a buffer of its own.
-                    let mine = ours.view().value.map(Bytes::copy_from_slice);
+                    let mine = ours.value.map(Bytes::copy_from_slice);
                     let resolved = resolver.resolve(&key, &mine, &theirs);
                     // Parker §C: the resolved version must dominate
                     // both parents.
@@ -407,21 +460,28 @@ impl KvStore {
         }
         let mut filled = Vec::new();
         let runs = self.shards.iter_mut().zip(snapshots).enumerate();
-        for (index, (shard, run)) in runs.filter(|(_, (_, run))| run.len() > 0) {
+        for (index, (shard, mut run)) in runs.filter(|(_, (_, run))| run.len() > 0) {
             report.keys_examined += run.len();
             report.keys_created += run.len();
-            for record in run.records() {
+            let merged = shard.summary().entries > 0;
+            let mut keys = Vec::new();
+            let mut records = run.records();
+            while records.step() {
+                let key = records.key();
                 let created = ShardDigest {
-                    digest: entry_hash(record),
+                    digest: entry_hash(key, records.view()),
                     entries: 1,
                 };
-                self.journal
-                    .record(next, placement(record.key_bytes()), created);
+                self.journal.record(next, placement(key), created);
+                if merged {
+                    let key = std::str::from_utf8(key).expect("an image's key is UTF-8");
+                    keys.push(key.to_owned());
+                }
             }
-            filled.push(match shard.summary().entries {
+            filled.push(match merged {
                 // The run's pages become the shard's.
-                0 => Filled::Shard(index),
-                _ => Filled::Merged(run.records().map(|r| r.entry().0.to_owned()).collect()),
+                false => Filled::Shard(index),
+                true => Filled::Merged(keys),
             });
             shard.append(run);
         }
@@ -436,7 +496,6 @@ impl KvStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::Record;
     use crate::tests::s;
     use crate::JoinResolver;
     use optrep_replication::mux::run_contact;
@@ -494,8 +553,7 @@ mod tests {
         assert_eq!(dst.get("a"), Some(&b"local"[..]), "racing write survives");
         assert_eq!(dst.get("b"), Some(&b"src"[..]));
         assert_eq!(committed.report.keys_created, 1);
-        let changed: Vec<&str> = committed.entries(&dst).map(|(key, _)| key).collect();
-        assert_eq!(changed, ["b"]);
+        assert_eq!(committed.keys(&dst), ["b"]);
         assert_eq!(dst.replica_digest(), dst.replica_digest_full());
     }
 
@@ -524,8 +582,9 @@ mod tests {
     }
 
     /// The image the writer writes of `records`, in the order given.
-    fn image_of(records: &[Record<'_>]) -> Bytes {
-        crate::codec::image_as_listed(records.iter().map(|record| record.split())).into()
+    fn image_of(records: &[(Bytes, View<'_>)]) -> Bytes {
+        let listed = (records.iter()).map(|(key, state)| (key, encode_state(*state)));
+        crate::codec::image_as_listed(listed).into()
     }
 
     /// A plan lists its bulk shards strictly increasing and below its
@@ -552,13 +611,13 @@ mod tests {
         let records = src.records_in(&honest.bulk, 4, |_| true);
         let at = (records.windows(2))
             .position(|pair| {
-                let shard = |record: &Record<'_>| shard_index(record.key_bytes(), 4);
+                let shard = |(key, _): &(Bytes, View<'_>)| shard_index(key, 4);
                 shard(&pair[0]) != shard(&pair[1])
             })
             .expect("neighbours in two shards");
         let mut swapped = records.clone();
         swapped.swap(at, at + 1);
-        let (x, y) = (records[0], records[1]);
+        let (x, y) = (records[0].clone(), records[1].clone());
         let every = src.encode_shard_snapshot(&[0, 1, 2, 3], 4);
         let short = honest.bulk[..2].to_vec();
         let past = [&honest.bulk[..], &[4]].concat();
@@ -583,7 +642,11 @@ mod tests {
             ),
             ("a listed shard past the count", past, Some(image.clone())),
             ("a shard listed twice", twice, Some(image.clone())),
-            ("a key twice", honest.bulk.clone(), Some(image_of(&[x, x]))),
+            (
+                "a key twice",
+                honest.bulk.clone(),
+                Some(image_of(&[x.clone(), x.clone()])),
+            ),
             (
                 "two keys out of order",
                 honest.bulk.clone(),
@@ -646,7 +709,7 @@ mod tests {
             let committed = dst
                 .apply_planned(&JoinResolver, client, &contact, &plan)
                 .unwrap();
-            let (report, changed) = (&committed.report, committed.entries(&dst).count());
+            let (report, changed) = (&committed.report, committed.keys(&dst).len());
             let at = format!("plan {plan_count}, store {physical}");
             assert_eq!((report.keys_created, changed), (300, 300), "{at}");
             assert!(dst.consistent_with(&src), "{at}");
@@ -731,15 +794,19 @@ mod tests {
         for ((what, dst, committed), pinned) in commits.iter().zip(pinned) {
             let mut payload = Vec::new();
             let mut n = 0;
-            let mut before: Option<&str> = None;
-            for (key, entry) in committed.entries(dst) {
-                assert_eq!(dst.encoded_entry(key), Some(entry), "{what}: {key}");
-                assert!(before < Some(key), "{what}: {key} after {before:?}");
-                before = Some(key);
+            let mut before: Option<Vec<u8>> = None;
+            let Ok(()) = committed.entries(dst).each(|entry| {
+                let (key, state) = (entry.key(), entry.state().expect("a stored state"));
+                let key = std::str::from_utf8(key).unwrap();
+                let entry = encode_state(state);
+                assert_eq!(dst.encode_entry(key), Some(entry.clone()), "{what}: {key}");
+                assert!(before.as_deref() < Some(key.as_bytes()), "{what}: {key}");
+                before = Some(key.as_bytes().to_vec());
                 wire::put_bytes(&mut payload, key.as_bytes());
-                wire::put_bytes(&mut payload, entry);
+                wire::put_bytes(&mut payload, &entry);
                 n += 1;
-            }
+                Ok::<_, std::convert::Infallible>(())
+            });
             eprintln!("{what}: ({n}, {:#018x})", placement(&payload));
             assert_eq!((n, placement(&payload)), pinned, "{what}");
         }

@@ -1,5 +1,5 @@
 use super::*;
-use crate::record::Record;
+use crate::record::View;
 use crate::tests::s;
 use optrep_core::error::WireError;
 use optrep_core::Error;
@@ -59,9 +59,15 @@ fn a_pull_that_fails_to_stage_on_a_clean_link_ends_the_round() {
             cluster = cluster.with_fault(plan);
         }
         let store = cluster.store_mut(s(0));
-        // The key, the vector (two elements, each site 0 at 1), tag 0.
-        let image = [1, b'x', 5, 2, 0, 4, 0, 4, 0];
-        store.insert_record(Record::split_first(&image).0);
+        // The vector: two elements, each site 0 at 1.
+        let meta = [2, 0, 4, 0, 4];
+        store.insert_record(
+            b"x",
+            View {
+                meta: &meta,
+                value: None,
+            },
+        );
         let before = cluster.stores()[1].clone();
         let err = cluster.round(&mut SplitMix64::new(1)).unwrap_err();
         assert_eq!(err, Error::Wire(WireError::InvalidPayload), "{plan:?}");

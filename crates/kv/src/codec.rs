@@ -15,13 +15,19 @@
 //!         where repeats is 0; the rest's length only where it is 7 or more)
 //! ```
 //!
+//! An entry is coded by `record::Coded`, the writer a shard's pages are
+//! written with too: a page is an image of its records without the
+//! count, so a store's own entries are handed to an image's writer as
+//! the parts a page holds ([`Entries`]), each key rebuilt by a walk of
+//! its page, and written against the entry before in the image.
+//!
 //! One entry reader ([`ImageEntries`]) reads every image back — a boot
 //! through one chunked reader, a join's plan and a replayed log record
 //! ([`KvStore::apply_image`]) from a buffer — and refuses every encoding
 //! but the writer's.
 
-use crate::record::{canonical_varint, recode_vector, Record, View};
-use crate::shard::{shard_index, Merge, Records, Run};
+use crate::record::{canonical_varint, recode_vector, Coded, Key, View, REST_ESCAPE};
+use crate::shard::{shard_index, Cursor, Named, Run};
 use crate::{env_shards, KvStore, Value};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use optrep_core::error::WireError;
@@ -39,8 +45,8 @@ impl KvStore {
     /// header: a plan's image crosses sites, so it carries no site id. A
     /// plan's bulk-loaded shards cross as this.
     pub fn encode_shard_snapshot(&self, shards: &[u64], count: usize) -> Bytes {
-        let records = self.records_in(shards, count, |_| true);
-        let image = EntryImage::of_records(records.into_iter().map(Record::split));
+        let named = Some(Named::new(shards, count, self.shards.len()));
+        let image = EntryImage::of_records(Stored { store: self, named });
         let mut buf = Vec::with_capacity(image.encoded_len());
         image.write_to(&mut buf).expect("a Vec takes every byte");
         Bytes::from(buf)
@@ -63,10 +69,13 @@ impl KvStore {
     /// image in memory: what [`encode_snapshot`](Self::encode_snapshot)
     /// encodes, and what a checkpoint streams into its file.
     pub fn snapshot_image(&self) -> SnapshotImage<'_> {
-        let records: Sorted<'_> = self.sorted().map(Record::split);
+        let store = Stored {
+            store: self,
+            named: None,
+        };
         SnapshotImage {
             site: self.site.index(),
-            image: EntryImage::of_records(records),
+            image: EntryImage::of_records(store),
         }
     }
 
@@ -81,14 +90,19 @@ impl KvStore {
     ///
     /// Returns `None` if the key is not tracked (never written).
     pub fn encode_entry(&self, key: &str) -> Option<Bytes> {
-        self.encoded_entry(key).map(Bytes::copy_from_slice)
+        self.view(key.as_bytes()).map(encode_state)
     }
 
-    /// [`encode_entry`](Self::encode_entry)'s bytes borrowed from the
-    /// store instead of copied out of it: what a log append writes for
-    /// the key, with no block of its own a key.
-    pub fn encoded_entry(&self, key: &str) -> Option<&[u8]> {
-        Some(self.record(key.as_bytes())?.split().1)
+    /// The entries of `keys`, strictly ascending and each tracked, as the
+    /// store holds them: what a log append writes for them, each key's
+    /// state handed over as the parts its page holds, with nothing copied
+    /// out of the store.
+    ///
+    /// # Panics
+    ///
+    /// A walk of them panics at a key the store does not track.
+    pub fn entries_of<'s>(&'s self, keys: &'s [String]) -> impl Entries + 's {
+        Keyed { store: self, keys }
     }
 
     /// Overwrites one entry with a state captured by
@@ -127,11 +141,16 @@ impl KvStore {
     /// the store the log described.
     ///
     /// The image is read by [`ImageEntries`], as a boot and a join read
-    /// theirs: each entry is written, as it is read, into the run of the
-    /// shard it falls in, and each touched shard then takes its run in
+    /// theirs, twice: once whole, storing nothing, and once in its key
+    /// order, each entry journalled as it is read and written into the run
+    /// of the shard it falls in; each touched shard then takes its run in
     /// one merge ([`Shard::append`](crate::shard::Shard::append)), which
-    /// rewrites each page its keys fall in once, not once a key. An
-    /// image of one entry builds one run, and no run a shard.
+    /// rewrites each page its keys fall in once, not once a key. An image
+    /// of one entry builds one run, and no run a shard. Read once into
+    /// the runs and journalled by a merge of the runs' cursors, a replay
+    /// held a cursor a shard beside the runs, each holding the key it
+    /// rebuilt: over `checkpoint_heap.rs`' bound of 128 B a shard at 512
+    /// shards.
     ///
     /// # Errors
     ///
@@ -143,40 +162,34 @@ impl KvStore {
     pub fn apply_image(&mut self, image: &[u8]) -> std::result::Result<(), WireError> {
         let mut rest = image;
         let n = wire::get_varint(&mut rest)?;
-        let physical = self.shards.len();
-        let table = n > 1;
-        let mut runs: Vec<Run> = (0..if table { physical } else { n as usize })
-            .map(|_| Run::default())
-            .collect();
-        // The merge's heads are reserved beside the runs, before any page:
-        // reserved behind the pages, they left `dense_pull`'s set-up, which
-        // replays records of 8 192 keys, at a peak 1 MiB higher in 9 of
-        // 15 runs; reserved here, in none of 10.
-        let heads = Vec::with_capacity(runs.len());
+        let body = rest;
         let mut entries = ImageEntries::default();
         for _ in 0..n {
-            let (key, state) = entries.take(&mut rest)?;
-            let at = if table {
-                shard_index(key.as_bytes(), physical)
-            } else {
-                0
-            };
-            runs[at].push(key, state);
+            entries.take(&mut rest)?;
         }
         if !rest.is_empty() {
             return Err(WireError::InvalidPayload);
         }
+        let physical = self.shards.len();
+        let table = n > 1;
+        let mut runs: Vec<Run> = (0..if table { physical } else { 1 })
+            .map(|_| Run::default())
+            .collect();
+        let (mut rest, mut entries, mut alone) = (body, ImageEntries::default(), 0);
         let passed = (n as usize).saturating_sub(JOURNAL_CAP);
-        let records = Merge::with_heads(heads, runs.iter().map(Run::records));
-        for (at, record) in records.enumerate() {
-            let shard = &self.shards[shard_index(record.key_bytes(), physical)];
-            let change = (at >= passed).then(|| shard.change_of(record));
-            self.touch(record.key_bytes(), change);
+        for at in 0..n as usize {
+            let read = entries.take(&mut rest);
+            let (key, state) = read.expect("an image read whole reads again");
+            let shard = shard_index(key.as_bytes(), physical);
+            let change =
+                (at >= passed).then(|| self.shards[shard].change_of(key.as_bytes(), state));
+            self.touch(key.as_bytes(), change);
+            alone = shard;
+            runs[if table { shard } else { 0 }].push(key, state);
         }
-        for run in runs {
-            let first = run.records().next().map(Record::key_bytes);
-            if let Some(shard) = first.map(|key| shard_index(key, physical)) {
-                self.shards[shard].append(run);
+        for (at, run) in runs.into_iter().enumerate() {
+            if run.len() > 0 {
+                self.shards[if table { at } else { alone }].append(run);
             }
         }
         Ok(())
@@ -321,6 +334,21 @@ impl ImageEntries {
     }
 }
 
+/// `state` laid out as [`KvStore::encode_entry`] writes it.
+pub(crate) fn encode_state(state: View<'_>) -> Bytes {
+    let value = state.value.map_or(0, |v| wire::bytes_len(v.len()));
+    let mut buf = BytesMut::with_capacity(wire::bytes_len(state.meta.len()) + 1 + value);
+    wire::put_bytes(&mut buf, state.meta);
+    match state.value {
+        Some(v) => {
+            buf.put_u8(1);
+            wire::put_bytes(&mut buf, v);
+        }
+        None => buf.put_u8(0),
+    }
+    buf.freeze()
+}
+
 /// The `len` bytes at the front of `entry`, taken off it.
 fn take_bytes<'e>(entry: &mut &'e [u8], len: u64) -> std::result::Result<&'e [u8], WireError> {
     let len = usize::try_from(len).unwrap_or(usize::MAX);
@@ -328,11 +356,6 @@ fn take_bytes<'e>(entry: &mut &'e [u8], len: u64) -> std::result::Result<&'e [u8
     *entry = &entry[len..];
     Ok(taken)
 }
-
-/// The shortest rest of a key whose length its key head cannot hold:
-/// the head's low bits hold a rest of up to 6 bytes, and 7 for a rest of
-/// 7 or more, whose length less 7 follows.
-const REST_ESCAPE: u64 = 7;
 
 /// The keys of an image, each rebuilt in one reused buffer from the
 /// length of the prefix it shares with the key before it (the first, none)
@@ -389,13 +412,19 @@ pub(crate) fn image_as_listed<K: AsRef<[u8]>, E: AsRef<[u8]>>(
 ) -> Vec<u8> {
     let mut buf = Vec::new();
     wire::write_varint(&mut buf, entries.clone().count() as u64).expect("a Vec takes every byte");
-    each_coded(entries, |entry| entry.write_to(&mut buf)).expect("a Vec takes every byte");
+    let mut before: Option<(Vec<u8>, Vec<u8>)> = None;
+    for (key, state) in entries {
+        let state = View::of_state(state.as_ref()).expect("a state a store writes");
+        let last = before.as_ref().map(|(key, vector)| (&key[..], &vector[..]));
+        Coded::of(key.as_ref(), state, last).put(&mut buf);
+        before = Some((key.as_ref().to_vec(), state.meta.to_vec()));
+    }
     buf
 }
 
-/// The test oracle for [`Record::write_state`]: an entry's state decoded
+/// The test oracle for an image's state reader: an entry's state decoded
 /// the way every decoder once read it — the vector built, the value a
-/// slice of `buf` — to be written back by [`Record::write`]. No store
+/// slice of `buf` — to be written back by the store's writer. No store
 /// path reads a state this way.
 #[cfg(test)]
 pub(crate) fn decode_state(buf: &mut Bytes) -> std::result::Result<(Srv, Value), WireError> {
@@ -433,8 +462,54 @@ fn entry_reach(buf: &[u8]) -> usize {
     })
 }
 
-/// A store's records in key order, each as its key and its state.
-type Sorted<'a> = std::iter::Map<Merge<'a, Records<'a>>, fn(Record<'a>) -> (&'a [u8], &'a [u8])>;
+/// A store's records in key order, as an image lists them: those of the
+/// named plan shards, or every one. Each walk is a merge of the shards'
+/// pages ([`KvStore::sorted`], [`Named::sorted`]).
+#[derive(Debug)]
+struct Stored<'a> {
+    store: &'a KvStore,
+    named: Option<Named>,
+}
+
+impl Entries for Stored<'_> {
+    fn each<X>(&self, each: impl FnMut(Entry<'_>) -> Result<(), X>) -> Result<(), X> {
+        match &self.named {
+            Some(named) => hand(named.sorted(self.store, |_| true), each),
+            None => hand(self.store.sorted(), each),
+        }
+    }
+}
+
+/// Hands `each` every record of `cursor`, in its order, until it returns
+/// an error.
+pub(crate) fn hand<'a, X>(
+    mut cursor: impl Cursor<'a>,
+    mut each: impl FnMut(Entry<'_>) -> Result<(), X>,
+) -> Result<(), X> {
+    while cursor.step() {
+        each(Entry::of(cursor.key(), cursor.view()))?;
+    }
+    Ok(())
+}
+
+/// Listed keys of a store and their states ([`KvStore::entries_of`]).
+struct Keyed<'s> {
+    store: &'s KvStore,
+    keys: &'s [String],
+}
+
+impl Entries for Keyed<'_> {
+    fn each<X>(&self, mut each: impl FnMut(Entry<'_>) -> Result<(), X>) -> Result<(), X> {
+        for key in self.keys {
+            let state = self.store.view(key.as_bytes());
+            each(Entry::of(
+                key.as_bytes(),
+                state.expect("a listed key is tracked"),
+            ))?;
+        }
+        Ok(())
+    }
+}
 
 /// A whole store's snapshot as the store it copies: the site, then the
 /// [`EntryImage`] of every record in key order. It holds the store's
@@ -444,7 +519,7 @@ type Sorted<'a> = std::iter::Map<Merge<'a, Records<'a>>, fn(Record<'a>) -> (&'a 
 #[derive(Debug)]
 pub struct SnapshotImage<'a> {
     site: u32,
-    image: EntryImage<Sorted<'a>>,
+    image: EntryImage<Stored<'a>>,
 }
 
 impl SnapshotImage<'_> {
@@ -465,36 +540,95 @@ impl SnapshotImage<'_> {
     }
 }
 
-/// The body of every image — a snapshot's behind its site, a plan's bulk
-/// shards, a log record's payload — of entries handed over as keys and
-/// states ([`KvStore::encode_entry`]'s) in strictly ascending key order:
-/// a varint count, then each entry against the one before it behind its
-/// key head and its state head ([`Coded`]; the layout is the module's).
-/// It holds the entries and its length, summed over one walk of them —
-/// which reads every state as a store writes it, its vector re-encoded
-/// — and is written where it goes by a second.
-#[derive(Debug, Clone)]
-pub struct EntryImage<I> {
-    entries: I,
-    count: u64,
-    len: usize,
+/// One entry an image lists: its key and its state — `None` for a state
+/// no store writes, which [`EntryImage::new`] refuses.
+#[derive(Debug, Clone, Copy)]
+pub struct Entry<'a> {
+    key: &'a [u8],
+    state: Option<View<'a>>,
 }
 
-impl<I, K, E> EntryImage<I>
+impl<'a> Entry<'a> {
+    /// Its key.
+    pub(crate) fn key(&self) -> &'a [u8] {
+        self.key
+    }
+
+    /// Its state; `None` for one no store writes.
+    #[cfg(test)]
+    pub(crate) fn state(&self) -> Option<View<'a>> {
+        self.state
+    }
+
+    /// `key` holding `state`, as a store holds it.
+    pub(crate) fn of(key: &'a [u8], state: View<'a>) -> Self {
+        Entry {
+            key,
+            state: Some(state),
+        }
+    }
+}
+
+/// What an image lists: entries in strictly ascending key order, walked
+/// once to size the image and once to write it. A list of keys and
+/// states as [`KvStore::encode_entry`] writes them is one, each state
+/// read as it is listed; so are a store's own entries
+/// ([`KvStore::entries_of`], [`Committed::entries`](crate::Committed::entries)),
+/// each handed over as the parts its page holds — the key rebuilt, the
+/// vector and the value borrowed — never as a state's bytes.
+pub trait Entries {
+    /// Hands `each` every entry, in order, until it returns an error.
+    ///
+    /// # Errors
+    ///
+    /// The first error `each` returns.
+    fn each<X>(&self, each: impl FnMut(Entry<'_>) -> Result<(), X>) -> Result<(), X>;
+}
+
+impl<I, K, E> Entries for I
 where
     I: Iterator<Item = (K, E)> + Clone,
     K: AsRef<[u8]>,
     E: AsRef<[u8]>,
 {
+    fn each<X>(&self, mut each: impl FnMut(Entry<'_>) -> Result<(), X>) -> Result<(), X> {
+        for (key, state) in self.clone() {
+            let state = View::of_state(state.as_ref());
+            each(Entry {
+                key: key.as_ref(),
+                state,
+            })?;
+        }
+        Ok(())
+    }
+}
+
+/// The body of every image — a snapshot's behind its site, a plan's bulk
+/// shards, a log record's payload — of entries in strictly ascending key
+/// order ([`Entries`]): a varint count, then each entry against the one
+/// before it behind its key head and its state head ([`Coded`]; the
+/// layout is the module's). It holds the entries and its length, summed
+/// over one walk of them, and is written where it goes by a second.
+#[derive(Debug, Clone)]
+pub struct EntryImage<S> {
+    entries: S,
+    count: u64,
+    len: usize,
+}
+
+impl<S: Entries> EntryImage<S> {
     /// The image of `entries`, sized by one walk of them; `None` when a
     /// key does not follow every key before it, or a state is not one a
     /// store writes ([`View::of_state`]): cut short, with bytes behind
     /// it, a tag other than 0 or 1, a length written longer than it goes,
     /// an empty vector field or a vector that does not re-encode to
     /// itself. Every image it writes, its reader reads.
-    pub fn new(entries: I) -> Option<Self> {
+    pub fn new(entries: S) -> Option<Self> {
         let mut recoded = Vec::new();
-        Self::sized(entries, |state| state.written_vector(&mut recoded))
+        Self::sized(entries, |vector| {
+            recoded.clear();
+            recode_vector(&mut recoded, vector).is_ok() && recoded[..] == *vector
+        })
     }
 
     /// The image of a store's own records, whose states a store wrote:
@@ -502,21 +636,23 @@ where
     ///
     /// # Panics
     ///
-    /// Panics if a key does not follow the key before it or a state is
-    /// laid out as no store lays one out.
-    pub(crate) fn of_records(entries: I) -> Self {
+    /// Panics if a key does not follow the key before it.
+    pub(crate) fn of_records(entries: S) -> Self {
         Self::sized(entries, |_| true).expect("a store's records ascend, each as a store writes it")
     }
 
     /// The image of `entries`, sized by one walk of them that takes each
-    /// state [`View::of_state`] reads and `vector` passes.
-    fn sized(entries: I, mut vector: impl FnMut(View<'_>) -> bool) -> Option<Self> {
+    /// state [`View::of_state`] reads, each vector written out `vector`
+    /// passes (a vector left out is the one before it).
+    fn sized(entries: S, mut vector: impl FnMut(&[u8]) -> bool) -> Option<Self> {
         let (mut count, mut len) = (0u64, 0);
-        each_coded(entries.clone(), |entry| {
+        each_coded(&entries, |coded| {
+            let coded = coded
+                .filter(|coded| coded.vector.is_none_or(&mut vector))
+                .ok_or(())?;
             count += 1;
-            len += entry.len();
-            let written = entry.state.is_some_and(&mut vector);
-            (entry.follows && written).then_some(()).ok_or(())
+            len += coded.len();
+            Ok::<_, ()>(())
         })
         .ok()?;
         Some(EntryImage {
@@ -544,119 +680,43 @@ where
     /// The first error `out` returns.
     pub fn write_to(self, out: &mut impl Write) -> io::Result<()> {
         wire::write_varint(out, self.count)?;
-        each_coded(self.entries, |entry| entry.write_to(out))
+        each_coded(&self.entries, |coded| {
+            coded.expect("the entries that were sized").write_to(out)
+        })
     }
 }
 
-/// An entry as an image writes it, against the entry before it.
-struct Coded<'a> {
-    /// The length of the prefix its key shares with the key before it:
-    /// 0 for the first key, written whole.
-    shared: usize,
-    /// The key past that prefix.
-    rest: &'a [u8],
-    /// Whether its vector is the entry before's: it is then not written.
-    repeats: bool,
-    /// Its state, as [`View::of_state`] reads it; `None` for a state no
-    /// store writes, which [`EntryImage`] refuses before it writes a byte.
-    state: Option<View<'a>>,
-    /// Whether its key is above the key before it.
-    follows: bool,
-}
-
-impl<'a> Coded<'a> {
-    /// `key` holding `state`, against the key and the state before it.
-    fn of(key: &'a [u8], state: &'a [u8], before: Option<(&[u8], &[u8])>) -> Self {
-        let state = View::of_state(state);
-        let Some((last, last_state)) = before else {
-            return Coded {
-                shared: 0,
-                rest: key,
-                repeats: false,
-                state,
-                follows: true,
+/// Hands `each` every entry of `entries` as an image writes it, against
+/// the entry before it, in order, until it returns an error: `None` for
+/// an entry whose state no store writes or whose key does not follow
+/// the key before. The key before and the vector last written out are
+/// kept in buffers of their own, for an entry's parts are lent only
+/// while it is handed over.
+fn each_coded<X>(
+    entries: &impl Entries,
+    mut each: impl FnMut(Option<Coded<'_>>) -> Result<(), X>,
+) -> Result<(), X> {
+    let (mut key, mut vector, mut first) = (Key::default(), Key::default(), true);
+    entries.each(|entry| {
+        let before = (!first).then(|| (key.as_slice(), vector.as_slice()));
+        let coded = entry.state.map(|state| Coded::of(entry.key, state, before));
+        // Past the prefix it shares with the key before, the key goes on
+        // above it, or on where the key before ended.
+        let follows =
+            |coded: &Coded<'_>| match (coded.rest.first(), key.as_slice().get(coded.shared)) {
+                (Some(byte), Some(before)) => byte > before,
+                (next, _) => next.is_some(),
             };
-        };
-        let shared = key.iter().zip(last).take_while(|(a, b)| a == b).count();
-        let follows = match (key.get(shared), last.get(shared)) {
-            (Some(byte), Some(before)) => byte > before,
-            (next, _) => next.is_some(),
-        };
-        let mut last_vector = last_state;
-        let repeats = (state.zip(wire::get_slice(&mut last_vector).ok()))
-            .is_some_and(|(state, last_vector)| state.meta == last_vector);
-        Coded {
-            shared,
-            rest: &key[shared..],
-            repeats,
-            state,
-            follows,
+        let coded = coded.filter(|coded| first || follows(coded));
+        if let Some(coded) = coded {
+            key.rebuild(coded.shared, coded.rest);
+            if let Some(written) = coded.vector {
+                vector.set(written);
+            }
         }
-    }
-
-    /// `varint(shared << 3 | min(rest, 7))`, then the rest's length less
-    /// 7 where it is 7 or more.
-    fn key_head(&self) -> (u64, Option<u64>) {
-        let rest = self.rest.len() as u64;
-        let escape = (rest >= REST_ESCAPE).then(|| rest - REST_ESCAPE);
-        ((self.shared as u64) << 3 | rest.min(REST_ESCAPE), escape)
-    }
-
-    /// `varint(value_code << 1 | repeats)`: the value's length plus one,
-    /// 0 for a tombstone.
-    fn state_head(&self) -> u64 {
-        let code = self.value().map_or(0, |v| v.len() as u64 + 1);
-        code << 1 | u64::from(self.repeats)
-    }
-
-    /// Its value; `None` for a tombstone.
-    fn value(&self) -> Option<&'a [u8]> {
-        self.state.and_then(|state| state.value)
-    }
-
-    /// The vector where it is written out.
-    fn vector(&self) -> Option<&'a [u8]> {
-        let state = self.state.filter(|_| !self.repeats)?;
-        Some(state.meta)
-    }
-
-    fn len(&self) -> usize {
-        let (head, escape) = self.key_head();
-        wire::varint_len(head)
-            + escape.map_or(0, wire::varint_len)
-            + self.rest.len()
-            + wire::varint_len(self.state_head())
-            + self.vector().map_or(0, |v| wire::bytes_len(v.len()))
-            + self.value().map_or(0, <[u8]>::len)
-    }
-
-    fn write_to(&self, out: &mut impl Write) -> io::Result<()> {
-        let (head, escape) = self.key_head();
-        wire::write_varint(out, head)?;
-        escape.map_or(Ok(()), |escape| wire::write_varint(out, escape))?;
-        out.write_all(self.rest)?;
-        wire::write_varint(out, self.state_head())?;
-        if let Some(vector) = self.vector() {
-            wire::write_varint(out, vector.len() as u64)?;
-            out.write_all(vector)?;
-        }
-        self.value().map_or(Ok(()), |value| out.write_all(value))
-    }
-}
-
-/// Hands `each` every entry as an image writes it, in order, until it
-/// returns an error.
-fn each_coded<K: AsRef<[u8]>, E: AsRef<[u8]>, X>(
-    entries: impl Iterator<Item = (K, E)>,
-    mut each: impl FnMut(&Coded<'_>) -> std::result::Result<(), X>,
-) -> std::result::Result<(), X> {
-    let mut before: Option<(K, E)> = None;
-    for (key, state) in entries {
-        let last = before.as_ref().map(|(k, e)| (k.as_ref(), e.as_ref()));
-        each(&Coded::of(key.as_ref(), state.as_ref(), last))?;
-        before = Some((key, state));
-    }
-    Ok(())
+        first = false;
+        each(coded)
+    })
 }
 
 /// Why a [`ChunkReader`] returned no record.

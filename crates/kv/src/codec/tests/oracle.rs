@@ -59,38 +59,39 @@ fn mangled(bytes: &[u8], rng: &mut SplitMix64) -> Vec<Vec<u8>> {
     out
 }
 
+/// The record a page opens with for `key` holding `state`: the key and
+/// the vector written whole.
+fn first_record(key: &str, state: View<'_>) -> Vec<u8> {
+    let mut record = Vec::new();
+    Coded::of(key.as_bytes(), state, None).put(&mut record);
+    record
+}
+
 /// What the oracle makes of `state` under `key` — the vector built, then
-/// written back by `Record::write` — if `state` is what a store writes
-/// for it, byte for byte; `None` otherwise.
+/// written back by its encoder into the record a page opens with — if
+/// `state` is what a store writes for it, byte for byte; `None`
+/// otherwise.
 fn record_by_the_oracle(key: &str, state: &[u8]) -> Option<Vec<u8>> {
     let mut buf = Bytes::copy_from_slice(state);
     let (meta, value) = decode_state(&mut buf).ok()?;
-    let mut record = Vec::new();
-    Record::write(&mut record, key, &meta, value.as_deref());
-    let written = buf.is_empty() && record[wire::bytes_len(key.len())..] == *state;
-    written.then_some(record)
+    let mut snapshot = crate::record::Key::default();
+    let view = View::written(&meta, value.as_deref(), &mut snapshot);
+    let written = buf.is_empty() && encode_state(view) == *state;
+    written.then(|| first_record(key, view))
 }
 
 /// What the record of `state` under `key` is once an image's writer has
 /// written it as the one entry of an image and the image's reader has
-/// read it back into `Record::write_state`; `None` when the writer
-/// refuses it.
+/// read it back into a run's page; `None` when the writer refuses it.
 fn record_by_the_writer(key: &str, state: &[u8]) -> Option<Vec<u8>> {
     let image = EntryImage::new(std::iter::once((key.as_bytes(), state)))?;
     let mut bytes = Vec::new();
     image.write_to(&mut bytes).unwrap();
     let mut rest = &bytes[1..];
-    let mut record = vec![0xee];
     let mut entries = ImageEntries::default();
     let (key, state) = entries.take(&mut rest).unwrap();
     assert!(rest.is_empty(), "the entry is read whole");
-    Record::write_state(&mut record, key, state);
-    assert_eq!(
-        state.record_len(key) + 1,
-        record.len(),
-        "record_len is exact"
-    );
-    Some(record[1..].to_vec())
+    Some(first_record(key, state))
 }
 
 /// An image's writer takes exactly the states a store writes, and the
@@ -115,10 +116,10 @@ fn the_state_writer_writes_what_decoding_and_encoding_write() {
         let mut states: Vec<(String, Vec<u8>)> = Vec::new();
         for store in &stores {
             for (key, view) in store.entries_sorted() {
-                let honest = store.encode_entry(key).unwrap();
-                let record = record_by_the_writer(key, &honest);
-                let exact = store.record(key.as_bytes()).unwrap().bytes();
-                assert_eq!(record.as_deref(), Some(exact), "seed {seed}, {key:?}");
+                let honest = store.encode_entry(&key).unwrap();
+                let record = record_by_the_writer(&key, &honest);
+                let exact = first_record(&key, store.view(key.as_bytes()).unwrap());
+                assert_eq!(record, Some(exact), "seed {seed}, {key:?}");
                 for pad in pads {
                     states.push((key.to_owned(), state_image(view, pad).to_vec()));
                 }

@@ -44,8 +44,9 @@
 //!
 //! This file is the public types and the plain read/write API. The rest
 //! of [`KvStore`] lives in one private module per concern: `record` (an
-//! entry as the bytes a store holds — the only code that knows the
-//! layout), `shard` (a shard's records in pages of up to sixteen, its
+//! entry as the bytes a page and an image hold — the only code that
+//! knows the layout), `shard` (a shard's records in pages of up to
+//! sixteen, each an image of its records, its
 //! digest and counts, changed only by `Shard::place` and
 //! `Shard::append`, and the walks over shards), `journal` (the
 //! keys changed lately), `codec` (images with front-coded keys and
@@ -69,7 +70,7 @@ mod tests;
 
 pub use apply::Committed;
 pub use cluster::KvCluster;
-pub use codec::{ChunkReader, EntryImage, Reach, ReadError, SnapshotImage};
+pub use codec::{ChunkReader, Entries, Entry, EntryImage, Reach, ReadError, SnapshotImage};
 
 use bytes::Bytes;
 use journal::Journal;
@@ -82,8 +83,8 @@ use optrep_replication::planner::{
     placement, ShardDigest, ShardPlan, VectorMemory, MAX_PLAN_SHARDS,
 };
 use optrep_replication::FaultyLink;
-use record::{entry_hash, with_version_vector, Record};
-use shard::Shard;
+use record::{entry_hash, with_version_vector};
+use shard::{Cursor, Shard};
 
 /// Default shard count when `OPTREP_KV_SHARDS` is unset: small enough
 /// that a toy store's digest vector stays a handful of bytes, large
@@ -218,14 +219,12 @@ pub struct KvStore {
 /// shard-count independent: a 1-shard and a 256-shard store holding
 /// the same entries are equal. The write generation and the change
 /// journal are local bookkeeping, not state. Records are canonical, so
-/// equal entries are equal bytes.
+/// equal states are equal bytes.
 impl PartialEq for KvStore {
     fn eq(&self, other: &Self) -> bool {
         self.site == other.site
             && self.tracked_entries() == other.tracked_entries()
-            && self
-                .records()
-                .all(|ours| other.record(ours.key_bytes()).map(Record::bytes) == Some(ours.bytes()))
+            && self.all(|key, ours| other.view(key) == Some(ours))
     }
 }
 
@@ -301,7 +300,7 @@ impl KvStore {
 
     /// Reads a key. Tombstoned and absent keys both read as `None`.
     pub fn get(&self, key: &str) -> Option<&[u8]> {
-        self.record(key.as_bytes()).and_then(|r| r.view().value)
+        self.view(key.as_bytes()).and_then(|view| view.value)
     }
 
     /// The key's metadata, if the key (or its tombstone) exists. The
@@ -309,16 +308,23 @@ impl KvStore {
     /// inside its record, and this is a working copy decoded from it —
     /// changing it changes nothing in the store.
     pub fn meta(&self, key: &str) -> Option<Srv> {
-        self.record(key.as_bytes()).map(|r| r.view().srv())
+        self.view(key.as_bytes()).map(|view| view.srv())
     }
 
     /// Live (non-tombstoned) keys, in sorted order: the store's merge,
-    /// walked as it is read.
-    pub fn keys(&self) -> impl Iterator<Item = &str> {
-        self.sorted()
-            .map(Record::entry)
-            .filter(|(_, e)| e.value.is_some())
-            .map(|(k, _)| k)
+    /// walked as it is read. A page holds its keys front-coded, so each
+    /// is rebuilt and handed out as a copy.
+    pub fn keys(&self) -> impl Iterator<Item = String> + '_ {
+        let mut sorted = self.sorted();
+        std::iter::from_fn(move || {
+            while sorted.step() {
+                if sorted.view().value.is_some() {
+                    let key = std::str::from_utf8(sorted.key()).expect("a stored key is UTF-8");
+                    return Some(key.to_owned());
+                }
+            }
+            None
+        })
     }
 
     /// Number of live keys. O(shards): each shard counts its own.
@@ -411,9 +417,8 @@ impl KvStore {
         if self.tracked_entries() != other.tracked_entries() {
             return false;
         }
-        self.records().all(|ours| {
-            other.record(ours.key_bytes()).is_some_and(|theirs| {
-                let (ours, theirs) = (ours.view(), theirs.view());
+        self.all(|key, ours| {
+            other.view(key).is_some_and(|theirs| {
                 ours.value == theirs.value
                     && with_version_vector(ours.meta, |ours| {
                         with_version_vector(theirs.meta, |theirs| ours == theirs)
@@ -455,10 +460,11 @@ impl KvStore {
     pub fn replica_digest_full(&self) -> u64 {
         let mut sum = 0u64;
         let mut count = 0u64;
-        for record in self.records() {
-            sum = sum.wrapping_add(entry_hash(record));
+        self.all(|key, view| {
+            sum = sum.wrapping_add(entry_hash(key, view));
             count += 1;
-        }
+            true
+        });
         Self::mix_digest(count, sum)
     }
 

@@ -3,7 +3,7 @@
 //! contact runs between.
 
 use crate::codec::encode_value;
-use crate::record::{entry_hash, Record};
+use crate::record::{entry_hash, View};
 use crate::shard::{shard_index, Shard};
 use crate::{KvStore, MAX_SHARDS};
 use bytes::Bytes;
@@ -27,11 +27,11 @@ impl KvStore {
     /// fanout`. Hashes the entries of those shards only.
     fn child_digests(&self, parents: &[u64], count: u64, fanout: u64) -> Vec<Vec<ShardDigest>> {
         let mut children = vec![vec![ShardDigest::default(); fanout as usize]; parents.len()];
-        self.visit_shards(parents, count as usize, |record| {
-            let hash = placement(record.key_bytes());
+        self.visit_shards(parents, count as usize, |key, view| {
+            let hash = placement(key);
             if let Ok(slot) = parents.binary_search(&(hash & (count - 1))) {
                 let child = &mut children[slot][((hash / count) & (fanout - 1)) as usize];
-                child.digest = child.digest.wrapping_add(entry_hash(record));
+                child.digest = child.digest.wrapping_add(entry_hash(key, view));
                 child.entries += 1;
             }
         });
@@ -40,7 +40,7 @@ impl KvStore {
 
     /// The records a plan at `count` shards pushes: those of each
     /// proposed shard placed where the journal says a key changed.
-    fn records_pushed(&self, count: u64, pushes: &Pushes) -> Vec<Record<'_>> {
+    fn records_pushed(&self, count: u64, pushes: &Pushes) -> Vec<(Bytes, View<'_>)> {
         let shards: Vec<u64> = pushes.iter().map(|(shard, _)| *shard).collect();
         self.records_in(&shards, count as usize, |key| {
             let hash = placement(key);
@@ -74,8 +74,8 @@ impl KvStore {
             {
                 return Pushed::Written;
             }
-            match self.record(key) {
-                Some(record) => Pushed::Held(record.view().srv()),
+            match self.view(key) {
+                Some(view) => Pushed::Held(view.srv()),
                 None => Pushed::Absent,
             }
         };
@@ -175,11 +175,11 @@ impl KvStore {
     fn server_endpoint_summed(&self, cut: &Cut<'_>) -> (BatchPullServer, Vec<ShardDigest>) {
         let mut sums = vec![ShardDigest::default(); cut.walked.len()];
         let records = self.records_cut(cut);
-        for record in &records {
-            let shard = shard_index(record.key_bytes(), cut.count as usize) as u64;
+        for (key, view) in &records {
+            let shard = shard_index(key, cut.count as usize) as u64;
             if let Ok(slot) = cut.walked.binary_search(&shard) {
                 sums[slot] += ShardDigest {
-                    digest: entry_hash(*record),
+                    digest: entry_hash(key, *view),
                     entries: 1,
                 };
             }
@@ -215,11 +215,12 @@ impl KvStore {
                 target.entries += shard.entries;
             }
         } else {
-            for record in self.records() {
-                let target = &mut out[shard_index(record.key_bytes(), count)];
-                target.digest = target.digest.wrapping_add(entry_hash(record));
+            self.all(|key, view| {
+                let target = &mut out[shard_index(key, count)];
+                target.digest = target.digest.wrapping_add(entry_hash(key, view));
                 target.entries += 1;
-            }
+                true
+            });
         }
         out
     }
@@ -303,7 +304,7 @@ impl KvStore {
         &self,
         digests: &DigestVector,
         since: Option<u64>,
-    ) -> (ShardPlan, Vec<ShardDigest>, Vec<Record<'_>>) {
+    ) -> (ShardPlan, Vec<ShardDigest>, Vec<(Bytes, View<'_>)>) {
         let count = digests.shards.len();
         assert!(
             count.is_power_of_two() && count <= MAX_SHARDS,
@@ -335,7 +336,7 @@ impl KvStore {
             .map(|hint| (hint.shard, hint.candidates))
             .collect();
         let pushed = self.records_pushed(count as u64, &pushes);
-        decision.proposed = shards_of(pushed.iter().map(|record| record.key_bytes()), count as u64);
+        decision.proposed = shards_of(pushed.iter().map(|(key, _)| &key[..]), count as u64);
         let mut plan = ShardPlan {
             count: count as u64,
             ..ShardPlan::default()
@@ -415,23 +416,20 @@ impl KvStore {
 
 /// The objects a pulling endpoint names, from `records` in key order:
 /// one stream per key, carrying its current metadata.
-fn named<'a>(records: Vec<Record<'a>>) -> impl Iterator<Item = (Bytes, optrep_core::Srv)> + 'a {
-    records.into_iter().map(|record| {
-        let key = Bytes::copy_from_slice(record.key_bytes());
-        (key, record.view().srv())
-    })
+fn named<'a>(
+    records: Vec<(Bytes, View<'a>)>,
+) -> impl Iterator<Item = (Bytes, optrep_core::Srv)> + 'a {
+    records.into_iter().map(|(key, view)| (key, view.srv()))
 }
 
 /// What a store serves of `records`, in key order: metadata plus the
 /// encoded value per key.
 fn served<'a>(
-    records: Vec<Record<'a>>,
+    records: Vec<(Bytes, View<'a>)>,
 ) -> impl Iterator<Item = (Bytes, optrep_core::Srv, Bytes)> + 'a {
-    records.into_iter().map(|record| {
-        let key = Bytes::copy_from_slice(record.key_bytes());
-        let view = record.view();
-        (key, view.srv(), encode_value(view.value))
-    })
+    records
+        .into_iter()
+        .map(|(key, view)| (key, view.srv(), encode_value(view.value)))
 }
 
 #[cfg(test)]

@@ -32,8 +32,8 @@ fn shard_digests_fold_across_counts() {
         let folded = store.shard_digests_at(count);
         let mirror = {
             let mut m = KvStore::with_shards(s(1), count);
-            for record in store.records() {
-                m.insert_record(record);
+            for (key, view) in store.iter_entries() {
+                m.insert_record(key.as_bytes(), view);
             }
             m.shard_digest_vector().shards
         };
@@ -504,7 +504,7 @@ fn every_proposed_shard_pushes_a_record() {
         let (plan, _, pushed) = src.plan_from(&dst.shard_digest_vector(), Some(since));
         // One record a proposed shard: the tombstone, the rewrite.
         let mut named: Vec<(u64, &[u8])> = (pushed.iter())
-            .map(|record| (shard(record.key_bytes()), record.key_bytes()))
+            .map(|(key, _)| (shard(key), &key[..]))
             .collect();
         named.sort_unstable();
         let mut expected = [deleted.as_bytes(), rewritten.as_bytes()].map(|key| (shard(key), key));
@@ -638,10 +638,13 @@ fn a_wrong_journal_costs_proposals_never_convergence() {
             let (plan, _, pushed) = src.plan_from(&digests, Some(since));
             let count = plan.count as usize;
             let pushed: Vec<String> = (pushed.iter())
-                .map(|record| String::from_utf8(record.key_bytes().to_vec()).unwrap())
+                .map(|(key, _)| String::from_utf8(key.to_vec()).unwrap())
                 .collect();
             let differs = |key: &str| {
-                let hash = |store: &KvStore| store.record(key.as_bytes()).map(entry_hash);
+                let hash = |store: &KvStore| {
+                    let view = store.view(key.as_bytes());
+                    view.map(|view| entry_hash(key.as_bytes(), view))
+                };
                 hash(dst) != hash(src)
             };
             for &shard in &plan.proposed {
@@ -814,8 +817,8 @@ fn a_puller_resharded_between_two_pulls_sends_its_vector_whole() {
             src.put(key, vec![b'x'; 32]);
         }
         let mut wider = KvStore::with_shards(dst.site(), 64);
-        for record in dst.records() {
-            wider.insert_record(record);
+        for (key, view) in dst.iter_entries() {
+            wider.insert_record(key.as_bytes(), view);
         }
         assert_eq!(wider, *dst);
         *dst = wider;

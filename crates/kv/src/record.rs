@@ -1,48 +1,64 @@
-//! One stored entry as the bytes a store holds for it, and the only
-//! code that knows that layout: its one writer from a vector, its one
-//! writer from a state an image's reader read off the wire, the one
-//! strict reading of a state an image's writer is handed, and the
-//! re-encoding of a vector read off the wire that the reader runs.
+//! One stored entry as the bytes a page holds for it, and the only
+//! code that knows that layout, which every image shares: its one
+//! writer and its one reader ([`Coded`]), the one strict reading of a
+//! state an image's writer is handed, and the re-encoding of a vector
+//! read off the wire that an image's reader runs.
 
-use bytes::BufMut;
 use optrep_core::error::WireError;
 use optrep_core::order::RotCore;
 use optrep_core::rng::finalize;
 use optrep_core::{wire, RotatingVector, Srv};
+use std::io::{self, Write};
 
-/// A stored entry, borrowed from the page that holds it: the
-/// length-prefixed key, then the entry's state
-/// ([`KvStore::encode_entry`](crate::KvStore::encode_entry)): the
-/// length-prefixed vector snapshot, a one-byte tag (`0` a tombstone, `1`
-/// a value) and, behind tag 1, the length-prefixed value. An image — a
-/// snapshot's, a plan's, a log record's — writes no tag and no length
-/// of its own: two heads an entry ([`EntryImage`](crate::EntryImage))
-/// carry the key's shared and rest lengths and the value's length with
-/// whether the vector is the record before's, written only where it is
-/// not; the bytes are copied. Reading a field is a walk over length
-/// prefixes ([`Record::view`]); an [`Srv`] exists only while a vector is
-/// being operated on and is encoded back before it is stored.
+/// An entry as a page or an image writes it, against the entry before
+/// it: a key head packing the length of the prefix the key shares with
+/// the key before and the length of the rest, the rest, then a state
+/// head packing the value's length, or a tombstone, and whether the
+/// vector is the entry before's, the vector's snapshot where it is not,
+/// and the value:
 ///
-/// A page holds its records back to back, so the key lives inside the
-/// record and a record's length is read off its own length prefixes
-/// ([`Record::split_first`]). Key byte order is `str` order.
-/// Whole-record equality is [`Record::bytes`].
+/// ```text
+/// entry: varint(shared << 3 | min(rest, 7)) | [varint(rest − 7)] | rest of key
+///        varint(value_code << 1 | repeats) | [bytes vector] | value
+///        (value_code: 0 a tombstone, len + 1 a value; the vector only
+///         where repeats is 0; the rest's length only where it is 7 or more)
+/// ```
 ///
-/// A record is **canonical**: only [`Record::write`] writes one, from a
-/// key, vector and value, and [`Record::write_state`] from a key and an
-/// entry's state an image's reader read, its vector re-encoded, never by
-/// keeping input bytes (a decoder accepts overlong varints no encoder
-/// writes) — so two equal states hold equal bytes, and nothing a store
-/// holds refers to the snapshot image, log record or socket chunk it was
-/// read from.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Record<'a>(&'a [u8]);
+/// A page holds its records so, back to back in strictly ascending key
+/// order, the first written whole — its key and its vector — so the
+/// page's first key is read off its front; each key after it shares the
+/// longest prefix it can, and each vector is written only where it is
+/// not the vector of the record before. A record is therefore read
+/// against the records before it in its page: a walk holds the key it
+/// rebuilt and the vector last written, and a lookup compares its key
+/// against each record's from the prefix the record before shared with
+/// it, rebuilding none. Key byte order is `str` order.
+///
+/// A record is **canonical**: only [`Coded::of`] codes one, from a key
+/// and a state whose vector is the snapshot its encoder writes — built
+/// from a vector, or an image's reader re-encoded it, never by keeping
+/// input bytes (a decoder accepts overlong varints no encoder writes) —
+/// so two equal states hold equal bytes, and nothing a store holds
+/// refers to the snapshot image, log record or socket chunk it was read
+/// from.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Coded<'a> {
+    /// The length of the prefix the key shares with the key before it:
+    /// 0 for the first, written whole.
+    pub(crate) shared: usize,
+    /// The key past that prefix.
+    pub(crate) rest: &'a [u8],
+    /// The vector's snapshot where it is written out; `None` where it is
+    /// the vector of the entry before.
+    pub(crate) vector: Option<&'a [u8]>,
+    /// The value; `None` for a tombstone.
+    pub(crate) value: Option<&'a [u8]>,
+}
 
 /// An entry's state: the vector's snapshot bytes and the value (`None`
-/// a tombstone), borrowed from its [`Record`], from a state handed to an
-/// image's writer ([`View::of_state`]), or from an image as its reader
-/// read it, the vector made canonical — what [`Record::write_state`]
-/// writes a record from.
+/// a tombstone), borrowed from the page that holds it, from a state
+/// handed to an image's writer ([`View::of_state`]), or from an image as
+/// its reader read it, the vector made canonical.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct View<'a> {
     pub(crate) meta: &'a [u8],
@@ -52,129 +68,234 @@ pub(crate) struct View<'a> {
 /// Why a stored field always parses.
 const CANONICAL: &str = "a record holds its own encoder's output";
 
-/// Splits the length-prefixed field at the front of `bytes` off it. A
-/// walk over a page reads three or four of these a record, nearly all
-/// one byte long, so that length is read here and not through
+/// The shortest rest of a key whose length its key head cannot hold:
+/// the head's low bits hold a rest of up to 6 bytes, and 7 for a rest of
+/// 7 or more, whose length less 7 follows.
+pub(crate) const REST_ESCAPE: u64 = 7;
+
+/// Takes the varint at the front of a page's `bytes` off it. A walk
+/// over a page reads two to four of these a record, nearly all one byte
+/// long, so that length is read here and not through
 /// `wire::get_varint`'s `Buf` reads. Release, 100 000 keys × 32 B at 512
 /// shards, on a two-core Xeon, built against `crates/perf`'s stand-in
-/// `bytes`: every key's `get` 33 → 20 ms, `put` 97 → 62 ms, replaying a
-/// log entry a key 118 → 80 ms.
-fn field<'a>(bytes: &mut &'a [u8]) -> &'a [u8] {
-    let len = match bytes.split_first() {
-        Some((&len, rest)) if len < 0x80 => {
+/// `bytes`, reading a record's length-prefixed fields so: every key's
+/// `get` 33 → 20 ms, `put` 97 → 62 ms, replaying a log entry a key
+/// 118 → 80 ms.
+fn varint(bytes: &mut &[u8]) -> u64 {
+    match bytes.split_first() {
+        Some((&byte, rest)) if byte < 0x80 => {
             *bytes = rest;
-            usize::from(len)
+            u64::from(byte)
         }
-        _ => wire::get_varint(bytes).expect(CANONICAL) as usize,
-    };
-    let (field, rest) = bytes.split_at(len);
-    *bytes = rest;
-    field
+        _ => wire::get_varint(bytes).expect(CANONICAL),
+    }
 }
 
-impl<'a> Record<'a> {
-    /// The length of the record [`write`](Self::write) appends for an
-    /// entry.
-    pub(crate) fn encoded_len(key: &str, meta: &Srv, value: Option<&[u8]>) -> usize {
-        let meta_len = meta.as_core().snapshot_len();
-        let value_len = value.map_or(0, |v| wire::bytes_len(v.len()));
-        wire::bytes_len(key.len()) + wire::bytes_len(meta_len) + 1 + value_len
-    }
+/// Takes the `len` bytes at the front of a page's `bytes` off it.
+fn take<'a>(bytes: &mut &'a [u8], len: u64) -> &'a [u8] {
+    let (taken, rest) = bytes.split_at(len as usize);
+    *bytes = rest;
+    taken
+}
 
-    /// Appends one entry to `buf`, [`encoded_len`](Self::encoded_len)
-    /// bytes: the one writer of the layout, called on the buffer the
-    /// record is to live in — the page being built, where there is one.
-    pub(crate) fn write(buf: &mut Vec<u8>, key: &str, meta: &Srv, value: Option<&[u8]>) {
-        let start = buf.len();
-        let core = meta.as_core();
-        wire::put_bytes(buf, key.as_bytes());
-        wire::put_varint(buf, core.snapshot_len() as u64);
-        core.put_snapshot(buf);
-        match value {
-            Some(v) => {
-                buf.put_u8(1);
-                wire::put_bytes(buf, v);
-            }
-            None => buf.put_u8(0),
-        }
-        debug_assert_eq!(buf.len() - start, Self::encoded_len(key, meta, value));
-    }
+/// The bytes a key this long or shorter takes in a [`Key`] without the
+/// heap.
+const INLINE_KEY: usize = 20;
 
-    /// Appends the record of `key` holding `state` to `buf` — the buffer
-    /// it is to live in, reserved for [`View::record_len`] bytes by the
-    /// caller — without building its vector: the key, the vector an
-    /// image's reader made canonical and the value are copied, so the
-    /// record is what [`write`](Self::write) writes for the state. Boot,
-    /// log replay and a join's image all come through here, each state
-    /// read by [`ImageEntries`](crate::codec::ImageEntries).
-    pub(crate) fn write_state(buf: &mut Vec<u8>, key: &str, state: View<'_>) {
-        wire::put_bytes(buf, key.as_bytes());
-        wire::put_bytes(buf, state.meta);
-        match state.value {
-            Some(v) => {
-                buf.put_u8(1);
-                wire::put_bytes(buf, v);
-            }
-            None => buf.put_u8(0),
+/// A key rebuilt record by record — its prefix kept, its rest replaced —
+/// by a walk over a page or an image, or a vector's snapshot: up to
+/// [`INLINE_KEY`] bytes held inline, a longer one on the heap. A walk of a
+/// store is a cursor a shard, so a cursor that took a block for its key
+/// took 512 of them for a walk of a store of 512 shards; and a cursor
+/// is bounded at 128 B with its heap entry (`Records`), so the inline
+/// part is short.
+#[derive(Clone)]
+pub(crate) struct Key {
+    inline: [u8; INLINE_KEY],
+    len: u32,
+    /// The whole key while it is longer than [`INLINE_KEY`].
+    heap: Vec<u8>,
+}
+
+impl Default for Key {
+    fn default() -> Self {
+        Key {
+            inline: [0; INLINE_KEY],
+            len: 0,
+            heap: Vec::new(),
         }
     }
+}
 
-    /// The key of the record at the front of `bytes`, read without a
-    /// walk over the rest of it.
-    pub(crate) fn key_at(bytes: &'a [u8]) -> &'a [u8] {
-        Record(bytes).key_bytes()
+impl std::fmt::Debug for Key {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.as_slice().fmt(f)
+    }
+}
+
+impl Key {
+    pub(crate) fn as_slice(&self) -> &[u8] {
+        let len = self.len as usize;
+        match len <= INLINE_KEY {
+            true => &self.inline[..len],
+            false => &self.heap[..len],
+        }
+    }
+
+    /// Keeps the first `len` bytes and appends `rest` behind them.
+    pub(crate) fn rebuild(&mut self, len: usize, rest: &[u8]) {
+        let held = self.len as usize;
+        let len = len.min(held);
+        let whole = len + rest.len();
+        if whole <= INLINE_KEY {
+            if held > INLINE_KEY {
+                self.inline[..len].copy_from_slice(&self.heap[..len]);
+            }
+            // A rest is a byte or two where keys share their prefixes: a
+            // loop, not a call to copy so few.
+            for (to, from) in self.inline[len..whole].iter_mut().zip(rest) {
+                *to = *from;
+            }
+        } else {
+            if held <= INLINE_KEY {
+                self.heap.clear();
+                self.heap.extend_from_slice(&self.inline[..len]);
+            }
+            self.heap.truncate(len);
+            self.heap.extend_from_slice(rest);
+        }
+        self.len = u32::try_from(whole).expect("a key shorter than 4 GiB");
+    }
+
+    /// Replaces the whole of it with `bytes`.
+    pub(crate) fn set(&mut self, bytes: &[u8]) {
+        self.rebuild(0, bytes);
+    }
+
+    /// Replaces the whole of it with the `len` bytes `write` writes.
+    pub(crate) fn fill(&mut self, len: usize, write: impl FnOnce(&mut [u8])) {
+        if len <= INLINE_KEY {
+            write(&mut self.inline[..len]);
+        } else {
+            self.heap.clear();
+            self.heap.resize(len, 0);
+            write(&mut self.heap);
+        }
+        self.len = u32::try_from(len).expect("a snapshot shorter than 4 GiB");
+    }
+}
+
+/// The length of the prefix `a` and `b` share.
+pub(crate) fn shared_prefix(a: &[u8], b: &[u8]) -> usize {
+    a.iter().zip(b).take_while(|(a, b)| a == b).count()
+}
+
+impl<'a> Coded<'a> {
+    /// `key` holding `state`, against the key and the vector of the
+    /// entry before it (`None` for the first entry): the longest prefix
+    /// shared, the vector left out where it is the one before. The key
+    /// must be above the key before.
+    pub(crate) fn of(key: &'a [u8], state: View<'a>, before: Option<(&[u8], &[u8])>) -> Self {
+        let (shared, repeats) = match before {
+            None => (0, false),
+            Some((last, vector)) => (shared_prefix(key, last), state.meta == vector),
+        };
+        Coded {
+            shared,
+            rest: &key[shared..],
+            vector: (!repeats).then_some(state.meta),
+            value: state.value,
+        }
+    }
+
+    /// `varint(shared << 3 | min(rest, 7))`, then the rest's length less
+    /// 7 where it is 7 or more.
+    fn key_head(&self) -> (u64, Option<u64>) {
+        let rest = self.rest.len() as u64;
+        let escape = (rest >= REST_ESCAPE).then(|| rest - REST_ESCAPE);
+        ((self.shared as u64) << 3 | rest.min(REST_ESCAPE), escape)
+    }
+
+    /// `varint(value_code << 1 | repeats)`: the value's length plus one,
+    /// 0 for a tombstone.
+    fn state_head(&self) -> u64 {
+        let code = self.value.map_or(0, |v| v.len() as u64 + 1);
+        code << 1 | u64::from(self.vector.is_none())
+    }
+
+    /// Its length in bytes.
+    pub(crate) fn len(&self) -> usize {
+        let (head, escape) = self.key_head();
+        wire::varint_len(head)
+            + escape.map_or(0, wire::varint_len)
+            + self.rest.len()
+            + wire::varint_len(self.state_head())
+            + self.vector.map_or(0, |v| wire::bytes_len(v.len()))
+            + self.value.map_or(0, <[u8]>::len)
+    }
+
+    /// Writes it to `out`: an image's writer.
+    pub(crate) fn write_to(&self, out: &mut impl Write) -> io::Result<()> {
+        let (head, escape) = self.key_head();
+        wire::write_varint(out, head)?;
+        escape.map_or(Ok(()), |escape| wire::write_varint(out, escape))?;
+        out.write_all(self.rest)?;
+        wire::write_varint(out, self.state_head())?;
+        if let Some(vector) = self.vector {
+            wire::write_varint(out, vector.len() as u64)?;
+            out.write_all(vector)?;
+        }
+        self.value.map_or(Ok(()), |value| out.write_all(value))
+    }
+
+    /// Appends it to `page`, [`len`](Self::len) bytes, as
+    /// [`write_to`](Self::write_to) writes it: a page's writer, which
+    /// pushes its heads' bytes where `write_to` hands `out` a slice each.
+    pub(crate) fn put(&self, page: &mut Vec<u8>) {
+        let (head, escape) = self.key_head();
+        wire::put_varint(page, head);
+        if let Some(escape) = escape {
+            wire::put_varint(page, escape);
+        }
+        page.extend_from_slice(self.rest);
+        wire::put_varint(page, self.state_head());
+        if let Some(vector) = self.vector {
+            wire::put_varint(page, vector.len() as u64);
+            page.extend_from_slice(vector);
+        }
+        page.extend_from_slice(self.value.unwrap_or_default());
     }
 
     /// The record at the front of `bytes` — records written back to
     /// back, as a page holds them — and what follows it.
-    pub(crate) fn split_first(bytes: &'a [u8]) -> (Record<'a>, &'a [u8]) {
-        let mut rest = bytes;
-        field(&mut rest);
-        field(&mut rest);
-        let (&tag, mut rest) = rest.split_first().expect(CANONICAL);
-        if tag == 1 {
-            field(&mut rest);
-        }
-        let (record, rest) = bytes.split_at(bytes.len() - rest.len());
-        (Record(record), rest)
-    }
-
-    /// The whole record, as a page holds it.
-    pub(crate) fn bytes(self) -> &'a [u8] {
-        self.0
-    }
-
-    /// The key's bytes and the entry's state behind them — what
-    /// [`KvStore::encode_entry`](crate::KvStore::encode_entry) returns.
-    pub(crate) fn split(self) -> (&'a [u8], &'a [u8]) {
-        let mut rest = self.0;
-        let key = field(&mut rest);
-        (key, rest)
-    }
-
-    pub(crate) fn key_bytes(self) -> &'a [u8] {
-        self.split().0
-    }
-
-    pub(crate) fn view(self) -> View<'a> {
-        let mut state = self.split().1;
-        let meta = field(&mut state);
-        let value = match state.split_first() {
-            Some((1, mut rest)) => Some(field(&mut rest)),
-            _ => None,
+    pub(crate) fn split_first(mut bytes: &'a [u8]) -> (Self, &'a [u8]) {
+        let head = varint(&mut bytes);
+        let rest = match head & REST_ESCAPE {
+            REST_ESCAPE => REST_ESCAPE + varint(&mut bytes),
+            rest => rest,
         };
-        View { meta, value }
-    }
-
-    /// The key and the state, as a walk over entries wants them.
-    pub(crate) fn entry(self) -> (&'a str, View<'a>) {
-        let key = std::str::from_utf8(self.key_bytes()).expect(CANONICAL);
-        (key, self.view())
+        let rest = take(&mut bytes, rest);
+        let state = varint(&mut bytes);
+        let vector = (state & 1 == 0).then(|| {
+            let len = varint(&mut bytes);
+            take(&mut bytes, len)
+        });
+        let value = match state >> 1 {
+            0 => None,
+            code => Some(take(&mut bytes, code - 1)),
+        };
+        let coded = Coded {
+            shared: (head >> 3) as usize,
+            rest,
+            vector,
+            value,
+        };
+        (coded, bytes)
     }
 }
 
-/// Appends to `out` exactly what [`Record::write`] writes for the vector
-/// that fills `meta`, without building it: [`RotCore::recode_snapshot`]
+/// Appends to `out` the snapshot the vector's encoder writes for the
+/// vector that fills `meta`, without building it: [`RotCore::recode_snapshot`]
 /// of all of `meta`.
 ///
 /// # Errors
@@ -218,11 +339,12 @@ fn canonical_field<'b>(bytes: &mut &'b [u8]) -> Option<&'b [u8]> {
 }
 
 impl<'a> View<'a> {
-    /// The state `state` holds if it is laid out as [`Record::write`]
-    /// writes one — the vector's field and, behind tag 1, the value's,
+    /// The state `state` holds if it is laid out as
+    /// [`KvStore::encode_entry`](crate::KvStore::encode_entry) writes one — the vector's field and, behind tag 1, the value's,
     /// each length as short as it goes, and nothing behind them — and
     /// its vector is no empty field; else `None`. The vector is found,
-    /// not decoded ([`written_vector`](Self::written_vector) decodes it).
+    /// not decoded ([`EntryImage::new`](crate::EntryImage::new) decodes
+    /// it).
     pub(crate) fn of_state(mut state: &'a [u8]) -> Option<Self> {
         let meta = canonical_field(&mut state).filter(|meta| !meta.is_empty())?;
         let value = match state.split_first()? {
@@ -239,18 +361,16 @@ impl<'a> View<'a> {
         state.is_empty().then_some(View { meta, value })
     }
 
-    /// Whether the vector is what [`Record::write`] writes for the
-    /// vector it decodes to, re-encoded in `scratch`.
-    pub(crate) fn written_vector(&self, scratch: &mut Vec<u8>) -> bool {
-        scratch.clear();
-        recode_vector(scratch, self.meta).is_ok() && scratch[..] == *self.meta
-    }
-
-    /// The length of the record [`Record::write_state`] writes of this
-    /// state under `key`.
-    pub(crate) fn record_len(&self, key: &str) -> usize {
-        let value = self.value.map_or(0, |v| wire::bytes_len(v.len()));
-        wire::bytes_len(key.len()) + wire::bytes_len(self.meta.len()) + 1 + value
+    /// The state of `meta` and `value`, its vector's snapshot written
+    /// into `snapshot` by the vector's encoder: inline where it is short,
+    /// as nearly every vector is, so that a `put` takes no block for it.
+    pub(crate) fn written(meta: &Srv, value: Option<&'a [u8]>, snapshot: &'a mut Key) -> Self {
+        let core = meta.as_core();
+        snapshot.fill(core.snapshot_len(), |out| core.write_snapshot(out));
+        View {
+            meta: snapshot.as_slice(),
+            value,
+        }
     }
 
     /// The vector, materialised: a working copy to operate on.
@@ -304,8 +424,7 @@ pub(crate) fn with_version_vector<R>(mut meta: &[u8], read: impl FnOnce(&[(u32, 
 /// entries (a key rewritten with the value it holds beside another);
 /// finalized, a sum of hashes is a multiset hash, and a collision on
 /// honest input is about 2⁻⁶⁴ a comparison.
-pub(crate) fn entry_hash(record: Record<'_>) -> u64 {
-    let (key, view) = (record.key_bytes(), record.view());
+pub(crate) fn entry_hash(key: &[u8], view: View<'_>) -> u64 {
     let mut hash = fnv_bytes(fnv_word(FNV_OFFSET, key.len() as u64), key);
     hash = match view.value {
         Some(v) => fnv_bytes(fnv_word(fnv_bytes(hash, &[1]), v.len() as u64), v),

@@ -1,6 +1,6 @@
 use super::*;
+use crate::shard::{Cursor, Records};
 use crate::tests::s;
-use bytes::BytesMut;
 use optrep_core::rng::SplitMix64;
 use optrep_replication::planner::placement;
 
@@ -79,64 +79,75 @@ fn random_state(rng: &mut SplitMix64) -> (String, Srv, Option<Vec<u8>>) {
     (key, meta, value.map(|len| vec![fill; len]))
 }
 
+/// A record reads back as it was coded — alone, as a page's first
+/// record, its key and vector whole, and behind the record before it,
+/// sharing what it can — over seeded states of every shape, a quarter of
+/// them taking the vector before theirs, as a write-once key repeats its
+/// neighbour's; an image's writer writes the same bytes, and a walk of
+/// the page they make rebuilds every key and state.
 #[test]
 fn a_record_reads_back_the_state_it_was_built_from() {
     let mut rng = SplitMix64::new(0x0005_EED0_F2EC_02D5);
-    let (mut spilled, mut tombstones) = (0, 0);
-    // Every record written behind the one before it, as a page holds
-    // them, and where each ends.
-    let (mut page, mut ends) = (Vec::new(), Vec::new());
+    let (mut spilled, mut tombstones, mut repeated) = (0, 0, 0);
+    // Every record coded behind the one before it, as a page holds them.
+    let mut page = Vec::new();
+    let mut states: Vec<(String, Vec<u8>, Option<Vec<u8>>)> = Vec::new();
     for case in 0..2000 {
         let (key, meta, value) = random_state(&mut rng);
-        let mut buf = Vec::new();
-        Record::write(&mut buf, &key, &meta, value.as_deref());
-        let (record, rest) = Record::split_first(&buf);
-        assert!(rest.is_empty(), "case {case}");
-        let len = Record::encoded_len(&key, &meta, value.as_deref());
-        assert_eq!(buf.len(), len, "case {case}");
-        let snapshot = meta.encode_snapshot();
+        let snapshot = match states.last() {
+            Some((_, before, _)) if case % 4 == 0 => before.clone(),
+            _ => meta.encode_snapshot().to_vec(),
+        };
+        let meta = Srv::decode_snapshot(&mut &snapshot[..]).unwrap();
         let view = View {
             meta: &snapshot,
             value: value.as_deref(),
         };
-        assert_eq!(record.entry(), (key.as_str(), view), "case {case}");
-        assert_eq!(record.key_bytes(), key.as_bytes(), "case {case}");
+        let alone = Coded::of(key.as_bytes(), view, None);
+        let mut first = Vec::new();
+        alone.put(&mut first);
+        assert_eq!(first.len(), alone.len(), "case {case}");
+        let (read, rest) = Coded::split_first(&first);
+        assert!(rest.is_empty(), "case {case}");
+        assert_eq!(read, alone, "case {case}");
+        assert_eq!((read.shared, read.rest), (0, key.as_bytes()), "case {case}");
+        assert_eq!(read.vector, Some(&snapshot[..]), "case {case}");
+        assert_eq!(read.value, value.as_deref(), "case {case}");
         // `==` on a vector is structural: `≺` order, values, both bits.
-        assert_eq!(record.view().srv(), meta, "case {case}");
-        // The block is the stored layout and nothing else.
-        let mut image = BytesMut::new();
-        wire::put_bytes(&mut image, key.as_bytes());
-        wire::put_bytes(&mut image, &snapshot);
-        match &value {
-            Some(v) => {
-                image.put_u8(1);
-                wire::put_bytes(&mut image, v);
-            }
-            None => image.put_u8(0),
-        }
-        assert_eq!(record.bytes(), &image[..], "case {case}");
-        assert_eq!(record.split().1, &image[wire::bytes_len(key.len())..]);
+        assert_eq!(view.srv(), meta, "case {case}");
+        let mut image = Vec::new();
+        alone.write_to(&mut image).unwrap();
+        assert_eq!(image, first, "case {case}");
         assert_eq!(
-            entry_hash(record),
+            entry_hash(key.as_bytes(), view),
             entry_hash_by_the_vector(&key, &meta, value.as_deref()),
             "case {case}"
         );
         spilled += usize::from(meta.len() > INLINE_SITES);
         tombstones += usize::from(value.is_none());
-        // Written where it is to live, behind another record, it is the
-        // same bytes.
-        Record::write(&mut page, &key, &meta, value.as_deref());
-        assert_eq!(&page[page.len() - len..], &buf[..], "case {case}");
-        ends.push(page.len());
+        // Behind the record before it.
+        let before = (states.last()).map(|(key, vector, _)| (key.as_bytes(), &vector[..]));
+        let behind = Coded::of(key.as_bytes(), view, before);
+        repeated += usize::from(behind.vector.is_none());
+        let start = page.len();
+        behind.put(&mut page);
+        assert_eq!(page.len() - start, behind.len(), "case {case}");
+        assert_eq!(Coded::split_first(&page[start..]), (behind, &[][..]));
+        states.push((key, snapshot, value));
     }
     assert!(spilled > 100 && tombstones > 100, "{spilled} {tombstones}");
-    // Records back to back split apart where each was written to end.
-    let mut rest = &page[..];
-    for (case, end) in ends.into_iter().enumerate() {
-        rest = Record::split_first(rest).1;
-        assert_eq!(page.len() - rest.len(), end, "case {case}");
+    assert!(repeated >= 500, "{repeated}");
+    let mut walk = Records::of_bytes(&page);
+    for (case, (key, snapshot, value)) in states.iter().enumerate() {
+        assert!(walk.step(), "case {case}");
+        assert_eq!(walk.key(), key.as_bytes(), "case {case}");
+        let view = View {
+            meta: snapshot,
+            value: value.as_deref(),
+        };
+        assert_eq!(walk.view(), view, "case {case}");
     }
-    assert!(rest.is_empty());
+    assert!(!walk.step());
 }
 
 /// `entry_hash` folds a short length, count or site in one step where
@@ -181,11 +192,13 @@ fn a_word_folded_in_one_step_hashes_as_its_eight_bytes() {
                 false => long += 1,
             }
         }
-        let mut buf = Vec::new();
-        Record::write(&mut buf, &key, &meta, value.as_deref());
-        let (record, _) = Record::split_first(&buf);
+        let snapshot = meta.encode_snapshot();
+        let view = View {
+            meta: &snapshot,
+            value: value.as_deref(),
+        };
         assert_eq!(
-            entry_hash(record),
+            entry_hash(key.as_bytes(), view),
             entry_hash_by_the_vector(&key, &meta, value.as_deref())
         );
     });

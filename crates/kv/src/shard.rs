@@ -1,15 +1,22 @@
 //! One shard of the key space — its records in pages, its content
 //! digest and counts, changed only through [`Shard::place`] and
-//! [`Shard::append`] — and the walks over a store's shards: in no order,
-//! or in key order as one merge of the shards' sorted pages.
+//! [`Shard::append`]. A page is an image of its records ([`Coded`]): its
+//! first key and vector written whole, each key after them front-coded
+//! against the key before, and each vector written only where it is not
+//! the vector of the record before. The walks over a store's shards — in
+//! no order, or in key order as one merge of the shards' sorted pages —
+//! are in [`walk`].
 
-use crate::record::{entry_hash, Record, View};
+use crate::record::{entry_hash, shared_prefix, Coded, Key, View};
 use crate::KvStore;
 use optrep_core::{RotatingVector, SiteId, Srv};
-use optrep_replication::planner::{shard_of, Cut, ShardDigest};
+use optrep_replication::planner::{shard_of, ShardDigest};
 use std::cmp::Ordering;
-use std::collections::binary_heap::PeekMut;
-use std::collections::BinaryHeap;
+use std::ops::Range;
+
+mod walk;
+
+pub(crate) use walk::{Cursor, Merge, Named, Records};
 
 /// The most records a page holds.
 const PAGE_RECORDS: usize = 16;
@@ -23,25 +30,28 @@ fn fits(records: usize, bytes: usize) -> bool {
     records == 1 || (records <= PAGE_RECORDS && bytes <= PAGE_BYTES)
 }
 
-/// Records written back to back in strictly ascending key order, as
-/// many as [`fits`]: one exactly sized block for up to sixteen keys,
-/// where a block a record paid a malloc header and a set slot a key.
-/// Ordered by its first key.
+/// Records written back to back in strictly ascending key order, each
+/// against the one before it ([`Coded`]), as many as [`fits`]: one
+/// exactly sized block for up to sixteen keys, where a block a record
+/// paid a malloc header and a set slot a key. Ordered by its first key,
+/// which it holds whole at its front.
 #[derive(Debug, Clone)]
 pub(crate) struct Page(Box<[u8]>);
 
 impl Page {
     fn first_key(&self) -> &[u8] {
-        Record::key_at(&self.0)
+        Coded::split_first(&self.0).0.rest
     }
 }
 
 /// A key's first eight bytes, zero-padded, as a big-endian number: two
 /// keys whose prefixes differ compare as their prefixes do.
 fn prefix(key: &[u8]) -> u64 {
+    if let Some(bytes) = key.first_chunk::<8>() {
+        return u64::from_be_bytes(*bytes);
+    }
     let mut bytes = [0; 8];
-    let len = key.len().min(8);
-    bytes[..len].copy_from_slice(&key[..len]);
+    bytes[..key.len()].copy_from_slice(key);
     u64::from_be_bytes(bytes)
 }
 
@@ -77,75 +87,151 @@ impl std::ops::Deref for Slot {
     }
 }
 
-/// The records of a page, in order.
-#[derive(Debug, Clone)]
-pub(crate) struct Walk<'a>(&'a [u8]);
-
-impl<'a> Iterator for Walk<'a> {
-    type Item = Record<'a>;
-
-    fn next(&mut self) -> Option<Record<'a>> {
-        if self.0.is_empty() {
-            return None;
+/// How the record `coded` compares with `key`, given the length of the
+/// prefix the record before it (the page's records below `key`) shares
+/// with `key`, and the length of the prefix the record shares with
+/// `key`. No key is rebuilt: a record that shares more with the record
+/// before than `key` does is below `key` as that one was, one that
+/// shares less is above it, and only one that shares as much is
+/// compared, from there.
+fn against(coded: &Coded<'_>, key: &[u8], matched: usize) -> (Ordering, usize) {
+    match coded.shared.cmp(&matched) {
+        Ordering::Greater => (Ordering::Less, matched),
+        Ordering::Less => (Ordering::Greater, coded.shared),
+        Ordering::Equal => {
+            let tail = &key[matched..];
+            let common = shared_prefix(coded.rest, tail);
+            let order = match (coded.rest.get(common), tail.get(common)) {
+                (Some(ours), Some(theirs)) => ours.cmp(theirs),
+                (ours, theirs) => ours.is_some().cmp(&theirs.is_some()),
+            };
+            (order, matched + common)
         }
-        let (record, rest) = Record::split_first(self.0);
-        self.0 = rest;
-        Some(record)
     }
 }
 
-impl<'a> IntoIterator for &'a Page {
-    type Item = Record<'a>;
-    type IntoIter = Walk<'a>;
-
-    fn into_iter(self) -> Walk<'a> {
-        Walk(&self.0)
-    }
+/// Where a key stands in a page, found by one walk of it that rebuilds
+/// no key ([`against`]): what [`Shard::place`] re-encodes there.
+#[derive(Debug)]
+struct Spot<'p> {
+    /// Where the key's record starts, or where it would.
+    start: usize,
+    /// The length of the prefix the key shares with the record before
+    /// it: 0 at the front of the page.
+    shared: usize,
+    /// The vector of the record before it; empty at the front of the
+    /// page (no vector snapshot is empty).
+    before: &'p [u8],
+    /// The record the key holds, and where it ends.
+    held: Option<(View<'p>, usize)>,
+    /// The record after the key, coded against it, its vector whole, and
+    /// where it ends.
+    next: Option<(Coded<'p>, usize)>,
+    /// The records of the page up to the record after the key.
+    records: usize,
 }
 
-/// A shard's records in key order, page by page: a cursor of a store's
-/// merge, so it holds the pages' iterator and the rest of one page and
-/// nothing else.
-#[derive(Debug, Clone)]
-pub(crate) struct Records<'a> {
-    pages: std::slice::Iter<'a, Slot>,
-    page: Walk<'a>,
-}
-
-impl<'a> Iterator for Records<'a> {
-    type Item = Record<'a>;
-
-    fn next(&mut self) -> Option<Record<'a>> {
-        loop {
-            if let Some(record) = self.page.next() {
-                return Some(record);
+impl<'p> Spot<'p> {
+    fn find(page: &'p [u8], key: &[u8]) -> Self {
+        let mut spot = Spot {
+            start: 0,
+            shared: 0,
+            before: &[],
+            held: None,
+            next: None,
+            records: 0,
+        };
+        let mut rest = page;
+        while !rest.is_empty() {
+            let (coded, after) = Coded::split_first(rest);
+            let (order, common) = against(&coded, key, spot.shared);
+            spot.records += 1;
+            rest = after;
+            let at = |rest: &[u8]| page.len() - rest.len();
+            match order {
+                Ordering::Less => {
+                    spot.start = at(rest);
+                    spot.shared = common;
+                    spot.before = coded.vector.unwrap_or(spot.before);
+                    continue;
+                }
+                Ordering::Equal => {
+                    let vector = coded.vector.unwrap_or(spot.before);
+                    spot.held = Some((coded.view(spot.before), at(rest)));
+                    if !rest.is_empty() {
+                        let (next, beyond) = Coded::split_first(rest);
+                        spot.next = Some((next.whole(vector), at(beyond)));
+                        spot.records += 1;
+                    }
+                }
+                Ordering::Greater => {
+                    // The record above the key now follows it: it shares
+                    // with the key what it shares with the key, at least
+                    // what it shared with the record before.
+                    let next = Coded {
+                        shared: common,
+                        rest: &coded.rest[common - coded.shared..],
+                        ..coded.whole(spot.before)
+                    };
+                    spot.next = Some((next, at(rest)));
+                }
             }
-            self.page = self.pages.next()?.page.into_iter();
+            break;
+        }
+        spot
+    }
+
+    /// The records of `page`, the page it was found in.
+    fn records(&self, page: &[u8]) -> usize {
+        let (mut rest, mut records) = (&page[self.end()..], self.records);
+        while !rest.is_empty() {
+            rest = Coded::split_first(rest).1;
+            records += 1;
+        }
+        records
+    }
+
+    /// Where the records the key's write re-encodes end: its own and the
+    /// one after it.
+    fn end(&self) -> usize {
+        match (&self.next, &self.held) {
+            (Some((_, end)), _) | (None, Some((_, end))) => *end,
+            (None, None) => self.start,
         }
     }
 }
 
-/// What [`Shard::place`] stores for a key: a copy of a record, or an
-/// entry encoded straight into the page it is to live in.
+impl<'a> Coded<'a> {
+    /// The state it holds, `vector` the vector of the record before it.
+    fn view(&self, before: &'a [u8]) -> View<'a> {
+        View {
+            meta: self.vector.unwrap_or(before),
+            value: self.value,
+        }
+    }
+
+    /// It with its vector written out, `before` the vector of the record
+    /// before it: to be re-coded behind another.
+    fn whole(self, before: &'a [u8]) -> Self {
+        Coded {
+            vector: Some(self.vector.unwrap_or(before)),
+            ..self
+        }
+    }
+
+    /// It, its vector written out, behind a record whose vector is
+    /// `before`: left out where they are the same.
+    fn behind(self, before: &[u8]) -> Self {
+        let vector = self.vector.filter(|vector| *vector != before);
+        Coded { vector, ..self }
+    }
+}
+
+/// What [`Shard::place`] stores for a key: a state to copy, or a vector
+/// and a value to write.
 pub(crate) enum New<'a> {
-    Copy(Record<'a>),
-    Entry(&'a str, Srv, Option<&'a [u8]>),
-}
-
-impl New<'_> {
-    fn len(&self) -> usize {
-        match self {
-            New::Copy(record) => record.bytes().len(),
-            New::Entry(key, meta, value) => Record::encoded_len(key, meta, *value),
-        }
-    }
-
-    fn write(&self, buf: &mut Vec<u8>) {
-        match self {
-            New::Copy(record) => buf.extend_from_slice(record.bytes()),
-            New::Entry(key, meta, value) => Record::write(buf, key, meta, *value),
-        }
-    }
+    State(View<'a>),
+    Entry(Srv, Option<&'a [u8]>),
 }
 
 /// One shard of the store's key space: its records, in pages, plus an
@@ -162,7 +248,7 @@ pub(crate) struct Shard {
     entries: usize,
     digest: u64,
     /// Records holding a value (not tombstones). Bookkeeping like the
-    /// digest's, so [`KvStore::len`] need not walk.
+    /// digest's, so [`KvStore::len`](crate::KvStore::len) need not walk.
     live: usize,
 }
 
@@ -181,20 +267,29 @@ impl Shard {
         (self.pages).partition_point(|slot| slot.starts_at_or_below(prefix, key))
     }
 
-    /// The record `key` holds, tombstones included: a walk of the one
-    /// page it would be in, the last that starts at or before it.
-    pub(crate) fn get(&self, key: &[u8]) -> Option<Record<'_>> {
+    /// The state `key` holds, tombstones included: a walk of the one page
+    /// it would be in, the last that starts at or before it, that
+    /// rebuilds no key ([`against`]) and holds the vector last written.
+    pub(crate) fn get(&self, key: &[u8]) -> Option<View<'_>> {
         let page = &self.pages[self.pages_at_or_below(key).checked_sub(1)?];
-        let record = page.into_iter().find(|record| record.key_bytes() >= key)?;
-        (record.key_bytes() == key).then_some(record)
+        let (mut rest, mut matched, mut before) = (&page.0[..], 0, &[][..]);
+        while !rest.is_empty() {
+            let (coded, after) = Coded::split_first(rest);
+            let (order, common) = against(&coded, key, matched);
+            match order {
+                Ordering::Less => {}
+                Ordering::Equal => return Some(coded.view(before)),
+                Ordering::Greater => return None,
+            }
+            before = coded.vector.unwrap_or(before);
+            (rest, matched) = (after, common);
+        }
+        None
     }
 
     /// Every record, in key order.
     pub(crate) fn records(&self) -> Records<'_> {
-        Records {
-            pages: self.pages.iter(),
-            page: Walk(&[]),
-        }
+        Records::of(&self.pages)
     }
 
     /// The shard as a digest vector lists it: the wrapping sum of
@@ -207,13 +302,14 @@ impl Shard {
         }
     }
 
-    /// What storing `new` in place of whatever its key holds would do
-    /// to [`summary`](Self::summary): its hash in, the held record's out,
-    /// and one more entry if the key is not held.
-    pub(crate) fn change_of(&self, new: Record<'_>) -> ShardDigest {
-        let held = self.get(new.key_bytes());
+    /// What storing `state` under `key` in place of whatever the key
+    /// holds would do to [`summary`](Self::summary): its hash in, the
+    /// held record's out, and one more entry if the key is not held.
+    pub(crate) fn change_of(&self, key: &[u8], state: View<'_>) -> ShardDigest {
+        let held = self.get(key);
         ShardDigest {
-            digest: entry_hash(new).wrapping_sub(held.map_or(0, entry_hash)),
+            digest: entry_hash(key, state)
+                .wrapping_sub(held.map_or(0, |held| entry_hash(key, held))),
             entries: u64::from(held.is_none()),
         }
     }
@@ -223,17 +319,19 @@ impl Shard {
         self.live
     }
 
-    /// Counts `record` in: the digest, the live count, the entries.
-    fn count_in(&mut self, record: Record<'_>) {
-        self.digest = self.digest.wrapping_add(entry_hash(record));
-        self.live += usize::from(record.view().value.is_some());
+    /// Counts `key` holding `state` in: the digest, the live count, the
+    /// entries.
+    fn count_in(&mut self, key: &[u8], state: View<'_>) {
+        self.digest = self.digest.wrapping_add(entry_hash(key, state));
+        self.live += usize::from(state.value.is_some());
         self.entries += 1;
     }
 
-    /// Counts `record` out, as [`count_in`](Self::count_in) counted it.
-    fn count_out(&mut self, record: Record<'_>) {
-        self.digest = self.digest.wrapping_sub(entry_hash(record));
-        self.live -= usize::from(record.view().value.is_some());
+    /// Counts `key` holding `state` out, as [`count_in`](Self::count_in)
+    /// counted it.
+    fn count_out(&mut self, key: &[u8], state: View<'_>) {
+        self.digest = self.digest.wrapping_sub(entry_hash(key, state));
+        self.live -= usize::from(state.value.is_some());
         self.entries -= 1;
     }
 
@@ -243,94 +341,122 @@ impl Shard {
         self.place(key.as_bytes(), |held| {
             let mut meta = held.map_or_else(Srv::new, |held| held.srv());
             meta.record_update(site);
-            New::Entry(key, meta, value)
+            New::Entry(meta, value)
         });
     }
 
     /// Stores one entry in place of whatever its key held; returns
     /// whether the key was tracked before.
     pub(crate) fn write(&mut self, key: &str, meta: Srv, value: Option<&[u8]>) -> bool {
-        self.place(key.as_bytes(), |_| New::Entry(key, meta, value))
+        self.place(key.as_bytes(), |_| New::Entry(meta, value))
     }
 
-    /// Stores a copy of `record` in place of whatever its key held;
-    /// returns whether the key was tracked before.
-    pub(crate) fn upsert(&mut self, record: Record<'_>) -> bool {
-        self.place(record.key_bytes(), |_| New::Copy(record))
+    /// Stores `key` holding a copy of `state` in place of whatever the
+    /// key held; returns whether the key was tracked before.
+    pub(crate) fn upsert(&mut self, key: &[u8], state: View<'_>) -> bool {
+        self.place(key, |_| New::State(state))
     }
 
     /// Stores what `new` makes of the state `key` holds, in place of it,
     /// and brings the digest and the counts in step: the one place any
     /// of them changes but [`append`](Self::append). Returns whether the
     /// key was tracked before. One walk of the one page the key belongs
-    /// in finds the held record and where the key goes; the record is
-    /// then written where it stands when it keeps its length, else into
-    /// the page's rewrite. Over a cap, a record after the page's last key
-    /// starts a page of its own, so an ascending load leaves every page
-    /// full, and anything else splits the page in halves. Records are
-    /// never removed (a delete writes a tombstone), so pages never merge.
+    /// in finds the held record and where the key goes ([`Spot`]). A
+    /// record is coded against the one before it, so a write re-encodes
+    /// two: the key's own, and the one after it, whose vector the key's
+    /// may have been or become. Where both keep their lengths — a value
+    /// of the same length, the vector changed or not, and the record
+    /// after repeating or writing its own vector as before — they are
+    /// overwritten where they stand, else the page is rewritten into a
+    /// block of its new size, the records around those two copied. (A
+    /// page resized in its own block instead, by `realloc`, left
+    /// `dense_pull`'s peak 1.6 % higher, 0 of 4 pairs lower: a block
+    /// shrunk where it lies leaves a fragment behind.) Over a cap,
+    /// a record after the page's last key starts a page of its own, so an
+    /// ascending load leaves every page full, and anything else splits
+    /// the page in halves. Records are never removed (a delete writes a
+    /// tombstone), so pages never merge.
     pub(crate) fn place<'n>(
         &mut self,
         key: &[u8],
         new: impl FnOnce(Option<View<'_>>) -> New<'n>,
     ) -> bool {
+        let mut snapshot = Key::default();
         let Some(at) = self.page_of(key) else {
-            self.alone(0, &new(None));
+            let state = written(new(None), &mut snapshot);
+            self.alone(0, key, state);
             return false;
         };
-        let old = &self.pages[at].0;
-        // The page's records below the key (a prefix: they ascend), and
-        // the one the key holds.
-        let (mut before, mut records, mut held) = (0, 0, None);
-        for record in Walk(old) {
-            records += 1;
-            match record.key_bytes().cmp(key) {
-                Ordering::Less => before += record.bytes().len(),
-                Ordering::Equal => held = Some(record),
-                Ordering::Greater => {}
-            }
+        let page = &self.pages[at].0;
+        let spot = Spot::find(page, key);
+        let state = written(new(spot.held.map(|(held, _)| held)), &mut snapshot);
+        let tracked = spot.held.is_some();
+        let out = spot
+            .held
+            .map(|(held, _)| (entry_hash(key, held), held.value.is_some()));
+        // The key's record against the record before, and the record
+        // after against it.
+        let own = Coded {
+            shared: spot.shared,
+            rest: &key[spot.shared..],
+            vector: Some(state.meta),
+            value: state.value,
         }
-        let new = new(held.map(Record::view));
-        let len = new.len();
-        let after = before + held.map_or(0, |record| record.bytes().len());
-        let tracked = held.is_some();
-        if let Some(held) = held {
-            let (hash, live) = (entry_hash(held), held.view().value.is_some());
+        .behind(spot.before);
+        let next = spot.next.map(|(next, _)| next.behind(state.meta));
+        let (start, end) = (spot.start, spot.end());
+        let held_end = spot.held.map_or(start, |(_, end)| end);
+        let len = own.len() + next.map_or(0, |next| next.len());
+        // The same lengths: the records are overwritten where they stand
+        // and the page keeps its block. Rewriting the page into a new
+        // block of about 4 KiB for every changed value left the heap in
+        // holes whose layout moved with the order keys changed in.
+        let placed = if tracked && len == end - start {
+            match own.len() == held_end - start {
+                // The record after keeps its length, so its bytes: it
+                // repeats the vector before it, or writes its own, as it
+                // did.
+                true => Placed::Own,
+                false => {
+                    let mut coded = Vec::with_capacity(len);
+                    own.put(&mut coded);
+                    next.inspect(|next| next.put(&mut coded));
+                    Placed::Over(coded)
+                }
+            }
+        } else {
+            let records = spot.records(page) + usize::from(!tracked);
+            let total = page.len() - (end - start) + len;
+            match !tracked && start == page.len() && !fits(records, total) {
+                true => Placed::Alone,
+                false => {
+                    let mut buf = Vec::with_capacity(total);
+                    buf.extend_from_slice(&page[..start]);
+                    own.put(&mut buf);
+                    next.inspect(|next| next.put(&mut buf));
+                    buf.extend_from_slice(&page[end..]);
+                    Placed::Rewrite(buf, records)
+                }
+            }
+        };
+        let hash = entry_hash(key, state);
+        if let Some((hash, live)) = out {
             self.digest = self.digest.wrapping_sub(hash);
             self.live -= usize::from(live);
             self.entries -= 1;
         }
-        let old = &self.pages[at].0;
-        if tracked && len == after - before {
-            // The same length: the record is overwritten where it stands
-            // and the page keeps its block. Rewriting the page into a new
-            // block of about 4 KiB for every changed value left the heap
-            // in holes whose layout moved with the order keys changed in.
-            let mut encoded = Vec::new();
-            let bytes = match &new {
-                New::Copy(record) => record.bytes(),
-                New::Entry(..) => {
-                    encoded.reserve_exact(len);
-                    new.write(&mut encoded);
-                    &encoded
-                }
-            };
-            self.pages[at].page.0[before..after].copy_from_slice(bytes);
-            self.count_in(Record::split_first(bytes).0);
-            return true;
+        self.digest = self.digest.wrapping_add(hash);
+        self.live += usize::from(state.value.is_some());
+        self.entries += 1;
+        match placed {
+            Placed::Own => {
+                let mut bytes = &mut self.pages[at].page.0[start..held_end];
+                own.write_to(&mut bytes).expect("the record's own bytes");
+            }
+            Placed::Over(coded) => self.pages[at].page.0[start..end].copy_from_slice(&coded),
+            Placed::Alone => self.new_page(at + 1, key, state),
+            Placed::Rewrite(buf, records) => self.file(at, buf, records),
         }
-        let records = records + usize::from(!tracked);
-        let total = old.len() - (after - before) + len;
-        if !tracked && before == old.len() && !fits(records, total) {
-            self.alone(at + 1, &new);
-            return false;
-        }
-        let mut buf = Vec::with_capacity(total);
-        buf.extend_from_slice(&old[..before]);
-        new.write(&mut buf);
-        buf.extend_from_slice(&old[after..]);
-        self.count_in(Record::split_first(&buf[before..]).0);
-        self.file(at, buf, records);
         tracked
     }
 
@@ -339,12 +465,19 @@ impl Shard {
         push_slot(&mut self.pages, Slot::new(page));
     }
 
-    /// Stores `new`, a key no page holds, as a page of its own at index
+    /// Stores `key` holding `state`, a key no page holds, as a page of its
+    /// own at index `at`, counted in.
+    fn alone(&mut self, at: usize, key: &[u8], state: View<'_>) {
+        self.count_in(key, state);
+        self.new_page(at, key, state);
+    }
+
+    /// Files `key` holding `state`, counted, as a page of its own at index
     /// `at`.
-    fn alone(&mut self, at: usize, new: &New<'_>) {
-        let mut buf = Vec::with_capacity(new.len());
-        new.write(&mut buf);
-        self.count_in(Record::split_first(&buf).0);
+    fn new_page(&mut self, at: usize, key: &[u8], state: View<'_>) {
+        let coded = Coded::of(key, state, None);
+        let mut buf = Vec::with_capacity(coded.len());
+        coded.put(&mut buf);
         room(&mut self.pages, 1);
         (self.pages).insert(at, Slot::new(Page(buf.into_boxed_slice())));
     }
@@ -352,20 +485,24 @@ impl Shard {
     /// Files `records` records, written back to back in key order in
     /// `buf`, as the pages that replace page `at`, the one they came
     /// from: one page, if they fit one, else halves, halved again until
-    /// each fits.
+    /// each fits, each re-encoded from its first record whole.
     fn file(&mut self, at: usize, buf: Vec<u8>, records: usize) {
         if fits(records, buf.len()) {
             self.pages[at] = Slot::new(Page(buf.into_boxed_slice()));
             return;
         }
-        let mut bounds = [0; PAGE_RECORDS + 2];
-        let mut rest = &buf[..];
-        for bound in &mut bounds[1..=records] {
-            rest = Record::split_first(rest).1;
-            *bound = buf.len() - rest.len();
+        // The records' keys, rebuilt back to back, and each record's key
+        // and state.
+        let mut keys = Vec::new();
+        let mut held: Vec<(Range<usize>, View<'_>)> = Vec::with_capacity(records);
+        let mut walk = Records::of_bytes(&buf);
+        while walk.step() {
+            let start = keys.len();
+            keys.extend_from_slice(walk.key());
+            held.push((start..keys.len(), walk.view()));
         }
         let mut halves = Vec::new();
-        cut(&buf, &bounds[..=records], &mut halves);
+        cut(&keys, &held, &mut halves);
         room(&mut self.pages, halves.len() - 1);
         self.pages
             .splice(at..=at, halves.into_iter().map(Slot::new));
@@ -381,8 +518,9 @@ impl Shard {
     /// whole. A run of one record is upserted.
     pub(crate) fn append(&mut self, mut run: Run) {
         if run.len == 1 && self.entries > 0 {
-            for record in run.records() {
-                self.upsert(record);
+            let mut records = run.records();
+            while records.step() {
+                self.upsert(records.key(), records.view());
             }
             return;
         }
@@ -390,8 +528,9 @@ impl Shard {
         if self.entries > 0 {
             return self.merge(run.pages);
         }
-        for record in run.pages.iter().flat_map(|slot| &slot.page) {
-            self.count_in(record);
+        let mut records = Records::of(&run.pages);
+        while records.step() {
+            self.count_in(records.key(), records.view());
         }
         self.pages = run.pages;
     }
@@ -399,64 +538,82 @@ impl Shard {
     /// Merges `run`'s pages, their keys strictly ascending, into this
     /// shard, which holds records: see [`append`](Self::append).
     fn merge(&mut self, mut run_pages: Vec<Slot>) {
-        let mut run = Cursor::default();
-        let Some(first) = run.peek(&run_pages) else {
+        let mut run = Records::of(&run_pages);
+        if !run.step() {
             return;
-        };
-        let from = self
-            .page_of(first.key_bytes())
-            .expect("a shard that holds records");
+        }
+        let from = self.page_of(run.key()).expect("a shard that holds records");
         let mut pages = self.pages.split_off(from).into_iter().peekable();
         let mut fill = Fill::new();
+        let mut live = true;
         while let Some(page) = pages.next() {
             // The run's records below the next page's first key fall in
             // this page; past the last page, all of them do.
             let bound = pages.peek().map(|slot| slot.first_key());
-            let falls = |record: &Record<'_>| bound.is_none_or(|bound| record.key_bytes() < bound);
-            if !run.peek(&run_pages).is_some_and(|record| falls(&record)) {
+            let falls = |key: &[u8]| bound.is_none_or(|bound| key < bound);
+            if !(live && falls(run.key())) {
                 push_slot(&mut self.pages, page);
                 continue;
             }
-            let mut held = Walk(&page.0).peekable();
+            let mut held = Records::of(std::slice::from_ref(&page));
+            let mut holds = held.step();
             loop {
-                let next = run.peek(&run_pages).filter(&falls);
-                let record = match (held.peek().copied(), next) {
-                    (None, None) => break,
-                    (Some(old), None) => {
-                        held.next();
-                        old
-                    }
-                    (Some(old), Some(new)) if old.key_bytes() < new.key_bytes() => {
-                        held.next();
-                        old
-                    }
-                    (old, Some(new)) => {
-                        if old.is_some_and(|old| old.key_bytes() == new.key_bytes()) {
-                            self.count_out(held.next().expect("peeked"));
-                        } else if old.is_none() && bound.is_none() && run.at == 0 && !fill.fits(new)
-                        {
-                            // Past the shard's last key, at the start of
-                            // one of the run's pages, with a page closed
-                            // in front of it: the rest moves in whole.
-                            fill.close(self);
-                            break;
-                        }
-                        self.count_in(new);
-                        run.step(new, &run_pages);
-                        new
-                    }
+                let next = live && falls(run.key());
+                let take_held = match (holds, next) {
+                    (false, false) => break,
+                    (true, false) => true,
+                    (true, true) => held.key() < run.key(),
+                    (false, true) => false,
                 };
-                fill.push(record, self);
+                if take_held {
+                    fill.push(held.key(), held.view(), self);
+                    holds = held.step();
+                    continue;
+                }
+                if holds && held.key() == run.key() {
+                    self.count_out(held.key(), held.view());
+                    holds = held.step();
+                } else if !holds && bound.is_none() && run.at_page_start() && !fill.fits(&run) {
+                    // Past the shard's last key, at the start of one of
+                    // the run's pages, with a page closed in front of
+                    // it: the rest moves in whole.
+                    fill.close(self);
+                    break;
+                }
+                self.count_in(run.key(), run.view());
+                fill.push(run.key(), run.view(), self);
+                live = run.step();
             }
             fill.close(self);
         }
-        for slot in run_pages.drain(run.page..) {
-            for record in &slot.page {
-                self.count_in(record);
+        let rest = if live { run.page() } else { run_pages.len() };
+        for slot in run_pages.drain(rest..) {
+            let mut records = Records::of(std::slice::from_ref(&slot));
+            while records.step() {
+                self.count_in(records.key(), records.view());
             }
             push_slot(&mut self.pages, slot);
         }
     }
+}
+
+/// The state `new` stands for, a vector's snapshot written into
+/// `snapshot`.
+fn written<'n>(new: New<'n>, snapshot: &'n mut Key) -> View<'n> {
+    match new {
+        New::State(state) => state,
+        New::Entry(meta, value) => View::written(&meta, value, snapshot),
+    }
+}
+
+/// How [`Shard::place`] writes a key's record: over its own bytes; with
+/// the record after it, over theirs; as a page of its own behind the
+/// key's; or into the page's rewrite, of so many records.
+enum Placed {
+    Own,
+    Over(Vec<u8>),
+    Alone,
+    Rewrite(Vec<u8>, usize),
 }
 
 /// Makes room in a page list for `more` pages: it grows by an eighth at
@@ -474,52 +631,77 @@ fn push_slot(pages: &mut Vec<Slot>, slot: Slot) {
     pages.push(slot);
 }
 
-/// Files the records of `buf` between `bounds` (where each starts, and
-/// where the last ends) behind `pages`, halving them until each half fits
-/// a page.
-fn cut(buf: &[u8], bounds: &[usize], pages: &mut Vec<Page>) {
-    let records = bounds.len() - 1;
-    let (start, end) = (bounds[0], bounds[records]);
-    if fits(records, end - start) {
-        pages.push(Page(buf[start..end].into()));
+/// Files `records` — each a key's bounds in `keys` and its state — behind
+/// `pages`, each page coded from its first record whole, halving them
+/// until each half fits a page.
+fn cut(keys: &[u8], records: &[(Range<usize>, View<'_>)], pages: &mut Vec<Page>) {
+    let mut open = Open::default();
+    for (key, state) in records {
+        let coded = open.coded(&keys[key.clone()], *state);
+        open.buf.reserve_exact(coded.len());
+        open.put(coded);
+    }
+    if fits(records.len(), open.buf.len()) {
+        pages.push(open.take());
         return;
     }
-    let half = records / 2;
-    cut(buf, &bounds[..=half], pages);
-    cut(buf, &bounds[half..], pages);
+    let half = records.len() / 2;
+    cut(keys, &records[..half], pages);
+    cut(keys, &records[half..], pages);
 }
 
-/// Where a merge is in a run's pages: at byte `at` of page `page`.
+/// A page being written: its records coded back to back, each against
+/// the one before it, with the last key and where the last vector
+/// written lies.
 #[derive(Debug, Default)]
-struct Cursor {
-    page: usize,
-    at: usize,
-}
-
-impl Cursor {
-    /// The record the cursor is at.
-    fn peek<'p>(&self, pages: &'p [Slot]) -> Option<Record<'p>> {
-        let page = pages.get(self.page)?;
-        Some(Record::split_first(&page.0[self.at..]).0)
-    }
-
-    /// Steps past `record`, the one [`peek`](Self::peek) returned.
-    fn step(&mut self, record: Record<'_>, pages: &[Slot]) {
-        self.at += record.bytes().len();
-        if self.at == pages[self.page].0.len() {
-            self.page += 1;
-            self.at = 0;
-        }
-    }
-}
-
-/// The page a merge is filling: records copied back to back, closed into
-/// a page of its exact size when the next does not fit.
-#[derive(Debug)]
-struct Fill {
+struct Open {
     buf: Vec<u8>,
     records: usize,
+    /// The key of the last record.
+    key: Key,
+    /// Where the vector of the last record lies in `buf`.
+    vector: Range<usize>,
 }
+
+impl Open {
+    /// `key` holding `state` as it would be coded behind the last record.
+    fn coded<'k>(&self, key: &'k [u8], state: View<'k>) -> Coded<'k> {
+        let last = || (self.key.as_slice(), &self.buf[self.vector.clone()]);
+        let before = (self.records > 0).then(last);
+        Coded::of(key, state, before)
+    }
+
+    /// Whether `coded` fits behind the records written.
+    fn fits(&self, coded: &Coded<'_>) -> bool {
+        fits(self.records + 1, self.buf.len() + coded.len())
+    }
+
+    /// Writes `coded`, as [`coded`](Self::coded) coded it, behind the
+    /// last record.
+    fn put(&mut self, coded: Coded<'_>) {
+        coded.put(&mut self.buf);
+        if let Some(vector) = coded.vector {
+            let end = self.buf.len() - coded.value.map_or(0, <[u8]>::len);
+            self.vector = end - vector.len()..end;
+        }
+        self.key.rebuild(coded.shared, coded.rest);
+        self.records += 1;
+    }
+
+    /// The records written, as a page of their exact size; the writer is
+    /// left empty, its buffer kept.
+    fn take(&mut self) -> Page {
+        let page = Page(self.buf[..].into());
+        self.buf.clear();
+        self.records = 0;
+        page
+    }
+}
+
+/// The page a merge is filling: records coded back to back, closed into
+/// a page of its exact size when the next does not fit.
+#[derive(Debug)]
+struct Fill(Open);
 
 impl Fill {
     /// A fill with room for a page of many records from the start. A
@@ -529,29 +711,28 @@ impl Fill {
     /// and `rw_under_pull`'s peak landed in a second layout 2 MiB higher
     /// in about half its runs; with both reserved, in none of 40.
     fn new() -> Self {
-        Fill {
+        Fill(Open {
             buf: Vec::with_capacity(PAGE_BYTES),
-            records: 0,
-        }
+            ..Open::default()
+        })
     }
 
-    fn fits(&self, record: Record<'_>) -> bool {
-        fits(self.records + 1, self.buf.len() + record.bytes().len())
+    /// Whether the record `at` is at fits behind the records filled.
+    fn fits(&self, at: &Records<'_>) -> bool {
+        self.0.fits(&self.0.coded(at.key(), at.view()))
     }
 
-    fn push(&mut self, record: Record<'_>, shard: &mut Shard) {
-        if !self.fits(record) {
+    fn push(&mut self, key: &[u8], state: View<'_>, shard: &mut Shard) {
+        if self.0.records > 0 && !self.0.fits(&self.0.coded(key, state)) {
             self.close(shard);
         }
-        self.buf.extend_from_slice(record.bytes());
-        self.records += 1;
+        let coded = self.0.coded(key, state);
+        self.0.put(coded);
     }
 
     fn close(&mut self, shard: &mut Shard) {
-        if self.records > 0 {
-            shard.push_page(Page(self.buf[..].into()));
-            self.buf.clear();
-            self.records = 0;
+        if self.0.records > 0 {
+            shard.push_page(self.0.take());
         }
     }
 }
@@ -563,9 +744,8 @@ impl Fill {
 #[derive(Debug, Default)]
 pub(crate) struct Run {
     pages: Vec<Slot>,
-    /// The page being filled: `open_records` records.
-    open: Vec<u8>,
-    open_records: usize,
+    /// The page being filled.
+    open: Open,
     /// Records pushed.
     len: usize,
 }
@@ -575,28 +755,28 @@ impl Run {
     /// it, holding `state` behind those records — into the open page, or
     /// into a new one when it does not fit there.
     pub(crate) fn push(&mut self, key: &str, state: View<'_>) {
-        let len = state.record_len(key);
-        if self.open_records > 0 && !fits(self.open_records + 1, self.open.len() + len) {
+        let key = key.as_bytes();
+        if self.open.records > 0 && !self.open.fits(&self.open.coded(key, state)) {
             self.seal();
         }
+        let coded = self.open.coded(key, state);
         // The open page grows by each record's exact length, so the
         // shards' open pages hold nothing beyond their records, and it
         // is a page as it stands.
-        self.open.reserve_exact(len);
-        Record::write_state(&mut self.open, key, state);
-        self.open_records += 1;
+        self.open.buf.reserve_exact(coded.len());
+        self.open.put(coded);
         self.len += 1;
     }
 
     /// Closes the open page: its buffer, exactly sized, becomes a page
     /// behind those before it.
     fn seal(&mut self) {
-        if self.open_records == 0 {
+        if self.open.records == 0 {
             return;
         }
-        let page = std::mem::take(&mut self.open).into_boxed_slice();
+        let page = std::mem::take(&mut self.open.buf).into_boxed_slice();
         push_slot(&mut self.pages, Slot::new(Page(page)));
-        self.open_records = 0;
+        self.open.records = 0;
     }
 
     /// Records pushed.
@@ -604,231 +784,18 @@ impl Run {
         self.len
     }
 
-    /// The records pushed, in the order pushed.
-    pub(crate) fn records(&self) -> impl Iterator<Item = Record<'_>> {
-        let pages = self.pages.iter().flat_map(|slot| &slot.page);
-        pages.chain(Walk(&self.open))
-    }
-}
-
-/// A key's shard index in a map of `count` shards (`count` a power of
-/// two): the planner's placement, which both sides of a contact share.
-pub(crate) fn shard_index(key: &[u8], count: usize) -> usize {
-    shard_of(key, count as u64) as usize
-}
-
-/// Records in key order, merged from cursors that each yield records in
-/// key order and no key another yields — one per shard. The heap holds
-/// each live cursor behind its next record, so a record is compared
-/// against the other cursors' next keys alone, about log₂(cursors) times,
-/// where a sort of the records compares each about log₂(records) times
-/// against records scattered over the heap. It holds the cursors and
-/// their heads in one block: nothing that grows with the records.
-#[derive(Debug, Clone)]
-pub(crate) struct Merge<'a, I> {
-    heads: BinaryHeap<Head<'a, I>>,
-}
-
-/// A cursor behind its next record and that record's key. The order is
-/// the key's, reversed: the heap's greatest is the least key. The key's
-/// first eight bytes, zero-padded, are cached as a big-endian number and
-/// compared first: two keys that differ there compare as their prefixes
-/// do, without a walk to either record's page.
-#[derive(Debug, Clone)]
-pub(crate) struct Head<'a, I> {
-    prefix: u64,
-    key: &'a [u8],
-    record: Record<'a>,
-    rest: I,
-}
-
-impl<'a, I: Iterator<Item = Record<'a>>> Merge<'a, I> {
-    pub(crate) fn new(cursors: impl Iterator<Item = I>) -> Self {
-        let (least, most) = cursors.size_hint();
-        Self::with_heads(Vec::with_capacity(most.unwrap_or(least)), cursors)
-    }
-
-    /// [`new`](Self::new) into `heads`, an empty list reserved for the
-    /// cursors where the caller wants the block to lie.
-    pub(crate) fn with_heads(
-        mut heads: Vec<Head<'a, I>>,
-        cursors: impl Iterator<Item = I>,
-    ) -> Self {
-        for mut rest in cursors {
-            if let Some(record) = rest.next() {
-                let key = record.key_bytes();
-                heads.push(Head {
-                    prefix: prefix(key),
-                    key,
-                    record,
-                    rest,
-                });
-            }
-        }
-        Merge {
-            heads: heads.into(),
-        }
-    }
-}
-
-impl<'a, I: Iterator<Item = Record<'a>>> Iterator for Merge<'a, I> {
-    type Item = Record<'a>;
-
-    fn next(&mut self) -> Option<Record<'a>> {
-        let mut least = self.heads.peek_mut()?;
-        let record = least.record;
-        match least.rest.next() {
-            // Dropping the heap's handle sifts the new head down.
-            Some(next) => {
-                least.key = next.key_bytes();
-                least.prefix = prefix(least.key);
-                least.record = next;
-            }
-            None => {
-                PeekMut::pop(least);
-            }
-        }
-        Some(record)
-    }
-}
-
-impl<I> PartialEq for Head<'_, I> {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl<I> Eq for Head<'_, I> {}
-
-impl<I> PartialOrd for Head<'_, I> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<I> Ord for Head<'_, I> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        let prefixes = other.prefix.cmp(&self.prefix);
-        prefixes.then_with(|| other.key.cmp(self.key))
-    }
-}
-
-/// The physical shards that hold the records of some plan shards at
-/// plan-shard count `count`, and which of their keys those are: plan
-/// shard `s` is the physical shards `i ≡ s (mod count)` when the plan is
-/// no finer than the store, and a slice of physical shard `s mod
-/// physical` when it is.
-struct Named {
-    /// Plan shards, by index: named or not.
-    wanted: Vec<bool>,
-    /// Physical shards, by index: holding a named plan shard or not.
-    holds: Vec<bool>,
-    count: usize,
-    /// Whether the plan is finer than the store, so that a physical
-    /// shard holds keys of plan shards not named.
-    finer: bool,
-}
-
-impl Named {
-    fn new(shards: &[u64], count: usize, physical: usize) -> Self {
-        let mut wanted = vec![false; count];
-        for &shard in shards {
-            if (shard as usize) < count {
-                wanted[shard as usize] = true;
-            }
-        }
-        let finer = count > physical;
-        let holds = (0..physical)
-            .map(|index| {
-                if finer {
-                    (index..count).step_by(physical).any(|shard| wanted[shard])
-                } else {
-                    wanted[index & (count - 1)]
-                }
-            })
-            .collect();
-        Named {
-            wanted,
-            holds,
-            count,
-            finer,
-        }
-    }
-
-    /// Of `shards`, the physical shards, those that hold a named plan
-    /// shard.
-    fn holding<'s>(&self, shards: &'s [Shard]) -> impl Iterator<Item = &'s Shard> + use<'s, '_> {
-        let holds = shards.iter().zip(&self.holds);
-        holds.filter(|(_, holds)| **holds).map(|(shard, _)| shard)
-    }
-
-    /// Whether a key of a shard [`holding`](Self::holding) yields is in a
-    /// named plan shard.
-    fn admits(&self, key: &[u8]) -> bool {
-        !self.finer || self.wanted[shard_index(key, self.count)]
+    /// The records pushed, in the order pushed, the open page closed
+    /// first.
+    pub(crate) fn records(&mut self) -> Records<'_> {
+        self.seal();
+        Records::of(&self.pages)
     }
 }
 
 impl KvStore {
-    pub(crate) fn record(&self, key: &[u8]) -> Option<Record<'_>> {
+    /// The state `key` holds, tombstones included.
+    pub(crate) fn view(&self, key: &[u8]) -> Option<View<'_>> {
         self.shards[shard_index(key, self.shards.len())].get(key)
-    }
-
-    /// Every tracked record, in unspecified order.
-    pub(crate) fn records(&self) -> impl Iterator<Item = Record<'_>> {
-        self.shards.iter().flat_map(Shard::records)
-    }
-
-    /// Every tracked record, in key order — the deterministic order
-    /// snapshots and endpoints present, so wire images and stream-id
-    /// assignment are independent of the local shard layout: a merge of
-    /// the shards' pages, one cursor a shard.
-    pub(crate) fn sorted(&self) -> Merge<'_, Records<'_>> {
-        Merge::new(self.shards.iter().map(Shard::records))
-    }
-
-    /// Calls `visit` on every tracked record of the given plan shards at
-    /// plan-shard count `count`, touching only the physical shards they
-    /// live in.
-    pub(crate) fn visit_shards<'a>(
-        &'a self,
-        shards: &[u64],
-        count: usize,
-        mut visit: impl FnMut(Record<'a>),
-    ) {
-        let named = Named::new(shards, count, self.shards.len());
-        for shard in named.holding(&self.shards) {
-            for record in shard.records() {
-                if named.admits(record.key_bytes()) {
-                    visit(record);
-                }
-            }
-        }
-    }
-
-    /// The tracked records of the given plan shards at plan-shard count
-    /// `count` whose key `keep` admits, in key order: a merge of the
-    /// physical shards they live in, each filtered. Walks only what the
-    /// plan names, never the rest of the store.
-    pub(crate) fn records_in(
-        &self,
-        shards: &[u64],
-        count: usize,
-        keep: impl Fn(&[u8]) -> bool,
-    ) -> Vec<Record<'_>> {
-        let named = Named::new(shards, count, self.shards.len());
-        let admit = |record: &Record<'_>| {
-            let key = record.key_bytes();
-            named.admits(key) && keep(key)
-        };
-        let holding = named.holding(&self.shards);
-        Merge::new(holding.map(|shard| shard.records().filter(admit))).collect()
-    }
-
-    /// The tracked records a planned contact runs over, sorted by key —
-    /// what either endpoint of it is built from.
-    pub(crate) fn records_cut(&self, cut: &Cut<'_>) -> Vec<Record<'_>> {
-        self.records_in(cut.walked, cut.count as usize, |key| cut.admits(key))
     }
 
     /// Inserts or replaces one entry; returns whether its key was
@@ -837,6 +804,12 @@ impl KvStore {
         let idx = shard_index(key.as_bytes(), self.shards.len());
         self.shards[idx].write(key, meta, value)
     }
+}
+
+/// A key's shard index in a map of `count` shards (`count` a power of
+/// two): the planner's placement, which both sides of a contact share.
+pub(crate) fn shard_index(key: &[u8], count: usize) -> usize {
+    shard_of(key, count as u64) as usize
 }
 
 #[cfg(test)]

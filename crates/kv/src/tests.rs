@@ -14,20 +14,42 @@ pub(crate) fn s(i: u32) -> SiteId {
 /// The walks over records and `(key, state)` pairs the tests read
 /// stores through, and a copy of another store's record.
 impl KvStore {
-    pub(crate) fn iter_entries(&self) -> impl Iterator<Item = (&str, View<'_>)> {
-        self.records().map(Record::entry)
+    pub(crate) fn iter_entries(&self) -> impl Iterator<Item = (String, View<'_>)> {
+        let mut entries = Vec::new();
+        self.all(|key, view| {
+            entries.push((String::from_utf8(key.to_vec()).unwrap(), view));
+            true
+        });
+        entries.into_iter()
     }
 
-    pub(crate) fn entries_sorted(&self) -> Vec<(&str, View<'_>)> {
-        self.sorted().map(Record::entry).collect()
+    /// Every entry in key order, its key copied out: [`listed`] lends
+    /// them as `(&str, View)` pairs.
+    pub(crate) fn entries_sorted(&self) -> Vec<(String, View<'_>)> {
+        let mut sorted = self.sorted();
+        let mut entries = Vec::new();
+        while sorted.step() {
+            entries.push((
+                String::from_utf8(sorted.key().to_vec()).unwrap(),
+                sorted.view(),
+            ));
+        }
+        entries
     }
 
-    /// Stores a copy of `record`, as a commit stores an entry; returns
-    /// whether its key was tracked before.
-    pub(crate) fn insert_record(&mut self, record: Record<'_>) -> bool {
-        let idx = shard::shard_index(record.key_bytes(), self.shards.len());
-        self.shards[idx].upsert(record)
+    /// Stores `key` holding a copy of `state`, as a commit stores an
+    /// entry; returns whether its key was tracked before.
+    pub(crate) fn insert_record(&mut self, key: &[u8], state: View<'_>) -> bool {
+        let idx = shard::shard_index(key, self.shards.len());
+        self.shards[idx].upsert(key, state)
     }
+}
+
+/// `entries` as `(&str, View)` pairs.
+pub(crate) fn listed<'e>(entries: &'e [(String, View<'e>)]) -> Vec<(&'e str, View<'e>)> {
+    (entries.iter())
+        .map(|(key, view)| (key.as_str(), *view))
+        .collect()
 }
 
 #[test]

@@ -1542,8 +1542,7 @@ fn a_write_between_plan_and_endpoint(form: Form, race: Race) {
                 .apply_planned(&JoinResolver, client, &contact, &plan)
                 .expect("commit");
             remembered.settle(&committed.landed);
-            let changed = committed.entries(dst).map(|(key, _)| key.to_owned());
-            let mut changed: Vec<String> = changed.collect();
+            let mut changed = committed.keys(dst);
             changed.sort();
             (plan, contact, changed, keys)
         })
@@ -1728,8 +1727,7 @@ fn a_pushed_key_the_puller_wrote_after_its_digest_is_cancelled_and_lands_next_pu
     assert_eq!(plan.proposed, [4]);
     let names: Vec<&[u8]> = pushed.iter().map(|key| &key[..]).collect();
     assert_eq!(names, [raced.as_bytes(), sibling.as_bytes()]);
-    let changed: Vec<&str> = committed.entries(&dst).map(|(key, _)| key).collect();
-    assert_eq!(changed, [sibling.as_str()]);
+    assert_eq!(committed.keys(&dst), [sibling.as_str()]);
     assert_eq!(dst.get(&raced), Some(&b"mine, after the digest"[..]));
     assert!(committed.landed.iter().all(|(shard, _)| *shard != 4));
     // The cancelled stream's name (9 B of the push frame: an 8-byte key
@@ -3789,7 +3787,7 @@ fn as_served_memories_stay_in_step_over_seeded_contacts() {
 fn key_of_its_own(src: &KvStore, written: &[String], tag: &str) -> String {
     // `written` is every key the source wrote: deleted ones are tracked
     // as tombstones, and `keys` lists the live ones, pulled ones too.
-    let tracked = written.iter().map(String::as_str).chain(src.keys());
+    let tracked = written.iter().cloned().chain(src.keys());
     let held: std::collections::BTreeSet<u64> =
         tracked.map(|key| shard_of(key.as_bytes(), 128)).collect();
     let mine = (0..1000).map(|n| format!("mine-{tag}.{n}"));
@@ -3802,7 +3800,7 @@ fn key_of_its_own(src: &KvStore, written: &[String], tag: &str) -> String {
 /// Whether the puller holds some key ahead of the source's version.
 fn ahead_of(dst: &KvStore, src: &KvStore) -> bool {
     dst.keys().any(|key| {
-        let (ours, theirs) = (dst.meta(key), src.meta(key));
+        let (ours, theirs) = (dst.meta(&key), src.meta(&key));
         ours.zip(theirs).is_some_and(|(ours, theirs)| {
             let (ours, theirs) = (ours.to_version_vector(), theirs.to_version_vector());
             ours.compare(&theirs) == Causality::After

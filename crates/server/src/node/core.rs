@@ -7,7 +7,7 @@ use crate::persist::{Due, Persist, ReplayReport};
 use crate::proto::{Request, Response};
 use optrep_core::obs::metrics::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
 use optrep_core::{Error, Result, SiteId};
-use optrep_kv::{JoinResolver, KvStore, KvSyncReport};
+use optrep_kv::{Entries, JoinResolver, KvStore, KvSyncReport};
 use optrep_net::FrameLink;
 use optrep_replication::{
     pull_planned, BatchPullClient, ContactAnswer, ContactAsk, ContactReport, ShardPlan,
@@ -218,7 +218,7 @@ impl NodeCore {
     }
 
     /// Logs `entries`, each a key and its post-state as the store holds
-    /// it, as **one** WAL record — a whole committed mutation, whether a
+    /// it, handed over as the parts its page holds, as **one** WAL record — a whole committed mutation, whether a
     /// single `put` or everything a commit changed
     /// ([`Committed::entries`](optrep_kv::Committed::entries)) — before
     /// that mutation is acknowledged. The entries are read where they
@@ -234,10 +234,7 @@ impl NodeCore {
     /// acknowledging (the in-memory commit stands — it dies with the
     /// process either way, which is exactly what the log now fails to
     /// prevent).
-    pub(super) fn wal_append<'s>(
-        &self,
-        entries: impl Iterator<Item = (&'s str, &'s [u8])> + Clone,
-    ) -> Result<()> {
+    pub(super) fn wal_append(&self, entries: impl Entries) -> Result<()> {
         let Some(mut persist) = self.persist() else {
             return Ok(());
         };
@@ -271,8 +268,7 @@ impl NodeCore {
             Some(value) => store.put(key.clone(), value),
             None => store.delete(key.clone()),
         }
-        let entry = store.encoded_entry(&key).expect("a written key is tracked");
-        self.wal_append(std::iter::once((key.as_str(), entry)))
+        self.wal_append(store.entries_of(std::slice::from_ref(&key)))
     }
 
     /// A metrics snapshot, the store's and the log's gauges refreshed

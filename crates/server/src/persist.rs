@@ -95,7 +95,7 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use optrep_core::error::WireError;
 use optrep_core::{wire, Error, Result, SiteId};
-use optrep_kv::{ChunkReader, EntryImage, KvStore, Reach, ReadError};
+use optrep_kv::{ChunkReader, Entries, EntryImage, KvStore, Reach, ReadError};
 use std::io::{self, BufWriter, Read, Write};
 use std::ops::Deref;
 use std::path::PathBuf;
@@ -300,12 +300,7 @@ pub fn decode_record(buf: &mut Bytes) -> std::result::Result<(u64, Bytes), WireE
 /// [`CHUNK`] — the whole record, in one write, when it is shorter —
 /// summing the payload as it passes. Returns the record's length; with
 /// no entry, writes nothing and returns 0.
-fn write_commit<I, K, E>(out: impl Write, seq: u64, image: EntryImage<I>) -> io::Result<usize>
-where
-    I: Iterator<Item = (K, E)> + Clone,
-    K: AsRef<[u8]>,
-    E: AsRef<[u8]>,
-{
+fn write_commit(out: impl Write, seq: u64, image: EntryImage<impl Entries>) -> io::Result<usize> {
     if image.count() == 0 {
         return Ok(0);
     }
@@ -663,21 +658,20 @@ impl Persist {
         self.append_entries(kept.map(|(_, (key, entry))| (key.as_bytes(), &entry[..])))
     }
 
-    /// [`append`](Self::append) of keys and entries borrowed from where
-    /// they lie — a daemon's, from its store ([`KvStore::encoded_entry`])
-    /// — in strictly ascending key order, and walked, never collected:
-    /// a commit of every key of a store holds a buffer of at most a
-    /// [`CHUNK`], not its record or a list of its entries.
+    /// [`append`](Self::append) of entries read from where they lie — a
+    /// daemon's, from its store ([`KvStore::entries_of`],
+    /// [`Committed::entries`](optrep_kv::Committed::entries)), each key
+    /// and the parts of its state as its page holds them — in strictly
+    /// ascending key order, and walked, never collected: a commit of
+    /// every key of a store holds a buffer of at most a [`CHUNK`], not
+    /// its record or a list of its entries.
     ///
     /// # Errors
     ///
     /// [`io::ErrorKind::InvalidInput`], and nothing appended, when a key
     /// does not follow every key before it or a state is not one a store
     /// writes ([`EntryImage::new`]); else as [`append`](Self::append).
-    pub fn append_entries<K: AsRef<[u8]>, E: AsRef<[u8]>>(
-        &mut self,
-        changed: impl Iterator<Item = (K, E)> + Clone,
-    ) -> io::Result<u64> {
+    pub fn append_entries(&mut self, changed: impl Entries) -> io::Result<u64> {
         let image = EntryImage::new(changed).ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::InvalidInput,

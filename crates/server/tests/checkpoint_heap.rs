@@ -20,7 +20,7 @@
 
 use bytes::Bytes;
 use optrep_core::SiteId;
-use optrep_kv::{JoinResolver, KvStore};
+use optrep_kv::{EntryImage, JoinResolver, KvStore};
 use optrep_replication::mux::run_contact;
 use optrep_replication::planner::{PlanConfig, JOURNAL_CAP};
 use optrep_server::persist::SNAPSHOT_FILE;
@@ -242,10 +242,8 @@ fn a_commit_of_every_key_is_logged_without_a_copy_of_each_entry() {
     let store = written(site, KEYS);
     let keys: Vec<String> = (0..KEYS).map(|i| format!("k{i:07}")).collect();
     let (mut persist, _, _) = Persist::open(&config(&dir), site).unwrap();
-    let (record, streamed) = cost_of(|| {
-        let changed = (keys.iter()).map(|key| (key.as_str(), store.encoded_entry(key).unwrap()));
-        persist.append_entries(changed).unwrap() as usize
-    });
+    let (record, streamed) =
+        cost_of(|| persist.append_entries(store.entries_of(&keys)).unwrap() as usize);
     let ((), copied) = cost_of(|| {
         let changed: Vec<(String, Bytes)> = (keys.iter())
             .map(|key| (key.clone(), store.encode_entry(key).unwrap()))
@@ -299,7 +297,8 @@ fn a_join_holds_the_store_it_builds_and_its_runs() {
     let (applied, join) = cost_of(|| dst.apply_planned(&JoinResolver, client, &contact, &plan));
     let committed = applied.unwrap();
     assert_eq!(committed.report.keys_created, KEYS);
-    assert_eq!(committed.entries(&dst).count(), KEYS);
+    let logged = EntryImage::new(committed.entries(&dst)).expect("ascending");
+    assert_eq!(logged.count(), KEYS as u64);
     assert_eq!(dst.replica_digest(), src.replica_digest());
 
     let (kept, booted) = (join.grown as usize, boot.grown as usize);
@@ -333,8 +332,7 @@ fn a_replay_holds_the_store_it_builds_the_record_and_its_runs() {
     let shards = store.shard_count();
     let keys: Vec<String> = (0..KEYS).map(|i| format!("k{i:07}")).collect();
     let (mut persist, _, _) = Persist::open(&config(&dir), site).unwrap();
-    let changed = (keys.iter()).map(|key| (key.as_str(), store.encoded_entry(key).unwrap()));
-    let record = persist.append_entries(changed).unwrap() as usize;
+    let record = persist.append_entries(store.entries_of(&keys)).unwrap() as usize;
     drop(persist);
     let (opened, replay) = cost_of(|| Persist::open(&config(&dir), site));
     let (persist, replayed, report) = opened.unwrap();

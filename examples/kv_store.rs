@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for key in tablet.keys() {
         println!(
             "  {key} = {}",
-            String::from_utf8_lossy(tablet.get(key).expect("live key"))
+            String::from_utf8_lossy(tablet.get(&key).expect("live key"))
         );
     }
     println!("(scratch was deleted; its tombstone is tracked for replication)");
