@@ -416,7 +416,9 @@ pub(crate) fn image_as_listed<K: AsRef<[u8]>, E: AsRef<[u8]>>(
     for (key, state) in entries {
         let state = View::of_state(state.as_ref()).expect("a state a store writes");
         let last = before.as_ref().map(|(key, vector)| (&key[..], &vector[..]));
-        Coded::of(key.as_ref(), state, last).put(&mut buf);
+        Coded::of(key.as_ref(), state, last)
+            .write_to(&mut buf)
+            .expect("a Vec takes every byte");
         before = Some((key.as_ref().to_vec(), state.meta.to_vec()));
     }
     buf

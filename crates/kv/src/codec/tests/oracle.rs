@@ -63,7 +63,9 @@ fn mangled(bytes: &[u8], rng: &mut SplitMix64) -> Vec<Vec<u8>> {
 /// the vector written whole.
 fn first_record(key: &str, state: View<'_>) -> Vec<u8> {
     let mut record = Vec::new();
-    Coded::of(key.as_bytes(), state, None).put(&mut record);
+    Coded::of(key.as_bytes(), state, None)
+        .write_to(&mut record)
+        .expect("a Vec takes every byte");
     record
 }
 

@@ -234,7 +234,8 @@ impl<'a> Coded<'a> {
             + self.value.map_or(0, <[u8]>::len)
     }
 
-    /// Writes it to `out`: an image's writer.
+    /// Writes it to `out`, [`len`](Self::len) bytes: a page's writer and
+    /// an image's.
     pub(crate) fn write_to(&self, out: &mut impl Write) -> io::Result<()> {
         let (head, escape) = self.key_head();
         wire::write_varint(out, head)?;
@@ -246,24 +247,6 @@ impl<'a> Coded<'a> {
             out.write_all(vector)?;
         }
         self.value.map_or(Ok(()), |value| out.write_all(value))
-    }
-
-    /// Appends it to `page`, [`len`](Self::len) bytes, as
-    /// [`write_to`](Self::write_to) writes it: a page's writer, which
-    /// pushes its heads' bytes where `write_to` hands `out` a slice each.
-    pub(crate) fn put(&self, page: &mut Vec<u8>) {
-        let (head, escape) = self.key_head();
-        wire::put_varint(page, head);
-        if let Some(escape) = escape {
-            wire::put_varint(page, escape);
-        }
-        page.extend_from_slice(self.rest);
-        wire::put_varint(page, self.state_head());
-        if let Some(vector) = self.vector {
-            wire::put_varint(page, vector.len() as u64);
-            page.extend_from_slice(vector);
-        }
-        page.extend_from_slice(self.value.unwrap_or_default());
     }
 
     /// The record at the front of `bytes` — records written back to

@@ -364,10 +364,10 @@ impl Shard {
     /// in finds the held record and where the key goes ([`Spot`]). A
     /// record is coded against the one before it, so a write re-encodes
     /// two: the key's own, and the one after it, whose vector the key's
-    /// may have been or become. Where both keep their lengths — a value
-    /// of the same length, the vector changed or not, and the record
-    /// after repeating or writing its own vector as before — they are
-    /// overwritten where they stand, else the page is rewritten into a
+    /// may have been or become. Where the two keep their length between
+    /// them — a value of the same length, the vector changed or not, and
+    /// the record after repeating or writing its own vector as before —
+    /// they are overwritten where they stand, else the page is rewritten into a
     /// block of its new size, the records around those two copied. (A
     /// page resized in its own block instead, by `realloc`, left
     /// `dense_pull`'s peak 1.6 % higher, 0 of 4 pairs lower: a block
@@ -405,25 +405,18 @@ impl Shard {
         .behind(spot.before);
         let next = spot.next.map(|(next, _)| next.behind(state.meta));
         let (start, end) = (spot.start, spot.end());
-        let held_end = spot.held.map_or(start, |(_, end)| end);
         let len = own.len() + next.map_or(0, |next| next.len());
         // The same lengths: the records are overwritten where they stand
         // and the page keeps its block. Rewriting the page into a new
         // block of about 4 KiB for every changed value left the heap in
         // holes whose layout moved with the order keys changed in.
+        // (The record after is read from the bytes it is written over,
+        // so both are written aside first.)
         let placed = if tracked && len == end - start {
-            match own.len() == held_end - start {
-                // The record after keeps its length, so its bytes: it
-                // repeats the vector before it, or writes its own, as it
-                // did.
-                true => Placed::Own,
-                false => {
-                    let mut coded = Vec::with_capacity(len);
-                    own.put(&mut coded);
-                    next.inspect(|next| next.put(&mut coded));
-                    Placed::Over(coded)
-                }
-            }
+            let mut coded = Vec::with_capacity(len);
+            write(&own, &mut coded);
+            next.inspect(|next| write(next, &mut coded));
+            Placed::Over(coded)
         } else {
             let records = spot.records(page) + usize::from(!tracked);
             let total = page.len() - (end - start) + len;
@@ -432,8 +425,8 @@ impl Shard {
                 false => {
                     let mut buf = Vec::with_capacity(total);
                     buf.extend_from_slice(&page[..start]);
-                    own.put(&mut buf);
-                    next.inspect(|next| next.put(&mut buf));
+                    write(&own, &mut buf);
+                    next.inspect(|next| write(next, &mut buf));
                     buf.extend_from_slice(&page[end..]);
                     Placed::Rewrite(buf, records)
                 }
@@ -449,10 +442,6 @@ impl Shard {
         self.live += usize::from(state.value.is_some());
         self.entries += 1;
         match placed {
-            Placed::Own => {
-                let mut bytes = &mut self.pages[at].page.0[start..held_end];
-                own.write_to(&mut bytes).expect("the record's own bytes");
-            }
             Placed::Over(coded) => self.pages[at].page.0[start..end].copy_from_slice(&coded),
             Placed::Alone => self.new_page(at + 1, key, state),
             Placed::Rewrite(buf, records) => self.file(at, buf, records),
@@ -477,7 +466,7 @@ impl Shard {
     fn new_page(&mut self, at: usize, key: &[u8], state: View<'_>) {
         let coded = Coded::of(key, state, None);
         let mut buf = Vec::with_capacity(coded.len());
-        coded.put(&mut buf);
+        write(&coded, &mut buf);
         room(&mut self.pages, 1);
         (self.pages).insert(at, Slot::new(Page(buf.into_boxed_slice())));
     }
@@ -606,14 +595,18 @@ fn written<'n>(new: New<'n>, snapshot: &'n mut Key) -> View<'n> {
     }
 }
 
-/// How [`Shard::place`] writes a key's record: over its own bytes; with
-/// the record after it, over theirs; as a page of its own behind the
-/// key's; or into the page's rewrite, of so many records.
+/// How [`Shard::place`] writes a key's record: with the record after it,
+/// over theirs; as a page of its own behind the key's; or into the page's
+/// rewrite, of so many records.
 enum Placed {
-    Own,
     Over(Vec<u8>),
     Alone,
     Rewrite(Vec<u8>, usize),
+}
+
+/// Appends `coded` to `buf`.
+fn write(coded: &Coded<'_>, buf: &mut Vec<u8>) {
+    coded.write_to(buf).expect("a Vec takes every byte");
 }
 
 /// Makes room in a page list for `more` pages: it grows by an eighth at
@@ -679,7 +672,7 @@ impl Open {
     /// Writes `coded`, as [`coded`](Self::coded) coded it, behind the
     /// last record.
     fn put(&mut self, coded: Coded<'_>) {
-        coded.put(&mut self.buf);
+        write(&coded, &mut self.buf);
         if let Some(vector) = coded.vector {
             let end = self.buf.len() - coded.value.map_or(0, <[u8]>::len);
             self.vector = end - vector.len()..end;
