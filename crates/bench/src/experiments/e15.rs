@@ -118,7 +118,7 @@ fn flat_planned_pull(dst: &mut KvStore, src: &KvStore) -> KvSyncReport {
         &mut InProcessLink::serving(&mut Serving::default(), &mut far),
         &mut VectorMemory::default(),
         &digests,
-        |plan, _| dst.client_endpoint_for(&plan.incremental, plan.count as usize),
+        |plan, _| Ok(dst.client_endpoint_for(&plan.incremental, plan.count as usize)),
     )
     .expect("planned pull");
     let (report, _) = dst

@@ -405,8 +405,12 @@ pub const HANDSHAKE_MAGIC: [u8; 4] = *b"OPTR";
 /// every plan a v10 server proposes in. v12 writes each entry of a
 /// plan's image behind two heads — the key's shared and rest lengths,
 /// the value's length and whether the vector repeats — in place of
-/// their five fields: a v11 end would misread every image.
-pub const HANDSHAKE_VERSION: u8 = 12;
+/// their five fields: a v11 end would misread every image. v13 sends a
+/// push as one frame behind the plan (tag `0x3b`) holding the image of
+/// the pushed keys, in place of a frame of their names (tag `0x30`,
+/// retired) and a frame for each of their elements and values: a v12
+/// puller would refuse every push, and a v13 one every v12 push.
+pub const HANDSHAKE_VERSION: u8 = 13;
 
 /// What the connecting peer intends to do with the connection: byte 0
 /// or 2 of the preamble. Byte 1 named a one-shot pull no build sends

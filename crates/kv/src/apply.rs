@@ -10,7 +10,7 @@ use crate::{KvStore, KvSyncReport, Resolver, Value};
 use bytes::Bytes;
 use optrep_core::error::WireError;
 use optrep_core::{wire, Causality, Result, RotatingVector, Srv};
-use optrep_replication::mux::{BatchPullClient, ContactReport};
+use optrep_replication::mux::{BatchPullClient, ContactReport, CONTROL_STREAM};
 use optrep_replication::planner::{placement, shard_of, ShardDigest, ShardPlan};
 
 /// What one commit did: the pull's report, what it changed, and the
@@ -288,11 +288,12 @@ impl KvStore {
         client: BatchPullClient,
         plan: &ShardPlan,
     ) -> Result<(Vec<StagedKey>, Vec<u64>)> {
-        let mut staged: Vec<StagedKey> = Vec::new();
+        let results = client.finish();
+        let mut staged: Vec<StagedKey> = Vec::with_capacity(results.len());
         let mut spoiled = Vec::new();
         let mut incremental = plan.incremental.clone();
         incremental.sort_unstable();
-        for result in client.finish() {
+        for result in results {
             let shard = shard_of(&result.name, plan.count.max(1));
             let as_served = result.outcome.as_ref().is_some_and(|outcome| {
                 result.discovered
@@ -308,7 +309,13 @@ impl KvStore {
             };
             let key = String::from_utf8(result.name.to_vec())
                 .map_err(|_| optrep_core::Error::Wire(WireError::InvalidPayload))?;
+            // A pushed key's payload is its value as the push carried
+            // it, `None` a tombstone; a stream's, the value in flight.
+            let pushed = result.stream == CONTROL_STREAM;
             let value_of = |payload: Option<Bytes>| -> Result<Value> {
+                if pushed {
+                    return Ok(payload);
+                }
                 let payload = payload.ok_or(optrep_core::Error::Wire(WireError::InvalidPayload))?;
                 decode_value(payload).map_err(optrep_core::Error::Wire)
             };

@@ -919,13 +919,6 @@ impl<'a> Reach<'a> {
         self.skip(usize::try_from(len).unwrap_or(usize::MAX))
     }
 
-    /// Steps over one byte and returns it.
-    pub fn byte(&mut self) -> Result<u8, usize> {
-        let byte = *self.buf.get(self.at).ok_or(self.at + 1)?;
-        self.at += 1;
-        Ok(byte)
-    }
-
     /// Steps over `len` bytes.
     pub fn skip(&mut self, len: usize) -> Result<(), usize> {
         self.at = self.at.saturating_add(len);

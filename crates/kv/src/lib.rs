@@ -601,7 +601,7 @@ fn pull<L: FrameLink>(
     remembered: &mut VectorMemory,
 ) -> Result<(BatchPullClient, ShardPlan, ContactReport)> {
     let digests = store.shard_digest_vector();
-    pull_planned(link, remembered, &digests, |plan, pushed| {
-        store.client_endpoint_refined(plan, pushed, store.generation())
+    pull_planned(link, remembered, &digests, |plan, push| {
+        store.client_endpoint_refined(plan, push, store.generation())
     })
 }

@@ -2,17 +2,19 @@
 //! the journal's hints, the plan and its push, and every endpoint a
 //! contact runs between.
 
-use crate::codec::encode_value;
-use crate::record::{entry_hash, View};
-use crate::shard::{shard_index, Shard};
+use crate::codec::{encode_value, hand, Entries, Entry, EntryImage, ImageEntries};
+use crate::record::{entry_hash, Coded, View};
+use crate::shard::{shard_index, Named, Shard};
 use crate::{KvStore, MAX_SHARDS};
 use bytes::Bytes;
+use optrep_core::error::{Error, Result, WireError};
+use optrep_core::wire;
 use optrep_replication::mux::{
     BatchPullClient, BatchPullServer, ContactAnswer, ContactAsk, Pushed, Restricted,
 };
 use optrep_replication::planner::{
-    decide, nothing_to_pull, placement, shards_of, ChildDigests, Cut, DigestVector, Hint,
-    PlanConfig, ShardAction, ShardDigest, ShardPlan, ShardScope, JOURNAL_PLACEMENTS,
+    decide, nothing_to_pull, placement, shard_of, ChildDigests, Cut, DigestVector, Hint,
+    PlanConfig, ShardAction, ShardDigest, ShardPlan, ShardScope, JOURNAL_PLACEMENTS, MAX_PUSH,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -38,48 +40,122 @@ impl KvStore {
         children
     }
 
-    /// The records a plan at `count` shards pushes: those of each
-    /// proposed shard placed where the journal says a key changed.
-    fn records_pushed(&self, count: u64, pushes: &Pushes) -> Vec<(Bytes, View<'_>)> {
+    /// The push of a plan at `count` shards, and the shards it proposes:
+    /// the image of the records of each proposed shard placed where the
+    /// journal says a key changed, written from the pages. A shard joins
+    /// the push only while the image stays within [`MAX_PUSH`], sized by
+    /// its records each coded whole, which no entry of the image
+    /// outgrows; a shard left out, as one that holds no such record, is
+    /// not proposed, and is walked.
+    fn push_of(&self, count: u64, pushes: &Pushes) -> (Vec<u64>, Bytes) {
         let shards: Vec<u64> = pushes.iter().map(|(shard, _)| *shard).collect();
-        self.records_in(&shards, count as usize, |key| {
-            let hash = placement(key);
-            let slot = shards.binary_search(&(hash & (count - 1)));
-            slot.is_ok_and(|slot| {
-                let placed = &pushes[slot].1;
-                placed
-                    .binary_search(&(hash & (JOURNAL_PLACEMENTS - 1)))
-                    .is_ok()
+        let slot = |key: &[u8]| shards.binary_search(&(placement(key) & (count - 1)));
+        let pushed = |key: &[u8]| {
+            slot(key).is_ok_and(|slot| {
+                let placed = placement(key) & (JOURNAL_PLACEMENTS - 1);
+                pushes[slot].1.binary_search(&placed).is_ok()
             })
-        })
+        };
+        let mut whole = vec![0usize; shards.len()];
+        self.visit_shards(&shards, count as usize, |key, view| {
+            if let (true, Ok(slot)) = (pushed(key), slot(key)) {
+                whole[slot] += Coded::of(key, view, None).len();
+            }
+        });
+        // Room for the count, at its longest.
+        let mut room = MAX_PUSH - wire::varint_len(u64::MAX);
+        let proposed: Vec<u64> = (shards.iter().zip(whole))
+            .filter(|&(_, len)| {
+                len > 0 && len <= room && {
+                    room -= len;
+                    true
+                }
+            })
+            .map(|(&shard, _)| shard)
+            .collect();
+        if proposed.is_empty() {
+            return (proposed, Bytes::new());
+        }
+        let named = Named::new(&proposed, count as usize, self.shards.len());
+        let image = EntryImage::of_records(Pushing {
+            store: self,
+            named,
+            pushed,
+        });
+        let mut buf = Vec::with_capacity(image.encoded_len());
+        image.write_to(&mut buf).expect("a Vec takes every byte");
+        (proposed, Bytes::from(buf))
     }
 
-    /// What this store holds of each key in `pushed`, read against the
+    /// Reads the push behind `plan` into `client`, entry by entry, each
+    /// key taken with what this store holds of it, read against the
     /// digest vector it sent at generation `digested_at`: a key written
     /// since — placed where the journal lists a change since, or any
     /// key, where the journal no longer reaches back — is
     /// [`Pushed::Written`], for the push rests on a proof about the
-    /// store as it was then.
-    fn held(&self, pushed: &[Bytes], digested_at: u64) -> Vec<(Bytes, Pushed)> {
+    /// store as it was then. Returns the shards the push proposes: those
+    /// of its keys at the plan's count.
+    ///
+    /// # Errors
+    ///
+    /// A push that is not one image of one entry or more, as its writer
+    /// writes one ([`ImageEntries`]: keys strictly ascending, each
+    /// vector written out only where it differs from the one before, in
+    /// the encoding the store writes), or that holds bytes past its last
+    /// entry; and a key in a shard the plan walks, refines or bulk-loads.
+    fn read_push(
+        &self,
+        plan: &ShardPlan,
+        push: &Bytes,
+        digested_at: u64,
+        client: &mut BatchPullClient,
+    ) -> Result<Vec<u64>> {
+        if push.is_empty() {
+            return Ok(Vec::new());
+        }
         let written: Option<BTreeSet<u64>> = match digested_at == self.generation {
             true => Some(BTreeSet::new()),
             false => (self.journal.changed_since(digested_at))
                 .map(|changed| changed.map(|(placed, _)| placed).collect()),
         };
-        let held = |key: &Bytes| {
+        let mut rest = &push[..];
+        let n = wire::get_varint(&mut rest)?;
+        if n == 0 {
+            return Err(violation("an empty push".into()));
+        }
+        // An entry is three bytes at least: a count past that is refused
+        // as the entry it cannot hold is read.
+        client.reserve_pushed(n.min(push.len() as u64 / 3) as usize);
+        let (mut entries, mut proposed) = (ImageEntries::default(), Vec::new());
+        for _ in 0..n {
+            let (key, state) = entries.take(&mut rest)?;
+            let key = key.as_bytes();
+            let shard = shard_of(key, plan.count);
+            let listed = |shards: &[u64]| shards.binary_search(&shard).is_ok();
+            if listed(&plan.incremental) || listed(&plan.bulk) {
+                return Err(violation(format!(
+                    "a push into shard {shard}, which the plan walks or bulk-loads"
+                )));
+            }
+            proposed.push(shard);
             let placed = placement(key) & (JOURNAL_PLACEMENTS - 1);
-            if written
-                .as_ref()
-                .is_none_or(|written| written.contains(&placed))
-            {
-                return Pushed::Written;
-            }
-            match self.view(key) {
-                Some(view) => Pushed::Held(view.srv()),
-                None => Pushed::Absent,
-            }
-        };
-        pushed.iter().map(|key| (key.clone(), held(key))).collect()
+            let held = match written.as_ref().is_none_or(|w| w.contains(&placed)) {
+                true => Pushed::Written,
+                false => self
+                    .view(key)
+                    .map_or(Pushed::Absent, |v| Pushed::Held(v.srv())),
+            };
+            // A value ends its entry: it is the push's bytes up to here.
+            let end = push.len() - rest.len();
+            let value = state.value.map(|value| push.slice(end - value.len()..end));
+            client.take_pushed(Bytes::copy_from_slice(key), held, state.srv(), value);
+        }
+        if !rest.is_empty() {
+            return Err(Error::Wire(WireError::InvalidPayload));
+        }
+        proposed.sort_unstable();
+        proposed.dedup();
+        Ok(proposed)
     }
 
     /// The pulling half of a planned contact whose puller walks the
@@ -92,10 +168,11 @@ impl KvStore {
     }
 
     /// The pulling half of a planned contact, cut as finely as `plan`
-    /// allows, and over the keys the server `pushed` with it, in the
-    /// push's order. A proposed shard holds no other key of the contact:
-    /// the server proposed it only having checked that this store holds
-    /// the rest of it as the server does. Where the plan offers child
+    /// allows, having taken the keys of the `push` behind it, read entry
+    /// by entry, and named the shards they propose. A proposed shard
+    /// holds no other key of the contact: the server proposed it only
+    /// having checked that this store holds the rest of it as the server
+    /// does. Where the plan offers child
     /// digests, this store's children of the same shards are compared
     /// with them and the endpoint keeps, of those shards, only the keys
     /// of children that differ — the [`ShardScope`] returned with the
@@ -107,15 +184,20 @@ impl KvStore {
     ///
     /// `digested_at` is this store's [`generation`](Self::generation)
     /// when it read the digest vector the plan answers. A pushed key
-    /// written since is cancelled ([`Pushed::Written`]) and left to the
+    /// written since is not run ([`Pushed::Written`]) and left to the
     /// next contact. Call it under the guard that snapshots the
     /// generation the commit checks.
+    ///
+    /// # Errors
+    ///
+    /// A push no store writes, or one into a shard the plan lists
+    /// ([`read_push`](Self::read_push)); the store is untouched.
     pub fn client_endpoint_refined(
         &self,
         plan: &ShardPlan,
-        pushed: &[Bytes],
+        push: &Bytes,
         digested_at: u64,
-    ) -> Restricted {
+    ) -> Result<Restricted> {
         let walked = plan.walked();
         let offer = plan.offer();
         let scope = (offer.as_ref())
@@ -142,8 +224,13 @@ impl KvStore {
             offer: offer.as_ref(),
             scope: scope.as_ref(),
         });
-        let client = BatchPullClient::with_pushed(self.held(pushed, digested_at), named(records));
-        Restricted { client, scope }
+        let mut client = BatchPullClient::new(named(records));
+        let proposed = self.read_push(plan, push, digested_at, &mut client)?;
+        Ok(Restricted {
+            client,
+            scope,
+            proposed,
+        })
     }
 
     /// The serving half of a planned contact whose puller walks the
@@ -297,14 +384,14 @@ impl KvStore {
     /// [`plan_contact_since`](Self::plan_contact_since), this store's
     /// digest of each shard the plan serves whole at this view, as
     /// [`ContactAnswer::Plan`] lists them — each it bulk-loads, then
-    /// each it proposes — and the records the plan pushes. A proposed
-    /// shard is named by its push alone, so a shard `decide` proposes
-    /// that the push holds no record of is walked instead.
+    /// each it proposes — and the push ([`push_of`](Self::push_of)). A
+    /// proposed shard is named by its push alone, so a shard `decide`
+    /// proposes that the push holds no record of is walked instead.
     fn plan_from(
         &self,
         digests: &DigestVector,
         since: Option<u64>,
-    ) -> (ShardPlan, Vec<ShardDigest>, Vec<(Bytes, View<'_>)>) {
+    ) -> (ShardPlan, Vec<ShardDigest>, Bytes) {
         let count = digests.shards.len();
         assert!(
             count.is_power_of_two() && count <= MAX_SHARDS,
@@ -335,8 +422,8 @@ impl KvStore {
             .filter(|hint| decision.proposed.binary_search(&hint.shard).is_ok())
             .map(|hint| (hint.shard, hint.candidates))
             .collect();
-        let pushed = self.records_pushed(count as u64, &pushes);
-        decision.proposed = shards_of(pushed.iter().map(|(key, _)| &key[..]), count as u64);
+        let (proposed, push) = self.push_of(count as u64, &pushes);
+        decision.proposed = proposed;
         let mut plan = ShardPlan {
             count: count as u64,
             ..ShardPlan::default()
@@ -363,7 +450,7 @@ impl KvStore {
         }
         unseen.extend(decision.proposed.iter().map(|&shard| ours[shard as usize]));
         plan.proposed = decision.proposed;
-        (plan, unseen, pushed)
+        (plan, unseen, push)
     }
 
     /// The serving side's one door: this store's answer to what a
@@ -403,8 +490,8 @@ impl KvStore {
     pub fn open_contact(&self, ask: ContactAsk<'_>) -> ContactAnswer {
         match ask {
             ContactAsk::Plan { digests, since } => {
-                let (plan, unseen, pushed) = self.plan_from(digests, since);
-                ContactAnswer::Plan(plan, self.generation, unseen, served(pushed).collect())
+                let (plan, unseen, push) = self.plan_from(digests, since);
+                ContactAnswer::Plan(plan, self.generation, unseen, push)
             }
             ContactAsk::Endpoint(cut) => {
                 let (server, sums) = self.server_endpoint_summed(&cut);
@@ -420,6 +507,33 @@ fn named<'a>(
     records: Vec<(Bytes, View<'a>)>,
 ) -> impl Iterator<Item = (Bytes, optrep_core::Srv)> + 'a {
     records.into_iter().map(|(key, view)| (key, view.srv()))
+}
+
+/// A planning violation, as the puller's half of the planning turn
+/// raises one.
+fn violation(message: String) -> Error {
+    Error::UnexpectedMessage {
+        protocol: "sync planner",
+        message,
+    }
+}
+
+/// The records a push lists: of the named plan shards, those placed
+/// where the journal lists a change, in key order, straight from the
+/// pages ([`Named::sorted`]).
+struct Pushing<'a, F> {
+    store: &'a KvStore,
+    named: Named,
+    pushed: F,
+}
+
+impl<F: Fn(&[u8]) -> bool + Copy> Entries for Pushing<'_, F> {
+    fn each<X>(
+        &self,
+        each: impl FnMut(Entry<'_>) -> std::result::Result<(), X>,
+    ) -> std::result::Result<(), X> {
+        hand(self.named.sorted(self.store, self.pushed), each)
+    }
 }
 
 /// What a store serves of `records`, in key order: metadata plus the

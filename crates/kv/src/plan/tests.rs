@@ -6,6 +6,16 @@ use optrep_core::rng::SplitMix64;
 use optrep_replication::mux::{pull_planned, ContactReport, InProcessLink, Serving};
 use optrep_replication::planner::{VectorMemory, JOURNAL_CAP};
 
+/// The keys of an image, in its order.
+fn keys_of(image: &[u8]) -> Vec<String> {
+    let mut rest = image;
+    let n = wire::get_varint(&mut rest).unwrap_or(0);
+    let mut entries = ImageEntries::default();
+    let keys = (0..n).map(|_| entries.take(&mut rest).map(|(key, _)| key.to_owned()));
+    keys.collect::<std::result::Result<_, _>>()
+        .expect("an image a store writes")
+}
+
 #[test]
 fn public_endpoints_drive_a_contact_like_sync() {
     let mut a = KvStore::new(s(0));
@@ -249,7 +259,7 @@ fn flat_planned_pull(dst: &mut KvStore, src: &KvStore) -> (KvSyncReport, Contact
         &mut InProcessLink::serving(&mut Serving::default(), &mut far),
         &mut VectorMemory::default(),
         &digests,
-        |plan, _| dst.client_endpoint_for(&plan.incremental, plan.count as usize),
+        |plan, _| Ok(dst.client_endpoint_for(&plan.incremental, plan.count as usize)),
     )
     .unwrap();
     let (report, _) = dst
@@ -503,8 +513,9 @@ fn every_proposed_shard_pushes_a_record() {
         src.put(rewritten.clone(), held);
         let (plan, _, pushed) = src.plan_from(&dst.shard_digest_vector(), Some(since));
         // One record a proposed shard: the tombstone, the rewrite.
+        let pushed = keys_of(&pushed);
         let mut named: Vec<(u64, &[u8])> = (pushed.iter())
-            .map(|(key, _)| (shard(key), &key[..]))
+            .map(|key| (shard(key.as_bytes()), key.as_bytes()))
             .collect();
         named.sort_unstable();
         let mut expected = [deleted.as_bytes(), rewritten.as_bytes()].map(|key| (shard(key), key));
@@ -637,9 +648,7 @@ fn a_wrong_journal_costs_proposals_never_convergence() {
             let digests = dst.shard_digest_vector();
             let (plan, _, pushed) = src.plan_from(&digests, Some(since));
             let count = plan.count as usize;
-            let pushed: Vec<String> = (pushed.iter())
-                .map(|(key, _)| String::from_utf8(key.to_vec()).unwrap())
-                .collect();
+            let pushed = keys_of(&pushed);
             let differs = |key: &str| {
                 let hash = |store: &KvStore| {
                     let view = store.view(key.as_bytes());
@@ -792,8 +801,10 @@ fn a_shard_the_puller_is_ahead_on_is_not_proposed() {
     src.put(theirs[2].as_str(), "again");
     assert_eq!(pull(&mut dst, &src), ((0, 1, 16, 187), 543));
     src.put(theirs[0].as_str(), "once more");
-    // The key pushed: its name, one element, its value.
-    assert_eq!(pull(&mut dst, &src), ((1, 0, 1, 19), 52));
+    // The key pushed: its entry, its key, vector and value, in the one
+    // frame behind the plan (52 B while it crossed as a frame of its
+    // name, a frame of its one element and a frame of its value).
+    assert_eq!(pull(&mut dst, &src), ((1, 0, 1, 19), 48));
     assert!(dst.consistent_with(&src));
 }
 

@@ -401,7 +401,7 @@ mod tests {
         let magic = wire::HANDSHAKE_MAGIC.len();
         assert_eq!(preamble[..magic], wire::HANDSHAKE_MAGIC);
         assert_eq!(preamble[magic], HANDSHAKE_VERSION);
-        assert_eq!(HANDSHAKE_VERSION, 12);
+        assert_eq!(HANDSHAKE_VERSION, 13);
         let decoded = Handshake::decode(&mut preamble.clone()).expect("decode");
         assert_eq!((decoded.site, decoded.intent), (12, Intent::Peer));
         // A version-10 end's preamble — a plan that flags its proposed

@@ -2,18 +2,18 @@
 //! stream behind a single control stream.
 
 use super::msg::{unknown_stream, violation, CtrlMsg, MuxMsg, StreamOpen, CONTROL_STREAM};
-use super::reason_label;
+use super::{reason_label, FrameBytes};
 use crate::protocol::{PullClient, PullOutcome, PullServer, SessionMsg};
 use bytes::Bytes;
 use optrep_core::error::Result;
 use optrep_core::obs;
-use optrep_core::order::Element;
+use optrep_core::sync::sender::SyncVector;
 use optrep_core::sync::{Endpoint, Framed, Msg, WireMsg};
-use optrep_core::{obs_emit, wire, RotatingVector, Srv};
+use optrep_core::{obs_emit, RotatingVector, Srv};
 use std::collections::{BTreeMap, VecDeque};
 
-/// What the pulling end holds of a key the server pushes, read when its
-/// endpoint is built ([`BatchPullClient::with_pushed`]).
+/// What the pulling end holds of a key the server pushes, read as the
+/// push is read ([`BatchPullClient::take_pushed`]).
 #[derive(Debug, Clone)]
 pub enum Pushed {
     /// The key at this vector, not written since the digest vector the
@@ -22,16 +22,20 @@ pub enum Pushed {
     /// No record of the key: the push creates it, as an offer would.
     Absent,
     /// The key was written after the digest vector was read. The proof
-    /// the push rests on does not cover that write, so the stream is
-    /// cancelled, its bytes are excess, and the key is left to the next
-    /// contact.
+    /// the push rests on does not cover that write, so the key is not
+    /// run, what the push carried of it is excess, and it is left to
+    /// the next contact.
     Written,
 }
 
-/// What one stream of a finished batched pull produced.
+/// What one stream of a finished batched pull produced, or one key of
+/// the push.
 #[derive(Debug, Clone)]
 pub struct StreamResult {
-    /// Stream the object rode on.
+    /// Stream the object rode on; [`CONTROL_STREAM`] for a pushed key,
+    /// which rode none: its outcome's payload is then its value as the
+    /// push carried it, `None` a tombstone
+    /// ([`take_pushed`](BatchPullClient::take_pushed)).
     pub stream: u64,
     /// Application name of the object.
     pub name: Bytes,
@@ -55,9 +59,6 @@ struct ClientStream {
     /// Already counted out of `unfinished` — set once, the first time
     /// the stream is seen missing, aborted, or session-done.
     finished: bool,
-    /// A pushed key written since the digest vector: its stream is
-    /// cancelled as the push arrives.
-    written: bool,
     client: PullClient,
 }
 
@@ -92,60 +93,37 @@ pub struct BatchPullClient {
     outbox: VecDeque<Framed<MuxMsg>>,
     /// See [`source_behind`](Self::source_behind).
     source_behind: Vec<Bytes>,
-    /// Streams `1..=pushed` are the server's push.
-    pushed: u64,
-    /// A pushed stream's elements in `≺` order, from its first until
-    /// its value: what rebuilds the vector its sender streamed.
-    elements: BTreeMap<u64, Vec<Element>>,
+    /// What each key of the push came to, in the push's order.
+    pushed: Vec<StreamResult>,
+    /// See [`push_price`](Self::push_price).
+    push_price: FrameBytes,
     /// See [`excess_bytes`](Self::excess_bytes).
     excess: u64,
 }
 
 impl BatchPullClient {
     /// Creates a client pulling the named objects, with server-side
-    /// discovery of unnamed objects enabled.
+    /// discovery of unnamed objects enabled. A planned contact's client
+    /// takes the keys pushed with the plan as well
+    /// ([`take_pushed`](Self::take_pushed)), before the exchange begins.
     pub fn new<I>(objects: I) -> Self
     where
         I: IntoIterator<Item = (Bytes, Srv)>,
     {
-        Self::with_pushed(Vec::new(), objects)
-    }
-
-    /// A client for a planned contact whose server pushed keys with the
-    /// plan: `pushed` names them, in the push's order, each with what
-    /// this end holds of it, on streams `1, 2, …`; `objects` are the
-    /// ones it names itself, on the streams above, as for
-    /// [`new`](Self::new). A pushed stream is answered by no frame of
-    /// this end's but a cancel ([`Pushed::Written`]): its session runs
-    /// here, hello and all, when its value arrives.
-    pub fn with_pushed<P, I>(pushed: P, objects: I) -> Self
-    where
-        P: IntoIterator<Item = (Bytes, Pushed)>,
-        I: IntoIterator<Item = (Bytes, Srv)>,
-    {
-        let stream = |name, vector, discovered, written| ClientStream {
-            name,
-            discovered,
-            missing: false,
-            aborted: false,
-            finished: false,
-            written,
-            client: PullClient::new(vector),
-        };
-        let mut streams = BTreeMap::new();
-        for (name, held) in pushed {
-            let (vector, discovered, written) = match held {
-                Pushed::Held(vector) => (vector, false, false),
-                Pushed::Absent => (Srv::new(), true, false),
-                Pushed::Written => (Srv::new(), false, true),
-            };
-            let pushed = stream(name, vector, discovered, written);
-            streams.insert(streams.len() as u64 + 1, pushed);
-        }
-        let pushed = streams.len() as u64;
-        for (name, vector) in objects {
-            streams.insert(streams.len() as u64 + 1, stream(name, vector, false, false));
-        }
+        let streams: BTreeMap<u64, ClientStream> = (1..)
+            .zip(objects)
+            .map(|(stream, (name, vector))| {
+                let st = ClientStream {
+                    name,
+                    discovered: false,
+                    missing: false,
+                    aborted: false,
+                    finished: false,
+                    client: PullClient::new(vector),
+                };
+                (stream, st)
+            })
+            .collect();
         let unfinished = streams.len();
         BatchPullClient {
             phase: ClientPhase::Start,
@@ -156,130 +134,120 @@ impl BatchPullClient {
             pending_cancels: Vec::new(),
             outbox: VecDeque::new(),
             source_behind: Vec::new(),
-            pushed,
-            elements: BTreeMap::new(),
+            pushed: Vec::new(),
+            push_price: FrameBytes::default(),
             excess: 0,
         }
     }
 
-    /// Bytes of pushed frames that crossed for nothing: all of a stream
-    /// cancelled as [`Pushed::Written`], and of every other stream what
-    /// its session, run one message a turn, did not send.
+    /// Bytes of the push that crossed for nothing — the lockstep would
+    /// not have carried them: all of a key the puller wrote after its
+    /// digest vector ([`Pushed::Written`]), and of every other key what
+    /// its session, run one message a turn, did not send. Priced as
+    /// [`push_price`](Self::push_price) prices the push.
     pub fn excess_bytes(&self) -> u64 {
         self.excess
+    }
+
+    /// What the keys taken from the push cost in the meta and payload
+    /// planes, priced as their streams carried them before a push was
+    /// one image: each element of a key's vector as the `SYNCS` message
+    /// that sends it, its value as the payload that carries it — a tag,
+    /// then the value. Δ/Γ/γ and the two planes of a pushed key are
+    /// therefore those of the lockstep's stream; the rest of the push
+    /// frame is framing ([`classify_push`](super::classify_push)).
+    pub fn push_price(&self) -> FrameBytes {
+        self.push_price
+    }
+
+    /// How many keys were taken from the push.
+    pub(super) fn pushed(&self) -> usize {
+        self.pushed.len()
+    }
+
+    /// Makes room for `keys` more keys of the push, so that taking them
+    /// grows the list of their outcomes once.
+    pub fn reserve_pushed(&mut self, keys: usize) {
+        self.pushed.reserve_exact(keys);
+    }
+
+    /// The keys taken from the push, in its order.
+    pub fn pushed_keys(&self) -> impl Iterator<Item = &Bytes> {
+        self.pushed.iter().map(|result| &result.name)
     }
 
     /// Begins the exchange with no `BatchHello`: the plan walks no shard,
     /// so this end names nothing and nothing is left to discover.
     pub(super) fn open_without_hello(&mut self) {
-        debug_assert!(
-            self.streams.len() as u64 == self.pushed,
-            "named streams need a hello"
-        );
+        debug_assert!(self.streams.is_empty(), "named streams need a hello");
         self.phase = ClientPhase::Running;
     }
 
-    /// The server's push: the keys on streams `1, 2, …`, each run when
-    /// its value arrives. A key written since the digest vector is
-    /// cancelled here.
-    fn on_push(&mut self, names: Vec<Bytes>) -> Result<()> {
-        if self.phase != ClientPhase::Start || names.len() as u64 != self.pushed {
-            return Err(violation(format!(
-                "a push of {} keys where {} were pushed, or after the exchange began",
-                names.len(),
-                self.pushed
-            )));
-        }
-        for (stream, name) in (1..).zip(names) {
-            let st = self.streams.get(&stream).expect("a pushed stream");
-            if st.name != name {
-                return Err(violation(format!("push on stream {stream} of another key")));
+    /// Takes one key of the server's push, read off the image behind the
+    /// plan: what this end holds of it, the vector the server sent and
+    /// its value, a slice of the push (`None` a tombstone). The key's
+    /// session runs here and now, against the server's vector, one
+    /// message a turn — the walked key's session, so this end sees and
+    /// counts the lockstep's messages, and what the session's sender
+    /// sends of the elements and the value is what the push carried for
+    /// it; its hello, the answer, its `HALT`s and `SegSkipped`s never
+    /// cross. No stream is opened: the outcome is kept, and nothing else.
+    /// A key written since the digest vector is not run.
+    pub fn take_pushed(&mut self, name: Bytes, held: Pushed, vector: Srv, value: Option<Bytes>) {
+        let payload = 1 + value.as_ref().map_or(0, Bytes::len) as u64;
+        let meta: u64 = (vector.iter())
+            .map(|e| SessionMsg::Vector(Srv::element_msg(e)).encoded_len() as u64)
+            .sum();
+        self.push_price.meta += meta;
+        self.push_price.payload += payload;
+        let (mut client, discovered) = match held {
+            Pushed::Held(vector) => (PullClient::new(vector), false),
+            Pushed::Absent => (PullClient::new(Srv::new()), true),
+            Pushed::Written => {
+                self.excess += meta + payload;
+                self.pushed.push(StreamResult {
+                    stream: CONTROL_STREAM,
+                    name,
+                    discovered: false,
+                    aborted: true,
+                    outcome: None,
+                });
+                return;
             }
-            if st.written {
-                self.excess += wire::bytes_len(name.len()) as u64;
-                self.abort_stream(stream, "written_since_digest", true);
-            }
-        }
-        Ok(())
-    }
-
-    /// A pushed stream's frame: an element is kept, the value runs the
-    /// stream's session ([`replay`](Self::replay)). Every byte is excess
-    /// until the session sends it.
-    fn on_pushed(&mut self, stream: u64, msg: SessionMsg) -> Result<()> {
-        self.excess += frame_len(stream, &msg);
-        let st = self.streams.get(&stream).expect("a pushed stream");
-        if st.aborted {
-            return Ok(());
-        }
-        if st.finished {
-            return Err(violation(format!(
-                "a frame on pushed stream {stream} after its value"
-            )));
-        }
-        match msg {
-            SessionMsg::Vector(Msg::ElemS {
-                site,
-                value,
-                conflict,
-                segment,
-            }) => {
-                let element = Element {
-                    site,
-                    value,
-                    conflict,
-                    segment,
-                };
-                self.elements.entry(stream).or_default().push(element);
-                Ok(())
-            }
-            SessionMsg::Payload { data } => self.replay(stream, data),
-            other => Err(violation(format!("{other:?} on a pushed stream"))),
-        }
-    }
-
-    /// A pushed stream's value: rebuilds the vector its elements came
-    /// from and runs the stream's session against it, one message a
-    /// turn — the walked key's session, so the receiver sees and counts
-    /// the lockstep's messages. What the session's sender sends of the
-    /// elements and the value is what crossed for it; its answer,
-    /// `HALT`s and `SegSkipped`s never cross.
-    fn replay(&mut self, stream: u64, value: Bytes) -> Result<()> {
-        let elements = self.elements.remove(&stream).unwrap_or_default();
-        let listed = elements.len();
-        if listed == 0 {
-            return Err(violation("a pushed stream opens with its value"));
-        }
-        let vector = Srv::from_order(elements);
-        if vector.len() != listed {
-            return Err(violation("a pushed stream names a site twice"));
-        }
-        let mut server = PullServer::new(vector, value);
-        let st = self.streams.get_mut(&stream).expect("a pushed stream");
-        let excess = &mut self.excess;
+        };
+        let mut server = PullServer::new(vector, value.clone().unwrap_or_default());
+        let mut sent = 0;
         let mut session = || -> Result<()> {
             loop {
-                while let Some(msg) = st.client.poll_send() {
+                while let Some(msg) = client.poll_send() {
                     server.on_receive(msg)?;
                 }
                 let Some(msg) = server.poll_send() else {
-                    debug_assert!(st.client.is_done(), "a session ends with its sender");
+                    debug_assert!(client.is_done(), "a session ends with its sender");
                     return Ok(());
                 };
-                if matches!(
-                    msg,
-                    SessionMsg::Vector(Msg::ElemS { .. }) | SessionMsg::Payload { .. }
-                ) {
-                    *excess -= frame_len(stream, &msg);
-                }
-                st.client.on_receive(msg)?;
+                sent += match &msg {
+                    SessionMsg::Vector(Msg::ElemS { .. }) => msg.encoded_len() as u64,
+                    SessionMsg::Payload { .. } => payload,
+                    _ => 0,
+                };
+                client.on_receive(msg)?;
             }
         };
-        match session() {
-            Ok(()) => self.settle(stream),
-            Err(e) => self.abort_stream(stream, reason_label(&e), true),
-        }
-        Ok(())
+        let ran = session();
+        self.excess += meta + payload - sent;
+        let outcome = ran.ok().map(|()| {
+            let mut outcome = client.finish();
+            outcome.payload = outcome.payload.and(value);
+            outcome
+        });
+        self.pushed.push(StreamResult {
+            stream: CONTROL_STREAM,
+            name,
+            discovered,
+            aborted: outcome.is_none(),
+            outcome,
+        });
     }
 
     /// The objects the server answered it holds no record of, or one
@@ -329,7 +297,8 @@ impl BatchPullClient {
         }
     }
 
-    /// Consumes the finished client, yielding one result per stream.
+    /// Consumes the finished client, yielding one result per pushed key,
+    /// in the push's order, then one per stream.
     ///
     /// # Panics
     ///
@@ -343,20 +312,19 @@ impl BatchPullClient {
                 && self.outbox.is_empty(),
             "contact still in progress"
         );
-        self.streams
-            .into_iter()
-            .map(|(stream, st)| StreamResult {
-                stream,
-                name: st.name,
-                discovered: st.discovered,
-                aborted: st.aborted,
-                outcome: if st.missing || st.aborted {
-                    None
-                } else {
-                    Some(st.client.finish())
-                },
-            })
-            .collect()
+        let mut results = self.pushed;
+        results.extend(self.streams.into_iter().map(|(stream, st)| StreamResult {
+            stream,
+            name: st.name,
+            discovered: st.discovered,
+            aborted: st.aborted,
+            outcome: if st.missing || st.aborted {
+                None
+            } else {
+                Some(st.client.finish())
+            },
+        }));
+        results
     }
 
     /// Marks one stream aborted and queues a [`CtrlMsg::Cancel`] so the
@@ -379,13 +347,6 @@ impl BatchPullClient {
     }
 }
 
-/// The bytes of `msg`'s frame on `stream`: its stream id, its length,
-/// the message.
-fn frame_len(stream: u64, msg: &SessionMsg) -> u64 {
-    let len = msg.encoded_len();
-    (wire::varint_len(stream) + wire::bytes_len(len)) as u64
-}
-
 impl Endpoint for BatchPullClient {
     type Msg = Framed<MuxMsg>;
 
@@ -393,7 +354,7 @@ impl Endpoint for BatchPullClient {
         if self.phase == ClientPhase::Start {
             // Streams are numbered in the order the objects were named.
             let mut opens = Vec::with_capacity(self.streams.len());
-            for (&stream, st) in self.streams.range_mut(self.pushed + 1..) {
+            for (&stream, st) in self.streams.iter_mut() {
                 let first = match st.client.poll_send() {
                     Some(SessionMsg::Hello { first }) => first,
                     other => unreachable!("fresh client must greet, got {other:?}"),
@@ -480,7 +441,6 @@ impl Endpoint for BatchPullClient {
                             missing: false,
                             aborted: false,
                             finished: false,
-                            written: false,
                             client,
                         },
                     );
@@ -490,15 +450,11 @@ impl Endpoint for BatchPullClient {
                 self.phase = ClientPhase::Running;
                 Ok(())
             }
-            MuxMsg::Ctrl(CtrlMsg::BatchPush { names }) => self.on_push(names),
             MuxMsg::Session(msg) => {
                 let st = self
                     .streams
                     .get_mut(&framed.stream)
                     .ok_or_else(|| unknown_stream(framed.stream))?;
-                if framed.stream <= self.pushed {
-                    return self.on_pushed(framed.stream, msg);
-                }
                 if st.aborted {
                     // A frame already in flight when the stream aborted;
                     // drop it rather than poisoning the contact.

@@ -33,14 +33,20 @@
 //! ([`ContactReport::link_turns`]), while each stream still hears the
 //! puller's answer to one message before it sends the next.
 //!
+//! A planned contact's server may push keys with its plan: one frame
+//! behind the plan frame holding an image of the keys, which this layer
+//! carries as bytes and does not read. The pulling store reads it, and
+//! the client runs each key's session as it is read
+//! ([`BatchPullClient::take_pushed`]), no stream opened for it.
+//!
 //! One module per machine: `msg` the frame vocabulary and turn markers;
 //! `client` and `server` the two batch endpoints ([`BatchPullClient`],
-//! [`BatchPullServer`] with its per-frame step [`serve_frame`], and
-//! [`write_push`], the push a plan carries);
+//! [`BatchPullServer`] with its per-frame step [`serve_frame`]);
 //! `report` what a contact cost; `puller` the pulling half of a contact
 //! ([`Puller`]) and the pumps that drive it over a link; `serving` the
-//! serving half of a connection ([`Serving`]) and what it asks its
-//! source; `link` the in-process transport and the fault decorator.
+//! serving half of a connection ([`Serving`]), what it asks its source
+//! and the planning turn's burst, the push in it; `link` the in-process
+//! transport and the fault decorator.
 
 mod client;
 mod link;
@@ -57,8 +63,8 @@ pub use msg::{
     CtrlMsg, MuxMsg, StreamAnswer, StreamOffer, StreamOpen, CONTROL_STREAM, TURN_STREAM,
 };
 pub use puller::{pull_contact, pull_planned, run_contact, Puller, Restricted};
-pub use report::{classify, reason_label, ContactReport, FrameBytes};
-pub use server::{serve_frame, write_push, BatchPullServer, ServeStep};
+pub use report::{classify, classify_push, reason_label, ContactReport, FrameBytes};
+pub use server::{serve_frame, BatchPullServer, ServeStep};
 pub use serving::{serve_contact, serve_from, ContactAnswer, ContactAsk, ContactSource, Serving};
 
 /// The endpoints the tests of more than one machine run between.

@@ -76,19 +76,6 @@ pub enum CtrlMsg {
         /// Streams whose sessions ended clean.
         streams: Vec<u64>,
     },
-    /// Server → puller, in the planning turn's burst behind the plan: a
-    /// stream opened for each key the server changed in a proposed
-    /// shard since the connection's last contact, the `n`th named on
-    /// stream `n`. Each stream's whole session follows on the stream in
-    /// the same burst, with no hello before it and nothing after it to
-    /// wait for: its `SYNCS` elements — the first is `⌊b⌋`, so the open
-    /// carries none — and its value, which stands for the sender's
-    /// `HALT` before it as well. The push names the proposed shards: the
-    /// plan lists none of them.
-    BatchPush {
-        /// The pushed keys, strictly increasing.
-        names: Vec<Bytes>,
-    },
     /// Either direction: the listed streams aborted mid-session. The
     /// receiver tears its halves down and tolerates late frames for
     /// them; sibling streams and the contact itself continue. The
@@ -99,7 +86,6 @@ pub enum CtrlMsg {
     },
 }
 
-const TAG_BATCH_PUSH: u8 = 0x30;
 const TAG_BATCH_HELLO: u8 = 0x31;
 const TAG_BATCH_SERVER_FIRST: u8 = 0x32;
 const TAG_BATCH_DONE: u8 = 0x33;
@@ -109,7 +95,7 @@ const TAG_CANCEL: u8 = 0x34;
 /// [`CONTROL_STREAM`], per-object session traffic on every other stream.
 ///
 /// Wrapped in [`Framed`] it is what the transports carry; the tag spaces
-/// of [`CtrlMsg`] (`0x30..`) and [`SessionMsg`] (`0x21..`) are disjoint,
+/// of [`CtrlMsg`] (`0x31..=0x34`) and [`SessionMsg`] (`0x21..`) are disjoint,
 /// so decoding is unambiguous without looking at the stream id.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MuxMsg {
@@ -210,13 +196,6 @@ impl WireMsg for MuxMsg {
                 }
                 put_offers(buf, offers);
             }
-            MuxMsg::Ctrl(CtrlMsg::BatchPush { names }) => {
-                buf.put_u8(TAG_BATCH_PUSH);
-                wire::put_varint(buf, names.len() as u64);
-                for name in names {
-                    wire::put_bytes(buf, name);
-                }
-            }
             MuxMsg::Ctrl(CtrlMsg::BatchDone { streams }) => {
                 put_streams(buf, TAG_BATCH_DONE, streams)
             }
@@ -272,19 +251,6 @@ impl WireMsg for MuxMsg {
                 let offers = get_offers(buf)?;
                 Ok(MuxMsg::Ctrl(CtrlMsg::BatchServerFirst { answers, offers }))
             }
-            TAG_BATCH_PUSH => {
-                buf.advance(1);
-                let count = wire::get_varint(buf)?;
-                // A name is at least its length byte.
-                if count > buf.remaining() as u64 {
-                    return Err(WireError::UnexpectedEof);
-                }
-                let mut names = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    names.push(wire::get_bytes(buf)?);
-                }
-                Ok(MuxMsg::Ctrl(CtrlMsg::BatchPush { names }))
-            }
             TAG_BATCH_DONE => {
                 let streams = get_streams(buf)?;
                 Ok(MuxMsg::Ctrl(CtrlMsg::BatchDone { streams }))
@@ -317,13 +283,6 @@ impl WireMsg for MuxMsg {
                         .map(|a| wire::varint_len(a.stream) + 1 + opt_elem_len(&a.first))
                         .sum::<usize>()
                     + offers_len(offers)
-            }
-            MuxMsg::Ctrl(CtrlMsg::BatchPush { names }) => {
-                1 + wire::varint_len(names.len() as u64)
-                    + names
-                        .iter()
-                        .map(|name| wire::bytes_len(name.len()))
-                        .sum::<usize>()
             }
             MuxMsg::Ctrl(CtrlMsg::BatchDone { streams })
             | MuxMsg::Ctrl(CtrlMsg::Cancel { streams }) => {
@@ -467,9 +426,6 @@ mod tests {
                 streams: vec![2, 70_000],
             }),
             MuxMsg::Ctrl(CtrlMsg::Cancel { streams: vec![] }),
-            MuxMsg::Ctrl(CtrlMsg::BatchPush {
-                names: vec![Bytes::from_static(b"pushed"), Bytes::new()],
-            }),
             MuxMsg::Session(SessionMsg::Done),
         ];
         for m in msgs {
@@ -479,42 +435,6 @@ mod tests {
             assert_eq!(MuxMsg::decode(&mut buf).unwrap(), m);
             assert!(buf.is_empty());
         }
-    }
-
-    #[test]
-    fn a_push_is_its_names_and_nothing_else() {
-        use crate::planner::assert_strict;
-        // As `decode_frame_msg` reads a frame: exactly one message.
-        let decode = |buf: &mut Bytes| {
-            let msg = MuxMsg::decode(buf)?;
-            match buf.has_remaining() {
-                true => Err(WireError::InvalidPayload),
-                false => Ok(msg),
-            }
-        };
-        let long = Bytes::from(vec![b'k'; 300]);
-        for names in [
-            vec![],
-            vec![Bytes::new()],
-            vec![Bytes::from_static(b"a"), long, Bytes::from_static(b"key-7")],
-        ] {
-            let push = MuxMsg::Ctrl(CtrlMsg::BatchPush { names });
-            assert_strict(&push, push.to_bytes(), decode);
-        }
-        // Tag, count, then each name's length and bytes: no stream id,
-        // no element, no flag.
-        let push = MuxMsg::Ctrl(CtrlMsg::BatchPush {
-            names: vec![Bytes::from_static(b"ab"), Bytes::from_static(b"c")],
-        });
-        assert_eq!(&push.to_bytes()[..], b"\x30\x02\x02ab\x01c");
-        // A count past the bytes left fails before it sizes anything.
-        let mut claim = BytesMut::from(&[TAG_BATCH_PUSH][..]);
-        wire::put_varint(&mut claim, u64::MAX);
-        claim.put_u8(0);
-        assert_eq!(
-            MuxMsg::decode(&mut claim.freeze()),
-            Err(WireError::UnexpectedEof)
-        );
     }
 
     #[test]

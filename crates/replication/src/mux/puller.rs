@@ -5,15 +5,18 @@ use super::msg::{
     decode_frame_msg, marker_fin, planning_violation, put_marker, violation, CtrlMsg, MuxMsg,
     CONTROL_STREAM, STALLED, TURN_STREAM,
 };
-use super::{reason_label, BatchPullClient, BatchPullServer, ContactReport, InProcessLink};
+use super::{
+    classify_push, reason_label, BatchPullClient, BatchPullServer, ContactReport, FrameBytes,
+    InProcessLink,
+};
 use crate::planner::{
-    kept_as_sent, scope_frame, shards_of, DigestVector, ShardPlan, ShardScope, VectorMemory,
+    kept_as_sent, scope_frame, DigestVector, ShardPlan, ShardScope, VectorMemory, TAG_PUSH,
 };
 use crate::protocol::SessionMsg;
 use bytes::{Bytes, BytesMut};
 use optrep_core::error::{Error, Result};
 use optrep_core::obs;
-use optrep_core::sync::{Endpoint, Framed, Msg, WireMsg};
+use optrep_core::sync::{Endpoint, Framed, WireMsg};
 use optrep_core::{obs_emit, wire};
 use optrep_net::FrameLink;
 
@@ -40,17 +43,17 @@ enum PullPhase {
 /// A *planned* contact ([`open_planned`](Self::open_planned)) starts
 /// one turn earlier: the puller sends its [`DigestVector`], the server
 /// answers one [`ShardPlan`] ([`take_plan`](Self::take_plan)) and, in
-/// the same burst, pushes each key it changed in a proposed shard
-/// ([`pushed_keys`](Self::pushed_keys)); the caller continues with a
-/// client over the pushed keys and the plan's walked shards
-/// ([`exchange`](Self::exchange)) — and, where the plan offered child
-/// digests and the caller compared them with its store, each refined one
-/// cut to the children that differ, named to the server by a
-/// [`ShardScope`] frame that leads the opening burst. The pushed frames
-/// are held, decoded, until then; the exchange prices them and feeds
-/// them to the client before its first burst. A plan that walks no
-/// shard opens no `BatchHello`: such a warm pull is one blocking round
-/// trip, two link turns with the FIN.
+/// the same burst, the push: one frame holding each key it changed in a
+/// proposed shard, as an image the machine holds and does not read
+/// ([`push`](Self::push)). The caller reads it into a client that runs
+/// each pushed key as it is read, and walks the plan's other shards
+/// ([`exchange`](Self::exchange)) — where the plan offered child digests
+/// and the caller compared them with its store, each refined one cut to
+/// the children that differ, named to the server by a [`ShardScope`]
+/// frame that leads the opening burst. The exchange prices the push at
+/// what the client took of it. A plan that walks no shard opens no
+/// `BatchHello`: such a warm pull is one blocking round trip, two link
+/// turns with the FIN.
 ///
 /// The exchange is half-duplex: the client flushes a whole burst and
 /// passes the turn with a [`TURN_STREAM`] marker; the server answers
@@ -85,14 +88,9 @@ pub struct Puller<'a> {
     first_on_link: bool,
     /// The plan walks a shard, so the exchange opens with a hello.
     walks: bool,
-    /// The push's frames, decoded, from the planning turn until the
-    /// exchange begins.
-    push: Vec<Framed<MuxMsg>>,
-    /// The keys pushed, on streams `1, 2, …`.
-    pushed: Vec<Bytes>,
-    /// Per pushed stream, what crossed on it so far: nothing, elements
-    /// (`false`), or elements and the value (`true`).
-    valued: Vec<Option<bool>>,
+    /// The push's image, a slice of its frame, from the planning turn
+    /// until the exchange prices it; empty where nothing was pushed.
+    push: Bytes,
     contact: u64,
     report: ContactReport,
     /// Round trips are the blocking dependency depth, not the burst
@@ -113,9 +111,7 @@ impl<'a> Puller<'a> {
             refined: 0,
             first_on_link: false,
             walks: true,
-            push: Vec::new(),
-            pushed: Vec::new(),
-            valued: Vec::new(),
+            push: Bytes::new(),
             contact: 0,
             report: ContactReport::default(),
             payload_requested: false,
@@ -163,26 +159,28 @@ impl<'a> Puller<'a> {
         self.plan.take_if(|_| self.phase == PullPhase::Planned)
     }
 
-    /// The keys the server pushed with the plan, in the push's order —
-    /// streams `1, 2, …`: what the client must be built over besides the
-    /// walked shards ([`BatchPullClient::with_pushed`]).
-    pub fn pushed_keys(&self) -> &[Bytes] {
-        &self.pushed
+    /// The image the server pushed behind the plan, a slice of its
+    /// frame; empty where it pushed nothing. Its keys are what the
+    /// client must take besides the walked shards
+    /// ([`BatchPullClient::take_pushed`]).
+    pub fn push(&self) -> &Bytes {
+        &self.push
     }
 
     /// Begins the object exchange of a planned contact with the
-    /// restricted `client`: prices the push and feeds it to `client`,
-    /// then writes `scope` (if the caller narrowed the plan's refined
-    /// shards to it — `client` must be cut the same way), `BatchHello`
-    /// (unless the plan walks nothing) and the marker to `out` as one
-    /// burst. The scope frame is planner traffic: priced into
+    /// restricted `client`, which has taken the push: prices the push,
+    /// counts the `proposed` shards its keys fall in among the plan's
+    /// incremental ones, then writes `scope` (if the caller narrowed the
+    /// plan's refined shards to it — `client` must be cut the same way),
+    /// `BatchHello` (unless the plan walks nothing) and the marker to
+    /// `out` as one burst. The scope frame is planner traffic: priced into
     /// [`ContactReport::digest_bytes`], not into the four planes.
     /// `contact` as for [`open`](Self::open).
     ///
     /// # Errors
     ///
-    /// A push the client does not take: one of another length or other
-    /// keys than it was built over ([`pushed_keys`](Self::pushed_keys)).
+    /// A push the client took no key of, or a client that took keys of
+    /// no push.
     ///
     /// # Panics
     ///
@@ -191,11 +189,19 @@ impl<'a> Puller<'a> {
     pub fn exchange(
         &mut self,
         client: &'a mut BatchPullClient,
+        proposed: usize,
         scope: Option<&ShardScope>,
         contact: u64,
         out: &mut BytesMut,
     ) -> Result<()> {
         assert_eq!(self.phase, PullPhase::Planned, "no plan to exchange under");
+        if self.push.is_empty() != (client.pushed() == 0) {
+            return Err(planning_violation(format!(
+                "a client of {} pushed keys for a push of {} bytes",
+                client.pushed(),
+                self.push.len()
+            )));
+        }
         if let Some(scope) = scope {
             assert!(
                 self.refined > 0,
@@ -207,9 +213,17 @@ impl<'a> Puller<'a> {
             out.extend_from_slice(&frame);
         }
         self.contact = contact;
-        for framed in std::mem::take(&mut self.push) {
-            self.tally(&framed, false);
-            client.on_receive(framed)?;
+        let proposed = proposed as u64;
+        self.report.shards_proposed = proposed;
+        self.report.shards_incremental += proposed;
+        self.report.shards_skipped -= proposed;
+        if !self.push.is_empty() {
+            let len = wire::Frame::encoded_len(CONTROL_STREAM, 1 + self.push.len());
+            let bytes = self
+                .report
+                .add(classify_push(len as u64, client.push_price()));
+            self.frame_event(CONTROL_STREAM, false, bytes);
+            self.push = Bytes::new();
         }
         if !self.walks {
             client.open_without_hello();
@@ -235,20 +249,25 @@ impl<'a> Puller<'a> {
     /// iff any stream asks for a state transfer.
     fn tally(&mut self, framed: &Framed<MuxMsg>, from_client: bool) {
         let bytes = self.report.account(framed);
+        self.frame_event(framed.stream, from_client, bytes);
+        match framed.msg {
+            MuxMsg::Ctrl(CtrlMsg::BatchHello { .. }) => self.report.round_trips += 1,
+            MuxMsg::Session(SessionMsg::PayloadRequest) => self.payload_requested = true,
+            _ => {}
+        }
+    }
+
+    /// Emits the event of one priced frame.
+    fn frame_event(&self, stream: u64, from_client: bool, bytes: FrameBytes) {
         obs_emit!(obs::SyncEvent::FrameTx {
             contact: self.contact,
-            stream: framed.stream,
+            stream,
             client: from_client,
             compare: bytes.compare,
             meta: bytes.meta,
             framing: bytes.framing,
             payload: bytes.payload,
         });
-        match framed.msg {
-            MuxMsg::Ctrl(CtrlMsg::BatchHello { .. }) => self.report.round_trips += 1,
-            MuxMsg::Session(SessionMsg::PayloadRequest) => self.payload_requested = true,
-            _ => {}
-        }
     }
 
     /// Drains everything the client has to say into `out` and appends
@@ -269,16 +288,11 @@ impl<'a> Puller<'a> {
         put_marker(out, fin);
     }
 
-    /// A frame behind the plan in the planning turn: the push, checked
-    /// against the plan and held, decoded, for the exchange. One
-    /// `BatchPush` on the control stream opens streams `1, 2, …`, each
-    /// a key of a shard the plan neither walks nor bulk-loads, keys
-    /// strictly increasing — the shards of those keys are the ones the
-    /// plan proposes; every frame after it is on one of those streams:
-    /// `SYNCS` elements, the first of them `⌊b⌋`, then the value, which
-    /// ends the stream.
-    fn on_pushed_frame(&mut self, frame: wire::Frame) -> Result<()> {
-        let plan = self.plan.as_mut().expect("the plan is in");
+    /// A frame behind the plan in the planning turn: the push, one frame
+    /// on the control stream under its tag, held as the image it
+    /// carries, unread. A push on a link's first contact, a second push
+    /// or an empty one, and any other frame, are violations.
+    fn on_pushed_image(&mut self, frame: wire::Frame) -> Result<()> {
         if self.first_on_link {
             // A server proposes from what it remembers of the link's
             // last contact; this link had none.
@@ -286,62 +300,23 @@ impl<'a> Puller<'a> {
                 "a push on a link with no previous contact".into(),
             ));
         }
-        let framed = decode_frame_msg(frame)?;
-        let stream = framed.stream;
-        match &framed.msg {
-            MuxMsg::Ctrl(CtrlMsg::BatchPush { names })
-                if stream == CONTROL_STREAM && self.push.is_empty() =>
-            {
-                if names.is_empty() {
-                    return Err(planning_violation("an empty push".into()));
-                }
-                if names.windows(2).any(|pair| pair[0] >= pair[1]) {
-                    return Err(planning_violation(
-                        "pushed keys out of order, or a key pushed twice".into(),
-                    ));
-                }
-                let proposed = shards_of(names.iter().map(|name| &name[..]), plan.count);
-                let listed = |shard: &&u64| {
-                    plan.incremental.binary_search(shard).is_ok()
-                        || plan.bulk.binary_search(shard).is_ok()
-                };
-                if let Some(shard) = proposed.iter().find(listed) {
-                    return Err(planning_violation(format!(
-                        "a push into shard {shard}, which the plan walks or bulk-loads"
-                    )));
-                }
-                self.pushed = names.clone();
-                self.valued = vec![None; names.len()];
-                plan.incremental.extend(&proposed);
-                plan.incremental.sort_unstable();
-                plan.proposed = proposed;
-            }
-            MuxMsg::Session(msg) if (1..=self.pushed.len() as u64).contains(&stream) => {
-                let valued = &mut self.valued[stream as usize - 1];
-                *valued = match (*valued, msg) {
-                    (Some(false), SessionMsg::Payload { .. }) => Some(true),
-                    (None | Some(false), SessionMsg::Vector(Msg::ElemS { .. })) => Some(false),
-                    _ => {
-                        return Err(planning_violation(format!(
-                            "a push's stream {stream} not elements then a value"
-                        )))
-                    }
-                };
-            }
-            _ => {
-                return Err(planning_violation(format!(
-                    "a frame on stream {stream} the push did not open"
-                )))
-            }
+        let is_push = frame.stream == CONTROL_STREAM && frame.payload.first() == Some(&TAG_PUSH);
+        if !is_push || !self.push.is_empty() {
+            return Err(planning_violation(format!(
+                "a frame on stream {} behind the plan and its push",
+                frame.stream
+            )));
         }
-        self.push.push(framed);
+        if frame.payload.len() == 1 {
+            return Err(planning_violation("an empty push".into()));
+        }
+        self.push = frame.payload.slice(1..);
         Ok(())
     }
 
     /// The planning state's step: prices and keeps the one plan frame,
-    /// holds the push behind it and adds the shards it names to the
-    /// plan as proposed, and leaves the state on the server's turn
-    /// marker.
+    /// holds the push behind it, and leaves the state on the server's
+    /// turn marker.
     fn on_planning_frame(&mut self, frame: wire::Frame, shards: u64) -> Result<()> {
         if frame.stream == TURN_STREAM {
             self.report.link_turns += 1;
@@ -351,12 +326,6 @@ impl<'a> Puller<'a> {
                     protocol: "sync planner",
                 });
             }
-            if let Some(at) = self.valued.iter().position(|v| *v != Some(true)) {
-                return Err(planning_violation(format!(
-                    "pushed stream {} ends without its value",
-                    at + 1
-                )));
-            }
             self.settle_plan();
             // The planning turn blocks like any other: the exchange
             // cannot begin before the plan is in.
@@ -365,7 +334,10 @@ impl<'a> Puller<'a> {
             return Ok(());
         }
         if self.plan.is_some() {
-            return self.on_pushed_frame(frame);
+            return self.on_pushed_image(frame);
+        }
+        if frame.stream == CONTROL_STREAM && frame.payload.first() == Some(&TAG_PUSH) {
+            return Err(planning_violation("a push with no plan before it".into()));
         }
         if frame.stream != CONTROL_STREAM {
             return Err(planning_violation(format!(
@@ -390,16 +362,17 @@ impl<'a> Puller<'a> {
         Ok(())
     }
 
-    /// The plan as the whole turn gave it, at the server's turn marker:
-    /// its shards in the report, and whether the exchange walks any.
+    /// The plan as its frame gave it, at the server's turn marker: its
+    /// shards in the report — the proposed ones are counted once the push
+    /// is read ([`exchange`](Self::exchange)) — and whether the exchange
+    /// walks any.
     fn settle_plan(&mut self) {
         let plan = self.plan.as_ref().expect("the plan is in");
         self.report.shards_total = plan.count;
         self.report.shards_skipped = plan.skipped();
         self.report.shards_incremental = plan.incremental.len() as u64;
         self.report.shards_snapshot = plan.bulk.len() as u64;
-        self.report.shards_proposed = plan.proposed.len() as u64;
-        self.walks = plan.incremental.len() > plan.proposed.len();
+        self.walks = !plan.incremental.is_empty();
     }
 
     /// Advances the contact by one received frame, appending the next
@@ -427,13 +400,6 @@ impl<'a> Puller<'a> {
                 return Err(violation("frame outside the exchange"));
             }
             PullPhase::Exchanging | PullPhase::Draining => {}
-        }
-        if (1..=self.pushed.len() as u64).contains(&frame.stream) {
-            // A pushed stream is whole in the planning turn.
-            return Err(violation(format!(
-                "a frame on pushed stream {} after the planning turn",
-                frame.stream
-            )));
         }
         if frame.stream != TURN_STREAM {
             let framed = decode_frame_msg(frame)?;
@@ -544,21 +510,25 @@ pub fn pull_contact<L: FrameLink>(
 #[derive(Debug)]
 pub struct Restricted {
     /// The client over the keys the contact will exchange: the pushed
-    /// ones, then those of the walked shards.
+    /// ones, taken, then those of the walked shards.
     pub client: BatchPullClient,
     /// The children of the plan's refined shards that differ, when the
     /// caller compared them with its own and cut `client` accordingly;
     /// `None` for a client over the refined shards whole, and for a plan
     /// that refined none.
     pub scope: Option<ShardScope>,
+    /// The shards the push proposes, strictly increasing: the shards of
+    /// its keys at the plan's count, none of them one the plan lists.
+    pub proposed: Vec<u64>,
 }
 
 impl From<BatchPullClient> for Restricted {
-    /// A client that answers no children.
+    /// A client that answers no children and took no push.
     fn from(client: BatchPullClient) -> Self {
         Restricted {
             client,
             scope: None,
+            proposed: Vec::new(),
         }
     }
 }
@@ -566,21 +536,21 @@ impl From<BatchPullClient> for Restricted {
 /// Drives one *planned* pull over `link`, the digest/plan turn
 /// included: sends `digests` — as a delta against what `remembered`
 /// holds of the link's last contact, where that is shorter — takes the
-/// server's [`ShardPlan`] and the keys it pushed behind it, asks
-/// `endpoint` for the client restricted to them (a daemon takes its
-/// store lock in there) — a [`Restricted`] over the pushed keys
-/// ([`BatchPullClient::with_pushed`], in the order given) and the
-/// plan's walked shards, cut at its child digests, or a plain
-/// [`BatchPullClient`] where nothing was pushed — and runs the object
-/// exchange exactly as [`pull_contact`] does. Returns the finished
-/// client, the plan, and the report with the planner fields
+/// server's [`ShardPlan`] and the push behind it, asks `endpoint` for
+/// the client restricted to them (a daemon takes its store lock in
+/// there) — a [`Restricted`] that has read the push, each key taken
+/// ([`BatchPullClient::take_pushed`]) and the shards the keys fall in
+/// named, over the plan's walked shards, cut at its child digests, or a
+/// plain [`BatchPullClient`] where nothing was pushed — and runs the
+/// object exchange exactly as [`pull_contact`] does. Returns the
+/// finished client, the plan, and the report with the planner fields
 /// ([`ContactReport::digest_bytes`], `digests_sent`, `shards_*`) filled
 /// in — what `KvStore::apply_planned_tracked` commits.
 ///
 /// A push is an error on a link of which `remembered` holds nothing:
 /// the far end has planned no contact of this link to propose from.
-/// The plan comes out with the shards the push names among its
-/// incremental ones, and as its `proposed`.
+/// The plan comes out with the shards the endpoint read off the push
+/// among its incremental ones, and as its `proposed`.
 ///
 /// `remembered` is the pulling end's [`VectorMemory`] of **this link**
 /// and must live and die with it (`optrep_net::ConnPool` keeps it
@@ -601,21 +571,22 @@ impl From<BatchPullClient> for Restricted {
 /// # Errors
 ///
 /// As [`pull_contact`]; a failure during the planning turn (no plan
-/// before the turn comes back, more than one frame, a FIN, a plan at
-/// the wrong shard count) FINs the link the same way, before any obs
-/// scope exists.
+/// before the turn comes back, more than one frame behind it or one
+/// that is not a push, a FIN, a plan at the wrong shard count), or the
+/// endpoint's refusal of the push, FINs the link the same way, before
+/// any obs scope exists.
 pub fn pull_planned<L: FrameLink, E: Into<Restricted>>(
     link: &mut L,
     remembered: &mut VectorMemory,
     digests: &DigestVector,
-    endpoint: impl FnOnce(&ShardPlan, &[Bytes]) -> E,
+    endpoint: impl FnOnce(&ShardPlan, &Bytes) -> Result<E>,
 ) -> Result<(BatchPullClient, ShardPlan, ContactReport)> {
     // Declared ahead of the machine that borrows it for the exchange.
     let mut client;
     let mut out = BytesMut::new();
     let base = std::mem::take(remembered);
     let mut puller = Puller::open_planned(digests, &base, &mut out);
-    let plan = loop {
+    let mut plan = loop {
         if let Err(e) = pump(&mut puller, link, &mut out) {
             link.fin();
             return Err(e);
@@ -624,11 +595,21 @@ pub fn pull_planned<L: FrameLink, E: Into<Restricted>>(
             break plan;
         }
     };
-    let restricted = endpoint(&plan, puller.pushed_keys()).into();
+    let restricted = match endpoint(&plan, puller.push()) {
+        Ok(restricted) => restricted.into(),
+        Err(e) => {
+            link.fin();
+            return Err(e);
+        }
+    };
     client = restricted.client;
+    plan.incremental.extend(&restricted.proposed);
+    plan.incremental.sort_unstable();
+    plan.proposed = restricted.proposed;
     let scope = obs::contact_scope(client.stream_count() as u64);
     let cut = restricted.scope.as_ref();
-    if let Err(e) = puller.exchange(&mut client, cut, scope.id(), &mut out) {
+    let proposed = plan.proposed.len();
+    if let Err(e) = puller.exchange(&mut client, proposed, cut, scope.id(), &mut out) {
         link.fin();
         scope.abort(reason_label(&e));
         return Err(e);

@@ -73,12 +73,13 @@ pub struct ContactReport {
     /// The planner frames emit no `FrameTx` event: the obs contact
     /// scope opens with the object exchange.
     pub digest_bytes: u64,
-    /// Bytes of pushed frames that crossed for nothing — the lockstep
-    /// would not have carried them: every frame of a pushed stream the
-    /// puller cancelled (it wrote the key after its digest vector), and
-    /// whatever a pushed stream sent past the puller's NAK. They are in
-    /// the four planes like any frame, and reported as
-    /// [`LinkExcess`](optrep_core::obs::SyncEvent::LinkExcess).
+    /// Bytes of the push that crossed for nothing — the lockstep would
+    /// not have carried them: all of a pushed key the puller wrote after
+    /// its digest vector, and of every other pushed key what its
+    /// session did not send, past the puller's NAK
+    /// ([`BatchPullClient::excess_bytes`](super::BatchPullClient::excess_bytes)).
+    /// They are in the four planes like any byte of the push, and
+    /// reported as [`LinkExcess`](optrep_core::obs::SyncEvent::LinkExcess).
     pub excess_bytes: u64,
     /// Shard digests the opening frame actually shipped:
     /// [`shards_total`](Self::shards_total) for a full vector, for a
@@ -129,10 +130,6 @@ pub fn classify(framed: &Framed<MuxMsg>) -> FrameBytes {
                     .map(|o| opt_elem_len(&o.first) as u64 + 1)
                     .sum::<u64>();
         }
-        // A push carries no COMPARE byte: the digest proof stands in for
-        // the verdict, and `⌊b⌋` is the stream's first element. Its names
-        // are framing, as a hello's are.
-        MuxMsg::Ctrl(CtrlMsg::BatchPush { .. }) => {}
         MuxMsg::Ctrl(CtrlMsg::BatchDone { streams })
         | MuxMsg::Ctrl(CtrlMsg::Cancel { streams }) => {
             bytes.compare = streams.len() as u64;
@@ -148,10 +145,34 @@ pub fn classify(framed: &Framed<MuxMsg>) -> FrameBytes {
     bytes
 }
 
+/// Classifies the push frame behind a plan, `len` bytes, whose keys a
+/// client took at `price` ([`BatchPullClient::push_price`](super::BatchPullClient::push_price)):
+/// no COMPARE byte — the digest proof stands in for the verdict — the
+/// price's meta and payload, and the rest framing: the keys, the two
+/// heads of each entry, the frame's header. An image whose keys repeat
+/// their vectors can be shorter than the price; it is then priced at
+/// its bytes, its payload first, so no plane counts a byte the frame
+/// does not hold.
+pub fn classify_push(len: u64, price: FrameBytes) -> FrameBytes {
+    let payload = price.payload.min(len);
+    let meta = price.meta.min(len - payload);
+    FrameBytes {
+        compare: 0,
+        meta,
+        framing: len - meta - payload,
+        payload,
+    }
+}
+
 impl ContactReport {
     /// Adds one frame to the four byte planes; returns its split.
     pub(super) fn account(&mut self, framed: &Framed<MuxMsg>) -> FrameBytes {
-        let bytes = classify(framed);
+        self.add(classify(framed))
+    }
+
+    /// Adds one frame, split as `bytes`, to the four byte planes; returns
+    /// the split.
+    pub(super) fn add(&mut self, bytes: FrameBytes) -> FrameBytes {
         self.total_bytes += bytes.total();
         self.frames += 1;
         self.compare_bytes += bytes.compare;
@@ -209,6 +230,27 @@ mod tests {
         assert!(report.compare_bytes > 0);
         assert!(report.payload_bytes >= 6, "dirty object ships its state");
         assert!(report.frames >= 4);
+    }
+
+    /// A push is priced at its keys' price and the rest framing; an
+    /// image shorter than the price is priced at its bytes, payload
+    /// first, and no plane is ever more than the frame.
+    #[test]
+    fn a_push_is_priced_at_most_at_its_bytes() {
+        let price = FrameBytes {
+            meta: 9,
+            payload: 27,
+            ..FrameBytes::default()
+        };
+        let split = |len| {
+            let split = classify_push(len, price);
+            assert_eq!(split.total(), len);
+            (split.compare, split.meta, split.framing, split.payload)
+        };
+        assert_eq!(split(50), (0, 9, 14, 27));
+        assert_eq!(split(36), (0, 9, 0, 27));
+        assert_eq!(split(30), (0, 3, 0, 27));
+        assert_eq!(split(20), (0, 0, 0, 20));
     }
 
     #[test]

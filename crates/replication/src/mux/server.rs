@@ -14,9 +14,8 @@ use super::msg::{
 use crate::protocol::{PullServer, SessionMsg};
 use bytes::{Bytes, BytesMut};
 use optrep_core::error::Result;
-use optrep_core::sync::sender::SyncVector;
 use optrep_core::sync::{Endpoint, Framed, WireMsg};
-use optrep_core::{wire, RotatingVector, SiteId, Srv};
+use optrep_core::{wire, SiteId, Srv};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// The bytes a serving turn carries before the rest waits for the next
@@ -53,9 +52,6 @@ pub struct BatchPullServer {
     held: Option<Framed<MuxMsg>>,
     /// See [`source_behind`](Self::source_behind).
     source_behind: Vec<Bytes>,
-    /// Streams `1..=pushed` were pushed with the plan, whole: the puller
-    /// opens its own above them, and may cancel one of them.
-    pushed: u64,
 }
 
 impl BatchPullServer {
@@ -80,22 +76,13 @@ impl BatchPullServer {
             outbox: VecDeque::new(),
             held: None,
             source_behind: Vec::new(),
-            pushed: 0,
         }
     }
 
-    /// Serves the rest of a contact whose plan pushed `pushed` streams:
-    /// the puller's own open above them, and a cancel of a pushed one
-    /// is tolerated, as for a stream torn down. `hello` is whether a
-    /// `BatchHello` is due at all — not where the plan walks no shard.
-    pub(super) fn follow_push(&mut self, pushed: u64, hello: bool) {
-        self.pushed = pushed;
-        self.seen_hello = !hello;
-    }
-
-    /// A stream a push opened and finished.
-    fn was_pushed(&self, stream: u64) -> bool {
-        (1..=self.pushed).contains(&stream)
+    /// Serves the rest of a contact whose plan walks no shard: no
+    /// `BatchHello` is due, and the puller names no key.
+    pub(super) fn open_without_hello(&mut self) {
+        self.seen_hello = true;
     }
 
     /// How many objects this server holds, opened or not.
@@ -258,12 +245,11 @@ impl Endpoint for BatchPullServer {
                     if open.stream == CONTROL_STREAM {
                         return Err(violation("open names the control stream"));
                     }
-                    if !seen.insert(open.stream) || self.was_pushed(open.stream) {
+                    if !seen.insert(open.stream) {
                         return Err(violation(format!("open reuses stream {}", open.stream)));
                     }
                     highest = highest.max(open.stream);
                 }
-                highest = highest.max(self.pushed);
                 let mut next_stream = highest
                     .checked_add(1)
                     .ok_or_else(|| violation("stream id space exhausted"))?;
@@ -322,9 +308,9 @@ impl Endpoint for BatchPullServer {
             MuxMsg::Ctrl(CtrlMsg::BatchDone { streams }) => {
                 for stream in streams {
                     let Some(server) = self.streams.get_mut(&stream) else {
-                        if self.cancelled.contains(&stream) || self.was_pushed(stream) {
+                        if self.cancelled.contains(&stream) {
                             // A Done already in flight when the stream was
-                            // cancelled, or for a stream pushed whole.
+                            // cancelled.
                             continue;
                         }
                         return Err(unknown_stream(stream));
@@ -337,10 +323,7 @@ impl Endpoint for BatchPullServer {
             }
             MuxMsg::Ctrl(CtrlMsg::Cancel { streams }) => {
                 for stream in streams {
-                    let known = self.streams.contains_key(&stream)
-                        || self.cancelled.contains(&stream)
-                        || self.was_pushed(stream);
-                    if !known {
+                    if !self.streams.contains_key(&stream) && !self.cancelled.contains(&stream) {
                         return Err(unknown_stream(stream));
                     }
                     self.drop_stream(stream);
@@ -349,9 +332,8 @@ impl Endpoint for BatchPullServer {
             }
             MuxMsg::Session(msg) => {
                 let Some(server) = self.streams.get_mut(&framed.stream) else {
-                    if self.cancelled.contains(&framed.stream) || self.was_pushed(framed.stream) {
-                        // Late frame for a cancelled stream, or one for a
-                        // stream pushed whole; drop it.
+                    if self.cancelled.contains(&framed.stream) {
+                        // Late frame for a cancelled stream; drop it.
                         return Ok(());
                     }
                     return Err(unknown_stream(framed.stream));
@@ -384,58 +366,6 @@ impl Endpoint for BatchPullServer {
     fn is_done(&self) -> bool {
         self.seen_hello && self.outbox.is_empty() && self.held.is_none() && self.unfinished == 0
     }
-}
-
-/// Writes the push behind a plan to `out`: one [`CtrlMsg::BatchPush`]
-/// frame naming the keys of `records` — streams `1, 2, …` in the order
-/// given, key order behind a plan — then each key's whole `SYNCS`
-/// stream, its vector's elements in `≺` order, and its value. Those are
-/// what the sender sends a puller that never NAKs; the pulling end runs
-/// the key's session itself over them
-/// ([`BatchPullClient::with_pushed`](super::BatchPullClient::with_pushed)),
-/// so its hello, the answer, the sender's `HALT` and every message the
-/// puller sends stay off the wire. Returns how many keys it pushed
-/// (none, and nothing written, for no records).
-///
-/// # Errors
-///
-/// A key with an empty vector: its stream would carry no element to
-/// open it. (A store pushes only keys it wrote.)
-pub fn write_push(records: &[(Bytes, Srv, Bytes)], out: &mut BytesMut) -> Result<u64> {
-    if records.iter().any(|(_, vector, _)| vector.is_empty()) {
-        return Err(violation("a push of a key with an empty vector"));
-    }
-    push_frames(records).for_each(|frame| frame.encode(out));
-    Ok(records.len() as u64)
-}
-
-/// How many bytes [`write_push`] writes for `records`: its frames'
-/// [`Framed::encoded_len`], summed without writing them — what a planning
-/// turn reserves for the push behind its plan.
-pub(crate) fn push_len(records: &[(Bytes, Srv, Bytes)]) -> usize {
-    push_frames(records).map(|frame| frame.encoded_len()).sum()
-}
-
-/// The frames of the push of `records`, in the order [`write_push`]
-/// writes them; none for no records.
-fn push_frames(records: &[(Bytes, Srv, Bytes)]) -> impl Iterator<Item = Framed<MuxMsg>> + '_ {
-    let names = (!records.is_empty()).then(|| {
-        let names = records.iter().map(|(name, ..)| name.clone()).collect();
-        Framed::new(CONTROL_STREAM, MuxMsg::Ctrl(CtrlMsg::BatchPush { names }))
-    });
-    let session = |stream, msg| Framed::new(stream, MuxMsg::Session(msg));
-    let streams = (1..)
-        .zip(records)
-        .flat_map(move |(stream, (_, vector, value))| {
-            let elements = (vector.iter())
-                .map(move |e| session(stream, SessionMsg::Vector(Srv::element_msg(e))));
-            let data = value.clone();
-            elements.chain(std::iter::once(session(
-                stream,
-                SessionMsg::Payload { data },
-            )))
-        });
-    names.into_iter().chain(streams)
 }
 
 /// What a [`serve_frame`] call concluded about the contact.

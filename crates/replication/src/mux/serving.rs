@@ -5,16 +5,15 @@
 use super::msg::{
     marker_fin, planning_violation, put_marker, CONTROL_STREAM, MARKER_LEN, TURN_STREAM,
 };
-use super::server::push_len;
-use super::{serve_frame, write_push, BatchPullServer, ServeStep};
+use super::{serve_frame, BatchPullServer, ServeStep};
 use crate::planner::{
-    kept_as_sent, plan_frame_before, shards_of, ChildDigests, Cut, DigestVector, Offer,
-    ShardDigest, ShardPlan, ShardScope, VectorMemory, TAG_SHARD_DIGESTS, TAG_SHARD_DIGESTS_DELTA,
-    TAG_SHARD_SCOPE,
+    kept_as_sent, plan_frame_before, push_frame_len, put_push, ChildDigests, Cut, DigestVector,
+    Offer, ShardDigest, ShardPlan, ShardScope, VectorMemory, MAX_PUSH, TAG_SHARD_DIGESTS,
+    TAG_SHARD_DIGESTS_DELTA, TAG_SHARD_SCOPE,
 };
 use bytes::{Bytes, BytesMut};
 use optrep_core::error::Result;
-use optrep_core::{wire, Srv};
+use optrep_core::wire;
 use optrep_net::FrameLink;
 
 /// The blocking pump around a serving step (`serve_frame` on one
@@ -84,8 +83,7 @@ pub fn serve_from<L: FrameLink>(
 #[derive(Debug, Clone, Copy)]
 pub enum ContactAsk<'a> {
     /// At the digest frame: the plan for a puller holding `digests`,
-    /// the source's generation at that plan, and the records the plan
-    /// pushes. `since` is the generation this source answered with when
+    /// the source's generation at that plan, and the push. `since` is the generation this source answered with when
     /// the connection's previous contact was planned, if there was one —
     /// only ever a value the same source handed out over the same
     /// connection, so a source that does not propose may ignore it and
@@ -113,10 +111,12 @@ pub enum ContactAnswer {
     /// digest of each shard the plan serves at that view — each it
     /// bulk-loads, then each it proposes, in the plan's order: what the
     /// puller's shard sums to once the image, or the push, is in — and
-    /// what the plan pushes: every key the proposed shards changed since
-    /// `since`, in key order, with its vector and its value, which
-    /// [`write_push`] writes behind the plan.
-    Plan(ShardPlan, u64, Vec<ShardDigest>, Vec<(Bytes, Srv, Bytes)>),
+    /// the push: the image of every key the proposed shards changed
+    /// since `since`, in key order, with its vector and its value, of at
+    /// most [`MAX_PUSH`](crate::planner::MAX_PUSH) bytes, which crosses
+    /// behind the plan as one frame; empty for a plan that proposes
+    /// nothing. It is carried as it is, unread.
+    Plan(ShardPlan, u64, Vec<ShardDigest>, Bytes),
     /// The endpoint, and what the records it serves sum to in each of
     /// the cut's incremental shards, in the cut's order. The plan's
     /// summary of what the contact leaves out of a shard — a refined
@@ -140,8 +140,8 @@ pub type ContactSource<'a> = dyn FnMut(ContactAsk<'_>) -> ContactAnswer + 'a;
 
 /// What [`Serving`] keeps of a plan between handing it out and cutting
 /// the endpoint: shard indices, the digests of refined shards' children
-/// and of the shards the plan served whole at its own view, and how many
-/// streams it pushed — no key, vector or value.
+/// and of the shards the plan served whole at its own view — no key,
+/// vector or value.
 #[derive(Debug)]
 struct Planned {
     count: u64,
@@ -158,8 +158,6 @@ struct Planned {
     /// The bulk-loaded and the proposed shards, each at its digest at
     /// the plan's view: what it holds once the image or the push is in.
     whole: Vec<(u64, ShardDigest)>,
-    /// Streams `1..=pushed` were pushed with the plan.
-    pushed: u64,
 }
 
 impl Planned {
@@ -231,10 +229,9 @@ struct Served {
 /// [`Puller`](super::Puller)'s planning state.
 ///
 /// A [`DigestVector`] opens a planned contact: the source is asked for
-/// the plan and its push, both are encoded and parked until the puller's
-/// turn marker hands the link over — the plan frame, then every pushed
-/// stream whole ([`write_push`]) — and of the plan only its
-/// walked shards and its [`Offer`] are kept. The first frame of the
+/// the plan and its push, both are framed and parked until the puller's
+/// turn marker hands the link over — the plan frame, then the push's —
+/// and of the plan only its walked shards and its [`Offer`] are kept. The first frame of the
 /// puller's burst then fixes the [`Cut`] — if the plan offered child
 /// digests and the burst opens with a [`ShardScope`], each refined shard
 /// to the children it lists; every other walked shard whole — and only
@@ -357,7 +354,9 @@ impl Serving {
                             planned.walked.len()
                         )));
                     }
-                    server.follow_push(planned.pushed, walks);
+                    if !walks {
+                        server.open_without_hello();
+                    }
                     self.served = Some(planned.as_served(scope.as_ref(), sums));
                     let server = self.server.insert(server);
                     if scope.is_some() {
@@ -384,20 +383,19 @@ impl Serving {
                             images.len()
                         )));
                     }
-                    // The puller reads the proposed shards off the push.
-                    let named = shards_of(push.iter().map(|(name, ..)| &name[..]), plan.count);
-                    if named != plan.proposed {
+                    // The puller reads the proposed shards off the push,
+                    // and its frame decoder refuses a frame past the cap.
+                    if push.is_empty() != (proposed == 0) || push.len() > MAX_PUSH {
                         return Err(planning_violation(format!(
-                            "the source proposed {proposed} shards and pushed into {}",
-                            named.len()
+                            "the source proposed {proposed} shards and pushed {} bytes",
+                            push.len()
                         )));
                     }
                     self.since = Some(generation);
                     // The plan and the push leave in one burst, once the
-                    // puller passes the turn; the push is held as bytes
-                    // alone, and the plan's image only in its frame.
-                    let (parked, pushed) = burst(&plan, &push)?;
-                    self.parked = Some(parked);
+                    // puller passes the turn; each image is held only in
+                    // its frame.
+                    self.parked = Some(burst(&plan, &push));
                     let whole = plan.bulk.iter().chain(&plan.proposed).copied();
                     self.planned = Some(Box::new(Planned {
                         count: plan.count,
@@ -405,7 +403,6 @@ impl Serving {
                         offer: plan.offer(),
                         children: plan.children,
                         whole: whole.zip(images).collect(),
-                        pushed,
                     }));
                     return Ok(ServeStep::Continue);
                 }
@@ -430,14 +427,14 @@ impl Serving {
     }
 }
 
-/// A planning turn's burst: the plan's frame, the push behind it and the
-/// turn marker, written into one buffer of their exact size — sized
-/// first, not grown by doubling — and how many keys it pushed.
-fn burst(plan: &ShardPlan, push: &[(Bytes, Srv, Bytes)]) -> Result<(BytesMut, u64)> {
-    let mut parked = plan_frame_before(plan, push_len(push) + MARKER_LEN);
-    let pushed = write_push(push, &mut parked)?;
+/// A planning turn's burst: the plan's frame, the push's behind it and
+/// the turn marker, written into one buffer of their exact size — sized
+/// first, not grown by doubling.
+fn burst(plan: &ShardPlan, push: &[u8]) -> BytesMut {
+    let mut parked = plan_frame_before(plan, push_frame_len(push) + MARKER_LEN);
+    put_push(&mut parked, push);
     put_marker(&mut parked, false);
-    Ok((parked, pushed))
+    parked
 }
 
 /// Asks `source` for a contact's endpoint.
@@ -456,14 +453,13 @@ fn endpoint_from(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mux::fixtures::{name, vec_with};
-    use crate::planner::plan_frame;
+    use crate::planner::{plan_frame, TAG_PUSH};
 
-    /// A planning turn's burst is the plan's frame, the push and the
+    /// A planning turn's burst is the plan's frame, the push's and the
     /// marker, byte for byte, written into the one buffer reserved for
     /// them before the first is written: the buffer is never moved or
-    /// grown, and it ends full. Pushes of no key, one, and hundreds of
-    /// keys with vectors of one to three elements and values up to 300 B.
+    /// grown, and it ends full. No push, and pushes of one byte to past
+    /// a frame length's second varint byte.
     #[test]
     fn a_burst_is_written_into_one_buffer_of_its_size() {
         let plan = ShardPlan {
@@ -472,29 +468,19 @@ mod tests {
             image: Some(Bytes::from(vec![7u8; 900])),
             ..ShardPlan::default()
         };
-        for keys in [0usize, 1, 3, 400] {
-            let push: Vec<(Bytes, Srv, Bytes)> = (0..keys)
-                .map(|i| {
-                    let sites: Vec<u32> = (0..=(i % 3) as u32).collect();
-                    (name(i), vec_with(&sites), Bytes::from(vec![b'x'; i % 301]))
-                })
-                .collect();
+        for len in [0usize, 1, 126, 127, 20_000] {
+            let push = vec![b'x'; len];
             let mut expected = plan_frame(&plan);
-            write_push(&push, &mut expected).unwrap();
+            if len > 0 {
+                wire::put_varint(&mut expected, CONTROL_STREAM);
+                wire::put_varint(&mut expected, 1 + len as u64);
+                expected.extend_from_slice(&[TAG_PUSH]);
+                expected.extend_from_slice(&push);
+            }
             put_marker(&mut expected, false);
-
-            let mut parked = plan_frame_before(&plan, push_len(&push) + MARKER_LEN);
-            let (at, capacity) = (parked.as_ptr(), parked.capacity());
-            assert_eq!(write_push(&push, &mut parked).unwrap(), keys as u64);
-            put_marker(&mut parked, false);
-            assert_eq!(parked, expected, "{keys} keys");
-            assert_eq!(
-                (parked.as_ptr(), parked.capacity()),
-                (at, capacity),
-                "{keys} keys"
-            );
-            assert_eq!(parked.len(), capacity, "{keys} keys");
-            assert_eq!(burst(&plan, &push).unwrap(), (expected, keys as u64));
+            let parked = burst(&plan, &push);
+            assert_eq!(parked, expected, "a push of {len} bytes");
+            assert_eq!(parked.len(), parked.capacity(), "a push of {len} bytes");
         }
     }
 }

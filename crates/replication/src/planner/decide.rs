@@ -109,8 +109,8 @@ const INDEX_BYTES: f64 = 3.0;
 ///
 /// A checked shard is always proposed, and so not refined: the keys
 /// left in the contact are the ones pushed, and a pushed key costs no
-/// COMPARE byte — its name is framing, its `⌊b⌋` its first `SYNCS`
-/// element — and the proposal none in the plan frame, the push naming
+/// COMPARE byte — its key is framing, its vector the `SYNCS` elements a
+/// walk would send — and the proposal none in the plan frame, the push naming
 /// the shard, so nothing a walk or children could save is left to weigh
 /// against it.
 ///
@@ -212,8 +212,8 @@ mod tests {
     /// no COMPARE byte.
     #[test]
     fn the_priced_constants_are_what_the_codec_writes() {
-        use crate::mux::{classify, CtrlMsg, MuxMsg, StreamAnswer, StreamOpen};
-        use optrep_core::sync::{Framed, WireMsg};
+        use crate::mux::{classify_push, CtrlMsg, FrameBytes, MuxMsg, StreamAnswer, StreamOpen};
+        use optrep_core::sync::WireMsg;
         use optrep_core::SiteId;
 
         // One more key in each COMPARE frame, less what names it (its
@@ -310,18 +310,16 @@ mod tests {
         };
         assert_eq!((proposing(0), proposing(8), proposing(16)), (4, 4, 4));
 
-        // A pushed key is its name in the push frame, all of it framing:
-        // the proof stands in for the verdict, and `⌊b⌋` leads its
-        // `SYNCS` elements.
-        let push = |keys: usize| {
-            let names = vec![name.clone(); keys];
-            let frame = Framed::new(0, MuxMsg::Ctrl(CtrlMsg::BatchPush { names }));
-            (frame.encoded_len(), classify(&frame))
+        // A pushed key's entry in the push frame carries no COMPARE
+        // byte: the proof stands in for the verdict. Past the price of
+        // its elements and its value, its bytes are framing.
+        let price = FrameBytes {
+            meta: 3,
+            payload: 13,
+            ..FrameBytes::default()
         };
-        let ((one, one_split), (two, two_split)) = (push(1), push(2));
-        assert_eq!(two - one, wire::bytes_len(name.len()));
-        assert_eq!((one_split.compare, two_split.compare), (0, 0));
-        assert_eq!(two_split.framing - one_split.framing, (two - one) as u64);
+        let split = classify_push(40, price);
+        assert_eq!((split.compare, split.framing), (0, 24));
     }
 
     #[test]

@@ -63,15 +63,19 @@
 //! of the shard — in the vector it has just received — and only where
 //! the two are equal, digest and entry count, does it propose the shard
 //! instead of offering child digests. A proposal is binding, and it is
-//! carried out at once: in the same burst as the plan, the server opens
-//! a stream for each key its journal places in the shard
-//! ([`JOURNAL_PLACEMENTS`]) and sends it whole — its name, its `SYNCS`
-//! elements, its value — with no hello to wait for
-//! ([`CtrlMsg::BatchPush`](crate::mux::CtrlMsg::BatchPush)). The push
-//! is the proposal: the plan frame lists only the shards it walks or
-//! bulk-loads, a proposed shard is the shard of a pushed key at the
-//! plan's count, and the server proposes no shard it pushes nothing
-//! into. A pushed key in a shard the plan lists is a violation. Equal,
+//! carried out at once: in the same burst as the plan, behind it, one
+//! frame (tag `0x3b`) holds the image of every key its journal places in
+//! the proposed shards ([`JOURNAL_PLACEMENTS`]) — in key order, each
+//! key's vector and value, as a store's snapshots and log records list
+//! their entries — with no hello to wait for. The puller's store reads
+//! it entry by entry and runs each key's session as it reads it
+//! ([`BatchPullClient::take_pushed`](crate::mux::BatchPullClient::take_pushed));
+//! this layer carries the image as bytes. The push is the proposal: the
+//! plan frame lists only the shards it walks or bulk-loads, a proposed
+//! shard is the shard of a pushed key at the plan's count, and the
+//! server proposes no shard it pushes nothing into — nor one whose keys
+//! would take the image past [`MAX_PUSH`], which it walks instead. A
+//! pushed key in a shard the plan lists is a violation. Equal,
 //! the puller holds the shard as the server held it then, so every
 //! entry the push leaves out is the same on both sides, and every entry
 //! it carries is one the puller holds at a version the server has
@@ -84,7 +88,7 @@
 //! each change is filed under its own key's placement.
 //!
 //! The planner frames reuse the mux control stream (tag space `0x35+`,
-//! disjoint from [`CtrlMsg`](crate::mux::CtrlMsg)'s `0x30..=0x34`) and
+//! disjoint from [`CtrlMsg`](crate::mux::CtrlMsg)'s `0x31..=0x34`) and
 //! the link layer's turn-marker discipline, so the phase pipelines over
 //! pooled persistent connections exactly like the contacts themselves:
 //! no extra dial, no extra socket round beyond the one planning turn.
@@ -108,7 +112,10 @@
 //! Planner traffic is accounted in
 //! [`ContactReport::digest_bytes`](crate::mux::ContactReport) — not in
 //! the four per-plane byte counters — so existing byte-conservation
-//! invariants over the object exchange are untouched.
+//! invariants over the object exchange are untouched. The push is the
+//! exchange's: priced in the four planes, at what its keys cost as
+//! streams ([`classify_push`](crate::mux::classify_push)), once the
+//! exchange begins.
 //!
 //! **Snapshot soundness.** A skip rotating vector has no merge: two
 //! independently-updated `Srv`s for the same key cannot be joined
@@ -129,13 +136,11 @@ pub use decide::{decide, Decision, Hint, PlanConfig, ShardAction};
 pub use digest::{
     kept_as_sent, nothing_to_pull, DigestDelta, DigestVector, ShardDigest, VectorMemory,
 };
-#[cfg(test)]
-pub(crate) use plan::tests::assert_strict;
 pub use plan::{ChildDigests, ShardPlan};
 pub use scope::{Cut, Offer, ShardScope};
 
 use crate::mux::{CONTROL_STREAM, MARKER_LEN};
-use bytes::{Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use optrep_core::error::WireError;
 use optrep_core::wire;
 
@@ -153,6 +158,16 @@ const TAG_SHARD_PLAN_REFINED: u8 = 0x38;
 /// Wire tag of a [`DigestDelta`] (puller → server): a digest vector
 /// expressed against the last one the connection carried.
 pub(crate) const TAG_SHARD_DIGESTS_DELTA: u8 = 0x39;
+/// Wire tag of a push (server → puller), the frame behind a plan that
+/// carries the image of every record the plan pushes. Two tags are
+/// retired and not reused: `0x30`, a push's while it was a frame of
+/// names, and `0x3a`, a proposing plan's.
+pub(crate) const TAG_PUSH: u8 = 0x3b;
+
+/// The longest image a push carries: its frame's payload, the tag and
+/// the image, stays within [`wire::DEFAULT_MAX_FRAME`], which a puller's
+/// frame decoder refuses to exceed.
+pub const MAX_PUSH: usize = wire::DEFAULT_MAX_FRAME - 1;
 
 /// A strictly increasing list of shard indices on the wire: the first
 /// as it is, every later one as the gap past its predecessor, less one
@@ -301,18 +316,60 @@ fn control_frame(msg: &impl ControlMsg) -> BytesMut {
 
 /// [`control_frame`] in a buffer with room for `behind` more bytes.
 fn control_frame_before(msg: &impl ControlMsg, behind: usize) -> BytesMut {
-    let len = msg.encoded_len();
-    let frame = wire::Frame::encoded_len(CONTROL_STREAM, len);
-    let mut buf = BytesMut::with_capacity(frame + behind);
-    wire::put_varint(&mut buf, CONTROL_STREAM);
-    wire::put_varint(&mut buf, len as u64);
-    msg.put(&mut buf);
+    let mut buf = BytesMut::with_capacity(frame_len(msg) + behind);
+    put_control(&mut buf, msg);
+    buf
+}
+
+/// The bytes of `msg`'s control-stream frame.
+fn frame_len(msg: &impl ControlMsg) -> usize {
+    wire::Frame::encoded_len(CONTROL_STREAM, msg.encoded_len())
+}
+
+/// Appends `msg` to `buf` as a control-stream frame.
+///
+/// # Panics
+///
+/// Panics if `msg` writes other than its [`encoded_len`](ControlMsg::encoded_len).
+fn put_control(buf: &mut BytesMut, msg: &impl ControlMsg) {
+    let (start, len) = (buf.len(), msg.encoded_len());
+    wire::put_varint(buf, CONTROL_STREAM);
+    wire::put_varint(buf, len as u64);
+    msg.put(buf);
     assert_eq!(
-        buf.len(),
-        frame,
+        buf.len() - start,
+        wire::Frame::encoded_len(CONTROL_STREAM, len),
         "a planner message writes its encoded length"
     );
-    buf
+}
+
+/// A push: its tag, then the image of the pushed records, opaque here.
+struct Push<'a>(&'a [u8]);
+
+impl ControlMsg for Push<'_> {
+    fn encoded_len(&self) -> usize {
+        1 + self.0.len()
+    }
+
+    fn put(&self, buf: &mut BytesMut) {
+        buf.put_u8(TAG_PUSH);
+        buf.extend_from_slice(self.0);
+    }
+}
+
+/// The bytes of the push frame of `image`; none for no image.
+pub(crate) fn push_frame_len(image: &[u8]) -> usize {
+    match image.is_empty() {
+        true => 0,
+        false => frame_len(&Push(image)),
+    }
+}
+
+/// Appends the push frame of `image` to `buf`; nothing for no image.
+pub(crate) fn put_push(buf: &mut BytesMut, image: &[u8]) {
+    if !image.is_empty() {
+        put_control(buf, &Push(image));
+    }
 }
 
 /// Encodes a [`DigestVector`] as a control-stream frame (no marker).

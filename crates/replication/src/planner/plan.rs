@@ -50,14 +50,16 @@ pub struct ShardPlan {
     /// `children`; empty on a connection's first contact, and wherever
     /// the journal does not reach back to the last one. Binding: the
     /// server pushes each key it changed there since the last contact,
-    /// with the plan, and neither end opens any other key of these
-    /// shards.
+    /// in the one image behind the plan, and neither end opens any
+    /// other key of these shards. A shard whose keys would take the
+    /// image past [`MAX_PUSH`](super::MAX_PUSH) is walked, not proposed.
     ///
-    /// Not on the wire: a proposed shard is one the push names a key
+    /// Not on the wire: a proposed shard is one the push holds a key
     /// of, so a server proposes no shard it pushes nothing into, and
-    /// the puller reads the list off the push and adds it to
-    /// `incremental` ([`Puller`](crate::mux::Puller)). A decoded plan
-    /// proposes nothing.
+    /// the puller's store reads the list off the push's keys, and
+    /// [`pull_planned`](crate::mux::pull_planned) adds it to
+    /// `incremental` ([`Restricted::proposed`](crate::mux::Restricted::proposed)).
+    /// A decoded plan proposes nothing.
     pub proposed: Vec<u64>,
 }
 

@@ -12,9 +12,9 @@ use optrep_core::rng::SplitMix64;
 use optrep_core::sync::{Endpoint, Framed, Msg, ReceiverStats, WireMsg};
 use optrep_core::wire::{self, FrameDecoder};
 use optrep_core::{Causality, Error, Result, RotatingVector, SiteId, Srv};
-use optrep_kv::{Committed, JoinResolver, KvStore, KvSyncReport};
+use optrep_kv::{Committed, EntryImage, JoinResolver, KvStore, KvSyncReport};
 use optrep_net::{ConnPool, ConnectOptions, FaultPlan, FaultyLink, FrameLink, TcpLink};
-use optrep_replication::mux::{write_push, Pushed, StreamOpen, TURN_STREAM};
+use optrep_replication::mux::{classify_push, FrameBytes, Pushed, StreamOpen, TURN_STREAM};
 use optrep_replication::planner::{
     digest_vector_frame, plan_frame, scope_frame, shard_of, JOURNAL_PLACEMENTS,
 };
@@ -305,8 +305,8 @@ fn planned_pull_on<L: FrameLink>(
     remembered: &mut VectorMemory,
 ) -> Result<(ContactReport, KvSyncReport)> {
     let digests = dst.shard_digest_vector();
-    let (client, plan, contact) = pull_planned(link, remembered, &digests, |plan, pushed| {
-        dst.client_endpoint_refined(plan, pushed, dst.generation())
+    let (client, plan, contact) = pull_planned(link, remembered, &digests, |plan, push| {
+        dst.client_endpoint_refined(plan, push, dst.generation())
     })?;
     let committed = dst.apply_planned(&JoinResolver, client, &contact, &plan)?;
     remembered.settle(&committed.landed);
@@ -332,7 +332,7 @@ fn flat_pull<L: FrameLink>(
     let digests = dst.shard_digest_vector();
     let (client, plan, contact) =
         pull_planned(link, &mut VectorMemory::default(), &digests, |plan, _| {
-            dst.client_endpoint_for(&plan.incremental, plan.count as usize)
+            Ok(dst.client_endpoint_for(&plan.incremental, plan.count as usize))
         })?;
     let (synced, _) = dst.apply_planned_tracked(&JoinResolver, client, &contact, &plan)?;
     Ok((contact, synced))
@@ -635,7 +635,7 @@ fn raced_pull(
     let mut link = InProcessLink::serving(&mut serving, &mut source);
     let (digests, digested_at) = (dst.shard_digest_vector(), dst.generation());
     let mut fresh = VectorMemory::default();
-    let (client, plan, contact) = pull_planned(&mut link, &mut fresh, &digests, |plan, pushed| {
+    let (client, plan, contact) = pull_planned(&mut link, &mut fresh, &digests, |plan, push| {
         for (at_source, key, value) in races {
             match at_source {
                 true => src.borrow_mut().put(key.clone(), value.clone()),
@@ -643,10 +643,10 @@ fn raced_pull(
             }
         }
         match refined {
-            true => dst.client_endpoint_refined(plan, pushed, digested_at),
-            false => dst
+            true => dst.client_endpoint_refined(plan, push, digested_at),
+            false => Ok(dst
                 .client_endpoint_for(&plan.incremental, plan.count as usize)
-                .into(),
+                .into()),
         }
     })
     .expect("pull");
@@ -818,6 +818,21 @@ fn describe_frame(frame: wire::Frame) -> (&'static str, String) {
     if let Some(name) = planner {
         return (name, "- - - -".to_string());
     }
+    let planes = |b: FrameBytes| format!("{} {} {} {}", b.compare, b.meta, b.framing, b.payload);
+    if frame.stream == CONTROL_STREAM && frame.payload.first() == Some(&TAG_PUSH) {
+        // The push, priced as a puller prices it: its keys taken by a
+        // store of their own, against a plan of one shard.
+        let len = wire::Frame::encoded_len(CONTROL_STREAM, frame.payload.len());
+        let plan = ShardPlan {
+            count: 1,
+            ..ShardPlan::default()
+        };
+        let store = KvStore::new(SiteId::new(99));
+        let image = frame.payload.slice(1..);
+        let taken = store.client_endpoint_refined(&plan, &image, store.generation());
+        let price = taken.expect("a push a store reads").client.push_price();
+        return ("push", planes(classify_push(len as u64, price)));
+    }
     let stream = frame.stream;
     let mut payload = frame.payload;
     let msg = MuxMsg::decode(&mut payload).expect("a half writes whole messages");
@@ -826,17 +841,12 @@ fn describe_frame(frame: wire::Frame) -> (&'static str, String) {
         MuxMsg::Ctrl(CtrlMsg::BatchServerFirst { .. }) => "server_first",
         MuxMsg::Ctrl(CtrlMsg::BatchDone { .. }) => "done",
         MuxMsg::Ctrl(CtrlMsg::Cancel { .. }) => "cancel",
-        MuxMsg::Ctrl(CtrlMsg::BatchPush { .. }) => "push",
         MuxMsg::Session(SessionMsg::Vector(_)) => "s.vector",
         MuxMsg::Session(SessionMsg::PayloadRequest) => "s.payload_req",
         MuxMsg::Session(SessionMsg::Payload { .. }) => "s.payload",
         MuxMsg::Session(_) => "s.other",
     };
-    let b = classify(&Framed::new(stream, msg));
-    (
-        name,
-        format!("{} {} {} {}", b.compare, b.meta, b.framing, b.payload),
-    )
+    (name, planes(classify(&Framed::new(stream, msg))))
 }
 
 /// Checks a half's writes against `transcripts/<name>.txt`. On a
@@ -984,7 +994,8 @@ fn refined_wire_transcript_is_pinned_and_adds_no_turn() {
     let children = plan.children.as_ref().expect("three shards refined");
     assert_eq!((children.fanout, children.parents.len()), (16, 3));
     let scope = dst
-        .client_endpoint_refined(&plan, &[], dst.generation())
+        .client_endpoint_refined(&plan, &Bytes::new(), dst.generation())
+        .expect("no push")
         .scope
         .expect("a scope");
     assert_eq!(scope.children.len(), 6, "one child per dirty key");
@@ -1212,11 +1223,13 @@ fn second_pull_over_a_link_is_proposed_what_the_source_changed() {
         (739, 447)
     );
     let scope = dst
-        .client_endpoint_refined(&plan, &[], dst.generation())
+        .client_endpoint_refined(&plan, &Bytes::new(), dst.generation())
+        .expect("no push")
         .scope
         .expect("a scope");
     let blind_scope = dst
-        .client_endpoint_refined(&blind, &[], dst.generation())
+        .client_endpoint_refined(&blind, &Bytes::new(), dst.generation())
+        .expect("no push")
         .scope
         .expect("a scope");
     assert_eq!((scope.children.len(), blind_scope.children.len()), (4, 7));
@@ -1242,11 +1255,14 @@ fn second_pull_over_a_link_is_proposed_what_the_source_changed() {
     // source's, is not proposed and is cut at its children like 7 and
     // 9: 39 keys against the cold pull's 64.
     assert_eq!((synced.keys_examined, cold_synced.keys_examined), (39, 64));
-    // Framing over the four changed keys: 123 B a key warm, 195.25
-    // cold (538.5 B while shard 2 was refused and walked whole).
+    // Framing over the four changed keys: 114.25 B a key warm, 195.25
+    // cold (538.5 B while shard 2 was refused and walked whole; 123 warm
+    // while the push named its keys in a frame of their own, then sent
+    // each element and value in a frame of its own: 49 B of framing
+    // where its image spends 14).
     assert_eq!(
         (synced.framing_bytes, cold_synced.framing_bytes),
-        (492, 781)
+        (457, 781)
     );
 
     // Both end where an unplanned pull ends, having changed the same keys.
@@ -1337,8 +1353,8 @@ fn a_pull_abandoned_after_the_wire_leaves_the_memories_in_step() {
     let mut link = InProcessLink::serving(&mut serving, &mut source);
     let mut remembered = VectorMemory::default();
     let digests = dst.shard_digest_vector();
-    let abandoned = pull_planned(&mut link, &mut remembered, &digests, |plan, pushed| {
-        dst.client_endpoint_refined(plan, pushed, dst.generation())
+    let abandoned = pull_planned(&mut link, &mut remembered, &digests, |plan, push| {
+        dst.client_endpoint_refined(plan, push, dst.generation())
     })
     .expect("the contact itself completes");
     drop(abandoned);
@@ -1378,8 +1394,8 @@ fn a_rerun_after_an_abandoned_pull_is_not_proposed_what_it_never_applied() {
 
     source_moves_on(&mut src.borrow_mut());
     let digests = dst.shard_digest_vector();
-    let abandoned = pull_planned(&mut link, &mut remembered, &digests, |plan, pushed| {
-        dst.client_endpoint_refined(plan, pushed, dst.generation())
+    let abandoned = pull_planned(&mut link, &mut remembered, &digests, |plan, push| {
+        dst.client_endpoint_refined(plan, push, dst.generation())
     })
     .expect("the contact itself completes");
     assert_eq!(abandoned.2.shards_proposed, 2, "4 and 13");
@@ -1533,9 +1549,10 @@ fn a_write_between_plan_and_endpoint(form: Form, race: Race) {
             let digests = dst.shard_digest_vector();
             let mut keys = Vec::new();
             let (client, plan, contact) =
-                pull_planned(&mut link, &mut remembered, &digests, |plan, pushed| {
-                    keys = pushed.to_vec();
-                    dst.client_endpoint_refined(plan, pushed, dst.generation())
+                pull_planned(&mut link, &mut remembered, &digests, |plan, push| {
+                    let restricted = dst.client_endpoint_refined(plan, push, dst.generation())?;
+                    keys = restricted.client.pushed_keys().cloned().collect();
+                    Ok(restricted)
                 })
                 .expect("pull");
             let committed = dst
@@ -1697,12 +1714,13 @@ fn a_pushed_key_the_puller_wrote_after_its_digest_is_cancelled_and_lands_next_pu
         let (digests, digested_at) = (dst.shard_digest_vector(), dst.generation());
         let mut keys = Vec::new();
         let (client, plan, contact) =
-            pull_planned(&mut link, remembered, &digests, |plan, pushed| {
-                keys = pushed.to_vec();
+            pull_planned(&mut link, remembered, &digests, |plan, push| {
                 if let Some(key) = racing {
                     dst.put(key, "mine, after the digest");
                 }
-                dst.client_endpoint_refined(plan, pushed, digested_at)
+                let restricted = dst.client_endpoint_refined(plan, push, digested_at)?;
+                keys = restricted.client.pushed_keys().cloned().collect();
+                Ok(restricted)
             })
             .expect("pull");
         let committed = dst.apply_planned(&JoinResolver, client, &contact, &plan);
@@ -1730,12 +1748,11 @@ fn a_pushed_key_the_puller_wrote_after_its_digest_is_cancelled_and_lands_next_pu
     assert_eq!(committed.keys(&dst), [sibling.as_str()]);
     assert_eq!(dst.get(&raced), Some(&b"mine, after the digest"[..]));
     assert!(committed.landed.iter().all(|(shard, _)| *shard != 4));
-    // The cancelled stream's name (9 B of the push frame: an 8-byte key
-    // and its length), its element frame (5 B) and its value (11 B),
-    // and nothing else: its sibling's frames were all taken.
+    // The key not run, priced as the push prices it: its one element
+    // (3 B, the `SYNCS` message that sends it) and its value (7 B, a tag
+    // and `theirs`), and nothing else: its sibling was all taken.
     let excess = contact.excess_bytes;
-    assert_eq!(raced.len(), 8);
-    assert_eq!(excess, 9 + 5 + 11, "{contact:?}");
+    assert_eq!(excess, 3 + 7, "{contact:?}");
     let reported: Vec<u64> = (ring.events().into_iter())
         .filter_map(|event| match event {
             SyncEvent::LinkExcess { bytes } => Some(bytes),
@@ -1847,12 +1864,6 @@ impl StepLink<'_> {
                 for stream in streams {
                     let streams = vec![stream];
                     put(stream, CtrlMsg::BatchDone { streams });
-                }
-            }
-            MuxMsg::Ctrl(CtrlMsg::BatchPush { names }) => {
-                for (stream, name) in (1..).zip(names) {
-                    let names = vec![name];
-                    put(stream, CtrlMsg::BatchPush { names });
                 }
             }
             MuxMsg::Ctrl(CtrlMsg::Cancel { streams }) => {
@@ -2011,7 +2022,7 @@ fn same_streams(
 /// fixture's moves between two: each pull's restricted client and
 /// served endpoint over the walked shards, built a second time from the
 /// views the pull built its own from. (The push is no exchange: its
-/// streams are whole in the planning turn.)
+/// keys are whole in the planning turn.)
 fn planned_exchanges(
     mut dst: KvStore,
     src: KvStore,
@@ -2035,10 +2046,11 @@ fn planned_exchanges(
         }
         let digests = dst.shard_digest_vector();
         let (client, plan, contact) =
-            pull_planned(&mut link, &mut remembered, &digests, |plan, pushed| {
+            pull_planned(&mut link, &mut remembered, &digests, |plan, push| {
                 let generation = dst.generation();
-                clients.push(dst.client_endpoint_refined(plan, &[], generation).client);
-                dst.client_endpoint_refined(plan, pushed, generation)
+                let unpushed = dst.client_endpoint_refined(plan, &Bytes::new(), generation)?;
+                clients.push(unpushed.client);
+                dst.client_endpoint_refined(plan, push, generation)
             })
             .expect("pull");
         dst.apply_planned_tracked(&JoinResolver, client, &contact, &plan)
@@ -2258,7 +2270,8 @@ fn a_pushed_stream_reaches_its_receiver_as_the_lockstep_would() {
     };
     let mut turn_bytes = plan_frame(&plan);
     served.sort_by(|a, b| a.0.cmp(&b.0));
-    write_push(&served, &mut turn_bytes).expect("a push");
+    let push = push_frame(&image_of(&served));
+    wire::put_frame(&mut turn_bytes, CONTROL_STREAM, &push.payload);
     wire::put_frame(&mut turn_bytes, TURN_STREAM, &[]);
     let mut out = BytesMut::new();
     let mut puller = Puller::open_planned(&digests, &remembered, &mut out);
@@ -2271,18 +2284,20 @@ fn a_pushed_stream_reaches_its_receiver_as_the_lockstep_would() {
             .is_none());
     }
     puller.take_plan().expect("the plan");
+    assert_eq!(puller.push()[..], push.payload[1..]);
+    // Each key taken as a store reads it off the push.
     let ours: BTreeMap<Bytes, Option<Srv>> = held.into_iter().collect();
-    let pushed = (puller.pushed_keys().iter()).map(|key| {
+    let mut client = BatchPullClient::new(Vec::new());
+    for (key, theirs, value) in &served {
         let held = match &ours[key] {
             Some(vector) => Pushed::Held(vector.clone()),
             None => Pushed::Absent,
         };
-        (key.clone(), held)
-    });
-    let mut client = BatchPullClient::with_pushed(pushed.collect::<Vec<_>>(), Vec::new());
+        client.take_pushed(key.clone(), held, theirs.clone(), Some(value.clone()));
+    }
     out.clear();
     puller
-        .exchange(&mut client, None, 0, &mut out)
+        .exchange(&mut client, 1, None, 0, &mut out)
         .expect("the push lands");
     let report = puller.on_frame(fin(), &mut out).expect("done");
     let report = report.expect("the contact ends with the server's FIN");
@@ -2309,10 +2324,18 @@ fn a_pushed_stream_reaches_its_receiver_as_the_lockstep_would() {
         "segments skipped: {skips}, Γ {gamma}"
     );
     // What the push carried that the receivers took moved fewer bytes
-    // than the lockstep did: no hello, no answer, no reply.
+    // than the lockstep did: no hello, no answer, no reply. The image is
+    // shorter than the elements and values it carries, priced as their
+    // streams carried them (a vector of 4 to 15 sites costs a byte an
+    // element less written out than as `SYNCS` messages): it is priced
+    // at its bytes, no framing.
     assert_eq!(
-        (report.excess_bytes, report.total_bytes),
-        (8_824, 33_467),
+        (
+            report.excess_bytes,
+            report.total_bytes,
+            report.framing_bytes
+        ),
+        (7_012, 27_810, 0),
         "{report:?}"
     );
     assert_eq!(lockstep.report.total_bytes, 28_520);
@@ -2612,6 +2635,35 @@ fn a_cut_at_every_byte_of_a_second_pull_leaves_the_store_and_no_memory() {
 
 // ---------------------------------------------------------------------
 // (d) Hostile sequences fail the step machines; nothing panics or loops.
+
+/// A push's tag.
+const TAG_PUSH: u8 = 0x3b;
+
+/// The state of a record as `KvStore::encode_entry` writes it.
+fn state_of(vector: &Srv, value: &[u8]) -> Bytes {
+    let mut buf = BytesMut::new();
+    wire::put_bytes(&mut buf, &vector.encode_snapshot());
+    buf.extend_from_slice(&[1]);
+    wire::put_bytes(&mut buf, value);
+    buf.freeze()
+}
+
+/// The image of `records`, keys strictly ascending, as a store writes
+/// one.
+fn image_of(records: &[(Bytes, Srv, Bytes)]) -> Bytes {
+    let states: Vec<(Bytes, Bytes)> = (records.iter())
+        .map(|(key, vector, value)| (key.clone(), state_of(vector, value)))
+        .collect();
+    let image = EntryImage::new(states.iter().map(|(key, state)| (key, state)));
+    let mut buf = Vec::new();
+    (image.expect("keys ascending").write_to(&mut buf)).expect("a Vec takes every byte");
+    Bytes::from(buf)
+}
+
+/// The push frame of `image`: its tag, then the image.
+fn push_frame(image: &[u8]) -> wire::Frame {
+    frame(CONTROL_STREAM, &[&[TAG_PUSH], image].concat())
+}
 
 fn frame(stream: u64, payload: &[u8]) -> wire::Frame {
     wire::Frame {
@@ -3194,186 +3246,81 @@ fn hostile_planner_sequences_fail_the_pulling_step() {
         assert_eq!(reason_label(&err), "decode_error");
     }
 
-    // The push behind a plan: a stream a key the plan proposes a shard
-    // of, each key once, streams 1, 2, … and each frame after the open
-    // on one of them — all in the planning turn, and only on a link the
+    // The push behind a plan: one frame on the control stream under its
+    // own tag, held as the image it carries for the store to read — in
+    // the planning turn, once, behind the plan, and only on a link the
     // server has planned for before.
-    let key_in = |shard: u64, nth: usize| -> &'static str {
-        let keys = (0..).map(|i| format!("pushed-{i}"));
-        let key = keys.filter(|key| shard_at(key, 4) == shard).nth(nth);
-        Box::leak(key.expect("keys in every shard").into_boxed_str())
-    };
-    let (first, second) = {
-        let mut two = [key_in(1, 0), key_in(1, 1)];
-        two.sort_unstable();
-        (two[0], two[1])
-    };
-    let push = |names: &[&str]| {
-        let names = (names.iter())
-            .map(|name| Bytes::from(name.as_bytes().to_vec()))
-            .collect();
-        msg_frame(CONTROL_STREAM, MuxMsg::Ctrl(CtrlMsg::BatchPush { names }))
-    };
-    let value = |stream: u64| {
-        let data = Bytes::from_static(b"v");
-        msg_frame(stream, MuxMsg::Session(SessionMsg::Payload { data }))
-    };
-    let vector =
-        |stream: u64, msg: Msg| msg_frame(stream, MuxMsg::Session(SessionMsg::Vector(msg)));
-    let element = |stream: u64| {
-        let elem = Msg::ElemS {
-            site: SiteId::new(1),
-            value: 2,
-            conflict: false,
-            segment: false,
-        };
-        vector(stream, elem)
-    };
-    let named = |site: u32, value: u64| {
-        let elem = Msg::ElemS {
-            site: SiteId::new(site),
-            value,
-            conflict: false,
-            segment: false,
-        };
-        vector(1, elem)
-    };
-    // The honest turn: the plan, then a push into shard 1, hands out a
-    // plan that proposes shard 1 and walks shard 2.
+    let push = || push_frame(b"\x01image");
     let mut out = BytesMut::new();
     let mut puller = Puller::open_planned(&empty_digests(), &remembered, &mut out);
-    for frame in [proposing(), push(&[first]), element(1), value(1), turn()] {
+    for frame in [proposing(), push(), turn()] {
         assert!(puller.on_frame(frame, &mut out).unwrap().is_none());
     }
     let handed = puller.take_plan().expect("the plan");
     assert_eq!(
         (handed.incremental.clone(), handed.proposed.clone()),
-        (vec![1, 2], vec![1])
+        (vec![2], vec![])
     );
-    assert_eq!(handed.walked(), [2]);
-    // Up to the end of the planning turn, then on into the exchange: the
-    // push lands in a client that holds none of its keys.
-    let pushed_until_error = |frames: Vec<wire::Frame>| {
+    assert_eq!(&puller.push()[..], b"\x01image");
+    let warm_until_error = |frames: Vec<wire::Frame>| {
         let mut out = BytesMut::new();
         let mut puller = Puller::open_planned(&empty_digests(), &remembered, &mut out);
-        for frame in frames {
-            if let Err(e) = puller.on_frame(frame, &mut out) {
-                return e;
-            }
-        }
-        puller.take_plan().expect("a whole planning turn");
-        let absent = (puller.pushed_keys().iter()).map(|key| (key.clone(), Pushed::Absent));
-        let mut client = BatchPullClient::with_pushed(absent.collect::<Vec<_>>(), Vec::new());
-        match puller.exchange(&mut client, None, 0, &mut out) {
-            Err(e) => e,
-            Ok(()) => panic!("the puller accepted a hostile push"),
-        }
+        let err = frames
+            .into_iter()
+            .find_map(|frame| puller.on_frame(frame, &mut out).err());
+        err.expect("the puller refused the turn")
     };
-    let hostile: [(&str, Vec<wire::Frame>); 14] = [
+    let hostile = [
+        ("a second push", vec![proposing(), push(), push()]),
+        ("an empty push", vec![proposing(), push_frame(b"")]),
+        ("a push with no plan before it", vec![push(), proposing()]),
         (
-            "a pushed key in a shard the plan walks",
-            vec![proposing(), push(&[key_in(2, 0)])],
-        ),
-        ("an empty push", vec![proposing(), push(&[])]),
-        (
-            "pushed keys out of order",
-            vec![proposing(), push(&[second, first])],
+            "a push off the control stream",
+            vec![proposing(), frame(3, &push().payload)],
         ),
         (
-            "a frame on a stream the puller opens itself",
-            vec![proposing(), push(&[first]), element(1), value(1), value(2)],
-        ),
-        (
-            "the same key pushed twice",
-            vec![proposing(), push(&[first, first])],
-        ),
-        (
-            "a second push",
-            vec![proposing(), push(&[first]), push(&[second])],
-        ),
-        (
-            "a push's frame before its open",
-            vec![proposing(), value(1)],
-        ),
-        (
-            "a pushed stream that opens with a HALT",
-            vec![proposing(), push(&[first]), vector(1, Msg::Halt), value(1)],
-        ),
-        (
-            "a pushed stream that opens with a skipped segment's end",
-            vec![
-                proposing(),
-                push(&[first]),
-                vector(1, Msg::SegSkipped { seg: 0 }),
-                element(1),
-                value(1),
-            ],
-        ),
-        (
-            "a pushed stream that opens with its value",
-            vec![proposing(), push(&[first]), value(1), turn()],
-        ),
-        (
-            "a HALT where the value implies it",
-            vec![
-                proposing(),
-                push(&[first]),
-                element(1),
-                vector(1, Msg::Halt),
-                value(1),
-            ],
-        ),
-        (
-            "an element after the value",
-            vec![
-                proposing(),
-                push(&[first]),
-                element(1),
-                value(1),
-                element(1),
-            ],
-        ),
-        (
-            "a pushed stream without its value",
-            vec![proposing(), push(&[first]), element(1), turn()],
-        ),
-        (
-            "a pushed stream whose elements name a site twice",
-            vec![
-                proposing(),
-                push(&[first]),
-                named(2, 1),
-                named(2, 3),
-                named(1, 1),
-                value(1),
-                turn(),
-            ],
+            "a session frame behind the push",
+            vec![proposing(), push(), hello()],
         ),
     ];
     for (what, frames) in hostile {
-        let err = pushed_until_error(frames);
+        let err = warm_until_error(frames);
         assert_eq!(reason_label(&err), "protocol_error", "{what}: {err}");
     }
-    // A pushed stream on a link's first contact, into a shard the plan
-    // does not list.
-    let err = plan_until_error(vec![plan_at(4), push(&[key_in(2, 0)])]);
+    // A push on a link's first contact.
+    let err = plan_until_error(vec![plan_at(4), push()]);
     assert_eq!(reason_label(&err), "protocol_error");
-    // A pushed frame after the planning turn's marker: the push and its
-    // stream are whole inside the turn.
-    for late in [push(&[first]), value(1)] {
+    // A push after the planning turn's marker: the push is whole inside
+    // the turn.
+    let mut out = BytesMut::new();
+    let mut puller = Puller::open_planned(&empty_digests(), &remembered, &mut out);
+    for frame in [proposing(), turn()] {
+        assert!(puller.on_frame(frame, &mut out).unwrap().is_none());
+    }
+    puller.take_plan().expect("the plan");
+    let mut client = BatchPullClient::new(vec![(Bytes::from_static(b"k"), Srv::new())]);
+    (puller.exchange(&mut client, 0, None, 0, &mut out)).expect("the exchange begins");
+    let err = puller.on_frame(push(), &mut out).unwrap_err();
+    assert_eq!(reason_label(&err), "decode_error");
+    // A push the client took no key of, and a client that took keys of
+    // no push: the endpoint did not read what crossed.
+    let (record, value) = (Bytes::from_static(b"k"), Some(Bytes::from_static(b"v")));
+    for (frames, took) in [
+        (vec![proposing(), push(), turn()], false),
+        (vec![proposing(), turn()], true),
+    ] {
         let mut out = BytesMut::new();
         let mut puller = Puller::open_planned(&empty_digests(), &remembered, &mut out);
-        for frame in [proposing(), push(&[first]), element(1), value(1), turn()] {
+        for frame in frames {
             assert!(puller.on_frame(frame, &mut out).unwrap().is_none());
         }
-        assert_eq!(puller.pushed_keys(), [first.as_bytes()]);
         puller.take_plan().expect("the plan");
-        let pushed = [(Bytes::from(first.as_bytes().to_vec()), Pushed::Absent)];
-        let mut client = BatchPullClient::with_pushed(pushed, Vec::new());
-        puller
-            .exchange(&mut client, None, 0, &mut out)
-            .expect("the push lands");
-        let err = puller.on_frame(late, &mut out).unwrap_err();
+        let mut client = BatchPullClient::new(Vec::new());
+        if took {
+            let vector = updated(Srv::new(), &[1]);
+            client.take_pushed(record.clone(), Pushed::Absent, vector, value.clone());
+        }
+        let err = (puller.exchange(&mut client, 1, None, 0, &mut out)).unwrap_err();
         assert_eq!(reason_label(&err), "protocol_error");
     }
     // The honest turn hands the plan out exactly once.
@@ -3429,12 +3376,34 @@ impl FrameLink for Scripted {
     fn fin(&mut self) {}
 }
 
-/// A push the plan does not own is refused in the planning turn, and the
-/// puller's store, generation and digest are as they were: a push into
-/// a shard the plan walks, refines or bulk-loads, a plan under the
-/// retired proposing tag, a push on a link's first contact. The honest
-/// turn the hostile ones are cut from — the source's own plan and push
-/// for a key it wrote since the link's last contact — lands.
+/// An entry written by hand: the key head of `shared` bytes of the key
+/// before and `rest`, the rest, the state head of a value `value` and of
+/// `vector` — `None` the vector before — the vector's field, the value.
+fn hand_entry(shared: usize, rest: &[u8], vector: Option<&[u8]>, value: &[u8]) -> Vec<u8> {
+    let mut entry = BytesMut::new();
+    wire::put_varint(&mut entry, (shared << 3 | rest.len().min(7)) as u64);
+    if rest.len() >= 7 {
+        wire::put_varint(&mut entry, rest.len() as u64 - 7);
+    }
+    entry.extend_from_slice(rest);
+    let repeats = u64::from(vector.is_none());
+    wire::put_varint(&mut entry, (value.len() as u64 + 1) << 1 | repeats);
+    if let Some(vector) = vector {
+        wire::put_bytes(&mut entry, vector);
+    }
+    entry.extend_from_slice(value);
+    entry.to_vec()
+}
+
+/// A push the plan does not own, or that no store writes, is refused,
+/// and the puller's store, generation and digest are as they were: a
+/// push into a shard the plan walks, refines or bulk-loads, a plan under
+/// the retired proposing tag, a push on a link's first contact, a second
+/// push frame and one with no plan before it; every cut of the pushed
+/// entry, bytes after it, keys out of order or repeated, a vector
+/// written other than as a store writes it. The honest turn the hostile
+/// ones are cut from — the source's own plan and push for a key it
+/// wrote since the link's last contact — lands.
 #[test]
 fn a_push_the_plan_does_not_own_leaves_the_puller_alone() {
     let (mut dst, mut src) = refined_stores();
@@ -3451,22 +3420,38 @@ fn a_push_the_plan_does_not_own_leaves_the_puller_alone() {
     let ContactAnswer::Plan(honest, _, _, push) = src.open_contact(ask) else {
         panic!("a plan answers a plan ask");
     };
-    assert_eq!((honest.proposed.clone(), push.len()), (vec![4], 1));
-    // A planning turn: the plan frame, the push, the marker, then the
+    assert_eq!((honest.proposed.clone(), push[0]), (vec![4], 1));
+    // The pushed entry as a hand writes it, byte for byte the source's.
+    let vector = src.meta(&key).expect("a key it wrote").encode_snapshot();
+    let entry = |vector: &[u8]| hand_entry(0, key.as_bytes(), Some(vector), b"later");
+    let image = |entries: &[Vec<u8>]| {
+        let mut image = BytesMut::new();
+        wire::put_varint(&mut image, entries.len() as u64);
+        entries
+            .iter()
+            .for_each(|entry| image.extend_from_slice(entry));
+        image.freeze()
+    };
+    assert_eq!(image(&[entry(&vector)]), push);
+    // A planning turn: the plan frame, the push's, the marker, then the
     // server's FIN, which ends a contact that walks nothing.
-    let turn = |plan_frame: &[u8]| {
+    let script = |frames: &[wire::Frame]| {
         let mut script = BytesMut::new();
-        wire::put_frame(&mut script, CONTROL_STREAM, plan_frame);
-        write_push(&push, &mut script).expect("a push");
+        for frame in frames {
+            wire::put_frame(&mut script, frame.stream, &frame.payload);
+        }
         wire::put_frame(&mut script, TURN_STREAM, &[]);
         wire::put_frame(&mut script, TURN_STREAM, &[1]);
         script.freeze()
     };
+    let plan = |plan_frame: &[u8]| frame(CONTROL_STREAM, plan_frame);
+    let turn = |plan_frame: &[u8]| script(&[plan(plan_frame), push_frame(&push)]);
     let listing = |plan: ShardPlan| turn(&plan.encode());
+    let pushing = |image: &[u8]| script(&[plan(&honest.encode()), push_frame(image)]);
     let pair = vec![ShardDigest::default(); 2];
-    let hostile = [
+    let mut hostile = vec![
         (
-            "a push into a shard the plan walks",
+            "a push into a shard the plan walks".to_string(),
             listing(ShardPlan {
                 count: 16,
                 incremental: vec![4],
@@ -3476,7 +3461,7 @@ fn a_push_the_plan_does_not_own_leaves_the_puller_alone() {
             "protocol_error",
         ),
         (
-            "a push into a shard the plan refines",
+            "a push into a shard the plan refines".to_string(),
             listing(ShardPlan {
                 count: 16,
                 incremental: vec![4],
@@ -3490,7 +3475,7 @@ fn a_push_the_plan_does_not_own_leaves_the_puller_alone() {
             "protocol_error",
         ),
         (
-            "a push into a shard the plan bulk-loads",
+            "a push into a shard the plan bulk-loads".to_string(),
             listing(ShardPlan {
                 count: 16,
                 bulk: vec![4],
@@ -3501,18 +3486,68 @@ fn a_push_the_plan_does_not_own_leaves_the_puller_alone() {
             "protocol_error",
         ),
         (
-            "the honest plan under the retired proposing tag",
+            "the honest plan under the retired proposing tag".to_string(),
             turn(&[0x3a, 16, 1, 4, 0, 0, 0b1]),
             true,
             "decode_error",
         ),
         (
-            "the honest turn on a link's first contact",
+            "the honest turn on a link's first contact".to_string(),
             listing(honest.clone()),
             false,
             "protocol_error",
         ),
+        (
+            "a second push".to_string(),
+            script(&[plan(&honest.encode()), push_frame(&push), push_frame(&push)]),
+            true,
+            "protocol_error",
+        ),
+        (
+            "a push with no plan before it".to_string(),
+            script(&[push_frame(&push), plan(&honest.encode())]),
+            true,
+            "protocol_error",
+        ),
+        (
+            "bytes after the last entry".to_string(),
+            pushing(&[&push[..], &[0]].concat()),
+            true,
+            "decode_error",
+        ),
     ];
+    for cut in 1..push.len() {
+        let what = format!("the push cut at {cut} of {} bytes", push.len());
+        hostile.push((what, pushing(&push[..cut]), true, "decode_error"));
+    }
+    // Behind the pushed entry: a key before it, the key again, and keys
+    // after it with vectors a store does not write there — the vector
+    // before written out, an empty vector field. And a first entry that
+    // repeats the vector before it, which it does not have.
+    let shared = key.len() - 1;
+    let last = key.as_bytes()[shared];
+    let other = updated(Srv::new(), &[1]).encode_snapshot();
+    let behind = |rest: &[u8], vector: &[u8]| hand_entry(shared, rest, Some(vector), b"v");
+    let again = hand_entry(shared + 1, b"", Some(&other), b"v");
+    let unvectored = hand_entry(0, key.as_bytes(), None, b"later");
+    for (what, image) in [
+        (
+            "keys out of order",
+            image(&[entry(&vector), behind(&[last - 1], &other)]),
+        ),
+        ("a key pushed twice", image(&[entry(&vector), again])),
+        (
+            "the vector before, written out",
+            image(&[entry(&vector), behind(&[last + 1], &vector)]),
+        ),
+        (
+            "an empty vector field",
+            image(&[entry(&vector), behind(&[last + 1], &[])]),
+        ),
+        ("a repeated vector on the first entry", image(&[unvectored])),
+    ] {
+        hostile.push((what.to_string(), pushing(&image), true, "decode_error"));
+    }
     for (what, script, warm, label) in hostile {
         let before = (dst.clone(), dst.generation(), dst.replica_digest());
         let mut remembered = VectorMemory::default();
@@ -3520,7 +3555,7 @@ fn a_push_the_plan_does_not_own_leaves_the_puller_alone() {
             remembered.remember(&digests, []);
         }
         let mut link = Scripted { script };
-        let err = planned_pull_on(&mut dst, &mut link, &mut remembered).expect_err(what);
+        let err = planned_pull_on(&mut dst, &mut link, &mut remembered).expect_err(&what);
         assert_eq!(reason_label(&err), label, "{what}: {err}");
         assert!(remembered.is_empty(), "{what}");
         let after = (dst.clone(), dst.generation(), dst.replica_digest());
@@ -3722,8 +3757,8 @@ fn as_served_memories_stay_in_step_over_seeded_contacts() {
                 .with_conn(addr, |link, remembered| loop {
                     let digests = dst.shard_digest_vector();
                     let (client, plan, report) =
-                        pull_planned(link, remembered, &digests, |plan, pushed| {
-                            dst.client_endpoint_refined(plan, pushed, dst.generation())
+                        pull_planned(link, remembered, &digests, |plan, push| {
+                            dst.client_endpoint_refined(plan, push, dst.generation())
                         })?;
                     if let Some(key) = race.take() {
                         // Abandoned: nothing committed, nothing settled.

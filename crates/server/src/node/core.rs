@@ -6,7 +6,7 @@
 use crate::persist::{Due, Persist, ReplayReport};
 use crate::proto::{Request, Response};
 use optrep_core::obs::metrics::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
-use optrep_core::{Error, Result, SiteId};
+use optrep_core::{wire, Error, Result, SiteId};
 use optrep_kv::{Entries, JoinResolver, KvStore, KvSyncReport};
 use optrep_net::FrameLink;
 use optrep_replication::{
@@ -323,7 +323,8 @@ impl NodeCore {
         let keys = &self.metrics.serving_endpoint_keys;
         match &answer {
             ContactAnswer::Plan(plan, _, _, push) => {
-                *pushed = push.len() as u64;
+                // An image opens with its entry count; no push, none.
+                *pushed = wire::get_varint(&mut &push[..]).unwrap_or(0);
                 if plan.walked().is_empty() {
                     keys.record(*pushed);
                 }
@@ -381,15 +382,16 @@ impl NodeCore {
                     let store = self.store();
                     (store.shard_digest_vector(), store.generation())
                 };
-                let endpoint = |plan: &ShardPlan, pushed: &[bytes::Bytes]| {
+                let endpoint = |plan: &ShardPlan, push: &bytes::Bytes| {
                     let store = self.store();
                     generation = store.generation();
-                    if !plan.proposed.is_empty() {
+                    let restricted = store.client_endpoint_refined(plan, push, digested_at)?;
+                    if !restricted.proposed.is_empty() {
                         let now = store.shard_digest_vector().shards;
-                        let proposed = plan.proposed.iter().map(|&shard| shard as usize);
+                        let proposed = restricted.proposed.iter().map(|&shard| shard as usize);
                         moved = proposed.filter(|&s| now[s] != digests.shards[s]).collect();
                     }
-                    store.client_endpoint_refined(plan, pushed, digested_at)
+                    Ok(restricted)
                 };
                 let (client, plan, report) = pull_planned(link, remembered, &digests, endpoint)?;
                 // An exchange counts once it completes, whether or not

@@ -509,10 +509,12 @@ fn a_connection_remembers_the_vector_and_the_source_proposes_until_a_redial() {
         let offered = |r: &optrep_kv::KvSyncReport| (r.shards_proposed, r.shards_refined);
         assert_eq!((offered(&warm), offered(&mirror)), ((1, 0), (0, 1)));
         assert_eq!((warm.keys_examined, warm.keys_fast_forwarded), (1, 1));
-        // Framing: 18 B for the one key pushed — the push frame and its
-        // name, an element's frame, the value's — against the 100 B or
-        // so a fresh dial frames naming a child's keys.
-        assert_eq!(warm.framing_bytes, 18, "{warm:?}");
+        // Framing: 14 B for the one key pushed — the push frame's header
+        // and tag, the image's count, the key and its two heads — against
+        // the 100 B or so a fresh dial frames naming a child's keys (18
+        // while the push framed its name, its element and its value
+        // apart).
+        assert_eq!(warm.framing_bytes, 14, "{warm:?}");
         assert!(mirror.framing_bytes > 3 * warm.framing_bytes, "{mirror:?}");
         assert!(mirror.keys_examined > 1, "{mirror:?}");
         assert!(warm.meta_bytes < mirror.meta_bytes, "{warm:?} {mirror:?}");
