@@ -267,17 +267,6 @@ pub fn shard_of(key: &[u8], count: u64) -> u64 {
     placement(key) & (count - 1)
 }
 
-/// The shards of `keys` in a map of `count` shards, strictly
-/// increasing: the shards a push of those keys proposes. The push is
-/// what names a proposed shard — the plan frame lists none — so a
-/// server proposes these and the puller reads these off it.
-pub fn shards_of<'k>(keys: impl IntoIterator<Item = &'k [u8]>, count: u64) -> Vec<u64> {
-    let mut shards: Vec<u64> = (keys.into_iter()).map(|key| shard_of(key, count)).collect();
-    shards.sort_unstable();
-    shards.dedup();
-    shards
-}
-
 /// A planner message: its exact encoded length, and how it writes
 /// itself. Every planner payload and frame is written once, by
 /// [`payload`] or [`control_frame`], into a buffer of that length.

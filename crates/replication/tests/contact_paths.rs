@@ -2147,8 +2147,8 @@ fn mixed_case() -> Case {
 /// one lists the other, so a push of a change to one pushes both.
 const SHARING_PLACEMENT: [&str; 2] = ["p133bba9a1", "p9aa423960"];
 
-/// A pushed stream reaches its receiver as one message a turn would:
-/// over keys the server moved on from where the puller holds them —
+/// A pushed key reaches its receiver as its stream would, one message a
+/// turn: over keys the server moved on from where the puller holds them —
 /// plainly, so that the receiver halts on the first element of the
 /// multi-site base it knows, and the sender's elements past it are
 /// not wanted; or after reconciling with a third site, so that the
@@ -2303,7 +2303,7 @@ fn a_pushed_stream_reaches_its_receiver_as_the_lockstep_would() {
     let report = report.expect("the contact ends with the server's FIN");
     assert_eq!(report.round_trips, 1);
 
-    // Per key, by name: the push's streams are numbered apart.
+    // Per key, by name: a pushed key rides no stream.
     let by_name = |outcomes: Vec<Finished>| -> BTreeMap<Bytes, _> {
         (outcomes.into_iter())
             .map(|(_, name, discovered, aborted, outcome)| (name, (discovered, aborted, outcome)))
