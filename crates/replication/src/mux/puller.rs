@@ -45,7 +45,7 @@ enum PullPhase {
 /// answers one [`ShardPlan`] ([`take_plan`](Self::take_plan)) and, in
 /// the same burst, the push: one frame holding each key it changed in a
 /// proposed shard, as an image the machine holds and does not read
-/// ([`push`](Self::push)). The caller reads it into a client that runs
+/// ([`push_image`](Self::push_image)). The caller reads it into a client that runs
 /// each pushed key as it is read, and walks the plan's other shards
 /// ([`exchange`](Self::exchange)) — where the plan offered child digests
 /// and the caller compared them with its store, each refined one cut to
@@ -90,7 +90,7 @@ pub struct Puller<'a> {
     walks: bool,
     /// The push's image, a slice of its frame, from the planning turn
     /// until the exchange prices it; empty where nothing was pushed.
-    push: Bytes,
+    image: Bytes,
     contact: u64,
     report: ContactReport,
     /// Round trips are the blocking dependency depth, not the burst
@@ -111,7 +111,7 @@ impl<'a> Puller<'a> {
             refined: 0,
             first_on_link: false,
             walks: true,
-            push: Bytes::new(),
+            image: Bytes::new(),
             contact: 0,
             report: ContactReport::default(),
             payload_requested: false,
@@ -163,8 +163,8 @@ impl<'a> Puller<'a> {
     /// frame; empty where it pushed nothing. Its keys are what the
     /// client must take besides the walked shards
     /// ([`BatchPullClient::take_pushed`]).
-    pub fn push(&self) -> &Bytes {
-        &self.push
+    pub fn push_image(&self) -> &Bytes {
+        &self.image
     }
 
     /// Begins the object exchange of a planned contact with the
@@ -195,11 +195,11 @@ impl<'a> Puller<'a> {
         out: &mut BytesMut,
     ) -> Result<()> {
         assert_eq!(self.phase, PullPhase::Planned, "no plan to exchange under");
-        if self.push.is_empty() != (client.pushed() == 0) {
+        if self.image.is_empty() != (client.pushed() == 0) {
             return Err(planning_violation(format!(
                 "a client of {} pushed keys for a push of {} bytes",
                 client.pushed(),
-                self.push.len()
+                self.image.len()
             )));
         }
         if let Some(scope) = scope {
@@ -217,13 +217,13 @@ impl<'a> Puller<'a> {
         self.report.shards_proposed = proposed;
         self.report.shards_incremental += proposed;
         self.report.shards_skipped -= proposed;
-        if !self.push.is_empty() {
-            let len = wire::Frame::encoded_len(CONTROL_STREAM, 1 + self.push.len());
+        if !self.image.is_empty() {
+            let len = wire::Frame::encoded_len(CONTROL_STREAM, 1 + self.image.len());
             let bytes = self
                 .report
                 .add(classify_push(len as u64, client.push_price()));
             self.frame_event(CONTROL_STREAM, false, bytes);
-            self.push = Bytes::new();
+            self.image = Bytes::new();
         }
         if !self.walks {
             client.open_without_hello();
@@ -301,7 +301,7 @@ impl<'a> Puller<'a> {
             ));
         }
         let is_push = frame.stream == CONTROL_STREAM && frame.payload.first() == Some(&TAG_PUSH);
-        if !is_push || !self.push.is_empty() {
+        if !is_push || !self.image.is_empty() {
             return Err(planning_violation(format!(
                 "a frame on stream {} behind the plan and its push",
                 frame.stream
@@ -310,7 +310,7 @@ impl<'a> Puller<'a> {
         if frame.payload.len() == 1 {
             return Err(planning_violation("an empty push".into()));
         }
-        self.push = frame.payload.slice(1..);
+        self.image = frame.payload.slice(1..);
         Ok(())
     }
 
@@ -595,7 +595,7 @@ pub fn pull_planned<L: FrameLink, E: Into<Restricted>>(
             break plan;
         }
     };
-    let restricted = match endpoint(&plan, puller.push()) {
+    let restricted = match endpoint(&plan, puller.push_image()) {
         Ok(restricted) => restricted.into(),
         Err(e) => {
             link.fin();

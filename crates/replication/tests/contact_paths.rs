@@ -2284,7 +2284,7 @@ fn a_pushed_stream_reaches_its_receiver_as_the_lockstep_would() {
             .is_none());
     }
     puller.take_plan().expect("the plan");
-    assert_eq!(puller.push()[..], push.payload[1..]);
+    assert_eq!(puller.push_image()[..], push.payload[1..]);
     // Each key taken as a store reads it off the push.
     let ours: BTreeMap<Bytes, Option<Srv>> = held.into_iter().collect();
     let mut client = BatchPullClient::new(Vec::new());
@@ -3261,7 +3261,7 @@ fn hostile_planner_sequences_fail_the_pulling_step() {
         (handed.incremental.clone(), handed.proposed.clone()),
         (vec![2], vec![])
     );
-    assert_eq!(&puller.push()[..], b"\x01image");
+    assert_eq!(&puller.push_image()[..], b"\x01image");
     let warm_until_error = |frames: Vec<wire::Frame>| {
         let mut out = BytesMut::new();
         let mut puller = Puller::open_planned(&empty_digests(), &remembered, &mut out);
