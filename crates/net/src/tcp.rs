@@ -20,6 +20,8 @@ use optrep_core::error::{Error, Result};
 use optrep_core::wire::{self, FrameDecoder};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
+#[cfg(unix)]
+use std::os::unix::io::AsRawFd;
 use std::time::Duration;
 
 /// Protocol label used in [`Error::Incomplete`] for socket stalls.
@@ -206,7 +208,10 @@ impl TcpLink {
         self.send_bytes(&buf)
     }
 
-    /// Blocks until one whole frame has been reassembled.
+    /// Blocks until one whole frame has been reassembled. Before each
+    /// blocking read it polls the socket for up to
+    /// [`SPIN_BUDGET`](crate::reactor::SPIN_BUDGET) (on unix), so a
+    /// reply that comes back within it costs no sleep and wake.
     ///
     /// # Errors
     ///
@@ -219,6 +224,12 @@ impl TcpLink {
             if let Some(frame) = self.decoder.next_frame()? {
                 return Ok(frame);
             }
+            // Poll briefly before the read sleeps: a reply that lands
+            // within the spin is read without a wake. The read itself
+            // stays blocking, so its deadline and EOF are as before,
+            // and a spin that fails only means the read sleeps.
+            #[cfg(unix)]
+            let _ = crate::reactor::spin_readable(self.stream.as_raw_fd());
             match self.stream.read(&mut buf) {
                 Ok(0) => {
                     return Err(Error::ConnectionLost {
@@ -365,6 +376,76 @@ mod tests {
         half.fin();
         let err = link.recv_frame().expect_err("must detect the cut");
         assert!(matches!(err, Error::ConnectionLost { after_bytes: 5 }));
+        Ok(())
+    }
+
+    /// The spin before a read leaves the read's deadline as it was: the
+    /// stall is still [`Error::Incomplete`], at about the deadline.
+    #[cfg(unix)]
+    #[test]
+    fn a_read_deadline_after_the_spin_is_still_incomplete_at_its_deadline() -> Result<()> {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let deadline = Duration::from_millis(200);
+        let mut link = TcpLink::connect(addr, &fast_opts())?;
+        let (_held, _) = listener.accept().expect("accept");
+        let started = std::time::Instant::now();
+        let err = link.recv_frame().expect_err("must time out");
+        let took = started.elapsed();
+        assert!(matches!(err, Error::Incomplete { .. }), "{err:?}");
+        assert!(
+            took >= deadline - Duration::from_millis(20) && took < deadline * 5,
+            "timed out after {took:?}, deadline {deadline:?}"
+        );
+        Ok(())
+    }
+
+    /// A peer that closes without a byte ends the read in
+    /// [`Error::ConnectionLost`], spin or no spin.
+    #[cfg(unix)]
+    #[test]
+    fn eof_after_the_spin_is_connection_lost() -> Result<()> {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let mut link = TcpLink::connect(addr, &fast_opts())?;
+        let (stream, _) = listener.accept().expect("accept");
+        let closer = std::thread::spawn(move || {
+            std::thread::sleep(crate::reactor::SPIN_BUDGET + Duration::from_millis(5));
+            drop(stream);
+        });
+        let err = link.recv_frame().expect_err("must see the close");
+        assert!(
+            matches!(err, Error::ConnectionLost { after_bytes: 0 }),
+            "{err:?}"
+        );
+        closer.join().expect("closer");
+        Ok(())
+    }
+
+    /// A frame whose bytes land after the spin has given up — its head
+    /// at once, its tail 5 ms past the budget — is read by the blocking
+    /// read and reassembled whole.
+    #[cfg(unix)]
+    #[test]
+    fn a_frame_arriving_after_the_spin_ran_out_is_reassembled() -> Result<()> {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let mut link = TcpLink::connect(addr, &fast_opts())?;
+        let (stream, _) = listener.accept().expect("accept");
+        let payload: Vec<u8> = (0..300u16).map(|i| i as u8).collect();
+        let mut bytes = bytes::BytesMut::new();
+        wire::put_frame(&mut bytes, 9, &payload);
+        let late = crate::reactor::SPIN_BUDGET + Duration::from_millis(5);
+        let sender = std::thread::spawn(move || -> Result<()> {
+            let mut half = TcpLink::from_stream(stream, &fast_opts())?;
+            half.send_bytes(&bytes[..3])?;
+            std::thread::sleep(late);
+            half.send_bytes(&bytes[3..])
+        });
+        let frame = link.recv_frame()?;
+        assert_eq!(frame.stream, 9);
+        assert_eq!(&frame.payload[..], &payload[..]);
+        sender.join().expect("sender")?;
         Ok(())
     }
 }

@@ -522,13 +522,18 @@ mod heap {
 /// [`FrameDecoder`](wire::FrameDecoder); output is buffered per
 /// connection and flushed as the socket accepts it, with `POLLOUT`
 /// interest only while a buffer is nonempty. The loop never blocks on
-/// any single connection, and it never sleeps to poll a condition —
-/// every wait is a `poll(2)` with a deadline.
+/// any single connection. Each wait is one
+/// [`PollSet::wait`](optrep_net::reactor::PollSet::wait): zero-timeout
+/// polls, yielding between them, for at most
+/// [`SPIN_BUDGET`](optrep_net::reactor::SPIN_BUDGET) (20 µs), so a
+/// client's next request or a peer's next frame is found without a
+/// sleep and a wake; then a `poll(2)` with a deadline, in which an idle
+/// daemon sleeps. It never sleeps to poll a condition.
 mod event {
     use super::*;
     use bytes::BytesMut;
     use optrep_core::wire::{self, FrameDecoder};
-    use optrep_net::reactor::{capped_poll_backoff, poll_ready_metered, Interest};
+    use optrep_net::reactor::{capped_poll_backoff, Interest, PollSet};
     use std::collections::HashMap;
     use std::io::{Read, Write};
     use std::net::TcpStream;
@@ -626,6 +631,10 @@ mod event {
         let mut exec: Option<Executor> = None;
         let mut accept_errors: u32 = 0;
         let mut accept_retry_at: Option<Instant> = None;
+        // The poll set and the connection id in each of its slots past
+        // `base`, refilled each round in buffers that outlive it.
+        let mut set = PollSet::new();
+        let mut ids: Vec<u64> = Vec::new();
 
         loop {
             if shared.stopping() {
@@ -645,50 +654,50 @@ mod event {
             }
             conns.retain(|_, conn| !conn.dead);
 
-            // Assemble the poll set: waker, listener (unless accept
-            // errors have it in backoff), then every connection.
+            // Refill the poll set: waker, listener (unless accept errors
+            // have it in backoff), then every connection.
             let now = Instant::now();
             if accept_retry_at.is_some_and(|at| now >= at) {
                 accept_retry_at = None;
             }
-            let mut fds = Vec::with_capacity(conns.len() + 2);
-            fds.push((shared.waker.fd(), Interest::READ));
-            let listener_slot = if accept_retry_at.is_none() {
-                fds.push((listener.as_raw_fd(), Interest::READ));
-                Some(fds.len() - 1)
-            } else {
-                None
-            };
-            let base = fds.len();
-            let ids: Vec<u64> = conns.keys().copied().collect();
+            set.clear();
+            set.push(shared.waker.fd(), Interest::READ);
+            let listener_slot = accept_retry_at
+                .is_none()
+                .then(|| set.push(listener.as_raw_fd(), Interest::READ));
+            let base = set.len();
+            ids.clear();
+            ids.extend(conns.keys().copied());
             for id in &ids {
                 let conn = &conns[id];
-                fds.push((
+                set.push(
                     conn.stream.as_raw_fd(),
                     Interest {
                         readable: !conn.busy,
                         writable: !conn.out.is_empty(),
                     },
-                ));
+                );
             }
             let timeout = match accept_retry_at {
                 Some(at) => at.saturating_duration_since(now).min(IDLE_POLL),
                 None => IDLE_POLL,
             };
-            let Ok((_, ready)) = poll_ready_metered(&fds, Some(timeout), &shared.metrics.reactor)
-            else {
+            if set
+                .wait_metered(Some(timeout), &shared.metrics.reactor)
+                .is_err()
+            {
                 // poll(2) itself failed (fd exhaustion). Breathe and
                 // retry; connections are still intact.
                 std::thread::sleep(ACCEPT_BACKOFF_BASE);
                 continue;
-            };
+            }
             if shared.stopping() {
                 return;
             }
-            if ready[0].readable {
+            if set.readiness(0).readable {
                 shared.waker.drain();
             }
-            if listener_slot.is_some_and(|slot| ready[slot].readable) {
+            if listener_slot.is_some_and(|slot| set.readiness(slot).readable) {
                 accept_all(
                     listener,
                     &mut conns,
@@ -698,7 +707,7 @@ mod event {
                 );
             }
             for (slot, id) in ids.iter().enumerate() {
-                let readiness = ready[base + slot];
+                let readiness = set.readiness(base + slot);
                 let Some(conn) = conns.get_mut(id) else {
                     continue;
                 };
@@ -756,15 +765,23 @@ mod event {
         }
     }
 
-    /// Reads until the socket would block, feeding the frame decoder.
-    /// Returns `false` on EOF or a socket error — frames already
-    /// decoded are still processed, then the connection dies.
+    /// Reads until a read comes back short, feeding the frame decoder.
+    /// A short read has most likely emptied the socket, and `poll` is
+    /// level-triggered: bytes still there fire the next round, so no
+    /// request pays a trailing read that only says `EAGAIN`. Returns
+    /// `false` on EOF or a socket error — frames already decoded are
+    /// still processed, then the connection dies.
     fn read_into(conn: &mut Conn) -> bool {
         let mut buf = [0u8; wire::READ_CHUNK];
         loop {
             match conn.stream.read(&mut buf) {
                 Ok(0) => return false,
-                Ok(n) => conn.decoder.push(&buf[..n]),
+                Ok(n) => {
+                    conn.decoder.push(&buf[..n]);
+                    if n < buf.len() {
+                        return true;
+                    }
+                }
                 Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => return true,
                 Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(_) => return false,

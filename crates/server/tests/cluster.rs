@@ -797,6 +797,35 @@ fn metrics_verb_reports_daemon_activity() {
     src.stop();
 }
 
+/// A daemon polls only briefly after its last request before it
+/// sleeps: over an idle window after a burst of verbs its reactor's
+/// wake counter moves by a few wakes at most (the idle poll's
+/// deadline), never by the thousands a wait that kept spinning would
+/// count.
+#[test]
+fn an_idle_daemon_stops_spinning_after_a_burst_of_verbs() {
+    let node = start_node(0);
+    let mut client = Client::connect(node.addr(), &fast_connect()).expect("connect");
+    for i in 0..500 {
+        let key = format!("k{i}");
+        client.put(&key, format!("v{i}")).expect("put");
+        assert!(client.get(&key).expect("get").is_some());
+    }
+    let wakes = || {
+        node.metrics_snapshot()
+            .counter("optrep_reactor_wakes_total")
+            .expect("family")
+    };
+    let busy = wakes();
+    assert!(busy >= 1_000, "one wake a verb at least: {busy}");
+    let before = wakes();
+    std::thread::sleep(Duration::from_millis(200));
+    let idle = wakes() - before;
+    assert!(idle <= 3, "{idle} wakes over 200 ms of idle");
+    drop(client);
+    node.stop();
+}
+
 /// A throwaway data dir under the system temp dir (no tempfile crate in
 /// the workspace); best-effort cleanup at the end of each test.
 fn scratch_dir(tag: &str) -> std::path::PathBuf {

@@ -71,7 +71,12 @@ if grep -nwE 'rand|proptest|criterion' $(git ls-files '*Cargo.toml' | grep -v '^
 test "$(git grep -l '0x9e37_79b9_7f4a_7c15' -- '*.rs' ':!crates/perf' | wc -l)" = 1
 }
 
-guards=(lines single_thread deleted core_io one_rng)
+# One spin: only the reactor polls before it blocks.
+guard_one_spin() {
+if git grep -nE 'yield_now|spin_loop' -- '*.rs' ':!crates/net/src/reactor.rs'; then exit 1; fi
+}
+
+guards=(lines single_thread deleted core_io one_rng one_spin)
 
 # Runs guard `$1` as a CI step runs its shell; returns its status.
 run() {
