@@ -99,6 +99,9 @@ impl WireMsg for GraphMsg {
                     return Err(WireError::UnexpectedEof);
                 }
                 let presence = buf.get_u8();
+                if presence > 3 {
+                    return Err(WireError::InvalidPayload);
+                }
                 let left = (presence & 1 == 1)
                     .then(|| wire::get_varint(buf).map(NodeId::from_raw))
                     .transpose()?;

@@ -50,6 +50,7 @@ pub mod causality;
 pub mod compare;
 pub mod error;
 pub mod graph;
+pub mod hostile;
 pub mod obs;
 pub mod order;
 pub mod rng;

@@ -374,8 +374,8 @@ impl RotCore {
 
     /// Appends to `out` exactly the bytes [`put_snapshot`](Self::put_snapshot)
     /// writes for the vector [`decode_snapshot`](Self::decode_snapshot)
-    /// reads off `buf`, without building it: every varint rewritten
-    /// minimal, no slab. What a store writes for a vector it reads.
+    /// reads off `buf`, without building it: no slab. What a store
+    /// writes for a vector it reads.
     ///
     /// # Errors
     ///

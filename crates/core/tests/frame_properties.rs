@@ -1,11 +1,10 @@
 //! Seeded property tests for the frame layer: arbitrary interleavings of
 //! streams round-trip through the raw frame codec and the incremental
 //! [`FrameDecoder`], under every possible chunking of the byte stream —
-//! including one byte at a time — and malformed input errors instead of
-//! panicking.
+//! including one byte at a time. Malformed and cut frames are the
+//! hostile-bytes harness's (`tests/hostile.rs`).
 
 use bytes::{Bytes, BytesMut};
-use optrep_core::error::WireError;
 use optrep_core::rng::{cases, SplitMix64};
 use optrep_core::sync::{Framed, Msg, WireMsg};
 use optrep_core::wire::{self, FrameDecoder};
@@ -113,49 +112,6 @@ fn decoder_split_at_every_byte() {
         }
         assert_frames_are(&out, &frames);
         assert_eq!(decoder.buffered(), 0);
-    });
-}
-
-#[test]
-fn truncated_frames_wait_rather_than_err() {
-    cases(256, |_, rng| {
-        // Every strict prefix of a single frame must leave the decoder
-        // waiting for more input, not erroring and not yielding a frame.
-        let mut buf = BytesMut::new();
-        wire::put_frame(&mut buf, word(rng), &bytes(rng, 0..32));
-        let encoded = buf.freeze();
-        for cut in 0..encoded.len() {
-            let mut decoder = FrameDecoder::new();
-            decoder.push(&encoded[..cut]);
-            assert!(decoder.next_frame().unwrap().is_none(), "cut {cut}");
-            assert_eq!(decoder.buffered(), cut);
-        }
-    });
-}
-
-#[test]
-fn decoder_never_panics_on_garbage() {
-    cases(256, |_, rng| {
-        // Byte soup either decodes to frames, waits for more input, or
-        // errors (oversized varint headers, payload lengths above the
-        // decoder cap) — it must never panic, and an error must be sticky
-        // fatal rather than silently skipped.
-        let soup = bytes(rng, 0..96);
-        let chunk = rng.range(1..16);
-        let mut decoder = FrameDecoder::new();
-        'outer: for piece in soup.chunks(chunk) {
-            decoder.push(piece);
-            loop {
-                match decoder.next_frame() {
-                    Ok(Some(_)) => {}
-                    Ok(None) => break,
-                    Err(WireError::VarintOverflow) | Err(WireError::FrameTooLarge { .. }) => {
-                        break 'outer
-                    }
-                    Err(e) => panic!("unexpected error {e:?}"),
-                }
-            }
-        }
     });
 }
 

@@ -26,7 +26,7 @@
 //! ([`KvStore::apply_image`]) from a buffer — and refuses every encoding
 //! but the writer's.
 
-use crate::record::{canonical_varint, recode_vector, Coded, Key, View, REST_ESCAPE};
+use crate::record::{recode_vector, Coded, Key, View, REST_ESCAPE};
 use crate::shard::{shard_index, Cursor, Named, Run};
 use crate::{env_shards, KvStore, Value};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -297,7 +297,7 @@ impl ImageEntries {
     ///
     /// # Errors
     ///
-    /// [`Ascending::take`]'s; then [`canonical_varint`]'s for the state
+    /// [`Ascending::take`]'s; then [`wire::get_varint`]'s for the state
     /// head, [`WireError::InvalidPayload`] for a repeated vector on the
     /// first entry and for an empty vector field, the vector decoder's and
     /// [`recode_vector`]'s, [`WireError::InvalidPayload`] for a vector
@@ -308,7 +308,7 @@ impl ImageEntries {
         entry: &mut &'e [u8],
     ) -> std::result::Result<(&'s str, View<'s>), WireError> {
         let key = self.keys.take(entry)?;
-        let head = canonical_varint(entry)?;
+        let head = wire::get_varint(entry)?;
         if head & 1 == 1 {
             if self.vector.is_empty() {
                 return Err(WireError::InvalidPayload);
@@ -378,10 +378,10 @@ impl Ascending {
     /// key that is not UTF-8.
     fn take(&mut self, entry: &mut &[u8]) -> std::result::Result<&str, WireError> {
         let first = self.0.is_none();
-        let head = canonical_varint(entry)?;
+        let head = wire::get_varint(entry)?;
         let shared = usize::try_from(head >> 3).unwrap_or(usize::MAX);
         let rest = match head & REST_ESCAPE {
-            REST_ESCAPE => REST_ESCAPE.saturating_add(canonical_varint(entry)?),
+            REST_ESCAPE => REST_ESCAPE.saturating_add(wire::get_varint(entry)?),
             len => len,
         };
         let rest = take_bytes(entry, rest)?;

@@ -44,21 +44,6 @@ fn golden_stores(steps: usize, rng: &mut SplitMix64) -> [KvStore; 3] {
     stores
 }
 
-/// `bytes` cut short at every length, each byte flipped, and a byte
-/// inserted at each place.
-fn mangled(bytes: &[u8], rng: &mut SplitMix64) -> Vec<Vec<u8>> {
-    let mut out: Vec<Vec<u8>> = (0..bytes.len()).map(|cut| bytes[..cut].to_vec()).collect();
-    for at in 0..bytes.len() {
-        let mut flipped = bytes.to_vec();
-        flipped[at] ^= 1 + rng.below(255) as u8;
-        out.push(flipped);
-        let mut inserted = bytes.to_vec();
-        inserted.insert(at, rng.next_u64() as u8);
-        out.push(inserted);
-    }
-    out
-}
-
 /// The record a page opens with for `key` holding `state`: the key and
 /// the vector written whole.
 fn first_record(key: &str, state: View<'_>) -> Vec<u8> {
@@ -99,38 +84,29 @@ fn record_by_the_writer(key: &str, state: &[u8]) -> Option<Vec<u8>> {
 /// An image's writer takes exactly the states a store writes, and the
 /// record its reader writes of each is the one the vector decoder and
 /// the encoder write: over every entry of stores driven through the
-/// golden universe, each state written with each varint overlong in
-/// turn, a repeated site and a byte left in the vector field, and every
-/// truncation, byte flip and one-byte insertion of each of them.
+/// golden universe, a state naming a site twice and one with a byte
+/// left in its vector field, and every variant the hostile-bytes harness
+/// derives from each of them.
 #[test]
 fn the_state_writer_writes_what_decoding_and_encoding_write() {
-    let pads = [
-        Overlong::Nothing,
-        Overlong::VectorLen,
-        Overlong::ElementCount,
-        Overlong::Site,
-        Overlong::Packed,
-        Overlong::ValueLen,
-    ];
     let (mut written, mut refused) = (0, 0);
     optrep_core::rng::cases(2, |seed, rng| {
         let stores = golden_stores(300, rng);
         let mut states: Vec<(String, Vec<u8>)> = Vec::new();
         for store in &stores {
-            for (key, view) in store.entries_sorted() {
+            for (key, _) in store.entries_sorted() {
                 let honest = store.encode_entry(&key).unwrap();
                 let record = record_by_the_writer(&key, &honest);
                 let exact = first_record(&key, store.view(key.as_bytes()).unwrap());
                 assert_eq!(record, Some(exact), "seed {seed}, {key:?}");
-                for pad in pads {
-                    states.push((key.to_owned(), state_image(view, pad).to_vec()));
-                }
+                states.push((key.to_owned(), honest.to_vec()));
             }
         }
-        states.push(("x".into(), entry_image(&repeated_site_meta()).to_vec()));
-        states.push(("x".into(), entry_image(&[1, 0, 4, 0x7f]).to_vec()));
+        states.push(("x".into(), b"\x05\x02\x05\x04\x05\x04\x01\x01v".to_vec()));
+        states.push(("x".into(), b"\x04\x01\x00\x04\x7f\x01\x01v".to_vec()));
         for (key, state) in states {
-            for state in std::iter::once(state.clone()).chain(mangled(&state, rng)) {
+            let variants = optrep_core::hostile::variants(&state).map(|(_, state)| state);
+            for state in std::iter::once(state.clone()).chain(variants) {
                 let by_oracle = record_by_the_oracle(&key, &state);
                 let by_writer = record_by_the_writer(&key, &state);
                 assert_eq!(by_writer, by_oracle, "seed {seed}, {key:?}: {state:?}");
@@ -142,16 +118,6 @@ fn the_state_writer_writes_what_decoding_and_encoding_write() {
         }
     });
     assert!(written > 0 && refused > 0, "{written} {refused}");
-}
-
-/// The varint at the front of `buf` if it is as short as it goes.
-fn shortest(buf: &mut Bytes) -> Result<u64, WireError> {
-    let before = buf.len();
-    let value = wire::get_varint(buf)?;
-    match before - buf.len() == wire::varint_len(value) {
-        true => Ok(value),
-        false => Err(WireError::InvalidPayload),
-    }
 }
 
 /// The next `len` bytes of `buf`.
@@ -167,7 +133,7 @@ fn split(buf: &mut Bytes, len: u64) -> Result<Bytes, WireError> {
 /// its rest, their lengths read off its key head; every vector decoded
 /// — or, where the state head says it repeats, the vector before — and
 /// every value as long as the state head says, then stored.
-pub(super) fn boot_by_the_oracle(image: &[u8]) -> Result<(KvStore, usize), WireError> {
+fn boot_by_the_oracle(image: &[u8]) -> Result<(KvStore, usize), WireError> {
     let mut buf = Bytes::copy_from_slice(image);
     let site = wire::get_site(&mut buf)?;
     let n = wire::get_varint(&mut buf)?;
@@ -175,10 +141,10 @@ pub(super) fn boot_by_the_oracle(image: &[u8]) -> Result<(KvStore, usize), WireE
     let mut before: Option<Vec<u8>> = None;
     let mut vector_before: Option<Srv> = None;
     for _ in 0..n {
-        let head = shortest(&mut buf)?;
+        let head = wire::get_varint(&mut buf)?;
         let shared = usize::try_from(head / 8).unwrap_or(usize::MAX);
         let rest = match head % 8 {
-            7 => 7u64.saturating_add(shortest(&mut buf)?),
+            7 => 7u64.saturating_add(wire::get_varint(&mut buf)?),
             len => len,
         };
         let rest = split(&mut buf, rest)?;
@@ -190,7 +156,7 @@ pub(super) fn boot_by_the_oracle(image: &[u8]) -> Result<(KvStore, usize), WireE
             return Err(WireError::InvalidPayload);
         }
         let text = std::str::from_utf8(&key).map_err(|_| WireError::InvalidPayload)?;
-        let head = shortest(&mut buf)?;
+        let head = wire::get_varint(&mut buf)?;
         let meta = match (head % 2, vector_before.take()) {
             (1, None) => return Err(WireError::InvalidPayload),
             (1, Some(meta)) => meta,
@@ -219,15 +185,17 @@ pub(super) fn boot_by_the_oracle(image: &[u8]) -> Result<(KvStore, usize), WireE
     Ok((store, buf.len()))
 }
 
-/// A boot is the oracle's, byte for byte, on each golden store's
-/// snapshot and on every truncation, byte flip and one-byte insertion of
-/// it: the same store or the same error.
+/// A boot is the oracle's, byte for byte, on a golden store's snapshot
+/// and on every variant the hostile-bytes harness derives from it (about
+/// sixteen a byte, so one store of each of two seeds): the same store or
+/// the same error.
 #[test]
 fn a_boot_reads_what_the_oracle_reads() {
     optrep_core::rng::cases(2, |seed, rng| {
-        for store in golden_stores(40, rng) {
+        for store in golden_stores(40, rng).into_iter().take(1) {
             let image = store.encode_snapshot();
-            for image in std::iter::once(image.to_vec()).chain(mangled(&image, rng)) {
+            let variants = optrep_core::hostile::variants(&image).map(|(_, image)| image);
+            for image in std::iter::once(image.to_vec()).chain(variants) {
                 let mut buf = Bytes::from(image.clone());
                 let booted = KvStore::decode_snapshot(&mut buf).map(|store| (store, buf.len()));
                 let by_oracle = boot_by_the_oracle(&image);

@@ -37,10 +37,9 @@ use std::io::{self, Write};
 /// A record is **canonical**: only [`Coded::of`] codes one, from a key
 /// and a state whose vector is the snapshot its encoder writes — built
 /// from a vector, or an image's reader re-encoded it, never by keeping
-/// input bytes (a decoder accepts overlong varints no encoder writes) —
-/// so two equal states hold equal bytes, and nothing a store holds
-/// refers to the snapshot image, log record or socket chunk it was read
-/// from.
+/// input bytes — so two equal states hold equal bytes, and nothing a
+/// store holds refers to the snapshot image, log record or socket chunk
+/// it was read from.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Coded<'a> {
     /// The length of the prefix the key shares with the key before it:
@@ -296,31 +295,6 @@ pub(crate) fn recode_vector(out: &mut Vec<u8>, mut meta: &[u8]) -> Result<(), Wi
     Ok(())
 }
 
-/// The varint at the front of `bytes`, taken off it, if it is written
-/// as short as it goes: what every encoder writes.
-///
-/// # Errors
-///
-/// [`wire::get_varint`]'s, then [`WireError::InvalidPayload`] for an
-/// overlong one.
-pub(crate) fn canonical_varint(bytes: &mut &[u8]) -> Result<u64, WireError> {
-    let before = bytes.len();
-    let value = wire::get_varint(bytes)?;
-    if before - bytes.len() != wire::varint_len(value) {
-        return Err(WireError::InvalidPayload);
-    }
-    Ok(value)
-}
-
-/// The length-prefixed field at the front of `bytes`, its prefix as
-/// short as it goes, taken off it.
-fn canonical_field<'b>(bytes: &mut &'b [u8]) -> Option<&'b [u8]> {
-    let len = usize::try_from(canonical_varint(bytes).ok()?).ok()?;
-    let field = bytes.get(..len)?;
-    *bytes = &bytes[len..];
-    Some(field)
-}
-
 impl<'a> View<'a> {
     /// The state `state` holds if it is laid out as
     /// [`KvStore::encode_entry`](crate::KvStore::encode_entry) writes one — the vector's field and, behind tag 1, the value's,
@@ -329,7 +303,9 @@ impl<'a> View<'a> {
     /// not decoded ([`EntryImage::new`](crate::EntryImage::new) decodes
     /// it).
     pub(crate) fn of_state(mut state: &'a [u8]) -> Option<Self> {
-        let meta = canonical_field(&mut state).filter(|meta| !meta.is_empty())?;
+        let meta = wire::get_slice(&mut state)
+            .ok()
+            .filter(|meta| !meta.is_empty())?;
         let value = match state.split_first()? {
             (0, rest) => {
                 state = rest;
@@ -337,7 +313,7 @@ impl<'a> View<'a> {
             }
             (1, rest) => {
                 state = rest;
-                Some(canonical_field(&mut state)?)
+                Some(wire::get_slice(&mut state).ok()?)
             }
             _ => return None,
         };

@@ -45,13 +45,6 @@ impl KvStore {
     }
 }
 
-/// `entries` as `(&str, View)` pairs.
-pub(crate) fn listed<'e>(entries: &'e [(String, View<'e>)]) -> Vec<(&'e str, View<'e>)> {
-    (entries.iter())
-        .map(|(key, view)| (key.as_str(), *view))
-        .collect()
-}
-
 #[test]
 fn put_get_delete() {
     let mut kv = KvStore::new(s(0));

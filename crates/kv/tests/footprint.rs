@@ -2,8 +2,8 @@
 //!
 //! `crates/perf` gates `peak_rss_mb`, but RSS is the benchmark's: tier-1
 //! needs a number that does not depend on the host. This binary installs
-//! a counting global allocator (per thread, so the harness's own threads
-//! do not blur it) and pins what `core::order` promises — one 24-byte
+//! `optrep_core::hostile`'s counting allocator and reads it per thread (so
+//! the harness's own threads do not blur it) and pins what `core::order` promises — one 24-byte
 //! slot per element and nothing else up to eight elements, the hash
 //! index only from the ninth — what a `KvStore` pays per key (the entry
 //! as a record, in pages of up to sixteen records, whatever
@@ -15,6 +15,7 @@
 //! It is its own test binary so the allocator touches nothing else.
 
 use bytes::{Bytes, BytesMut};
+use optrep_core::hostile::{on_thread, Counting};
 use optrep_core::sync::WireMsg;
 use optrep_core::wire::Frame;
 use optrep_core::{RotatingVector, SiteId, Srv};
@@ -24,77 +25,15 @@ use optrep_replication::{
     pull_planned, ContactAsk, ContactReport, CtrlMsg, InProcessLink, MuxMsg, Serving, VectorMemory,
     CONTROL_STREAM, JOURNAL_CAP,
 };
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 
 mod support;
 use support::unplanned_pull;
 
-thread_local! {
-    static LIVE_BYTES: Cell<usize> = const { Cell::new(0) };
-    static LIVE_BLOCKS: Cell<usize> = const { Cell::new(0) };
-    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
-    static LARGEST: Cell<usize> = const { Cell::new(0) };
-    /// `LIVE_BYTES` when [`peak_of`] last began, and the most it has
-    /// stood above that since.
-    static PEAK_BASE: Cell<usize> = const { Cell::new(0) };
-    static PEAK_ABOVE: Cell<isize> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-impl Counting {
-    fn grew(bytes: usize) {
-        // `try_with`: a thread being torn down may allocate after its
-        // locals are gone; those calls are simply not counted. Wrapping:
-        // a block may be freed on a thread that did not allocate it, and
-        // only differences taken on one thread are ever read.
-        let _ = LIVE_BYTES.try_with(|live| {
-            live.set(live.get().wrapping_add(bytes));
-            let _ = PEAK_BASE.try_with(|base| {
-                let above = live.get().wrapping_sub(base.get()) as isize;
-                let _ = PEAK_ABOVE.try_with(|peak| peak.set(peak.get().max(above)));
-            });
-        });
-        let _ = LIVE_BLOCKS.try_with(|live| live.set(live.get().wrapping_add(1)));
-        let _ = ALLOCATIONS.try_with(|count| count.set(count.get().wrapping_add(1)));
-        let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(bytes)));
-    }
-
-    fn shrank(bytes: usize) {
-        let _ = LIVE_BYTES.try_with(|live| live.set(live.get().wrapping_sub(bytes)));
-        let _ = LIVE_BLOCKS.try_with(|live| live.set(live.get().wrapping_sub(1)));
-    }
-}
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counters are `const`-initialised
-// thread-locals without destructors, so touching them never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        Self::grew(layout.size());
-        // SAFETY: the caller's layout, passed through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        Self::shrank(layout.size());
-        // SAFETY: `ptr` came from `System.alloc` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        Self::shrank(layout.size());
-        Self::grew(new_size);
-        // SAFETY: as `dealloc`; `new_size` is the caller's.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
 static COUNTING: Counting = Counting;
 
-/// This thread's heap at one instant.
+/// What building something added to this thread's heap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Heap {
     bytes: usize,
@@ -102,35 +41,27 @@ struct Heap {
     allocations: usize,
 }
 
-fn heap() -> Heap {
-    Heap {
-        bytes: LIVE_BYTES.with(Cell::get),
-        blocks: LIVE_BLOCKS.with(Cell::get),
-        allocations: ALLOCATIONS.with(Cell::get),
-    }
-}
-
 /// The value `build` made, still alive, and what making it added to the
 /// heap: live bytes, live blocks, allocations performed on the way.
 fn measure<T>(build: impl FnOnce() -> T) -> (T, Heap) {
-    let before = heap();
-    let built = build();
-    let after = heap();
-    let grown = Heap {
-        bytes: after.bytes.wrapping_sub(before.bytes),
-        blocks: after.blocks.wrapping_sub(before.blocks),
-        allocations: after.allocations.wrapping_sub(before.allocations),
-    };
-    (built, grown)
+    let (built, cost) = on_thread(build);
+    let (bytes, blocks) = (cost.kept as usize, cost.blocks as usize);
+    let allocations = cost.allocations;
+    (
+        built,
+        Heap {
+            bytes,
+            blocks,
+            allocations,
+        },
+    )
 }
 
 /// What `run` returned, and the most this thread's live heap stood
 /// above where it began while `run` ran.
 fn peak_of<T>(run: impl FnOnce() -> T) -> (T, usize) {
-    PEAK_BASE.with(|base| base.set(LIVE_BYTES.with(Cell::get)));
-    PEAK_ABOVE.with(|peak| peak.set(0));
-    let ran = run();
-    (ran, PEAK_ABOVE.with(Cell::get) as usize)
+    let (ran, cost) = on_thread(run);
+    (ran, cost.peak)
 }
 
 fn srv_of(sites: u32) -> Srv {
@@ -280,9 +211,8 @@ fn a_one_site_key_is_its_record_in_a_page_of_sixteen_and_at_most_48_bytes() {
 #[test]
 fn a_snapshot_is_one_buffer_of_its_size_and_a_merge() {
     let store = written(KvStore::with_shards(SiteId::new(1), 16), Some(32));
-    LARGEST.with(|largest| largest.set(0));
-    let (image, grown) = measure(|| store.encode_snapshot());
-    let largest = LARGEST.with(Cell::get);
+    let (image, grown) = on_thread(|| store.encode_snapshot());
+    let largest = grown.largest;
     // A record: its key head, one byte (a shared prefix below 16 bytes
     // and the rest's length below 7, or 7 and the rest's length less 7
     // behind it — only the first key's rest, 8 B, needs that); the rest
@@ -317,9 +247,8 @@ fn a_snapshot_is_one_buffer_of_its_size_and_a_merge() {
         image.len()
     );
     // A shard's image likewise.
-    LARGEST.with(|largest| largest.set(0));
-    let shard = store.encode_shard_snapshot(&[3], 16);
-    let largest = LARGEST.with(Cell::get);
+    let (shard, cost) = on_thread(|| store.encode_shard_snapshot(&[3], 16));
+    let largest = cost.largest;
     assert!(shard.len() > 47 * KEYS / 32, "{} B", shard.len());
     assert!(
         largest <= shard.len(),

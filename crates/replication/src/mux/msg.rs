@@ -118,7 +118,7 @@ fn put_streams(buf: &mut BytesMut, tag: u8, streams: &[u64]) {
 fn get_streams(buf: &mut Bytes) -> std::result::Result<Vec<u64>, WireError> {
     buf.advance(1);
     let count = wire::get_varint(buf)? as usize;
-    let mut streams = Vec::with_capacity(count.min(4096));
+    let mut streams = Vec::with_capacity(count.min(buf.remaining()));
     for _ in 0..count {
         streams.push(wire::get_varint(buf)?);
     }
@@ -138,14 +138,15 @@ fn put_offers(buf: &mut BytesMut, offers: &[StreamOffer]) {
 
 fn get_offers(buf: &mut Bytes) -> std::result::Result<Vec<StreamOffer>, WireError> {
     let count = wire::get_varint(buf)? as usize;
-    let mut offers = Vec::with_capacity(count.min(1024));
+    // A stream id, a name's length, a flag and a presence byte at least.
+    let mut offers = Vec::with_capacity(count.min(buf.remaining() / 4));
     for _ in 0..count {
         let stream = wire::get_varint(buf)?;
         let name = wire::get_bytes(buf)?;
         if !buf.has_remaining() {
             return Err(WireError::UnexpectedEof);
         }
-        let client_equal = buf.get_u8() != 0;
+        let client_equal = get_bool(buf.get_u8())?;
         let first = get_opt_elem(buf)?;
         offers.push(StreamOffer {
             stream,
@@ -155,6 +156,15 @@ fn get_offers(buf: &mut Bytes) -> std::result::Result<Vec<StreamOffer>, WireErro
         });
     }
     Ok(offers)
+}
+
+/// A flag byte, which the writer writes 0 or 1.
+fn get_bool(byte: u8) -> std::result::Result<bool, WireError> {
+    match byte {
+        0 => Ok(false),
+        1 => Ok(true),
+        _ => Err(WireError::InvalidPayload),
+    }
 }
 
 fn offers_len(offers: &[StreamOffer]) -> usize {
@@ -214,9 +224,10 @@ impl WireMsg for MuxMsg {
                 if !buf.has_remaining() {
                     return Err(WireError::UnexpectedEof);
                 }
-                let discover = buf.get_u8() != 0;
+                let discover = get_bool(buf.get_u8())?;
                 let count = wire::get_varint(buf)? as usize;
-                let mut opens = Vec::with_capacity(count.min(1024));
+                // A stream id, a name's length and a presence byte at least.
+                let mut opens = Vec::with_capacity(count.min(buf.remaining() / 3));
                 for _ in 0..count {
                     let stream = wire::get_varint(buf)?;
                     let name = wire::get_bytes(buf)?;
@@ -232,13 +243,17 @@ impl WireMsg for MuxMsg {
             TAG_BATCH_SERVER_FIRST => {
                 buf.advance(1);
                 let count = wire::get_varint(buf)? as usize;
-                let mut answers = Vec::with_capacity(count.min(1024));
+                // A stream id, the flags and a presence byte at least.
+                let mut answers = Vec::with_capacity(count.min(buf.remaining() / 3));
                 for _ in 0..count {
                     let stream = wire::get_varint(buf)?;
                     if !buf.has_remaining() {
                         return Err(WireError::UnexpectedEof);
                     }
                     let flags = buf.get_u8();
+                    if flags > 7 {
+                        return Err(WireError::InvalidPayload);
+                    }
                     let first = get_opt_elem(buf)?;
                     answers.push(StreamAnswer {
                         stream,

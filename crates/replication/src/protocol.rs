@@ -87,8 +87,10 @@ pub(crate) fn get_opt_elem(
     if !buf.has_remaining() {
         return Err(WireError::UnexpectedEof);
     }
-    if buf.get_u8() == 0 {
-        return Ok(None);
+    match buf.get_u8() {
+        0 => return Ok(None),
+        1 => {}
+        _ => return Err(WireError::InvalidPayload),
     }
     let site = wire::get_site(buf)?;
     let value = wire::get_varint(buf)?;
@@ -144,6 +146,9 @@ impl WireMsg for SessionMsg {
                     return Err(WireError::UnexpectedEof);
                 }
                 let flags = buf.get_u8();
+                if flags > 3 {
+                    return Err(WireError::InvalidPayload);
+                }
                 Ok(SessionMsg::ServerFirst {
                     first,
                     client_known: flags & 1 == 1,

@@ -469,30 +469,4 @@ mod tests {
             "bucket index past BUCKETS must be rejected"
         );
     }
-
-    #[test]
-    fn truncations_and_junk_are_rejected() {
-        let full = Request::Put {
-            key: "key".into(),
-            value: Bytes::from_static(b"value"),
-        }
-        .encode();
-        for cut in 0..full.len() {
-            let mut buf = full.slice(0..cut);
-            assert!(Request::decode(&mut buf).is_err(), "cut {cut}");
-        }
-        let mut junk = Bytes::from_static(&[0x7f, 1, 2]);
-        assert_eq!(Request::decode(&mut junk), Err(WireError::UnknownTag(0x7f)));
-        // The retired `Status` tags are unknown, not reassigned.
-        let mut status = Bytes::from_static(&[4]);
-        assert_eq!(Request::decode(&mut status), Err(WireError::UnknownTag(4)));
-        let mut status = Bytes::from_static(&[3, 7, 0, 0, 0, 0, 0, 0]);
-        assert_eq!(Response::decode(&mut status), Err(WireError::UnknownTag(3)));
-        // Trailing garbage after a valid verb is a protocol error.
-        let mut padded = BytesMut::new();
-        padded.put_slice(&Request::Digest.encode());
-        padded.put_u8(0);
-        let mut buf = padded.freeze();
-        assert_eq!(Request::decode(&mut buf), Err(WireError::InvalidPayload));
-    }
 }

@@ -2,9 +2,9 @@
 //!
 //! A checkpoint streams a store's records into the snapshot file and a
 //! boot reads the file back a chunk at a time, so neither holds a whole
-//! store image. This binary installs `crates/kv/tests/footprint.rs`'s
-//! per-thread counting allocator (so the harness's threads and a node's
-//! own do not blur it) and bounds, on a store of 20 000 keys of 256
+//! store image. This binary installs `optrep_core::hostile`'s counting
+//! allocator and reads it per thread (so the harness's threads and a
+//! node's own do not blur it) and bounds, on a store of 20 000 keys of 256
 //! bytes — `dense_pull`'s shape: what a checkpoint holds (a chunk and a
 //! merge cursor a shard), what a boot holds beside the store it rebuilds
 //! (256 KiB, at every shard count), the read buffer for a record longer
@@ -19,105 +19,17 @@
 //! touches nothing else.
 
 use bytes::Bytes;
+use optrep_core::hostile::{on_thread, Counting};
 use optrep_core::SiteId;
 use optrep_kv::{EntryImage, JoinResolver, KvStore};
 use optrep_replication::mux::run_contact;
 use optrep_replication::planner::{PlanConfig, JOURNAL_CAP};
 use optrep_server::persist::SNAPSHOT_FILE;
 use optrep_server::{DurabilityConfig, FsyncPolicy, Node, NodeConfig, Persist};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::path::PathBuf;
-
-thread_local! {
-    static LIVE_BYTES: Cell<usize> = const { Cell::new(0) };
-    static ALLOCATED: Cell<usize> = const { Cell::new(0) };
-    static LARGEST: Cell<usize> = const { Cell::new(0) };
-    /// `LIVE_BYTES` when [`cost_of`] last began, and the most it has
-    /// stood above that since.
-    static PEAK_BASE: Cell<usize> = const { Cell::new(0) };
-    static PEAK_ABOVE: Cell<isize> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-impl Counting {
-    fn grew(bytes: usize) {
-        // `try_with`: a thread being torn down may allocate after its
-        // locals are gone; those calls are simply not counted. Wrapping:
-        // a block may be freed on a thread that did not allocate it, and
-        // only differences taken on one thread are ever read.
-        let _ = LIVE_BYTES.try_with(|live| {
-            live.set(live.get().wrapping_add(bytes));
-            let _ = PEAK_BASE.try_with(|base| {
-                let above = live.get().wrapping_sub(base.get()) as isize;
-                let _ = PEAK_ABOVE.try_with(|peak| peak.set(peak.get().max(above)));
-            });
-        });
-        let _ = ALLOCATED.try_with(|total| total.set(total.get().wrapping_add(bytes)));
-        let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(bytes)));
-    }
-
-    fn shrank(bytes: usize) {
-        let _ = LIVE_BYTES.try_with(|live| live.set(live.get().wrapping_sub(bytes)));
-    }
-}
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counters are `const`-initialised
-// thread-locals without destructors, so touching them never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        Self::grew(layout.size());
-        // SAFETY: the caller's layout, passed through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        Self::shrank(layout.size());
-        // SAFETY: `ptr` came from `System.alloc` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        Self::shrank(layout.size());
-        Self::grew(new_size);
-        // SAFETY: as `dealloc`; `new_size` is the caller's.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static COUNTING: Counting = Counting;
-
-/// What running something cost this thread's heap.
-#[derive(Debug, Clone, Copy)]
-struct Cost {
-    /// The most the live heap stood above where it began.
-    peak: usize,
-    /// How much more was live when it returned.
-    grown: isize,
-    /// The largest block asked for.
-    largest: usize,
-    /// Bytes asked for, in all.
-    allocated: usize,
-}
-
-fn cost_of<T>(run: impl FnOnce() -> T) -> (T, Cost) {
-    let live = LIVE_BYTES.with(Cell::get);
-    let allocated = ALLOCATED.with(Cell::get);
-    PEAK_BASE.with(|base| base.set(live));
-    PEAK_ABOVE.with(|peak| peak.set(0));
-    LARGEST.with(|largest| largest.set(0));
-    let ran = run();
-    let cost = Cost {
-        peak: PEAK_ABOVE.with(Cell::get) as usize,
-        grown: LIVE_BYTES.with(Cell::get).wrapping_sub(live) as isize,
-        largest: LARGEST.with(Cell::get),
-        allocated: ALLOCATED.with(Cell::get).wrapping_sub(allocated),
-    };
-    (ran, cost)
-}
 
 const KEYS: usize = 20_000;
 const VALUE: usize = 256;
@@ -176,14 +88,14 @@ fn config(dir: &PathBuf) -> DurabilityConfig {
 fn a_checkpoint_and_a_boot_hold_a_chunk_not_the_store_image() {
     let site = SiteId::new(1);
     let dir = tmpdir("bounds");
-    let (mut store, by_key) = cost_of(|| written(site, KEYS));
-    let by_key = by_key.grown as usize;
+    let (mut store, by_key) = on_thread(|| written(site, KEYS));
+    let by_key = by_key.kept as usize;
     let shards = store.shard_count();
     let image = store.encode_snapshot().len();
     let (mut persist, _, _) = Persist::open(&config(&dir), site).unwrap();
-    let (done, streamed) = cost_of(|| persist.checkpoint_store(&store));
+    let (done, streamed) = on_thread(|| persist.checkpoint_store(&store));
     done.unwrap();
-    let (done, whole) = cost_of(|| persist.checkpoint(&store.encode_snapshot()));
+    let (done, whole) = on_thread(|| persist.checkpoint(&store.encode_snapshot()));
     done.unwrap();
     for i in (0..KEYS).step_by(20) {
         let key = format!("k{i:07}");
@@ -192,11 +104,11 @@ fn a_checkpoint_and_a_boot_hold_a_chunk_not_the_store_image() {
         persist.append(&[(key, entry)]).unwrap();
     }
     drop(persist);
-    let (opened, boot) = cost_of(|| Persist::open(&config(&dir), site));
+    let (opened, boot) = on_thread(|| Persist::open(&config(&dir), site));
     let (persist, booted, report) = opened.unwrap();
     assert_eq!(booted, store);
     assert_eq!(report.wal_records_applied, (KEYS / 20) as u64);
-    let kept = boot.grown as usize;
+    let kept = boot.kept as usize;
 
     eprintln!("{KEYS} keys x {VALUE} B, image {image} B");
     eprintln!("what                           peak B     bound B");
@@ -243,8 +155,8 @@ fn a_commit_of_every_key_is_logged_without_a_copy_of_each_entry() {
     let keys: Vec<String> = (0..KEYS).map(|i| format!("k{i:07}")).collect();
     let (mut persist, _, _) = Persist::open(&config(&dir), site).unwrap();
     let (record, streamed) =
-        cost_of(|| persist.append_entries(store.entries_of(&keys)).unwrap() as usize);
-    let ((), copied) = cost_of(|| {
+        on_thread(|| persist.append_entries(store.entries_of(&keys)).unwrap() as usize);
+    let ((), copied) = on_thread(|| {
         let changed: Vec<(String, Bytes)> = (keys.iter())
             .map(|key| (key.clone(), store.encode_entry(key).unwrap()))
             .collect();
@@ -285,7 +197,7 @@ fn a_join_holds_the_store_it_builds_and_its_runs() {
     let (mut persist, _, _) = Persist::open(&config(&dir), src.site()).unwrap();
     persist.checkpoint_store(&src).unwrap();
     drop(persist);
-    let (opened, boot) = cost_of(|| Persist::open(&config(&dir), src.site()));
+    let (opened, boot) = on_thread(|| Persist::open(&config(&dir), src.site()));
     drop(opened.unwrap());
     let mut dst = KvStore::new(SiteId::new(6));
     let shards = dst.shard_count();
@@ -294,14 +206,14 @@ fn a_join_holds_the_store_it_builds_and_its_runs() {
     assert_eq!(plan.bulk.len(), shards, "every shard a snapshot");
     let mut client = dst.client_endpoint_for(&plan.incremental, shards);
     let contact = run_contact(&mut client, &mut server).unwrap();
-    let (applied, join) = cost_of(|| dst.apply_planned(&JoinResolver, client, &contact, &plan));
+    let (applied, join) = on_thread(|| dst.apply_planned(&JoinResolver, client, &contact, &plan));
     let committed = applied.unwrap();
     assert_eq!(committed.report.keys_created, KEYS);
     let logged = EntryImage::new(committed.entries(&dst)).expect("ascending");
     assert_eq!(logged.count(), KEYS as u64);
     assert_eq!(dst.replica_digest(), src.replica_digest());
 
-    let (kept, booted) = (join.grown as usize, boot.grown as usize);
+    let (kept, booted) = (join.kept as usize, boot.kept as usize);
     // A shard's run slack covers what the commit names of it (a filled
     // shard, a landed digest); a kibibyte, its report.
     let kept_bound = booted + JOURNAL + shards * CURSOR + 1024;
@@ -334,12 +246,12 @@ fn a_replay_holds_the_store_it_builds_the_record_and_its_runs() {
     let (mut persist, _, _) = Persist::open(&config(&dir), site).unwrap();
     let record = persist.append_entries(store.entries_of(&keys)).unwrap() as usize;
     drop(persist);
-    let (opened, replay) = cost_of(|| Persist::open(&config(&dir), site));
+    let (opened, replay) = on_thread(|| Persist::open(&config(&dir), site));
     let (persist, replayed, report) = opened.unwrap();
     assert_eq!((replayed == store, report.wal_records_applied), (true, 1));
     assert_eq!(replayed.replica_digest(), replayed.replica_digest_full());
 
-    let kept = replay.grown as usize;
+    let kept = replay.kept as usize;
     let bound = kept + record + CHUNK + shards * CURSOR + 16 * 1024;
     eprintln!("a replay of one record of {KEYS} keys ({record} B) into {shards} shards");
     eprintln!("                                 peak B     bound B");
@@ -359,7 +271,7 @@ fn a_replay_holds_the_store_it_builds_the_record_and_its_runs() {
 fn a_record_longer_than_a_chunk_grows_the_read_buffer_to_that_record_only() {
     let site = SiteId::new(2);
     let boot = |dir: &PathBuf, store: &KvStore| {
-        let (opened, cost) = cost_of(|| Persist::open(&config(dir), site));
+        let (opened, cost) = on_thread(|| Persist::open(&config(dir), site));
         let (_, booted, _) = opened.unwrap();
         assert_eq!(booted, *store);
         cost.largest
@@ -426,7 +338,7 @@ fn stopping_a_node_whose_log_the_snapshot_covers_builds_no_image() {
     };
 
     let node = start();
-    let ((), stop) = cost_of(|| node.stop());
+    let ((), stop) = on_thread(|| node.stop());
     eprintln!("stop, nothing to cover: {} B asked for", stop.allocated);
     assert!(stop.allocated < 4096, "{} B", stop.allocated);
     assert_eq!(std::fs::read(&snapshot).unwrap(), before);

@@ -5,7 +5,7 @@
 //! its plan frame, both nodes' event loops and the pooled link carry it,
 //! and the sink commits it and logs it: every thread of both nodes takes
 //! part, so this binary counts the heap of the whole process, with
-//! atomics. It bounds what the join keeps by what booting the same
+//! `optrep_core::hostile`'s process-wide reading. It bounds what the join keeps by what booting the same
 //! image keeps, the sink's change journal and a little more — no buffer
 //! that carried the image outlives it, and no key is listed to be logged
 //! — and what the join peaks at by what it keeps and the plan's image
@@ -13,79 +13,15 @@
 //! (`--nocapture`), and it reads the environment's shard count. It is
 //! its own test binary so the allocator touches nothing else.
 
+use optrep_core::hostile::{in_process, Counting};
 use optrep_core::SiteId;
 use optrep_kv::KvStore;
 use optrep_replication::planner::JOURNAL_CAP;
 use optrep_server::{DurabilityConfig, FsyncPolicy, Node, NodeConfig, Persist};
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-
-/// Bytes live on the heap, and the most that has been live since
-/// [`cost_of`] last began. Statistics only: they publish no other data,
-/// so `Relaxed` will do.
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-struct Counting;
-
-impl Counting {
-    fn grew(bytes: usize) {
-        let live = LIVE.fetch_add(bytes, Relaxed) + bytes;
-        PEAK.fetch_max(live, Relaxed);
-    }
-
-    fn shrank(bytes: usize) {
-        LIVE.fetch_sub(bytes, Relaxed);
-    }
-}
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counters are atomics, and touching
-// them never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        Self::grew(layout.size());
-        // SAFETY: the caller's layout, passed through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        Self::shrank(layout.size());
-        // SAFETY: `ptr` came from `System.alloc` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        Self::shrank(layout.size());
-        Self::grew(new_size);
-        // SAFETY: as `dealloc`; `new_size` is the caller's.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static COUNTING: Counting = Counting;
-
-/// What running something cost the process's heap.
-#[derive(Debug, Clone, Copy)]
-struct Cost {
-    /// The most the live heap stood above where it began.
-    peak: usize,
-    /// How much more was live when it returned.
-    kept: isize,
-}
-
-fn cost_of<T>(run: impl FnOnce() -> T) -> (T, Cost) {
-    let start = LIVE.load(Relaxed);
-    PEAK.store(start, Relaxed);
-    let ran = run();
-    let cost = Cost {
-        peak: PEAK.load(Relaxed).saturating_sub(start),
-        kept: LIVE.load(Relaxed) as isize - start as isize,
-    };
-    (ran, cost)
-}
 
 const KEYS: usize = 16_000;
 const VALUE: usize = 32;
@@ -136,12 +72,12 @@ fn a_join_holds_its_image_once_and_keeps_what_a_boot_keeps() {
     let (mut persist, _, _) = Persist::open(&config(&source_dir), source_site).unwrap();
     persist.checkpoint_store(&store).unwrap();
     drop((persist, store));
-    let (opened, boot) = cost_of(|| Persist::open(&config(&source_dir), source_site));
+    let (opened, boot) = in_process(|| Persist::open(&config(&source_dir), source_site));
     drop(opened.unwrap());
 
     let source = start(source_site, &source_dir);
     let sink = start(sink_site, &sink_dir);
-    let (synced, join) = cost_of(|| sink.sync_with(source.addr()));
+    let (synced, join) = in_process(|| sink.sync_with(source.addr()));
     let report = synced.unwrap();
     assert_eq!(
         (report.keys_created, report.shards_snapshot),

@@ -1,18 +1,15 @@
-//! Seeded property tests for the WAL record format and crash recovery,
-//! mirroring `proto_properties.rs`'s truncation discipline: every
-//! strict prefix of a record is *torn* (fails with `UnexpectedEof`,
-//! the one shape replay tolerates), a WAL cut at any byte recovers
-//! exactly the store at the last whole-record boundary, and corruption
-//! that is not a tail tear is a hard replay error, never skipped.
+//! Seeded property tests for crash recovery: a WAL cut at any byte
+//! recovers exactly the store at the last whole-record boundary, and
+//! corruption that is not a tail tear is a hard replay error, never
+//! skipped. That every strict prefix of a record is *torn* (fails with
+//! `UnexpectedEof`, the one shape replay tolerates) is the hostile-bytes
+//! harness's (`tests/hostile.rs`).
 
 use bytes::Bytes;
-use optrep_core::error::WireError;
 use optrep_core::rng::{cases, SplitMix64};
 use optrep_core::SiteId;
-use optrep_kv::{EntryImage, KvStore};
-use optrep_server::persist::{
-    decode_record, encode_record, DurabilityConfig, FsyncPolicy, Persist, WAL_FILE,
-};
+use optrep_kv::KvStore;
+use optrep_server::persist::{DurabilityConfig, FsyncPolicy, Persist, WAL_FILE};
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::path::PathBuf;
@@ -121,56 +118,6 @@ fn recovery_rebuilds_exactly_the_committed_store() {
         assert_eq!(report.wal_records_applied, batches.len() as u64);
         assert_eq!(&recovered, &store);
         let _ = std::fs::remove_dir_all(&dir);
-    });
-}
-
-/// Every strict prefix of an encoded record fails with
-/// `UnexpectedEof` — the torn-tail shape — and never any other
-/// error. This is what makes "tolerate exactly one trailing tear"
-/// sound: a crash cannot manufacture a prefix that decodes as a
-/// different record or as non-tear corruption. Payloads are arbitrary
-/// bytes, and, every other case, a record's own: the image of a batch's
-/// post-states.
-#[test]
-fn every_record_prefix_is_torn_not_corrupt() {
-    cases(16, |seed, rng| {
-        let seq = (rng.next_u64() >> rng.below(64)) % u64::from(u32::MAX);
-        let payload = match seed % 2 {
-            0 => bytes(rng, 0..64),
-            _ => {
-                let mut store = KvStore::new(SiteId::new(0));
-                let mut changed = BTreeMap::new();
-                for (key, value) in batches(rng).concat() {
-                    match value {
-                        Some(value) => store.put(key.clone(), value),
-                        None => store.delete(key.clone()),
-                    }
-                    changed.insert(key.clone(), store.encode_entry(&key).expect("tracked"));
-                }
-                let entries = changed.iter().map(|(k, e)| (k.as_bytes(), &e[..]));
-                let image = EntryImage::new(entries).expect("ascending");
-                let mut payload = Vec::new();
-                image
-                    .write_to(&mut payload)
-                    .expect("a Vec takes every byte");
-                payload
-            }
-        };
-        let full = encode_record(seq, &payload);
-        for cut in 0..full.len() {
-            let mut buf = full.slice(0..cut);
-            assert_eq!(
-                decode_record(&mut buf).unwrap_err(),
-                WireError::UnexpectedEof,
-                "cut {} of {}",
-                cut,
-                full.len()
-            );
-        }
-        let mut buf = full.clone();
-        let (got_seq, got_payload) = decode_record(&mut buf).expect("full record decodes");
-        assert_eq!(got_seq, seq);
-        assert_eq!(&got_payload[..], &payload[..]);
     });
 }
 

@@ -15,6 +15,7 @@
 //! touches nothing else.
 
 use bytes::{Bytes, BytesMut};
+use optrep_core::hostile::{in_process, Counting};
 use optrep_core::wire::{self, FrameDecoder};
 use optrep_core::{Result, SiteId};
 use optrep_kv::{Committed, JoinResolver, KvStore};
@@ -24,75 +25,10 @@ use optrep_replication::mux::{
 };
 use optrep_replication::planner::VectorMemory;
 use optrep_server::{DurabilityConfig, FsyncPolicy, Persist};
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-
-/// Bytes live on the heap, and the most that has been live since
-/// [`cost_of`] last began. Statistics only: they publish no other data,
-/// so `Relaxed` will do.
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-struct Counting;
-
-impl Counting {
-    fn grew(bytes: usize) {
-        let live = LIVE.fetch_add(bytes, Relaxed) + bytes;
-        PEAK.fetch_max(live, Relaxed);
-    }
-
-    fn shrank(bytes: usize) {
-        LIVE.fetch_sub(bytes, Relaxed);
-    }
-}
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counters are atomics, and touching
-// them never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        Self::grew(layout.size());
-        // SAFETY: the caller's layout, passed through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        Self::shrank(layout.size());
-        // SAFETY: `ptr` came from `System.alloc` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        Self::shrank(layout.size());
-        Self::grew(new_size);
-        // SAFETY: as `dealloc`; `new_size` is the caller's.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static COUNTING: Counting = Counting;
-
-/// What running something cost the process's heap.
-#[derive(Debug, Clone, Copy)]
-struct Cost {
-    /// The most the live heap stood above where it began.
-    peak: usize,
-    /// How much more was live when it returned.
-    kept: isize,
-}
-
-fn cost_of<T>(run: impl FnOnce() -> T) -> (T, Cost) {
-    let start = LIVE.load(Relaxed);
-    PEAK.store(start, Relaxed);
-    let ran = run();
-    let cost = Cost {
-        peak: PEAK.load(Relaxed).saturating_sub(start),
-        kept: LIVE.load(Relaxed) as isize - start as isize,
-    };
-    (ran, cost)
-}
 
 const KEYS: usize = 20_000;
 const VALUE: usize = 256;
@@ -230,7 +166,7 @@ fn a_warm_pull_holds_its_push_once() {
         script,
         decoder: FrameDecoder::new(),
     };
-    let ((synced, report), pulled) = cost_of(|| {
+    let ((synced, report), pulled) = in_process(|| {
         let (committed, report) = pull(&mut dst, &mut link, &mut remembered);
         persist.append_entries(committed.entries(&dst)).unwrap();
         (committed.report, report)

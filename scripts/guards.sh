@@ -76,7 +76,13 @@ guard_one_spin() {
 if git grep -nE 'yield_now|spin_loop' -- '*.rs' ':!crates/net/src/reactor.rs'; then exit 1; fi
 }
 
-guards=(lines single_thread deleted core_io one_rng one_spin)
+# One counting allocator: `optrep_core::hostile::Counting`, which every
+# heap test and the hostile-bytes harness install.
+guard_one_allocator() {
+test "$(git grep -l 'GlobalAlloc for' -- '*.rs' | wc -l)" = 1
+}
+
+guards=(lines single_thread deleted core_io one_rng one_spin one_allocator)
 
 # Runs guard `$1` as a CI step runs its shell; returns its status.
 run() {
