@@ -341,7 +341,8 @@ impl CausalGraph {
     /// Returns a [`WireError`] on truncated or malformed input, and
     /// [`WireError::InvalidPayload`] on what the encoder never writes:
     /// nodes not in strictly ascending id order, a presence byte above
-    /// both parents' bits, a head tag other than 0 or 1.
+    /// both parents' bits, a head tag other than 0 or 1, a head that
+    /// names no node.
     pub fn decode_snapshot(buf: &mut Bytes) -> Result<CausalGraph, WireError> {
         let n = wire::get_varint(buf)? as usize;
         let mut graph = CausalGraph::new();
@@ -375,7 +376,7 @@ impl CausalGraph {
             1 => {
                 let head = NodeId::from_raw(wire::get_varint(buf)?);
                 if !graph.contains(head) {
-                    return Err(WireError::UnexpectedEof);
+                    return Err(WireError::InvalidPayload);
                 }
                 graph.head = Some(head);
             }

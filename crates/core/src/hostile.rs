@@ -7,14 +7,15 @@
 //! one input whole, the bytes it must accept and those it must refuse,
 //! each labelled, and what it may allocate. [`Decoder::check`] then holds
 //! it to three properties over every byte string up to [`EXHAUSTIVE_LEN`]
-//! bytes long and every truncation, bit flip and one-byte insertion of
-//! each labelled input, and each labelled input with a varint of 2⁶²
-//! spliced in at each place ([`variants`]):
+//! bytes long and every truncation, bit flip, seeded byte substitution
+//! and one-byte insertion of each labelled input, and each labelled input
+//! with a varint of 2⁶² spliced in at each place ([`variants`]):
 //!
 //! * **Total.** Every input is `Ok` or `Err`; none panics. Every strict
 //!   prefix of an accepted input is an `Err` — for a streaming decoder or
 //!   a log's reader, the one its registration names "incomplete"
-//!   ([`Decoder::torn`]).
+//!   ([`Decoder::torn`]), which no input labelled corrupt is refused
+//!   with ([`Decoder::corrupt`]).
 //! * **Capped.** Decoding an input of `len` bytes asks the allocator for
 //!   at most `per_byte · len + fixed` bytes in all ([`Decoder::cap`]): a
 //!   length prefix is checked against what is left before it sizes an
@@ -31,6 +32,7 @@ mod counting;
 
 pub use counting::{in_process, on_thread, Cost, Counting};
 
+use crate::rng::{mix_seed, SplitMix64};
 use bytes::Bytes;
 use std::fmt::{Debug, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -48,8 +50,11 @@ const INSERTED: [u8; 5] = [0x00, 0x01, 0x7f, 0x80, 0xff];
 const HUGE: [u8; 9] = [0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40];
 
 /// Every truncation, single-bit flip and one-byte insertion of `pinned`,
-/// and `pinned` with [`HUGE`] spliced in at each place, each with what was
-/// done to it: the inputs [`Decoder::check`] derives from a labelled one.
+/// each byte of it XORed with a seeded non-zero byte, a seeded byte
+/// inserted at each place, and `pinned` with [`HUGE`] spliced in at each
+/// place, each with what was done to it: the inputs [`Decoder::check`]
+/// derives from a labelled one. The seed is the input's length, so the
+/// variants are a function of the input.
 pub fn variants(pinned: &[u8]) -> impl Iterator<Item = (String, Vec<u8>)> + '_ {
     truncations(pinned).chain(edits(pinned))
 }
@@ -59,17 +64,22 @@ fn truncations(pinned: &[u8]) -> impl Iterator<Item = (String, Vec<u8>)> + '_ {
 }
 
 fn edits(pinned: &[u8]) -> impl Iterator<Item = (String, Vec<u8>)> + '_ {
-    let flips = (0..pinned.len() * 8).map(|bit| {
-        let mut flipped = pinned.to_vec();
-        flipped[bit / 8] ^= 1 << (bit % 8);
-        (
-            format!("byte {} ^ {:#04x}", bit / 8, 1 << (bit % 8)),
-            flipped,
-        )
+    let seeded = |salt: u64| {
+        let mut rng = SplitMix64::new(mix_seed(pinned.len() as u64, salt));
+        move || rng.next_u64() as u8
+    };
+    let (mut mask, mut byte) = (seeded(0), seeded(1));
+    let flips = (0..pinned.len()).flat_map(move |at| {
+        let masks = (0..8).map(|bit| 1u8 << bit).chain([mask().max(1)]);
+        masks.map(move |mask| {
+            let mut edited = pinned.to_vec();
+            edited[at] ^= mask;
+            (format!("byte {at} ^ {mask:#04x}"), edited)
+        })
     });
     let spliced = |at: usize, what: &[u8]| [&pinned[..at], what, &pinned[at..]].concat();
     let inserts = (0..=pinned.len()).flat_map(move |at| {
-        let inserted = INSERTED.map(|byte| {
+        let inserted = INSERTED.into_iter().chain([byte()]).map(move |byte| {
             (
                 format!("{byte:#04x} inserted at {at}"),
                 spliced(at, &[byte]),
@@ -79,7 +89,7 @@ fn edits(pinned: &[u8]) -> impl Iterator<Item = (String, Vec<u8>)> + '_ {
             format!("a varint of 2^62 inserted at {at}"),
             spliced(at, &HUGE),
         );
-        inserted.into_iter().chain([huge])
+        inserted.chain([huge])
     });
     flips.chain(inserts)
 }
@@ -97,6 +107,15 @@ type Encode<'a, T> = Box<dyn Fn(&T) -> Vec<u8> + 'a>;
 /// Whether an error is what a decoder reads a cut input as.
 type Torn<'a, E> = Box<dyn Fn(&E) -> bool + 'a>;
 
+/// What a labelled input must come to.
+#[derive(Clone, Copy, PartialEq)]
+enum Expect {
+    Accepted,
+    Refused,
+    /// Refused, and not as cut short.
+    Corrupt,
+}
+
 enum Canonical<'a, T> {
     Unsaid,
     Encode(Encode<'a, T>),
@@ -112,8 +131,9 @@ pub struct Decoder<'a, T, E> {
     canonical: Canonical<'a, T>,
     cap: Option<(usize, usize)>,
     torn: Option<Torn<'a, E>>,
-    /// Each labelled input, and whether it must decode.
-    inputs: Vec<(&'a str, Vec<u8>, bool)>,
+    alphabet: Vec<u8>,
+    /// Each labelled input, and what it must come to.
+    inputs: Vec<(&'a str, Vec<u8>, Expect)>,
 }
 
 impl<'a, T, E: Debug> Decoder<'a, T, E> {
@@ -125,6 +145,7 @@ impl<'a, T, E: Debug> Decoder<'a, T, E> {
             canonical: Canonical::Unsaid,
             cap: None,
             torn: None,
+            alphabet: Vec::new(),
             inputs: Vec::new(),
         }
     }
@@ -163,15 +184,34 @@ impl<'a, T, E: Debug> Decoder<'a, T, E> {
         self
     }
 
+    /// Each byte of `alphabet` is put in place of each byte of every
+    /// labelled input, as well: a text format's characters, of which bit
+    /// flips reach only a few.
+    pub fn substitutes(mut self, alphabet: impl IntoIterator<Item = u8>) -> Self {
+        self.alphabet = alphabet.into_iter().collect();
+        self
+    }
+
     /// `bytes` decode, and seed the variants.
     pub fn accepts(mut self, label: &'a str, bytes: impl AsRef<[u8]>) -> Self {
-        self.inputs.push((label, bytes.as_ref().to_vec(), true));
+        self.inputs
+            .push((label, bytes.as_ref().to_vec(), Expect::Accepted));
         self
     }
 
     /// `bytes` are refused, and seed the variants.
     pub fn rejects(mut self, label: &'a str, bytes: impl AsRef<[u8]>) -> Self {
-        self.inputs.push((label, bytes.as_ref().to_vec(), false));
+        self.inputs
+            .push((label, bytes.as_ref().to_vec(), Expect::Refused));
+        self
+    }
+
+    /// `bytes` are refused, not with the error [`torn`](Self::torn)
+    /// holds — they are whole, and no byte read behind them makes them
+    /// decode — and seed the variants.
+    pub fn corrupt(mut self, label: &'a str, bytes: impl AsRef<[u8]>) -> Self {
+        self.inputs
+            .push((label, bytes.as_ref().to_vec(), Expect::Corrupt));
         self
     }
 
@@ -196,16 +236,29 @@ impl<'a, T, E: Debug> Decoder<'a, T, E> {
             "{name}: check canonical form or say why not"
         );
         assert!(
-            self.inputs.iter().any(|&(_, _, accepted)| accepted),
+            self.inputs
+                .iter()
+                .any(|&(_, _, expect)| expect == Expect::Accepted),
             "{name}: label an input it accepts"
         );
+        assert!(
+            self.torn.is_some() || self.inputs.iter().all(|&(_, _, e)| e != Expect::Corrupt),
+            "{name}: say what a cut input is refused with, to tell a corrupt one from it"
+        );
         let torn = |e: &E| self.torn.as_ref().is_none_or(|torn| torn(e));
-        for (label, pinned, accepted) in &self.inputs {
+        for &(label, ref pinned, expect) in &self.inputs {
             let origin = || format!("\"{label}\"");
-            match (self.run(pinned, &origin), *accepted) {
-                (Ok(()), false) => self.fail("accepts an input it must refuse", pinned, &origin),
-                (Err(e), true) => {
+            let accepted = expect == Expect::Accepted;
+            match self.run(pinned, &origin) {
+                Ok(()) if !accepted => {
+                    self.fail("accepts an input it must refuse", pinned, &origin)
+                }
+                Err(e) if accepted => {
                     let what = format!("refuses an input it must accept: {e:?}");
+                    self.fail(&what, pinned, &origin)
+                }
+                Err(e) if expect == Expect::Corrupt && torn(&e) => {
+                    let what = format!("reads a corrupt input as cut short: {e:?}");
                     self.fail(&what, pinned, &origin)
                 }
                 _ => {}
@@ -223,6 +276,13 @@ impl<'a, T, E: Debug> Decoder<'a, T, E> {
             }
             for (what, edited) in edits(pinned) {
                 let _ = self.run(&edited, &|| format!("\"{label}\", {what}"));
+            }
+            for at in 0..pinned.len() {
+                for &byte in &self.alphabet {
+                    let mut edited = pinned.clone();
+                    edited[at] = byte;
+                    let _ = self.run(&edited, &|| format!("\"{label}\", {byte:#04x} at {at}"));
+                }
             }
         }
         for input in exhaustive() {
@@ -249,7 +309,9 @@ impl<'a, T, E: Debug> Decoder<'a, T, E> {
         }
         let value = decoded?;
         if let Canonical::Encode(encode) = &self.canonical {
-            let encoded = encode(&value);
+            let Ok(encoded) = catch_unwind(AssertUnwindSafe(|| encode(&value))) else {
+                self.fail("panics re-encoding what it accepted", input, origin);
+            };
             if encoded != input {
                 let what = format!(
                     "accepts an encoding its writer does not write: {}",
@@ -306,7 +368,9 @@ mod tests {
 
     #[test]
     fn variants_of_three_bytes() {
-        // 3 cuts, 24 flips, 4 places × (5 inserts + a huge varint).
-        assert_eq!(variants(b"abc").count(), 3 + 24 + 4 * 6);
+        // 3 cuts, 3 bytes × (8 bit flips + a seeded XOR), 4 places ×
+        // (5 inserts + a seeded one + a huge varint).
+        assert_eq!(variants(b"abc").count(), 3 + 3 * 9 + 4 * 7);
+        assert!(variants(b"abc").eq(variants(b"abc")), "seeded alike");
     }
 }

@@ -545,8 +545,8 @@ fn recoded_by_the_vector(image: &[u8]) -> (Result<Vec<u8>, WireError>, usize) {
 /// The re-encoder writes what a decode and an encode write, and
 /// refuses what the decoder refuses with the same error, over seeded
 /// vectors on both sides of eight sites, each image overlong in each
-/// varint in turn, images repeating a site, and every variant the
-/// hostile-bytes harness derives from them.
+/// varint in turn and every variant the hostile-bytes harness derives
+/// from each of those, and images repeating a site.
 #[test]
 fn recoding_a_snapshot_is_decoding_and_encoding_it() {
     let overlong = |elements: &[Element], at: usize| {
@@ -571,17 +571,17 @@ fn recoding_a_snapshot_is_decoding_and_encoding_it() {
         let core = random_core(seed);
         let elements: Vec<Element> = core.iter().collect();
         spilled += usize::from(elements.len() > INDEX_ABOVE);
-        let honest = core.encode_snapshot().to_vec();
-        let mut images: Vec<Vec<u8>> = crate::hostile::variants(&honest)
-            .map(|(_, image)| image)
-            .collect();
+        let mut images = vec![core.encode_snapshot().to_vec()];
         images.extend((0..=2 * elements.len()).map(|at| overlong(&elements, at).to_vec()));
+        let variants: Vec<Vec<u8>> = (images.iter())
+            .flat_map(|image| crate::hostile::variants(image).map(|(_, image)| image))
+            .collect();
+        images.extend(variants);
         for at in (1..elements.len()).filter(|_| elements.len() > 1) {
             let mut repeated = elements.clone();
             repeated[at].site = elements[at - 1].site;
             images.push(image_of(&repeated).to_vec());
         }
-        images.push(honest);
         for image in images {
             let (expected, read) = recoded_by_the_vector(&image);
             let mut out = vec![0xee];

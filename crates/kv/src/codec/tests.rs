@@ -1,10 +1,7 @@
 use super::*;
 use crate::record::View;
 use crate::tests::s;
-use crate::JoinResolver;
 use optrep_core::rng::SplitMix64;
-use optrep_replication::mux::run_contact;
-use optrep_replication::planner::PlanConfig;
 
 mod oracle;
 
@@ -97,31 +94,6 @@ fn entry_encoding_roundtrips_and_tracks_generation() {
     let mut empty_vector = Bytes::from_static(b"\x00\x01\x01v");
     assert!(b.apply_encoded_entry("x", &mut empty_vector).is_err());
     assert_eq!((b.encode_snapshot(), b.generation()), (snapshot, 2));
-}
-
-/// A refused image — here `b` listed before `a` — leaves the store as it
-/// was, its generation and digests too, whether it came as the image of a
-/// peer's plan or as a log record's payload: every entry is read before
-/// the first is stored.
-#[test]
-fn a_refused_image_leaves_the_store_untouched() {
-    let body = b"\x02\x01b\x04\x03\x01\x00\x04v\x01a\x05v";
-    let mut src = KvStore::with_shards(s(0), 1);
-    src.put("x", "1");
-    let digests = KvStore::with_shards(s(1), 1).shard_digest_vector();
-    let (mut plan, mut server) = src.plan_contact(&digests, &PlanConfig::default());
-    let mut store = KvStore::with_shards(s(1), 4);
-    store.put("mine", "1");
-    let before = store.clone();
-    let mut client = store.client_endpoint_for(&plan.incremental, 1);
-    let contact = run_contact(&mut client, &mut server).unwrap();
-    plan.image = Some(Bytes::from_static(body));
-    let joined = store.apply_planned_tracked(&JoinResolver, client, &contact, &plan);
-    assert_eq!(joined, Err(WireError::InvalidPayload.into()));
-    assert_eq!(store.apply_image(body), Err(WireError::InvalidPayload));
-    assert_eq!(store, before);
-    assert_eq!(store.generation(), before.generation());
-    assert_eq!(store.replica_digest(), store.replica_digest_full());
 }
 
 #[test]

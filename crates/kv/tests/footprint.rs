@@ -33,37 +33,6 @@ use support::unplanned_pull;
 #[global_allocator]
 static COUNTING: Counting = Counting;
 
-/// What building something added to this thread's heap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Heap {
-    bytes: usize,
-    blocks: usize,
-    allocations: usize,
-}
-
-/// The value `build` made, still alive, and what making it added to the
-/// heap: live bytes, live blocks, allocations performed on the way.
-fn measure<T>(build: impl FnOnce() -> T) -> (T, Heap) {
-    let (built, cost) = on_thread(build);
-    let (bytes, blocks) = (cost.kept as usize, cost.blocks as usize);
-    let allocations = cost.allocations;
-    (
-        built,
-        Heap {
-            bytes,
-            blocks,
-            allocations,
-        },
-    )
-}
-
-/// What `run` returned, and the most this thread's live heap stood
-/// above where it began while `run` ran.
-fn peak_of<T>(run: impl FnOnce() -> T) -> (T, usize) {
-    let (ran, cost) = on_thread(run);
-    (ran, cost.peak)
-}
-
 fn srv_of(sites: u32) -> Srv {
     let mut v = Srv::new();
     for i in 0..sites {
@@ -77,51 +46,46 @@ const SLOT: usize = 24;
 #[test]
 fn a_small_vector_owns_its_slots_and_nothing_else() {
     assert!(std::mem::size_of::<Srv>() <= 40);
-    let (_empty, grown) = measure(Srv::new);
+    let (_empty, grown) = on_thread(Srv::new);
     assert_eq!(grown.blocks, 0, "an empty vector owns no heap");
 
     // The slab doubles exactly from one slot: 1, 2, 4, 8.
     for (sites, slots) in [(1, 1), (2, 2), (3, 4), (4, 4), (5, 8), (8, 8)] {
-        let (v, grown) = measure(|| srv_of(sites));
+        let (v, grown) = on_thread(|| srv_of(sites));
         assert_eq!(
-            (grown.bytes, grown.blocks),
+            (grown.kept as usize, grown.blocks),
             (slots * SLOT, 1),
             "{sites} sites: one slab of {slots} slots"
         );
-        let (_copy, grown) = measure(|| v.clone());
-        let exact = Heap {
-            bytes: sites as usize * SLOT,
-            blocks: 1,
-            allocations: 1,
-        };
-        assert_eq!(grown, exact, "{sites} sites: a clone is one allocation");
+        let (_copy, grown) = on_thread(|| v.clone());
+        assert_eq!(
+            (grown.kept as usize, grown.blocks, grown.allocations),
+            (sites as usize * SLOT, 1, 1),
+            "{sites} sites: a clone is one allocation"
+        );
     }
 
     // The ninth element brings the index: its box and its table.
-    let (_nine, grown) = measure(|| srv_of(9));
+    let (_nine, grown) = on_thread(|| srv_of(9));
     assert_eq!(grown.blocks, 3, "slab, index header, index table");
-    assert!(grown.bytes > 16 * SLOT + 48, "{} B", grown.bytes);
+    assert!(grown.kept as usize > 16 * SLOT + 48, "{} B", grown.kept);
 }
 
 #[test]
 fn decoding_builds_the_slab_in_place() {
     for sites in [1u32, 3, 8] {
         let mut image = srv_of(sites).encode_snapshot();
-        let (decoded, grown) = measure(|| Srv::decode_snapshot(&mut image).unwrap());
+        let (decoded, grown) = on_thread(|| Srv::decode_snapshot(&mut image).unwrap());
         assert_eq!(decoded, srv_of(sites));
-        let exact = Heap {
-            bytes: sites as usize * SLOT,
-            blocks: 1,
-            allocations: 1,
-        };
         assert_eq!(
-            grown, exact,
+            (grown.kept as usize, grown.blocks, grown.allocations),
+            (sites as usize * SLOT, 1, 1),
             "{sites} sites: one allocation, exact capacity"
         );
     }
     // A count the payload cannot hold is refused before any allocation.
     let mut hostile = Bytes::from_static(&[0xff, 0xff, 0xff, 0x7f, 1, 4]);
-    let (result, grown) = measure(|| Srv::decode_snapshot(&mut hostile));
+    let (result, grown) = on_thread(|| Srv::decode_snapshot(&mut hostile));
     assert!(result.is_err());
     assert_eq!(grown.allocations, 0);
 }
@@ -168,28 +132,29 @@ fn a_one_site_key_is_its_record_in_a_page_of_sixteen_and_at_most_48_bytes() {
         let mut overheads = Vec::new();
         for value_len in [Some(32), Some(256), None] {
             let empty = KvStore::with_shards(SiteId::new(1), shards);
-            let (store, grown) = measure(|| written(empty, value_len));
+            let (store, grown) = on_thread(|| written(empty, value_len));
             assert_eq!(store.tracked_entries(), KEYS);
             assert_eq!(store.len(), value_len.map_or(0, |_| KEYS));
-            let overhead = grown.bytes - KEYS * value_len.unwrap_or(0);
+            let bytes = grown.kept as usize;
+            let overhead = bytes - KEYS * value_len.unwrap_or(0);
             let blocks = grown.blocks as f64 / KEYS as f64;
             eprintln!(
                 "{shards:>6}  {:>5}  {:>9}  {:>12}  {blocks:>10.2}",
                 value_len.map_or("none".into(), |len| len.to_string()),
-                grown.bytes / KEYS,
+                bytes / KEYS,
                 overhead / KEYS,
             );
             if value_len == Some(32) {
                 assert!(
-                    grown.bytes <= 48 * KEYS,
+                    bytes <= 48 * KEYS,
                     "{} live heap bytes per key at {shards} shards",
-                    grown.bytes / KEYS
+                    bytes / KEYS
                 );
                 // A page a sixteen keys and a quarter over for the set's
                 // nodes, and a part-filled page and a node a shard.
                 let most = KEYS / PAGE_RECORDS * 5 / 4 + 2 * shards;
                 assert!(
-                    grown.blocks <= most,
+                    grown.blocks as usize <= most,
                     "{blocks} live blocks per key at {shards} shards"
                 );
             }
@@ -330,7 +295,7 @@ fn a_value_does_not_pin_what_it_was_decoded_from() {
         let mut baseline = None;
         let mut held = Vec::new();
         for (how, build) in builders {
-            let (store, grown) = measure(|| {
+            let (store, grown) = on_thread(|| {
                 let mut store = build();
                 if keep_one {
                     for i in 1..KEYS {
@@ -339,20 +304,17 @@ fn a_value_does_not_pin_what_it_was_decoded_from() {
                 }
                 store
             });
-            let kept = store.len();
-            eprintln!(
-                "{how:>8}  {kept:>4}  {:>9.1}",
-                grown.bytes as f64 / KEYS as f64
-            );
+            let (kept, bytes) = (store.len(), grown.kept as usize);
+            eprintln!("{how:>8}  {kept:>4}  {:>9.1}", bytes as f64 / KEYS as f64);
             assert_eq!(kept, if keep_one { 1 } else { KEYS });
-            let put = *baseline.get_or_insert(grown.bytes);
+            let put = *baseline.get_or_insert(bytes);
             assert!(
-                grown.bytes <= put + 16 * KEYS,
+                bytes <= put + 16 * KEYS,
                 "built by {how}, {kept} values kept: {} B a key, by put {}",
-                grown.bytes / KEYS,
+                bytes / KEYS,
                 put / KEYS
             );
-            held.push(grown.bytes);
+            held.push(bytes);
         }
         let (booted, joined) = (held[1], held[4]);
         assert!(
@@ -374,11 +336,11 @@ fn the_journal_is_one_allocation_of_the_cap() {
     let value = || Bytes::from(vec![b'v'; 32]);
     // At the environment's shard count, as the reloaded twin below is.
     let mut store = KvStore::new(SiteId::new(1));
-    let ((), first) = measure(|| store.put("k00", value()));
+    let ((), first) = on_thread(|| store.put("k00", value()));
     assert!(
-        (JOURNAL..JOURNAL + 2048).contains(&first.bytes),
+        (JOURNAL..JOURNAL + 2048).contains(&(first.kept as usize)),
         "the first change allocates the journal beside its entry: {} B",
-        first.bytes
+        first.kept
     );
     // (Forty writes a key: a record holds its counter as a varint, and
     // this one stays two bytes from the 32nd write to the 4096th.)
@@ -387,13 +349,13 @@ fn the_journal_is_one_allocation_of_the_cap() {
     }
     // Rewriting keys the store already holds swaps pages of one size:
     // whatever the heap gained would be the journal's.
-    let ((), rewrites) = measure(|| {
+    let ((), rewrites) = on_thread(|| {
         for i in 0..3 * JOURNAL_CAP {
             store.put(format!("k{:02}", i % 64), value());
         }
     });
     assert_eq!(
-        (rewrites.bytes, rewrites.blocks),
+        (rewrites.kept, rewrites.blocks),
         (0, 0),
         "filling, full, evicting"
     );
@@ -419,28 +381,28 @@ fn the_journal_is_one_allocation_of_the_cap() {
     assert_eq!(journalled.journal_floor_lag(), JOURNAL_CAP as u64);
     let rewritten = KvStore::decode_snapshot(&mut journalled.encode_snapshot()).unwrap();
     assert_eq!(rewritten.journal_floor_lag(), 0);
-    let (mut copy, with) = measure(|| journalled.clone());
-    let (_without, without) = measure(|| reloaded.clone());
-    let (_pages, pages) = measure(|| rewritten.clone());
+    let (mut copy, with) = on_thread(|| journalled.clone());
+    let (_without, without) = on_thread(|| reloaded.clone());
+    let (_pages, pages) = on_thread(|| rewritten.clone());
     // Before the rewrites every record in a page but its first repeated
     // the vector before it. A key one count ahead writes its own, and the
     // key after it writes its own too: at most two vectors, each behind
     // its length byte, for each of the seven; none where every page holds
     // one key.
     let vector = 1 + journalled.meta("k00").unwrap().encode_snapshot().len();
-    let moved = pages.bytes - without.bytes;
+    let moved = (pages.kept - without.kept) as usize;
     eprintln!("pages moved by the rewrites: {moved} B, {vector} B a vector");
     assert!(moved <= 7 * 2 * vector, "{moved} B");
     assert_eq!(pages.blocks, without.blocks, "pages of one count");
-    assert_eq!(with.bytes - pages.bytes, JOURNAL, "16 B an entry");
+    assert_eq!((with.kept - pages.kept) as usize, JOURNAL, "16 B an entry");
     assert_eq!(with.blocks - without.blocks, 1);
     // And a clone goes on at the cap, as its original does.
-    let ((), grown) = measure(|| {
+    let ((), grown) = on_thread(|| {
         for i in 0..JOURNAL_CAP + 7 {
             copy.put(format!("k{:02}", i % 64), value());
         }
     });
-    assert_eq!((grown.bytes, grown.blocks), (0, 0));
+    assert_eq!((grown.kept, grown.blocks), (0, 0));
 }
 
 /// A pull costs heap for what it moves. The source of a warm pull —
@@ -504,7 +466,8 @@ fn a_pull_costs_heap_for_the_keys_it_moves_not_the_keys_its_source_holds() {
         let (cold, _) = pull(&mut dst);
         assert_eq!(cold.shards_skipped, SHARDS as u64, "converged");
         move_on(b'w');
-        let ((warm, moved), peak) = peak_of(|| pull(&mut dst));
+        let ((warm, moved), ran) = on_thread(|| pull(&mut dst));
+        let peak = ran.peak;
         assert_eq!(moved, CHANGED);
         assert!(
             warm.shards_proposed >= 500,
@@ -539,16 +502,16 @@ fn a_pull_costs_heap_for_the_keys_it_moves_not_the_keys_its_source_holds() {
             frame(CONTROL_STREAM, &nothing.to_bytes()),
             frame(TURN_STREAM, &[1]),
         ];
-        let (_, remembers) = measure(|| feed(&first));
+        let (_, remembers) = on_thread(|| feed(&first));
         // The second vector is a puller's that took what was planned.
         let pulled = frame(CONTROL_STREAM, &src.borrow().shard_digest_vector().encode());
         move_on(b'y');
-        let (plan_bytes, planned) = measure(|| feed(&[pulled, turn.clone()]));
+        let (plan_bytes, planned) = on_thread(|| feed(&[pulled, turn.clone()]));
         assert!(
             plan_bytes > CHANGED * 2,
             "a plan and a push of every changed key"
         );
-        let owned = remembers.bytes.wrapping_add(planned.bytes);
+        let owned = remembers.kept + planned.kept;
         eprintln!(
             "{keys:>11}  {peak:>11}  {:>13}  {owned:>17}",
             peak / CHANGED

@@ -1,10 +1,14 @@
 //! Every decoder of `optrep-kv`, registered once in the hostile-bytes
 //! harness (`optrep_core::hostile`), through the doors a peer, a log and
 //! a checkpoint reach it by: a whole-store snapshot decoded from memory
-//! and read a chunk at a time, a log record's image replayed, a logged
-//! entry's state applied, and the push behind a plan read into a pulling
-//! endpoint. Each reaches `ImageEntries`, the one reader of an image's
-//! entries, or `View::of_state`, the one reader of a state.
+//! and read a chunk at a time, a log record's image replayed, the image
+//! of a peer's plan joined, a logged entry's state applied, and the push
+//! behind a plan read into a pulling endpoint. Each reaches
+//! `ImageEntries`, the one reader of an image's entries, or
+//! `View::of_state`, the one reader of a state. The doors that write
+//! into a live store decode into one that holds a key already, and a
+//! refusal must leave it as it was: its entries, its generation and its
+//! digests.
 //!
 //! An image's body is a count, then each entry behind a key head
 //! (`shared << 3 | min(rest, 7)`, the rest's length less 7 where it is 7
@@ -15,61 +19,17 @@ use bytes::Bytes;
 use optrep_core::error::WireError;
 use optrep_core::hostile::{on_thread, Counting, Decoder};
 use optrep_core::SiteId;
-use optrep_kv::{ChunkReader, KvStore, ReadError};
+use optrep_kv::{ChunkReader, JoinResolver, KvStore, ReadError};
+use optrep_replication::mux::{run_contact, BatchPullClient, BatchPullServer};
 use optrep_replication::planner::{ShardPlan, JOURNAL_CAP};
+use std::sync::OnceLock;
+
+#[path = "support/images.rs"]
+mod images;
+use images::{READ, REFUSED};
 
 #[global_allocator]
 static COUNTING: Counting = Counting;
-
-/// Bodies no store writes, each refused by every image decoder: every
-/// encoding of a key or a state but the writer's, one line each. Each
-/// key holds the vector `[1, 0, 4]` (site 0 wrote it once) and the value
-/// `v`, unless the line says otherwise.
-#[rustfmt::skip]
-const REFUSED: [(&str, &[u8]); 32] = [
-    ("a shared length on the first key", b"\x01\x09a\x04\x03\x01\x00\x04v"),
-    ("a shared length past the key before", b"\x02\x01a\x04\x03\x01\x00\x04v\x11b\x05v"),
-    ("a shared prefix left out", b"\x02\x02ab\x04\x03\x01\x00\x04v\x02ac\x05v"),
-    ("a shared prefix cut short", b"\x02\x03abc\x04\x03\x01\x00\x04v\x0abd\x05v"),
-    ("an empty rest: a repeat", b"\x02\x01a\x04\x03\x01\x00\x04v\x08\x05v"),
-    ("an empty rest: a prefix", b"\x02\x02ab\x04\x03\x01\x00\x04v\x08\x05v"),
-    ("a descending rest", b"\x02\x01b\x04\x03\x01\x00\x04v\x01a\x05v"),
-    ("a descending rest after a prefix", b"\x02\x02ac\x04\x03\x01\x00\x04v\x09b\x05v"),
-    ("an empty key after the first", b"\x02\x01a\x04\x03\x01\x00\x04v\x00\x05v"),
-    ("a first key not UTF-8", b"\x01\x01\xff\x04\x03\x01\x00\x04v"),
-    ("a rest not UTF-8", b"\x02\x01a\x04\x03\x01\x00\x04v\x09\xff\x05v"),
-    ("a split character rebuilt wrong", b"\x02\x02\xd0\xba\x04\x03\x01\x00\x04v\x09\xff\x05v"),
-    ("an overlong key head on the first key", b"\x02\x87\x00\x01abcdefgh\x04\x03\x01\x00\x04v\x07\x01bcdefghi\x05v"),
-    ("an overlong key head after the first", b"\x02\x07\x01abcdefgh\x04\x03\x01\x00\x04v\x87\x00\x01bcdefghi\x05v"),
-    ("an overlong escape on the first key", b"\x02\x07\x81\x00abcdefgh\x04\x03\x01\x00\x04v\x07\x01bcdefghi\x05v"),
-    ("an overlong escape after the first", b"\x02\x07\x01abcdefgh\x04\x03\x01\x00\x04v\x07\x81\x00bcdefghi\x05v"),
-    ("a rest of 1 behind the escape", b"\x02\x01a\x04\x03\x01\x00\x04v\x07\x01b\x05v"),
-    ("a repeat flag on the first entry", b"\x01\x01b\x05v"),
-    ("an empty vector field", b"\x01\x01b\x04\x00v"),
-    ("an overlong state head", b"\x01\x01b\x84\x00\x03\x01\x00\x04v"),
-    ("an overlong state head after the first", b"\x02\x01a\x04\x03\x01\x00\x04v\x01b\x85\x00v"),
-    ("a tombstone with value bytes", b"\x02\x01a\x00\x03\x01\x00\x04A\x01b\x05v"),
-    ("a value shorter than its head says", b"\x01\x01b\x06\x03\x01\x00\x04v"),
-    ("a value shorter than its head says, before another", b"\x02\x01a\x06\x03\x01\x00\x04v\x01b\x05v"),
-    ("the vector before, written out", b"\x02\x01a\x04\x03\x01\x00\x04v\x01b\x04\x03\x01\x00\x04v"),
-    ("a vector's field length overlong", b"\x01\x01a\x04\x83\x00\x01\x00\x04v"),
-    ("a vector's element count overlong", b"\x01\x01a\x04\x04\x81\x00\x00\x04v"),
-    ("a vector's site overlong", b"\x01\x01a\x04\x04\x01\x80\x00\x04v"),
-    ("a vector's value overlong", b"\x01\x01a\x04\x04\x01\x00\x84\x00v"),
-    ("a vector naming a site twice", b"\x01\x01x\x04\x05\x02\x05\x04\x05\x04v"),
-    ("a byte left in the vector field", b"\x01\x01x\x04\x04\x01\x00\x04\x7fv"),
-    ("two keys listed as three", b"\x03\x01a\x04\x03\x01\x00\x04v\x01b\x05v"),
-];
-
-/// Bodies a store writes that the writer's tests do not produce from a
-/// store: a prefix that splits a character, an empty first key, a first
-/// key behind the escape.
-#[rustfmt::skip]
-const READ: [(&str, &[u8]); 3] = [
-    ("a split character rebuilt right", b"\x02\x02\xd0\xba\x04\x03\x01\x00\x04v\x09\xbb\x05v"),
-    ("an empty first key", b"\x01\x00\x04\x03\x01\x00\x04v"),
-    ("a first key behind the escape", b"\x02\x07\x01abcdefgh\x04\x03\x01\x00\x04v9i\x05v"),
-];
 
 /// A store whose image writes a head at every edge of a varint: the
 /// empty key, a 127- and a 128-byte key, shared prefixes of 15 and 16
@@ -110,6 +70,47 @@ fn edge_store() -> KvStore {
     store
 }
 
+/// The store the doors into a live store decode into, built once: four
+/// shards on site 3, holding a key no labelled image holds.
+fn seed() -> &'static KvStore {
+    static SEED: OnceLock<KvStore> = OnceLock::new();
+    SEED.get_or_init(|| {
+        let mut store = KvStore::with_shards(SiteId::new(3), 4);
+        store.put("~seed", "1");
+        store
+    })
+}
+
+/// What `decode` makes of a copy of the [`seed`]; where it refuses, the
+/// copy must be the seed still: its entries, its generation and its
+/// digests.
+fn into_seeded<E>(decode: impl FnOnce(&mut KvStore) -> Result<(), E>) -> Result<KvStore, E> {
+    let mut store = seed().clone();
+    let decoded = decode(&mut store);
+    if decoded.is_err() {
+        let digests = |s: &KvStore| (s.generation(), s.replica_digest(), s.replica_digest_full());
+        assert!(
+            store == *seed() && digests(&store) == digests(seed()),
+            "a refused input touched the store"
+        );
+    }
+    decoded.map(|()| store)
+}
+
+/// The image a [`seeded`] store took as `image`, re-encoded: `image`
+/// replayed into an empty store, which must hold what the seeded one
+/// holds beside its seed.
+fn beside_the_seed((store, image): &(KvStore, Bytes)) -> Vec<u8> {
+    let mut alone = KvStore::with_shards(SiteId::new(3), 4);
+    alone
+        .apply_image(image)
+        .expect("an image a seeded store took");
+    let mut with_seed = alone.clone();
+    with_seed.put("~seed", "1");
+    assert!(*store == with_seed, "the image went in beside the seed");
+    body(&alone).to_vec()
+}
+
 /// `body` behind a snapshot's site.
 fn snapshot(body: &[u8]) -> Vec<u8> {
     [&[3][..], body].concat()
@@ -120,16 +121,23 @@ fn body(store: &KvStore) -> Bytes {
     store.encode_shard_snapshot(&[0], 1)
 }
 
-/// What an empty store of `shards` shards asks of the heap, its change
-/// journal once written to, and room for what a decoder holds beside the
-/// store it fills.
-fn fixed(shards: Option<usize>) -> usize {
-    let site = SiteId::new(0);
-    let (_, empty) = on_thread(|| match shards {
-        Some(shards) => KvStore::with_shards(site, shards),
-        None => KvStore::new(site),
-    });
-    empty.allocated + JOURNAL_CAP * 16 + 4096
+/// What `setup` — the store a door decodes into and what it runs beside
+/// it — asks of the heap once the [`seed`] is built, a change journal
+/// once written to, and room for what a decoder holds beside the store it
+/// fills.
+fn fixed<T>(setup: impl FnOnce() -> T) -> usize {
+    seed();
+    let (_, cost) = on_thread(setup);
+    cost.allocated + JOURNAL_CAP * 16 + 4096
+}
+
+/// The pulling end of a contact over no key, run: what a plan that
+/// bulk-loads its one shard runs beside its image.
+fn contact() -> (BatchPullClient, optrep_replication::mux::ContactReport) {
+    let mut client = BatchPullClient::new(std::iter::empty());
+    let mut server = BatchPullServer::new(std::iter::empty());
+    let report = run_contact(&mut client, &mut server).expect("a contact over no key");
+    (client, report)
 }
 
 /// A decoder's registration with the bodies every image decoder is held
@@ -154,7 +162,7 @@ fn snapshots() {
         KvStore::decode_snapshot(&mut buf).map(|store| (store, buf))
     })
     .canonical(|(store, rest)| [&store.encode_snapshot()[..], rest].concat())
-    .cap(96, fixed(None))
+    .cap(96, fixed(|| KvStore::new(SiteId::new(0))))
     .torn(eof)
     .accepts("an empty store", [3, 0])
     .rejects("a site above u32::MAX", [0x81, 0x80, 0x80, 0x80, 0x10, 0]);
@@ -170,7 +178,7 @@ fn chunked_snapshots() {
         Ok::<_, ReadError>((store, rest))
     })
     .canonical(|(store, rest)| [&store.encode_snapshot()[..], rest].concat())
-    .cap(96, fixed(None))
+    .cap(96, fixed(|| KvStore::new(SiteId::new(0))))
     .torn(|e| matches!(e, ReadError::Wire(WireError::UnexpectedEof)))
     .accepts("an empty store", [3, 0])
     .rejects("a site above u32::MAX", [0x81, 0x80, 0x80, 0x80, 0x10, 0]);
@@ -180,11 +188,41 @@ fn chunked_snapshots() {
 #[test]
 fn log_records() {
     let decoder = Decoder::new("KvStore::apply_image", |buf: Bytes| {
-        let mut store = KvStore::with_shards(SiteId::new(3), 4);
-        store.apply_image(&buf).map(|()| store)
+        into_seeded(|store| store.apply_image(&buf)).map(|store| (store, buf))
     })
-    .canonical(|store| body(store).to_vec())
-    .cap(96, fixed(Some(4)))
+    .canonical(beside_the_seed)
+    .cap(96, fixed(|| seed().clone()))
+    .torn(|e| *e == WireError::UnexpectedEof)
+    .accepts("no entry", [0])
+    .rejects("a byte past the last entry", [0, 0]);
+    images(decoder, <[u8]>::to_vec).check();
+}
+
+/// The image behind a peer's plan that bulk-loads the one shard of its
+/// count, joined beside a contact over no key.
+#[test]
+fn plan_images() {
+    let decoder = Decoder::new(
+        "KvStore::apply_planned_tracked, its plan's image",
+        |buf: Bytes| {
+            let plan = ShardPlan {
+                count: 1,
+                bulk: vec![0],
+                image: Some(buf.clone()),
+                ..ShardPlan::default()
+            };
+            let (client, contact) = contact();
+            let joined = into_seeded(|store| {
+                store
+                    .apply_planned_tracked(&JoinResolver, client, &contact, &plan)
+                    .map(drop)
+            });
+            joined.map(|store| (store, buf))
+        },
+    )
+    .canonical(beside_the_seed)
+    .cap(96, fixed(|| (seed().clone(), contact())))
+    .torn(|e| *e == optrep_core::Error::Wire(WireError::UnexpectedEof))
     .accepts("no entry", [0])
     .rejects("a byte past the last entry", [0, 0]);
     images(decoder, <[u8]>::to_vec).check();
@@ -232,11 +270,10 @@ fn logged_states() {
         })
         .collect();
     let decoder = Decoder::new("KvStore::apply_encoded_entry", |mut state: Bytes| {
-        let mut store = KvStore::with_shards(SiteId::new(3), 4);
-        store.apply_encoded_entry("k", &mut state).map(|()| store)
+        into_seeded(|store| store.apply_encoded_entry("k", &mut state))
     })
     .canonical(|store| store.encode_entry("k").expect("applied").to_vec())
-    .cap(64, fixed(Some(4)))
+    .cap(64, fixed(|| seed().clone()))
     .rejects(
         "a vector naming a site twice",
         b"\x05\x02\x05\x04\x05\x04\x01\x01v",
