@@ -1,16 +1,18 @@
-//! The one commit path: a finished contact's outcomes and a plan's
-//! bulk image, staged whole and then applied.
+//! The one commit path, in two halves: a plan's image staged with no
+//! contact, by the loop a boot stages its snapshot by
+//! ([`KvStore::stage_image`]), then committed with the contact's
+//! outcomes, validated in place, whole or none ([`KvStore::commit_staged`]).
 
 #[cfg(test)]
 use crate::codec::encode_state;
-use crate::codec::{decode_value, hand, Entries, Entry, ImageEntries};
+use crate::codec::{decode_value, hand, stage, ChunkReader, Entries, Entry};
 use crate::record::{entry_hash, Key, View};
 use crate::shard::{shard_index, Cursor, Merge, Records, Run};
-use crate::{KvStore, KvSyncReport, Resolver, Value};
+use crate::{KvStore, KvSyncReport, Resolver};
 use bytes::Bytes;
 use optrep_core::error::WireError;
-use optrep_core::{wire, Causality, Result, RotatingVector, Srv};
-use optrep_replication::mux::{BatchPullClient, ContactReport, CONTROL_STREAM};
+use optrep_core::{Causality, Result, RotatingVector, Srv};
+use optrep_replication::mux::{BatchPullClient, ContactReport, StreamResult, CONTROL_STREAM};
 use optrep_replication::planner::{placement, shard_of, ShardDigest, ShardPlan};
 
 /// What one commit did: the pull's report, what it changed, and the
@@ -159,17 +161,16 @@ impl<'s> Cursor<'s> for Changes<'s> {
     }
 }
 
-/// One decoded, validated contact outcome awaiting commit — the staging
-/// form that makes application transactional.
-enum Staged {
-    Create { value: Value },
-    FastForward { value: Value },
-    Reconcile { theirs: Value },
-    Clean,
+/// A plan's image of its bulk-loaded shards, staged
+/// ([`KvStore::stage_image`]): one run a physical shard, awaiting its
+/// commit ([`KvStore::commit_staged`]).
+#[derive(Debug)]
+pub struct StagedImage<'p> {
+    plan: &'p ShardPlan,
+    runs: Vec<Run>,
+    /// The store's generation when it was staged.
+    generation: u64,
 }
-
-/// A staged outcome with its key and the vector it commits.
-type StagedKey = (String, Srv, Staged);
 
 impl KvStore {
     /// Commits a completed contact's outcomes to this store, **and** the
@@ -181,9 +182,10 @@ impl KvStore {
     /// state** ([`client_endpoint_refined`](Self::client_endpoint_refined),
     /// [`client_endpoint_for`](Self::client_endpoint_for)), driven to
     /// completion; `contact` is the report the driver returned.
-    /// Application is transactional: every outcome is decoded and
-    /// validated into a staging list before the first key is touched, so
-    /// a corrupt payload mid-batch leaves the store byte-identical.
+    /// Application is transactional: the image is staged
+    /// ([`stage_image`](Self::stage_image)), then the outcomes validated in
+    /// place and committed with it ([`commit_staged`](Self::commit_staged)),
+    /// so a corrupt payload mid-batch leaves the store byte-identical.
     ///
     /// Also returns the keys the commit actually changed (created,
     /// fast-forwarded or reconciled — clean keys are not listed), in the
@@ -193,24 +195,10 @@ impl KvStore {
     /// one atomic log record without a list of its keys
     /// ([`apply_planned`](Self::apply_planned)).
     ///
-    /// Image entries are decoded and validated before the first key is
-    /// touched — each key must hash into one of the plan's bulk shards
-    /// at the plan's shard count, so a hostile image cannot smuggle keys
-    /// into shards the plan skips or walks, and follow the image's key
-    /// before it, so no key is listed twice. An entry whose key this
-    /// store already tracks is *not* applied (a rotating vector has no merge;
-    /// the write that raced the plan keeps the shard dirty and it
-    /// reconciles incrementally on the next contact). The rest are
-    /// written, as they are decoded, into the pages of one run a
-    /// physical shard, and a shard a join fills from empty takes its
-    /// run's pages whole.
-    ///
     /// # Errors
     ///
-    /// Returns a wire error if an outcome's payload is missing or
-    /// malformed, or the image malformed, mis-sharded or out of key
-    /// order, or missing beside bulk shards or present without them, or
-    /// a bulk list out of order or past the count; the store is untouched.
+    /// [`stage_image`](Self::stage_image)'s and
+    /// [`commit_staged`](Self::commit_staged)'s; the store is untouched.
     ///
     /// # Panics
     ///
@@ -248,173 +236,83 @@ impl KvStore {
         contact: &ContactReport,
         plan: &ShardPlan,
     ) -> Result<Committed> {
-        let (staged, spoiled) = Self::stage_contact(client, plan)?;
-        let snapshots = self.stage_snapshots(plan)?;
-        let landing = self.landing(plan, &spoiled);
-        let (report, changed, filled) = self.commit_staged(resolver, staged, snapshots, contact);
-        let digests = self.digests_of(&landing, plan.count as usize);
-        Ok(Committed {
-            report,
-            changed,
-            filled,
-            landed: landing.into_iter().zip(digests).collect(),
-        })
-    }
-
-    /// Of `plan`'s served shards, those this store will hold exactly as
-    /// served once staged outcomes that spoiled only `spoiled` are
-    /// committed, as far as this store can tell: an incremental shard not
-    /// spoiled, and a bulk-loaded shard not spoiled that is empty here.
-    /// Read before the commit.
-    fn landing(&self, plan: &ShardPlan, spoiled: &[u64]) -> Vec<u64> {
-        let bulk = &plan.bulk;
-        let held: Vec<u64> = (bulk.iter().zip(self.digests_of(bulk, plan.count as usize)))
-            .filter(|(_, digest)| digest.entries > 0)
-            .map(|(shard, _)| *shard)
-            .collect();
-        plan.served()
-            .filter(|shard| spoiled.binary_search(shard).is_err() && !held.contains(shard))
-            .collect()
-    }
-
-    /// Decodes and validates a finished contact's outcomes into a
-    /// staging list — every fallible step of an apply, before any key
-    /// is touched — and lists the plan shards (at `plan`'s count) that
-    /// some stream did not take as served: a stream without an outcome
-    /// (this store's key, absent on the source, or a stream that
-    /// aborted), one ahead here, one to reconcile, and one outside the
-    /// plan's incremental shards.
-    fn stage_contact(
-        client: BatchPullClient,
-        plan: &ShardPlan,
-    ) -> Result<(Vec<StagedKey>, Vec<u64>)> {
         let results = client.finish();
-        let mut staged: Vec<StagedKey> = Vec::with_capacity(results.len());
-        let mut spoiled = Vec::new();
-        let mut incremental = plan.incremental.clone();
-        incremental.sort_unstable();
-        for result in results {
-            let shard = shard_of(&result.name, plan.count.max(1));
-            let as_served = result.outcome.as_ref().is_some_and(|outcome| {
-                result.discovered
-                    || matches!(outcome.relation, Causality::Equal | Causality::Before)
-            });
-            if !as_served || incremental.binary_search(&shard).is_err() {
-                spoiled.push(shard);
-            }
-            let Some(outcome) = result.outcome else {
-                // Our key, absent on the source — or a stream that aborted
-                // mid-session: nothing is applied either way.
-                continue;
-            };
-            let key = String::from_utf8(result.name.to_vec())
-                .map_err(|_| optrep_core::Error::Wire(WireError::InvalidPayload))?;
-            // A pushed key's payload is its value as the push carried
-            // it, `None` a tombstone; a stream's, the value in flight.
-            let pushed = result.stream == CONTROL_STREAM;
-            let value_of = |payload: Option<Bytes>| -> Result<Value> {
-                if pushed {
-                    return Ok(payload);
-                }
-                let payload = payload.ok_or(optrep_core::Error::Wire(WireError::InvalidPayload))?;
-                decode_value(payload).map_err(optrep_core::Error::Wire)
-            };
-            let action = if result.discovered {
-                Staged::Create {
-                    value: value_of(outcome.payload)?,
-                }
-            } else {
-                match outcome.relation {
-                    Causality::Equal | Causality::After => Staged::Clean,
-                    Causality::Before => Staged::FastForward {
-                        value: value_of(outcome.payload)?,
-                    },
-                    Causality::Concurrent => Staged::Reconcile {
-                        theirs: value_of(outcome.payload)?,
-                    },
-                }
-            };
-            staged.push((key, outcome.vector, action));
-        }
-        spoiled.sort_unstable();
-        spoiled.dedup();
-        Ok((staged, spoiled))
+        let image = self.stage_image(plan)?;
+        self.commit_staged(resolver, image, results, contact)
     }
 
-    /// Decodes and validates a plan's image into one run of
-    /// ready-to-commit records per physical shard (none when the plan
-    /// bulk-loads nothing), written into the runs' pages as they are
-    /// decoded, skipping keys this store already tracks. The image is
-    /// read as a boot reads one: its keys strictly ascending, so every
-    /// run takes its keys in ascending order, each once.
-    fn stage_snapshots(&self, plan: &ShardPlan) -> Result<Vec<Run>> {
+    /// Stages `plan`'s image with no contact, touching nothing: read off
+    /// one chunk by the loop a boot reads its snapshot by
+    /// ([`read_snapshot`](Self::read_snapshot)), each entry written into
+    /// its physical shard's run as it is decoded. Each key must hash into
+    /// one of the plan's bulk shards at the plan's count, so a hostile
+    /// image cannot smuggle keys into shards the plan skips or walks. A
+    /// key this store already tracks is skipped: a rotating vector has no
+    /// merge, and the write that raced the plan keeps the shard dirty and
+    /// reconciles incrementally on the next contact.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::InvalidPayload`] for a bulk list out of order or past
+    /// the count, an image missing beside it or present without it, a key
+    /// outside it or bytes past the last entry; else the entry reader's.
+    pub fn stage_image<'p>(&self, plan: &'p ShardPlan) -> Result<StagedImage<'p>> {
+        let invalid = optrep_core::Error::Wire(WireError::InvalidPayload);
         let bulk = &plan.bulk;
         let in_order = bulk.windows(2).all(|pair| pair[0] < pair[1]);
+        let mut staged = StagedImage {
+            plan,
+            runs: Vec::new(),
+            generation: self.generation,
+        };
         let image = match (&plan.image, bulk.last()) {
-            (None, None) => return Ok(Vec::new()),
+            (None, None) => return Ok(staged),
             (Some(image), Some(&last)) if in_order && last < plan.count => image,
-            _ => return Err(optrep_core::Error::Wire(WireError::InvalidPayload)),
+            _ => return Err(invalid),
         };
-        let (count, physical) = (plan.count as usize, self.shards.len());
-        let mut runs: Vec<Run> = (0..physical).map(|_| Run::default()).collect();
-        let mut buf = &image[..];
-        let mut stage = || {
-            let n = wire::get_varint(&mut buf)?;
-            let mut entries = ImageEntries::default();
-            for _ in 0..n {
-                let (key, state) = entries.take(&mut buf)?;
-                let bytes = key.as_bytes();
-                // The shard-map invariant: every key must hash into one
-                // of the plan's bulk shards at its count.
-                if bulk
-                    .binary_search(&(shard_index(bytes, count) as u64))
-                    .is_err()
-                {
-                    return Err(WireError::InvalidPayload);
-                }
-                // A key a racing write reached first keeps that write.
-                if self.view(bytes).is_none() {
-                    runs[shard_index(bytes, physical)].push(key, state);
-                }
-            }
-            match buf {
-                [] => Ok(()),
-                _ => Err(WireError::InvalidPayload),
+        let keep = |key: &str| {
+            // The shard-map invariant: every key hashes into one of the
+            // plan's bulk shards at its count. A key a racing write
+            // reached first keeps that write.
+            let shard = shard_index(key.as_bytes(), plan.count as usize) as u64;
+            match bulk.binary_search(&shard) {
+                Ok(_) => Ok(self.view(key.as_bytes()).is_none()),
+                Err(_) => Err(WireError::InvalidPayload),
             }
         };
-        stage().map_err(optrep_core::Error::Wire)?;
-        Ok(runs)
+        let mut reader = ChunkReader::one(image.clone());
+        let read = stage(&mut reader, self.shards.len(), |_| {}, keep);
+        staged.runs = read.map_err(|e| optrep_core::Error::Wire(e.of_one_chunk()))?;
+        match reader.remaining() {
+            0 => Ok(staged),
+            _ => Err(invalid),
+        }
     }
 
-    /// Stores one committed entry and journals, at `generation`, what
-    /// it did to its shard; returns whether its key was tracked before.
-    fn commit_entry(
-        &mut self,
-        generation: u64,
-        key: &str,
-        meta: Srv,
-        value: Option<&[u8]>,
-    ) -> bool {
-        let shard = shard_index(key.as_bytes(), self.shards.len());
-        let before = self.shards[shard].summary();
-        let tracked = self.insert(key, meta, value);
-        let change = self.shards[shard].summary() - before;
-        self.journal
-            .record(generation, placement(key.as_bytes()), change);
-        tracked
-    }
-
-    /// Commits staged contact outcomes, then the staged snapshot runs,
-    /// each moved into its physical shard whole; returns the report, the
-    /// keys the outcomes changed and what the runs filled.
-    /// Infallible: every fallible step happened in staging.
-    fn commit_staged(
+    /// Commits `image`, staged on this store as it stands, with the
+    /// `results` of its plan's contact ([`BatchPullClient::finish`]) and its
+    /// report, whole or none: the results validated in place before the
+    /// first key is touched, then committed, then each run moved into its
+    /// shard. No results and a default report commit the image alone.
+    ///
+    /// # Errors
+    ///
+    /// A wire error for an outcome's name that is not UTF-8, or its
+    /// payload missing or malformed; the store is untouched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the store changed since `image` was staged.
+    pub fn commit_staged(
         &mut self,
         resolver: &dyn Resolver,
-        staged: Vec<StagedKey>,
-        snapshots: Vec<Run>,
+        image: StagedImage<'_>,
+        mut results: Vec<StreamResult>,
         contact: &ContactReport,
-    ) -> (KvSyncReport, Vec<String>, Vec<Filled>) {
+    ) -> Result<Committed> {
+        assert_eq!(self.generation, image.generation, "changed since staged");
+        let plan = image.plan;
+        let landing = self.validate(&mut results, plan)?;
         let totals = contact.totals();
         let mut report = KvSyncReport {
             meta_bytes: totals.meta_wire_bytes() as usize,
@@ -430,43 +328,48 @@ impl KvStore {
             framing_bytes: contact.framing_bytes as usize,
             ..KvSyncReport::default()
         };
-        let site = self.site;
         // One bump for the whole commit, every changed key journalled
         // under it as it is stored.
         let next = self.generation + 1;
         let mut changed = Vec::new();
-        for (key, mut meta, action) in staged {
+        for result in results {
+            let Some(outcome) = result.outcome else {
+                continue;
+            };
             report.keys_examined += 1;
-            match action {
-                Staged::Clean => report.keys_unchanged += 1,
-                Staged::Create { value } => {
-                    self.commit_entry(next, &key, meta, value.as_deref());
+            let key = std::str::from_utf8(&result.name).expect("a validated name");
+            let (mut meta, value) = (outcome.vector, outcome.payload);
+            match (result.discovered, outcome.relation) {
+                (true, _) => {
+                    self.commit_entry(next, key, meta, value.as_deref());
                     report.keys_created += 1;
-                    changed.push(key);
                 }
-                Staged::FastForward { value } => {
-                    let tracked = self.commit_entry(next, &key, meta, value.as_deref());
+                (false, Causality::Equal | Causality::After) => {
+                    report.keys_unchanged += 1;
+                    continue;
+                }
+                (false, Causality::Before) => {
+                    let tracked = self.commit_entry(next, key, meta, value.as_deref());
                     assert!(tracked, "client named our key");
                     report.keys_fast_forwarded += 1;
-                    changed.push(key);
                 }
-                Staged::Reconcile { theirs } => {
+                (false, Causality::Concurrent) => {
                     let ours = self.view(key.as_bytes()).expect("client named our key");
                     // The resolver's currency is the API's: lend it
                     // our side as a buffer of its own.
                     let mine = ours.value.map(Bytes::copy_from_slice);
-                    let resolved = resolver.resolve(&key, &mine, &theirs);
+                    let resolved = resolver.resolve(key, &mine, &value);
                     // Parker §C: the resolved version must dominate
                     // both parents.
-                    meta.record_update(site);
-                    self.commit_entry(next, &key, meta, resolved.as_deref());
+                    meta.record_update(self.site);
+                    self.commit_entry(next, key, meta, resolved.as_deref());
                     report.keys_reconciled += 1;
-                    changed.push(key);
                 }
             }
+            changed.push(key.to_owned());
         }
         let mut filled = Vec::new();
-        let runs = self.shards.iter_mut().zip(snapshots).enumerate();
+        let runs = self.shards.iter_mut().zip(image.runs).enumerate();
         for (index, (shard, mut run)) in runs.filter(|(_, (_, run))| run.len() > 0) {
             report.keys_examined += run.len();
             report.keys_created += run.len();
@@ -496,7 +399,78 @@ impl KvStore {
             self.generation = next;
         }
         changed.sort_unstable();
-        (report, changed, filled)
+        let digests = self.digests_of(&landing, plan.count as usize);
+        Ok(Committed {
+            report,
+            changed,
+            filled,
+            landed: landing.into_iter().zip(digests).collect(),
+        })
+    }
+
+    /// Validates a finished contact's outcomes in place, every fallible
+    /// step of a commit: each name UTF-8, and each outcome that writes its
+    /// key holding its value, a stream's payload decoded here. Returns the
+    /// plan's served shards this store will hold as served once committed,
+    /// as far as it can tell: those no stream spoils (one without an
+    /// outcome, ahead here, to reconcile or outside the incremental
+    /// shards), a bulk-loaded one only where it is empty here.
+    fn validate(&self, results: &mut [StreamResult], plan: &ShardPlan) -> Result<Vec<u64>> {
+        let invalid = || optrep_core::Error::Wire(WireError::InvalidPayload);
+        let mut spoiled = Vec::new();
+        let mut incremental = plan.incremental.clone();
+        incremental.sort_unstable();
+        for result in results {
+            let shard = shard_of(&result.name, plan.count.max(1));
+            let as_served = result.outcome.as_ref().is_some_and(|outcome| {
+                result.discovered
+                    || matches!(outcome.relation, Causality::Equal | Causality::Before)
+            });
+            if !as_served || incremental.binary_search(&shard).is_err() {
+                spoiled.push(shard);
+            }
+            // Our key, absent on the source, or an aborted stream: nothing
+            // is applied.
+            let Some(outcome) = &mut result.outcome else {
+                continue;
+            };
+            std::str::from_utf8(&result.name).map_err(|_| invalid())?;
+            // A pushed key's payload is its value as the push carried
+            // it, `None` a tombstone; a stream's, the value in flight.
+            let writes = result.discovered
+                || matches!(outcome.relation, Causality::Before | Causality::Concurrent);
+            if writes && result.stream != CONTROL_STREAM {
+                let payload = outcome.payload.take().ok_or_else(invalid)?;
+                outcome.payload = decode_value(payload).map_err(optrep_core::Error::Wire)?;
+            }
+        }
+        // A bulk-loaded shard lands only into an empty one.
+        let digests = self.digests_of(&plan.bulk, plan.count as usize);
+        let held = (plan.bulk.iter().zip(digests)).filter(|(_, digest)| digest.entries > 0);
+        spoiled.extend(held.map(|(shard, _)| *shard));
+        spoiled.sort_unstable();
+        let landing = plan
+            .served()
+            .filter(|shard| spoiled.binary_search(shard).is_err());
+        Ok(landing.collect())
+    }
+
+    /// Stores one committed entry and journals, at `generation`, what
+    /// it did to its shard; returns whether its key was tracked before.
+    fn commit_entry(
+        &mut self,
+        generation: u64,
+        key: &str,
+        meta: Srv,
+        value: Option<&[u8]>,
+    ) -> bool {
+        let shard = shard_index(key.as_bytes(), self.shards.len());
+        let before = self.shards[shard].summary();
+        let tracked = self.insert(key, meta, value);
+        let change = self.shards[shard].summary() - before;
+        self.journal
+            .record(generation, placement(key.as_bytes()), change);
+        tracked
     }
 }
 
@@ -505,6 +479,7 @@ mod tests {
     use super::*;
     use crate::tests::s;
     use crate::JoinResolver;
+    use optrep_core::wire;
     use optrep_replication::mux::run_contact;
     use optrep_replication::planner::PlanConfig;
 
@@ -597,8 +572,8 @@ mod tests {
     /// A plan lists its bulk shards strictly increasing and below its
     /// count, and sends an image exactly when it lists one; the image
     /// lists its keys strictly ascending, each in a listed bulk shard.
-    /// Every other plan is refused, and the store, its generation and
-    /// its digest are untouched.
+    /// Every other plan is refused by the image door, with no contact,
+    /// and the store, its generation and its digest are untouched.
     #[test]
     fn hostile_plans_are_refused_untouched() {
         let mut src = KvStore::with_shards(s(0), 4);
@@ -663,16 +638,15 @@ mod tests {
         for (what, bulk, image) in hostile {
             let mut dst = local.clone();
             let before = dst.clone();
-            let (plan, mut server) =
-                src.plan_contact(&dst.shard_digest_vector(), &PlanConfig::default());
             let plan = ShardPlan {
                 bulk,
                 image,
-                ..plan
+                ..honest.clone()
             };
-            let mut client = dst.client_endpoint_for(&plan.incremental, 4);
-            let contact = run_contact(&mut client, &mut server).unwrap();
-            let applied = dst.apply_planned_tracked(&JoinResolver, client, &contact, &plan);
+            let applied = dst.stage_image(&plan).and_then(|image| {
+                let contact = ContactReport::default();
+                dst.commit_staged(&JoinResolver, image, Vec::new(), &contact)
+            });
             assert_eq!(
                 applied.map(|_| ()),
                 Err(optrep_core::Error::Wire(WireError::InvalidPayload)),

@@ -21,10 +21,11 @@
 //! the parts a page holds ([`Entries`]), each key rebuilt by a walk of
 //! its page, and written against the entry before in the image.
 //!
-//! One entry reader ([`ImageEntries`]) reads every image back — a boot
-//! through one chunked reader, a join's plan and a replayed log record
-//! ([`KvStore::apply_image`]) from a buffer — and refuses every encoding
-//! but the writer's.
+//! One entry reader ([`ImageEntries`]) reads every image back, and
+//! refuses every encoding but the writer's. A boot's snapshot and a
+//! join's plan are staged by one loop (`stage`) through one chunked
+//! reader; only a replayed log record ([`KvStore::apply_image`]) and a
+//! push are read from a buffer.
 
 use crate::record::{recode_vector, Coded, Key, View, REST_ESCAPE};
 use crate::shard::{shard_index, Cursor, Named, Run};
@@ -206,10 +207,7 @@ impl KvStore {
         let mut reader = ChunkReader::one(std::mem::take(buf));
         let store = Self::read_snapshot(&mut reader, |_| {});
         *buf = reader.into_rest();
-        store.map_err(|e| match e {
-            ReadError::Wire(e) => e,
-            ReadError::Io(_) => unreachable!("a one-chunk reader has no source to fail"),
-        })
+        store.map_err(ReadError::of_one_chunk)
     }
 
     /// Rebuilds a store from an [`encode_snapshot`](Self::encode_snapshot)
@@ -241,34 +239,42 @@ impl KvStore {
         mut seen: impl FnMut(&[u8]),
         shards: usize,
     ) -> std::result::Result<Self, ReadError> {
-        let (site, n) = reader.next_seen(
-            |buf| {
-                Reach::of(buf, |r| {
-                    r.varint()?;
-                    r.varint().map(drop)
-                })
-            },
-            |buf| Ok((wire::get_site(buf)?, wire::get_varint(buf)?)),
-            &mut seen,
-        )?;
+        let site = reader.next_seen(varint_reach, |buf| wire::get_site(buf), &mut seen)?;
         let mut store = KvStore::with_shards(site, shards);
-        let physical = store.shards.len();
-        let mut runs: Vec<Run> = (0..physical).map(|_| Run::default()).collect();
-        // Strictly ascending: each run lists its keys once, in order.
-        let mut entries = ImageEntries::default();
-        for _ in 0..n {
-            let decode = |entry: &mut &[u8]| {
-                let (key, state) = entries.take(entry)?;
-                runs[shard_index(key.as_bytes(), physical)].push(key, state);
-                Ok(())
-            };
-            reader.next_seen(entry_reach, decode, &mut seen)?;
-        }
+        let runs = stage(reader, store.shards.len(), seen, |_| Ok(true))?;
         for (shard, run) in store.shards.iter_mut().zip(runs) {
             shard.append(run);
         }
         Ok(store)
     }
+}
+
+/// Reads the image at the front of `reader` into one run a physical
+/// shard of `physical`, as [`KvStore::read_snapshot`] reads a snapshot's,
+/// handing `seen` every byte it decodes: the one loop a boot and a join
+/// stage an image by. `keep` keeps a key (`Ok(true)`), skips it
+/// (`Ok(false)`) or refuses the image.
+pub(crate) fn stage<R: Read>(
+    reader: &mut ChunkReader<R>,
+    physical: usize,
+    mut seen: impl FnMut(&[u8]),
+    mut keep: impl FnMut(&str) -> Result<bool, WireError>,
+) -> Result<Vec<Run>, ReadError> {
+    let n = reader.next_seen(varint_reach, |buf| wire::get_varint(buf), &mut seen)?;
+    let mut runs: Vec<Run> = (0..physical).map(|_| Run::default()).collect();
+    // Strictly ascending: each run takes its keys once, in order.
+    let mut entries = ImageEntries::default();
+    for _ in 0..n {
+        let decode = |entry: &mut &[u8]| {
+            let (key, state) = entries.take(entry)?;
+            if keep(key)? {
+                runs[shard_index(key.as_bytes(), physical)].push(key, state);
+            }
+            Ok(())
+        };
+        reader.next_seen(entry_reach, decode, &mut seen)?;
+    }
+    Ok(runs)
 }
 
 /// The entries of an image, each read against the entry before it: the
@@ -444,6 +450,11 @@ pub(crate) fn decode_state(buf: &mut Bytes) -> std::result::Result<(Srv, Value),
         _ => return Err(WireError::InvalidPayload),
     };
     Ok((meta, value))
+}
+
+/// How far the varint at the front of `buf` reaches.
+fn varint_reach(buf: &[u8]) -> usize {
+    Reach::of(buf, |r| r.varint().map(drop))
 }
 
 /// How far the entry at the front of `buf` reaches: the walk a decoder
@@ -729,6 +740,17 @@ pub enum ReadError {
     /// The bytes do not decode; [`WireError::UnexpectedEof`] when the
     /// source ended inside the record.
     Wire(WireError),
+}
+
+impl ReadError {
+    /// The error of a read off [`ChunkReader::one`], which has no source
+    /// to fail.
+    pub(crate) fn of_one_chunk(self) -> WireError {
+        match self {
+            ReadError::Wire(e) => e,
+            ReadError::Io(_) => unreachable!("a one-chunk reader has no source to fail"),
+        }
+    }
 }
 
 impl From<WireError> for ReadError {

@@ -68,7 +68,7 @@ mod shard;
 #[cfg(test)]
 mod tests;
 
-pub use apply::Committed;
+pub use apply::{Committed, StagedImage};
 pub use cluster::KvCluster;
 pub use codec::{ChunkReader, Entries, Entry, EntryImage, Reach, ReadError, SnapshotImage};
 
@@ -554,10 +554,9 @@ impl<'a> SyncRequest<'a> {
     /// * If the contact fails (link death, stall, decode error)
     ///   **nothing** happened: no key, no metadata, no counter moved. A
     ///   clean follow-up sync picks up exactly where this one left off.
-    /// * If it completes, every outcome and the plan's image are
-    ///   decoded and validated into a staging list *before* the first
-    ///   key is touched, so a corrupt payload mid-batch also leaves the
-    ///   store byte-identical.
+    /// * If it completes, the plan's image is staged and every outcome
+    ///   validated in place *before* the first key is touched, so a
+    ///   corrupt payload mid-batch also leaves the store byte-identical.
     ///
     /// # Errors
     ///

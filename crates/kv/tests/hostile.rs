@@ -2,13 +2,13 @@
 //! harness (`optrep_core::hostile`), through the doors a peer, a log and
 //! a checkpoint reach it by: a whole-store snapshot decoded from memory
 //! and read a chunk at a time, a log record's image replayed, the image
-//! of a peer's plan joined, a logged entry's state applied, and the push
-//! behind a plan read into a pulling endpoint. Each reaches
-//! `ImageEntries`, the one reader of an image's entries, or
-//! `View::of_state`, the one reader of a state. The doors that write
-//! into a live store decode into one that holds a key already, and a
-//! refusal must leave it as it was: its entries, its generation and its
-//! digests.
+//! of a peer's plan staged and committed with no contact, a logged
+//! entry's state applied, and the push behind a plan read into a pulling
+//! endpoint. Each reaches `ImageEntries`, the one reader of an image's
+//! entries, or `View::of_state`, the one reader of a state; a boot and a
+//! plan's image are staged by one loop. The doors that write into a live
+//! store decode into one that holds a key already, and a refusal must
+//! leave it as it was: its entries, its generation and its digests.
 //!
 //! An image's body is a count, then each entry behind a key head
 //! (`shared << 3 | min(rest, 7)`, the rest's length less 7 where it is 7
@@ -20,7 +20,7 @@ use optrep_core::error::WireError;
 use optrep_core::hostile::{on_thread, Counting, Decoder};
 use optrep_core::SiteId;
 use optrep_kv::{ChunkReader, JoinResolver, KvStore, ReadError};
-use optrep_replication::mux::{run_contact, BatchPullClient, BatchPullServer};
+use optrep_replication::mux::ContactReport;
 use optrep_replication::planner::{ShardPlan, JOURNAL_CAP};
 use std::sync::OnceLock;
 
@@ -131,15 +131,6 @@ fn fixed<T>(setup: impl FnOnce() -> T) -> usize {
     cost.allocated + JOURNAL_CAP * 16 + 4096
 }
 
-/// The pulling end of a contact over no key, run: what a plan that
-/// bulk-loads its one shard runs beside its image.
-fn contact() -> (BatchPullClient, optrep_replication::mux::ContactReport) {
-    let mut client = BatchPullClient::new(std::iter::empty());
-    let mut server = BatchPullServer::new(std::iter::empty());
-    let report = run_contact(&mut client, &mut server).expect("a contact over no key");
-    (client, report)
-}
-
 /// A decoder's registration with the bodies every image decoder is held
 /// to, each as `wrap` lays it out for that decoder.
 fn images<'a, T, E: std::fmt::Debug>(
@@ -199,29 +190,27 @@ fn log_records() {
 }
 
 /// The image behind a peer's plan that bulk-loads the one shard of its
-/// count, joined beside a contact over no key.
+/// count, staged and committed with no contact.
 #[test]
 fn plan_images() {
-    let decoder = Decoder::new(
-        "KvStore::apply_planned_tracked, its plan's image",
-        |buf: Bytes| {
-            let plan = ShardPlan {
-                count: 1,
-                bulk: vec![0],
-                image: Some(buf.clone()),
-                ..ShardPlan::default()
-            };
-            let (client, contact) = contact();
-            let joined = into_seeded(|store| {
-                store
-                    .apply_planned_tracked(&JoinResolver, client, &contact, &plan)
-                    .map(drop)
-            });
-            joined.map(|store| (store, buf))
-        },
-    )
+    let decoder = Decoder::new("KvStore::stage_image", |buf: Bytes| {
+        let plan = ShardPlan {
+            count: 1,
+            bulk: vec![0],
+            image: Some(buf.clone()),
+            ..ShardPlan::default()
+        };
+        let joined = into_seeded(|store| {
+            let image = store.stage_image(&plan)?;
+            let contact = ContactReport::default();
+            store
+                .commit_staged(&JoinResolver, image, Vec::new(), &contact)
+                .map(drop)
+        });
+        joined.map(|store| (store, buf))
+    })
     .canonical(beside_the_seed)
-    .cap(96, fixed(|| (seed().clone(), contact())))
+    .cap(96, fixed(|| seed().clone()))
     .torn(|e| *e == optrep_core::Error::Wire(WireError::UnexpectedEof))
     .accepts("no entry", [0])
     .rejects("a byte past the last entry", [0, 0]);

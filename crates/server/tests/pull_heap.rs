@@ -35,8 +35,8 @@ const VALUE: usize = 256;
 const SHARDS: usize = 512;
 const PUTS: usize = 3_072;
 /// What a pushed key's outcome holds from the read of the push to the
-/// commit: its result (168 B on a 64-bit target), its staged state
-/// (about 100 B), and its name and vector on the heap.
+/// commit: its result (168 B on a 64-bit target), validated in place,
+/// and its name and vector on the heap.
 const PER_KEY: usize = 320;
 /// What the pull holds at its peak besides the push, what it keeps and
 /// what its keys' outcomes hold: a read chunk, the digest vector and the

@@ -56,6 +56,7 @@ scripts -E shards_refused|optrep_planner_shards_refused_total|fn refuses
 *.rs -E fn take_value\(|State::canonical|fn vector_field\(|write_state\(&mut refused|fn entry_reach\(buf: &\[u8\], after
 *.rs -E struct Record<|fn write_state\(|fn encoded_len\(key|fn record_len\(|fn key_at\(|New::Copy|fn encoded_entry\(|fn written_vector\(
 *.rs -E TAG_BATCH_PUSH|BatchPush|fn write_push|fn push_len|fn push_frames|fn on_pushed_frame|fn on_pushed\(
+*.rs -E fn stage_snapshots\(|enum Staged|type StagedKey
 LIST
 exit $fail
 }
