@@ -1,4 +1,5 @@
-//! The workspace's one seeded generator and its one case runner.
+//! The workspace's one seeded generator, its one case runner and its one
+//! hash of bytes.
 //!
 //! Every schedule, fixture and fault decision in the workspace draws from
 //! [`SplitMix64`]: a 64-bit state stepped by the golden-ratio increment and
@@ -13,6 +14,11 @@
 //! keep the inputs a case draws small enough to read — and no replay
 //! switch: to replay seed `s`, call the case with `s` and
 //! `SplitMix64::new(s)`.
+//!
+//! [`fold`] is every hash of bytes but the shard map's (FNV-1a a byte a
+//! step, `replication::planner::placement`): entry hashes, the digest
+//! vector's check, and the log's and the snapshot's checksums fold a
+//! word a step, and [`ByteFold`] folds a byte stream however it is split.
 //!
 //! `crates/perf/src/rng.rs` keeps its own copy of the step: the benchmark's
 //! files are frozen by `BENCHMARK.json`, and this crate cannot depend on
@@ -91,6 +97,93 @@ pub const fn finalize(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Where every [`fold`] begins: FNV-1a's 64-bit offset basis.
+pub const FOLD_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One step of the workspace's hash of bytes: `word` xored into `hash`,
+/// times FNV-1a's 64-bit prime, rotated left 29. Each of the three is a
+/// bijection of the running value, so two inputs that differ in one
+/// word — a field, or 8 bytes of a stream — never fold to one value
+/// from one start, and a change confined to one word is always seen.
+#[inline]
+#[must_use]
+pub const fn fold(hash: u64, word: u64) -> u64 {
+    (hash ^ word)
+        .wrapping_mul(0x0000_0100_0000_01b3)
+        .rotate_left(29)
+}
+
+/// `bytes` folded from `hash` behind their length: the length, then
+/// each 8 bytes as a little-endian word, the last word zero-padded. The
+/// length keeps `"ab"` and `"ab\0"` apart.
+#[inline]
+#[must_use]
+pub fn fold_bytes(hash: u64, bytes: &[u8]) -> u64 {
+    let mut stream = ByteFold::new(hash, bytes.len() as u64);
+    stream.eat(bytes);
+    stream.sum()
+}
+
+/// [`fold_bytes`] over bytes that arrive in pieces: the same value
+/// however they are split, holding at most seven of them unfolded.
+#[derive(Debug, Clone)]
+pub struct ByteFold {
+    hash: u64,
+    held: [u8; 8],
+    count: usize,
+}
+
+impl ByteFold {
+    /// The fold of `len` bytes from `hash`, before any of them.
+    #[inline]
+    #[must_use]
+    pub const fn new(hash: u64, len: u64) -> Self {
+        ByteFold {
+            hash: fold(hash, len),
+            held: [0; 8],
+            count: 0,
+        }
+    }
+
+    /// Folds `bytes` in behind those before them.
+    #[inline]
+    pub fn eat(&mut self, mut bytes: &[u8]) {
+        if self.count > 0 {
+            let take = bytes.len().min(8 - self.count);
+            self.held[self.count..self.count + take].copy_from_slice(&bytes[..take]);
+            self.count += take;
+            bytes = &bytes[take..];
+            if self.count < 8 {
+                return;
+            }
+            self.hash = fold(self.hash, u64::from_le_bytes(self.held));
+            self.count = 0;
+        }
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            let word = u64::from_le_bytes(word.try_into().expect("a chunk of 8"));
+            self.hash = fold(self.hash, word);
+        }
+        let rest = words.remainder();
+        self.held[..rest.len()].copy_from_slice(rest);
+        self.count = rest.len();
+    }
+
+    /// The fold of every byte eaten, the held ones zero-padded.
+    #[inline]
+    #[must_use]
+    pub fn sum(&self) -> u64 {
+        match self.count {
+            0 => self.hash,
+            count => {
+                let mut last = [0; 8];
+                last[..count].copy_from_slice(&self.held[..count]);
+                fold(self.hash, u64::from_le_bytes(last))
+            }
+        }
+    }
+}
+
 /// Mixes two words into one seed, for deriving per-contact plans from
 /// a master seed plus a contact index.
 #[must_use]
@@ -163,6 +256,23 @@ mod tests {
         assert_eq!(mix_seed(0, 0), 0xe220_a839_7b1d_cdaf);
         assert_eq!(mix_seed(42, 0x6c69_6e6b), 0x1dbc_1958_c213_a2df);
         assert_eq!(mix_seed(u64::MAX, u64::MAX), 0x3ece_2d6c_caab_2e83);
+    }
+
+    /// Bytes fold as the words they make behind their length, the last
+    /// zero-padded: nine bytes are three steps.
+    #[test]
+    fn bytes_fold_as_words_behind_their_length() {
+        let bytes: Vec<u8> = (1..=9).collect();
+        let words = [9, 0x0807_0605_0403_0201, 9];
+        let by_hand = words
+            .iter()
+            .fold(FOLD_BASIS, |hash, &word| fold(hash, word));
+        assert_eq!(fold_bytes(FOLD_BASIS, &bytes), by_hand);
+        assert_eq!(fold_bytes(FOLD_BASIS, b""), fold(FOLD_BASIS, 0));
+        assert_ne!(
+            fold_bytes(FOLD_BASIS, b"ab"),
+            fold_bytes(FOLD_BASIS, b"ab\0")
+        );
     }
 
     #[test]

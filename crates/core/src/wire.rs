@@ -420,8 +420,12 @@ pub const HANDSHAKE_MAGIC: [u8; 4] = *b"OPTR";
 /// push as one frame behind the plan (tag `0x3b`) holding the image of
 /// the pushed keys, in place of a frame of their names (tag `0x30`,
 /// retired) and a frame for each of their elements and values: a v12
-/// puller would refuse every push, and a v13 one every v12 push.
-pub const HANDSHAKE_VERSION: u8 = 13;
+/// puller would refuse every push, and a v13 one every v12 push. v14
+/// hashes each entry a word a step (`optrep_core::rng::fold`, each byte
+/// field behind its length) where v13 hashed it a byte a step: no
+/// frame's layout moves, but no digest of a shard that holds anything
+/// would match across the two, and a v13 end would walk every shard.
+pub const HANDSHAKE_VERSION: u8 = 14;
 
 /// What the connecting peer intends to do with the connection: byte 0
 /// or 2 of the preamble. Byte 1 named a one-shot pull no build sends

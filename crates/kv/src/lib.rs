@@ -74,6 +74,7 @@ pub use codec::{ChunkReader, Entries, Entry, EntryImage, Reach, ReadError, Snaps
 
 use bytes::Bytes;
 use journal::Journal;
+use optrep_core::rng::{fold, FOLD_BASIS};
 use optrep_core::{Result, SiteId, Srv};
 use optrep_net::FrameLink;
 use optrep_replication::mux::{
@@ -468,14 +469,10 @@ impl KvStore {
         Self::mix_digest(count, sum)
     }
 
-    /// FNV-1a over `(tracked count, entry-hash sum)` — the final mix both
-    /// digest paths share.
+    /// `(tracked count, entry-hash sum)` folded ([`fold`]) — the final
+    /// mix both digest paths share.
     fn mix_digest(count: u64, sum: u64) -> u64 {
-        let mut feed = [0u8; 16];
-        feed[..8].copy_from_slice(&count.to_le_bytes());
-        feed[8..].copy_from_slice(&sum.to_le_bytes());
-        // `placement` is FNV-1a, the one the shard map uses.
-        placement(&feed)
+        fold(fold(FOLD_BASIS, count), sum)
     }
 }
 

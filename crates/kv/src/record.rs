@@ -6,7 +6,7 @@
 
 use optrep_core::error::WireError;
 use optrep_core::order::RotCore;
-use optrep_core::rng::finalize;
+use optrep_core::rng::{finalize, fold, fold_bytes, FOLD_BASIS};
 use optrep_core::{wire, RotatingVector, Srv};
 use std::io::{self, Write};
 
@@ -373,58 +373,31 @@ pub(crate) fn with_version_vector<R>(mut meta: &[u8], read: impl FnOnce(&[(u32, 
 }
 
 /// The content hash of one entry, the unit the per-shard digests sum:
-/// FNV-1a over the key, the tagged value, and the sorted version
-/// vector — so the digest is site-independent (raw rotating-vector
-/// segments, which differ between converged replicas, are *not*
-/// hashed) — passed through SplitMix64's finalizer. Each length, count
-/// and site is fed as its 8 little-endian bytes. FNV-1a's last step is
-/// `(h ^ count) · P⁸`, so a count that moves by one moves the raw hash
-/// by a small multiple of `P⁸`, and such moves cancel in a sum across
-/// entries (a key rewritten with the value it holds beside another);
-/// finalized, a sum of hashes is a multiset hash, and a collision on
-/// honest input is about 2⁻⁶⁴ a comparison.
+/// the key, the tagged value and the sorted version vector folded a
+/// word a step ([`fold`]) — so the digest is site-independent (raw
+/// rotating-vector segments, which differ between converged replicas,
+/// are *not* hashed) — passed through SplitMix64's finalizer. The key
+/// and a value are each folded behind their length ([`fold_bytes`]); a
+/// value behind a tag word of 1, a tombstone as a tag word of 0; then
+/// the count of pairs, and each pair's site and count a word apiece.
+/// Unfinalized, a field that moves by one moves the raw hash by an
+/// amount shaped by the prime, and such moves can cancel in a plain sum
+/// across entries (a key rewritten with the value it holds beside
+/// another); finalized, a sum of hashes is a multiset hash, and a
+/// collision on honest input is about 2⁻⁶⁴ a comparison.
 pub(crate) fn entry_hash(key: &[u8], view: View<'_>) -> u64 {
-    let mut hash = fnv_bytes(fnv_word(FNV_OFFSET, key.len() as u64), key);
+    let mut hash = fold_bytes(FOLD_BASIS, key);
     hash = match view.value {
-        Some(v) => fnv_bytes(fnv_word(fnv_bytes(hash, &[1]), v.len() as u64), v),
-        None => fnv_bytes(hash, &[0]),
+        Some(v) => fold_bytes(fold(hash, 1), v),
+        None => fold(hash, 0),
     };
     with_version_vector(view.meta, |pairs| {
-        hash = fnv_word(hash, pairs.len() as u64);
+        hash = fold(hash, pairs.len() as u64);
         for &(site, count) in pairs {
-            hash = fnv_word(fnv_word(hash, u64::from(site)), count);
+            hash = fold(fold(hash, u64::from(site)), count);
         }
     });
     finalize(hash)
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-/// Eight FNV-1a steps over a zero byte are eight multiplications.
-const FNV_PRIME_8: u64 = {
-    let mut power = 1u64;
-    let mut steps = 0;
-    while steps < 8 {
-        power = power.wrapping_mul(FNV_PRIME);
-        steps += 1;
-    }
-    power
-};
-
-/// FNV-1a over `bytes`, from `hash`.
-fn fnv_bytes(hash: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(hash, |hash, &b| {
-        (hash ^ u64::from(b)).wrapping_mul(FNV_PRIME)
-    })
-}
-
-/// FNV-1a over `word`'s 8 little-endian bytes, from `hash`: a word below
-/// 256 is one byte and seven zeros, one step for all eight.
-fn fnv_word(hash: u64, word: u64) -> u64 {
-    match word < 256 {
-        true => (hash ^ word).wrapping_mul(FNV_PRIME_8),
-        false => fnv_bytes(hash, &word.to_le_bytes()),
-    }
 }
 
 #[cfg(test)]

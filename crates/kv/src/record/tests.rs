@@ -2,34 +2,53 @@ use super::*;
 use crate::shard::{Cursor, Records};
 use crate::tests::s;
 use optrep_core::rng::SplitMix64;
-use optrep_replication::planner::placement;
 
-/// The reference for [`entry_hash`]: the same feed built from the
-/// decoded vector, its pairs collected on the heap and sorted, hashed
-/// byte by byte and finalized.
+/// The reference for [`entry_hash`]: the same fields built from the
+/// decoded vector, its pairs collected on the heap and sorted, laid out
+/// as words — each byte field behind its length, its last word
+/// zero-padded — folded one by one and finalized.
 fn entry_hash_by_the_vector(key: &str, meta: &Srv, value: Option<&[u8]>) -> u64 {
-    let mut feed = Vec::new();
-    feed.extend_from_slice(&(key.len() as u64).to_le_bytes());
-    feed.extend_from_slice(key.as_bytes());
-    match value {
-        Some(v) => {
-            feed.push(1);
-            feed.extend_from_slice(&(v.len() as u64).to_le_bytes());
-            feed.extend_from_slice(v);
-        }
-        None => feed.push(0),
-    }
     let mut pairs: Vec<(u32, u64)> = (meta.as_core().iter())
         .filter(|e| e.value > 0)
         .map(|e| (e.site.index(), e.value))
         .collect();
     pairs.sort_unstable_by_key(|&(site, _)| site);
-    feed.extend_from_slice(&(pairs.len() as u64).to_le_bytes());
-    for (site, count) in pairs {
-        feed.extend_from_slice(&u64::from(site).to_le_bytes());
-        feed.extend_from_slice(&count.to_le_bytes());
+    fold_words(&entry_words(key.as_bytes(), value, &pairs))
+}
+
+/// An entry's fields as the words [`entry_hash`] folds.
+fn entry_words(key: &[u8], value: Option<&[u8]>, pairs: &[(u32, u64)]) -> Vec<u64> {
+    let mut words = Vec::new();
+    let field = |words: &mut Vec<u64>, bytes: &[u8]| {
+        words.push(bytes.len() as u64);
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            words.push(u64::from_le_bytes(word));
+        }
+    };
+    field(&mut words, key);
+    match value {
+        Some(v) => {
+            words.push(1);
+            field(&mut words, v);
+        }
+        None => words.push(0),
     }
-    optrep_core::rng::finalize(placement(&feed))
+    words.push(pairs.len() as u64);
+    for &(site, count) in pairs {
+        words.extend([u64::from(site), count]);
+    }
+    words
+}
+
+/// `words` folded one by one from the basis, and finalized.
+fn fold_words(words: &[u64]) -> u64 {
+    finalize(
+        words
+            .iter()
+            .fold(FOLD_BASIS, |hash, &word| fold(hash, word)),
+    )
 }
 
 /// A seeded entry state covering what moves a length prefix or a
@@ -147,57 +166,39 @@ fn a_record_reads_back_the_state_it_was_built_from() {
     assert!(!walk.step());
 }
 
-/// `entry_hash` folds a short length, count or site in one step where
-/// FNV-1a takes eight: seeded states either side of 256 in every field —
-/// key and value lengths 0–300, 0–12 sites with sites and counts below
-/// and above a byte, tombstones — hash exactly as the byte-wise feed
-/// does.
+/// `entry_hash` folds an entry as the words its fields make, written
+/// out here by hand: the key behind its length, a value behind a tag of
+/// 1 and its length — of 7, 8 and 9 bytes, a last word partly, wholly
+/// and barely filled — or a tombstone's tag of 0, then the vector's pair
+/// count, site and count. A length keeps `"ab"` and `"ab\0"` apart, as
+/// key and as value.
 #[test]
-fn a_word_folded_in_one_step_hashes_as_its_eight_bytes() {
-    let (mut short, mut long) = (0, 0);
-    optrep_core::rng::cases(3000, |_, rng| {
-        let key: String = (0..rng.below(301))
-            .map(|_| char::from(b'a' + rng.below(26) as u8))
-            .collect();
-        let mut sites = Vec::new();
-        for _ in 0..rng.below(13) {
-            let site = match rng.chance(0.5) {
-                true => rng.below(256) as u32,
-                false => 256 + rng.next_u64() as u32 % (u32::MAX - 256),
-            };
-            if !sites.contains(&site) {
-                sites.push(site);
-            }
-        }
-        let meta = Srv::from_order(sites.into_iter().map(|site| {
-            let value = match rng.below(3) {
-                0 => rng.below(256) as u64,
-                1 => 256 + rng.next_u64() % 100_000,
-                _ => rng.next_u64() >> 2,
-            };
-            optrep_core::order::Element {
-                site: s(site),
-                value,
-                conflict: false,
-                segment: false,
-            }
-        }));
-        let value = (!rng.chance(0.2)).then(|| vec![rng.next_u64() as u8; rng.below(301)]);
-        for len in [key.len(), value.as_ref().map_or(0, Vec::len)] {
-            match len < 256 {
-                true => short += 1,
-                false => long += 1,
-            }
-        }
-        let snapshot = meta.encode_snapshot();
+fn each_field_folds_as_its_words_behind_its_length() {
+    let mut meta = Srv::new();
+    meta.record_update(s(3));
+    let snapshot = meta.encode_snapshot();
+    let hash = |key: &[u8], value: Option<&[u8]>| {
         let view = View {
             meta: &snapshot,
-            value: value.as_deref(),
+            value,
         };
-        assert_eq!(
-            entry_hash(key.as_bytes(), view),
-            entry_hash_by_the_vector(&key, &meta, value.as_deref())
-        );
-    });
-    assert!(short > 1000 && long > 500, "{short} {long}");
+        entry_hash(key, view)
+    };
+    let bytes: Vec<u8> = (1..=9).collect();
+    let word = 0x0807_0605_0403_0201;
+    let ab = 0x6261;
+    let vector = [1, 3, 1];
+    let cases: [(Option<&[u8]>, &[u64]); 4] = [
+        (Some(&bytes[..7]), &[1, 7, 0x0007_0605_0403_0201]),
+        (Some(&bytes[..8]), &[1, 8, word]),
+        (Some(&bytes[..9]), &[1, 9, word, 9]),
+        (None, &[0]),
+    ];
+    for (value, words) in cases {
+        let words = [&[2, ab][..], words, &vector].concat();
+        assert_eq!(hash(b"ab", value), fold_words(&words), "{value:?}");
+        assert_eq!(words, entry_words(b"ab", value, &[(3, 1)]), "{value:?}");
+    }
+    assert_ne!(hash(b"ab", None), hash(b"ab\0", None));
+    assert_ne!(hash(b"k", Some(b"ab")), hash(b"k", Some(b"ab\0")));
 }

@@ -401,14 +401,15 @@ mod tests {
         let magic = wire::HANDSHAKE_MAGIC.len();
         assert_eq!(preamble[..magic], wire::HANDSHAKE_MAGIC);
         assert_eq!(preamble[magic], HANDSHAKE_VERSION);
-        assert_eq!(HANDSHAKE_VERSION, 13);
+        assert_eq!(HANDSHAKE_VERSION, 14);
         let decoded = Handshake::decode(&mut preamble.clone()).expect("decode");
         assert_eq!((decoded.site, decoded.intent), (12, Intent::Peer));
         // A version-10 end's preamble — a plan that flags its proposed
-        // shards under their own tag — and a version-11 end's — a plan's
-        // image written five fields an entry — are refused, naming both
+        // shards under their own tag — a version-11 end's — a plan's
+        // image written five fields an entry — and a version-13 end's —
+        // each entry hashed a byte a step — are refused, naming both
         // versions.
-        for theirs in [10, 11] {
+        for theirs in [10, 11, 13] {
             let mut older = preamble.to_vec();
             older[magic] = theirs;
             assert_eq!(

@@ -4,10 +4,11 @@
 
 use super::{
     control_frame, digest_vector_frame, payload, shard_of, ChildDigests, ControlMsg, Gaps,
-    ShardScope, FNV_OFFSET, FNV_PRIME, MAX_PLAN_SHARDS, TAG_SHARD_DIGESTS, TAG_SHARD_DIGESTS_DELTA,
+    ShardScope, MAX_PLAN_SHARDS, TAG_SHARD_DIGESTS, TAG_SHARD_DIGESTS_DELTA,
 };
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use optrep_core::error::WireError;
+use optrep_core::rng::{fold, FOLD_BASIS};
 use optrep_core::wire;
 
 /// One shard's summary in a [`DigestVector`]: an order-independent
@@ -135,16 +136,12 @@ impl DigestVector {
     /// An order-sensitive 8-byte check over the whole vector: what a
     /// [`DigestDelta`] carries so that the two ends of a connection
     /// find out, before anything is planned from it, that they no
-    /// longer remember the same vector. Every step is a bijection of
-    /// the running value, so two vectors that differ in one word never
-    /// share a check.
+    /// longer remember the same vector. Each shard's count and digest are
+    /// a [`fold`] step each, a bijection of the running value, so two
+    /// vectors that differ in one word never share a check.
     pub fn check(&self) -> u64 {
-        self.shards.iter().fold(FNV_OFFSET, |hash, shard| {
-            [shard.entries, shard.digest]
-                .iter()
-                .fold(hash, |hash, word| {
-                    (hash ^ word).wrapping_mul(FNV_PRIME).rotate_left(29)
-                })
+        (self.shards.iter()).fold(FOLD_BASIS, |hash, shard| {
+            fold(fold(hash, shard.entries), shard.digest)
         })
     }
 }

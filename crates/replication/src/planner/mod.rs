@@ -245,7 +245,8 @@ pub const JOURNAL_PLACEMENTS: u64 = 1 << 31;
 pub const JOURNAL_CAP: usize = 4096;
 
 /// FNV-1a's 64-bit offset basis and prime: [`placement`] hashes key
-/// bytes with them, [`DigestVector::check`] folds words.
+/// bytes with them, a byte a step. Every other hash of bytes is
+/// `optrep_core::rng::fold`, a word a step.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 

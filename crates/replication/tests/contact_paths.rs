@@ -8,7 +8,7 @@ use bytes::{Bytes, BytesMut};
 use optrep_core::error::WireError;
 use optrep_core::obs::metrics::MetricsRegistry;
 use optrep_core::obs::{self, CheckSink, RingSink, SyncEvent};
-use optrep_core::rng::SplitMix64;
+use optrep_core::rng::{fold_bytes, SplitMix64, FOLD_BASIS};
 use optrep_core::sync::{Endpoint, Framed, Msg, ReceiverStats, WireMsg};
 use optrep_core::wire::{self, FrameDecoder};
 use optrep_core::{Causality, Error, Result, RotatingVector, SiteId, Srv};
@@ -148,15 +148,6 @@ struct ChannelLink {
     sent: Vec<Vec<u8>>,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 fn channel_pair() -> (ChannelLink, ChannelLink) {
     let (atx, arx) = mpsc::channel();
     let (btx, brx) = mpsc::channel();
@@ -195,13 +186,6 @@ impl FrameLink for ChannelLink {
     }
 }
 
-/// A key's shard at `count` shards — the store's own placement (FNV-1a
-/// of the key bytes, masked), recomputed here so the fixture can aim
-/// keys at shards.
-fn shard_at(key: &str, count: u64) -> u64 {
-    fnv1a(FNV_OFFSET, key.as_bytes()) & (count - 1)
-}
-
 /// A puller at 4 shards and a source at 16, arranged so the plan (at
 /// the puller's count) has every verdict: shard 0 converged (skip),
 /// shard 1 behind with creations, a tombstone and a puller-only key,
@@ -214,10 +198,13 @@ fn planned_stores() -> (KvStore, KvStore) {
         format!("{tag}:{}", "x".repeat(len))
     };
     let keys: Vec<String> = (0..96).map(|i| format!("key-{i:03}")).collect();
-    let in_shard = |shard: u64| keys.iter().filter(move |key| shard_at(key, 4) == shard);
+    let in_shard = |shard: u64| {
+        keys.iter()
+            .filter(move |key| shard_of(key.as_bytes(), 4) == shard)
+    };
     let mut src = KvStore::with_shards(SiteId::new(1), 16);
     let mut dst = KvStore::with_shards(SiteId::new(0), 4);
-    for key in keys.iter().filter(|key| shard_at(key, 4) != 3) {
+    for key in keys.iter().filter(|key| shard_of(key.as_bytes(), 4) != 3) {
         src.put(key.clone(), value("base"));
     }
     dst.sync(&src).run().expect("bootstrap");
@@ -229,11 +216,11 @@ fn planned_stores() -> (KvStore, KvStore) {
         }
     }
     let fresh = (0..).map(|i| format!("fresh-{i}"));
-    for key in fresh.filter(|key| shard_at(key, 4) == 1).take(2) {
+    for key in fresh.filter(|key| shard_of(key.as_bytes(), 4) == 1).take(2) {
         src.put(key, value("created"));
     }
     let mine = (0..).map(|i| format!("mine-{i}"));
-    for key in mine.filter(|key| shard_at(key, 4) == 1).take(1) {
+    for key in mine.filter(|key| shard_of(key.as_bytes(), 4) == 1).take(1) {
         dst.put(key, value("local"));
     }
     for key in in_shard(2).take(3) {
@@ -261,7 +248,10 @@ fn refined_stores() -> (KvStore, KvStore) {
         format!("{tag}:{}", "y".repeat(len))
     };
     let keys: Vec<String> = (0..2400).map(|i| format!("key-{i:04}")).collect();
-    let in_shard = |shard: u64| keys.iter().filter(move |key| shard_at(key, 16) == shard);
+    let in_shard = |shard: u64| {
+        keys.iter()
+            .filter(move |key| shard_of(key.as_bytes(), 16) == shard)
+    };
     let mut src = KvStore::with_shards(SiteId::new(1), 64);
     let mut dst = KvStore::with_shards(SiteId::new(0), 16);
     for key in &keys {
@@ -279,11 +269,14 @@ fn refined_stores() -> (KvStore, KvStore) {
         }
     }
     let fresh = (0..).map(|i| format!("fresh-{i}"));
-    for key in fresh.filter(|key| shard_at(key, 16) == 7).take(1) {
+    for key in fresh
+        .filter(|key| shard_of(key.as_bytes(), 16) == 7)
+        .take(1)
+    {
         src.put(key, value("created"));
     }
     let mine = (0..).map(|i| format!("mine-{i}"));
-    for key in mine.filter(|key| shard_at(key, 16) == 7).take(1) {
+    for key in mine.filter(|key| shard_of(key.as_bytes(), 16) == 7).take(1) {
         dst.put(key, value("local"));
     }
     for key in in_shard(11).take(1) {
@@ -772,15 +765,15 @@ fn peer_death_mid_contact_aborts_the_pull() {
 /// A half's writes as text: one line per frame — the half, the write
 /// (burst) it left in, its stream, its tag and length, and its four
 /// byte planes (`-` for a turn marker or a planner frame, which the
-/// planes leave out) — then the FNV-1a of the raw writes, each length
-/// first, so no byte or burst boundary moves unseen.
+/// planes leave out) — then the workspace's fold of the raw writes
+/// ([`fold_bytes`]: each write behind its length), so no byte or burst
+/// boundary moves unseen.
 fn render_transcript(half: &str, writes: &[Vec<u8>]) -> String {
     use std::fmt::Write;
     let mut text = String::new();
-    let mut hash = FNV_OFFSET;
+    let mut hash = FOLD_BASIS;
     for (burst, write) in (1..).zip(writes) {
-        hash = fnv1a(hash, &(write.len() as u64).to_le_bytes());
-        hash = fnv1a(hash, write);
+        hash = fold_bytes(hash, write);
         let mut bytes = Bytes::copy_from_slice(write);
         while !bytes.is_empty() {
             let before = bytes.len();
@@ -799,7 +792,7 @@ fn render_transcript(half: &str, writes: &[Vec<u8>]) -> String {
             .expect("a string takes any write");
         }
     }
-    writeln!(text, "fnv1a {hash:#018x}").expect("a string takes any write");
+    writeln!(text, "fold {hash:#018x}").expect("a string takes any write");
     text
 }
 
@@ -1054,7 +1047,7 @@ fn refined_wire_transcript_is_pinned_and_adds_no_turn() {
 fn refined_keys_in(shard: u64) -> impl Iterator<Item = String> {
     (0..2400)
         .map(|i| format!("key-{i:04}"))
-        .filter(move |key| shard_at(key, 16) == shard)
+        .filter(move |key| shard_of(key.as_bytes(), 16) == shard)
 }
 
 fn source_moves_on(src: &mut KvStore) {
@@ -1069,7 +1062,7 @@ fn source_moves_on(src: &mut KvStore) {
 
 fn puller_moves_on(dst: &mut KvStore) {
     let mine = (0..).map(|i| format!("later-{i}"));
-    for key in mine.filter(|key| shard_at(key, 16) == 9).take(1) {
+    for key in mine.filter(|key| shard_of(key.as_bytes(), 16) == 9).take(1) {
         dst.put(key, "later:puller");
     }
 }
@@ -1518,7 +1511,7 @@ fn a_write_between_plan_and_endpoint(form: Form, race: Race) {
     let about = key(2, 0);
     let beside = racing_keys_in(2)
         .into_iter()
-        .find(|key| shard_at(key, 256) != shard_at(&about, 256))
+        .find(|key| shard_of(key.as_bytes(), 256) != shard_of(about.as_bytes(), 256))
         .expect("150 keys a shard");
     let raced = match race {
         Race::BesideTheCut => beside,

@@ -18,11 +18,11 @@
 //! value) and idempotent, and it never needs the resolver — whatever a
 //! reconciliation decided is already in the logged state.
 //!
-//! Record layout (log version 3), reusing the repo's varint framing
+//! Record layout (log version 4), reusing the repo's varint framing
 //! ([`wire`]):
 //!
 //! ```text
-//! varint seq | bytes payload | varint fnv64(seq, payload)
+//! varint seq | bytes payload | varint fold_bytes(fold(basis, seq), payload)
 //! payload: varint n | n × entry, keys strictly ascending   (kv::EntryImage)
 //! entry:   varint(shared << 3 | min(rest, 7)) | [varint(rest − 7)] | rest of key
 //!          varint(value_code << 1 | repeats) | [bytes vector] | value
@@ -50,9 +50,17 @@
 //! The snapshot file frames one store image, the same varint framing:
 //!
 //! ```text
-//! "OPSN" | u8 version | varint covered_seq | varint image_len | image | varint fnv64(covered_seq, image)
+//! "OPSN" | u8 version | varint covered_seq | varint image_len | image | varint fold_bytes(fold(basis, covered_seq), image)
 //! image:  varint site | payload, every record of the store   (KvStore::encode_snapshot)
 //! ```
+//!
+//! Both checksums are `optrep_core::rng`'s [`fold`], a word a step from
+//! its basis: the sequence number, the length, then each 8 bytes of the
+//! payload or image as a little-endian word, the last zero-padded. Each
+//! step is a bijection, so a change confined to one 8-byte word — any
+//! flipped byte — always moves the sum. A [`ByteFold`] holds at most
+//! seven bytes unfolded, so the sum is the same however a writer or a
+//! reader splits the bytes.
 //!
 //! The log and the snapshot carry versions of their own, and a file of
 //! any other version is refused by name, undecoded: a version-1 log
@@ -61,7 +69,8 @@
 //! vector; a version-2 log's records and a version-3 snapshot's image
 //! wrote each entry's shared length, rest length, vector field, tag and
 //! value length as fields of their own, a repeated vector as an empty
-//! field.
+//! field; a version-3 log and a version-4 snapshot summed their bytes
+//! with FNV-1a a byte a step.
 //!
 //! Neither the log nor the snapshot is ever held whole. An append walks
 //! the commit's entries where they lie — a daemon's, in its store — once
@@ -94,6 +103,7 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use optrep_core::error::WireError;
+use optrep_core::rng::{fold, fold_bytes, ByteFold, FOLD_BASIS};
 use optrep_core::{wire, Error, Result, SiteId};
 use optrep_kv::{ChunkReader, Entries, EntryImage, KvStore, Reach, ReadError};
 use std::io::{self, BufWriter, Read, Write};
@@ -114,8 +124,8 @@ pub const SNAPSHOT_FILE: &str = "snapshot";
 
 const WAL_MAGIC: [u8; 4] = *b"OPWL";
 const SNAPSHOT_MAGIC: [u8; 4] = *b"OPSN";
-const WAL_VERSION: u8 = 3;
-const SNAPSHOT_VERSION: u8 = 4;
+const WAL_VERSION: u8 = 4;
+const SNAPSHOT_VERSION: u8 = 5;
 
 /// What a snapshot or a log is read in, and a snapshot or a log record
 /// written through: the memory a checkpoint, a boot or an append holds
@@ -241,32 +251,17 @@ pub struct ReplayReport {
     pub elapsed: Duration,
 }
 
-/// FNV-1a over a sequence number and the bytes it covers — the same
-/// cheap, deterministic hash [`KvStore::replica_digest`] uses — folded
-/// as the bytes pass, so a snapshot is summed while it is written or read.
-struct Fnv64(u64);
-
-impl Fnv64 {
-    fn new(seq: u64) -> Self {
-        let mut hash = Fnv64(0xcbf2_9ce4_8422_2325);
-        hash.eat(&seq.to_le_bytes());
-        hash
-    }
-
-    fn eat(&mut self, bytes: &[u8]) {
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(PRIME);
-        }
-    }
+/// The checksum of `len` bytes covered by sequence number `seq`, before
+/// any of them: [`fold_bytes`] from the basis folded with `seq`, fed as
+/// the bytes pass, so a snapshot is summed while it is written or read,
+/// however its writer or its [`ChunkReader`] splits it.
+fn summing(seq: u64, len: u64) -> ByteFold {
+    ByteFold::new(fold(FOLD_BASIS, seq), len)
 }
 
-/// The checksum of one record: [`Fnv64`] over its sequence number and
-/// payload.
-fn fnv64(seq: u64, payload: &[u8]) -> u64 {
-    let mut hash = Fnv64::new(seq);
-    hash.eat(payload);
-    hash.0
+/// The checksum of one record: [`summing`] over its payload.
+fn checksum(seq: u64, payload: &[u8]) -> u64 {
+    fold_bytes(fold(FOLD_BASIS, seq), payload)
 }
 
 /// Encodes one WAL record: `varint seq | bytes payload | varint checksum`.
@@ -274,7 +269,7 @@ pub fn encode_record(seq: u64, payload: &[u8]) -> Bytes {
     let mut buf = BytesMut::with_capacity(payload.len() + 24);
     wire::put_varint(&mut buf, seq);
     wire::put_bytes(&mut buf, payload);
-    wire::put_varint(&mut buf, fnv64(seq, payload));
+    wire::put_varint(&mut buf, checksum(seq, payload));
     buf.freeze()
 }
 
@@ -288,7 +283,7 @@ pub fn encode_record(seq: u64, payload: &[u8]) -> Bytes {
 pub fn decode_record(buf: &mut Bytes) -> std::result::Result<(u64, Bytes), WireError> {
     let seq = wire::get_varint(buf)?;
     let payload = wire::get_bytes(buf)?;
-    if wire::get_varint(buf)? != fnv64(seq, &payload) {
+    if wire::get_varint(buf)? != checksum(seq, &payload) {
         return Err(WireError::InvalidPayload);
     }
     Ok((seq, payload))
@@ -312,7 +307,7 @@ fn write_commit(out: impl Write, seq: u64, image: EntryImage<impl Entries>) -> i
     wire::write_varint(&mut out, len as u64)?;
     let mut summed = Summed {
         out,
-        hash: Fnv64::new(seq),
+        hash: summing(seq, len as u64),
         len: 0,
     };
     image.write_to(&mut summed)?;
@@ -322,9 +317,10 @@ fn write_commit(out: impl Write, seq: u64, image: EntryImage<impl Entries>) -> i
         len: written,
     } = summed;
     debug_assert_eq!(written, len, "the entries must be the ones that were sized");
-    wire::write_varint(&mut out, hash.0)?;
+    let sum = hash.sum();
+    wire::write_varint(&mut out, sum)?;
     out.flush()?;
-    Ok(head + len + wire::varint_len(hash.0))
+    Ok(head + len + wire::varint_len(sum))
 }
 
 fn wal_header(site: SiteId) -> Bytes {
@@ -350,7 +346,7 @@ fn io_err(context: &str, e: &io::Error) -> Error {
 /// bytes it passes on, and counts them.
 struct Summed<W> {
     out: W,
-    hash: Fnv64,
+    hash: ByteFold,
     len: usize,
 }
 
@@ -387,7 +383,7 @@ fn write_snapshot_tmp(
     out.write_all(&head)?;
     let mut summed = Summed {
         out,
-        hash: Fnv64::new(covered),
+        hash: summing(covered, len as u64),
         len: 0,
     };
     image(&mut summed)?;
@@ -405,7 +401,7 @@ fn write_snapshot_tmp(
         ));
     }
     let mut tail = BytesMut::with_capacity(wire::MAX_VARINT_LEN);
-    wire::put_varint(&mut tail, hash.0);
+    wire::put_varint(&mut tail, hash.sum());
     out.write_all(&tail)?;
     out.into_inner().map_err(io::IntoInnerError::into_error)
 }
@@ -468,7 +464,7 @@ fn read_snapshot(file: impl Read, len: u64) -> Result<(KvStore, u64)> {
         return Err(file_corrupt(WireError::UnexpectedEof.into()));
     }
     let start = reader.consumed();
-    let mut hash = Fnv64::new(covered);
+    let mut hash = summing(covered, image_len);
     let store = KvStore::read_snapshot(&mut reader, |bytes| hash.eat(bytes))
         .map_err(|e| read_failed("snapshot image", e))?;
     if reader.consumed() - start != image_len {
@@ -480,7 +476,7 @@ fn read_snapshot(file: impl Read, len: u64) -> Result<(KvStore, u64)> {
             wire::get_varint,
         )
         .map_err(file_corrupt)?;
-    if checksum != hash.0 || reader.remaining() > 0 {
+    if checksum != hash.sum() || reader.remaining() > 0 {
         return Err(file_corrupt(WireError::InvalidPayload.into()));
     }
     Ok((store, covered))

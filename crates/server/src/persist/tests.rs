@@ -6,6 +6,7 @@ use std::fs::{File, OpenOptions};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+mod checksum;
 mod refused;
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -399,7 +400,7 @@ fn encode_snapshot_file(covered_seq: u64, store_image: &[u8]) -> Bytes {
     buf.put_u8(SNAPSHOT_VERSION);
     wire::put_varint(&mut buf, covered_seq);
     wire::put_bytes(&mut buf, store_image);
-    wire::put_varint(&mut buf, fnv64(covered_seq, store_image));
+    wire::put_varint(&mut buf, checksum(covered_seq, store_image));
     buf.freeze()
 }
 

@@ -3,6 +3,7 @@
 //! append takes only the states a store writes.
 
 use super::*;
+use optrep_replication::planner::placement;
 
 /// A log record or a checkpoint whose vector names a site twice refuses
 /// recovery. No store writes one, and `append` refuses it
@@ -143,13 +144,17 @@ fn a_checksummed_snapshot_listing_a_key_twice_refuses_recovery() {
 
 /// A checkpoint in a layout before this one — snapshot file version 1,
 /// each key whole; version 2, each key front-coded and each vector
-/// written out; or version 3, a vector that repeats the one before as an
-/// empty field, and each entry's lengths and tag a field of its own — is
-/// refused by its version, naming both, whatever its image holds: the
-/// header is read before any of the image. So is a log of version 1,
-/// whose records listed each key whole and each state behind a length of
-/// its own, and one of version 2, whose records were version-3 images: a
-/// log is at version 3, its records images of two heads an entry.
+/// written out; version 3, a vector that repeats the one before as an
+/// empty field, and each entry's lengths and tag a field of its own; or
+/// version 4, this build's image summed a byte a step — is refused by its
+/// version, naming both, whatever its image holds: the header is read
+/// before any of the image. So is a log of version 1, whose records
+/// listed each key whole and each state behind a length of its own, one
+/// of version 2, whose records were version-3 images, and one of version
+/// 3, whose records were this build's images summed a byte a step: a log
+/// is at version 4, its records images of two heads an entry summed a
+/// word a step. Each file carries the checksum its version wrote, which
+/// holds, so none can be read as corrupt or torn.
 #[test]
 fn an_earlier_snapshot_or_log_version_is_refused_by_name_undecoded() {
     let site = SiteId::new(2);
@@ -164,6 +169,9 @@ fn an_earlier_snapshot_or_log_version_is_refused_by_name_undecoded() {
     // first's with an empty field, this build's leaves it out.
     assert_eq!(split_state(&a).0, split_state(&ab).0);
     let image_as = |version: u8| {
+        if version == 4 {
+            return store.encode_snapshot();
+        }
         let mut image = BytesMut::new();
         wire::put_varint(&mut image, u64::from(site.index()));
         wire::put_varint(&mut image, 2);
@@ -188,38 +196,57 @@ fn an_earlier_snapshot_or_log_version_is_refused_by_name_undecoded() {
     let dir = tmpdir("earlier-versions");
     drop(Persist::open(&DurabilityConfig::new(&dir), site).unwrap());
     let wal = std::fs::read(dir.join(WAL_FILE)).unwrap();
-    assert_eq!(wal[..WAL_MAGIC.len() + 1], *b"OPWL\x03");
-    for version in [1, 2, 3] {
+    assert_eq!(wal[..WAL_MAGIC.len() + 1], *b"OPWL\x04");
+    for version in [1, 2, 3, 4] {
         for image in [image_as(version), Bytes::from(vec![0xff; 9])] {
-            let mut file = encode_snapshot_file(1, &image).to_vec();
-            assert_eq!(file[SNAPSHOT_MAGIC.len()], 4);
-            file[SNAPSHOT_MAGIC.len()] = version;
+            let mut file = SNAPSHOT_MAGIC.to_vec();
+            file.push(version);
+            wire::put_varint(&mut file, 1);
+            wire::put_bytes(&mut file, &image);
+            wire::put_varint(&mut file, byte_wise(1, &image));
             let err = boot_refuses(&dir, site, &file, "an earlier snapshot");
-            let named = format!("snapshot file format version {version} (this build speaks 4)");
+            let named = format!("snapshot file format version {version} (this build speaks 5)");
             assert!(err.contains(&named), "{err}");
         }
     }
     // A version-1 log — each key whole and each state behind a length
-    // of its own — and a version-2 log — each record a version-3 image —
-    // are refused by their version, their records undecoded.
+    // of its own — a version-2 log — each record a version-3 image — and
+    // a version-3 log — each record this build's image, summed a byte a
+    // step — are refused by their version, their records undecoded.
     std::fs::remove_file(dir.join(SNAPSHOT_FILE)).unwrap();
-    for version in [1, 2] {
+    for version in [1, 2, 3] {
         let mut log = wal.clone();
         log[WAL_MAGIC.len()] = version;
-        let mut payload = BytesMut::new();
-        wire::put_varint(&mut payload, 1);
-        wire::put_bytes(&mut payload, b"a");
-        match version {
-            1 => wire::put_bytes(&mut payload, &a),
-            _ => payload.put_slice(&a),
-        }
-        log.extend_from_slice(&encode_record(1, &payload));
+        let payload = match version {
+            3 => encode_payload(&[entry(&store, "a")]),
+            _ => {
+                let mut payload = BytesMut::new();
+                wire::put_varint(&mut payload, 1);
+                wire::put_bytes(&mut payload, b"a");
+                match version {
+                    1 => wire::put_bytes(&mut payload, &a),
+                    _ => payload.put_slice(&a),
+                }
+                payload.freeze()
+            }
+        };
+        wire::put_varint(&mut log, 1);
+        wire::put_bytes(&mut log, &payload);
+        wire::put_varint(&mut log, byte_wise(1, &payload));
         std::fs::write(dir.join(WAL_FILE), &log).unwrap();
         let err = Persist::open(&DurabilityConfig::new(&dir), site).unwrap_err();
-        let named = format!("wal format version {version} (this build speaks 3)");
+        let named = format!("wal format version {version} (this build speaks 4)");
         assert!(err.to_string().contains(&named), "{err}");
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The checksum every log and snapshot before log version 4 and
+/// snapshot version 5 carried: FNV-1a a byte a step — the shard map's
+/// hash — over the sequence number's 8 little-endian bytes, then the
+/// bytes it covers.
+fn byte_wise(seq: u64, bytes: &[u8]) -> u64 {
+    placement(&[&seq.to_le_bytes()[..], bytes].concat())
 }
 
 /// Appends a record of sequence 1 holding `payload` under a checksum

@@ -83,7 +83,13 @@ guard_one_allocator() {
 test "$(git grep -l 'GlobalAlloc for' -- '*.rs' | wc -l)" = 1
 }
 
-guards=(lines single_thread deleted core_io one_rng one_spin one_allocator)
+# One hash of bytes: FNV-1a's prime only in `optrep_core::rng`'s fold
+# and the shard map's FNV-1a (`planner::placement`, in planner/mod.rs).
+guard_one_fold() {
+if git grep -nEi '0x[0_]*1[0_]+1b3|1099511628211' -- '*.rs' ':!crates/perf' ':!crates/core/src/rng.rs' ':!crates/replication/src/planner/mod.rs'; then exit 1; fi
+}
+
+guards=(lines single_thread deleted core_io one_rng one_spin one_allocator one_fold)
 
 # Runs guard `$1` as a CI step runs its shell; returns its status.
 run() {
