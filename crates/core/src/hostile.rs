@@ -27,8 +27,13 @@
 //! The first input that breaks a property fails the check, named with the
 //! labelled input it came from and its bytes. There is no depth knob: the
 //! inputs are a function of the registration.
+//!
+//! One layer up, [`peer`] holds the machines that act on a peer's decoded
+//! frames to the same properties over every sequence a few edits away
+//! from an honest peer's.
 
 mod counting;
+pub mod peer;
 
 pub use counting::{in_process, on_thread, Cost, Counting};
 

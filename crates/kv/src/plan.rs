@@ -2,9 +2,9 @@
 //! the journal's hints, the plan and its push, and every endpoint a
 //! contact runs between.
 
-use crate::codec::{encode_value, hand, Entries, Entry, EntryImage, ImageEntries};
+use crate::codec::{encode_value, Entries, Entry, EntryImage, ImageEntries};
 use crate::record::{entry_hash, Coded, View};
-use crate::shard::{shard_index, Named, Shard};
+use crate::shard::{shard_index, Shard};
 use crate::{KvStore, MAX_SHARDS};
 use bytes::Bytes;
 use optrep_core::error::{Error, Result, WireError};
@@ -42,46 +42,44 @@ impl KvStore {
 
     /// The push of a plan at `count` shards, and the shards it proposes:
     /// the image of the records of each proposed shard placed where the
-    /// journal says a key changed, written from the pages. A shard joins
-    /// the push only while the image stays within [`MAX_PUSH`], sized by
-    /// its records each coded whole, which no entry of the image
-    /// outgrows; a shard left out, as one that holds no such record, is
-    /// not proposed, and is walked.
+    /// journal says a key changed, picked out of the pages in one walk. A
+    /// shard joins the push only while the image stays within
+    /// [`MAX_PUSH`], sized by its records each coded whole, which no
+    /// entry of the image outgrows; a shard left out, as one that holds no
+    /// such record, is not proposed, and is walked.
     fn push_of(&self, count: u64, pushes: &Pushes) -> (Vec<u64>, Bytes) {
         let shards: Vec<u64> = pushes.iter().map(|(shard, _)| *shard).collect();
-        let slot = |key: &[u8]| shards.binary_search(&(placement(key) & (count - 1)));
-        let pushed = |key: &[u8]| {
-            slot(key).is_ok_and(|slot| {
-                let placed = placement(key) & (JOURNAL_PLACEMENTS - 1);
-                pushes[slot].1.binary_search(&placed).is_ok()
-            })
-        };
         let mut whole = vec![0usize; shards.len()];
+        let mut picked = Vec::new();
         self.visit_shards(&shards, count as usize, |key, view| {
-            if let (true, Ok(slot)) = (pushed(key), slot(key)) {
+            let Ok(slot) = shards.binary_search(&(placement(key) & (count - 1))) else {
+                return;
+            };
+            let placed = placement(key) & (JOURNAL_PLACEMENTS - 1);
+            if pushes[slot].1.binary_search(&placed).is_ok() {
                 whole[slot] += Coded::of(key, view, None).len();
+                picked.push((slot, Bytes::copy_from_slice(key), view));
             }
         });
         // Room for the count, at its longest.
         let mut room = MAX_PUSH - wire::varint_len(u64::MAX);
-        let proposed: Vec<u64> = (shards.iter().zip(whole))
-            .filter(|&(_, len)| {
+        let joins: Vec<bool> = (whole.iter())
+            .map(|&len| {
                 len > 0 && len <= room && {
                     room -= len;
                     true
                 }
             })
-            .map(|(&shard, _)| shard)
+            .collect();
+        let proposed: Vec<u64> = (shards.iter().zip(&joins))
+            .filter_map(|(&shard, &joins)| joins.then_some(shard))
             .collect();
         if proposed.is_empty() {
             return (proposed, Bytes::new());
         }
-        let named = Named::new(&proposed, count as usize, self.shards.len());
-        let image = EntryImage::of_records(Pushing {
-            store: self,
-            named,
-            pushed,
-        });
+        picked.retain(|(slot, ..)| joins[*slot]);
+        picked.sort_unstable_by(|(_, a, _), (_, b, _)| a.cmp(b));
+        let image = EntryImage::of_records(Picked(picked));
         let mut buf = Vec::with_capacity(image.encoded_len());
         image.write_to(&mut buf).expect("a Vec takes every byte");
         (proposed, Bytes::from(buf))
@@ -518,21 +516,16 @@ fn violation(message: String) -> Error {
     }
 }
 
-/// The records a push lists: of the named plan shards, those placed
-/// where the journal lists a change, in key order, straight from the
-/// pages ([`Named::sorted`]).
-struct Pushing<'a, F> {
-    store: &'a KvStore,
-    named: Named,
-    pushed: F,
-}
+/// The records a push lists, each with its proposed shard's slot, in key
+/// order.
+struct Picked<'a>(Vec<(usize, Bytes, View<'a>)>);
 
-impl<F: Fn(&[u8]) -> bool + Copy> Entries for Pushing<'_, F> {
+impl Entries for Picked<'_> {
     fn each<X>(
         &self,
-        each: impl FnMut(Entry<'_>) -> std::result::Result<(), X>,
+        mut each: impl FnMut(Entry<'_>) -> std::result::Result<(), X>,
     ) -> std::result::Result<(), X> {
-        hand(self.named.sorted(self.store, self.pushed), each)
+        (self.0.iter()).try_for_each(|(_, key, view)| each(Entry::of(key, *view)))
     }
 }
 

@@ -6,8 +6,7 @@
 //! mid-frame and a stalled peer must each abort a pull over a real
 //! socket with both stores byte-identical to their pre-contact state,
 //! after which clean pulls converge the pair. (A cut at every byte of an
-//! in-process pull is `contact_paths`'s sweep, in
-//! `crates/replication/tests`.)
+//! in-process pull is `cuts`'s sweep, in `crates/replication/tests`.)
 
 use optrep_core::obs::{self, CheckSink, Sink, SyncEvent};
 use optrep_core::rng::SplitMix64;

@@ -1,7 +1,7 @@
 //! The unplanned pull, the reference a planned pull is checked against:
 //! every tracked key of both stores a stream, no digest turn — built from
 //! the calls `crates/perf`'s mirror makes. The one copy: the kv crate's
-//! unit and integration tests, `optrep-replication`'s `contact_paths` and
+//! unit and integration tests, `optrep-replication`'s contact tests and
 //! E15 include this file (`#[path]` where it is not a sibling), each
 //! bringing `JoinResolver`, `KvStore` and `KvSyncReport` into scope.
 

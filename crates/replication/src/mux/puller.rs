@@ -410,6 +410,12 @@ impl<'a> Puller<'a> {
         }
         self.report.link_turns += 1;
         match (self.phase, marker_fin(&frame)?) {
+            // A frame behind this end's FIN may have moved a finished
+            // stream: a client that has something to say again cannot
+            // end the contact.
+            (PullPhase::Draining, true) if !self.client().is_done() => Err(violation(
+                "a frame behind the FIN reopened a finished stream",
+            )),
             (PullPhase::Draining, true) => {
                 self.phase = PullPhase::Finished;
                 self.report.round_trips += u64::from(self.payload_requested);
@@ -644,6 +650,44 @@ mod tests {
     use crate::protocol::{PullClient, PullServer};
     use bytes::Bytes;
     use optrep_core::{RotatingVector, Srv};
+
+    /// A session frame the server sends behind the puller's FIN, on a
+    /// stream the contact finished, leaves the client with something to
+    /// say: the server's FIN then fails the contact, where it used to
+    /// end it with a client that panics when finished.
+    #[test]
+    fn a_frame_behind_the_pullers_fin_fails_the_contact() {
+        let (mut client, mut server) = crate::mux::fixtures::dirty_pair(1);
+        let (mut to_server, mut out) = (BytesMut::new(), BytesMut::new());
+        let mut puller = Puller::open(&mut client, 0, &mut to_server);
+        let mut late = None;
+        let ended = loop {
+            let mut burst = to_server.split().freeze();
+            while !burst.is_empty() {
+                let frame = wire::get_frame(&mut burst).unwrap();
+                crate::mux::serve_frame(&mut server, frame, &mut out).unwrap();
+            }
+            let mut turn = out.split().freeze();
+            let mut ended = None;
+            while !turn.is_empty() {
+                let frame = wire::get_frame(&mut turn).unwrap();
+                if frame.stream != TURN_STREAM {
+                    late = Some(frame.clone());
+                }
+                if marker_fin(&frame).unwrap_or(false) {
+                    let late = late.take().expect("a session frame");
+                    assert!(puller.on_frame(late, &mut to_server).is_ok(), "tolerated");
+                }
+                ended = Some(puller.on_frame(frame, &mut to_server));
+            }
+            match ended {
+                Some(Ok(None)) | None => continue,
+                Some(ended) => break ended,
+            }
+        };
+        let err = ended.expect_err("the FIN behind a reopened stream");
+        assert_eq!(reason_label(&err), "protocol_error", "{err}");
+    }
 
     #[test]
     fn all_clean_contact_takes_one_blocking_round_trip() {
