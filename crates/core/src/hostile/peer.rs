@@ -3,13 +3,17 @@
 //! decoder to one layer down.
 //!
 //! A [`Peer`] is one half of a pinned contact: the frames the honest peer
-//! sent, one write (a turn) at a time. [`Peer::check`] derives every
-//! sequence within [`DEPTH`] edits of it, breadth first, and feeds each
-//! to the machine under test through a closure, which says how the
-//! contact ended ([`Ran`]) or which property it broke. The edits:
+//! sent, in order, each of its turns ended by a frame on the turn stream
+//! (a marker, or its FIN). A link is a byte stream, so where one write
+//! ends is nothing a machine sees, and a sequence is its frames alone.
+//! [`Peer::check`] derives every sequence within [`DEPTH`] edits of it,
+//! breadth first, and feeds each to the machine under test through a
+//! closure, which says how the contact ended ([`Ran`]) or which property
+//! it broke. The edits:
 //!
 //! * drop a frame, or send it twice;
-//! * swap two adjacent frames, or move one into the next turn;
+//! * swap two adjacent frames, or move one behind the next turn-stream
+//!   frame, into the next turn;
 //! * send a frame on another stream: a live one, a finished one, one
 //!   never opened, the control stream or the turn stream;
 //! * splice in one frame of another fixture's transcript
@@ -22,20 +26,20 @@
 //! the same steps — takes one edit, made at the first frame of each kind
 //! in each turn (kind: the frame's stream class and first byte, and
 //! whether it opens or ends its stream), not at every frame.
-//! Crafted payloads no edit reaches are labelled extra inputs
-//! ([`Peer::extra`]), each with the refusal the machine must end it in. The first sequence that breaks a property fails
-//! the check, named with the edits that made it; breadth first, no
-//! sequence of fewer edits breaks one.
+//! Crafted payloads no edit reaches, and sequences a machine must refuse
+//! in a stated way, are labelled extra inputs ([`Peer::extra`]), each
+//! with the refusal the machine must end it in. The first sequence that
+//! breaks a property fails the check, named with the edits that made it;
+//! breadth first, no sequence of fewer edits breaks one.
 //!
 //! The harness holds each run to these properties itself:
 //!
 //! * **Total.** Nothing panics, and the machine ends `Ok` or `Err` having
 //!   written at most [`TURNS_PAST`] turns more than the sequence holds
-//!   turn markers ([`Fed::max_turns`]; the link the closure feeds it
-//!   over refuses a write past that, so a machine that loops ends).
+//!   turn-stream frames ([`Fed::max_turns`]; the link the closure feeds
+//!   it over refuses a write past that, so a machine that loops ends).
 //! * **Capped.** A run asks the allocator for at most
 //!   `per_byte · (bytes fed) + fixed` bytes in all ([`Peer::cap`]).
-//!
 //! * **Refused.** An extra input ends `Err`, refused as it states.
 //!
 //! The closure holds it to the machine's own: what moves on `Err`, and
@@ -70,41 +74,36 @@ pub const TURNS_PAST: usize = 2;
 /// One sequence as the machine under test is fed it.
 #[derive(Debug)]
 pub struct Fed {
-    turns: Vec<Vec<Frame>>,
+    frames: Vec<Frame>,
     /// The most writes the machine may make before it ends.
     pub max_turns: usize,
 }
 
 impl Fed {
-    /// The sequence's writes, one a turn, each its frames encoded.
-    pub fn writes(&self) -> impl Iterator<Item = Vec<u8>> + '_ {
-        self.turns
-            .iter()
-            .filter(|turn| !turn.is_empty())
-            .map(|turn| {
-                let mut buf = BytesMut::new();
-                for frame in turn {
-                    wire::put_frame(&mut buf, frame.stream, &frame.payload);
-                }
-                buf.to_vec()
-            })
+    /// The sequence's frames, encoded back to back.
+    pub fn bytes(&self) -> Vec<u8> {
+        let mut buf = BytesMut::with_capacity(self.len());
+        for frame in &self.frames {
+            wire::put_frame(&mut buf, frame.stream, &frame.payload);
+        }
+        buf.to_vec()
     }
 
     /// The sequence's frames, in order.
-    pub fn frames(&self) -> impl Iterator<Item = &Frame> {
-        self.turns.iter().flatten()
+    pub fn frames(&self) -> &[Frame] {
+        &self.frames
     }
 
     /// The bytes the sequence feeds the machine.
     pub fn len(&self) -> usize {
-        self.frames()
+        (self.frames.iter())
             .map(|frame| Frame::encoded_len(frame.stream, frame.payload.len()))
             .sum()
     }
 
     /// Whether the sequence feeds nothing.
     pub fn is_empty(&self) -> bool {
-        self.turns.iter().all(Vec::is_empty)
+        self.frames.is_empty()
     }
 }
 
@@ -142,18 +141,18 @@ pub struct Checked {
 /// [`check`](Self::check) holds it to.
 pub struct Peer<'a> {
     name: &'a str,
-    honest: Vec<Vec<Frame>>,
+    honest: Vec<Frame>,
     control: u64,
     turn: u64,
     splices: Vec<(String, Frame)>,
-    extras: Vec<(&'a str, Vec<Vec<Frame>>, &'a str)>,
+    extras: Vec<(&'a str, Vec<Frame>, &'a str)>,
     cap: Option<(usize, usize)>,
 }
 
-/// A sequence in the search: each frame with the turn it is sent in.
+/// A sequence in the search.
 #[derive(Clone)]
 struct Seq {
-    frames: Vec<(usize, Frame)>,
+    frames: Vec<Frame>,
     label: String,
     /// The first frame its last edit changed: a later edit is made at or
     /// behind it, so that each set of edits is made in one order.
@@ -172,9 +171,9 @@ enum Edit<'s> {
 }
 
 impl<'a> Peer<'a> {
-    /// The half `name`: the frames the honest peer sent, one `Vec` a
-    /// write, with the connection's `control` and `turn` streams.
-    pub fn new(name: &'a str, honest: Vec<Vec<Frame>>, control: u64, turn: u64) -> Self {
+    /// The half `name`: the frames the honest peer sent, in order, with
+    /// the connection's `control` and `turn` streams.
+    pub fn new(name: &'a str, honest: Vec<Frame>, control: u64, turn: u64) -> Self {
         Peer {
             name,
             honest,
@@ -208,10 +207,10 @@ impl<'a> Peer<'a> {
         self
     }
 
-    /// A crafted sequence no edit reaches, fed as it is, as one edit; the
-    /// machine must refuse it as `why`.
-    pub fn extra(mut self, label: &'a str, turns: Vec<Vec<Frame>>, why: &'a str) -> Self {
-        self.extras.push((label, turns, why));
+    /// A crafted sequence, fed as it is, as one edit; the machine must
+    /// refuse it as `why`.
+    pub fn extra(mut self, label: &'a str, frames: Vec<Frame>, why: &'a str) -> Self {
+        self.extras.push((label, frames, why));
         self
     }
 
@@ -255,16 +254,16 @@ impl<'a> Peer<'a> {
             Some(ran)
         };
         let honest = Seq {
-            frames: turned(&self.honest),
+            frames: self.honest.clone(),
             label: String::new(),
             touched: 0,
             open: true,
         };
         let ran = feed(&honest).expect("the first sequence");
         assert!(ran.ok(), "{name}: the honest sequence is refused");
-        for &(label, ref turns, why) in &self.extras {
+        for &(label, ref frames, why) in &self.extras {
             let extra = Seq {
-                frames: turned(turns),
+                frames: frames.clone(),
                 label: format!("the extra input \"{label}\""),
                 ..honest.clone()
             };
@@ -348,16 +347,11 @@ impl<'a> Peer<'a> {
     }
 
     fn fed(&self, seq: &Seq) -> Fed {
-        let count = seq.frames.last().map_or(0, |&(turn, _)| turn + 1);
-        let mut turns = vec![Vec::new(); count];
-        for (turn, frame) in &seq.frames {
-            turns[*turn].push(frame.clone());
-        }
         let markers = (seq.frames.iter())
-            .filter(|(_, frame)| frame.stream == self.turn)
+            .filter(|frame| frame.stream == self.turn)
             .count();
         Fed {
-            turns,
+            frames: seq.frames.clone(),
             max_turns: markers + TURNS_PAST,
         }
     }
@@ -365,7 +359,7 @@ impl<'a> Peer<'a> {
     /// A sequence's frames, in order, folded: sequences that feed a
     /// machine alike hash alike.
     fn hash(&self, seq: &Seq) -> u64 {
-        (seq.frames.iter()).fold(FOLD_BASIS, |hash, (_, frame)| {
+        (seq.frames.iter()).fold(FOLD_BASIS, |hash, frame| {
             fold_bytes(fold(hash, frame.stream), &frame.payload)
         })
     }
@@ -375,7 +369,7 @@ impl<'a> Peer<'a> {
     fn edits<'s>(&'s self, seq: &Seq, at: usize) -> Vec<Edit<'s>> {
         let mut edits = Vec::new();
         let honest = seq.label.is_empty();
-        if let Some((_, frame)) = seq.frames.get(at) {
+        if let Some(frame) = seq.frames.get(at) {
             edits.extend([Edit::Drop, Edit::Twice, Edit::Swap, Edit::Next]);
             for (stream, why) in self.streams(seq, at).into_iter().filter(|_| honest) {
                 if stream != frame.stream {
@@ -392,19 +386,23 @@ impl<'a> Peer<'a> {
 
     /// The places a half too long for every frame to be edited is edited:
     /// the first frame of each kind in each turn, and its end.
-    fn kinds(&self, frames: &[(usize, Frame)]) -> Vec<usize> {
-        let stream_of = |at: usize| frames[at].1.stream;
-        let opens = |at: usize| (0..at).all(|i| stream_of(i) != stream_of(at));
-        let ends = |at: usize| (at + 1..frames.len()).all(|i| stream_of(i) != stream_of(at));
+    fn kinds(&self, frames: &[Frame]) -> Vec<usize> {
+        let opens = |at: usize| frames[..at].iter().all(|f| f.stream != frames[at].stream);
+        let ends = |at: usize| {
+            frames[at + 1..]
+                .iter()
+                .all(|f| f.stream != frames[at].stream)
+        };
         let mut seen = HashSet::new();
         let mut at: Vec<usize> = (0..frames.len())
             .filter(|&at| {
-                let (turn, frame) = &frames[at];
+                let frame = &frames[at];
+                let turn = frames[..at].iter().filter(|f| f.stream == self.turn);
                 let class = [self.control, self.turn]
                     .iter()
                     .position(|&s| s == frame.stream);
                 let tag = frame.payload.first().copied();
-                seen.insert((*turn, class, tag, opens(at), ends(at)))
+                seen.insert((turn.count(), class, tag, opens(at), ends(at)))
             })
             .collect();
         at.push(frames.len());
@@ -417,7 +415,7 @@ impl<'a> Peer<'a> {
     /// every stream sent on, the control stream and the turn stream.
     fn streams(&self, seq: &Seq, at: usize) -> Vec<(u64, &'static str)> {
         let mut spans: Vec<(u64, usize, usize)> = Vec::new();
-        for (i, (_, frame)) in seq.frames.iter().enumerate() {
+        for (i, frame) in seq.frames.iter().enumerate() {
             if frame.stream == self.control || frame.stream == self.turn {
                 continue;
             }
@@ -438,7 +436,7 @@ impl<'a> Peer<'a> {
             .max_by_key(|&&(_, _, last)| last)
             .map(|&(stream, ..)| stream);
         let above = (seq.frames.iter())
-            .map(|(_, frame)| frame.stream)
+            .map(|frame| frame.stream)
             .filter(|&stream| stream != self.turn)
             .max()
             .map_or(1, |top| top + 1);
@@ -462,44 +460,38 @@ impl<'a> Peer<'a> {
         let brief = |frame: &Frame| self.brief(frame);
         let (what, touched) = match *edit {
             Edit::Drop => {
-                let (_, frame) = frames.remove(at);
+                let frame = frames.remove(at);
                 (format!("drop frame {at} ({})", brief(&frame)), at)
             }
             Edit::Twice => {
                 let twice = frames[at].clone();
-                let what = format!("frame {at} ({}) twice", brief(&twice.1));
+                let what = format!("frame {at} ({}) twice", brief(&twice));
                 frames.insert(at + 1, twice);
                 (what, at + 1)
             }
             Edit::Swap => {
-                let (_, second) = frames.get(at + 1)?.clone();
-                let first = std::mem::replace(&mut frames[at].1, second);
-                if first == frames[at].1 {
+                if frames.get(at + 1).is_none_or(|next| *next == frames[at]) {
                     return None;
                 }
-                frames[at + 1].1 = first;
+                frames.swap(at, at + 1);
                 (format!("swap frames {at} and {}", at + 1), at)
             }
             Edit::Next => {
-                let (turn, frame) = frames.remove(at);
-                let into = frames.iter().position(|&(t, _)| t > turn)?;
-                if frames[into].0 != turn + 1 {
-                    return None;
-                }
-                let what = format!("frame {at} ({}) into turn {}", brief(&frame), turn + 2);
-                frames.insert(into, (turn + 1, frame));
+                let frame = frames.remove(at);
+                let marker = frames[at..].iter().position(|f| f.stream == self.turn)?;
+                let what = format!("frame {at} ({}) into the next turn", brief(&frame));
+                frames.insert(at + marker + 1, frame);
                 (what, at)
             }
             Edit::Stream(stream, why) => {
-                let frame = &mut frames[at].1;
+                let frame = &mut frames[at];
                 let what = format!("frame {at} ({}) on {why} stream {stream}", brief(frame));
                 frame.stream = stream;
                 edited.open = false;
                 (what, at)
             }
             Edit::Splice(from, frame) => {
-                let turn = frames.get(at).or(frames.last()).map_or(0, |&(t, _)| t);
-                frames.insert(at, (turn, frame.clone()));
+                frames.insert(at, frame.clone());
                 edited.open = false;
                 (format!("{from} ({}) spliced in at {at}", brief(frame)), at)
             }
@@ -527,18 +519,19 @@ impl<'a> Peer<'a> {
 
     fn fail(&self, what: &str, seq: &Seq) -> ! {
         let mut listed = String::new();
-        let mut turn = usize::MAX;
-        for (at, (t, frame)) in seq.frames.iter().enumerate() {
-            if *t != turn {
-                turn = *t;
-                let _ = write!(listed, "\n    turn {}:", turn + 1);
-            }
+        let mut turn = 1;
+        let _ = write!(listed, "\n    turn 1:");
+        for (at, frame) in seq.frames.iter().enumerate() {
             let _ = write!(
                 listed,
                 "\n      {at}: {}: {}",
                 self.brief(frame),
                 hex(&frame.payload)
             );
+            if frame.stream == self.turn && at + 1 < seq.frames.len() {
+                turn += 1;
+                let _ = write!(listed, "\n    turn {turn}:");
+            }
         }
         let label = match seq.label.is_empty() {
             true => "the honest sequence",
@@ -550,12 +543,4 @@ impl<'a> Peer<'a> {
             seq.frames.len()
         );
     }
-}
-
-/// `turns`' frames, each with the turn it is sent in.
-fn turned(turns: &[Vec<Frame>]) -> Vec<(usize, Frame)> {
-    let numbered = turns.iter().enumerate();
-    numbered
-        .flat_map(|(turn, frames)| frames.iter().map(move |frame| (turn, frame.clone())))
-        .collect()
 }

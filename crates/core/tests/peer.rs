@@ -19,16 +19,19 @@ fn frame(stream: u64, payload: &'static [u8]) -> Frame {
 const TURN: u64 = u64::MAX;
 
 fn half() -> Peer<'static> {
-    let turns = vec![
-        vec![frame(0, b"a"), frame(TURN, b"")],
-        vec![frame(1, b"b"), frame(2, b"c"), frame(TURN, b"\x01")],
+    let frames = vec![
+        frame(0, b"a"),
+        frame(TURN, b""),
+        frame(1, b"b"),
+        frame(2, b"c"),
+        frame(TURN, b"\x01"),
     ];
-    Peer::new("half", turns, 0, TURN).cap(usize::MAX / 1024, 0)
+    Peer::new("half", frames, 0, TURN).cap(usize::MAX / 1024, 0)
 }
 
 /// A machine that reads every frame and accepts whatever it is fed.
 fn accepting(_: (), fed: &Fed) -> Result<Ran, String> {
-    let read = fed.frames().count() + 1;
+    let read = fed.frames().len() + 1;
     Ok(Ran {
         refused: None,
         read,
@@ -71,7 +74,7 @@ fn a_machine_that_stops_reading_prunes_what_lies_behind() {
 fn the_first_failure_is_one_edit_away() {
     half().check(
         || (),
-        |(), fed| match fed.frames().next() {
+        |(), fed| match fed.frames().first() {
             Some(frame) if frame.payload[..] == *b"a" => accepting((), fed),
             _ => Err("broke it".into()),
         },
@@ -98,7 +101,7 @@ fn a_machine_that_writes_on_is_not_total() {
     expected = "half: accepts an extra input it must refuse as refused\n  sequence (the extra input \"crafted\")"
 )]
 fn an_extra_input_the_machine_accepts_fails_the_check() {
-    let crafted = vec![vec![frame(0, b"z")]];
+    let crafted = vec![frame(0, b"z")];
     half()
         .extra("crafted", crafted, "refused")
         .check(|| (), accepting);

@@ -42,44 +42,50 @@ impl KvStore {
 
     /// The push of a plan at `count` shards, and the shards it proposes:
     /// the image of the records of each proposed shard placed where the
-    /// journal says a key changed, picked out of the pages in one walk. A
-    /// shard joins the push only while the image stays within
-    /// [`MAX_PUSH`], sized by its records each coded whole, which no
-    /// entry of the image outgrows; a shard left out, as one that holds no
-    /// such record, is not proposed, and is walked.
+    /// journal says a key changed. A shard joins the push only while the
+    /// image stays within [`MAX_PUSH`], sized by its records each coded
+    /// whole, which no entry of the image outgrows; a shard left out, as
+    /// one that holds no such record, is not proposed, and is walked. The
+    /// records of the shards that join are listed in one walk, in key
+    /// order, and the image is sized and written from that list, so what
+    /// it holds stays within the push.
     fn push_of(&self, count: u64, pushes: &Pushes) -> (Vec<u64>, Bytes) {
         let shards: Vec<u64> = pushes.iter().map(|(shard, _)| *shard).collect();
+        let slot = |key: &[u8]| shards.binary_search(&(placement(key) & (count - 1)));
+        let pushed = |key: &[u8]| {
+            slot(key).is_ok_and(|slot| {
+                let placed = placement(key) & (JOURNAL_PLACEMENTS - 1);
+                pushes[slot].1.binary_search(&placed).is_ok()
+            })
+        };
         let mut whole = vec![0usize; shards.len()];
-        let mut picked = Vec::new();
         self.visit_shards(&shards, count as usize, |key, view| {
-            let Ok(slot) = shards.binary_search(&(placement(key) & (count - 1))) else {
-                return;
-            };
-            let placed = placement(key) & (JOURNAL_PLACEMENTS - 1);
-            if pushes[slot].1.binary_search(&placed).is_ok() {
+            if let (true, Ok(slot)) = (pushed(key), slot(key)) {
                 whole[slot] += Coded::of(key, view, None).len();
-                picked.push((slot, Bytes::copy_from_slice(key), view));
             }
         });
         // Room for the count, at its longest.
         let mut room = MAX_PUSH - wire::varint_len(u64::MAX);
-        let joins: Vec<bool> = (whole.iter())
-            .map(|&len| {
+        let proposed: Vec<u64> = (shards.iter().zip(whole))
+            .filter(|&(_, len)| {
                 len > 0 && len <= room && {
                     room -= len;
                     true
                 }
             })
-            .collect();
-        let proposed: Vec<u64> = (shards.iter().zip(&joins))
-            .filter_map(|(&shard, &joins)| joins.then_some(shard))
+            .map(|(&shard, _)| shard)
             .collect();
         if proposed.is_empty() {
             return (proposed, Bytes::new());
         }
-        picked.retain(|(slot, ..)| joins[*slot]);
-        picked.sort_unstable_by(|(_, a, _), (_, b, _)| a.cmp(b));
-        let image = EntryImage::of_records(Picked(picked));
+        let mut records = Vec::new();
+        self.visit_shards(&proposed, count as usize, |key, view| {
+            if pushed(key) {
+                records.push((Bytes::copy_from_slice(key), view));
+            }
+        });
+        records.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
+        let image = EntryImage::of_records(Listed(records));
         let mut buf = Vec::with_capacity(image.encoded_len());
         image.write_to(&mut buf).expect("a Vec takes every byte");
         (proposed, Bytes::from(buf))
@@ -516,16 +522,15 @@ fn violation(message: String) -> Error {
     }
 }
 
-/// The records a push lists, each with its proposed shard's slot, in key
-/// order.
-struct Picked<'a>(Vec<(usize, Bytes, View<'a>)>);
+/// The records a push lists, in key order.
+struct Listed<'a>(Vec<(Bytes, View<'a>)>);
 
-impl Entries for Picked<'_> {
+impl Entries for Listed<'_> {
     fn each<X>(
         &self,
         mut each: impl FnMut(Entry<'_>) -> std::result::Result<(), X>,
     ) -> std::result::Result<(), X> {
-        (self.0.iter()).try_for_each(|(_, key, view)| each(Entry::of(key, *view)))
+        (self.0.iter()).try_for_each(|(key, view)| each(Entry::of(key, *view)))
     }
 }
 

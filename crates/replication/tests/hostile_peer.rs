@@ -38,29 +38,23 @@ use support::*;
 static COUNTING: Counting = Counting;
 
 // ---------------------------------------------------------------------
-// The fixtures: both halves of each pinned contact, turn by turn.
+// The fixtures: the frames both halves of each pinned contact sent.
 
-/// Frames, one `Vec` a write.
-type Turns = Vec<Vec<Frame>>;
-
-/// One pinned contact: what each honest half wrote.
+/// One pinned contact: the frames each honest half wrote.
 struct Transcript {
     name: &'static str,
-    puller: Turns,
-    server: Turns,
+    puller: Vec<Frame>,
+    server: Vec<Frame>,
 }
 
-/// A half's writes, each cut into its frames.
-fn turns_of(writes: &[Vec<u8>]) -> Turns {
-    let frames = |write: &Vec<u8>| {
-        let mut bytes = Bytes::copy_from_slice(write);
-        let mut frames = Vec::new();
-        while !bytes.is_empty() {
-            frames.push(wire::get_frame(&mut bytes).expect("a half writes whole frames"));
-        }
-        frames
-    };
-    writes.iter().map(frames).collect()
+/// A half's writes, cut into their frames.
+fn frames_of(writes: &[Vec<u8>]) -> Vec<Frame> {
+    let mut bytes = Bytes::from(writes.concat());
+    let mut frames = Vec::new();
+    while !bytes.is_empty() {
+        frames.push(wire::get_frame(&mut bytes).expect("a half writes whole frames"));
+    }
+    frames
 }
 
 /// An unplanned contact over `case`, as `wire_transcript_is_pinned` runs it.
@@ -75,8 +69,8 @@ fn unplanned(name: &'static str, case: &Case) -> Transcript {
     let served = serving.join().expect("server thread");
     Transcript {
         name,
-        puller: turns_of(&near.sent),
-        server: turns_of(&served),
+        puller: frames_of(&near.sent),
+        server: frames_of(&served),
     }
 }
 
@@ -88,8 +82,8 @@ fn planned(name: &'static str, (mut dst, src): (KvStore, KvStore)) -> Transcript
     let far = serving.join().expect("server thread").expect("serve");
     Transcript {
         name,
-        puller: turns_of(&near.sent),
-        server: turns_of(&far.sent),
+        puller: frames_of(&near.sent),
+        server: frames_of(&far.sent),
     }
 }
 
@@ -103,8 +97,8 @@ fn second() -> Transcript {
     let far = serving.join().expect("server thread").expect("serve");
     Transcript {
         name: "second",
-        puller: turns_of(&near.sent),
-        server: turns_of(&far.sent),
+        puller: frames_of(&near.sent),
+        server: frames_of(&far.sent),
     }
 }
 
@@ -152,7 +146,7 @@ fn peer(name: &'static str, half: &'static str) -> Peer<'static> {
     let peer = Peer::new(label, honest, CONTROL_STREAM, TURN_STREAM).cap(CAP_PER_BYTE, CAP_FIXED);
     let others = transcripts().iter().filter(|t| t.name != name);
     others.fold(peer, |peer, other| {
-        peer.splices(other.name, of(other).iter().flatten().cloned())
+        peer.splices(other.name, of(other).iter().cloned())
     })
 }
 
@@ -160,9 +154,10 @@ fn peer(name: &'static str, half: &'static str) -> Peer<'static> {
 // The link a sequence is fed over.
 
 /// The near half of a [`ChannelLink`] pair whose far half wrote a
-/// sequence's turns, then closed: counts the frames the machine asks for
-/// and the writes it makes, and refuses a write past the sequence's
-/// bound, so that a machine that loops ends.
+/// sequence, then closed: counts the frames the machine asks for and the
+/// writes it makes, and refuses a write past the sequence's bound, so
+/// that a machine that loops ends. The link is a byte stream: where one
+/// write ends is nothing the machine sees.
 struct Fedlink {
     near: ChannelLink,
     _far: ChannelLink,
@@ -174,8 +169,8 @@ struct Fedlink {
 impl Fedlink {
     fn new(fed: &Fed) -> Self {
         let (near, mut far) = channel_pair();
-        for write in fed.writes() {
-            far.send_bytes(&write).expect("the near half reads");
+        if !fed.is_empty() {
+            far.send_bytes(&fed.bytes()).expect("the near half reads");
         }
         far.fin();
         Fedlink {
@@ -386,6 +381,44 @@ fn report(name: &str, started: std::time::Instant, halves: [(usize, usize); 2]) 
 // ---------------------------------------------------------------------
 // The fixtures, each half fed to the other half's machine.
 
+/// Crafted sequences, each with what it is and the refusal it must end
+/// in.
+type Extras = Vec<(&'static str, Vec<Frame>, &'static str)>;
+
+/// `peer` with `extras` to refuse.
+fn with_extras(peer: Peer<'static>, extras: Extras) -> Peer<'static> {
+    (extras.into_iter()).fold(peer, |peer, (label, frames, why)| {
+        peer.extra(label, frames, why)
+    })
+}
+
+/// `frames` as `edit` leaves them.
+fn edited(frames: &[Frame], edit: impl FnOnce(&mut Vec<Frame>)) -> Vec<Frame> {
+    let mut frames = frames.to_vec();
+    edit(&mut frames);
+    frames
+}
+
+/// `frames` with `frame` at `at`, in place of the frame there.
+fn with_at(frames: &[Frame], at: usize, frame: Frame) -> Vec<Frame> {
+    edited(frames, |frames| frames[at] = frame)
+}
+
+/// `frames` with `frame` inserted at `at`.
+fn with_in(frames: &[Frame], at: usize, frame: Frame) -> Vec<Frame> {
+    edited(frames, |frames| frames.insert(at, frame))
+}
+
+/// `frames` with frame `at` sent twice.
+fn twice(frames: &[Frame], at: usize) -> Vec<Frame> {
+    with_in(frames, at, frames[at].clone())
+}
+
+/// `frames` with frame `at` on `stream`.
+fn moved(frames: &[Frame], at: usize, stream: u64) -> Vec<Frame> {
+    edited(frames, |frames| frames[at].stream = stream)
+}
+
 fn unplanned_fixture(name: &'static str, case: Case, [serving, pulling]: [Extras; 2]) {
     let started = std::time::Instant::now();
     let served = check_server(with_extras(peer(name, "puller"), serving), &case);
@@ -404,28 +437,77 @@ const CAP_PER_KEY: usize = 512;
 
 #[test]
 fn the_64_object_contact_is_total_over_a_hostile_peer() {
-    // A marker carries a FIN flag or nothing; a puller's hello is no
-    // answer.
-    let junk = || frame(TURN_STREAM, b"junk");
-    let mut marked = transcript("wire").puller.clone();
-    let marker = marked[0]
-        .iter_mut()
-        .rfind(|frame| frame.stream == TURN_STREAM);
-    *marker.expect("a turn ends in its marker") = junk();
-    let serving = vec![("a marker with a payload", marked, "decode_error")];
-    let pulling = vec![
+    // The unplanned server: a contact opens with a hello, once; a marker
+    // carries a FIN flag or nothing; a planner's frame is no mux message.
+    let puller = &transcript("wire").puller;
+    let marker = puller.iter().position(|frame| frame.stream == TURN_STREAM);
+    let marker = marker.expect("a turn ends in its marker");
+    let digests = transcript("planned").puller[0].clone();
+    let serving = vec![
         (
-            "a marker with a payload",
-            vec![vec![junk()]],
+            "a marker before the hello",
+            edited(puller, |f| _ = f.remove(0)),
+            "stalled",
+        ),
+        (
+            "two FINs where the hello is due",
+            vec![fin(), fin()],
+            "stalled",
+        ),
+        (
+            "a FIN where the marker is due",
+            with_at(puller, marker, fin()),
+            "stalled",
+        ),
+        (
+            "a digest vector behind the marker",
+            with_in(puller, marker + 1, digests),
             "decode_error",
         ),
         (
+            "a marker with a payload",
+            with_at(puller, marker, junk()),
+            "decode_error",
+        ),
+    ];
+    // The unplanned puller: the answer comes first, as a mux message.
+    let server = &transcript("wire").server;
+    let plan = transcript("planned").server[0].clone();
+    let pulling = vec![
+        (
+            "a marker where the answer is due",
+            edited(server, |f| _ = f.remove(0)),
+            "protocol_error",
+        ),
+        (
+            "two markers where the answer is due",
+            vec![turn(), turn()],
+            "stalled",
+        ),
+        ("a FIN where the answer is due", vec![fin()], "stalled"),
+        (
+            "a FIN twice where the answer is due",
+            vec![fin(), fin()],
+            "stalled",
+        ),
+        (
+            "a plan where the answer is due",
+            with_in(server, 0, plan),
+            "decode_error",
+        ),
+        ("a marker with a payload", vec![junk()], "decode_error"),
+        (
             "a hello where the answer is due",
-            vec![vec![hello()]],
+            vec![hello()],
             "protocol_error",
         ),
     ];
     unplanned_fixture("wire", many_objects_case(), [serving, pulling]);
+}
+
+/// A marker with a payload.
+fn junk() -> Frame {
+    frame(TURN_STREAM, b"junk")
 }
 
 #[test]
@@ -436,17 +518,6 @@ fn the_dense_contact_is_total_over_a_hostile_peer() {
 #[test]
 fn the_mixed_contact_is_total_over_a_hostile_peer() {
     unplanned_fixture("mixed", mixed_case(), [Vec::new(), Vec::new()]);
-}
-
-/// Crafted sequences, each with what it is and the refusal it must end
-/// in.
-type Extras = Vec<(&'static str, Turns, &'static str)>;
-
-/// `peer` with `extras` to refuse.
-fn with_extras(peer: Peer<'static>, extras: Extras) -> Peer<'static> {
-    (extras.into_iter()).fold(peer, |peer, (label, turns, why)| {
-        peer.extra(label, turns, why)
-    })
 }
 
 /// A first planned pull of `stores`, both halves, each with crafted
@@ -470,114 +541,141 @@ fn planned_fixture(
     report(name, started, [served, pulled]);
 }
 
-/// `turns` with its first frame — the plan — in place of `plan`.
-fn with_plan(turns: &Turns, plan: &[u8]) -> Turns {
-    let mut turns = turns.clone();
-    turns[0][0] = frame(CONTROL_STREAM, plan);
-    turns
-}
-
 #[test]
 fn the_planned_contact_is_total_over_a_hostile_peer() {
-    let honest = &transcript("planned").server;
-    let at = |count: u64| {
+    // The serving half: the planning turn hands the turn back with its
+    // marker and nothing else — not the vector again, a hello, a FIN or
+    // a marker with a payload — and a scope answers only an offer, a
+    // delta only a vector the connection remembers.
+    let puller = &transcript("planned").puller;
+    let scope = transcript("refined").puller[2].clone();
+    let delta = transcript("second").puller[0].clone();
+    let serving = vec![
+        (
+            "the digest vector twice",
+            twice(puller, 0),
+            "protocol_error",
+        ),
+        (
+            "the digest vector where its marker is due",
+            with_at(puller, 1, puller[0].clone()),
+            "protocol_error",
+        ),
+        (
+            "a hello where the marker is due",
+            with_at(puller, 1, hello()),
+            "protocol_error",
+        ),
+        (
+            "a FIN where the marker is due",
+            with_at(puller, 1, fin()),
+            "protocol_error",
+        ),
+        (
+            "a marker with a payload",
+            with_at(puller, 1, junk()),
+            "decode_error",
+        ),
+        (
+            "the digest vector on stream 3",
+            moved(puller, 0, 3),
+            "protocol_error",
+        ),
+        (
+            "a scope no plan offered",
+            with_in(puller, 2, scope),
+            "decode_error",
+        ),
+        (
+            "a delta on a fresh connection",
+            with_at(puller, 0, delta),
+            "decode_error",
+        ),
+    ];
+    // The pulling half: one plan, at the vector's shard count, on the
+    // control stream, then its marker; a push only on a link the server
+    // planned for before. Crafted: plans at another count, a puller's
+    // frames, a marker with a payload, and a plan under the refined tag
+    // with no children behind it, where the plan is due.
+    let server = &transcript("planned").server;
+    let plan_at = |count: u64| {
         let plan = ShardPlan {
             count,
             incremental: vec![1],
             ..ShardPlan::default()
         };
-        with_plan(honest, &plan.encode())
+        with_at(server, 0, frame(CONTROL_STREAM, &plan.encode()))
     };
+    let vector = KvStore::with_shards(SiteId::new(0), 4).shard_digest_vector();
+    let delta = DigestDelta::between(&vector, &vector).expect("same count");
+    let mut untailed = plan_at(4);
+    let mut tag = untailed[0].payload.to_vec();
+    tag[0] = 0x38;
+    untailed[0] = frame(CONTROL_STREAM, &tag);
+    let push = transcript("second").server[1].clone();
+    let planless = |first: Frame| with_at(server, 0, first);
     let pulling = vec![
+        ("a marker where the plan is due", vec![turn()], "stalled"),
+        ("a FIN where the plan is due", vec![fin()], "stalled"),
+        (
+            "a FIN where the marker is due",
+            vec![server[0].clone(), fin()],
+            "stalled",
+        ),
+        ("the plan twice", twice(server, 0), "protocol_error"),
+        (
+            "the plan on stream 3",
+            moved(server, 0, 3),
+            "protocol_error",
+        ),
+        (
+            "two empty turns behind the plan",
+            vec![server[0].clone(), turn(), turn(), turn()],
+            "stalled",
+        ),
+        (
+            "a push on a link's first contact",
+            with_in(server, 1, push),
+            "protocol_error",
+        ),
         (
             "a plan at 8 shards for a vector of 4",
-            at(8),
+            plan_at(8),
             "protocol_error",
         ),
         (
             "a plan at 2 shards for a vector of 4",
-            at(2),
-            "protocol_error",
-        ),
-    ];
-    // The planning turn hands the turn back with its marker and nothing
-    // else: not the vector again, a hello, a FIN or a marker with a
-    // payload.
-    let puller = &transcript("planned").puller;
-    let marked = |marker: Frame| {
-        let mut turns = puller.clone();
-        turns[0][1] = marker;
-        turns
-    };
-    let opening = puller[0][0].clone();
-    let serving = vec![
-        (
-            "the digest vector where its marker is due",
-            marked(opening),
+            plan_at(2),
             "protocol_error",
         ),
         (
-            "a hello where the marker is due",
-            marked(hello()),
-            "protocol_error",
+            "a digest vector where the plan is due",
+            planless(frame(CONTROL_STREAM, &vector.encode())),
+            "decode_error",
         ),
         (
-            "a FIN where the marker is due",
-            marked(fin()),
-            "protocol_error",
+            "a delta where the plan is due",
+            planless(frame(CONTROL_STREAM, &delta.encode())),
+            "decode_error",
         ),
         (
-            "a marker with a payload",
-            marked(frame(TURN_STREAM, b"junk")),
+            "a hello where the plan is due",
+            planless(hello()),
+            "decode_error",
+        ),
+        ("a marker with a payload", vec![junk()], "decode_error"),
+        (
+            "a plan under the refined tag with no children",
+            untailed,
             "decode_error",
         ),
     ];
-    // A puller's frames, a marker with a payload, and a plan under the
-    // refined tag with no children behind it, where the plan is due.
-    let vector = KvStore::with_shards(SiteId::new(0), 4).shard_digest_vector();
-    let delta = DigestDelta::between(&vector, &vector).expect("same count");
-    let mut untailed = at(4);
-    let mut tag = untailed[0][0].payload.to_vec();
-    tag[0] = 0x38;
-    untailed[0][0] = frame(CONTROL_STREAM, &tag);
-    let planless = |first: Frame| with_plan(honest, &first.payload);
-    let pulling = [
-        pulling,
-        vec![
-            (
-                "a digest vector where the plan is due",
-                planless(frame(CONTROL_STREAM, &vector.encode())),
-                "decode_error",
-            ),
-            (
-                "a delta where the plan is due",
-                planless(frame(CONTROL_STREAM, &delta.encode())),
-                "decode_error",
-            ),
-            (
-                "a hello where the plan is due",
-                planless(hello()),
-                "decode_error",
-            ),
-            (
-                "a marker with a payload",
-                vec![vec![frame(TURN_STREAM, b"junk")]],
-                "decode_error",
-            ),
-            (
-                "a plan under the refined tag with no children",
-                untailed,
-                "decode_error",
-            ),
-        ],
-    ]
-    .concat();
     planned_fixture("planned", planned_stores(), [serving, pulling]);
 }
 
 #[test]
 fn the_refined_contact_is_total_over_a_hostile_peer() {
-    let honest = &transcript("refined").server;
+    let server = &transcript("refined").server;
     let refined = |children: ChildDigests| {
         let plan = ShardPlan {
             count: 16,
@@ -585,7 +683,7 @@ fn the_refined_contact_is_total_over_a_hostile_peer() {
             children: Some(children),
             ..ShardPlan::default()
         };
-        with_plan(honest, &plan.encode())
+        with_at(server, 0, frame(CONTROL_STREAM, &plan.encode()))
     };
     let pair = vec![ShardDigest::default(); 2];
     let pulling = vec![
@@ -606,21 +704,29 @@ fn the_refined_contact_is_total_over_a_hostile_peer() {
             "decode_error",
         ),
     ];
-    // Crafted scopes: at the plan's count or another fan-out's instead of
-    // the offer's, children out of range and more indices than offered
-    // (a scope's decoder registration holds the rest of its
-    // malformations).
+    // The scope answers the offer once, ahead of the hello, never in
+    // place of the marker. Crafted scopes: at the plan's count or another
+    // fan-out's instead of the offer's, children out of range and more
+    // indices than offered (a scope's decoder registration holds the rest
+    // of its malformations).
     let puller = &transcript("refined").puller;
-    let scoped = |scope: &[u8]| {
-        let mut turns = puller.clone();
-        turns[1][0] = frame(CONTROL_STREAM, scope);
-        turns
-    };
+    let scoped = |scope: &[u8]| with_at(puller, 2, frame(CONTROL_STREAM, scope));
     let scope = |count: u64, children: &[u64]| {
         let children = children.to_vec();
         scoped(&ShardScope { count, children }.encode())
     };
     let serving = vec![
+        ("the scope twice", twice(puller, 2), "decode_error"),
+        (
+            "the hello before the scope",
+            edited(puller, |f| f.swap(2, 3)),
+            "decode_error",
+        ),
+        (
+            "a scope where the marker is due",
+            edited(puller, |f| _ = f.remove(1)),
+            "protocol_error",
+        ),
         (
             "a scope at the plan's count",
             scope(16, &[2]),
@@ -677,7 +783,7 @@ fn the_second_contact_over_a_link_is_total_over_a_hostile_peer() {
     let warm = || {
         let mut serving = Serving::default();
         let mut source = source_of(&before);
-        for frame in first.iter().flatten() {
+        for frame in &first {
             serving
                 .on_frame(frame.clone(), &mut source, &mut BytesMut::new())
                 .expect("the first contact");
@@ -685,33 +791,22 @@ fn the_second_contact_over_a_link_is_total_over_a_hostile_peer() {
         serving
     };
     let puller = &transcript("second").puller;
-    let opened = |opening: Vec<u8>| {
-        let mut turns = puller.clone();
-        turns[0][0] = frame(CONTROL_STREAM, &opening);
-        turns
-    };
-    let delta = puller[0][0].payload.to_vec();
+    let opened = |opening: Vec<u8>| with_at(puller, 0, frame(CONTROL_STREAM, &opening));
+    let delta = puller[0].payload.to_vec();
     let mut other_check = delta.clone();
     *other_check.last_mut().expect("a delta ends in its check") ^= 1;
     let changed = [1, 0, 0, 0, 0, 0, 0, 0, 7];
     let eight = KvStore::with_shards(SiteId::new(0), 8).shard_digest_vector();
+    let eight = DigestDelta::between(&eight, &eight).expect("same count");
     let scoped = |children: &[u8]| {
-        let mut turns = puller.clone();
-        turns[1][0] = frame(
-            CONTROL_STREAM,
-            &[&[0x37, 0x80, 0x02][..], children].concat(),
-        );
-        turns
+        let scope = [&[0x37, 0x80, 0x02][..], children].concat();
+        with_at(puller, 2, frame(CONTROL_STREAM, &scope))
     };
-    let serving_extras = [
+    let serving_extras = vec![
+        ("the delta twice", twice(puller, 0), "protocol_error"),
         (
             "a delta at another shard count",
-            opened(
-                DigestDelta::between(&eight, &eight)
-                    .unwrap()
-                    .encode()
-                    .to_vec(),
-            ),
+            opened(eight.encode().to_vec()),
             "decode_error",
         ),
         (
@@ -755,17 +850,37 @@ fn the_second_contact_over_a_link_is_total_over_a_hostile_peer() {
             "decode_error",
         ),
     ];
-    let serving = with_extras(peer("second", "puller"), serving_extras.into());
+    let serving = with_extras(peer("second", "puller"), serving_extras);
     let served = check_serving(serving, &src, warm);
 
-    // The pulling half: crafted plans around the honest push, and an
-    // empty push.
-    let honest = &transcript("second").server;
-    let listing = |plan: ShardPlan| with_plan(honest, &plan.encode());
+    // The pulling half: the plan, its push, once, on the control stream,
+    // then the marker; crafted plans around the honest push, and an empty
+    // push.
+    let server = &transcript("second").server;
+    let listing = |plan: ShardPlan| with_at(server, 0, frame(CONTROL_STREAM, &plan.encode()));
     let pair = vec![ShardDigest::default(); 2];
-    let mut empty_push = honest.clone();
-    empty_push[0][1] = push_frame(b"");
     let pulling_extras = vec![
+        ("the push twice", twice(server, 1), "protocol_error"),
+        (
+            "the push before the plan",
+            edited(server, |f| f.swap(0, 1)),
+            "protocol_error",
+        ),
+        (
+            "the push on stream 3",
+            moved(server, 1, 3),
+            "protocol_error",
+        ),
+        (
+            "a hello behind the push",
+            with_in(server, 2, hello()),
+            "protocol_error",
+        ),
+        (
+            "the push after the marker",
+            edited(server, |f| f.swap(1, 2)),
+            "decode_error",
+        ),
         (
             "a push into a shard the plan walks",
             listing(ShardPlan {
@@ -798,7 +913,11 @@ fn the_second_contact_over_a_link_is_total_over_a_hostile_peer() {
             }),
             "protocol_error",
         ),
-        ("an empty push", empty_push, "protocol_error"),
+        (
+            "an empty push",
+            with_at(server, 1, push_frame(b"")),
+            "protocol_error",
+        ),
     ];
     let pulling_peer = with_extras(peer("second", "server"), pulling_extras);
     let pulled = check_pulling(pulling_peer, pulling);

@@ -241,6 +241,14 @@ fn a_planning_turn_hands_out_its_plan_once_and_its_push_to_the_endpoint() {
         Some(vec![1])
     );
     assert!(puller.take_plan().is_none());
+    // Between the planning turn and the exchange the puller reads
+    // nothing: a contact takes the plan before it reads on.
+    let mut puller = Puller::open_planned(&empty, &nothing, &mut out);
+    for frame in [walking(), turn()] {
+        assert!(puller.on_frame(frame, &mut out).unwrap().is_none());
+    }
+    let err = puller.on_frame(turn(), &mut out).unwrap_err();
+    assert_eq!(reason_label(&err), "protocol_error");
 
     let children = ChildDigests {
         fanout: 2,
