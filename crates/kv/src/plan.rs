@@ -46,9 +46,9 @@ impl KvStore {
     /// image stays within [`MAX_PUSH`], sized by its records each coded
     /// whole, which no entry of the image outgrows; a shard left out, as
     /// one that holds no such record, is not proposed, and is walked. The
-    /// records of the shards that join are listed in one walk, in key
-    /// order, and the image is sized and written from that list, so what
-    /// it holds stays within the push.
+    /// records of the shards that join are listed in key order
+    /// ([`KvStore::records_in`]), and the image is sized and written from
+    /// that list, so what it holds stays within the push.
     fn push_of(&self, count: u64, pushes: &Pushes) -> (Vec<u64>, Bytes) {
         let shards: Vec<u64> = pushes.iter().map(|(shard, _)| *shard).collect();
         let slot = |key: &[u8]| shards.binary_search(&(placement(key) & (count - 1)));
@@ -78,13 +78,7 @@ impl KvStore {
         if proposed.is_empty() {
             return (proposed, Bytes::new());
         }
-        let mut records = Vec::new();
-        self.visit_shards(&proposed, count as usize, |key, view| {
-            if pushed(key) {
-                records.push((Bytes::copy_from_slice(key), view));
-            }
-        });
-        records.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
+        let records = self.records_in(&proposed, count as usize, pushed);
         let image = EntryImage::of_records(Listed(records));
         let mut buf = Vec::with_capacity(image.encoded_len());
         image.write_to(&mut buf).expect("a Vec takes every byte");

@@ -11,7 +11,8 @@
 //! is written into one buffer of its size, what a store's change
 //! journal costs: one allocation of the cap, whatever the store holds —
 //! and what a pull costs while it runs: heap for the keys it moves, not
-//! for the keys its source holds.
+//! for the keys its source holds; a push past its frame, the push and
+//! the keys that join it.
 //! It is its own test binary so the allocator touches nothing else.
 
 use bytes::{Bytes, BytesMut};
@@ -21,9 +22,10 @@ use optrep_core::wire::Frame;
 use optrep_core::{RotatingVector, SiteId, Srv};
 use optrep_kv::{JoinResolver, KvStore, KvSyncReport};
 use optrep_replication::mux::TURN_STREAM;
+use optrep_replication::planner::MAX_PUSH;
 use optrep_replication::{
-    pull_planned, ContactAsk, ContactReport, CtrlMsg, InProcessLink, MuxMsg, Serving, VectorMemory,
-    CONTROL_STREAM, JOURNAL_CAP,
+    pull_planned, ContactAnswer, ContactAsk, ContactReport, CtrlMsg, InProcessLink, MuxMsg,
+    Serving, VectorMemory, CONTROL_STREAM, JOURNAL_CAP,
 };
 use std::cell::RefCell;
 
@@ -530,5 +532,57 @@ fn a_pull_costs_heap_for_the_keys_it_moves_not_the_keys_its_source_holds() {
     assert!(
         peaks[1].abs_diff(peaks[0]) * 10 <= peaks[0],
         "the pull's peak follows the store: {peaks:?}"
+    );
+}
+
+/// A push past its frame holds the push and the keys that join it. A
+/// source whose every key of 8 KiB changed since the connection's last
+/// contact — 4 000 keys, nearly the journal's cap, about twice what one
+/// frame holds — plans a push of the shards that fit in a frame and
+/// walks the rest. Planning holds the push, one buffer of its size, and
+/// the listed records of the shards that join, each key copied out: not
+/// a list of every changed key, and not the changed values.
+#[test]
+fn a_push_past_its_frame_holds_the_push_and_the_keys_that_join_it() {
+    const KEYS: usize = 4_000;
+    const VALUE: usize = 8 * 1024;
+    const SHARDS: usize = 64;
+    let mut src = KvStore::with_shards(SiteId::new(1), SHARDS);
+    for i in 0..KEYS {
+        src.put(format!("k{i:04}"), vec![b'a'; VALUE]);
+    }
+    let (digests, since) = (src.shard_digest_vector(), src.generation());
+    for i in 0..KEYS {
+        src.put(format!("k{i:04}"), vec![b'b'; VALUE]);
+    }
+    let ask = ContactAsk::Plan {
+        digests: &digests,
+        since: Some(since),
+    };
+    let (answer, planned) = on_thread(|| src.open_contact(ask));
+    let ContactAnswer::Plan(_, _, proposed, push) = answer else {
+        panic!("a plan")
+    };
+    let joined: u64 = proposed.iter().map(|shard| shard.entries).sum();
+    eprintln!(
+        "{} of {SHARDS} shards, {joined} keys pushed in {} B; planning peak {} B",
+        proposed.len(),
+        push.len(),
+        planned.peak
+    );
+    assert!(
+        push.len() <= MAX_PUSH && push.len() > MAX_PUSH / 2,
+        "a frame's push"
+    );
+    assert!((1..SHARDS).contains(&proposed.len()), "some shards walked");
+    // The push; 64 B a listed record of the keys that join (its key's
+    // handle and its view), the list's room doubled as it grows; and
+    // 64 KiB for the keys copied out, the journal's hints and the plan.
+    // A list of every changed key holds ≈ 400 KiB past the push.
+    let listed = 2 * 64 * joined as usize;
+    assert!(
+        planned.peak <= push.len() + listed + 64 * 1024,
+        "{} B past the push, {joined} keys joined",
+        planned.peak - push.len()
     );
 }
